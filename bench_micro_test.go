@@ -1,9 +1,7 @@
 package edgeejb_test
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"fmt"
 	"sync"
 	"testing"
@@ -36,19 +34,6 @@ func BenchmarkMementoClone(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_ = m.Clone()
-	}
-}
-
-func BenchmarkMementoGobEncode(b *testing.B) {
-	m := sampleMemento()
-	var buf bytes.Buffer
-	enc := gob.NewEncoder(&buf)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		buf.Reset()
-		if err := enc.Encode(m); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 
@@ -233,17 +218,33 @@ func BenchmarkSLIWriteCommit(b *testing.B) {
 
 // --- Wire transport ----------------------------------------------------
 
-// echoReq/echoHandler exercise the bare transport: framing, gob
-// streaming, multiplexing and stats, with a trivial handler so the
-// numbers isolate transport cost.
+// echoReq/echoHandler exercise the bare transport: framing,
+// multiplexing and stats, with self-encoding bodies like the product's
+// and a trivial handler so the numbers isolate transport cost.
 type echoReq struct {
 	Payload string
 }
 
 func (r *echoReq) WireLabel() string { return "echo" }
 
+func (r *echoReq) AppendWire(dst []byte) []byte { return wire.AppendString(dst, r.Payload) }
+
+func (r *echoReq) ReadWire(data []byte) error {
+	rd := wire.NewReader(data)
+	r.Payload = rd.Str()
+	return rd.Err()
+}
+
 type echoResp struct {
 	Payload string
+}
+
+func (r *echoResp) AppendWire(dst []byte) []byte { return wire.AppendString(dst, r.Payload) }
+
+func (r *echoResp) ReadWire(data []byte) error {
+	rd := wire.NewReader(data)
+	r.Payload = rd.Str()
+	return rd.Err()
 }
 
 type echoHandler struct{}

@@ -10,7 +10,7 @@ import (
 func writeSummary(t *testing.T, dir, name string, metrics map[string]regress.Metric) string {
 	t.Helper()
 	path := filepath.Join(dir, name)
-	if err := regress.Save(path, &regress.Summary{Schema: regress.SchemaV1, Metrics: metrics}); err != nil {
+	if err := regress.Save(path, &regress.Summary{Schema: regress.SchemaV2, Metrics: metrics}); err != nil {
 		t.Fatal(err)
 	}
 	return path

@@ -43,7 +43,7 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("edged", flag.ContinueOnError)
 	var (
-		addr     = fs.String("addr", "127.0.0.1:7100", "listen address for web clients (gob protocol)")
+		addr     = fs.String("addr", "127.0.0.1:7100", "listen address for web clients (appserver wire protocol)")
 		httpAddr = fs.String("http", "", "also serve plain HTTP on this address (GET /trade/{action})")
 		target   = fs.String("target", "127.0.0.1:7000", "database or back-end server address; a comma-separated list (sli-backend only) routes by key across that many shards, ordered by shard index")
 		algo     = fs.String("algo", "sli-backend", "data access: jdbc | bmp | sli-db | sli-backend")

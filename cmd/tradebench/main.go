@@ -99,7 +99,6 @@ func run(args []string) error {
 
 		finderCache = fs.Bool("finder-cache", true, "cache finder (query) results at the edge with footprint-based invalidation; -finder-cache=false reproduces the uncached behavior")
 
-		codec = fs.String("codec", "binary", "dbwire body codec: binary (negotiated per connection) or gob (the pre-negotiation wire format)")
 		batch = fs.Bool("batch", true, "coalesce independent statements of one interaction into multi-statement frames; -batch=false reproduces one round trip per statement")
 
 		sessions = fs.Int("sessions", 25, "measured sessions per delay point (paper: 300)")
@@ -168,7 +167,6 @@ func run(args []string) error {
 			HoldingsPerUser: *holdings,
 		},
 		CacheOptions: []slicache.ManagerOption{slicache.WithFinderCache(*finderCache)},
-		Codec:        *codec,
 		Batch:        *batch,
 	}
 	logf := func(format string, a ...any) {
@@ -354,6 +352,12 @@ func run(args []string) error {
 			runtime.GC()
 			rt.Update()
 		}
+		// The whole-run diff is cut here, at the final fold, not after
+		// the trace assembly below: that allocates half as much again as
+		// the measured run, and the background sampler folds it in or
+		// not depending on where its next tick lands, which would give
+		// resource.allocs_per_interaction two values for one build.
+		runDiff := obs.Default.Diff(runStart)
 		if *metrics && capt != nil {
 			fmt.Println()
 			if err := capt.Hotspots().WriteTable(os.Stdout, 10); err != nil {
@@ -384,7 +388,6 @@ func run(args []string) error {
 		if err := art.WriteCriticalPath(attr); err != nil {
 			return err
 		}
-		runDiff := obs.Default.Diff(runStart)
 		var rtSnap *obs.Snapshot
 		if rt != nil {
 			rtSnap = &runDiff
@@ -522,7 +525,6 @@ func runShardSweep(counts []int, clients int, dbService time.Duration, cfg harne
 	opts.Populate = cfg.Populate
 	opts.Workload = cfg.Run.Workload
 	opts.CacheOptions = cfg.CacheOptions
-	opts.Codec = cfg.Codec
 	points, err := harness.RunShardScaling(context.Background(), opts, logf)
 	if err != nil {
 		return nil, err
@@ -641,7 +643,6 @@ func runThroughput(cfg harness.EvalConfig, forensics bool, logf func(string, ...
 			Algo:         pair.Algo,
 			Populate:     cfg.Populate,
 			CacheOptions: cfg.CacheOptions,
-			Codec:        cfg.Codec,
 			Batch:        cfg.Batch,
 		}, topts)
 		if err != nil {

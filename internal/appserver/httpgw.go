@@ -18,7 +18,7 @@ import (
 // Action names are the Table 1 names (login, logout, register, home,
 // account, accountUpdate, portfolio, quote, buy, sell) plus the
 // marketSummary extension. Responses are the same rendered pages the
-// gob protocol returns; application errors map to 422 and unknown
+// wire protocol returns; application errors map to 422 and unknown
 // actions to 404.
 type HTTPGateway struct {
 	srv *Server

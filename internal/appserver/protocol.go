@@ -1,6 +1,11 @@
 package appserver
 
-import "fmt"
+import (
+	"encoding/binary"
+	"fmt"
+
+	"edgeejb/internal/wire"
+)
 
 // Request is one client interaction: a trade action plus parameters.
 type Request struct {
@@ -15,6 +20,35 @@ type Request struct {
 // WireLabel names the request's action for per-op transport stats.
 func (r *Request) WireLabel() string { return r.Action }
 
+// AppendWire implements wire.Body: session, action, then the parameter
+// count and its key/value pairs.
+func (r *Request) AppendWire(dst []byte) []byte {
+	dst = wire.AppendString(dst, r.SessionID)
+	dst = wire.AppendString(dst, r.Action)
+	dst = binary.AppendUvarint(dst, uint64(len(r.Params)))
+	for k, v := range r.Params {
+		dst = wire.AppendString(dst, k)
+		dst = wire.AppendString(dst, v)
+	}
+	return dst
+}
+
+// ReadWire implements wire.Body. An empty parameter list reads as a nil
+// map.
+func (r *Request) ReadWire(data []byte) error {
+	rd := wire.NewReader(data)
+	r.SessionID = rd.Str()
+	r.Action = rd.Str()
+	if n := rd.Len(); n > 0 {
+		r.Params = make(map[string]string, n)
+		for i := 0; i < n && !rd.Failed(); i++ {
+			k := rd.Str()
+			r.Params[k] = rd.Str()
+		}
+	}
+	return rd.Err()
+}
+
 // Response is the rendered result of one interaction.
 type Response struct {
 	// OK is false when the action failed; Err carries the message.
@@ -22,6 +56,23 @@ type Response struct {
 	Err string
 	// Body is the rendered HTML page.
 	Body []byte
+}
+
+// AppendWire implements wire.Body: outcome, message, page.
+func (r *Response) AppendWire(dst []byte) []byte {
+	dst = wire.AppendBool(dst, r.OK)
+	dst = wire.AppendString(dst, r.Err)
+	return wire.AppendBytes(dst, r.Body)
+}
+
+// ReadWire implements wire.Body. The page is copied out of the
+// connection's read buffer.
+func (r *Response) ReadWire(data []byte) error {
+	rd := wire.NewReader(data)
+	r.OK = rd.Bool()
+	r.Err = rd.Str()
+	r.Body = rd.Bytes()
+	return rd.Err()
 }
 
 // Error materializes a failed response as an error.

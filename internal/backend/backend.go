@@ -33,7 +33,7 @@ type Option func(*logic)
 // round trip and one invalidation fan-out for the whole batch instead
 // of one each. Per-set outcomes (including conflict attribution) are
 // unchanged; only the round-trip economics differ.
-func WithGroupCommit(on bool) Option { return func(l *logic) { l.noGroup = !on } }
+func WithGroupCommit(on bool) Option { return func(l *logic) { l.serialCommit = !on } }
 
 // NewServer builds a back-end server over its (low-latency) handle to
 // the database tier. Call Start/Close as with dbwire.Server.
@@ -67,8 +67,8 @@ func (s *Server) CommitsRejected() uint64 { return s.logic.rejected.Load() }
 // the database handle; ApplyCommitSet is replaced by the split-servers
 // commit logic.
 type logic struct {
-	db      storeapi.Conn
-	noGroup bool
+	db           storeapi.Conn
+	serialCommit bool
 
 	applied  counter
 	rejected counter
@@ -137,7 +137,7 @@ func (l *logic) beginRetry(ctx context.Context) (storeapi.Txn, error) {
 // one takes the classic statement-by-statement path, so serial traffic
 // renders the exact per-statement span waterfall of Figure 7.
 func (l *logic) ApplyCommitSet(ctx context.Context, cs memento.CommitSet) (sqlstore.ApplyResult, error) {
-	if l.noGroup {
+	if l.serialCommit {
 		obsGroupSize.Observe(1)
 		return l.applyOne(ctx, cs)
 	}

@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"strings"
-	"sync/atomic"
 	"time"
 
 	"edgeejb/internal/memento"
@@ -36,12 +34,6 @@ type DialFunc func(ctx context.Context, addr string) (net.Conn, error)
 // Client implements storeapi.Conn.
 type Client struct {
 	w *wire.Client
-	// noBatch / noGroup latch when the server answers "unknown op" for
-	// OpBatch / OpApplyCommitSets: the peer predates them, so every later
-	// batch falls straight back to one round trip per statement (set)
-	// without re-probing.
-	noBatch atomic.Bool
-	noGroup atomic.Bool
 }
 
 var _ storeapi.Conn = (*Client)(nil)
@@ -53,7 +45,6 @@ type Option interface {
 
 type clientConfig struct {
 	wopts []wire.Option
-	codec string
 }
 
 type dialerOption DialFunc
@@ -78,66 +69,27 @@ func (o retryOption) apply(cfg *clientConfig) {
 // version validation (see ApplyCommitSet).
 func WithRetryPolicy(p wire.RetryPolicy) Option { return retryOption(p) }
 
-type codecOption string
-
-func (o codecOption) apply(cfg *clientConfig) { cfg.codec = string(o) }
-
-// WithCodec selects the body codec the client negotiates on each fresh
-// connection: "binary" (the default — compact hand-rolled encoding) or
-// "gob" (no negotiation, the wire format every peer speaks). With
-// "binary" the client sends an OpHello first on every new connection;
-// peers that predate the handshake answer "unknown op" and the
-// connection simply stays on gob, so mixed versions interoperate.
-func WithCodec(name string) Option { return codecOption(name) }
-
 // Dial creates a client for the database server at addr. Connections
 // are opened lazily. Failed one-shot operations and pinned-stream
 // handshakes are retried on fresh connections under a bounded, jittered
 // backoff budget (wire.DefaultRetryPolicy unless overridden); the
 // retries consumed are surfaced in WireStats().Retries.
 func Dial(addr string, opts ...Option) *Client {
-	cfg := &clientConfig{wopts: []wire.Option{wire.WithRetry()}, codec: codecBinary}
+	cfg := &clientConfig{wopts: []wire.Option{wire.WithRetry()}}
 	for _, o := range opts {
 		o.apply(cfg)
 	}
-	if cfg.codec != codecGob {
-		cfg.wopts = append(cfg.wopts, wire.WithPreflight(negotiateCodec(cfg.codec)))
-	}
 	return &Client{w: wire.NewClient(addr, cfg.wopts...)}
-}
-
-// negotiateCodec is the connection preflight that runs the OpHello
-// handshake on every fresh connection, before it carries any caller
-// traffic. The hello itself always travels in gob; only after the
-// server's acceptance do both directions switch. Any non-acceptance —
-// an old peer's "unknown op", a declined offer — leaves the connection
-// on gob, which every peer speaks.
-func negotiateCodec(name string) func(ctx context.Context, pc wire.PreflightConn) error {
-	return func(ctx context.Context, pc wire.PreflightConn) error {
-		resp := new(Response)
-		if err := pc.Call(ctx, &Request{Op: OpHello, Codecs: []string{name}}, resp); err != nil {
-			return err
-		}
-		if resp.Code == CodeOK && resp.Codec == codecBinary && name == codecBinary {
-			pc.SetBodyCodec(binCodec)
-			wire.NoteCodec(codecBinary)
-			return nil
-		}
-		wire.NoteCodec(codecGob)
-		return nil
-	}
 }
 
 // RoundTrips returns the number of request/response round trips the
 // client has performed. Tests use it to verify the per-algorithm access
 // counts that drive the paper's latency-sensitivity results. The
-// subscription and codec handshakes are excluded: they set up the
-// connection (a push stream, a body codec) rather than performing a
-// data access, and the hello in particular is a per-connection cost
-// amortized over the connection's life, not a per-statement one.
+// subscription handshake is excluded: it sets up a push stream rather
+// than performing a data access.
 func (c *Client) RoundTrips() uint64 {
 	s := c.w.Stats()
-	return s.RoundTrips - s.Ops[OpSubscribe.String()].Count - s.Ops[OpHello.String()].Count
+	return s.RoundTrips - s.Ops[OpSubscribe.String()].Count
 }
 
 // WireStats returns the transport counters (bytes, round trips, per-op
@@ -231,7 +183,7 @@ func (c *Client) Begin(ctx context.Context) (storeapi.Txn, error) {
 			st.Close()
 			return nil, err
 		}
-		return &remoteTxn{c: c, st: st, id: resp.Tx}, nil
+		return &remoteTxn{st: st, id: resp.Tx}, nil
 	}
 }
 
@@ -260,46 +212,30 @@ func (c *Client) ApplyCommitSet(ctx context.Context, cs memento.CommitSet) (sqls
 
 // ApplyCommitSets ships several independent commit sets in ONE round
 // trip — the group-commit path. Each set succeeds or fails on its own
-// (per-set Err; conflicts keep their full attribution). Against a peer
-// that predates the op, the client falls back to one ApplyCommitSet
-// round trip per set and remembers the downgrade.
+// (per-set Err; conflicts keep their full attribution).
 func (c *Client) ApplyCommitSets(ctx context.Context, sets []memento.CommitSet) ([]sqlstore.ApplySetResult, error) {
 	if len(sets) == 0 {
 		return nil, nil
 	}
-	if !c.noGroup.Load() {
-		obsPipelineDepth.Observe(time.Duration(len(sets)))
-		resp, err := c.oneShot(ctx, &Request{Op: OpApplyCommitSets, Sets: sets})
-		if err != nil {
-			return nil, err
-		}
-		if !(resp.Code == CodeBadRequest && strings.Contains(resp.Msg, "unknown op")) {
-			if err := decodeErr(resp); err != nil {
-				return nil, err
-			}
-			if len(resp.Batch) != len(sets) {
-				return nil, fmt.Errorf("dbwire: %s: %d results for %d sets", OpApplyCommitSets, len(resp.Batch), len(sets))
-			}
-			out := make([]sqlstore.ApplySetResult, len(sets))
-			for i := range resp.Batch {
-				sub := &resp.Batch[i]
-				if err := decodeErr(sub); err != nil {
-					out[i].Err = err
-					continue
-				}
-				out[i].Res = sqlstore.ApplyResult{TxID: sub.Tx, NewVersions: sub.NewVersions}
-			}
-			return out, nil
-		}
-		c.noGroup.Store(true)
+	obsPipelineDepth.Observe(time.Duration(len(sets)))
+	resp, err := c.oneShot(ctx, &Request{Op: OpApplyCommitSets, Sets: sets})
+	if err != nil {
+		return nil, err
 	}
-	// Older peer: one round trip per set. ApplyCommitSet cannot tell a
-	// transport failure from a per-set rejection, so every error lands in
-	// the set's own slot; callers reading per-set errors see the same
-	// shape either way.
+	if err := decodeErr(resp); err != nil {
+		return nil, err
+	}
+	if len(resp.Batch) != len(sets) {
+		return nil, fmt.Errorf("dbwire: %s: %d results for %d sets", OpApplyCommitSets, len(resp.Batch), len(sets))
+	}
 	out := make([]sqlstore.ApplySetResult, len(sets))
-	for i := range sets {
-		out[i].Res, out[i].Err = c.ApplyCommitSet(ctx, sets[i])
+	for i := range resp.Batch {
+		sub := &resp.Batch[i]
+		if err := decodeErr(sub); err != nil {
+			out[i].Err = err
+			continue
+		}
+		out[i].Res = sqlstore.ApplyResult{TxID: sub.Tx, NewVersions: sub.NewVersions}
 	}
 	return out, nil
 }
@@ -313,8 +249,8 @@ var (
 )
 
 // Prepare ships 2PC's first phase in one round trip: the server
-// validates the sub-set and holds its locks under gid. A peer that
-// predates the op answers "unknown op" (CodeBadRequest), which comes
+// validates the sub-set and holds its locks under gid. A server whose
+// datastore handle cannot prepare answers CodeBadRequest, which comes
 // back as an error — a no vote, so the coordinator aborts the global
 // transaction rather than committing partially.
 func (c *Client) Prepare(ctx context.Context, gid string, cs memento.CommitSet) error {
@@ -352,8 +288,8 @@ func (c *Client) AbortPrepared(ctx context.Context, gid string) error {
 var _ storeapi.Preparer = (*Client)(nil)
 
 // getResult assembles a GetResult from a read response, synthesizing
-// the footprint locally when the server (an older peer) did not stamp
-// one — a key read's footprint is fully determined by its arguments.
+// the footprint locally when the response carries none — a key read's
+// footprint is fully determined by its arguments.
 func getResult(resp *Response, table, id string) storeapi.GetResult {
 	res := storeapi.GetResult{Mem: resp.Mem}
 	if resp.FP != nil {
@@ -365,8 +301,8 @@ func getResult(resp *Response, table, id string) storeapi.GetResult {
 }
 
 // queryResult assembles a QueryResult from a read response, deriving
-// the footprint from the query and its rows when the server did not
-// stamp one.
+// the footprint from the query and its rows when the response carries
+// none.
 func queryResult(resp *Response, q memento.Query) storeapi.QueryResult {
 	res := storeapi.QueryResult{Mems: resp.Mems}
 	if resp.FP != nil {
@@ -449,7 +385,6 @@ func (c *Client) Subscribe(ctx context.Context) (<-chan sqlstore.Notice, func(),
 
 // remoteTxn drives one server-side transaction over a pinned stream.
 type remoteTxn struct {
-	c      *Client
 	st     *wire.Stream
 	id     uint64
 	done   bool
@@ -596,15 +531,10 @@ func stmtRequest(st storeapi.Stmt) (Request, error) {
 // per-statement results back into storeapi's shape. Semantics match
 // the serial calls exactly: the server executes sub-requests in order
 // and stops at the first failure; statements past it come back as
-// ErrStmtSkipped. Against a peer that predates OpBatch the client
-// falls back to one round trip per statement and remembers the
-// downgrade for the connection pool's lifetime.
+// ErrStmtSkipped.
 func (t *remoteTxn) ExecBatch(ctx context.Context, stmts []storeapi.Stmt) ([]storeapi.StmtResult, error) {
 	if len(stmts) == 0 {
 		return nil, nil
-	}
-	if t.c != nil && t.c.noBatch.Load() {
-		return storeapi.ExecSerial(ctx, t, stmts)
 	}
 	if t.done {
 		return nil, sqlstore.ErrTxDone
@@ -624,12 +554,6 @@ func (t *remoteTxn) ExecBatch(ctx context.Context, stmts []storeapi.Stmt) ([]sto
 		t.broken = true
 		t.finish()
 		return nil, fmt.Errorf("dbwire: %s: %w", OpBatch, err)
-	}
-	if resp.Code == CodeBadRequest && strings.Contains(resp.Msg, "unknown op") {
-		if t.c != nil {
-			t.c.noBatch.Store(true)
-		}
-		return storeapi.ExecSerial(ctx, t, stmts)
 	}
 	if derr := decodeErr(resp); derr != nil {
 		return nil, derr

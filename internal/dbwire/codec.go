@@ -2,62 +2,49 @@ package dbwire
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math"
-	"time"
 
 	"edgeejb/internal/memento"
 	"edgeejb/internal/sqlstore"
 	"edgeejb/internal/wire"
 )
 
-// Body codec names used in the OpHello handshake.
-const (
-	codecGob    = "gob"
-	codecBinary = "binary"
-)
-
-// binCodec is a hand-rolled binary codec for the protocol's two body
-// types. Compared to gob it drops the reflection walk and the
-// per-message field-id framing: messages open with a presence bitmask
-// and encode only the non-zero fields, integers as varints, so the
-// high-volume Get/Query/Commit traffic — the traffic Figure 8 weighs —
-// is both cheaper to encode and smaller on the wire. Absent fields
-// decode to their zero values exactly as gob's omitted fields do, so
-// the two codecs are semantically interchangeable message by message.
+// Request and Response encode themselves (wire.Body): a message opens
+// with its op or code byte and a presence bitmask, then carries only
+// the non-zero fields, integers as varints, so the high-volume
+// Get/Query/Commit traffic — the traffic Figure 8 weighs — is cheap to
+// encode and small on the wire. Absent fields decode to their zero
+// values.
 //
 // The encoding is not self-describing: both peers must agree on the
-// field order below, which is why the codec is only ever enabled by the
-// OpHello handshake (see negotiation in client.go / server.go). Schema
-// changes need a new codec name, not a silent field reorder.
-var binCodec wire.BodyCodec = binaryCodec{}
+// field order below. Every daemon builds from this tree, so a schema
+// change edits the append and read functions in one commit; the
+// round-trip test in codec_test.go fails for a struct field that
+// neither carries.
 
-type binaryCodec struct{}
+var (
+	_ wire.Body = (*Request)(nil)
+	_ wire.Body = (*Response)(nil)
+)
 
-func (binaryCodec) Name() string { return codecBinary }
+// AppendWire implements wire.Body.
+func (q *Request) AppendWire(dst []byte) []byte { return appendRequest(dst, q) }
 
-func (binaryCodec) EncodeBody(dst []byte, body any) ([]byte, error) {
-	switch b := body.(type) {
-	case *Request:
-		return appendRequest(dst, b), nil
-	case *Response:
-		return appendResponse(dst, b), nil
-	default:
-		return nil, fmt.Errorf("dbwire: binary codec cannot encode %T", body)
-	}
+// ReadWire implements wire.Body.
+func (q *Request) ReadWire(data []byte) error {
+	r := wire.NewReader(data)
+	readRequest(r, q, false)
+	return r.Err()
 }
 
-func (binaryCodec) DecodeBody(data []byte, body any) error {
-	r := &breader{b: data}
-	switch b := body.(type) {
-	case *Request:
-		readRequest(r, b)
-	case *Response:
-		readResponse(r, b)
-	default:
-		return fmt.Errorf("dbwire: binary codec cannot decode %T", body)
-	}
-	return r.err
+// AppendWire implements wire.Body.
+func (p *Response) AppendWire(dst []byte) []byte { return appendResponse(dst, p) }
+
+// ReadWire implements wire.Body.
+func (p *Response) ReadWire(data []byte) error {
+	r := wire.NewReader(data)
+	readResponse(r, p, false)
+	return r.Err()
 }
 
 // Request field bits (after the always-present Op byte).
@@ -70,14 +57,8 @@ const (
 	reqMem
 	reqQuery
 	reqSet
-	reqCodecs
 	reqBatch
 	reqSets
-	// reqGid was appended for the 2PC prepare ops. Appending new bits
-	// (with their payloads encoded after all earlier fields) keeps the
-	// codec name stable: an old decoder reads every field it knows and
-	// leaves the trailing bytes unconsumed — harmless, since it then
-	// answers "unknown op" for the new opcode anyway.
 	reqGid
 )
 
@@ -108,9 +89,6 @@ func appendRequest(dst []byte, q *Request) []byte {
 	if !q.Set.IsEmpty() {
 		mask |= reqSet
 	}
-	if len(q.Codecs) > 0 {
-		mask |= reqCodecs
-	}
 	if len(q.Batch) > 0 {
 		mask |= reqBatch
 	}
@@ -125,10 +103,10 @@ func appendRequest(dst []byte, q *Request) []byte {
 		dst = binary.AppendUvarint(dst, q.Tx)
 	}
 	if mask&reqTable != 0 {
-		dst = appendString(dst, q.Table)
+		dst = wire.AppendString(dst, q.Table)
 	}
 	if mask&reqID != 0 {
-		dst = appendString(dst, q.ID)
+		dst = wire.AppendString(dst, q.ID)
 	}
 	if mask&reqKey != 0 {
 		dst = appendKey(dst, q.Key)
@@ -145,12 +123,6 @@ func appendRequest(dst []byte, q *Request) []byte {
 	if mask&reqSet != 0 {
 		dst = appendCommitSet(dst, q.Set)
 	}
-	if mask&reqCodecs != 0 {
-		dst = binary.AppendUvarint(dst, uint64(len(q.Codecs)))
-		for _, s := range q.Codecs {
-			dst = appendString(dst, s)
-		}
-	}
 	if mask&reqBatch != 0 {
 		dst = binary.AppendUvarint(dst, uint64(len(q.Batch)))
 		for i := range q.Batch {
@@ -164,28 +136,35 @@ func appendRequest(dst []byte, q *Request) []byte {
 		}
 	}
 	if mask&reqGid != 0 {
-		dst = appendString(dst, q.Gid)
+		dst = wire.AppendString(dst, q.Gid)
 	}
 	return dst
 }
 
-func readRequest(r *breader, q *Request) {
-	q.Op = OpCode(r.byte1())
-	mask := r.uvarint()
+// readRequest decodes one request. A batch's statements are nested
+// requests; they may not carry a batch of their own, which bounds the
+// decoder's recursion however deep a hostile frame nests.
+func readRequest(r *wire.Reader, q *Request, nested bool) {
+	q.Op = OpCode(r.Byte())
+	mask := r.Uvarint()
+	if nested && mask&reqBatch != 0 {
+		r.Fail()
+		return
+	}
 	if mask&reqTx != 0 {
-		q.Tx = r.uvarint()
+		q.Tx = r.Uvarint()
 	}
 	if mask&reqTable != 0 {
-		q.Table = r.str()
+		q.Table = r.Str()
 	}
 	if mask&reqID != 0 {
-		q.ID = r.str()
+		q.ID = r.Str()
 	}
 	if mask&reqKey != 0 {
 		q.Key = readKey(r)
 	}
 	if mask&reqVersion != 0 {
-		q.Version = r.uvarint()
+		q.Version = r.Uvarint()
 	}
 	if mask&reqMem != 0 {
 		q.Mem = readMemento(r)
@@ -196,29 +175,23 @@ func readRequest(r *breader, q *Request) {
 	if mask&reqSet != 0 {
 		q.Set = readCommitSet(r)
 	}
-	if mask&reqCodecs != 0 {
-		n := r.length()
-		q.Codecs = make([]string, 0, n)
-		for i := 0; i < n; i++ {
-			q.Codecs = append(q.Codecs, r.str())
-		}
-	}
 	if mask&reqBatch != 0 {
-		n := r.length()
-		q.Batch = make([]Request, n)
-		for i := 0; i < n && r.err == nil; i++ {
-			readRequest(r, &q.Batch[i])
+		n := r.Len()
+		q.Batch = make([]Request, 0, wire.Prealloc(n))
+		for i := 0; i < n && !r.Failed(); i++ {
+			q.Batch = append(q.Batch, Request{})
+			readRequest(r, &q.Batch[i], true)
 		}
 	}
 	if mask&reqSets != 0 {
-		n := r.length()
-		q.Sets = make([]memento.CommitSet, 0, n)
-		for i := 0; i < n && r.err == nil; i++ {
+		n := r.Len()
+		q.Sets = make([]memento.CommitSet, 0, wire.Prealloc(n))
+		for i := 0; i < n && !r.Failed(); i++ {
 			q.Sets = append(q.Sets, readCommitSet(r))
 		}
 	}
 	if mask&reqGid != 0 {
-		q.Gid = r.str()
+		q.Gid = r.Str()
 	}
 }
 
@@ -233,7 +206,6 @@ const (
 	respConflict
 	respFP
 	respBatch
-	respCodec
 )
 
 func appendResponse(dst []byte, p *Response) []byte {
@@ -266,12 +238,9 @@ func appendResponse(dst []byte, p *Response) []byte {
 	if len(p.Batch) > 0 {
 		mask |= respBatch
 	}
-	if p.Codec != "" {
-		mask |= respCodec
-	}
 	dst = binary.AppendUvarint(dst, mask)
 	if mask&respMsg != 0 {
-		dst = appendString(dst, p.Msg)
+		dst = wire.AppendString(dst, p.Msg)
 	}
 	if mask&respTx != 0 {
 		dst = binary.AppendUvarint(dst, p.Tx)
@@ -307,37 +276,40 @@ func appendResponse(dst []byte, p *Response) []byte {
 			dst = appendResponse(dst, &p.Batch[i])
 		}
 	}
-	if mask&respCodec != 0 {
-		dst = appendString(dst, p.Codec)
-	}
 	return dst
 }
 
-func readResponse(r *breader, p *Response) {
-	p.Code = ErrCode(r.byte1())
-	mask := r.uvarint()
+// readResponse decodes one response; like readRequest it refuses a
+// batch inside a batch.
+func readResponse(r *wire.Reader, p *Response, nested bool) {
+	p.Code = ErrCode(r.Byte())
+	mask := r.Uvarint()
+	if nested && mask&respBatch != 0 {
+		r.Fail()
+		return
+	}
 	if mask&respMsg != 0 {
-		p.Msg = r.str()
+		p.Msg = r.Str()
 	}
 	if mask&respTx != 0 {
-		p.Tx = r.uvarint()
+		p.Tx = r.Uvarint()
 	}
 	if mask&respMem != 0 {
 		p.Mem = readMemento(r)
 	}
 	if mask&respMems != 0 {
-		n := r.length()
-		p.Mems = make([]memento.Memento, 0, n)
-		for i := 0; i < n && r.err == nil; i++ {
+		n := r.Len()
+		p.Mems = make([]memento.Memento, 0, wire.Prealloc(n))
+		for i := 0; i < n && !r.Failed(); i++ {
 			p.Mems = append(p.Mems, readMemento(r))
 		}
 	}
 	if mask&respNewVersions != 0 {
-		n := r.length()
-		p.NewVersions = make(map[memento.Key]uint64, n)
-		for i := 0; i < n && r.err == nil; i++ {
+		n := r.Len()
+		p.NewVersions = make(map[memento.Key]uint64, wire.Prealloc(n))
+		for i := 0; i < n && !r.Failed(); i++ {
 			k := readKey(r)
-			p.NewVersions[k] = r.uvarint()
+			p.NewVersions[k] = r.Uvarint()
 		}
 	}
 	if mask&respNotice != 0 {
@@ -350,18 +322,16 @@ func readResponse(r *breader, p *Response) {
 		p.FP = readFootprint(r)
 	}
 	if mask&respBatch != 0 {
-		n := r.length()
-		p.Batch = make([]Response, n)
-		for i := 0; i < n && r.err == nil; i++ {
-			readResponse(r, &p.Batch[i])
+		n := r.Len()
+		p.Batch = make([]Response, 0, wire.Prealloc(n))
+		for i := 0; i < n && !r.Failed(); i++ {
+			p.Batch = append(p.Batch, Response{})
+			readResponse(r, &p.Batch[i], true)
 		}
-	}
-	if mask&respCodec != 0 {
-		p.Codec = r.str()
 	}
 }
 
-// Zero checks mirroring "what gob would omit". Fields maps use nil-ness
+// Zero checks deciding which fields are omitted. Fields maps use nil-ness
 // (not emptiness): WriteDesc.Blind() gives nil a meaning an empty map
 // does not have, so the codec preserves the distinction everywhere.
 
@@ -378,20 +348,15 @@ func noticeIsZero(n sqlstore.Notice) bool {
 		n.CommittedAt.IsZero() && n.OriginTrace == 0
 }
 
-func appendString(dst []byte, s string) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
-}
-
 func appendKey(dst []byte, k memento.Key) []byte {
-	dst = appendString(dst, k.Table)
-	return appendString(dst, k.ID)
+	dst = wire.AppendString(dst, k.Table)
+	return wire.AppendString(dst, k.ID)
 }
 
-func readKey(r *breader) memento.Key {
+func readKey(r *wire.Reader) memento.Key {
 	var k memento.Key
-	k.Table = r.str()
-	k.ID = r.str()
+	k.Table = r.Str()
+	k.ID = r.Str()
 	return k
 }
 
@@ -399,29 +364,29 @@ func appendValue(dst []byte, v memento.Value) []byte {
 	dst = append(dst, byte(v.Kind))
 	switch v.Kind {
 	case memento.KindString:
-		dst = appendString(dst, v.Str)
+		dst = wire.AppendString(dst, v.Str)
 	case memento.KindInt:
 		dst = binary.AppendVarint(dst, v.Int)
 	case memento.KindFloat:
 		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(v.F))
 	case memento.KindBool:
-		dst = appendBool(dst, v.Bool)
+		dst = wire.AppendBool(dst, v.Bool)
 	}
 	return dst
 }
 
-func readValue(r *breader) memento.Value {
+func readValue(r *wire.Reader) memento.Value {
 	var v memento.Value
-	v.Kind = memento.Kind(r.byte1())
+	v.Kind = memento.Kind(r.Byte())
 	switch v.Kind {
 	case memento.KindString:
-		v.Str = r.str()
+		v.Str = r.Str()
 	case memento.KindInt:
-		v.Int = r.varint()
+		v.Int = r.Varint()
 	case memento.KindFloat:
-		v.F = math.Float64frombits(r.u64())
+		v.F = math.Float64frombits(r.Uint64())
 	case memento.KindBool:
-		v.Bool = r.bool1()
+		v.Bool = r.Bool()
 	}
 	return v
 }
@@ -434,20 +399,20 @@ func appendFields(dst []byte, f memento.Fields) []byte {
 	dst = append(dst, 1)
 	dst = binary.AppendUvarint(dst, uint64(len(f)))
 	for name, v := range f {
-		dst = appendString(dst, name)
+		dst = wire.AppendString(dst, name)
 		dst = appendValue(dst, v)
 	}
 	return dst
 }
 
-func readFields(r *breader) memento.Fields {
-	if r.byte1() == 0 {
+func readFields(r *wire.Reader) memento.Fields {
+	if r.Byte() == 0 {
 		return nil
 	}
-	n := r.length()
-	f := make(memento.Fields, n)
-	for i := 0; i < n && r.err == nil; i++ {
-		name := r.str()
+	n := r.Len()
+	f := make(memento.Fields, wire.Prealloc(n))
+	for i := 0; i < n && !r.Failed(); i++ {
+		name := r.Str()
 		f[name] = readValue(r)
 	}
 	return f
@@ -459,10 +424,10 @@ func appendMemento(dst []byte, m memento.Memento) []byte {
 	return appendFields(dst, m.Fields)
 }
 
-func readMemento(r *breader) memento.Memento {
+func readMemento(r *wire.Reader) memento.Memento {
 	var m memento.Memento
 	m.Key = readKey(r)
-	m.Version = r.uvarint()
+	m.Version = r.Uvarint()
 	m.Fields = readFields(r)
 	return m
 }
@@ -470,14 +435,14 @@ func readMemento(r *breader) memento.Memento {
 func appendReadProof(dst []byte, p memento.ReadProof) []byte {
 	dst = appendKey(dst, p.Key)
 	dst = binary.AppendUvarint(dst, p.Version)
-	return appendBool(dst, p.Absent)
+	return wire.AppendBool(dst, p.Absent)
 }
 
-func readReadProof(r *breader) memento.ReadProof {
+func readReadProof(r *wire.Reader) memento.ReadProof {
 	var p memento.ReadProof
 	p.Key = readKey(r)
-	p.Version = r.uvarint()
-	p.Absent = r.bool1()
+	p.Version = r.Uvarint()
+	p.Absent = r.Bool()
 	return p
 }
 
@@ -487,7 +452,7 @@ func appendWriteDesc(dst []byte, w memento.WriteDesc) []byte {
 	return appendFields(dst, w.After)
 }
 
-func readWriteDesc(r *breader) memento.WriteDesc {
+func readWriteDesc(r *wire.Reader) memento.WriteDesc {
 	var w memento.WriteDesc
 	w.Key = readKey(r)
 	w.Before = readFields(r)
@@ -515,29 +480,29 @@ func appendCommitSet(dst []byte, cs memento.CommitSet) []byte {
 	return dst
 }
 
-func readCommitSet(r *breader) memento.CommitSet {
+func readCommitSet(r *wire.Reader) memento.CommitSet {
 	var cs memento.CommitSet
-	if n := r.length(); n > 0 {
-		cs.Reads = make([]memento.ReadProof, 0, n)
-		for i := 0; i < n && r.err == nil; i++ {
+	if n := r.Len(); n > 0 {
+		cs.Reads = make([]memento.ReadProof, 0, wire.Prealloc(n))
+		for i := 0; i < n && !r.Failed(); i++ {
 			cs.Reads = append(cs.Reads, readReadProof(r))
 		}
 	}
-	if n := r.length(); n > 0 {
-		cs.Writes = make([]memento.Memento, 0, n)
-		for i := 0; i < n && r.err == nil; i++ {
+	if n := r.Len(); n > 0 {
+		cs.Writes = make([]memento.Memento, 0, wire.Prealloc(n))
+		for i := 0; i < n && !r.Failed(); i++ {
 			cs.Writes = append(cs.Writes, readMemento(r))
 		}
 	}
-	if n := r.length(); n > 0 {
-		cs.Creates = make([]memento.Memento, 0, n)
-		for i := 0; i < n && r.err == nil; i++ {
+	if n := r.Len(); n > 0 {
+		cs.Creates = make([]memento.Memento, 0, wire.Prealloc(n))
+		for i := 0; i < n && !r.Failed(); i++ {
 			cs.Creates = append(cs.Creates, readMemento(r))
 		}
 	}
-	if n := r.length(); n > 0 {
-		cs.Removes = make([]memento.ReadProof, 0, n)
-		for i := 0; i < n && r.err == nil; i++ {
+	if n := r.Len(); n > 0 {
+		cs.Removes = make([]memento.ReadProof, 0, wire.Prealloc(n))
+		for i := 0; i < n && !r.Failed(); i++ {
 			cs.Removes = append(cs.Removes, readReadProof(r))
 		}
 	}
@@ -545,34 +510,34 @@ func readCommitSet(r *breader) memento.CommitSet {
 }
 
 func appendQuery(dst []byte, q memento.Query) []byte {
-	dst = appendString(dst, q.Table)
+	dst = wire.AppendString(dst, q.Table)
 	dst = binary.AppendUvarint(dst, uint64(len(q.Where)))
 	for _, p := range q.Where {
-		dst = appendString(dst, p.Field)
+		dst = wire.AppendString(dst, p.Field)
 		dst = append(dst, byte(p.Op))
 		dst = appendValue(dst, p.Value)
 	}
-	dst = appendString(dst, q.OrderBy)
-	dst = appendBool(dst, q.Desc)
+	dst = wire.AppendString(dst, q.OrderBy)
+	dst = wire.AppendBool(dst, q.Desc)
 	return binary.AppendVarint(dst, int64(q.Limit))
 }
 
-func readQuery(r *breader) memento.Query {
+func readQuery(r *wire.Reader) memento.Query {
 	var q memento.Query
-	q.Table = r.str()
-	if n := r.length(); n > 0 {
-		q.Where = make([]memento.Predicate, 0, n)
-		for i := 0; i < n && r.err == nil; i++ {
+	q.Table = r.Str()
+	if n := r.Len(); n > 0 {
+		q.Where = make([]memento.Predicate, 0, wire.Prealloc(n))
+		for i := 0; i < n && !r.Failed(); i++ {
 			var p memento.Predicate
-			p.Field = r.str()
-			p.Op = memento.Op(r.byte1())
+			p.Field = r.Str()
+			p.Op = memento.Op(r.Byte())
 			p.Value = readValue(r)
 			q.Where = append(q.Where, p)
 		}
 	}
-	q.OrderBy = r.str()
-	q.Desc = r.bool1()
-	q.Limit = int(r.varint())
+	q.OrderBy = r.Str()
+	q.Desc = r.Bool()
+	q.Limit = int(r.Varint())
 	return q
 }
 
@@ -588,17 +553,17 @@ func appendFootprint(dst []byte, fp *memento.Footprint) []byte {
 	return dst
 }
 
-func readFootprint(r *breader) *memento.Footprint {
+func readFootprint(r *wire.Reader) *memento.Footprint {
 	fp := new(memento.Footprint)
-	if n := r.length(); n > 0 {
-		fp.Keys = make([]memento.Key, 0, n)
-		for i := 0; i < n && r.err == nil; i++ {
+	if n := r.Len(); n > 0 {
+		fp.Keys = make([]memento.Key, 0, wire.Prealloc(n))
+		for i := 0; i < n && !r.Failed(); i++ {
 			fp.Keys = append(fp.Keys, readKey(r))
 		}
 	}
-	if n := r.length(); n > 0 {
-		fp.Queries = make([]memento.Query, 0, n)
-		for i := 0; i < n && r.err == nil; i++ {
+	if n := r.Len(); n > 0 {
+		fp.Queries = make([]memento.Query, 0, wire.Prealloc(n))
+		for i := 0; i < n && !r.Failed(); i++ {
 			fp.Queries = append(fp.Queries, readQuery(r))
 		}
 	}
@@ -615,27 +580,27 @@ func appendNotice(dst []byte, n sqlstore.Notice) []byte {
 	for i := range n.Writes {
 		dst = appendWriteDesc(dst, n.Writes[i])
 	}
-	dst = appendTime(dst, n.CommittedAt)
+	dst = wire.AppendTime(dst, n.CommittedAt)
 	return binary.AppendUvarint(dst, n.OriginTrace)
 }
 
-func readNotice(r *breader) sqlstore.Notice {
+func readNotice(r *wire.Reader) sqlstore.Notice {
 	var n sqlstore.Notice
-	n.TxID = r.uvarint()
-	if c := r.length(); c > 0 {
-		n.Keys = make([]memento.Key, 0, c)
-		for i := 0; i < c && r.err == nil; i++ {
+	n.TxID = r.Uvarint()
+	if c := r.Len(); c > 0 {
+		n.Keys = make([]memento.Key, 0, wire.Prealloc(c))
+		for i := 0; i < c && !r.Failed(); i++ {
 			n.Keys = append(n.Keys, readKey(r))
 		}
 	}
-	if c := r.length(); c > 0 {
-		n.Writes = make([]memento.WriteDesc, 0, c)
-		for i := 0; i < c && r.err == nil; i++ {
+	if c := r.Len(); c > 0 {
+		n.Writes = make([]memento.WriteDesc, 0, wire.Prealloc(c))
+		for i := 0; i < c && !r.Failed(); i++ {
 			n.Writes = append(n.Writes, readWriteDesc(r))
 		}
 	}
-	n.CommittedAt = readTime(r)
-	n.OriginTrace = r.uvarint()
+	n.CommittedAt = r.Time()
+	n.OriginTrace = r.Uvarint()
 	return n
 }
 
@@ -645,128 +610,16 @@ func appendConflict(dst []byte, ci *ConflictInfo) []byte {
 	dst = binary.AppendUvarint(dst, ci.Actual)
 	dst = binary.AppendUvarint(dst, ci.WinnerTx)
 	dst = binary.AppendUvarint(dst, ci.WinnerTrace)
-	return appendTime(dst, ci.CommittedAt)
+	return wire.AppendTime(dst, ci.CommittedAt)
 }
 
-func readConflict(r *breader) *ConflictInfo {
+func readConflict(r *wire.Reader) *ConflictInfo {
 	ci := new(ConflictInfo)
 	ci.Key = readKey(r)
-	ci.Expected = r.uvarint()
-	ci.Actual = r.uvarint()
-	ci.WinnerTx = r.uvarint()
-	ci.WinnerTrace = r.uvarint()
-	ci.CommittedAt = readTime(r)
+	ci.Expected = r.Uvarint()
+	ci.Actual = r.Uvarint()
+	ci.WinnerTx = r.Uvarint()
+	ci.WinnerTrace = r.Uvarint()
+	ci.CommittedAt = r.Time()
 	return ci
-}
-
-// appendTime encodes a wall-clock instant: a presence byte (the zero
-// time is not unix zero) plus fixed 8-byte unix nanoseconds. The
-// monotonic reading is dropped, as gob's time encoding also does.
-func appendTime(dst []byte, t time.Time) []byte {
-	if t.IsZero() {
-		return append(dst, 0)
-	}
-	dst = append(dst, 1)
-	return binary.BigEndian.AppendUint64(dst, uint64(t.UnixNano()))
-}
-
-func readTime(r *breader) time.Time {
-	if r.byte1() == 0 {
-		return time.Time{}
-	}
-	return time.Unix(0, int64(r.u64()))
-}
-
-func appendBool(dst []byte, b bool) []byte {
-	if b {
-		return append(dst, 1)
-	}
-	return append(dst, 0)
-}
-
-// breader decodes the primitives with a sticky error: after the first
-// malformed read every further read returns zero values, and DecodeBody
-// surfaces the error once at the end.
-type breader struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (r *breader) fail() {
-	if r.err == nil {
-		r.err = fmt.Errorf("dbwire: binary codec: truncated or malformed body at offset %d", r.off)
-	}
-}
-
-func (r *breader) byte1() byte {
-	if r.err != nil || r.off >= len(r.b) {
-		r.fail()
-		return 0
-	}
-	b := r.b[r.off]
-	r.off++
-	return b
-}
-
-func (r *breader) bool1() bool { return r.byte1() != 0 }
-
-func (r *breader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.b[r.off:])
-	if n <= 0 {
-		r.fail()
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-func (r *breader) varint() int64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(r.b[r.off:])
-	if n <= 0 {
-		r.fail()
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-// length reads a collection count, bounded by the bytes remaining so a
-// corrupt frame cannot induce a huge allocation.
-func (r *breader) length() int {
-	v := r.uvarint()
-	if r.err != nil {
-		return 0
-	}
-	if v > uint64(len(r.b)-r.off) {
-		r.fail()
-		return 0
-	}
-	return int(v)
-}
-
-func (r *breader) u64() uint64 {
-	if r.err != nil || r.off+8 > len(r.b) {
-		r.fail()
-		return 0
-	}
-	v := binary.BigEndian.Uint64(r.b[r.off:])
-	r.off += 8
-	return v
-}
-
-func (r *breader) str() string {
-	n := r.length()
-	if r.err != nil || n == 0 {
-		return ""
-	}
-	s := string(r.b[r.off : r.off+n])
-	r.off += n
-	return s
 }

@@ -1,7 +1,10 @@
 package dbwire
 
 import (
+	"bytes"
+	"encoding/binary"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -9,9 +12,9 @@ import (
 	"edgeejb/internal/sqlstore"
 )
 
-// ts builds a timestamp the binary codec round-trips exactly: the codec
-// carries UnixNano (like gob it drops the monotonic clock reading), so
-// constructing from nanoseconds makes reflect.DeepEqual hold.
+// ts builds a timestamp the codec round-trips exactly: it carries
+// UnixNano and drops the monotonic clock reading, so constructing from
+// nanoseconds makes reflect.DeepEqual hold.
 func ts(n int64) time.Time { return time.Unix(0, n) }
 
 func codecMem(id string, v uint64) memento.Memento {
@@ -52,12 +55,12 @@ func codecQuery() memento.Query {
 	}
 }
 
-// TestBinaryCodecRoundTrip drives the hand-rolled codec over a matrix
-// of representative messages — every field the protocol can populate,
-// including the nested OpBatch / OpApplyCommitSets shapes — and
-// requires exact structural equality after a round trip.
-func TestBinaryCodecRoundTrip(t *testing.T) {
-	requests := map[string]*Request{
+// corpusRequests and corpusResponses are representative messages —
+// every field the protocol can populate, including the nested OpBatch /
+// OpApplyCommitSets shapes. The round-trip test requires exact
+// structural equality for each; the fuzz targets start from them.
+func corpusRequests() map[string]*Request {
+	return map[string]*Request{
 		"zero":  {},
 		"ping":  {Op: OpPing},
 		"begin": {Op: OpBegin},
@@ -70,7 +73,6 @@ func TestBinaryCodecRoundTrip(t *testing.T) {
 			Mem: codecMem("a", 4),
 		},
 		"apply": {Op: OpApplyCommitSet, Set: codecSet(1)},
-		"hello": {Op: OpHello, Codecs: []string{"binary", "gob"}},
 		"batch": {
 			Op: OpBatch, Tx: 9,
 			Batch: []Request{
@@ -88,23 +90,10 @@ func TestBinaryCodecRoundTrip(t *testing.T) {
 			Mem: memento.Memento{Key: memento.Key{Table: "t", ID: "x"}},
 		},
 	}
-	for name, req := range requests {
-		t.Run("request/"+name, func(t *testing.T) {
-			data, err := binCodec.EncodeBody(nil, req)
-			if err != nil {
-				t.Fatalf("encode: %v", err)
-			}
-			got := new(Request)
-			if err := binCodec.DecodeBody(data, got); err != nil {
-				t.Fatalf("decode: %v", err)
-			}
-			if !reflect.DeepEqual(got, req) {
-				t.Errorf("round trip mismatch:\n got %#v\nwant %#v", got, req)
-			}
-		})
-	}
+}
 
-	responses := map[string]*Response{
+func corpusResponses() map[string]*Response {
+	return map[string]*Response{
 		"zero":  {},
 		"ok tx": {Code: CodeOK, Tx: 77},
 		"mem": {
@@ -152,7 +141,6 @@ func TestBinaryCodecRoundTrip(t *testing.T) {
 				OriginTrace: 555,
 			},
 		},
-		"hello": {Code: CodeOK, Codec: "binary"},
 		"batch": {
 			Code: CodeOK,
 			Batch: []Response{
@@ -161,14 +149,24 @@ func TestBinaryCodecRoundTrip(t *testing.T) {
 			},
 		},
 	}
-	for name, resp := range responses {
-		t.Run("response/"+name, func(t *testing.T) {
-			data, err := binCodec.EncodeBody(nil, resp)
-			if err != nil {
-				t.Fatalf("encode: %v", err)
+}
+
+func TestCodecRoundTrip(t *testing.T) {
+	for name, req := range corpusRequests() {
+		t.Run("request/"+name, func(t *testing.T) {
+			got := new(Request)
+			if err := got.ReadWire(req.AppendWire(nil)); err != nil {
+				t.Fatalf("decode: %v", err)
 			}
+			if !reflect.DeepEqual(got, req) {
+				t.Errorf("round trip mismatch:\n got %#v\nwant %#v", got, req)
+			}
+		})
+	}
+	for name, resp := range corpusResponses() {
+		t.Run("response/"+name, func(t *testing.T) {
 			got := new(Response)
-			if err := binCodec.DecodeBody(data, got); err != nil {
+			if err := got.ReadWire(resp.AppendWire(nil)); err != nil {
 				t.Fatalf("decode: %v", err)
 			}
 			if !reflect.DeepEqual(got, resp) {
@@ -178,7 +176,7 @@ func TestBinaryCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBinaryCodecNilVsEmptyFields pins the presence-byte encoding of
+// TestCodecNilVsEmptyFields pins the presence-byte encoding of
 // Fields maps: a nil map and an empty map are different values (a nil
 // Before marks a blind write in WriteDesc.Blind) and must survive the
 // wire as themselves.
@@ -195,12 +193,8 @@ func TestBinaryCodecNilVsEmptyFields(t *testing.T) {
 				Key:    memento.Key{Table: "t", ID: "x"},
 				Fields: tc.fields,
 			}}
-			data, err := binCodec.EncodeBody(nil, req)
-			if err != nil {
-				t.Fatal(err)
-			}
 			got := new(Request)
-			if err := binCodec.DecodeBody(data, got); err != nil {
+			if err := got.ReadWire(req.AppendWire(nil)); err != nil {
 				t.Fatal(err)
 			}
 			if (got.Mem.Fields == nil) != (tc.fields == nil) {
@@ -214,12 +208,12 @@ func TestBinaryCodecNilVsEmptyFields(t *testing.T) {
 	}
 }
 
-// TestBinaryCodecTruncatedInput feeds every strict prefix of a valid
+// TestCodecTruncatedInput feeds every strict prefix of a valid
 // encoding to the decoder: each must return an error (never panic,
 // never succeed on partial data). This is the sticky-error reader and
 // its bounded length reads under test — the path a truncated frame from
 // a fault-injected connection takes.
-func TestBinaryCodecTruncatedInput(t *testing.T) {
+func TestCodecTruncatedInput(t *testing.T) {
 	req := &Request{
 		Op: OpBatch, Tx: 9,
 		Batch: []Request{
@@ -227,47 +221,126 @@ func TestBinaryCodecTruncatedInput(t *testing.T) {
 			{Op: OpApplyCommitSet, Set: codecSet(1)},
 		},
 	}
-	data, err := binCodec.EncodeBody(nil, req)
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := req.AppendWire(nil)
 	for n := 0; n < len(data); n++ {
-		if err := binCodec.DecodeBody(data[:n], new(Request)); err == nil {
+		if err := new(Request).ReadWire(data[:n]); err == nil {
 			t.Fatalf("decoding %d/%d-byte prefix succeeded", n, len(data))
 		}
 	}
 
 	resp := &Response{Code: CodeOK, Mems: []memento.Memento{codecMem("a", 1)},
 		NewVersions: map[memento.Key]uint64{{Table: "t", ID: "x"}: 1}}
-	data, err = binCodec.EncodeBody(nil, resp)
-	if err != nil {
-		t.Fatal(err)
-	}
+	data = resp.AppendWire(nil)
 	for n := 0; n < len(data); n++ {
-		if err := binCodec.DecodeBody(data[:n], new(Response)); err == nil {
+		if err := new(Response).ReadWire(data[:n]); err == nil {
 			t.Fatalf("decoding %d/%d-byte prefix succeeded", n, len(data))
 		}
 	}
 }
 
-// TestBinaryCodecBoundedLengths: a corrupted length prefix claiming
-// more elements than the buffer could possibly hold must fail cleanly
-// instead of attempting a huge allocation.
-func TestBinaryCodecBoundedLengths(t *testing.T) {
-	// Request with Op=OpHello and the Codecs bit set, followed by a
-	// varint length claiming ~1<<40 strings in a 16-byte buffer.
-	data, err := binCodec.EncodeBody(nil, &Request{Op: OpHello, Codecs: []string{"binary"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The codecs-count varint sits right after op byte + presence mask;
+// TestCodecRejectsMalformedBodies: a length prefix claiming more
+// elements than the buffer could possibly hold must fail cleanly
+// instead of attempting a huge allocation; bytes past the end of a body
+// and a batch nested in a batch are refused.
+func TestCodecRejectsMalformedBodies(t *testing.T) {
+	// Code byte, presence mask (only respMems), then the Mems count:
 	// splice in an absurd count and keep the tail.
+	data := (&Response{Mems: []memento.Memento{codecMem("a", 1)}}).AppendWire(nil)
 	corrupt := append([]byte{}, data[:2]...)
 	corrupt = append(corrupt, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f) // huge uvarint
 	corrupt = append(corrupt, data[3:]...)
-	if err := binCodec.DecodeBody(corrupt, new(Request)); err == nil {
-		t.Fatal("decoder accepted a length far beyond the buffer")
+	if err := new(Response).ReadWire(corrupt); err == nil {
+		t.Error("decoder accepted a length far beyond the buffer")
 	}
+
+	if err := new(Response).ReadWire(append(data, 0)); err == nil {
+		t.Error("decoder accepted a trailing byte")
+	}
+
+	inner := Request{Op: OpBatch, Batch: []Request{{Op: OpCommit}}}
+	nested := (&Request{Op: OpBatch, Batch: []Request{inner}}).AppendWire(nil)
+	if err := new(Request).ReadWire(nested); err == nil {
+		t.Error("decoder accepted a batch inside a batch")
+	}
+	nestedResp := (&Response{Batch: []Response{{Batch: []Response{{Tx: 1}}}}}).AppendWire(nil)
+	if err := new(Response).ReadWire(nestedResp); err == nil {
+		t.Error("decoder accepted a batch result inside a batch result")
+	}
+}
+
+// claimedCount builds a body that opens with head (code or op byte and
+// presence mask) and then claims one element per byte of a 4 MiB tail
+// no element decodes from: Reader.Len lets the count through, since the
+// bytes are there.
+func claimedCount(head ...byte) []byte {
+	const tail = 4 << 20
+	body := binary.AppendUvarint(head, tail)
+	return append(body, bytes.Repeat([]byte{0xff}, tail)...)
+}
+
+// TestCodecClaimedCountReservesLittle: a frame's element count is a
+// claim, and a decoded Request is some 200 times its smallest encoding,
+// so reserving the claimed count up front let one 4 MiB frame ask for
+// over a gigabyte. The decoders reserve wire.Prealloc and grow by
+// append; a body that fails on its first element must cost about what
+// its bytes do.
+func TestCodecClaimedCountReservesLittle(t *testing.T) {
+	reqBatchMask := binary.AppendUvarint([]byte{byte(OpBatch)}, reqBatch)
+	respBatchMask := binary.AppendUvarint([]byte{byte(CodeOK)}, respBatch)
+	respMemsMask := binary.AppendUvarint([]byte{byte(CodeOK)}, respMems)
+	for name, decode := range map[string]func() error{
+		"Request.Batch":  func() error { return new(Request).ReadWire(claimedCount(reqBatchMask...)) },
+		"Response.Batch": func() error { return new(Response).ReadWire(claimedCount(respBatchMask...)) },
+		"Response.Mems":  func() error { return new(Response).ReadWire(claimedCount(respMemsMask...)) },
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := decode()
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: decoder accepted 4 MiB of 0xff as elements", name)
+		}
+		// The body itself is 4 MiB and a bit (append's growth); the
+		// decoder may add a few hundred elements' worth.
+		if got := after.TotalAlloc - before.TotalAlloc; got > 16<<20 {
+			t.Errorf("%s: decoding a 4 MiB body allocated %d MiB", name, got>>20)
+		}
+	}
+}
+
+// FuzzRequestReadWire and FuzzResponseReadWire feed arbitrary bytes to
+// the decoders, starting from the round-trip corpus. A body either
+// fails to decode or decodes to a value that encodes and decodes again;
+// nothing may panic, and a collection is reserved by wire.Prealloc, not
+// by the count its frame claims.
+func FuzzRequestReadWire(f *testing.F) {
+	for _, req := range corpusRequests() {
+		f.Add(req.AppendWire(nil))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		req := new(Request)
+		if req.ReadWire(data) != nil {
+			return
+		}
+		if err := new(Request).ReadWire(req.AppendWire(nil)); err != nil {
+			t.Fatalf("re-encoded request does not decode: %v", err)
+		}
+	})
+}
+
+func FuzzResponseReadWire(f *testing.F) {
+	for _, resp := range corpusResponses() {
+		f.Add(resp.AppendWire(nil))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		resp := new(Response)
+		if resp.ReadWire(data) != nil {
+			return
+		}
+		if err := new(Response).ReadWire(resp.AppendWire(nil)); err != nil {
+			t.Fatalf("re-encoded response does not decode: %v", err)
+		}
+	})
 }
 
 // BenchmarkBinaryCodec measures encode+decode of a representative
@@ -278,20 +351,14 @@ func BenchmarkBinaryCodec(b *testing.B) {
 		Code: CodeOK, Mem: codecMem("a", 3),
 		FP: &memento.Footprint{Keys: []memento.Key{{Table: "quote", ID: "a"}}},
 	}
-	var (
-		buf []byte
-		err error
-	)
+	var buf []byte
 	got := new(Response)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf, err = binCodec.EncodeBody(buf[:0], resp)
-		if err != nil {
-			b.Fatal(err)
-		}
+		buf = resp.AppendWire(buf[:0])
 		*got = Response{}
-		if err := binCodec.DecodeBody(buf, got); err != nil {
+		if err := got.ReadWire(buf); err != nil {
 			b.Fatal(err)
 		}
 	}

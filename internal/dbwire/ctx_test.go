@@ -132,8 +132,8 @@ func TestMultiplexedAutoGetsShareRoundTrip(t *testing.T) {
 	defer client.Close()
 	ctx := context.Background()
 
-	// Warm the connection (dial + gob typedefs) so the measured window
-	// is pure round-trip time.
+	// Warm the connection (dial) so the measured window is pure
+	// round-trip time.
 	if err := client.Ping(ctx); err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,7 @@
 // Package dbwire implements the network protocol between application
-// servers and the database tier: a gob RPC over the shared transport in
-// package wire, in which every statement is one request/response round
-// trip. This mirrors the role of the JDBC driver protocol in the paper —
+// servers and the database tier: an RPC over the shared transport in
+// package wire, with self-encoding binary bodies (codec.go), in which
+// every statement is one request/response round trip. This mirrors the role of the JDBC driver protocol in the paper —
 // the per-statement round trip is precisely what makes the ES/RDB
 // architecture sensitive to path latency (Table 2), and the
 // single-message ApplyCommitSet operation is what lets the

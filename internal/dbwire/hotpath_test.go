@@ -10,53 +10,14 @@ import (
 	"edgeejb/internal/memento"
 	"edgeejb/internal/sqlstore"
 	"edgeejb/internal/storeapi"
-	"edgeejb/internal/wire"
 )
 
-// legacyHandler emulates a server that predates the codec handshake and
-// the batched ops: it answers the three new opcodes with the exact
-// CodeBadRequest reply an old connHandler's default case produces, and
-// delegates everything else. The interop tests dial it with a new
-// client to prove the downgrade paths.
-type legacyHandler struct {
-	inner *connHandler
-}
-
-func (h *legacyHandler) NewRequest() any { return h.inner.NewRequest() }
-
-func (h *legacyHandler) Handle(ctx context.Context, sess *wire.Session, id uint64, req any) any {
-	r := req.(*Request)
-	switch r.Op {
-	case OpHello, OpBatch, OpApplyCommitSets:
-		return &Response{Code: CodeBadRequest, Msg: "unknown op " + r.Op.String()}
-	}
-	return h.inner.Handle(ctx, sess, id, req)
-}
-
-func (h *legacyHandler) Close() { h.inner.Close() }
-
-func startLegacyServer(t *testing.T, store *sqlstore.Store) *wire.Server {
-	t.Helper()
-	srv := wire.NewServer(func() wire.ConnHandler {
-		return &legacyHandler{inner: &connHandler{
-			backend: storeapi.Local(store),
-			txs:     make(map[uint64]storeapi.Txn),
-		}}
-	})
-	if err := srv.Start("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(srv.Close)
-	return srv
-}
-
-// exerciseConn drives every protocol surface the codec negotiation and
-// the fallback latches touch: autocommit reads, pessimistic CRUD,
-// batched statements, queries, grouped optimistic applies, and conflict
-// attribution. It must behave identically on every cell of the interop
-// matrix.
-func exerciseConn(t *testing.T, store *sqlstore.Store, c *Client) {
-	t.Helper()
+// TestProtocolSurface drives every kind of exchange over one client:
+// autocommit reads, pessimistic CRUD, batched statements, queries,
+// grouped optimistic applies, and conflict attribution.
+func TestProtocolSurface(t *testing.T) {
+	store, c := newPair(t)
+	seed(store, "t", "1", 10)
 	ctx := context.Background()
 
 	res, err := c.AutoGet(ctx, "t", "1")
@@ -91,8 +52,7 @@ func exerciseConn(t *testing.T, store *sqlstore.Store, c *Client) {
 		t.Fatalf("Commit: %v", err)
 	}
 
-	// Batched statements (single frame against a new server, serial
-	// fallback against a legacy one — same results either way).
+	// Batched statements.
 	txn2, err := c.Begin(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -126,7 +86,7 @@ func exerciseConn(t *testing.T, store *sqlstore.Store, c *Client) {
 		t.Errorf("AutoQuery rows = %d, want 2", len(qres.Mems))
 	}
 
-	// Grouped optimistic applies (one frame new, per-set fallback old).
+	// Grouped optimistic applies.
 	out, err := c.ApplyCommitSets(ctx, []memento.CommitSet{
 		{Creates: []memento.Memento{{
 			Key:    memento.Key{Table: "t", ID: "3"},
@@ -155,7 +115,7 @@ func exerciseConn(t *testing.T, store *sqlstore.Store, c *Client) {
 		t.Errorf("create t/3 not applied (version %d)", v)
 	}
 
-	// Conflict attribution survives every codec/fallback combination.
+	// Conflict attribution crosses the wire.
 	_, err = c.ApplyCommitSet(ctx, memento.CommitSet{
 		Writes: []memento.Memento{{
 			Key:     memento.Key{Table: "t", ID: "1"},
@@ -172,80 +132,22 @@ func exerciseConn(t *testing.T, store *sqlstore.Store, c *Client) {
 	}
 }
 
-// TestCodecInteropMatrix proves every pairing of old and new peers
-// works: binary negotiated against a new server, forced gob against a
-// new server, and a new (binary-preferring) client downgrading against
-// a legacy server that answers the handshake with "unknown op". The
-// same workload must produce the same answers in every cell, and the
-// negotiated binary leg must move fewer bytes than the gob leg.
-func TestCodecInteropMatrix(t *testing.T) {
-	bytesMoved := map[string]uint64{}
-	cells := []struct {
-		name   string
-		legacy bool
-		opts   []Option
-		hellos bool // whether the client should attempt the handshake
-	}{
-		{name: "binary-new", hellos: true},
-		{name: "gob-new", opts: []Option{WithCodec("gob")}},
-		{name: "binary-legacy", legacy: true, hellos: true},
-		{name: "gob-legacy", legacy: true, opts: []Option{WithCodec("gob")}},
-	}
-	for _, cell := range cells {
-		t.Run(cell.name, func(t *testing.T) {
-			store := sqlstore.New(sqlstore.WithLockTimeout(time.Second))
-			t.Cleanup(store.Close)
-			seed(store, "t", "1", 10)
-			var addr string
-			if cell.legacy {
-				addr = startLegacyServer(t, store).Addr()
-			} else {
-				srv := NewServer(storeapi.Local(store))
-				if err := srv.Start("127.0.0.1:0"); err != nil {
-					t.Fatal(err)
-				}
-				t.Cleanup(srv.Close)
-				addr = srv.Addr()
-			}
-			client := Dial(addr, cell.opts...)
-			t.Cleanup(func() { _ = client.Close() })
-
-			exerciseConn(t, store, client)
-
-			// The handshake runs once per fresh connection (the pool
-			// pins extra conns for transactions), so binary legs see at
-			// least one hello and gob legs none at all.
-			stats := client.WireStats()
-			if got := stats.Ops["Hello"].Count; cell.hellos && got == 0 {
-				t.Error("binary client never attempted the handshake")
-			} else if !cell.hellos && got != 0 {
-				t.Errorf("gob client sent %d hellos, want 0", got)
-			}
-			bytesMoved[cell.name] = stats.BytesSent + stats.BytesReceived
-		})
-	}
-	// The whole point of the negotiated codec: same workload, same
-	// server, strictly fewer bytes than gob.
-	if b, g := bytesMoved["binary-new"], bytesMoved["gob-new"]; b == 0 || g == 0 || b >= g {
-		t.Errorf("binary leg moved %d bytes, gob leg %d — want binary strictly smaller", b, g)
-	}
-}
-
-// TestHelloExcludedFromRoundTrips pins the accounting contract: the
-// handshake is transport overhead, not workload traffic, so the very
-// first data access on a fresh binary connection still reports exactly
-// one round trip — the number every Figure 6/7 pinned test builds on.
-func TestHelloExcludedFromRoundTrips(t *testing.T) {
+// TestFirstAutoGetIsOneRoundTrip pins connection set-up: a fresh
+// connection carries no handshake, so the very first data access costs
+// exactly one round trip in the raw transport count — the number every
+// Figure 6/7 pinned test builds on.
+func TestFirstAutoGetIsOneRoundTrip(t *testing.T) {
 	store, client := newPair(t)
 	seed(store, "t", "1", 10)
 	if _, err := client.AutoGet(context.Background(), "t", "1"); err != nil {
 		t.Fatal(err)
 	}
+	stats := client.WireStats()
+	if stats.RoundTrips != 1 || stats.Dials != 1 {
+		t.Errorf("first AutoGet cost %d round trips over %d dials, want 1 and 1", stats.RoundTrips, stats.Dials)
+	}
 	if got := client.RoundTrips(); got != 1 {
 		t.Errorf("first AutoGet cost %d accounted round trips, want 1", got)
-	}
-	if got := client.WireStats().Ops["Hello"].Count; got != 1 {
-		t.Errorf("Hello count = %d, want 1 (handshake must actually run)", got)
 	}
 }
 
@@ -279,103 +181,38 @@ func TestBatchIsOneRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBatchFallbackRoundTrips pins the downgrade economics against a
-// legacy server: the first batch pays one rejected probe plus one trip
-// per statement; once the latch is set, later batches skip the probe.
-func TestBatchFallbackRoundTrips(t *testing.T) {
-	store := sqlstore.New(sqlstore.WithLockTimeout(time.Second))
-	t.Cleanup(store.Close)
-	seed(store, "t", "1", 10)
-	client := Dial(startLegacyServer(t, store).Addr())
-	t.Cleanup(func() { _ = client.Close() })
+// TestGroupApplyIsOneRoundTrip pins OpApplyCommitSets: one trip for
+// the whole group, with a result per set.
+func TestGroupApplyIsOneRoundTrip(t *testing.T) {
+	_, client := newPair(t)
 	ctx := context.Background()
-
-	run := func() uint64 {
-		txn, err := client.Begin(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		before := client.RoundTrips()
-		results, err := storeapi.ExecBatch(ctx, txn, []storeapi.Stmt{
-			{Kind: storeapi.StmtGet, Table: "t", ID: "1"},
-			{Kind: storeapi.StmtCommit},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(results) != 2 || results[0].Get.Mem.Fields["v"].Int != 10 || results[1].Err != nil {
-			t.Fatalf("fallback batch results wrong: %+v", results)
-		}
-		return client.RoundTrips() - before
+	if err := client.Ping(ctx); err != nil {
+		t.Fatal(err)
 	}
-	if got := run(); got != 3 {
-		t.Errorf("first fallback batch cost %d round trips, want 3 (probe + 2 serial)", got)
+	ids := []string{"a", "b", "c"}
+	sets := make([]memento.CommitSet, len(ids))
+	for i, id := range ids {
+		sets[i] = memento.CommitSet{Creates: []memento.Memento{{
+			Key:    memento.Key{Table: "t", ID: id},
+			Fields: memento.Fields{"v": memento.Int(int64(i))},
+		}}}
 	}
-	if got := run(); got != 2 {
-		t.Errorf("latched fallback batch cost %d round trips, want 2 (serial only)", got)
+	before := client.RoundTrips()
+	out, err := client.ApplyCommitSets(ctx, sets)
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-// TestGroupApplyRoundTrips pins both sides of OpApplyCommitSets: one
-// trip for the whole group against a new server; probe + one trip per
-// set, then latched per-set, against a legacy server.
-func TestGroupApplyRoundTrips(t *testing.T) {
-	sets := func(ids ...string) []memento.CommitSet {
-		out := make([]memento.CommitSet, len(ids))
-		for i, id := range ids {
-			out[i] = memento.CommitSet{Creates: []memento.Memento{{
-				Key:    memento.Key{Table: "t", ID: id},
-				Fields: memento.Fields{"v": memento.Int(int64(i))},
-			}}}
-		}
-		return out
+	if got := client.RoundTrips() - before; got != 1 {
+		t.Errorf("3-set group apply cost %d round trips, want exactly 1", got)
 	}
-	ctx := context.Background()
-
-	t.Run("new server", func(t *testing.T) {
-		_, client := newPair(t)
-		if err := client.Ping(ctx); err != nil {
-			t.Fatal(err)
+	if len(out) != len(sets) {
+		t.Fatalf("%d results for %d sets", len(out), len(sets))
+	}
+	for i, r := range out {
+		if r.Err != nil {
+			t.Errorf("set %d: %v", i, r.Err)
 		}
-		before := client.RoundTrips()
-		out, err := client.ApplyCommitSets(ctx, sets("a", "b", "c"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := client.RoundTrips() - before; got != 1 {
-			t.Errorf("3-set group apply cost %d round trips, want exactly 1", got)
-		}
-		for i, r := range out {
-			if r.Err != nil {
-				t.Errorf("set %d: %v", i, r.Err)
-			}
-		}
-	})
-
-	t.Run("legacy fallback", func(t *testing.T) {
-		store := sqlstore.New(sqlstore.WithLockTimeout(time.Second))
-		t.Cleanup(store.Close)
-		client := Dial(startLegacyServer(t, store).Addr())
-		t.Cleanup(func() { _ = client.Close() })
-		if err := client.Ping(ctx); err != nil {
-			t.Fatal(err)
-		}
-
-		before := client.RoundTrips()
-		if _, err := client.ApplyCommitSets(ctx, sets("a", "b")); err != nil {
-			t.Fatal(err)
-		}
-		if got := client.RoundTrips() - before; got != 3 {
-			t.Errorf("first fallback group cost %d round trips, want 3 (probe + 2 sets)", got)
-		}
-		before = client.RoundTrips()
-		if _, err := client.ApplyCommitSets(ctx, sets("c", "d")); err != nil {
-			t.Fatal(err)
-		}
-		if got := client.RoundTrips() - before; got != 2 {
-			t.Errorf("latched fallback group cost %d round trips, want 2", got)
-		}
-	})
+	}
 }
 
 // TestPipelinedBatchFaultOrdering puts the batched path under the

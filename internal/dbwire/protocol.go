@@ -32,11 +32,6 @@ const (
 	OpPing
 	OpAutoGet
 	OpAutoQuery
-	// OpHello is the codec handshake, sent as the first request on a
-	// fresh connection by clients that support non-gob body codecs. It
-	// always travels in gob; peers that predate it answer CodeBadRequest
-	// ("unknown op"), which the client treats as "stay on gob".
-	OpHello
 	// OpBatch carries several statements of one transaction in a single
 	// frame, executed sequentially server-side with per-statement
 	// results — one round trip instead of len(Batch).
@@ -46,8 +41,8 @@ const (
 	OpApplyCommitSets
 	// OpPrepare is two-phase commit's first phase: validate the commit
 	// sub-set in Set and hold its locks under the global identifier in
-	// Gid. Peers that predate sharding answer CodeBadRequest ("unknown
-	// op"), which the coordinator surfaces as a conflict.
+	// Gid. A server whose datastore handle is no storeapi.Preparer
+	// answers CodeBadRequest, which the coordinator takes as a no vote.
 	OpPrepare
 	// OpCommitPrepared commits the transaction prepared under Gid.
 	OpCommitPrepared
@@ -92,8 +87,6 @@ func (o OpCode) String() string {
 		return "AutoGet"
 	case OpAutoQuery:
 		return "AutoQuery"
-	case OpHello:
-		return "Hello"
 	case OpBatch:
 		return "Batch"
 	case OpApplyCommitSets:
@@ -121,9 +114,6 @@ type Request struct {
 	Mem     memento.Memento
 	Query   memento.Query
 	Set     memento.CommitSet
-	// Codecs lists the body codecs the client supports, in preference
-	// order (OpHello only).
-	Codecs []string
 	// Batch carries the sub-requests of an OpBatch, each a statement of
 	// the transaction named by Tx.
 	Batch []Request
@@ -167,22 +157,16 @@ type Response struct {
 	Notice      sqlstore.Notice
 	// Conflict carries conflict attribution when Code is CodeConflict and
 	// the server-side error was an attributed *sqlstore.ConflictError
-	// (nil otherwise; gob omits it for free).
+	// (nil otherwise).
 	Conflict *ConflictInfo
 	// FP carries the footprint a Get/Query covered, stamped by the
-	// server on read responses. Nil on every other response — and on
-	// responses from peers that predate footprints, since gob omits the
-	// nil pointer and old decoders ignore the unknown field; the client
-	// synthesizes an equivalent footprint locally in that case, so mixed
-	// versions interoperate.
+	// server on read responses. Nil on every other response.
 	FP *memento.Footprint
 	// Batch carries per-statement results of an OpBatch (one entry per
 	// executed sub-request; execution stops at the first failure, so it
 	// may be shorter than the request's Batch) or the per-set results of
 	// an OpApplyCommitSets (always one entry per set).
 	Batch []Response
-	// Codec names the body codec the server selected (OpHello only).
-	Codec string
 }
 
 // ConflictInfo is the wire form of sqlstore.ConflictError's attribution

@@ -62,31 +62,10 @@ func (h *connHandler) NewRequest() any { return new(Request) }
 
 func (h *connHandler) Handle(ctx context.Context, sess *wire.Session, id uint64, req any) any {
 	r := req.(*Request)
-	switch r.Op {
-	case OpSubscribe:
+	if r.Op == OpSubscribe {
 		return h.subscribe(ctx, sess, id)
-	case OpHello:
-		return h.hello(sess, id, r)
 	}
 	return h.handle(ctx, r)
-}
-
-// hello answers the codec handshake. Accepting switches the session's
-// read side immediately — every request after the hello arrives in the
-// negotiated codec — and arms the write side to switch right after this
-// reply is written, so the acceptance itself still travels in gob, the
-// format the client can decode before it learns the outcome.
-func (h *connHandler) hello(sess *wire.Session, id uint64, r *Request) *Response {
-	for _, name := range r.Codecs {
-		if name == codecBinary {
-			sess.SetReadCodec(binCodec)
-			sess.SetWriteCodecAfter(id, binCodec)
-			wire.NoteCodec(codecBinary)
-			return &Response{Code: CodeOK, Codec: codecBinary}
-		}
-	}
-	wire.NoteCodec(codecGob)
-	return &Response{Code: CodeOK, Codec: codecGob}
 }
 
 // batch executes an OpBatch's sub-requests sequentially, stopping at
@@ -99,7 +78,7 @@ func (h *connHandler) batch(ctx context.Context, req *Request) *Response {
 	for i := range req.Batch {
 		sub := &req.Batch[i]
 		switch sub.Op {
-		case OpBegin, OpSubscribe, OpHello, OpBatch, OpApplyCommitSets,
+		case OpBegin, OpSubscribe, OpBatch, OpApplyCommitSets,
 			OpPrepare, OpCommitPrepared, OpAbortPrepared:
 			return &Response{Code: CodeBadRequest, Msg: "op " + sub.Op.String() + " not allowed in a batch"}
 		}
@@ -319,9 +298,8 @@ func (h *connHandler) handle(ctx context.Context, req *Request) *Response {
 		return h.batch(ctx, req)
 
 	// The 2PC participant ops require the wrapped Conn to expose
-	// prepare support; a Conn that doesn't (an older relay, a wrapper)
-	// gets the same "unknown op" answer an old server would give, so
-	// the coordinator's downgrade logic covers both cases identically.
+	// prepare support; for a Conn that doesn't (a wrapper) the op does
+	// not exist, and the coordinator reads the refusal as a no vote.
 	case OpPrepare:
 		p, ok := h.backend.(storeapi.Preparer)
 		if !ok {

@@ -46,10 +46,6 @@ type EvalConfig struct {
 	// builds; only the cache-enabled cells are affected. The tradebench
 	// -finder-cache flag threads through here.
 	CacheOptions []slicache.ManagerOption
-	// Codec selects the dbwire body codec for every topology the
-	// evaluation builds ("" = dbwire default, binary). The tradebench
-	// -codec flag threads through here.
-	Codec string
 	// Batch enables multi-statement batching in the pessimistic managers
 	// (the tradebench -batch flag).
 	Batch bool
@@ -89,7 +85,6 @@ func RunEvaluation(ctx context.Context, cfg EvalConfig, logf func(format string,
 			Algo:         pair.Algo,
 			Populate:     cfg.Populate,
 			CacheOptions: cfg.CacheOptions,
-			Codec:        cfg.Codec,
 			Batch:        cfg.Batch,
 		}, cfg.Run)
 		if err != nil {

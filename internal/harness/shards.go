@@ -50,8 +50,6 @@ type ShardScalingOptions struct {
 	Workload trade.GeneratorConfig
 	// CacheOptions are extra slicache options.
 	CacheOptions []slicache.ManagerOption
-	// Codec selects the dbwire body codec.
-	Codec string
 }
 
 // DefaultShardScalingOptions returns a laptop-scale sweep sized so the
@@ -128,7 +126,6 @@ func RunShardScaling(ctx context.Context, opts ShardScalingOptions, logf func(st
 			OneWayDelay:     opts.OneWayDelay,
 			Populate:        opts.Populate,
 			CacheOptions:    opts.CacheOptions,
-			Codec:           opts.Codec,
 			DBCommitService: opts.DBCommitService,
 		})
 		if err != nil {

@@ -26,9 +26,9 @@ type SummaryInput struct {
 	Attribution *collect.Attribution
 	// Counters is the whole run's counter diff (finder-cache ratios).
 	Counters map[string]uint64
-	// Runtime is the whole run's runtime.* registry diff (from
-	// prof.Runtime), feeding the resource.* attribution metrics. Nil
-	// when the runtime sampler was not running.
+	// Runtime is the run's runtime.* registry diff (from prof.Runtime)
+	// up to the end of its last measured phase, feeding the resource.*
+	// attribution metrics. Nil when the runtime sampler was not running.
 	Runtime *obs.Snapshot
 }
 

@@ -98,10 +98,6 @@ type Options struct {
 	CacheOptions []slicache.ManagerOption
 	// LockTimeout overrides the datastore lock-wait timeout.
 	LockTimeout time.Duration
-	// Codec selects the dbwire body codec ("binary" negotiated per
-	// connection, or "gob" to skip negotiation). Empty means the dbwire
-	// default (binary).
-	Codec string
 	// Batch makes the pessimistic managers (JDBC, BMP) coalesce
 	// independent statements of one interaction into multi-statement
 	// frames. Off by default so existing round-trip accounting holds.
@@ -197,11 +193,6 @@ func Build(opts Options) (topo *Topology, err error) {
 		return buildSharded(opts)
 	}
 
-	var dbOpts []dbwire.Option
-	if opts.Codec != "" {
-		dbOpts = append(dbOpts, dbwire.WithCodec(opts.Codec))
-	}
-
 	t := &Topology{Arch: opts.Arch, Algo: opts.Algo}
 	defer func() {
 		if err != nil {
@@ -235,7 +226,7 @@ func Build(opts Options) (topo *Topology, err error) {
 	case ESRBES:
 		// Back-end next to the database (low-latency wire); delay
 		// between the edge servers and the back-end.
-		backendDB := dbwire.Dial(dbServer.Addr(), dbOpts...)
+		backendDB := dbwire.Dial(dbServer.Addr())
 		t.closers = append(t.closers, func() { _ = backendDB.Close() })
 		t.Backend = backend.NewServer(backendDB)
 		if err := t.Backend.Start("127.0.0.1:0"); err != nil {
@@ -264,7 +255,7 @@ func Build(opts Options) (topo *Topology, err error) {
 	}
 	ctx := context.Background()
 	for i := 0; i < opts.EdgeServers; i++ {
-		dbClient := dbwire.Dial(edgeDBAddr, dbOpts...)
+		dbClient := dbwire.Dial(edgeDBAddr)
 		t.DBClients = append(t.DBClients, dbClient)
 		t.closers = append(t.closers, func() { _ = dbClient.Close() })
 

@@ -31,11 +31,6 @@ func buildSharded(opts Options) (topo *Topology, err error) {
 		return nil, fmt.Errorf("harness: sharding requires %s (got %s)", AlgCachedEJB, opts.Algo)
 	}
 
-	var dbOpts []dbwire.Option
-	if opts.Codec != "" {
-		dbOpts = append(dbOpts, dbwire.WithCodec(opts.Codec))
-	}
-
 	t := &Topology{Arch: opts.Arch, Algo: opts.Algo, Shards: opts.Shards}
 	defer func() {
 		if err != nil {
@@ -76,7 +71,7 @@ func buildSharded(opts Options) (topo *Topology, err error) {
 		}
 		t.closers = append(t.closers, dbServer.Close)
 
-		backendDB := dbwire.Dial(dbServer.Addr(), dbOpts...)
+		backendDB := dbwire.Dial(dbServer.Addr())
 		t.closers = append(t.closers, func() { _ = backendDB.Close() })
 		be := backend.NewServer(backendDB)
 		if err := be.Start("127.0.0.1:0"); err != nil {
@@ -107,7 +102,7 @@ func buildSharded(opts Options) (topo *Topology, err error) {
 	for e := 0; e < opts.EdgeServers; e++ {
 		conns := make([]storeapi.Conn, opts.Shards)
 		for i, addr := range shardAddrs {
-			dbClient := dbwire.Dial(addr, dbOpts...)
+			dbClient := dbwire.Dial(addr)
 			t.DBClients = append(t.DBClients, dbClient)
 			t.closers = append(t.closers, func() { _ = dbClient.Close() })
 			conns[i] = dbClient

@@ -47,7 +47,8 @@ func (k Kind) String() string {
 
 // Value is a typed field value. Exactly one of the payload fields is
 // meaningful, selected by Kind. Values are small and copied freely; they
-// are encodable by encoding/gob without interface registration.
+// are plain data, so the wire codecs and the store's gob snapshot encode
+// them without interface registration.
 type Value struct {
 	Kind Kind
 	Str  string

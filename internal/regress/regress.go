@@ -28,15 +28,9 @@ import (
 	"sort"
 )
 
-// SchemaV1 is the original summary.json schema. V2 added the
-// resource.* metric family (allocs, CPU, GC pauses per interaction) —
-// a pure addition, so Load accepts both and comparisons between a v1
-// baseline and a v2 run simply have no resource metrics in common.
-// Load rejects unknown schemas rather than mis-parsing them.
-const (
-	SchemaV1 = "edgeejb/summary/v1"
-	SchemaV2 = "edgeejb/summary/v2"
-)
+// SchemaV2 is the summary.json schema every run writes. Load rejects
+// any other, the retired v1 included, rather than mis-parsing it.
+const SchemaV2 = "edgeejb/summary/v2"
 
 // SummaryFile is the filename a run writes and Load resolves inside
 // artifact directories.
@@ -111,7 +105,7 @@ type Metric struct {
 
 // Summary is one run's canonical machine-readable result set.
 type Summary struct {
-	// Schema is SchemaV2 for new runs; Load also accepts SchemaV1.
+	// Schema is SchemaV2.
 	Schema string `json:"schema"`
 	// CreatedAt is when the run finished, RFC3339 (informational).
 	CreatedAt string `json:"created_at,omitempty"`
@@ -157,8 +151,8 @@ func Load(path string) (*Summary, error) {
 	if err := json.Unmarshal(data, &s); err != nil {
 		return nil, fmt.Errorf("regress: parse %s: %w", file, err)
 	}
-	if s.Schema != SchemaV1 && s.Schema != SchemaV2 {
-		return nil, fmt.Errorf("regress: %s: schema %q, want %q or %q", file, s.Schema, SchemaV1, SchemaV2)
+	if s.Schema != SchemaV2 {
+		return nil, fmt.Errorf("regress: %s: schema %q, want %q", file, s.Schema, SchemaV2)
 	}
 	if s.Metrics == nil {
 		s.Metrics = map[string]Metric{}

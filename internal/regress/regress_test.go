@@ -13,7 +13,7 @@ func metric(kind Kind, better Direction, mean float64, samples ...float64) Metri
 }
 
 func TestCompareVerdicts(t *testing.T) {
-	oldS := &Summary{Schema: SchemaV1, Metrics: map[string]Metric{
+	oldS := &Summary{Schema: SchemaV2, Metrics: map[string]Metric{
 		// Tight samples, large move: regressed.
 		"latency.up": metric(KindTime, LowerIsBetter, 10, 10, 10.1, 9.9, 10.05),
 		// Tight samples, large drop: improved.
@@ -29,7 +29,7 @@ func TestCompareVerdicts(t *testing.T) {
 		// Disappears in the new run.
 		"gone.metric": metric(KindCount, LowerIsBetter, 5),
 	}}
-	newS := &Summary{Schema: SchemaV1, Metrics: map[string]Metric{
+	newS := &Summary{Schema: SchemaV2, Metrics: map[string]Metric{
 		"latency.up":    metric(KindTime, LowerIsBetter, 15, 15, 15.1, 14.9, 15.05),
 		"latency.down":  metric(KindTime, LowerIsBetter, 6, 6, 6.1, 5.9, 6.05),
 		"latency.flat":  metric(KindTime, LowerIsBetter, 10.5, 10.5, 10.6, 10.4, 10.55),
@@ -88,7 +88,7 @@ func TestCompareVerdicts(t *testing.T) {
 }
 
 func TestCompareIdenticalIsClean(t *testing.T) {
-	s := &Summary{Schema: SchemaV1, Metrics: map[string]Metric{
+	s := &Summary{Schema: SchemaV2, Metrics: map[string]Metric{
 		"a": metric(KindTime, LowerIsBetter, 10, 10, 10.2, 9.8),
 		"b": metric(KindCount, LowerIsBetter, 3.63),
 		"c": metric(KindRatio, HigherIsBetter, 0.98),
@@ -105,11 +105,11 @@ func TestCompareIdenticalIsClean(t *testing.T) {
 }
 
 func TestCompareGating(t *testing.T) {
-	oldS := &Summary{Schema: SchemaV1, Metrics: map[string]Metric{
+	oldS := &Summary{Schema: SchemaV2, Metrics: map[string]Metric{
 		"time.x":  metric(KindTime, LowerIsBetter, 10),
 		"count.x": metric(KindCount, LowerIsBetter, 4),
 	}}
-	newS := &Summary{Schema: SchemaV1, Metrics: map[string]Metric{
+	newS := &Summary{Schema: SchemaV2, Metrics: map[string]Metric{
 		"time.x":  metric(KindTime, LowerIsBetter, 20),
 		"count.x": metric(KindCount, LowerIsBetter, 5),
 	}}
@@ -133,10 +133,10 @@ func TestCompareGating(t *testing.T) {
 }
 
 func TestCompareToleranceOverride(t *testing.T) {
-	oldS := &Summary{Schema: SchemaV1, Metrics: map[string]Metric{
+	oldS := &Summary{Schema: SchemaV2, Metrics: map[string]Metric{
 		"wire.rts": metric(KindCount, LowerIsBetter, 4.0),
 	}}
-	newS := &Summary{Schema: SchemaV1, Metrics: map[string]Metric{
+	newS := &Summary{Schema: SchemaV2, Metrics: map[string]Metric{
 		"wire.rts": metric(KindCount, LowerIsBetter, 4.5),
 	}}
 	// 12.5% over the default 4% count budget: regressed.
@@ -154,10 +154,10 @@ func TestCompareToleranceOverride(t *testing.T) {
 }
 
 func TestCompareZeroBaseline(t *testing.T) {
-	oldS := &Summary{Schema: SchemaV1, Metrics: map[string]Metric{
+	oldS := &Summary{Schema: SchemaV2, Metrics: map[string]Metric{
 		"conflicts": metric(KindCount, LowerIsBetter, 0),
 	}}
-	newS := &Summary{Schema: SchemaV1, Metrics: map[string]Metric{
+	newS := &Summary{Schema: SchemaV2, Metrics: map[string]Metric{
 		"conflicts": metric(KindCount, LowerIsBetter, 7),
 	}}
 	rep := Compare(oldS, newS, Options{Gate: GateAll})
@@ -174,7 +174,7 @@ func TestCompareZeroBaseline(t *testing.T) {
 func TestLoadSaveRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	s := &Summary{
-		Schema:    SchemaV1,
+		Schema:    SchemaV2,
 		CreatedAt: "2026-01-02T03:04:05Z",
 		Args:      []string{"-fig6"},
 		Metrics: map[string]Metric{
@@ -208,7 +208,7 @@ func TestLoadSaveRoundTrip(t *testing.T) {
 		{"run-20260101-000000", 1.0},
 		{"run-20260102-000000", 2.0},
 	} {
-		rs := &Summary{Schema: SchemaV1, Metrics: map[string]Metric{
+		rs := &Summary{Schema: SchemaV2, Metrics: map[string]Metric{
 			"m": metric(KindTime, LowerIsBetter, run.mean),
 		}}
 		if err := Save(filepath.Join(root, run.name, SummaryFile), rs); err != nil {
@@ -232,12 +232,16 @@ func TestLoadRejectsBadInput(t *testing.T) {
 	if _, err := Load(dir); err == nil {
 		t.Fatal("empty dir: want error")
 	}
-	bad := filepath.Join(dir, "bad.json")
-	if err := os.WriteFile(bad, []byte(`{"schema":"someone/elses/v9","metrics":{}}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(bad); err == nil || !strings.Contains(err.Error(), "schema") {
-		t.Fatalf("wrong schema: err = %v, want schema complaint", err)
+	// A foreign schema and the retired v1 are both refused, and the
+	// error names the schema the file carries.
+	for _, schema := range []string{"someone/elses/v9", "edgeejb/summary/v1"} {
+		bad := filepath.Join(dir, "bad.json")
+		if err := os.WriteFile(bad, []byte(`{"schema":"`+schema+`","metrics":{}}`), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(bad); err == nil || !strings.Contains(err.Error(), schema) {
+			t.Fatalf("schema %s: err = %v, want an error naming it", schema, err)
+		}
 	}
 	garbage := filepath.Join(dir, "garbage.json")
 	if err := os.WriteFile(garbage, []byte("not json"), 0o644); err != nil {

@@ -81,14 +81,6 @@ func ExecBatch(ctx context.Context, txn Txn, stmts []Stmt) ([]StmtResult, error)
 	return execSerial(ctx, txn, stmts)
 }
 
-// ExecSerial executes stmts one call at a time — the reference
-// semantics every batch implementation must match. Exposed so a remote
-// transaction that discovers its peer predates batching can fall back
-// to the exact serial behaviour through its own per-statement methods.
-func ExecSerial(ctx context.Context, txn Txn, stmts []Stmt) ([]StmtResult, error) {
-	return execSerial(ctx, txn, stmts)
-}
-
 // execSerial is the reference semantics of a batch: one call per
 // statement, stopping at the first failure.
 func execSerial(ctx context.Context, txn Txn, stmts []Stmt) ([]StmtResult, error) {

@@ -78,8 +78,7 @@ type Conn interface {
 	// atomically — a single round trip on remote implementations.
 	ApplyCommitSet(ctx context.Context, cs memento.CommitSet) (sqlstore.ApplyResult, error)
 	// ApplyCommitSets applies several independent commit sets in one
-	// exchange — a single round trip on remote implementations that
-	// support it (older peers fall back to one trip per set). Each set
+	// exchange — a single round trip on remote implementations. Each set
 	// succeeds or fails on its own; the error return is reserved for
 	// transport-level failures affecting the whole group.
 	ApplyCommitSets(ctx context.Context, sets []memento.CommitSet) ([]sqlstore.ApplySetResult, error)

@@ -24,7 +24,6 @@ type Client struct {
 	maxPinnedIdle int
 	maxFrame      int
 	retry         RetryPolicy
-	preflight     func(ctx context.Context, pc PreflightConn) error
 	stats         *collector
 
 	mu         sync.Mutex
@@ -63,29 +62,6 @@ func WithRetry() Option { return WithRetryPolicy(DefaultRetryPolicy()) }
 // opt in, and must only do so when its requests are idempotent or
 // duplicate-rejected (see RetryPolicy).
 func WithRetryPolicy(p RetryPolicy) Option { return func(c *Client) { c.retry = p } }
-
-// PreflightConn is the limited view of a freshly dialed connection a
-// preflight hook may use: issue handshake exchanges and install a
-// negotiated body codec. The connection is not visible to any other
-// caller while the hook runs.
-type PreflightConn interface {
-	// Call performs one request/response exchange on the new connection.
-	Call(ctx context.Context, req, resp any) error
-	// SetBodyCodec switches both directions of the connection to the
-	// codec, effective from the next frame in each direction. Call it
-	// only at a quiet point of the handshake: after the peer has
-	// confirmed the switch and before any further traffic.
-	SetBodyCodec(c BodyCodec)
-}
-
-// WithPreflight runs f on every freshly dialed connection — shared and
-// pinned — before the connection carries any caller traffic. The
-// protocol layer uses it for its codec handshake; a preflight error
-// fails the dial (and is retried under the client's retry policy like
-// any other dial failure).
-func WithPreflight(f func(ctx context.Context, pc PreflightConn) error) Option {
-	return func(c *Client) { c.preflight = f }
-}
 
 // WithMaxFrame overrides the maximum accepted frame size.
 func WithMaxFrame(n int) Option {
@@ -272,33 +248,7 @@ func (c *Client) dialConn(ctx context.Context) (*conn, error) {
 	c.conns[cn] = struct{}{}
 	c.mu.Unlock()
 	go cn.readLoop()
-	if c.preflight != nil {
-		if err := c.preflight(ctx, preflightConn{cn}); err != nil {
-			err = fmt.Errorf("wire: preflight %s: %w", c.addr, err)
-			cn.teardown(err)
-			return nil, err
-		}
-	}
 	return cn, nil
-}
-
-// preflightConn adapts a conn to the PreflightConn surface handed to
-// WithPreflight hooks.
-type preflightConn struct{ cn *conn }
-
-func (p preflightConn) Call(ctx context.Context, req, resp any) error {
-	return p.cn.roundTrip(ctx, req, resp)
-}
-
-func (p preflightConn) SetBodyCodec(c BodyCodec) { p.cn.setBodyCodec(c) }
-
-// setBodyCodec switches both directions of the connection to c, from
-// the next frame each way.
-func (cn *conn) setBodyCodec(c BodyCodec) {
-	cn.wmu.Lock()
-	cn.fw.codec = c
-	cn.wmu.Unlock()
-	cn.fr.setCodec(c)
 }
 
 func (c *Client) removeConn(cn *conn) {
@@ -316,6 +266,9 @@ func (c *Client) removeConn(cn *conn) {
 			break
 		}
 	}
+	// A caller that found only this connection, closed but not yet
+	// pruned, in a full shared set is waiting for the slot.
+	c.dialCond.Broadcast()
 	c.mu.Unlock()
 }
 
@@ -346,13 +299,12 @@ func (c *Client) OpenStream(ctx context.Context) (*Stream, error) {
 
 // call tracks one in-flight request on a connection. Abandoned calls
 // (context expired before the reply) stay registered so the late reply
-// can be decoded — into a throwaway value — keeping the connection's
-// gob stream in sync.
+// is recognised and dropped instead of failing the connection as a
+// response to an unknown request.
 type call struct {
 	id        uint64
 	label     string
 	resp      any
-	rtype     reflect.Type
 	deadline  time.Time
 	done      chan struct{}
 	err       error
@@ -376,6 +328,31 @@ type pushSink struct {
 	factory func() any
 	deliver func(any)
 	onClose func()
+
+	// mu orders deliver against onClose: the reader may hold a push in
+	// hand while another goroutine tears the connection down, and a
+	// sink that closes a channel in onClose must not be sent to after.
+	mu     sync.Mutex
+	closed bool
+}
+
+// push hands one decoded body to the sink unless it has closed.
+func (s *pushSink) push(body any) {
+	s.mu.Lock()
+	if !s.closed {
+		s.deliver(body)
+	}
+	s.mu.Unlock()
+}
+
+// close fires onClose once every deliver in flight has returned.
+func (s *pushSink) close() {
+	s.mu.Lock()
+	s.closed = true
+	s.mu.Unlock()
+	if s.onClose != nil {
+		s.onClose()
+	}
 }
 
 type conn struct {
@@ -434,8 +411,8 @@ func (cn *conn) teardown(err error) {
 	}
 	cn.mu.Unlock()
 	_ = cn.nc.Close()
-	if sink != nil && sink.onClose != nil {
-		sink.onClose()
+	if sink != nil {
+		sink.close()
 	}
 	cn.c.removeConn(cn)
 }
@@ -452,7 +429,6 @@ func (cn *conn) roundTrip(ctx context.Context, req, resp any) error {
 	cl := &call{
 		label: label,
 		resp:  resp,
-		rtype: reflect.TypeOf(resp).Elem(),
 		done:  make(chan struct{}),
 		start: time.Now(),
 	}
@@ -550,9 +526,8 @@ func (cn *conn) updateReadDeadline() {
 }
 
 // expireOverdue fails pending calls whose deadline has passed, leaving
-// them registered (abandoned) so their late replies keep the gob
-// stream in sync. It runs on the reader goroutine when the read
-// deadline fires.
+// them registered (abandoned) for their late replies. It runs on the
+// reader goroutine when the read deadline fires.
 func (cn *conn) expireOverdue() {
 	now := time.Now()
 	cn.mu.Lock()
@@ -580,9 +555,9 @@ func (cn *conn) readLoop() {
 			cn.teardown(fmt.Errorf("wire: recv: %w", err))
 			return
 		}
-		var h frameHeader
-		if err := cn.fr.decode(&h); err != nil {
-			cn.teardown(fmt.Errorf("wire: recv header: %w", err))
+		h, err := cn.fr.readHeader()
+		if err != nil {
+			cn.teardown(fmt.Errorf("wire: recv: %w", err))
 			return
 		}
 		switch h.Kind {
@@ -614,15 +589,27 @@ func (cn *conn) handleResponse(id uint64, size int) bool {
 		return false
 	}
 	cn.c.stats.received(cl.label, size)
-	// An abandoned call's caller is gone; decode into a throwaway
-	// value of the right type to keep the gob stream in sync.
+	// An abandoned call's caller is gone, and may be reusing resp. A
+	// self-encoding body is simply dropped; a gob body is decoded into
+	// a throwaway value of the right type, because the gob stream's
+	// type definitions may be riding in it.
 	target := cl.resp
 	if cl.abandoned {
-		target = reflect.New(cl.rtype).Interface()
+		target = nil
+		if _, ok := cl.resp.(Body); !ok {
+			target = reflect.New(reflect.TypeOf(cl.resp).Elem()).Interface()
+		}
 	}
-	if err := cn.fr.decodeBody(target); err != nil {
-		cn.teardown(fmt.Errorf("wire: recv %s: %w", cl.label, err))
-		return false
+	if target != nil {
+		if err := cn.fr.decodeBody(target); err != nil {
+			// cl is no longer pending, so teardown will not fail it.
+			err = fmt.Errorf("wire: recv %s: %w", cl.label, err)
+			cn.mu.Lock()
+			cl.complete(err)
+			cn.mu.Unlock()
+			cn.teardown(err)
+			return false
+		}
 	}
 	cn.mu.Lock()
 	cn.used = true
@@ -645,7 +632,7 @@ func (cn *conn) handlePush(size int) bool {
 		cn.teardown(fmt.Errorf("wire: recv push: %w", err))
 		return false
 	}
-	sink.deliver(body)
+	sink.push(body)
 	return true
 }
 
@@ -680,7 +667,8 @@ func (s *Stream) Call(ctx context.Context, req, resp any) error {
 
 // OnPush registers the stream's push sink: factory allocates a body,
 // deliver consumes each push (it must not block), and onClose fires
-// exactly once when the connection dies. Register the sink BEFORE the
+// exactly once when the connection dies, after the last deliver has
+// returned. Register the sink BEFORE the
 // call that switches the server into push mode, or an early push races
 // the registration and kills the connection.
 func (s *Stream) OnPush(factory func() any, deliver func(any), onClose func()) {

@@ -1,0 +1,195 @@
+package wire
+
+import (
+	"encoding/binary"
+	"fmt"
+	"time"
+)
+
+// Body is a message that encodes itself: the transport writes the
+// frame header and hands the rest of the frame to the body. The
+// encoding is not self-describing — both peers build from this tree and
+// agree on the field order — so a schema change edits the encoder and
+// the decoder in one commit.
+type Body interface {
+	// AppendWire appends the body's encoding to dst and returns the
+	// extended slice.
+	AppendWire(dst []byte) []byte
+	// ReadWire decodes one body from data, the remainder of a frame.
+	// data is the connection's reused read buffer: ReadWire must copy
+	// out every byte it keeps.
+	ReadWire(data []byte) error
+}
+
+// AppendString appends a uvarint length and the string's bytes.
+func AppendString(dst []byte, s string) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(s)))
+	return append(dst, s...)
+}
+
+// AppendBytes appends a uvarint length and the bytes.
+func AppendBytes(dst, b []byte) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(b)))
+	return append(dst, b...)
+}
+
+// AppendBool appends one byte, 1 or 0.
+func AppendBool(dst []byte, b bool) []byte {
+	if b {
+		return append(dst, 1)
+	}
+	return append(dst, 0)
+}
+
+// AppendTime encodes a wall-clock instant: a presence byte (the zero
+// time is not unix zero) plus fixed 8-byte unix nanoseconds. The
+// monotonic reading is dropped.
+func AppendTime(dst []byte, t time.Time) []byte {
+	if t.IsZero() {
+		return append(dst, 0)
+	}
+	dst = append(dst, 1)
+	return binary.BigEndian.AppendUint64(dst, uint64(t.UnixNano()))
+}
+
+// Reader decodes the primitives with a sticky error: after the first
+// malformed read every further read returns zero values, and Err
+// surfaces the failure once at the end.
+type Reader struct {
+	b   []byte
+	off int
+	err error
+}
+
+// NewReader returns a reader over one body's bytes.
+func NewReader(b []byte) *Reader { return &Reader{b: b} }
+
+// Err returns the first decode failure, or an error for bytes left
+// undecoded: a body that does not end where its decoder does was
+// written by a different schema.
+func (r *Reader) Err() error {
+	if r.err == nil && r.off != len(r.b) {
+		r.err = fmt.Errorf("wire: %d trailing bytes after body", len(r.b)-r.off)
+	}
+	return r.err
+}
+
+// Failed reports whether a read has already failed; decoders check it
+// to stop filling collections from a broken stream.
+func (r *Reader) Failed() bool { return r.err != nil }
+
+// Fail marks the body malformed at the current offset; decoders call it
+// for a value that is well-formed as bytes but not allowed where it
+// stands.
+func (r *Reader) Fail() {
+	if r.err == nil {
+		r.err = fmt.Errorf("wire: truncated or malformed body at offset %d", r.off)
+	}
+}
+
+// Byte reads one byte.
+func (r *Reader) Byte() byte {
+	if r.err != nil || r.off >= len(r.b) {
+		r.Fail()
+		return 0
+	}
+	b := r.b[r.off]
+	r.off++
+	return b
+}
+
+// Bool reads one byte as a boolean.
+func (r *Reader) Bool() bool { return r.Byte() != 0 }
+
+// Uvarint reads an unsigned varint.
+func (r *Reader) Uvarint() uint64 {
+	if r.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(r.b[r.off:])
+	if n <= 0 {
+		r.Fail()
+		return 0
+	}
+	r.off += n
+	return v
+}
+
+// Varint reads a signed varint.
+func (r *Reader) Varint() int64 {
+	if r.err != nil {
+		return 0
+	}
+	v, n := binary.Varint(r.b[r.off:])
+	if n <= 0 {
+		r.Fail()
+		return 0
+	}
+	r.off += n
+	return v
+}
+
+// Len reads a collection count and refuses one larger than the bytes
+// remaining (every element takes at least one). That alone does not
+// bound what a decoder may reserve — a decoded element can be a hundred
+// times its smallest encoding — so decoders size collections with
+// Prealloc and grow them as elements actually decode.
+func (r *Reader) Len() int {
+	v := r.Uvarint()
+	if r.err != nil {
+		return 0
+	}
+	if v > uint64(len(r.b)-r.off) {
+		r.Fail()
+		return 0
+	}
+	return int(v)
+}
+
+// Prealloc is the capacity to reserve for a collection whose frame
+// claims n elements: n itself up to a few hundred, which covers every
+// collection the protocols send, and no more than that on a frame's
+// say-so.
+func Prealloc(n int) int { return min(n, 256) }
+
+// Uint64 reads a fixed 8-byte big-endian integer.
+func (r *Reader) Uint64() uint64 {
+	if r.err != nil || r.off+8 > len(r.b) {
+		r.Fail()
+		return 0
+	}
+	v := binary.BigEndian.Uint64(r.b[r.off:])
+	r.off += 8
+	return v
+}
+
+// Str reads a length-prefixed string.
+func (r *Reader) Str() string {
+	n := r.Len()
+	if n == 0 {
+		return ""
+	}
+	s := string(r.b[r.off : r.off+n])
+	r.off += n
+	return s
+}
+
+// Bytes reads a length-prefixed byte slice into fresh memory; a zero
+// length reads as nil.
+func (r *Reader) Bytes() []byte {
+	n := r.Len()
+	if n == 0 {
+		return nil
+	}
+	b := append([]byte(nil), r.b[r.off:r.off+n]...)
+	r.off += n
+	return b
+}
+
+// Time reads an instant written by AppendTime.
+func (r *Reader) Time() time.Time {
+	if r.Byte() == 0 {
+		return time.Time{}
+	}
+	return time.Unix(0, int64(r.Uint64()))
+}

@@ -6,8 +6,9 @@
 // measure crosses this one implementation instead, so the edge↔origin
 // RPC path can be optimized and instrumented in a single place.
 //
-// The transport is a length-prefixed, gob-framed request/response
-// protocol:
+// The transport is a length-prefixed request/response protocol with one
+// fixed frame format — a binary header, then a body that encodes itself
+// (Body); nothing is negotiated per connection (see frame.go):
 //
 //   - Client multiplexes concurrent requests over a small set of shared
 //     connections using per-request IDs (pipelining: N concurrent
@@ -27,7 +28,7 @@
 //     a Stats snapshot, so byte accounting on the shared path no longer
 //     depends on the delay proxy alone. The same counts are mirrored
 //     process-wide as the wire.client.* / wire.server.* metrics.
-//   - Frame headers carry an optional trace ID, so a span tree started
-//     at the client reassembles across tiers; untraced requests encode
-//     byte-identically to the pre-tracing format (see OBSERVABILITY.md).
+//   - Frame headers carry an optional trace/span pair, so a span tree
+//     started at the client reassembles across tiers; untraced requests
+//     pay no bytes for it (see OBSERVABILITY.md).
 package wire

@@ -1,13 +1,11 @@
 package wire
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
 	"fmt"
 	"io"
-	"sync/atomic"
 )
 
 // DefaultMaxFrame bounds a single frame's payload. Anything larger (or
@@ -15,164 +13,84 @@ import (
 // port) is treated as a protocol violation and the connection dropped.
 const DefaultMaxFrame = 16 << 20
 
-// A frame is a 4-byte big-endian payload length followed by the
-// payload; the payload is gob(frameHeader) ++ body. The header always
-// travels through a persistent per-connection gob encoder, so gob type
-// definitions are sent once per connection rather than once per
-// message. That matters for the experiments: per-message typedef
-// overhead would inflate exactly the small-message protocols whose byte
-// counts Figure 8 compares. The body defaults to the same gob stream;
-// once a BodyCodec is negotiated, the body is that codec's raw bytes —
-// gob messages are self-delimiting, so after the header decode the
-// remainder of the frame is exactly the body.
+// A frame is
+//
+//	length  4 bytes big-endian: the size of everything after it
+//	kind    1 byte: the frame kind, with flagTraced set when the
+//	        trace/span pair follows the ID
+//	id      uvarint request ID
+//	trace   8 bytes big-endian  \ only when flagTraced is set, so
+//	span    8 bytes big-endian  / untraced traffic pays nothing for them
+//	body    the rest of the frame
+//
+// A body that implements Body encodes itself. Any other value goes
+// through a per-connection gob stream (type definitions travel once per
+// connection, not once per message); which of the two a frame carries
+// is decided by the static type both peers pass, never negotiated.
 
-// BodyCodec encodes and decodes message bodies inside the frame format.
-// The frame header stays gob regardless; a codec only replaces the body
-// encoding, which is where the volume is. Both peers must switch at an
-// agreed frame boundary (the protocol layer negotiates this).
-type BodyCodec interface {
-	// Name identifies the codec during negotiation and in metrics.
-	Name() string
-	// EncodeBody appends body's encoding to dst and returns the
-	// extended slice.
-	EncodeBody(dst []byte, body any) ([]byte, error)
-	// DecodeBody decodes one body from data, the remainder of a frame.
-	DecodeBody(data []byte, body any) error
+// flagTraced marks a header that carries the trace/span pair.
+const flagTraced uint8 = 0x80
+
+func appendHeader(dst []byte, h *frameHeader) []byte {
+	kind := h.Kind
+	if h.Trace != 0 || h.Span != 0 {
+		kind |= flagTraced
+	}
+	dst = append(dst, kind)
+	dst = binary.AppendUvarint(dst, h.ID)
+	if kind&flagTraced != 0 {
+		dst = binary.BigEndian.AppendUint64(dst, h.Trace)
+		dst = binary.BigEndian.AppendUint64(dst, h.Span)
+	}
+	return dst
 }
 
 // frameWriter frames messages onto a connection. Not safe for
-// concurrent use; callers hold a write mutex (which also guards codec).
+// concurrent use; callers hold a write mutex.
 type frameWriter struct {
-	bw      *bufio.Writer
-	scratch bytes.Buffer
-	enc     *gob.Encoder
-	lenBuf  [4]byte
-	codec   BodyCodec
-	bodyBuf []byte
+	w   io.Writer
+	buf []byte // the frame under construction, reused
+	// gob fallback for bodies that do not implement Body; nil until the
+	// first such body.
+	enc    *gob.Encoder
+	gobBuf bytes.Buffer
 }
 
-func newFrameWriter(w io.Writer) *frameWriter {
-	fw := &frameWriter{bw: bufio.NewWriter(w)}
-	fw.enc = gob.NewEncoder(&fw.scratch)
-	return fw
-}
+func newFrameWriter(w io.Writer) *frameWriter { return &frameWriter{w: w} }
 
-// writeFrame encodes header+body as one frame and flushes it. On
-// success it returns the frame's size on the wire (prefix included); on
-// a write or flush error it returns how many of the frame's bytes still
-// reached the socket, so callers can account partially-sent traffic —
-// under fault injection those bytes are real load on the shared path,
-// and dropping them from Stats.BytesSent skews the Figure-8 comparison.
+// writeFrame encodes header+body as one frame and hands it to the
+// connection in a single Write. It returns how many of the frame's
+// bytes the connection accepted: the whole frame (prefix included) on
+// success, and on a failed write the part that still reached the
+// socket, so callers can account partially-sent traffic — under fault
+// injection those bytes are real load on the shared path, and dropping
+// them from Stats.BytesSent skews the Figure-8 comparison.
 func (fw *frameWriter) writeFrame(h *frameHeader, body any) (int, error) {
-	fw.scratch.Reset()
-	if err := fw.enc.Encode(h); err != nil {
-		return 0, err
-	}
-	var bodyBytes []byte
-	if fw.codec != nil {
-		var err error
-		fw.bodyBuf, err = fw.codec.EncodeBody(fw.bodyBuf[:0], body)
-		if err != nil {
+	buf := appendHeader(append(fw.buf[:0], 0, 0, 0, 0), h)
+	if b, ok := body.(Body); ok {
+		buf = b.AppendWire(buf)
+	} else {
+		if fw.enc == nil {
+			fw.enc = gob.NewEncoder(&fw.gobBuf)
+		}
+		fw.gobBuf.Reset()
+		if err := fw.enc.Encode(body); err != nil {
 			return 0, err
 		}
-		bodyBytes = fw.bodyBuf
-	} else if err := fw.enc.Encode(body); err != nil {
-		return 0, err
+		buf = append(buf, fw.gobBuf.Bytes()...)
 	}
-	n := fw.scratch.Len() + len(bodyBytes)
-	binary.BigEndian.PutUint32(fw.lenBuf[:], uint32(n))
-	// From here on every byte handed to bw may reach the socket even if
-	// a later write fails; track acceptance so the error paths can
-	// report the flushed count instead of 0.
-	preBuffered := fw.bw.Buffered()
-	accepted := 0
-	k, err := fw.bw.Write(fw.lenBuf[:])
-	accepted += k
-	if err != nil {
-		return fw.flushedBytes(preBuffered, accepted), err
-	}
-	k, err = fw.bw.Write(fw.scratch.Bytes())
-	accepted += k
-	if err != nil {
-		return fw.flushedBytes(preBuffered, accepted), err
-	}
-	if len(bodyBytes) > 0 {
-		k, err = fw.bw.Write(bodyBytes)
-		accepted += k
-		if err != nil {
-			return fw.flushedBytes(preBuffered, accepted), err
-		}
-	}
-	if err := fw.bw.Flush(); err != nil {
-		return fw.flushedBytes(preBuffered, accepted), err
-	}
-	return n + 4, nil
+	fw.buf = buf
+	binary.BigEndian.PutUint32(buf, uint32(len(buf)-4))
+	return fw.w.Write(buf)
 }
 
-// flushedBytes estimates how many bytes reached the socket after a
-// failed write or flush: everything the buffered writer accepted (plus
-// any residue already buffered before this frame) minus what still sits
-// in its buffer.
-func (fw *frameWriter) flushedBytes(preBuffered, accepted int) int {
-	f := preBuffered + accepted - fw.bw.Buffered()
-	if f < 0 {
-		f = 0
-	}
-	return f
-}
-
-// chunkReader serves gob exactly one frame's payload. It implements
-// io.ByteReader so gob.NewDecoder does NOT wrap it in its own bufio
-// and read ahead past the frame boundary.
-type chunkReader struct {
-	buf []byte
-	off int
-}
-
-func (c *chunkReader) reset(b []byte) { c.buf, c.off = b, 0 }
-
-// rest returns the undecoded remainder of the current frame and marks
-// it consumed — the body bytes once the header has been gob-decoded.
-func (c *chunkReader) rest() []byte {
-	b := c.buf[c.off:]
-	c.off = len(c.buf)
-	return b
-}
-
-func (c *chunkReader) Read(p []byte) (int, error) {
-	if c.off >= len(c.buf) {
-		return 0, io.EOF
-	}
-	n := copy(p, c.buf[c.off:])
-	c.off += n
-	return n, nil
-}
-
-func (c *chunkReader) ReadByte() (byte, error) {
-	if c.off >= len(c.buf) {
-		return 0, io.EOF
-	}
-	b := c.buf[c.off]
-	c.off++
-	return b, nil
-}
-
-// codecRef boxes a BodyCodec for atomic publication: the codec is
-// installed by a handshake running on another goroutine while the
-// reader goroutine is blocked in readFrame, and the network round trip
-// between those moments is not a happens-before edge the race detector
-// recognizes.
-type codecRef struct{ c BodyCodec }
-
-// frameReader reads frames and decodes their messages through a
-// persistent gob stream (headers always; bodies until a codec is
-// installed). Reads are resumable: a deadline-induced timeout mid-frame
-// preserves the partial length/payload state so the read continues
-// cleanly after the wakeup is handled — the client reader relies on
-// this to expire pending calls without corrupting the stream. The
-// payload buffer is per-connection and grow-only: frames are decoded
-// before the next readFrame, so the buffer can be reused instead of
-// allocated per frame.
+// frameReader reads frames and decodes their header and body. Reads are
+// resumable: a deadline-induced timeout mid-frame preserves the partial
+// length/payload state so the read continues cleanly after the wakeup
+// is handled — the client reader relies on this to expire pending calls
+// without corrupting the stream. The payload buffer is per-connection
+// and grow-only: frames are decoded before the next readFrame, so the
+// buffer can be reused instead of allocated per frame.
 type frameReader struct {
 	r        io.Reader
 	maxFrame int
@@ -181,21 +99,16 @@ type frameReader struct {
 	payload  []byte
 	payOff   int
 	inFrame  bool
-	chunk    chunkReader
-	dec      *gob.Decoder
-	codec    atomic.Pointer[codecRef]
+	body     []byte // the current frame past its header
+	// gob fallback, the read side of frameWriter's; nil until the first
+	// body that does not implement Body.
+	dec    *gob.Decoder
+	gobSrc bytes.Reader
 }
 
 func newFrameReader(r io.Reader, maxFrame int) *frameReader {
-	fr := &frameReader{r: r, maxFrame: maxFrame}
-	fr.dec = gob.NewDecoder(&fr.chunk)
-	return fr
+	return &frameReader{r: r, maxFrame: maxFrame}
 }
-
-// setCodec installs a body codec, effective from the next frame the
-// reader starts decoding. Safe to call from a goroutine other than the
-// reader's.
-func (fr *frameReader) setCodec(c BodyCodec) { fr.codec.Store(&codecRef{c: c}) }
 
 // readFrame reads the next frame into the decode buffer and returns
 // its size on the wire. When a read deadline fires, onTimeout decides:
@@ -234,20 +147,41 @@ func (fr *frameReader) readFrame(onTimeout func() bool) (int, error) {
 			return 0, err
 		}
 	}
-	fr.chunk.reset(fr.payload)
+	fr.body = nil
 	fr.inFrame = false
 	fr.lenOff = 0
 	return size + 4, nil
 }
 
-func (fr *frameReader) decode(v any) error { return fr.dec.Decode(v) }
-
-// decodeBody decodes the remainder of the current frame as a message
-// body: through the persistent gob stream by default, or the installed
-// body codec's raw bytes.
-func (fr *frameReader) decodeBody(v any) error {
-	if ref := fr.codec.Load(); ref != nil && ref.c != nil {
-		return ref.c.DecodeBody(fr.chunk.rest(), v)
+// readHeader decodes the current frame's header; what follows it is the
+// body.
+func (fr *frameReader) readHeader() (frameHeader, error) {
+	r := Reader{b: fr.payload}
+	kind := r.Byte()
+	h := frameHeader{Kind: kind &^ flagTraced, ID: r.Uvarint()}
+	if kind&flagTraced != 0 {
+		h.Trace = r.Uint64()
+		h.Span = r.Uint64()
 	}
+	if r.err != nil {
+		return frameHeader{}, fmt.Errorf("wire: bad frame header: %w", r.err)
+	}
+	fr.body = fr.payload[r.off:]
+	return h, nil
+}
+
+// decodeBody decodes the current frame's body into v. A gob body must
+// be decoded even when nobody wants it: the stream's type definitions
+// arrive inside whichever message first used them.
+func (fr *frameReader) decodeBody(v any) error {
+	if b, ok := v.(Body); ok {
+		return b.ReadWire(fr.body)
+	}
+	if fr.dec == nil {
+		// bytes.Reader is an io.ByteReader, so gob reads straight from
+		// it and never past the frame.
+		fr.dec = gob.NewDecoder(&fr.gobSrc)
+	}
+	fr.gobSrc.Reset(fr.body)
 	return fr.dec.Decode(v)
 }

@@ -107,9 +107,9 @@ func TestReadFrameReusesPayloadBuffer(t *testing.T) {
 }
 
 // BenchmarkWireRoundTrip measures one echo round trip over a live
-// connection; allocs/op is the hot-path number CI budgets (the frame
-// reader's buffer reuse and the persistent gob streams are what keep
-// it flat).
+// connection with self-encoding bodies, the path every product message
+// takes; allocs/op is the hot-path number CI budgets (the reused frame
+// buffers on both sides are what keep it flat).
 func BenchmarkWireRoundTrip(b *testing.B) {
 	srv := NewServer(func() ConnHandler { return &testHandler{} })
 	if err := srv.Start("127.0.0.1:0"); err != nil {

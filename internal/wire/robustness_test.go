@@ -22,7 +22,7 @@ func TestServerSurvivesGarbageFrames(t *testing.T) {
 		make([]byte, 4096),                   // zero-length frame
 		{0x00, 0x00, 0x00, 0x05, 1, 2, 3, 4}, // truncated payload
 		{0xff, 0xff, 0xff, 0xff},             // > maxFrame
-		{0x00, 0x00, 0x00, 0x04, 0, 0, 0, 0}, // framed non-gob payload
+		{0x00, 0x00, 0x00, 0x04, 0, 0, 0, 0}, // framed payload of no known kind
 		{0x00, 0x00, 0x00, 0x01, 0x42},       // 1-byte junk frame
 	}
 	for _, payload := range payloads {
@@ -76,35 +76,121 @@ func TestClientRejectsOversizeFrame(t *testing.T) {
 	}
 }
 
-// FuzzFrameReader feeds arbitrary bytes to the framer + gob decode
-// path; it must only ever return an error, never panic or over-read.
+// TestUndecodableReplyFailsItsCall: a reply whose body does not decode
+// must fail the call it answers, not leave it waiting on a connection
+// that has already been torn down.
+func TestUndecodableReplyFailsItsCall(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		fr := newFrameReader(conn, DefaultMaxFrame)
+		if _, err := fr.readFrame(nil); err != nil {
+			return
+		}
+		h, err := fr.readHeader()
+		if err != nil {
+			return
+		}
+		// A response header followed by a string length with no string.
+		_, _ = conn.Write([]byte{0, 0, 0, 3, kindResponse, byte(h.ID), 0x7f})
+		time.Sleep(2 * time.Second)
+	}()
+
+	c := NewClient(ln.Addr().String())
+	defer c.Close()
+	done := make(chan error, 1)
+	go func() { done <- c.Call(context.Background(), &testReq{Op: "echo"}, new(testResp)) }()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("malformed reply decoded")
+		}
+	case <-time.After(time.Second):
+		t.Fatal("call still waiting after its reply failed to decode")
+	}
+}
+
+// TestFrameHeaderRoundTrip pins the header layout: kind byte, uvarint
+// ID, and the trace/span pair only when one of them is set.
+func TestFrameHeaderRoundTrip(t *testing.T) {
+	for _, tc := range []struct {
+		h    frameHeader
+		size int
+	}{
+		{frameHeader{ID: 1, Kind: kindRequest}, 2},
+		{frameHeader{ID: 127, Kind: kindResponse}, 2},
+		{frameHeader{ID: 128, Kind: kindPush}, 3},
+		{frameHeader{ID: 1<<64 - 1, Kind: kindRequest}, 11},
+		{frameHeader{ID: 9, Kind: kindRequest, Trace: 7, Span: 1<<64 - 1}, 18},
+		{frameHeader{ID: 9, Kind: kindRequest, Span: 3}, 18},
+	} {
+		var sink captureWriter
+		if _, err := newFrameWriter(&sink).writeFrame(&tc.h, &testReq{}); err != nil {
+			t.Fatal(err)
+		}
+		fr := newFrameReader(&byteConn{data: sink}, DefaultMaxFrame)
+		if _, err := fr.readFrame(nil); err != nil {
+			t.Fatal(err)
+		}
+		got, err := fr.readHeader()
+		if err != nil {
+			t.Fatalf("%+v: %v", tc.h, err)
+		}
+		if got != tc.h {
+			t.Errorf("header %+v came back as %+v", tc.h, got)
+		}
+		if n := len(fr.payload) - len(fr.body); n != tc.size {
+			t.Errorf("header %+v took %d bytes, want %d", tc.h, n, tc.size)
+		}
+	}
+}
+
+// FuzzFrameReader feeds arbitrary bytes to the framer, the header
+// decoder and both body paths (a self-encoding body and the gob
+// fallback); it must only ever return an error, never panic, over-read
+// or allocate beyond the frame limit.
 func FuzzFrameReader(f *testing.F) {
 	f.Add([]byte("GET / HTTP/1.1\r\n\r\n"))
 	f.Add(make([]byte, 64))
 	f.Add([]byte{0x00, 0x00, 0x00, 0x05, 1, 2, 3, 4, 5})
 	f.Add([]byte{0x00, 0x00, 0x00, 0x01, 0x42, 0x00, 0x00, 0x00, 0x01, 0x42})
-	// A genuine frame captured from the writer, for coverage of the
-	// decode path under mutation.
-	{
+	f.Add([]byte{0x00, 0x00, 0x00, 0x02, 0x81, 0x01}) // traced flag, pair missing
+	// Genuine frames captured from the writer, for coverage of the
+	// decode paths under mutation.
+	for _, body := range []any{&testReq{Op: "echo", Payload: "x", N: -3}, &plainReq{Payload: "x"}} {
 		var sink captureWriter
 		fw := newFrameWriter(&sink)
-		_, _ = fw.writeFrame(&frameHeader{ID: 1, Kind: kindRequest}, &testReq{Op: "echo", Payload: "x"})
+		_, _ = fw.writeFrame(&frameHeader{ID: 1, Kind: kindRequest}, body)
+		_, _ = fw.writeFrame(&frameHeader{ID: 300, Kind: kindRequest, Trace: 5, Span: 6}, body)
 		f.Add([]byte(sink))
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		fr := newFrameReader(&byteConn{data: data}, DefaultMaxFrame)
-		for {
-			if _, err := fr.readFrame(nil); err != nil {
-				return
-			}
-			var h frameHeader
-			if err := fr.decode(&h); err != nil {
-				return
-			}
-			body := new(testReq)
-			if err := fr.decode(body); err != nil {
-				return
+		for _, newBody := range []func() any{
+			func() any { return new(testReq) },
+			func() any { return new(plainReq) },
+		} {
+			// 1 KiB is far above any seed and keeps a mutated length
+			// prefix from passing as a 16 MiB allocation.
+			fr := newFrameReader(&byteConn{data: data}, 1<<10)
+			for {
+				if _, err := fr.readFrame(nil); err != nil {
+					break
+				}
+				if _, err := fr.readHeader(); err != nil {
+					break
+				}
+				if err := fr.decodeBody(newBody()); err != nil {
+					break
+				}
 			}
 		}
 	})

@@ -17,8 +17,9 @@ import (
 // subscription pushers. The Server creates one handler per accepted
 // connection.
 type ConnHandler interface {
-	// NewRequest allocates a fresh request body to decode into (gob
-	// omits zero fields, so bodies must never be reused).
+	// NewRequest allocates a fresh request body to decode into
+	// (decoders leave absent fields untouched, and a connection's
+	// requests run concurrently, so bodies must never be reused).
 	NewRequest() any
 	// Handle processes one request and returns the response body (nil
 	// suppresses the response). Handle runs on its own goroutine, so a
@@ -57,24 +58,6 @@ func (s *Session) Push(id uint64, body any) error {
 	}
 	sc.srv.stats.push("push", n, true)
 	return nil
-}
-
-// SetReadCodec switches the session's inbound direction to the codec,
-// effective from the next frame the reader starts. The handler calls
-// this while serving the handshake request, before the client can have
-// sent any frame in the new encoding.
-func (s *Session) SetReadCodec(c BodyCodec) { s.sc.fr.setCodec(c) }
-
-// SetWriteCodecAfter arms the outbound codec switch: the codec is
-// installed immediately after the response to request id is written, so
-// the handshake reply itself still travels in the old encoding and
-// everything after it in the new one.
-func (s *Session) SetWriteCodecAfter(id uint64, c BodyCodec) {
-	sc := s.sc
-	sc.wmu.Lock()
-	sc.codecAfterID = id
-	sc.codecAfter = c
-	sc.wmu.Unlock()
 }
 
 // Hangup severs the connection. Push-mode handlers use it when the
@@ -269,11 +252,6 @@ type serverConn struct {
 
 	wmu sync.Mutex
 	fw  *frameWriter
-	// codecAfter, when non-nil, is installed as the write codec right
-	// after the response to codecAfterID is written (see
-	// Session.SetWriteCodecAfter). Guarded by wmu.
-	codecAfter   BodyCodec
-	codecAfterID uint64
 
 	fr *frameReader // serve-goroutine only
 
@@ -325,8 +303,8 @@ func (sc *serverConn) readRequests() bool {
 		if sc.draining.Load() {
 			return true
 		}
-		var h frameHeader
-		if err := sc.fr.decode(&h); err != nil {
+		h, err := sc.fr.readHeader()
+		if err != nil {
 			return false
 		}
 		if h.Kind != kindRequest {
@@ -380,10 +358,6 @@ func (sc *serverConn) dispatch(ctx context.Context, id uint64, label string, bod
 	sc.wmu.Lock()
 	_ = sc.nc.SetWriteDeadline(time.Time{})
 	n, err := sc.fw.writeFrame(&frameHeader{ID: id, Kind: kindResponse}, resp)
-	if err == nil && sc.codecAfter != nil && sc.codecAfterID == id {
-		sc.fw.codec = sc.codecAfter
-		sc.codecAfter = nil
-	}
 	sc.wmu.Unlock()
 	if err != nil {
 		if n > 0 {

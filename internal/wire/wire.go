@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"net"
-
-	"edgeejb/internal/obs"
 )
 
 // DialFunc opens a connection to a server. The experiment harness
@@ -22,17 +20,6 @@ type Labeler interface {
 // ErrClosed is returned by operations on a closed Client or Server.
 var ErrClosed = errors.New("wire: closed")
 
-// codecConns counts connections by the body codec they settled on,
-// labeled wire.codec{name=...}. Each endpoint counts its own side, so
-// an in-process topology counts every negotiated connection twice
-// (once as client, once as server).
-var codecConns = obs.Default.LabeledCounter("wire.codec", "name")
-
-// NoteCodec records one connection settling on the named body codec.
-// The protocol layer calls this after its handshake — including for the
-// gob fallback, so the codec mix under mixed-version fleets is visible.
-func NoteCodec(name string) { codecConns.With(name).Inc() }
-
 // Frame kinds. A request expects exactly one response with the same ID;
 // push frames are unsolicited server-to-client messages tagged with the
 // ID of the request that opened the push stream.
@@ -47,8 +34,8 @@ const (
 // boundary, and Span the caller's current span ID, so the first span
 // the server opens for this request parents under the client-side span
 // that made the call — a trace assembles as one tree, not a bag of
-// per-process fragments. Gob omits zero fields, so untraced traffic
-// pays no extra bytes for either.
+// per-process fragments. The pair is on the wire only when one of them
+// is non-zero (see frame.go), so untraced traffic pays no bytes for it.
 type frameHeader struct {
 	ID    uint64
 	Kind  uint8

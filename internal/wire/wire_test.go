@@ -2,6 +2,7 @@ package wire
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -13,6 +14,7 @@ import (
 )
 
 // testReq/testResp exercise the transport without any protocol on top.
+// They encode themselves, as the product's bodies do.
 type testReq struct {
 	Op      string
 	Payload string
@@ -21,9 +23,32 @@ type testReq struct {
 
 func (r *testReq) WireLabel() string { return r.Op }
 
+func (r *testReq) AppendWire(dst []byte) []byte {
+	dst = AppendString(dst, r.Op)
+	dst = AppendString(dst, r.Payload)
+	return binary.AppendVarint(dst, int64(r.N))
+}
+
+func (r *testReq) ReadWire(data []byte) error {
+	rd := NewReader(data)
+	r.Op, r.Payload, r.N = rd.Str(), rd.Str(), int(rd.Varint())
+	return rd.Err()
+}
+
 type testResp struct {
 	Payload string
 	N       int
+}
+
+func (r *testResp) AppendWire(dst []byte) []byte {
+	dst = AppendString(dst, r.Payload)
+	return binary.AppendVarint(dst, int64(r.N))
+}
+
+func (r *testResp) ReadWire(data []byte) error {
+	rd := NewReader(data)
+	r.Payload, r.N = rd.Str(), int(rd.Varint())
+	return rd.Err()
 }
 
 // testHandler implements a tiny per-connection protocol: echo, sleep,
@@ -236,32 +261,49 @@ func TestMultiplexedCallsShareOneRoundTrip(t *testing.T) {
 }
 
 // TestContextDeadlineOnStalledServer: a call against a server that
-// accepts but never answers must return within the context deadline —
-// the satellite regression for ctx being ignored on in-flight I/O.
+// accepts but does not answer must return within the context deadline —
+// the satellite regression for ctx being ignored on in-flight I/O. The
+// server then answers late: the reply to the abandoned call is dropped
+// without touching the caller's response, and the same connection
+// serves the next call.
 func TestContextDeadlineOnStalledServer(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ln.Close()
+	release := make(chan struct{})
 	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		fr, fw := newFrameReader(conn, DefaultMaxFrame), newFrameWriter(conn)
 		for {
-			conn, err := ln.Accept()
-			if err != nil {
+			if _, err := fr.readFrame(nil); err != nil {
 				return
 			}
-			defer conn.Close() // accept, read nothing, answer nothing
+			h, err := fr.readHeader()
+			req := new(testReq)
+			if err != nil || fr.decodeBody(req) != nil {
+				return
+			}
+			<-release // stalls the first request only; closed afterwards
+			if _, err := fw.writeFrame(&frameHeader{ID: h.ID, Kind: kindResponse}, &testResp{Payload: req.Payload}); err != nil {
+				return
+			}
 		}
 	}()
 
-	c := NewClient(ln.Addr().String())
+	c := NewClient(ln.Addr().String(), WithMaxConns(1))
 	defer c.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
 	defer cancel()
 
 	start := time.Now()
 	resp := new(testResp)
-	err = c.Call(ctx, &testReq{Op: "echo"}, resp)
+	err = c.Call(ctx, &testReq{Op: "echo", Payload: "late"}, resp)
 	elapsed := time.Since(start)
 	if err == nil {
 		t.Fatal("call against stalled server succeeded")
@@ -275,6 +317,90 @@ func TestContextDeadlineOnStalledServer(t *testing.T) {
 	}
 	if elapsed > 2*time.Second {
 		t.Fatalf("call hung %v past its 150ms deadline", elapsed)
+	}
+
+	// The server writes the late reply before it reads the next
+	// request, so the client reader meets it first.
+	close(release)
+	ctx2, cancel2 := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel2()
+	second := new(testResp)
+	if err := c.Call(ctx2, &testReq{Op: "echo", Payload: "second"}, second); err != nil {
+		t.Fatalf("connection unusable after a late reply: %v", err)
+	}
+	if second.Payload != "second" {
+		t.Fatalf("second call got %+v", second)
+	}
+	if resp.Payload != "" {
+		t.Fatalf("late reply was decoded into the abandoned caller's response: %+v", resp)
+	}
+	if d := c.Stats().Dials; d != 1 {
+		t.Fatalf("dials = %d, want 1 (the second call must reuse the connection)", d)
+	}
+}
+
+// plainReq/plainResp implement no Body: they take the transport's gob
+// fallback, the path bench/ladder.go's echo rung takes.
+type plainReq struct {
+	Payload string
+	SleepMs int
+}
+
+type plainResp struct{ Payload string }
+
+// plainHandler answers one request at a time, so replies leave in the
+// order the requests arrived.
+type plainHandler struct{ mu sync.Mutex }
+
+func (*plainHandler) NewRequest() any { return new(plainReq) }
+
+func (h *plainHandler) Handle(ctx context.Context, _ *Session, _ uint64, req any) any {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	r := req.(*plainReq)
+	select {
+	case <-time.After(time.Duration(r.SleepMs) * time.Millisecond):
+	case <-ctx.Done():
+	}
+	return &plainResp{Payload: r.Payload}
+}
+
+func (*plainHandler) Close() {}
+
+// TestGobFallbackForPlainStructs pins the one gob path left in the
+// transport. The first reply on the connection is to an abandoned call
+// and carries the gob stream's type definitions, so the later calls
+// decode only if that reply was decoded (into a throwaway) rather than
+// dropped.
+func TestGobFallbackForPlainStructs(t *testing.T) {
+	srv := NewServer(func() ConnHandler { return new(plainHandler) })
+	if err := srv.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	c := NewClient(srv.Addr(), WithMaxConns(1))
+	defer c.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	abandoned := new(plainResp)
+	if err := c.Call(ctx, &plainReq{Payload: "late", SleepMs: 200}, abandoned); err == nil {
+		t.Fatal("call outlived its deadline")
+	}
+	for i := 0; i < 3; i++ {
+		resp := new(plainResp)
+		if err := c.Call(context.Background(), &plainReq{Payload: "x"}, resp); err != nil {
+			t.Fatalf("call %d after an abandoned gob reply: %v", i, err)
+		}
+		if resp.Payload != "x" {
+			t.Fatalf("call %d got %+v", i, resp)
+		}
+	}
+	if abandoned.Payload != "" {
+		t.Fatalf("late reply was decoded into the abandoned caller's response: %+v", abandoned)
+	}
+	if d := c.Stats().Dials; d != 1 {
+		t.Fatalf("dials = %d, want 1", d)
 	}
 }
 
@@ -304,7 +430,7 @@ func TestContextCancelReleasesCall(t *testing.T) {
 	}
 
 	// The shared connection must still work: the orphaned reply is
-	// decoded and discarded without desyncing the gob stream.
+	// discarded when it arrives.
 	ctx2, cancel2 := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel2()
 	resp := new(testResp)
@@ -445,6 +571,55 @@ func TestPushDelivery(t *testing.T) {
 	}
 }
 
+// TestSinkCloseWaitsForDeliver: Hangup from another goroutine while the
+// reader is inside deliver must not fire onClose until deliver returns,
+// and no push is delivered after it: dbwire's subscription closes its
+// notice channel in onClose and sends to it in deliver, so an overlap
+// is a "send on closed channel" panic.
+func TestSinkCloseWaitsForDeliver(t *testing.T) {
+	srv := startTestServer(t)
+	c := NewClient(srv.Addr())
+	defer c.Close()
+	ctx := context.Background()
+
+	for round := 0; round < 10; round++ {
+		st, err := c.OpenStream(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var delivering, closed, overlaps atomic.Int64
+		entered := make(chan struct{}, 1)
+		st.OnPush(
+			func() any { return new(testResp) },
+			func(any) {
+				delivering.Store(1)
+				select {
+				case entered <- struct{}{}:
+				default:
+				}
+				time.Sleep(2 * time.Millisecond)
+				overlaps.Add(closed.Load())
+				delivering.Store(0)
+			},
+			func() {
+				overlaps.Add(delivering.Load())
+				closed.Store(1)
+			},
+		)
+		if err := st.Call(ctx, &testReq{Op: "subscribe"}, new(testResp)); err != nil {
+			t.Fatal(err)
+		}
+		<-entered
+		st.Hangup()
+		if closed.Load() != 1 {
+			t.Fatal("Hangup returned before onClose fired")
+		}
+		if n := overlaps.Load(); n != 0 {
+			t.Fatalf("round %d: onClose overlapped a deliver", round)
+		}
+	}
+}
+
 // TestStreamPoolReuse: a cleanly closed stream's connection is reused
 // by the next OpenStream.
 func TestStreamPoolReuse(t *testing.T) {
@@ -482,6 +657,40 @@ func TestStreamPoolReuse(t *testing.T) {
 	st2.Close()
 	if d := c.Stats().Dials; d != 1 {
 		t.Fatalf("dials = %d, want 1", d)
+	}
+}
+
+// TestCallProceedsOncePrunedConnFreesItsSlot holds a connection in the
+// window teardown leaves between marking it closed and pruning it: a
+// call that finds only that connection in a full shared set must go on
+// to dial as soon as it is pruned, not wait for a dial nobody started.
+func TestCallProceedsOncePrunedConnFreesItsSlot(t *testing.T) {
+	srv := startTestServer(t)
+	c := NewClient(srv.Addr(), WithMaxConns(1))
+	defer c.Close()
+	ctx := context.Background()
+	if err := c.Call(ctx, &testReq{Op: "echo"}, new(testResp)); err != nil {
+		t.Fatal(err)
+	}
+	c.mu.Lock()
+	cn := c.shared[0]
+	c.mu.Unlock()
+	cn.mu.Lock()
+	cn.closed, cn.err = true, ErrClosed
+	cn.mu.Unlock()
+
+	done := make(chan error, 1)
+	go func() { done <- c.Call(ctx, &testReq{Op: "echo"}, new(testResp)) }()
+	time.Sleep(50 * time.Millisecond) // the call is waiting for the slot
+	_ = cn.nc.Close()
+	c.removeConn(cn)
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("call after the prune: %v", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("call still waiting for a slot after the closed connection was pruned")
 	}
 }
 

@@ -10,17 +10,18 @@
 # change. Sensitivity slopes are counts in principle but are fitted
 # through timed latency points, so at this deliberately tiny CI scale
 # they wobble 4-9% between identical builds; they get a widened 25%
-# budget here. The allocation-per-interaction counts wobble too —
-# optimistic-conflict retries are scheduler-timing-dependent and every
-# retried interaction re-allocates its working set (observed ±16% on
-# identical builds) — so they get the same 25% budget; the gob codec
-# downgrade still trips it and a real per-row allocation leak blows
-# far past it. The goroutine high-water mark breathes with scheduler
-# timing (a late-exiting worker adds a few), so it gets a 50% budget —
-# a leaked per-request goroutine multiplies it and still trips. A real
-# protocol regression (say, losing write batching) moves wire round
-# trips and sensitivities by >100%, which still trips the widened
-# budget with room to spare.
+# budget here. The allocation-per-interaction counts repeat to 0.3% on
+# one host and toolchain (the whole-run diff is cut before trace
+# assembly, see cmd/tradebench), but the baseline is written by whatever
+# Go release its author had and read by the one CI installs from go.mod,
+# and the runtime's own allocations move between releases, so they keep
+# a 25% budget; a real per-row allocation leak blows far past it. The
+# goroutine high-water mark breathes with scheduler timing (a
+# late-exiting worker adds a few), so it gets a 50% budget — a leaked
+# per-request goroutine multiplies it and still trips. A real protocol
+# regression (say, losing write batching) moves wire round trips and
+# sensitivities by >100%, which still trips the widened budget with
+# room to spare.
 #
 # Exit status is benchdiff's: 0 clean, 2 on a gated regression.
 set -eu

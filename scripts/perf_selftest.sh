@@ -6,12 +6,20 @@
 #   Leg A, Leg B  identical fixed-seed runs -> benchdiff with the CI
 #                 gate (stable kinds, widened sensitivity budgets) must
 #                 exit 0: no false positives between identical builds
-#   Leg C         same build forced onto -codec gob -batch=false (the
-#                 old-peer downgrade path) -> the same gate must exit 2
+#   Leg C         same build with -batch=false -finder-cache=false (the
+#                 paper's untuned behaviour) -> the same gate must exit 2
 #                 and flag both a wire round-trip regression (losing
-#                 write batching adds one round trip per write) and a
-#                 resource regression (gob's reflection decode allocates
-#                 ~30% more objects per interaction)
+#                 write batching adds one round trip per write: ES/RDB
+#                 vanilla EJBs +115%) and a resource regression.
+#
+# The resource metric relied on is resource.allocs_per_interaction, a
+# count: one client drives the leg, so the objects allocated up to the
+# end of the last measured phase are the same run after run (295.5 to
+# 296.3 per interaction over 44 runs, the same at GOMAXPROCS 1 to 16;
+# what moves is the two background samplers, 0.09 objects per tick).
+# The untuned leg reads 308.2 to 308.8, +4.1% to +4.4% over 27 runs.
+# Both comparisons gate it at 1%: identical builds differ by a quarter
+# of that budget at most and the untuned leg exceeds it four times over.
 #
 # The A/B leg deliberately gates only the stable kinds. Sub-millisecond
 # zero-delay latency points swing +-40% between identical builds at
@@ -42,8 +50,7 @@ if ! "$tmp/benchdiff" -gate stable \
 	-tol sensitivity.clients-ras.cached-ejbs=0.25 \
 	-tol sensitivity.clients-ras.jdbc=0.25 \
 	-tol sensitivity.clients-ras.vanilla-ejbs=0.25 \
-	-tol resource.allocs_per_interaction=0.25 \
-	-tol resource.alloc_bytes_per_interaction=0.25 \
+	-tol resource.allocs_per_interaction=0.01 \
 	-tol resource.goroutine_high_water=0.5 \
 	"$tmp/a" "$tmp/b"; then
 	echo "perf_selftest: FAIL: identical builds reported a regression" >&2
@@ -51,11 +58,12 @@ if ! "$tmp/benchdiff" -gate stable \
 fi
 
 # shellcheck disable=SC2086
-"$tmp/tradebench" $leg -codec gob -batch=false -out-dir "$tmp/c"
+"$tmp/tradebench" $leg -batch=false -finder-cache=false -out-dir "$tmp/c"
 
-echo "== gob fallback, batching off: expect gated wire regressions =="
+echo "== batching and finder cache off: expect gated wire regressions =="
 rc=0
-"$tmp/benchdiff" -gate stable "$tmp/a" "$tmp/c" >"$tmp/diff.out" || rc=$?
+"$tmp/benchdiff" -gate stable -tol resource.allocs_per_interaction=0.01 \
+	"$tmp/a" "$tmp/c" >"$tmp/diff.out" || rc=$?
 cat "$tmp/diff.out"
 if [ "$rc" != 2 ]; then
 	echo "perf_selftest: FAIL: degraded leg exited $rc, want 2" >&2
@@ -65,8 +73,8 @@ if ! grep -E 'wire\..*rts_per_interaction.*\+.*regressed' "$tmp/diff.out" >/dev/
 	echo "perf_selftest: FAIL: no wire round-trip regression flagged" >&2
 	exit 1
 fi
-if ! grep -E 'resource\..*\+.*regressed' "$tmp/diff.out" >/dev/null; then
-	echo "perf_selftest: FAIL: no resource regression flagged (gob decode should cost ~30% more allocs/interaction)" >&2
+if ! grep -E 'resource\.allocs_per_interaction .*\+.*regressed' "$tmp/diff.out" >/dev/null; then
+	echo "perf_selftest: FAIL: no resource regression flagged (the extra round trips of the untuned leg should cost about 4% more objects per interaction against a 1% budget)" >&2
 	exit 1
 fi
 
