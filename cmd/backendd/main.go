@@ -31,22 +31,14 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("backendd", flag.ContinueOnError)
 	var (
-		addr     = fs.String("addr", "127.0.0.1:7001", "listen address for edge servers")
-		db       = fs.String("db", "127.0.0.1:7000", "database server address (this shard's dbserverd in a sharded tier)")
-		dbWait   = fs.Duration("db-wait", 15*time.Second, "how long to keep retrying the database at boot (crash-restart recovery)")
-		debug    = fs.String("debug-addr", "", "serve /metrics, /healthz and /debug/pprof on this address")
-		rates    = fs.Bool("profile-rates", false, "enable mutex and block profiling so /debug/pprof/mutex and /debug/pprof/block carry samples (both are empty at the runtime's defaults); costs a sampled stack capture on contended-unlock and blocking paths")
-		shards   = fs.Int("shards", 1, "total shards in the deployment (identity only; each backend pairs with one shard's database)")
-		shardIdx = fs.Int("shard", 0, "this backend's shard index in [0, -shards)")
+		addr   = fs.String("addr", "127.0.0.1:7001", "listen address for edge servers")
+		db     = fs.String("db", "127.0.0.1:7000", "database server address (this shard's dbserverd in a sharded tier)")
+		dbWait = fs.Duration("db-wait", 15*time.Second, "how long to keep retrying the database at boot (crash-restart recovery)")
+		debug  = fs.String("debug-addr", "", "serve /metrics, /healthz and /debug/pprof on this address")
+		rates  = fs.Bool("profile-rates", false, "enable mutex and block profiling so /debug/pprof/mutex and /debug/pprof/block carry samples (both are empty at the runtime's defaults); costs a sampled stack capture on contended-unlock and blocking paths")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *shards < 1 {
-		return fmt.Errorf("-shards must be >= 1")
-	}
-	if *shardIdx < 0 || *shardIdx >= *shards {
-		return fmt.Errorf("-shard %d out of range [0, %d)", *shardIdx, *shards)
 	}
 
 	// Label this process's spans for cross-tier trace assembly.
@@ -80,12 +72,7 @@ func run(args []string) error {
 		return err
 	}
 	defer srv.Close()
-	if *shards > 1 {
-		fmt.Printf("backendd: serving split-servers commit logic for shard %d/%d on %s (database %s)\n",
-			*shardIdx, *shards, srv.Addr(), *db)
-	} else {
-		fmt.Printf("backendd: serving split-servers commit logic on %s (database %s)\n", srv.Addr(), *db)
-	}
+	fmt.Printf("backendd: serving split-servers commit logic on %s (database %s)\n", srv.Addr(), *db)
 
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)

@@ -15,10 +15,8 @@ import (
 	"time"
 
 	"edgeejb/internal/dbwire"
-	"edgeejb/internal/memento"
 	"edgeejb/internal/obs"
 	"edgeejb/internal/obs/prof"
-	"edgeejb/internal/shard"
 	"edgeejb/internal/sqlstore"
 	"edgeejb/internal/storeapi"
 	"edgeejb/internal/trade"
@@ -105,23 +103,8 @@ func run(args []string) error {
 			Symbols:         *symbols,
 			HoldingsPerUser: *holdings,
 		}
-		if *shards == 1 {
-			trade.Populate(store, cfg)
-		} else {
-			// Every shard derives the identical population from the shared
-			// seed and keeps exactly the rows the ring assigns to it.
-			ring := shard.NewRing(*shards, shard.WithPlacement(trade.ShardPlacement))
-			_ = store.CreateIndex(trade.TableHolding, "accountID")
-			var owned []memento.Memento
-			for _, m := range trade.PopulationRows(cfg) {
-				if ring.Of(m.Key) == *shardIdx {
-					owned = append(owned, m)
-				}
-			}
-			store.Seed(owned...)
-			fmt.Printf("dbserverd: shard %d/%d owns %d of the population rows\n",
-				*shardIdx, *shards, len(owned))
-		}
+		owned := trade.PopulateShard(store, cfg, *shards, *shardIdx)
+		fmt.Printf("dbserverd: shard %d/%d owns %d of the population rows\n", *shardIdx, *shards, owned)
 	}
 	saveSnapshot := func() {
 		if *snapshot == "" {
@@ -139,13 +122,8 @@ func run(args []string) error {
 		return err
 	}
 	defer srv.Close()
-	if *shards > 1 {
-		fmt.Printf("dbserverd: serving Trade database shard %d/%d (%d users, %d symbols) on %s\n",
-			*shardIdx, *shards, *users, *symbols, srv.Addr())
-	} else {
-		fmt.Printf("dbserverd: serving Trade database (%d users, %d symbols) on %s\n",
-			*users, *symbols, srv.Addr())
-	}
+	fmt.Printf("dbserverd: serving Trade database shard %d/%d (%d users, %d symbols) on %s\n",
+		*shardIdx, *shards, *users, *symbols, srv.Addr())
 
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)

@@ -23,14 +23,9 @@ import (
 	"time"
 
 	"edgeejb/internal/appserver"
-	"edgeejb/internal/component"
-	"edgeejb/internal/dbwire"
+	"edgeejb/internal/deploy"
 	"edgeejb/internal/obs"
 	"edgeejb/internal/obs/prof"
-	"edgeejb/internal/shard"
-	"edgeejb/internal/slicache"
-	"edgeejb/internal/storeapi"
-	"edgeejb/internal/trade"
 )
 
 func main() {
@@ -49,21 +44,11 @@ func run(args []string) error {
 		algo     = fs.String("algo", "sli-backend", "data access: jdbc | bmp | sli-db | sli-backend")
 		debug    = fs.String("debug-addr", "", "serve /metrics, /healthz and /debug/pprof on this address")
 		rates    = fs.Bool("profile-rates", false, "enable mutex and block profiling so /debug/pprof/mutex and /debug/pprof/block carry samples (both are empty at the runtime's defaults); costs a sampled stack capture on contended-unlock and blocking paths")
-		shards   = fs.Int("shards", 0, "shard count cross-check: when > 0, must equal the number of -target addresses")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	targets := splitTargets(*target)
-	if len(targets) == 0 {
-		return fmt.Errorf("-target is required")
-	}
-	if *shards > 0 && *shards != len(targets) {
-		return fmt.Errorf("-shards %d but %d -target addresses", *shards, len(targets))
-	}
-	if len(targets) > 1 && *algo != "sli-backend" {
-		return fmt.Errorf("multiple -target shards require -algo sli-backend (whole-set commit shipping is the unit the router routes)")
-	}
 
 	// Label this process's spans for cross-tier trace assembly (the
 	// span-name prefix table already covers the built-in span names;
@@ -87,71 +72,13 @@ func run(args []string) error {
 		fmt.Printf("edged: debug endpoints on http://%s/metrics\n", dbg.Addr())
 	}
 
-	// conn is the cache's datastore handle: one dbwire client against a
-	// single target, or a key-routing shard router over one client per
-	// shard (single-shard fast-path commits, cross-shard 2PC).
-	var conn storeapi.Conn
-	dbClient := dbwire.Dial(targets[0])
-	if len(targets) == 1 {
-		conn = dbClient
-		defer dbClient.Close()
-	} else {
-		conns := make([]storeapi.Conn, len(targets))
-		conns[0] = dbClient
-		for i := 1; i < len(targets); i++ {
-			conns[i] = dbwire.Dial(targets[i])
-		}
-		ring := shard.NewRing(len(targets), shard.WithPlacement(trade.ShardPlacement))
-		router, err := shard.NewRouter(ring, conns, shard.WithQueryAffinity(trade.QueryShardPlacement))
-		if err != nil {
-			return err
-		}
-		conn = router
-		defer router.Close()
-	}
-
-	registry, err := trade.NewEntityRegistry()
+	edge, err := deploy.StartEdge(context.Background(), *addr, targets, deploy.Algo(*algo), false)
 	if err != nil {
 		return err
 	}
-
-	var (
-		rm  component.ResourceManager
-		mgr *slicache.Manager
-	)
-	switch *algo {
-	case "jdbc":
-		rm = component.NewJDBCManager(dbClient)
-	case "bmp":
-		rm = component.NewBMPManager(dbClient)
-	case "sli-db":
-		mgr = slicache.NewManager(conn, slicache.WithShipping(slicache.PerImage))
-		rm = mgr
-	case "sli-backend":
-		mgr = slicache.NewManager(conn, slicache.WithShipping(slicache.WholeSet))
-		rm = mgr
-	default:
-		return fmt.Errorf("unknown -algo %q", *algo)
-	}
-	if mgr != nil {
-		if err := mgr.Start(context.Background()); err != nil {
-			return fmt.Errorf("start cache invalidation: %w", err)
-		}
-		defer mgr.Close()
-	}
-
-	svc := trade.NewService(component.NewContainer(registry, rm))
-	srv := appserver.NewServer(svc)
-	if err := srv.Start(*addr); err != nil {
-		return err
-	}
-	defer srv.Close()
-	if len(targets) > 1 {
-		fmt.Printf("edged: serving Trade (%s) on %s routing %d shards %v\n",
-			*algo, srv.Addr(), len(targets), targets)
-	} else {
-		fmt.Printf("edged: serving Trade (%s) on %s against %s\n", *algo, srv.Addr(), *target)
-	}
+	defer edge.Close()
+	srv, mgr := edge.Server, edge.Manager
+	fmt.Printf("edged: serving Trade (%s) on %s against %v\n", *algo, srv.Addr(), targets)
 
 	if *httpAddr != "" {
 		httpSrv := &http.Server{Addr: *httpAddr, Handler: appserver.NewHTTPGateway(srv)}

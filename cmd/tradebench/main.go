@@ -38,12 +38,25 @@ import (
 	"time"
 
 	"edgeejb/internal/harness"
-	"edgeejb/internal/latency"
 	"edgeejb/internal/obs"
 	"edgeejb/internal/obs/collect"
 	"edgeejb/internal/obs/prof"
 	"edgeejb/internal/slicache"
 	"edgeejb/internal/trade"
+)
+
+// What an -out-dir run collects, beyond the phases' own reports.
+const (
+	// sampleEvery is the registry sampling interval of the time-series
+	// CSVs and of the runtime telemetry.
+	sampleEvery = 250 * time.Millisecond
+	// artifactRing is the span and the forensic-event ring capacity
+	// while collecting: wide enough that trace assembly sees whole
+	// interactions, not the tail of the run.
+	artifactRing = 65536
+	// waterfalls is how many of the slowest and of the median traces
+	// waterfalls.txt renders.
+	waterfalls = 3
 )
 
 func main() {
@@ -73,28 +86,11 @@ func run(args []string) error {
 
 		profile        = fs.Bool("profile", false, "capture per-phase CPU, heap-delta, mutex, and block profiles plus hotspot CSVs into the artifact directory (needs -out-dir; enables the contention-profile rates for the run)")
 		profileRemotes = fs.String("profile-remotes", "", "comma-separated name=host:port -debug-addr listeners of daemons to profile alongside this process (with -profile)")
-		profileCPUSec  = fs.Int("profile-cpu-seconds", 5, "remote CPU profile sample window per phase; short phases block until it closes (with -profile)")
 
-		outDir      = fs.String("out-dir", "", "collect per-run artifacts (Perfetto trace, waterfalls, time-series CSVs, registry diffs, reports, MANIFEST.json) under a timestamped directory here")
-		sampleEvery = fs.Duration("sample-every", 250*time.Millisecond, "registry sampling interval for -out-dir time series")
-		spanBuffer  = fs.Int("span-buffer", 65536, "span ring capacity while collecting artifacts (with -out-dir)")
-		eventBuffer = fs.Int("event-buffer", 65536, "forensic event ring capacity while collecting artifacts (with -out-dir)")
-		waterfalls  = fs.Int("waterfalls", 3, "number of slowest and of median trace waterfalls to render (with -out-dir)")
+		outDir = fs.String("out-dir", "", "collect per-run artifacts (Perfetto trace, waterfalls, time-series CSVs, registry diffs, reports, MANIFEST.json) under a timestamped directory here")
 
-		faultReset      = fs.Float64("fault-reset", 0.08, "per-connection probability of an abrupt reset (with -faults)")
-		faultResetAfter = fs.Int("fault-reset-after", 64*1024, "max bytes a doomed connection forwards before the reset")
-		faultStall      = fs.Float64("fault-stall", 0.01, "per-chunk stall probability (with -faults)")
-		faultStallDur   = fs.Duration("fault-stall-dur", 25*time.Millisecond, "duration of each injected stall")
-		faultTruncate   = fs.Float64("fault-truncate", 0.005, "per-chunk partial-frame truncation probability (with -faults)")
-		faultBlackEvery = fs.Duration("fault-blackhole-every", 0, "blackhole window period (0 disables; with -faults)")
-		faultBlackFor   = fs.Duration("fault-blackhole-for", 0, "blackhole window length (with -faults)")
-		faultSeed       = fs.Int64("fault-seed", 1, "fault schedule random seed")
-		faultSessions   = fs.Int("fault-sessions", 80, "sessions per pass in the fault experiment")
-		sessionRetries  = fs.Int("session-retries", 5, "extra attempts a failed session gets (with -faults)")
-		stepTimeout     = fs.Duration("step-timeout", 10*time.Second, "per-interaction timeout (with -faults)")
-		degradeBound    = fs.Duration("degrade-bound", 5*time.Second, "slicache degraded-read staleness bound (0 disables; with -faults)")
+		faultSessions = fs.Int("fault-sessions", 80, "sessions per pass in the fault experiment")
 
-		dbService    = fs.Duration("db-service", 2*time.Millisecond, "modeled per-commit-set validation service time on each database shard; makes commit capacity per shard explicit instead of host-bound (with -shards)")
 		shardClients = fs.Int("shard-clients", 24, "concurrent clients per shard-scaling point (with -shards)")
 
 		finderCache = fs.Bool("finder-cache", true, "cache finder (query) results at the edge with footprint-based invalidation; -finder-cache=false reproduces the uncached behavior")
@@ -108,7 +104,6 @@ func run(args []string) error {
 		mix      = fs.String("mix", "", "override the session action mix as name=weight pairs, e.g. portfolio=40,quote=35,buy=3 (names: home, account, account-update, portfolio, quote, buy, sell, register; empty = the default browse-heavy mix)")
 		users    = fs.Int("users", 50, "registered users in the Trade database")
 		symbols  = fs.Int("symbols", 100, "quoted securities in the Trade database")
-		holdings = fs.Int("holdings", 4, "initial holdings per user")
 		seed     = fs.Int64("seed", 42, "workload random seed")
 		quiet    = fs.Bool("q", false, "suppress progress output")
 	)
@@ -164,7 +159,7 @@ func run(args []string) error {
 			Seed:            *seed,
 			Users:           *users,
 			Symbols:         *symbols,
-			HoldingsPerUser: *holdings,
+			HoldingsPerUser: trade.DefaultPopulate().HoldingsPerUser,
 		},
 		CacheOptions: []slicache.ManagerOption{slicache.WithFinderCache(*finderCache)},
 		Batch:        *batch,
@@ -195,14 +190,14 @@ func run(args []string) error {
 		sampler *obs.Sampler
 	)
 	if *outDir != "" {
-		obs.DefaultSpans = obs.NewSpanLog(*spanBuffer)
-		obs.DefaultEvents = obs.NewEventLog(*eventBuffer)
+		obs.DefaultSpans = obs.NewSpanLog(artifactRing)
+		obs.DefaultEvents = obs.NewEventLog(artifactRing)
 		var err error
 		art, err = harness.NewArtifacts(*outDir, args)
 		if err != nil {
 			return err
 		}
-		sampler = obs.NewSampler(obs.Default, *sampleEvery, 0)
+		sampler = obs.NewSampler(obs.Default, sampleEvery, 0)
 		sampler.Start()
 		defer sampler.Stop()
 		fmt.Fprintf(os.Stderr, "collecting run artifacts in %s\n", art.Dir)
@@ -213,7 +208,7 @@ func run(args []string) error {
 	// time-series CSVs — and feeds summary.json's resource.* metrics.
 	var rt *prof.Runtime
 	if *outDir != "" || *metrics || *debugAddr != "" {
-		rt = prof.StartRuntime(obs.Default, *sampleEvery)
+		rt = prof.StartRuntime(obs.Default, sampleEvery)
 		defer rt.Stop()
 	}
 
@@ -226,10 +221,9 @@ func run(args []string) error {
 	)
 	if *profile {
 		capt, err = prof.NewCapturer(prof.Options{
-			Dir:              art.Dir,
-			Remotes:          profRemotes,
-			RemoteCPUSeconds: *profileCPUSec,
-			Rates:            true,
+			Dir:     art.Dir,
+			Remotes: profRemotes,
+			Rates:   true,
 		})
 		if err != nil {
 			return err
@@ -313,23 +307,10 @@ func run(args []string) error {
 
 	if *faults {
 		fopts := harness.FaultOptions{
-			Populate:    cfg.Populate,
-			OneWayDelay: delayList[0],
-			Sessions:    *faultSessions,
-			Plan: latency.FaultPlan{
-				Seed:           *faultSeed,
-				ResetRate:      *faultReset,
-				ResetAfterMax:  *faultResetAfter,
-				StallRate:      *faultStall,
-				StallFor:       *faultStallDur,
-				TruncateRate:   *faultTruncate,
-				BlackholeEvery: *faultBlackEvery,
-				BlackholeFor:   *faultBlackFor,
-			},
-			SessionRetries: *sessionRetries,
-			StepTimeout:    *stepTimeout,
-			DegradeBound:   *degradeBound,
-			CacheOptions:   cfg.CacheOptions,
+			Populate:     cfg.Populate,
+			OneWayDelay:  delayList[0],
+			Sessions:     *faultSessions,
+			CacheOptions: cfg.CacheOptions,
 		}
 		if err := phase("fault", func() error { return runFaults(fopts, logf) }); err != nil {
 			return err
@@ -382,7 +363,7 @@ func run(args []string) error {
 		if art == nil {
 			return nil
 		}
-		if err := art.WriteTraces(traces, *waterfalls, obs.DefaultSpans.Dropped()); err != nil {
+		if err := art.WriteTraces(traces, waterfalls, obs.DefaultSpans.Dropped()); err != nil {
 			return err
 		}
 		if err := art.WriteCriticalPath(attr); err != nil {
@@ -436,7 +417,7 @@ func run(args []string) error {
 		// Shard sweep only: no figure evaluation needed.
 		if err := phase("shards", func() error {
 			var err error
-			shardPoints, err = runShardSweep(shardCounts, *shardClients, *dbService, cfg, art, logf)
+			shardPoints, err = runShardSweep(shardCounts, *shardClients, cfg, art, logf)
 			return err
 		}); err != nil {
 			return err
@@ -505,7 +486,7 @@ func run(args []string) error {
 		fmt.Println()
 		if err := phase("shards", func() error {
 			var err error
-			shardPoints, err = runShardSweep(shardCounts, *shardClients, *dbService, cfg, art, logf)
+			shardPoints, err = runShardSweep(shardCounts, *shardClients, cfg, art, logf)
 			return err
 		}); err != nil {
 			return err
@@ -517,11 +498,10 @@ func run(args []string) error {
 // runShardSweep measures the shard-scaling extension and, when an
 // artifact directory is active, exports the curve as shards.csv. The
 // points also feed summary.json.
-func runShardSweep(counts []int, clients int, dbService time.Duration, cfg harness.EvalConfig, art *harness.Artifacts, logf func(string, ...any)) ([]harness.ShardScalingPoint, error) {
+func runShardSweep(counts []int, clients int, cfg harness.EvalConfig, art *harness.Artifacts, logf func(string, ...any)) ([]harness.ShardScalingPoint, error) {
 	opts := harness.DefaultShardScalingOptions()
 	opts.ShardCounts = counts
 	opts.Clients = clients
-	opts.DBCommitService = dbService
 	opts.Populate = cfg.Populate
 	opts.Workload = cfg.Run.Workload
 	opts.CacheOptions = cfg.CacheOptions

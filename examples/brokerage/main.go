@@ -78,7 +78,8 @@ func run(delay time.Duration) error {
 	st := mgr.Stats()
 	fmt.Printf("\nedge cache: hits=%d misses=%d commits=%d conflicts=%d entries=%d\n",
 		st.Cache.Hits, st.Cache.Misses, st.Commits, st.Conflicts, st.Cache.Entries)
-	fmt.Printf("shared path (edge <-> back-end): %d bytes over %d connections\n",
-		topo.SharedPathCounter().Total(), topo.SharedPathCounter().Conns())
+	shared := topo.SharedPathStats()
+	fmt.Printf("shared path (edge <-> back-end): %d bytes in %d round trips\n",
+		shared.Bytes(), shared.RoundTrips)
 	return nil
 }

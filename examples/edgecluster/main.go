@@ -165,8 +165,7 @@ func bytesPerInteraction(ctx context.Context, topo *harness.Topology) (float64, 
 		{Action: trade.ActionPortfolio, UserID: user},
 		{Action: trade.ActionLogout, UserID: user},
 	}
-	counter := topo.SharedPathCounter()
-	before := counter.Total()
+	before := topo.SharedPathStats().Bytes()
 	for _, s := range steps {
 		resp, err := client.DoStep(ctx, s)
 		if err != nil {
@@ -176,7 +175,7 @@ func bytesPerInteraction(ctx context.Context, topo *harness.Topology) (float64, 
 			return 0, fmt.Errorf("%s failed: %s", s.Action, resp.Err)
 		}
 	}
-	return float64(counter.Total()-before) / float64(len(steps)), nil
+	return float64(topo.SharedPathStats().Bytes()-before) / float64(len(steps)), nil
 }
 
 func containsAddr(body []byte) bool {

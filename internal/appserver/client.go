@@ -4,16 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
 
 	"edgeejb/internal/trade"
 	"edgeejb/internal/wire"
 )
-
-// DialFunc opens a connection to an application server; the harness
-// injects dialers that route through the delay proxy (Clients/RAS) or
-// count bytes.
-type DialFunc func(ctx context.Context, addr string) (net.Conn, error)
 
 // Client is the web-browser stand-in: it sends trade requests to an
 // application server and receives rendered pages. A client keeps one
@@ -24,31 +18,9 @@ type Client struct {
 	w *wire.Client
 }
 
-// ClientOption configures a Client.
-type ClientOption interface {
-	apply(*clientConfig)
-}
-
-type clientConfig struct {
-	wopts []wire.Option
-}
-
-type clientDialerOption DialFunc
-
-func (d clientDialerOption) apply(cfg *clientConfig) {
-	cfg.wopts = append(cfg.wopts, wire.WithDialer(wire.DialFunc(d)))
-}
-
-// WithDialer overrides how the client connects.
-func WithDialer(d DialFunc) ClientOption { return clientDialerOption(d) }
-
 // NewClient creates a client for the application server at addr.
-func NewClient(addr string, opts ...ClientOption) *Client {
-	cfg := &clientConfig{wopts: []wire.Option{wire.WithMaxConns(1)}}
-	for _, o := range opts {
-		o.apply(cfg)
-	}
-	return &Client{w: wire.NewClient(addr, cfg.wopts...)}
+func NewClient(addr string) *Client {
+	return &Client{w: wire.NewClient(addr, wire.WithMaxConns(1))}
 }
 
 // WireStats returns the transport counters (bytes, round trips, per-op

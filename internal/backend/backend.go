@@ -24,24 +24,10 @@ type Server struct {
 	logic *logic
 }
 
-// Option configures a Server.
-type Option func(*logic)
-
-// WithGroupCommit toggles commit-set coalescing (default on): commit
-// sets that arrive while another is being applied are queued and
-// applied as one grouped exchange with the database tier — one
-// round trip and one invalidation fan-out for the whole batch instead
-// of one each. Per-set outcomes (including conflict attribution) are
-// unchanged; only the round-trip economics differ.
-func WithGroupCommit(on bool) Option { return func(l *logic) { l.serialCommit = !on } }
-
 // NewServer builds a back-end server over its (low-latency) handle to
 // the database tier. Call Start/Close as with dbwire.Server.
-func NewServer(db storeapi.Conn, opts ...Option) *Server {
+func NewServer(db storeapi.Conn) *Server {
 	l := &logic{db: db}
-	for _, o := range opts {
-		o(l)
-	}
 	return &Server{inner: dbwire.NewServer(l), logic: l}
 }
 
@@ -67,8 +53,7 @@ func (s *Server) CommitsRejected() uint64 { return s.logic.rejected.Load() }
 // the database handle; ApplyCommitSet is replaced by the split-servers
 // commit logic.
 type logic struct {
-	db           storeapi.Conn
-	serialCommit bool
+	db storeapi.Conn
 
 	applied  counter
 	rejected counter
@@ -129,18 +114,16 @@ func (l *logic) beginRetry(ctx context.Context) (storeapi.Txn, error) {
 	}
 }
 
-// ApplyCommitSet validates and applies a whole commit set. Under group
-// commit (the default) concurrently arriving sets coalesce: the first
-// arrival becomes the batch leader and drains the queue, applying each
-// batch through one grouped database exchange and one invalidation
-// fan-out; later arrivals just wait for their own result. A batch of
+// ApplyCommitSet validates and applies a whole commit set. Commit sets
+// that arrive while another is being applied coalesce (group commit):
+// the first arrival becomes the batch leader and drains the queue,
+// applying each batch through one grouped database exchange and one
+// invalidation fan-out; later arrivals just wait for their own result.
+// Per-set outcomes, conflict attribution included, are those of serial
+// application; only the round-trip economics differ. A batch of
 // one takes the classic statement-by-statement path, so serial traffic
 // renders the exact per-statement span waterfall of Figure 7.
 func (l *logic) ApplyCommitSet(ctx context.Context, cs memento.CommitSet) (sqlstore.ApplyResult, error) {
-	if l.serialCommit {
-		obsGroupSize.Observe(1)
-		return l.applyOne(ctx, cs)
-	}
 	e := &groupEntry{cs: cs, done: make(chan struct{})}
 	l.gmu.Lock()
 	l.queue = append(l.queue, e)
@@ -239,9 +222,9 @@ func (l *logic) ApplyCommitSets(ctx context.Context, sets []memento.CommitSet) (
 
 // Prepare relays 2PC's first phase to the database tier, counting the
 // outcome like any other commit-set validation. A database handle
-// without prepare support fails the relay with an error, which the
-// coordinator treats as a no vote and aborts the global transaction —
-// the same safe outcome as an old backend binary's "unknown op".
+// without prepare support (a wrapper that hides it) fails the relay
+// with an error, which the coordinator treats as a no vote and aborts
+// the global transaction.
 func (l *logic) Prepare(ctx context.Context, gid string, cs memento.CommitSet) error {
 	ctx, sp := obs.StartSpan(ctx, "backend.prepare")
 	defer sp.End()

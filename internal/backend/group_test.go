@@ -145,35 +145,3 @@ func TestGroupCommitCoalescesWithAttribution(t *testing.T) {
 		t.Errorf("row 1 = %v, want the winner's write at version 2", res.Mem)
 	}
 }
-
-// TestGroupCommitDisabled pins the opt-out: with WithGroupCommit(false)
-// every set takes the classic statement-by-statement path and no
-// grouped exchange ever reaches the database.
-func TestGroupCommitDisabled(t *testing.T) {
-	store := sqlstore.New()
-	t.Cleanup(store.Close)
-	g := &gatedConn{Conn: storeapi.Local(store)}
-	be := NewServer(g, WithGroupCommit(false))
-	ctx := context.Background()
-
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		id := string(rune('a' + i))
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, err := be.logic.ApplyCommitSet(ctx, memento.CommitSet{
-				Creates: []memento.Memento{row(id, 1, 0)},
-			}); err != nil {
-				t.Errorf("apply %s: %v", id, err)
-			}
-		}()
-	}
-	wg.Wait()
-	if got := g.groupCalls.Load(); got != 0 {
-		t.Errorf("grouping disabled but database saw %d grouped exchanges", got)
-	}
-	if be.CommitsApplied() != 4 {
-		t.Errorf("CommitsApplied = %d, want 4", be.CommitsApplied())
-	}
-}

@@ -57,23 +57,13 @@ func (d dialerOption) apply(cfg *clientConfig) {
 // counting on the measured path).
 func WithDialer(d DialFunc) Option { return dialerOption(d) }
 
-type retryOption wire.RetryPolicy
-
-func (o retryOption) apply(cfg *clientConfig) {
-	cfg.wopts = append(cfg.wopts, wire.WithRetryPolicy(wire.RetryPolicy(o)))
-}
-
-// WithRetryPolicy overrides the retry budget for one-shot operations
-// and the Begin/Subscribe handshakes. The dbwire protocol is safe to
-// retry: reads are idempotent and commit sets are duplicate-rejected by
-// version validation (see ApplyCommitSet).
-func WithRetryPolicy(p wire.RetryPolicy) Option { return retryOption(p) }
-
 // Dial creates a client for the database server at addr. Connections
 // are opened lazily. Failed one-shot operations and pinned-stream
 // handshakes are retried on fresh connections under a bounded, jittered
-// backoff budget (wire.DefaultRetryPolicy unless overridden); the
-// retries consumed are surfaced in WireStats().Retries.
+// backoff budget (wire.DefaultRetryPolicy); the retries consumed are
+// surfaced in WireStats().Retries. The dbwire protocol is safe to
+// retry: reads are idempotent and commit sets are duplicate-rejected by
+// version validation (see ApplyCommitSet).
 func Dial(addr string, opts ...Option) *Client {
 	cfg := &clientConfig{wopts: []wire.Option{wire.WithRetry()}}
 	for _, o := range opts {

@@ -54,22 +54,6 @@ func TestBandwidthOrdering(t *testing.T) {
 	}
 }
 
-// TestTopologyValidation covers the build-time constraints.
-func TestTopologyValidation(t *testing.T) {
-	if _, err := Build(Options{Arch: ESRBES, Algo: AlgJDBC}); err == nil {
-		t.Error("ES/RBES with a non-cached algorithm must be rejected")
-	}
-	if _, err := Build(Options{Arch: ClientsRAS, Algo: AlgJDBC, EdgeServers: 2}); err == nil {
-		t.Error("Clients/RAS with multiple edges must be rejected")
-	}
-	if _, err := Build(Options{Arch: Architecture(9), Algo: AlgJDBC}); err == nil {
-		t.Error("invalid architecture accepted")
-	}
-	if _, err := Build(Options{Arch: ESRDB, Algo: Algorithm(9)}); err == nil {
-		t.Error("invalid algorithm accepted")
-	}
-}
-
 // TestMultipleEdgeServersShareState: a write through edge 0 must be
 // visible through edge 1 — the single-logical-image property across a
 // cluster of cache-enhanced edge servers.

@@ -51,15 +51,6 @@ type EvalConfig struct {
 	Batch bool
 }
 
-// DefaultEvalConfig returns the laptop-scale evaluation described in
-// DESIGN.md §7.
-func DefaultEvalConfig() EvalConfig {
-	return EvalConfig{
-		Run:      DefaultRunOptions(),
-		Populate: trade.DefaultPopulate(),
-	}
-}
-
 // Evaluation holds every sweep needed to regenerate Figures 6–8 and
 // Table 2.
 type Evaluation struct {

@@ -28,19 +28,24 @@ type FaultOptions struct {
 	// WarmupSessions before the clean pass (default 20).
 	WarmupSessions int
 	// Plan is the fault schedule applied during the faulted pass. A
-	// zero-value plan gets a moderate default schedule.
+	// zero-value plan gets DefaultFaultPlan(1).
 	Plan latency.FaultPlan
-	// SessionRetries and StepTimeout configure the resilient load
-	// generator (see loadgen.ResilientConfig).
-	SessionRetries int
-	StepTimeout    time.Duration
-	// DegradeBound, when > 0, enables slicache degraded reads with that
-	// staleness bound on cached-algorithm pairs.
-	DegradeBound time.Duration
 	// CacheOptions are extra slicache manager options applied to
-	// cached-algorithm pairs (after the DegradeBound option).
+	// cached-algorithm pairs, after the degraded-reads option.
 	CacheOptions []slicache.ManagerOption
 }
+
+// What makes the edge resilient in the fault experiment.
+const (
+	// faultSessionRetries is how many extra attempts the load generator
+	// gives a failed session, and faultStepTimeout bounds each
+	// interaction (see loadgen.ResilientConfig).
+	faultSessionRetries = 5
+	faultStepTimeout    = 10 * time.Second
+	// faultDegradeBound is the staleness bound of the cache's degraded
+	// reads while its invalidation stream is down.
+	faultDegradeBound = 5 * time.Second
+)
 
 // DefaultFaultPlan returns a moderate schedule: occasional connection
 // dooms, rare stalls, rare truncations. Severe enough that a run
@@ -121,11 +126,8 @@ func RunFaultExperiment(ctx context.Context, opts FaultOptions, logf func(format
 }
 
 func runFaultPair(ctx context.Context, pair Pair, opts FaultOptions, logf func(string, ...any)) (FaultReport, error) {
-	var cacheOpts []slicache.ManagerOption
-	if opts.DegradeBound > 0 {
-		cacheOpts = append(cacheOpts, slicache.WithDegradedReads(opts.DegradeBound))
-	}
-	cacheOpts = append(cacheOpts, opts.CacheOptions...)
+	cacheOpts := append([]slicache.ManagerOption{slicache.WithDegradedReads(faultDegradeBound)},
+		opts.CacheOptions...)
 	topo, err := Build(Options{
 		Arch:         pair.Arch,
 		Algo:         pair.Algo,
@@ -148,8 +150,8 @@ func runFaultPair(ctx context.Context, pair Pair, opts FaultOptions, logf func(s
 		Client:         client,
 		Generator:      gen,
 		Sessions:       opts.Sessions,
-		SessionRetries: opts.SessionRetries,
-		StepTimeout:    opts.StepTimeout,
+		SessionRetries: faultSessionRetries,
+		StepTimeout:    faultStepTimeout,
 	}
 
 	// Warmup + clean pass.
@@ -172,10 +174,10 @@ func runFaultPair(ctx context.Context, pair Pair, opts FaultOptions, logf func(s
 	// Faulted pass: count retries consumed during this pass only.
 	retriesBefore := topo.SharedPathStats().Retries
 	mgrBefore := sumManagerStats(topo)
-	topo.Proxy.SetFaults(&opts.Plan)
+	topo.SetFaults(&opts.Plan)
 	faulted, err := loadgen.RunResilient(ctx, rcfg)
-	faultStats := topo.Proxy.FaultStats()
-	topo.Proxy.SetFaults(nil)
+	faultStats := topo.FaultStats()
+	topo.SetFaults(nil)
 	if err != nil {
 		return FaultReport{}, fmt.Errorf("faulted pass: %w", err)
 	}

@@ -34,9 +34,6 @@ func TestFaultExperimentSurvives(t *testing.T) {
 			StallFor:      10 * time.Millisecond,
 			TruncateRate:  0.01,
 		},
-		DegradeBound:   5 * time.Second,
-		SessionRetries: 5,
-		StepTimeout:    15 * time.Second,
 	}, t.Logf)
 	if err != nil {
 		t.Fatal(err)

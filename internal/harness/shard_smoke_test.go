@@ -112,29 +112,6 @@ func TestShardedSmoke(t *testing.T) {
 		diff.Counters["shard.readonly_commits"], diff.Counters["shard.scatter_queries"])
 }
 
-// TestShardedBaselineMatchesUnsharded checks -shards semantics at the
-// boundary: Shards <= 1 builds the classic single-pair topology (no
-// sharded state), and the sharded build refuses unsupported cells.
-func TestShardedBaselineMatchesUnsharded(t *testing.T) {
-	topo, err := Build(Options{
-		Arch:     ESRBES,
-		Algo:     AlgCachedEJB,
-		Shards:   1,
-		Populate: trade.PopulateConfig{Users: 5, Symbols: 10, HoldingsPerUser: 1},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer topo.Close()
-	if topo.Stores != nil || topo.Ring != nil {
-		t.Error("Shards=1 must build the unsharded topology")
-	}
-
-	if _, err := Build(Options{Arch: ESRDB, Algo: AlgJDBC, Shards: 2}); err == nil {
-		t.Error("sharding outside ES/RBES+cached must be rejected")
-	}
-}
-
 // TestShardFaultChaosTwoEdges races two edge servers' sessions across a
 // two-shard tier while every shard's wide-area proxy injects faults:
 // connection resets, stalls and truncations land mid-2PC as well as
@@ -165,11 +142,8 @@ func TestShardFaultChaosTwoEdges(t *testing.T) {
 		StallFor:      10 * time.Millisecond,
 		TruncateRate:  0.005,
 	}
-	for _, p := range topo.proxies {
-		planCopy := plan
-		p.SetFaults(&planCopy)
-		defer p.SetFaults(nil)
-	}
+	topo.SetFaults(&plan)
+	defer topo.SetFaults(nil)
 
 	var wg sync.WaitGroup
 	results := make([]loadgen.ResilientResult, 2)
@@ -195,14 +169,10 @@ func TestShardFaultChaosTwoEdges(t *testing.T) {
 	}
 	wg.Wait()
 
-	faulted := false
-	for _, p := range topo.proxies {
-		if p.FaultStats() != (latency.FaultStats{}) {
-			faulted = true
+	for i, p := range topo.proxies {
+		if p.FaultStats() == (latency.FaultStats{}) {
+			t.Errorf("no faults were injected on shard %d's path", i)
 		}
-	}
-	if !faulted {
-		t.Fatal("no faults were injected on any shard's path")
 	}
 	for edge := 0; edge < 2; edge++ {
 		if errs[edge] != nil {

@@ -29,8 +29,7 @@ import (
 // measures is therefore the routing and 2PC overhead, which is real,
 // not the host's core count.
 type ShardScalingOptions struct {
-	// ShardCounts is the sweep (e.g. 1, 2, 4). A count of 1 builds the
-	// classic unsharded ES/RBES topology — the baseline.
+	// ShardCounts is the sweep (e.g. 1, 2, 4); 1 is the baseline.
 	ShardCounts []int
 	// Clients is the number of concurrent virtual clients.
 	Clients int
@@ -75,14 +74,14 @@ type ShardScalingPoint struct {
 	MeanLatencyMs float64
 	Failures      int
 	Interactions  int
-	// Commit-path split, from the router's counters (the unsharded
-	// baseline reports everything as fast path).
+	// Commit-path split of the commit sets the edges committed.
 	FastpathCommits uint64
 	TwoPCCommits    uint64
 	TwoPCAborts     uint64
 	ReadonlyCommits uint64
 	ScatterQueries  uint64
-	// PerShardCommits maps shard index to commit sets it committed.
+	// PerShardCommits maps shard index to the commit sets (and 2PC
+	// sub-sets) its back-end server applied.
 	PerShardCommits map[int]uint64
 }
 
@@ -140,6 +139,10 @@ func RunShardScaling(ctx context.Context, opts ShardScalingOptions, logf func(st
 			Workload:          opts.Workload,
 		})
 		diff := obs.Default.Diff(before)
+		perShard := make(map[int]uint64, n)
+		for i, be := range topo.Backends {
+			perShard[i] = be.CommitsApplied()
+		}
 		topo.Close()
 		if err != nil {
 			return points, fmt.Errorf("harness: %d shards: %w", n, err)
@@ -151,23 +154,18 @@ func RunShardScaling(ctx context.Context, opts ShardScalingOptions, logf func(st
 			MeanLatencyMs:   res.Latency.Mean,
 			Failures:        res.Failures,
 			Interactions:    res.Interactions,
-			FastpathCommits: diff.Counters["shard.fastpath_commits"],
 			TwoPCCommits:    diff.Counters["shard.2pc_commits"],
 			TwoPCAborts:     diff.Counters["shard.2pc_aborts"],
 			ReadonlyCommits: diff.Counters["shard.readonly_commits"],
 			ScatterQueries:  diff.Counters["shard.scatter_queries"],
-			PerShardCommits: make(map[int]uint64),
+			PerShardCommits: perShard,
 		}
-		if n == 1 {
-			// The unsharded baseline has no router; every optimistic commit
-			// is shard 0's fast path.
-			p.FastpathCommits = diff.Counters["sqlstore.opt_commits"]
-			p.PerShardCommits[0] = p.FastpathCommits
-		} else {
-			for i := 0; i < n; i++ {
-				p.PerShardCommits[i] = diff.Counters["shard.commits{shard="+strconv.Itoa(i)+"}"]
-			}
-		}
+		// Every commit set an edge shipped and did not lose took exactly
+		// one of the three commit paths; the fast path is whatever the
+		// two multi-shard paths did not take (all of it at one shard,
+		// where no router sits on the path to count).
+		shipped := diff.Histograms["span.slicache.commit"].Count - diff.Counters["slicache.conflicts"]
+		p.FastpathCommits = shipped - p.TwoPCCommits - p.ReadonlyCommits
 		points = append(points, p)
 		if logf != nil {
 			logf("  %d shard(s): %.1f committed/s, 2PC fraction %.1f%%, %d failures",

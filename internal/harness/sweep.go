@@ -30,21 +30,6 @@ type RunOptions struct {
 	Workload trade.GeneratorConfig
 }
 
-// DefaultRunOptions returns a laptop-scale run: delays scaled to keep
-// wall-clock reasonable (latency sensitivity is a slope and is
-// invariant to the delay scale; see DESIGN.md §7).
-func DefaultRunOptions() RunOptions {
-	return RunOptions{
-		Delays: []time.Duration{
-			0, time.Millisecond, 2 * time.Millisecond, 4 * time.Millisecond,
-		},
-		Sessions:       25,
-		WarmupSessions: 8,
-		Batches:        20,
-		Workload:       trade.GeneratorConfig{Seed: 42, Users: 50, Symbols: 100},
-	}
-}
-
 // Point is one delay point of a sweep.
 type Point struct {
 	// OneWayDelayMs is the injected one-way delay, in milliseconds.

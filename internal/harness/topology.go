@@ -3,16 +3,14 @@ package harness
 import (
 	"context"
 	"fmt"
-	"net"
 	"sync"
 	"time"
 
 	"edgeejb/internal/appserver"
 	"edgeejb/internal/backend"
-	"edgeejb/internal/component"
 	"edgeejb/internal/dbwire"
+	"edgeejb/internal/deploy"
 	"edgeejb/internal/latency"
-	"edgeejb/internal/shard"
 	"edgeejb/internal/slicache"
 	"edgeejb/internal/sqlstore"
 	"edgeejb/internal/storeapi"
@@ -96,17 +94,14 @@ type Options struct {
 	// CacheOptions are extra slicache options (ablations). Shipping is
 	// set by the architecture and must not be overridden here.
 	CacheOptions []slicache.ManagerOption
-	// LockTimeout overrides the datastore lock-wait timeout.
-	LockTimeout time.Duration
 	// Batch makes the pessimistic managers (JDBC, BMP) coalesce
 	// independent statements of one interaction into multi-statement
 	// frames. Off by default so existing round-trip accounting holds.
 	Batch bool
-	// Shards partitions the datacenter tier into N independent
-	// backend/database pairs behind a key-routing edge (≤ 1 keeps the
-	// classic single-pair topology byte-for-byte). Sharding requires
-	// ES/RBES with the cached algorithm: whole-set commit shipping is
-	// the unit the router routes.
+	// Shards is the number of database servers the datacenter tier is
+	// partitioned into (≥ 1), each with its own back-end server and
+	// delay proxy. More than one requires ES/RBES: whole-set commit
+	// shipping is the unit the edges' routers route.
 	Shards int
 	// DBCommitService is the modeled per-commit-set validation service
 	// time applied to every database shard (sqlstore.WithCommitServiceTime);
@@ -116,37 +111,21 @@ type Options struct {
 	DBCommitService time.Duration
 }
 
+// lockTimeout is the stores' lock-wait timeout (deadlock resolution),
+// the default of cmd/dbserverd's -lock-timeout.
+const lockTimeout = 5 * time.Second
+
 // Topology is a fully wired deployment of one architecture.
 type Topology struct {
 	// Arch and Algo echo the build options.
 	Arch Architecture
 	Algo Algorithm
 
-	// Store is the persistent datastore (for stats and test inspection).
-	// Sharded topologies alias it to shard 0; see Stores.
-	Store *sqlstore.Store
-
-	// Stores holds every database shard's store (len == Shards; nil on
-	// unsharded topologies).
+	// Stores holds every database shard's store (for stats and test
+	// inspection).
 	Stores []*sqlstore.Store
 
-	// Ring is the key→shard map (sharded topologies only).
-	Ring *shard.Ring
-
-	// Shards echoes the build option (0 or 1 = unsharded).
-	Shards int
-
-	// Proxy is the delay proxy on the high-latency path. Sharded
-	// topologies alias it to shard 0's proxy; SetDelay covers all.
-	Proxy *latency.Proxy
-
-	proxies []*latency.Proxy
-
-	// Backend is the back-end server (ES/RBES only, nil otherwise;
-	// sharded topologies alias it to shard 0 — see Backends).
-	Backend *backend.Server
-
-	// Backends holds every shard's back-end server (sharded only).
+	// Backends holds every shard's back-end server (ES/RBES only).
 	Backends []*backend.Server
 
 	// AppServers are the application servers; index 0 is the default
@@ -160,25 +139,57 @@ type Topology struct {
 	// only, nil entries otherwise).
 	Managers []*slicache.Manager
 
-	// DBClients are the datastore clients used by each edge server (for
-	// round-trip accounting in tests).
+	// DBClients are the datastore clients used by the edge servers, one
+	// per edge and shard (for round-trip accounting).
 	DBClients []*dbwire.Client
 
+	// proxies are the delay proxies on the high-latency path: one per
+	// shard on the edge architectures, one in front of the application
+	// server on Clients/RAS.
+	proxies []*latency.Proxy
+
 	clientAddr string
-	clientDial appserver.DialFunc
 	closers    []func()
 
-	// webMu guards webClients: every client handed out by NewWebClient
-	// (and NewWebClientFor under Clients/RAS) is tracked so the shared
-	// client↔server path can be measured from wire.Stats.
+	// webMu guards webClients: every client the topology hands out is
+	// tracked, so Close can close it and the shared client↔server path
+	// can be measured from wire.Stats.
 	webMu      sync.Mutex
 	webClients []*appserver.Client
 }
 
-// Build assembles and starts a topology. Callers must Close it.
+// edgeAlgo names the edge assembly an (architecture, algorithm) cell
+// runs: the cached algorithm ships whole commit sets to ES/RBES's
+// back-end server and per-image commits to a database.
+func edgeAlgo(arch Architecture, algo Algorithm) (deploy.Algo, error) {
+	switch algo {
+	case AlgJDBC:
+		return deploy.JDBC, nil
+	case AlgVanillaEJB:
+		return deploy.BMP, nil
+	case AlgCachedEJB:
+		if arch == ESRBES {
+			return deploy.SLIBackend, nil
+		}
+		return deploy.SLIDB, nil
+	default:
+		return "", fmt.Errorf("harness: invalid algorithm %d", algo)
+	}
+}
+
+// Build assembles and starts a topology: Shards datacenter pairs, then
+// EdgeServers edges over them. Callers must Close it.
 func Build(opts Options) (topo *Topology, err error) {
 	if opts.EdgeServers < 1 {
 		opts.EdgeServers = 1
+	}
+	if opts.Shards < 1 {
+		opts.Shards = 1
+	}
+	switch opts.Arch {
+	case ESRDB, ESRBES, ClientsRAS:
+	default:
+		return nil, fmt.Errorf("harness: invalid architecture %d", opts.Arch)
 	}
 	if opts.Arch == ESRBES && opts.Algo != AlgCachedEJB {
 		return nil, fmt.Errorf("harness: %s supports only %s", ESRBES, AlgCachedEJB)
@@ -186,11 +197,9 @@ func Build(opts Options) (topo *Topology, err error) {
 	if opts.Arch == ClientsRAS && opts.EdgeServers != 1 {
 		return nil, fmt.Errorf("harness: %s has no edge servers to multiply", ClientsRAS)
 	}
-	if opts.LockTimeout <= 0 {
-		opts.LockTimeout = 5 * time.Second
-	}
-	if opts.Shards > 1 {
-		return buildSharded(opts)
+	algo, err := edgeAlgo(opts.Arch, opts.Algo)
+	if err != nil {
+		return nil, err
 	}
 
 	t := &Topology{Arch: opts.Arch, Algo: opts.Algo}
@@ -200,151 +209,120 @@ func Build(opts Options) (topo *Topology, err error) {
 		}
 	}()
 
-	// Database tier.
-	storeOpts := []sqlstore.Option{sqlstore.WithLockTimeout(opts.LockTimeout)}
-	if opts.DBCommitService > 0 {
-		storeOpts = append(storeOpts, sqlstore.WithCommitServiceTime(opts.DBCommitService))
-	}
-	t.Store = sqlstore.New(storeOpts...)
-	trade.Populate(t.Store, opts.Populate)
-	dbServer := dbwire.NewServer(storeapi.Local(t.Store))
-	if err := dbServer.Start("127.0.0.1:0"); err != nil {
-		return nil, fmt.Errorf("harness: start db server: %w", err)
-	}
-	t.closers = append(t.closers, dbServer.Close)
-
-	// Delay proxy placement and the address edge servers dial.
-	edgeDBAddr := ""
-	switch opts.Arch {
-	case ESRDB:
-		// Delay between application servers and the database.
-		if err := t.startProxy(dbServer.Addr(), opts.OneWayDelay); err != nil {
-			return nil, err
+	// Datacenter tier, one pair per shard: a store seeded with the rows
+	// the ring assigns it, its database server, a back-end server beside
+	// it under ES/RBES, and the delay proxy on the edge architectures.
+	// Disjoint transaction-ID bases keep the merged invalidation
+	// stream's own-commit filtering sound.
+	targets := make([]string, opts.Shards)
+	for i := range targets {
+		storeOpts := []sqlstore.Option{
+			sqlstore.WithLockTimeout(lockTimeout),
+			sqlstore.WithTxIDBase(uint64(i) << 40),
 		}
-		edgeDBAddr = t.Proxy.Addr()
-
-	case ESRBES:
-		// Back-end next to the database (low-latency wire); delay
-		// between the edge servers and the back-end.
-		backendDB := dbwire.Dial(dbServer.Addr())
-		t.closers = append(t.closers, func() { _ = backendDB.Close() })
-		t.Backend = backend.NewServer(backendDB)
-		if err := t.Backend.Start("127.0.0.1:0"); err != nil {
-			return nil, fmt.Errorf("harness: start back-end server: %w", err)
+		if opts.DBCommitService > 0 {
+			storeOpts = append(storeOpts, sqlstore.WithCommitServiceTime(opts.DBCommitService))
 		}
-		t.closers = append(t.closers, t.Backend.Close)
-		if err := t.startProxy(t.Backend.Addr(), opts.OneWayDelay); err != nil {
-			return nil, err
+		store := sqlstore.New(storeOpts...)
+		t.Stores = append(t.Stores, store)
+		trade.PopulateShard(store, opts.Populate, opts.Shards, i)
+		dbServer := dbwire.NewServer(storeapi.Local(store))
+		if err := dbServer.Start("127.0.0.1:0"); err != nil {
+			return nil, fmt.Errorf("harness: start db server (shard %d): %w", i, err)
 		}
-		edgeDBAddr = t.Proxy.Addr()
+		t.closers = append(t.closers, dbServer.Close)
+		targets[i] = dbServer.Addr()
 
-	case ClientsRAS:
-		// Application server next to the database; delay between the
-		// clients and the application server (proxy started after the
-		// app server below).
-		edgeDBAddr = dbServer.Addr()
-
-	default:
-		return nil, fmt.Errorf("harness: invalid architecture %d", opts.Arch)
+		if opts.Arch == ESRBES {
+			// Back-end next to the database (low-latency wire).
+			backendDB := dbwire.Dial(dbServer.Addr())
+			t.closers = append(t.closers, func() { _ = backendDB.Close() })
+			be := backend.NewServer(backendDB)
+			if err := be.Start("127.0.0.1:0"); err != nil {
+				return nil, fmt.Errorf("harness: start back-end server (shard %d): %w", i, err)
+			}
+			t.closers = append(t.closers, be.Close)
+			t.Backends = append(t.Backends, be)
+			targets[i] = be.Addr()
+		}
+		if opts.Arch != ClientsRAS {
+			// Delay between the edge servers and the datacenter.
+			if targets[i], err = t.startProxy(targets[i], opts.OneWayDelay); err != nil {
+				return nil, err
+			}
+		}
 	}
 
 	// Application-server tier.
-	registry, err := trade.NewEntityRegistry()
-	if err != nil {
-		return nil, err
-	}
-	ctx := context.Background()
 	for i := 0; i < opts.EdgeServers; i++ {
-		dbClient := dbwire.Dial(edgeDBAddr)
-		t.DBClients = append(t.DBClients, dbClient)
-		t.closers = append(t.closers, func() { _ = dbClient.Close() })
-
-		var mgrOpts []component.ManagerOption
-		if opts.Batch {
-			mgrOpts = append(mgrOpts, component.WithBatching(true))
+		edge, err := deploy.StartEdge(context.Background(), "127.0.0.1:0", targets, algo, opts.Batch, opts.CacheOptions...)
+		if err != nil {
+			return nil, fmt.Errorf("harness: edge %d: %w", i, err)
 		}
-		var rm component.ResourceManager
-		var mgr *slicache.Manager
-		switch opts.Algo {
-		case AlgJDBC:
-			rm = component.NewJDBCManager(dbClient, mgrOpts...)
-		case AlgVanillaEJB:
-			rm = component.NewBMPManager(dbClient, mgrOpts...)
-		case AlgCachedEJB:
-			shipping := slicache.PerImage
-			if opts.Arch == ESRBES {
-				shipping = slicache.WholeSet
-			}
-			cacheOpts := append([]slicache.ManagerOption{slicache.WithShipping(shipping)},
-				opts.CacheOptions...)
-			mgr = slicache.NewManager(dbClient, cacheOpts...)
-			if err := mgr.Start(ctx); err != nil {
-				return nil, fmt.Errorf("harness: start cache manager: %w", err)
-			}
-			t.closers = append(t.closers, mgr.Close)
-			rm = mgr
-		default:
-			return nil, fmt.Errorf("harness: invalid algorithm %d", opts.Algo)
-		}
-		t.Managers = append(t.Managers, mgr)
-
-		svc := trade.NewService(component.NewContainer(registry, rm))
-		t.Services = append(t.Services, svc)
-		app := appserver.NewServer(svc)
-		if err := app.Start("127.0.0.1:0"); err != nil {
-			return nil, fmt.Errorf("harness: start app server %d: %w", i, err)
-		}
-		t.closers = append(t.closers, app.Close)
-		t.AppServers = append(t.AppServers, app)
+		t.closers = append(t.closers, edge.Close)
+		t.DBClients = append(t.DBClients, edge.Clients...)
+		t.Managers = append(t.Managers, edge.Manager)
+		t.Services = append(t.Services, edge.Service)
+		t.AppServers = append(t.AppServers, edge.Server)
 	}
 
-	// Where web clients connect.
-	switch opts.Arch {
-	case ClientsRAS:
-		if err := t.startProxy(t.AppServers[0].Addr(), opts.OneWayDelay); err != nil {
+	// Where web clients connect: to edge server 0 over a local, fast
+	// path, or under Clients/RAS through the delay to the one remote
+	// application server.
+	t.clientAddr = t.AppServers[0].Addr()
+	if opts.Arch == ClientsRAS {
+		if t.clientAddr, err = t.startProxy(t.clientAddr, opts.OneWayDelay); err != nil {
 			return nil, err
 		}
-		t.clientAddr = t.Proxy.Addr()
-	default:
-		// Edge architectures: the client/edge path is local and fast.
-		t.clientAddr = t.AppServers[0].Addr()
-	}
-	t.clientDial = func(ctx context.Context, addr string) (net.Conn, error) {
-		var d net.Dialer
-		return d.DialContext(ctx, "tcp", addr)
 	}
 	return t, nil
 }
 
-func (t *Topology) startProxy(target string, delay time.Duration) error {
-	t.Proxy = latency.NewProxy(target, delay)
-	if err := t.Proxy.Start("127.0.0.1:0"); err != nil {
-		return fmt.Errorf("harness: start delay proxy: %w", err)
+// startProxy puts a delay proxy in front of target and returns the
+// proxy's address.
+func (t *Topology) startProxy(target string, delay time.Duration) (string, error) {
+	p := latency.NewProxy(target, delay)
+	if err := p.Start("127.0.0.1:0"); err != nil {
+		return "", fmt.Errorf("harness: start delay proxy: %w", err)
 	}
-	t.closers = append(t.closers, t.Proxy.Close)
-	return nil
+	t.closers = append(t.closers, p.Close)
+	t.proxies = append(t.proxies, p)
+	return p.Addr(), nil
 }
 
-// SetDelay changes the one-way delay on the high-latency path (every
-// shard's proxy on sharded topologies).
+// SetDelay changes the one-way delay on the high-latency path.
 func (t *Topology) SetDelay(d time.Duration) {
-	if len(t.proxies) > 0 {
-		for _, p := range t.proxies {
-			p.SetDelay(d)
-		}
-		return
+	for _, p := range t.proxies {
+		p.SetDelay(d)
 	}
-	t.Proxy.SetDelay(d)
 }
 
-// SharedPathCounter returns the byte counter for the shared
-// (high-latency) path — the quantity Figure 8 reports.
-func (t *Topology) SharedPathCounter() *latency.Counter { return t.Proxy.Counter() }
+// SetFaults starts injecting plan's faults on every proxy of the
+// high-latency path; nil stops it.
+func (t *Topology) SetFaults(plan *latency.FaultPlan) {
+	for _, p := range t.proxies {
+		p.SetFaults(plan)
+	}
+}
+
+// FaultStats sums the proxies' injection counters since SetFaults.
+func (t *Topology) FaultStats() latency.FaultStats {
+	var sum latency.FaultStats
+	for _, p := range t.proxies {
+		s := p.FaultStats()
+		sum.ConnResets += s.ConnResets
+		sum.Truncations += s.Truncations
+		sum.Stalls += s.Stalls
+		sum.BlackholedConns += s.BlackholedConns
+		sum.BlackholedChunks += s.BlackholedChunks
+	}
+	return sum
+}
 
 // SharedPathStats aggregates transport statistics for the clients on
 // the architecture's shared (high-latency) path: web clients for
-// Clients/RAS, the edge servers' datastore clients otherwise. Unlike
-// SharedPathCounter it also carries round trips and per-op latency.
+// Clients/RAS, the edge servers' datastore clients otherwise. It is the
+// bytes Figure 8 reports, with round trips and per-op latency.
 func (t *Topology) SharedPathStats() wire.Stats {
 	var snaps []wire.Stats
 	switch t.Arch {
@@ -366,11 +344,7 @@ func (t *Topology) SharedPathStats() wire.Stats {
 // entry point (through the proxy for Clients/RAS, to edge server 0
 // otherwise).
 func (t *Topology) NewWebClient() *appserver.Client {
-	c := appserver.NewClient(t.clientAddr, appserver.WithDialer(t.clientDial))
-	t.webMu.Lock()
-	t.webClients = append(t.webClients, c)
-	t.webMu.Unlock()
-	return c
+	return t.newWebClient(t.clientAddr)
 }
 
 // NewWebClientFor returns a client pinned to a specific edge server
@@ -382,22 +356,32 @@ func (t *Topology) NewWebClientFor(edge int) (*appserver.Client, error) {
 	if t.Arch == ClientsRAS {
 		return t.NewWebClient(), nil
 	}
-	return appserver.NewClient(t.AppServers[edge].Addr()), nil
+	return t.newWebClient(t.AppServers[edge].Addr()), nil
 }
 
-// Close tears the whole topology down in reverse build order.
+func (t *Topology) newWebClient(addr string) *appserver.Client {
+	c := appserver.NewClient(addr)
+	t.webMu.Lock()
+	t.webClients = append(t.webClients, c)
+	t.webMu.Unlock()
+	return c
+}
+
+// Close closes every web client the topology handed out, then tears
+// the deployment down in reverse build order.
 func (t *Topology) Close() {
+	t.webMu.Lock()
+	clients := t.webClients
+	t.webClients = nil
+	t.webMu.Unlock()
+	for _, c := range clients {
+		_ = c.Close()
+	}
 	for i := len(t.closers) - 1; i >= 0; i-- {
 		t.closers[i]()
 	}
 	t.closers = nil
-	if len(t.Stores) > 0 {
-		for _, s := range t.Stores {
-			s.Close()
-		}
-		return
-	}
-	if t.Store != nil {
-		t.Store.Close()
+	for _, s := range t.Stores {
+		s.Close()
 	}
 }

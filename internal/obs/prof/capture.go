@@ -33,11 +33,6 @@ type Options struct {
 	Dir string
 	// Remotes are additional processes to profile per phase.
 	Remotes []Remote
-	// RemoteCPUSeconds is how long each remote CPU profile samples
-	// (the /debug/pprof/profile?seconds= parameter; 5 when zero). A
-	// phase shorter than this waits for the fetch to finish; a longer
-	// phase is profiled for only the first RemoteCPUSeconds.
-	RemoteCPUSeconds int
 	// Rates enables mutex and block profiling in this process for the
 	// life of the Capturer (see EnableProfileRates), adding per-phase
 	// mutex/block delta profiles to the capture. Remote daemons enable
@@ -69,7 +64,6 @@ type CapturedFile struct {
 type Capturer struct {
 	dir     string
 	remotes []Remote
-	cpuSec  int
 	client  *http.Client
 	restore func()
 
@@ -83,6 +77,12 @@ type Capturer struct {
 	cpuFetch   map[string]chan fetchResult
 	rates      bool
 }
+
+// remoteCPUSeconds is how long each remote CPU profile samples (the
+// /debug/pprof/profile?seconds= parameter). A phase shorter than this
+// waits for the fetch to finish; a longer phase is profiled for only
+// its first remoteCPUSeconds.
+const remoteCPUSeconds = 5
 
 type fetchResult struct {
 	data []byte
@@ -102,10 +102,6 @@ func NewCapturer(opts Options) (*Capturer, error) {
 	if opts.Dir == "" {
 		return nil, fmt.Errorf("prof: capture needs a directory for profile artifacts")
 	}
-	cpuSec := opts.RemoteCPUSeconds
-	if cpuSec <= 0 {
-		cpuSec = 5
-	}
 	client := opts.Client
 	if client == nil {
 		client = &http.Client{}
@@ -113,7 +109,6 @@ func NewCapturer(opts Options) (*Capturer, error) {
 	c := &Capturer{
 		dir:     opts.Dir,
 		remotes: opts.Remotes,
-		cpuSec:  cpuSec,
 		client:  client,
 		rates:   opts.Rates,
 	}
@@ -190,8 +185,8 @@ func (c *Capturer) StartPhase(name string) error {
 		ch := make(chan fetchResult, 1)
 		addr := r.Addr
 		go func() {
-			data, err := c.fetch(addr, fmt.Sprintf("/debug/pprof/profile?seconds=%d", c.cpuSec),
-				time.Duration(c.cpuSec)*time.Second+30*time.Second)
+			data, err := c.fetch(addr, fmt.Sprintf("/debug/pprof/profile?seconds=%d", remoteCPUSeconds),
+				time.Duration(remoteCPUSeconds)*time.Second+30*time.Second)
 			ch <- fetchResult{data: data, err: err}
 		}()
 		cpuFetch[r.Name] = ch
@@ -212,7 +207,7 @@ func (c *Capturer) abortCPU(f *os.File) {
 // EndPhase stops the phase's capture, writes every profile artifact,
 // folds the parsed profiles into the hotspot aggregation, and returns
 // the files written (for manifest indexing). The remote CPU fetches are
-// awaited here — a phase shorter than RemoteCPUSeconds blocks until the
+// awaited here — a phase shorter than remoteCPUSeconds blocks until the
 // remote sampling window closes.
 func (c *Capturer) EndPhase() ([]CapturedFile, error) {
 	if c.phase == "" {
@@ -275,7 +270,7 @@ func (c *Capturer) EndPhase() ([]CapturedFile, error) {
 		}
 		c.hotspots.AddCPU(phase, r.Name, p)
 		files = append(files, CapturedFile{Name: name, Phase: phase, Source: r.Name,
-			Desc: fmt.Sprintf("CPU profile of daemon %q (%ds sample) during the %s phase", r.Name, c.cpuSec, phase)})
+			Desc: fmt.Sprintf("CPU profile of daemon %q (%ds sample) during the %s phase", r.Name, remoteCPUSeconds, phase)})
 
 		heapData, err := c.fetch(r.Addr, "/debug/pprof/heap?gc=1", 15*time.Second)
 		if err != nil {

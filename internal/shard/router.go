@@ -68,9 +68,6 @@ func NewRouter(ring *Ring, conns []storeapi.Conn, opts ...RouterOption) (*Router
 	return r, nil
 }
 
-// Ring returns the router's key→shard map.
-func (r *Router) Ring() *Ring { return r.ring }
-
 func (r *Router) nextGid() string {
 	return r.id + "-" + strconv.FormatUint(r.gidSeq.Add(1), 10)
 }
@@ -93,9 +90,6 @@ func (r *Router) AutoGet(ctx context.Context, table, id string) (storeapi.GetRes
 // per-shard footprints, so finder-cache invalidation keys on the same
 // predicate descriptor regardless of how many shards served it.
 func (r *Router) AutoQuery(ctx context.Context, q memento.Query) (storeapi.QueryResult, error) {
-	if r.ring.Shards() == 1 {
-		return r.conns[0].AutoQuery(ctx, q)
-	}
 	if r.aff != nil {
 		if p, ok := r.aff(q); ok {
 			return r.conns[r.ring.OfPlacement(p)].AutoQuery(ctx, q)
@@ -233,7 +227,7 @@ func (r *Router) twoPhase(ctx context.Context, split map[int]memento.CommitSet) 
 		p, ok := r.conns[s].(storeapi.Preparer)
 		if !ok {
 			obsTwoPCAborts.Inc()
-			return sqlstore.ApplyResult{}, fmt.Errorf("shard: shard %d connection cannot prepare (peer predates 2PC): %w", s, sqlstore.ErrConflict)
+			return sqlstore.ApplyResult{}, fmt.Errorf("shard: shard %d connection cannot prepare: %w", s, sqlstore.ErrConflict)
 		}
 		parts = append(parts, part{shard: s, prep: p})
 	}
@@ -353,9 +347,6 @@ func (r *Router) Begin(ctx context.Context) (storeapi.Txn, error) {
 // rows stale forever — so it clears its cache and resubscribes,
 // exactly as for a single lost stream today.
 func (r *Router) Subscribe(ctx context.Context) (<-chan sqlstore.Notice, func(), error) {
-	if len(r.conns) == 1 {
-		return r.conns[0].Subscribe(ctx)
-	}
 	chans := make([]<-chan sqlstore.Notice, 0, len(r.conns))
 	cancels := make([]func(), 0, len(r.conns))
 	for _, c := range r.conns {
@@ -500,13 +491,6 @@ func (t *routerTxn) Delete(ctx context.Context, table, id string) error {
 }
 
 func (t *routerTxn) Query(ctx context.Context, q memento.Query) (storeapi.QueryResult, error) {
-	if t.r.ring.Shards() == 1 {
-		tx, err := t.bind(ctx, 0)
-		if err != nil {
-			return storeapi.QueryResult{}, err
-		}
-		return tx.Query(ctx, q)
-	}
 	if t.r.aff != nil {
 		if p, ok := t.r.aff(q); ok {
 			tx, err := t.bind(ctx, t.r.ring.OfPlacement(p))

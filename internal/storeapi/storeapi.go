@@ -91,10 +91,11 @@ type Conn interface {
 
 // Preparer is the optional two-phase-commit participant surface a Conn
 // may expose alongside the one-shot ApplyCommitSet path. The shard
-// router type-asserts for it when a commit set spans several shards;
-// connections to peers that predate the prepare ops simply don't
-// implement it (dbwire's client does, but its server answers unknown-op
-// for old backends, which the router surfaces as a conflict).
+// router type-asserts for it when a commit set spans several shards.
+// Every product Conn implements it (the local store, dbwire's client,
+// the back-end server's logic); the only one that doesn't is a wrapper
+// that hides it, and a tier behind such a wrapper refuses to prepare,
+// which the coordinator reads as a no vote.
 type Preparer interface {
 	// Prepare validates a commit sub-set and holds its locks under gid
 	// until CommitPrepared or AbortPrepared decides it (or the

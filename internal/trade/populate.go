@@ -35,19 +35,33 @@ func DefaultPopulate() PopulateConfig {
 	}
 }
 
-// Populate seeds a store with the initial Trade database.
-func Populate(store *sqlstore.Store, cfg PopulateConfig) {
+// Populate seeds a store with the whole initial Trade database.
+func Populate(store *sqlstore.Store, cfg PopulateConfig) { PopulateShard(store, cfg, 1, 0) }
+
+// PopulateShard seeds the store of shard index, one of shards, with the
+// rows of the initial Trade database that ShardRing assigns to it, and
+// returns how many those are. Every shard derives the identical
+// population from the same config and seed, so the shards' stores
+// partition it without coordination.
+func PopulateShard(store *sqlstore.Store, cfg PopulateConfig, shards, index int) int {
 	// The portfolio finder probes holdings by account; index that field
 	// the way the Trade schema indexes its HOLDING.ACCOUNT_ACCOUNTID
 	// column. Errors are impossible here (fresh store, valid names).
 	_ = store.CreateIndex(TableHolding, "accountID")
-	store.Seed(PopulationRows(cfg)...)
+	ring := ShardRing(shards)
+	rows := PopulationRows(cfg)
+	owned := rows[:0]
+	for _, m := range rows {
+		if ring.Of(m.Key) == index {
+			owned = append(owned, m)
+		}
+	}
+	store.Seed(owned...)
+	return len(owned)
 }
 
 // PopulationRows builds the initial Trade database rows without
-// installing them, so a sharded deployment can seed each shard's store
-// with exactly the rows it owns (filter by the ring) while every shard
-// derives the identical population from the same config and seed.
+// installing them.
 func PopulationRows(cfg PopulateConfig) []memento.Memento {
 	if cfg.Users < 1 {
 		cfg.Users = DefaultPopulate().Users

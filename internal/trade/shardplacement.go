@@ -4,7 +4,15 @@ import (
 	"strings"
 
 	"edgeejb/internal/memento"
+	"edgeejb/internal/shard"
 )
+
+// ShardRing is the key→shard map of a Trade deployment with n database
+// shards. The stores' seeding and the edges' routers must agree on it,
+// so both build it here.
+func ShardRing(n int) *shard.Ring {
+	return shard.NewRing(n, shard.WithPlacement(ShardPlacement))
+}
 
 // ShardPlacement co-locates each user's working set on one shard: the
 // account, profile and registry rows share the placement "user/<id>",

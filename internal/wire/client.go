@@ -22,7 +22,6 @@ type Client struct {
 	dial          DialFunc
 	maxShared     int
 	maxPinnedIdle int
-	maxFrame      int
 	retry         RetryPolicy
 	stats         *collector
 
@@ -51,26 +50,13 @@ func WithMaxConns(n int) Option {
 	}
 }
 
-// WithRetry enables the default bounded retry schedule (see
-// DefaultRetryPolicy). Kept as the short spelling of WithRetryPolicy;
-// context cancellation and deadline expiry are never retried.
-func WithRetry() Option { return WithRetryPolicy(DefaultRetryPolicy()) }
-
-// WithRetryPolicy makes Call retry failed exchanges on fresh
-// connections under the given budget, sleeping the policy's jittered
-// backoff between attempts. The default is no retry: a protocol must
-// opt in, and must only do so when its requests are idempotent or
-// duplicate-rejected (see RetryPolicy).
-func WithRetryPolicy(p RetryPolicy) Option { return func(c *Client) { c.retry = p } }
-
-// WithMaxFrame overrides the maximum accepted frame size.
-func WithMaxFrame(n int) Option {
-	return func(c *Client) {
-		if n > 0 {
-			c.maxFrame = n
-		}
-	}
-}
+// WithRetry makes Call retry failed exchanges on fresh connections
+// under DefaultRetryPolicy, sleeping the policy's jittered backoff
+// between attempts. The default is no retry: a protocol must opt in,
+// and must only do so when its requests are idempotent or
+// duplicate-rejected (see RetryPolicy). Context cancellation and
+// deadline expiry are never retried.
+func WithRetry() Option { return func(c *Client) { c.retry = DefaultRetryPolicy() } }
 
 // NewClient returns a client for addr. Connections are dialed lazily.
 func NewClient(addr string, opts ...Option) *Client {
@@ -79,7 +65,6 @@ func NewClient(addr string, opts ...Option) *Client {
 		dial:          defaultDial,
 		maxShared:     2,
 		maxPinnedIdle: 4,
-		maxFrame:      DefaultMaxFrame,
 		stats:         newCollector("client"),
 		conns:         make(map[*conn]struct{}),
 	}
@@ -236,7 +221,7 @@ func (c *Client) dialConn(ctx context.Context) (*conn, error) {
 		c:       c,
 		nc:      nc,
 		fw:      newFrameWriter(nc),
-		fr:      newFrameReader(nc, c.maxFrame),
+		fr:      newFrameReader(nc, DefaultMaxFrame),
 		pending: make(map[uint64]*call),
 	}
 	c.mu.Lock()

@@ -68,39 +68,19 @@ func (s *Session) Push(id uint64, body any) error {
 // goroutine observes the closed socket and performs the full teardown.
 func (s *Session) Hangup() { _ = s.sc.nc.Close() }
 
-// ServerOption configures a Server.
-type ServerOption func(*Server)
-
-// WithDrainTimeout bounds how long Close waits for in-flight requests
-// before force-closing connections (default 5s).
-func WithDrainTimeout(d time.Duration) ServerOption {
-	return func(s *Server) {
-		if d > 0 {
-			s.drainTimeout = d
-		}
-	}
-}
-
-// WithServerMaxFrame overrides the maximum accepted frame size.
-func WithServerMaxFrame(n int) ServerOption {
-	return func(s *Server) {
-		if n > 0 {
-			s.maxFrame = n
-		}
-	}
-}
+// drainTimeout bounds how long Close waits for in-flight requests
+// before force-closing connections.
+const drainTimeout = 5 * time.Second
 
 // Server accepts framed connections and dispatches their requests to
 // per-connection handlers. Close drains gracefully: stop accepting,
 // let in-flight requests finish (bounded by the drain timeout), then
 // force-close whatever remains.
 type Server struct {
-	newHandler   func() ConnHandler
-	drainTimeout time.Duration
-	maxFrame     int
-	stats        *collector
-	baseCtx      context.Context
-	cancel       context.CancelFunc
+	newHandler func() ConnHandler
+	stats      *collector
+	baseCtx    context.Context
+	cancel     context.CancelFunc
 
 	mu     sync.Mutex
 	ln     net.Listener
@@ -110,19 +90,14 @@ type Server struct {
 }
 
 // NewServer returns a server that creates one handler per connection.
-func NewServer(newHandler func() ConnHandler, opts ...ServerOption) *Server {
+func NewServer(newHandler func() ConnHandler) *Server {
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
-		newHandler:   newHandler,
-		drainTimeout: 5 * time.Second,
-		maxFrame:     DefaultMaxFrame,
-		stats:        newCollector("server"),
-		baseCtx:      ctx,
-		cancel:       cancel,
-		conns:        make(map[*serverConn]struct{}),
-	}
-	for _, o := range opts {
-		o(s)
+		newHandler: newHandler,
+		stats:      newCollector("server"),
+		baseCtx:    ctx,
+		cancel:     cancel,
+		conns:      make(map[*serverConn]struct{}),
 	}
 	return s
 }
@@ -178,7 +153,7 @@ func (s *Server) acceptLoop(ln net.Listener) {
 			nc:     nc,
 			h:      s.newHandler(),
 			fw:     newFrameWriter(nc),
-			fr:     newFrameReader(nc, s.maxFrame),
+			fr:     newFrameReader(nc, DefaultMaxFrame),
 			ctx:    ctx,
 			cancel: cancel,
 			tasks:  make(chan dispatchTask),
@@ -228,7 +203,7 @@ func (s *Server) Close() {
 	}()
 	select {
 	case <-done:
-	case <-time.After(s.drainTimeout):
+	case <-time.After(drainTimeout):
 		// Force phase: cancel every session context (unblocking
 		// handlers parked in lock or channel waits) and sever the
 		// sockets, then wait for the goroutines to unwind.

@@ -101,9 +101,9 @@ func (h *testHandler) Handle(ctx context.Context, sess *Session, id uint64, req 
 
 func (h *testHandler) Close() { h.pushers.Wait() }
 
-func startTestServer(t *testing.T, opts ...ServerOption) *Server {
+func startTestServer(t *testing.T) *Server {
 	t.Helper()
-	srv := NewServer(func() ConnHandler { return &testHandler{} }, opts...)
+	srv := NewServer(func() ConnHandler { return &testHandler{} })
 	if err := srv.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
