@@ -72,7 +72,7 @@ func run(args []string) error {
 		fmt.Printf("edged: debug endpoints on http://%s/metrics\n", dbg.Addr())
 	}
 
-	edge, err := deploy.StartEdge(context.Background(), *addr, targets, deploy.Algo(*algo), false)
+	edge, err := deploy.StartEdge(context.Background(), *addr, targets, deploy.Algo(*algo), true)
 	if err != nil {
 		return err
 	}

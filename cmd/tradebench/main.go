@@ -95,7 +95,7 @@ func run(args []string) error {
 
 		finderCache = fs.Bool("finder-cache", true, "cache finder (query) results at the edge with footprint-based invalidation; -finder-cache=false reproduces the uncached behavior")
 
-		batch = fs.Bool("batch", true, "coalesce independent statements of one interaction into multi-statement frames; -batch=false reproduces one round trip per statement")
+		batch = fs.Bool("batch", true, "ship the independent statements of one exchange as a single statement batch (JDBC, BMP and the ES/RDB cached-EJB commit); -batch=false pays one round trip per statement, the paper's measured behaviour")
 
 		sessions = fs.Int("sessions", 25, "measured sessions per delay point (paper: 300)")
 		warmup   = fs.Int("warmup", 8, "warmup sessions before measurement (paper: 400)")

@@ -529,13 +529,14 @@ func (t *remoteTxn) ExecBatch(ctx context.Context, stmts []storeapi.Stmt) ([]sto
 	if t.done {
 		return nil, sqlstore.ErrTxDone
 	}
+	// Sub-requests leave Tx zero: the server runs them under the batch's,
+	// and the field mask then keeps it off the wire.
 	req := &Request{Op: OpBatch, Tx: t.id, Batch: make([]Request, len(stmts))}
 	for i := range stmts {
 		sub, err := stmtRequest(stmts[i])
 		if err != nil {
 			return nil, err
 		}
-		sub.Tx = t.id
 		req.Batch[i] = sub
 	}
 	obsPipelineDepth.Observe(time.Duration(len(stmts)))

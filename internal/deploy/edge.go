@@ -28,8 +28,8 @@ const (
 	JDBC Algo = "jdbc"
 	// BMP is vanilla EJB entity beans (pessimistic, uncached).
 	BMP Algo = "bmp"
-	// SLIDB is cached EJBs, combined-servers: one commit per memento
-	// image, straight to a database server.
+	// SLIDB is cached EJBs, combined-servers: one commit statement per
+	// memento image, straight to a database server.
 	SLIDB Algo = "sli-db"
 	// SLIBackend is cached EJBs, split-servers: whole-set commits through
 	// a back-end server.
@@ -52,10 +52,12 @@ type Edge struct {
 // names over them and serves Trade on addr. targets are database
 // servers or back-end servers, ordered by shard index; several targets
 // are the shards of one datacenter tier and need SLIBackend, because a
-// whole commit set is the unit the shard router routes. batch makes the
-// pessimistic managers coalesce the independent statements of one
-// interaction; cacheOpts configure the cache beyond its commit
-// shipping, which algo fixes.
+// whole commit set is the unit the shard router routes. batch makes
+// every manager on a pinned stream — JDBC, BMP and the SLIDB commit —
+// ship the independent statements of one exchange as a single statement
+// batch; off, each statement pays its own round trip, the paper's
+// measured behaviour. cacheOpts configure the cache beyond its commit
+// shipping, which algo and batch fix.
 func StartEdge(ctx context.Context, addr string, targets []string, algo Algo, batch bool, cacheOpts ...slicache.ManagerOption) (_ *Edge, err error) {
 	if len(targets) == 0 {
 		return nil, fmt.Errorf("deploy: an edge needs at least one target")
@@ -98,8 +100,11 @@ func StartEdge(ctx context.Context, addr string, targets []string, algo Algo, ba
 		rm = component.NewBMPManager(conn, component.WithBatching(batch))
 	case SLIDB, SLIBackend:
 		shipping := slicache.PerImage
-		if algo == SLIBackend {
+		switch {
+		case algo == SLIBackend:
 			shipping = slicache.WholeSet
+		case !batch:
+			shipping = slicache.PerStatement
 		}
 		e.Manager = slicache.NewManager(conn,
 			append([]slicache.ManagerOption{slicache.WithShipping(shipping)}, cacheOpts...)...)

@@ -93,17 +93,22 @@ func TestCacheOptionsReachManagers(t *testing.T) {
 		t.Errorf("ES/RBES shipping = %v, want whole-set", got)
 	}
 
-	topo2, err := Build(Options{
-		Arch:     ESRDB,
-		Algo:     AlgCachedEJB,
-		Populate: trade.PopulateConfig{Users: 2, Symbols: 2, HoldingsPerUser: 1},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer topo2.Close()
-	if got := topo2.Managers[0].Shipping(); got.String() != "per-image" {
-		t.Errorf("ES/RDB shipping = %v, want per-image", got)
+	// ES/RDB drives the commit itself: one statement batch, or with
+	// batching off one round trip per statement.
+	for batch, want := range map[bool]string{true: "per-image", false: "per-statement"} {
+		topo2, err := Build(Options{
+			Arch:     ESRDB,
+			Algo:     AlgCachedEJB,
+			Batch:    batch,
+			Populate: trade.PopulateConfig{Users: 2, Symbols: 2, HoldingsPerUser: 1},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer topo2.Close()
+		if got := topo2.Managers[0].Shipping(); got.String() != want {
+			t.Errorf("ES/RDB shipping with Batch=%v = %v, want %s", batch, got, want)
+		}
 	}
 	// Non-cached algorithms have nil manager slots.
 	topo3, err := Build(Options{

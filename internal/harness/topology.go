@@ -94,9 +94,10 @@ type Options struct {
 	// CacheOptions are extra slicache options (ablations). Shipping is
 	// set by the architecture and must not be overridden here.
 	CacheOptions []slicache.ManagerOption
-	// Batch makes the pessimistic managers (JDBC, BMP) coalesce
-	// independent statements of one interaction into multi-statement
-	// frames. Off by default so existing round-trip accounting holds.
+	// Batch makes every manager on a pinned stream (JDBC, BMP, the
+	// ES/RDB cached-EJB commit) ship the independent statements of one
+	// exchange as a single statement batch; off, each statement pays its
+	// own round trip — the paper's measured behaviour.
 	Batch bool
 	// Shards is the number of database servers the datacenter tier is
 	// partitioned into (≥ 1), each with its own back-end server and

@@ -31,8 +31,11 @@ func commitOneWrite(t *testing.T, mgr *Manager) {
 	}
 }
 
-func TestPerImageShippingStatementCount(t *testing.T) {
-	e := newEnv(t, WithShipping(PerImage))
+// commitReadAndWrite loads r and w, updates w, and returns what the
+// commit cost on the counting conn.
+func commitReadAndWrite(t *testing.T, shipping CommitShipping) uint64 {
+	t.Helper()
+	e := newEnv(t, WithShipping(shipping))
 	e.store.Seed(row("r", 1), row("w", 1))
 	ctx := context.Background()
 
@@ -52,10 +55,24 @@ func TestPerImageShippingStatementCount(t *testing.T) {
 	if err := dt.Commit(ctx); err != nil {
 		t.Fatal(err)
 	}
-	// Combined-servers commit: begin + CheckVersion(r) + CheckedPut(w)
-	// + commit = 4 statements, "one per memento image" plus brackets.
-	if got := e.conn.Ops() - before; got != 4 {
-		t.Errorf("per-image commit cost %d statements, want 4", got)
+	return e.conn.Ops() - before
+}
+
+func TestPerImageShippingStatementCount(t *testing.T) {
+	// Combined-servers commit as shipped: begin + one batch carrying
+	// CheckVersion(r), CheckedPut(w) and the commit = 2 exchanges,
+	// whatever the set size.
+	if got := commitReadAndWrite(t, PerImage); got != 2 {
+		t.Errorf("per-image commit cost %d exchanges, want 2", got)
+	}
+}
+
+func TestPerStatementShippingStatementCount(t *testing.T) {
+	// The paper's combined-servers commit: begin + CheckVersion(r) +
+	// CheckedPut(w) + commit = 4 statements, "one per memento image"
+	// plus brackets.
+	if got := commitReadAndWrite(t, PerStatement); got != 4 {
+		t.Errorf("per-statement commit cost %d statements, want 4", got)
 	}
 }
 

@@ -78,12 +78,14 @@ func ExecBatch(ctx context.Context, txn Txn, stmts []Stmt) ([]StmtResult, error)
 	if bt, ok := txn.(BatchTxn); ok {
 		return bt.ExecBatch(ctx, stmts)
 	}
-	return execSerial(ctx, txn, stmts)
+	return ExecSerial(ctx, txn, stmts)
 }
 
-// execSerial is the reference semantics of a batch: one call per
-// statement, stopping at the first failure.
-func execSerial(ctx context.Context, txn Txn, stmts []Stmt) ([]StmtResult, error) {
+// ExecSerial is the reference semantics of a batch: one call per
+// statement, stopping at the first failure. It has ExecBatch's signature
+// so a caller can choose between one exchange and one per statement by
+// choosing the executor.
+func ExecSerial(ctx context.Context, txn Txn, stmts []Stmt) ([]StmtResult, error) {
 	out := make([]StmtResult, len(stmts))
 	for i := range stmts {
 		out[i] = execOne(ctx, txn, stmts[i])

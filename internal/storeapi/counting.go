@@ -183,8 +183,5 @@ func (t *countingTxn) ExecBatch(ctx context.Context, stmts []Stmt) ([]StmtResult
 		return nil, nil
 	}
 	t.ops.Add(1)
-	if bt, ok := t.inner.(BatchTxn); ok {
-		return bt.ExecBatch(ctx, stmts)
-	}
-	return execSerial(ctx, t.inner, stmts)
+	return ExecBatch(ctx, t.inner, stmts)
 }

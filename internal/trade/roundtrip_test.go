@@ -52,9 +52,16 @@ func newRTEnv(t *testing.T, algo string) *rtEnv {
 	case "bmp":
 		client = dbwire.Dial(dbSrv.Addr())
 		rm = component.NewBMPManager(client)
-	case "sli-combined":
+	case "sli-combined", "sli-combined-serial":
+		// PerImage ships the commit's statements as one batch;
+		// PerStatement pays the paper's round trip per memento image,
+		// like-with-like beside the unbatched jdbc and bmp above.
+		shipping := slicache.PerImage
+		if algo == "sli-combined-serial" {
+			shipping = slicache.PerStatement
+		}
 		client = dbwire.Dial(dbSrv.Addr())
-		mgr = slicache.NewManager(client, slicache.WithShipping(slicache.PerImage))
+		mgr = slicache.NewManager(client, slicache.WithShipping(shipping))
 		rm = mgr
 	case "sli-split":
 		// The edge counts round trips to the BACK-END; the back-end's
@@ -124,11 +131,18 @@ func TestRoundTripsHomeAction(t *testing.T) {
 	if cold != 2 { // miss fetch + commit validation
 		t.Errorf("sli-split cold home = %d RTs, want 2", cold)
 	}
-	// Cached (combined), warm: begin + CheckVersion + commit.
+	// Cached (combined), warm, one round trip per statement: begin +
+	// CheckVersion + commit.
+	slis := newRTEnv(t, "sli-combined-serial")
+	_ = slis.measure(t, home(slis))
+	if got := slis.measure(t, home(slis)); got != 3 {
+		t.Errorf("sli-combined-serial warm home = %d RTs, want 3", got)
+	}
+	// Cached (combined), warm, as shipped: begin + one statement batch.
 	slic := newRTEnv(t, "sli-combined")
 	_ = slic.measure(t, home(slic))
-	if got := slic.measure(t, home(slic)); got != 3 {
-		t.Errorf("sli-combined warm home = %d RTs, want 3", got)
+	if got := slic.measure(t, home(slic)); got != 2 {
+		t.Errorf("sli-combined warm home = %d RTs, want 2", got)
 	}
 }
 
@@ -157,18 +171,26 @@ func TestRoundTripsPortfolioAction(t *testing.T) {
 	if got := sli.measure(t, portfolio(sli)); got != 2 {
 		t.Errorf("sli-split portfolio = %d RTs, want 2", got)
 	}
-	// Cached (combined): finder query + begin + N validations (N = 2
-	// holdings) + commit.
+	// Cached (combined), one round trip per statement: finder query +
+	// begin + N validations (N = 2 holdings) + commit.
+	slis := newRTEnv(t, "sli-combined-serial")
+	_ = slis.measure(t, portfolio(slis))
+	if got := slis.measure(t, portfolio(slis)); got != 1+1+2+1 {
+		t.Errorf("sli-combined-serial portfolio = %d RTs, want 5", got)
+	}
+	// Cached (combined), as shipped: finder query + begin + one batch,
+	// whatever N is.
 	slic := newRTEnv(t, "sli-combined")
 	_ = slic.measure(t, portfolio(slic))
-	if got := slic.measure(t, portfolio(slic)); got != 1+1+2+1 {
-		t.Errorf("sli-combined portfolio = %d RTs, want 5", got)
+	if got := slic.measure(t, portfolio(slic)); got != 1+1+1 {
+		t.Errorf("sli-combined portfolio = %d RTs, want 3", got)
 	}
 }
 
 // TestRoundTripsOrderingAcrossAlgorithms drives one full session per
 // algorithm and pins the qualitative ordering: split-cached ≪ jdbc ≤
-// combined-cached < vanilla.
+// combined-cached (serial) < vanilla, with the batched combined commit
+// strictly between split and serial.
 func TestRoundTripsOrderingAcrossAlgorithms(t *testing.T) {
 	session := []Step{
 		{Action: ActionLogin, UserID: UserID(2), SessionID: "rt"},
@@ -208,7 +230,7 @@ func TestRoundTripsOrderingAcrossAlgorithms(t *testing.T) {
 	}
 
 	counts := make(map[string]uint64)
-	for _, algo := range []string{"jdbc", "bmp", "sli-combined", "sli-split"} {
+	for _, algo := range []string{"jdbc", "bmp", "sli-combined", "sli-combined-serial", "sli-split"} {
 		e := newRTEnv(t, algo)
 		_ = runSession(e) // warm caches / sessions
 		counts[algo] = runSession(e)
@@ -221,11 +243,17 @@ func TestRoundTripsOrderingAcrossAlgorithms(t *testing.T) {
 	if !(counts["jdbc"] < counts["bmp"]) {
 		t.Errorf("jdbc (%d) should beat vanilla (%d)", counts["jdbc"], counts["bmp"])
 	}
-	if !(counts["sli-combined"] < counts["bmp"]) {
-		t.Errorf("combined-cached (%d) should beat vanilla (%d)", counts["sli-combined"], counts["bmp"])
+	if !(counts["sli-combined-serial"] < counts["bmp"]) {
+		t.Errorf("combined-cached (%d) should beat vanilla (%d)", counts["sli-combined-serial"], counts["bmp"])
 	}
 	// The split/combined gap is the architectural point of Figure 6.
-	if !(2*counts["sli-split"] <= counts["sli-combined"]) {
-		t.Errorf("split (%d) should be at most half of combined (%d)", counts["sli-split"], counts["sli-combined"])
+	if !(2*counts["sli-split"] <= counts["sli-combined-serial"]) {
+		t.Errorf("split (%d) should be at most half of combined (%d)", counts["sli-split"], counts["sli-combined-serial"])
+	}
+	// Batching the combined commit narrows the gap without closing it:
+	// begin stays its own round trip.
+	if !(counts["sli-split"] < counts["sli-combined"] && counts["sli-combined"] < counts["sli-combined-serial"]) {
+		t.Errorf("want split (%d) < combined batched (%d) < combined serial (%d)",
+			counts["sli-split"], counts["sli-combined"], counts["sli-combined-serial"])
 	}
 }

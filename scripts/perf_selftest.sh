@@ -8,9 +8,11 @@
 #                 exit 0: no false positives between identical builds
 #   Leg C         same build with -batch=false -finder-cache=false (the
 #                 paper's untuned behaviour) -> the same gate must exit 2
-#                 and flag both a wire round-trip regression (losing
-#                 write batching adds one round trip per write: ES/RDB
-#                 vanilla EJBs +115%) and a resource regression.
+#                 and flag wire round-trip regressions (losing statement
+#                 batching adds one round trip per write-back statement,
+#                 ES/RDB vanilla EJBs +115%, and one per memento image of
+#                 a cached-EJB commit, ES/RDB cached EJBs by name) and a
+#                 resource regression.
 #
 # The resource metric relied on is resource.allocs_per_interaction, a
 # count: one client drives the leg, so the objects allocated up to the
@@ -73,9 +75,13 @@ if ! grep -E 'wire\..*rts_per_interaction.*\+.*regressed' "$tmp/diff.out" >/dev/
 	echo "perf_selftest: FAIL: no wire round-trip regression flagged" >&2
 	exit 1
 fi
+if ! grep -E 'wire\.es-rdb\.cached-ejbs\.rts_per_interaction .*\+.*regressed' "$tmp/diff.out" >/dev/null; then
+	echo "perf_selftest: FAIL: wire.es-rdb.cached-ejbs.rts_per_interaction not flagged (with -batch=false the combined-servers commit pays one round trip per statement again)" >&2
+	exit 1
+fi
 if ! grep -E 'resource\.allocs_per_interaction .*\+.*regressed' "$tmp/diff.out" >/dev/null; then
 	echo "perf_selftest: FAIL: no resource regression flagged (the extra round trips of the untuned leg should cost about 4% more objects per interaction against a 1% budget)" >&2
 	exit 1
 fi
 
-echo "perf_selftest: ok (clean A/B, degraded leg gated with wire RT and resource regressions)"
+echo "perf_selftest: ok (clean A/B, degraded leg gated with wire RT, cached-EJB commit RT and resource regressions)"
