@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"edgeejb/internal/dbwire"
@@ -12,13 +13,23 @@ import (
 	"edgeejb/internal/obs"
 	"edgeejb/internal/sqlstore"
 	"edgeejb/internal/storeapi"
-	"edgeejb/internal/wire"
+)
+
+// Process-wide obs mirrors of the commit-set validation outcomes,
+// summed across every backend logic instance in the process.
+var (
+	obsCommitsApplied  = obs.Default.Counter("backend.commits_applied")
+	obsCommitsRejected = obs.Default.Counter("backend.commits_rejected")
+	// obsGroupSize records how many commit sets each group-commit batch
+	// coalesced — 1 means no concurrent arrival, larger values are round
+	// trips saved. Observed as a count (1 unit = 1 set), not a duration.
+	obsGroupSize = obs.Default.Histogram("backend.group_commit_size")
 )
 
 // Server is the back-end application server. It serves the dbwire
 // protocol (so edge servers use the ordinary dbwire.Client against it)
-// over a logic layer that expands whole commit sets into per-statement
-// database work.
+// over a logic layer that coalesces whole commit sets into one grouped
+// database exchange per batch.
 type Server struct {
 	inner *dbwire.Server
 	logic *logic
@@ -27,7 +38,10 @@ type Server struct {
 // NewServer builds a back-end server over its (low-latency) handle to
 // the database tier. Call Start/Close as with dbwire.Server.
 func NewServer(db storeapi.Conn) *Server {
-	l := &logic{db: db}
+	l := &logic{db: db, prep: refusePrepare{}}
+	if p, ok := db.(storeapi.Preparer); ok {
+		l.prep = p
+	}
 	return &Server{inner: dbwire.NewServer(l), logic: l}
 }
 
@@ -54,9 +68,12 @@ func (s *Server) CommitsRejected() uint64 { return s.logic.rejected.Load() }
 // commit logic.
 type logic struct {
 	db storeapi.Conn
+	// prep is db's two-phase surface, or refusePrepare when the handle
+	// hides it.
+	prep storeapi.Preparer
 
-	applied  counter
-	rejected counter
+	applied  atomic.Uint64
+	rejected atomic.Uint64
 
 	// Group-commit state: arrivals append to queue; the first arrival
 	// with no leader becomes the leader and drains the queue in grouped
@@ -92,26 +109,15 @@ func (l *logic) Subscribe(ctx context.Context) (<-chan sqlstore.Notice, func(), 
 
 func (l *logic) Close() error { return nil }
 
-// beginRetry opens a database transaction, retrying transient failures
-// (a database server restarting under the back-end) under a short
-// jittered backoff. Conflicts and context cancellation are surfaced
-// immediately — only transport-level begin failures are worth waiting
-// out, and the edge's own retry budget bounds the total wait.
-func (l *logic) beginRetry(ctx context.Context) (storeapi.Txn, error) {
-	backoff := wire.Backoff{Base: 10 * time.Millisecond, Max: 250 * time.Millisecond, Jitter: 0.5}
-	const attempts = 3
-	for i := 0; ; i++ {
-		txn, err := l.db.Begin(ctx)
-		if err == nil {
-			return txn, nil
-		}
-		if errors.Is(err, sqlstore.ErrConflict) || ctx.Err() != nil || i+1 >= attempts {
-			return nil, err
-		}
-		if !backoff.Sleep(i, ctx.Done()) {
-			return nil, err
-		}
+// count tallies one commit set's validation outcome.
+func (l *logic) count(err error) {
+	if err != nil {
+		l.rejected.Add(1)
+		obsCommitsRejected.Inc()
+		return
 	}
+	l.applied.Add(1)
+	obsCommitsApplied.Inc()
 }
 
 // ApplyCommitSet validates and applies a whole commit set. Commit sets
@@ -120,9 +126,8 @@ func (l *logic) beginRetry(ctx context.Context) (storeapi.Txn, error) {
 // applying each batch through one grouped database exchange and one
 // invalidation fan-out; later arrivals just wait for their own result.
 // Per-set outcomes, conflict attribution included, are those of serial
-// application; only the round-trip economics differ. A batch of
-// one takes the classic statement-by-statement path, so serial traffic
-// renders the exact per-statement span waterfall of Figure 7.
+// application; only the round-trip economics differ. A lone set is a
+// batch of one and takes the same single exchange.
 func (l *logic) ApplyCommitSet(ctx context.Context, cs memento.CommitSet) (sqlstore.ApplyResult, error) {
 	e := &groupEntry{cs: cs, done: make(chan struct{})}
 	l.gmu.Lock()
@@ -159,101 +164,67 @@ func (l *logic) ApplyCommitSet(ctx context.Context, cs memento.CommitSet) (sqlst
 	return e.res, e.err
 }
 
-// runBatch applies one coalesced batch and resolves its entries.
+// runBatch applies one drained batch and resolves its entries.
 func (l *logic) runBatch(ctx context.Context, batch []*groupEntry) {
 	obsGroupSize.Observe(time.Duration(len(batch)))
-	if len(batch) == 1 {
-		e := batch[0]
-		e.res, e.err = l.applyOne(ctx, e.cs)
-		close(e.done)
-		return
-	}
-	gctx, sp := obs.StartSpan(ctx, "backend.apply_group")
 	sets := make([]memento.CommitSet, len(batch))
 	for i, e := range batch {
 		sets[i] = e.cs
 	}
-	results, err := l.db.ApplyCommitSets(gctx, sets)
-	sp.End()
-	if err == nil && len(results) != len(batch) {
-		err = fmt.Errorf("backend: group commit: %d results for %d sets", len(results), len(batch))
-	}
-	if err != nil {
-		// Whole-group transport failure: neither applied nor rejected.
-		for _, e := range batch {
-			e.err = err
-			close(e.done)
-		}
-		return
-	}
+	results, err := l.ApplyCommitSets(ctx, sets)
 	for i, e := range batch {
-		if results[i].Err != nil {
-			e.err = results[i].Err
-			l.rejected.Add(1)
-			obsCommitsRejected.Inc()
+		if err != nil {
+			// Whole-batch failure (transport, short reply): neither
+			// applied nor rejected.
+			e.err = err
 		} else {
-			e.res = results[i].Res
-			l.applied.Add(1)
-			obsCommitsApplied.Inc()
+			e.res, e.err = results[i].Res, results[i].Err
 		}
 		close(e.done)
 	}
 }
 
-// ApplyCommitSets forwards a grouped apply straight to the database
-// handle — one exchange end to end when a downstream backend (or the
-// store itself) is on the other side — keeping per-set counters.
+// ApplyCommitSets is the one database exchange of the commit path,
+// for a batch drained by ApplyCommitSet and for a grouped apply
+// forwarded by an upstream tier alike: one call on the database
+// handle, whose reply must carry one result per set, each counted.
 func (l *logic) ApplyCommitSets(ctx context.Context, sets []memento.CommitSet) ([]sqlstore.ApplySetResult, error) {
+	ctx, sp := obs.StartSpan(ctx, "backend.apply")
+	defer sp.End()
 	results, err := l.db.ApplyCommitSets(ctx, sets)
 	if err != nil {
 		return nil, err
 	}
+	if len(results) != len(sets) {
+		return nil, fmt.Errorf("backend: apply: %d results for %d sets", len(results), len(sets))
+	}
 	for i := range results {
-		if results[i].Err != nil {
-			l.rejected.Add(1)
-			obsCommitsRejected.Inc()
-		} else {
-			l.applied.Add(1)
-			obsCommitsApplied.Inc()
-		}
+		l.count(results[i].Err)
 	}
 	return results, nil
 }
 
-// Prepare relays 2PC's first phase to the database tier, counting the
-// outcome like any other commit-set validation. A database handle
-// without prepare support (a wrapper that hides it) fails the relay
-// with an error, which the coordinator treats as a no vote and aborts
-// the global transaction.
+// Prepare relays 2PC's first phase to the database tier, counting a no
+// vote like any other rejected commit-set validation.
 func (l *logic) Prepare(ctx context.Context, gid string, cs memento.CommitSet) error {
 	ctx, sp := obs.StartSpan(ctx, "backend.prepare")
 	defer sp.End()
-	p, ok := l.db.(storeapi.Preparer)
-	if !ok {
-		return fmt.Errorf("backend: database handle does not support prepare")
+	err := l.prep.Prepare(ctx, gid, cs)
+	if err != nil {
+		l.count(err)
 	}
-	if err := p.Prepare(ctx, gid, cs); err != nil {
-		l.rejected.Add(1)
-		obsCommitsRejected.Inc()
-		return err
-	}
-	return nil
+	return err
 }
 
 // CommitPrepared relays 2PC's commit decision to the database tier.
 func (l *logic) CommitPrepared(ctx context.Context, gid string) (sqlstore.ApplyResult, error) {
 	ctx, sp := obs.StartSpan(ctx, "backend.commit_prepared")
 	defer sp.End()
-	p, ok := l.db.(storeapi.Preparer)
-	if !ok {
-		return sqlstore.ApplyResult{}, fmt.Errorf("backend: database handle does not support prepare")
-	}
-	res, err := p.CommitPrepared(ctx, gid)
+	res, err := l.prep.CommitPrepared(ctx, gid)
 	if err != nil {
 		return sqlstore.ApplyResult{}, err
 	}
-	l.applied.Add(1)
-	obsCommitsApplied.Inc()
+	l.count(nil)
 	return res, nil
 }
 
@@ -261,66 +232,21 @@ func (l *logic) CommitPrepared(ctx context.Context, gid string) (sqlstore.ApplyR
 func (l *logic) AbortPrepared(ctx context.Context, gid string) error {
 	ctx, sp := obs.StartSpan(ctx, "backend.abort_prepared")
 	defer sp.End()
-	p, ok := l.db.(storeapi.Preparer)
-	if !ok {
-		return fmt.Errorf("backend: database handle does not support prepare")
-	}
-	return p.AbortPrepared(ctx, gid)
+	return l.prep.AbortPrepared(ctx, gid)
 }
 
-// applyOne validates and applies a whole commit set by driving the
-// database statement-by-statement over the low-latency path.
-func (l *logic) applyOne(ctx context.Context, cs memento.CommitSet) (sqlstore.ApplyResult, error) {
-	ctx, sp := obs.StartSpan(ctx, "backend.apply")
-	defer sp.End()
-	txn, err := l.beginRetry(ctx)
-	if err != nil {
-		return sqlstore.ApplyResult{}, fmt.Errorf("backend: begin: %w", err)
-	}
-	abort := func(err error) (sqlstore.ApplyResult, error) {
-		_ = txn.Abort(ctx)
-		l.rejected.Add(1)
-		obsCommitsRejected.Inc()
-		return sqlstore.ApplyResult{}, err
-	}
-	for _, r := range cs.Reads {
-		want := r.Version
-		if r.Absent {
-			want = 0
-		}
-		if err := txn.CheckVersion(ctx, r.Key, want); err != nil {
-			return abort(err)
-		}
-	}
-	newVersions := make(map[memento.Key]uint64, len(cs.Writes)+len(cs.Creates))
-	for _, w := range cs.Writes {
-		if err := txn.CheckedPut(ctx, w); err != nil {
-			return abort(err)
-		}
-		newVersions[w.Key] = w.Version + 1
-	}
-	for _, c := range cs.Creates {
-		create := c
-		create.Version = 0
-		if err := txn.CheckedPut(ctx, create); err != nil {
-			return abort(err)
-		}
-		newVersions[c.Key] = 1
-	}
-	for _, r := range cs.Removes {
-		if r.Version == 0 {
-			return abort(fmt.Errorf("%w: remove of never-persisted %s", sqlstore.ErrConflict, r.Key))
-		}
-		if err := txn.CheckedDelete(ctx, r.Key, r.Version); err != nil {
-			return abort(err)
-		}
-	}
-	if err := txn.Commit(ctx); err != nil {
-		l.rejected.Add(1)
-		obsCommitsRejected.Inc()
-		return sqlstore.ApplyResult{}, err
-	}
-	l.applied.Add(1)
-	obsCommitsApplied.Inc()
-	return sqlstore.ApplyResult{TxID: txn.ID(), NewVersions: newVersions}, nil
+// refusePrepare stands in for the two-phase surface of a database
+// handle that hides it (a wrapper that does not forward
+// storeapi.Preparer): every relay fails, which the coordinator treats
+// as a no vote and aborts the global transaction.
+type refusePrepare struct{}
+
+var errNoPrepare = errors.New("backend: database handle does not support prepare")
+
+func (refusePrepare) Prepare(context.Context, string, memento.CommitSet) error { return errNoPrepare }
+
+func (refusePrepare) CommitPrepared(context.Context, string) (sqlstore.ApplyResult, error) {
+	return sqlstore.ApplyResult{}, errNoPrepare
 }
+
+func (refusePrepare) AbortPrepared(context.Context, string) error { return errNoPrepare }

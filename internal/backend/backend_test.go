@@ -31,7 +31,19 @@ func newStack(t *testing.T) (*sqlstore.Store, *Server, *dbwire.Client) {
 		t.Fatal(err)
 	}
 	dbClient := dbwire.Dial(dbSrv.Addr())
-	be := NewServer(dbClient)
+	t.Cleanup(func() {
+		_ = dbClient.Close()
+		dbSrv.Close()
+		store.Close()
+	})
+	be, edge := startBackend(t, dbClient)
+	return store, be, edge
+}
+
+// startBackend serves a back-end over db and dials an edge client to it.
+func startBackend(t *testing.T, db storeapi.Conn) (*Server, *dbwire.Client) {
+	t.Helper()
+	be := NewServer(db)
 	if err := be.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -39,11 +51,8 @@ func newStack(t *testing.T) (*sqlstore.Store, *Server, *dbwire.Client) {
 	t.Cleanup(func() {
 		_ = edge.Close()
 		be.Close()
-		_ = dbClient.Close()
-		dbSrv.Close()
-		store.Close()
 	})
-	return store, be, edge
+	return be, edge
 }
 
 func TestBackendServesCacheMisses(t *testing.T) {
@@ -173,32 +182,129 @@ func TestBackendForwardsInvalidationStream(t *testing.T) {
 	}
 }
 
-func TestBackendDrivesDatabasePerStatement(t *testing.T) {
-	// The back-end must expand a commit set into per-statement database
-	// work ("the back-end server will, in turn, perform multiple
-	// accesses to the database server", §4.4).
+func TestBackendCommitIsOneDatabaseExchange(t *testing.T) {
+	// A commit through the back-end is exactly one exchange with the
+	// database, whether the set travels alone or coalesced with others.
 	store := sqlstore.New()
 	defer store.Close()
 	store.Seed(row("a", 1, 0), row("b", 1, 0))
-	counting := storeapi.NewCountingConn(storeapi.Local(store))
-	be := NewServer(counting)
-	if err := be.Start("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	defer be.Close()
-	edge := dbwire.Dial(be.Addr())
-	defer edge.Close()
+	g := newGatedConn(storeapi.Local(store))
+	counting := storeapi.NewCountingConn(g) // counts an exchange before the gate parks it
+	be, edge := startBackend(t, counting)
 	ctx := context.Background()
 
-	before := counting.Ops()
 	if _, err := edge.ApplyCommitSet(ctx, memento.CommitSet{
 		Reads:  []memento.ReadProof{{Key: key("a"), Version: 1}},
 		Writes: []memento.Memento{row("b", 2, 1)},
 	}); err != nil {
 		t.Fatal(err)
 	}
-	// begin + CheckVersion + CheckedPut + commit = 4 database accesses.
-	if got := counting.Ops() - before; got != 4 {
-		t.Errorf("back-end drove %d database statements, want 4", got)
+	if got := counting.Ops(); got != 1 {
+		t.Errorf("a lone read+write set cost %d database exchanges, want 1", got)
+	}
+
+	// Park a leader inside its exchange, queue three sets behind it,
+	// and count what the drained batch of three costs.
+	g.arm()
+	errs := make(chan error, 4)
+	apply := func(id string) {
+		_, err := edge.ApplyCommitSet(ctx, memento.CommitSet{Creates: []memento.Memento{row(id, 1, 0)}})
+		errs <- err
+	}
+	go apply("leader")
+	<-g.entered
+	for i, id := range []string{"x", "y", "z"} {
+		go apply(id)
+		waitQueue(t, be.logic, i+1)
+	}
+	before := counting.Ops() // includes the parked leader's exchange
+	close(g.release)
+	for i := 0; i < 4; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := counting.Ops() - before; got != 1 {
+		t.Errorf("a coalesced batch of three cost %d database exchanges, want 1", got)
+	}
+	if be.CommitsApplied() != 5 {
+		t.Errorf("CommitsApplied = %d, want 5", be.CommitsApplied())
+	}
+}
+
+func TestBackendCommitSurvivesDatabaseRestart(t *testing.T) {
+	// The back-end's pooled connection goes stale when the database
+	// server restarts under it; the next commit must ride the client's
+	// retry onto a fresh connection and apply exactly once.
+	store := sqlstore.New()
+	defer store.Close()
+	store.Seed(row("1", 10, 0))
+	dbSrv := dbwire.NewServer(storeapi.Local(store))
+	if err := dbSrv.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	addr := dbSrv.Addr()
+	dbClient := dbwire.Dial(addr)
+	defer dbClient.Close()
+	be, edge := startBackend(t, dbClient)
+	ctx := context.Background()
+
+	if _, err := edge.ApplyCommitSet(ctx, memento.CommitSet{
+		Writes: []memento.Memento{row("1", 11, 1)},
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	dbSrv.Close()
+	dbSrv = dbwire.NewServer(storeapi.Local(store))
+	if err := dbSrv.Start(addr); err != nil {
+		t.Fatalf("restart on %s: %v", addr, err)
+	}
+	defer dbSrv.Close()
+
+	res, err := edge.ApplyCommitSet(ctx, memento.CommitSet{
+		Writes: []memento.Memento{row("1", 12, 2)},
+	})
+	if err != nil {
+		t.Fatalf("commit after database restart: %v", err)
+	}
+	if res.NewVersions[key("1")] != 3 {
+		t.Errorf("NewVersions = %v, want row 1 at 3", res.NewVersions)
+	}
+	if v, _ := store.CurrentVersion(key("1")); v != 3 {
+		t.Errorf("row 1 at version %d, want 3 (two commits, each applied once)", v)
+	}
+	if be.CommitsApplied() != 2 || be.CommitsRejected() != 0 {
+		t.Errorf("counters applied=%d rejected=%d, want 2/0", be.CommitsApplied(), be.CommitsRejected())
+	}
+}
+
+// hidesPreparer forwards the Conn surface only, hiding the wrapped
+// handle's storeapi.Preparer.
+type hidesPreparer struct{ storeapi.Conn }
+
+func TestBackendRefusesPrepareWithoutPreparer(t *testing.T) {
+	store := sqlstore.New()
+	defer store.Close()
+	store.Seed(row("1", 10, 0))
+	_, edge := startBackend(t, hidesPreparer{storeapi.Local(store)})
+	ctx := context.Background()
+
+	cs := memento.CommitSet{Writes: []memento.Memento{row("1", 11, 1)}}
+	if err := edge.Prepare(ctx, "g1", cs); err == nil {
+		t.Fatal("Prepare succeeded through a handle without prepare support, want a no vote")
+	}
+	if _, err := edge.CommitPrepared(ctx, "g1"); err == nil {
+		t.Error("CommitPrepared succeeded through a handle without prepare support")
+	}
+	if err := edge.AbortPrepared(ctx, "g1"); err == nil {
+		t.Error("AbortPrepared succeeded through a handle without prepare support")
+	}
+	if v, _ := store.CurrentVersion(key("1")); v != 1 {
+		t.Errorf("row 1 at version %d, want 1 (nothing prepared, nothing applied)", v)
+	}
+	// The one-shot path is unaffected.
+	if _, err := edge.ApplyCommitSet(ctx, cs); err != nil {
+		t.Fatal(err)
 	}
 }

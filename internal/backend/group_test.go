@@ -13,8 +13,8 @@ import (
 	"edgeejb/internal/storeapi"
 )
 
-// gatedConn delays the first Begin until released — it parks the group
-// leader inside its first (batch-of-one) apply so the test can pile
+// gatedConn delays the first grouped apply after arm until released —
+// it parks the group leader inside its own exchange so a test can pile
 // followers into the queue deterministically — and counts grouped
 // exchanges with the database tier.
 type gatedConn struct {
@@ -26,7 +26,19 @@ type gatedConn struct {
 	groupCalls atomic.Int32
 }
 
-func (g *gatedConn) Begin(ctx context.Context) (storeapi.Txn, error) {
+func newGatedConn(conn storeapi.Conn) *gatedConn { return &gatedConn{Conn: conn} }
+
+// arm makes the next ApplyCommitSets close entered and wait for release.
+func (g *gatedConn) arm() {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.armed = true
+	g.entered = make(chan struct{})
+	g.release = make(chan struct{})
+}
+
+func (g *gatedConn) ApplyCommitSets(ctx context.Context, sets []memento.CommitSet) ([]sqlstore.ApplySetResult, error) {
+	g.groupCalls.Add(1)
 	g.mu.Lock()
 	first := g.armed
 	g.armed = false
@@ -35,18 +47,24 @@ func (g *gatedConn) Begin(ctx context.Context) (storeapi.Txn, error) {
 		close(g.entered)
 		<-g.release
 	}
-	return g.Conn.Begin(ctx)
-}
-
-func (g *gatedConn) ApplyCommitSets(ctx context.Context, sets []memento.CommitSet) ([]sqlstore.ApplySetResult, error) {
-	g.groupCalls.Add(1)
 	return g.Conn.ApplyCommitSets(ctx, sets)
 }
 
-func queueLen(l *logic) int {
-	l.gmu.Lock()
-	defer l.gmu.Unlock()
-	return len(l.queue)
+// waitQueue blocks until n commit sets are queued behind the leader.
+func waitQueue(t *testing.T, l *logic, n int) {
+	t.Helper()
+	queued := func() int {
+		l.gmu.Lock()
+		defer l.gmu.Unlock()
+		return len(l.queue)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for queued() != n {
+		if time.Now().After(deadline) {
+			t.Fatalf("queue never reached %d entries (at %d)", n, queued())
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
 // TestGroupCommitCoalescesWithAttribution drives three concurrent
@@ -60,12 +78,8 @@ func TestGroupCommitCoalescesWithAttribution(t *testing.T) {
 	store := sqlstore.New()
 	t.Cleanup(store.Close)
 	store.Seed(row("1", 10, 0)) // seeded at version 1
-	g := &gatedConn{
-		Conn:    storeapi.Local(store),
-		armed:   true,
-		entered: make(chan struct{}),
-		release: make(chan struct{}),
-	}
+	g := newGatedConn(storeapi.Local(store))
+	g.arm()
 	be := NewServer(g)
 	l := be.logic
 	ctx := context.Background()
@@ -82,27 +96,16 @@ func TestGroupCommitCoalescesWithAttribution(t *testing.T) {
 		}()
 		return ch
 	}
-	waitQueue := func(n int) {
-		t.Helper()
-		deadline := time.Now().Add(5 * time.Second)
-		for queueLen(l) != n {
-			if time.Now().After(deadline) {
-				t.Fatalf("queue never reached %d entries (at %d)", n, queueLen(l))
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}
-
-	// Leader: an independent create; it parks at the gated Begin.
+	// Leader: an independent create; it parks at the gated exchange.
 	chA := apply(memento.CommitSet{Creates: []memento.Memento{row("a", 1, 0)}})
 	<-g.entered
 
 	// Followers B then C, both claiming row 1 at version 1. B enters
 	// the queue first, so B wins and C must lose to B.
 	chB := apply(memento.CommitSet{Writes: []memento.Memento{row("1", 11, 1)}})
-	waitQueue(1)
+	waitQueue(t, l, 1)
 	chC := apply(memento.CommitSet{Writes: []memento.Memento{row("1", 12, 1)}})
-	waitQueue(2)
+	waitQueue(t, l, 2)
 
 	close(g.release)
 	a, b, c := <-chA, <-chB, <-chC
@@ -128,8 +131,8 @@ func TestGroupCommitCoalescesWithAttribution(t *testing.T) {
 		t.Errorf("conflict detail = %+v", ce)
 	}
 
-	if got := g.groupCalls.Load(); got != 1 {
-		t.Errorf("database saw %d grouped exchanges, want exactly 1 (the coalesced batch)", got)
+	if got := g.groupCalls.Load(); got != 2 {
+		t.Errorf("database saw %d exchanges, want exactly 2 (the leader's own set, then the coalesced batch)", got)
 	}
 	if be.CommitsApplied() != 2 || be.CommitsRejected() != 1 {
 		t.Errorf("counters applied=%d rejected=%d, want 2/1",

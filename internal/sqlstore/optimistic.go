@@ -31,16 +31,16 @@ type ApplyResult struct {
 // On any violation the whole set is rejected with ErrConflict and the
 // store is unchanged.
 //
-// This is the "optimistic commit logic" that runs on the back-end server
-// in the split-servers configuration, and directly inside the database
-// tier for combined-servers commits; in the latter case the edge server
-// instead drives the same validation statement-by-statement over the
-// wire (Tx.CheckVersion / Tx.CheckedPut / Tx.CheckedDelete), paying one
-// round trip per memento image.
+// This is the paper's "optimistic commit logic". In the split-servers
+// configuration the back-end server hands it whole commit sets (via
+// ApplyCommitSets, one exchange per batch); in the combined-servers
+// configuration the edge server instead drives the same validation
+// statement-by-statement over the wire (Tx.CheckVersion / Tx.CheckedPut
+// / Tx.CheckedDelete), per memento image or as one statement batch.
 func (s *Store) ApplyCommitSet(ctx context.Context, cs memento.CommitSet) (ApplyResult, error) {
 	ctx, sp := obs.StartSpan(ctx, "sqlstore.apply")
 	defer sp.End()
-	res, notice, err := s.applyOneDeferred(ctx, cs)
+	res, notice, err := s.applyDeferred(ctx, cs)
 	if err != nil {
 		return ApplyResult{}, err
 	}
@@ -69,7 +69,7 @@ func (s *Store) ApplyCommitSets(ctx context.Context, sets []memento.CommitSet) [
 	out := make([]ApplySetResult, len(sets))
 	notices := make([]Notice, 0, len(sets))
 	for i := range sets {
-		res, notice, err := s.applyOneDeferred(ctx, sets[i])
+		res, notice, err := s.applyDeferred(ctx, sets[i])
 		out[i] = ApplySetResult{Res: res, Err: err}
 		if err == nil {
 			notices = append(notices, notice)
@@ -79,11 +79,11 @@ func (s *Store) ApplyCommitSets(ctx context.Context, sets []memento.CommitSet) [
 	return out
 }
 
-// applyOneDeferred runs one commit set's validate-and-apply, returning
+// applyDeferred runs one commit set's validate-and-apply, returning
 // the invalidation notice instead of broadcasting it — the caller
 // decides whether to fan out immediately (single apply) or batch the
 // fan-out (group commit).
-func (s *Store) applyOneDeferred(ctx context.Context, cs memento.CommitSet) (ApplyResult, Notice, error) {
+func (s *Store) applyDeferred(ctx context.Context, cs memento.CommitSet) (ApplyResult, Notice, error) {
 	tx, err := s.Begin(ctx)
 	if err != nil {
 		return ApplyResult{}, Notice{}, err

@@ -116,10 +116,11 @@ type Preparer interface {
 // records a "sqlstore.<op>" trace span: the adapter only ever runs in
 // the process that owns the store — the database tier — so these spans
 // give assembled traces their db-tier leaves, one per statement. A
-// statement-by-statement commit (the pessimistic algorithms, or the
-// back-end's optimistic loop) therefore renders as a run of db spans,
-// one per wire round trip — the per-statement latency amplification the
-// paper's Figure 7 argues about, visible in a waterfall.
+// statement-by-statement commit (the pessimistic algorithms, or
+// combined-servers per-image shipping) therefore renders as a run of
+// db spans, one per wire round trip — the per-statement latency
+// amplification the paper's Figure 7 argues about, visible in a
+// waterfall.
 type local struct {
 	store *sqlstore.Store
 }
