@@ -1,16 +1,19 @@
 package edgeejb_test
 
+// Micro-benchmarks of the layers that bench/ladder.go has no rung for,
+// plus BenchmarkBackendCommit, whose db_rts/op CI budgets. Every other
+// layer cost (memento.clone, lockmgr.acquire_release, sqlstore.*,
+// slicache.*, dbwire.*_rt) is a ladder rung: run
+// `bash bench/run.sh --workload rbes-lan --seed 1 --seconds 10 --trace 1`.
+
 import (
 	"context"
-	"fmt"
 	"sync"
 	"testing"
 
 	"edgeejb/internal/backend"
 	"edgeejb/internal/dbwire"
-	"edgeejb/internal/lockmgr"
 	"edgeejb/internal/memento"
-	"edgeejb/internal/slicache"
 	"edgeejb/internal/sqlstore"
 	"edgeejb/internal/storeapi"
 	"edgeejb/internal/trade"
@@ -29,14 +32,6 @@ func sampleMemento() memento.Memento {
 	}).ToMemento()
 }
 
-func BenchmarkMementoClone(b *testing.B) {
-	m := sampleMemento()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = m.Clone()
-	}
-}
-
 func BenchmarkQueryMatch(b *testing.B) {
 	q := trade.HoldingsByAccount("uid-1")
 	m := (&trade.Holding{HoldingID: "h-1", AccountID: "uid-1", Symbol: "s-1"}).ToMemento()
@@ -47,42 +42,7 @@ func BenchmarkQueryMatch(b *testing.B) {
 	}
 }
 
-// --- Lock manager ------------------------------------------------------
-
-func BenchmarkLockAcquireRelease(b *testing.B) {
-	m := lockmgr.New()
-	ctx := context.Background()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		owner := lockmgr.Owner(i + 1)
-		if err := m.Acquire(ctx, owner, "res", lockmgr.Exclusive); err != nil {
-			b.Fatal(err)
-		}
-		m.Release(owner, "res")
-	}
-}
-
 // --- Datastore ---------------------------------------------------------
-
-func BenchmarkStoreGetCommit(b *testing.B) {
-	store := sqlstore.New()
-	defer store.Close()
-	store.Seed(sampleMemento())
-	ctx := context.Background()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		tx, err := store.Begin(ctx)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := tx.Get(ctx, trade.TableAccount, "uid-1"); err != nil {
-			b.Fatal(err)
-		}
-		if err := tx.Commit(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
 
 func BenchmarkStorePutCommit(b *testing.B) {
 	store := sqlstore.New()
@@ -100,117 +60,6 @@ func BenchmarkStorePutCommit(b *testing.B) {
 			b.Fatal(err)
 		}
 		if err := tx.Commit(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkStoreApplyCommitSet(b *testing.B) {
-	store := sqlstore.New()
-	defer store.Close()
-	m := sampleMemento()
-	store.Seed(m)
-	ctx := context.Background()
-	key := m.Key
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		v, err := store.CurrentVersion(key)
-		if err != nil {
-			b.Fatal(err)
-		}
-		w := m.Clone()
-		w.Version = v
-		if _, err := store.ApplyCommitSet(ctx, memento.CommitSet{
-			Writes: []memento.Memento{w},
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkStoreQuery100(b *testing.B) {
-	store := sqlstore.New()
-	defer store.Close()
-	for i := 0; i < 100; i++ {
-		h := &trade.Holding{
-			HoldingID: fmt.Sprintf("h-%03d", i),
-			AccountID: fmt.Sprintf("uid-%d", i%10),
-		}
-		store.Seed(h.ToMemento())
-	}
-	ctx := context.Background()
-	q := trade.HoldingsByAccount("uid-3")
-	conn := storeapi.Local(store)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		res, err := conn.AutoQuery(ctx, q)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(res.Mems) != 10 {
-			b.Fatalf("rows = %d", len(res.Mems))
-		}
-	}
-}
-
-// --- SLI cache ---------------------------------------------------------
-
-func BenchmarkSLICachedReadCommit(b *testing.B) {
-	store := sqlstore.New()
-	defer store.Close()
-	store.Seed(sampleMemento())
-	mgr := slicache.NewManager(storeapi.Local(store), slicache.WithShipping(slicache.WholeSet))
-	defer mgr.Close()
-	ctx := context.Background()
-	key := memento.Key{Table: trade.TableAccount, ID: "uid-1"}
-
-	// Warm the common store.
-	dt, _ := mgr.Begin(ctx)
-	if _, err := dt.Load(ctx, key); err != nil {
-		b.Fatal(err)
-	}
-	_ = dt.Commit(ctx)
-
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dt, err := mgr.Begin(ctx)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := dt.Load(ctx, key); err != nil {
-			b.Fatal(err)
-		}
-		if err := dt.Commit(ctx); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSLIWriteCommit(b *testing.B) {
-	store := sqlstore.New()
-	defer store.Close()
-	store.Seed(sampleMemento())
-	mgr := slicache.NewManager(storeapi.Local(store), slicache.WithShipping(slicache.WholeSet))
-	defer mgr.Close()
-	ctx := context.Background()
-	key := memento.Key{Table: trade.TableAccount, ID: "uid-1"}
-
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		dt, err := mgr.Begin(ctx)
-		if err != nil {
-			b.Fatal(err)
-		}
-		m, err := dt.Load(ctx, key)
-		if err != nil {
-			b.Fatal(err)
-		}
-		m.Fields["balance"] = memento.Float(float64(i))
-		if err := dt.Store(ctx, m); err != nil {
-			b.Fatal(err)
-		}
-		if err := dt.Commit(ctx); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -267,27 +116,6 @@ func startEchoServer(b *testing.B) *wire.Server {
 	return srv
 }
 
-// BenchmarkWireRoundTrip is the floor for every remote call in the
-// system: one request/response frame pair over loopback on a warm
-// connection.
-func BenchmarkWireRoundTrip(b *testing.B) {
-	srv := startEchoServer(b)
-	client := wire.NewClient(srv.Addr())
-	defer client.Close()
-	ctx := context.Background()
-	if err := client.Call(ctx, &echoReq{Payload: "warm"}, new(echoResp)); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		resp := new(echoResp)
-		if err := client.Call(ctx, &echoReq{Payload: "x"}, resp); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkWireMultiplexed measures concurrent calls sharing one
 // connection — the transport's win over the seed's lock-the-socket
 // design.
@@ -324,57 +152,6 @@ func BenchmarkWireMultiplexed(b *testing.B) {
 }
 
 // --- Wire protocol -----------------------------------------------------
-
-func BenchmarkWireAutoGet(b *testing.B) {
-	store := sqlstore.New()
-	defer store.Close()
-	store.Seed(sampleMemento())
-	srv := dbwire.NewServer(storeapi.Local(store))
-	if err := srv.Start("127.0.0.1:0"); err != nil {
-		b.Fatal(err)
-	}
-	defer srv.Close()
-	client := dbwire.Dial(srv.Addr())
-	defer client.Close()
-	ctx := context.Background()
-	if err := client.Ping(ctx); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := client.AutoGet(ctx, trade.TableAccount, "uid-1"); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkWireApplyCommitSet(b *testing.B) {
-	store := sqlstore.New()
-	defer store.Close()
-	m := sampleMemento()
-	store.Seed(m)
-	srv := dbwire.NewServer(storeapi.Local(store))
-	if err := srv.Start("127.0.0.1:0"); err != nil {
-		b.Fatal(err)
-	}
-	defer srv.Close()
-	client := dbwire.Dial(srv.Addr())
-	defer client.Close()
-	ctx := context.Background()
-	version := uint64(1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w := m.Clone()
-		w.Version = version
-		res, err := client.ApplyCommitSet(ctx, memento.CommitSet{Writes: []memento.Memento{w}})
-		if err != nil {
-			b.Fatal(err)
-		}
-		version = res.NewVersions[m.Key]
-	}
-}
 
 // BenchmarkBackendCommit measures the full split-servers commit path:
 // edge -> back-end (one round trip) -> database (one grouped exchange,
@@ -413,53 +190,4 @@ func BenchmarkBackendCommit(b *testing.B) {
 		version = res.NewVersions[m.Key]
 	}
 	b.ReportMetric(float64(dbClient.WireStats().RoundTrips-before)/float64(b.N), "db_rts/op")
-}
-
-func BenchmarkQueryIndexedVsScan(b *testing.B) {
-	const rows = 2000
-	seedStore := func(withIndex bool) *sqlstore.Store {
-		store := sqlstore.New()
-		if withIndex {
-			if err := store.CreateIndex(trade.TableHolding, "accountID"); err != nil {
-				b.Fatal(err)
-			}
-			if err := store.CreateIndex(trade.TableHolding, "quantity"); err != nil {
-				b.Fatal(err)
-			}
-		}
-		for i := 0; i < rows; i++ {
-			h := &trade.Holding{
-				HoldingID: fmt.Sprintf("h-%04d", i),
-				AccountID: fmt.Sprintf("uid-%d", i%100),
-				Quantity:  float64(i % 50),
-			}
-			store.Seed(h.ToMemento())
-		}
-		return store
-	}
-	ctx := context.Background()
-	eqQuery := trade.HoldingsByAccount("uid-42")
-	rangeQuery := memento.Query{
-		Table: trade.TableHolding,
-		Where: []memento.Predicate{{Field: "quantity", Op: memento.OpGe, Value: memento.Float(45)}},
-	}
-
-	run := func(b *testing.B, store *sqlstore.Store, q memento.Query, wantRows int) {
-		conn := storeapi.Local(store)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			got, err := conn.AutoQuery(ctx, q)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(got.Mems) != wantRows {
-				b.Fatalf("rows = %d, want %d", len(got.Mems), wantRows)
-			}
-		}
-	}
-	b.Run("equality-scan", func(b *testing.B) { run(b, seedStore(false), eqQuery, rows/100) })
-	b.Run("equality-indexed", func(b *testing.B) { run(b, seedStore(true), eqQuery, rows/100) })
-	b.Run("range-scan", func(b *testing.B) { run(b, seedStore(false), rangeQuery, rows/10) })
-	b.Run("range-indexed", func(b *testing.B) { run(b, seedStore(true), rangeQuery, rows/10) })
 }

@@ -35,18 +35,14 @@ func run(args []string) error {
 		db     = fs.String("db", "127.0.0.1:7000", "database server address (this shard's dbserverd in a sharded tier)")
 		dbWait = fs.Duration("db-wait", 15*time.Second, "how long to keep retrying the database at boot (crash-restart recovery)")
 		debug  = fs.String("debug-addr", "", "serve /metrics, /healthz and /debug/pprof on this address")
-		rates  = fs.Bool("profile-rates", false, "enable mutex and block profiling so /debug/pprof/mutex and /debug/pprof/block carry samples (both are empty at the runtime's defaults); costs a sampled stack capture on contended-unlock and blocking paths")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	// Label this process's spans for cross-tier trace assembly.
+	// Label the tier of this process's spans (/debug/spans).
 	obs.SetTier("backend")
 
-	if *rates {
-		defer prof.EnableProfileRates()()
-	}
 	if *debug != "" {
 		dbg, err := obs.StartDebug(*debug, obs.DebugOptions{})
 		if err != nil {

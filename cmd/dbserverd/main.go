@@ -42,7 +42,6 @@ func run(args []string) error {
 		snapshot    = fs.String("snapshot", "", "snapshot file: restored at boot if present, written on shutdown")
 		snapEvery   = fs.Duration("snapshot-every", 0, "also write the snapshot at this interval, bounding data lost to a crash (0 = shutdown only)")
 		debug       = fs.String("debug-addr", "", "serve /metrics, /healthz and /debug/pprof on this address")
-		rates       = fs.Bool("profile-rates", false, "enable mutex and block profiling so /debug/pprof/mutex and /debug/pprof/block carry samples (both are empty at the runtime's defaults); costs a sampled stack capture on contended-unlock and blocking paths")
 		shards      = fs.Int("shards", 1, "total database shards in the deployment; this process populates only the rows shard -shard owns")
 		shardIdx    = fs.Int("shard", 0, "this process's shard index in [0, -shards)")
 		prepareTTL  = fs.Duration("prepare-ttl", 10*time.Second, "presumed-abort timeout for prepared (in-doubt) cross-shard transactions")
@@ -57,12 +56,9 @@ func run(args []string) error {
 		return fmt.Errorf("-shard %d out of range [0, %d)", *shardIdx, *shards)
 	}
 
-	// Label this process's spans for cross-tier trace assembly.
+	// Label the tier of this process's spans (/debug/spans).
 	obs.SetTier("db")
 
-	if *rates {
-		defer prof.EnableProfileRates()()
-	}
 	if *debug != "" {
 		dbg, err := obs.StartDebug(*debug, obs.DebugOptions{})
 		if err != nil {

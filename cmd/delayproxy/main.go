@@ -34,18 +34,14 @@ func run(args []string) error {
 		delay      = fs.Duration("delay", 10*time.Millisecond, "one-way delay to inject")
 		statsEvery = fs.Duration("stats", 10*time.Second, "print byte counters at this interval (0 = off)")
 		debug      = fs.String("debug-addr", "", "serve /metrics, /healthz and /debug/pprof on this address")
-		rates      = fs.Bool("profile-rates", false, "enable mutex and block profiling so /debug/pprof/mutex and /debug/pprof/block carry samples (both are empty at the runtime's defaults); costs a sampled stack capture on contended-unlock and blocking paths")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	// Label this process's spans for cross-tier trace assembly.
+	// Label the tier of this process's spans (/debug/spans).
 	obs.SetTier("proxy")
 
-	if *rates {
-		defer prof.EnableProfileRates()()
-	}
 	if *debug != "" {
 		dbg, err := obs.StartDebug(*debug, obs.DebugOptions{})
 		if err != nil {

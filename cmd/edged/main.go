@@ -43,21 +43,17 @@ func run(args []string) error {
 		target   = fs.String("target", "127.0.0.1:7000", "database or back-end server address; a comma-separated list (sli-backend only) routes by key across that many shards, ordered by shard index")
 		algo     = fs.String("algo", "sli-backend", "data access: jdbc | bmp | sli-db | sli-backend")
 		debug    = fs.String("debug-addr", "", "serve /metrics, /healthz and /debug/pprof on this address")
-		rates    = fs.Bool("profile-rates", false, "enable mutex and block profiling so /debug/pprof/mutex and /debug/pprof/block carry samples (both are empty at the runtime's defaults); costs a sampled stack capture on contended-unlock and blocking paths")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	targets := splitTargets(*target)
 
-	// Label this process's spans for cross-tier trace assembly (the
-	// span-name prefix table already covers the built-in span names;
-	// this catches any future unprefixed ones).
+	// Label the tier of this process's spans (/debug/spans); the
+	// span-name prefix table already covers the built-in span names,
+	// this catches any future unprefixed ones.
 	obs.SetTier("edge")
 
-	if *rates {
-		defer prof.EnableProfileRates()()
-	}
 	if *debug != "" {
 		dbg, err := obs.StartDebug(*debug, obs.DebugOptions{})
 		if err != nil {

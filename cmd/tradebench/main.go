@@ -13,11 +13,8 @@
 //	                                    # Perfetto trace, waterfalls,
 //	                                    # time-series CSVs, MANIFEST.json
 //	tradebench -shards 1,2,4            # shard-scaling the datacenter tier
-//	tradebench -fig6 -out-dir runs -profile
-//	                                    # + per-phase CPU/heap/mutex/block
-//	                                    # profiles and hotspot CSVs; add
-//	                                    # -profile-remotes db=127.0.0.1:7070
-//	                                    # to profile daemons per tier
+//	tradebench -fig6 -debug-addr :6060  # + /metrics and /debug/pprof while
+//	                                    # running, for go tool pprof
 //
 // Latency sensitivities (Table 2 slopes) are delay-scale-invariant, so
 // the default sweep uses small delays to keep wall-clock reasonable;
@@ -84,9 +81,6 @@ func run(args []string) error {
 		metrics   = fs.Bool("metrics", false, "print per-phase process metrics and span-derived latency breakdowns")
 		debugAddr = fs.String("debug-addr", "", "serve /metrics, /healthz and /debug/pprof on this address while running")
 
-		profile        = fs.Bool("profile", false, "capture per-phase CPU, heap-delta, mutex, and block profiles plus hotspot CSVs into the artifact directory (needs -out-dir; enables the contention-profile rates for the run)")
-		profileRemotes = fs.String("profile-remotes", "", "comma-separated name=host:port -debug-addr listeners of daemons to profile alongside this process (with -profile)")
-
 		outDir = fs.String("out-dir", "", "collect per-run artifacts (Perfetto trace, waterfalls, time-series CSVs, registry diffs, reports, MANIFEST.json) under a timestamped directory here")
 
 		faultSessions = fs.Int("fault-sessions", 80, "sessions per pass in the fault experiment")
@@ -111,13 +105,6 @@ func run(args []string) error {
 		return err
 	}
 	shardCounts, err := parseShardCounts(*shards)
-	if err != nil {
-		return err
-	}
-	if *profile && *outDir == "" {
-		return fmt.Errorf("-profile writes profile artifacts, so it needs -out-dir")
-	}
-	profRemotes, err := parseRemotes(*profileRemotes)
 	if err != nil {
 		return err
 	}
@@ -212,25 +199,6 @@ func run(args []string) error {
 		defer rt.Stop()
 	}
 
-	// With -profile, every phase is bracketed by profile capture: CPU
-	// profile spanning the phase, allocation/mutex/block deltas, the
-	// same fetched from each -profile-remotes daemon.
-	var (
-		capt      *prof.Capturer
-		profFiles []prof.CapturedFile
-	)
-	if *profile {
-		capt, err = prof.NewCapturer(prof.Options{
-			Dir:     art.Dir,
-			Remotes: profRemotes,
-			Rates:   true,
-		})
-		if err != nil {
-			return err
-		}
-		defer capt.Close()
-	}
-
 	// runStart anchors the whole-run counter diff summary.json derives
 	// its ratios from (taken after any -out-dir ring swap so the rings
 	// and registry cover the same window).
@@ -261,29 +229,15 @@ func run(args []string) error {
 		if sampler != nil {
 			sampler.SampleNow()
 		}
-		if capt != nil {
-			if err := capt.StartPhase(name); err != nil {
-				return err
-			}
-		}
 		if err := f(); err != nil {
 			return err
 		}
 		// Fold the phase's runtime activity in before diffing, so the
-		// registry diff and time series carry its runtime.* tallies; the
-		// profile capture ends after, keeping its own parse work out of
-		// the phase's numbers.
+		// registry diff and time series carry its runtime.* tallies.
 		if rt != nil {
 			rt.Update()
 		}
 		diff := obs.Default.Diff(before)
-		if capt != nil {
-			files, err := capt.EndPhase()
-			if err != nil {
-				return err
-			}
-			profFiles = append(profFiles, files...)
-		}
 		finderPhases = append(finderPhases, finderPhaseRowFrom(name, diff))
 		if *metrics {
 			fmt.Printf("\nMetrics accumulated by the %s phase:\n", name)
@@ -318,76 +272,42 @@ func run(args []string) error {
 		fmt.Println()
 	}
 
-	// finishArtifacts assembles the run's traces, attributes the
-	// critical path, and finalizes the artifact directory; it runs at
-	// whichever exit the run takes.
+	// finishArtifacts assembles the run's traces and finalizes the
+	// artifact directory; it runs at whichever exit the run takes.
 	finishArtifacts := func(eval *harness.Evaluation) error {
 		if *metrics && len(finderPhases) > 0 {
 			fmt.Println()
 			writeFinderTable(os.Stdout, finderPhases)
 		}
-		if rt != nil {
-			// Force a GC cycle so even a tiny run has at least one pause
-			// in runtime.gc_pause before the final fold — otherwise the
-			// gc_pause_p99 resource metric is zero on short legs.
-			runtime.GC()
-			rt.Update()
-		}
-		// The whole-run diff is cut here, at the final fold, not after
-		// the trace assembly below: that allocates half as much again as
-		// the measured run, and the background sampler folds it in or
-		// not depending on where its next tick lands, which would give
-		// resource.allocs_per_interaction two values for one build.
-		runDiff := obs.Default.Diff(runStart)
-		if *metrics && capt != nil {
-			fmt.Println()
-			if err := capt.Hotspots().WriteTable(os.Stdout, 10); err != nil {
-				return err
-			}
-		}
-		if art == nil && !*metrics {
-			return nil
-		}
-		c := collect.NewCollector(collect.FromLog("proc", obs.DefaultSpans))
-		if err := c.Poll(); err != nil {
-			return err
-		}
-		traces := c.Traces()
-		attr := collect.Attribute(traces)
-		if *metrics && attr.Traces > 0 {
-			fmt.Println()
-			if err := attr.WriteTable(os.Stdout); err != nil {
-				return err
-			}
-		}
 		if art == nil {
 			return nil
 		}
+		// The whole-run diff is cut here, at the final fold (-out-dir
+		// always runs the runtime sampler), not after the trace assembly
+		// below: that allocates half as much again as the measured run,
+		// and the background sampler folds it in or not depending on
+		// where its next tick lands, which would give
+		// resource.allocs_per_interaction two values for one build. The
+		// GC cycle first flushes every P's allocation cache into the
+		// runtime's counters; objects in spans still cached are otherwise
+		// not yet counted, and the gated count reads 1% low and three
+		// times as spread (281.1-282.5 against 284.0-284.5 over five runs).
+		runtime.GC()
+		rt.Update()
+		runDiff := obs.Default.Diff(runStart)
+		traces := collect.Assemble(obs.DefaultSpans.Since(time.Time{}))
 		if err := art.WriteTraces(traces, waterfalls, obs.DefaultSpans.Dropped()); err != nil {
 			return err
 		}
-		if err := art.WriteCriticalPath(attr); err != nil {
-			return err
-		}
-		var rtSnap *obs.Snapshot
-		if rt != nil {
-			rtSnap = &runDiff
-		}
 		if err := art.WriteSummary(harness.BuildSummary(harness.SummaryInput{
-			Args:        args,
-			Eval:        eval,
-			Throughput:  thruCurves,
-			Shards:      shardPoints,
-			Attribution: attr,
-			Counters:    runDiff.Counters,
-			Runtime:     rtSnap,
+			Args:       args,
+			Eval:       eval,
+			Throughput: thruCurves,
+			Shards:     shardPoints,
+			Counters:   runDiff.Counters,
+			Runtime:    &runDiff,
 		})); err != nil {
 			return err
-		}
-		if capt != nil {
-			if err := art.WriteProfiles(profFiles, capt.Hotspots()); err != nil {
-				return err
-			}
 		}
 		if err := art.WriteEvents(obs.DefaultEvents.Since(0)); err != nil {
 			return err
@@ -518,28 +438,6 @@ func runShardSweep(counts []int, clients int, cfg harness.EvalConfig, art *harne
 		}
 	}
 	return points, nil
-}
-
-// parseRemotes parses -profile-remotes: comma-separated name=host:port
-// pairs naming the -debug-addr listeners of daemons to profile.
-func parseRemotes(s string) ([]prof.Remote, error) {
-	s = strings.TrimSpace(s)
-	if s == "" {
-		return nil, nil
-	}
-	var out []prof.Remote
-	for _, p := range strings.Split(s, ",") {
-		p = strings.TrimSpace(p)
-		if p == "" {
-			continue
-		}
-		name, addr, ok := strings.Cut(p, "=")
-		if !ok || strings.TrimSpace(name) == "" || strings.TrimSpace(addr) == "" {
-			return nil, fmt.Errorf("bad -profile-remotes entry %q (want name=host:port)", p)
-		}
-		out = append(out, prof.Remote{Name: strings.TrimSpace(name), Addr: strings.TrimSpace(addr)})
-	}
-	return out, nil
 }
 
 // parseShardCounts parses the -shards list; empty means the sweep is

@@ -10,7 +10,6 @@ import (
 
 	"edgeejb/internal/obs"
 	"edgeejb/internal/obs/collect"
-	"edgeejb/internal/obs/prof"
 	"edgeejb/internal/regress"
 )
 
@@ -40,7 +39,7 @@ type ManifestFile struct {
 	// Path is relative to the run directory.
 	Path string `json:"path"`
 	// Kind is one of: trace, waterfalls, timeseries, registry-diff,
-	// report, csv, profile, summary, events, manifest.
+	// report, csv, summary, events, manifest.
 	Kind string `json:"kind"`
 	// Desc says what the file holds, in one line.
 	Desc string `json:"desc"`
@@ -219,47 +218,12 @@ func (a *Artifacts) WriteEvalReports(e *Evaluation) error {
 	return nil
 }
 
-// WriteCriticalPath writes the run's critical-path attribution as
-// critical_path.csv — one row per (lane, tier, span) bucket with the
-// blocking-path milliseconds per trace overall and in the p50/p95/p99
-// root-duration tails.
-func (a *Artifacts) WriteCriticalPath(attr *collect.Attribution) error {
-	return a.WriteFile("critical_path.csv", "csv",
-		"critical-path attribution: blocking-path ms per trace by (lane, tier, span), overall and in the slow tails", "",
-		func(w io.Writer) error { return collect.WriteCriticalPathCSV(w, attr) })
-}
-
-// IndexFile records a file some other writer already placed in the run
-// directory (the profile capturer streams .pb.gz files itself).
-func (a *Artifacts) IndexFile(name, kind, desc, phase string) {
-	a.manifest.Files = append(a.manifest.Files, ManifestFile{Path: name, Kind: kind, Desc: desc, Phase: phase})
-}
-
-// WriteProfiles indexes the per-phase profile captures and writes the
-// aggregated hotspot CSVs (cpu_hotspots.csv, alloc_hotspots.csv).
-func (a *Artifacts) WriteProfiles(files []prof.CapturedFile, hotspots *prof.HotspotSet) error {
-	for _, f := range files {
-		a.IndexFile(f.Name, "profile", f.Desc, f.Phase)
-	}
-	if hotspots == nil {
-		return nil
-	}
-	if err := a.WriteFile("cpu_hotspots.csv", "csv",
-		"top self-CPU functions per (phase, source), aggregated from the CPU profiles", "",
-		hotspots.WriteCPUHotspotsCSV); err != nil {
-		return err
-	}
-	return a.WriteFile("alloc_hotspots.csv", "csv",
-		"top allocation sites per (phase, source), aggregated from the heap delta profiles", "",
-		hotspots.WriteAllocHotspotsCSV)
-}
-
 // WriteSummary writes the run's canonical machine-readable result set
 // as summary.json — the file benchdiff compares and the CI perf gate
 // baselines.
 func (a *Artifacts) WriteSummary(s *regress.Summary) error {
 	return a.WriteFile(regress.SummaryFile, "summary",
-		"canonical machine-readable run summary (latency, wire, throughput, shard, cache, and critical-path metrics) for benchdiff", "",
+		"canonical machine-readable run summary (latency, wire, throughput, shard, cache, and resource metrics) for benchdiff", "",
 		func(w io.Writer) error {
 			enc := json.NewEncoder(w)
 			enc.SetIndent("", "  ")

@@ -42,10 +42,10 @@ func TestArtifactsLifecycle(t *testing.T) {
 
 	// A tiny assembled trace set.
 	base := time.Now()
-	traces := collect.Assemble(collect.Batch{Source: "proc", Spans: []obs.SpanRecord{
+	traces := collect.Assemble([]obs.SpanRecord{
 		{Trace: 1, Span: 1, Name: "client.interaction", Tier: "client", Start: base, Dur: 5 * time.Millisecond},
 		{Trace: 1, Span: 2, Parent: 1, Name: "edge.request", Tier: "edge", Start: base.Add(time.Millisecond), Dur: 3 * time.Millisecond},
-	}})
+	})
 	if err := art.WriteTraces(traces, 2, 7); err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"edgeejb/internal/obs"
-	"edgeejb/internal/obs/collect"
 	"edgeejb/internal/regress"
 )
 
@@ -22,13 +21,11 @@ type SummaryInput struct {
 	Throughput []ThroughputCurve
 	// Shards holds the shard-scaling sweep.
 	Shards []ShardScalingPoint
-	// Attribution is the run's critical-path aggregation.
-	Attribution *collect.Attribution
 	// Counters is the whole run's counter diff (finder-cache ratios).
 	Counters map[string]uint64
 	// Runtime is the run's runtime.* registry diff (from prof.Runtime)
 	// up to the end of its last measured phase, feeding the resource.*
-	// attribution metrics. Nil when the runtime sampler was not running.
+	// metrics. Nil when the runtime sampler was not running.
 	Runtime *obs.Snapshot
 }
 
@@ -59,11 +56,8 @@ func fmtDelay(ms float64) string { return strconv.FormatFloat(ms, 'f', -1, 64) }
 //	shards.s<N>.committed_per_s        rate   shard-scaling sweep
 //	shards.s<N>.twopc_fraction         ratio  cross-shard 2PC share
 //	cache.finder_hit_ratio             ratio  whole-run finder cache
-//	critpath.<tier>.<span>[.<lane>].ms_per_trace  time  blocking-path shares
 //	resource.allocs_per_interaction        count  heap objects per committed ixn
 //	resource.alloc_bytes_per_interaction   count  heap bytes per committed ixn
-//	resource.cpu_sec_per_1k_interactions   time   process CPU per 1k ixn
-//	resource.gc_pause_p99_ms               time   whole-run GC pause p99
 //	resource.goroutine_high_water          count  max goroutines sampled
 //
 // "count" and "ratio" metrics are protocol properties that reproduce
@@ -158,28 +152,13 @@ func BuildSummary(in SummaryInput) *regress.Summary {
 		}
 	}
 	addResourceMetrics(s, in)
-	if a := in.Attribution; a != nil && a.Traces > 0 {
-		for _, r := range a.Rows {
-			name := "critpath." + r.Key.Tier + "." + r.Key.Name
-			if r.Key.Lane != "" {
-				name += "." + r.Key.Lane
-			}
-			s.Metrics[name+".ms_per_trace"] = regress.Metric{
-				Unit:   "ms",
-				Kind:   regress.KindTime,
-				Better: regress.LowerIsBetter,
-				Mean:   float64(r.Total) / float64(a.Traces) / 1e6,
-				N:      a.Traces,
-			}
-		}
-	}
 	return s
 }
 
 // addResourceMetrics normalizes the run's runtime.* diff by its
-// interaction count into the resource.* attribution family. Each metric
-// is emitted only when its inputs are nonzero, so a run without the
-// sampler (or on a platform without getrusage) just omits the family.
+// interaction count into the resource.* family. Each metric is emitted
+// only when its inputs are nonzero, so a run without the sampler just
+// omits the family.
 func addResourceMetrics(s *regress.Summary, in SummaryInput) {
 	rt := in.Runtime
 	if rt == nil {
@@ -204,26 +183,6 @@ func addResourceMetrics(s *regress.Summary, in SummaryInput) {
 				Mean:   float64(bytes) / float64(ixn),
 				N:      ixn,
 			}
-		}
-		// CPU seconds per thousand interactions: ms/ixn happens to be
-		// the same number, since the 1e3 factors cancel.
-		if cpuMS := rt.Counters["runtime.cpu_ms_total"]; cpuMS > 0 {
-			s.Metrics["resource.cpu_sec_per_1k_interactions"] = regress.Metric{
-				Unit:   "s/kixn",
-				Kind:   regress.KindTime,
-				Better: regress.LowerIsBetter,
-				Mean:   float64(cpuMS) / float64(ixn),
-				N:      ixn,
-			}
-		}
-	}
-	if h, ok := rt.Histograms["runtime.gc_pause"]; ok && h.Count > 0 {
-		s.Metrics["resource.gc_pause_p99_ms"] = regress.Metric{
-			Unit:   "ms",
-			Kind:   regress.KindTime,
-			Better: regress.LowerIsBetter,
-			Mean:   float64(h.Quantile(0.99)) / 1e6,
-			N:      int(h.Count),
 		}
 	}
 	if hw := rt.Gauges["runtime.goroutines_highwater"]; hw > 0 {

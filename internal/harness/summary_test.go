@@ -1,12 +1,11 @@
 package harness
 
 import (
+	"strings"
 	"testing"
-	"time"
 
 	"edgeejb/internal/loadgen"
 	"edgeejb/internal/obs"
-	"edgeejb/internal/obs/collect"
 	"edgeejb/internal/regress"
 	"edgeejb/internal/stats"
 )
@@ -34,13 +33,6 @@ func TestBuildSummaryNaming(t *testing.T) {
 			Fit: stats.Fit{Slope: 24.0, R2: 0.99},
 		},
 	}}
-	attr := &collect.Attribution{
-		Traces: 10,
-		Rows: []collect.AttrRow{
-			{Key: collect.PathKey{Tier: "edge", Name: "edge.request"}, Total: 20 * time.Millisecond},
-			{Key: collect.PathKey{Lane: "shard1", Tier: "edge", Name: "shard.prepare"}, Total: 10 * time.Millisecond},
-		},
-	}
 	s := BuildSummary(SummaryInput{
 		Args: []string{"-fig7"},
 		Eval: eval,
@@ -52,7 +44,6 @@ func TestBuildSummaryNaming(t *testing.T) {
 			Shards: 2, Throughput: 200, Interactions: 400, Failures: 0,
 			FastpathCommits: 90, TwoPCCommits: 10,
 		}},
-		Attribution: attr,
 		Counters: map[string]uint64{
 			"slicache.finder_hits":   80,
 			"slicache.finder_misses": 20,
@@ -61,16 +52,8 @@ func TestBuildSummaryNaming(t *testing.T) {
 			Counters: map[string]uint64{
 				"runtime.allocs_total":      1_000_000,
 				"runtime.alloc_bytes_total": 64_000_000,
-				"runtime.cpu_ms_total":      2_000,
 			},
 			Gauges: map[string]int64{"runtime.goroutines_highwater": 42},
-			Histograms: map[string]obs.HistSnapshot{
-				"runtime.gc_pause": func() obs.HistSnapshot {
-					var h obs.Histogram
-					h.ObserveN(100*time.Microsecond, 50)
-					return h.Snapshot()
-				}(),
-			},
 		},
 	})
 	if s.Schema != regress.SchemaV2 {
@@ -88,12 +71,8 @@ func TestBuildSummaryNaming(t *testing.T) {
 		"shards.s2.committed_per_s",
 		"shards.s2.twopc_fraction",
 		"cache.finder_hit_ratio",
-		"critpath.edge.edge.request.ms_per_trace",
-		"critpath.edge.shard.prepare.shard1.ms_per_trace",
 		"resource.allocs_per_interaction",
 		"resource.alloc_bytes_per_interaction",
-		"resource.cpu_sec_per_1k_interactions",
-		"resource.gc_pause_p99_ms",
 		"resource.goroutine_high_water",
 	}
 	for _, k := range wantKeys {
@@ -125,9 +104,6 @@ func TestBuildSummaryNaming(t *testing.T) {
 		m.Better != regress.HigherIsBetter {
 		t.Errorf("hit ratio metric = %+v", m)
 	}
-	if m := s.Metrics["critpath.edge.edge.request.ms_per_trace"]; m.Mean != 2.0 {
-		t.Errorf("critpath metric = %+v", m)
-	}
 
 	// Resource attribution: interactions sum across eval (200),
 	// throughput (500), and shards (400) phases = 1100.
@@ -135,16 +111,16 @@ func TestBuildSummaryNaming(t *testing.T) {
 		m.Better != regress.LowerIsBetter || m.Mean < 909 || m.Mean > 910 || m.N != 1100 {
 		t.Errorf("allocs/ixn metric = %+v", m)
 	}
-	// s/kixn is numerically ms/ixn: 2000ms over 1100 interactions.
-	if m := s.Metrics["resource.cpu_sec_per_1k_interactions"]; m.Kind != regress.KindTime ||
-		m.Mean < 1.8 || m.Mean > 1.9 {
-		t.Errorf("cpu metric = %+v", m)
-	}
-	if m := s.Metrics["resource.gc_pause_p99_ms"]; m.Kind != regress.KindTime || m.Mean <= 0 {
-		t.Errorf("gc pause metric = %+v", m)
-	}
 	if m := s.Metrics["resource.goroutine_high_water"]; m.Kind != regress.KindCount || m.Mean != 42 {
 		t.Errorf("goroutine high-water metric = %+v", m)
+	}
+
+	// Wall-clock claims belong to bench/: the only time-kind family
+	// tradebench publishes is the figures' own latency points.
+	for name, m := range s.Metrics {
+		if m.Kind == regress.KindTime && !strings.HasPrefix(name, "latency.") {
+			t.Errorf("time-kind metric %q outside latency.*", name)
+		}
 	}
 
 	// Stable kinds survive a round trip through Compare with the

@@ -47,11 +47,7 @@ func TestTraceAssemblySmoke(t *testing.T) {
 		t.Fatalf("run: %v", err)
 	}
 
-	c := collect.NewCollector(collect.FromLog("proc", log))
-	if err := c.Poll(); err != nil {
-		t.Fatal(err)
-	}
-	traces := c.Traces()
+	traces := collect.Assemble(log.Since(time.Time{}))
 	if len(traces) == 0 {
 		t.Fatal("sweep produced no traces")
 	}

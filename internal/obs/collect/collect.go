@@ -1,11 +1,10 @@
-// Package collect turns the per-process span ring buffers of a running
-// deployment into run-level trace artifacts. It gathers finished spans
-// from every tier (in-process SpanLogs for harness runs, /debug/spans
-// over HTTP for daemons), joins them by trace ID into trees, repairs
-// cross-process clock skew, and renders the result as Chrome
-// trace-event JSON (loadable in ui.perfetto.dev) or plain-text
-// waterfalls — the per-hop latency decomposition the paper's Figures
-// 6–8 argue from.
+// Package collect turns the span ring buffer of a harness run into
+// run-level trace artifacts. It joins finished spans by trace ID into
+// trees and renders them as Chrome trace-event JSON (loadable in
+// ui.perfetto.dev) or plain-text waterfalls — the per-hop latency
+// decomposition the paper's Figures 6–8 argue from. Every tier of a
+// harness run shares the process and its clock, so timestamps pass
+// through untouched.
 package collect
 
 import (
@@ -17,32 +16,21 @@ import (
 	"edgeejb/internal/obs"
 )
 
-// Span is one assembled span: the raw record, the source that exported
-// it, and a skew-adjusted start time (see Assemble).
+// Span is one assembled span: the raw record and its place in the tree.
 type Span struct {
 	obs.SpanRecord
-	// Source names the Source the record came from — in a distributed
-	// deployment, one per daemon.
-	Source string
-	// Adjusted is the skew-corrected start time. Spans from the same
-	// source as their parent keep their parent's correction; spans that
-	// crossed a process boundary are re-centered inside their parent's
-	// window (the parent's start and end are the wire layer's
-	// request-send and response-receive timestamps, so centering
-	// estimates the one-way offset the same way NTP does).
-	Adjusted time.Time
-	// Children are this span's assembled children, by adjusted start.
+	// Children are this span's assembled children, by start time.
 	Children []*Span
 }
 
-// End returns the span's adjusted end time.
-func (s *Span) End() time.Time { return s.Adjusted.Add(s.Dur) }
+// End returns the span's end time.
+func (s *Span) End() time.Time { return s.Start.Add(s.Dur) }
 
 // Trace is one interaction's assembled span tree.
 type Trace struct {
 	// ID is the trace ID every span shares.
 	ID uint64
-	// Spans holds every span of the trace, sorted by adjusted start.
+	// Spans holds every span of the trace, sorted by start.
 	Spans []*Span
 	// Roots are the spans with no resolvable parent. A well-formed
 	// trace has exactly one; orphans (nonzero parent that was never
@@ -63,16 +51,16 @@ func (t *Trace) Root() *Span {
 	return t.Roots[0]
 }
 
-// Start returns the trace's earliest adjusted span start.
+// Start returns the trace's earliest span start.
 func (t *Trace) Start() time.Time {
 	if len(t.Spans) == 0 {
 		return time.Time{}
 	}
-	return t.Spans[0].Adjusted
+	return t.Spans[0].Start
 }
 
 // Duration returns the wall-clock window the trace covers, from its
-// earliest adjusted start to its latest adjusted end.
+// earliest start to its latest end.
 func (t *Trace) Duration() time.Duration {
 	var end time.Time
 	for _, s := range t.Spans {
@@ -83,7 +71,7 @@ func (t *Trace) Duration() time.Duration {
 	if len(t.Spans) == 0 {
 		return 0
 	}
-	return end.Sub(t.Spans[0].Adjusted)
+	return end.Sub(t.Start())
 }
 
 // Tiers returns the distinct tier labels the trace touches, in order of
@@ -100,42 +88,25 @@ func (t *Trace) Tiers() []string {
 	return out
 }
 
-// Batch is one source's contribution to an assembly.
-type Batch struct {
-	// Source labels where the spans came from (daemon name, tier, or
-	// "proc" for an in-process run).
-	Source string
-	// Spans are the raw records, in any order.
-	Spans []obs.SpanRecord
-}
-
-// Assemble joins spans from every batch into per-trace trees. Records
-// may arrive out of order and duplicated across polls (duplicates by
-// (trace, span) are dropped, first occurrence wins). Spans whose
-// parent is missing become extra roots and mark the trace incomplete.
-// Cross-source parent/child edges get clock-skew repair: the child
-// subtree is shifted so the child centers inside its parent's window.
-// Traces are returned sorted by start time.
-func Assemble(batches ...Batch) []*Trace {
+// Assemble joins span records into per-trace trees. Records may arrive
+// in any order; untraced records (zero trace or span ID) are skipped
+// and duplicates by (trace, span) are dropped, first occurrence wins.
+// Spans whose parent is missing become extra roots and mark the trace
+// incomplete. Traces are returned sorted by start time.
+func Assemble(recs []obs.SpanRecord) []*Trace {
 	type spanKey struct{ trace, span uint64 }
 	byTrace := make(map[uint64][]*Span)
 	seen := make(map[spanKey]bool)
-	for _, b := range batches {
-		for _, rec := range b.Spans {
-			if rec.Trace == 0 || rec.Span == 0 {
-				continue
-			}
-			k := spanKey{rec.Trace, rec.Span}
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
-			byTrace[rec.Trace] = append(byTrace[rec.Trace], &Span{
-				SpanRecord: rec,
-				Source:     b.Source,
-				Adjusted:   rec.Start,
-			})
+	for _, rec := range recs {
+		if rec.Trace == 0 || rec.Span == 0 {
+			continue
 		}
+		k := spanKey{rec.Trace, rec.Span}
+		if seen[k] {
+			continue
+		}
+		seen[k] = true
+		byTrace[rec.Trace] = append(byTrace[rec.Trace], &Span{SpanRecord: rec})
 	}
 
 	traces := make([]*Trace, 0, len(byTrace))
@@ -198,41 +169,17 @@ func assembleOne(id uint64, spans []*Span) *Trace {
 		}
 	}
 
-	for _, r := range t.Roots {
-		adjust(r, 0)
+	byStart := func(ss []*Span) {
+		sort.Slice(ss, func(i, j int) bool { return ss[i].Start.Before(ss[j].Start) })
+	}
+	for _, s := range spans {
+		byStart(s.Children)
 	}
 	t.Spans = spans
-	sort.Slice(t.Spans, func(i, j int) bool { return t.Spans[i].Adjusted.Before(t.Spans[j].Adjusted) })
-	sort.Slice(t.Roots, func(i, j int) bool { return t.Roots[i].Adjusted.Before(t.Roots[j].Adjusted) })
+	byStart(t.Spans)
+	byStart(t.Roots)
 	t.Complete = len(t.Roots) == 1 && t.Orphans == 0
 	return t
-}
-
-// adjust applies clock-skew correction down one subtree. shift is the
-// correction inherited from the nearest same-source ancestor chain;
-// when a child crossed a source boundary its own shift is recomputed so
-// the child sits centered inside the parent's (already adjusted)
-// window. In-process assemblies have a single source, every shift is
-// zero, and timestamps pass through untouched.
-func adjust(s *Span, shift time.Duration) {
-	s.Adjusted = s.Start.Add(shift)
-	for _, c := range s.Children {
-		cshift := shift
-		if c.Source != s.Source {
-			want := s.Adjusted.Add((s.Dur - c.Dur) / 2)
-			if want.Before(s.Adjusted) {
-				// Child outlasts its parent (lost response, clock
-				// trouble): pin its start to the parent's rather than
-				// extrapolating backwards.
-				want = s.Adjusted
-			}
-			cshift = want.Sub(c.Start)
-		}
-		adjust(c, cshift)
-	}
-	sort.Slice(s.Children, func(i, j int) bool {
-		return s.Children[i].Adjusted.Before(s.Children[j].Adjusted)
-	})
 }
 
 // Slowest returns the n traces with the longest duration, slowest
@@ -285,7 +232,7 @@ func WriteWaterfall(w io.Writer, t *Trace) error {
 	var walk func(s *Span, depth int) error
 	walk = func(s *Span, depth int) error {
 		if _, err := fmt.Fprintf(w, "%*s+%-9s [%-7s] %-24s %s\n",
-			2*depth, "", fmtDur(s.Adjusted.Sub(t0)), s.Tier, s.Name, fmtDur(s.Dur)); err != nil {
+			2*depth, "", fmtDur(s.Start.Sub(t0)), s.Tier, s.Name, fmtDur(s.Dur)); err != nil {
 			return err
 		}
 		for _, c := range s.Children {

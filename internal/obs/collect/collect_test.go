@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -28,16 +26,12 @@ func rec(trace, span, parent uint64, name string, startMs, durMs int) obs.SpanRe
 }
 
 func TestAssembleOutOfOrder(t *testing.T) {
-	// Children delivered before their parents, spread across two batches.
-	traces := Assemble(
-		Batch{Source: "proc", Spans: []obs.SpanRecord{
-			rec(1, 30, 20, "backend.apply", 2, 4),
-			rec(1, 10, 0, "client.interaction", 0, 10),
-		}},
-		Batch{Source: "proc", Spans: []obs.SpanRecord{
-			rec(1, 20, 10, "edge.request", 1, 8),
-		}},
-	)
+	// Children delivered before their parents.
+	traces := Assemble([]obs.SpanRecord{
+		rec(1, 30, 20, "backend.apply", 2, 4),
+		rec(1, 10, 0, "client.interaction", 0, 10),
+		rec(1, 20, 10, "edge.request", 1, 8),
+	})
 	if len(traces) != 1 {
 		t.Fatalf("got %d traces, want 1", len(traces))
 	}
@@ -64,11 +58,11 @@ func TestAssembleOutOfOrder(t *testing.T) {
 }
 
 func TestAssembleMissingParent(t *testing.T) {
-	traces := Assemble(Batch{Source: "proc", Spans: []obs.SpanRecord{
+	traces := Assemble([]obs.SpanRecord{
 		rec(7, 1, 0, "client.interaction", 0, 10),
 		// Parent span 99 was never exported (evicted from the ring).
 		rec(7, 2, 99, "backend.apply", 3, 2),
-	}})
+	})
 	tr := traces[0]
 	if tr.Complete {
 		t.Fatal("trace with a missing parent must be incomplete")
@@ -80,29 +74,29 @@ func TestAssembleMissingParent(t *testing.T) {
 
 func TestAssembleDedupAndSkipInvalid(t *testing.T) {
 	r := rec(3, 5, 0, "client.interaction", 0, 1)
-	traces := Assemble(
-		Batch{Source: "a", Spans: []obs.SpanRecord{r, r}}, // duplicate within a batch
-		Batch{Source: "b", Spans: []obs.SpanRecord{
-			r,                       // duplicate across batches (poll overlap)
-			rec(0, 9, 0, "x", 0, 1), // zero trace: untraced, skipped
-			rec(3, 0, 0, "x", 0, 1), // zero span id: invalid, skipped
-		}},
-	)
+	dup := r
+	dup.Name = "later.duplicate"
+	traces := Assemble([]obs.SpanRecord{
+		r,
+		dup,                     // same (trace, span): dropped
+		rec(0, 9, 0, "x", 0, 1), // zero trace: untraced, skipped
+		rec(3, 0, 0, "x", 0, 1), // zero span id: invalid, skipped
+	})
 	if len(traces) != 1 || len(traces[0].Spans) != 1 {
 		t.Fatalf("dedup failed: %d traces, %d spans", len(traces), len(traces[0].Spans))
 	}
-	if traces[0].Spans[0].Source != "a" {
-		t.Fatalf("first occurrence should win; got source %q", traces[0].Spans[0].Source)
+	if got := traces[0].Spans[0].Name; got != "client.interaction" {
+		t.Fatalf("first occurrence should win; got %q", got)
 	}
 }
 
 func TestAssembleCycleGuard(t *testing.T) {
 	// Corrupt input: two spans each claiming the other as parent, with no
 	// true root. The cycle guard must still surface them.
-	traces := Assemble(Batch{Source: "proc", Spans: []obs.SpanRecord{
+	traces := Assemble([]obs.SpanRecord{
 		rec(9, 1, 2, "edge.request", 0, 5),
 		rec(9, 2, 1, "backend.apply", 1, 3),
-	}})
+	})
 	tr := traces[0]
 	if len(tr.Spans) != 2 {
 		t.Fatalf("cycle spans lost: %d", len(tr.Spans))
@@ -115,81 +109,14 @@ func TestAssembleCycleGuard(t *testing.T) {
 	}
 }
 
-func TestAssembleSkewRepair(t *testing.T) {
-	// Edge (source "edge") calls backend (source "backend") whose clock
-	// runs 10 full seconds ahead. The parent span's window is the wire
-	// round trip: start 0ms, 8ms long; the child claims to start at
-	// +10002ms and run 4ms.
-	parent := rec(4, 1, 0, "edge.request", 0, 8)
-	child := rec(4, 2, 1, "backend.apply", 10002, 4)
-	traces := Assemble(
-		Batch{Source: "edge", Spans: []obs.SpanRecord{parent}},
-		Batch{Source: "backend", Spans: []obs.SpanRecord{child}},
-	)
-	tr := traces[0]
-	if !tr.Complete {
-		t.Fatalf("expected complete trace, got %d roots", len(tr.Roots))
-	}
-	root := tr.Root()
-	c := root.Children[0]
-	// Centered inside the parent window: (8ms - 4ms)/2 = +2ms.
-	want := root.Adjusted.Add(2 * time.Millisecond)
-	if !c.Adjusted.Equal(want) {
-		t.Fatalf("skew repair: child adjusted to %v, want %v (raw %v)", c.Adjusted, want, c.Start)
-	}
-	if c.End().After(root.End()) {
-		t.Fatalf("repaired child must fit inside parent: child ends %v, parent ends %v", c.End(), root.End())
-	}
-	if tr.Duration() != 8*time.Millisecond {
-		t.Fatalf("repaired trace duration = %v, want 8ms", tr.Duration())
-	}
-}
-
-func TestAssembleSkewRepairChildOutlastsParent(t *testing.T) {
-	// Pathological: the child claims a longer duration than the parent's
-	// whole window. Its start pins to the parent's, never earlier.
-	parent := rec(4, 1, 0, "edge.request", 0, 3)
-	child := rec(4, 2, 1, "backend.apply", 500, 9)
-	traces := Assemble(
-		Batch{Source: "edge", Spans: []obs.SpanRecord{parent}},
-		Batch{Source: "backend", Spans: []obs.SpanRecord{child}},
-	)
-	root := traces[0].Root()
-	if c := root.Children[0]; !c.Adjusted.Equal(root.Adjusted) {
-		t.Fatalf("child start %v, want pinned to parent %v", c.Adjusted, root.Adjusted)
-	}
-}
-
-func TestAssembleSameSourceInheritsShift(t *testing.T) {
-	// A skewed cross-source child's own (same-source) child must inherit
-	// the repair shift, keeping intra-process offsets intact.
-	traces := Assemble(
-		Batch{Source: "edge", Spans: []obs.SpanRecord{
-			rec(5, 1, 0, "edge.request", 0, 10),
-		}},
-		Batch{Source: "db", Spans: []obs.SpanRecord{
-			rec(5, 2, 1, "sqlstore.apply", 5000, 6),
-			rec(5, 3, 2, "lockmgr.wait", 5001, 2),
-		}},
-	)
-	root := traces[0].Root()
-	mid := root.Children[0]
-	leaf := mid.Children[0]
-	// The db-internal +1ms offset between spans 2 and 3 must survive.
-	if got := leaf.Adjusted.Sub(mid.Adjusted); got != time.Millisecond {
-		t.Fatalf("intra-source offset = %v, want 1ms", got)
-	}
-}
-
 func TestSlowestAndMedians(t *testing.T) {
-	var batch Batch
-	batch.Source = "proc"
+	var recs []obs.SpanRecord
 	for i := 0; i < 5; i++ {
 		// Durations 1..5 ms, trace IDs 101..105.
-		batch.Spans = append(batch.Spans,
+		recs = append(recs,
 			rec(uint64(101+i), uint64(1+i), 0, "client.interaction", i*20, i+1))
 	}
-	traces := Assemble(batch)
+	traces := Assemble(recs)
 	slow := Slowest(traces, 2)
 	if len(slow) != 2 || slow[0].ID != 105 || slow[1].ID != 104 {
 		t.Fatalf("Slowest: got %v", []uint64{slow[0].ID, slow[1].ID})
@@ -207,10 +134,10 @@ func TestSlowestAndMedians(t *testing.T) {
 }
 
 func TestWriteWaterfall(t *testing.T) {
-	traces := Assemble(Batch{Source: "proc", Spans: []obs.SpanRecord{
+	traces := Assemble([]obs.SpanRecord{
 		rec(42, 1, 0, "client.interaction", 0, 10),
 		rec(42, 2, 1, "edge.request", 1, 8),
-	}})
+	})
 	var b bytes.Buffer
 	if err := WriteWaterfall(&b, traces[0]); err != nil {
 		t.Fatal(err)
@@ -234,9 +161,9 @@ func TestWriteWaterfall(t *testing.T) {
 }
 
 func TestWriteWaterfallIncomplete(t *testing.T) {
-	traces := Assemble(Batch{Source: "proc", Spans: []obs.SpanRecord{
+	traces := Assemble([]obs.SpanRecord{
 		rec(8, 2, 99, "backend.apply", 0, 2),
-	}})
+	})
 	var b bytes.Buffer
 	if err := WriteWaterfall(&b, traces[0]); err != nil {
 		t.Fatal(err)
@@ -247,12 +174,12 @@ func TestWriteWaterfallIncomplete(t *testing.T) {
 }
 
 func TestWriteTraceEvents(t *testing.T) {
-	traces := Assemble(Batch{Source: "proc", Spans: []obs.SpanRecord{
+	traces := Assemble([]obs.SpanRecord{
 		rec(42, 1, 0, "client.interaction", 0, 10),
 		rec(42, 2, 1, "edge.request", 1, 8),
 		rec(42, 3, 2, "backend.apply", 3, 4),
 		rec(43, 4, 0, "client.interaction", 20, 5),
-	}})
+	})
 	var b bytes.Buffer
 	if err := WriteTraceEvents(&b, traces); err != nil {
 		t.Fatal(err)
@@ -317,7 +244,7 @@ func TestWriteTraceEvents(t *testing.T) {
 	}
 }
 
-func TestCollectorFromLog(t *testing.T) {
+func TestAssembleFromLog(t *testing.T) {
 	// Finished spans land in the process-wide DefaultSpans ring; swap in
 	// a private one so this test sees only its own spans.
 	log := obs.NewSpanLog(64)
@@ -331,86 +258,8 @@ func TestCollectorFromLog(t *testing.T) {
 	child.End()
 	root.End()
 
-	c := NewCollector(FromLog("proc", log))
-	if err := c.Poll(); err != nil {
-		t.Fatal(err)
-	}
-	if c.SpanCount() != 2 {
-		t.Fatalf("SpanCount = %d, want 2", c.SpanCount())
-	}
-	traces := c.Traces()
-	if len(traces) != 1 || !traces[0].Complete {
+	traces := Assemble(log.Since(time.Time{}))
+	if len(traces) != 1 || !traces[0].Complete || len(traces[0].Spans) != 2 {
 		t.Fatalf("bad assembly from live log: %d traces", len(traces))
-	}
-
-	// A second poll re-fetches at most the high-water instant; the
-	// assembly must not duplicate anything.
-	if err := c.Poll(); err != nil {
-		t.Fatal(err)
-	}
-	traces = c.Traces()
-	if len(traces) != 1 || len(traces[0].Spans) != 2 {
-		t.Fatalf("re-poll duplicated spans: %d traces, %d spans",
-			len(traces), len(traces[0].Spans))
-	}
-}
-
-func TestHTTPSource(t *testing.T) {
-	recs := []obs.SpanRecord{
-		rec(11, 1, 0, "client.interaction", 0, 4),
-		rec(11, 2, 1, "edge.request", 1, 2),
-	}
-	var gotSince string
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/debug/spans" || r.URL.Query().Get("format") != "json" {
-			http.NotFound(w, r)
-			return
-		}
-		gotSince = r.URL.Query().Get("since")
-		json.NewEncoder(w).Encode(recs)
-	}))
-	defer srv.Close()
-
-	src := FromHTTP("edge", srv.URL)
-	if src.Name() != "edge" {
-		t.Fatalf("Name = %q", src.Name())
-	}
-	got, err := src.Fetch(time.Time{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[0].Trace != 11 {
-		t.Fatalf("fetched %d records: %+v", len(got), got)
-	}
-	if gotSince != "" {
-		t.Fatalf("zero since must omit the parameter, sent %q", gotSince)
-	}
-
-	cut := recs[0].Start
-	if _, err := src.Fetch(cut); err != nil {
-		t.Fatal(err)
-	}
-	if gotSince == "" {
-		t.Fatal("non-zero since not forwarded")
-	}
-
-	// End-to-end through the collector.
-	c := NewCollector(FromHTTP("edge", srv.URL))
-	if err := c.Poll(); err != nil {
-		t.Fatal(err)
-	}
-	traces := c.Traces()
-	if len(traces) != 1 || !traces[0].Complete {
-		t.Fatalf("HTTP assembly: %d traces", len(traces))
-	}
-}
-
-func TestHTTPSourceError(t *testing.T) {
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		http.Error(w, "boom", http.StatusInternalServerError)
-	}))
-	defer srv.Close()
-	if _, err := FromHTTP("edge", srv.URL).Fetch(time.Time{}); err == nil {
-		t.Fatal("expected error on HTTP 500")
 	}
 }

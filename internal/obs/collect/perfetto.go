@@ -85,7 +85,7 @@ func WriteTraceEvents(w io.Writer, traces []*Trace) error {
 				Name: s.Name,
 				Cat:  s.Tier,
 				Ph:   "X",
-				Ts:   float64(s.Adjusted.Sub(t0)) / float64(time.Microsecond),
+				Ts:   float64(s.Start.Sub(t0)) / float64(time.Microsecond),
 				Dur:  float64(s.Dur) / float64(time.Microsecond),
 				Pid:  tierPid[s.Tier],
 				Tid:  tid,

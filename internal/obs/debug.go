@@ -33,8 +33,7 @@ type DebugOptions struct {
 //	               liveness checks can assert more than reachability
 //	/debug/spans   recent spans (?trace=ID for one trace, ?n=N to limit
 //	               the text listing, ?format=json&since=UNIXNANO to
-//	               export records for trace assembly, ?limit=N to cap
-//	               the response)
+//	               export records, ?limit=N to cap the response)
 //	/debug/events  recent forensic events (?since=SEQ for the events
 //	               after a sequence number, ?format=json for JSON Lines,
 //	               ?limit=N to cap the response)
@@ -43,12 +42,11 @@ type DebugOptions struct {
 // The two endpoints' cursors differ deliberately and are easy to mix
 // up: /debug/spans?since= takes a START TIME in unix NANOSECONDS and is
 // inclusive (records with Start >= since), because spans are keyed by
-// wall-clock start for cross-process assembly; /debug/events?since=
-// takes a SEQUENCE NUMBER and is exclusive (events with Seq > since),
-// because events carry a log-assigned monotonic Seq. A poller advances
-// the span cursor to the last record's start (tolerating the one-
-// instant overlap — the assembler dedups) and the event cursor to the
-// last event's Seq. Both endpoints accept ?limit=N (N >= 1) to bound
+// wall-clock start; /debug/events?since= takes a SEQUENCE NUMBER and is
+// exclusive (events with Seq > since), because events carry a
+// log-assigned monotonic Seq. A poller advances the span cursor to the
+// last record's start (tolerating the one-instant overlap — span IDs
+// dedup it) and the event cursor to the last event's Seq. Both endpoints accept ?limit=N (N >= 1) to bound
 // the response for pollers: the OLDEST N matching records are returned,
 // so a capped poll still advances the cursor without skipping.
 //

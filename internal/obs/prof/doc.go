@@ -1,33 +1,19 @@
-// Package prof is the resource-attribution layer of the observability
+// Package prof feeds the Go runtime's own meters into the observability
 // stack: where internal/obs answers "where did the wall-clock time go",
-// prof answers "where did the CPU cycles, allocations, and GC pauses
-// go" — per tier and per experiment phase.
+// prof answers "how much did the process allocate, collect, and
+// schedule while it went there".
 //
-// It has three parts:
+// Runtime reads runtime/metrics plus getrusage CPU time on an interval
+// and registers them in an obs.Registry as ordinary counters, gauges,
+// and histograms under the runtime.* namespace. Registered there, they
+// ride every existing export for free: /metrics text and Prometheus
+// exposition, per-phase registry diffs, and the time-series CSVs the
+// artifact pipeline writes; tradebench normalizes three of them into
+// summary.json's resource.* metrics.
 //
-//   - Runtime telemetry: Runtime reads the Go runtime's own meters
-//     (runtime/metrics plus getrusage CPU time) on an interval and
-//     feeds them into an obs.Registry as ordinary counters, gauges,
-//     and histograms under the runtime.* namespace. Registered there,
-//     they ride every existing export for free: /metrics text and
-//     Prometheus exposition, per-phase registry diffs, and the
-//     time-series CSVs the artifact pipeline writes.
-//   - Profile capture: Capturer brackets each measured phase with a
-//     CPU profile, a heap (allocation) delta profile, and — when the
-//     sampling rates are enabled — mutex and block delta profiles,
-//     both in-process and by fetching /debug/pprof from every remote
-//     daemon concurrently, so a real multi-process sharded deployment
-//     yields per-tier profiles. Raw .pb.gz profiles land in the run's
-//     artifact directory.
-//   - A pprof-protobuf parser and encoder: Parse reads the gzipped
-//     profile.proto format the runtime emits (bounds-checked, no
-//     third-party dependencies), Profile.Sub computes the delta
-//     between two cumulative captures of the same process, and
-//     HotspotSet aggregates parsed profiles into the top-N self-CPU
-//     and top-N allocation-site tables printed under tradebench
-//     -metrics and written as cpu_hotspots.csv / alloc_hotspots.csv.
-//
-// The runtime.* metric names and the resource.* summary metrics they
-// feed are documented in OBSERVABILITY.md; CI fails if one goes
-// undocumented.
+// Profiles are not this package's job: every -debug-addr listener
+// serves /debug/pprof, and go tool pprof reads, diffs (-base) and
+// tabulates (-top) what it serves. OBSERVABILITY.md's "Taking a
+// profile" has the commands, and documents the runtime.* names; CI
+// fails if one goes undocumented.
 package prof

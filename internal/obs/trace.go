@@ -19,7 +19,6 @@ type (
 	traceKey struct{}
 	spanKey  struct{}
 	opKey    struct{}
-	laneKey  struct{}
 )
 
 // WithOp returns ctx labeled with the logical operation being served
@@ -37,26 +36,6 @@ func WithOp(ctx context.Context, op string) context.Context {
 func Op(ctx context.Context) string {
 	op, _ := ctx.Value(opKey{}).(string)
 	return op
-}
-
-// WithLane returns ctx labeled with a lane — a sub-tier grouping key
-// recorded on every span started under it (the shard router lanes each
-// participant call as "shard<i>"). Critical-path attribution groups by
-// lane, and spans recorded on the far side of a wire hop inherit the
-// nearest laned ancestor's lane at attribution time, so the lane set at
-// the coordinator covers the participant's whole subtree. An empty lane
-// returns ctx unchanged.
-func WithLane(ctx context.Context, lane string) context.Context {
-	if lane == "" {
-		return ctx
-	}
-	return context.WithValue(ctx, laneKey{}, lane)
-}
-
-// Lane extracts the context's lane label ("" if none).
-func Lane(ctx context.Context) string {
-	lane, _ := ctx.Value(laneKey{}).(string)
-	return lane
 }
 
 // traceIDs and spanIDs are seeded at init with the wall clock so IDs
@@ -192,7 +171,6 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 		Parent: parent,
 		Name:   name,
 		Tier:   TierOf(name),
-		Lane:   Lane(ctx),
 		Start:  time.Now(),
 	}}
 	return context.WithValue(ctx, spanKey{}, s.rec.Span), s
@@ -219,16 +197,13 @@ func (s *Span) End() {
 // (see TierOf), so trace assembly can lay one interaction out across
 // client, edge, backend, and db lanes.
 type SpanRecord struct {
-	Trace  uint64 `json:"trace"`
-	Span   uint64 `json:"span"`
-	Parent uint64 `json:"parent,omitempty"`
-	Name   string `json:"name"`
-	Tier   string `json:"tier,omitempty"`
-	// Lane is an optional sub-tier grouping key (see WithLane); the
-	// shard router sets "shard<i>" on per-participant commit-path spans.
-	Lane  string        `json:"lane,omitempty"`
-	Start time.Time     `json:"start"`
-	Dur   time.Duration `json:"dur_ns"`
+	Trace  uint64        `json:"trace"`
+	Span   uint64        `json:"span"`
+	Parent uint64        `json:"parent,omitempty"`
+	Name   string        `json:"name"`
+	Tier   string        `json:"tier,omitempty"`
+	Start  time.Time     `json:"start"`
+	Dur    time.Duration `json:"dur_ns"`
 }
 
 // SpanLog is a bounded ring of recently finished spans — enough to

@@ -265,3 +265,33 @@ func TestKindProperties(t *testing.T) {
 		}
 	}
 }
+
+// FuzzLoadSummary feeds the summary loader hostile file contents: it
+// must never panic, never hand back a nil summary without an error, and
+// whatever it accepts must survive the comparison the gate runs on it.
+func FuzzLoadSummary(f *testing.F) {
+	baseline, err := os.ReadFile(filepath.Join("..", "..", "results", "baseline", SummaryFile))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(baseline)
+	f.Add(baseline[:len(baseline)/2])
+	f.Add([]byte(`{"schema":"` + SchemaV2 + `"}`))
+	f.Add([]byte(`{"schema":"` + SchemaV2 + `","metrics":{"m":{"kind":"?","better":"?","mean":1e308,"samples":[0,-1e308]}}}`))
+	file := filepath.Join(f.TempDir(), SummaryFile)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(file, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := Load(file)
+		if err != nil {
+			return
+		}
+		if s == nil || s.Metrics == nil {
+			t.Fatalf("Load returned %+v with a nil error", s)
+		}
+		if rep := Compare(s, s, Options{Gate: GateAll}); rep.Regressions != 0 {
+			t.Fatalf("self-compare of a loaded summary regressed: %+v", rep)
+		}
+	})
+}

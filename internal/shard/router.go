@@ -72,11 +72,6 @@ func (r *Router) nextGid() string {
 	return r.id + "-" + strconv.FormatUint(r.gidSeq.Add(1), 10)
 }
 
-// laneOf labels the span lane for one participant shard. Critical-path
-// attribution groups commit-path time per lane, so a sharded run's
-// table shows which shard the blocking time sat on.
-func laneOf(s int) string { return "shard" + strconv.Itoa(s) }
-
 // AutoGet routes the read to the key's owning shard: one round trip,
 // exactly as against an unsharded tier.
 func (r *Router) AutoGet(ctx context.Context, table, id string) (storeapi.GetResult, error) {
@@ -142,7 +137,7 @@ func (r *Router) ApplyCommitSet(ctx context.Context, cs memento.CommitSet) (sqls
 	obsParticipants.Observe(time.Duration(len(split)))
 	if len(split) == 1 {
 		for s, sub := range split {
-			actx, asp := obs.StartSpan(obs.WithLane(ctx, laneOf(s)), "shard.apply")
+			actx, asp := obs.StartSpan(ctx, "shard.apply")
 			res, err := r.conns[s].ApplyCommitSet(actx, sub)
 			asp.End()
 			if err != nil {
@@ -180,7 +175,7 @@ func (r *Router) validateScatter(ctx context.Context, split map[int]memento.Comm
 		wg.Add(1)
 		go func(p *part) {
 			defer wg.Done()
-			pctx, psp := obs.StartSpan(obs.WithLane(ctx, laneOf(p.shard)), "shard.apply")
+			pctx, psp := obs.StartSpan(ctx, "shard.apply")
 			p.res, p.err = r.conns[p.shard].ApplyCommitSet(pctx, split[p.shard])
 			psp.End()
 		}(&parts[i])
@@ -237,7 +232,7 @@ func (r *Router) twoPhase(ctx context.Context, split map[int]memento.CommitSet) 
 		wg.Add(1)
 		go func(p *part) {
 			defer wg.Done()
-			pctx, psp := obs.StartSpan(obs.WithLane(ctx, laneOf(p.shard)), "shard.prepare")
+			pctx, psp := obs.StartSpan(ctx, "shard.prepare")
 			start := time.Now()
 			p.err = p.prep.Prepare(pctx, gid, split[p.shard])
 			obsPrepareLatency.Observe(time.Since(start))
@@ -283,7 +278,7 @@ func (r *Router) twoPhase(ctx context.Context, split map[int]memento.CommitSet) 
 		wg.Add(1)
 		go func(p *part) {
 			defer wg.Done()
-			pctx, psp := obs.StartSpan(obs.WithLane(cctx, laneOf(p.shard)), "shard.commit_prepared")
+			pctx, psp := obs.StartSpan(cctx, "shard.commit_prepared")
 			p.res, p.err = p.prep.CommitPrepared(pctx, gid)
 			psp.End()
 		}(&parts[i])

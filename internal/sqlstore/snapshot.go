@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"sort"
 
 	"edgeejb/internal/memento"
@@ -75,7 +76,10 @@ func (s *Store) capture() snapshot {
 // r. It must be called before the store is shared (no locking against
 // concurrent transactions is attempted; the caller owns the store).
 // Row versions are restored exactly, so optimistic caches built against
-// the pre-snapshot store remain coherent.
+// the pre-snapshot store remain coherent. A snapshot that does not
+// decode, names a table twice, or files a row under a table (or an ID)
+// its key contradicts is rejected, and a rejected snapshot leaves the
+// store's previous state untouched.
 func (s *Store) Restore(r io.Reader) error {
 	var snap snapshot
 	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
@@ -84,19 +88,23 @@ func (s *Store) Restore(r io.Reader) error {
 	if snap.Magic != snapshotMagic {
 		return fmt.Errorf("sqlstore: not a snapshot (magic %q)", snap.Magic)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	s.tables = make(map[string]*table, len(snap.Tables))
+	tables := make(map[string]*table, len(snap.Tables))
 	for _, st := range snap.Tables {
+		if _, dup := tables[st.Name]; dup {
+			return fmt.Errorf("sqlstore: snapshot holds table %q twice", st.Name)
+		}
 		t := newTable()
-		s.tables[st.Name] = t
+		tables[st.Name] = t
 		for _, field := range st.Indexes {
 			t.indexes[field] = newIndex(field)
 		}
 		for _, m := range st.Rows {
+			if m.Key.Table != st.Name {
+				return fmt.Errorf("sqlstore: snapshot table %q holds row %s", st.Name, m.Key)
+			}
+			if _, dup := t.rows[m.Key.ID]; dup {
+				return fmt.Errorf("sqlstore: snapshot holds row %s twice", m.Key)
+			}
 			row := m.Clone()
 			t.rows[row.Key.ID] = row
 			for _, ix := range t.indexes {
@@ -104,11 +112,20 @@ func (s *Store) Restore(r io.Reader) error {
 			}
 		}
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return ErrClosed
+	}
+	s.tables = tables
 	return nil
 }
 
-// DumpFile writes a snapshot atomically: to a temporary file first,
-// renamed over path on success.
+// DumpFile writes a snapshot atomically and durably: to a temporary
+// file first, synced before it is renamed over path, with the parent
+// directory synced after — so a crash at any point leaves either the
+// previous snapshot or the complete new one, never an empty file under
+// the final name.
 func (s *Store) DumpFile(path string) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
@@ -120,6 +137,11 @@ func (s *Store) DumpFile(path string) error {
 		_ = os.Remove(tmp)
 		return err
 	}
+	if err := f.Sync(); err != nil {
+		_ = f.Close()
+		_ = os.Remove(tmp)
+		return fmt.Errorf("sqlstore: sync snapshot: %w", err)
+	}
 	if err := f.Close(); err != nil {
 		_ = os.Remove(tmp)
 		return fmt.Errorf("sqlstore: close snapshot: %w", err)
@@ -127,6 +149,14 @@ func (s *Store) DumpFile(path string) error {
 	if err := os.Rename(tmp, path); err != nil {
 		_ = os.Remove(tmp)
 		return fmt.Errorf("sqlstore: install snapshot: %w", err)
+	}
+	dir, err := os.Open(filepath.Dir(path))
+	if err != nil {
+		return fmt.Errorf("sqlstore: open snapshot directory: %w", err)
+	}
+	defer dir.Close()
+	if err := dir.Sync(); err != nil {
+		return fmt.Errorf("sqlstore: sync snapshot directory: %w", err)
 	}
 	return nil
 }

@@ -3,6 +3,8 @@ package sqlstore
 import (
 	"bytes"
 	"context"
+	"encoding/gob"
+	"io"
 	"math/rand"
 	"path/filepath"
 	"strings"
@@ -173,4 +175,79 @@ func TestSnapshotIdentityProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestRestoreRejectsInconsistentSnapshot: a snapshot whose tables
+// contradict themselves is refused, and the refusal leaves the store's
+// previous committed state in place.
+func TestRestoreRejectsInconsistentSnapshot(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		tables []snapshotTable
+	}{
+		{"row filed under another table", []snapshotTable{
+			{Name: "t", Rows: []memento.Memento{mem("other", "1", 3, intFields(1))}},
+		}},
+		{"table named twice", []snapshotTable{
+			{Name: "t", Rows: []memento.Memento{mem("t", "1", 3, intFields(1))}},
+			{Name: "t", Rows: []memento.Memento{mem("t", "2", 3, intFields(2))}},
+		}},
+		{"row held twice", []snapshotTable{
+			{Name: "t", Rows: []memento.Memento{mem("t", "1", 3, intFields(1)), mem("t", "1", 4, intFields(2))}},
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			if err := gob.NewEncoder(&buf).Encode(snapshot{Magic: snapshotMagic, Tables: tc.tables}); err != nil {
+				t.Fatal(err)
+			}
+			s := New()
+			defer s.Close()
+			s.Seed(mem("kept", "k", 0, intFields(7)))
+			if err := s.Restore(&buf); err == nil {
+				t.Fatal("inconsistent snapshot accepted")
+			}
+			if v, err := s.CurrentVersion(memento.Key{Table: "kept", ID: "k"}); err != nil || v != 1 {
+				t.Fatalf("failed restore disturbed the store: v=%d err=%v", v, err)
+			}
+			if _, err := s.CurrentVersion(memento.Key{Table: "t", ID: "1"}); err == nil {
+				t.Fatal("failed restore installed part of the snapshot")
+			}
+		})
+	}
+}
+
+// FuzzRestore feeds the snapshot loader hostile bytes: it must never
+// panic, and a rejected snapshot must leave the store readable with the
+// state it had.
+func FuzzRestore(f *testing.F) {
+	src := New()
+	defer src.Close()
+	if err := src.CreateIndex("h", "acct"); err != nil {
+		f.Fatal(err)
+	}
+	src.Seed(acctRow("1", "a", 10), acctRow("2", "b", 20), mem("other", "x", 0, intFields(5)))
+	var real bytes.Buffer
+	if err := src.Dump(&real); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(real.Bytes())
+	f.Add(real.Bytes()[:real.Len()/2])
+	f.Add([]byte("not a snapshot"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		s := New()
+		defer s.Close()
+		kept := memento.Key{Table: "kept", ID: "k"}
+		s.Seed(mem(kept.Table, kept.ID, 0, intFields(7)))
+		if err := s.Restore(bytes.NewReader(data)); err != nil {
+			if v, verr := s.CurrentVersion(kept); verr != nil || v != 1 {
+				t.Fatalf("failed restore (%v) disturbed the store: v=%d err=%v", err, v, verr)
+			}
+			return
+		}
+		// Accepted: the restored state must dump again.
+		if err := s.Dump(io.Discard); err != nil {
+			t.Fatalf("restored store does not dump: %v", err)
+		}
+	})
 }

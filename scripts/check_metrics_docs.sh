@@ -33,12 +33,6 @@ names=$(
 	grep -rho --include='*.go' --exclude='*_test.go' \
 		-E 'obs\.StartSpan\([^,]+, "[^"]+"' internal cmd |
 		sed -E 's/.*, "([^"]+)".*/span.\1/'
-	# spans started on a lane-tagged context: the first StartSpan
-	# argument is obs.WithLane(...), which contains commas and nested
-	# parens of its own, so take the last quoted string on the line
-	grep -rho --include='*.go' --exclude='*_test.go' \
-		-E 'obs\.StartSpan\(obs\.WithLane\(.*\), "[^"]+"' internal cmd |
-		sed -E 's/.*, "([^"]+)".*/span.\1/'
 	# package obs registers its own metrics without the obs. qualifier
 	grep -rho --include='*.go' --exclude='*_test.go' \
 		-E '(^|[^.[:alnum:]_])Default\.(Counter|Gauge|Histogram)\("[^"]+"\)' internal/obs |
@@ -101,9 +95,9 @@ for name in $required; do
 done
 
 # Artifact files downstream tooling depends on by name: the perf gate
-# loads summary.json and the attribution table feeds critical_path.csv.
-# Both schemas must stay documented.
-for artifact in critical_path.csv summary.json MANIFEST.json trace.perfetto.json cpu_hotspots.csv alloc_hotspots.csv; do
+# loads summary.json, CI reads MANIFEST.json and the Perfetto trace.
+# Their schemas must stay documented.
+for artifact in summary.json MANIFEST.json trace.perfetto.json waterfalls.txt; do
 	if ! grep -q -F "\`$artifact\`" "$doc"; then
 		echo "undocumented artifact: $artifact (add it to $doc)" >&2
 		fail=1
@@ -113,7 +107,7 @@ done
 # The gated metric namespace: the prefixes benchdiff and the CI perf
 # gate key on. Renaming one in the summary builder without updating the
 # docs (and the baseline) silently un-gates it.
-for prefix in latency. sensitivity. wire. throughput. shards. cache. critpath. resource.; do
+for prefix in latency. sensitivity. wire. throughput. shards. cache. resource.; do
 	if ! grep -rho --include='*.go' --exclude='*_test.go' -F "\"$prefix" internal/harness >/dev/null; then
 		echo "summary metric prefix no longer built: $prefix (update $doc and results/baseline)" >&2
 		fail=1
