@@ -2,14 +2,16 @@
 //
 // It builds the smallest possible deployment — one in-process datastore,
 // one SLI cache manager — defines a bank-account entity, and shows the
-// three behaviors that make the framework tick:
+// behaviors that make the framework tick:
 //
 //  1. transparent caching: the second read of an account costs no
 //     datastore access;
 //  2. optimistic concurrency: two transactions updating the same account
 //     conflict, the loser aborts and retries;
 //  3. identical programming model: the same code runs uncached by
-//     swapping the resource manager.
+//     swapping the resource manager;
+//  4. multi-bean find: one Find naming two accounts lets the cache fetch
+//     its misses together.
 //
 // Run with: go run ./examples/quickstart
 package main
@@ -119,6 +121,12 @@ func run() error {
 	other := slicache.NewManager(storeapi.Local(store))
 	defer other.Close()
 	otherContainer := component.NewContainer(registry, other)
+	err = otherContainer.Execute(ctx, func(tx *component.Tx) error {
+		return tx.Create(&BankAccount{ID: "acct-2", Owner: "grace"})
+	})
+	if err != nil {
+		return err
+	}
 
 	sabotaged := false
 	err = container.ExecuteRetry(ctx, 3, func(tx *component.Tx) error {
@@ -149,14 +157,35 @@ func run() error {
 	}
 	fmt.Printf("conflicts detected and retried: %d\n", mgr.Stats().Conflicts)
 
-	// Final state: both updates applied exactly once.
+	// 4. One Find, two beans: a transfer needs both accounts and neither
+	// lookup depends on the other, so it names them together. The cache
+	// fetches the ones it misses concurrently — acct-2 has not been read
+	// yet, acct-1 is cached — where JDBC or BMP would load them in order.
+	err = container.Execute(ctx, func(tx *component.Tx) error {
+		from, to := &BankAccount{ID: "acct-1"}, &BankAccount{ID: "acct-2"}
+		if err := tx.Find(from, to); err != nil {
+			return err
+		}
+		from.Balance -= 70
+		to.Balance += 70
+		if err := tx.Update(from); err != nil {
+			return err
+		}
+		return tx.Update(to)
+	})
+	if err != nil {
+		return err
+	}
+	fmt.Println("transferred 70 from acct-1 to acct-2")
+
+	// Final state: every update applied exactly once.
 	return container.Execute(ctx, func(tx *component.Tx) error {
 		acct := &BankAccount{ID: "acct-1"}
 		if err := tx.Find(acct); err != nil {
 			return err
 		}
-		fmt.Printf("final balance = %d (100 + 1000 - 30)\n", acct.Balance)
-		if acct.Balance != 1070 {
+		fmt.Printf("final balance = %d (100 + 1000 - 30 - 70)\n", acct.Balance)
+		if acct.Balance != 1000 {
 			return fmt.Errorf("unexpected balance %d", acct.Balance)
 		}
 		return nil

@@ -42,13 +42,11 @@ const pageFooter = "<hr><i>Trade benchmark application &mdash; edge-server archi
 
 // renderPage wraps a body fragment in the shared chrome.
 func renderPage(title, body string) []byte {
-	var sb strings.Builder
-	sb.Grow(len(pageChrome) + len(body) + len(pageFooter) + 64)
-	sb.WriteString(pageChrome)
-	fmt.Fprintf(&sb, "<h1>%s</h1>\n", title)
-	sb.WriteString(body)
-	sb.WriteString(pageFooter)
-	return []byte(sb.String())
+	page := make([]byte, 0, len(pageChrome)+len(body)+len(pageFooter)+64)
+	page = append(page, pageChrome...)
+	page = fmt.Appendf(page, "<h1>%s</h1>\n", title)
+	page = append(page, body...)
+	return append(page, pageFooter...)
 }
 
 func renderLogin(r trade.LoginResult) []byte {

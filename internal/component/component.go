@@ -82,6 +82,19 @@ type DataTx interface {
 	Abort(ctx context.Context) error
 }
 
+// MultiLoader is an optional DataTx extension for managers that can
+// load several entities in less time than one Load after another (the
+// SLI cache overlaps its miss fetches on the high-latency path). Tx.Find
+// asserts it the way the managers assert storeapi.BatchTxn; JDBC and BMP
+// run every statement on one pinned stream and do not implement it.
+type MultiLoader interface {
+	// LoadMany fetches the current state of every key; the result is
+	// index-aligned with keys, which may repeat. On failure it returns
+	// the error of the first key, in argument order, that could not be
+	// loaded.
+	LoadMany(ctx context.Context, keys []memento.Key) ([]memento.Memento, error)
+}
+
 // ResourceManager begins data transactions.
 type ResourceManager interface {
 	// Begin starts a transaction.
@@ -214,14 +227,40 @@ type Tx struct {
 // Context returns the transaction's context.
 func (tx *Tx) Context() context.Context { return tx.ctx }
 
-// Find loads the entity identified by e.PrimaryKey() into e
-// (findByPrimaryKey followed by ejbLoad, in EJB terms).
-func (tx *Tx) Find(e Entity) error {
-	m, err := tx.dt.Load(tx.ctx, e.PrimaryKey())
-	if err != nil {
-		return err
+// Find loads each entity identified by its PrimaryKey() into itself
+// (findByPrimaryKey followed by ejbLoad, in EJB terms). Asking for
+// several entities at once states that none of the lookups depends on
+// another's result: a MultiLoader may then fetch them together, any
+// other DataTx loads them one after the other in argument order. Either
+// way Find returns the error of the first entity, in argument order,
+// that could not be loaded.
+func (tx *Tx) Find(es ...Entity) error {
+	if ml, ok := tx.dt.(MultiLoader); ok && len(es) > 1 {
+		keys := make([]memento.Key, len(es))
+		for i, e := range es {
+			keys[i] = e.PrimaryKey()
+		}
+		mems, err := ml.LoadMany(tx.ctx, keys)
+		if err != nil {
+			return err
+		}
+		for i, e := range es {
+			if err := e.LoadMemento(mems[i]); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
-	return e.LoadMemento(m)
+	for _, e := range es {
+		m, err := tx.dt.Load(tx.ctx, e.PrimaryKey())
+		if err != nil {
+			return err
+		}
+		if err := e.LoadMemento(m); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Update registers e's current state as its after-image.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"sync/atomic"
 	"testing"
 
@@ -478,5 +479,73 @@ func TestExecuteRetryGivesUp(t *testing.T) {
 	})
 	if !IsConflict(err) {
 		t.Fatalf("got %v, want conflict", err)
+	}
+}
+
+// manyTx is a DataTx that also implements MultiLoader; it records the
+// key list it was handed and fails the test if asked key by key.
+type manyTx struct {
+	DataTx
+	t    *testing.T
+	seen [][]memento.Key
+}
+
+func (m *manyTx) Load(ctx context.Context, key memento.Key) (memento.Memento, error) {
+	m.t.Errorf("Load(%s) on a MultiLoader asked for several entities", key)
+	return m.DataTx.Load(ctx, key)
+}
+
+func (m *manyTx) LoadMany(ctx context.Context, keys []memento.Key) ([]memento.Memento, error) {
+	m.seen = append(m.seen, keys)
+	out := make([]memento.Memento, len(keys))
+	for i, k := range keys {
+		mem, err := m.DataTx.Load(ctx, k)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = mem
+	}
+	return out, nil
+}
+
+// TestFindSeveralEntities: one Find naming several entities loads every
+// one of them, through LoadMany in a single call when the manager has it
+// and in argument order, stopping at the first failure, when it has not.
+func TestFindSeveralEntities(t *testing.T) {
+	_, conn := newStore(t, item{ID: "1", Owner: "a", N: 1}, item{ID: "2", Owner: "b", N: 2})
+	ctx := context.Background()
+	dt, err := NewJDBCManager(conn).Begin(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dt.Abort(ctx)
+
+	many := &manyTx{DataTx: dt, t: t}
+	a, b := &item{ID: "1"}, &item{ID: "2"}
+	if err := (&Tx{ctx: ctx, dt: many}).Find(a, b); err != nil {
+		t.Fatal(err)
+	}
+	if a.Owner != "a" || b.Owner != "b" {
+		t.Errorf("found %+v and %+v", a, b)
+	}
+	want := [][]memento.Key{{a.PrimaryKey(), b.PrimaryKey()}}
+	if !reflect.DeepEqual(many.seen, want) {
+		t.Errorf("LoadMany saw %v, want %v", many.seen, want)
+	}
+
+	// A plain DataTx: statements in argument order, none after a failure.
+	before := conn.ops.Load()
+	c, ghost, d := &item{ID: "2"}, &item{ID: "ghost"}, &item{ID: "1"}
+	err = (&Tx{ctx: ctx, dt: dt}).Find(c, ghost, d)
+	if !IsNotFound(err) {
+		t.Fatalf("got %v, want not-found", err)
+	}
+	if c.Owner != "b" || d.Owner != "" {
+		t.Errorf("serial Find loaded %+v and %+v, want the first only", c, d)
+	}
+	// "2" and "1" are in the statement cache by now; only the ghost's
+	// SELECT reaches the store.
+	if got := conn.ops.Load() - before; got != 1 {
+		t.Errorf("serial Find issued %d statements, want 1", got)
 	}
 }

@@ -17,7 +17,12 @@
 //
 // The runtime implements component.ResourceManager, so applications
 // written against the component container are cache-enabled without any
-// code change — the transparency requirement of §1.3.
+// code change — the transparency requirement of §1.3. Its transactions
+// also implement the optional component.MultiLoader: a Find naming
+// several beans fetches the ones it misses concurrently, so a cold
+// multi-bean transaction waits for one round trip on the high-latency
+// path instead of one per bean, with the same store accesses, read
+// proofs and counts as loading them one by one.
 //
 // Cache effectiveness is observable through the slicache.* metrics
 // (hits, misses, conflicts, invalidations, ...), and the remote work a

@@ -5,11 +5,14 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 	"time"
 
+	"edgeejb/internal/component"
 	"edgeejb/internal/memento"
 	"edgeejb/internal/obs"
 	"edgeejb/internal/sqlstore"
+	"edgeejb/internal/storeapi"
 )
 
 // entryState tracks what a transaction has done to a cached bean.
@@ -38,7 +41,8 @@ type entry struct {
 }
 
 // sliTx is the per-transaction transient store plus the optimistic
-// transaction logic of §2.2–2.3. It implements component.DataTx.
+// transaction logic of §2.2–2.3. It implements component.DataTx and
+// component.MultiLoader.
 type sliTx struct {
 	mgr     *Manager
 	entries map[memento.Key]*entry
@@ -55,68 +59,171 @@ type sliTx struct {
 	done         bool
 }
 
+var _ component.MultiLoader = (*sliTx)(nil)
+
 // Footprint returns a snapshot of the read footprint the transaction
 // has accumulated so far.
 func (t *sliTx) Footprint() memento.Footprint { return t.fp.Clone() }
 
-// Load implements the direct-access cache population path (§2.2 case 1):
-// per-transaction store, then common store, then the persistent store
-// via a short independent transaction.
+// Load is the one-key case of LoadMany.
 func (t *sliTx) Load(ctx context.Context, key memento.Key) (memento.Memento, error) {
-	if t.done {
-		return memento.Memento{}, sqlstore.ErrTxDone
-	}
-	t.mgr.stats.loads.Add(1)
-	if e, ok := t.entries[key]; ok {
-		if e.state == stateRemoved {
-			return memento.Memento{}, fmt.Errorf("%w: %s removed in transaction", sqlstore.ErrNotFound, key)
-		}
-		return e.current.Clone(), nil
-	}
-	if m, storedAt, ok := t.mgr.common.GetWithTime(key); ok {
-		if t.mgr.degraded.Load() {
-			// The invalidation stream is down: this entry may be stale.
-			// Serve it only within the degrade bound; older entries fall
-			// through to the store so staleness stays time-bounded.
-			if age := t.mgr.now().Sub(storedAt); age > t.mgr.degradeBound {
-				ok = false
-			} else {
-				t.mgr.stats.staleServes.Add(1)
-				obsStaleServes.Inc()
-				// How stale could this serve be? Bounded by the entry's age,
-				// since no invalidation has been seen since it was stored.
-				obsStaleServeAge.ObserveTrace(age, obs.TraceID(ctx))
-			}
-		}
-		if ok {
-			t.fp.AddKey(key)
-			t.entries[key] = &entry{
-				before:    m.Clone(),
-				current:   m.Clone(),
-				state:     stateClean,
-				fetchedAt: storedAt,
-			}
-			return m, nil
-		}
-	}
-	fctx, sp := obs.StartSpan(ctx, "slicache.miss_fetch")
-	res, err := t.mgr.loader.FetchOne(fctx, key)
-	sp.End()
+	mems, err := t.LoadMany(ctx, []memento.Key{key})
 	if err != nil {
 		return memento.Memento{}, err
 	}
-	t.mgr.stats.missFetches.Add(1)
-	obsMissFetches.Inc()
-	t.fp.Merge(res.FP)
-	m := res.Mem
-	t.mgr.common.Put(m)
+	return mems[0], nil
+}
+
+// miss is one key LoadMany has to fetch from the persistent store.
+type miss struct {
+	key memento.Key
+	at  int // position of the key's first occurrence in the argument list
+	res storeapi.GetResult
+	err error
+}
+
+// LoadMany implements the direct-access cache population path (§2.2
+// case 1) for every key: per-transaction store, then common store, then
+// the persistent store. It implements component.MultiLoader: the keys
+// neither store holds are fetched at the same time, so a transaction
+// that misses on several beans waits for one round trip on the
+// high-latency path rather than one per bean. Each fetch is still its
+// own short independent transaction (§2.3) and is accounted, cached and
+// proven at commit exactly as a lone miss is; only when it is issued
+// changes. A key named twice is fetched once. Every key is processed
+// whatever happens to the others — a fetch that succeeded is committed
+// state and warms the common store — and the error returned is that of
+// the first key in argument order that could not be loaded.
+func (t *sliTx) LoadMany(ctx context.Context, keys []memento.Key) ([]memento.Memento, error) {
+	if t.done {
+		return nil, sqlstore.ErrTxDone
+	}
+	out := make([]memento.Memento, len(keys))
+	var (
+		misses   []miss
+		repeats  []int // positions repeating a key already in misses
+		firstErr error // of the failing key at the lowest position, errAt
+		errAt    int
+	)
+next:
+	for i, key := range keys {
+		t.mgr.stats.loads.Add(1)
+		for j := range misses {
+			if misses[j].key == key {
+				repeats = append(repeats, i)
+				continue next
+			}
+		}
+		m, ok, err := t.cached(ctx, key)
+		switch {
+		case err != nil:
+			if firstErr == nil {
+				firstErr, errAt = err, i
+			}
+		case ok:
+			out[i] = m
+		default:
+			misses = append(misses, miss{key: key, at: i})
+		}
+	}
+	if len(misses) > 0 {
+		t.fetchAll(ctx, misses)
+	}
+	for j := range misses {
+		f := &misses[j]
+		if f.err != nil {
+			if firstErr == nil || f.at < errAt {
+				firstErr, errAt = f.err, f.at
+			}
+			continue
+		}
+		t.mgr.stats.missFetches.Add(1)
+		obsMissFetches.Inc()
+		t.fp.Merge(f.res.FP)
+		m := f.res.Mem
+		t.mgr.common.Put(m)
+		t.entries[f.key] = &entry{
+			before:    m.Clone(),
+			current:   m.Clone(),
+			state:     stateClean,
+			fetchedAt: t.mgr.now(),
+		}
+		out[f.at] = m
+	}
+	for _, i := range repeats {
+		// No entry means the first occurrence's fetch failed, and its
+		// error already stands for this later position.
+		if e, ok := t.entries[keys[i]]; ok {
+			out[i] = e.current.Clone()
+		}
+	}
+	if firstErr != nil {
+		return nil, firstErr
+	}
+	return out, nil
+}
+
+// cached serves key without the persistent store when it can: from the
+// per-transaction store (an error when the transaction removed the
+// bean), else from the common store, whose copy then becomes the
+// transaction's before-image.
+func (t *sliTx) cached(ctx context.Context, key memento.Key) (memento.Memento, bool, error) {
+	if e, ok := t.entries[key]; ok {
+		if e.state == stateRemoved {
+			return memento.Memento{}, false, fmt.Errorf("%w: %s removed in transaction", sqlstore.ErrNotFound, key)
+		}
+		return e.current.Clone(), true, nil
+	}
+	m, storedAt, ok := t.mgr.common.GetWithTime(key)
+	if !ok {
+		return memento.Memento{}, false, nil
+	}
+	if t.mgr.degraded.Load() {
+		// The invalidation stream is down: this entry may be stale.
+		// Serve it only within the degrade bound; older entries fall
+		// through to the store so staleness stays time-bounded.
+		age := t.mgr.now().Sub(storedAt)
+		if age > t.mgr.degradeBound {
+			return memento.Memento{}, false, nil
+		}
+		t.mgr.stats.staleServes.Add(1)
+		obsStaleServes.Inc()
+		// How stale could this serve be? Bounded by the entry's age,
+		// since no invalidation has been seen since it was stored.
+		obsStaleServeAge.ObserveTrace(age, obs.TraceID(ctx))
+	}
+	t.fp.AddKey(key)
 	t.entries[key] = &entry{
 		before:    m.Clone(),
 		current:   m.Clone(),
 		state:     stateClean,
-		fetchedAt: t.mgr.now(),
+		fetchedAt: storedAt,
 	}
-	return m, nil
+	return m, true, nil
+}
+
+// fetchAll fetches every miss from the persistent store, each as its own
+// short transaction, and returns when all of them have: the first on the
+// caller's goroutine, so a lone miss starts none, and the others
+// alongside it. That fan-out is the number of distinct missing beans one
+// Find names, which application code writes out by hand. A fetch touches
+// nothing but its own miss.
+func (t *sliTx) fetchAll(ctx context.Context, misses []miss) {
+	fetch := func(f *miss) {
+		fctx, sp := obs.StartSpan(ctx, "slicache.miss_fetch")
+		f.res, f.err = t.mgr.loader.FetchOne(fctx, f.key)
+		sp.End()
+	}
+	var wg sync.WaitGroup
+	for j := 1; j < len(misses); j++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fetch(&misses[j])
+		}()
+	}
+	fetch(&misses[0])
+	wg.Wait()
 }
 
 // Store registers an updated after-image. The bean must have been

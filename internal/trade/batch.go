@@ -23,16 +23,11 @@ type BrowseBundleResult struct {
 func (s *Service) BrowseBundle(ctx context.Context, userID, symbol string) (BrowseBundleResult, error) {
 	var out BrowseBundleResult
 	err := s.container.ExecuteRetry(ctx, s.attempts, func(tx *component.Tx) error {
-		acct := &Account{UserID: userID}
-		if err := tx.Find(acct); err != nil {
-			return fmt.Errorf("bundle home %s: %w", userID, err)
+		acct, q := &Account{UserID: userID}, &Quote{Symbol: symbol}
+		if err := tx.Find(acct, q); err != nil {
+			return fmt.Errorf("bundle home %s, quote %s: %w", userID, symbol, err)
 		}
 		out.Home = HomeResult{UserID: userID, Balance: acct.Balance, Open: acct.OpenBalance}
-
-		q := &Quote{Symbol: symbol}
-		if err := tx.Find(q); err != nil {
-			return fmt.Errorf("bundle quote %s: %w", symbol, err)
-		}
 		out.Quote = QuoteResult{Symbol: symbol, Price: q.Price}
 
 		out.Portfolio = PortfolioResult{UserID: userID}

@@ -3,10 +3,12 @@ package trade
 import (
 	"context"
 	"testing"
+	"time"
 
 	"edgeejb/internal/backend"
 	"edgeejb/internal/component"
 	"edgeejb/internal/dbwire"
+	"edgeejb/internal/latency"
 	"edgeejb/internal/slicache"
 	"edgeejb/internal/sqlstore"
 	"edgeejb/internal/storeapi"
@@ -28,8 +30,24 @@ type rtEnv struct {
 	mgr    *slicache.Manager
 }
 
-func newRTEnv(t *testing.T, algo string) *rtEnv {
+func newRTEnv(t testing.TB, algo string) *rtEnv { return newSlowRTEnv(t, algo, 0) }
+
+// newSlowRTEnv is newRTEnv with a delay proxy of the given one-way
+// latency on the counted hop (none at 0), where bench/topology.go puts
+// it: between the edge and the tier its client dials.
+func newSlowRTEnv(t testing.TB, algo string, oneWay time.Duration) *rtEnv {
 	t.Helper()
+	hop := func(addr string) string {
+		if oneWay == 0 {
+			return addr
+		}
+		proxy := latency.NewProxy(addr, oneWay)
+		if err := proxy.Start("127.0.0.1:0"); err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(proxy.Close)
+		return proxy.Addr()
+	}
 	store := sqlstore.New()
 	t.Cleanup(store.Close)
 	Populate(store, PopulateConfig{Users: 4, Symbols: 8, HoldingsPerUser: 2, OpenBalance: 100_000})
@@ -47,10 +65,10 @@ func newRTEnv(t *testing.T, algo string) *rtEnv {
 	)
 	switch algo {
 	case "jdbc":
-		client = dbwire.Dial(dbSrv.Addr())
+		client = dbwire.Dial(hop(dbSrv.Addr()))
 		rm = component.NewJDBCManager(client)
 	case "bmp":
-		client = dbwire.Dial(dbSrv.Addr())
+		client = dbwire.Dial(hop(dbSrv.Addr()))
 		rm = component.NewBMPManager(client)
 	case "sli-combined", "sli-combined-serial":
 		// PerImage ships the commit's statements as one batch;
@@ -60,7 +78,7 @@ func newRTEnv(t *testing.T, algo string) *rtEnv {
 		if algo == "sli-combined-serial" {
 			shipping = slicache.PerStatement
 		}
-		client = dbwire.Dial(dbSrv.Addr())
+		client = dbwire.Dial(hop(dbSrv.Addr()))
 		mgr = slicache.NewManager(client, slicache.WithShipping(shipping))
 		rm = mgr
 	case "sli-split":
@@ -73,7 +91,7 @@ func newRTEnv(t *testing.T, algo string) *rtEnv {
 			t.Fatal(err)
 		}
 		t.Cleanup(be.Close)
-		client = dbwire.Dial(be.Addr())
+		client = dbwire.Dial(hop(be.Addr()))
 		mgr = slicache.NewManager(client, slicache.WithShipping(slicache.WholeSet))
 		rm = mgr
 	default:
@@ -255,5 +273,47 @@ func TestRoundTripsOrderingAcrossAlgorithms(t *testing.T) {
 	if !(counts["sli-split"] < counts["sli-combined"] && counts["sli-combined"] < counts["sli-combined-serial"]) {
 		t.Errorf("want split (%d) < combined batched (%d) < combined serial (%d)",
 			counts["sli-split"], counts["sli-combined"], counts["sli-combined-serial"])
+	}
+}
+
+// TestRoundTripsColdMultiBeanActions pins the cold-cache counts of the
+// actions that read two beans by primary key. Their misses are fetched
+// at the same time (component.MultiLoader), which must change when the
+// AutoGets cross the wire and never how many do: one per missing bean,
+// then the commit — the counts these actions had when the beans were
+// fetched one after the other.
+func TestRoundTripsColdMultiBeanActions(t *testing.T) {
+	user := UserID(1) // seeded with 2 holdings
+	actions := []struct {
+		name string
+		run  func(*rtEnv) func(context.Context) error
+		// misses is the store accesses before the commit: an AutoGet per
+		// bean, plus Sell's finder.
+		misses uint64
+	}{
+		{"login", func(e *rtEnv) func(context.Context) error {
+			return func(ctx context.Context) error { _, err := e.svc.Login(ctx, user, "cold"); return err }
+		}, 2},
+		{"buy", func(e *rtEnv) func(context.Context) error {
+			return func(ctx context.Context) error { _, err := e.svc.Buy(ctx, user, SymbolID(3), 1); return err }
+		}, 2},
+		{"sell", func(e *rtEnv) func(context.Context) error {
+			return func(ctx context.Context) error { _, err := e.svc.Sell(ctx, user); return err }
+		}, 3},
+		{"bundle", func(e *rtEnv) func(context.Context) error {
+			return func(ctx context.Context) error { _, err := e.svc.BrowseBundle(ctx, user, SymbolID(3)); return err }
+		}, 3},
+	}
+	for _, a := range actions {
+		// Split servers: the whole-set commit is one round trip.
+		split := newRTEnv(t, "sli-split")
+		if got, want := split.measure(t, a.run(split)), a.misses+1; got != want {
+			t.Errorf("sli-split cold %s = %d RTs, want %d", a.name, got, want)
+		}
+		// Combined servers: begin + one statement batch.
+		combined := newRTEnv(t, "sli-combined")
+		if got, want := combined.measure(t, a.run(combined)), a.misses+2; got != want {
+			t.Errorf("sli-combined cold %s = %d RTs, want %d", a.name, got, want)
+		}
 	}
 }

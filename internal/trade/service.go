@@ -50,8 +50,8 @@ type LoginResult struct {
 func (s *Service) Login(ctx context.Context, userID, sessionID string) (LoginResult, error) {
 	var out LoginResult
 	err := s.container.ExecuteRetry(ctx, s.attempts, func(tx *component.Tx) error {
-		reg := &Registry{UserID: userID}
-		if err := tx.Find(reg); err != nil {
+		reg, acct := &Registry{UserID: userID}, &Account{UserID: userID}
+		if err := tx.Find(reg, acct); err != nil {
 			return fmt.Errorf("login %s: %w", userID, err)
 		}
 		reg.SessionID = sessionID
@@ -59,10 +59,6 @@ func (s *Service) Login(ctx context.Context, userID, sessionID string) (LoginRes
 		reg.Visits++
 		if err := tx.Update(reg); err != nil {
 			return err
-		}
-		acct := &Account{UserID: userID}
-		if err := tx.Find(acct); err != nil {
-			return fmt.Errorf("login %s: %w", userID, err)
 		}
 		out = LoginResult{
 			UserID:     userID,
@@ -232,15 +228,11 @@ func (s *Service) Buy(ctx context.Context, userID, symbol string, quantity float
 	var out BuyResult
 	holdingID := fmt.Sprintf("h-%s-%d", userID, s.seq.Add(1))
 	err := s.container.ExecuteRetry(ctx, s.attempts, func(tx *component.Tx) error {
-		q := &Quote{Symbol: symbol}
-		if err := tx.Find(q); err != nil {
-			return fmt.Errorf("buy %s: %w", symbol, err)
+		q, acct := &Quote{Symbol: symbol}, &Account{UserID: userID}
+		if err := tx.Find(q, acct); err != nil {
+			return fmt.Errorf("buy %s for %s: %w", symbol, userID, err)
 		}
 		total := q.Price * quantity
-		acct := &Account{UserID: userID}
-		if err := tx.Find(acct); err != nil {
-			return fmt.Errorf("buy %s: %w", userID, err)
-		}
 		if acct.Balance < total {
 			return fmt.Errorf("buy %s: insufficient funds (%.2f < %.2f)", userID, acct.Balance, total)
 		}
@@ -309,15 +301,11 @@ func (s *Service) Sell(ctx context.Context, userID string) (SellResult, error) {
 		if !ok {
 			return fmt.Errorf("sell %s: unexpected entity %T", userID, ents[0])
 		}
-		q := &Quote{Symbol: h.Symbol}
-		if err := tx.Find(q); err != nil {
-			return fmt.Errorf("sell %s: %w", h.Symbol, err)
+		q, acct := &Quote{Symbol: h.Symbol}, &Account{UserID: userID}
+		if err := tx.Find(q, acct); err != nil {
+			return fmt.Errorf("sell %s for %s: %w", h.Symbol, userID, err)
 		}
 		proceeds := q.Price * h.Quantity
-		acct := &Account{UserID: userID}
-		if err := tx.Find(acct); err != nil {
-			return fmt.Errorf("sell %s: %w", userID, err)
-		}
 		acct.Balance += proceeds
 		if err := tx.Update(acct); err != nil {
 			return err
