@@ -11,7 +11,7 @@
 //	tradebench -all -sessions 50 -delays 0ms,2ms,4ms,8ms
 //	tradebench -fig6 -out-dir runs      # + per-run artifact directory:
 //	                                    # Perfetto trace, waterfalls,
-//	                                    # time-series CSVs, MANIFEST.json
+//	                                    # registry diffs, MANIFEST.json
 //	tradebench -shards 1,2,4            # shard-scaling the datacenter tier
 //	tradebench -fig6 -debug-addr :6060  # + /metrics and /debug/pprof while
 //	                                    # running, for go tool pprof
@@ -44,8 +44,7 @@ import (
 
 // What an -out-dir run collects, beyond the phases' own reports.
 const (
-	// sampleEvery is the registry sampling interval of the time-series
-	// CSVs and of the runtime telemetry.
+	// sampleEvery is the runtime telemetry's sampling interval.
 	sampleEvery = 250 * time.Millisecond
 	// artifactRing is the span and the forensic-event ring capacity
 	// while collecting: wide enough that trace assembly sees whole
@@ -81,7 +80,7 @@ func run(args []string) error {
 		metrics   = fs.Bool("metrics", false, "print per-phase process metrics and span-derived latency breakdowns")
 		debugAddr = fs.String("debug-addr", "", "serve /metrics, /healthz and /debug/pprof on this address while running")
 
-		outDir = fs.String("out-dir", "", "collect per-run artifacts (Perfetto trace, waterfalls, time-series CSVs, registry diffs, reports, MANIFEST.json) under a timestamped directory here")
+		outDir = fs.String("out-dir", "", "collect per-run artifacts (Perfetto trace, waterfalls, registry diffs, reports, MANIFEST.json) under a timestamped directory here")
 
 		faultSessions = fs.Int("fault-sessions", 80, "sessions per pass in the fault experiment")
 
@@ -169,13 +168,9 @@ func run(args []string) error {
 
 	// With -out-dir, every phase feeds a per-run artifact directory:
 	// a widened span ring (so trace assembly sees whole interactions,
-	// not the tail of the run), a registry sampler for time-series
-	// CSVs, per-phase registry diffs, and — after the measured phases —
-	// the assembled cross-tier traces.
-	var (
-		art     *harness.Artifacts
-		sampler *obs.Sampler
-	)
+	// not the tail of the run), per-phase registry diffs, and — after
+	// the measured phases — the assembled cross-tier traces.
+	var art *harness.Artifacts
 	if *outDir != "" {
 		obs.DefaultSpans = obs.NewSpanLog(artifactRing)
 		obs.DefaultEvents = obs.NewEventLog(artifactRing)
@@ -184,15 +179,12 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		sampler = obs.NewSampler(obs.Default, sampleEvery, 0)
-		sampler.Start()
-		defer sampler.Stop()
 		fmt.Fprintf(os.Stderr, "collecting run artifacts in %s\n", art.Dir)
 	}
 
 	// The runtime telemetry (runtime.* metric families) rides every
-	// export the registry already has — /metrics, per-phase diffs, the
-	// time-series CSVs — and feeds summary.json's resource.* metrics.
+	// export the registry already has — /metrics, per-phase diffs — and
+	// feeds summary.json's resource.* metrics.
 	var rt *prof.Runtime
 	if *outDir != "" || *metrics || *debugAddr != "" {
 		rt = prof.StartRuntime(obs.Default, sampleEvery)
@@ -218,22 +210,19 @@ func run(args []string) error {
 
 	// phase runs one experiment phase and, with -metrics, prints the
 	// process metrics it accumulated (a diff, so phases don't bleed into
-	// each other). With -out-dir the diff and the phase's metric time
-	// series also land in the artifact directory.
+	// each other). With -out-dir the diff also lands in the artifact
+	// directory.
 	phase := func(name string, f func() error) error {
 		if rt != nil {
 			rt.Update()
 		}
 		before := obs.Default.Snapshot()
 		start := time.Now()
-		if sampler != nil {
-			sampler.SampleNow()
-		}
 		if err := f(); err != nil {
 			return err
 		}
 		// Fold the phase's runtime activity in before diffing, so the
-		// registry diff and time series carry its runtime.* tallies.
+		// registry diff carries its runtime.* tallies.
 		if rt != nil {
 			rt.Update()
 		}
@@ -246,13 +235,8 @@ func run(args []string) error {
 			}
 		}
 		if art != nil {
-			sampler.SampleNow()
-			end := time.Now()
-			art.RecordPhase(name, start, end)
+			art.RecordPhase(name, start, time.Now())
 			if err := art.WriteRegistryDiff(name, diff); err != nil {
-				return err
-			}
-			if err := art.WriteTimeSeries(name, sampler.SamplesBetween(start, end.Add(time.Millisecond))); err != nil {
 				return err
 			}
 		}

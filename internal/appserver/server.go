@@ -11,13 +11,6 @@ import (
 	"edgeejb/internal/wire"
 )
 
-// Process-wide obs mirrors of request outcomes, summed across every
-// Server in the process. Names are documented in OBSERVABILITY.md.
-var (
-	obsRequests = obs.Default.Counter("appserver.requests")
-	obsFailures = obs.Default.Counter("appserver.failures")
-)
-
 // Server hosts the trade application over the client protocol. One
 // instance stands in for an "HTTP server + application server" box in
 // Figures 3–5; the harness deploys it as an edge server or as the
@@ -75,7 +68,6 @@ func (h appHandler) Close() {}
 // dispatch maps one request to the trade service.
 func (s *Server) dispatch(ctx context.Context, req *Request) *Response {
 	s.requests.Add(1)
-	obsRequests.Inc()
 	ctx, sp := obs.StartSpan(ctx, "edge.request")
 	defer sp.End()
 	// Label downstream forensic events (conflicts, in particular) with
@@ -83,7 +75,6 @@ func (s *Server) dispatch(ctx context.Context, req *Request) *Response {
 	ctx = obs.WithOp(ctx, req.Action)
 	fail := func(err error) *Response {
 		s.failures.Add(1)
-		obsFailures.Inc()
 		return &Response{Err: err.Error()}
 	}
 	p := func(k string) string { return req.Params[k] }

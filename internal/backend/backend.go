@@ -6,24 +6,12 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"edgeejb/internal/dbwire"
 	"edgeejb/internal/memento"
 	"edgeejb/internal/obs"
 	"edgeejb/internal/sqlstore"
 	"edgeejb/internal/storeapi"
-)
-
-// Process-wide obs mirrors of the commit-set validation outcomes,
-// summed across every backend logic instance in the process.
-var (
-	obsCommitsApplied  = obs.Default.Counter("backend.commits_applied")
-	obsCommitsRejected = obs.Default.Counter("backend.commits_rejected")
-	// obsGroupSize records how many commit sets each group-commit batch
-	// coalesced — 1 means no concurrent arrival, larger values are round
-	// trips saved. Observed as a count (1 unit = 1 set), not a duration.
-	obsGroupSize = obs.Default.Histogram("backend.group_commit_size")
 )
 
 // Server is the back-end application server. It serves the dbwire
@@ -113,11 +101,9 @@ func (l *logic) Close() error { return nil }
 func (l *logic) count(err error) {
 	if err != nil {
 		l.rejected.Add(1)
-		obsCommitsRejected.Inc()
 		return
 	}
 	l.applied.Add(1)
-	obsCommitsApplied.Inc()
 }
 
 // ApplyCommitSet validates and applies a whole commit set. Commit sets
@@ -166,7 +152,6 @@ func (l *logic) ApplyCommitSet(ctx context.Context, cs memento.CommitSet) (sqlst
 
 // runBatch applies one drained batch and resolves its entries.
 func (l *logic) runBatch(ctx context.Context, batch []*groupEntry) {
-	obsGroupSize.Observe(time.Duration(len(batch)))
 	sets := make([]memento.CommitSet, len(batch))
 	for i, e := range batch {
 		sets[i] = e.cs

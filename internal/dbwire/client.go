@@ -5,20 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"time"
 
 	"edgeejb/internal/memento"
-	"edgeejb/internal/obs"
 	"edgeejb/internal/sqlstore"
 	"edgeejb/internal/storeapi"
 	"edgeejb/internal/wire"
 )
-
-// obsPipelineDepth records how many statements each batched frame kept
-// in flight together — the pipelining depth the batch path buys over
-// one-statement-per-round-trip. Observed as a count (1 unit = 1
-// statement), not a duration.
-var obsPipelineDepth = obs.Default.Histogram("dbwire.pipeline_depth")
 
 // DialFunc opens a connection to the database tier. The experiment
 // harness supplies dialers that route through the delay proxy or wrap
@@ -207,7 +199,6 @@ func (c *Client) ApplyCommitSets(ctx context.Context, sets []memento.CommitSet) 
 	if len(sets) == 0 {
 		return nil, nil
 	}
-	obsPipelineDepth.Observe(time.Duration(len(sets)))
 	resp, err := c.oneShot(ctx, &Request{Op: OpApplyCommitSets, Sets: sets})
 	if err != nil {
 		return nil, err
@@ -230,21 +221,12 @@ func (c *Client) ApplyCommitSets(ctx context.Context, sets []memento.CommitSet) 
 	return out, nil
 }
 
-// Prepare/commit/abort round-trip counters for the sharded tier's
-// two-phase path; documented in OBSERVABILITY.md.
-var (
-	obsWirePrepares       = obs.Default.Counter("dbwire.prepares")
-	obsWirePrepareCommits = obs.Default.Counter("dbwire.prepare_commits")
-	obsWirePrepareAborts  = obs.Default.Counter("dbwire.prepare_aborts")
-)
-
 // Prepare ships 2PC's first phase in one round trip: the server
 // validates the sub-set and holds its locks under gid. A server whose
 // datastore handle cannot prepare answers CodeBadRequest, which comes
 // back as an error — a no vote, so the coordinator aborts the global
 // transaction rather than committing partially.
 func (c *Client) Prepare(ctx context.Context, gid string, cs memento.CommitSet) error {
-	obsWirePrepares.Inc()
 	resp, err := c.oneShot(ctx, &Request{Op: OpPrepare, Gid: gid, Set: cs})
 	if err != nil {
 		return err
@@ -254,7 +236,6 @@ func (c *Client) Prepare(ctx context.Context, gid string, cs memento.CommitSet) 
 
 // CommitPrepared ships 2PC's commit decision in one round trip.
 func (c *Client) CommitPrepared(ctx context.Context, gid string) (sqlstore.ApplyResult, error) {
-	obsWirePrepareCommits.Inc()
 	resp, err := c.oneShot(ctx, &Request{Op: OpCommitPrepared, Gid: gid})
 	if err != nil {
 		return sqlstore.ApplyResult{}, err
@@ -267,7 +248,6 @@ func (c *Client) CommitPrepared(ctx context.Context, gid string) (sqlstore.Apply
 
 // AbortPrepared ships 2PC's abort decision in one round trip.
 func (c *Client) AbortPrepared(ctx context.Context, gid string) error {
-	obsWirePrepareAborts.Inc()
 	resp, err := c.oneShot(ctx, &Request{Op: OpAbortPrepared, Gid: gid})
 	if err != nil {
 		return err
@@ -539,7 +519,6 @@ func (t *remoteTxn) ExecBatch(ctx context.Context, stmts []storeapi.Stmt) ([]sto
 		}
 		req.Batch[i] = sub
 	}
-	obsPipelineDepth.Observe(time.Duration(len(stmts)))
 	resp := new(Response)
 	if err := t.st.Call(ctx, req, resp); err != nil {
 		t.broken = true

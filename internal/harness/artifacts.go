@@ -14,7 +14,7 @@ import (
 )
 
 // Artifacts is one benchmark run's output directory: traces, per-phase
-// time series, registry diffs, and the figure reports, indexed by a
+// registry diffs, and the figure reports, indexed by a
 // MANIFEST.json so downstream tooling (and future perf PRs comparing
 // runs) can find everything without guessing filenames.
 type Artifacts struct {
@@ -38,8 +38,8 @@ type Manifest struct {
 type ManifestFile struct {
 	// Path is relative to the run directory.
 	Path string `json:"path"`
-	// Kind is one of: trace, waterfalls, timeseries, registry-diff,
-	// report, csv, summary, events, manifest.
+	// Kind is one of: trace, waterfalls, registry-diff, report, csv,
+	// summary, events, manifest.
 	Kind string `json:"kind"`
 	// Desc says what the file holds, in one line.
 	Desc string `json:"desc"`
@@ -101,14 +101,6 @@ func (a *Artifacts) WriteFile(name, kind, desc, phase string, fn func(io.Writer)
 	}
 	a.manifest.Files = append(a.manifest.Files, ManifestFile{Path: name, Kind: kind, Desc: desc, Phase: phase})
 	return nil
-}
-
-// WriteTimeSeries writes one phase's metric samples as a CSV time
-// series (schema documented in OBSERVABILITY.md).
-func (a *Artifacts) WriteTimeSeries(phase string, samples []obs.Sample) error {
-	name := "timeseries_" + phase + ".csv"
-	return a.WriteFile(name, "timeseries", "per-sample metric time series for the "+phase+" phase", phase,
-		func(w io.Writer) error { return obs.WriteSamplesCSV(w, samples) })
 }
 
 // WriteRegistryDiff writes the metric activity one phase accumulated.

@@ -23,7 +23,7 @@ func TestArtifactsLifecycle(t *testing.T) {
 		t.Fatalf("run dir not timestamped: %s", art.Dir)
 	}
 
-	// A phase window plus its two per-phase artifacts.
+	// A phase window plus its per-phase artifact.
 	start := time.Now().Add(-time.Second)
 	end := time.Now()
 	art.RecordPhase("fig6", start, end)
@@ -31,11 +31,6 @@ func TestArtifactsLifecycle(t *testing.T) {
 	reg := obs.NewRegistry()
 	reg.Counter("test.count").Add(3)
 	reg.Histogram("test.lat").Observe(2 * time.Millisecond)
-	s := obs.NewSampler(reg, time.Hour, 4)
-	s.SampleNow()
-	if err := art.WriteTimeSeries("fig6", s.Samples()); err != nil {
-		t.Fatal(err)
-	}
 	if err := art.WriteRegistryDiff("fig6", reg.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +58,7 @@ func TestArtifactsLifecycle(t *testing.T) {
 		t.Fatalf("MANIFEST.json does not parse: %v", err)
 	}
 	// MANIFEST.json indexes everything but itself.
-	wantKinds := map[string]bool{"timeseries": false, "registry-diff": false, "trace": false, "waterfalls": false}
+	wantKinds := map[string]bool{"registry-diff": false, "trace": false, "waterfalls": false}
 	for _, f := range m.Files {
 		if _, err := os.Stat(filepath.Join(art.Dir, f.Path)); err != nil {
 			t.Fatalf("manifest lists missing file %s: %v", f.Path, err)

@@ -173,7 +173,6 @@ func newConnFaults(inj *injector, client, target net.Conn) *connFaults {
 func (cf *connFaults) abort() {
 	cf.reset.Do(func() {
 		cf.inj.connResets.Add(1)
-		obsFaultResets.Inc()
 		for _, c := range []net.Conn{cf.client, cf.target} {
 			if tc, ok := c.(*net.TCPConn); ok {
 				_ = tc.SetLinger(0)
@@ -195,14 +194,12 @@ func (cf *connFaults) admit(n int, done <-chan struct{}) (allowed int, kill bool
 			break
 		}
 		f.blackholedChunks.Add(1)
-		obsFaultBlackholedChunks.Inc()
 		if !sleepInterruptible(wait, done) {
 			return 0, true
 		}
 	}
 	if f.roll(f.plan.StallRate) {
 		f.stalls.Add(1)
-		obsFaultStalls.Inc()
 		if !sleepInterruptible(f.plan.StallFor, done) {
 			return 0, true
 		}
@@ -216,14 +213,12 @@ func (cf *connFaults) admit(n int, done <-chan struct{}) (allowed int, kill bool
 			}
 			if allowed > 0 && allowed < n {
 				f.truncations.Add(1)
-				obsFaultTruncations.Inc()
 			}
 			return allowed, true
 		}
 	}
 	if n > 1 && f.roll(f.plan.TruncateRate) {
 		f.truncations.Add(1)
-		obsFaultTruncations.Inc()
 		return f.intn(n-1) + 1, true
 	}
 	return n, false

@@ -227,7 +227,6 @@ func (p *Proxy) serve(client net.Conn) {
 	if inj != nil && inj.blackholeWait() > 0 {
 		// The path is blackholed: refuse the connection abruptly.
 		inj.blackholedConns.Add(1)
-		obsFaultBlackholedConns.Inc()
 		if tc, ok := client.(*net.TCPConn); ok {
 			_ = tc.SetLinger(0)
 		}
@@ -245,7 +244,6 @@ func (p *Proxy) serve(client net.Conn) {
 	defer p.untrack(target)
 	defer target.Close()
 	p.counter.conns.Add(1)
-	obsProxyConns.Inc()
 
 	fh := &faultHolder{p: p, client: client, target: target}
 

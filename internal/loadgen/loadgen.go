@@ -11,10 +11,6 @@ import (
 	"edgeejb/internal/trade"
 )
 
-// obsInteractions mirrors the measured interaction count into the
-// process-wide obs registry; documented in OBSERVABILITY.md.
-var obsInteractions = obs.Default.Counter("loadgen.interactions")
-
 // Config describes one measurement run.
 type Config struct {
 	// Client is the virtual web client.
@@ -125,7 +121,6 @@ func runSession(ctx context.Context, client *appserver.Client, gen *trade.Genera
 		if err != nil {
 			return nil, 0, fmt.Errorf("step %s: %w", step.Action, err)
 		}
-		obsInteractions.Inc()
 		ms := float64(time.Since(begin)) / float64(time.Millisecond)
 		latencies = append(latencies, ms)
 		if perAction != nil {

@@ -153,7 +153,6 @@ func (m *Manager) Acquire(ctx context.Context, owner Owner, res Resource, mode M
 	if !mode.valid() {
 		return fmt.Errorf("lockmgr: invalid mode %d", mode)
 	}
-	obsAcquires.Inc()
 	m.mu.Lock()
 	if m.closed {
 		m.mu.Unlock()
@@ -181,16 +180,11 @@ func (m *Manager) Acquire(ctx context.Context, owner Owner, res Resource, mode M
 	}
 	if m.wouldDeadlock(owner, res, want) {
 		m.mu.Unlock()
-		obsDeadlocks.Inc()
 		return ErrDeadlock
 	}
 	req := &request{owner: owner, mode: want, ready: make(chan struct{})}
 	st.waiters = append(st.waiters, req)
 	m.mu.Unlock()
-
-	obsWaits.Inc()
-	waitStart := time.Now()
-	defer func() { obsWait.Observe(time.Since(waitStart)) }()
 
 	timeout := m.defaultTimeout
 	if dl, ok := ctx.Deadline(); ok {
@@ -211,7 +205,6 @@ func (m *Manager) Acquire(ctx context.Context, owner Owner, res Resource, mode M
 		if m.abandon(res, req) {
 			return nil
 		}
-		obsTimeouts.Inc()
 		return ErrTimeout
 	}
 }

@@ -1,12 +1,12 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
 	"net/http/pprof"
 	"runtime/debug"
+	"slices"
 	"strconv"
 	"time"
 )
@@ -26,34 +26,19 @@ type DebugOptions struct {
 
 // NewDebugMux builds the debug HTTP handler:
 //
-//	/metrics       text snapshot of the registry (?format=json for JSON,
-//	               ?format=prom for Prometheus exposition)
+//	/metrics       text snapshot of the registry (?format=json for JSON)
 //	/healthz       200 while Healthy() (503 otherwise); the body carries
 //	               uptime, build info, and the registered metric count so
 //	               liveness checks can assert more than reachability
-//	/debug/spans   recent spans (?trace=ID for one trace, ?n=N to limit
-//	               the text listing, ?format=json&since=UNIXNANO to
-//	               export records, ?limit=N to cap the response)
-//	/debug/events  recent forensic events (?since=SEQ for the events
-//	               after a sequence number, ?format=json for JSON Lines,
-//	               ?limit=N to cap the response)
+//	/debug/spans   recent spans (?trace=ID for one trace, ?last=1 for the
+//	               latest trace, ?n=N to size the listing)
+//	/debug/events  recent forensic events
 //	/debug/pprof/  the standard pprof handlers
 //
-// The two endpoints' cursors differ deliberately and are easy to mix
-// up: /debug/spans?since= takes a START TIME in unix NANOSECONDS and is
-// inclusive (records with Start >= since), because spans are keyed by
-// wall-clock start; /debug/events?since= takes a SEQUENCE NUMBER and is
-// exclusive (events with Seq > since), because events carry a
-// log-assigned monotonic Seq. A poller advances the span cursor to the
-// last record's start (tolerating the one-instant overlap — span IDs
-// dedup it) and the event cursor to the last event's Seq. Both endpoints accept ?limit=N (N >= 1) to bound
-// the response for pollers: the OLDEST N matching records are returned,
-// so a capped poll still advances the cursor without skipping.
-//
-// Malformed query parameters (an unparsable since or limit, an unknown
-// format) are rejected with 400 rather than silently treated as
-// defaults, so a collector with a typo finds out instead of silently
-// draining from zero.
+// Malformed query parameters — a parameter the endpoint does not take,
+// an unknown format, an unparsable trace ID — are rejected with 400
+// rather than silently treated as defaults, so a caller with a typo (or
+// one written against a format that no longer exists) finds out.
 func NewDebugMux(opts DebugOptions) *http.ServeMux {
 	reg := opts.Registry
 	if reg == nil {
@@ -72,36 +57,22 @@ func NewDebugMux(opts DebugOptions) *http.ServeMux {
 		healthy = func() bool { return true }
 	}
 
-	// parseLimit reads the optional limit query param (0 = unlimited).
-	// Malformed or non-positive values are rejected with 400; the
-	// bool result reports whether the caller should return.
-	parseLimit := func(w http.ResponseWriter, r *http.Request) (int, bool) {
-		s := r.URL.Query().Get("limit")
-		if s == "" {
-			return 0, true
-		}
-		v, err := strconv.Atoi(s)
-		if err != nil || v < 1 {
-			http.Error(w, "bad limit (want positive integer)", http.StatusBadRequest)
-			return 0, false
-		}
-		return v, true
-	}
-
 	started := time.Now()
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
+		if !onlyParams(w, r, "format") {
+			return
+		}
 		snap := reg.Snapshot()
 		switch r.URL.Query().Get("format") {
 		case "json":
 			w.Header().Set("Content-Type", "application/json")
 			_ = snap.WriteJSON(w)
-		case "prom":
-			w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-			_ = snap.WritePrometheus(w)
-		default:
+		case "":
 			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 			_ = snap.WriteText(w)
+		default:
+			http.Error(w, "bad format (want json, or none for text)", http.StatusBadRequest)
 		}
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -125,41 +96,10 @@ func NewDebugMux(opts DebugOptions) *http.ServeMux {
 		}
 	})
 	mux.HandleFunc("/debug/spans", func(w http.ResponseWriter, r *http.Request) {
+		if !onlyParams(w, r, "trace", "last", "n") {
+			return
+		}
 		q := r.URL.Query()
-		format := q.Get("format")
-		switch format {
-		case "", "text", "json":
-		default:
-			http.Error(w, "bad format (want json or text)", http.StatusBadRequest)
-			return
-		}
-		var since time.Time
-		if s := q.Get("since"); s != "" {
-			ns, err := strconv.ParseInt(s, 10, 64)
-			if err != nil {
-				http.Error(w, "bad since (want unix nanoseconds)", http.StatusBadRequest)
-				return
-			}
-			since = time.Unix(0, ns)
-		}
-		limit, ok := parseLimit(w, r)
-		if !ok {
-			return
-		}
-		if format == "json" {
-			w.Header().Set("Content-Type", "application/json")
-			recs := spans.Since(since)
-			if limit > 0 && len(recs) > limit {
-				// Oldest-first truncation: the poller's next since
-				// picks up exactly where the capped page ended.
-				recs = recs[:limit]
-			}
-			if recs == nil {
-				recs = []SpanRecord{}
-			}
-			_ = json.NewEncoder(w).Encode(recs)
-			return
-		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		if t := q.Get("trace"); t != "" {
 			id, err := strconv.ParseUint(t, 10, 64)
@@ -180,50 +120,18 @@ func NewDebugMux(opts DebugOptions) *http.ServeMux {
 				n = v
 			}
 		}
-		if limit > 0 {
-			n = limit
-		}
 		for _, rec := range spans.Recent(n) {
 			fmt.Fprintf(w, "trace=%d span=%d parent=%d [%s] %-24s %s\n",
 				rec.Trace, rec.Span, rec.Parent, rec.Tier, rec.Name, fmtDur(rec.Dur))
 		}
 	})
 	mux.HandleFunc("/debug/events", func(w http.ResponseWriter, r *http.Request) {
-		q := r.URL.Query()
-		format := q.Get("format")
-		switch format {
-		case "", "text", "json":
-		default:
-			http.Error(w, "bad format (want json or text)", http.StatusBadRequest)
-			return
-		}
-		var since uint64
-		if s := q.Get("since"); s != "" {
-			v, err := strconv.ParseUint(s, 10, 64)
-			if err != nil {
-				http.Error(w, "bad since (want event sequence number)", http.StatusBadRequest)
-				return
-			}
-			since = v
-		}
-		limit, ok := parseLimit(w, r)
-		if !ok {
-			return
-		}
-		evs := events.Since(since)
-		if limit > 0 && len(evs) > limit {
-			// Oldest-first truncation; the poller advances since to the
-			// last returned event's seq and drains the rest next poll.
-			evs = evs[:limit]
-		}
-		if format == "json" {
-			w.Header().Set("Content-Type", "application/x-ndjson")
-			_ = WriteEventsJSONL(w, evs)
+		if !onlyParams(w, r) {
 			return
 		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintf(w, "events seq=%d dropped=%d\n", events.Seq(), events.Dropped())
-		_ = WriteEventsText(w, evs)
+		_ = WriteEventsText(w, events.Since(0))
 	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -231,6 +139,18 @@ func NewDebugMux(opts DebugOptions) *http.ServeMux {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
+}
+
+// onlyParams answers 400 and reports false when the request carries a
+// query parameter outside allowed.
+func onlyParams(w http.ResponseWriter, r *http.Request, allowed ...string) bool {
+	for name := range r.URL.Query() {
+		if !slices.Contains(allowed, name) {
+			http.Error(w, "unknown query parameter "+strconv.Quote(name), http.StatusBadRequest)
+			return false
+		}
+	}
+	return true
 }
 
 // DebugServer is a running debug listener.

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"context"
-	"encoding/json"
 	"io"
 	"net/http"
 	"strconv"
@@ -74,13 +73,15 @@ func TestDebugEndpointsSmoke(t *testing.T) {
 	}
 }
 
-// TestDebugLimitParam exercises the response-size cap both cursor
-// endpoints expose to pollers: limit truncates oldest-first (so a
-// capped page still advances the cursor), and malformed values are
-// 400s, not silent defaults.
+// TestDebugLimitParam pins the narrowed debug surface: the polling
+// parameters the endpoints used to take (limit, since, format=json on
+// the span and event logs, format=prom on /metrics) are 400s under the
+// "malformed query parameters are rejected, never silently defaulted"
+// rule instead of falling through to the text listing, and the views
+// that remain answer as before.
 func TestDebugLimitParam(t *testing.T) {
 	spans := NewSpanLog(64)
-	ctx, _ := WithNewTrace(context.Background())
+	ctx, id := WithNewTrace(context.Background())
 	for i := 0; i < 8; i++ {
 		_, sp := StartSpan(ctx, "limit.span")
 		sp.End()
@@ -91,8 +92,9 @@ func TestDebugLimitParam(t *testing.T) {
 		events.Emit(Event{Type: EventConflict, Op: "buy"})
 	}
 	srv, err := StartDebug("127.0.0.1:0", DebugOptions{
-		Spans:  spans,
-		Events: events,
+		Registry: NewRegistry(),
+		Spans:    spans,
+		Events:   events,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -114,41 +116,35 @@ func TestDebugLimitParam(t *testing.T) {
 		return string(body)
 	}
 
-	// Spans: the JSON export respects limit and keeps the OLDEST
-	// records, so the poller's next since= resumes from the cut.
-	var recs []SpanRecord
-	if err := json.Unmarshal([]byte(get("/debug/spans?format=json&limit=3", 200)), &recs); err != nil {
-		t.Fatalf("spans json: %v", err)
-	}
-	if len(recs) != 3 {
-		t.Fatalf("spans limit=3 returned %d records", len(recs))
-	}
-	all := spans.Since(time.Time{})
-	if recs[0].Span != all[0].Span || recs[2].Span != all[2].Span {
-		t.Fatalf("spans limit did not keep the oldest records: got %v, want prefix of %v", recs, all[:3])
-	}
-
-	// Events: same contract on the sequence cursor.
-	lines := strings.Split(strings.TrimSpace(get("/debug/events?format=json&limit=2", 200)), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("events limit=2 returned %d lines", len(lines))
-	}
-	var first Event
-	if err := json.Unmarshal([]byte(lines[0]), &first); err != nil {
-		t.Fatalf("events json: %v", err)
-	}
-	if first.Seq != 1 {
-		t.Fatalf("events limit kept seq %d first, want the oldest (1)", first.Seq)
+	for _, gone := range []string{
+		"/metrics?format=prom",
+		"/metrics?format=xml",
+		"/metrics?since=1",
+		"/debug/spans?format=json",
+		"/debug/spans?format=json&since=0",
+		"/debug/spans?since=0",
+		"/debug/spans?limit=2",
+		"/debug/spans?trace=banana",
+		"/debug/events?format=json",
+		"/debug/events?since=1",
+		"/debug/events?limit=2",
+	} {
+		get(gone, 400)
 	}
 
-	// Text mode is capped too.
-	if out := get("/debug/spans?limit=2", 200); strings.Count(out, "limit.span") != 2 {
-		t.Fatalf("spans text limit=2:\n%s", out)
+	if out := get("/debug/spans?n=2", 200); strings.Count(out, "limit.span") != 2 {
+		t.Fatalf("/debug/spans?n=2 listed:\n%s", out)
 	}
-
-	// Malformed limits are 400s on both endpoints.
-	for _, bad := range []string{"limit=0", "limit=-1", "limit=abc"} {
-		get("/debug/spans?"+bad, 400)
-		get("/debug/events?"+bad, 400)
+	if out := get("/debug/spans", 200); strings.Count(out, "limit.span") != 8 {
+		t.Fatalf("/debug/spans listed:\n%s", out)
+	}
+	for _, q := range []string{"?last=1", "?trace=" + strconv.FormatUint(id, 10)} {
+		if out := get("/debug/spans"+q, 200); !strings.Contains(out, "limit.span") {
+			t.Fatalf("/debug/spans%s missing the trace:\n%s", q, out)
+		}
+	}
+	if out := get("/debug/events", 200); !strings.Contains(out, "events seq=8 dropped=0") ||
+		strings.Count(out, "conflict") != 8 {
+		t.Fatalf("/debug/events text unexpected:\n%s", out)
 	}
 }

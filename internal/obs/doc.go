@@ -19,8 +19,9 @@
 //     interaction can be reconstructed as edge → (cache hit | back-end
 //     round trip) → datastore with per-hop durations.
 //   - Debug endpoints: StartDebug serves /metrics (text and JSON),
-//     /healthz, /debug/spans, and /debug/pprof/* on an opt-in address;
-//     every daemon exposes it behind its -debug-addr flag.
+//     /healthz, /debug/spans, /debug/events, and /debug/pprof/* on an
+//     opt-in address; every daemon exposes it behind its -debug-addr
+//     flag.
 //
 // The package deliberately depends on the standard library only, sits
 // below every other internal package, and costs nothing measurable when
@@ -28,5 +29,7 @@
 // without a trace returns a nil span whose End is a no-op.
 //
 // Every metric and span name is documented in OBSERVABILITY.md at the
-// repository root; CI fails if a registered name is missing there.
+// repository root beside the code, gate or test that reads it; CI fails
+// if a registered name is missing there or has no reader
+// (scripts/check_metrics_docs.sh).
 package obs

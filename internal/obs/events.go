@@ -95,10 +95,6 @@ type EventLog struct {
 	dropped uint64
 }
 
-// obsEventsDropped counts events evicted from any EventLog in this
-// process before being read; documented in OBSERVABILITY.md.
-var obsEventsDropped = Default.Counter("obs.events.dropped")
-
 // DefaultEvents is the process-wide event log; instrumented packages
 // emit into it and /debug/events serves it.
 var DefaultEvents = NewEventLog(4096)
@@ -122,7 +118,6 @@ func (l *EventLog) Emit(e Event) uint64 {
 	}
 	if l.full {
 		l.dropped++
-		obsEventsDropped.Inc()
 	}
 	l.ring[l.next] = e
 	l.next++
@@ -164,9 +159,9 @@ func (l *EventLog) snapshot() []Event {
 }
 
 // Since returns every retained event with a sequence number greater
-// than seq, oldest first — the incremental-drain primitive behind
-// /debug/events?since= and the benchmark artifact writers (seq 0 drains
-// everything retained).
+// than seq, oldest first — the incremental-drain primitive behind the
+// harness's per-point forensics and the benchmark artifact writers
+// (seq 0 drains everything retained).
 func (l *EventLog) Since(seq uint64) []Event {
 	all := l.snapshot()
 	out := all[:0:0]

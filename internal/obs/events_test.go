@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"bufio"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -88,9 +87,8 @@ func TestWriteEventsJSONL(t *testing.T) {
 	}
 }
 
-// TestDebugEventsEndpoint exercises /debug/events in both formats plus
-// incremental drains, and the 400-on-malformed-query contract shared
-// with /debug/spans.
+// TestDebugEventsEndpoint exercises /debug/events' text view and the
+// 400-on-malformed-query contract shared with /debug/spans.
 func TestDebugEventsEndpoint(t *testing.T) {
 	events := NewEventLog(16)
 	events.Emit(Event{Type: EventConflict, Op: "sell", Bean: "quote", Key: "quote/s-1", Trace: 5, OtherTrace: 6})
@@ -121,32 +119,13 @@ func TestDebugEventsEndpoint(t *testing.T) {
 		return string(body), resp.Header
 	}
 
-	out, _ := get("/debug/events", 200)
+	out, hdr := get("/debug/events", 200)
+	if ct := hdr.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain") {
+		t.Fatalf("Content-Type = %q", ct)
+	}
 	if !strings.Contains(out, "events seq=2 dropped=0") ||
 		!strings.Contains(out, "conflict") || !strings.Contains(out, "degrade") {
 		t.Fatalf("/debug/events text unexpected:\n%s", out)
-	}
-
-	out, hdr := get("/debug/events?format=json", 200)
-	if ct := hdr.Get("Content-Type"); ct != "application/x-ndjson" {
-		t.Fatalf("json Content-Type = %q", ct)
-	}
-	sc := bufio.NewScanner(strings.NewReader(out))
-	n := 0
-	for sc.Scan() {
-		var e Event
-		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
-			t.Fatalf("bad JSONL line %q: %v", sc.Text(), err)
-		}
-		n++
-	}
-	if n != 2 {
-		t.Fatalf("json drain returned %d events, want 2", n)
-	}
-
-	out, _ = get("/debug/events?format=json&since=1", 200)
-	if strings.Count(out, "\n") != 1 || !strings.Contains(out, "degrade") {
-		t.Fatalf("since=1 drain unexpected:\n%s", out)
 	}
 
 	// Malformed queries are 400s, not silent defaults.

@@ -5,13 +5,12 @@ import (
 	"sync"
 )
 
-// Labeled metric families give counters and histograms one dimension of
-// attribution (`slicache.hits{bean=quote}`) without pulling in a full
-// label model. Each (family, value) child is an ordinary registry
-// metric whose name embeds the label, so snapshots, diffs, text/JSON
-// output, and the sampler all handle labeled children with no extra
-// code; WritePrometheus parses the embedded label back out and emits
-// proper Prometheus label syntax.
+// Labeled counter families give counters one dimension of attribution
+// (`slicache.hits{bean=quote}`) without pulling in a full label model.
+// Each (family, value) child is an ordinary registry counter whose name
+// embeds the label, so snapshots, diffs and the text/JSON output handle
+// labeled children with no extra code; SplitLabel parses the embedded
+// label back out for a reader that wants one family's children.
 //
 // Cardinality is bounded per family: after MaxLabelValues distinct
 // values, further values collapse into the reserved "other" child, so a
@@ -78,55 +77,6 @@ func (f *LabeledCounter) Base() string { return f.base }
 // Key returns the family's label key.
 func (f *LabeledCounter) Key() string { return f.key }
 
-// LabeledHistogram is a histogram family keyed by one label dimension.
-type LabeledHistogram struct {
-	r    *Registry
-	base string
-	key  string
-
-	mu       sync.Mutex
-	children map[string]*Histogram
-}
-
-// LabeledHistogram returns the histogram family registered under base
-// with the given label key, creating it on first use.
-func (r *Registry) LabeledHistogram(base, key string) *LabeledHistogram {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f := r.labeledHists[base]
-	if f == nil {
-		f = &LabeledHistogram{r: r, base: base, key: key, children: make(map[string]*Histogram)}
-		r.labeledHists[base] = f
-	}
-	return f
-}
-
-// With returns the child histogram for one label value, creating it on
-// first use; overflow folds into LabelOverflow as for counters.
-func (f *LabeledHistogram) With(value string) *Histogram {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	value = sanitizeLabelValue(value)
-	h, ok := f.children[value]
-	if !ok {
-		if len(f.children) >= MaxLabelValues && value != LabelOverflow {
-			value = LabelOverflow
-			if h, ok = f.children[value]; ok {
-				return h
-			}
-		}
-		h = f.r.Histogram(labelName(f.base, f.key, value))
-		f.children[value] = h
-	}
-	return h
-}
-
-// Base returns the family's base metric name.
-func (f *LabeledHistogram) Base() string { return f.base }
-
-// Key returns the family's label key.
-func (f *LabeledHistogram) Key() string { return f.key }
-
 // labelName embeds one label pair in a metric name: base{key=value}.
 func labelName(base, key, value string) string {
 	return base + "{" + key + "=" + value + "}"
@@ -152,7 +102,7 @@ func SplitLabel(name string) (base, key, value string, ok bool) {
 }
 
 // sanitizeLabelValue keeps label values unambiguous inside embedded
-// names (and legal in the Prometheus exposition): the delimiter
+// names: the delimiter
 // characters, quotes, and whitespace become '_', and an empty value
 // becomes "none".
 func sanitizeLabelValue(v string) string {

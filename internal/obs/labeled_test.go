@@ -2,9 +2,7 @@ package obs
 
 import (
 	"fmt"
-	"strings"
 	"testing"
-	"time"
 )
 
 func TestLabeledCounterChildren(t *testing.T) {
@@ -80,22 +78,6 @@ func TestLabeledCounterSanitizesValues(t *testing.T) {
 	}
 }
 
-func TestLabeledHistogram(t *testing.T) {
-	r := NewRegistry()
-	f := r.LabeledHistogram("lat", "bean")
-	f.With("quote").Observe(2 * time.Millisecond)
-	f.With("quote").Observe(4 * time.Millisecond)
-	f.With("holding").Observe(time.Millisecond)
-
-	snap := r.Snapshot()
-	if got := snap.Histograms[`lat{bean=quote}`].Count; got != 2 {
-		t.Fatalf("quote count = %d, want 2", got)
-	}
-	if got := snap.Histograms[`lat{bean=holding}`].Count; got != 1 {
-		t.Fatalf("holding count = %d, want 1", got)
-	}
-}
-
 func TestLabeledChildrenInDiff(t *testing.T) {
 	r := NewRegistry()
 	f := r.LabeledCounter("f", "k")
@@ -138,85 +120,5 @@ func TestSplitLabel(t *testing.T) {
 	base, key, value, ok := SplitLabel(labelName("m.x", "bean", "quote"))
 	if !ok || base != "m.x" || key != "bean" || value != "quote" {
 		t.Fatalf("round trip = (%q, %q, %q, %v)", base, key, value, ok)
-	}
-}
-
-func TestPrometheusLabeledFamilies(t *testing.T) {
-	r := NewRegistry()
-	f := r.LabeledCounter("cache.hits", "bean")
-	f.With("quote").Add(7)
-	f.With("account").Add(2)
-	r.Counter("cache.hits").Add(9) // unlabeled series in the same family
-	r.Gauge("cache.entries").Set(5)
-
-	var b strings.Builder
-	if err := r.Snapshot().WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-
-	if got := strings.Count(out, "# TYPE cache_hits_total counter"); got != 1 {
-		t.Fatalf("want exactly one TYPE line for the family, got %d:\n%s", got, out)
-	}
-	for _, want := range []string{
-		"cache_hits_total{bean=\"quote\"} 7",
-		"cache_hits_total{bean=\"account\"} 2",
-		"cache_hits_total 9",
-		"# TYPE cache_entries gauge",
-		"cache_entries 5",
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("prom output missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestPrometheusHistogramExemplar(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("req.latency")
-	h.Observe(time.Millisecond)
-	h.ObserveTrace(8*time.Millisecond, 0xabcd)
-
-	var b strings.Builder
-	if err := r.Snapshot().WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	if !strings.Contains(out, `# {trace_id="abcd"} 0.008`) {
-		t.Fatalf("prom output missing exemplar:\n%s", out)
-	}
-	// The exemplar must sit on a bucket line, not on sum/count.
-	for _, line := range strings.Split(out, "\n") {
-		if strings.Contains(line, "trace_id") && !strings.Contains(line, "_bucket") {
-			t.Fatalf("exemplar on a non-bucket line: %s", line)
-		}
-	}
-}
-
-func TestHistogramExemplarTracksMax(t *testing.T) {
-	h := &Histogram{}
-	h.ObserveTrace(2*time.Millisecond, 1)
-	h.ObserveTrace(10*time.Millisecond, 2)
-	h.ObserveTrace(time.Millisecond, 3) // smaller: must not displace
-	s := h.Snapshot()
-	if s.ExemplarTrace != 2 || s.ExemplarDur != 10*time.Millisecond {
-		t.Fatalf("exemplar = (trace %d, %v), want (2, 10ms)", s.ExemplarTrace, s.ExemplarDur)
-	}
-	// Untraced observations never store an exemplar.
-	h2 := &Histogram{}
-	h2.Observe(time.Second)
-	if s := h2.Snapshot(); s.ExemplarTrace != 0 {
-		t.Fatalf("untraced observation stored exemplar trace %d", s.ExemplarTrace)
-	}
-}
-
-func TestHistSnapshotSubKeepsLaterExemplar(t *testing.T) {
-	h := &Histogram{}
-	h.ObserveTrace(time.Millisecond, 7)
-	before := h.Snapshot()
-	h.ObserveTrace(5*time.Millisecond, 9)
-	diff := h.Snapshot().Sub(before)
-	if diff.ExemplarTrace != 9 {
-		t.Fatalf("diff exemplar trace = %d, want 9", diff.ExemplarTrace)
 	}
 }

@@ -56,20 +56,11 @@ type Histogram struct {
 	count   atomic.Uint64
 	sum     atomic.Int64 // nanoseconds
 	max     atomic.Int64 // nanoseconds
-	exTrace atomic.Uint64
-	exDur   atomic.Int64 // nanoseconds
 	buckets [HistBuckets]atomic.Uint64
 }
 
 // Observe records one duration. Negative durations count as zero.
-func (h *Histogram) Observe(d time.Duration) { h.ObserveTrace(d, 0) }
-
-// ObserveTrace is Observe plus exemplar upkeep: when the observation is
-// at least as large as the running maximum and trace is nonzero, the
-// histogram retains (trace, d) as its exemplar — the handle that links a
-// Prometheus bucket back to the span log's worst recent offender. A zero
-// trace records the duration without touching the exemplar.
-func (h *Histogram) ObserveTrace(d time.Duration, trace uint64) {
+func (h *Histogram) Observe(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
@@ -80,39 +71,6 @@ func (h *Histogram) ObserveTrace(d time.Duration, trace uint64) {
 	h.count.Add(1)
 	h.sum.Add(int64(d))
 	h.buckets[idx].Add(1)
-	if trace != 0 && int64(d) >= h.max.Load() {
-		// Best-effort under races: a concurrent larger observation may
-		// overwrite; the exemplar only claims to be a recent extreme.
-		h.exDur.Store(int64(d))
-		h.exTrace.Store(trace)
-	}
-	for {
-		cur := h.max.Load()
-		if int64(d) <= cur || h.max.CompareAndSwap(cur, int64(d)) {
-			return
-		}
-	}
-}
-
-// ObserveN records n equal observations of d in one shot — the bulk
-// path used when replaying another histogram's bucket counts (the
-// runtime-telemetry sampler folds runtime/metrics bucket deltas in this
-// way). It costs the same few atomic operations as a single Observe
-// regardless of n. No exemplar is recorded.
-func (h *Histogram) ObserveN(d time.Duration, n uint64) {
-	if n == 0 {
-		return
-	}
-	if d < 0 {
-		d = 0
-	}
-	idx := bits.Len64(uint64(d / time.Microsecond))
-	if idx >= HistBuckets {
-		idx = HistBuckets - 1
-	}
-	h.count.Add(n)
-	h.sum.Add(int64(d) * int64(n))
-	h.buckets[idx].Add(n)
 	for {
 		cur := h.max.Load()
 		if int64(d) <= cur || h.max.CompareAndSwap(cur, int64(d)) {
@@ -130,8 +88,6 @@ func (h *Histogram) Snapshot() HistSnapshot {
 	s.Count = h.count.Load()
 	s.Sum = time.Duration(h.sum.Load())
 	s.Max = time.Duration(h.max.Load())
-	s.ExemplarTrace = h.exTrace.Load()
-	s.ExemplarDur = time.Duration(h.exDur.Load())
 	for i := range h.buckets {
 		s.Buckets[i] = h.buckets[i].Load()
 	}
@@ -141,15 +97,10 @@ func (h *Histogram) Snapshot() HistSnapshot {
 // HistSnapshot is a point-in-time copy of a Histogram, the unit the
 // registry snapshots, diffs, and serves over /metrics.
 type HistSnapshot struct {
-	Count uint64        `json:"count"`
-	Sum   time.Duration `json:"sum_ns"`
-	Max   time.Duration `json:"max_ns"`
-	// ExemplarTrace/ExemplarDur identify the most recent extreme
-	// observation recorded with a trace ID (zero when none); the
-	// Prometheus exposition emits them as an OpenMetrics exemplar.
-	ExemplarTrace uint64              `json:"exemplar_trace,omitempty"`
-	ExemplarDur   time.Duration       `json:"exemplar_dur_ns,omitempty"`
-	Buckets       [HistBuckets]uint64 `json:"-"`
+	Count   uint64              `json:"count"`
+	Sum     time.Duration       `json:"sum_ns"`
+	Max     time.Duration       `json:"max_ns"`
+	Buckets [HistBuckets]uint64 `json:"-"`
 }
 
 // Mean returns the mean observed duration (zero when empty).
@@ -211,8 +162,7 @@ func (s HistSnapshot) Quantile(p float64) time.Duration {
 // counts and sums subtract (clamped at zero against counter resets);
 // Max cannot be diffed, so the later snapshot's value is kept.
 func (s HistSnapshot) Sub(before HistSnapshot) HistSnapshot {
-	// Max and the exemplar cannot be diffed; the later snapshot's win.
-	out := HistSnapshot{Max: s.Max, ExemplarTrace: s.ExemplarTrace, ExemplarDur: s.ExemplarDur}
+	out := HistSnapshot{Max: s.Max}
 	if s.Count > before.Count {
 		out.Count = s.Count - before.Count
 	}

@@ -1,19 +1,17 @@
 // Package prof feeds the Go runtime's own meters into the observability
 // stack: where internal/obs answers "where did the wall-clock time go",
-// prof answers "how much did the process allocate, collect, and
-// schedule while it went there".
+// prof answers "how much did the process allocate while it went there".
 //
-// Runtime reads runtime/metrics plus getrusage CPU time on an interval
-// and registers them in an obs.Registry as ordinary counters, gauges,
-// and histograms under the runtime.* namespace. Registered there, they
-// ride every existing export for free: /metrics text and Prometheus
-// exposition, per-phase registry diffs, and the time-series CSVs the
-// artifact pipeline writes; tradebench normalizes three of them into
-// summary.json's resource.* metrics.
+// Runtime reads runtime/metrics on an interval and registers heap
+// objects and bytes allocated and the goroutine high-water mark in an
+// obs.Registry under the runtime.* namespace — the three figures
+// tradebench normalizes into summary.json's resource.* metrics, and
+// nothing else: CPU time, GC pauses and heap size are host measurements
+// the repository benchmark (bench/) reports per workload.
 //
 // Profiles are not this package's job: every -debug-addr listener
 // serves /debug/pprof, and go tool pprof reads, diffs (-base) and
 // tabulates (-top) what it serves. OBSERVABILITY.md's "Taking a
 // profile" has the commands, and documents the runtime.* names; CI
-// fails if one goes undocumented.
+// fails if one goes undocumented or unread.
 package prof

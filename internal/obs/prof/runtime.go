@@ -1,7 +1,6 @@
 package prof
 
 import (
-	"math"
 	"sync"
 	"time"
 
@@ -10,65 +9,28 @@ import (
 	"edgeejb/internal/obs"
 )
 
-// The runtime.* metric families Runtime feeds into its registry. Names
-// are registered literally so the docs guard can extract them; keep
-// them in sync with OBSERVABILITY.md.
-const (
-	// runtimeSource documents which runtime/metrics sample backs each
-	// family; see newRuntime for the mapping.
-	runtimeGCPauseName    = "runtime.gc_pause"
-	runtimeSchedLatName   = "runtime.sched_latency"
-	runtimeHeapLiveName   = "runtime.heap_live_bytes"
-	runtimeHeapGoalName   = "runtime.heap_goal_bytes"
-	runtimeGoroutinesName = "runtime.goroutines"
-	runtimeGoroutineHW    = "runtime.goroutines_highwater"
-	runtimeAllocsName     = "runtime.allocs_total"
-	runtimeAllocBytesName = "runtime.alloc_bytes_total"
-	runtimeGCCyclesName   = "runtime.gc_cycles_total"
-	runtimeCPUName        = "runtime.cpu_ms_total"
-)
-
 // Runtime reads the Go runtime's own meters into an obs.Registry so
-// they ride every existing export (text /metrics, Prometheus, per-phase
-// diffs, time-series CSVs) next to the application's metrics:
+// they ride every existing export (text and JSON /metrics, per-phase
+// diffs) next to the application's metrics:
 //
-//	runtime.gc_pause              histogram  stop-the-world GC pauses
-//	runtime.sched_latency         histogram  goroutine time in runnable
-//	runtime.heap_live_bytes       gauge      live heap after last GC
-//	runtime.heap_goal_bytes       gauge      pacer's next-GC heap goal
-//	runtime.goroutines            gauge      current goroutine count
-//	runtime.goroutines_highwater  gauge      max goroutines ever sampled
-//	runtime.allocs_total          counter    heap objects allocated
-//	runtime.alloc_bytes_total     counter    heap bytes allocated
-//	runtime.gc_cycles_total       counter    completed GC cycles
-//	runtime.cpu_ms_total          counter    process CPU (user+system)
+//	runtime.goroutines_highwater  gauge    max goroutines ever sampled
+//	runtime.allocs_total          counter  heap objects allocated
+//	runtime.alloc_bytes_total     counter  heap bytes allocated
 //
-// Cumulative runtime metrics are turned into counter deltas; the two
-// runtime histograms are replayed bucket by bucket into obs histograms
-// (midpoint of each runtime bucket, ObserveN for the delta count), so
-// their p50/p95/p99 come out of the same quantile machinery as every
-// latency metric. Update is cheap (a handful of metrics.Read samples);
+// These are the three summary.json's resource.* metrics are built from;
+// the cumulative runtime totals are turned into counter deltas from
+// construction onward. Update is cheap (three metrics.Read samples);
 // the background loop costs nothing measurable at a 250ms-1s cadence.
 type Runtime struct {
 	mu sync.Mutex
 
-	gcPause    *obs.Histogram
-	schedLat   *obs.Histogram
-	heapLive   *obs.Gauge
-	heapGoal   *obs.Gauge
-	goroutines *obs.Gauge
 	highwater  *obs.Gauge
 	allocs     *obs.Counter
 	allocBytes *obs.Counter
-	gcCycles   *obs.Counter
-	cpuMS      *obs.Counter
 
 	samples []metrics.Sample
 
-	prevAllocs, prevAllocBytes, prevGC uint64
-	prevCPU                            time.Duration
-	prevGCPause, prevSchedLat          []uint64
-	hw                                 int64
+	prevAllocs, prevAllocBytes uint64
 
 	stop chan struct{}
 	done chan struct{}
@@ -76,26 +38,16 @@ type Runtime struct {
 
 // Indices into Runtime.samples; keep in sync with the names below.
 const (
-	sGCPause = iota
-	sSchedLat
-	sHeapLive
-	sHeapGoal
-	sGoroutines
+	sGoroutines = iota
 	sAllocObjs
 	sAllocBytes
-	sGCCycles
 	numRuntimeSamples
 )
 
 var runtimeSampleNames = [numRuntimeSamples]string{
-	sGCPause:    "/sched/pauses/total/gc:seconds",
-	sSchedLat:   "/sched/latencies:seconds",
-	sHeapLive:   "/memory/classes/heap/objects:bytes",
-	sHeapGoal:   "/gc/heap/goal:bytes",
 	sGoroutines: "/sched/goroutines:goroutines",
 	sAllocObjs:  "/gc/heap/allocs:objects",
 	sAllocBytes: "/gc/heap/allocs:bytes",
-	sGCCycles:   "/gc/cycles/total:gc-cycles",
 }
 
 // NewRuntime registers the runtime.* families in reg (obs.Default when
@@ -108,16 +60,9 @@ func NewRuntime(reg *obs.Registry) *Runtime {
 		reg = obs.Default
 	}
 	r := &Runtime{
-		gcPause:    reg.Histogram(runtimeGCPauseName),
-		schedLat:   reg.Histogram(runtimeSchedLatName),
-		heapLive:   reg.Gauge(runtimeHeapLiveName),
-		heapGoal:   reg.Gauge(runtimeHeapGoalName),
-		goroutines: reg.Gauge(runtimeGoroutinesName),
-		highwater:  reg.Gauge(runtimeGoroutineHW),
-		allocs:     reg.Counter(runtimeAllocsName),
-		allocBytes: reg.Counter(runtimeAllocBytesName),
-		gcCycles:   reg.Counter(runtimeGCCyclesName),
-		cpuMS:      reg.Counter(runtimeCPUName),
+		highwater:  reg.Gauge("runtime.goroutines_highwater"),
+		allocs:     reg.Counter("runtime.allocs_total"),
+		allocBytes: reg.Counter("runtime.alloc_bytes_total"),
 		samples:    make([]metrics.Sample, numRuntimeSamples),
 	}
 	for i, name := range runtimeSampleNames {
@@ -128,10 +73,6 @@ func NewRuntime(reg *obs.Registry) *Runtime {
 	metrics.Read(r.samples)
 	r.prevAllocs = counterValue(r.samples[sAllocObjs])
 	r.prevAllocBytes = counterValue(r.samples[sAllocBytes])
-	r.prevGC = counterValue(r.samples[sGCCycles])
-	r.prevCPU = processCPU()
-	r.prevGCPause = bucketCounts(r.samples[sGCPause])
-	r.prevSchedLat = bucketCounts(r.samples[sSchedLat])
 	r.Update()
 	return r
 }
@@ -189,26 +130,11 @@ func (r *Runtime) Update() {
 
 	metrics.Read(r.samples)
 
-	r.heapLive.Set(int64(counterValue(r.samples[sHeapLive])))
-	r.heapGoal.Set(int64(counterValue(r.samples[sHeapGoal])))
-	g := int64(counterValue(r.samples[sGoroutines]))
-	r.goroutines.Set(g)
-	if g > r.hw {
-		r.hw = g
+	if g := int64(counterValue(r.samples[sGoroutines])); g > r.highwater.Value() {
 		r.highwater.Set(g)
 	}
-
 	r.prevAllocs = advance(r.allocs, r.prevAllocs, counterValue(r.samples[sAllocObjs]))
 	r.prevAllocBytes = advance(r.allocBytes, r.prevAllocBytes, counterValue(r.samples[sAllocBytes]))
-	r.prevGC = advance(r.gcCycles, r.prevGC, counterValue(r.samples[sGCCycles]))
-
-	if cpu := processCPU(); cpu > r.prevCPU {
-		r.cpuMS.Add(uint64((cpu - r.prevCPU) / time.Millisecond))
-		r.prevCPU = cpu
-	}
-
-	r.prevGCPause = replayHistogram(r.gcPause, r.samples[sGCPause], r.prevGCPause)
-	r.prevSchedLat = replayHistogram(r.schedLat, r.samples[sSchedLat], r.prevSchedLat)
 }
 
 // advance adds (cur - prev) to c and returns cur, tolerating a meter
@@ -221,70 +147,11 @@ func advance(c *obs.Counter, prev, cur uint64) uint64 {
 	return prev
 }
 
-// counterValue extracts a scalar sample as uint64 (0 for absent or
-// histogram-kind samples).
+// counterValue extracts a scalar sample as uint64 (0 for an absent
+// sample).
 func counterValue(s metrics.Sample) uint64 {
-	switch s.Value.Kind() {
-	case metrics.KindUint64:
+	if s.Value.Kind() == metrics.KindUint64 {
 		return s.Value.Uint64()
-	case metrics.KindFloat64:
-		return uint64(s.Value.Float64())
-	default:
-		return 0
 	}
-}
-
-// bucketCounts copies a runtime histogram's cumulative bucket counts
-// (nil for non-histogram samples).
-func bucketCounts(s metrics.Sample) []uint64 {
-	if s.Value.Kind() != metrics.KindFloat64Histogram {
-		return nil
-	}
-	h := s.Value.Float64Histogram()
-	return append([]uint64(nil), h.Counts...)
-}
-
-// replayHistogram folds the bucket-count deltas of a cumulative
-// runtime/metrics histogram into an obs.Histogram: each bucket's new
-// observations are recorded at the bucket midpoint (edges are seconds;
-// unbounded edges clamp to the finite neighbor). Returns the new
-// cumulative counts to diff against next time.
-func replayHistogram(dst *obs.Histogram, s metrics.Sample, prev []uint64) []uint64 {
-	if s.Value.Kind() != metrics.KindFloat64Histogram {
-		return prev
-	}
-	h := s.Value.Float64Histogram()
-	for i, n := range h.Counts {
-		var before uint64
-		if i < len(prev) {
-			before = prev[i]
-		}
-		if n <= before {
-			continue
-		}
-		dst.ObserveN(bucketMidpoint(h.Buckets, i), n-before)
-	}
-	return append(prev[:0], h.Counts...)
-}
-
-// bucketMidpoint picks a representative duration for bucket i of a
-// runtime histogram with len(Buckets) = len(Counts)+1 edges in seconds.
-func bucketMidpoint(edges []float64, i int) time.Duration {
-	if i+1 >= len(edges) {
-		return 0
-	}
-	lo, hi := edges[i], edges[i+1]
-	switch {
-	case math.IsInf(lo, -1) && math.IsInf(hi, 1):
-		return 0
-	case math.IsInf(lo, -1):
-		lo = 0
-	case math.IsInf(hi, 1):
-		hi = lo
-	}
-	mid := (lo + hi) / 2
-	if mid < 0 {
-		mid = 0
-	}
-	return time.Duration(mid * float64(time.Second))
+	return 0
 }

@@ -23,7 +23,6 @@ type Registry struct {
 	gauges          map[string]*Gauge
 	hists           map[string]*Histogram
 	labeledCounters map[string]*LabeledCounter
-	labeledHists    map[string]*LabeledHistogram
 }
 
 // Default is the process-wide registry.
@@ -36,7 +35,6 @@ func NewRegistry() *Registry {
 		gauges:          make(map[string]*Gauge),
 		hists:           make(map[string]*Histogram),
 		labeledCounters: make(map[string]*LabeledCounter),
-		labeledHists:    make(map[string]*LabeledHistogram),
 	}
 }
 

@@ -183,10 +183,7 @@ func (s *Span) End() {
 		return
 	}
 	s.rec.Dur = time.Since(s.rec.Start)
-	// ObserveTrace keeps the trace ID of the extreme observation as the
-	// histogram's exemplar, so a slow Prometheus bucket links back to a
-	// concrete trace in the span log.
-	Default.Histogram("span."+s.rec.Name).ObserveTrace(s.rec.Dur, s.rec.Trace)
+	Default.Histogram("span." + s.rec.Name).Observe(s.rec.Dur)
 	DefaultSpans.add(s.rec)
 }
 
@@ -210,8 +207,7 @@ type SpanRecord struct {
 // reconstruct recent interactions without unbounded memory. The zero
 // capacity of a NewSpanLog(0) defaults to 4096 records. Once the ring
 // wraps, each new span silently evicts the oldest; the eviction is
-// counted (per log, and in the process-wide `obs.spans.dropped`
-// counter) so trace assembly can report incomplete traces instead of
+// counted so trace assembly can report incomplete traces instead of
 // pretending completeness.
 type SpanLog struct {
 	mu      sync.Mutex
@@ -220,10 +216,6 @@ type SpanLog struct {
 	full    bool
 	dropped uint64
 }
-
-// obsSpansDropped counts spans evicted from any SpanLog in this process
-// before being read; documented in OBSERVABILITY.md.
-var obsSpansDropped = Default.Counter("obs.spans.dropped")
 
 // DefaultSpans is the process-wide span log; Span.End records into it
 // and the /debug/spans endpoint serves it.
@@ -241,7 +233,6 @@ func (l *SpanLog) add(rec SpanRecord) {
 	l.mu.Lock()
 	if l.full {
 		l.dropped++
-		obsSpansDropped.Inc()
 	}
 	l.ring[l.next] = rec
 	l.next++

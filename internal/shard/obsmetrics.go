@@ -26,9 +26,4 @@ var (
 	// obsScatterQueries counts finder queries fanned out to every shard
 	// (no placement affinity pruned them to one).
 	obsScatterQueries = obs.Default.Counter("shard.scatter_queries")
-	// obsPrepareLatency records each participant's prepare round trip.
-	obsPrepareLatency = obs.Default.Histogram("shard.prepare_latency")
-	// obsParticipants records how many shards each commit set touched —
-	// the placement function's report card (1 = fast path).
-	obsParticipants = obs.Default.Histogram("shard.participants")
 )

@@ -9,7 +9,6 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"edgeejb/internal/memento"
 	"edgeejb/internal/obs"
@@ -134,7 +133,6 @@ func (r *Router) AutoQuery(ctx context.Context, q memento.Query) (storeapi.Query
 //     decision.
 func (r *Router) ApplyCommitSet(ctx context.Context, cs memento.CommitSet) (sqlstore.ApplyResult, error) {
 	split := r.ring.Split(cs)
-	obsParticipants.Observe(time.Duration(len(split)))
 	if len(split) == 1 {
 		for s, sub := range split {
 			actx, asp := obs.StartSpan(ctx, "shard.apply")
@@ -233,9 +231,7 @@ func (r *Router) twoPhase(ctx context.Context, split map[int]memento.CommitSet) 
 		go func(p *part) {
 			defer wg.Done()
 			pctx, psp := obs.StartSpan(ctx, "shard.prepare")
-			start := time.Now()
 			p.err = p.prep.Prepare(pctx, gid, split[p.shard])
-			obsPrepareLatency.Observe(time.Since(start))
 			psp.End()
 		}(&parts[i])
 	}

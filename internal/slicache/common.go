@@ -44,7 +44,7 @@ type lruEntry struct {
 
 // mementoSize estimates a cached memento's resident footprint: string
 // payloads plus a fixed per-field and per-entry overhead. It is an
-// occupancy signal for the slicache.bytes gauge, not an allocator
+// occupancy signal (CommonStoreStats.Bytes), not an allocator
 // measurement.
 func mementoSize(m memento.Memento) int64 {
 	size := int64(64 + len(m.Key.Table) + len(m.Key.ID))
@@ -88,14 +88,12 @@ func (c *CommonStore) SetEnabled(enabled bool) {
 	}
 }
 
-// dropAllLocked empties the store, keeping the occupancy gauges in sync.
-// Called with c.mu held.
+// dropAllLocked empties the store and returns how many entries it
+// held. Called with c.mu held.
 func (c *CommonStore) dropAllLocked() int {
 	n := len(c.entries)
 	c.entries = make(map[memento.Key]*list.Element)
 	c.lru.Init()
-	obsEntries.Add(-int64(n))
-	obsBytes.Add(-c.bytes)
 	c.bytes = 0
 	return n
 }
@@ -142,20 +140,17 @@ func (c *CommonStore) GetWithTime(key memento.Key) (memento.Memento, time.Time, 
 	defer c.mu.Unlock()
 	if !c.enabled {
 		c.misses.Add(1)
-		obsMisses.Inc()
 		obsMissesBy.With(key.Table).Inc()
 		return memento.Memento{}, time.Time{}, false
 	}
 	el, ok := c.entries[key]
 	if !ok {
 		c.misses.Add(1)
-		obsMisses.Inc()
 		obsMissesBy.With(key.Table).Inc()
 		return memento.Memento{}, time.Time{}, false
 	}
 	c.lru.MoveToFront(el)
 	c.hits.Add(1)
-	obsHits.Inc()
 	obsHitsBy.With(key.Table).Inc()
 	entry := el.Value.(*lruEntry)
 	return entry.mem.Clone(), entry.storedAt, true
@@ -179,7 +174,6 @@ func (c *CommonStore) Put(m memento.Memento) {
 		entry.storedAt = c.now()
 		size := mementoSize(entry.mem)
 		c.bytes += size - entry.size
-		obsBytes.Add(size - entry.size)
 		entry.size = size
 		c.lru.MoveToFront(el)
 		return
@@ -188,8 +182,6 @@ func (c *CommonStore) Put(m memento.Memento) {
 	entry.size = mementoSize(entry.mem)
 	c.entries[m.Key] = c.lru.PushFront(entry)
 	c.bytes += entry.size
-	obsEntries.Add(1)
-	obsBytes.Add(entry.size)
 	c.evictOverflowLocked()
 }
 
@@ -198,7 +190,6 @@ func (c *CommonStore) Put(m memento.Memento) {
 // invalidation round trip.
 func (c *CommonStore) Refresh(m memento.Memento) {
 	c.refreshes.Add(1)
-	obsRefreshes.Inc()
 	c.Put(m)
 }
 
@@ -218,10 +209,7 @@ func (c *CommonStore) Invalidate(keys ...memento.Key) int {
 			c.lru.Remove(el)
 			delete(c.entries, k)
 			c.bytes -= entry.size
-			obsEntries.Add(-1)
-			obsBytes.Add(-entry.size)
 			c.invalidations.Add(1)
-			obsInvalidations.Inc()
 			evicted++
 		}
 	}
@@ -236,7 +224,6 @@ func (c *CommonStore) Clear() {
 	defer c.mu.Unlock()
 	n := c.dropAllLocked()
 	c.invalidations.Add(uint64(n))
-	obsInvalidations.Add(uint64(n))
 }
 
 // Len returns the number of cached entries.
@@ -284,10 +271,7 @@ func (c *CommonStore) evictOverflowLocked() {
 		c.lru.Remove(back)
 		delete(c.entries, entry.key)
 		c.bytes -= entry.size
-		obsEntries.Add(-1)
-		obsBytes.Add(-entry.size)
 		c.evictions.Add(1)
-		obsEvictions.Inc()
 		obs.DefaultEvents.Emit(obs.Event{
 			Type: obs.EventEvict,
 			Bean: entry.key.Table,

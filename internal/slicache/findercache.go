@@ -36,7 +36,6 @@ type FinderCache struct {
 // finderEntry is one cached result set plus the footprint it covered.
 type finderEntry struct {
 	ckey     string
-	table    string
 	mems     []memento.Memento // committed rows; treated as immutable
 	fp       memento.Footprint
 	storedAt time.Time
@@ -106,18 +105,16 @@ func (c *FinderCache) Get(q memento.Query) ([]memento.Memento, memento.Footprint
 	return e.mems, e.fp, e.storedAt, true
 }
 
-// Hit records one served lookup for a finder on table.
-func (c *FinderCache) Hit(table string) {
+// Hit records one served lookup.
+func (c *FinderCache) Hit() {
 	c.hits.Add(1)
 	obsFinderHits.Inc()
-	obsFinderHitsBy.With(table).Inc()
 }
 
 // Miss records one lookup that fell through to the persistent store.
-func (c *FinderCache) Miss(table string) {
+func (c *FinderCache) Miss() {
 	c.misses.Add(1)
 	obsFinderMisses.Inc()
-	obsFinderMissesBy.With(table).Inc()
 }
 
 // Put stores a committed result set and the footprint it covered. The
@@ -130,21 +127,20 @@ func (c *FinderCache) Put(q memento.Query, mems []memento.Memento, fp memento.Fo
 	if !c.enabled {
 		return
 	}
-	e := &finderEntry{ckey: ck, table: q.Table, mems: mems, fp: fp, storedAt: c.now()}
+	e := &finderEntry{ckey: ck, mems: mems, fp: fp, storedAt: c.now()}
 	if el, ok := c.entries[ck]; ok {
 		el.Value = e
 		c.lru.MoveToFront(el)
 		return
 	}
 	c.entries[ck] = c.lru.PushFront(e)
-	obsFinderEntries.Add(1)
 	for c.capacity > 0 && len(c.entries) > c.capacity {
 		c.removeLocked(c.lru.Back())
 		c.evictions.Add(1)
 	}
 }
 
-// removeLocked drops one LRU element, keeping the gauge in sync.
+// removeLocked drops one LRU element.
 func (c *FinderCache) removeLocked(el *list.Element) {
 	if el == nil {
 		return
@@ -152,7 +148,6 @@ func (c *FinderCache) removeLocked(el *list.Element) {
 	e := el.Value.(*finderEntry)
 	delete(c.entries, e.ckey)
 	c.lru.Remove(el)
-	obsFinderEntries.Add(-1)
 }
 
 // Invalidate drops every entry whose footprint overlaps the committed
@@ -187,9 +182,6 @@ func (c *FinderCache) Invalidate(writes []memento.WriteDesc, keys []memento.Key)
 	if n := len(drop); n > 0 {
 		c.invalidations.Add(uint64(n))
 		obsFinderInvalidations.Add(uint64(n))
-		for _, el := range drop {
-			obsFinderInvalidationsBy.With(el.Value.(*finderEntry).table).Inc()
-		}
 	}
 	return len(drop)
 }
@@ -198,13 +190,11 @@ func (c *FinderCache) Invalidate(writes []memento.WriteDesc, keys []memento.Key)
 func (c *FinderCache) Clear() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	n := len(c.entries)
-	if n == 0 {
+	if len(c.entries) == 0 {
 		return
 	}
 	c.entries = make(map[string]*list.Element)
 	c.lru.Init()
-	obsFinderEntries.Add(-int64(n))
 }
 
 // Len returns the number of cached result sets.

@@ -313,7 +313,6 @@ func (m *Manager) invalidationLoop(ch <-chan sqlstore.Notice, stop, done chan st
 		if m.degradeBound > 0 {
 			if !m.degraded.Swap(true) {
 				m.stats.degradations.Add(1)
-				obsDegradations.Inc()
 				obs.DefaultEvents.Emit(obs.Event{Type: obs.EventDegrade, Detail: "enter"})
 			}
 		} else {
@@ -342,7 +341,6 @@ func (m *Manager) invalidationLoop(ch <-chan sqlstore.Notice, stop, done chan st
 					obs.DefaultEvents.Emit(obs.Event{Type: obs.EventDegrade, Detail: "exit"})
 				}
 				m.stats.resubscribes.Add(1)
-				obsResubscribes.Inc()
 				ch = newCh
 				break
 			}
@@ -382,7 +380,7 @@ func (m *Manager) noteNotice(n sqlstore.Notice) {
 		if lat = m.now().Sub(n.CommittedAt); lat < 0 {
 			lat = 0
 		}
-		obsInvalLatency.ObserveTrace(lat, n.OriginTrace)
+		obsInvalLatency.Observe(lat)
 	}
 	ev := obs.Event{
 		Type:       obs.EventInvalidation,
@@ -404,11 +402,10 @@ func (m *Manager) noteNotice(n sqlstore.Notice) {
 		if ev.Evicted > 0 && stamped {
 			// Entries were actually dropped: the push latency bounds how
 			// long they could have been served stale.
-			obsStaleness.ObserveTrace(lat, n.OriginTrace)
+			obsStaleness.Observe(lat)
 			ev.Age = lat
 		}
 		m.stats.noticesApplied.Add(1)
-		obsNoticesApplied.Inc()
 	}
 	obs.DefaultEvents.Emit(ev)
 }

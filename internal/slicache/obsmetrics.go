@@ -2,77 +2,36 @@ package slicache
 
 import "edgeejb/internal/obs"
 
-// Process-wide obs mirrors of the cache runtime's counters, summed
-// across every CommonStore and Manager in the process. The per-instance
-// Stats snapshots remain the harness's source of truth; these feed the
-// /metrics endpoint and per-phase diffs. Names are documented in
-// OBSERVABILITY.md (CI cross-checks them).
+// The cache runtime's process-wide obs metrics, summed across every
+// CommonStore and Manager in the process. The per-instance Stats
+// snapshots are the harness's source of truth for everything a topology
+// reports; what is registered here is only what Stats cannot give a
+// reader — a count attributed per bean, a count a phase diff needs
+// process-wide, a latency distribution. Names are documented in
+// OBSERVABILITY.md with the reader of each (CI cross-checks both).
 var (
-	obsHits           = obs.Default.Counter("slicache.hits")
-	obsMisses         = obs.Default.Counter("slicache.misses")
-	obsInvalidations  = obs.Default.Counter("slicache.invalidations")
-	obsRefreshes      = obs.Default.Counter("slicache.refreshes")
-	obsEvictions      = obs.Default.Counter("slicache.evictions")
-	obsMissFetches    = obs.Default.Counter("slicache.miss_fetches")
-	obsCommits        = obs.Default.Counter("slicache.commits")
-	obsConflicts      = obs.Default.Counter("slicache.conflicts")
-	obsStaleServes    = obs.Default.Counter("slicache.stale_serves")
-	obsDegradations   = obs.Default.Counter("slicache.degradations")
-	obsResubscribes   = obs.Default.Counter("slicache.resubscribes")
-	obsNoticesApplied = obs.Default.Counter("slicache.notices_applied")
-)
+	// Per-bean cache traffic, labeled by memento table — forensics.txt's
+	// "cache by bean" table. The table set is small and fixed by the
+	// schema, so the family cap is never a concern in practice.
+	obsHitsBy   = obs.Default.LabeledCounter("slicache.hits", "bean")
+	obsMissesBy = obs.Default.LabeledCounter("slicache.misses", "bean")
 
-// Finder-result cache counters: transactional method caching over the
-// custom finders (FinderCache). Invalidations count cached result sets
-// dropped because a committed write set overlapped their footprint.
-var (
+	// obsConflicts counts commits rejected by validation; the shard
+	// sweep subtracts it from the commit spans to get commits shipped.
+	obsConflicts = obs.Default.Counter("slicache.conflicts")
+
+	// Finder-result cache counters (FinderCache), read per phase for the
+	// finder table, finder_cache.csv and cache.finder_hit_ratio.
+	// Invalidations count cached result sets dropped because a committed
+	// write set overlapped their footprint.
 	obsFinderHits          = obs.Default.Counter("slicache.finder_hits")
 	obsFinderMisses        = obs.Default.Counter("slicache.finder_misses")
 	obsFinderInvalidations = obs.Default.Counter("slicache.finder_invalidations")
-)
 
-// Per-bean breakdowns of the finder counters, labeled by the finder's
-// target table.
-var (
-	obsFinderHitsBy          = obs.Default.LabeledCounter("slicache.finder_hits", "bean")
-	obsFinderMissesBy        = obs.Default.LabeledCounter("slicache.finder_misses", "bean")
-	obsFinderInvalidationsBy = obs.Default.LabeledCounter("slicache.finder_invalidations", "bean")
-)
-
-// Per-bean breakdowns of the hot counters, labeled by memento table.
-// The table set is small and fixed by the schema, so the family cap is
-// never a concern in practice.
-var (
-	obsHitsBy      = obs.Default.LabeledCounter("slicache.hits", "bean")
-	obsMissesBy    = obs.Default.LabeledCounter("slicache.misses", "bean")
-	obsConflictsBy = obs.Default.LabeledCounter("slicache.conflicts", "bean")
-)
-
-// Cache occupancy, summed across every CommonStore in the process
-// (each store Add-deltas rather than Sets, so multiple edges in one
-// process aggregate).
-var (
-	obsEntries = obs.Default.Gauge("slicache.entries")
-	obsBytes   = obs.Default.Gauge("slicache.bytes")
-	// obsFinderEntries counts cached finder result sets across every
-	// FinderCache in the process.
-	obsFinderEntries = obs.Default.Gauge("slicache.finder_entries")
-)
-
-// Forensic latency distributions. Each traced observation also leaves
-// an exemplar linking the histogram's extreme to a trace ID.
-var (
-	// obsConflictReadAge is how stale the loser's read was at abort time:
-	// the time between fetching the conflicting entry and failing
-	// validation against it.
-	obsConflictReadAge = obs.Default.Histogram("slicache.conflict_read_age")
 	// obsInvalLatency is the push latency of invalidation notices: origin
 	// commit at the store to arrival at this edge.
 	obsInvalLatency = obs.Default.Histogram("slicache.invalidation_latency")
 	// obsStaleness is the staleness window each notice closed: how long a
 	// now-invalidated entry could have been served stale.
 	obsStaleness = obs.Default.Histogram("slicache.staleness_window")
-	// obsStaleServeAge is the entry age of every degraded-mode stale
-	// serve.
-	obsStaleServeAge = obs.Default.Histogram("slicache.stale_serve_age")
 )

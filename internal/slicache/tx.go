@@ -138,7 +138,6 @@ next:
 			continue
 		}
 		t.mgr.stats.missFetches.Add(1)
-		obsMissFetches.Inc()
 		t.fp.Merge(f.res.FP)
 		m := f.res.Mem
 		t.mgr.common.Put(m)
@@ -187,10 +186,6 @@ func (t *sliTx) cached(ctx context.Context, key memento.Key) (memento.Memento, b
 			return memento.Memento{}, false, nil
 		}
 		t.mgr.stats.staleServes.Add(1)
-		obsStaleServes.Inc()
-		// How stale could this serve be? Bounded by the entry's age,
-		// since no invalidation has been seen since it was stored.
-		obsStaleServeAge.ObserveTrace(age, obs.TraceID(ctx))
 	}
 	t.fp.AddKey(key)
 	t.entries[key] = &entry{
@@ -343,12 +338,10 @@ func (t *sliTx) Query(ctx context.Context, q memento.Query) ([]memento.Memento, 
 					serve = false
 				} else {
 					t.mgr.stats.staleServes.Add(1)
-					obsStaleServes.Inc()
-					obsStaleServeAge.ObserveTrace(age, obs.TraceID(ctx))
 				}
 			}
 			if serve {
-				t.mgr.finders.Hit(q.Table)
+				t.mgr.finders.Hit()
 				persisted = mems
 				fetchedAt = storedAt
 				fromFinder = true
@@ -356,7 +349,7 @@ func (t *sliTx) Query(ctx context.Context, q memento.Query) ([]memento.Memento, 
 			}
 		}
 		if !fromFinder {
-			t.mgr.finders.Miss(q.Table)
+			t.mgr.finders.Miss()
 		}
 	}
 	if !fromFinder {
@@ -417,7 +410,6 @@ func (t *sliTx) Commit(ctx context.Context) error {
 	cs := t.buildCommitSet()
 	if cs.IsEmpty() {
 		t.mgr.stats.commits.Add(1)
-		obsCommits.Inc()
 		return nil
 	}
 	if cs.Mutations() == 0 && t.mgr.localReadOnly {
@@ -427,7 +419,6 @@ func (t *sliTx) Commit(ctx context.Context) error {
 		// is why "each client request involves at least one round-trip
 		// call to the back-end server" (§4.4).
 		t.mgr.stats.commits.Add(1)
-		obsCommits.Inc()
 		return nil
 	}
 
@@ -459,7 +450,6 @@ func (t *sliTx) Commit(ctx context.Context) error {
 		}
 	}
 	t.mgr.stats.commits.Add(1)
-	obsCommits.Inc()
 
 	// Refresh the common store with committed after-images and evict
 	// removed beans. Cached finder results are invalidated synchronously
@@ -490,9 +480,9 @@ func (t *sliTx) Commit(ctx context.Context) error {
 	return nil
 }
 
-// noteConflict records the forensics of a failed validation: the
-// per-bean conflict counter, the loser's read-version age, and a
-// structured conflict event pairing the loser's trace with the winner's
+// noteConflict records the forensics of a failed validation: a
+// structured conflict event carrying the conflicting bean, the loser's
+// read-version age, and the loser's trace paired with the winner's
 // (when the error carries attribution — lock-timeout conflicts and
 // unattributed stores do not).
 func (t *sliTx) noteConflict(ctx context.Context, err error) {
@@ -500,14 +490,12 @@ func (t *sliTx) noteConflict(ctx context.Context, err error) {
 	if !errors.As(err, &ce) {
 		return
 	}
-	obsConflictsBy.With(ce.Key.Table).Inc()
 	trace := obs.TraceID(ctx)
 	var readAge time.Duration
 	if e, ok := t.entries[ce.Key]; ok && !e.fetchedAt.IsZero() {
 		if readAge = t.mgr.now().Sub(e.fetchedAt); readAge < 0 {
 			readAge = 0
 		}
-		obsConflictReadAge.ObserveTrace(readAge, trace)
 	}
 	obs.DefaultEvents.Emit(obs.Event{
 		Type:       obs.EventConflict,

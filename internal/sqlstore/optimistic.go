@@ -92,7 +92,6 @@ func (s *Store) applyDeferred(ctx context.Context, cs memento.CommitSet) (ApplyR
 	if err != nil {
 		tx.Abort()
 		s.stats.optFail.Add(1)
-		obsOptConflicts.Inc()
 		return ApplyResult{}, Notice{}, err
 	}
 	s.serveCommit(1)
@@ -101,7 +100,6 @@ func (s *Store) applyDeferred(ctx context.Context, cs memento.CommitSet) (ApplyR
 		return ApplyResult{}, Notice{}, err
 	}
 	s.stats.optOK.Add(1)
-	obsOptCommits.Inc()
 	res.TxID = tx.ID()
 	return res, notice, nil
 }

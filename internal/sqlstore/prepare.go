@@ -42,11 +42,12 @@ type prepareTTLOption time.Duration
 
 func (o prepareTTLOption) apply(c *config) { c.prepareTTL = time.Duration(o) }
 
+// Participant-side 2PC tallies: commit sets parked in doubt by phase
+// one, and parked sets made durable by a commit decision. The sharded
+// smoke test reads both to see that participants took part.
 var (
 	obsPrepares       = obs.Default.Counter("sqlstore.prepares")
 	obsPreparedCommit = obs.Default.Counter("sqlstore.prepared_commits")
-	obsPreparedAbort  = obs.Default.Counter("sqlstore.prepared_aborts")
-	obsPresumedAbort  = obs.Default.Counter("sqlstore.presumed_aborts")
 )
 
 // Prepare validates a commit sub-set exactly as ApplyCommitSet would,
@@ -71,7 +72,6 @@ func (s *Store) Prepare(ctx context.Context, gid string, cs memento.CommitSet) e
 	if err != nil {
 		tx.Abort()
 		s.stats.optFail.Add(1)
-		obsOptConflicts.Inc()
 		return err
 	}
 	s.serveCommit(1)
@@ -111,7 +111,6 @@ func (s *Store) CommitPrepared(ctx context.Context, gid string) (ApplyResult, er
 	}
 	s.broadcast(notice)
 	s.stats.optOK.Add(1)
-	obsOptCommits.Inc()
 	obsPreparedCommit.Inc()
 	return ApplyResult{TxID: entry.tx.ID(), NewVersions: entry.newVersions}, nil
 }
@@ -128,7 +127,6 @@ func (s *Store) AbortPrepared(ctx context.Context, gid string) error {
 		return nil
 	}
 	entry.tx.Abort()
-	obsPreparedAbort.Inc()
 	return nil
 }
 
@@ -165,7 +163,6 @@ func (s *Store) presumeAbort(gid string) {
 		return // decided concurrently; the timer lost the race
 	}
 	entry.tx.Abort()
-	obsPresumedAbort.Inc()
 	obs.DefaultEvents.Emit(obs.Event{
 		Type:   obs.EventTwoPC,
 		Detail: fmt.Sprintf("presumed abort of %s after %s in doubt", gid, s.prepareTTL),

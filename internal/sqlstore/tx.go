@@ -36,7 +36,6 @@ func (s *Store) Begin(ctx context.Context) (*Tx, error) {
 		return nil, ErrClosed
 	}
 	s.stats.begins.Add(1)
-	obsTxBegins.Inc()
 	return &Tx{
 		s:      s,
 		id:     lockmgr.Owner(s.nextTx.Add(1)),
@@ -367,7 +366,6 @@ func (tx *Tx) commit() (Notice, error) {
 	keys, writes, at := tx.s.applyWrites(tx.writes, uint64(tx.id), tx.trace)
 	tx.s.lm.ReleaseAll(tx.id)
 	tx.s.stats.commits.Add(1)
-	obsTxCommits.Inc()
 	return Notice{TxID: uint64(tx.id), Keys: keys, Writes: writes, CommittedAt: at, OriginTrace: tx.trace}, nil
 }
 
@@ -381,13 +379,11 @@ func (tx *Tx) Abort() {
 	tx.writes = nil
 	tx.s.lm.ReleaseAll(tx.id)
 	tx.s.stats.aborts.Add(1)
-	obsTxAborts.Inc()
 }
 
 func (s *Store) noteLockErr(err error) {
 	if errors.Is(err, lockmgr.ErrTimeout) || errors.Is(err, lockmgr.ErrDeadlock) {
 		s.stats.lockTimeouts.Add(1)
-		obsLockTimeouts.Inc()
 	}
 }
 

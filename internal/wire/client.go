@@ -65,7 +65,7 @@ func NewClient(addr string, opts ...Option) *Client {
 		dial:          defaultDial,
 		maxShared:     2,
 		maxPinnedIdle: 4,
-		stats:         newCollector("client"),
+		stats:         newCollector(),
 		conns:         make(map[*conn]struct{}),
 	}
 	for _, o := range opts {

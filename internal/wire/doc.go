@@ -26,8 +26,7 @@
 //     in-flight requests, bounded by a drain timeout, then force-close.
 //   - Both ends keep counters and per-op latency histograms, exposed as
 //     a Stats snapshot, so byte accounting on the shared path no longer
-//     depends on the delay proxy alone. The same counts are mirrored
-//     process-wide as the wire.client.* / wire.server.* metrics.
+//     depends on the delay proxy alone.
 //   - Frame headers carry an optional trace/span pair, so a span tree
 //     started at the client reassembles across tiers; untraced requests
 //     pay no bytes for it (see OBSERVABILITY.md).

@@ -94,7 +94,7 @@ func NewServer(newHandler func() ConnHandler) *Server {
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		newHandler: newHandler,
-		stats:      newCollector("server"),
+		stats:      newCollector(),
 		baseCtx:    ctx,
 		cancel:     cancel,
 		conns:      make(map[*serverConn]struct{}),

@@ -4,8 +4,6 @@ import (
 	"math/bits"
 	"sync"
 	"time"
-
-	"edgeejb/internal/obs"
 )
 
 // histBuckets is the number of power-of-two latency buckets; bucket i
@@ -105,38 +103,8 @@ func MergeStats(snaps ...Stats) Stats {
 	return out
 }
 
-// wireMetrics are the process-wide obs mirrors of one endpoint role.
-// The pointers are resolved once per collector so the hot paths pay a
-// single atomic add per mirrored counter, never a registry lookup.
-type wireMetrics struct {
-	dials         *obs.Counter
-	roundTrips    *obs.Counter
-	pushes        *obs.Counter
-	bytesSent     *obs.Counter
-	bytesReceived *obs.Counter
-	errors        *obs.Counter
-	retries       *obs.Counter
-	rtt           *obs.Histogram
-}
-
-func newWireMetrics(role string) wireMetrics {
-	p := "wire." + role + "."
-	return wireMetrics{
-		dials:         obs.Default.Counter(p + "dials"),
-		roundTrips:    obs.Default.Counter(p + "roundtrips"),
-		pushes:        obs.Default.Counter(p + "pushes"),
-		bytesSent:     obs.Default.Counter(p + "bytes_sent"),
-		bytesReceived: obs.Default.Counter(p + "bytes_received"),
-		errors:        obs.Default.Counter(p + "errors"),
-		retries:       obs.Default.Counter(p + "retries"),
-		rtt:           obs.Default.Histogram(p + "rtt"),
-	}
-}
-
 // collector is the mutable counterpart of Stats shared by the
-// connections of one Client or Server. Every count is also mirrored
-// into the process-wide obs registry under wire.<role>.*, summing
-// across all endpoints of that role in the process.
+// connections of one Client or Server.
 type collector struct {
 	mu            sync.Mutex
 	dials         uint64
@@ -147,14 +115,10 @@ type collector struct {
 	errors        uint64
 	retries       uint64
 	ops           map[string]*OpStats
-	obs           wireMetrics
 }
 
-func newCollector(role string) *collector {
-	return &collector{
-		obs: newWireMetrics(role),
-		ops: make(map[string]*OpStats),
-	}
+func newCollector() *collector {
+	return &collector{ops: make(map[string]*OpStats)}
 }
 
 // op returns the aggregate for label; callers hold c.mu.
@@ -168,14 +132,12 @@ func (c *collector) op(label string) *OpStats {
 }
 
 func (c *collector) dial() {
-	c.obs.dials.Inc()
 	c.mu.Lock()
 	c.dials++
 	c.mu.Unlock()
 }
 
 func (c *collector) sent(label string, n int) {
-	c.obs.bytesSent.Add(uint64(n))
 	c.mu.Lock()
 	c.bytesSent += uint64(n)
 	c.op(label).BytesSent += uint64(n)
@@ -183,7 +145,6 @@ func (c *collector) sent(label string, n int) {
 }
 
 func (c *collector) received(label string, n int) {
-	c.obs.bytesReceived.Add(uint64(n))
 	c.mu.Lock()
 	c.bytesReceived += uint64(n)
 	c.op(label).BytesReceived += uint64(n)
@@ -191,8 +152,6 @@ func (c *collector) received(label string, n int) {
 }
 
 func (c *collector) roundTrip(label string, d time.Duration) {
-	c.obs.roundTrips.Inc()
-	c.obs.rtt.Observe(d)
 	idx := bits.Len64(uint64(d / time.Microsecond))
 	if idx >= histBuckets {
 		idx = histBuckets - 1
@@ -212,12 +171,6 @@ func (c *collector) roundTrip(label string, d time.Duration) {
 // push records an unsolicited frame; sent selects which byte direction
 // the frame counts toward (true on the server, false on the client).
 func (c *collector) push(label string, n int, sent bool) {
-	c.obs.pushes.Inc()
-	if sent {
-		c.obs.bytesSent.Add(uint64(n))
-	} else {
-		c.obs.bytesReceived.Add(uint64(n))
-	}
 	c.mu.Lock()
 	c.pushes++
 	o := c.op(label)
@@ -232,7 +185,6 @@ func (c *collector) push(label string, n int, sent bool) {
 }
 
 func (c *collector) retry(label string) {
-	c.obs.retries.Inc()
 	c.mu.Lock()
 	c.retries++
 	c.op(label).Retries++
@@ -240,7 +192,6 @@ func (c *collector) retry(label string) {
 }
 
 func (c *collector) failure(label string) {
-	c.obs.errors.Inc()
 	c.mu.Lock()
 	c.errors++
 	c.op(label).Errors++

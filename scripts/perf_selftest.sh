@@ -16,12 +16,12 @@
 #
 # The resource metric relied on is resource.allocs_per_interaction, a
 # count: one client drives the leg, so the objects allocated up to the
-# end of the last measured phase are the same run after run (295.5 to
-# 296.3 per interaction over 44 runs, the same at GOMAXPROCS 1 to 16;
-# what moves is the two background samplers, 0.09 objects per tick).
-# The untuned leg reads 308.2 to 308.8, +4.1% to +4.4% over 27 runs.
-# Both comparisons gate it at 1%: identical builds differ by a quarter
-# of that budget at most and the untuned leg exceeds it four times over.
+# end of the last measured phase are the same run after run (277.9 to
+# 278.1 per interaction over 7 runs; what moves is the one background
+# sampler, the runtime telemetry's, a few objects per tick).
+# The untuned leg reads 296.1 to 296.2, +6.5% over 4 runs.
+# Both comparisons gate it at 1%: identical builds differ by a twentieth
+# of that budget and the untuned leg exceeds it six times over.
 #
 # The A/B leg deliberately gates only the stable kinds. Sub-millisecond
 # zero-delay latency points swing +-40% between identical builds at
