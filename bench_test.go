@@ -183,20 +183,6 @@ func BenchmarkFig8_Bandwidth(b *testing.B) {
 
 // --- Ablations (DESIGN.md §5) -------------------------------------------
 
-// BenchmarkAblationCommonStore compares the cached edge architecture
-// with and without inter-transaction caching (§2.3's common transient
-// store).
-func BenchmarkAblationCommonStore(b *testing.B) {
-	b.Run("on", func(b *testing.B) {
-		sweepBenchmark(b, harness.ESRBES, harness.AlgCachedEJB,
-			slicache.WithCommonStore(true))
-	})
-	b.Run("off", func(b *testing.B) {
-		sweepBenchmark(b, harness.ESRBES, harness.AlgCachedEJB,
-			slicache.WithCommonStore(false))
-	})
-}
-
 // BenchmarkAblationInvalidation compares server-pushed invalidation
 // against discovering staleness only at commit validation.
 func BenchmarkAblationInvalidation(b *testing.B) {
@@ -224,21 +210,6 @@ func BenchmarkAblationCommitShipping(b *testing.B) {
 	})
 	b.Run("whole-set_ESRBES", func(b *testing.B) {
 		sweepBenchmark(b, harness.ESRBES, harness.AlgCachedEJB)
-	})
-}
-
-// BenchmarkAblationReadOnlyCommit measures how much of the edge
-// latency comes from validating read-only transactions (the paper's
-// "at least one round-trip per commit"); the ablated variant commits
-// read-only transactions locally.
-func BenchmarkAblationReadOnlyCommit(b *testing.B) {
-	b.Run("validate", func(b *testing.B) {
-		sweepBenchmark(b, harness.ESRBES, harness.AlgCachedEJB,
-			slicache.WithLocalReadOnlyCommit(false))
-	})
-	b.Run("local", func(b *testing.B) {
-		sweepBenchmark(b, harness.ESRBES, harness.AlgCachedEJB,
-			slicache.WithLocalReadOnlyCommit(true))
 	})
 }
 
@@ -324,18 +295,6 @@ func BenchmarkExtensionThroughput(b *testing.B) {
 	for _, p := range curve.Points {
 		b.ReportMetric(p.Throughput, fmt.Sprintf("tps@%dclients", p.Clients))
 	}
-}
-
-// BenchmarkExtensionTimeBoundedReads contrasts strict ACID reads with
-// the §1.4-style time-bounded relaxation on the split-servers edge.
-func BenchmarkExtensionTimeBoundedReads(b *testing.B) {
-	b.Run("strict", func(b *testing.B) {
-		sweepBenchmark(b, harness.ESRBES, harness.AlgCachedEJB)
-	})
-	b.Run("bounded-5s", func(b *testing.B) {
-		sweepBenchmark(b, harness.ESRBES, harness.AlgCachedEJB,
-			slicache.WithTimeBoundedReads(5*time.Second))
-	})
 }
 
 // BenchmarkExtensionCacheCapacity quantifies LRU-bounded caches: a

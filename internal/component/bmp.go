@@ -2,7 +2,6 @@ package component
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"edgeejb/internal/memento"
@@ -26,8 +25,8 @@ import (
 //   - At commit the container calls ejbStore on every activated bean,
 //     clean or dirty, because BMP gives it no dirty-tracking.
 type BMPManager struct {
-	conn  storeapi.Conn
-	batch bool
+	conn storeapi.Conn
+	exec executor
 }
 
 var _ ResourceManager = (*BMPManager)(nil)
@@ -35,11 +34,7 @@ var _ ResourceManager = (*BMPManager)(nil)
 // NewBMPManager builds a vanilla-EJB resource manager over a datastore
 // handle (local or remote).
 func NewBMPManager(conn storeapi.Conn, opts ...ManagerOption) *BMPManager {
-	cfg := managerConfig{}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	return &BMPManager{conn: conn, batch: cfg.batch}
+	return &BMPManager{conn: conn, exec: newExecutor(opts)}
 }
 
 // Name implements ResourceManager.
@@ -53,15 +48,15 @@ func (m *BMPManager) Begin(ctx context.Context) (DataTx, error) {
 	}
 	return &bmpTx{
 		txn:       txn,
-		batch:     m.batch,
+		exec:      m.exec,
 		activated: make(map[memento.Key]memento.Memento),
 		removed:   make(map[memento.Key]struct{}),
 	}, nil
 }
 
 type bmpTx struct {
-	txn   storeapi.Txn
-	batch bool
+	txn  storeapi.Txn
+	exec executor
 	// activated tracks beans activated in this transaction; each gets an
 	// unconditional ejbStore at commit.
 	activated map[memento.Key]memento.Memento
@@ -69,38 +64,19 @@ type bmpTx struct {
 }
 
 func (t *bmpTx) Load(ctx context.Context, key memento.Key) (memento.Memento, error) {
-	if t.batch {
-		// Same two statements, pipelined into one exchange: the
-		// container still can't skip either of them, but it can ship
-		// them together.
-		results, err := storeapi.ExecBatch(ctx, t.txn, []storeapi.Stmt{
-			{Kind: storeapi.StmtGet, Table: key.Table, ID: key.ID},
-			{Kind: storeapi.StmtGet, Table: key.Table, ID: key.ID},
-		})
-		if err != nil {
-			return memento.Memento{}, err
-		}
-		if err := firstStmtErr(results); err != nil {
-			return memento.Memento{}, err
-		}
-		m := results[1].Get.Mem
-		t.activated[key] = m.Clone()
-		delete(t.removed, key)
-		return m, nil
-	}
-	// findByPrimaryKey: existence check (SELECT pk FROM ... WHERE pk=?).
-	if _, err := t.txn.Get(ctx, key.Table, key.ID); err != nil {
-		return memento.Memento{}, err
-	}
-	// ejbLoad: the container reloads the full row even though the finder
-	// just touched it.
-	res, err := t.txn.Get(ctx, key.Table, key.ID)
+	// findByPrimaryKey's existence check (SELECT pk FROM ... WHERE pk=?),
+	// then ejbLoad: the container reloads the full row even though the
+	// finder just touched it. It cannot skip either statement; whether
+	// they travel together is the executor's business.
+	get := storeapi.Stmt{Kind: storeapi.StmtGet, Table: key.Table, ID: key.ID}
+	results, _, err := t.exec.run(ctx, t.txn, []storeapi.Stmt{get, get})
 	if err != nil {
 		return memento.Memento{}, err
 	}
-	t.activated[key] = res.Mem.Clone()
+	m := results[1].Get.Mem
+	t.activated[key] = m.Clone()
 	delete(t.removed, key)
-	return res.Mem, nil
+	return m, nil
 }
 
 func (t *bmpTx) Store(ctx context.Context, m memento.Memento) error {
@@ -132,83 +108,42 @@ func (t *bmpTx) Remove(ctx context.Context, key memento.Key) error {
 
 func (t *bmpTx) Query(ctx context.Context, q memento.Query) ([]memento.Memento, error) {
 	// The custom finder returns primary keys; the container then
-	// activates (ejbLoads) each element of the result set individually.
+	// activates (ejbLoads) each element of the result set individually —
+	// the N+1 selects, whichever way the N travel.
 	found, err := t.txn.Query(ctx, q)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]memento.Memento, 0, len(found.Mems))
-	if t.batch && len(found.Mems) > 0 {
-		// The N+1 selects still happen, but the N ejbLoads travel as one
-		// exchange instead of N round trips.
-		stmts := make([]storeapi.Stmt, len(found.Mems))
-		for i, f := range found.Mems {
-			stmts[i] = storeapi.Stmt{Kind: storeapi.StmtGet, Table: f.Key.Table, ID: f.Key.ID}
-		}
-		results, err := storeapi.ExecBatch(ctx, t.txn, stmts)
-		if err != nil {
-			return nil, err
-		}
-		for i, r := range results {
-			if r.Err != nil {
-				return nil, fmt.Errorf("bmp: ejbLoad after finder %s: %w", found.Mems[i].Key, r.Err)
-			}
-			t.activated[r.Get.Mem.Key] = r.Get.Mem.Clone()
-			out = append(out, r.Get.Mem)
-		}
-		return out, nil
+	stmts := make([]storeapi.Stmt, len(found.Mems))
+	for i, f := range found.Mems {
+		stmts[i] = storeapi.Stmt{Kind: storeapi.StmtGet, Table: f.Key.Table, ID: f.Key.ID}
 	}
-	for _, f := range found.Mems {
-		res, err := t.txn.Get(ctx, f.Key.Table, f.Key.ID)
-		if err != nil {
-			return nil, fmt.Errorf("bmp: ejbLoad after finder %s: %w", f.Key, err)
-		}
-		t.activated[res.Mem.Key] = res.Mem.Clone()
-		out = append(out, res.Mem)
+	results, at, err := t.exec.run(ctx, t.txn, stmts)
+	if at >= 0 {
+		// The beans loaded before the failing one stay activated.
+		results, err = results[:at], fmt.Errorf("bmp: ejbLoad after finder %s: %w", found.Mems[at].Key, err)
+	}
+	out := make([]memento.Memento, 0, len(results))
+	for _, r := range results {
+		t.activated[r.Get.Mem.Key] = r.Get.Mem.Clone()
+		out = append(out, r.Get.Mem)
+	}
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
 func (t *bmpTx) Commit(ctx context.Context) error {
-	if t.batch {
-		// ejbStore run + commit as one exchange.
-		stmts := make([]storeapi.Stmt, 0, len(t.activated)+1)
-		for _, m := range t.activated {
-			if _, gone := t.removed[m.Key]; gone {
-				continue
-			}
-			stmts = append(stmts, storeapi.Stmt{Kind: storeapi.StmtPut, Mem: m})
-		}
-		stmts = append(stmts, storeapi.Stmt{Kind: storeapi.StmtCommit})
-		results, err := storeapi.ExecBatch(ctx, t.txn, stmts)
-		if err != nil {
-			return err
-		}
-		for i, r := range results {
-			if r.Err == nil || errors.Is(r.Err, storeapi.ErrStmtSkipped) {
-				continue
-			}
-			if i < len(stmts)-1 {
-				// An ejbStore failed; the commit never ran, so the
-				// transaction must still be released.
-				_ = t.txn.Abort(ctx)
-				return fmt.Errorf("bmp: ejbStore %s: %w", stmts[i].Mem.Key, r.Err)
-			}
-			return r.Err
-		}
-		return nil
-	}
 	// ejbStore every activated bean, dirty or not.
+	puts := make([]storeapi.Stmt, 0, len(t.activated)+1)
 	for _, m := range t.activated {
 		if _, gone := t.removed[m.Key]; gone {
 			continue
 		}
-		if err := t.txn.Put(ctx, m); err != nil {
-			_ = t.txn.Abort(ctx)
-			return fmt.Errorf("bmp: ejbStore %s: %w", m.Key, err)
-		}
+		puts = append(puts, storeapi.Stmt{Kind: storeapi.StmtPut, Mem: m})
 	}
-	return t.txn.Commit(ctx)
+	return t.exec.commit(ctx, t.txn, puts, "bmp: ejbStore")
 }
 
 func (t *bmpTx) Abort(ctx context.Context) error {

@@ -104,11 +104,14 @@ type ResourceManager interface {
 }
 
 // ManagerOption configures a resource manager (see WithBatching).
-type ManagerOption func(*managerConfig)
+type ManagerOption func(*executor)
 
-type managerConfig struct {
-	batch bool
-}
+// executor runs one exchange's statement list on a transaction:
+// storeapi.ExecBatch ships it as a single round trip, storeapi.ExecSerial
+// pays one per statement. The statements, their order and where they
+// stop are the same either way, so a manager picks its executor once,
+// when it is built, and every exchange goes through it.
+type executor func(context.Context, storeapi.Txn, []storeapi.Stmt) ([]storeapi.StmtResult, error)
 
 // WithBatching makes the manager ship the independent statements of one
 // container operation as a single multi-statement exchange instead of
@@ -119,18 +122,56 @@ type managerConfig struct {
 // by default so the unbatched managers keep the paper's classic
 // per-statement access counts.
 func WithBatching(on bool) ManagerOption {
-	return func(cfg *managerConfig) { cfg.batch = on }
-}
-
-// firstStmtErr returns the first real failure in a batch's results —
-// skipped markers just restate that an earlier statement failed.
-func firstStmtErr(results []storeapi.StmtResult) error {
-	for _, r := range results {
-		if r.Err != nil && !errors.Is(r.Err, storeapi.ErrStmtSkipped) {
-			return r.Err
+	return func(x *executor) {
+		if on {
+			*x = storeapi.ExecBatch
+		} else {
+			*x = storeapi.ExecSerial
 		}
 	}
-	return nil
+}
+
+func newExecutor(opts []ManagerOption) executor {
+	x := executor(storeapi.ExecSerial)
+	for _, o := range opts {
+		o(&x)
+	}
+	return x
+}
+
+// run executes stmts and finds the first statement that failed (the
+// skipped markers that restate it only ever follow it). at is that
+// statement's index, or -1 when err is nil or the whole exchange failed.
+func (x executor) run(ctx context.Context, txn storeapi.Txn, stmts []storeapi.Stmt) ([]storeapi.StmtResult, int, error) {
+	results, err := x(ctx, txn, stmts)
+	if err != nil {
+		return nil, -1, err
+	}
+	for i, r := range results {
+		if r.Err != nil {
+			return results, i, r.Err
+		}
+	}
+	return results, -1, nil
+}
+
+// commit ends a transaction: the manager's write-back puts, then the
+// commit, as one exchange. A failed put is reported under what (the
+// manager's name for its write-back) with the row's key, and the
+// transaction is aborted whenever the trailing commit did not run.
+func (x executor) commit(ctx context.Context, txn storeapi.Txn, puts []storeapi.Stmt, what string) error {
+	stmts := append(puts, storeapi.Stmt{Kind: storeapi.StmtCommit})
+	_, at, err := x.run(ctx, txn, stmts)
+	if err == nil {
+		return nil
+	}
+	if at != len(stmts)-1 {
+		_ = txn.Abort(ctx)
+		if at >= 0 {
+			err = fmt.Errorf("%s %s: %w", what, stmts[at].Mem.Key, err)
+		}
+	}
+	return err
 }
 
 // ErrRollback can be returned by application functions to abort the

@@ -2,8 +2,6 @@ package component
 
 import (
 	"context"
-	"errors"
-	"fmt"
 
 	"edgeejb/internal/memento"
 	"edgeejb/internal/storeapi"
@@ -17,8 +15,8 @@ import (
 // each row is fetched at most once per transaction and only dirty rows
 // are written back.
 type JDBCManager struct {
-	conn  storeapi.Conn
-	batch bool
+	conn storeapi.Conn
+	exec executor
 }
 
 var _ ResourceManager = (*JDBCManager)(nil)
@@ -26,11 +24,7 @@ var _ ResourceManager = (*JDBCManager)(nil)
 // NewJDBCManager builds a JDBC resource manager over a datastore handle
 // (local or remote).
 func NewJDBCManager(conn storeapi.Conn, opts ...ManagerOption) *JDBCManager {
-	cfg := managerConfig{}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	return &JDBCManager{conn: conn, batch: cfg.batch}
+	return &JDBCManager{conn: conn, exec: newExecutor(opts)}
 }
 
 // Name implements ResourceManager.
@@ -44,7 +38,7 @@ func (m *JDBCManager) Begin(ctx context.Context) (DataTx, error) {
 	}
 	return &jdbcTx{
 		txn:   txn,
-		batch: m.batch,
+		exec:  m.exec,
 		cache: make(map[memento.Key]memento.Memento),
 		dirty: make(map[memento.Key]memento.Memento),
 	}, nil
@@ -52,7 +46,7 @@ func (m *JDBCManager) Begin(ctx context.Context) (DataTx, error) {
 
 type jdbcTx struct {
 	txn   storeapi.Txn
-	batch bool
+	exec  executor
 	cache map[memento.Key]memento.Memento // rows read or written this tx
 	dirty map[memento.Key]memento.Memento // rows to UPDATE at commit
 }
@@ -108,36 +102,11 @@ func (t *jdbcTx) Query(ctx context.Context, q memento.Query) ([]memento.Memento,
 }
 
 func (t *jdbcTx) Commit(ctx context.Context) error {
-	if t.batch {
-		// Write-back run + commit as one exchange.
-		stmts := make([]storeapi.Stmt, 0, len(t.dirty)+1)
-		for _, m := range t.dirty {
-			stmts = append(stmts, storeapi.Stmt{Kind: storeapi.StmtPut, Mem: m})
-		}
-		stmts = append(stmts, storeapi.Stmt{Kind: storeapi.StmtCommit})
-		results, err := storeapi.ExecBatch(ctx, t.txn, stmts)
-		if err != nil {
-			return err
-		}
-		for i, r := range results {
-			if r.Err == nil || errors.Is(r.Err, storeapi.ErrStmtSkipped) {
-				continue
-			}
-			if i < len(stmts)-1 {
-				_ = t.txn.Abort(ctx)
-				return fmt.Errorf("jdbc: write-back %s: %w", stmts[i].Mem.Key, r.Err)
-			}
-			return r.Err
-		}
-		return nil
-	}
+	puts := make([]storeapi.Stmt, 0, len(t.dirty)+1)
 	for _, m := range t.dirty {
-		if err := t.txn.Put(ctx, m); err != nil {
-			_ = t.txn.Abort(ctx)
-			return fmt.Errorf("jdbc: write-back %s: %w", m.Key, err)
-		}
+		puts = append(puts, storeapi.Stmt{Kind: storeapi.StmtPut, Mem: m})
 	}
-	return t.txn.Commit(ctx)
+	return t.exec.commit(ctx, t.txn, puts, "jdbc: write-back")
 }
 
 func (t *jdbcTx) Abort(ctx context.Context) error {

@@ -4,18 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
 
 	"edgeejb/internal/memento"
 	"edgeejb/internal/sqlstore"
 	"edgeejb/internal/storeapi"
 	"edgeejb/internal/wire"
 )
-
-// DialFunc opens a connection to the database tier. The experiment
-// harness supplies dialers that route through the delay proxy or wrap
-// connections in byte counters.
-type DialFunc func(ctx context.Context, addr string) (net.Conn, error)
 
 // Client is the application-server-side driver: the JDBC-driver
 // equivalent, built on the shared wire transport. One-shot (autocommit)
@@ -30,25 +24,6 @@ type Client struct {
 
 var _ storeapi.Conn = (*Client)(nil)
 
-// Option configures a Client.
-type Option interface {
-	apply(*clientConfig)
-}
-
-type clientConfig struct {
-	wopts []wire.Option
-}
-
-type dialerOption DialFunc
-
-func (d dialerOption) apply(cfg *clientConfig) {
-	cfg.wopts = append(cfg.wopts, wire.WithDialer(wire.DialFunc(d)))
-}
-
-// WithDialer overrides how connections are opened (e.g. to inject byte
-// counting on the measured path).
-func WithDialer(d DialFunc) Option { return dialerOption(d) }
-
 // Dial creates a client for the database server at addr. Connections
 // are opened lazily. Failed one-shot operations and pinned-stream
 // handshakes are retried on fresh connections under a bounded, jittered
@@ -56,12 +31,8 @@ func WithDialer(d DialFunc) Option { return dialerOption(d) }
 // surfaced in WireStats().Retries. The dbwire protocol is safe to
 // retry: reads are idempotent and commit sets are duplicate-rejected by
 // version validation (see ApplyCommitSet).
-func Dial(addr string, opts ...Option) *Client {
-	cfg := &clientConfig{wopts: []wire.Option{wire.WithRetry()}}
-	for _, o := range opts {
-		o.apply(cfg)
-	}
-	return &Client{w: wire.NewClient(addr, cfg.wopts...)}
+func Dial(addr string) *Client {
+	return &Client{w: wire.NewClient(addr, wire.WithRetry())}
 }
 
 // RoundTrips returns the number of request/response round trips the

@@ -4,14 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net"
 	"strings"
 	"testing"
 
-	"edgeejb/internal/latency"
 	"edgeejb/internal/memento"
 	"edgeejb/internal/sqlstore"
-	"edgeejb/internal/storeapi"
 )
 
 func TestOpCodeStrings(t *testing.T) {
@@ -142,39 +139,6 @@ func TestRemoteGetForUpdate(t *testing.T) {
 	}
 	_ = txn2.Abort(ctx)
 	_ = txn.Abort(ctx)
-}
-
-// TestWithDialer verifies custom dialers are honored (here: counting
-// bytes on the client side of the path).
-func TestWithDialer(t *testing.T) {
-	store, _ := newPair(t)
-	seed(store, "t", "1", 1)
-	srv := NewServer(storeapi.Local(store))
-	if err := srv.Start("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	var counter latency.Counter
-	client := Dial(srv.Addr(), WithDialer(func(ctx context.Context, addr string) (net.Conn, error) {
-		var d net.Dialer
-		conn, err := d.DialContext(ctx, "tcp", addr)
-		if err != nil {
-			return nil, err
-		}
-		return latency.NewCountingConn(conn, &counter), nil
-	}))
-	defer client.Close()
-
-	if _, err := client.AutoGet(context.Background(), "t", "1"); err != nil {
-		t.Fatal(err)
-	}
-	if counter.ToTarget() == 0 || counter.FromTarget() == 0 {
-		t.Errorf("custom dialer bypassed: %d/%d bytes", counter.ToTarget(), counter.FromTarget())
-	}
-	if counter.Conns() != 1 {
-		t.Errorf("conns = %d", counter.Conns())
-	}
 }
 
 func TestWireErrorMessageFallback(t *testing.T) {

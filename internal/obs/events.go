@@ -173,16 +173,6 @@ func (l *EventLog) Since(seq uint64) []Event {
 	return out
 }
 
-// Recent returns the last n events, oldest first (all retained events
-// when n <= 0).
-func (l *EventLog) Recent(n int) []Event {
-	all := l.snapshot()
-	if n > 0 && len(all) > n {
-		all = all[len(all)-n:]
-	}
-	return all
-}
-
 // WriteEventsJSONL writes events as JSON Lines: one Event object per
 // line, the events.jsonl artifact format.
 func WriteEventsJSONL(w io.Writer, events []Event) error {

@@ -55,9 +55,6 @@ func TestEventLogRingWrapsAndCountsDrops(t *testing.T) {
 			t.Fatalf("event %d has seq %d, want %d", i, e.Seq, want)
 		}
 	}
-	if r := l.Recent(2); len(r) != 2 || r[1].Seq != 7 {
-		t.Fatalf("Recent(2) = %+v", r)
-	}
 }
 
 func TestWriteEventsJSONL(t *testing.T) {

@@ -31,8 +31,8 @@ type LabeledCounter struct {
 	base string
 	key  string
 
-	mu       sync.Mutex
-	children map[string]*Counter
+	mu       sync.RWMutex
+	children map[string]*Counter // by sanitised label value
 }
 
 // LabeledCounter returns the counter family registered under base with
@@ -52,12 +52,21 @@ func (r *Registry) LabeledCounter(base, key string) *LabeledCounter {
 
 // With returns the child counter for one label value, creating it on
 // first use. Beyond MaxLabelValues distinct values the overflow child is
-// returned instead.
+// returned instead. Children are keyed by sanitised value, so a value
+// that is already clean and already has a child — every call but the
+// first on a hot path — is one lookup under the read lock; anything else
+// is sanitised and resolved under the write lock.
 func (f *LabeledCounter) With(value string) *Counter {
+	f.mu.RLock()
+	c, ok := f.children[value]
+	f.mu.RUnlock()
+	if ok {
+		return c
+	}
+	value = sanitizeLabelValue(value)
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	value = sanitizeLabelValue(value)
-	c, ok := f.children[value]
+	c, ok = f.children[value]
 	if !ok {
 		if len(f.children) >= MaxLabelValues && value != LabelOverflow {
 			value = LabelOverflow

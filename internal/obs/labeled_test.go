@@ -78,6 +78,17 @@ func TestLabeledCounterSanitizesValues(t *testing.T) {
 	}
 }
 
+// TestLabeledCounterWithExistingChildAllocatesNothing pins the cache
+// hit path's cost: resolving a child that exists is a lookup, not a
+// sanitising pass.
+func TestLabeledCounterWithExistingChildAllocatesNothing(t *testing.T) {
+	f := NewRegistry().LabeledCounter("f", "k")
+	f.With("quote").Inc()
+	if allocs := testing.AllocsPerRun(100, func() { f.With("quote").Inc() }); allocs != 0 {
+		t.Errorf("With on an existing child allocates %.0f times, want 0", allocs)
+	}
+}
+
 func TestLabeledChildrenInDiff(t *testing.T) {
 	r := NewRegistry()
 	f := r.LabeledCounter("f", "k")

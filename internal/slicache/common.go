@@ -22,7 +22,6 @@ type CommonStore struct {
 	lru      *list.List // front = most recently used
 	bytes    int64      // estimated resident size of all entries
 	capacity int        // 0 = unlimited
-	enabled  bool
 	now      func() time.Time
 
 	hits          atomic.Uint64
@@ -33,8 +32,8 @@ type CommonStore struct {
 }
 
 // lruEntry is one cached memento plus its key for back-eviction, the
-// time its value was stored (for time-bounded read modes), and its
-// estimated size (for occupancy accounting).
+// time its value was stored (degraded reads are served within a bound
+// on it), and its estimated size (for occupancy accounting).
 type lruEntry struct {
 	key      memento.Key
 	mem      memento.Memento
@@ -65,37 +64,13 @@ type CommonStoreStats struct {
 	Bytes         int64
 }
 
-// NewCommonStore returns an empty, enabled, unbounded common store. A
-// disabled store (see SetEnabled) misses on every lookup, which is the
-// "no inter-transaction caching" ablation.
+// NewCommonStore returns an empty, unbounded common store.
 func NewCommonStore() *CommonStore {
 	return &CommonStore{
 		entries: make(map[memento.Key]*list.Element),
 		lru:     list.New(),
-		enabled: true,
 		now:     time.Now,
 	}
-}
-
-// SetEnabled toggles inter-transaction caching. Disabling also drops the
-// current contents.
-func (c *CommonStore) SetEnabled(enabled bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.enabled = enabled
-	if !enabled {
-		c.dropAllLocked()
-	}
-}
-
-// dropAllLocked empties the store and returns how many entries it
-// held. Called with c.mu held.
-func (c *CommonStore) dropAllLocked() int {
-	n := len(c.entries)
-	c.entries = make(map[memento.Key]*list.Element)
-	c.lru.Init()
-	c.bytes = 0
-	return n
 }
 
 // SetCapacity bounds the number of cached entries; 0 means unlimited.
@@ -133,16 +108,11 @@ func (c *CommonStore) Get(key memento.Key) (memento.Memento, bool) {
 }
 
 // GetWithTime is Get plus the instant the cached value was stored, which
-// time-bounded read modes use to decide whether an entry is fresh
-// enough to skip commit validation.
+// degraded reads compare against their bound and conflict forensics
+// report as the losing read's age.
 func (c *CommonStore) GetWithTime(key memento.Key) (memento.Memento, time.Time, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if !c.enabled {
-		c.misses.Add(1)
-		obsMissesBy.With(key.Table).Inc()
-		return memento.Memento{}, time.Time{}, false
-	}
 	el, ok := c.entries[key]
 	if !ok {
 		c.misses.Add(1)
@@ -161,9 +131,6 @@ func (c *CommonStore) GetWithTime(key memento.Key) (memento.Memento, time.Time, 
 func (c *CommonStore) Put(m memento.Memento) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if !c.enabled {
-		return
-	}
 	if el, ok := c.entries[m.Key]; ok {
 		entry := el.Value.(*lruEntry)
 		if entry.mem.Version >= m.Version {
@@ -222,8 +189,10 @@ func (c *CommonStore) Invalidate(keys ...memento.Key) int {
 func (c *CommonStore) Clear() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	n := c.dropAllLocked()
-	c.invalidations.Add(uint64(n))
+	c.invalidations.Add(uint64(len(c.entries)))
+	c.entries = make(map[memento.Key]*list.Element)
+	c.lru.Init()
+	c.bytes = 0
 }
 
 // Len returns the number of cached entries.

@@ -321,30 +321,22 @@ func TestFinderCacheConflictBlindInvalidatesAndEmitsStaleRead(t *testing.T) {
 // TestFinderCacheLRUCapacity: the cache is bounded; the least recently
 // used result set is evicted first.
 func TestFinderCacheLRUCapacity(t *testing.T) {
-	e := newEnv(t, WithFinderCache(true), WithFinderCacheCapacity(2))
-	e.store.Seed(holding("h1", "u1"), holding("h2", "u2"), holding("h3", "u3"))
-	ctx := context.Background()
-
-	dt := e.begin(t)
-	defer dt.Abort(ctx)
+	c := NewFinderCache(true, 2)
 	for _, acct := range []string{"u1", "u2", "u1", "u3"} {
-		if _, err := dt.Query(ctx, byAcct(acct)); err != nil {
-			t.Fatal(err)
+		if _, _, _, ok := c.Get(byAcct(acct)); !ok {
+			c.Put(byAcct(acct), []memento.Memento{holding("h-"+acct, acct)}, memento.Footprint{})
 		}
 	}
-	st := e.mgr.FinderCache().Stats()
+	st := c.Stats()
 	if st.Entries != 2 || st.Evictions != 1 {
 		t.Errorf("stats = %+v, want 2 entries / 1 eviction (u2 evicted)", st)
 	}
 	// u1 was touched after u2, so u2 is the victim: u1 still hits.
-	before := e.conn.Ops()
-	dt2 := e.begin(t)
-	defer dt2.Abort(ctx)
-	if _, err := dt2.Query(ctx, byAcct("u1")); err != nil {
-		t.Fatal(err)
+	if _, _, _, ok := c.Get(byAcct("u1")); !ok {
+		t.Error("u1 (MRU) was evicted")
 	}
-	if ops := e.conn.Ops() - before; ops != 0 {
-		t.Errorf("u1 (MRU) was evicted: %d statements", ops)
+	if _, _, _, ok := c.Get(byAcct("u2")); ok {
+		t.Error("u2 (LRU) survived")
 	}
 }
 

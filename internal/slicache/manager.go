@@ -24,11 +24,9 @@ type Manager struct {
 	finders *FinderCache
 	conn    storeapi.Conn
 
-	invalidate    bool
-	localReadOnly bool
-	staleBound    time.Duration
-	degradeBound  time.Duration
-	now           func() time.Time
+	invalidate   bool
+	degradeBound time.Duration
+	now          func() time.Time
 
 	// degraded is set while the invalidation stream is down and
 	// WithDegradedReads is enabled: cached entries may be stale, and
@@ -48,7 +46,6 @@ type Manager struct {
 		loads, queries             atomic.Uint64
 		missFetches                atomic.Uint64
 		noticesApplied             atomic.Uint64
-		boundedReadsSkipped        atomic.Uint64
 		resubscribes               atomic.Uint64
 		degradations               atomic.Uint64
 		staleServes                atomic.Uint64
@@ -66,9 +63,6 @@ type ManagerStats struct {
 	Queries        uint64
 	MissFetches    uint64
 	NoticesApplied uint64
-	// BoundedReadsSkipped counts read proofs omitted from commit sets
-	// under WithTimeBoundedReads.
-	BoundedReadsSkipped uint64
 	// Resubscribes counts invalidation-stream reconnections.
 	Resubscribes uint64
 	// Degradations counts entries into degraded mode (invalidation
@@ -89,15 +83,11 @@ type ManagerOption interface {
 }
 
 type managerConfig struct {
-	shipping       CommitShipping
-	commonStore    bool
-	invalidation   bool
-	localReadOnly  bool
-	cacheCapacity  int
-	finderCache    bool
-	finderCapacity int
-	staleBound     time.Duration
-	degradeBound   time.Duration
+	shipping      CommitShipping
+	invalidation  bool
+	cacheCapacity int
+	finderCache   bool
+	degradeBound  time.Duration
 }
 
 type shippingOption CommitShipping
@@ -108,16 +98,6 @@ func (o shippingOption) apply(c *managerConfig) { c.shipping = CommitShipping(o)
 // PerImage (combined-servers).
 func WithShipping(s CommitShipping) ManagerOption { return shippingOption(s) }
 
-type commonStoreOption bool
-
-func (o commonStoreOption) apply(c *managerConfig) { c.commonStore = bool(o) }
-
-// WithCommonStore toggles inter-transaction caching (default on).
-// Disabling it is the "no common transient store" ablation: every
-// transaction starts cold and all direct accesses miss to the
-// persistent store.
-func WithCommonStore(enabled bool) ManagerOption { return commonStoreOption(enabled) }
-
 type invalidationOption bool
 
 func (o invalidationOption) apply(c *managerConfig) { c.invalidation = bool(o) }
@@ -126,10 +106,6 @@ func (o invalidationOption) apply(c *managerConfig) { c.invalidation = bool(o) }
 // stream (default on). With it off, stale common-store entries are only
 // discovered at commit-validation time.
 func WithInvalidation(enabled bool) ManagerOption { return invalidationOption(enabled) }
-
-type localReadOnlyOption bool
-
-func (o localReadOnlyOption) apply(c *managerConfig) { c.localReadOnly = bool(o) }
 
 type cacheCapacityOption int
 
@@ -155,30 +131,6 @@ func (o finderCacheOption) apply(c *managerConfig) { c.finderCache = bool(o) }
 // preserved; the cache only removes the high-latency finder round trip.
 func WithFinderCache(enabled bool) ManagerOption { return finderCacheOption(enabled) }
 
-type finderCapacityOption int
-
-func (o finderCapacityOption) apply(c *managerConfig) { c.finderCapacity = int(o) }
-
-// WithFinderCacheCapacity bounds the finder-result cache to n result
-// sets, evicted in LRU order (<= 0 selects DefaultFinderCapacity).
-func WithFinderCacheCapacity(n int) ManagerOption { return finderCapacityOption(n) }
-
-type staleBoundOption time.Duration
-
-func (o staleBoundOption) apply(c *managerConfig) { c.staleBound = time.Duration(o) }
-
-// WithTimeBoundedReads relaxes read validation the way the middle-tier
-// database caches the paper contrasts itself with do (§1.4, DBCache and
-// DBProxy): cached data are "only guaranteed to be up-to-date within
-// some specified time period". With a bound d > 0, a bean read from the
-// common store whose cached value is younger than d is NOT validated at
-// commit — its read proof is dropped from the commit set — so
-// read-mostly transactions over warm caches avoid the high-latency
-// validation round trip entirely. Mutations are always validated; this
-// weakens only the reads. Zero (the default) keeps the paper's strict
-// ACID semantics.
-func WithTimeBoundedReads(d time.Duration) ManagerOption { return staleBoundOption(d) }
-
 type degradeOption time.Duration
 
 func (o degradeOption) apply(c *managerConfig) { c.degradeBound = time.Duration(o) }
@@ -188,20 +140,11 @@ func (o degradeOption) apply(c *managerConfig) { c.degradeBound = time.Duration(
 // the cache immediately. While degraded, a cache hit is served only if
 // the entry is younger than maxAge (counted in StaleServes); older
 // entries and misses fall through to the (likely unreachable) store, so
-// staleness stays time-bounded. Time-bounded read-proof skipping is
-// suspended while degraded — commits that do reach the store validate
+// staleness stays time-bounded. Commits that do reach the store validate
 // their full read set. The cache is cleared and the flag dropped once
 // the stream resubscribes, restoring strict semantics. Zero (default)
 // keeps today's behavior: clear on drop.
 func WithDegradedReads(maxAge time.Duration) ManagerOption { return degradeOption(maxAge) }
-
-// WithLocalReadOnlyCommit lets read-only transactions commit locally
-// without a validation round trip. This is an ABLATION, not the paper's
-// behavior: the paper validates every accessed bean at commit, which is
-// why every client request costs at least one high-latency round trip
-// (§4.4). Enabling it shows how much of the edge architectures' latency
-// comes from read-set validation alone.
-func WithLocalReadOnlyCommit(enabled bool) ManagerOption { return localReadOnlyOption(enabled) }
 
 // NewManager builds an SLI resource manager over a datastore handle. In
 // the combined-servers configuration conn reaches the database server
@@ -210,26 +153,22 @@ func WithLocalReadOnlyCommit(enabled bool) ManagerOption { return localReadOnlyO
 func NewManager(conn storeapi.Conn, opts ...ManagerOption) *Manager {
 	cfg := managerConfig{
 		shipping:     PerImage,
-		commonStore:  true,
 		invalidation: true,
 	}
 	for _, o := range opts {
 		o.apply(&cfg)
 	}
 	common := NewCommonStore()
-	common.SetEnabled(cfg.commonStore)
 	common.SetCapacity(cfg.cacheCapacity)
 	return &Manager{
-		loader:        NewLoader(conn, cfg.shipping),
-		common:        common,
-		finders:       NewFinderCache(cfg.finderCache, cfg.finderCapacity),
-		conn:          conn,
-		invalidate:    cfg.invalidation,
-		localReadOnly: cfg.localReadOnly,
-		staleBound:    cfg.staleBound,
-		degradeBound:  cfg.degradeBound,
-		now:           time.Now,
-		ownTxs:        make(map[uint64]struct{}),
+		loader:       NewLoader(conn, cfg.shipping),
+		common:       common,
+		finders:      NewFinderCache(cfg.finderCache, DefaultFinderCapacity),
+		conn:         conn,
+		invalidate:   cfg.invalidation,
+		degradeBound: cfg.degradeBound,
+		now:          time.Now,
+		ownTxs:       make(map[uint64]struct{}),
 	}
 }
 
@@ -431,19 +370,18 @@ func (m *Manager) Close() {
 // Stats returns a snapshot of the manager's counters.
 func (m *Manager) Stats() ManagerStats {
 	return ManagerStats{
-		Begins:              m.stats.begins.Load(),
-		Commits:             m.stats.commits.Load(),
-		Conflicts:           m.stats.conflicts.Load(),
-		Loads:               m.stats.loads.Load(),
-		Queries:             m.stats.queries.Load(),
-		MissFetches:         m.stats.missFetches.Load(),
-		NoticesApplied:      m.stats.noticesApplied.Load(),
-		BoundedReadsSkipped: m.stats.boundedReadsSkipped.Load(),
-		Resubscribes:        m.stats.resubscribes.Load(),
-		Degradations:        m.stats.degradations.Load(),
-		StaleServes:         m.stats.staleServes.Load(),
-		Cache:               m.common.Stats(),
-		Finders:             m.finders.Stats(),
+		Begins:         m.stats.begins.Load(),
+		Commits:        m.stats.commits.Load(),
+		Conflicts:      m.stats.conflicts.Load(),
+		Loads:          m.stats.loads.Load(),
+		Queries:        m.stats.queries.Load(),
+		MissFetches:    m.stats.missFetches.Load(),
+		NoticesApplied: m.stats.noticesApplied.Load(),
+		Resubscribes:   m.stats.resubscribes.Load(),
+		Degradations:   m.stats.degradations.Load(),
+		StaleServes:    m.stats.staleServes.Load(),
+		Cache:          m.common.Stats(),
+		Finders:        m.finders.Stats(),
 	}
 }
 

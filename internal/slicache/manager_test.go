@@ -123,41 +123,32 @@ func TestReadOnlyCommitStillValidates(t *testing.T) {
 	}
 }
 
-func TestLocalReadOnlyCommitAblation(t *testing.T) {
-	e := newEnv(t, WithShipping(WholeSet), WithLocalReadOnlyCommit(true))
+// TestStrictModeIsDefault pins the paper's one consistency contract on a
+// manager built with no options at all: a read served from the warm
+// common store is still proven against the persistent store at commit.
+func TestStrictModeIsDefault(t *testing.T) {
+	e := newEnv(t)
 	e.store.Seed(row("1", 1))
 	ctx := context.Background()
+
+	warm := e.begin(t)
+	if _, err := warm.Load(ctx, key("1")); err != nil {
+		t.Fatal(err)
+	}
+	if err := warm.Abort(ctx); err != nil {
+		t.Fatal(err)
+	}
 
 	dt := e.begin(t)
 	if _, err := dt.Load(ctx, key("1")); err != nil {
 		t.Fatal(err)
 	}
-	before := e.conn.Ops()
+	before := e.store.Stats().VersionChecks
 	if err := dt.Commit(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if got := e.conn.Ops() - before; got != 0 {
-		t.Errorf("ablated read-only commit cost %d statements, want 0", got)
-	}
-}
-
-func TestCommonStoreDisabledAblation(t *testing.T) {
-	e := newEnv(t, WithCommonStore(false))
-	e.store.Seed(row("1", 1))
-	ctx := context.Background()
-
-	for i := 0; i < 3; i++ {
-		dt := e.begin(t)
-		if _, err := dt.Load(ctx, key("1")); err != nil {
-			t.Fatal(err)
-		}
-		if err := dt.Abort(ctx); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Every transaction must have fetched: no inter-transaction caching.
-	if got := e.mgr.Stats().MissFetches; got != 3 {
-		t.Errorf("miss fetches = %d, want 3 (common store disabled)", got)
+	if got := e.store.Stats().VersionChecks - before; got != 1 {
+		t.Errorf("commit of a cached read ran %d version checks at the store, want 1", got)
 	}
 }
 

@@ -35,8 +35,8 @@ type entry struct {
 	current memento.Memento
 	state   entryState
 	// fetchedAt is when the before-image was known current at the
-	// persistent store (or stored into the common cache). Time-bounded
-	// read modes use it to decide whether the read proof may be skipped.
+	// persistent store (or stored into the common cache). Conflict
+	// forensics report the losing read's age from it.
 	fetchedAt time.Time
 }
 
@@ -323,8 +323,7 @@ func (t *sliTx) Query(ctx context.Context, q memento.Query) ([]memento.Memento, 
 	// from the finder cache when a coherent copy is available, skipping
 	// the high-latency store round trip. The rows still enter the
 	// transaction's read set with their original fetch time, so commit
-	// validation (and time-bounded-read age checks) treat them exactly
-	// like a fresh fetch made at storedAt.
+	// validation treats them exactly like a fresh fetch made at storedAt.
 	var persisted []memento.Memento
 	fetchedAt := now
 	fromFinder := false
@@ -409,15 +408,6 @@ func (t *sliTx) Commit(ctx context.Context) error {
 
 	cs := t.buildCommitSet()
 	if cs.IsEmpty() {
-		t.mgr.stats.commits.Add(1)
-		return nil
-	}
-	if cs.Mutations() == 0 && t.mgr.localReadOnly {
-		// Ablation only (not the paper's behavior): commit read-only
-		// transactions locally without validating the read set. The
-		// paper's runtime validates every accessed bean at commit, which
-		// is why "each client request involves at least one round-trip
-		// call to the back-end server" (§4.4).
 		t.mgr.stats.commits.Add(1)
 		return nil
 	}
@@ -548,20 +538,10 @@ func (t *sliTx) buildCommitSet() memento.CommitSet {
 		}
 		return keys[i].ID < keys[j].ID
 	})
-	now := t.mgr.now()
 	for _, k := range keys {
 		e := t.entries[k]
 		switch e.state {
 		case stateClean:
-			// Time-bounded read mode (§1.4 contrast): fresh-enough reads
-			// need no proof — they carry only the weak, time-based
-			// guarantee the bound declares.
-			// Suspended while degraded: stale serves already weakened the
-			// reads, so any commit that reaches the store must prove them.
-			if b := t.mgr.staleBound; b > 0 && !t.mgr.degraded.Load() && now.Sub(e.fetchedAt) <= b {
-				t.mgr.stats.boundedReadsSkipped.Add(1)
-				continue
-			}
 			cs.Reads = append(cs.Reads, memento.ReadProof{Key: k, Version: e.before.Version})
 		case stateDirty:
 			after := e.current.Clone()

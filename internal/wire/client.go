@@ -19,7 +19,6 @@ import (
 // state is per-connection open a pinned Stream instead.
 type Client struct {
 	addr          string
-	dial          DialFunc
 	maxShared     int
 	maxPinnedIdle int
 	retry         RetryPolicy
@@ -36,9 +35,6 @@ type Client struct {
 
 // Option configures a Client.
 type Option func(*Client)
-
-// WithDialer replaces the default TCP dialer.
-func WithDialer(d DialFunc) Option { return func(c *Client) { c.dial = d } }
 
 // WithMaxConns caps the number of shared multiplexed connections
 // (default 2). Pinned streams are not subject to the cap.
@@ -62,7 +58,6 @@ func WithRetry() Option { return func(c *Client) { c.retry = DefaultRetryPolicy(
 func NewClient(addr string, opts ...Option) *Client {
 	c := &Client{
 		addr:          addr,
-		dial:          defaultDial,
 		maxShared:     2,
 		maxPinnedIdle: 4,
 		stats:         newCollector(),
@@ -212,7 +207,8 @@ func (c *Client) sharedConn(ctx context.Context, forceFresh bool) (*conn, error)
 }
 
 func (c *Client) dialConn(ctx context.Context) (*conn, error) {
-	nc, err := c.dial(ctx, c.addr)
+	var d net.Dialer
+	nc, err := d.DialContext(ctx, "tcp", c.addr)
 	if err != nil {
 		return nil, fmt.Errorf("wire: dial %s: %w", c.addr, err)
 	}

@@ -1,14 +1,9 @@
 package wire
 
 import (
-	"math/bits"
 	"sync"
 	"time"
 )
-
-// histBuckets is the number of power-of-two latency buckets; bucket i
-// counts round trips with latency < 1µs<<i, the last bucket overflows.
-const histBuckets = 22
 
 // OpStats aggregates one operation label (e.g. "AutoGet", "buy").
 type OpStats struct {
@@ -19,7 +14,6 @@ type OpStats struct {
 	BytesReceived uint64
 	TotalDur      time.Duration
 	MaxDur        time.Duration
-	Hist          [histBuckets]uint64
 }
 
 // MeanDur returns the mean round-trip latency.
@@ -28,29 +22,6 @@ func (o OpStats) MeanDur() time.Duration {
 		return 0
 	}
 	return o.TotalDur / time.Duration(o.Count)
-}
-
-// PercentileDur returns an upper-bound estimate of the p-th percentile
-// latency (0 < p <= 1) from the histogram.
-func (o OpStats) PercentileDur(p float64) time.Duration {
-	if o.Count == 0 {
-		return 0
-	}
-	target := uint64(p * float64(o.Count))
-	if target == 0 {
-		target = 1
-	}
-	var cum uint64
-	for i, n := range o.Hist {
-		cum += n
-		if cum >= target {
-			if i == histBuckets-1 {
-				return o.MaxDur
-			}
-			return time.Microsecond << i
-		}
-	}
-	return o.MaxDur
 }
 
 // Stats is a point-in-time snapshot of a transport endpoint's counters.
@@ -93,9 +64,6 @@ func MergeStats(snaps ...Stats) Stats {
 			agg.TotalDur += op.TotalDur
 			if op.MaxDur > agg.MaxDur {
 				agg.MaxDur = op.MaxDur
-			}
-			for i := range op.Hist {
-				agg.Hist[i] += op.Hist[i]
 			}
 			out.Ops[label] = agg
 		}
@@ -152,10 +120,6 @@ func (c *collector) received(label string, n int) {
 }
 
 func (c *collector) roundTrip(label string, d time.Duration) {
-	idx := bits.Len64(uint64(d / time.Microsecond))
-	if idx >= histBuckets {
-		idx = histBuckets - 1
-	}
 	c.mu.Lock()
 	c.roundTrips++
 	o := c.op(label)
@@ -164,7 +128,6 @@ func (c *collector) roundTrip(label string, d time.Duration) {
 	if d > o.MaxDur {
 		o.MaxDur = d
 	}
-	o.Hist[idx]++
 	c.mu.Unlock()
 }
 

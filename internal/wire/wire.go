@@ -1,15 +1,9 @@
 package wire
 
 import (
-	"context"
 	"errors"
 	"net"
 )
-
-// DialFunc opens a connection to a server. The experiment harness
-// supplies dialers that route through the delay proxy or wrap
-// connections in byte counters.
-type DialFunc func(ctx context.Context, addr string) (net.Conn, error)
 
 // Labeler lets request bodies name themselves for per-op stats. Bodies
 // that do not implement it are accounted under "call".
@@ -57,9 +51,4 @@ func labelOf(body any) string {
 func isTimeout(err error) bool {
 	var ne net.Error
 	return errors.As(err, &ne) && ne.Timeout()
-}
-
-func defaultDial(ctx context.Context, addr string) (net.Conn, error) {
-	var d net.Dialer
-	return d.DialContext(ctx, "tcp", addr)
 }

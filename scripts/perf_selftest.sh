@@ -16,12 +16,12 @@
 #
 # The resource metric relied on is resource.allocs_per_interaction, a
 # count: one client drives the leg, so the objects allocated up to the
-# end of the last measured phase are the same run after run (277.9 to
-# 278.1 per interaction over 7 runs; what moves is the one background
+# end of the last measured phase are the same run after run (277.2 to
+# 277.3 per interaction over 5 runs; what moves is the one background
 # sampler, the runtime telemetry's, a few objects per tick).
-# The untuned leg reads 296.1 to 296.2, +6.5% over 4 runs.
+# The untuned leg reads 297.6 to 297.7, +7.4% over 5 runs.
 # Both comparisons gate it at 1%: identical builds differ by a twentieth
-# of that budget and the untuned leg exceeds it six times over.
+# of that budget and the untuned leg exceeds it seven times over.
 #
 # The A/B leg deliberately gates only the stable kinds. Sub-millisecond
 # zero-delay latency points swing +-40% between identical builds at
