@@ -36,45 +36,6 @@ func (c *Counter) Total() uint64 { return c.toTarget.Load() + c.fromTarget.Load(
 // Conns returns the number of connections accounted so far.
 func (c *Counter) Conns() uint64 { return c.conns.Load() }
 
-// Reset zeroes the counter.
-func (c *Counter) Reset() {
-	c.toTarget.Store(0)
-	c.fromTarget.Store(0)
-	c.conns.Store(0)
-}
-
-// CountingConn wraps a net.Conn, attributing written bytes as
-// "to target" and read bytes as "from target" on a Counter.
-type CountingConn struct {
-	net.Conn
-
-	counter *Counter
-}
-
-// NewCountingConn wraps conn so all traffic is recorded on counter.
-func NewCountingConn(conn net.Conn, counter *Counter) *CountingConn {
-	counter.conns.Add(1)
-	return &CountingConn{Conn: conn, counter: counter}
-}
-
-// Read records bytes received from the target.
-func (c *CountingConn) Read(p []byte) (int, error) {
-	n, err := c.Conn.Read(p)
-	if n > 0 {
-		c.counter.AddFromTarget(n)
-	}
-	return n, err
-}
-
-// Write records bytes sent toward the target.
-func (c *CountingConn) Write(p []byte) (int, error) {
-	n, err := c.Conn.Write(p)
-	if n > 0 {
-		c.counter.AddToTarget(n)
-	}
-	return n, err
-}
-
 // Proxy is a TCP delay proxy. Every byte forwarded in either direction
 // is held for the configured one-way delay before delivery, emulating a
 // wide-area path on a loopback interface. The proxy also counts the
@@ -321,12 +282,15 @@ func (p *Proxy) pump(dst io.Writer, src io.Reader, account func(int), fh *faultH
 				data = data[:allowed]
 			}
 			if len(data) > 0 {
+				// Count the chunk as it is handed to the socket: the peer
+				// may read it and act before Write returns, and the
+				// counter must never trail what the peer has read.
+				account(len(data))
 				if _, err := dst.Write(data); err != nil {
 					// Drain remaining chunks so the reader never blocks.
 					drain()
 					return
 				}
-				account(len(data))
 			}
 			if kill {
 				cf.abort()

@@ -24,6 +24,13 @@
 // path instead of one per bean, with the same store accesses, read
 // proofs and counts as loading them one by one.
 //
+// How a commit set reaches the validator is the Loader's CommitShipping:
+// whole to a back-end (split servers), or statement by statement to the
+// database (combined servers). On combined servers a set that writes
+// nothing skips the database's transaction protocol: its read proofs go
+// as one autocommit validation, one round trip, and a set that writes
+// pays Begin plus one statement batch.
+//
 // Cache effectiveness is observable through the slicache.* metrics
 // (hits, misses, conflicts, invalidations, ...), and the remote work a
 // transaction causes — miss fetches, finder queries, commit shipping —

@@ -15,7 +15,9 @@ import (
 //   - PerImage (combined-servers / ES/RDB): the edge server drives
 //     validation against the database itself, one statement per memento
 //     image plus the commit, shipped as a single statement batch — two
-//     round trips (begin, batch) whatever the set size.
+//     round trips (begin, batch) whatever the set size. A set that
+//     writes nothing needs no database session: it goes as one
+//     autocommit validation, one round trip.
 //   - PerStatement: the same statement list, one round trip per
 //     statement — the paper's measured combined-servers behaviour
 //     (§4.4), kept as the ablation behind tradebench -batch=false.
@@ -104,12 +106,14 @@ func (l *Loader) RunQuery(ctx context.Context, q memento.Query) (storeapi.QueryR
 func (l *Loader) Commit(ctx context.Context, cs memento.CommitSet) (CommitOutcome, error) {
 	switch l.shipping {
 	case WholeSet:
-		res, err := l.conn.ApplyCommitSet(ctx, cs)
-		if err != nil {
-			return CommitOutcome{}, err
-		}
-		return CommitOutcome{TxID: res.TxID, TxIDs: res.TxIDs, NewVersions: res.NewVersions}, nil
+		return l.applyWhole(ctx, cs)
 	case PerImage:
+		if cs.Mutations() == 0 {
+			// Read proofs only: no session to open, so the database
+			// checks them all in one autocommit access, like a miss
+			// fetch. Every proof is still checked.
+			return l.applyWhole(ctx, cs)
+		}
 		return l.commitPerImage(ctx, cs, storeapi.ExecBatch)
 	case PerStatement:
 		return l.commitPerImage(ctx, cs, storeapi.ExecSerial)
@@ -118,13 +122,27 @@ func (l *Loader) Commit(ctx context.Context, cs memento.CommitSet) (CommitOutcom
 	}
 }
 
+// applyWhole ships the whole set in one round trip to the store's own
+// validator (sqlstore.ApplyCommitSet), which checks and applies it in
+// one transaction.
+func (l *Loader) applyWhole(ctx context.Context, cs memento.CommitSet) (CommitOutcome, error) {
+	res, err := l.conn.ApplyCommitSet(ctx, cs)
+	if err != nil {
+		return CommitOutcome{}, err
+	}
+	return CommitOutcome{TxID: res.TxID, TxIDs: res.TxIDs, NewVersions: res.NewVersions}, nil
+}
+
 // commitStmts flattens a commit set into the statements that validate
 // and apply it: a version check per read, a checked put per write and
 // create, a checked delete per remove, then the commit. newVersions maps
-// every put key to the row version it will carry once the list has run.
+// every put key to the row version it will carry once the list has run;
+// it is nil for a set that puts nothing, as over the wire.
 func commitStmts(cs memento.CommitSet) (stmts []storeapi.Stmt, newVersions map[memento.Key]uint64) {
 	stmts = make([]storeapi.Stmt, 0, cs.Size()+1)
-	newVersions = make(map[memento.Key]uint64, len(cs.Writes)+len(cs.Creates))
+	if puts := len(cs.Writes) + len(cs.Creates); puts > 0 {
+		newVersions = make(map[memento.Key]uint64, puts)
+	}
 	for _, r := range cs.Reads {
 		want := r.Version
 		if r.Absent {
@@ -147,14 +165,15 @@ func commitStmts(cs memento.CommitSet) (stmts []storeapi.Stmt, newVersions map[m
 	return append(stmts, storeapi.Stmt{Kind: storeapi.StmtCommit}), newVersions
 }
 
-// commitPerImage is the combined-servers commit: the edge opens a
-// database transaction and runs one statement per memento image plus the
-// commit on it. "The combined-servers configuration requires multiple
-// database server accesses, one per memento image" (§4.4) — exec decides
-// whether those accesses share one round trip (storeapi.ExecBatch) or
-// pay one each (storeapi.ExecSerial). The first failing statement's
-// error is returned as-is, and the transaction is aborted whenever the
-// trailing commit did not run.
+// commitPerImage is the combined-servers commit inside a database
+// transaction (every PerStatement set, and a PerImage set that writes):
+// the edge opens the transaction and runs one statement per memento
+// image plus the commit on it. "The combined-servers configuration
+// requires multiple database server accesses, one per memento image"
+// (§4.4) — exec decides whether those accesses share one round trip
+// (storeapi.ExecBatch) or pay one each (storeapi.ExecSerial). The first
+// failing statement's error is returned as-is, and the transaction is
+// aborted whenever the trailing commit did not run.
 func (l *Loader) commitPerImage(ctx context.Context, cs memento.CommitSet,
 	exec func(context.Context, storeapi.Txn, []storeapi.Stmt) ([]storeapi.StmtResult, error),
 ) (CommitOutcome, error) {

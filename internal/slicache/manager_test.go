@@ -31,9 +31,9 @@ func commitOneWrite(t *testing.T, mgr *Manager) {
 	}
 }
 
-// commitReadAndWrite loads r and w, updates w, and returns what the
-// commit cost on the counting conn.
-func commitReadAndWrite(t *testing.T, shipping CommitShipping) uint64 {
+// commitReadAndWrite loads r and w, updates w unless readOnly, and
+// returns what the commit cost on the counting conn.
+func commitReadAndWrite(t *testing.T, shipping CommitShipping, readOnly bool) uint64 {
 	t.Helper()
 	e := newEnv(t, WithShipping(shipping))
 	e.store.Seed(row("r", 1), row("w", 1))
@@ -47,9 +47,11 @@ func commitReadAndWrite(t *testing.T, shipping CommitShipping) uint64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Fields["n"] = memento.Int(2)
-	if err := dt.Store(ctx, m); err != nil {
-		t.Fatal(err)
+	if !readOnly {
+		m.Fields["n"] = memento.Int(2)
+		if err := dt.Store(ctx, m); err != nil {
+			t.Fatal(err)
+		}
 	}
 	before := e.conn.Ops()
 	if err := dt.Commit(ctx); err != nil {
@@ -62,8 +64,16 @@ func TestPerImageShippingStatementCount(t *testing.T) {
 	// Combined-servers commit as shipped: begin + one batch carrying
 	// CheckVersion(r), CheckedPut(w) and the commit = 2 exchanges,
 	// whatever the set size.
-	if got := commitReadAndWrite(t, PerImage); got != 2 {
+	if got := commitReadAndWrite(t, PerImage, false); got != 2 {
 		t.Errorf("per-image commit cost %d exchanges, want 2", got)
+	}
+}
+
+func TestPerImageReadOnlyShippingStatementCount(t *testing.T) {
+	// A combined-servers commit that writes nothing opens no session:
+	// one autocommit validation of both read proofs = 1 exchange.
+	if got := commitReadAndWrite(t, PerImage, true); got != 1 {
+		t.Errorf("read-only per-image commit cost %d exchanges, want 1", got)
 	}
 }
 
@@ -71,7 +81,7 @@ func TestPerStatementShippingStatementCount(t *testing.T) {
 	// The paper's combined-servers commit: begin + CheckVersion(r) +
 	// CheckedPut(w) + commit = 4 statements, "one per memento image"
 	// plus brackets.
-	if got := commitReadAndWrite(t, PerStatement); got != 4 {
+	if got := commitReadAndWrite(t, PerStatement, false); got != 4 {
 		t.Errorf("per-statement commit cost %d statements, want 4", got)
 	}
 }

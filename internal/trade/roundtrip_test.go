@@ -156,11 +156,12 @@ func TestRoundTripsHomeAction(t *testing.T) {
 	if got := slis.measure(t, home(slis)); got != 3 {
 		t.Errorf("sli-combined-serial warm home = %d RTs, want 3", got)
 	}
-	// Cached (combined), warm, as shipped: begin + one statement batch.
+	// Cached (combined), warm, as shipped: Home only reads, so its
+	// commit is one autocommit validation — no begin.
 	slic := newRTEnv(t, "sli-combined")
 	_ = slic.measure(t, home(slic))
-	if got := slic.measure(t, home(slic)); got != 2 {
-		t.Errorf("sli-combined warm home = %d RTs, want 2", got)
+	if got := slic.measure(t, home(slic)); got != 1 {
+		t.Errorf("sli-combined warm home = %d RTs, want 1", got)
 	}
 }
 
@@ -196,12 +197,12 @@ func TestRoundTripsPortfolioAction(t *testing.T) {
 	if got := slis.measure(t, portfolio(slis)); got != 1+1+2+1 {
 		t.Errorf("sli-combined-serial portfolio = %d RTs, want 5", got)
 	}
-	// Cached (combined), as shipped: finder query + begin + one batch,
-	// whatever N is.
+	// Cached (combined), as shipped: finder query + one autocommit
+	// validation of the read-only set, whatever N is.
 	slic := newRTEnv(t, "sli-combined")
 	_ = slic.measure(t, portfolio(slic))
-	if got := slic.measure(t, portfolio(slic)); got != 1+1+1 {
-		t.Errorf("sli-combined portfolio = %d RTs, want 3", got)
+	if got := slic.measure(t, portfolio(slic)); got != 1+1 {
+		t.Errorf("sli-combined portfolio = %d RTs, want 2", got)
 	}
 }
 
@@ -269,7 +270,7 @@ func TestRoundTripsOrderingAcrossAlgorithms(t *testing.T) {
 		t.Errorf("split (%d) should be at most half of combined (%d)", counts["sli-split"], counts["sli-combined-serial"])
 	}
 	// Batching the combined commit narrows the gap without closing it:
-	// begin stays its own round trip.
+	// a commit that writes still pays begin as its own round trip.
 	if !(counts["sli-split"] < counts["sli-combined"] && counts["sli-combined"] < counts["sli-combined-serial"]) {
 		t.Errorf("want split (%d) < combined batched (%d) < combined serial (%d)",
 			counts["sli-split"], counts["sli-combined"], counts["sli-combined-serial"])
@@ -290,19 +291,22 @@ func TestRoundTripsColdMultiBeanActions(t *testing.T) {
 		// misses is the store accesses before the commit: an AutoGet per
 		// bean, plus Sell's finder.
 		misses uint64
+		// readOnly actions write nothing, so their combined-servers
+		// commit needs no begin.
+		readOnly bool
 	}{
 		{"login", func(e *rtEnv) func(context.Context) error {
 			return func(ctx context.Context) error { _, err := e.svc.Login(ctx, user, "cold"); return err }
-		}, 2},
+		}, 2, false},
 		{"buy", func(e *rtEnv) func(context.Context) error {
 			return func(ctx context.Context) error { _, err := e.svc.Buy(ctx, user, SymbolID(3), 1); return err }
-		}, 2},
+		}, 2, false},
 		{"sell", func(e *rtEnv) func(context.Context) error {
 			return func(ctx context.Context) error { _, err := e.svc.Sell(ctx, user); return err }
-		}, 3},
+		}, 3, false},
 		{"bundle", func(e *rtEnv) func(context.Context) error {
 			return func(ctx context.Context) error { _, err := e.svc.BrowseBundle(ctx, user, SymbolID(3)); return err }
-		}, 3},
+		}, 3, true},
 	}
 	for _, a := range actions {
 		// Split servers: the whole-set commit is one round trip.
@@ -310,9 +314,14 @@ func TestRoundTripsColdMultiBeanActions(t *testing.T) {
 		if got, want := split.measure(t, a.run(split)), a.misses+1; got != want {
 			t.Errorf("sli-split cold %s = %d RTs, want %d", a.name, got, want)
 		}
-		// Combined servers: begin + one statement batch.
+		// Combined servers: begin + one statement batch, or one
+		// autocommit validation when the action only read.
+		want := a.misses + 2
+		if a.readOnly {
+			want = a.misses + 1
+		}
 		combined := newRTEnv(t, "sli-combined")
-		if got, want := combined.measure(t, a.run(combined)), a.misses+2; got != want {
+		if got := combined.measure(t, a.run(combined)); got != want {
 			t.Errorf("sli-combined cold %s = %d RTs, want %d", a.name, got, want)
 		}
 	}

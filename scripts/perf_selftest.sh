@@ -16,12 +16,12 @@
 #
 # The resource metric relied on is resource.allocs_per_interaction, a
 # count: one client drives the leg, so the objects allocated up to the
-# end of the last measured phase are the same run after run (277.2 to
-# 277.3 per interaction over 5 runs; what moves is the one background
+# end of the last measured phase are the same run after run (271.2 to
+# 271.3 per interaction over 5 runs; what moves is the one background
 # sampler, the runtime telemetry's, a few objects per tick).
-# The untuned leg reads 297.6 to 297.7, +7.4% over 5 runs.
+# The untuned leg reads 297.3 to 297.5, +9.6% over 5 runs.
 # Both comparisons gate it at 1%: identical builds differ by a twentieth
-# of that budget and the untuned leg exceeds it seven times over.
+# of that budget and the untuned leg exceeds it nine times over.
 #
 # The A/B leg deliberately gates only the stable kinds. Sub-millisecond
 # zero-delay latency points swing +-40% between identical builds at
@@ -80,7 +80,7 @@ if ! grep -E 'wire\.es-rdb\.cached-ejbs\.rts_per_interaction .*\+.*regressed' "$
 	exit 1
 fi
 if ! grep -E 'resource\.allocs_per_interaction .*\+.*regressed' "$tmp/diff.out" >/dev/null; then
-	echo "perf_selftest: FAIL: no resource regression flagged (the extra round trips of the untuned leg should cost about 4% more objects per interaction against a 1% budget)" >&2
+	echo "perf_selftest: FAIL: no resource regression flagged (the extra round trips of the untuned leg should cost about 10% more objects per interaction against a 1% budget)" >&2
 	exit 1
 fi
 
