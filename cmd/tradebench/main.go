@@ -462,8 +462,8 @@ func runFaults(opts harness.FaultOptions, logf func(string, ...any)) error {
 
 	var succeeded, attempted int
 	for _, r := range reports {
-		succeeded += r.Faulted.Succeeded
-		attempted += r.Faulted.Succeeded + r.Faulted.Failed
+		succeeded += r.Faulted.Completed
+		attempted += r.Faulted.Completed + r.Faulted.Abandoned
 	}
 	if attempted > 0 {
 		fmt.Printf("overall: %d/%d faulted sessions succeeded (%.1f%%)\n",

@@ -1,7 +1,8 @@
 // Command tradeload is the load-generation program of §4.1 as a
 // standalone binary: it drives Trade sessions against an application
 // server (cmd/edged) from a dedicated machine and reports latency
-// statistics. With -clients > 1 it runs the concurrent-load extension.
+// statistics. With -clients > 1 it runs the concurrent-load extension:
+// the same driver, the same report, more virtual clients.
 //
 // A full multi-host reproduction:
 //
@@ -14,6 +15,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -48,44 +50,39 @@ func run(args []string) error {
 		return err
 	}
 	ctx := context.Background()
-	workload := trade.GeneratorConfig{Seed: *seed, Users: *users, Symbols: *symbols}
+	clientsN := max(*clients, 1)
+	conns := make([]*appserver.Client, clientsN)
+	for i := range conns {
+		conns[i] = appserver.NewClient(*target)
+		defer conns[i].Close()
+	}
+	load := loadgen.Config{
+		Clients:    conns,
+		Generators: loadgen.Generators(trade.GeneratorConfig{Seed: *seed, Users: *users, Symbols: *symbols}, clientsN),
+		Batches:    *batches,
+	}
 
-	if *clients > 1 {
-		res, err := loadgen.RunConcurrent(ctx, loadgen.ConcurrentConfig{
-			NewClient:         func() *appserver.Client { return appserver.NewClient(*target) },
-			Clients:           *clients,
-			SessionsPerClient: *sessions / *clients,
-			WarmupSessions:    *warmup,
-			Workload:          workload,
-		})
-		if err != nil {
-			return err
+	// The warmup runs on the first client alone, whose generator then
+	// streams on into the measured sessions.
+	if *warmup > 0 {
+		warm := load
+		warm.Clients, warm.Generators, warm.Sessions = conns[:1], load.Generators[:1], *warmup
+		if _, err := loadgen.Run(ctx, warm); err != nil {
+			return fmt.Errorf("warmup: %w", err)
 		}
-		fmt.Printf("clients=%d interactions=%d elapsed=%v\n", res.Clients, res.Interactions, res.Elapsed.Round(1e6))
-		fmt.Printf("throughput=%.1f interactions/s\n", res.Throughput)
-		fmt.Printf("latency ms: mean=%.2f p50=%.2f p95=%.2f min=%.2f max=%.2f\n",
-			res.Latency.Mean, res.Latency.P50, res.Latency.P95, res.Latency.Min, res.Latency.Max)
-		fmt.Printf("failures=%d\n", res.Failures)
-		return nil
 	}
-
-	client := appserver.NewClient(*target)
-	defer client.Close()
-	res, err := loadgen.Run(ctx, loadgen.Config{
-		Client:         client,
-		Generator:      trade.NewGenerator(workload),
-		WarmupSessions: *warmup,
-		Sessions:       *sessions,
-		Batches:        *batches,
-	})
-	if err != nil {
-		return err
+	load.Sessions = *sessions / clientsN
+	res, runErr := loadgen.Run(ctx, load)
+	if runErr != nil && !errors.Is(runErr, loadgen.ErrAbandoned) {
+		return runErr
 	}
-	fmt.Printf("interactions=%d elapsed=%v\n", res.Interactions, res.Elapsed.Round(1e6))
+	fmt.Printf("clients=%d interactions=%d elapsed=%v\n", clientsN, res.Interactions, res.Elapsed.Round(1e6))
+	fmt.Printf("throughput=%.1f interactions/s\n", res.Throughput)
 	fmt.Printf("latency ms: mean=%.2f ±%.2f (95%% CI) p50=%.2f p95=%.2f min=%.2f max=%.2f stddev=%.2f\n",
 		res.Latency.Mean, res.CI95, res.Latency.P50, res.Latency.P95,
 		res.Latency.Min, res.Latency.Max, res.Latency.Stddev)
-	fmt.Printf("failures=%d batches=%d\n", res.Failures, len(res.BatchMeans))
+	fmt.Printf("failures=%d retries=%d abandoned=%d batches=%d\n",
+		res.Failures, res.Retries, res.Abandoned, len(res.BatchMeans))
 	if *perAct {
 		names := make([]string, 0, len(res.PerAction))
 		for name := range res.PerAction {
@@ -98,5 +95,5 @@ func run(args []string) error {
 			fmt.Printf("  %-14s %8.2f (n=%d)\n", name, s.Mean, s.N)
 		}
 	}
-	return nil
+	return runErr
 }

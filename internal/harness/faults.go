@@ -2,10 +2,12 @@ package harness
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"time"
 
+	"edgeejb/internal/appserver"
 	"edgeejb/internal/latency"
 	"edgeejb/internal/loadgen"
 	"edgeejb/internal/slicache"
@@ -35,17 +37,10 @@ type FaultOptions struct {
 	CacheOptions []slicache.ManagerOption
 }
 
-// What makes the edge resilient in the fault experiment.
-const (
-	// faultSessionRetries is how many extra attempts the load generator
-	// gives a failed session, and faultStepTimeout bounds each
-	// interaction (see loadgen.ResilientConfig).
-	faultSessionRetries = 5
-	faultStepTimeout    = 10 * time.Second
-	// faultDegradeBound is the staleness bound of the cache's degraded
-	// reads while its invalidation stream is down.
-	faultDegradeBound = 5 * time.Second
-)
+// faultDegradeBound is the staleness bound of the cache's degraded
+// reads while its invalidation stream is down. The session retries and
+// step timeout that keep the client side going are loadgen's own.
+const faultDegradeBound = 5 * time.Second
 
 // DefaultFaultPlan returns a moderate schedule: occasional connection
 // dooms, rare stalls, rare truncations. Severe enough that a run
@@ -65,10 +60,10 @@ func DefaultFaultPlan(seed int64) latency.FaultPlan {
 // FaultReport is the outcome for one (architecture, algorithm) cell.
 type FaultReport struct {
 	Pair Pair
-	// Clean is the resilient run with no faults injected.
-	Clean loadgen.ResilientResult
+	// Clean is the run with no faults injected.
+	Clean loadgen.Result
 	// Faulted is the same workload under the fault schedule.
-	Faulted loadgen.ResilientResult
+	Faulted loadgen.Result
 	// WireRetries is the transport-level retry count consumed on the
 	// shared path during the faulted pass.
 	WireRetries uint64
@@ -140,42 +135,45 @@ func runFaultPair(ctx context.Context, pair Pair, opts FaultOptions, logf func(s
 	}
 	defer topo.Close()
 
-	client := topo.NewWebClient()
-	gen := trade.NewGenerator(trade.GeneratorConfig{
-		Seed:    opts.Plan.Seed,
-		Users:   opts.Populate.Users,
-		Symbols: opts.Populate.Symbols,
-	})
-	rcfg := loadgen.ResilientConfig{
-		Client:         client,
-		Generator:      gen,
-		Sessions:       opts.Sessions,
-		SessionRetries: faultSessionRetries,
-		StepTimeout:    faultStepTimeout,
+	load := loadgen.Config{
+		Clients: []*appserver.Client{topo.NewWebClient()},
+		Generators: []*trade.Generator{trade.NewGenerator(trade.GeneratorConfig{
+			Seed:    opts.Plan.Seed,
+			Users:   opts.Populate.Users,
+			Symbols: opts.Populate.Symbols,
+		})},
+	}
+	// Abandoned sessions are part of what the experiment reports, not
+	// a reason to stop it.
+	pass := func(sessions int) (loadgen.Result, error) {
+		load.Sessions = sessions
+		res, err := loadgen.Run(ctx, load)
+		if errors.Is(err, loadgen.ErrAbandoned) {
+			err = nil
+		}
+		return res, err
 	}
 
 	// Warmup + clean pass.
-	warm := rcfg
-	warm.Sessions = opts.WarmupSessions
 	if opts.WarmupSessions > 0 {
-		if _, err := loadgen.RunResilient(ctx, warm); err != nil {
+		if _, err := pass(opts.WarmupSessions); err != nil {
 			return FaultReport{}, fmt.Errorf("warmup: %w", err)
 		}
 	}
-	clean, err := loadgen.RunResilient(ctx, rcfg)
+	clean, err := pass(opts.Sessions)
 	if err != nil {
 		return FaultReport{}, fmt.Errorf("clean pass: %w", err)
 	}
 	if logf != nil {
 		logf("  %s clean: %d/%d sessions, mean %.2f ms",
-			pair, clean.Succeeded, clean.Succeeded+clean.Failed, clean.Latency.Mean)
+			pair, clean.Completed, clean.Completed+clean.Abandoned, clean.Latency.Mean)
 	}
 
 	// Faulted pass: count retries consumed during this pass only.
 	retriesBefore := topo.SharedPathStats().Retries
 	mgrBefore := sumManagerStats(topo)
 	topo.SetFaults(&opts.Plan)
-	faulted, err := loadgen.RunResilient(ctx, rcfg)
+	faulted, err := pass(opts.Sessions)
 	faultStats := topo.FaultStats()
 	topo.SetFaults(nil)
 	if err != nil {
@@ -195,8 +193,8 @@ func runFaultPair(ctx context.Context, pair Pair, opts FaultOptions, logf func(s
 	}
 	if logf != nil {
 		logf("  %s faulted: %d/%d sessions (%.1f%%), %d wire retries, %d session retries, +%.1f%% latency",
-			pair, faulted.Succeeded, faulted.Succeeded+faulted.Failed,
-			100*faulted.SuccessRate(), rep.WireRetries, faulted.SessionRetries,
+			pair, faulted.Completed, faulted.Completed+faulted.Abandoned,
+			100*faulted.SuccessRate(), rep.WireRetries, faulted.Retries,
 			rep.LatencyOverheadPct())
 	}
 	return rep, nil
@@ -208,13 +206,13 @@ func WriteFaultReport(w io.Writer, reports []FaultReport) {
 	fmt.Fprintf(w, "%-26s %9s %12s %12s %10s %12s %12s\n",
 		"configuration", "success", "wire-retry", "sess-retry", "overhead", "resubscribe", "stale-serve")
 	for _, r := range reports {
-		total := r.Faulted.Succeeded + r.Faulted.Failed
+		total := r.Faulted.Completed + r.Faulted.Abandoned
 		fmt.Fprintf(w, "%-26s %8.1f%% %12d %12d %9.1f%% %12d %12d\n",
 			r.Pair.String(), 100*r.Faulted.SuccessRate(), r.WireRetries,
-			r.Faulted.SessionRetries, r.LatencyOverheadPct(),
+			r.Faulted.Retries, r.LatencyOverheadPct(),
 			r.Resubscribes, r.StaleServes)
 		fmt.Fprintf(w, "%-26s   (%d/%d sessions; faults: %d resets, %d truncations, %d stalls)\n",
-			"", r.Faulted.Succeeded, total,
+			"", r.Faulted.Completed, total,
 			r.Faults.ConnResets, r.Faults.Truncations, r.Faults.Stalls)
 	}
 }

@@ -43,7 +43,7 @@ func TestFaultExperimentSurvives(t *testing.T) {
 	}
 	r := reports[0]
 
-	if total := r.Faulted.Succeeded + r.Faulted.Failed; total != 40 {
+	if total := r.Faulted.Completed + r.Faulted.Abandoned; total != 40 {
 		t.Fatalf("attempted %d sessions, want 40", total)
 	}
 	if rate := r.Faulted.SuccessRate(); rate < 0.95 {
@@ -52,7 +52,7 @@ func TestFaultExperimentSurvives(t *testing.T) {
 	if r.Faults == (latency.FaultStats{}) {
 		t.Fatal("no faults were injected")
 	}
-	if r.Faults.ConnResets > 0 && r.WireRetries == 0 && r.Faulted.SessionRetries == 0 {
+	if r.Faults.ConnResets > 0 && r.WireRetries == 0 && r.Faulted.Retries == 0 {
 		t.Fatalf("connections were reset but nothing retried: %+v", r)
 	}
 	if r.Clean.SuccessRate() != 1.0 {

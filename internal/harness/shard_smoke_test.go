@@ -2,10 +2,12 @@ package harness
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"testing"
 	"time"
 
+	"edgeejb/internal/appserver"
 	"edgeejb/internal/latency"
 	"edgeejb/internal/loadgen"
 	"edgeejb/internal/obs"
@@ -147,7 +149,7 @@ func TestShardFaultChaosTwoEdges(t *testing.T) {
 	defer topo.SetFaults(nil)
 
 	var wg sync.WaitGroup
-	results := make([]loadgen.ResilientResult, 2)
+	results := make([]loadgen.Result, 2)
 	errs := make([]error, 2)
 	for edge := 0; edge < 2; edge++ {
 		client, err := topo.NewWebClientFor(edge)
@@ -157,14 +159,12 @@ func TestShardFaultChaosTwoEdges(t *testing.T) {
 		wg.Add(1)
 		go func(edge int) {
 			defer wg.Done()
-			results[edge], errs[edge] = loadgen.RunResilient(context.Background(), loadgen.ResilientConfig{
-				Client: client,
-				Generator: trade.NewGenerator(trade.GeneratorConfig{
+			results[edge], errs[edge] = loadgen.Run(context.Background(), loadgen.Config{
+				Clients: []*appserver.Client{client},
+				Generators: []*trade.Generator{trade.NewGenerator(trade.GeneratorConfig{
 					Seed: int64(100 + edge), Users: 20, Symbols: 40,
-				}),
-				Sessions:       25,
-				SessionRetries: 5,
-				StepTimeout:    15 * time.Second,
+				})},
+				Sessions: 25,
 			})
 		}(edge)
 	}
@@ -176,7 +176,7 @@ func TestShardFaultChaosTwoEdges(t *testing.T) {
 		}
 	}
 	for edge := 0; edge < 2; edge++ {
-		if errs[edge] != nil {
+		if errs[edge] != nil && !errors.Is(errs[edge], loadgen.ErrAbandoned) {
 			t.Fatalf("edge %d: %v", edge, errs[edge])
 		}
 		r := results[edge]

@@ -9,7 +9,6 @@ import (
 	"strconv"
 	"time"
 
-	"edgeejb/internal/loadgen"
 	"edgeejb/internal/obs"
 	"edgeejb/internal/slicache"
 	"edgeejb/internal/trade"
@@ -69,8 +68,10 @@ func DefaultShardScalingOptions() ShardScalingOptions {
 
 // ShardScalingPoint is one shard count's measurement.
 type ShardScalingPoint struct {
-	Shards        int
-	Throughput    float64 // interactions/second
+	Shards int
+	// Throughput is successful interactions per second: the quantity
+	// the acceptance curve compares across shard counts.
+	Throughput    float64
 	MeanLatencyMs float64
 	Failures      int
 	Interactions  int
@@ -83,15 +84,6 @@ type ShardScalingPoint struct {
 	// PerShardCommits maps shard index to the commit sets (and 2PC
 	// sub-sets) its back-end server applied.
 	PerShardCommits map[int]uint64
-}
-
-// CommittedPerSec scales throughput by the committed fraction: the
-// quantity the acceptance curve compares across shard counts.
-func (p ShardScalingPoint) CommittedPerSec() float64 {
-	if p.Interactions == 0 {
-		return 0
-	}
-	return p.Throughput * float64(p.Interactions-p.Failures) / float64(p.Interactions)
 }
 
 // TwoPCFraction is the share of committed sets that needed cross-shard
@@ -131,13 +123,7 @@ func RunShardScaling(ctx context.Context, opts ShardScalingOptions, logf func(st
 			return points, err
 		}
 		before := obs.Default.Snapshot()
-		res, err := loadgen.RunConcurrent(ctx, loadgen.ConcurrentConfig{
-			NewClient:         topo.NewWebClient,
-			Clients:           opts.Clients,
-			SessionsPerClient: opts.SessionsPerClient,
-			WarmupSessions:    opts.WarmupSessions,
-			Workload:          opts.Workload,
-		})
+		res, err := runClients(ctx, topo, opts.Clients, opts.SessionsPerClient, opts.WarmupSessions, opts.Workload)
 		diff := obs.Default.Diff(before)
 		perShard := make(map[int]uint64, n)
 		for i, be := range topo.Backends {
@@ -169,7 +155,7 @@ func RunShardScaling(ctx context.Context, opts ShardScalingOptions, logf func(st
 		points = append(points, p)
 		if logf != nil {
 			logf("  %d shard(s): %.1f committed/s, 2PC fraction %.1f%%, %d failures",
-				n, p.CommittedPerSec(), 100*p.TwoPCFraction(), p.Failures)
+				n, p.Throughput, 100*p.TwoPCFraction(), p.Failures)
 		}
 	}
 	return points, nil
@@ -183,15 +169,15 @@ func WriteShardScaling(w io.Writer, points []ShardScalingPoint) {
 		"shards", "committed/s", "mean ms", "failures", "2pc-frac", "2pc", "fastpath")
 	for _, p := range points {
 		fmt.Fprintf(w, "%8d %14.1f %10.2f %10d %9.1f%% %10d %10d\n",
-			p.Shards, p.CommittedPerSec(), p.MeanLatencyMs, p.Failures,
+			p.Shards, p.Throughput, p.MeanLatencyMs, p.Failures,
 			100*p.TwoPCFraction(), p.TwoPCCommits, p.FastpathCommits)
 	}
 	if len(points) > 1 && points[0].Shards == 1 {
-		base := points[0].CommittedPerSec()
+		base := points[0].Throughput
 		if base > 0 {
 			fmt.Fprintf(w, "speedup vs 1 shard:")
 			for _, p := range points[1:] {
-				fmt.Fprintf(w, "  %dx shards = %.2fx", p.Shards, p.CommittedPerSec()/base)
+				fmt.Fprintf(w, "  %dx shards = %.2fx", p.Shards, p.Throughput/base)
 			}
 			fmt.Fprintln(w)
 		}
@@ -223,7 +209,7 @@ func WriteShardsCSV(w io.Writer, points []ShardScalingPoint) error {
 				strconv.Itoa(p.Shards),
 				strconv.Itoa(s),
 				strconv.FormatUint(p.PerShardCommits[s], 10),
-				strconv.FormatFloat(p.CommittedPerSec(), 'f', 2, 64),
+				strconv.FormatFloat(p.Throughput, 'f', 2, 64),
 				strconv.FormatFloat(p.MeanLatencyMs, 'f', 3, 64),
 				strconv.Itoa(p.Failures),
 				strconv.Itoa(p.Interactions),

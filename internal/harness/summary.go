@@ -133,7 +133,7 @@ func BuildSummary(in SummaryInput) *regress.Summary {
 			Unit:   "commit/s",
 			Kind:   regress.KindRate,
 			Better: regress.HigherIsBetter,
-			Mean:   p.CommittedPerSec(),
+			Mean:   p.Throughput,
 			N:      p.Interactions,
 		}
 		s.Metrics[base+".twopc_fraction"] = regress.Metric{

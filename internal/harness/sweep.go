@@ -8,6 +8,7 @@ import (
 	"strings"
 	"time"
 
+	"edgeejb/internal/appserver"
 	"edgeejb/internal/loadgen"
 	"edgeejb/internal/obs"
 	"edgeejb/internal/stats"
@@ -99,33 +100,30 @@ func RunSweep(ctx context.Context, opts Options, run RunOptions) (Sweep, error) 
 func RunSweepOn(ctx context.Context, topo *Topology, run RunOptions) (Sweep, error) {
 	client := topo.NewWebClient()
 	defer client.Close()
-	gen := trade.NewGenerator(run.Workload)
+	load := loadgen.Config{
+		Clients:    []*appserver.Client{client},
+		Generators: []*trade.Generator{trade.NewGenerator(run.Workload)},
+		Batches:    run.Batches,
+	}
 
 	// One warmup at the first delay point.
 	topo.SetDelay(run.Delays[0])
 	if run.WarmupSessions > 0 {
-		if _, err := loadgen.Run(ctx, loadgen.Config{
-			Client:    client,
-			Generator: gen,
-			Sessions:  run.WarmupSessions,
-			Batches:   run.Batches,
-		}); err != nil {
+		warm := load
+		warm.Sessions = run.WarmupSessions
+		if _, err := loadgen.Run(ctx, warm); err != nil {
 			return Sweep{}, fmt.Errorf("harness: warmup: %w", err)
 		}
 	}
 
+	load.Sessions = run.Sessions
 	sweep := Sweep{Arch: topo.Arch, Algo: topo.Algo}
 	for _, d := range run.Delays {
 		topo.SetDelay(d)
 		before := topo.SharedPathStats()
 		obsBefore := obs.Default.Snapshot()
 		seqBefore := obs.DefaultEvents.Seq()
-		res, err := loadgen.Run(ctx, loadgen.Config{
-			Client:    client,
-			Generator: gen,
-			Sessions:  run.Sessions,
-			Batches:   run.Batches,
-		})
+		res, err := loadgen.Run(ctx, load)
 		if err != nil {
 			return Sweep{}, fmt.Errorf("harness: delay %v: %w", d, err)
 		}
@@ -133,7 +131,7 @@ func RunSweepOn(ctx context.Context, topo *Topology, run RunOptions) (Sweep, err
 		diff := obs.Default.Diff(obsBefore)
 		point := Point{
 			OneWayDelayMs: float64(d) / float64(time.Millisecond),
-			MeanLatencyMs: res.MeanLatencyMs(),
+			MeanLatencyMs: res.Latency.Mean,
 			Load:          res,
 			Spans:         spanDiff(diff),
 			Counters:      diff.Counters,

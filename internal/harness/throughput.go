@@ -6,6 +6,7 @@ import (
 	"io"
 	"time"
 
+	"edgeejb/internal/appserver"
 	"edgeejb/internal/loadgen"
 	"edgeejb/internal/obs"
 	"edgeejb/internal/trade"
@@ -43,7 +44,7 @@ func DefaultThroughputOptions() ThroughputOptions {
 // ThroughputPoint is one concurrency level's measurement.
 type ThroughputPoint struct {
 	Clients       int
-	Throughput    float64 // interactions/second
+	Throughput    float64 // successful interactions/second
 	MeanLatencyMs float64
 	Failures      int
 	Interactions  int
@@ -80,13 +81,7 @@ func RunThroughput(ctx context.Context, opts Options, topts ThroughputOptions) (
 	for _, n := range topts.ClientCounts {
 		obsBefore := obs.Default.Snapshot()
 		seqBefore := obs.DefaultEvents.Seq()
-		res, err := loadgen.RunConcurrent(ctx, loadgen.ConcurrentConfig{
-			NewClient:         topo.NewWebClient,
-			Clients:           n,
-			SessionsPerClient: topts.SessionsPerClient,
-			WarmupSessions:    warmup,
-			Workload:          topts.Workload,
-		})
+		res, err := runClients(ctx, topo, n, topts.SessionsPerClient, warmup, topts.Workload)
 		if err != nil {
 			return ThroughputCurve{}, fmt.Errorf("harness: %d clients: %w", n, err)
 		}
@@ -102,6 +97,34 @@ func RunThroughput(ctx context.Context, opts Options, topts ThroughputOptions) (
 		})
 	}
 	return curve, nil
+}
+
+// runClients warms the topology with warmup sessions on one client,
+// then drives n fresh concurrent clients, seeded per client, through
+// sessions each.
+func runClients(ctx context.Context, topo *Topology, n, sessions, warmup int, wl trade.GeneratorConfig) (loadgen.Result, error) {
+	if warmup > 0 {
+		client := topo.NewWebClient()
+		_, err := loadgen.Run(ctx, loadgen.Config{
+			Clients:    []*appserver.Client{client},
+			Generators: []*trade.Generator{trade.NewGenerator(wl)},
+			Sessions:   warmup,
+		})
+		_ = client.Close()
+		if err != nil {
+			return loadgen.Result{}, fmt.Errorf("warmup: %w", err)
+		}
+	}
+	clients := make([]*appserver.Client, n)
+	for i := range clients {
+		clients[i] = topo.NewWebClient()
+		defer clients[i].Close()
+	}
+	return loadgen.Run(ctx, loadgen.Config{
+		Clients:    clients,
+		Generators: loadgen.Generators(wl, n),
+		Sessions:   sessions,
+	})
 }
 
 // WriteThroughput renders one or more curves as a text table.

@@ -94,15 +94,9 @@ func (r *Router) AutoQuery(ctx context.Context, q memento.Query) (storeapi.Query
 	obsScatterQueries.Inc()
 	results := make([]storeapi.QueryResult, len(r.conns))
 	errs := make([]error, len(r.conns))
-	var wg sync.WaitGroup
-	for i := range r.conns {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i], errs[i] = r.conns[i].AutoQuery(ctx, q)
-		}(i)
-	}
-	wg.Wait()
+	fanOut(len(r.conns), func(i int) {
+		results[i], errs[i] = r.conns[i].AutoQuery(ctx, q)
+	})
 	for _, err := range errs {
 		if err != nil {
 			return storeapi.QueryResult{}, err
@@ -168,17 +162,12 @@ func (r *Router) validateScatter(ctx context.Context, split map[int]memento.Comm
 	for s := range split {
 		parts = append(parts, part{shard: s})
 	}
-	var wg sync.WaitGroup
-	for i := range parts {
-		wg.Add(1)
-		go func(p *part) {
-			defer wg.Done()
-			pctx, psp := obs.StartSpan(ctx, "shard.apply")
-			p.res, p.err = r.conns[p.shard].ApplyCommitSet(pctx, split[p.shard])
-			psp.End()
-		}(&parts[i])
-	}
-	wg.Wait()
+	fanOut(len(parts), func(i int) {
+		p := &parts[i]
+		pctx, psp := obs.StartSpan(ctx, "shard.apply")
+		p.res, p.err = r.conns[p.shard].ApplyCommitSet(pctx, split[p.shard])
+		psp.End()
+	})
 	var out sqlstore.ApplyResult
 	for i := range parts {
 		if parts[i].err != nil {
@@ -225,17 +214,12 @@ func (r *Router) twoPhase(ctx context.Context, split map[int]memento.CommitSet) 
 		parts = append(parts, part{shard: s, prep: p})
 	}
 
-	var wg sync.WaitGroup
-	for i := range parts {
-		wg.Add(1)
-		go func(p *part) {
-			defer wg.Done()
-			pctx, psp := obs.StartSpan(ctx, "shard.prepare")
-			p.err = p.prep.Prepare(pctx, gid, split[p.shard])
-			psp.End()
-		}(&parts[i])
-	}
-	wg.Wait()
+	fanOut(len(parts), func(i int) {
+		p := &parts[i]
+		pctx, psp := obs.StartSpan(ctx, "shard.prepare")
+		p.err = p.prep.Prepare(pctx, gid, split[p.shard])
+		psp.End()
+	})
 
 	var veto error
 	for i := range parts {
@@ -252,17 +236,11 @@ func (r *Router) twoPhase(ctx context.Context, split map[int]memento.CommitSet) 
 		// caller's context: the decision must reach the participants even
 		// if the caller gives up, and aborting an unknown gid is a no-op.
 		actx := context.WithoutCancel(ctx)
-		for i := range parts {
-			if parts[i].err != nil {
-				continue
+		fanOut(len(parts), func(i int) {
+			if parts[i].err == nil {
+				_ = parts[i].prep.AbortPrepared(actx, gid)
 			}
-			wg.Add(1)
-			go func(p *part) {
-				defer wg.Done()
-				_ = p.prep.AbortPrepared(actx, gid)
-			}(&parts[i])
-		}
-		wg.Wait()
+		})
 		obsTwoPCAborts.Inc()
 		return sqlstore.ApplyResult{}, veto
 	}
@@ -270,16 +248,12 @@ func (r *Router) twoPhase(ctx context.Context, split map[int]memento.CommitSet) 
 	// Unanimous yes: the decision is commit. Detached from the caller's
 	// context for the same reason as the abort fan-out.
 	cctx := context.WithoutCancel(ctx)
-	for i := range parts {
-		wg.Add(1)
-		go func(p *part) {
-			defer wg.Done()
-			pctx, psp := obs.StartSpan(cctx, "shard.commit_prepared")
-			p.res, p.err = p.prep.CommitPrepared(pctx, gid)
-			psp.End()
-		}(&parts[i])
-	}
-	wg.Wait()
+	fanOut(len(parts), func(i int) {
+		p := &parts[i]
+		pctx, psp := obs.StartSpan(cctx, "shard.commit_prepared")
+		p.res, p.err = p.prep.CommitPrepared(pctx, gid)
+		psp.End()
+	})
 
 	var out sqlstore.ApplyResult
 	for i := range parts {
@@ -309,6 +283,23 @@ func (r *Router) twoPhase(ctx context.Context, split map[int]memento.CommitSet) 
 	return out, nil
 }
 
+// fanOut runs call(0) … call(n-1) concurrently and returns when all
+// have: the shape of every per-shard exchange the router makes. The
+// first call runs on the caller's goroutine, one goroutine fewer per
+// exchange.
+func fanOut(n int, call func(i int)) {
+	var wg sync.WaitGroup
+	wg.Add(n - 1)
+	for i := 1; i < n; i++ {
+		go func() {
+			defer wg.Done()
+			call(i)
+		}()
+	}
+	call(0)
+	wg.Wait()
+}
+
 // ApplyCommitSets applies each set independently through the routing
 // decision rule. The group-commit coalescing lives per shard (inside
 // each backend), so the router doesn't re-batch; it just preserves the
@@ -321,14 +312,14 @@ func (r *Router) ApplyCommitSets(ctx context.Context, sets []memento.CommitSet) 
 	return out, nil
 }
 
-// Begin starts a transaction bound lazily to the first shard a
-// statement identifies. The sharded deployment runs the whole-set
-// shipping algorithm (commit sets go through ApplyCommitSet), so
-// explicit transactions only serve single-shard uses; a statement for
-// a second shard fails rather than silently spanning stores without a
-// coordinator.
+// ErrCommitSetsOnly is Begin's answer: the sharded tier runs the
+// whole-set shipping algorithm, so every transaction reaches it as one
+// commit set (ApplyCommitSet) and none as statements.
+var ErrCommitSetsOnly = errors.New("shard: the sharded tier takes commit sets only, not transactions")
+
+// Begin refuses: see ErrCommitSetsOnly.
 func (r *Router) Begin(ctx context.Context) (storeapi.Txn, error) {
-	return &routerTxn{r: r, shard: -1}, nil
+	return nil, ErrCommitSetsOnly
 }
 
 // Subscribe merges every shard's invalidation stream into one channel.
@@ -402,132 +393,4 @@ func (r *Router) Close() error {
 		}
 	}
 	return first
-}
-
-// routerTxn is a lazily-bound single-shard transaction.
-type routerTxn struct {
-	r     *Router
-	shard int
-	inner storeapi.Txn
-}
-
-var _ storeapi.Txn = (*routerTxn)(nil)
-
-var errCrossShardTxn = errors.New("shard: statement crosses shards inside a transaction (use commit-set shipping)")
-
-func (t *routerTxn) bind(ctx context.Context, shard int) (storeapi.Txn, error) {
-	if t.inner != nil {
-		if shard != t.shard {
-			return nil, errCrossShardTxn
-		}
-		return t.inner, nil
-	}
-	inner, err := t.r.conns[shard].Begin(ctx)
-	if err != nil {
-		return nil, err
-	}
-	t.inner, t.shard = inner, shard
-	return inner, nil
-}
-
-func (t *routerTxn) bindKey(ctx context.Context, table, id string) (storeapi.Txn, error) {
-	return t.bind(ctx, t.r.ring.Of(memento.Key{Table: table, ID: id}))
-}
-
-func (t *routerTxn) ID() uint64 {
-	if t.inner == nil {
-		return 0
-	}
-	return t.inner.ID()
-}
-
-func (t *routerTxn) Get(ctx context.Context, table, id string) (storeapi.GetResult, error) {
-	tx, err := t.bindKey(ctx, table, id)
-	if err != nil {
-		return storeapi.GetResult{}, err
-	}
-	return tx.Get(ctx, table, id)
-}
-
-func (t *routerTxn) GetForUpdate(ctx context.Context, table, id string) (storeapi.GetResult, error) {
-	tx, err := t.bindKey(ctx, table, id)
-	if err != nil {
-		return storeapi.GetResult{}, err
-	}
-	return tx.GetForUpdate(ctx, table, id)
-}
-
-func (t *routerTxn) Put(ctx context.Context, m memento.Memento) error {
-	tx, err := t.bind(ctx, t.r.ring.Of(m.Key))
-	if err != nil {
-		return err
-	}
-	return tx.Put(ctx, m)
-}
-
-func (t *routerTxn) Insert(ctx context.Context, m memento.Memento) error {
-	tx, err := t.bind(ctx, t.r.ring.Of(m.Key))
-	if err != nil {
-		return err
-	}
-	return tx.Insert(ctx, m)
-}
-
-func (t *routerTxn) Delete(ctx context.Context, table, id string) error {
-	tx, err := t.bindKey(ctx, table, id)
-	if err != nil {
-		return err
-	}
-	return tx.Delete(ctx, table, id)
-}
-
-func (t *routerTxn) Query(ctx context.Context, q memento.Query) (storeapi.QueryResult, error) {
-	if t.r.aff != nil {
-		if p, ok := t.r.aff(q); ok {
-			tx, err := t.bind(ctx, t.r.ring.OfPlacement(p))
-			if err != nil {
-				return storeapi.QueryResult{}, err
-			}
-			return tx.Query(ctx, q)
-		}
-	}
-	return storeapi.QueryResult{}, errCrossShardTxn
-}
-
-func (t *routerTxn) CheckVersion(ctx context.Context, key memento.Key, version uint64) error {
-	tx, err := t.bind(ctx, t.r.ring.Of(key))
-	if err != nil {
-		return err
-	}
-	return tx.CheckVersion(ctx, key, version)
-}
-
-func (t *routerTxn) CheckedPut(ctx context.Context, m memento.Memento) error {
-	tx, err := t.bind(ctx, t.r.ring.Of(m.Key))
-	if err != nil {
-		return err
-	}
-	return tx.CheckedPut(ctx, m)
-}
-
-func (t *routerTxn) CheckedDelete(ctx context.Context, key memento.Key, version uint64) error {
-	tx, err := t.bind(ctx, t.r.ring.Of(key))
-	if err != nil {
-		return err
-	}
-	return tx.CheckedDelete(ctx, key, version)
-}
-
-func (t *routerTxn) Commit(ctx context.Context) error {
-	if t.inner == nil {
-		return nil
-	}
-	return t.inner.Commit(ctx)
-}
-
-func (t *routerTxn) Abort(ctx context.Context) error {
-	if t.inner == nil {
-		return nil
-	}
-	return t.inner.Abort(ctx)
 }

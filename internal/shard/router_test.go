@@ -309,26 +309,14 @@ func TestRouterSubscribeMergesAllShards(t *testing.T) {
 	}
 }
 
+// TestRouterTxnStaysSingleShard: no statement-level transaction can
+// span shards because the router opens none — the sharded tier takes
+// whole commit sets, which the decision rule routes.
 func TestRouterTxnStaysSingleShard(t *testing.T) {
 	r := newRig(t, 2, nil, nil)
-	ctx := context.Background()
-	idA := r.idOnShard(t, 0, "a")
-	idB := r.idOnShard(t, 1, "b")
-	r.seed(rmem(idA, 0, 1))
-	r.seed(rmem(idB, 0, 1))
-
-	txn, err := r.router.Begin(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := txn.Get(ctx, "t", idA); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := txn.Get(ctx, "t", idB); !errors.Is(err, errCrossShardTxn) {
-		t.Fatalf("cross-shard statement: got %v, want errCrossShardTxn", err)
-	}
-	if err := txn.Abort(ctx); err != nil {
-		t.Fatal(err)
+	txn, err := r.router.Begin(context.Background())
+	if !errors.Is(err, ErrCommitSetsOnly) || txn != nil {
+		t.Fatalf("Begin = %v, %v; want nil, ErrCommitSetsOnly", txn, err)
 	}
 }
 
