@@ -26,7 +26,7 @@ import (
 //     clean or dirty, because BMP gives it no dirty-tracking.
 type BMPManager struct {
 	conn storeapi.Conn
-	exec executor
+	exec storeapi.Executor
 }
 
 var _ ResourceManager = (*BMPManager)(nil)
@@ -56,7 +56,7 @@ func (m *BMPManager) Begin(ctx context.Context) (DataTx, error) {
 
 type bmpTx struct {
 	txn  storeapi.Txn
-	exec executor
+	exec storeapi.Executor
 	// activated tracks beans activated in this transaction; each gets an
 	// unconditional ejbStore at commit.
 	activated map[memento.Key]memento.Memento
@@ -69,7 +69,7 @@ func (t *bmpTx) Load(ctx context.Context, key memento.Key) (memento.Memento, err
 	// finder just touched it. It cannot skip either statement; whether
 	// they travel together is the executor's business.
 	get := storeapi.Stmt{Kind: storeapi.StmtGet, Table: key.Table, ID: key.ID}
-	results, _, err := t.exec.run(ctx, t.txn, []storeapi.Stmt{get, get})
+	results, _, err := t.exec.Run(ctx, t.txn, []storeapi.Stmt{get, get})
 	if err != nil {
 		return memento.Memento{}, err
 	}
@@ -118,7 +118,7 @@ func (t *bmpTx) Query(ctx context.Context, q memento.Query) ([]memento.Memento, 
 	for i, f := range found.Mems {
 		stmts[i] = storeapi.Stmt{Kind: storeapi.StmtGet, Table: f.Key.Table, ID: f.Key.ID}
 	}
-	results, at, err := t.exec.run(ctx, t.txn, stmts)
+	results, at, err := t.exec.Run(ctx, t.txn, stmts)
 	if at >= 0 {
 		// The beans loaded before the failing one stay activated.
 		results, err = results[:at], fmt.Errorf("bmp: ejbLoad after finder %s: %w", found.Mems[at].Key, err)
@@ -143,7 +143,7 @@ func (t *bmpTx) Commit(ctx context.Context) error {
 		}
 		puts = append(puts, storeapi.Stmt{Kind: storeapi.StmtPut, Mem: m})
 	}
-	return t.exec.commit(ctx, t.txn, puts, "bmp: ejbStore")
+	return commit(ctx, t.exec, t.txn, puts, "bmp: ejbStore")
 }
 
 func (t *bmpTx) Abort(ctx context.Context) error {

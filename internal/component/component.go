@@ -104,14 +104,7 @@ type ResourceManager interface {
 }
 
 // ManagerOption configures a resource manager (see WithBatching).
-type ManagerOption func(*executor)
-
-// executor runs one exchange's statement list on a transaction:
-// storeapi.ExecBatch ships it as a single round trip, storeapi.ExecSerial
-// pays one per statement. The statements, their order and where they
-// stop are the same either way, so a manager picks its executor once,
-// when it is built, and every exchange goes through it.
-type executor func(context.Context, storeapi.Txn, []storeapi.Stmt) ([]storeapi.StmtResult, error)
+type ManagerOption func(*storeapi.Executor)
 
 // WithBatching makes the manager ship the independent statements of one
 // container operation as a single multi-statement exchange instead of
@@ -122,7 +115,7 @@ type executor func(context.Context, storeapi.Txn, []storeapi.Stmt) ([]storeapi.S
 // by default so the unbatched managers keep the paper's classic
 // per-statement access counts.
 func WithBatching(on bool) ManagerOption {
-	return func(x *executor) {
+	return func(x *storeapi.Executor) {
 		if on {
 			*x = storeapi.ExecBatch
 		} else {
@@ -131,45 +124,25 @@ func WithBatching(on bool) ManagerOption {
 	}
 }
 
-func newExecutor(opts []ManagerOption) executor {
-	x := executor(storeapi.ExecSerial)
+// newExecutor picks a manager's executor once, when it is built; every
+// exchange of its transactions goes through it.
+func newExecutor(opts []ManagerOption) storeapi.Executor {
+	x := storeapi.Executor(storeapi.ExecSerial)
 	for _, o := range opts {
 		o(&x)
 	}
 	return x
 }
 
-// run executes stmts and finds the first statement that failed (the
-// skipped markers that restate it only ever follow it). at is that
-// statement's index, or -1 when err is nil or the whole exchange failed.
-func (x executor) run(ctx context.Context, txn storeapi.Txn, stmts []storeapi.Stmt) ([]storeapi.StmtResult, int, error) {
-	results, err := x(ctx, txn, stmts)
-	if err != nil {
-		return nil, -1, err
-	}
-	for i, r := range results {
-		if r.Err != nil {
-			return results, i, r.Err
-		}
-	}
-	return results, -1, nil
-}
-
 // commit ends a transaction: the manager's write-back puts, then the
-// commit, as one exchange. A failed put is reported under what (the
-// manager's name for its write-back) with the row's key, and the
-// transaction is aborted whenever the trailing commit did not run.
-func (x executor) commit(ctx context.Context, txn storeapi.Txn, puts []storeapi.Stmt, what string) error {
+// commit, as one exchange (storeapi.Executor.Commit aborts unless the
+// commit ran). A failed put is reported under what, the manager's name
+// for its write-back, with the row's key.
+func commit(ctx context.Context, x storeapi.Executor, txn storeapi.Txn, puts []storeapi.Stmt, what string) error {
 	stmts := append(puts, storeapi.Stmt{Kind: storeapi.StmtCommit})
-	_, at, err := x.run(ctx, txn, stmts)
-	if err == nil {
-		return nil
-	}
-	if at != len(stmts)-1 {
-		_ = txn.Abort(ctx)
-		if at >= 0 {
-			err = fmt.Errorf("%s %s: %w", what, stmts[at].Mem.Key, err)
-		}
+	at, err := x.Commit(ctx, txn, stmts)
+	if at >= 0 && at < len(puts) {
+		err = fmt.Errorf("%s %s: %w", what, stmts[at].Mem.Key, err)
 	}
 	return err
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"sync/atomic"
 	"testing"
 
 	"edgeejb/internal/memento"
@@ -53,126 +52,16 @@ func itemRegistry(t *testing.T) *Registry {
 	return r
 }
 
-// countingConn wraps a storeapi.Conn, counting every statement that
-// would be a wire round trip (Begin, per-op, Commit/Abort, auto ops).
-type countingConn struct {
-	inner storeapi.Conn
-	ops   atomic.Int64
-}
-
-func (c *countingConn) Begin(ctx context.Context) (storeapi.Txn, error) {
-	c.ops.Add(1)
-	txn, err := c.inner.Begin(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return &countingTxn{inner: txn, ops: &c.ops}, nil
-}
-
-func (c *countingConn) AutoGet(ctx context.Context, table, id string) (storeapi.GetResult, error) {
-	c.ops.Add(1)
-	return c.inner.AutoGet(ctx, table, id)
-}
-
-func (c *countingConn) AutoQuery(ctx context.Context, q memento.Query) (storeapi.QueryResult, error) {
-	c.ops.Add(1)
-	return c.inner.AutoQuery(ctx, q)
-}
-
-func (c *countingConn) ApplyCommitSet(ctx context.Context, cs memento.CommitSet) (sqlstore.ApplyResult, error) {
-	c.ops.Add(1)
-	return c.inner.ApplyCommitSet(ctx, cs)
-}
-
-func (c *countingConn) ApplyCommitSets(ctx context.Context, sets []memento.CommitSet) ([]sqlstore.ApplySetResult, error) {
-	c.ops.Add(1)
-	return c.inner.ApplyCommitSets(ctx, sets)
-}
-
-func (c *countingConn) Subscribe(ctx context.Context) (<-chan sqlstore.Notice, func(), error) {
-	return c.inner.Subscribe(ctx)
-}
-
-func (c *countingConn) Close() error { return c.inner.Close() }
-
-type countingTxn struct {
-	inner storeapi.Txn
-	ops   *atomic.Int64
-}
-
-func (t *countingTxn) ID() uint64 { return t.inner.ID() }
-
-func (t *countingTxn) Get(ctx context.Context, table, id string) (storeapi.GetResult, error) {
-	t.ops.Add(1)
-	return t.inner.Get(ctx, table, id)
-}
-
-func (t *countingTxn) GetForUpdate(ctx context.Context, table, id string) (storeapi.GetResult, error) {
-	t.ops.Add(1)
-	return t.inner.GetForUpdate(ctx, table, id)
-}
-
-func (t *countingTxn) Put(ctx context.Context, m memento.Memento) error {
-	t.ops.Add(1)
-	return t.inner.Put(ctx, m)
-}
-
-func (t *countingTxn) Insert(ctx context.Context, m memento.Memento) error {
-	t.ops.Add(1)
-	return t.inner.Insert(ctx, m)
-}
-
-func (t *countingTxn) Delete(ctx context.Context, table, id string) error {
-	t.ops.Add(1)
-	return t.inner.Delete(ctx, table, id)
-}
-
-func (t *countingTxn) Query(ctx context.Context, q memento.Query) (storeapi.QueryResult, error) {
-	t.ops.Add(1)
-	return t.inner.Query(ctx, q)
-}
-
-func (t *countingTxn) CheckVersion(ctx context.Context, key memento.Key, version uint64) error {
-	t.ops.Add(1)
-	return t.inner.CheckVersion(ctx, key, version)
-}
-
-func (t *countingTxn) CheckedPut(ctx context.Context, m memento.Memento) error {
-	t.ops.Add(1)
-	return t.inner.CheckedPut(ctx, m)
-}
-
-func (t *countingTxn) CheckedDelete(ctx context.Context, key memento.Key, version uint64) error {
-	t.ops.Add(1)
-	return t.inner.CheckedDelete(ctx, key, version)
-}
-
-func (t *countingTxn) Commit(ctx context.Context) error {
-	t.ops.Add(1)
-	return t.inner.Commit(ctx)
-}
-
-func (t *countingTxn) Abort(ctx context.Context) error {
-	t.ops.Add(1)
-	return t.inner.Abort(ctx)
-}
-
-func (t *countingTxn) ExecBatch(ctx context.Context, stmts []storeapi.Stmt) ([]storeapi.StmtResult, error) {
-	if len(stmts) == 0 {
-		return nil, nil
-	}
-	t.ops.Add(1)
-	return storeapi.ExecBatch(ctx, t.inner, stmts)
-}
-
-func newStore(t *testing.T, items ...item) (*sqlstore.Store, *countingConn) {
+// newStore seeds a store and returns it with a handle that counts every
+// statement that would be a wire round trip.
+func newStore(t *testing.T, items ...item) (*sqlstore.Store, *storeapi.CountingConn) {
 	t.Helper()
 	store := sqlstore.New()
 	t.Cleanup(store.Close)
 	for _, it := range items {
 		store.Seed(it.ToMemento())
 	}
-	return store, &countingConn{inner: storeapi.Local(store)}
+	return store, storeapi.NewCountingConn(storeapi.Local(store))
 }
 
 func TestRegistryValidation(t *testing.T) {
@@ -340,7 +229,7 @@ func TestJDBCStatementCache(t *testing.T) {
 	_, conn := newStore(t, item{ID: "1", Owner: "a", N: 1})
 	c := NewContainer(itemRegistry(t), NewJDBCManager(conn))
 
-	before := conn.ops.Load()
+	before := conn.Ops()
 	err := c.Execute(context.Background(), func(tx *Tx) error {
 		for i := 0; i < 5; i++ {
 			if err := tx.Find(&item{ID: "1"}); err != nil {
@@ -353,7 +242,7 @@ func TestJDBCStatementCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	// begin + 1 get + commit = 3 statements.
-	if got := conn.ops.Load() - before; got != 3 {
+	if got := conn.Ops() - before; got != 3 {
 		t.Errorf("JDBC repeated find cost %d statements, want 3", got)
 	}
 }
@@ -364,7 +253,7 @@ func TestBMPDoubleLoadAndUnconditionalStore(t *testing.T) {
 	_, conn := newStore(t, item{ID: "1", Owner: "a", N: 1})
 	c := NewContainer(itemRegistry(t), NewBMPManager(conn))
 
-	before := conn.ops.Load()
+	before := conn.Ops()
 	err := c.Execute(context.Background(), func(tx *Tx) error {
 		return tx.Find(&item{ID: "1"}) // read-only access
 	})
@@ -372,7 +261,7 @@ func TestBMPDoubleLoadAndUnconditionalStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	// begin + get + get + put(ejbStore of a CLEAN bean) + commit = 5.
-	if got := conn.ops.Load() - before; got != 5 {
+	if got := conn.Ops() - before; got != 5 {
 		t.Errorf("BMP read-only find cost %d statements, want 5", got)
 	}
 }
@@ -388,7 +277,7 @@ func TestBMPFinderNPlusOne(t *testing.T) {
 	_, conn := newStore(t, items...)
 	c := NewContainer(itemRegistry(t), NewBMPManager(conn))
 
-	before := conn.ops.Load()
+	before := conn.Ops()
 	err := c.Execute(context.Background(), func(tx *Tx) error {
 		ents, err := tx.FindWhere(memento.Query{
 			Table: "item",
@@ -406,8 +295,8 @@ func TestBMPFinderNPlusOne(t *testing.T) {
 		t.Fatal(err)
 	}
 	// begin + query + N gets + N ejbStores + commit.
-	want := int64(1 + 1 + n + n + 1)
-	if got := conn.ops.Load() - before; got != want {
+	want := uint64(1 + 1 + n + n + 1)
+	if got := conn.Ops() - before; got != want {
 		t.Errorf("BMP finder cost %d statements, want %d", got, want)
 	}
 }
@@ -421,7 +310,7 @@ func TestJDBCFinderReusesSelect(t *testing.T) {
 	)
 	c := NewContainer(itemRegistry(t), NewJDBCManager(conn))
 
-	before := conn.ops.Load()
+	before := conn.Ops()
 	err := c.Execute(context.Background(), func(tx *Tx) error {
 		if _, err := tx.FindWhere(memento.Query{
 			Table: "item",
@@ -437,7 +326,7 @@ func TestJDBCFinderReusesSelect(t *testing.T) {
 		t.Fatal(err)
 	}
 	// begin + query + commit = 3.
-	if got := conn.ops.Load() - before; got != 3 {
+	if got := conn.Ops() - before; got != 3 {
 		t.Errorf("JDBC finder+find cost %d statements, want 3", got)
 	}
 }
@@ -534,7 +423,7 @@ func TestFindSeveralEntities(t *testing.T) {
 	}
 
 	// A plain DataTx: statements in argument order, none after a failure.
-	before := conn.ops.Load()
+	before := conn.Ops()
 	c, ghost, d := &item{ID: "2"}, &item{ID: "ghost"}, &item{ID: "1"}
 	err = (&Tx{ctx: ctx, dt: dt}).Find(c, ghost, d)
 	if !IsNotFound(err) {
@@ -545,7 +434,7 @@ func TestFindSeveralEntities(t *testing.T) {
 	}
 	// "2" and "1" are in the statement cache by now; only the ghost's
 	// SELECT reaches the store.
-	if got := conn.ops.Load() - before; got != 1 {
+	if got := conn.Ops() - before; got != 1 {
 		t.Errorf("serial Find issued %d statements, want 1", got)
 	}
 }

@@ -16,7 +16,7 @@ import (
 // are written back.
 type JDBCManager struct {
 	conn storeapi.Conn
-	exec executor
+	exec storeapi.Executor
 }
 
 var _ ResourceManager = (*JDBCManager)(nil)
@@ -46,7 +46,7 @@ func (m *JDBCManager) Begin(ctx context.Context) (DataTx, error) {
 
 type jdbcTx struct {
 	txn   storeapi.Txn
-	exec  executor
+	exec  storeapi.Executor
 	cache map[memento.Key]memento.Memento // rows read or written this tx
 	dirty map[memento.Key]memento.Memento // rows to UPDATE at commit
 }
@@ -106,7 +106,7 @@ func (t *jdbcTx) Commit(ctx context.Context) error {
 	for _, m := range t.dirty {
 		puts = append(puts, storeapi.Stmt{Kind: storeapi.StmtPut, Mem: m})
 	}
-	return t.exec.commit(ctx, t.txn, puts, "jdbc: write-back")
+	return commit(ctx, t.exec, t.txn, puts, "jdbc: write-back")
 }
 
 func (t *jdbcTx) Abort(ctx context.Context) error {

@@ -1,0 +1,118 @@
+package dbwire
+
+import (
+	"context"
+	"testing"
+
+	"edgeejb/internal/memento"
+	"edgeejb/internal/storeapi"
+)
+
+// opBytes is one op label's traffic as the client's transport counts
+// it, frame length prefixes included.
+type opBytes struct {
+	Count, Sent, Received uint64
+}
+
+// pinnedStmts is one statement of each of the eleven kinds but Abort,
+// in an order whose every statement succeeds on the rows stmtBytes
+// seeds: reads first, then writes, then Commit.
+func pinnedStmts() []storeapi.Stmt {
+	row := func(id string, v uint64, n int64) memento.Memento {
+		return memento.Memento{
+			Key:     memento.Key{Table: "t", ID: id},
+			Version: v,
+			Fields:  memento.Fields{"v": memento.Int(n), "s": memento.String("pinned")},
+		}
+	}
+	return []storeapi.Stmt{
+		{Kind: storeapi.StmtGet, Table: "t", ID: "1"},
+		{Kind: storeapi.StmtGetForUpdate, Table: "t", ID: "2"},
+		{Kind: storeapi.StmtQuery, Query: memento.Query{Table: "t", Where: []memento.Predicate{
+			{Field: "v", Op: memento.OpGe, Value: memento.Int(20)},
+		}}},
+		{Kind: storeapi.StmtPut, Mem: row("1", 0, 11)},
+		{Kind: storeapi.StmtInsert, Mem: row("9", 0, 90)},
+		{Kind: storeapi.StmtDelete, Table: "t", ID: "3"},
+		{Kind: storeapi.StmtCheckVersion, Key: memento.Key{Table: "t", ID: "2"}, Version: 1},
+		{Kind: storeapi.StmtCheckedPut, Mem: row("2", 1, 21)},
+		{Kind: storeapi.StmtCheckedDelete, Key: memento.Key{Table: "t", ID: "4"}, Version: 1},
+		{Kind: storeapi.StmtCommit},
+	}
+}
+
+// stmtBytes drives the eleven statement kinds over a fresh loopback
+// pair: pinnedStmts in one transaction, then Abort in a second, either
+// one round trip per statement or each transaction's statements as one
+// OpBatch. It returns the client's per-op counters.
+func stmtBytes(t *testing.T, batched bool) map[string]opBytes {
+	t.Helper()
+	store, c := newPair(t)
+	for i, id := range []string{"1", "2", "3", "4"} {
+		seed(store, "t", id, int64(10*(i+1)))
+	}
+	ctx := context.Background()
+	for _, stmts := range [][]storeapi.Stmt{pinnedStmts(), {{Kind: storeapi.StmtAbort}}} {
+		txn, err := c.Begin(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exec := storeapi.ExecSerial
+		if batched {
+			exec = storeapi.ExecBatch
+		}
+		results, err := exec(ctx, txn, stmts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range results {
+			if r.Err != nil {
+				t.Fatalf("statement %d (kind %d): %v", i, stmts[i].Kind, r.Err)
+			}
+		}
+	}
+	out := make(map[string]opBytes)
+	for label, s := range c.WireStats().Ops {
+		out[label] = opBytes{Count: s.Count, Sent: s.BytesSent, Received: s.BytesReceived}
+	}
+	return out
+}
+
+// TestStatementWireBytes pins what every statement kind costs on the
+// wire, sent serially and inside an OpBatch: any change to an op code,
+// a field, the sub-request encoding or a reply moves one of these.
+func TestStatementWireBytes(t *testing.T) {
+	// A change to any of these numbers is a protocol change, not a
+	// refactor: it moves bytes on the slow path Figure 8 weighs.
+	want := map[bool]map[string]opBytes{
+		false: {
+			"Begin":         {2, 16, 18},
+			"Get":           {1, 13, 26},
+			"GetForUpdate":  {1, 13, 26},
+			"Query":         {1, 20, 68},
+			"Put":           {1, 30, 8},
+			"Insert":        {1, 31, 8},
+			"Delete":        {1, 13, 8},
+			"CheckVersion":  {1, 14, 8},
+			"CheckedPut":    {1, 30, 8},
+			"CheckedDelete": {1, 14, 8},
+			"Commit":        {1, 9, 9},
+			"Abort":         {1, 9, 8},
+		},
+		true: {
+			"Begin": {2, 16, 18},
+			"Batch": {2, 141, 139},
+		},
+	}
+	for _, batched := range []bool{false, true} {
+		got := stmtBytes(t, batched)
+		if len(got) != len(want[batched]) {
+			t.Errorf("batched=%v: ops %v, want %v", batched, got, want[batched])
+		}
+		for label, w := range want[batched] {
+			if g := got[label]; g != w {
+				t.Errorf("batched=%v: %s = %+v, want %+v", batched, label, g, w)
+			}
+		}
+	}
+}

@@ -110,34 +110,51 @@ func (r *handshakeRetry) next(ctx context.Context, c *Client, op OpCode, reused 
 	return true
 }
 
-// Begin starts a remote transaction, pinning a connection until the
-// transaction commits or aborts. Stale pooled connections and transient
-// transport failures are retried under the client's policy.
-func (c *Client) Begin(ctx context.Context) (storeapi.Txn, error) {
+// pin opens a pinned stream and runs op's handshake on it, retrying
+// stale pooled streams and transient transport failures under the
+// client's policy. prepare, when non-nil, runs on every fresh stream
+// before the handshake is sent.
+func (c *Client) pin(ctx context.Context, op OpCode, prepare func(*wire.Stream)) (*wire.Stream, *Response, error) {
 	retry := handshakeRetry{pol: c.w.RetryPolicy()}
 	for {
 		st, err := c.w.OpenStream(ctx)
 		if err != nil {
-			if retry.next(ctx, c, OpBegin, false, err) {
+			if retry.next(ctx, c, op, false, err) {
 				continue
 			}
-			return nil, err
+			return nil, nil, err
+		}
+		if prepare != nil {
+			prepare(st)
 		}
 		resp := new(Response)
-		if err := st.Call(ctx, &Request{Op: OpBegin}, resp); err != nil {
+		if err := st.Call(ctx, &Request{Op: op}, resp); err != nil {
 			reused := st.Reused()
 			st.Hangup()
-			if retry.next(ctx, c, OpBegin, reused, err) {
+			if retry.next(ctx, c, op, reused, err) {
 				continue
 			}
-			return nil, fmt.Errorf("dbwire: %s: %w", OpBegin, err)
+			return nil, nil, fmt.Errorf("dbwire: %s: %w", op, err)
 		}
 		if err := decodeErr(resp); err != nil {
 			st.Close()
-			return nil, err
+			return nil, nil, err
 		}
-		return &remoteTxn{st: st, id: resp.Tx}, nil
+		return st, resp, nil
 	}
+}
+
+// Begin starts a remote transaction, pinning a connection until the
+// transaction commits or aborts. Stale pooled connections and transient
+// transport failures are retried under the client's policy.
+func (c *Client) Begin(ctx context.Context) (storeapi.Txn, error) {
+	st, resp, err := c.pin(ctx, OpBegin, nil)
+	if err != nil {
+		return nil, err
+	}
+	t := &remoteTxn{st: st}
+	t.StmtTxn = storeapi.StmtTxn{TxID: resp.Tx, Execer: t}
+	return t, nil
 }
 
 // ApplyCommitSet ships a whole optimistic commit set in ONE round trip —
@@ -283,68 +300,64 @@ func (c *Client) AutoQuery(ctx context.Context, q memento.Query) (storeapi.Query
 // invalidation stream. The returned channel closes when cancel is called
 // or the connection drops. Stale pooled connections and transient
 // transport failures are retried under the client's policy.
+//
+// A subscriber that falls a full buffer behind loses its stream rather
+// than a notice: commit validation re-proves the rows a transaction
+// read, not a finder's predicate, so a dropped notice could leave a
+// finder-cache entry missing a new row indefinitely. Closing the
+// channel makes the subscriber flush and resubscribe, as after any lost
+// stream.
 func (c *Client) Subscribe(ctx context.Context) (<-chan sqlstore.Notice, func(), error) {
-	retry := handshakeRetry{pol: c.w.RetryPolicy()}
-	for {
-		st, err := c.w.OpenStream(ctx)
-		if err != nil {
-			if retry.next(ctx, c, OpSubscribe, false, err) {
-				continue
-			}
-			return nil, nil, err
-		}
-		ch := make(chan sqlstore.Notice, 64)
-		// The sink must be in place before the subscribe call: the
-		// server may push a notice immediately after the ack.
+	var ch chan sqlstore.Notice
+	// The sink must be in place before the subscribe call: the server
+	// may push a notice immediately after the ack. Each attempt's sink
+	// owns its own channel: a failed attempt's teardown can still be
+	// closing it while the retry prepares the next.
+	st, _, err := c.pin(ctx, OpSubscribe, func(st *wire.Stream) {
+		own := make(chan sqlstore.Notice, 64)
+		ch = own
+		overflowed := false
 		st.OnPush(
 			func() any { return new(Response) },
 			func(v any) {
+				if overflowed {
+					return
+				}
 				select {
-				case ch <- v.(*Response).Notice:
+				case own <- v.(*Response).Notice:
 				default:
-					// Drop rather than stall the stream; notices are hints.
+					// deliver runs under the sink lock that the hangup's
+					// teardown takes, so the hangup runs on its own.
+					overflowed = true
+					go st.Hangup()
 				}
 			},
-			func() { close(ch) },
+			func() { close(own) },
 		)
-		resp := new(Response)
-		if err := st.Call(ctx, &Request{Op: OpSubscribe}, resp); err != nil {
-			reused := st.Reused()
-			st.Hangup()
-			if retry.next(ctx, c, OpSubscribe, reused, err) {
-				continue
-			}
-			return nil, nil, fmt.Errorf("dbwire: %s: %w", OpSubscribe, err)
-		}
-		if err := decodeErr(resp); err != nil {
-			st.Hangup()
-			return nil, nil, err
-		}
-		return ch, st.Hangup, nil
+	})
+	if err != nil {
+		return nil, nil, err
 	}
+	return ch, st.Hangup, nil
 }
 
-// remoteTxn drives one server-side transaction over a pinned stream.
+// remoteTxn drives one server-side transaction over a pinned stream:
+// every statement is one round trip (Exec), a batch one for the lot
+// (ExecBatch).
 type remoteTxn struct {
+	storeapi.StmtTxn
 	st     *wire.Stream
-	id     uint64
 	done   bool
 	broken bool
 }
 
-var (
-	_ storeapi.Txn      = (*remoteTxn)(nil)
-	_ storeapi.BatchTxn = (*remoteTxn)(nil)
-)
-
-// ID returns the datastore transaction identifier assigned at Begin.
-func (t *remoteTxn) ID() uint64 { return t.id }
+var _ storeapi.BatchTxn = (*remoteTxn)(nil)
 
 func (t *remoteTxn) call(ctx context.Context, req *Request) (*Response, error) {
 	if t.done {
 		return nil, sqlstore.ErrTxDone
 	}
-	req.Tx = t.id
+	req.Tx = t.TxID
 	resp := new(Response)
 	if err := t.st.Call(ctx, req, resp); err != nil {
 		// The connection is unusable; the server aborts the transaction
@@ -352,9 +365,6 @@ func (t *remoteTxn) call(ctx context.Context, req *Request) (*Response, error) {
 		t.broken = true
 		t.finish()
 		return nil, fmt.Errorf("dbwire: %s: %w", req.Op, err)
-	}
-	if derr := decodeErr(resp); derr != nil {
-		return nil, derr
 	}
 	return resp, nil
 }
@@ -371,100 +381,36 @@ func (t *remoteTxn) finish() {
 	}
 }
 
-func (t *remoteTxn) Get(ctx context.Context, table, id string) (storeapi.GetResult, error) {
-	resp, err := t.call(ctx, &Request{Op: OpGet, Table: table, ID: id})
+// Exec sends one statement and waits for its reply. Commit and Abort
+// release the pinned stream whatever the outcome.
+func (t *remoteTxn) Exec(ctx context.Context, st storeapi.Stmt) storeapi.StmtResult {
+	req, err := requestOf(st)
 	if err != nil {
-		return storeapi.GetResult{}, err
+		return storeapi.StmtResult{Err: err}
 	}
-	return getResult(resp, table, id), nil
-}
-
-func (t *remoteTxn) GetForUpdate(ctx context.Context, table, id string) (storeapi.GetResult, error) {
-	resp, err := t.call(ctx, &Request{Op: OpGetForUpdate, Table: table, ID: id})
+	resp, err := t.call(ctx, &req)
+	if st.Ends() {
+		t.finish()
+	}
 	if err != nil {
-		return storeapi.GetResult{}, err
+		return storeapi.StmtResult{Err: err}
 	}
-	return getResult(resp, table, id), nil
+	return stmtResult(st, resp)
 }
 
-func (t *remoteTxn) Put(ctx context.Context, m memento.Memento) error {
-	_, err := t.call(ctx, &Request{Op: OpPut, Mem: m})
-	return err
-}
-
-func (t *remoteTxn) Insert(ctx context.Context, m memento.Memento) error {
-	_, err := t.call(ctx, &Request{Op: OpInsert, Mem: m})
-	return err
-}
-
-func (t *remoteTxn) Delete(ctx context.Context, table, id string) error {
-	_, err := t.call(ctx, &Request{Op: OpDelete, Table: table, ID: id})
-	return err
-}
-
-func (t *remoteTxn) Query(ctx context.Context, q memento.Query) (storeapi.QueryResult, error) {
-	resp, err := t.call(ctx, &Request{Op: OpQuery, Query: q})
-	if err != nil {
-		return storeapi.QueryResult{}, err
+// stmtResult is a statement reply in storeapi's shape.
+func stmtResult(st storeapi.Stmt, resp *Response) storeapi.StmtResult {
+	if err := decodeErr(resp); err != nil {
+		return storeapi.StmtResult{Err: err}
 	}
-	return queryResult(resp, q), nil
-}
-
-func (t *remoteTxn) CheckVersion(ctx context.Context, key memento.Key, version uint64) error {
-	_, err := t.call(ctx, &Request{Op: OpCheckVersion, Key: key, Version: version})
-	return err
-}
-
-func (t *remoteTxn) CheckedPut(ctx context.Context, m memento.Memento) error {
-	_, err := t.call(ctx, &Request{Op: OpCheckedPut, Mem: m})
-	return err
-}
-
-func (t *remoteTxn) CheckedDelete(ctx context.Context, key memento.Key, version uint64) error {
-	_, err := t.call(ctx, &Request{Op: OpCheckedDelete, Key: key, Version: version})
-	return err
-}
-
-func (t *remoteTxn) Commit(ctx context.Context) error {
-	_, err := t.call(ctx, &Request{Op: OpCommit})
-	t.finish()
-	return err
-}
-
-func (t *remoteTxn) Abort(ctx context.Context) error {
-	_, err := t.call(ctx, &Request{Op: OpAbort})
-	t.finish()
-	return err
-}
-
-// stmtRequest maps one batch statement to its wire sub-request.
-func stmtRequest(st storeapi.Stmt) (Request, error) {
+	var r storeapi.StmtResult
 	switch st.Kind {
-	case storeapi.StmtGet:
-		return Request{Op: OpGet, Table: st.Table, ID: st.ID}, nil
-	case storeapi.StmtGetForUpdate:
-		return Request{Op: OpGetForUpdate, Table: st.Table, ID: st.ID}, nil
+	case storeapi.StmtGet, storeapi.StmtGetForUpdate:
+		r.Get = getResult(resp, st.Table, st.ID)
 	case storeapi.StmtQuery:
-		return Request{Op: OpQuery, Query: st.Query}, nil
-	case storeapi.StmtPut:
-		return Request{Op: OpPut, Mem: st.Mem}, nil
-	case storeapi.StmtInsert:
-		return Request{Op: OpInsert, Mem: st.Mem}, nil
-	case storeapi.StmtDelete:
-		return Request{Op: OpDelete, Table: st.Table, ID: st.ID}, nil
-	case storeapi.StmtCheckVersion:
-		return Request{Op: OpCheckVersion, Key: st.Key, Version: st.Version}, nil
-	case storeapi.StmtCheckedPut:
-		return Request{Op: OpCheckedPut, Mem: st.Mem}, nil
-	case storeapi.StmtCheckedDelete:
-		return Request{Op: OpCheckedDelete, Key: st.Key, Version: st.Version}, nil
-	case storeapi.StmtCommit:
-		return Request{Op: OpCommit}, nil
-	case storeapi.StmtAbort:
-		return Request{Op: OpAbort}, nil
-	default:
-		return Request{}, fmt.Errorf("dbwire: unbatchable statement kind %d", st.Kind)
+		r.Q = queryResult(resp, st.Query)
 	}
+	return r
 }
 
 // ExecBatch ships the whole statement sequence as one OpBatch frame —
@@ -477,27 +423,22 @@ func (t *remoteTxn) ExecBatch(ctx context.Context, stmts []storeapi.Stmt) ([]sto
 	if len(stmts) == 0 {
 		return nil, nil
 	}
-	if t.done {
-		return nil, sqlstore.ErrTxDone
-	}
 	// Sub-requests leave Tx zero: the server runs them under the batch's,
 	// and the field mask then keeps it off the wire.
-	req := &Request{Op: OpBatch, Tx: t.id, Batch: make([]Request, len(stmts))}
+	req := &Request{Op: OpBatch, Batch: make([]Request, len(stmts))}
 	for i := range stmts {
-		sub, err := stmtRequest(stmts[i])
+		sub, err := requestOf(stmts[i])
 		if err != nil {
 			return nil, err
 		}
 		req.Batch[i] = sub
 	}
-	resp := new(Response)
-	if err := t.st.Call(ctx, req, resp); err != nil {
-		t.broken = true
-		t.finish()
-		return nil, fmt.Errorf("dbwire: %s: %w", OpBatch, err)
+	resp, err := t.call(ctx, req)
+	if err != nil {
+		return nil, err
 	}
-	if derr := decodeErr(resp); derr != nil {
-		return nil, derr
+	if err := decodeErr(resp); err != nil {
+		return nil, err
 	}
 	out := make([]storeapi.StmtResult, len(stmts))
 	for i := range stmts {
@@ -505,23 +446,12 @@ func (t *remoteTxn) ExecBatch(ctx context.Context, stmts []storeapi.Stmt) ([]sto
 			out[i].Err = storeapi.ErrStmtSkipped
 			continue
 		}
-		sub := &resp.Batch[i]
-		if err := decodeErr(sub); err != nil {
-			out[i].Err = err
-			continue
-		}
-		switch stmts[i].Kind {
-		case storeapi.StmtGet, storeapi.StmtGetForUpdate:
-			out[i].Get = getResult(sub, stmts[i].Table, stmts[i].ID)
-		case storeapi.StmtQuery:
-			out[i].Q = queryResult(sub, stmts[i].Query)
-		}
+		out[i] = stmtResult(stmts[i], &resp.Batch[i])
 	}
 	// A trailing Commit/Abort that actually executed (whether it
 	// succeeded or conflicted) ended the server-side transaction; release
 	// the pinned stream to match.
-	last := stmts[len(stmts)-1].Kind
-	if (last == storeapi.StmtCommit || last == storeapi.StmtAbort) && len(resp.Batch) == len(stmts) {
+	if stmts[len(stmts)-1].Ends() && len(resp.Batch) == len(stmts) {
 		t.finish()
 	}
 	return out, nil

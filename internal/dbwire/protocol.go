@@ -8,6 +8,7 @@ import (
 
 	"edgeejb/internal/memento"
 	"edgeejb/internal/sqlstore"
+	"edgeejb/internal/storeapi"
 )
 
 // OpCode identifies a request operation.
@@ -50,56 +51,65 @@ const (
 	OpAbortPrepared
 )
 
+// ops names every op and pairs each of the eleven statement ops with
+// the storeapi statement kind it carries: the one table that knows which
+// op a statement travels as.
+var ops = [...]struct {
+	name string
+	kind storeapi.StmtKind
+}{
+	OpBegin:           {"Begin", 0},
+	OpGet:             {"Get", storeapi.StmtGet},
+	OpGetForUpdate:    {"GetForUpdate", storeapi.StmtGetForUpdate},
+	OpPut:             {"Put", storeapi.StmtPut},
+	OpInsert:          {"Insert", storeapi.StmtInsert},
+	OpDelete:          {"Delete", storeapi.StmtDelete},
+	OpQuery:           {"Query", storeapi.StmtQuery},
+	OpCheckVersion:    {"CheckVersion", storeapi.StmtCheckVersion},
+	OpCheckedPut:      {"CheckedPut", storeapi.StmtCheckedPut},
+	OpCheckedDelete:   {"CheckedDelete", storeapi.StmtCheckedDelete},
+	OpCommit:          {"Commit", storeapi.StmtCommit},
+	OpAbort:           {"Abort", storeapi.StmtAbort},
+	OpApplyCommitSet:  {"ApplyCommitSet", 0},
+	OpSubscribe:       {"Subscribe", 0},
+	OpPing:            {"Ping", 0},
+	OpAutoGet:         {"AutoGet", 0},
+	OpAutoQuery:       {"AutoQuery", 0},
+	OpBatch:           {"Batch", 0},
+	OpApplyCommitSets: {"ApplyCommitSets", 0},
+	OpPrepare:         {"Prepare", 0},
+	OpCommitPrepared:  {"CommitPrepared", 0},
+	OpAbortPrepared:   {"AbortPrepared", 0},
+}
+
 // String returns the operation name.
 func (o OpCode) String() string {
-	switch o {
-	case OpBegin:
-		return "Begin"
-	case OpGet:
-		return "Get"
-	case OpGetForUpdate:
-		return "GetForUpdate"
-	case OpPut:
-		return "Put"
-	case OpInsert:
-		return "Insert"
-	case OpDelete:
-		return "Delete"
-	case OpQuery:
-		return "Query"
-	case OpCheckVersion:
-		return "CheckVersion"
-	case OpCheckedPut:
-		return "CheckedPut"
-	case OpCheckedDelete:
-		return "CheckedDelete"
-	case OpCommit:
-		return "Commit"
-	case OpAbort:
-		return "Abort"
-	case OpApplyCommitSet:
-		return "ApplyCommitSet"
-	case OpSubscribe:
-		return "Subscribe"
-	case OpPing:
-		return "Ping"
-	case OpAutoGet:
-		return "AutoGet"
-	case OpAutoQuery:
-		return "AutoQuery"
-	case OpBatch:
-		return "Batch"
-	case OpApplyCommitSets:
-		return "ApplyCommitSets"
-	case OpPrepare:
-		return "Prepare"
-	case OpCommitPrepared:
-		return "CommitPrepared"
-	case OpAbortPrepared:
-		return "AbortPrepared"
-	default:
-		return fmt.Sprintf("OpCode(%d)", uint8(o))
+	if int(o) < len(ops) && ops[o].name != "" {
+		return ops[o].name
 	}
+	return fmt.Sprintf("OpCode(%d)", uint8(o))
+}
+
+// requestOf is st as the request that carries it. A Stmt's fields are
+// a Request's, so the kind picks the op and the rest is copied as is.
+func requestOf(st storeapi.Stmt) (Request, error) {
+	for op := range ops {
+		if k := ops[op].kind; k != 0 && k == st.Kind {
+			return Request{Op: OpCode(op), Table: st.Table, ID: st.ID, Key: st.Key,
+				Version: st.Version, Mem: st.Mem, Query: st.Query}, nil
+		}
+	}
+	return Request{}, fmt.Errorf("dbwire: unknown statement kind %d", st.Kind)
+}
+
+// stmt is the statement a request carries; ok is false for an op that
+// is not one statement of a transaction.
+func (r *Request) stmt() (st storeapi.Stmt, ok bool) {
+	if int(r.Op) >= len(ops) || ops[r.Op].kind == 0 {
+		return storeapi.Stmt{}, false
+	}
+	return storeapi.Stmt{Kind: ops[r.Op].kind, Table: r.Table, ID: r.ID, Key: r.Key,
+		Version: r.Version, Mem: r.Mem, Query: r.Query}, true
 }
 
 // Request is one client-to-server message. Fields beyond Op are

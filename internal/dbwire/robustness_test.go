@@ -2,10 +2,14 @@ package dbwire
 
 import (
 	"context"
+	"io"
 	"net"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"edgeejb/internal/memento"
 	"edgeejb/internal/sqlstore"
 	"edgeejb/internal/storeapi"
 	"edgeejb/internal/trade"
@@ -112,6 +116,196 @@ func TestUnknownTransactionRejected(t *testing.T) {
 		if resp.Code != CodeBadRequest {
 			t.Errorf("%s on unknown tx: code %v, want BadRequest", op, resp.Code)
 		}
+	}
+}
+
+// TestBatchCarriesOnlyItsOwnStatements: an OpBatch runs statements of
+// the one transaction it names, Commit or Abort last if at all. A batch
+// holding anything else — another open transaction's statement, an op
+// that is no statement, a statement after the commit — is refused
+// before any of it runs, so its leading Put never reaches the store.
+func TestBatchCarriesOnlyItsOwnStatements(t *testing.T) {
+	put := func(id string, tx uint64) Request {
+		return Request{Op: OpPut, Tx: tx, Mem: memento.Memento{
+			Key: memento.Key{Table: "t", ID: id}, Fields: memento.Fields{"v": memento.Int(99)},
+		}}
+	}
+	apply := Request{Op: OpApplyCommitSet, Set: memento.CommitSet{Writes: []memento.Memento{{
+		Key: memento.Key{Table: "t", ID: "2"}, Version: 1, Fields: memento.Fields{"v": memento.Int(99)},
+	}}}}
+	cases := map[string]func(other uint64) []Request{
+		"another transaction's statement": func(other uint64) []Request { return []Request{put("1", 0), put("2", other)} },
+		"an autocommit op":                func(uint64) []Request { return []Request{put("1", 0), apply} },
+		"a begin":                         func(uint64) []Request { return []Request{put("1", 0), {Op: OpBegin}} },
+		"a statement after the commit":    func(uint64) []Request { return []Request{put("1", 0), {Op: OpCommit}, put("2", 0)} },
+	}
+	for name, subs := range cases {
+		t.Run(name, func(t *testing.T) {
+			store, srv := startServer(t)
+			seed(store, "t", "1", 1)
+			seed(store, "t", "2", 2)
+			ctx := context.Background()
+			w := wire.NewClient(srv.Addr())
+			defer w.Close()
+			st, err := w.OpenStream(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Hangup()
+			call := func(req *Request) *Response {
+				t.Helper()
+				resp := new(Response)
+				if err := st.Call(ctx, req, resp); err != nil {
+					t.Fatal(err)
+				}
+				return resp
+			}
+			own, other := call(&Request{Op: OpBegin}).Tx, call(&Request{Op: OpBegin}).Tx
+			if resp := call(&Request{Op: OpBatch, Tx: own, Batch: subs(other)}); resp.Code != CodeBadRequest || len(resp.Batch) != 0 {
+				t.Errorf("batch answered %v with %d results, want BadRequest and none", resp.Code, len(resp.Batch))
+			}
+			call(&Request{Op: OpCommit, Tx: own})
+			call(&Request{Op: OpCommit, Tx: other})
+			for _, id := range []string{"1", "2"} {
+				if v, _ := store.CurrentVersion(memento.Key{Table: "t", ID: id}); v != 1 {
+					t.Errorf("row %s at version %d after a refused batch, want 1", id, v)
+				}
+			}
+		})
+	}
+}
+
+// cutProxy forwards TCP connections to target. An armed connection is
+// cut — both legs closed, nothing forwarded — the next time its client
+// sends, so a call on it dies mid-flight.
+type cutProxy struct {
+	ln     net.Listener
+	target string
+
+	mu    sync.Mutex
+	armed []*atomic.Bool // one per accepted connection, in accept order
+}
+
+func startCutProxy(t *testing.T, target string) *cutProxy {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &cutProxy{ln: ln, target: target}
+	t.Cleanup(func() { _ = ln.Close() })
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			s, err := net.Dial("tcp", target)
+			if err != nil {
+				_ = c.Close()
+				continue
+			}
+			armed := new(atomic.Bool)
+			p.mu.Lock()
+			p.armed = append(p.armed, armed)
+			p.mu.Unlock()
+			go func() { _, _ = io.Copy(c, s); _ = c.Close() }()
+			go func() {
+				defer c.Close()
+				defer s.Close()
+				buf := make([]byte, 4096)
+				for {
+					n, err := c.Read(buf)
+					if err != nil || armed.Load() {
+						return
+					}
+					if _, err := s.Write(buf[:n]); err != nil {
+						return
+					}
+				}
+			}()
+		}
+	}()
+	return p
+}
+
+// armLatest arms the most recently accepted connection.
+func (p *cutProxy) armLatest() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.armed[len(p.armed)-1].Store(true)
+}
+
+// TestSubscribeRetryKeepsItsOwnChannel: a Subscribe handshake that dies
+// mid-call on a pooled stream is retried at once on the next pooled
+// stream, while the dead stream's teardown is still closing its sink.
+// The channel Subscribe returns belongs to the retry alone: it stays
+// open, carries notices, and closes exactly once on cancel. Run under
+// -race; the retry and the teardown race, so the scenario repeats.
+func TestSubscribeRetryKeepsItsOwnChannel(t *testing.T) {
+	store, srv := startServer(t)
+	seed(store, "t", "1", 1)
+	proxy := startCutProxy(t, srv.Addr())
+	ctx := context.Background()
+	for i := uint64(1); i <= 30; i++ {
+		client := Dial(proxy.ln.Addr().String())
+		// Two pooled pinned streams: the later one is handed out first.
+		first, err := client.Begin(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		second, err := client.Begin(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = first.Abort(ctx)
+		_ = second.Abort(ctx)
+		proxy.armLatest()
+
+		ch, cancel, err := client.Subscribe(ctx)
+		if err != nil {
+			t.Fatalf("round %d: subscribe: %v", i, err)
+		}
+		if r := client.WireStats().Retries; r != 1 {
+			t.Fatalf("round %d: %d handshake retries, want 1", i, r)
+		}
+		// The cut stream's teardown has finished once it is uncounted.
+		deadline := time.After(5 * time.Second)
+		for client.NumConns() != 1 {
+			select {
+			case <-deadline:
+				t.Fatalf("round %d: %d connections open, want the subscription's alone", i, client.NumConns())
+			case <-time.After(time.Millisecond):
+			}
+		}
+		select {
+		case _, ok := <-ch:
+			t.Fatalf("round %d: channel read (open=%v) before any commit", i, ok)
+		default:
+		}
+		if _, err := store.ApplyCommitSet(ctx, memento.CommitSet{Writes: []memento.Memento{{
+			Key: memento.Key{Table: "t", ID: "1"}, Version: i, Fields: memento.Fields{"v": memento.Int(int64(i))},
+		}}}); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case _, ok := <-ch:
+			if !ok {
+				t.Fatalf("round %d: channel closed, want the commit's notice", i)
+			}
+		case <-deadline:
+			t.Fatalf("round %d: no notice", i)
+		}
+		cancel()
+		select {
+		case _, ok := <-ch:
+			if ok {
+				t.Fatalf("round %d: notice after cancel", i)
+			}
+		case <-deadline:
+			t.Fatalf("round %d: channel not closed after cancel", i)
+		}
+		_ = client.Close()
 	}
 }
 

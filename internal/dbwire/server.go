@@ -2,6 +2,7 @@ package dbwire
 
 import (
 	"context"
+	"fmt"
 	"sync"
 
 	"edgeejb/internal/storeapi"
@@ -68,25 +69,31 @@ func (h *connHandler) Handle(ctx context.Context, sess *wire.Session, id uint64,
 	return h.handle(ctx, r)
 }
 
-// batch executes an OpBatch's sub-requests sequentially, stopping at
-// the first failure — the exact semantics of the statements arriving
-// one frame at a time, minus the per-statement round trips. Sub-request
-// results come back positionally; a truncated result slice tells the
-// client the remaining statements never ran.
+// batch runs an OpBatch: the statements of the transaction it names,
+// executed in order and stopping at the first failure — the exact
+// semantics of the statements arriving one frame at a time, minus the
+// per-statement round trips. Sub-request results come back
+// positionally; a truncated result slice tells the client the remaining
+// statements never ran. A batch carrying anything but statements of its
+// own transaction, or a statement after its Commit or Abort, is refused
+// before any of it runs.
 func (h *connHandler) batch(ctx context.Context, req *Request) *Response {
-	out := &Response{Code: CodeOK, Batch: make([]Response, 0, len(req.Batch))}
 	for i := range req.Batch {
 		sub := &req.Batch[i]
-		switch sub.Op {
-		case OpBegin, OpSubscribe, OpBatch, OpApplyCommitSets,
-			OpPrepare, OpCommitPrepared, OpAbortPrepared:
-			return &Response{Code: CodeBadRequest, Msg: "op " + sub.Op.String() + " not allowed in a batch"}
+		st, ok := sub.stmt()
+		if !ok || (sub.Tx != 0 && sub.Tx != req.Tx) || (st.Ends() && i < len(req.Batch)-1) {
+			return &Response{Code: CodeBadRequest, Msg: fmt.Sprintf("batch sub-request %d (%s) is not a statement of transaction %d", i, sub.Op, req.Tx)}
 		}
-		if sub.Tx == 0 {
-			sub.Tx = req.Tx
-		}
-		r := h.handle(ctx, sub)
-		out.Batch = append(out.Batch, *r)
+	}
+	tx, errResp := h.lookup(req.Tx)
+	if errResp != nil {
+		return errResp
+	}
+	out := &Response{Code: CodeOK, Batch: make([]Response, 0, len(req.Batch))}
+	for i := range req.Batch {
+		st, _ := req.Batch[i].stmt()
+		r := h.exec(ctx, req.Tx, tx, st)
+		out.Batch = append(out.Batch, r)
 		if r.Code != CodeOK {
 			break
 		}
@@ -145,19 +152,41 @@ func (h *connHandler) subscribe(ctx context.Context, sess *wire.Session, id uint
 	return &Response{Code: CodeOK}
 }
 
-// lookup resolves a transaction handle; remove also unregisters it
-// (commit/abort ends the pin).
-func (h *connHandler) lookup(id uint64, remove bool) (storeapi.Txn, *Response) {
+// lookup resolves a transaction handle.
+func (h *connHandler) lookup(id uint64) (storeapi.Txn, *Response) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	tx, ok := h.txs[id]
 	if !ok {
 		return nil, &Response{Code: CodeBadRequest, Msg: "unknown transaction"}
 	}
-	if remove {
-		delete(h.txs, id)
-	}
 	return tx, nil
+}
+
+// exec runs one statement of transaction id through storeapi's one
+// dispatch and answers it. A Commit or Abort that ran ended the
+// transaction, so it leaves the table (commit/abort ends the pin).
+func (h *connHandler) exec(ctx context.Context, id uint64, tx storeapi.Txn, st storeapi.Stmt) Response {
+	r := storeapi.ExecStmt(ctx, tx, st)
+	if st.Ends() {
+		h.mu.Lock()
+		delete(h.txs, id)
+		h.mu.Unlock()
+	}
+	if r.Err != nil {
+		return *errResponse(r.Err)
+	}
+	switch st.Kind {
+	case storeapi.StmtGet, storeapi.StmtGetForUpdate:
+		fp := r.Get.FP
+		return Response{Code: CodeOK, Mem: r.Get.Mem, FP: &fp}
+	case storeapi.StmtQuery:
+		fp := r.Q.FP
+		return Response{Code: CodeOK, Mems: r.Q.Mems, FP: &fp}
+	case storeapi.StmtCommit:
+		return Response{Code: CodeOK, Tx: id}
+	}
+	return Response{Code: CodeOK}
 }
 
 func (h *connHandler) handle(ctx context.Context, req *Request) *Response {
@@ -176,101 +205,6 @@ func (h *connHandler) handle(ctx context.Context, req *Request) *Response {
 		h.txs[tx.ID()] = tx
 		h.mu.Unlock()
 		return &Response{Code: CodeOK, Tx: tx.ID()}
-
-	case OpGet, OpGetForUpdate:
-		tx, errResp := h.lookup(req.Tx, false)
-		if errResp != nil {
-			return errResp
-		}
-		get := tx.Get
-		if req.Op == OpGetForUpdate {
-			get = tx.GetForUpdate
-		}
-		res, err := get(ctx, req.Table, req.ID)
-		if err != nil {
-			return fail(err)
-		}
-		return &Response{Code: CodeOK, Mem: res.Mem, FP: &res.FP}
-
-	case OpPut, OpInsert, OpCheckedPut:
-		tx, errResp := h.lookup(req.Tx, false)
-		if errResp != nil {
-			return errResp
-		}
-		var err error
-		switch req.Op {
-		case OpPut:
-			err = tx.Put(ctx, req.Mem)
-		case OpInsert:
-			err = tx.Insert(ctx, req.Mem)
-		default:
-			err = tx.CheckedPut(ctx, req.Mem)
-		}
-		if err != nil {
-			return fail(err)
-		}
-		return &Response{Code: CodeOK}
-
-	case OpDelete:
-		tx, errResp := h.lookup(req.Tx, false)
-		if errResp != nil {
-			return errResp
-		}
-		if err := tx.Delete(ctx, req.Table, req.ID); err != nil {
-			return fail(err)
-		}
-		return &Response{Code: CodeOK}
-
-	case OpCheckedDelete:
-		tx, errResp := h.lookup(req.Tx, false)
-		if errResp != nil {
-			return errResp
-		}
-		if err := tx.CheckedDelete(ctx, req.Key, req.Version); err != nil {
-			return fail(err)
-		}
-		return &Response{Code: CodeOK}
-
-	case OpCheckVersion:
-		tx, errResp := h.lookup(req.Tx, false)
-		if errResp != nil {
-			return errResp
-		}
-		if err := tx.CheckVersion(ctx, req.Key, req.Version); err != nil {
-			return fail(err)
-		}
-		return &Response{Code: CodeOK}
-
-	case OpQuery:
-		tx, errResp := h.lookup(req.Tx, false)
-		if errResp != nil {
-			return errResp
-		}
-		res, err := tx.Query(ctx, req.Query)
-		if err != nil {
-			return fail(err)
-		}
-		return &Response{Code: CodeOK, Mems: res.Mems, FP: &res.FP}
-
-	case OpCommit:
-		tx, errResp := h.lookup(req.Tx, true)
-		if errResp != nil {
-			return errResp
-		}
-		if err := tx.Commit(ctx); err != nil {
-			return fail(err)
-		}
-		return &Response{Code: CodeOK, Tx: req.Tx}
-
-	case OpAbort:
-		tx, errResp := h.lookup(req.Tx, true)
-		if errResp != nil {
-			return errResp
-		}
-		if err := tx.Abort(ctx); err != nil {
-			return fail(err)
-		}
-		return &Response{Code: CodeOK}
 
 	case OpApplyCommitSet:
 		res, err := h.backend.ApplyCommitSet(ctx, req.Set)
@@ -346,6 +280,15 @@ func (h *connHandler) handle(ctx context.Context, req *Request) *Response {
 		return &Response{Code: CodeOK, Mems: res.Mems, FP: &res.FP}
 
 	default:
-		return &Response{Code: CodeBadRequest, Msg: "unknown op " + req.Op.String()}
+		st, ok := req.stmt()
+		if !ok {
+			return &Response{Code: CodeBadRequest, Msg: "unknown op " + req.Op.String()}
+		}
+		tx, errResp := h.lookup(req.Tx)
+		if errResp != nil {
+			return errResp
+		}
+		resp := h.exec(ctx, req.Tx, tx, st)
+		return &resp
 	}
 }

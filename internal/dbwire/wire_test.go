@@ -240,6 +240,60 @@ func TestSubscriptionDeliversNotices(t *testing.T) {
 	}
 }
 
+// TestSubscriptionOverflowSeversStream: a subscriber that stops reading
+// loses its stream, not notices — after at most a buffer's worth the
+// channel closes, and the hung-up connection is gone.
+func TestSubscriptionOverflowSeversStream(t *testing.T) {
+	store, client := newPair(t)
+	seed(store, "t", "1", 1)
+	ctx := context.Background()
+	ch, cancel, err := client.Subscribe(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cancel()
+	const commits = 200
+	for v := uint64(1); v <= commits; v++ {
+		if _, err := store.ApplyCommitSet(ctx, memento.CommitSet{Writes: []memento.Memento{{
+			Key: memento.Key{Table: "t", ID: "1"}, Version: v, Fields: memento.Fields{"v": memento.Int(int64(v))},
+		}}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Read nothing until the 65th notice was delivered — the client
+	// counts a push before delivering it, so that is once the 66th is
+	// counted — or the stream is already gone.
+	deadline := time.After(5 * time.Second)
+	for client.WireStats().Pushes <= 65 && client.NumConns() != 0 {
+		select {
+		case <-deadline:
+			t.Fatalf("%d pushes arrived, want more than a buffer's worth", client.WireStats().Pushes)
+		case <-time.After(5 * time.Millisecond):
+		}
+	}
+	got := 0
+	for open := true; open; {
+		select {
+		case _, open = <-ch:
+			if open {
+				got++
+			}
+		case <-deadline:
+			t.Fatalf("channel still open after %d of %d notices", got, commits)
+		}
+	}
+	if got >= commits {
+		t.Errorf("read all %d notices, want the stream severed before the end", got)
+	}
+	for client.NumConns() != 0 {
+		select {
+		case <-deadline:
+			t.Fatalf("%d connections still open after the overflow", client.NumConns())
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+}
+
 func TestConnDropAbortsTransaction(t *testing.T) {
 	store, _ := newPair(t)
 	seed(store, "t", "1", 1)

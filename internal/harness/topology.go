@@ -314,8 +314,6 @@ func (t *Topology) FaultStats() latency.FaultStats {
 		sum.ConnResets += s.ConnResets
 		sum.Truncations += s.Truncations
 		sum.Stalls += s.Stalls
-		sum.BlackholedConns += s.BlackholedConns
-		sum.BlackholedChunks += s.BlackholedChunks
 	}
 	return sum
 }

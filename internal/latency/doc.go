@@ -5,8 +5,8 @@
 // the bandwidth consumed on the shared (high-latency) path (Figure 8).
 //
 // Beyond the paper, the proxy can inject WAN faults on the same path —
-// abrupt connection resets, stalls, partial-frame truncations, and
-// blackhole windows — which the fault-tolerance experiments use to
-// verify the edge keeps serving under disconnection. Injected faults
-// are counted by the latency.fault_* metrics (see OBSERVABILITY.md).
+// abrupt connection resets, stalls and partial-frame truncations — which
+// the fault-tolerance experiments use to verify the edge keeps serving
+// under disconnection. Injected faults are counted by the proxy's
+// FaultStats.
 package latency

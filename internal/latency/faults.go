@@ -38,23 +38,11 @@ type FaultPlan struct {
 	// at a random byte boundary — delivering a partial frame — and the
 	// connection reset immediately after.
 	TruncateRate float64
-
-	// BlackholeEvery/BlackholeFor open periodic blackhole windows: for
-	// BlackholeFor out of every BlackholeEvery, the path delivers
-	// nothing — established connections stall and new connections are
-	// reset on accept. Both must be positive to take effect, and
-	// BlackholeFor must be less than BlackholeEvery.
-	BlackholeEvery time.Duration
-	BlackholeFor   time.Duration
-}
-
-func (p FaultPlan) blackholes() bool {
-	return p.BlackholeEvery > 0 && p.BlackholeFor > 0 && p.BlackholeFor < p.BlackholeEvery
 }
 
 // Active reports whether the plan injects any fault at all.
 func (p FaultPlan) Active() bool {
-	return p.ResetRate > 0 || p.StallRate > 0 || p.TruncateRate > 0 || p.blackholes()
+	return p.ResetRate > 0 || p.StallRate > 0 || p.TruncateRate > 0
 }
 
 // FaultStats counts the faults a proxy has injected.
@@ -66,26 +54,18 @@ type FaultStats struct {
 	Truncations uint64
 	// Stalls counts injected per-chunk stalls.
 	Stalls uint64
-	// BlackholedConns counts connections refused during blackhole
-	// windows.
-	BlackholedConns uint64
-	// BlackholedChunks counts chunks held back by a blackhole window.
-	BlackholedChunks uint64
 }
 
 // injector is the runtime state behind one SetFaults call.
 type injector struct {
-	plan  FaultPlan
-	start time.Time
+	plan FaultPlan
 
 	mu  sync.Mutex
 	rng *rand.Rand
 
-	connResets       atomic.Uint64
-	truncations      atomic.Uint64
-	stalls           atomic.Uint64
-	blackholedConns  atomic.Uint64
-	blackholedChunks atomic.Uint64
+	connResets  atomic.Uint64
+	truncations atomic.Uint64
+	stalls      atomic.Uint64
 }
 
 func newInjector(plan FaultPlan) *injector {
@@ -96,19 +76,16 @@ func newInjector(plan FaultPlan) *injector {
 		plan.StallFor = 20 * time.Millisecond
 	}
 	return &injector{
-		plan:  plan,
-		start: time.Now(),
-		rng:   rand.New(rand.NewSource(plan.Seed)),
+		plan: plan,
+		rng:  rand.New(rand.NewSource(plan.Seed)),
 	}
 }
 
 func (f *injector) stats() FaultStats {
 	return FaultStats{
-		ConnResets:       f.connResets.Load(),
-		Truncations:      f.truncations.Load(),
-		Stalls:           f.stalls.Load(),
-		BlackholedConns:  f.blackholedConns.Load(),
-		BlackholedChunks: f.blackholedChunks.Load(),
+		ConnResets:  f.connResets.Load(),
+		Truncations: f.truncations.Load(),
+		Stalls:      f.stalls.Load(),
 	}
 }
 
@@ -128,19 +105,6 @@ func (f *injector) intn(n int) int {
 	v := f.rng.Intn(n)
 	f.mu.Unlock()
 	return v
-}
-
-// blackholeWait returns how long the current blackhole window has left
-// (zero when the path is open).
-func (f *injector) blackholeWait() time.Duration {
-	if !f.plan.blackholes() {
-		return 0
-	}
-	phase := time.Since(f.start) % f.plan.BlackholeEvery
-	if phase < f.plan.BlackholeFor {
-		return f.plan.BlackholeFor - phase
-	}
-	return 0
 }
 
 // connFaults is the per-connection-pair fault state: the shared doomed
@@ -183,21 +147,11 @@ func (cf *connFaults) abort() {
 }
 
 // admit decides the fate of data about to be written: it blocks through
-// blackhole windows and injected stalls, then returns how many of the n
-// bytes may be delivered and whether the connection must be reset
-// afterwards. done interrupts waits (proxy shutdown).
+// an injected stall, then returns how many of the n bytes may be
+// delivered and whether the connection must be reset afterwards. done
+// interrupts the stall (proxy shutdown).
 func (cf *connFaults) admit(n int, done <-chan struct{}) (allowed int, kill bool) {
 	f := cf.inj
-	for {
-		wait := f.blackholeWait()
-		if wait <= 0 {
-			break
-		}
-		f.blackholedChunks.Add(1)
-		if !sleepInterruptible(wait, done) {
-			return 0, true
-		}
-	}
 	if f.roll(f.plan.StallRate) {
 		f.stalls.Add(1)
 		if !sleepInterruptible(f.plan.StallFor, done) {

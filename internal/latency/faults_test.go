@@ -142,39 +142,6 @@ func TestFaultStall(t *testing.T) {
 	}
 }
 
-// TestFaultBlackholeWindow: connections arriving inside a blackhole
-// window must be refused; after the window the path works again.
-func TestFaultBlackholeWindow(t *testing.T) {
-	p := startFaultProxy(t, startEcho(t), &FaultPlan{
-		Seed:           4,
-		BlackholeEvery: 10 * time.Second,
-		BlackholeFor:   300 * time.Millisecond,
-	})
-	// The window opens at SetFaults time, so this dial lands inside it.
-	conn, err := net.Dial("tcp", p.Addr())
-	if err == nil {
-		_ = conn.SetDeadline(time.Now().Add(3 * time.Second))
-		if echoOnce(conn, []byte("ping")) == nil {
-			t.Fatal("echo succeeded during blackhole window")
-		}
-		conn.Close()
-	}
-	if st := p.FaultStats(); st.BlackholedConns == 0 {
-		t.Fatalf("blackholed connection not accounted: %+v", st)
-	}
-
-	time.Sleep(350 * time.Millisecond) // window over
-	conn2, err := net.Dial("tcp", p.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn2.Close()
-	_ = conn2.SetDeadline(time.Now().Add(5 * time.Second))
-	if err := echoOnce(conn2, []byte("ping")); err != nil {
-		t.Fatalf("echo after blackhole window: %v", err)
-	}
-}
-
 // TestFaultDisable: SetFaults(nil) must return the proxy to a clean
 // path.
 func TestFaultDisable(t *testing.T) {
@@ -197,7 +164,7 @@ func TestFaultDisable(t *testing.T) {
 }
 
 // TestFaultCloseDuringStall: closing the proxy while a chunk is held in
-// a stall or blackhole must not hang.
+// a stall must not hang.
 func TestFaultCloseDuringStall(t *testing.T) {
 	p := startFaultProxy(t, startEcho(t), &FaultPlan{
 		Seed:      6,

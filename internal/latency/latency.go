@@ -82,8 +82,7 @@ func (p *Proxy) Delay() time.Duration { return time.Duration(p.delay.Load()) }
 // SetFaults switches the proxy into (or out of) fault-injection mode.
 // A nil or inactive plan disables injection; a live plan applies to
 // connections and chunks forwarded after the call. Each SetFaults call
-// starts a fresh schedule (new seed state, new blackhole phase, zeroed
-// FaultStats).
+// starts a fresh schedule (new seed state, zeroed FaultStats).
 func (p *Proxy) SetFaults(plan *FaultPlan) {
 	if plan == nil || !plan.Active() {
 		p.faults.Store(nil)
@@ -184,16 +183,6 @@ func (p *Proxy) serve(client net.Conn) {
 	defer p.untrack(client)
 	defer client.Close()
 
-	inj := p.faults.Load()
-	if inj != nil && inj.blackholeWait() > 0 {
-		// The path is blackholed: refuse the connection abruptly.
-		inj.blackholedConns.Add(1)
-		if tc, ok := client.(*net.TCPConn); ok {
-			_ = tc.SetLinger(0)
-		}
-		return
-	}
-
 	target, err := net.Dial("tcp", p.target)
 	if err != nil {
 		return
@@ -257,8 +246,8 @@ func sleepUntil(due time.Time) {
 // flight (pipelining), so a large message spanning several TCP segments
 // pays the delay once, not once per segment — the behavior of a real
 // wide-area path, and of the paper's delay proxy. cf, when non-nil,
-// injects the fault plan on the delivery side: stalls and blackhole
-// windows hold chunks back, truncation delivers a partial chunk, and a
+// injects the fault plan on the delivery side: stalls hold chunks back,
+// truncation delivers a partial chunk, and a
 // doomed byte budget resets the connection pair mid-stream. The fault
 // state is re-resolved per chunk via fh, so plans installed after the
 // connection was accepted still apply to it.

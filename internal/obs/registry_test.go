@@ -128,6 +128,9 @@ func TestSnapshotWriteText(t *testing.T) {
 // clamp in Sub) even when writers land between the two sides.
 func TestRegistryDiffConcurrentWriters(t *testing.T) {
 	r := NewRegistry()
+	// The base precedes every write, so the settled diff below must
+	// equal the counter's whole value.
+	base := r.Snapshot()
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -153,7 +156,6 @@ func TestRegistryDiffConcurrentWriters(t *testing.T) {
 		}(w)
 	}
 
-	base := r.Snapshot()
 	var lastCount uint64
 	for i := 0; i < 200; i++ {
 		d := r.Diff(base)

@@ -323,11 +323,12 @@ func (r *Router) Begin(ctx context.Context) (storeapi.Txn, error) {
 }
 
 // Subscribe merges every shard's invalidation stream into one channel.
-// When any shard's stream dies the whole merged stream is torn down
-// (channel closed, every subscription cancelled): the subscriber can't
-// trust a partial view — a silent gap on one shard would leave its
-// rows stale forever — so it clears its cache and resubscribes,
-// exactly as for a single lost stream today.
+// When any shard's stream dies, or the subscriber falls a full buffer
+// behind, the whole merged stream is torn down (channel closed, every
+// subscription cancelled): the subscriber can't trust a partial view —
+// a silent gap on one shard would leave its rows stale forever — so it
+// clears its cache and resubscribes, exactly as for a single lost
+// stream.
 func (r *Router) Subscribe(ctx context.Context) (<-chan sqlstore.Notice, func(), error) {
 	chans := make([]<-chan sqlstore.Notice, 0, len(r.conns))
 	cancels := make([]func(), 0, len(r.conns))
@@ -368,8 +369,10 @@ func (r *Router) Subscribe(ctx context.Context) (<-chan sqlstore.Notice, func(),
 					select {
 					case out <- n:
 					default:
-						// Drop rather than stall the merge; notices are hints
-						// and the per-shard sources drop under pressure too.
+						// A subscriber a full buffer behind loses the
+						// stream, not the notice, like every source.
+						halt()
+						return
 					}
 				case <-stop:
 					return

@@ -174,27 +174,14 @@ func commitStmts(cs memento.CommitSet) (stmts []storeapi.Stmt, newVersions map[m
 // (storeapi.ExecBatch) or pay one each (storeapi.ExecSerial). The first
 // failing statement's error is returned as-is, and the transaction is
 // aborted whenever the trailing commit did not run.
-func (l *Loader) commitPerImage(ctx context.Context, cs memento.CommitSet,
-	exec func(context.Context, storeapi.Txn, []storeapi.Stmt) ([]storeapi.StmtResult, error),
-) (CommitOutcome, error) {
+func (l *Loader) commitPerImage(ctx context.Context, cs memento.CommitSet, exec storeapi.Executor) (CommitOutcome, error) {
 	txn, err := l.conn.Begin(ctx)
 	if err != nil {
 		return CommitOutcome{}, err
 	}
 	stmts, newVersions := commitStmts(cs)
-	results, err := exec(ctx, txn, stmts)
-	if err != nil {
-		_ = txn.Abort(ctx)
+	if _, err := exec.Commit(ctx, txn, stmts); err != nil {
 		return CommitOutcome{}, err
-	}
-	for i, r := range results {
-		if r.Err == nil {
-			continue
-		}
-		if i < len(stmts)-1 {
-			_ = txn.Abort(ctx)
-		}
-		return CommitOutcome{}, r.Err
 	}
 	return CommitOutcome{TxID: txn.ID(), NewVersions: newVersions}, nil
 }

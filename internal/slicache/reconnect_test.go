@@ -2,6 +2,8 @@ package slicache
 
 import (
 	"context"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -85,6 +87,106 @@ func TestInvalidationStreamResubscribes(t *testing.T) {
 		_, ok := mgr.CommonStore().Get(key("1"))
 		return !ok
 	})
+}
+
+// TestFinderEntryDoesNotSurviveOverflow: an edge that falls a full
+// buffer behind its invalidation stream must not keep a finder entry
+// whose notice it never saw. Commit validation would not catch it — it
+// re-proves the rows read, not the predicate — so the overflow has to
+// cost the edge its stream, and with it the cache.
+func TestFinderEntryDoesNotSurviveOverflow(t *testing.T) {
+	store := sqlstore.New()
+	defer store.Close()
+	store.Seed(holding("h1", "u1"), row("x", 0))
+	ctx := context.Background()
+	srv := dbwire.NewServer(storeapi.Local(store))
+	if err := srv.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	client := dbwire.Dial(srv.Addr())
+	defer client.Close()
+
+	// Applying a stamped notice reads the clock: the gate parks the
+	// edge's notice consumer there while the stream backs up.
+	var gated atomic.Bool
+	gate, parked := make(chan struct{}), make(chan struct{}, 1)
+	mgr := NewManager(client, WithFinderCache(true), WithShipping(WholeSet))
+	defer mgr.Close()
+	mgr.SetClock(func() time.Time {
+		if gated.Load() {
+			select {
+			case parked <- struct{}{}:
+			default:
+			}
+			<-gate
+		}
+		return time.Now()
+	})
+	release := sync.OnceFunc(func() {
+		gated.Store(false)
+		close(gate)
+	})
+	defer release() // before mgr.Close, which waits for the consumer
+	if err := mgr.Start(ctx); err != nil {
+		t.Fatal(err)
+	}
+	dt, err := mgr.Begin(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dt.Query(ctx, byAcct("u1")); err != nil {
+		t.Fatal(err)
+	}
+	_ = dt.Abort(ctx)
+	if mgr.FinderCache().Len() != 1 {
+		t.Fatal("finder cache not warm")
+	}
+
+	conns := client.NumConns()
+	gated.Store(true)
+	for v := uint64(1); v <= 200; v++ {
+		if _, err := store.ApplyCommitSet(ctx, memento.CommitSet{Writes: []memento.Memento{{
+			Key: key("x"), Version: v, Fields: memento.Fields{"n": memento.Int(int64(v))},
+		}}}); err != nil {
+			t.Fatal(err)
+		}
+		if v == 1 {
+			select {
+			case <-parked:
+			case <-time.After(3 * time.Second):
+				t.Fatal("the notice consumer never read the clock")
+			}
+		}
+	}
+	// The one notice that overlaps the cached result set comes last,
+	// long after the stream stopped having room for it.
+	if _, err := store.ApplyCommitSet(ctx, memento.CommitSet{Creates: []memento.Memento{holding("h2", "u1")}}); err != nil {
+		t.Fatal(err)
+	}
+	// Release the consumer once the stream is a buffer behind: it holds
+	// the first notice and its 64-slot channel the next 64, so the 66th
+	// has no room — delivered once the client counts a 67th push — or
+	// the stream is already gone.
+	waitFor(t, 3*time.Second, func() bool {
+		return client.WireStats().Pushes > 66 || client.NumConns() < conns
+	})
+	release()
+
+	waitFor(t, 3*time.Second, func() bool { return mgr.FinderCache().Len() == 0 })
+	waitFor(t, 3*time.Second, func() bool { return mgr.Stats().Resubscribes >= 1 })
+	dt2, err := mgr.Begin(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dt2.Abort(ctx)
+	got, err := dt2.Query(ctx, byAcct("u1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 {
+		t.Fatalf("finder after the overflow = %v, want h1 and h2", got)
+	}
 }
 
 func currentVersion(t *testing.T, s *sqlstore.Store) uint64 {

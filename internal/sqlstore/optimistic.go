@@ -75,7 +75,7 @@ func (s *Store) ApplyCommitSets(ctx context.Context, sets []memento.CommitSet) [
 			notices = append(notices, notice)
 		}
 	}
-	s.broadcastAll(notices)
+	s.broadcast(notices...)
 	return out
 }
 

@@ -191,6 +191,35 @@ func TestSubscribeCancelClosesChannel(t *testing.T) {
 	}
 }
 
+// TestOverflowClosesSubscriber: a subscriber with no room for a notice
+// loses its channel rather than the notice. A one-slot subscriber
+// behind two commits reads the first notice, then the close.
+func TestOverflowClosesSubscriber(t *testing.T) {
+	s := New()
+	defer s.Close()
+	ctx := context.Background()
+	s.Seed(mem("t", "a", 0, intFields(1)))
+	ch, cancel := s.Subscribe(1)
+	defer cancel()
+	for v := uint64(1); v <= 2; v++ {
+		cs := memento.CommitSet{Writes: []memento.Memento{mem("t", "a", v, intFields(int64(v)))}}
+		if _, err := s.ApplyCommitSet(ctx, cs); err != nil {
+			t.Fatalf("commit %d: %v", v, err)
+		}
+	}
+	if _, ok := <-ch; !ok {
+		t.Fatal("the notice that fit was not delivered")
+	}
+	select {
+	case n, ok := <-ch:
+		if ok {
+			t.Fatalf("overflowed subscriber got %v, want its channel closed", n)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("overflowed subscriber's channel still open")
+	}
+}
+
 func TestCloseClosesSubscribers(t *testing.T) {
 	s := New()
 	ch, _ := s.Subscribe(1)

@@ -197,10 +197,13 @@ func (s *Store) Close() {
 // Subscribe registers for commit notices. The returned channel receives
 // a Notice for every committed mutation until cancel is called or the
 // store closes; the channel is closed on either event. Slow subscribers
-// never block commits: when the channel's buffer is full the notice is
-// coalesced by dropping it, which is safe because notices are
-// invalidation hints, not state transfer — a dropped hint only means a
-// subsequent optimistic commit discovers staleness at validation time.
+// never block commits, and never silently miss a notice either: a
+// subscriber whose buffer is full when a notice is due is dropped and
+// its channel closed, exactly as if its stream had been lost. Commit
+// validation re-proves the rows a transaction read but not a finder's
+// predicate, so a missed notice could leave a cached finder result
+// missing a new row; a closed channel makes the subscriber flush and
+// resubscribe instead.
 func (s *Store) Subscribe(buffer int) (<-chan Notice, func()) {
 	if buffer < 1 {
 		buffer = 64
@@ -226,41 +229,24 @@ func (s *Store) Subscribe(buffer int) (<-chan Notice, func()) {
 	return ch, cancel
 }
 
-func (s *Store) broadcast(n Notice) {
-	if len(n.Keys) == 0 {
-		return
-	}
-	s.subMu.Lock()
-	defer s.subMu.Unlock()
-	for _, ch := range s.subs {
-		select {
-		case ch <- n:
-			s.stats.notices.Add(1)
-		default:
-			// Drop rather than block the committer; see Subscribe.
-		}
-	}
-}
-
-// broadcastAll fans several notices out under a single subscriber-map
-// acquisition — the group-commit fast path: one coalesced batch causes
-// one fan-out pass, not one per transaction.
-func (s *Store) broadcastAll(ns []Notice) {
-	if len(ns) == 0 {
-		return
-	}
+// broadcast fans notices out to every subscriber under one
+// subscriber-map acquisition, so a group commit's coalesced batch is one
+// fan-out pass, not one per transaction. A subscriber with no room for a
+// notice is dropped and its channel closed (see Subscribe).
+func (s *Store) broadcast(ns ...Notice) {
 	s.subMu.Lock()
 	defer s.subMu.Unlock()
 	for _, n := range ns {
 		if len(n.Keys) == 0 {
 			continue
 		}
-		for _, ch := range s.subs {
+		for id, ch := range s.subs {
 			select {
 			case ch <- n:
 				s.stats.notices.Add(1)
 			default:
-				// Drop rather than block the committer; see Subscribe.
+				delete(s.subs, id)
+				close(ch)
 			}
 		}
 	}

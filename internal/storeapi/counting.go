@@ -39,7 +39,9 @@ func (c *CountingConn) Begin(ctx context.Context) (Txn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &countingTxn{inner: txn, ops: &c.ops}, nil
+	t := &countingTxn{inner: txn, ops: &c.ops}
+	t.StmtTxn = StmtTxn{TxID: txn.ID(), Execer: t}
+	return t, nil
 }
 
 // AutoGet implements Conn.
@@ -113,66 +115,18 @@ func (c *CountingConn) Subscribe(ctx context.Context) (<-chan sqlstore.Notice, f
 // Close implements Conn.
 func (c *CountingConn) Close() error { return c.inner.Close() }
 
+// countingTxn counts every statement and every batch of one wrapped
+// transaction.
 type countingTxn struct {
+	StmtTxn
 	inner Txn
 	ops   *atomic.Uint64
 }
 
-func (t *countingTxn) ID() uint64 { return t.inner.ID() }
-
-func (t *countingTxn) Get(ctx context.Context, table, id string) (GetResult, error) {
+// Exec implements Execer.
+func (t *countingTxn) Exec(ctx context.Context, st Stmt) StmtResult {
 	t.ops.Add(1)
-	return t.inner.Get(ctx, table, id)
-}
-
-func (t *countingTxn) GetForUpdate(ctx context.Context, table, id string) (GetResult, error) {
-	t.ops.Add(1)
-	return t.inner.GetForUpdate(ctx, table, id)
-}
-
-func (t *countingTxn) Put(ctx context.Context, m memento.Memento) error {
-	t.ops.Add(1)
-	return t.inner.Put(ctx, m)
-}
-
-func (t *countingTxn) Insert(ctx context.Context, m memento.Memento) error {
-	t.ops.Add(1)
-	return t.inner.Insert(ctx, m)
-}
-
-func (t *countingTxn) Delete(ctx context.Context, table, id string) error {
-	t.ops.Add(1)
-	return t.inner.Delete(ctx, table, id)
-}
-
-func (t *countingTxn) Query(ctx context.Context, q memento.Query) (QueryResult, error) {
-	t.ops.Add(1)
-	return t.inner.Query(ctx, q)
-}
-
-func (t *countingTxn) CheckVersion(ctx context.Context, key memento.Key, version uint64) error {
-	t.ops.Add(1)
-	return t.inner.CheckVersion(ctx, key, version)
-}
-
-func (t *countingTxn) CheckedPut(ctx context.Context, m memento.Memento) error {
-	t.ops.Add(1)
-	return t.inner.CheckedPut(ctx, m)
-}
-
-func (t *countingTxn) CheckedDelete(ctx context.Context, key memento.Key, version uint64) error {
-	t.ops.Add(1)
-	return t.inner.CheckedDelete(ctx, key, version)
-}
-
-func (t *countingTxn) Commit(ctx context.Context) error {
-	t.ops.Add(1)
-	return t.inner.Commit(ctx)
-}
-
-func (t *countingTxn) Abort(ctx context.Context) error {
-	t.ops.Add(1)
-	return t.inner.Abort(ctx)
+	return ExecStmt(ctx, t.inner, st)
 }
 
 // ExecBatch implements BatchTxn: a batch is one exchange on a remote

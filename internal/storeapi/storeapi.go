@@ -2,6 +2,7 @@ package storeapi
 
 import (
 	"context"
+	"fmt"
 
 	"edgeejb/internal/memento"
 	"edgeejb/internal/obs"
@@ -28,9 +29,11 @@ type QueryResult struct {
 	FP   memento.Footprint
 }
 
-// Txn is one datastore transaction. Implementations: the local adapter
-// in this package (no network) and dbwire's remote transaction (one
-// round trip per call — the property that makes per-statement access
+// Txn is one datastore transaction. Its statement methods are
+// implemented once, by StmtTxn, over one Exec method per kind of
+// transaction: Local's runs a statement on the store (no network),
+// CountingConn's counts it, and dbwire's remote transaction sends it as
+// one round trip (the property that makes per-statement access
 // latency-sensitive).
 type Txn interface {
 	// ID returns the datastore-assigned transaction identifier. It is
@@ -136,7 +139,7 @@ func (l *local) Begin(ctx context.Context) (Txn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &localTxn{tx: tx}, nil
+	return &StmtTxn{TxID: tx.ID(), Execer: localTxn{tx}}, nil
 }
 
 func (l *local) ApplyCommitSet(ctx context.Context, cs memento.CommitSet) (sqlstore.ApplyResult, error) {
@@ -204,85 +207,58 @@ func (l *local) Subscribe(ctx context.Context) (<-chan sqlstore.Notice, func(), 
 
 func (l *local) Close() error { return nil }
 
-type localTxn struct {
-	tx *sqlstore.Tx
-}
+// localTxn runs statements on one store transaction.
+type localTxn struct{ tx *sqlstore.Tx }
 
-func (t *localTxn) ID() uint64 { return t.tx.ID() }
-
-func (t *localTxn) Get(ctx context.Context, table, id string) (GetResult, error) {
-	ctx, sp := obs.StartSpan(ctx, "sqlstore.get")
-	defer sp.End()
-	m, err := t.tx.Get(ctx, table, id)
-	if err != nil {
-		return GetResult{}, err
+// Exec runs st under its "sqlstore.<statement>" span (Abort has none)
+// and stamps a read's footprint on its result.
+func (t localTxn) Exec(ctx context.Context, st Stmt) StmtResult {
+	var r StmtResult
+	var sp *obs.Span
+	switch st.Kind {
+	case StmtGet:
+		ctx, sp = obs.StartSpan(ctx, "sqlstore.get")
+		r.Get.Mem, r.Err = t.tx.Get(ctx, st.Table, st.ID)
+	case StmtGetForUpdate:
+		ctx, sp = obs.StartSpan(ctx, "sqlstore.get_for_update")
+		r.Get.Mem, r.Err = t.tx.GetForUpdate(ctx, st.Table, st.ID)
+	case StmtQuery:
+		ctx, sp = obs.StartSpan(ctx, "sqlstore.query")
+		r.Q.Mems, r.Err = t.tx.Query(ctx, st.Query)
+	case StmtPut:
+		ctx, sp = obs.StartSpan(ctx, "sqlstore.put")
+		r.Err = t.tx.Put(ctx, st.Mem)
+	case StmtInsert:
+		ctx, sp = obs.StartSpan(ctx, "sqlstore.insert")
+		r.Err = t.tx.Insert(ctx, st.Mem)
+	case StmtDelete:
+		ctx, sp = obs.StartSpan(ctx, "sqlstore.delete")
+		r.Err = t.tx.Delete(ctx, st.Table, st.ID)
+	case StmtCheckVersion:
+		ctx, sp = obs.StartSpan(ctx, "sqlstore.check_version")
+		r.Err = t.tx.CheckVersion(ctx, st.Key, st.Version)
+	case StmtCheckedPut:
+		ctx, sp = obs.StartSpan(ctx, "sqlstore.checked_put")
+		r.Err = t.tx.CheckedPut(ctx, st.Mem)
+	case StmtCheckedDelete:
+		ctx, sp = obs.StartSpan(ctx, "sqlstore.checked_delete")
+		r.Err = t.tx.CheckedDelete(ctx, st.Key, st.Version)
+	case StmtCommit:
+		_, sp = obs.StartSpan(ctx, "sqlstore.commit_tx")
+		r.Err = t.tx.Commit()
+	case StmtAbort:
+		t.tx.Abort()
+	default:
+		r.Err = fmt.Errorf("storeapi: unknown statement kind %d", st.Kind)
 	}
-	return GetResult{Mem: m, FP: memento.KeyFootprint(memento.Key{Table: table, ID: id})}, nil
-}
-
-func (t *localTxn) GetForUpdate(ctx context.Context, table, id string) (GetResult, error) {
-	ctx, sp := obs.StartSpan(ctx, "sqlstore.get_for_update")
-	defer sp.End()
-	m, err := t.tx.GetForUpdate(ctx, table, id)
-	if err != nil {
-		return GetResult{}, err
+	sp.End()
+	switch {
+	case r.Err != nil:
+		return StmtResult{Err: r.Err}
+	case st.Kind == StmtGet || st.Kind == StmtGetForUpdate:
+		r.Get.FP = memento.KeyFootprint(memento.Key{Table: st.Table, ID: st.ID})
+	case st.Kind == StmtQuery:
+		r.Q.FP = memento.QueryFootprint(st.Query, r.Q.Mems)
 	}
-	return GetResult{Mem: m, FP: memento.KeyFootprint(memento.Key{Table: table, ID: id})}, nil
-}
-
-func (t *localTxn) Put(ctx context.Context, m memento.Memento) error {
-	ctx, sp := obs.StartSpan(ctx, "sqlstore.put")
-	defer sp.End()
-	return t.tx.Put(ctx, m)
-}
-
-func (t *localTxn) Insert(ctx context.Context, m memento.Memento) error {
-	ctx, sp := obs.StartSpan(ctx, "sqlstore.insert")
-	defer sp.End()
-	return t.tx.Insert(ctx, m)
-}
-
-func (t *localTxn) Delete(ctx context.Context, table, id string) error {
-	ctx, sp := obs.StartSpan(ctx, "sqlstore.delete")
-	defer sp.End()
-	return t.tx.Delete(ctx, table, id)
-}
-
-func (t *localTxn) Query(ctx context.Context, q memento.Query) (QueryResult, error) {
-	ctx, sp := obs.StartSpan(ctx, "sqlstore.query")
-	defer sp.End()
-	mems, err := t.tx.Query(ctx, q)
-	if err != nil {
-		return QueryResult{}, err
-	}
-	return QueryResult{Mems: mems, FP: memento.QueryFootprint(q, mems)}, nil
-}
-
-func (t *localTxn) CheckVersion(ctx context.Context, key memento.Key, version uint64) error {
-	ctx, sp := obs.StartSpan(ctx, "sqlstore.check_version")
-	defer sp.End()
-	return t.tx.CheckVersion(ctx, key, version)
-}
-
-func (t *localTxn) CheckedPut(ctx context.Context, m memento.Memento) error {
-	ctx, sp := obs.StartSpan(ctx, "sqlstore.checked_put")
-	defer sp.End()
-	return t.tx.CheckedPut(ctx, m)
-}
-
-func (t *localTxn) CheckedDelete(ctx context.Context, key memento.Key, version uint64) error {
-	ctx, sp := obs.StartSpan(ctx, "sqlstore.checked_delete")
-	defer sp.End()
-	return t.tx.CheckedDelete(ctx, key, version)
-}
-
-func (t *localTxn) Commit(ctx context.Context) error {
-	_, sp := obs.StartSpan(ctx, "sqlstore.commit_tx")
-	defer sp.End()
-	return t.tx.Commit()
-}
-
-func (t *localTxn) Abort(ctx context.Context) error {
-	t.tx.Abort()
-	return nil
+	return r
 }

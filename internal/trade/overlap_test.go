@@ -109,42 +109,34 @@ func (l *stmtLog) Begin(ctx context.Context) (storeapi.Txn, error) {
 		return nil, err
 	}
 	l.add("begin", "")
-	return &stmtLogTxn{Txn: txn, log: l}, nil
+	return &storeapi.StmtTxn{TxID: txn.ID(), Execer: stmtLogTxn{inner: txn, log: l}}, nil
 }
 
+// stmtLogTxn logs each statement, then runs it on the wrapped
+// transaction.
 type stmtLogTxn struct {
-	storeapi.Txn
-	log *stmtLog
+	inner storeapi.Txn
+	log   *stmtLog
 }
 
-func (t *stmtLogTxn) Get(ctx context.Context, table, id string) (storeapi.GetResult, error) {
-	t.log.add("get", memento.Key{Table: table, ID: id})
-	return t.Txn.Get(ctx, table, id)
-}
-
-func (t *stmtLogTxn) Put(ctx context.Context, m memento.Memento) error {
-	t.log.add("put", m.Key)
-	return t.Txn.Put(ctx, m)
-}
-
-func (t *stmtLogTxn) Insert(ctx context.Context, m memento.Memento) error {
-	t.log.add("insert", m.Key.Table)
-	return t.Txn.Insert(ctx, m)
-}
-
-func (t *stmtLogTxn) Delete(ctx context.Context, table, id string) error {
-	t.log.add("delete", table)
-	return t.Txn.Delete(ctx, table, id)
-}
-
-func (t *stmtLogTxn) Query(ctx context.Context, q memento.Query) (storeapi.QueryResult, error) {
-	t.log.add("query", q.Table)
-	return t.Txn.Query(ctx, q)
-}
-
-func (t *stmtLogTxn) Commit(ctx context.Context) error {
-	t.log.add("commit", "")
-	return t.Txn.Commit(ctx)
+func (t stmtLogTxn) Exec(ctx context.Context, st storeapi.Stmt) storeapi.StmtResult {
+	switch st.Kind {
+	case storeapi.StmtGet:
+		t.log.add("get", memento.Key{Table: st.Table, ID: st.ID})
+	case storeapi.StmtPut:
+		t.log.add("put", st.Mem.Key)
+	case storeapi.StmtInsert:
+		t.log.add("insert", st.Mem.Key.Table)
+	case storeapi.StmtDelete:
+		t.log.add("delete", st.Table)
+	case storeapi.StmtQuery:
+		t.log.add("query", st.Query.Table)
+	case storeapi.StmtCommit:
+		t.log.add("commit", "")
+	default:
+		t.log.add(fmt.Sprint("kind-", st.Kind), "")
+	}
+	return storeapi.ExecStmt(ctx, t.inner, st)
 }
 
 // take returns the statements logged so far and forgets them. The
