@@ -67,18 +67,12 @@ func TestBackendServesCacheMisses(t *testing.T) {
 	if res.Mem.Fields["n"].Int != 10 || res.Mem.Version != 1 {
 		t.Errorf("AutoGet = %v", res.Mem)
 	}
-	if !res.FP.CoversKey(memento.Key{Table: "t", ID: "1"}) {
-		t.Errorf("AutoGet footprint %v does not cover the key", res.FP)
-	}
 	qres, err := edge.AutoQuery(ctx, memento.Query{Table: "t"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(qres.Mems) != 1 {
 		t.Errorf("AutoQuery rows = %d, want 1", len(qres.Mems))
-	}
-	if len(qres.FP.Queries) != 1 {
-		t.Errorf("AutoQuery footprint %v carries no query descriptor", qres.FP)
 	}
 }
 
@@ -174,8 +168,8 @@ func TestBackendForwardsInvalidationStream(t *testing.T) {
 		if n.TxID != res.TxID {
 			t.Errorf("notice tx = %d, want %d (ids must be stable across tiers)", n.TxID, res.TxID)
 		}
-		if len(n.Keys) != 1 || n.Keys[0] != key("1") {
-			t.Errorf("notice keys = %v", n.Keys)
+		if len(n.Writes) != 1 || n.Writes[0].Key != key("1") {
+			t.Errorf("notice writes = %v", n.Writes)
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("invalidation not forwarded through the back-end")

@@ -3,6 +3,7 @@ package dbwire
 import (
 	"context"
 	"testing"
+	"time"
 
 	"edgeejb/internal/memento"
 	"edgeejb/internal/storeapi"
@@ -87,9 +88,9 @@ func TestStatementWireBytes(t *testing.T) {
 	want := map[bool]map[string]opBytes{
 		false: {
 			"Begin":         {2, 16, 18},
-			"Get":           {1, 13, 26},
-			"GetForUpdate":  {1, 13, 26},
-			"Query":         {1, 20, 68},
+			"Get":           {1, 13, 19},
+			"GetForUpdate":  {1, 13, 19},
+			"Query":         {1, 20, 42},
 			"Put":           {1, 30, 8},
 			"Insert":        {1, 31, 8},
 			"Delete":        {1, 13, 8},
@@ -101,7 +102,7 @@ func TestStatementWireBytes(t *testing.T) {
 		},
 		true: {
 			"Begin": {2, 16, 18},
-			"Batch": {2, 141, 139},
+			"Batch": {2, 141, 99},
 		},
 	}
 	for _, batched := range []bool{false, true} {
@@ -113,6 +114,100 @@ func TestStatementWireBytes(t *testing.T) {
 			if g := got[label]; g != w {
 				t.Errorf("batched=%v: %s = %+v, want %+v", batched, label, g, w)
 			}
+		}
+	}
+}
+
+// TestCachePathWireBytes pins the ops the cached architectures spend on
+// the slow hop — the miss fetches, the commit-set and two-phase commits
+// and the invalidation push — over a loopback pair with fixed rows. The
+// transport counts the notices pushed on the subscription under "push".
+func TestCachePathWireBytes(t *testing.T) {
+	store, c := newPair(t)
+	for i, id := range []string{"1", "2", "3", "4"} {
+		seed(store, "t", id, int64(10*(i+1)))
+	}
+	ctx := context.Background()
+	notices, cancel, err := c.Subscribe(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cancel()
+	write := func(id string, v uint64, n int64) memento.Memento {
+		return memento.Memento{Key: memento.Key{Table: "t", ID: id}, Version: v,
+			Fields: memento.Fields{"v": memento.Int(n), "s": memento.String("pinned")}}
+	}
+
+	if _, err := c.AutoGet(ctx, "t", "1"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.AutoQuery(ctx, memento.Query{Table: "t", Where: []memento.Predicate{
+		{Field: "v", Op: memento.OpGe, Value: memento.Int(20)},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.ApplyCommitSet(ctx, memento.CommitSet{
+		Reads:  []memento.ReadProof{{Key: memento.Key{Table: "t", ID: "1"}, Version: 1}},
+		Writes: []memento.Memento{write("2", 1, 21)},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	results, err := c.ApplyCommitSets(ctx, []memento.CommitSet{
+		{Writes: []memento.Memento{write("3", 1, 31)}},
+		{Creates: []memento.Memento{write("9", 0, 90)}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, r := range results {
+		if r.Err != nil {
+			t.Fatalf("set %d: %v", i, r.Err)
+		}
+	}
+	if err := c.Prepare(ctx, "g1", memento.CommitSet{Writes: []memento.Memento{write("4", 1, 41)}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.CommitPrepared(ctx, "g1"); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Prepare(ctx, "g2", memento.CommitSet{Removes: []memento.ReadProof{{Key: memento.Key{Table: "t", ID: "1"}, Version: 1}}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.AbortPrepared(ctx, "g2"); err != nil {
+		t.Fatal(err)
+	}
+	// Four commits wrote; a push is counted before it is delivered.
+	for i := 0; i < 4; i++ {
+		select {
+		case <-notices:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("notice %d not pushed", i+1)
+		}
+	}
+
+	// As in TestStatementWireBytes, a moved number is a protocol change.
+	want := map[string]opBytes{
+		"AutoGet":         {1, 12, 19},
+		"AutoQuery":       {1, 19, 42},
+		"ApplyCommitSet":  {1, 40, 15},
+		"ApplyCommitSets": {1, 61, 28},
+		"Prepare":         {2, 59, 16},
+		"CommitPrepared":  {1, 12, 15},
+		"AbortPrepared":   {1, 12, 8},
+		"Subscribe":       {1, 8, 8},
+		"push":            {0, 0, 180},
+	}
+	s := c.WireStats()
+	if s.Pushes != 4 {
+		t.Errorf("pushes = %d, want 4", s.Pushes)
+	}
+	if len(s.Ops) != len(want) {
+		t.Errorf("ops %v, want %v", s.Ops, want)
+	}
+	for label, w := range want {
+		o := s.Ops[label]
+		if g := (opBytes{Count: o.Count, Sent: o.BytesSent, Received: o.BytesReceived}); g != w {
+			t.Errorf("%s = %+v, want %+v", label, g, w)
 		}
 	}
 }

@@ -245,32 +245,6 @@ func (c *Client) AbortPrepared(ctx context.Context, gid string) error {
 
 var _ storeapi.Preparer = (*Client)(nil)
 
-// getResult assembles a GetResult from a read response, synthesizing
-// the footprint locally when the response carries none — a key read's
-// footprint is fully determined by its arguments.
-func getResult(resp *Response, table, id string) storeapi.GetResult {
-	res := storeapi.GetResult{Mem: resp.Mem}
-	if resp.FP != nil {
-		res.FP = *resp.FP
-	} else {
-		res.FP = memento.KeyFootprint(memento.Key{Table: table, ID: id})
-	}
-	return res
-}
-
-// queryResult assembles a QueryResult from a read response, deriving
-// the footprint from the query and its rows when the response carries
-// none.
-func queryResult(resp *Response, q memento.Query) storeapi.QueryResult {
-	res := storeapi.QueryResult{Mems: resp.Mems}
-	if resp.FP != nil {
-		res.FP = *resp.FP
-	} else {
-		res.FP = memento.QueryFootprint(q, resp.Mems)
-	}
-	return res
-}
-
 // AutoGet reads one row in an autocommit transaction: one round trip.
 func (c *Client) AutoGet(ctx context.Context, table, id string) (storeapi.GetResult, error) {
 	resp, err := c.oneShot(ctx, &Request{Op: OpAutoGet, Table: table, ID: id})
@@ -280,7 +254,7 @@ func (c *Client) AutoGet(ctx context.Context, table, id string) (storeapi.GetRes
 	if err := decodeErr(resp); err != nil {
 		return storeapi.GetResult{}, err
 	}
-	return getResult(resp, table, id), nil
+	return storeapi.GetResult{Mem: resp.Mem}, nil
 }
 
 // AutoQuery runs one predicate query in an autocommit transaction: one
@@ -293,7 +267,7 @@ func (c *Client) AutoQuery(ctx context.Context, q memento.Query) (storeapi.Query
 	if err := decodeErr(resp); err != nil {
 		return storeapi.QueryResult{}, err
 	}
-	return queryResult(resp, q), nil
+	return storeapi.QueryResult{Mems: resp.Mems}, nil
 }
 
 // Subscribe opens a pinned connection carrying the server-push
@@ -406,9 +380,9 @@ func stmtResult(st storeapi.Stmt, resp *Response) storeapi.StmtResult {
 	var r storeapi.StmtResult
 	switch st.Kind {
 	case storeapi.StmtGet, storeapi.StmtGetForUpdate:
-		r.Get = getResult(resp, st.Table, st.ID)
+		r.Get.Mem = resp.Mem
 	case storeapi.StmtQuery:
-		r.Q = queryResult(resp, st.Query)
+		r.Q.Mems = resp.Mems
 	}
 	return r
 }

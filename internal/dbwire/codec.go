@@ -14,7 +14,9 @@ import (
 // the non-zero fields, integers as varints, so the high-volume
 // Get/Query/Commit traffic — the traffic Figure 8 weighs — is cheap to
 // encode and small on the wire. Absent fields decode to their zero
-// values.
+// values. A read reply carries its rows and nothing else: what a finder
+// covered, the edge's finder cache works out from the query it sent and
+// those rows.
 //
 // The encoding is not self-describing: both peers must agree on the
 // field order below. Every daemon builds from this tree, so a schema
@@ -204,7 +206,6 @@ const (
 	respNewVersions
 	respNotice
 	respConflict
-	respFP
 	respBatch
 )
 
@@ -231,9 +232,6 @@ func appendResponse(dst []byte, p *Response) []byte {
 	}
 	if p.Conflict != nil {
 		mask |= respConflict
-	}
-	if p.FP != nil {
-		mask |= respFP
 	}
 	if len(p.Batch) > 0 {
 		mask |= respBatch
@@ -266,9 +264,6 @@ func appendResponse(dst []byte, p *Response) []byte {
 	}
 	if mask&respConflict != 0 {
 		dst = appendConflict(dst, p.Conflict)
-	}
-	if mask&respFP != 0 {
-		dst = appendFootprint(dst, p.FP)
 	}
 	if mask&respBatch != 0 {
 		dst = binary.AppendUvarint(dst, uint64(len(p.Batch)))
@@ -318,9 +313,6 @@ func readResponse(r *wire.Reader, p *Response, nested bool) {
 	if mask&respConflict != 0 {
 		p.Conflict = readConflict(r)
 	}
-	if mask&respFP != 0 {
-		p.FP = readFootprint(r)
-	}
 	if mask&respBatch != 0 {
 		n := r.Len()
 		p.Batch = make([]Response, 0, wire.Prealloc(n))
@@ -344,7 +336,7 @@ func queryIsZero(q memento.Query) bool {
 }
 
 func noticeIsZero(n sqlstore.Notice) bool {
-	return n.TxID == 0 && len(n.Keys) == 0 && len(n.Writes) == 0 &&
+	return n.TxID == 0 && len(n.Writes) == 0 &&
 		n.CommittedAt.IsZero() && n.OriginTrace == 0
 }
 
@@ -541,41 +533,8 @@ func readQuery(r *wire.Reader) memento.Query {
 	return q
 }
 
-func appendFootprint(dst []byte, fp *memento.Footprint) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(fp.Keys)))
-	for _, k := range fp.Keys {
-		dst = appendKey(dst, k)
-	}
-	dst = binary.AppendUvarint(dst, uint64(len(fp.Queries)))
-	for _, q := range fp.Queries {
-		dst = appendQuery(dst, q)
-	}
-	return dst
-}
-
-func readFootprint(r *wire.Reader) *memento.Footprint {
-	fp := new(memento.Footprint)
-	if n := r.Len(); n > 0 {
-		fp.Keys = make([]memento.Key, 0, wire.Prealloc(n))
-		for i := 0; i < n && !r.Failed(); i++ {
-			fp.Keys = append(fp.Keys, readKey(r))
-		}
-	}
-	if n := r.Len(); n > 0 {
-		fp.Queries = make([]memento.Query, 0, wire.Prealloc(n))
-		for i := 0; i < n && !r.Failed(); i++ {
-			fp.Queries = append(fp.Queries, readQuery(r))
-		}
-	}
-	return fp
-}
-
 func appendNotice(dst []byte, n sqlstore.Notice) []byte {
 	dst = binary.AppendUvarint(dst, n.TxID)
-	dst = binary.AppendUvarint(dst, uint64(len(n.Keys)))
-	for _, k := range n.Keys {
-		dst = appendKey(dst, k)
-	}
 	dst = binary.AppendUvarint(dst, uint64(len(n.Writes)))
 	for i := range n.Writes {
 		dst = appendWriteDesc(dst, n.Writes[i])
@@ -587,12 +546,6 @@ func appendNotice(dst []byte, n sqlstore.Notice) []byte {
 func readNotice(r *wire.Reader) sqlstore.Notice {
 	var n sqlstore.Notice
 	n.TxID = r.Uvarint()
-	if c := r.Len(); c > 0 {
-		n.Keys = make([]memento.Key, 0, wire.Prealloc(c))
-		for i := 0; i < c && !r.Failed(); i++ {
-			n.Keys = append(n.Keys, readKey(r))
-		}
-	}
 	if c := r.Len(); c > 0 {
 		n.Writes = make([]memento.WriteDesc, 0, wire.Prealloc(c))
 		for i := 0; i < c && !r.Failed(); i++ {

@@ -96,14 +96,10 @@ func corpusResponses() map[string]*Response {
 	return map[string]*Response{
 		"zero":  {},
 		"ok tx": {Code: CodeOK, Tx: 77},
-		"mem": {
-			Code: CodeOK, Mem: codecMem("a", 3),
-			FP: &memento.Footprint{Keys: []memento.Key{{Table: "quote", ID: "a"}}},
-		},
+		"mem":   {Code: CodeOK, Mem: codecMem("a", 3)},
 		"mems": {
 			Code: CodeOK,
 			Mems: []memento.Memento{codecMem("a", 1), codecMem("b", 2)},
-			FP:   &memento.Footprint{Queries: []memento.Query{codecQuery()}},
 		},
 		"error": {Code: CodeNotFound, Msg: "sqlstore: not found"},
 		"conflict": {
@@ -126,7 +122,6 @@ func corpusResponses() map[string]*Response {
 			Code: CodeOK,
 			Notice: sqlstore.Notice{
 				TxID: 31,
-				Keys: []memento.Key{{Table: "quote", ID: "a"}},
 				Writes: []memento.WriteDesc{{
 					Key:    memento.Key{Table: "quote", ID: "a"},
 					Before: memento.Fields{"price": memento.Float(1)},
@@ -347,10 +342,7 @@ func FuzzResponseReadWire(f *testing.F) {
 // read-response (the hot shape of the Figure 6 workload) for the
 // allocs/op budget CI enforces.
 func BenchmarkBinaryCodec(b *testing.B) {
-	resp := &Response{
-		Code: CodeOK, Mem: codecMem("a", 3),
-		FP: &memento.Footprint{Keys: []memento.Key{{Table: "quote", ID: "a"}}},
-	}
+	resp := &Response{Code: CodeOK, Mem: codecMem("a", 3)}
 	var buf []byte
 	got := new(Response)
 	b.ReportAllocs()

@@ -169,9 +169,6 @@ type Response struct {
 	// the server-side error was an attributed *sqlstore.ConflictError
 	// (nil otherwise).
 	Conflict *ConflictInfo
-	// FP carries the footprint a Get/Query covered, stamped by the
-	// server on read responses. Nil on every other response.
-	FP *memento.Footprint
 	// Batch carries per-statement results of an OpBatch (one entry per
 	// executed sub-request; execution stops at the first failure, so it
 	// may be shorter than the request's Batch) or the per-set results of

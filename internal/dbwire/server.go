@@ -178,11 +178,9 @@ func (h *connHandler) exec(ctx context.Context, id uint64, tx storeapi.Txn, st s
 	}
 	switch st.Kind {
 	case storeapi.StmtGet, storeapi.StmtGetForUpdate:
-		fp := r.Get.FP
-		return Response{Code: CodeOK, Mem: r.Get.Mem, FP: &fp}
+		return Response{Code: CodeOK, Mem: r.Get.Mem}
 	case storeapi.StmtQuery:
-		fp := r.Q.FP
-		return Response{Code: CodeOK, Mems: r.Q.Mems, FP: &fp}
+		return Response{Code: CodeOK, Mems: r.Q.Mems}
 	case storeapi.StmtCommit:
 		return Response{Code: CodeOK, Tx: id}
 	}
@@ -270,14 +268,14 @@ func (h *connHandler) handle(ctx context.Context, req *Request) *Response {
 		if err != nil {
 			return fail(err)
 		}
-		return &Response{Code: CodeOK, Mem: res.Mem, FP: &res.FP}
+		return &Response{Code: CodeOK, Mem: res.Mem}
 
 	case OpAutoQuery:
 		res, err := h.backend.AutoQuery(ctx, req.Query)
 		if err != nil {
 			return fail(err)
 		}
-		return &Response{Code: CodeOK, Mems: res.Mems, FP: &res.FP}
+		return &Response{Code: CodeOK, Mems: res.Mems}
 
 	default:
 		st, ok := req.stmt()

@@ -1,18 +1,15 @@
 package memento
 
-import (
-	"sort"
-	"strings"
-)
+import "sort"
 
 // WriteDesc describes one committed mutation richly enough for
 // footprint-overlap tests: the key plus the row's field state before and
 // after the write. Before is nil for creates and After is nil for
 // removes, so a predicate can be tested against both sides — a row
 // moving INTO or OUT OF a result set both change the result. A
-// WriteDesc with both sides nil describes a mutation of unknown shape
-// (a notice from a peer that predates rich write sets); overlap tests
-// must treat it conservatively.
+// WriteDesc with both sides nil is blind: a key evicted after a lost
+// validation, whose winning write is unknown, so overlap tests treat it
+// conservatively.
 type WriteDesc struct {
 	Key    Key
 	Before Fields
@@ -23,44 +20,17 @@ type WriteDesc struct {
 // which case only its key and table are known.
 func (w WriteDesc) Blind() bool { return w.Before == nil && w.After == nil }
 
-// DescribeWrites converts a commit set's mutations into write
-// descriptors using the set's own images: Writes and Creates carry
-// after-images, Removes carry no image (before-images are known only to
-// the store). It is the client-side approximation used when a
-// transaction must invalidate its own cached query results before the
-// store's notice arrives.
-func (cs CommitSet) DescribeWrites() []WriteDesc {
-	out := make([]WriteDesc, 0, cs.Mutations())
-	for _, m := range cs.Writes {
-		out = append(out, WriteDesc{Key: m.Key, After: m.Fields})
-	}
-	for _, m := range cs.Creates {
-		out = append(out, WriteDesc{Key: m.Key, After: m.Fields})
-	}
-	for _, r := range cs.Removes {
-		out = append(out, WriteDesc{Key: r.Key})
-	}
-	return out
-}
-
-// Footprint is a typed description of what a read path observed: the
-// exact keys it loaded plus the predicate queries whose result sets it
-// covered. A footprint is the unit of overlap testing against committed
-// write sets — the seam that finder-result caching and pluggable
-// validation modes build on. The zero value is an empty footprint.
+// Footprint is what a cached finder result observed: the predicate
+// query whose result set it holds and the keys of the rows in it. The
+// finder cache builds one per entry (QueryFootprint) and evicts the
+// entry when a committed write overlaps it.
 type Footprint struct {
-	// Keys are rows read directly (by primary key). Order is
-	// insertion order; AddKey deduplicates.
+	// Keys are the rows the result set holds.
 	Keys []Key
 	// Queries are predicate reads: each query's entire result set was
 	// observed, so any committed write matching the predicate — before
 	// or after images — may change it.
 	Queries []Query
-}
-
-// KeyFootprint builds a footprint covering exactly the given keys.
-func KeyFootprint(keys ...Key) Footprint {
-	return Footprint{Keys: append([]Key(nil), keys...)}
 }
 
 // QueryFootprint builds the footprint a finder covered: the normalized
@@ -75,51 +45,7 @@ func QueryFootprint(q Query, results []Memento) Footprint {
 	return fp
 }
 
-// Empty reports whether the footprint covers nothing.
-func (f Footprint) Empty() bool { return len(f.Keys) == 0 && len(f.Queries) == 0 }
-
-// Clone returns a deep-enough copy: the slices are fresh, the queries'
-// predicate slices are shared (predicates are treated as immutable).
-func (f Footprint) Clone() Footprint {
-	return Footprint{
-		Keys:    append([]Key(nil), f.Keys...),
-		Queries: append([]Query(nil), f.Queries...),
-	}
-}
-
-// AddKey records a direct key read, deduplicating.
-func (f *Footprint) AddKey(k Key) {
-	for _, have := range f.Keys {
-		if have == k {
-			return
-		}
-	}
-	f.Keys = append(f.Keys, k)
-}
-
-// AddQuery records a predicate read, deduplicating by canonical form.
-func (f *Footprint) AddQuery(q Query) {
-	q = q.Normalize()
-	ck := q.String()
-	for _, have := range f.Queries {
-		if have.String() == ck {
-			return
-		}
-	}
-	f.Queries = append(f.Queries, q)
-}
-
-// Merge folds another footprint into this one.
-func (f *Footprint) Merge(o Footprint) {
-	for _, k := range o.Keys {
-		f.AddKey(k)
-	}
-	for _, q := range o.Queries {
-		f.AddQuery(q)
-	}
-}
-
-// CoversKey reports whether the footprint read the key directly.
+// CoversKey reports whether the key is one of the footprint's rows.
 func (f Footprint) CoversKey(k Key) bool {
 	for _, have := range f.Keys {
 		if have == k {
@@ -130,7 +56,7 @@ func (f Footprint) CoversKey(k Key) bool {
 }
 
 // OverlapsWrite reports whether a committed write could have changed
-// anything this footprint observed: the written key was read directly,
+// anything this footprint observed: the written key is one of its rows,
 // or a predicate read's result set may have gained or lost the row.
 // Blind writes (no field images) conservatively overlap every predicate
 // on the same table.
@@ -162,27 +88,6 @@ func (f Footprint) Overlaps(writes []WriteDesc) bool {
 		}
 	}
 	return false
-}
-
-// String renders the footprint for logs and debugging.
-func (f Footprint) String() string {
-	var sb strings.Builder
-	sb.WriteString("footprint{keys: [")
-	for i, k := range f.Keys {
-		if i > 0 {
-			sb.WriteString(", ")
-		}
-		sb.WriteString(k.String())
-	}
-	sb.WriteString("], queries: [")
-	for i, q := range f.Queries {
-		if i > 0 {
-			sb.WriteString("; ")
-		}
-		sb.WriteString(q.String())
-	}
-	sb.WriteString("]}")
-	return sb.String()
 }
 
 // MatchesFields reports whether a field map satisfies every predicate

@@ -1,9 +1,6 @@
 package memento
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 func fpRow(id, acct string) Memento {
 	return Memento{
@@ -18,11 +15,7 @@ func holdingsBy(acct string) Query {
 }
 
 func TestFootprintKeyOverlap(t *testing.T) {
-	fp := KeyFootprint(Key{Table: "t", ID: "1"})
-	fp.AddKey(Key{Table: "t", ID: "1"}) // dedup
-	if len(fp.Keys) != 1 {
-		t.Fatalf("AddKey did not deduplicate: %v", fp.Keys)
-	}
+	fp := Footprint{Keys: []Key{{Table: "t", ID: "1"}}}
 	if !fp.OverlapsWrite(WriteDesc{Key: Key{Table: "t", ID: "1"}}) {
 		t.Fatal("write to a read key must overlap")
 	}
@@ -80,30 +73,6 @@ func TestFootprintQueryOverlap(t *testing.T) {
 	}
 }
 
-func TestFootprintMerge(t *testing.T) {
-	var fp Footprint
-	if !fp.Empty() {
-		t.Fatal("zero footprint must be empty")
-	}
-	fp.Merge(KeyFootprint(Key{Table: "t", ID: "1"}))
-	fp.Merge(QueryFootprint(holdingsBy("u1"), nil))
-	fp.Merge(QueryFootprint(holdingsBy("u1"), nil)) // dedup by canonical form
-	if len(fp.Queries) != 1 {
-		t.Fatalf("Merge did not deduplicate queries: %v", fp.Queries)
-	}
-	if fp.Empty() {
-		t.Fatal("merged footprint must not be empty")
-	}
-	c := fp.Clone()
-	c.AddKey(Key{Table: "t", ID: "2"})
-	if fp.CoversKey(Key{Table: "t", ID: "2"}) {
-		t.Fatal("Clone must not share key storage")
-	}
-	if !strings.Contains(fp.String(), "t/1") {
-		t.Fatalf("String missing key: %s", fp.String())
-	}
-}
-
 func TestQueryNormalizeAndCacheKey(t *testing.T) {
 	a := Query{Table: "t", Where: []Predicate{
 		{Field: "b", Op: OpEq, Value: Int(2)},
@@ -124,26 +93,5 @@ func TestQueryNormalizeAndCacheKey(t *testing.T) {
 	limited.Limit = 5
 	if a.CacheKey() == limited.CacheKey() {
 		t.Fatal("Limit must distinguish cache keys")
-	}
-}
-
-func TestCommitSetDescribeWrites(t *testing.T) {
-	cs := CommitSet{
-		Writes:  []Memento{fpRow("h1", "u2")},
-		Creates: []Memento{fpRow("h2", "u1")},
-		Removes: []ReadProof{{Key: Key{Table: "holding", ID: "h3"}, Version: 4}},
-	}
-	writes := cs.DescribeWrites()
-	if len(writes) != 3 {
-		t.Fatalf("got %d write descriptors, want 3", len(writes))
-	}
-	fp := QueryFootprint(holdingsBy("u1"), nil)
-	if !fp.Overlaps(writes) {
-		t.Fatal("create matching the predicate must overlap")
-	}
-	fpOther := QueryFootprint(holdingsBy("u7"), nil)
-	// The remove carries no image, so it is blind: conservative overlap.
-	if !fpOther.Overlaps(writes) {
-		t.Fatal("blind remove must overlap conservatively")
 	}
 }

@@ -80,9 +80,7 @@ func (r *Router) AutoGet(ctx context.Context, table, id string) (storeapi.GetRes
 // AutoQuery runs a finder. A query the affinity hook pins to one
 // placement runs on that shard alone; otherwise it scatters to every
 // shard in parallel and merges the partial results under the query's
-// own order and limit. The merged footprint is the union of the
-// per-shard footprints, so finder-cache invalidation keys on the same
-// predicate descriptor regardless of how many shards served it.
+// own order and limit.
 func (r *Router) AutoQuery(ctx context.Context, q memento.Query) (storeapi.QueryResult, error) {
 	if r.aff != nil {
 		if p, ok := r.aff(q); ok {
@@ -105,7 +103,6 @@ func (r *Router) AutoQuery(ctx context.Context, q memento.Query) (storeapi.Query
 	var out storeapi.QueryResult
 	for i := range results {
 		out.Mems = append(out.Mems, results[i].Mems...)
-		out.FP.Merge(results[i].FP)
 	}
 	q.Sort(out.Mems)
 	out.Mems = q.Cap(out.Mems)

@@ -13,12 +13,14 @@ import (
 // of committed query results keyed by normalized query, the
 // transactional method caching of Pfeifer & Lockemann applied to the
 // paper's custom finders. Each entry carries the footprint the query
-// covered; an incoming commit notice invalidates every entry whose
-// footprint overlaps the committed write set — a row moving into OR out
-// of a predicate's result set both evict, which per-key version bumps
-// alone cannot express. Correctness at use time still rests on
-// optimistic validation: rows served from a cached result enter the
-// transaction's read set and are proven at commit like any other read.
+// covered, which Put works out from the query and its rows — the only
+// place a footprint is built. An incoming commit notice invalidates
+// every entry whose footprint overlaps the committed write set — a row
+// moving into OR out of a predicate's result set both evict, which
+// per-key version bumps alone cannot express. Correctness at use time
+// still rests on optimistic validation: rows served from a cached result
+// enter the transaction's read set and are proven at commit like any
+// other read.
 type FinderCache struct {
 	mu       sync.Mutex
 	enabled  bool
@@ -85,24 +87,24 @@ func (c *FinderCache) SetClock(now func() time.Time) {
 }
 
 // Get returns the cached result set for a query, if present: the
-// committed rows (read-only — callers clone before mutating), the
-// footprint the result covered, and when it was stored. Lookup only —
-// the caller decides whether a returned entry is actually servable
-// (degraded-mode age checks) and records the hit or miss accordingly.
-func (c *FinderCache) Get(q memento.Query) ([]memento.Memento, memento.Footprint, time.Time, bool) {
+// committed rows (read-only — callers clone before mutating) and when
+// they were stored. Lookup only — the caller decides whether a returned
+// entry is actually servable (degraded-mode age checks) and records the
+// hit or miss accordingly.
+func (c *FinderCache) Get(q memento.Query) ([]memento.Memento, time.Time, bool) {
 	ck := q.CacheKey()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if !c.enabled {
-		return nil, memento.Footprint{}, time.Time{}, false
+		return nil, time.Time{}, false
 	}
 	el, ok := c.entries[ck]
 	if !ok {
-		return nil, memento.Footprint{}, time.Time{}, false
+		return nil, time.Time{}, false
 	}
 	c.lru.MoveToFront(el)
 	e := el.Value.(*finderEntry)
-	return e.mems, e.fp, e.storedAt, true
+	return e.mems, e.storedAt, true
 }
 
 // Hit records one served lookup.
@@ -117,17 +119,18 @@ func (c *FinderCache) Miss() {
 	obsFinderMisses.Inc()
 }
 
-// Put stores a committed result set and the footprint it covered. The
-// rows are retained as given and must not be mutated afterwards (the
-// cache runtime only ever hands out clones of them).
-func (c *FinderCache) Put(q memento.Query, mems []memento.Memento, fp memento.Footprint) {
+// Put stores a committed result set with the footprint it covered: the
+// query and the keys of its rows. The rows are retained as given and
+// must not be mutated afterwards (the cache runtime only ever hands out
+// clones of them).
+func (c *FinderCache) Put(q memento.Query, mems []memento.Memento) {
 	ck := q.CacheKey()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if !c.enabled {
 		return
 	}
-	e := &finderEntry{ckey: ck, mems: mems, fp: fp, storedAt: c.now()}
+	e := &finderEntry{ckey: ck, mems: mems, fp: memento.QueryFootprint(q, mems), storedAt: c.now()}
 	if el, ok := c.entries[ck]; ok {
 		el.Value = e
 		c.lru.MoveToFront(el)
@@ -151,19 +154,11 @@ func (c *FinderCache) removeLocked(el *list.Element) {
 }
 
 // Invalidate drops every entry whose footprint overlaps the committed
-// write set and returns how many were dropped. When the notice carries
-// no rich write descriptors (a peer that predates them), the keys are
-// treated as blind writes: any entry reading the same table is dropped,
-// which is conservative but safe.
-func (c *FinderCache) Invalidate(writes []memento.WriteDesc, keys []memento.Key) int {
+// write set and returns how many were dropped. A blind write drops
+// every entry reading its table.
+func (c *FinderCache) Invalidate(writes []memento.WriteDesc) int {
 	if len(writes) == 0 {
-		if len(keys) == 0 {
-			return 0
-		}
-		writes = make([]memento.WriteDesc, len(keys))
-		for i, k := range keys {
-			writes[i] = memento.WriteDesc{Key: k}
-		}
+		return 0
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()

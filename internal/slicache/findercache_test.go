@@ -150,7 +150,6 @@ func TestFinderCacheInvalidatedByOverlappingNotice(t *testing.T) {
 	// result set) leaves the entry alone.
 	e.mgr.noteNotice(sqlstore.Notice{
 		TxID: 991,
-		Keys: []memento.Key{{Table: "t", ID: "zz"}},
 		Writes: []memento.WriteDesc{{
 			Key:    memento.Key{Table: "t", ID: "zz"},
 			Before: memento.Fields{"acct": memento.String("u9")},
@@ -165,7 +164,6 @@ func TestFinderCacheInvalidatedByOverlappingNotice(t *testing.T) {
 	// result set: the entry must go.
 	e.mgr.noteNotice(sqlstore.Notice{
 		TxID: 992,
-		Keys: []memento.Key{{Table: "t", ID: "hNew"}},
 		Writes: []memento.WriteDesc{{
 			Key:   memento.Key{Table: "t", ID: "hNew"},
 			After: memento.Fields{"acct": memento.String("u1")},
@@ -191,9 +189,8 @@ func TestFinderCacheInvalidatedByOverlappingNotice(t *testing.T) {
 	}
 }
 
-// TestFinderCacheKeyOnlyNoticeIsConservative: a notice from a peer that
-// predates rich write descriptors carries keys only; same-table finder
-// entries must still be dropped (blind-write semantics).
+// TestFinderCacheKeyOnlyNoticeIsConservative: a write known by its key
+// alone is blind; same-table finder entries must still be dropped.
 func TestFinderCacheKeyOnlyNoticeIsConservative(t *testing.T) {
 	e := newEnv(t, WithFinderCache(true))
 	e.store.Seed(holding("h1", "u1"))
@@ -206,8 +203,8 @@ func TestFinderCacheKeyOnlyNoticeIsConservative(t *testing.T) {
 	_ = dt.Abort(ctx)
 
 	e.mgr.noteNotice(sqlstore.Notice{
-		TxID: 993,
-		Keys: []memento.Key{{Table: "t", ID: "unrelated"}},
+		TxID:   993,
+		Writes: []memento.WriteDesc{{Key: memento.Key{Table: "t", ID: "unrelated"}}},
 	})
 	if e.mgr.FinderCache().Len() != 0 {
 		t.Fatal("key-only notice did not conservatively evict the same-table entry")
@@ -323,8 +320,8 @@ func TestFinderCacheConflictBlindInvalidatesAndEmitsStaleRead(t *testing.T) {
 func TestFinderCacheLRUCapacity(t *testing.T) {
 	c := NewFinderCache(true, 2)
 	for _, acct := range []string{"u1", "u2", "u1", "u3"} {
-		if _, _, _, ok := c.Get(byAcct(acct)); !ok {
-			c.Put(byAcct(acct), []memento.Memento{holding("h-"+acct, acct)}, memento.Footprint{})
+		if _, _, ok := c.Get(byAcct(acct)); !ok {
+			c.Put(byAcct(acct), []memento.Memento{holding("h-"+acct, acct)})
 		}
 	}
 	st := c.Stats()
@@ -332,10 +329,10 @@ func TestFinderCacheLRUCapacity(t *testing.T) {
 		t.Errorf("stats = %+v, want 2 entries / 1 eviction (u2 evicted)", st)
 	}
 	// u1 was touched after u2, so u2 is the victim: u1 still hits.
-	if _, _, _, ok := c.Get(byAcct("u1")); !ok {
+	if _, _, ok := c.Get(byAcct("u1")); !ok {
 		t.Error("u1 (MRU) was evicted")
 	}
-	if _, _, _, ok := c.Get(byAcct("u2")); ok {
+	if _, _, ok := c.Get(byAcct("u2")); ok {
 		t.Error("u2 (LRU) survived")
 	}
 }

@@ -88,15 +88,13 @@ func NewLoader(conn storeapi.Conn, shipping CommitShipping) *Loader {
 func (l *Loader) Shipping() CommitShipping { return l.shipping }
 
 // FetchOne loads one entity's current persistent state (a cache miss).
-// The result carries the footprint the access covered.
 func (l *Loader) FetchOne(ctx context.Context, key memento.Key) (storeapi.GetResult, error) {
 	return l.conn.AutoGet(ctx, key.Table, key.ID)
 }
 
 // RunQuery evaluates a custom finder against the persistent store, which
 // is the only store guaranteed to have the entire potential result set
-// (§2.2). The result carries the footprint the query covered, which is
-// what the finder-result cache keys its invalidation on.
+// (§2.2).
 func (l *Loader) RunQuery(ctx context.Context, q memento.Query) (storeapi.QueryResult, error) {
 	return l.conn.AutoQuery(ctx, q)
 }

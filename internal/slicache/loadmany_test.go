@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
-	"sort"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -78,7 +77,6 @@ type loadManyOutcome struct {
 	Mems      []memento.Memento
 	Err       string
 	Entries   map[memento.Key]entry
-	FPKeys    []string
 	CommitSet memento.CommitSet
 	Loads     uint64
 	Fetches   uint64
@@ -147,10 +145,6 @@ func (sc loadManyScenario) play(t *testing.T, load func(*sliTx, []memento.Key) (
 	for k, en := range tx.entries {
 		out.Entries[k] = *en
 	}
-	for _, k := range tx.Footprint().Keys {
-		out.FPKeys = append(out.FPKeys, k.String())
-	}
-	sort.Strings(out.FPKeys) // a footprint's keys are a set
 	out.CommitSet = tx.buildCommitSet()
 	st := e.mgr.Stats()
 	out.Loads, out.Fetches, out.Stale = st.Loads, st.MissFetches, st.StaleServes

@@ -33,9 +33,16 @@ type Manager struct {
 	// reads are served from cache only within the degrade bound.
 	degraded atomic.Bool
 
-	mu      sync.Mutex
+	// own guards ownTxs and ownRing, the datastore transactions this
+	// manager committed. It is held from recording an own commit through
+	// installing its after-images, and from a notice's own-commit check
+	// through its eviction: a notice that overtakes its commit's reply
+	// then evicts before the after-images go in, never after them.
+	own     sync.Mutex
 	ownTxs  map[uint64]struct{}
 	ownRing []uint64
+
+	mu      sync.Mutex
 	cancel  func()
 	started bool
 	stop    chan struct{}
@@ -310,9 +317,11 @@ func (m *Manager) drainNotices(ch <-chan sqlstore.Notice, stop chan struct{}) {
 // push latency (when the store stamped the commit time), the staleness
 // window the eviction closed, and a structured invalidation event. Own
 // commits are measured for latency but evict nothing — the cache was
-// already refreshed with the after-images.
+// already refreshed with the after-images. It holds m.own from the
+// own-commit check through the eviction.
 func (m *Manager) noteNotice(n sqlstore.Notice) {
-	own := m.isOwnTx(n.TxID)
+	m.own.Lock()
+	_, own := m.ownTxs[n.TxID]
 	var lat time.Duration
 	stamped := !n.CommittedAt.IsZero()
 	if stamped {
@@ -324,20 +333,22 @@ func (m *Manager) noteNotice(n sqlstore.Notice) {
 	ev := obs.Event{
 		Type:       obs.EventInvalidation,
 		OtherTrace: n.OriginTrace,
-		Keys:       len(n.Keys),
+		Keys:       len(n.Writes),
 		Own:        own,
 		Latency:    lat,
 	}
-	if len(n.Keys) > 0 {
-		ev.Bean = n.Keys[0].Table
-		ev.Key = n.Keys[0].String()
+	if len(n.Writes) > 0 {
+		ev.Bean = n.Writes[0].Key.Table
+		ev.Key = n.Writes[0].Key.String()
 	}
 	if !own {
-		ev.Evicted = m.common.Invalidate(n.Keys...)
+		for _, w := range n.Writes {
+			ev.Evicted += m.common.Invalidate(w.Key)
+		}
 		// Drop every cached finder result whose footprint overlaps the
 		// committed writes. Own commits were invalidated synchronously at
 		// commit time with exact before/after images.
-		m.finders.Invalidate(n.Writes, n.Keys)
+		m.finders.Invalidate(n.Writes)
 		if ev.Evicted > 0 && stamped {
 			// Entries were actually dropped: the push latency bounds how
 			// long they could have been served stale.
@@ -346,6 +357,7 @@ func (m *Manager) noteNotice(n sqlstore.Notice) {
 		}
 		m.stats.noticesApplied.Add(1)
 	}
+	m.own.Unlock()
 	obs.DefaultEvents.Emit(ev)
 }
 
@@ -399,11 +411,9 @@ func (m *Manager) Begin(ctx context.Context) (component.DataTx, error) {
 // recordOwnTx remembers a datastore transaction this manager committed,
 // so the invalidation consumer can skip the corresponding notice (the
 // common store was already refreshed with the after-images). The memory
-// is bounded: old entries are evicted FIFO.
+// is bounded: old entries are evicted FIFO. The caller holds m.own.
 func (m *Manager) recordOwnTx(txID uint64) {
 	const ringSize = 1024
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	m.ownTxs[txID] = struct{}{}
 	m.ownRing = append(m.ownRing, txID)
 	if len(m.ownRing) > ringSize {
@@ -411,11 +421,4 @@ func (m *Manager) recordOwnTx(txID uint64) {
 		m.ownRing = m.ownRing[1:]
 		delete(m.ownTxs, evict)
 	}
-}
-
-func (m *Manager) isOwnTx(txID uint64) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	_, ok := m.ownTxs[txID]
-	return ok
 }

@@ -2,6 +2,7 @@ package slicache
 
 import (
 	"context"
+	"sync"
 	"testing"
 	"time"
 
@@ -211,6 +212,75 @@ func TestInvalidationEvictsOtherManagersEntries(t *testing.T) {
 	}
 	if cached.Version != 2 {
 		t.Errorf("B's entry version = %d, want 2", cached.Version)
+	}
+}
+
+// replyGate holds every ApplyCommitSet reply until release is closed:
+// a slow reply, which the store's push of the same commit overtakes.
+type replyGate struct {
+	storeapi.Conn
+	release chan struct{}
+}
+
+func (g replyGate) ApplyCommitSet(ctx context.Context, cs memento.CommitSet) (sqlstore.ApplyResult, error) {
+	res, err := g.Conn.ApplyCommitSet(ctx, cs)
+	<-g.release
+	return res, err
+}
+
+// TestOwnNoticeBeforeReplyKeepsAfterImage: an edge's own commit notice
+// can arrive before the commit's reply. The notice is held after its
+// own-commit check (the manager's clock is read before the eviction)
+// while the commit completes; the after-image the commit installed must
+// survive either way.
+func TestOwnNoticeBeforeReplyKeepsAfterImage(t *testing.T) {
+	store := sqlstore.New()
+	defer store.Close()
+	store.Seed(row("1", 1))
+	ctx := context.Background()
+	gate := replyGate{Conn: storeapi.Local(store), release: make(chan struct{})}
+	mgr := NewManager(gate, WithShipping(WholeSet), WithInvalidation(false))
+	defer mgr.Close()
+	notices, cancel := store.Subscribe(0)
+	defer cancel()
+
+	dt, err := mgr.Begin(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := dt.Load(ctx, key("1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Fields["n"] = memento.Int(2)
+	if err := dt.Store(ctx, m); err != nil {
+		t.Fatal(err)
+	}
+
+	committed := make(chan struct{})
+	var once sync.Once
+	mgr.now = func() time.Time {
+		once.Do(func() {
+			close(gate.release)
+			select {
+			case <-committed:
+			case <-time.After(100 * time.Millisecond):
+			}
+		})
+		return time.Now()
+	}
+	noted := make(chan struct{})
+	go func() {
+		defer close(noted)
+		mgr.noteNotice(<-notices)
+	}()
+	if err := dt.Commit(ctx); err != nil {
+		t.Fatal(err)
+	}
+	close(committed)
+	<-noted
+	if got, ok := mgr.CommonStore().Get(key("1")); !ok || got.Version != 2 {
+		t.Fatalf("after-image = %v (cached %v), want version 2 cached", got, ok)
 	}
 }
 

@@ -46,11 +46,6 @@ type entry struct {
 type sliTx struct {
 	mgr     *Manager
 	entries map[memento.Key]*entry
-	// fp accumulates the footprint of every persistent-store access this
-	// transaction made: keys fetched directly plus the predicates and
-	// result keys of every finder. It is what the access "declares" about
-	// the committed state it observed.
-	fp memento.Footprint
 	// finderSource marks keys whose before-image entered the transaction
 	// from the finder-result cache rather than a fresh store read. A
 	// conflict on such a key is a stale cached finder result that slipped
@@ -60,10 +55,6 @@ type sliTx struct {
 }
 
 var _ component.MultiLoader = (*sliTx)(nil)
-
-// Footprint returns a snapshot of the read footprint the transaction
-// has accumulated so far.
-func (t *sliTx) Footprint() memento.Footprint { return t.fp.Clone() }
 
 // Load is the one-key case of LoadMany.
 func (t *sliTx) Load(ctx context.Context, key memento.Key) (memento.Memento, error) {
@@ -138,7 +129,6 @@ next:
 			continue
 		}
 		t.mgr.stats.missFetches.Add(1)
-		t.fp.Merge(f.res.FP)
 		m := f.res.Mem
 		t.mgr.common.Put(m)
 		t.entries[f.key] = &entry{
@@ -187,7 +177,6 @@ func (t *sliTx) cached(ctx context.Context, key memento.Key) (memento.Memento, b
 		}
 		t.mgr.stats.staleServes.Add(1)
 	}
-	t.fp.AddKey(key)
 	t.entries[key] = &entry{
 		before:    m.Clone(),
 		current:   m.Clone(),
@@ -328,7 +317,7 @@ func (t *sliTx) Query(ctx context.Context, q memento.Query) ([]memento.Memento, 
 	fetchedAt := now
 	fromFinder := false
 	if t.mgr.finders.Enabled() {
-		if mems, fp, storedAt, ok := t.mgr.finders.Get(q); ok {
+		if mems, storedAt, ok := t.mgr.finders.Get(q); ok {
 			serve := true
 			if t.mgr.degraded.Load() {
 				// Stream down: the cached result may be stale. Honor the same
@@ -344,7 +333,6 @@ func (t *sliTx) Query(ctx context.Context, q memento.Query) ([]memento.Memento, 
 				persisted = mems
 				fetchedAt = storedAt
 				fromFinder = true
-				t.fp.Merge(fp)
 			}
 		}
 		if !fromFinder {
@@ -359,8 +347,7 @@ func (t *sliTx) Query(ctx context.Context, q memento.Query) ([]memento.Memento, 
 			return nil, err
 		}
 		persisted = res.Mems
-		t.fp.Merge(res.FP)
-		t.mgr.finders.Put(q, res.Mems, res.FP)
+		t.mgr.finders.Put(q, res.Mems)
 	}
 	for _, m := range persisted {
 		if !fromFinder {
@@ -422,17 +409,23 @@ func (t *sliTx) Commit(ctx context.Context) error {
 		// Conservatively evict everything this transaction touched: at
 		// least one entry is known stale.
 		keys := make([]memento.Key, 0, len(t.entries))
+		blind := make([]memento.WriteDesc, 0, len(t.entries))
 		for k := range t.entries {
 			keys = append(keys, k)
+			blind = append(blind, memento.WriteDesc{Key: k})
 		}
 		t.mgr.common.Invalidate(keys...)
 		// Same for cached finder results over those keys (blind, since the
 		// winner's writes are unknown here) — otherwise a retry would be
 		// served the very result set that just lost validation. The
 		// winner's own notice handles everything else.
-		t.mgr.finders.Invalidate(nil, keys)
+		t.mgr.finders.Invalidate(blind)
 		return err
 	}
+	// Recording the commit as our own and installing its after-images is
+	// one step to the notice consumer (see Manager.own).
+	t.mgr.own.Lock()
+	defer t.mgr.own.Unlock()
 	t.mgr.recordOwnTx(outcome.TxID)
 	for _, id := range outcome.TxIDs {
 		if id != outcome.TxID {
@@ -465,7 +458,7 @@ func (t *sliTx) Commit(ctx context.Context) error {
 		}
 	}
 	if len(ownWrites) > 0 {
-		t.mgr.finders.Invalidate(ownWrites, nil)
+		t.mgr.finders.Invalidate(ownWrites)
 	}
 	return nil
 }

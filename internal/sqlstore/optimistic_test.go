@@ -158,8 +158,8 @@ func TestCommitNotices(t *testing.T) {
 		if n.TxID != res.TxID {
 			t.Errorf("notice TxID = %d, want %d", n.TxID, res.TxID)
 		}
-		if len(n.Keys) != 1 || n.Keys[0] != (memento.Key{Table: "t", ID: "a"}) {
-			t.Errorf("notice keys = %v", n.Keys)
+		if len(n.Writes) != 1 || n.Writes[0].Key != (memento.Key{Table: "t", ID: "a"}) {
+			t.Errorf("notice writes = %v", n.Writes)
 		}
 	case <-time.After(time.Second):
 		t.Fatal("no notice delivered")

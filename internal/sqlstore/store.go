@@ -29,21 +29,18 @@ var (
 	ErrClosed = errors.New("sqlstore: store closed")
 )
 
-// Notice announces a committed transaction's mutated keys. Edge caches
-// subscribe to notices and invalidate the listed entries.
+// Notice announces a committed transaction's mutations. Edge caches
+// subscribe to notices and invalidate the written entries.
 type Notice struct {
 	// TxID is the committing transaction's store-assigned identifier.
 	TxID uint64
-	// Keys lists every row the transaction created, updated or removed.
-	Keys []memento.Key
-	// Writes describes the same mutations richly enough for
-	// footprint-overlap invalidation: each entry carries the row's field
-	// state before and after the write, so a subscriber can test whether
-	// a cached predicate query's result set gained or lost a row — not
-	// just whether a known key changed version. Subscribers must treat
-	// the descriptors (and their field maps) as read-only; they are
-	// shared across subscribers. Peers that predate this field decode it
-	// as empty and fall back to key-only (conservative) invalidation.
+	// Writes names every row the transaction created, updated or removed,
+	// once each and in key order, with the row's field state before and
+	// after the write, so a subscriber can test whether a cached
+	// predicate query's result set gained or lost a row — not just
+	// whether a known key changed version. Subscribers must treat the
+	// descriptors (and their field maps) as read-only; they are shared
+	// across subscribers.
 	Writes []memento.WriteDesc
 	// CommittedAt is when the writes were installed, stamped by the
 	// store. Edges use it to measure invalidation push latency and the
@@ -237,7 +234,7 @@ func (s *Store) broadcast(ns ...Notice) {
 	s.subMu.Lock()
 	defer s.subMu.Unlock()
 	for _, n := range ns {
-		if len(n.Keys) == 0 {
+		if len(n.Writes) == 0 {
 			continue
 		}
 		for id, ch := range s.subs {
@@ -331,13 +328,12 @@ func (s *Store) scanTable(q memento.Query) []memento.Memento {
 // last writer (for conflict attribution). It assumes the caller holds
 // the required locks and has already validated. The returned time is
 // the install instant, stamped onto the commit's invalidation notice;
-// the write descriptors capture each row's before/after field images
-// for footprint-overlap invalidation at the edges.
-func (s *Store) applyWrites(writes map[memento.Key]pendingWrite, txID, trace uint64) ([]memento.Key, []memento.WriteDesc, time.Time) {
+// the write descriptors, in key order, capture each row's before/after
+// field images for footprint-overlap invalidation at the edges.
+func (s *Store) applyWrites(writes map[memento.Key]pendingWrite, txID, trace uint64) ([]memento.WriteDesc, time.Time) {
 	if len(writes) == 0 {
-		return nil, nil, time.Time{}
+		return nil, time.Time{}
 	}
-	keys := make([]memento.Key, 0, len(writes))
 	descs := make([]memento.WriteDesc, 0, len(writes))
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -376,18 +372,16 @@ func (s *Store) applyWrites(writes map[memento.Key]pendingWrite, txID, trace uin
 				ix.insert(key.ID, t.rows[key.ID].Fields)
 			}
 		}
-		keys = append(keys, key)
 		descs = append(descs, desc)
 	}
-	less := func(a, b memento.Key) bool {
+	sort.Slice(descs, func(i, j int) bool {
+		a, b := descs[i].Key, descs[j].Key
 		if a.Table != b.Table {
 			return a.Table < b.Table
 		}
 		return a.ID < b.ID
-	}
-	sort.Slice(keys, func(i, j int) bool { return less(keys[i], keys[j]) })
-	sort.Slice(descs, func(i, j int) bool { return less(descs[i].Key, descs[j].Key) })
-	return keys, descs, at
+	})
+	return descs, at
 }
 
 // Seed installs rows directly, without locking or notices. It is meant

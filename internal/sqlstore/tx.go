@@ -363,10 +363,10 @@ func (tx *Tx) commit() (Notice, error) {
 		return Notice{}, ErrTxDone
 	}
 	tx.done = true
-	keys, writes, at := tx.s.applyWrites(tx.writes, uint64(tx.id), tx.trace)
+	writes, at := tx.s.applyWrites(tx.writes, uint64(tx.id), tx.trace)
 	tx.s.lm.ReleaseAll(tx.id)
 	tx.s.stats.commits.Add(1)
-	return Notice{TxID: uint64(tx.id), Keys: keys, Writes: writes, CommittedAt: at, OriginTrace: tx.trace}, nil
+	return Notice{TxID: uint64(tx.id), Writes: writes, CommittedAt: at, OriginTrace: tx.trace}, nil
 }
 
 // Abort discards buffered writes and releases all locks. Aborting a

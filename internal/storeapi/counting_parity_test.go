@@ -54,9 +54,8 @@ func requireSuperset(t *testing.T, label string, got, want map[string]string) {
 // TestCountingParityWithLocal pins the counting decorator to the local
 // implementation by reflection: every method Local's Conn and Txn
 // expose must exist on CountingConn and its Txn with an identical
-// signature. A footprint-style signature change that reaches Local but
-// not Counting (or vice versa) fails here rather than at a distant
-// call site.
+// signature. A signature change that reaches Local but not Counting
+// (or vice versa) fails here rather than at a distant call site.
 func TestCountingParityWithLocal(t *testing.T) {
 	store := sqlstore.New()
 	defer store.Close()
@@ -94,10 +93,9 @@ func TestCountingParityWithLocal(t *testing.T) {
 	requireSuperset(t, "countingTxn vs Txn interface", countingTxn, ifaceTxn)
 }
 
-// TestCountingCountsFootprintCarryingCalls: the footprint-carrying
-// reads (Get, GetForUpdate, Query, AutoGet, AutoQuery) each cost
-// exactly one counted statement and pass the footprint through intact.
-func TestCountingCountsFootprintCarryingCalls(t *testing.T) {
+// TestCountingCountsReadCalls: the reads (Get, Query, AutoGet,
+// AutoQuery) each cost exactly one counted statement.
+func TestCountingCountsReadCalls(t *testing.T) {
 	store := sqlstore.New()
 	defer store.Close()
 	seedOne(store, "t", "1", 1)
@@ -106,24 +104,16 @@ func TestCountingCountsFootprintCarryingCalls(t *testing.T) {
 	defer conn.Close()
 
 	before := conn.Ops()
-	res, err := conn.AutoGet(ctx, "t", "1")
-	if err != nil {
+	if _, err := conn.AutoGet(ctx, "t", "1"); err != nil {
 		t.Fatal(err)
-	}
-	if res.FP.Empty() {
-		t.Error("AutoGet through counting lost its footprint")
 	}
 	if got := conn.Ops() - before; got != 1 {
 		t.Errorf("AutoGet cost %d ops, want 1", got)
 	}
 
 	before = conn.Ops()
-	qres, err := conn.AutoQuery(ctx, memento.Query{Table: "t"})
-	if err != nil {
+	if _, err := conn.AutoQuery(ctx, memento.Query{Table: "t"}); err != nil {
 		t.Fatal(err)
-	}
-	if len(qres.FP.Queries) != 1 {
-		t.Error("AutoQuery through counting lost its footprint")
 	}
 	if got := conn.Ops() - before; got != 1 {
 		t.Errorf("AutoQuery cost %d ops, want 1", got)
@@ -135,19 +125,11 @@ func TestCountingCountsFootprintCarryingCalls(t *testing.T) {
 	}
 	defer txn.Abort(ctx)
 	before = conn.Ops()
-	gres, err := txn.Get(ctx, "t", "1")
-	if err != nil {
+	if _, err := txn.Get(ctx, "t", "1"); err != nil {
 		t.Fatal(err)
 	}
-	if gres.FP.Empty() {
-		t.Error("Get through counting lost its footprint")
-	}
-	tq, err := txn.Query(ctx, memento.Query{Table: "t"})
-	if err != nil {
+	if _, err := txn.Query(ctx, memento.Query{Table: "t"}); err != nil {
 		t.Fatal(err)
-	}
-	if len(tq.FP.Queries) != 1 {
-		t.Error("Query through counting lost its footprint")
 	}
 	if got := conn.Ops() - before; got != 2 {
 		t.Errorf("Get+Query cost %d ops, want 2", got)

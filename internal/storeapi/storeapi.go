@@ -9,24 +9,15 @@ import (
 	"edgeejb/internal/sqlstore"
 )
 
-// GetResult carries one row read plus the footprint the access covered.
-// For a key read the footprint is exactly that key, but carrying it on
-// the result keeps every read path declaration-driven: callers
-// accumulate what they observed from the results themselves rather
-// than re-deriving it from the arguments.
+// GetResult carries one row read.
 type GetResult struct {
 	Mem memento.Memento
-	FP  memento.Footprint
 }
 
-// QueryResult carries a finder's rows plus the footprint the query
-// covered: the normalized predicate descriptor (guarding result-set
-// membership) and the keys of the returned rows (proven individually
-// at commit time). Edge caches key finder results on the descriptor
-// and invalidate on footprint overlap with committed write sets.
+// QueryResult carries a finder's rows. An edge's finder cache works out
+// what the result set covered from the query and these rows.
 type QueryResult struct {
 	Mems []memento.Memento
-	FP   memento.Footprint
 }
 
 // Txn is one datastore transaction. Its statement methods are
@@ -165,7 +156,7 @@ func (l *local) AutoGet(ctx context.Context, table, id string) (GetResult, error
 	if err := tx.Commit(); err != nil {
 		return GetResult{}, err
 	}
-	return GetResult{Mem: m, FP: memento.KeyFootprint(memento.Key{Table: table, ID: id})}, nil
+	return GetResult{Mem: m}, nil
 }
 
 func (l *local) AutoQuery(ctx context.Context, q memento.Query) (QueryResult, error) {
@@ -183,7 +174,7 @@ func (l *local) AutoQuery(ctx context.Context, q memento.Query) (QueryResult, er
 	if err := tx.Commit(); err != nil {
 		return QueryResult{}, err
 	}
-	return QueryResult{Mems: mems, FP: memento.QueryFootprint(q, mems)}, nil
+	return QueryResult{Mems: mems}, nil
 }
 
 func (l *local) Prepare(ctx context.Context, gid string, cs memento.CommitSet) error {
@@ -210,8 +201,7 @@ func (l *local) Close() error { return nil }
 // localTxn runs statements on one store transaction.
 type localTxn struct{ tx *sqlstore.Tx }
 
-// Exec runs st under its "sqlstore.<statement>" span (Abort has none)
-// and stamps a read's footprint on its result.
+// Exec runs st under its "sqlstore.<statement>" span (Abort has none).
 func (t localTxn) Exec(ctx context.Context, st Stmt) StmtResult {
 	var r StmtResult
 	var sp *obs.Span
@@ -252,13 +242,8 @@ func (t localTxn) Exec(ctx context.Context, st Stmt) StmtResult {
 		r.Err = fmt.Errorf("storeapi: unknown statement kind %d", st.Kind)
 	}
 	sp.End()
-	switch {
-	case r.Err != nil:
+	if r.Err != nil {
 		return StmtResult{Err: r.Err}
-	case st.Kind == StmtGet || st.Kind == StmtGetForUpdate:
-		r.Get.FP = memento.KeyFootprint(memento.Key{Table: st.Table, ID: st.ID})
-	case st.Kind == StmtQuery:
-		r.Q.FP = memento.QueryFootprint(st.Query, r.Q.Mems)
 	}
 	return r
 }

@@ -35,9 +35,6 @@ func TestLocalTxnLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.FP.CoversKey(memento.Key{Table: "t", ID: "1"}) {
-		t.Errorf("Get footprint %v does not cover the key", res.FP)
-	}
 	m := res.Mem
 	m.Fields["v"] = memento.Int(11)
 	if err := txn.Put(ctx, m); err != nil {
@@ -89,9 +86,6 @@ func TestLocalAutoQuery(t *testing.T) {
 	}
 	if len(qres.Mems) != 2 {
 		t.Fatalf("got %d rows, want 2", len(qres.Mems))
-	}
-	if len(qres.FP.Queries) != 1 || len(qres.FP.Keys) != 2 {
-		t.Errorf("AutoQuery footprint = %v, want 1 query + 2 keys", qres.FP)
 	}
 	st := store.Stats()
 	if st.Begins != st.Commits+st.Aborts {
