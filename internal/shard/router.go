@@ -80,7 +80,9 @@ func (r *Router) AutoGet(ctx context.Context, table, id string) (storeapi.GetRes
 // AutoQuery runs a finder. A query the affinity hook pins to one
 // placement runs on that shard alone; otherwise it scatters to every
 // shard in parallel and merges the partial results under the query's
-// own order and limit.
+// own order and limit. The merged result says it came from one read
+// per shard: the shards answered at different instants, so a
+// cross-shard commit can fall between them.
 func (r *Router) AutoQuery(ctx context.Context, q memento.Query) (storeapi.QueryResult, error) {
 	if r.aff != nil {
 		if p, ok := r.aff(q); ok {
@@ -100,7 +102,7 @@ func (r *Router) AutoQuery(ctx context.Context, q memento.Query) (storeapi.Query
 			return storeapi.QueryResult{}, err
 		}
 	}
-	var out storeapi.QueryResult
+	out := storeapi.QueryResult{Accesses: len(r.conns)}
 	for i := range results {
 		out.Mems = append(out.Mems, results[i].Mems...)
 	}

@@ -84,6 +84,10 @@ type loadManyOutcome struct {
 	Hits      uint64
 	Misses    uint64
 	AutoGets  uint64 // store accesses made by the load under test
+	// Accesses and CacheServed are what the transaction's read-only
+	// commit decides on.
+	Accesses    int
+	CacheServed bool
 }
 
 // play builds the scenario's starting state on a fresh environment and
@@ -150,6 +154,7 @@ func (sc loadManyScenario) play(t *testing.T, load func(*sliTx, []memento.Key) (
 	out.Loads, out.Fetches, out.Stale = st.Loads, st.MissFetches, st.StaleServes
 	out.Hits, out.Misses = st.Cache.Hits, st.Cache.Misses
 	out.AutoGets = e.conn.Ops() - gets
+	out.Accesses, out.CacheServed = tx.accesses, tx.cacheServed
 	return out
 }
 

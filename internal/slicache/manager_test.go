@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"edgeejb/internal/component"
 	"edgeejb/internal/memento"
 	"edgeejb/internal/sqlstore"
 	"edgeejb/internal/storeapi"
@@ -119,8 +120,16 @@ func TestReadOnlyCommitStillValidates(t *testing.T) {
 	e.store.Seed(row("1", 1))
 	ctx := context.Background()
 
+	warm := e.begin(t)
+	if _, err := warm.Load(ctx, key("1")); err != nil {
+		t.Fatal(err)
+	}
+	if err := warm.Abort(ctx); err != nil {
+		t.Fatal(err)
+	}
+
 	dt := e.begin(t)
-	if _, err := dt.Load(ctx, key("1")); err != nil {
+	if _, err := dt.Load(ctx, key("1")); err != nil { // a common-store hit
 		t.Fatal(err)
 	}
 	before := e.conn.Ops()
@@ -128,9 +137,106 @@ func TestReadOnlyCommitStillValidates(t *testing.T) {
 		t.Fatal(err)
 	}
 	// "each client request involves at least one round-trip call to the
-	// back-end server" — read-only transactions validate their read set.
+	// back-end server" — a read the cache served is validated.
 	if got := e.conn.Ops() - before; got != 1 {
-		t.Errorf("read-only commit cost %d statements, want 1", got)
+		t.Errorf("read-only commit of a cached read cost %d statements, want 1", got)
+	}
+}
+
+// TestReadOnlyCommitAtTheEdge pins which read-only transactions commit
+// with no store call: those whose whole read set came from one store
+// access made inside them. Everything else is validated as before.
+func TestReadOnlyCommitAtTheEdge(t *testing.T) {
+	load := func(ids ...string) func(context.Context, component.DataTx) error {
+		return func(ctx context.Context, dt component.DataTx) error {
+			for _, id := range ids {
+				if _, err := dt.Load(ctx, key(id)); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+	}
+	loadMany := func(ctx context.Context, dt component.DataTx) error {
+		_, err := dt.(component.MultiLoader).LoadMany(ctx, []memento.Key{key("1"), key("2")})
+		return err
+	}
+	finder := func(ctx context.Context, dt component.DataTx) error {
+		_, err := dt.Query(ctx, byAcct("a"))
+		return err
+	}
+	then := func(fs ...func(context.Context, component.DataTx) error) func(context.Context, component.DataTx) error {
+		return func(ctx context.Context, dt component.DataTx) error {
+			for _, f := range fs {
+				if err := f(ctx, dt); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+	}
+	write := func(ctx context.Context, dt component.DataTx) error {
+		m, err := dt.Load(ctx, key("1"))
+		if err != nil {
+			return err
+		}
+		m.Fields["n"] = memento.Int(7)
+		return dt.Store(ctx, m)
+	}
+	cases := []struct {
+		name    string
+		opts    []ManagerOption
+		warm    func(context.Context, component.DataTx) error // run and committed first, if set
+		run     func(context.Context, component.DataTx) error
+		wantOps uint64 // store calls made by the commit; 0 is a commit at the edge
+	}{
+		{name: "lone miss", run: load("1")},
+		{name: "lone miss read twice", run: load("1", "1")},
+		{name: "lone finder", run: finder},
+		{name: "finder then a row it returned", run: then(finder, load("h1"))},
+		{name: "lone miss, per image", opts: []ManagerOption{WithShipping(PerImage)}, run: load("1")},
+		{name: "common-store hit", warm: load("1"), run: load("1"), wantOps: 1},
+		{name: "hit and a miss", warm: load("1"), run: load("1", "2"), wantOps: 1},
+		{name: "two misses at once", run: loadMany, wantOps: 1},
+		{name: "two misses in turn", run: load("1", "2"), wantOps: 1},
+		{name: "finder and a miss", run: then(finder, load("1")), wantOps: 1},
+		{name: "finder-cache hit", opts: []ManagerOption{WithFinderCache(true)}, warm: finder, run: finder, wantOps: 1},
+		{name: "lone miss that writes", run: write, wantOps: 1},
+		// Begin, one CheckVersion, Commit: the paper's protocol, unchanged.
+		{name: "lone miss, per statement", opts: []ManagerOption{WithShipping(PerStatement)}, run: load("1"), wantOps: 3},
+	}
+	ctx := context.Background()
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			e := newEnv(t, append([]ManagerOption{WithShipping(WholeSet)}, c.opts...)...)
+			e.store.Seed(row("1", 1), row("2", 2), holding("h1", "a"), holding("h2", "a"))
+			if c.warm != nil {
+				dt := e.begin(t)
+				if err := c.warm(ctx, dt); err != nil {
+					t.Fatal(err)
+				}
+				if err := dt.Commit(ctx); err != nil {
+					t.Fatal(err)
+				}
+			}
+			dt := e.begin(t)
+			if err := c.run(ctx, dt); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := dt.(*sliTx).provenByItsRead(dt.(*sliTx).buildCommitSet()), c.wantOps == 0; got != want {
+				t.Errorf("provenByItsRead = %v, want %v", got, want)
+			}
+			commits, before := e.mgr.Stats().Commits, e.conn.Ops()
+			if err := dt.Commit(ctx); err != nil {
+				t.Fatal(err)
+			}
+			if got := e.conn.Ops() - before; got != c.wantOps {
+				t.Errorf("commit made %d store calls, want %d", got, c.wantOps)
+			}
+			if got := e.mgr.Stats().Commits - commits; got != 1 {
+				t.Errorf("commit counted %d times, want 1", got)
+			}
+		})
 	}
 }
 

@@ -27,12 +27,17 @@ type modelRow struct {
 	version uint64
 }
 
-// model is the authoritative reference: committed rows by ID.
+// model is the authoritative reference: committed rows by ID, and the
+// IDs the manager's common store holds, which decide whether a read is
+// a store access or a cache serve.
 type model struct {
-	rows map[string]modelRow
+	rows   map[string]modelRow
+	cached map[string]bool
 }
 
-func newModel() *model { return &model{rows: make(map[string]modelRow)} }
+func newModel() *model {
+	return &model{rows: make(map[string]modelRow), cached: make(map[string]bool)}
+}
 
 // modelTx mirrors the per-transaction transient store semantics.
 type modelTx struct {
@@ -44,6 +49,10 @@ type modelTx struct {
 	created map[string]bool
 	removed map[string]bool
 	dirty   map[string]bool
+	// accesses counts the store reads made; cacheServed is set once the
+	// common store answers a read.
+	accesses    int
+	cacheServed bool
 }
 
 func newModelTx() *modelTx {
@@ -64,10 +73,16 @@ func (t *modelTx) load(m *model, id string) (int64, bool) {
 		}
 		return *v, true
 	}
+	if m.cached[id] {
+		t.cacheServed = true
+	} else {
+		t.accesses++
+	}
 	row, ok := m.rows[id]
 	if !ok {
 		return 0, false
 	}
+	m.cached[id] = true
 	t.readVersions[id] = row.version
 	val := row.value
 	t.view[id] = &val
@@ -148,9 +163,11 @@ func (t *modelTx) remove(m *model, id string) bool {
 // queryAllIDs mirrors the finder: committed rows plus the transaction's
 // view overlay, sorted by ID (handled by caller comparing sets).
 func (t *modelTx) queryAllIDs(m *model) map[string]int64 {
+	t.accesses++
 	out := make(map[string]int64)
 	for id, row := range m.rows {
 		out[id] = row.value
+		m.cached[id] = true
 	}
 	// Record read versions for rows the finder surfaces and the
 	// transaction has not yet seen (they enter the read set).
@@ -174,6 +191,37 @@ func (t *modelTx) queryAllIDs(m *model) map[string]int64 {
 
 // commit validates against the model and applies on success.
 func (t *modelTx) commit(m *model) bool {
+	if !t.writes() && t.accesses == 1 && !t.cacheServed {
+		// Everything read came from one store access, and the load and
+		// query steps checked it against committed state at that access:
+		// the transaction serialises there, with nothing left to prove.
+		return true
+	}
+	if !t.valid(m) {
+		// A lost validation evicts everything the transaction touched.
+		for id := range t.view {
+			delete(m.cached, id)
+		}
+		return false
+	}
+	// Apply: only mutations reach the store — clean reads were proofs.
+	// Committed after-images stay cached; removed rows leave the cache.
+	for id, v := range t.view {
+		switch {
+		case t.removed[id] && v == nil:
+			delete(m.rows, id)
+			delete(m.cached, id)
+		case v != nil && (t.created[id] || t.dirty[id]):
+			row := m.rows[id]
+			m.rows[id] = modelRow{value: *v, version: row.version + 1}
+			m.cached[id] = true
+		}
+	}
+	return true
+}
+
+// valid checks every read, write and remove proof and every create.
+func (t *modelTx) valid(m *model) bool {
 	for id, ver := range t.readVersions {
 		row, ok := m.rows[id]
 		if t.removed[id] || !t.created[id] {
@@ -188,17 +236,20 @@ func (t *modelTx) commit(m *model) bool {
 			return false
 		}
 	}
-	// Apply: only mutations reach the store — clean reads were proofs.
-	for id, v := range t.view {
-		switch {
-		case t.removed[id] && v == nil:
-			delete(m.rows, id)
-		case v != nil && (t.created[id] || t.dirty[id]):
-			row := m.rows[id]
-			m.rows[id] = modelRow{value: *v, version: row.version + 1}
+	return true
+}
+
+// writes reports whether the transaction mutates anything.
+func (t *modelTx) writes() bool {
+	if len(t.dirty) > 0 || len(t.created) > 0 {
+		return true
+	}
+	for _, removed := range t.removed {
+		if removed {
+			return true
 		}
 	}
-	return true
+	return false
 }
 
 // opKind enumerates generated operations.
@@ -248,7 +299,8 @@ func runModelTrial(t *testing.T, seed int64) bool {
 	// One manager, two interleaved transactions. A single manager's
 	// common store is always coherent with committed state in a serial
 	// interleaving (commits refresh it, conflicts and removals evict),
-	// so the cache-free model below is exact. Cross-manager staleness —
+	// so the model needs only which IDs it holds, to tell a store access
+	// from a cache serve at commit. Cross-manager staleness —
 	// where a real cache legitimately serves outdated values until
 	// commit validation catches it — is covered by the directed
 	// invalidation tests instead; a model for it would have to replicate

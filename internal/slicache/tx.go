@@ -51,7 +51,14 @@ type sliTx struct {
 	// conflict on such a key is a stale cached finder result that slipped
 	// past invalidation — forensically distinct from an ordinary race.
 	finderSource map[memento.Key]bool
-	done         bool
+	// accesses counts the store reads made for this transaction: one per
+	// miss fetched and one per shard a finder asked. cacheServed is set
+	// once the common store or the finder cache answers a read. Together
+	// they decide whether a read-only commit needs validating (see
+	// provenByItsRead).
+	accesses    int
+	cacheServed bool
+	done        bool
 }
 
 var _ component.MultiLoader = (*sliTx)(nil)
@@ -118,6 +125,7 @@ next:
 		}
 	}
 	if len(misses) > 0 {
+		t.accesses += len(misses)
 		t.fetchAll(ctx, misses)
 	}
 	for j := range misses {
@@ -177,6 +185,7 @@ func (t *sliTx) cached(ctx context.Context, key memento.Key) (memento.Memento, b
 		}
 		t.mgr.stats.staleServes.Add(1)
 	}
+	t.cacheServed = true
 	t.entries[key] = &entry{
 		before:    m.Clone(),
 		current:   m.Clone(),
@@ -333,6 +342,7 @@ func (t *sliTx) Query(ctx context.Context, q memento.Query) ([]memento.Memento, 
 				persisted = mems
 				fetchedAt = storedAt
 				fromFinder = true
+				t.cacheServed = true
 			}
 		}
 		if !fromFinder {
@@ -343,6 +353,7 @@ func (t *sliTx) Query(ctx context.Context, q memento.Query) ([]memento.Memento, 
 		qctx, sp := obs.StartSpan(ctx, "slicache.query")
 		res, err := t.mgr.loader.RunQuery(qctx, q)
 		sp.End()
+		t.accesses += max(res.Accesses, 1)
 		if err != nil {
 			return nil, err
 		}
@@ -386,7 +397,8 @@ func (t *sliTx) Query(ctx context.Context, q memento.Query) ([]memento.Memento, 
 // and ships it to the validator. On success the common store is
 // refreshed with the new committed state; on conflict every key the
 // transaction touched is evicted, since the persistent state is known
-// to have moved.
+// to have moved. A set with nothing to prove, or whose proofs its one
+// store read already made, commits at the edge.
 func (t *sliTx) Commit(ctx context.Context) error {
 	if t.done {
 		return sqlstore.ErrTxDone
@@ -394,7 +406,7 @@ func (t *sliTx) Commit(ctx context.Context) error {
 	t.done = true
 
 	cs := t.buildCommitSet()
-	if cs.IsEmpty() {
+	if cs.IsEmpty() || t.provenByItsRead(cs) {
 		t.mgr.stats.commits.Add(1)
 		return nil
 	}
@@ -461,6 +473,21 @@ func (t *sliTx) Commit(ctx context.Context) error {
 		t.mgr.finders.Invalidate(ownWrites)
 	}
 	return nil
+}
+
+// provenByItsRead reports whether cs, a set that writes nothing, was
+// read in full by one store access made inside this transaction: one
+// miss fetch or one finder answered by one store. The store ran that
+// access as one strict-2PL transaction, so the rows form a consistent
+// snapshot at an instant within this transaction's lifetime, and the
+// read-only transaction serialises there; validating them one round
+// trip later could only re-prove freshness. A read the common store or
+// the finder cache served, a second access, and a scatter over several
+// shards all break the single instant, so those sets are validated.
+// So is every PerStatement set: it is the paper's measured protocol.
+func (t *sliTx) provenByItsRead(cs memento.CommitSet) bool {
+	return cs.Mutations() == 0 && t.accesses == 1 && !t.cacheServed &&
+		t.mgr.loader.Shipping() != PerStatement
 }
 
 // noteConflict records the forensics of a failed validation: a

@@ -18,6 +18,11 @@ type GetResult struct {
 // what the result set covered from the query and these rows.
 type QueryResult struct {
 	Mems []memento.Memento
+	// Accesses is the number of separate store reads that produced Mems
+	// when there was more than one: a shard router's scatter sets it to
+	// the number of shards it asked. Zero means one read at one instant.
+	// It is set on the edge and never crosses the wire.
+	Accesses int
 }
 
 // Txn is one datastore transaction. Its statement methods are

@@ -71,11 +71,29 @@ func TestColdMultiFindOverlapsOnSlowHop(t *testing.T) {
 	}
 }
 
-// BenchmarkColdLogin is a Login that misses on both its beans, over a
-// loopback back-end with the cache emptied before every iteration. CI
-// holds its rts/op at exactly 3 — two fetches and the commit: fetching
+// BenchmarkColdLogin is a Login that misses on both its beans. CI holds
+// its rts/op at exactly 3 — two fetches and the commit: fetching
 // concurrently must never change what crosses the wire.
 func BenchmarkColdLogin(b *testing.B) {
+	benchmarkCold(b, func(ctx context.Context, svc *Service) error {
+		_, err := svc.Login(ctx, UserID(1), "cold")
+		return err
+	})
+}
+
+// BenchmarkColdHome is a Home that misses on its one bean. CI holds its
+// rts/op at exactly 1: the fetch is the transaction's one store access,
+// so the read-only commit sends no validation.
+func BenchmarkColdHome(b *testing.B) {
+	benchmarkCold(b, func(ctx context.Context, svc *Service) error {
+		_, err := svc.Home(ctx, UserID(1))
+		return err
+	})
+}
+
+// benchmarkCold runs action over a loopback ES/RBES back-end with the
+// cache emptied before every iteration, and reports its round trips.
+func benchmarkCold(b *testing.B, action func(context.Context, *Service) error) {
 	e := newRTEnv(b, "sli-split")
 	ctx := context.Background()
 	b.ReportAllocs()
@@ -83,7 +101,7 @@ func BenchmarkColdLogin(b *testing.B) {
 	before := e.client.RoundTrips()
 	for i := 0; i < b.N; i++ {
 		e.mgr.CommonStore().Clear()
-		if _, err := e.svc.Login(ctx, UserID(1), "cold"); err != nil {
+		if err := action(ctx, e.svc); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -295,7 +295,7 @@ func (s *Service) Sell(ctx context.Context, userID string) (SellResult, error) {
 			return fmt.Errorf("sell %s: %w", userID, err)
 		}
 		if len(ents) == 0 {
-			return nil // nothing to sell; commit the (read-only) finder
+			return nil // nothing to sell; the SLI cache commits an empty read at the edge
 		}
 		h, ok := ents[0].(*Holding)
 		if !ok {
