@@ -1,33 +1,23 @@
-// Command benchdiff compares two benchmark runs' summary.json files and
-// reports per-metric verdicts — the regression engine behind the CI
-// perf gate.
+// Command benchdiff compares two benchmark runs' summary.json files —
+// the regression engine behind the CI perf gate.
 //
 // Usage:
 //
-//	benchdiff old.json new.json           # files, run dirs, or artifact
-//	                                      # roots (newest run-* wins)
-//	benchdiff -gate all runs/a runs/b     # same-machine A/B: gate every
-//	                                      # metric
-//	benchdiff -gate stable baseline runs  # cross-machine baseline: gate
-//	                                      # only machine-independent
-//	                                      # kinds (count, ratio)
-//	benchdiff -tol latency.es-rdb.d0ms.mean_ms=0.5 a b
-//	benchdiff -all a b                    # show unchanged rows too
+//	benchdiff old new       # files, run dirs, or artifact roots
+//	                        # (newest run-* wins)
+//	benchdiff -all old new  # show unchanged rows too
 //
-// Exit status: 0 when no gated metric regressed, 2 when one did, 1 on
-// usage or I/O errors. A metric counts as regressed only when it
-// exceeds its tolerance budget AND (when both runs carry batch-mean
-// samples) a Welch two-sample test finds the difference significant at
-// the 95% level; exceedances the test cannot distinguish from noise
-// report as inconclusive and do not gate.
+// An exact metric (wire.*, cache.*) that differs at all is a verdict,
+// "regressed" or "improved" by its direction; a measured metric is
+// printed old → new and never judged. Exit status: 0 when every exact
+// metric repeated, 2 when one moved either way (so a checked-in
+// baseline is always current), 1 on usage or I/O errors.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 
 	"edgeejb/internal/regress"
 )
@@ -38,13 +28,8 @@ func main() {
 
 func run(args []string) int {
 	fs := flag.NewFlagSet("benchdiff", flag.ContinueOnError)
-	var (
-		gate  = fs.String("gate", "stable", "which metrics arm the exit code: all, stable, none, or a comma-separated kind list (time,rate,count,ratio)")
-		tols  multiFlag
-		all   = fs.Bool("all", false, "show unchanged metrics too")
-		quiet = fs.Bool("q", false, "suppress the table; exit status only")
-	)
-	fs.Var(&tols, "tol", "per-metric tolerance override, name=fraction (repeatable; absolute difference for ratio metrics)")
+	all := fs.Bool("all", false, "show unchanged metrics too")
+	quiet := fs.Bool("q", false, "suppress the table; exit status only")
 	fs.Usage = func() {
 		fmt.Fprintf(fs.Output(), "usage: benchdiff [flags] <old> <new>\n\nFlags:\n")
 		fs.PrintDefaults()
@@ -56,18 +41,6 @@ func run(args []string) int {
 		fs.Usage()
 		return 1
 	}
-
-	gateFn, err := parseGate(*gate)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchdiff:", err)
-		return 1
-	}
-	tolerance, err := parseTols(tols)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchdiff:", err)
-		return 1
-	}
-
 	oldS, err := regress.Load(fs.Arg(0))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchdiff:", err)
@@ -78,67 +51,15 @@ func run(args []string) int {
 		fmt.Fprintln(os.Stderr, "benchdiff:", err)
 		return 1
 	}
-
-	rep := regress.Compare(oldS, newS, regress.Options{
-		Tolerance: tolerance,
-		Gate:      gateFn,
-	})
+	rep := regress.Compare(oldS, newS)
 	if !*quiet {
 		if err := rep.WriteTable(os.Stdout, *all); err != nil {
 			fmt.Fprintln(os.Stderr, "benchdiff:", err)
 			return 1
 		}
 	}
-	if rep.Regressions > 0 {
+	if rep.Regressions+rep.Improvements > 0 {
 		return 2
 	}
 	return 0
 }
-
-// parseGate maps the -gate flag to a GateFunc.
-func parseGate(s string) (regress.GateFunc, error) {
-	switch s {
-	case "all":
-		return regress.GateAll, nil
-	case "stable":
-		return regress.GateStable, nil
-	case "none":
-		return regress.GateNone, nil
-	}
-	var kinds []regress.Kind
-	for _, part := range strings.Split(s, ",") {
-		switch k := regress.Kind(strings.TrimSpace(part)); k {
-		case regress.KindTime, regress.KindRate, regress.KindCount, regress.KindRatio:
-			kinds = append(kinds, k)
-		default:
-			return nil, fmt.Errorf("bad -gate %q (want all, stable, none, or kinds)", s)
-		}
-	}
-	return regress.GateKinds(kinds...), nil
-}
-
-// parseTols maps repeated -tol name=fraction flags to a tolerance map.
-func parseTols(tols []string) (map[string]float64, error) {
-	if len(tols) == 0 {
-		return nil, nil
-	}
-	out := make(map[string]float64, len(tols))
-	for _, t := range tols {
-		name, val, ok := strings.Cut(t, "=")
-		if !ok {
-			return nil, fmt.Errorf("bad -tol %q (want name=fraction)", t)
-		}
-		f, err := strconv.ParseFloat(val, 64)
-		if err != nil || f < 0 {
-			return nil, fmt.Errorf("bad -tol %q (want a non-negative fraction)", t)
-		}
-		out[name] = f
-	}
-	return out, nil
-}
-
-// multiFlag collects repeated flag occurrences.
-type multiFlag []string
-
-func (m *multiFlag) String() string     { return strings.Join(*m, ",") }
-func (m *multiFlag) Set(s string) error { *m = append(*m, s); return nil }

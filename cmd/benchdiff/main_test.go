@@ -7,57 +7,49 @@ import (
 	"edgeejb/internal/regress"
 )
 
-func writeSummary(t *testing.T, dir, name string, metrics map[string]regress.Metric) string {
+func writeSummary(t *testing.T, dir, name, schema string, metrics map[string]regress.Metric) string {
 	t.Helper()
 	path := filepath.Join(dir, name)
-	if err := regress.Save(path, &regress.Summary{Schema: regress.SchemaV2, Metrics: metrics}); err != nil {
+	if err := regress.Save(path, &regress.Summary{Schema: schema, Metrics: metrics}); err != nil {
 		t.Fatal(err)
 	}
 	return path
 }
 
 // TestExitCodes pins the CLI contract CI scripts depend on: 0 clean,
-// 2 gated regression, 1 usage/IO error.
+// 2 when an exact metric moved either way, 1 on usage or I/O errors.
 func TestExitCodes(t *testing.T) {
 	dir := t.TempDir()
-	base := writeSummary(t, dir, "base.json", map[string]regress.Metric{
-		"wire.rts":  {Kind: regress.KindCount, Better: regress.LowerIsBetter, Mean: 3.6},
-		"latency.x": {Kind: regress.KindTime, Better: regress.LowerIsBetter, Mean: 10},
+	summary := func(name string, rts, latency float64) string {
+		return writeSummary(t, dir, name, regress.SchemaV3, map[string]regress.Metric{
+			"wire.rts":  {Kind: regress.KindExact, Better: regress.LowerIsBetter, Mean: rts},
+			"latency.x": {Kind: regress.KindMeasured, Better: regress.LowerIsBetter, Mean: latency},
+		})
+	}
+	base := summary("base.json", 3.6, 10)
+	renamed := writeSummary(t, dir, "renamed.json", regress.SchemaV3, map[string]regress.Metric{
+		"wire.rts2": {Kind: regress.KindExact, Better: regress.LowerIsBetter, Mean: 3.6},
 	})
-	same := writeSummary(t, dir, "same.json", map[string]regress.Metric{
-		"wire.rts":  {Kind: regress.KindCount, Better: regress.LowerIsBetter, Mean: 3.6},
-		"latency.x": {Kind: regress.KindTime, Better: regress.LowerIsBetter, Mean: 10.1},
-	})
-	worse := writeSummary(t, dir, "worse.json", map[string]regress.Metric{
-		"wire.rts":  {Kind: regress.KindCount, Better: regress.LowerIsBetter, Mean: 4.4},
-		"latency.x": {Kind: regress.KindTime, Better: regress.LowerIsBetter, Mean: 10},
-	})
-
-	if code := run([]string{"-q", base, same}); code != 0 {
-		t.Errorf("clean compare exit = %d, want 0", code)
-	}
-	if code := run([]string{"-q", base, worse}); code != 2 {
-		t.Errorf("regressed compare exit = %d, want 2", code)
-	}
-	// The same regression vanishes when count metrics are not gated.
-	if code := run([]string{"-q", "-gate", "none", base, worse}); code != 0 {
-		t.Errorf("ungated compare exit = %d, want 0", code)
-	}
-	// A widened per-metric budget absorbs it too.
-	if code := run([]string{"-q", "-tol", "wire.rts=0.5", base, worse}); code != 0 {
-		t.Errorf("tolerance-overridden exit = %d, want 0", code)
-	}
-	// Usage and IO errors are 1, distinct from the gate's 2.
-	if code := run([]string{"-q", base}); code != 1 {
-		t.Errorf("one-arg exit = %d, want 1", code)
-	}
-	if code := run([]string{"-q", base, filepath.Join(dir, "missing.json")}); code != 1 {
-		t.Errorf("missing-file exit = %d, want 1", code)
-	}
-	if code := run([]string{"-gate", "bogus", base, same}); code != 1 {
-		t.Errorf("bad-gate exit = %d, want 1", code)
-	}
-	if code := run([]string{"-tol", "nonsense", base, same}); code != 1 {
-		t.Errorf("bad-tol exit = %d, want 1", code)
+	// The schema before exact and measured kinds is refused, not compared.
+	v2 := writeSummary(t, dir, "v2.json", "edgeejb/summary/v2", nil)
+	for _, tc := range []struct {
+		name string
+		args []string
+		want int
+	}{
+		{"identical", []string{"-q", base, base}, 0},
+		{"measured row +50 %", []string{"-q", base, summary("slower.json", 3.6, 15)}, 0},
+		{"exact row worse", []string{"-q", base, summary("worse.json", 3.61, 10)}, 2},
+		{"exact row better", []string{"-q", base, summary("better.json", 3.59, 10)}, 2},
+		{"rows added and removed", []string{"-all", base, renamed}, 0},
+		{"one argument", []string{"-q", base}, 1},
+		{"missing file", []string{"-q", base, filepath.Join(dir, "missing.json")}, 1},
+		{"v2 summary", []string{"-q", base, v2}, 1},
+		{"retired flag", []string{"-tol", "wire.rts=0.5", base, base}, 1},
+		{"unknown flag", []string{"-gate", "none", base, base}, 1},
+	} {
+		if code := run(tc.args); code != tc.want {
+			t.Errorf("%s: exit = %d, want %d", tc.name, code, tc.want)
+		}
 	}
 }

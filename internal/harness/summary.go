@@ -1,12 +1,14 @@
 package harness
 
 import (
+	"math"
 	"strconv"
 	"strings"
 	"time"
 
 	"edgeejb/internal/obs"
 	"edgeejb/internal/regress"
+	"edgeejb/internal/stats"
 )
 
 // SummaryInput collects everything a run measured for the canonical
@@ -48,26 +50,25 @@ func fmtDelay(ms float64) string { return strconv.FormatFloat(ms, 'f', -1, 64) }
 // BuildSummary flattens a run's measurements into the summary.json
 // metric namespace (documented in OBSERVABILITY.md):
 //
-//	latency.<pair>.d<D>ms.mean_ms      time   per delay point, with batch means
-//	sensitivity.<pair>                 count  Table 2 slope (delay-scale invariant)
-//	wire.<pair>.rts_per_interaction    count  shared-path round trips
-//	wire.<pair>.bytes_per_interaction  count  shared-path bytes
-//	throughput.<pair>.c<N>.ixn_per_s   rate   per concurrency level
-//	shards.s<N>.committed_per_s        rate   shard-scaling sweep
-//	shards.s<N>.twopc_fraction         ratio  cross-shard 2PC share
-//	cache.finder_hit_ratio             ratio  whole-run finder cache
-//	resource.allocs_per_interaction        count  heap objects per committed ixn
-//	resource.alloc_bytes_per_interaction   count  heap bytes per committed ixn
-//	resource.goroutine_high_water          count  max goroutines sampled
+//	latency.<pair>.d<D>ms.mean_ms          measured  per delay point
+//	sensitivity.<pair>                     measured  Table 2 slope, fitted through timed points
+//	wire.<pair>.rts_per_interaction        exact     shared-path round trips
+//	wire.<pair>.bytes_per_interaction      exact     shared-path bytes
+//	throughput.<pair>.c<N>.ixn_per_s       measured  per concurrency level
+//	shards.s<N>.committed_per_s            measured  shard-scaling sweep
+//	shards.s<N>.twopc_fraction             measured  cross-shard 2PC share
+//	cache.finder_hit_ratio                 exact     whole-run finder cache
+//	resource.allocs_per_interaction        measured  heap objects per committed ixn
+//	resource.alloc_bytes_per_interaction   measured  heap bytes per committed ixn
+//	resource.goroutine_high_water          measured  max goroutines sampled
 //
-// "count" and "ratio" metrics are protocol properties that reproduce
-// across machines; "time" and "rate" only compare within one host. The
-// resource.* allocation counts are same-build deterministic enough to
-// gate (the gate scripts widen goroutine_high_water's budget, which
-// breathes with scheduling).
+// Exact metrics are counts of what the protocol did, which a fixed seed
+// and one client repeat bit for bit; the gate fails on any difference in
+// them. Everything read from a clock, a many-client schedule or the
+// runtime is measured: printed, never judged.
 func BuildSummary(in SummaryInput) *regress.Summary {
 	s := &regress.Summary{
-		Schema:    regress.SchemaV2,
+		Schema:    regress.SchemaV3,
 		CreatedAt: time.Now().UTC().Format(time.RFC3339),
 		Args:      in.Args,
 		Metrics:   make(map[string]regress.Metric),
@@ -78,36 +79,33 @@ func BuildSummary(in SummaryInput) *regress.Summary {
 			var rts, bytesPer []float64
 			for _, p := range sweep.Points {
 				s.Metrics["latency."+ps+".d"+fmtDelay(p.OneWayDelayMs)+"ms.mean_ms"] = regress.Metric{
-					Unit:    "ms",
-					Kind:    regress.KindTime,
-					Better:  regress.LowerIsBetter,
-					Mean:    p.MeanLatencyMs,
-					N:       p.Load.Interactions,
-					Samples: p.Load.BatchMeans,
+					Unit:   "ms",
+					Kind:   regress.KindMeasured,
+					Better: regress.LowerIsBetter,
+					Mean:   p.MeanLatencyMs,
+					N:      p.Load.Interactions,
 				}
 				rts = append(rts, p.SharedRoundTripsPerInteraction)
 				bytesPer = append(bytesPer, p.SharedBytesPerInteraction)
 			}
 			s.Metrics["wire."+ps+".rts_per_interaction"] = regress.Metric{
-				Unit:    "rt/ixn",
-				Kind:    regress.KindCount,
-				Better:  regress.LowerIsBetter,
-				Mean:    mean(rts),
-				N:       len(rts),
-				Samples: rts,
+				Unit:   "rt/ixn",
+				Kind:   regress.KindExact,
+				Better: regress.LowerIsBetter,
+				Mean:   stats.Mean(rts),
+				N:      len(rts),
 			}
 			s.Metrics["wire."+ps+".bytes_per_interaction"] = regress.Metric{
-				Unit:    "B/ixn",
-				Kind:    regress.KindCount,
-				Better:  regress.LowerIsBetter,
-				Mean:    mean(bytesPer),
-				N:       len(bytesPer),
-				Samples: bytesPer,
+				Unit:   "B/ixn",
+				Kind:   regress.KindExact,
+				Better: regress.LowerIsBetter,
+				Mean:   stats.Mean(bytesPer),
+				N:      len(bytesPer),
 			}
-			if sens := sweep.Sensitivity(); !isNaN(sens) {
+			if sens := sweep.Sensitivity(); !math.IsNaN(sens) {
 				s.Metrics["sensitivity."+ps] = regress.Metric{
 					Unit:   "ms/ms",
-					Kind:   regress.KindCount,
+					Kind:   regress.KindMeasured,
 					Better: regress.LowerIsBetter,
 					Mean:   sens,
 					N:      len(sweep.Points),
@@ -120,7 +118,7 @@ func BuildSummary(in SummaryInput) *regress.Summary {
 		for _, p := range curve.Points {
 			s.Metrics["throughput."+ps+".c"+strconv.Itoa(p.Clients)+".ixn_per_s"] = regress.Metric{
 				Unit:   "ixn/s",
-				Kind:   regress.KindRate,
+				Kind:   regress.KindMeasured,
 				Better: regress.HigherIsBetter,
 				Mean:   p.Throughput,
 				N:      p.Interactions,
@@ -131,13 +129,13 @@ func BuildSummary(in SummaryInput) *regress.Summary {
 		base := "shards.s" + strconv.Itoa(p.Shards)
 		s.Metrics[base+".committed_per_s"] = regress.Metric{
 			Unit:   "commit/s",
-			Kind:   regress.KindRate,
+			Kind:   regress.KindMeasured,
 			Better: regress.HigherIsBetter,
 			Mean:   p.Throughput,
 			N:      p.Interactions,
 		}
 		s.Metrics[base+".twopc_fraction"] = regress.Metric{
-			Kind:   regress.KindRatio,
+			Kind:   regress.KindMeasured,
 			Better: regress.LowerIsBetter,
 			Mean:   p.TwoPCFraction(),
 			N:      int(p.FastpathCommits + p.TwoPCCommits + p.ReadonlyCommits),
@@ -145,7 +143,7 @@ func BuildSummary(in SummaryInput) *regress.Summary {
 	}
 	if hits, misses := in.Counters["slicache.finder_hits"], in.Counters["slicache.finder_misses"]; hits+misses > 0 {
 		s.Metrics["cache.finder_hit_ratio"] = regress.Metric{
-			Kind:   regress.KindRatio,
+			Kind:   regress.KindExact,
 			Better: regress.HigherIsBetter,
 			Mean:   float64(hits) / float64(hits+misses),
 			N:      int(hits + misses),
@@ -169,7 +167,7 @@ func addResourceMetrics(s *regress.Summary, in SummaryInput) {
 		if allocs := rt.Counters["runtime.allocs_total"]; allocs > 0 {
 			s.Metrics["resource.allocs_per_interaction"] = regress.Metric{
 				Unit:   "obj/ixn",
-				Kind:   regress.KindCount,
+				Kind:   regress.KindMeasured,
 				Better: regress.LowerIsBetter,
 				Mean:   float64(allocs) / float64(ixn),
 				N:      ixn,
@@ -178,7 +176,7 @@ func addResourceMetrics(s *regress.Summary, in SummaryInput) {
 		if bytes := rt.Counters["runtime.alloc_bytes_total"]; bytes > 0 {
 			s.Metrics["resource.alloc_bytes_per_interaction"] = regress.Metric{
 				Unit:   "B/ixn",
-				Kind:   regress.KindCount,
+				Kind:   regress.KindMeasured,
 				Better: regress.LowerIsBetter,
 				Mean:   float64(bytes) / float64(ixn),
 				N:      ixn,
@@ -188,7 +186,7 @@ func addResourceMetrics(s *regress.Summary, in SummaryInput) {
 	if hw := rt.Gauges["runtime.goroutines_highwater"]; hw > 0 {
 		s.Metrics["resource.goroutine_high_water"] = regress.Metric{
 			Unit:   "goroutines",
-			Kind:   regress.KindCount,
+			Kind:   regress.KindMeasured,
 			Better: regress.LowerIsBetter,
 			Mean:   float64(hw),
 		}
@@ -216,17 +214,3 @@ func totalInteractions(in SummaryInput) int {
 	}
 	return n
 }
-
-func mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}
-
-// isNaN avoids importing math for one comparison.
-func isNaN(f float64) bool { return f != f }

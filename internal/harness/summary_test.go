@@ -10,7 +10,8 @@ import (
 	"edgeejb/internal/stats"
 )
 
-func TestBuildSummaryNaming(t *testing.T) {
+// fullSummaryInput feeds BuildSummary every family it builds.
+func fullSummaryInput() SummaryInput {
 	eval := &Evaluation{Sweeps: map[Pair]Sweep{
 		{ESRDB, AlgVanillaEJB}: {
 			Arch: ESRDB, Algo: AlgVanillaEJB,
@@ -33,7 +34,7 @@ func TestBuildSummaryNaming(t *testing.T) {
 			Fit: stats.Fit{Slope: 24.0, R2: 0.99},
 		},
 	}}
-	s := BuildSummary(SummaryInput{
+	return SummaryInput{
 		Args: []string{"-fig7"},
 		Eval: eval,
 		Throughput: []ThroughputCurve{{
@@ -55,8 +56,12 @@ func TestBuildSummaryNaming(t *testing.T) {
 			},
 			Gauges: map[string]int64{"runtime.goroutines_highwater": 42},
 		},
-	})
-	if s.Schema != regress.SchemaV2 {
+	}
+}
+
+func TestBuildSummaryNaming(t *testing.T) {
+	s := BuildSummary(fullSummaryInput())
+	if s.Schema != regress.SchemaV3 {
 		t.Fatalf("schema = %q", s.Schema)
 	}
 
@@ -82,52 +87,72 @@ func TestBuildSummaryNaming(t *testing.T) {
 	}
 
 	// Kind and direction spot checks: the gate semantics ride on these.
-	if m := s.Metrics["wire.es-rdb.vanilla-ejbs.rts_per_interaction"]; m.Kind != regress.KindCount ||
-		m.Better != regress.LowerIsBetter || m.Mean != 12.1 || len(m.Samples) != 2 {
+	if m := s.Metrics["wire.es-rdb.vanilla-ejbs.rts_per_interaction"]; m.Kind != regress.KindExact ||
+		m.Better != regress.LowerIsBetter || m.Mean != 12.1 || m.N != 2 {
 		t.Errorf("wire rts metric = %+v", m)
 	}
-	if m := s.Metrics["latency.es-rdb.vanilla-ejbs.d0ms.mean_ms"]; m.Kind != regress.KindTime ||
-		m.Mean != 1.5 || len(m.Samples) != 2 {
+	if m := s.Metrics["latency.es-rdb.vanilla-ejbs.d0ms.mean_ms"]; m.Kind != regress.KindMeasured ||
+		m.Mean != 1.5 || m.N != 100 {
 		t.Errorf("latency metric = %+v", m)
 	}
-	if m := s.Metrics["sensitivity.es-rdb.vanilla-ejbs"]; m.Kind != regress.KindCount || m.Mean != 24.0 {
+	if m := s.Metrics["sensitivity.es-rdb.vanilla-ejbs"]; m.Kind != regress.KindMeasured || m.Mean != 24.0 {
 		t.Errorf("sensitivity metric = %+v", m)
 	}
-	if m := s.Metrics["throughput.es-rbes.cached-ejbs.c4.ixn_per_s"]; m.Kind != regress.KindRate ||
+	if m := s.Metrics["throughput.es-rbes.cached-ejbs.c4.ixn_per_s"]; m.Kind != regress.KindMeasured ||
 		m.Better != regress.HigherIsBetter {
 		t.Errorf("throughput metric = %+v", m)
 	}
-	if m := s.Metrics["shards.s2.twopc_fraction"]; m.Kind != regress.KindRatio || m.Mean != 0.1 {
+	if m := s.Metrics["shards.s2.twopc_fraction"]; m.Kind != regress.KindMeasured || m.Mean != 0.1 {
 		t.Errorf("twopc fraction metric = %+v", m)
 	}
-	if m := s.Metrics["cache.finder_hit_ratio"]; m.Kind != regress.KindRatio || m.Mean != 0.8 ||
+	if m := s.Metrics["cache.finder_hit_ratio"]; m.Kind != regress.KindExact || m.Mean != 0.8 ||
 		m.Better != regress.HigherIsBetter {
 		t.Errorf("hit ratio metric = %+v", m)
 	}
 
 	// Resource attribution: interactions sum across eval (200),
 	// throughput (500), and shards (400) phases = 1100.
-	if m := s.Metrics["resource.allocs_per_interaction"]; m.Kind != regress.KindCount ||
+	if m := s.Metrics["resource.allocs_per_interaction"]; m.Kind != regress.KindMeasured ||
 		m.Better != regress.LowerIsBetter || m.Mean < 909 || m.Mean > 910 || m.N != 1100 {
 		t.Errorf("allocs/ixn metric = %+v", m)
 	}
-	if m := s.Metrics["resource.goroutine_high_water"]; m.Kind != regress.KindCount || m.Mean != 42 {
+	if m := s.Metrics["resource.goroutine_high_water"]; m.Kind != regress.KindMeasured || m.Mean != 42 {
 		t.Errorf("goroutine high-water metric = %+v", m)
 	}
 
-	// Wall-clock claims belong to bench/: the only time-kind family
-	// tradebench publishes is the figures' own latency points.
-	for name, m := range s.Metrics {
-		if m.Kind == regress.KindTime && !strings.HasPrefix(name, "latency.") {
-			t.Errorf("time-kind metric %q outside latency.*", name)
-		}
+	// A self-compare is clean.
+	if rep := regress.Compare(s, s); rep.Regressions+rep.Improvements != 0 {
+		t.Fatalf("self-compare moved: %+v", rep)
 	}
+}
 
-	// Stable kinds survive a round trip through Compare with the
-	// cross-machine gate: a self-compare must be clean.
-	rep := regress.Compare(s, s, regress.Options{Gate: regress.GateStable})
-	if rep.Regressions != 0 {
-		t.Fatalf("self-compare regressions = %d", rep.Regressions)
+// TestBuildSummaryExactFamilies pins which families the gate judges:
+// only wire.* and cache.*, the counts a fixed seed and one client
+// repeat exactly. A new family is measured until someone shows it is
+// exact and adds it here.
+func TestBuildSummaryExactFamilies(t *testing.T) {
+	s := BuildSummary(fullSummaryInput())
+	families := make(map[string]regress.Kind)
+	for name, m := range s.Metrics {
+		family, _, _ := strings.Cut(name, ".")
+		if k, ok := families[family]; ok && k != m.Kind {
+			t.Errorf("family %s mixes kinds %s and %s", family, k, m.Kind)
+		}
+		families[family] = m.Kind
+	}
+	want := map[string]regress.Kind{
+		"wire": regress.KindExact, "cache": regress.KindExact,
+		"latency": regress.KindMeasured, "sensitivity": regress.KindMeasured,
+		"throughput": regress.KindMeasured, "shards": regress.KindMeasured,
+		"resource": regress.KindMeasured,
+	}
+	if len(families) != len(want) {
+		t.Errorf("families %v, want %v", families, want)
+	}
+	for family, k := range want {
+		if families[family] != k {
+			t.Errorf("family %s is %q, want %q", family, families[family], k)
+		}
 	}
 }
 

@@ -116,16 +116,25 @@ func RunSweepOn(ctx context.Context, topo *Topology, run RunOptions) (Sweep, err
 		}
 	}
 
+	// Every count snapshot waits for the notices of the commits before
+	// it, so a notice still in flight when a point ends is charged to
+	// that point, never to the next one or to none.
 	load.Sessions = run.Sessions
 	sweep := Sweep{Arch: topo.Arch, Algo: topo.Algo}
 	for _, d := range run.Delays {
 		topo.SetDelay(d)
+		if err := topo.awaitNotices(); err != nil {
+			return Sweep{}, err
+		}
 		before := topo.SharedPathStats()
 		obsBefore := obs.Default.Snapshot()
 		seqBefore := obs.DefaultEvents.Seq()
 		res, err := loadgen.Run(ctx, load)
 		if err != nil {
 			return Sweep{}, fmt.Errorf("harness: delay %v: %w", d, err)
+		}
+		if err := topo.awaitNotices(); err != nil {
+			return Sweep{}, err
 		}
 		after := topo.SharedPathStats()
 		diff := obs.Default.Diff(obsBefore)

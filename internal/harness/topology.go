@@ -339,6 +339,36 @@ func (t *Topology) SharedPathStats() wire.Stats {
 	return wire.MergeStats(snaps...)
 }
 
+// noticeWait bounds how long a count snapshot waits for invalidation
+// notices still in flight.
+const noticeWait = 5 * time.Second
+
+// awaitNotices waits until every invalidation notice the stores have
+// sent has reached its edge. A count snapshot taken after it holds the
+// bytes of every notice the measured commits caused, never those of a
+// notice that lands later. Every edge subscription ends in exactly one
+// store subscriber, sharded or not, so the two sums meet once nothing is
+// in flight.
+func (t *Topology) awaitNotices() error {
+	deadline := time.Now().Add(noticeWait)
+	for {
+		var sent, arrived uint64
+		for _, s := range t.Stores {
+			sent += s.Stats().NoticesSent
+		}
+		for _, c := range t.DBClients {
+			arrived += c.WireStats().Pushes
+		}
+		if sent == arrived {
+			return nil
+		}
+		if time.Now().After(deadline) {
+			return fmt.Errorf("harness: %d invalidation notices sent, %d arrived after %v", sent, arrived, noticeWait)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // NewWebClient returns a client wired to the architecture's client
 // entry point (through the proxy for Clients/RAS, to edge server 0
 // otherwise).

@@ -5,117 +5,46 @@ import (
 	"io"
 	"math"
 	"sort"
-
-	"edgeejb/internal/stats"
 )
 
-// Verdict is the outcome of comparing one metric across two runs.
+// Verdict is the outcome of comparing one metric across two runs. A
+// measured metric present in both runs gets none: its Verdict is "".
 type Verdict string
 
 const (
-	// Unchanged: the difference is inside the tolerance budget.
+	// Unchanged: an exact metric reads the same in both runs.
 	Unchanged Verdict = "unchanged"
-	// Improved: outside tolerance, significant (when testable), and in
-	// the metric's better direction.
+	// Improved: an exact metric moved in its better direction.
 	Improved Verdict = "improved"
-	// Regressed: outside tolerance, significant (when testable), and in
-	// the worse direction.
+	// Regressed: an exact metric moved in its worse direction.
 	Regressed Verdict = "regressed"
-	// Inconclusive: outside tolerance but the Welch test cannot
-	// distinguish the runs — the tolerance was exceeded by noise.
-	Inconclusive Verdict = "inconclusive"
 	// Added: present only in the new run.
 	Added Verdict = "added"
 	// Removed: present only in the old run.
 	Removed Verdict = "removed"
 )
 
-// GateFunc decides which metrics arm the exit-code gate.
-type GateFunc func(name string, k Kind) bool
-
-// GateAll gates every metric — for same-machine A/B comparisons.
-func GateAll(string, Kind) bool { return true }
-
-// GateStable gates only machine-independent kinds — for comparing
-// against a checked-in baseline from different hardware.
-func GateStable(_ string, k Kind) bool { return k.Stable() }
-
-// GateNone reports differences without gating any.
-func GateNone(string, Kind) bool { return false }
-
-// GateKinds gates exactly the listed kinds.
-func GateKinds(kinds ...Kind) GateFunc {
-	set := make(map[Kind]bool, len(kinds))
-	for _, k := range kinds {
-		set[k] = true
-	}
-	return func(_ string, k Kind) bool { return set[k] }
-}
-
-// Options configures a comparison. The zero value uses per-kind default
-// tolerances and gates nothing.
-type Options struct {
-	// Tolerance overrides the per-kind default budget for specific
-	// metric names (relative fraction; absolute for ratio metrics).
-	Tolerance map[string]float64
-	// Gate decides which metrics can turn the report red (GateNone when
-	// nil).
-	Gate GateFunc
-}
-
 // Result is one metric's comparison.
 type Result struct {
-	Name   string
-	Kind   Kind
-	Better Direction
-	Unit   string
+	Name string
+	Kind Kind
 	// Old and New are the two means (zero for Added/Removed sides).
 	Old, New float64
-	// Delta is New - Old; Rel is Delta relative to Old (for ratio
-	// metrics Rel holds the absolute difference instead, matching the
-	// tolerance semantics).
-	Delta, Rel float64
-	// Tol is the budget applied.
-	Tol float64
-	// Exceeds reports |Rel| > Tol.
-	Exceeds bool
-	// Test is the Welch comparison when both runs carried >= 2 samples.
-	Test *stats.TwoSample
-	// Verdict is the outcome.
-	Verdict Verdict
-	// Gated reports whether this metric arms the exit code.
-	Gated bool
-}
-
-// worse reports whether the delta moved in the metric's worse
-// direction.
-func (r *Result) worse() bool {
-	if r.Better == HigherIsBetter {
-		return r.Delta < 0
-	}
-	return r.Delta > 0
+	Verdict  Verdict
 }
 
 // Report is a full two-run comparison.
 type Report struct {
 	Results []Result
-	// Regressions counts gated Regressed results — the exit-code
-	// signal. Improvements and Inconclusive count gated results too.
-	Regressions   int
-	Improvements  int
-	Inconclusives int
+	// Regressions and Improvements count the exact metrics that moved.
+	// Either one fails the gate: a checked-in baseline must be current.
+	Regressions, Improvements int
 }
 
-// Compare diffs two summaries metric by metric. A metric regresses only
-// if it exceeds its tolerance budget AND, when both runs carry samples,
-// a Welch two-sample test finds the difference significant at the 95%
-// level; tolerance-only exceedances with an insignificant test come
-// back Inconclusive instead.
-func Compare(oldS, newS *Summary, opts Options) *Report {
-	gate := opts.Gate
-	if gate == nil {
-		gate = GateNone
-	}
+// Compare diffs two summaries metric by metric. An exact metric is
+// unchanged only when its two values are equal; a measured one is
+// reported with no verdict.
+func Compare(oldS, newS *Summary) *Report {
 	names := make(map[string]bool)
 	for n := range oldS.Metrics {
 		names[n] = true
@@ -127,58 +56,22 @@ func Compare(oldS, newS *Summary, opts Options) *Report {
 	for name := range names {
 		om, inOld := oldS.Metrics[name]
 		nm, inNew := newS.Metrics[name]
-		r := Result{Name: name}
+		r := Result{Name: name, Kind: nm.Kind, Old: om.Mean, New: nm.Mean}
 		switch {
 		case !inNew:
-			r.Kind, r.Better, r.Unit = om.Kind, om.Better, om.Unit
-			r.Old = om.Mean
-			r.Verdict = Removed
+			r.Kind, r.Verdict = om.Kind, Removed
 		case !inOld:
-			r.Kind, r.Better, r.Unit = nm.Kind, nm.Better, nm.Unit
-			r.New = nm.Mean
 			r.Verdict = Added
+		case nm.Kind != KindExact:
+			// Measured: printed, no verdict.
+		case nm.Mean == om.Mean:
+			r.Verdict = Unchanged
+		case (nm.Mean > om.Mean) == (nm.Better == HigherIsBetter):
+			r.Verdict = Improved
+			rep.Improvements++
 		default:
-			r.Kind, r.Better, r.Unit = nm.Kind, nm.Better, nm.Unit
-			r.Old, r.New = om.Mean, nm.Mean
-			r.Delta = nm.Mean - om.Mean
-			r.Tol = r.Kind.DefaultTolerance()
-			if t, ok := opts.Tolerance[name]; ok {
-				r.Tol = t
-			}
-			if r.Kind == KindRatio {
-				r.Rel = r.Delta
-			} else if om.Mean != 0 {
-				r.Rel = r.Delta / math.Abs(om.Mean)
-			} else if r.Delta != 0 {
-				r.Rel = math.Inf(1)
-			}
-			r.Exceeds = math.Abs(r.Rel) > r.Tol
-			if len(om.Samples) >= 2 && len(nm.Samples) >= 2 {
-				if t, err := stats.WelchTest(om.Samples, nm.Samples); err == nil {
-					r.Test = &t
-				}
-			}
-			switch {
-			case !r.Exceeds:
-				r.Verdict = Unchanged
-			case r.Test != nil && !r.Test.Significant:
-				r.Verdict = Inconclusive
-			case r.worse():
-				r.Verdict = Regressed
-			default:
-				r.Verdict = Improved
-			}
-		}
-		r.Gated = gate(name, r.Kind)
-		if r.Gated {
-			switch r.Verdict {
-			case Regressed:
-				rep.Regressions++
-			case Improved:
-				rep.Improvements++
-			case Inconclusive:
-				rep.Inconclusives++
-			}
+			r.Verdict = Regressed
+			rep.Regressions++
 		}
 		rep.Results = append(rep.Results, r)
 	}
@@ -189,17 +82,12 @@ func Compare(oldS, newS *Summary, opts Options) *Report {
 }
 
 // verdictMark is the one-character gutter flag for the table.
-func verdictMark(v Verdict, gated bool) string {
+func verdictMark(v Verdict) string {
 	switch v {
 	case Regressed:
-		if gated {
-			return "✗"
-		}
-		return "!"
+		return "✗"
 	case Improved:
 		return "✓"
-	case Inconclusive:
-		return "?"
 	case Added, Removed:
 		return "±"
 	default:
@@ -207,61 +95,43 @@ func verdictMark(v Verdict, gated bool) string {
 	}
 }
 
-// WriteTable renders the comparison. With all=false only non-unchanged
-// rows print (plus a count of the suppressed ones); all=true prints
-// everything.
+// WriteTable renders the comparison. With all=false unchanged exact
+// rows are hidden (and counted); all=true prints everything.
 func (rep *Report) WriteTable(w io.Writer, all bool) error {
-	if _, err := fmt.Fprintf(w, "%-1s %-44s %12s %12s %9s %8s  %s\n",
-		"", "metric", "old", "new", "delta", "budget", "verdict"); err != nil {
+	if _, err := fmt.Fprintf(w, "%-1s %-46s %12s %12s %9s %-8s  %s\n",
+		"", "metric", "old", "new", "delta", "kind", "verdict"); err != nil {
 		return err
 	}
-	suppressed := 0
+	hidden := 0
 	for _, r := range rep.Results {
 		if !all && r.Verdict == Unchanged {
-			suppressed++
+			hidden++
 			continue
 		}
-		delta := ""
-		switch r.Verdict {
-		case Added:
+		var delta string
+		switch {
+		case r.Verdict == Added:
 			delta = "(new)"
-		case Removed:
+		case r.Verdict == Removed:
 			delta = "(gone)"
+		case r.Old != 0:
+			delta = fmt.Sprintf("%+.1f%%", 100*(r.New-r.Old)/math.Abs(r.Old))
+		case r.New != 0:
+			delta = "+inf"
 		default:
-			if r.Kind == KindRatio {
-				delta = fmt.Sprintf("%+.3f", r.Rel)
-			} else if math.IsInf(r.Rel, 0) {
-				delta = "+inf"
-			} else {
-				delta = fmt.Sprintf("%+.1f%%", 100*r.Rel)
-			}
+			delta = "+0.0%"
 		}
-		budget := ""
-		if r.Verdict != Added && r.Verdict != Removed {
-			if r.Kind == KindRatio {
-				budget = fmt.Sprintf("±%.3f", r.Tol)
-			} else {
-				budget = fmt.Sprintf("±%.0f%%", 100*r.Tol)
-			}
-		}
-		verdict := string(r.Verdict)
-		if r.Test != nil && (r.Verdict == Regressed || r.Verdict == Improved) {
-			verdict += " (95% CI)"
-		}
-		if r.Gated && r.Verdict == Regressed {
-			verdict += " [gated]"
-		}
-		if _, err := fmt.Fprintf(w, "%-1s %-44s %12.4f %12.4f %9s %8s  %s\n",
-			verdictMark(r.Verdict, r.Gated), r.Name, r.Old, r.New, delta, budget, verdict); err != nil {
+		if _, err := fmt.Fprintf(w, "%-1s %-46s %12.4f %12.4f %9s %-8s  %s\n",
+			verdictMark(r.Verdict), r.Name, r.Old, r.New, delta, r.Kind, r.Verdict); err != nil {
 			return err
 		}
 	}
-	if !all && suppressed > 0 {
-		if _, err := fmt.Fprintf(w, "  (%d unchanged metrics hidden; -all shows them)\n", suppressed); err != nil {
+	if hidden > 0 {
+		if _, err := fmt.Fprintf(w, "  (%d unchanged exact metrics hidden; -all shows them)\n", hidden); err != nil {
 			return err
 		}
 	}
-	_, err := fmt.Fprintf(w, "verdict: %d regressed, %d improved, %d inconclusive (gated metrics)\n",
-		rep.Regressions, rep.Improvements, rep.Inconclusives)
+	_, err := fmt.Fprintf(w, "verdict: %d regressed, %d improved (exact metrics)\n",
+		rep.Regressions, rep.Improvements)
 	return err
 }

@@ -3,21 +3,13 @@
 // engine that compares two of them — the regression gate that keeps
 // the paper's reproduced numbers from drifting as the codebase grows.
 //
-// A Summary is a flat map of named metrics. Each metric carries its
-// batch-mean samples when the harness has them, so a comparison can
-// run a Welch two-sample test instead of eyeballing means: a verdict
-// of "regressed" requires BOTH the tolerance budget to be exceeded AND
-// the difference to be statistically significant (when samples exist),
-// which is what keeps a noisy 6-batch run from tripping the CI gate
-// one time in twenty per metric.
-//
-// Metric kinds split along a line that matters for CI: "count" and
-// "ratio" metrics (wire round trips per interaction, bytes per
-// interaction, cache hit ratios, sensitivity slopes) are properties of
-// the protocol and workload, not the machine — they reproduce across
-// hosts and gate against a checked-in baseline. "time" and "rate"
-// metrics depend on the host and only gate meaningfully in same-machine
-// A/B comparisons.
+// A Summary is a flat map of named metrics, each of one of two kinds.
+// An exact metric (wire round trips and bytes per interaction, cache hit
+// ratios) is a count of what the protocol did: at a fixed seed with one
+// client it repeats bit for bit on any machine, so any difference
+// between two runs is a change, and the gate needs no statistics. A
+// measured metric (latencies, fitted slopes, rates, allocations) comes
+// from a clock or the runtime and is printed for a reader, never judged.
 package regress
 
 import (
@@ -28,52 +20,25 @@ import (
 	"sort"
 )
 
-// SchemaV2 is the summary.json schema every run writes. Load rejects
-// any other, the retired v1 included, rather than mis-parsing it.
-const SchemaV2 = "edgeejb/summary/v2"
+// SchemaV3 is the summary.json schema every run writes. Load rejects
+// any other, the retired v1 and v2 included, rather than mis-parsing it.
+const SchemaV3 = "edgeejb/summary/v3"
 
 // SummaryFile is the filename a run writes and Load resolves inside
 // artifact directories.
 const SummaryFile = "summary.json"
 
-// Kind classifies what a metric measures, which decides its default
-// tolerance and whether it is machine-independent.
+// Kind says whether a metric is gated.
 type Kind string
 
 const (
-	// KindTime is a latency or duration (host-dependent).
-	KindTime Kind = "time"
-	// KindRate is a throughput (host-dependent).
-	KindRate Kind = "rate"
-	// KindCount is a per-interaction count — wire round trips, bytes,
-	// sensitivity slopes. Protocol-determined: stable across hosts.
-	KindCount Kind = "count"
-	// KindRatio is a dimensionless fraction in [0,1] — hit ratios,
-	// conflict rates. Compared by absolute difference, and stable.
-	KindRatio Kind = "ratio"
+	// KindExact is a protocol count that repeats exactly at a fixed
+	// seed; any difference is a verdict.
+	KindExact Kind = "exact"
+	// KindMeasured is a timed or sampled value; it is printed, never
+	// judged.
+	KindMeasured Kind = "measured"
 )
-
-// Stable reports whether the kind is machine-independent — safe to
-// gate against a baseline produced on different hardware.
-func (k Kind) Stable() bool { return k == KindCount || k == KindRatio }
-
-// DefaultTolerance is the per-kind budget a difference must exceed
-// before it can be a verdict at all: a relative fraction for time,
-// rate, and count; an absolute difference for ratio.
-func (k Kind) DefaultTolerance() float64 {
-	switch k {
-	case KindTime:
-		return 0.25
-	case KindRate:
-		return 0.20
-	case KindCount:
-		return 0.04
-	case KindRatio:
-		return 0.05
-	default:
-		return 0.25
-	}
-}
 
 // Direction says which way a metric should move.
 type Direction string
@@ -89,7 +54,7 @@ const (
 type Metric struct {
 	// Unit is for display only (ms, ixn/s, rt/ixn, B/ixn, "").
 	Unit string `json:"unit,omitempty"`
-	// Kind decides tolerance semantics and baseline stability.
+	// Kind decides whether a difference is a verdict.
 	Kind Kind `json:"kind"`
 	// Better is the improvement direction.
 	Better Direction `json:"better"`
@@ -97,15 +62,11 @@ type Metric struct {
 	Mean float64 `json:"mean"`
 	// N is how many raw observations fed the metric.
 	N int `json:"n,omitempty"`
-	// Samples are batch means (or per-point values) when available;
-	// two summaries that both carry samples are compared with a Welch
-	// two-sample test instead of tolerance alone.
-	Samples []float64 `json:"samples,omitempty"`
 }
 
 // Summary is one run's canonical machine-readable result set.
 type Summary struct {
-	// Schema is SchemaV2.
+	// Schema is SchemaV3.
 	Schema string `json:"schema"`
 	// CreatedAt is when the run finished, RFC3339 (informational).
 	CreatedAt string `json:"created_at,omitempty"`
@@ -151,8 +112,8 @@ func Load(path string) (*Summary, error) {
 	if err := json.Unmarshal(data, &s); err != nil {
 		return nil, fmt.Errorf("regress: parse %s: %w", file, err)
 	}
-	if s.Schema != SchemaV2 {
-		return nil, fmt.Errorf("regress: %s: schema %q, want %q", file, s.Schema, SchemaV2)
+	if s.Schema != SchemaV3 {
+		return nil, fmt.Errorf("regress: %s: schema %q, want %q", file, s.Schema, SchemaV3)
 	}
 	if s.Metrics == nil {
 		s.Metrics = map[string]Metric{}

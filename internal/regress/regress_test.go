@@ -2,52 +2,49 @@ package regress
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
-func metric(kind Kind, better Direction, mean float64, samples ...float64) Metric {
-	return Metric{Kind: kind, Better: better, Mean: mean, N: len(samples), Samples: samples}
+func metric(kind Kind, better Direction, mean float64) Metric {
+	return Metric{Kind: kind, Better: better, Mean: mean}
 }
 
 func TestCompareVerdicts(t *testing.T) {
-	oldS := &Summary{Schema: SchemaV2, Metrics: map[string]Metric{
-		// Tight samples, large move: regressed.
-		"latency.up": metric(KindTime, LowerIsBetter, 10, 10, 10.1, 9.9, 10.05),
-		// Tight samples, large drop: improved.
-		"latency.down": metric(KindTime, LowerIsBetter, 10, 10, 10.1, 9.9, 10.05),
-		// Within budget: unchanged.
-		"latency.flat": metric(KindTime, LowerIsBetter, 10, 10, 10.1, 9.9, 10.05),
-		// Huge noise, mean moved past tolerance: inconclusive.
-		"latency.noisy": metric(KindTime, LowerIsBetter, 10, 2, 18, 4, 16),
-		// Throughput dropping is a regression for higher-is-better.
-		"throughput.x": metric(KindRate, HigherIsBetter, 100, 99, 100, 101, 100),
-		// Ratio compared by absolute difference.
-		"cache.hit": metric(KindRatio, HigherIsBetter, 0.90),
+	oldS := &Summary{Schema: SchemaV3, Metrics: map[string]Metric{
+		// An exact count that grew: regressed.
+		"wire.up": metric(KindExact, LowerIsBetter, 3.6333),
+		// An exact count that fell: improved.
+		"wire.down": metric(KindExact, LowerIsBetter, 3.6333),
+		// An exact count that repeated: unchanged.
+		"wire.flat": metric(KindExact, LowerIsBetter, 1.1927),
+		// A hit ratio that fell is a regression for higher-is-better.
+		"cache.hit": metric(KindExact, HigherIsBetter, 0.2941),
+		// A measured latency that doubled: printed, never judged.
+		"latency.x": metric(KindMeasured, LowerIsBetter, 10),
 		// Disappears in the new run.
-		"gone.metric": metric(KindCount, LowerIsBetter, 5),
+		"gone.metric": metric(KindExact, LowerIsBetter, 5),
 	}}
-	newS := &Summary{Schema: SchemaV2, Metrics: map[string]Metric{
-		"latency.up":    metric(KindTime, LowerIsBetter, 15, 15, 15.1, 14.9, 15.05),
-		"latency.down":  metric(KindTime, LowerIsBetter, 6, 6, 6.1, 5.9, 6.05),
-		"latency.flat":  metric(KindTime, LowerIsBetter, 10.5, 10.5, 10.6, 10.4, 10.55),
-		"latency.noisy": metric(KindTime, LowerIsBetter, 14, 6, 22, 8, 20),
-		"throughput.x":  metric(KindRate, HigherIsBetter, 60, 59, 60, 61, 60),
-		"cache.hit":     metric(KindRatio, HigherIsBetter, 0.70),
-		"new.metric":    metric(KindCount, LowerIsBetter, 3),
+	newS := &Summary{Schema: SchemaV3, Metrics: map[string]Metric{
+		"wire.up":    metric(KindExact, LowerIsBetter, 4.0399),
+		"wire.down":  metric(KindExact, LowerIsBetter, 3.6),
+		"wire.flat":  metric(KindExact, LowerIsBetter, 1.1927),
+		"cache.hit":  metric(KindExact, HigherIsBetter, 0.28),
+		"latency.x":  metric(KindMeasured, LowerIsBetter, 20),
+		"new.metric": metric(KindExact, LowerIsBetter, 3),
 	}}
-	rep := Compare(oldS, newS, Options{Gate: GateAll})
+	rep := Compare(oldS, newS)
 	want := map[string]Verdict{
-		"latency.up":    Regressed,
-		"latency.down":  Improved,
-		"latency.flat":  Unchanged,
-		"latency.noisy": Inconclusive,
-		"throughput.x":  Regressed,
-		"cache.hit":     Regressed,
-		"gone.metric":   Removed,
-		"new.metric":    Added,
+		"wire.up":     Regressed,
+		"wire.down":   Improved,
+		"wire.flat":   Unchanged,
+		"cache.hit":   Regressed,
+		"latency.x":   "",
+		"gone.metric": Removed,
+		"new.metric":  Added,
 	}
 	got := make(map[string]Verdict)
 	for _, r := range rep.Results {
@@ -55,14 +52,11 @@ func TestCompareVerdicts(t *testing.T) {
 	}
 	for name, v := range want {
 		if got[name] != v {
-			t.Errorf("%s: verdict %s, want %s", name, got[name], v)
+			t.Errorf("%s: verdict %q, want %q", name, got[name], v)
 		}
 	}
-	if rep.Regressions != 3 {
-		t.Errorf("Regressions = %d, want 3", rep.Regressions)
-	}
-	if rep.Improvements != 1 {
-		t.Errorf("Improvements = %d, want 1", rep.Improvements)
+	if rep.Regressions != 2 || rep.Improvements != 1 {
+		t.Errorf("Regressions, Improvements = %d, %d, want 2, 1", rep.Regressions, rep.Improvements)
 	}
 
 	// Results come back name-sorted for stable output.
@@ -77,95 +71,99 @@ func TestCompareVerdicts(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	for _, needle := range []string{"latency.up", "regressed", "3 regressed", "unchanged metrics hidden"} {
+	for _, needle := range []string{
+		"wire.up", "+11.2%", "regressed", "latency.x", "+100.0%", "(new)", "(gone)",
+		"2 regressed, 1 improved", "1 unchanged exact metrics hidden",
+	} {
 		if !strings.Contains(out, needle) {
 			t.Errorf("table missing %q:\n%s", needle, out)
 		}
 	}
-	if strings.Contains(out, "latency.flat") {
-		t.Errorf("table shows unchanged row without -all:\n%s", out)
+	if strings.Contains(out, "wire.flat") {
+		t.Errorf("table shows an unchanged row without -all:\n%s", out)
 	}
 }
 
 func TestCompareIdenticalIsClean(t *testing.T) {
-	s := &Summary{Schema: SchemaV2, Metrics: map[string]Metric{
-		"a": metric(KindTime, LowerIsBetter, 10, 10, 10.2, 9.8),
-		"b": metric(KindCount, LowerIsBetter, 3.63),
-		"c": metric(KindRatio, HigherIsBetter, 0.98),
+	s := &Summary{Schema: SchemaV3, Metrics: map[string]Metric{
+		"a": metric(KindMeasured, LowerIsBetter, 10),
+		"b": metric(KindExact, LowerIsBetter, 3.63),
+		"c": metric(KindExact, HigherIsBetter, 0.98),
 	}}
-	rep := Compare(s, s, Options{Gate: GateAll})
-	if rep.Regressions != 0 || rep.Improvements != 0 || rep.Inconclusives != 0 {
+	rep := Compare(s, s)
+	if rep.Regressions != 0 || rep.Improvements != 0 {
 		t.Fatalf("self-compare not clean: %+v", rep)
 	}
 	for _, r := range rep.Results {
-		if r.Verdict != Unchanged {
-			t.Errorf("%s: %s, want unchanged", r.Name, r.Verdict)
+		if want := map[Kind]Verdict{KindExact: Unchanged}[r.Kind]; r.Verdict != want {
+			t.Errorf("%s: %q, want %q", r.Name, r.Verdict, want)
 		}
 	}
 }
 
+// TestCompareGating: only exact metrics arm the gate, in both
+// directions; a measured metric moving any distance does not.
 func TestCompareGating(t *testing.T) {
-	oldS := &Summary{Schema: SchemaV2, Metrics: map[string]Metric{
-		"time.x":  metric(KindTime, LowerIsBetter, 10),
-		"count.x": metric(KindCount, LowerIsBetter, 4),
+	oldS := &Summary{Schema: SchemaV3, Metrics: map[string]Metric{
+		"resource.x": metric(KindMeasured, LowerIsBetter, 10),
+		"wire.x":     metric(KindExact, LowerIsBetter, 4),
 	}}
-	newS := &Summary{Schema: SchemaV2, Metrics: map[string]Metric{
-		"time.x":  metric(KindTime, LowerIsBetter, 20),
-		"count.x": metric(KindCount, LowerIsBetter, 5),
-	}}
-	// Stable gating: only count.x (a stable kind) arms the gate even
-	// though both regressed.
-	rep := Compare(oldS, newS, Options{Gate: GateStable})
-	if rep.Regressions != 1 {
-		t.Fatalf("stable-gated regressions = %d, want 1", rep.Regressions)
-	}
-	for _, r := range rep.Results {
-		if r.Name == "time.x" && (r.Gated || r.Verdict != Regressed) {
-			t.Errorf("time.x: gated=%v verdict=%s, want ungated regressed", r.Gated, r.Verdict)
+	for _, tc := range []struct {
+		measured, exact float64
+		regressions     int
+		improvements    int
+	}{
+		{measured: 15, exact: 4},
+		{measured: 5, exact: 4},
+		{measured: 10, exact: 5, regressions: 1},
+		{measured: 10, exact: 3, improvements: 1},
+	} {
+		newS := &Summary{Schema: SchemaV3, Metrics: map[string]Metric{
+			"resource.x": metric(KindMeasured, LowerIsBetter, tc.measured),
+			"wire.x":     metric(KindExact, LowerIsBetter, tc.exact),
+		}}
+		rep := Compare(oldS, newS)
+		if rep.Regressions != tc.regressions || rep.Improvements != tc.improvements {
+			t.Errorf("measured 10 -> %v, exact 4 -> %v: %d regressed, %d improved, want %d, %d",
+				tc.measured, tc.exact, rep.Regressions, rep.Improvements, tc.regressions, tc.improvements)
 		}
-	}
-	if rep := Compare(oldS, newS, Options{Gate: GateNone}); rep.Regressions != 0 {
-		t.Fatalf("none-gated regressions = %d, want 0", rep.Regressions)
-	}
-	if rep := Compare(oldS, newS, Options{Gate: GateKinds(KindTime)}); rep.Regressions != 1 {
-		t.Fatalf("kind-gated regressions = %d, want 1", rep.Regressions)
 	}
 }
 
-func TestCompareToleranceOverride(t *testing.T) {
-	oldS := &Summary{Schema: SchemaV2, Metrics: map[string]Metric{
-		"wire.rts": metric(KindCount, LowerIsBetter, 4.0),
+// TestCompareExactHasNoTolerance: an exact metric has no budget to hide
+// in; the smallest difference a float can hold is a verdict.
+func TestCompareExactHasNoTolerance(t *testing.T) {
+	oldS := &Summary{Schema: SchemaV3, Metrics: map[string]Metric{
+		"wire.bytes": metric(KindExact, LowerIsBetter, 373.5886),
 	}}
-	newS := &Summary{Schema: SchemaV2, Metrics: map[string]Metric{
-		"wire.rts": metric(KindCount, LowerIsBetter, 4.5),
+	newS := &Summary{Schema: SchemaV3, Metrics: map[string]Metric{
+		"wire.bytes": metric(KindExact, LowerIsBetter, 373.5886000001),
 	}}
-	// 12.5% over the default 4% count budget: regressed.
-	if rep := Compare(oldS, newS, Options{Gate: GateAll}); rep.Regressions != 1 {
-		t.Fatalf("default tolerance: regressions = %d, want 1", rep.Regressions)
-	}
-	// A widened per-metric budget absorbs it.
-	rep := Compare(oldS, newS, Options{
-		Gate:      GateAll,
-		Tolerance: map[string]float64{"wire.rts": 0.20},
-	})
-	if rep.Regressions != 0 {
-		t.Fatalf("overridden tolerance: regressions = %d, want 0", rep.Regressions)
+	if rep := Compare(oldS, newS); rep.Regressions != 1 {
+		t.Fatalf("regressions = %d, want 1", rep.Regressions)
 	}
 }
 
 func TestCompareZeroBaseline(t *testing.T) {
-	oldS := &Summary{Schema: SchemaV2, Metrics: map[string]Metric{
-		"conflicts": metric(KindCount, LowerIsBetter, 0),
+	oldS := &Summary{Schema: SchemaV3, Metrics: map[string]Metric{
+		"conflicts": metric(KindExact, LowerIsBetter, 0),
 	}}
-	newS := &Summary{Schema: SchemaV2, Metrics: map[string]Metric{
-		"conflicts": metric(KindCount, LowerIsBetter, 7),
+	newS := &Summary{Schema: SchemaV3, Metrics: map[string]Metric{
+		"conflicts": metric(KindExact, LowerIsBetter, 7),
 	}}
-	rep := Compare(oldS, newS, Options{Gate: GateAll})
+	rep := Compare(oldS, newS)
 	if rep.Results[0].Verdict != Regressed {
 		t.Fatalf("zero baseline growth: %s, want regressed", rep.Results[0].Verdict)
 	}
+	var buf bytes.Buffer
+	if err := rep.WriteTable(&buf, true); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "+inf") {
+		t.Errorf("growth from zero not shown as +inf:\n%s", buf.String())
+	}
 	// And zero -> zero is unchanged, not a divide-by-zero artifact.
-	rep = Compare(oldS, oldS, Options{Gate: GateAll})
+	rep = Compare(oldS, oldS)
 	if rep.Results[0].Verdict != Unchanged {
 		t.Fatalf("zero self-compare: %s, want unchanged", rep.Results[0].Verdict)
 	}
@@ -174,11 +172,11 @@ func TestCompareZeroBaseline(t *testing.T) {
 func TestLoadSaveRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	s := &Summary{
-		Schema:    SchemaV2,
+		Schema:    SchemaV3,
 		CreatedAt: "2026-01-02T03:04:05Z",
 		Args:      []string{"-fig6"},
 		Metrics: map[string]Metric{
-			"latency.x": metric(KindTime, LowerIsBetter, 1.5, 1.4, 1.6),
+			"latency.x": {Unit: "ms", Kind: KindMeasured, Better: LowerIsBetter, Mean: 1.5, N: 12},
 		},
 	}
 	file := filepath.Join(dir, "sub", SummaryFile)
@@ -191,7 +189,7 @@ func TestLoadSaveRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Metrics["latency.x"].Mean != 1.5 || len(got.Metrics["latency.x"].Samples) != 2 {
+	if got.Metrics["latency.x"] != s.Metrics["latency.x"] {
 		t.Fatalf("round trip lost data: %+v", got.Metrics["latency.x"])
 	}
 	// Load by containing directory.
@@ -208,8 +206,8 @@ func TestLoadSaveRoundTrip(t *testing.T) {
 		{"run-20260101-000000", 1.0},
 		{"run-20260102-000000", 2.0},
 	} {
-		rs := &Summary{Schema: SchemaV2, Metrics: map[string]Metric{
-			"m": metric(KindTime, LowerIsBetter, run.mean),
+		rs := &Summary{Schema: SchemaV3, Metrics: map[string]Metric{
+			"m": metric(KindMeasured, LowerIsBetter, run.mean),
 		}}
 		if err := Save(filepath.Join(root, run.name, SummaryFile), rs); err != nil {
 			t.Fatal(err)
@@ -232,9 +230,9 @@ func TestLoadRejectsBadInput(t *testing.T) {
 	if _, err := Load(dir); err == nil {
 		t.Fatal("empty dir: want error")
 	}
-	// A foreign schema and the retired v1 are both refused, and the
+	// A foreign schema and the retired v1 and v2 are all refused, and the
 	// error names the schema the file carries.
-	for _, schema := range []string{"someone/elses/v9", "edgeejb/summary/v1"} {
+	for _, schema := range []string{"someone/elses/v9", "edgeejb/summary/v1", "edgeejb/summary/v2"} {
 		bad := filepath.Join(dir, "bad.json")
 		if err := os.WriteFile(bad, []byte(`{"schema":"`+schema+`","metrics":{}}`), 0o644); err != nil {
 			t.Fatal(err)
@@ -252,16 +250,16 @@ func TestLoadRejectsBadInput(t *testing.T) {
 	}
 }
 
+// TestKindProperties pins how the two kinds are written to the file: CI's
+// trace-smoke check and every checked-in baseline read these names.
 func TestKindProperties(t *testing.T) {
-	if !KindCount.Stable() || !KindRatio.Stable() {
-		t.Error("count and ratio must be stable kinds")
-	}
-	if KindTime.Stable() || KindRate.Stable() {
-		t.Error("time and rate must not be stable kinds")
-	}
-	for _, k := range []Kind{KindTime, KindRate, KindCount, KindRatio} {
-		if tol := k.DefaultTolerance(); tol <= 0 || tol > 0.5 {
-			t.Errorf("%s default tolerance %v out of sane range", k, tol)
+	for k, want := range map[Kind]string{KindExact: `"kind":"exact"`, KindMeasured: `"kind":"measured"`} {
+		data, err := json.Marshal(Metric{Kind: k})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(string(data), want) {
+			t.Errorf("kind %q encodes as %s, want %s", k, data, want)
 		}
 	}
 }
@@ -276,8 +274,8 @@ func FuzzLoadSummary(f *testing.F) {
 	}
 	f.Add(baseline)
 	f.Add(baseline[:len(baseline)/2])
-	f.Add([]byte(`{"schema":"` + SchemaV2 + `"}`))
-	f.Add([]byte(`{"schema":"` + SchemaV2 + `","metrics":{"m":{"kind":"?","better":"?","mean":1e308,"samples":[0,-1e308]}}}`))
+	f.Add([]byte(`{"schema":"` + SchemaV3 + `"}`))
+	f.Add([]byte(`{"schema":"` + SchemaV3 + `","metrics":{"m":{"kind":"?","better":"?","mean":1e308,"n":-1}}}`))
 	file := filepath.Join(f.TempDir(), SummaryFile)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if err := os.WriteFile(file, data, 0o644); err != nil {
@@ -290,8 +288,8 @@ func FuzzLoadSummary(f *testing.F) {
 		if s == nil || s.Metrics == nil {
 			t.Fatalf("Load returned %+v with a nil error", s)
 		}
-		if rep := Compare(s, s, Options{Gate: GateAll}); rep.Regressions != 0 {
-			t.Fatalf("self-compare of a loaded summary regressed: %+v", rep)
+		if rep := Compare(s, s); rep.Regressions != 0 || rep.Improvements != 0 {
+			t.Fatalf("self-compare of a loaded summary moved: %+v", rep)
 		}
 	})
 }

@@ -7,6 +7,7 @@ import (
 	"net"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"edgeejb/internal/obs"
@@ -17,12 +18,19 @@ import (
 // concurrent calls cost one round-trip wall time instead of N
 // connections or N serialized round trips. Protocols whose server-side
 // state is per-connection open a pinned Stream instead.
+//
+// Request IDs count per client, over every connection it owns: the
+// n-th request is n whichever connection carries it, so the IDs on the
+// wire, and the bytes their uvarints take, depend only on how many
+// requests the client sent, never on which connection a concurrent
+// call happened to take.
 type Client struct {
 	addr          string
 	maxShared     int
 	maxPinnedIdle int
 	retry         RetryPolicy
 	stats         *collector
+	nextID        atomic.Uint64
 
 	mu         sync.Mutex
 	dialCond   *sync.Cond // signaled when a shared dial finishes
@@ -348,7 +356,6 @@ type conn struct {
 	mu      sync.Mutex
 	pending map[uint64]*call
 	sink    *pushSink
-	nextID  uint64
 	closed  bool
 	err     error
 	used    bool
@@ -422,8 +429,7 @@ func (cn *conn) roundTrip(ctx context.Context, req, resp any) error {
 		cn.c.stats.failure(label)
 		return fmt.Errorf("wire: %s on closed conn: %w", label, err)
 	}
-	cn.nextID++
-	cl.id = cn.nextID
+	cl.id = cn.c.nextID.Add(1)
 	cn.pending[cl.id] = cl
 	cn.mu.Unlock()
 	// Nudge the reader: if it is blocked with a longer (or no) read

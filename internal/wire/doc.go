@@ -11,9 +11,11 @@
 // (Body); nothing is negotiated per connection (see frame.go):
 //
 //   - Client multiplexes concurrent requests over a small set of shared
-//     connections using per-request IDs (pipelining: N concurrent
-//     one-shot calls cost ~1 round-trip wall time on a high-latency
-//     path, instead of N connections or N serialized round trips).
+//     connections using request IDs (pipelining: N concurrent one-shot
+//     calls cost ~1 round-trip wall time on a high-latency path, instead
+//     of N connections or N serialized round trips). IDs count per
+//     client, not per connection, so a run's bytes on the wire do not
+//     depend on which connection a concurrent call took.
 //   - Stream pins one connection exclusively, for protocols whose
 //     server-side state is per-connection (transactions) or that switch
 //     the connection into server-push mode (invalidation

@@ -260,6 +260,91 @@ func TestMultiplexedCallsShareOneRoundTrip(t *testing.T) {
 	}
 }
 
+// idHandler hands every request ID it serves, with its connection's
+// number, to serve.
+type idHandler struct {
+	conn  int
+	serve func(conn int, id uint64)
+}
+
+func (h *idHandler) NewRequest() any { return new(testReq) }
+
+func (h *idHandler) Handle(_ context.Context, _ *Session, id uint64, _ any) any {
+	h.serve(h.conn, id)
+	return &testResp{}
+}
+
+func (h *idHandler) Close() {}
+
+// TestRequestIDsCountPerClient: N concurrent calls spread over the two
+// shared connections carry the IDs 1..N, each exactly once. A counter
+// per connection would number each connection's calls from 1 again, and
+// the bytes the uvarint IDs take would depend on which connection a call
+// happened to take.
+func TestRequestIDsCountPerClient(t *testing.T) {
+	const n = 40
+	var (
+		mu    sync.Mutex
+		conns int
+		seen  = make(map[uint64]int)
+		per   = make(map[int]int)
+		all   = make(chan struct{})
+	)
+	// Every reply waits until all n requests have arrived, so the calls
+	// are in flight together and the client dials its second connection.
+	serve := func(conn int, id uint64) {
+		mu.Lock()
+		seen[id]++
+		per[conn]++
+		if len(seen) == n {
+			close(all)
+		}
+		mu.Unlock()
+		select {
+		case <-all:
+		case <-time.After(5 * time.Second):
+		}
+	}
+	srv := NewServer(func() ConnHandler {
+		mu.Lock()
+		defer mu.Unlock()
+		conns++
+		return &idHandler{conn: conns, serve: serve}
+	})
+	if err := srv.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	c := NewClient(srv.Addr())
+	defer c.Close()
+
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := c.Call(context.Background(), &testReq{Op: "id"}, new(testResp)); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+
+	mu.Lock()
+	defer mu.Unlock()
+	if len(per) != 2 {
+		t.Fatalf("calls per connection = %v, want calls on both shared connections", per)
+	}
+	for id := uint64(1); id <= n; id++ {
+		if seen[id] != 1 {
+			t.Errorf("request ID %d seen %d times, want once", id, seen[id])
+		}
+	}
+	if len(seen) != n {
+		t.Errorf("%d distinct IDs, want exactly 1..%d: %v", len(seen), n, seen)
+	}
+}
+
 // TestContextDeadlineOnStalledServer: a call against a server that
 // accepts but does not answer must return within the context deadline —
 // the satellite regression for ctx being ignored on in-flight I/O. The

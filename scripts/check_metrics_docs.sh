@@ -230,9 +230,10 @@ for artifact in summary.json MANIFEST.json trace.perfetto.json waterfalls.txt; d
 	fi
 done
 
-# The gated metric namespace: the prefixes benchdiff and the CI perf
-# gate key on. Renaming one in the summary builder without updating the
-# docs (and the baseline) silently un-gates it.
+# The summary.json namespace: the prefixes benchdiff prints and the CI
+# perf gate compares against its baseline. Renaming one in the summary
+# builder without updating the docs (and the baseline) turns its exact
+# rows into an added and a removed row, which the gate does not judge.
 for prefix in latency. sensitivity. wire. throughput. shards. cache. resource.; do
 	if ! src -hoF "\"$prefix" internal/harness >/dev/null; then
 		echo "summary metric prefix no longer built: $prefix (update $doc and results/baseline)" >&2
