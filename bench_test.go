@@ -23,7 +23,6 @@ import (
 	"time"
 
 	"edgeejb/internal/harness"
-	"edgeejb/internal/slicache"
 	"edgeejb/internal/trade"
 )
 
@@ -47,13 +46,13 @@ func benchPopulate() trade.PopulateConfig {
 
 // sweepBenchmark runs one (architecture, algorithm) sweep per iteration
 // and reports the paper's metrics.
-func sweepBenchmark(b *testing.B, arch harness.Architecture, algo harness.Algorithm, cacheOpts ...slicache.ManagerOption) {
+func sweepBenchmark(b *testing.B, arch harness.Architecture, algo harness.Algorithm) {
 	b.Helper()
-	sweepOptionsBenchmark(b, harness.Options{Arch: arch, Algo: algo, CacheOptions: cacheOpts})
+	sweepOptionsBenchmark(b, harness.Options{Arch: arch, Algo: algo})
 }
 
 // sweepOptionsBenchmark is sweepBenchmark for a topology that needs more
-// than cache options; Populate is filled in here.
+// than an architecture and an algorithm; Populate is filled in here.
 func sweepOptionsBenchmark(b *testing.B, opts harness.Options) {
 	b.Helper()
 	ctx := context.Background()
@@ -183,19 +182,6 @@ func BenchmarkFig8_Bandwidth(b *testing.B) {
 
 // --- Ablations (DESIGN.md §5) -------------------------------------------
 
-// BenchmarkAblationInvalidation compares server-pushed invalidation
-// against discovering staleness only at commit validation.
-func BenchmarkAblationInvalidation(b *testing.B) {
-	b.Run("on", func(b *testing.B) {
-		sweepBenchmark(b, harness.ESRBES, harness.AlgCachedEJB,
-			slicache.WithInvalidation(true))
-	})
-	b.Run("off", func(b *testing.B) {
-		sweepBenchmark(b, harness.ESRBES, harness.AlgCachedEJB,
-			slicache.WithInvalidation(false))
-	})
-}
-
 // BenchmarkAblationCommitShipping isolates the combined-vs-split design
 // choice (§4.4) on identical cached edge servers: the commit driven
 // against the database one round trip per statement (the paper's
@@ -295,16 +281,4 @@ func BenchmarkExtensionThroughput(b *testing.B) {
 	for _, p := range curve.Points {
 		b.ReportMetric(p.Throughput, fmt.Sprintf("tps@%dclients", p.Clients))
 	}
-}
-
-// BenchmarkExtensionCacheCapacity quantifies LRU-bounded caches: a
-// too-small cache refetches its working set across the delay path.
-func BenchmarkExtensionCacheCapacity(b *testing.B) {
-	b.Run("unbounded", func(b *testing.B) {
-		sweepBenchmark(b, harness.ESRBES, harness.AlgCachedEJB)
-	})
-	b.Run("capacity-16", func(b *testing.B) {
-		sweepBenchmark(b, harness.ESRBES, harness.AlgCachedEJB,
-			slicache.WithCacheCapacity(16))
-	})
 }

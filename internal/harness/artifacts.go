@@ -160,7 +160,7 @@ func (a *Artifacts) WriteTraces(traces []*collect.Trace, nWaterfalls int, droppe
 // indexed) even for an incident-free run.
 func (a *Artifacts) WriteEvents(events []obs.Event) error {
 	if err := a.WriteFile("events.jsonl", "events",
-		"forensic event stream (conflict/invalidation/degrade/evict), one JSON object per line", "",
+		"forensic event stream (conflict/invalidation/stale_read/twopc), one JSON object per line", "",
 		func(w io.Writer) error { return obs.WriteEventsJSONL(w, events) }); err != nil {
 		return err
 	}

@@ -33,14 +33,9 @@ type FaultOptions struct {
 	// zero-value plan gets DefaultFaultPlan(1).
 	Plan latency.FaultPlan
 	// CacheOptions are extra slicache manager options applied to
-	// cached-algorithm pairs, after the degraded-reads option.
+	// cached-algorithm pairs.
 	CacheOptions []slicache.ManagerOption
 }
-
-// faultDegradeBound is the staleness bound of the cache's degraded
-// reads while its invalidation stream is down. The session retries and
-// step timeout that keep the client side going are loadgen's own.
-const faultDegradeBound = 5 * time.Second
 
 // DefaultFaultPlan returns a moderate schedule: occasional connection
 // dooms, rare stalls, rare truncations. Severe enough that a run
@@ -69,12 +64,9 @@ type FaultReport struct {
 	WireRetries uint64
 	// Faults are the proxy's injection counters for the faulted pass.
 	Faults latency.FaultStats
-	// Resubscribes/Degradations/StaleServes aggregate the edge cache
-	// managers' recovery counters over the faulted pass (cached
-	// algorithm only).
+	// Resubscribes counts the edge cache managers' invalidation-stream
+	// reconnections over the faulted pass (cached algorithm only).
 	Resubscribes uint64
-	Degradations uint64
-	StaleServes  uint64
 }
 
 // LatencyOverheadPct is the faulted pass's mean-latency overhead over
@@ -121,14 +113,12 @@ func RunFaultExperiment(ctx context.Context, opts FaultOptions, logf func(format
 }
 
 func runFaultPair(ctx context.Context, pair Pair, opts FaultOptions, logf func(string, ...any)) (FaultReport, error) {
-	cacheOpts := append([]slicache.ManagerOption{slicache.WithDegradedReads(faultDegradeBound)},
-		opts.CacheOptions...)
 	topo, err := Build(Options{
 		Arch:         pair.Arch,
 		Algo:         pair.Algo,
 		OneWayDelay:  opts.OneWayDelay,
 		Populate:     opts.Populate,
-		CacheOptions: cacheOpts,
+		CacheOptions: opts.CacheOptions,
 	})
 	if err != nil {
 		return FaultReport{}, err
@@ -171,7 +161,7 @@ func runFaultPair(ctx context.Context, pair Pair, opts FaultOptions, logf func(s
 
 	// Faulted pass: count retries consumed during this pass only.
 	retriesBefore := topo.SharedPathStats().Retries
-	mgrBefore := sumManagerStats(topo)
+	resubscribesBefore := sumResubscribes(topo)
 	topo.SetFaults(&opts.Plan)
 	faulted, err := pass(opts.Sessions)
 	faultStats := topo.FaultStats()
@@ -179,7 +169,6 @@ func runFaultPair(ctx context.Context, pair Pair, opts FaultOptions, logf func(s
 	if err != nil {
 		return FaultReport{}, fmt.Errorf("faulted pass: %w", err)
 	}
-	mgrAfter := sumManagerStats(topo)
 
 	rep := FaultReport{
 		Pair:         pair,
@@ -187,9 +176,7 @@ func runFaultPair(ctx context.Context, pair Pair, opts FaultOptions, logf func(s
 		Faulted:      faulted,
 		WireRetries:  topo.SharedPathStats().Retries - retriesBefore,
 		Faults:       faultStats,
-		Resubscribes: mgrAfter.Resubscribes - mgrBefore.Resubscribes,
-		Degradations: mgrAfter.Degradations - mgrBefore.Degradations,
-		StaleServes:  mgrAfter.StaleServes - mgrBefore.StaleServes,
+		Resubscribes: sumResubscribes(topo) - resubscribesBefore,
 	}
 	if logf != nil {
 		logf("  %s faulted: %d/%d sessions (%.1f%%), %d wire retries, %d session retries, +%.1f%% latency",
@@ -203,32 +190,27 @@ func runFaultPair(ctx context.Context, pair Pair, opts FaultOptions, logf func(s
 // WriteFaultReport renders the fault experiment as a table.
 func WriteFaultReport(w io.Writer, reports []FaultReport) {
 	fmt.Fprintln(w, "Fault injection: Figure 6 workload under a faulted shared path")
-	fmt.Fprintf(w, "%-26s %9s %12s %12s %10s %12s %12s\n",
-		"configuration", "success", "wire-retry", "sess-retry", "overhead", "resubscribe", "stale-serve")
+	fmt.Fprintf(w, "%-26s %9s %12s %12s %10s %12s\n",
+		"configuration", "success", "wire-retry", "sess-retry", "overhead", "resubscribe")
 	for _, r := range reports {
 		total := r.Faulted.Completed + r.Faulted.Abandoned
-		fmt.Fprintf(w, "%-26s %8.1f%% %12d %12d %9.1f%% %12d %12d\n",
+		fmt.Fprintf(w, "%-26s %8.1f%% %12d %12d %9.1f%% %12d\n",
 			r.Pair.String(), 100*r.Faulted.SuccessRate(), r.WireRetries,
-			r.Faulted.Retries, r.LatencyOverheadPct(),
-			r.Resubscribes, r.StaleServes)
+			r.Faulted.Retries, r.LatencyOverheadPct(), r.Resubscribes)
 		fmt.Fprintf(w, "%-26s   (%d/%d sessions; faults: %d resets, %d truncations, %d stalls)\n",
 			"", r.Faulted.Completed, total,
 			r.Faults.ConnResets, r.Faults.Truncations, r.Faults.Stalls)
 	}
 }
 
-// sumManagerStats aggregates the cache managers' counters (zero value
-// for non-cached algorithms).
-func sumManagerStats(t *Topology) slicache.ManagerStats {
-	var out slicache.ManagerStats
+// sumResubscribes totals the cache managers' stream reconnections
+// (zero for non-cached algorithms).
+func sumResubscribes(t *Topology) uint64 {
+	var n uint64
 	for _, m := range t.Managers {
-		if m == nil {
-			continue
+		if m != nil {
+			n += m.Stats().Resubscribes
 		}
-		s := m.Stats()
-		out.Resubscribes += s.Resubscribes
-		out.Degradations += s.Degradations
-		out.StaleServes += s.StaleServes
 	}
-	return out
+	return n
 }

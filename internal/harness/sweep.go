@@ -59,8 +59,8 @@ type Point struct {
 	// children like slicache.hits{bean=quote} — the raw material of the
 	// per-bean hit-ratio tables in the forensics report.
 	Counters map[string]uint64
-	// Events are the forensic events (conflicts, invalidations,
-	// degradations, evictions) emitted during this point.
+	// Events are the forensic events (conflicts, invalidations, stale
+	// finder reads, 2PC outcomes) emitted during this point.
 	Events []obs.Event
 }
 

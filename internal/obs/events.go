@@ -22,11 +22,6 @@ const (
 	// EventInvalidation is one commit notice arriving at an edge cache,
 	// with push latency and the staleness window it closed.
 	EventInvalidation EventType = "invalidation"
-	// EventDegrade marks an edge entering or leaving degraded
-	// (stale-serving) mode after losing its invalidation stream.
-	EventDegrade EventType = "degrade"
-	// EventEvict is one capacity (LRU) eviction from a common store.
-	EventEvict EventType = "evict"
 	// EventStaleRead is a commit abort whose conflicting read was served
 	// from the finder-result cache: the cached result had gone stale
 	// before validation caught it. A clean run's forensics log contains
@@ -62,9 +57,7 @@ type Event struct {
 	// invalidation notice's originating committer.
 	OtherTrace uint64 `json:"other_trace,omitempty"`
 	// Age is the type-specific staleness: a conflict loser's
-	// read-version age, the staleness window an invalidation closed, a
-	// degraded-mode stale serve's entry age, or an evicted entry's
-	// residence time.
+	// read-version age, or the staleness window an invalidation closed.
 	Age time.Duration `json:"age_ns,omitempty"`
 	// Latency is an invalidation notice's push latency (commit at the
 	// store to arrival at the edge).
@@ -77,8 +70,8 @@ type Event struct {
 	// Own marks an invalidation notice for this edge's own commit (the
 	// cache was already refreshed; nothing was evicted).
 	Own bool `json:"own,omitempty"`
-	// Detail carries a short free-form qualifier (e.g. degrade
-	// "enter"/"exit").
+	// Detail carries a short free-form qualifier (e.g. a conflict's
+	// message, or a 2PC outcome).
 	Detail string `json:"detail,omitempty"`
 }
 

@@ -40,7 +40,7 @@ func TestEventLogEmitAndSince(t *testing.T) {
 func TestEventLogRingWrapsAndCountsDrops(t *testing.T) {
 	l := NewEventLog(4)
 	for i := 0; i < 7; i++ {
-		l.Emit(Event{Type: EventEvict})
+		l.Emit(Event{Type: EventInvalidation})
 	}
 	if l.Dropped() != 3 {
 		t.Fatalf("Dropped = %d, want 3", l.Dropped())
@@ -89,7 +89,7 @@ func TestWriteEventsJSONL(t *testing.T) {
 func TestDebugEventsEndpoint(t *testing.T) {
 	events := NewEventLog(16)
 	events.Emit(Event{Type: EventConflict, Op: "sell", Bean: "quote", Key: "quote/s-1", Trace: 5, OtherTrace: 6})
-	events.Emit(Event{Type: EventDegrade, Detail: "enter"})
+	events.Emit(Event{Type: EventTwoPC, Detail: "presumed abort"})
 
 	srv, err := StartDebug("127.0.0.1:0", DebugOptions{
 		Registry: NewRegistry(),
@@ -121,7 +121,7 @@ func TestDebugEventsEndpoint(t *testing.T) {
 		t.Fatalf("Content-Type = %q", ct)
 	}
 	if !strings.Contains(out, "events seq=2 dropped=0") ||
-		!strings.Contains(out, "conflict") || !strings.Contains(out, "degrade") {
+		!strings.Contains(out, "conflict") || !strings.Contains(out, "twopc") {
 		t.Fatalf("/debug/events text unexpected:\n%s", out)
 	}
 

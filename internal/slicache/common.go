@@ -1,41 +1,34 @@
 package slicache
 
 import (
-	"container/list"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"edgeejb/internal/memento"
-	"edgeejb/internal/obs"
 )
 
 // CommonStore is the shared (inter-transaction) transient datastore of
 // memento instances. It is a cache of committed persistent state; it
-// never holds uncommitted data. When a capacity is configured, entries
-// are evicted in least-recently-used order — edge caches are
-// space-constrained, which is the problem the paper's related work on
-// edge data caches (§1.4, Amiri et al.) addresses.
+// never holds uncommitted data. It is unbounded: entries leave it only
+// when an invalidation, a conflict or a lost invalidation stream says
+// they may be stale.
 type CommonStore struct {
-	mu       sync.RWMutex
-	entries  map[memento.Key]*list.Element
-	lru      *list.List // front = most recently used
-	bytes    int64      // estimated resident size of all entries
-	capacity int        // 0 = unlimited
-	now      func() time.Time
+	mu      sync.RWMutex
+	entries map[memento.Key]cachedEntry
+	bytes   int64 // estimated resident size of all entries
+	now     func() time.Time
 
 	hits          atomic.Uint64
 	misses        atomic.Uint64
 	invalidations atomic.Uint64
 	refreshes     atomic.Uint64
-	evictions     atomic.Uint64
 }
 
-// lruEntry is one cached memento plus its key for back-eviction, the
-// time its value was stored (degraded reads are served within a bound
-// on it), and its estimated size (for occupancy accounting).
-type lruEntry struct {
-	key      memento.Key
+// cachedEntry is one cached memento, the time its value was stored
+// (conflict forensics report it as the losing read's age), and its
+// estimated size (for occupancy accounting).
+type cachedEntry struct {
 	mem      memento.Memento
 	storedAt time.Time
 	size     int64
@@ -59,37 +52,16 @@ type CommonStoreStats struct {
 	Misses        uint64
 	Invalidations uint64
 	Refreshes     uint64
-	Evictions     uint64
 	Entries       int
 	Bytes         int64
 }
 
-// NewCommonStore returns an empty, unbounded common store.
+// NewCommonStore returns an empty common store.
 func NewCommonStore() *CommonStore {
 	return &CommonStore{
-		entries: make(map[memento.Key]*list.Element),
-		lru:     list.New(),
+		entries: make(map[memento.Key]cachedEntry),
 		now:     time.Now,
 	}
-}
-
-// SetCapacity bounds the number of cached entries; 0 means unlimited.
-// Shrinking below the current size evicts LRU entries immediately.
-func (c *CommonStore) SetCapacity(capacity int) {
-	if capacity < 0 {
-		capacity = 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.capacity = capacity
-	c.evictOverflowLocked()
-}
-
-// Capacity returns the configured bound (0 = unlimited).
-func (c *CommonStore) Capacity() int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.capacity
 }
 
 // SetClock overrides the timestamp source; tests use it to control
@@ -100,30 +72,26 @@ func (c *CommonStore) SetClock(now func() time.Time) {
 	c.now = now
 }
 
-// Get returns a copy of the cached memento for key, if present, marking
-// it most recently used.
+// Get returns a copy of the cached memento for key, if present.
 func (c *CommonStore) Get(key memento.Key) (memento.Memento, bool) {
 	m, _, ok := c.GetWithTime(key)
 	return m, ok
 }
 
 // GetWithTime is Get plus the instant the cached value was stored, which
-// degraded reads compare against their bound and conflict forensics
-// report as the losing read's age.
+// conflict forensics report as the losing read's age.
 func (c *CommonStore) GetWithTime(key memento.Key) (memento.Memento, time.Time, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[key]
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	e, ok := c.entries[key]
 	if !ok {
 		c.misses.Add(1)
 		obsMissesBy.With(key.Table).Inc()
 		return memento.Memento{}, time.Time{}, false
 	}
-	c.lru.MoveToFront(el)
 	c.hits.Add(1)
 	obsHitsBy.With(key.Table).Inc()
-	entry := el.Value.(*lruEntry)
-	return entry.mem.Clone(), entry.storedAt, true
+	return e.mem.Clone(), e.storedAt, true
 }
 
 // Put caches a committed memento. Older versions never overwrite newer
@@ -131,25 +99,16 @@ func (c *CommonStore) GetWithTime(key memento.Key) (memento.Memento, time.Time, 
 func (c *CommonStore) Put(m memento.Memento) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.entries[m.Key]; ok {
-		entry := el.Value.(*lruEntry)
-		if entry.mem.Version >= m.Version {
-			c.lru.MoveToFront(el)
+	if e, ok := c.entries[m.Key]; ok {
+		if e.mem.Version >= m.Version {
 			return
 		}
-		entry.mem = m.Clone()
-		entry.storedAt = c.now()
-		size := mementoSize(entry.mem)
-		c.bytes += size - entry.size
-		entry.size = size
-		c.lru.MoveToFront(el)
-		return
+		c.bytes -= e.size
 	}
-	entry := &lruEntry{key: m.Key, mem: m.Clone(), storedAt: c.now()}
-	entry.size = mementoSize(entry.mem)
-	c.entries[m.Key] = c.lru.PushFront(entry)
-	c.bytes += entry.size
-	c.evictOverflowLocked()
+	e := cachedEntry{mem: m.Clone(), storedAt: c.now()}
+	e.size = mementoSize(e.mem)
+	c.entries[m.Key] = e
+	c.bytes += e.size
 }
 
 // Refresh is Put plus accounting: the runtime calls it after its own
@@ -171,11 +130,9 @@ func (c *CommonStore) Invalidate(keys ...memento.Key) int {
 	defer c.mu.Unlock()
 	evicted := 0
 	for _, k := range keys {
-		if el, ok := c.entries[k]; ok {
-			entry := el.Value.(*lruEntry)
-			c.lru.Remove(el)
+		if e, ok := c.entries[k]; ok {
 			delete(c.entries, k)
-			c.bytes -= entry.size
+			c.bytes -= e.size
 			c.invalidations.Add(1)
 			evicted++
 		}
@@ -183,15 +140,14 @@ func (c *CommonStore) Invalidate(keys ...memento.Key) int {
 	return evicted
 }
 
-// Clear evicts every entry. The runtime clears the cache after the
-// invalidation stream is interrupted and re-established: notices may
-// have been missed, so every entry is suspect.
+// Clear evicts every entry. The runtime clears the cache when its
+// invalidation stream drops: notices may be missed, so every entry is
+// suspect.
 func (c *CommonStore) Clear() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.invalidations.Add(uint64(len(c.entries)))
-	c.entries = make(map[memento.Key]*list.Element)
-	c.lru.Init()
+	c.entries = make(map[memento.Key]cachedEntry)
 	c.bytes = 0
 }
 
@@ -219,33 +175,7 @@ func (c *CommonStore) Stats() CommonStoreStats {
 		Misses:        c.misses.Load(),
 		Invalidations: c.invalidations.Load(),
 		Refreshes:     c.refreshes.Load(),
-		Evictions:     c.evictions.Load(),
 		Entries:       entries,
 		Bytes:         bytes,
-	}
-}
-
-// evictOverflowLocked drops LRU entries until within capacity. Called
-// with c.mu held.
-func (c *CommonStore) evictOverflowLocked() {
-	if c.capacity <= 0 {
-		return
-	}
-	for len(c.entries) > c.capacity {
-		back := c.lru.Back()
-		if back == nil {
-			return
-		}
-		entry := back.Value.(*lruEntry)
-		c.lru.Remove(back)
-		delete(c.entries, entry.key)
-		c.bytes -= entry.size
-		c.evictions.Add(1)
-		obs.DefaultEvents.Emit(obs.Event{
-			Type: obs.EventEvict,
-			Bean: entry.key.Table,
-			Key:  entry.key.String(),
-			Age:  c.now().Sub(entry.storedAt),
-		})
 	}
 }

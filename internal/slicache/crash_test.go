@@ -2,7 +2,6 @@ package slicache
 
 import (
 	"context"
-	"sync"
 	"testing"
 	"time"
 
@@ -86,106 +85,4 @@ func TestReconnectRepeatedBackendRestart(t *testing.T) {
 		})
 	}
 	srv.Close()
-}
-
-// TestReconnectDegradedReads: with WithDegradedReads the edge keeps
-// serving cached reads for up to the bound while the back-end is
-// unreachable, refuses them beyond it, and re-validates (clears) once
-// the stream returns.
-func TestReconnectDegradedReads(t *testing.T) {
-	store := sqlstore.New()
-	defer store.Close()
-	store.Seed(row("1", 1))
-	ctx := context.Background()
-
-	srv := dbwire.NewServer(storeapi.Local(store))
-	if err := srv.Start("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	addr := srv.Addr()
-
-	client := dbwire.Dial(addr)
-	defer client.Close()
-
-	const bound = time.Minute
-	var clockMu sync.Mutex
-	now := time.Now()
-	clock := func() time.Time {
-		clockMu.Lock()
-		defer clockMu.Unlock()
-		return now
-	}
-	advance := func(d time.Duration) {
-		clockMu.Lock()
-		now = now.Add(d)
-		clockMu.Unlock()
-	}
-
-	mgr := NewManager(client, WithShipping(WholeSet), WithDegradedReads(bound))
-	mgr.SetClock(clock)
-	defer mgr.Close()
-	if err := mgr.Start(ctx); err != nil {
-		t.Fatal(err)
-	}
-
-	// Warm the cache, then take the back-end away.
-	dt, err := mgr.Begin(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := dt.Load(ctx, key("1")); err != nil {
-		t.Fatal(err)
-	}
-	if err := dt.Commit(ctx); err != nil {
-		t.Fatal(err)
-	}
-	srv.Close()
-	waitFor(t, 5*time.Second, mgr.Degraded)
-
-	// Degraded, within the bound: the cached entry still serves.
-	if mgr.CommonStore().Len() != 1 {
-		t.Fatal("degraded mode cleared the cache")
-	}
-	dt2, err := mgr.Begin(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := dt2.Load(ctx, key("1"))
-	if err != nil {
-		t.Fatalf("stale read within bound failed: %v", err)
-	}
-	if m.Fields["n"].Int != 1 {
-		t.Fatalf("served wrong value: %+v", m)
-	}
-	_ = dt2.Abort(ctx)
-	if got := mgr.Stats().StaleServes; got != 1 {
-		t.Fatalf("StaleServes = %d, want 1", got)
-	}
-
-	// Beyond the bound the entry is too old to trust: the read must
-	// fall through to the (unreachable) store and fail.
-	advance(bound + time.Second)
-	dt3, err := mgr.Begin(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := dt3.Load(ctx, key("1")); err == nil {
-		t.Fatal("read beyond the degrade bound served stale data")
-	}
-	_ = dt3.Abort(ctx)
-
-	// Back-end returns: resubscribe must clear the cache and drop the
-	// degraded flag, restoring strict semantics.
-	srv2 := dbwire.NewServer(storeapi.Local(store))
-	if err := srv2.Start(addr); err != nil {
-		t.Fatal(err)
-	}
-	defer srv2.Close()
-	waitFor(t, 5*time.Second, func() bool { return !mgr.Degraded() })
-	if mgr.CommonStore().Len() != 0 {
-		t.Fatal("reconnect did not clear the possibly-stale cache")
-	}
-	if mgr.Stats().Degradations != 1 {
-		t.Fatalf("Degradations = %d, want 1", mgr.Stats().Degradations)
-	}
 }

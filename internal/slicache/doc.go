@@ -13,7 +13,10 @@
 //     validated against the persistent store, and the after-images are
 //     applied only if no conflict exists;
 //   - the persistent store pushes invalidation notices after commits, and
-//     the runtime evicts the affected common-store entries.
+//     the runtime evicts the affected common-store entries. The common
+//     store is unbounded; when the notice stream drops, the runtime
+//     clears it and the finder cache, since notices may be missed, and
+//     resubscribes.
 //
 // The runtime implements component.ResourceManager, so applications
 // written against the component container are cache-enabled without any

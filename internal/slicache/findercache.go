@@ -72,13 +72,6 @@ func NewFinderCache(enabled bool, capacity int) *FinderCache {
 	}
 }
 
-// Enabled reports whether the cache serves lookups.
-func (c *FinderCache) Enabled() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.enabled
-}
-
 // SetClock overrides the timestamp source (tests).
 func (c *FinderCache) SetClock(now func() time.Time) {
 	c.mu.Lock()
@@ -88,9 +81,8 @@ func (c *FinderCache) SetClock(now func() time.Time) {
 
 // Get returns the cached result set for a query, if present: the
 // committed rows (read-only — callers clone before mutating) and when
-// they were stored. Lookup only — the caller decides whether a returned
-// entry is actually servable (degraded-mode age checks) and records the
-// hit or miss accordingly.
+// they were stored. An enabled cache counts the lookup as a hit or a
+// miss.
 func (c *FinderCache) Get(q memento.Query) ([]memento.Memento, time.Time, bool) {
 	ck := q.CacheKey()
 	c.mu.Lock()
@@ -100,23 +92,15 @@ func (c *FinderCache) Get(q memento.Query) ([]memento.Memento, time.Time, bool) 
 	}
 	el, ok := c.entries[ck]
 	if !ok {
+		c.misses.Add(1)
+		obsFinderMisses.Inc()
 		return nil, time.Time{}, false
 	}
+	c.hits.Add(1)
+	obsFinderHits.Inc()
 	c.lru.MoveToFront(el)
 	e := el.Value.(*finderEntry)
 	return e.mems, e.storedAt, true
-}
-
-// Hit records one served lookup.
-func (c *FinderCache) Hit() {
-	c.hits.Add(1)
-	obsFinderHits.Inc()
-}
-
-// Miss records one lookup that fell through to the persistent store.
-func (c *FinderCache) Miss() {
-	c.misses.Add(1)
-	obsFinderMisses.Inc()
 }
 
 // Put stores a committed result set with the footprint it covered: the

@@ -6,9 +6,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
-	"edgeejb/internal/dbwire"
 	"edgeejb/internal/memento"
 	"edgeejb/internal/obs"
 	"edgeejb/internal/sqlstore"
@@ -335,78 +333,6 @@ func TestFinderCacheLRUCapacity(t *testing.T) {
 	if _, _, ok := c.Get(byAcct("u2")); ok {
 		t.Error("u2 (LRU) survived")
 	}
-}
-
-// TestFinderCacheDegradedServeAndReconnectFlush: while the invalidation
-// stream is down the cached finder result is served under the degrade
-// bound — even though the store is unreachable — and the whole finder
-// cache is flushed when the stream resubscribes, since notices were
-// missed.
-func TestFinderCacheDegradedServeAndReconnectFlush(t *testing.T) {
-	store := sqlstore.New()
-	defer store.Close()
-	store.Seed(holding("h1", "u1"))
-	ctx := context.Background()
-
-	srv := dbwire.NewServer(storeapi.Local(store))
-	if err := srv.Start("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	addr := srv.Addr()
-
-	client := dbwire.Dial(addr)
-	defer client.Close()
-	mgr := NewManager(client, WithShipping(WholeSet), WithFinderCache(true), WithDegradedReads(time.Hour))
-	defer mgr.Close()
-	if err := mgr.Start(ctx); err != nil {
-		t.Fatal(err)
-	}
-
-	// Warm the finder cache over the wire.
-	dt, err := mgr.Begin(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := dt.Query(ctx, byAcct("u1")); err != nil {
-		t.Fatal(err)
-	}
-	_ = dt.Abort(ctx)
-	if mgr.FinderCache().Len() != 1 {
-		t.Fatal("finder cache not warm")
-	}
-
-	// Kill the stream: the manager degrades instead of clearing.
-	srv.Close()
-	waitFor(t, 3*time.Second, func() bool { return mgr.Degraded() })
-
-	// The store is gone, but the degraded edge still answers the finder
-	// from its cache within the bound.
-	staleBefore := mgr.Stats().StaleServes
-	dt2, err := mgr.Begin(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := dt2.Query(ctx, byAcct("u1"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0].Key.ID != "h1" {
-		t.Fatalf("degraded finder = %v", got)
-	}
-	_ = dt2.Abort(ctx)
-	if mgr.Stats().StaleServes == staleBefore {
-		t.Error("degraded finder serve not counted as a stale serve")
-	}
-
-	// Restart on the same address; resubscription must flush the finder
-	// cache — any notice during the outage was missed.
-	srv2 := dbwire.NewServer(storeapi.Local(store))
-	if err := srv2.Start(addr); err != nil {
-		t.Fatal(err)
-	}
-	defer srv2.Close()
-	waitFor(t, 5*time.Second, func() bool { return mgr.Stats().Resubscribes >= 1 })
-	waitFor(t, 3*time.Second, func() bool { return mgr.FinderCache().Len() == 0 })
 }
 
 // TestFinderCacheChaosConcurrentInvalidation hammers the finder cache

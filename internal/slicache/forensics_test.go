@@ -13,10 +13,10 @@ import (
 )
 
 // TestNoticePipelineAcrossResubscribe drives the invalidation→event
-// pipeline through a stream outage: the manager degrades, misses
+// pipeline through a stream outage: the manager clears its cache, misses
 // commits, resubscribes, and then receives fresh notices. No staleness
 // window or push latency recorded across that sequence may be negative
-// or absurd (the degraded gap must not leak into the histograms).
+// or absurd (the outage must not leak into the histograms).
 func TestNoticePipelineAcrossResubscribe(t *testing.T) {
 	store := sqlstore.New()
 	defer store.Close()
@@ -31,7 +31,7 @@ func TestNoticePipelineAcrossResubscribe(t *testing.T) {
 
 	client := dbwire.Dial(addr)
 	defer client.Close()
-	mgr := NewManager(client, WithShipping(WholeSet), WithDegradedReads(time.Minute))
+	mgr := NewManager(client, WithShipping(WholeSet))
 	defer mgr.Close()
 	if err := mgr.Start(ctx); err != nil {
 		t.Fatal(err)
@@ -52,9 +52,9 @@ func TestNoticePipelineAcrossResubscribe(t *testing.T) {
 	obsBefore := obs.Default.Snapshot()
 	seqBefore := obs.DefaultEvents.Seq()
 
-	// Kill the stream: the manager degrades instead of clearing.
+	// Kill the stream: the manager clears its cache.
 	srv.Close()
-	waitFor(t, 3*time.Second, func() bool { return mgr.Degraded() })
+	waitFor(t, 3*time.Second, func() bool { return mgr.CommonStore().Len() == 0 })
 
 	// A commit lands while the edge is deaf; its notice is lost.
 	if _, err := store.ApplyCommitSet(ctx, memento.CommitSet{
@@ -63,13 +63,13 @@ func TestNoticePipelineAcrossResubscribe(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Restart; the manager resubscribes, clears, and exits degraded mode.
+	// Restart; the manager resubscribes.
 	srv2 := dbwire.NewServer(storeapi.Local(store))
 	if err := srv2.Start(addr); err != nil {
 		t.Fatal(err)
 	}
 	defer srv2.Close()
-	waitFor(t, 5*time.Second, func() bool { return mgr.Stats().Resubscribes >= 1 && !mgr.Degraded() })
+	waitFor(t, 5*time.Second, func() bool { return mgr.Stats().Resubscribes >= 1 })
 
 	// Re-warm, then push one post-recovery notice through.
 	dt2, err := mgr.Begin(ctx)
@@ -94,26 +94,20 @@ func TestNoticePipelineAcrossResubscribe(t *testing.T) {
 	})
 
 	events := obs.DefaultEvents.Since(seqBefore)
-	var degradeEnter, degradeExit, postRecovery bool
+	var postRecovery bool
 	for _, e := range events {
-		switch e.Type {
-		case obs.EventDegrade:
-			degradeEnter = degradeEnter || e.Detail == "enter"
-			degradeExit = degradeExit || e.Detail == "exit"
-		case obs.EventInvalidation:
-			if e.Latency < 0 || e.Latency > time.Minute || e.Age < 0 || e.Age > time.Minute {
-				t.Errorf("absurd invalidation timing across resubscribe: %+v", e)
-			}
-			if e.OtherTrace == noticeTrace && !e.Own {
-				postRecovery = true
-				if e.Evicted < 1 {
-					t.Errorf("post-recovery notice evicted %d entries, want >= 1", e.Evicted)
-				}
+		if e.Type != obs.EventInvalidation {
+			continue
+		}
+		if e.Latency < 0 || e.Latency > time.Minute || e.Age < 0 || e.Age > time.Minute {
+			t.Errorf("absurd invalidation timing across resubscribe: %+v", e)
+		}
+		if e.OtherTrace == noticeTrace && !e.Own {
+			postRecovery = true
+			if e.Evicted < 1 {
+				t.Errorf("post-recovery notice evicted %d entries, want >= 1", e.Evicted)
 			}
 		}
-	}
-	if !degradeEnter || !degradeExit {
-		t.Errorf("degrade events missing: enter=%v exit=%v", degradeEnter, degradeExit)
 	}
 	if !postRecovery {
 		t.Error("post-recovery invalidation event not emitted")
@@ -137,7 +131,7 @@ func TestNoticePipelineAcrossResubscribe(t *testing.T) {
 func TestNoteNoticeClampsAndSkips(t *testing.T) {
 	store := sqlstore.New()
 	defer store.Close()
-	mgr := NewManager(storeapi.Local(store), WithInvalidation(false))
+	mgr := NewManager(storeapi.Local(store))
 	defer mgr.Close()
 	now := time.Unix(1000, 0)
 	mgr.SetClock(func() time.Time { return now })

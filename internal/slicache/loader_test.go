@@ -176,7 +176,7 @@ func TestBatchedCommitMidBatchConflict(t *testing.T) {
 	w := newWireStore(t)
 	w.store.Seed(row("a", 1), row("b", 1), row("c", 1))
 	ctx := context.Background()
-	mgr := NewManager(w.client, WithShipping(PerImage), WithInvalidation(false))
+	mgr := NewManager(w.client, WithShipping(PerImage))
 	defer mgr.Close()
 
 	// update loads a, b and c and rewrites all three, so the batch is
@@ -259,7 +259,7 @@ func TestReadOnlyPerImageCommitConflict(t *testing.T) {
 	w := newWireStore(t)
 	w.store.Seed(row("a", 1), row("b", 1))
 	ctx := context.Background()
-	mgr := NewManager(w.client, WithShipping(PerImage), WithInvalidation(false))
+	mgr := NewManager(w.client, WithShipping(PerImage))
 	defer mgr.Close()
 
 	read := func() error {

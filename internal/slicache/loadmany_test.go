@@ -24,7 +24,6 @@ import (
 type loadManyScenario struct {
 	warmOld   []string      // common-store entries stored 30 s ago
 	warmNew   []string      // common-store entries stored 5 s ago
-	degraded  bool          // stream down, degrade bound 10 s: warmOld is outside it
 	preClean  []string      // loaded earlier in the transaction
 	preDirty  []string      // loaded and updated
 	preRemove []string      // loaded and removed
@@ -39,10 +38,9 @@ func drawLoadManyScenario(rng *rand.Rand) loadManyScenario {
 		return append([]string(nil), ids[:rng.Intn(n+1)]...)
 	}
 	sc := loadManyScenario{
-		warmOld:  pick(3),
-		warmNew:  pick(3),
-		degraded: rng.Intn(3) == 0,
-		create:   rng.Intn(2) == 0,
+		warmOld: pick(3),
+		warmNew: pick(3),
+		create:  rng.Intn(2) == 0,
 	}
 	pre := pick(4)
 	for _, id := range pre {
@@ -80,7 +78,6 @@ type loadManyOutcome struct {
 	CommitSet memento.CommitSet
 	Loads     uint64
 	Fetches   uint64
-	Stale     uint64
 	Hits      uint64
 	Misses    uint64
 	AutoGets  uint64 // store accesses made by the load under test
@@ -95,7 +92,7 @@ type loadManyOutcome struct {
 func (sc loadManyScenario) play(t *testing.T, load func(*sliTx, []memento.Key) ([]memento.Memento, error)) loadManyOutcome {
 	t.Helper()
 	ctx := context.Background()
-	e := newEnv(t, WithDegradedReads(10*time.Second))
+	e := newEnv(t)
 	for i := 0; i < 8; i++ {
 		e.store.Seed(row(fmt.Sprint(i), int64(i)))
 	}
@@ -114,7 +111,6 @@ func (sc loadManyScenario) play(t *testing.T, load func(*sliTx, []memento.Key) (
 	now = now.Add(25 * time.Second)
 	warm(sc.warmNew)
 	now = now.Add(5 * time.Second)
-	e.mgr.degraded.Store(sc.degraded)
 
 	tx := e.begin(t).(*sliTx)
 	must := func(err error) {
@@ -151,7 +147,7 @@ func (sc loadManyScenario) play(t *testing.T, load func(*sliTx, []memento.Key) (
 	}
 	out.CommitSet = tx.buildCommitSet()
 	st := e.mgr.Stats()
-	out.Loads, out.Fetches, out.Stale = st.Loads, st.MissFetches, st.StaleServes
+	out.Loads, out.Fetches = st.Loads, st.MissFetches
 	out.Hits, out.Misses = st.Cache.Hits, st.Cache.Misses
 	out.AutoGets = e.conn.Ops() - gets
 	out.Accesses, out.CacheServed = tx.accesses, tx.cacheServed
@@ -240,7 +236,7 @@ func TestLoadManyCancellation(t *testing.T) {
 	t.Cleanup(func() { _ = client.Close() })
 	// entered is sized to the three sends of one LoadMany.
 	conn := &gatedConn{Conn: client, entered: make(chan struct{}, 3)}
-	mgr := NewManager(conn, WithInvalidation(false))
+	mgr := NewManager(conn)
 	keys := []memento.Key{key("0"), key("1"), key("2")}
 	begin := func() *sliTx {
 		dt, err := mgr.Begin(context.Background())

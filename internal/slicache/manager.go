@@ -23,15 +23,7 @@ type Manager struct {
 	common  *CommonStore
 	finders *FinderCache
 	conn    storeapi.Conn
-
-	invalidate   bool
-	degradeBound time.Duration
-	now          func() time.Time
-
-	// degraded is set while the invalidation stream is down and
-	// WithDegradedReads is enabled: cached entries may be stale, and
-	// reads are served from cache only within the degrade bound.
-	degraded atomic.Bool
+	now     func() time.Time
 
 	// own guards ownTxs and ownRing, the datastore transactions this
 	// manager committed. It is held from recording an own commit through
@@ -54,8 +46,6 @@ type Manager struct {
 		missFetches                atomic.Uint64
 		noticesApplied             atomic.Uint64
 		resubscribes               atomic.Uint64
-		degradations               atomic.Uint64
-		staleServes                atomic.Uint64
 	}
 }
 
@@ -72,13 +62,7 @@ type ManagerStats struct {
 	NoticesApplied uint64
 	// Resubscribes counts invalidation-stream reconnections.
 	Resubscribes uint64
-	// Degradations counts entries into degraded mode (invalidation
-	// stream lost while WithDegradedReads is enabled).
-	Degradations uint64
-	// StaleServes counts cache hits served while degraded, i.e. reads
-	// answered from possibly-stale entries under the degrade bound.
-	StaleServes uint64
-	Cache       CommonStoreStats
+	Cache        CommonStoreStats
 	// Finders is the finder-result cache's snapshot (all zero when the
 	// cache is disabled).
 	Finders FinderCacheStats
@@ -90,11 +74,8 @@ type ManagerOption interface {
 }
 
 type managerConfig struct {
-	shipping      CommitShipping
-	invalidation  bool
-	cacheCapacity int
-	finderCache   bool
-	degradeBound  time.Duration
+	shipping    CommitShipping
+	finderCache bool
 }
 
 type shippingOption CommitShipping
@@ -104,25 +85,6 @@ func (o shippingOption) apply(c *managerConfig) { c.shipping = CommitShipping(o)
 // WithShipping selects the commit-shipping mode. The default is
 // PerImage (combined-servers).
 func WithShipping(s CommitShipping) ManagerOption { return shippingOption(s) }
-
-type invalidationOption bool
-
-func (o invalidationOption) apply(c *managerConfig) { c.invalidation = bool(o) }
-
-// WithInvalidation toggles subscription to the server's invalidation
-// stream (default on). With it off, stale common-store entries are only
-// discovered at commit-validation time.
-func WithInvalidation(enabled bool) ManagerOption { return invalidationOption(enabled) }
-
-type cacheCapacityOption int
-
-func (o cacheCapacityOption) apply(c *managerConfig) { c.cacheCapacity = int(o) }
-
-// WithCacheCapacity bounds the common store to n entries, evicted in
-// LRU order (0 = unlimited, the default). Edge caches are
-// space-constrained in practice; the capacity ablation quantifies the
-// latency cost of refetching evicted beans.
-func WithCacheCapacity(n int) ManagerOption { return cacheCapacityOption(n) }
 
 type finderCacheOption bool
 
@@ -138,44 +100,22 @@ func (o finderCacheOption) apply(c *managerConfig) { c.finderCache = bool(o) }
 // preserved; the cache only removes the high-latency finder round trip.
 func WithFinderCache(enabled bool) ManagerOption { return finderCacheOption(enabled) }
 
-type degradeOption time.Duration
-
-func (o degradeOption) apply(c *managerConfig) { c.degradeBound = time.Duration(o) }
-
-// WithDegradedReads lets the edge keep serving reads from its cache for
-// up to maxAge after the invalidation stream drops, instead of clearing
-// the cache immediately. While degraded, a cache hit is served only if
-// the entry is younger than maxAge (counted in StaleServes); older
-// entries and misses fall through to the (likely unreachable) store, so
-// staleness stays time-bounded. Commits that do reach the store validate
-// their full read set. The cache is cleared and the flag dropped once
-// the stream resubscribes, restoring strict semantics. Zero (default)
-// keeps today's behavior: clear on drop.
-func WithDegradedReads(maxAge time.Duration) ManagerOption { return degradeOption(maxAge) }
-
 // NewManager builds an SLI resource manager over a datastore handle. In
 // the combined-servers configuration conn reaches the database server
 // directly; in split-servers it reaches the back-end server. Call Start
 // to begin consuming invalidation notices and Close to stop.
 func NewManager(conn storeapi.Conn, opts ...ManagerOption) *Manager {
-	cfg := managerConfig{
-		shipping:     PerImage,
-		invalidation: true,
-	}
+	cfg := managerConfig{shipping: PerImage}
 	for _, o := range opts {
 		o.apply(&cfg)
 	}
-	common := NewCommonStore()
-	common.SetCapacity(cfg.cacheCapacity)
 	return &Manager{
-		loader:       NewLoader(conn, cfg.shipping),
-		common:       common,
-		finders:      NewFinderCache(cfg.finderCache, DefaultFinderCapacity),
-		conn:         conn,
-		invalidate:   cfg.invalidation,
-		degradeBound: cfg.degradeBound,
-		now:          time.Now,
-		ownTxs:       make(map[uint64]struct{}),
+		loader:  NewLoader(conn, cfg.shipping),
+		common:  NewCommonStore(),
+		finders: NewFinderCache(cfg.finderCache, DefaultFinderCapacity),
+		conn:    conn,
+		now:     time.Now,
+		ownTxs:  make(map[uint64]struct{}),
 	}
 }
 
@@ -197,23 +137,17 @@ func (m *Manager) CommonStore() *CommonStore { return m.common }
 // diagnostics).
 func (m *Manager) FinderCache() *FinderCache { return m.finders }
 
-// Degraded reports whether the manager is serving time-bounded stale
-// reads because its invalidation stream is down (see WithDegradedReads).
-func (m *Manager) Degraded() bool { return m.degraded.Load() }
-
 // Shipping returns the commit-shipping mode in use.
 func (m *Manager) Shipping() CommitShipping { return m.loader.Shipping() }
 
 // Start subscribes to the datastore's invalidation stream and keeps it
 // alive: if the stream drops (back-end restart, network blip), the
-// manager clears the common store — notices may have been missed, so
-// every entry is suspect — and resubscribes with backoff. It is a no-op
-// when invalidation is disabled. Safe to call once; the initial
-// subscription failure is returned synchronously.
+// manager clears both caches — notices may be missed, so every entry is
+// suspect — and resubscribes with backoff. A manager never started
+// learns of other edges' commits only when they fail its validation.
+// Safe to call more than once; the initial subscription failure is
+// returned synchronously.
 func (m *Manager) Start(ctx context.Context) error {
-	if !m.invalidate {
-		return nil
-	}
 	m.mu.Lock()
 	if m.started {
 		m.mu.Unlock()
@@ -253,18 +187,9 @@ func (m *Manager) invalidationLoop(ch <-chan sqlstore.Notice, stop, done chan st
 			return
 		default:
 		}
-		// The stream dropped: anything cached could be stale now. With
-		// degraded reads enabled the cache is kept and served under the
-		// degrade bound; otherwise it is cleared immediately.
-		if m.degradeBound > 0 {
-			if !m.degraded.Swap(true) {
-				m.stats.degradations.Add(1)
-				obs.DefaultEvents.Emit(obs.Event{Type: obs.EventDegrade, Detail: "enter"})
-			}
-		} else {
-			m.common.Clear()
-			m.finders.Clear()
-		}
+		// The stream dropped: anything cached could be stale now.
+		m.common.Clear()
+		m.finders.Clear()
 		for attempt := 0; ; attempt++ {
 			newCh, cancel, err := m.conn.Subscribe(context.Background())
 			if err == nil {
@@ -278,14 +203,10 @@ func (m *Manager) invalidationLoop(ch <-chan sqlstore.Notice, stop, done chan st
 					return
 				default:
 				}
-				// Notices were missed during the outage; the cache must
-				// start over before strict semantics resume.
-				if m.degraded.Load() {
-					m.common.Clear()
-					m.finders.Clear()
-					m.degraded.Store(false)
-					obs.DefaultEvents.Emit(obs.Event{Type: obs.EventDegrade, Detail: "exit"})
-				}
+				// Entries filled while the stream was down may have missed
+				// notices too.
+				m.common.Clear()
+				m.finders.Clear()
 				m.stats.resubscribes.Add(1)
 				ch = newCh
 				break
@@ -390,8 +311,6 @@ func (m *Manager) Stats() ManagerStats {
 		MissFetches:    m.stats.missFetches.Load(),
 		NoticesApplied: m.stats.noticesApplied.Load(),
 		Resubscribes:   m.stats.resubscribes.Load(),
-		Degradations:   m.stats.degradations.Load(),
-		StaleServes:    m.stats.staleServes.Load(),
 		Cache:          m.common.Stats(),
 		Finders:        m.finders.Stats(),
 	}

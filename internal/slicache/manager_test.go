@@ -345,7 +345,7 @@ func TestOwnNoticeBeforeReplyKeepsAfterImage(t *testing.T) {
 	store.Seed(row("1", 1))
 	ctx := context.Background()
 	gate := replyGate{Conn: storeapi.Local(store), release: make(chan struct{})}
-	mgr := NewManager(gate, WithShipping(WholeSet), WithInvalidation(false))
+	mgr := NewManager(gate, WithShipping(WholeSet))
 	defer mgr.Close()
 	notices, cancel := store.Subscribe(0)
 	defer cancel()
@@ -390,17 +390,17 @@ func TestOwnNoticeBeforeReplyKeepsAfterImage(t *testing.T) {
 	}
 }
 
-func TestInvalidationDisabledAblation(t *testing.T) {
+// TestUnstartedManagerValidatesStaleEntry: a manager that never starts
+// its invalidation stream keeps another edge's overwritten row cached,
+// and commit validation is what catches it.
+func TestUnstartedManagerValidatesStaleEntry(t *testing.T) {
 	store := sqlstore.New()
 	defer store.Close()
 	store.Seed(row("1", 1))
 	ctx := context.Background()
 
-	mgrA := NewManager(storeapi.Local(store), WithInvalidation(false))
+	mgrA := NewManager(storeapi.Local(store))
 	defer mgrA.Close()
-	if err := mgrA.Start(ctx); err != nil {
-		t.Fatal(err)
-	}
 	mgrB := NewManager(storeapi.Local(store))
 	defer mgrB.Close()
 
@@ -416,7 +416,7 @@ func TestInvalidationDisabledAblation(t *testing.T) {
 	// validation instead.
 	cached, ok := mgrA.CommonStore().Get(key("1"))
 	if !ok {
-		t.Fatal("entry evicted despite invalidation being disabled")
+		t.Fatal("entry evicted although its manager never started")
 	}
 	if cached.Version != 1 {
 		t.Errorf("entry version = %d, want stale 1", cached.Version)

@@ -304,9 +304,9 @@ func runModelTrial(t *testing.T, seed int64) bool {
 	// where a real cache legitimately serves outdated values until
 	// commit validation catches it — is covered by the directed
 	// invalidation tests instead; a model for it would have to replicate
-	// the cache itself. Invalidation is off to keep things deterministic
-	// (the manager never subscribes, so no async evictions).
-	mgr := NewManager(storeapi.Local(store), WithInvalidation(false))
+	// the cache itself. The manager is never started, so it never
+	// subscribes and no eviction arrives asynchronously.
+	mgr := NewManager(storeapi.Local(store))
 	defer mgr.Close()
 
 	type liveTx struct {

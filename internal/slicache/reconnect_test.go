@@ -14,13 +14,13 @@ import (
 )
 
 // TestInvalidationStreamResubscribes: when the server carrying the
-// invalidation stream restarts, the manager must clear its cache (it
-// may have missed notices) and resubscribe, after which pushed
-// invalidations flow again.
+// invalidation stream restarts, the manager must clear both caches (it
+// may have missed notices), serve nothing from them while the server is
+// down, and resubscribe, after which pushed invalidations flow again.
 func TestInvalidationStreamResubscribes(t *testing.T) {
 	store := sqlstore.New()
 	defer store.Close()
-	store.Seed(row("1", 1))
+	store.Seed(row("1", 1), holding("h1", "u1"))
 	ctx := context.Background()
 
 	srv := dbwire.NewServer(storeapi.Local(store))
@@ -31,13 +31,13 @@ func TestInvalidationStreamResubscribes(t *testing.T) {
 
 	client := dbwire.Dial(addr)
 	defer client.Close()
-	mgr := NewManager(client, WithShipping(WholeSet))
+	mgr := NewManager(client, WithShipping(WholeSet), WithFinderCache(true))
 	defer mgr.Close()
 	if err := mgr.Start(ctx); err != nil {
 		t.Fatal(err)
 	}
 
-	// Warm the cache.
+	// Warm both caches.
 	dt, err := mgr.Begin(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -45,16 +45,34 @@ func TestInvalidationStreamResubscribes(t *testing.T) {
 	if _, err := dt.Load(ctx, key("1")); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := dt.Query(ctx, byAcct("u1")); err != nil {
+		t.Fatal(err)
+	}
 	if err := dt.Commit(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if mgr.CommonStore().Len() != 1 {
-		t.Fatal("cache not warm")
+	if mgr.CommonStore().Len() != 2 || mgr.FinderCache().Len() != 1 {
+		t.Fatalf("caches not warm: %d entries, %d finder results",
+			mgr.CommonStore().Len(), mgr.FinderCache().Len())
 	}
 
-	// Kill the server: the subscription drops and the cache must clear.
+	// Kill the server: the subscription drops and both caches must clear.
 	srv.Close()
-	waitFor(t, 3*time.Second, func() bool { return mgr.CommonStore().Len() == 0 })
+	waitFor(t, 3*time.Second, func() bool {
+		return mgr.CommonStore().Len() == 0 && mgr.FinderCache().Len() == 0
+	})
+	// With the server down, nothing is served from what was cached.
+	dt1, err := mgr.Begin(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m, err := dt1.Load(ctx, key("1")); err == nil {
+		t.Fatalf("Load with the server down = %v, want an error", m)
+	}
+	if got, err := dt1.Query(ctx, byAcct("u1")); err == nil {
+		t.Fatalf("Query with the server down = %v, want an error", got)
+	}
+	_ = dt1.Abort(ctx)
 
 	// Restart on the same address; the manager must resubscribe.
 	srv2 := dbwire.NewServer(storeapi.Local(store))
@@ -75,7 +93,7 @@ func TestInvalidationStreamResubscribes(t *testing.T) {
 	if err := dt2.Commit(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if mgr.CommonStore().Len() != 1 {
+	if _, ok := mgr.CommonStore().Get(key("1")); !ok {
 		t.Fatal("cache not re-warmed")
 	}
 	if _, err := store.ApplyCommitSet(ctx, memento.CommitSet{

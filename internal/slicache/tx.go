@@ -175,16 +175,6 @@ func (t *sliTx) cached(ctx context.Context, key memento.Key) (memento.Memento, b
 	if !ok {
 		return memento.Memento{}, false, nil
 	}
-	if t.mgr.degraded.Load() {
-		// The invalidation stream is down: this entry may be stale.
-		// Serve it only within the degrade bound; older entries fall
-		// through to the store so staleness stays time-bounded.
-		age := t.mgr.now().Sub(storedAt)
-		if age > t.mgr.degradeBound {
-			return memento.Memento{}, false, nil
-		}
-		t.mgr.stats.staleServes.Add(1)
-	}
 	t.cacheServed = true
 	t.entries[key] = &entry{
 		before:    m.Clone(),
@@ -316,40 +306,16 @@ func (t *sliTx) Query(ctx context.Context, q memento.Query) ([]memento.Memento, 
 		return nil, sqlstore.ErrTxDone
 	}
 	t.mgr.stats.queries.Add(1)
-	now := t.mgr.now()
 	// Transactional finder-result caching: serve the committed result set
 	// from the finder cache when a coherent copy is available, skipping
 	// the high-latency store round trip. The rows still enter the
 	// transaction's read set with their original fetch time, so commit
 	// validation treats them exactly like a fresh fetch made at storedAt.
-	var persisted []memento.Memento
-	fetchedAt := now
-	fromFinder := false
-	if t.mgr.finders.Enabled() {
-		if mems, storedAt, ok := t.mgr.finders.Get(q); ok {
-			serve := true
-			if t.mgr.degraded.Load() {
-				// Stream down: the cached result may be stale. Honor the same
-				// degrade bound direct reads do.
-				if age := now.Sub(storedAt); age > t.mgr.degradeBound {
-					serve = false
-				} else {
-					t.mgr.stats.staleServes.Add(1)
-				}
-			}
-			if serve {
-				t.mgr.finders.Hit()
-				persisted = mems
-				fetchedAt = storedAt
-				fromFinder = true
-				t.cacheServed = true
-			}
-		}
-		if !fromFinder {
-			t.mgr.finders.Miss()
-		}
-	}
-	if !fromFinder {
+	persisted, fetchedAt, fromFinder := t.mgr.finders.Get(q)
+	if fromFinder {
+		t.cacheServed = true
+	} else {
+		fetchedAt = t.mgr.now()
 		qctx, sp := obs.StartSpan(ctx, "slicache.query")
 		res, err := t.mgr.loader.RunQuery(qctx, q)
 		sp.End()

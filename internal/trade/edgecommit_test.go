@@ -34,7 +34,7 @@ func TestShardedReadOnlyEdgeCommit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mgr := slicache.NewManager(router, slicache.WithShipping(slicache.WholeSet), slicache.WithInvalidation(false))
+	mgr := slicache.NewManager(router, slicache.WithShipping(slicache.WholeSet))
 	t.Cleanup(mgr.Close)
 	reg, err := NewEntityRegistry()
 	if err != nil {

@@ -21,7 +21,8 @@
 #                            selects
 #   constructor => row       every constructor has a row in the table
 #   row => constructor       every row names a constructor that exists
-#   the page                 the table has at most 20 rows
+#   the page                 the table has at most 12 rows: a thirteenth
+#                            option is an edit to maxrows here too
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -63,13 +64,20 @@ if [ "${1:-}" = "--selftest" ]; then
 	expect_fail "orphan row" "row names no constructor: slicache.WithGone"
 	mv "$scratch/DESIGN.md.orig" "$scratch/DESIGN.md"
 
+	# A thirteenth option, set by tests with a stated reason and with its
+	# row, breaks only the page limit.
+	printf 'package loadgen\n\nfunc WithX() {}\n' >"$planted"
+	# shellcheck disable=SC2016
+	printf '| `loadgen.WithX` | off | tests: planted |\n' >>"$scratch/DESIGN.md"
+	expect_fail "thirteenth option" "at most 12"
+
 	echo "check_options_docs: selftest passed"
 	exit 0
 fi
 
 doc=DESIGN.md
 frozen=bench/README.md
-maxrows=20
+maxrows=12
 fail=0
 
 # <package>.<Name>, one per line; the package is the directory's name.
