@@ -74,8 +74,8 @@ func run(args []string) error {
 	}
 
 	// Disjoint transaction-ID bases keep IDs globally unique across the
-	// sharded tier, so edge caches can filter their own commits out of
-	// the merged invalidation stream.
+	// sharded tier, so a conflict names the shard of its winning
+	// transaction.
 	store := sqlstore.New(
 		sqlstore.WithLockTimeout(*lockTimeout),
 		sqlstore.WithTxIDBase(uint64(*shardIdx)<<40),

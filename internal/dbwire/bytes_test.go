@@ -6,7 +6,9 @@ import (
 	"time"
 
 	"edgeejb/internal/memento"
+	"edgeejb/internal/sqlstore"
 	"edgeejb/internal/storeapi"
+	"edgeejb/internal/wire"
 )
 
 // opBytes is one op label's traffic as the client's transport counts
@@ -116,19 +118,36 @@ func TestStatementWireBytes(t *testing.T) {
 			}
 		}
 	}
+
+	// An edge cache begins under its origin: a second mask byte (bit 11)
+	// and the origin's 9 bytes on top of a plain Begin's 8.
+	_, c := newPair(t)
+	ctx := context.Background()
+	txn, err := c.Begin(sqlstore.OriginContext(ctx, 1<<62|5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := txn.Abort(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if o := c.WireStats().Ops["Begin"]; o.Count != 1 || o.BytesSent != 8+1+9 || o.BytesReceived != 9 {
+		t.Errorf("Begin under an origin = %+v, want 1 sent as 18 bytes, 9 received", o)
+	}
 }
 
-// TestCachePathWireBytes pins the ops the cached architectures spend on
-// the slow hop — the miss fetches, the commit-set and two-phase commits
-// and the invalidation push — over a loopback pair with fixed rows. The
-// transport counts the notices pushed on the subscription under "push".
-func TestCachePathWireBytes(t *testing.T) {
+// cachePathBytes drives the ops the cached architectures spend on the
+// slow hop over a fresh loopback pair with fixed rows: a subscription,
+// the miss fetches, then the commit-set and two-phase commits, every
+// set and the subscription under origin. It returns the client's
+// transport counters, once every notice the store sent has arrived.
+func cachePathBytes(t *testing.T, origin uint64) wire.Stats {
+	t.Helper()
 	store, c := newPair(t)
 	for i, id := range []string{"1", "2", "3", "4"} {
 		seed(store, "t", id, int64(10*(i+1)))
 	}
 	ctx := context.Background()
-	notices, cancel, err := c.Subscribe(ctx)
+	notices, cancel, err := c.Subscribe(sqlstore.OriginContext(ctx, origin))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,12 +168,13 @@ func TestCachePathWireBytes(t *testing.T) {
 	if _, err := c.ApplyCommitSet(ctx, memento.CommitSet{
 		Reads:  []memento.ReadProof{{Key: memento.Key{Table: "t", ID: "1"}, Version: 1}},
 		Writes: []memento.Memento{write("2", 1, 21)},
+		Origin: origin,
 	}); err != nil {
 		t.Fatal(err)
 	}
 	results, err := c.ApplyCommitSets(ctx, []memento.CommitSet{
-		{Writes: []memento.Memento{write("3", 1, 31)}},
-		{Creates: []memento.Memento{write("9", 0, 90)}},
+		{Writes: []memento.Memento{write("3", 1, 31)}, Origin: origin},
+		{Creates: []memento.Memento{write("9", 0, 90)}, Origin: origin},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -164,50 +184,83 @@ func TestCachePathWireBytes(t *testing.T) {
 			t.Fatalf("set %d: %v", i, r.Err)
 		}
 	}
-	if err := c.Prepare(ctx, "g1", memento.CommitSet{Writes: []memento.Memento{write("4", 1, 41)}}); err != nil {
+	if err := c.Prepare(ctx, "g1", memento.CommitSet{Writes: []memento.Memento{write("4", 1, 41)}, Origin: origin}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.CommitPrepared(ctx, "g1"); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Prepare(ctx, "g2", memento.CommitSet{Removes: []memento.ReadProof{{Key: memento.Key{Table: "t", ID: "1"}, Version: 1}}}); err != nil {
+	if err := c.Prepare(ctx, "g2", memento.CommitSet{Removes: []memento.ReadProof{{Key: memento.Key{Table: "t", ID: "1"}, Version: 1}}, Origin: origin}); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.AbortPrepared(ctx, "g2"); err != nil {
 		t.Fatal(err)
 	}
-	// Four commits wrote; a push is counted before it is delivered.
-	for i := 0; i < 4; i++ {
+	// Four commits wrote. The store sends their notices before the
+	// commits answer, and the transport counts a push before it is
+	// delivered.
+	for i := uint64(0); i < store.Stats().NoticesSent; i++ {
 		select {
 		case <-notices:
 		case <-time.After(5 * time.Second):
 			t.Fatalf("notice %d not pushed", i+1)
 		}
 	}
+	return c.WireStats()
+}
 
+// TestCachePathWireBytes pins the ops the cached architectures spend on
+// the slow hop — the miss fetches, the commit-set and two-phase commits
+// and the invalidation push. The transport counts the notices pushed on
+// the subscription under "push". A subscriber under no origin is pushed
+// all four commits' notices; one that shares the commits' origin, the
+// committing edge's own subscription, is pushed nothing.
+func TestCachePathWireBytes(t *testing.T) {
 	// As in TestStatementWireBytes, a moved number is a protocol change.
-	want := map[string]opBytes{
-		"AutoGet":         {1, 12, 19},
-		"AutoQuery":       {1, 19, 42},
-		"ApplyCommitSet":  {1, 40, 15},
-		"ApplyCommitSets": {1, 61, 28},
-		"Prepare":         {2, 59, 16},
-		"CommitPrepared":  {1, 12, 15},
-		"AbortPrepared":   {1, 12, 8},
-		"Subscribe":       {1, 8, 8},
-		"push":            {0, 0, 180},
+	// Every commit set ends in its origin as a uvarint: 1 byte for none,
+	// 9 for an edge's (bit 62 set, bit 63 clear). A subscription under
+	// an origin adds the origin's 9 bytes and a second mask byte (bit 11).
+	const origin = 1<<62 | 5
+	want := map[uint64]map[string]opBytes{
+		0: {
+			"AutoGet":         {1, 12, 19},
+			"AutoQuery":       {1, 19, 42},
+			"ApplyCommitSet":  {1, 41, 15},
+			"ApplyCommitSets": {1, 63, 28},
+			"Prepare":         {2, 61, 16},
+			"CommitPrepared":  {1, 12, 15},
+			"AbortPrepared":   {1, 12, 8},
+			"Subscribe":       {1, 8, 8},
+			"push":            {0, 0, 180},
+		},
+		origin: {
+			"AutoGet":         {1, 12, 19},
+			"AutoQuery":       {1, 19, 42},
+			"ApplyCommitSet":  {1, 41 + 8, 15},
+			"ApplyCommitSets": {1, 63 + 2*8, 28},
+			"Prepare":         {2, 61 + 2*8, 16},
+			"CommitPrepared":  {1, 12, 15},
+			"AbortPrepared":   {1, 12, 8},
+			"Subscribe":       {1, 8 + 1 + 9, 8},
+		},
 	}
-	s := c.WireStats()
-	if s.Pushes != 4 {
-		t.Errorf("pushes = %d, want 4", s.Pushes)
-	}
-	if len(s.Ops) != len(want) {
-		t.Errorf("ops %v, want %v", s.Ops, want)
-	}
-	for label, w := range want {
-		o := s.Ops[label]
-		if g := (opBytes{Count: o.Count, Sent: o.BytesSent, Received: o.BytesReceived}); g != w {
-			t.Errorf("%s = %+v, want %+v", label, g, w)
+	for _, o := range []uint64{0, origin} {
+		s := cachePathBytes(t, o)
+		pushes := uint64(4)
+		if o != 0 {
+			pushes = 0
+		}
+		if s.Pushes != pushes {
+			t.Errorf("origin %#x: pushes = %d, want %d", o, s.Pushes, pushes)
+		}
+		if len(s.Ops) != len(want[o]) {
+			t.Errorf("origin %#x: ops %v, want %v", o, s.Ops, want[o])
+		}
+		for label, w := range want[o] {
+			op := s.Ops[label]
+			if g := (opBytes{Count: op.Count, Sent: op.BytesSent, Received: op.BytesReceived}); g != w {
+				t.Errorf("origin %#x: %s = %+v, want %+v", o, label, g, w)
+			}
 		}
 	}
 }

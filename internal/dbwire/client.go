@@ -110,10 +110,10 @@ func (r *handshakeRetry) next(ctx context.Context, c *Client, op OpCode, reused 
 	return true
 }
 
-// pin opens a pinned stream and runs op's handshake on it, retrying
-// stale pooled streams and transient transport failures under the
-// client's policy. prepare, when non-nil, runs on every fresh stream
-// before the handshake is sent.
+// pin opens a pinned stream and runs op's handshake on it, carrying the
+// context's origin, retrying stale pooled streams and transient
+// transport failures under the client's policy. prepare, when non-nil,
+// runs on every fresh stream before the handshake is sent.
 func (c *Client) pin(ctx context.Context, op OpCode, prepare func(*wire.Stream)) (*wire.Stream, *Response, error) {
 	retry := handshakeRetry{pol: c.w.RetryPolicy()}
 	for {
@@ -128,7 +128,7 @@ func (c *Client) pin(ctx context.Context, op OpCode, prepare func(*wire.Stream))
 			prepare(st)
 		}
 		resp := new(Response)
-		if err := st.Call(ctx, &Request{Op: op}, resp); err != nil {
+		if err := st.Call(ctx, &Request{Op: op, Origin: sqlstore.OriginOf(ctx)}, resp); err != nil {
 			reused := st.Reused()
 			st.Hangup()
 			if retry.next(ctx, c, op, reused, err) {

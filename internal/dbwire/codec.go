@@ -62,6 +62,7 @@ const (
 	reqBatch
 	reqSets
 	reqGid
+	reqOrigin
 )
 
 func appendRequest(dst []byte, q *Request) []byte {
@@ -99,6 +100,9 @@ func appendRequest(dst []byte, q *Request) []byte {
 	}
 	if q.Gid != "" {
 		mask |= reqGid
+	}
+	if q.Origin != 0 {
+		mask |= reqOrigin
 	}
 	dst = binary.AppendUvarint(dst, mask)
 	if mask&reqTx != 0 {
@@ -139,6 +143,9 @@ func appendRequest(dst []byte, q *Request) []byte {
 	}
 	if mask&reqGid != 0 {
 		dst = wire.AppendString(dst, q.Gid)
+	}
+	if mask&reqOrigin != 0 {
+		dst = binary.AppendUvarint(dst, q.Origin)
 	}
 	return dst
 }
@@ -194,6 +201,9 @@ func readRequest(r *wire.Reader, q *Request, nested bool) {
 	}
 	if mask&reqGid != 0 {
 		q.Gid = r.Str()
+	}
+	if mask&reqOrigin != 0 {
+		q.Origin = r.Uvarint()
 	}
 }
 
@@ -469,7 +479,7 @@ func appendCommitSet(dst []byte, cs memento.CommitSet) []byte {
 	for _, p := range cs.Removes {
 		dst = appendReadProof(dst, p)
 	}
-	return dst
+	return binary.AppendUvarint(dst, cs.Origin)
 }
 
 func readCommitSet(r *wire.Reader) memento.CommitSet {
@@ -498,6 +508,7 @@ func readCommitSet(r *wire.Reader) memento.CommitSet {
 			cs.Removes = append(cs.Removes, readReadProof(r))
 		}
 	}
+	cs.Origin = r.Uvarint()
 	return cs
 }
 

@@ -89,7 +89,21 @@ func corpusRequests() map[string]*Request {
 			Op:  OpPut,
 			Mem: memento.Memento{Key: memento.Key{Table: "t", ID: "x"}},
 		},
+		"begin under origin":     {Op: OpBegin, Origin: 1<<62 | 5},
+		"subscribe under origin": {Op: OpSubscribe, Origin: 1<<62 | 5},
+		"apply under origin":     {Op: OpApplyCommitSet, Set: codecSetFrom(1, 1<<62|5)},
+		"apply sets of two origins": {
+			Op:   OpApplyCommitSets,
+			Sets: []memento.CommitSet{codecSetFrom(1, 1<<62|5), codecSetFrom(2, 1<<62|6), codecSet(3)},
+		},
 	}
+}
+
+// codecSetFrom is codecSet shipped by the edge cache named origin.
+func codecSetFrom(tx, origin uint64) memento.CommitSet {
+	cs := codecSet(tx)
+	cs.Origin = origin
+	return cs
 }
 
 func corpusResponses() map[string]*Response {

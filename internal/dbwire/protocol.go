@@ -133,6 +133,10 @@ type Request struct {
 	// op; the coordinator generates it and every participant keys its
 	// prepared state on it.
 	Gid string
+	// Origin is the edge's origin on OpBegin and OpSubscribe (see
+	// sqlstore.OriginContext), which the server puts back into the
+	// request's context. A commit set carries its own.
+	Origin uint64
 }
 
 // WireLabel names the request for per-op transport stats.

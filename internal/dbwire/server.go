@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 
+	"edgeejb/internal/sqlstore"
 	"edgeejb/internal/storeapi"
 	"edgeejb/internal/wire"
 )
@@ -63,6 +64,7 @@ func (h *connHandler) NewRequest() any { return new(Request) }
 
 func (h *connHandler) Handle(ctx context.Context, sess *wire.Session, id uint64, req any) any {
 	r := req.(*Request)
+	ctx = sqlstore.OriginContext(ctx, r.Origin)
 	if r.Op == OpSubscribe {
 		return h.subscribe(ctx, sess, id)
 	}

@@ -127,7 +127,7 @@ func writeForensicsBlock(w io.Writer, events []obs.Event, counters map[string]ui
 	// Invalidation-propagation summary.
 	invals, evicted := 0, 0
 	for _, e := range events {
-		if e.Type == obs.EventInvalidation && !e.Own {
+		if e.Type == obs.EventInvalidation {
 			invals++
 			evicted += e.Evicted
 		}
@@ -199,15 +199,15 @@ func WriteConflictsCSV(w io.Writer, events []obs.Event) error {
 // arrival); staleness_ms is the window closed when the notice actually
 // evicted entries (zero otherwise).
 func WriteInvalidationCSV(w io.Writer, events []obs.Event) error {
-	if _, err := fmt.Fprintln(w, "t_unix_ms,origin_trace,keys,evicted,own,latency_ms,staleness_ms"); err != nil {
+	if _, err := fmt.Fprintln(w, "t_unix_ms,origin_trace,keys,evicted,latency_ms,staleness_ms"); err != nil {
 		return err
 	}
 	for _, e := range events {
 		if e.Type != obs.EventInvalidation {
 			continue
 		}
-		if _, err := fmt.Fprintf(w, "%d,%d,%d,%d,%v,%.3f,%.3f\n",
-			e.Time.UnixMilli(), e.OtherTrace, e.Keys, e.Evicted, e.Own,
+		if _, err := fmt.Fprintf(w, "%d,%d,%d,%d,%.3f,%.3f\n",
+			e.Time.UnixMilli(), e.OtherTrace, e.Keys, e.Evicted,
 			float64(e.Latency.Microseconds())/1000,
 			float64(e.Age.Microseconds())/1000); err != nil {
 			return err

@@ -150,7 +150,7 @@ func TestForensicsSmoke(t *testing.T) {
 	var inval *obs.Event
 	for i := range events {
 		e := events[i]
-		if e.Type == obs.EventInvalidation && !e.Own && e.OtherTrace == winnerTrace {
+		if e.Type == obs.EventInvalidation && e.OtherTrace == winnerTrace {
 			inval = &events[i]
 		}
 	}

@@ -26,7 +26,7 @@ func forensicsFixture() Sweep {
 				{Type: obs.EventConflict, Op: "sell", Bean: "quote", Key: "quote/s-1", Trace: 3, OtherTrace: 4, Time: time.Unix(1001, 0)},
 				{Type: obs.EventConflict, Op: "buy", Bean: "account", Key: "account/u-1", Time: time.Unix(1002, 0)},
 				{Type: obs.EventInvalidation, Keys: 2, Evicted: 1, Latency: time.Millisecond, OtherTrace: 9, Time: time.Unix(1003, 0)},
-				{Type: obs.EventInvalidation, Own: true, Keys: 1, Time: time.Unix(1004, 0)},
+				{Type: obs.EventInvalidation, Keys: 1, OtherTrace: 10, Time: time.Unix(1004, 0)},
 			},
 		}},
 	}
@@ -46,7 +46,7 @@ func TestWriteForensics(t *testing.T) {
 		"quote/s-1",
 		"cache by bean:",
 		"75.0%", // quote hit ratio 30/40
-		"invalidations: 1 notices applied, 1 entries evicted",
+		"invalidations: 2 notices applied, 1 entries evicted",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("forensics report missing %q:\n%s", want, out)
@@ -83,10 +83,10 @@ func TestForensicsCSVWriters(t *testing.T) {
 	if len(lines) != 3 { // header + 2 invalidations
 		t.Fatalf("invalidation csv rows = %d, want 3:\n%s", len(lines), i.String())
 	}
-	if lines[0] != "t_unix_ms,origin_trace,keys,evicted,own,latency_ms,staleness_ms" {
+	if lines[0] != "t_unix_ms,origin_trace,keys,evicted,latency_ms,staleness_ms" {
 		t.Fatalf("invalidation csv header = %q", lines[0])
 	}
-	if !strings.Contains(lines[1], "9,2,1,false,1.000") {
+	if !strings.Contains(lines[1], "9,2,1,1.000") {
 		t.Fatalf("invalidation csv row 1 = %q", lines[1])
 	}
 

@@ -236,6 +236,10 @@ type CommitSet struct {
 	// Removes are entities deleted by the transaction. Each must still
 	// exist at the recorded version.
 	Removes []ReadProof
+	// Origin names the edge cache that ships the set (zero for none). The
+	// store sends the commit's invalidation notice to every subscriber
+	// but that edge's, which refreshes itself from the after-images.
+	Origin uint64
 }
 
 // IsEmpty reports whether the commit set carries no work at all.

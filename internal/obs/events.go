@@ -67,9 +67,6 @@ type Event struct {
 	// Evicted is how many of those keys were actually cached (and
 	// therefore dropped) at this edge.
 	Evicted int `json:"evicted,omitempty"`
-	// Own marks an invalidation notice for this edge's own commit (the
-	// cache was already refreshed; nothing was evicted).
-	Own bool `json:"own,omitempty"`
 	// Detail carries a short free-form qualifier (e.g. a conflict's
 	// message, or a 2PC outcome).
 	Detail string `json:"detail,omitempty"`
@@ -182,10 +179,10 @@ func WriteEventsJSONL(w io.Writer, events []Event) error {
 // text view.
 func WriteEventsText(w io.Writer, events []Event) error {
 	for _, e := range events {
-		if _, err := fmt.Fprintf(w, "%d %s %-12s op=%s bean=%s key=%s trace=%d other=%d age=%s latency=%s keys=%d evicted=%d own=%v %s\n",
+		if _, err := fmt.Fprintf(w, "%d %s %-12s op=%s bean=%s key=%s trace=%d other=%d age=%s latency=%s keys=%d evicted=%d %s\n",
 			e.Seq, e.Time.Format(time.RFC3339Nano), e.Type, e.Op, e.Bean, e.Key,
 			e.Trace, e.OtherTrace, fmtDur(e.Age), fmtDur(e.Latency),
-			e.Keys, e.Evicted, e.Own, e.Detail); err != nil {
+			e.Keys, e.Evicted, e.Detail); err != nil {
 			return err
 		}
 	}

@@ -46,9 +46,14 @@ func Op(ctx context.Context) string {
 // process's subtree onto another's.
 var traceIDs, spanIDs atomic.Uint64
 
-func init() {
-	now := uint64(time.Now().UnixNano())
-	traceIDs.Store(now << 16)
+func init() { seedIDs(uint64(time.Now().UnixNano())) }
+
+// seedIDs seeds both counters from the clock reading now. A trace ID
+// travels as a uvarint (a notice's origin trace, a conflict's winner),
+// so its width must not follow the clock: bit 63 is cleared and bit 62
+// set, and every trace ID is 9 bytes on the wire at any hour.
+func seedIDs(now uint64) {
+	traceIDs.Store(now<<16&^(1<<63) | 1<<62)
 	spanIDs.Store(now)
 }
 

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"context"
+	"encoding/binary"
 	"strings"
 	"testing"
 	"time"
@@ -166,5 +167,23 @@ func TestSpanLogSince(t *testing.T) {
 	}
 	if all := log.Since(time.Time{}); len(all) != 5 {
 		t.Fatalf("Since(zero) returned %d, want all 5", len(all))
+	}
+}
+
+// TestTraceIDWidthIgnoresTheClock: a trace ID is a 9-byte uvarint on
+// either side of the clock's bit 47 flipping, which the seed's shift
+// moves to bit 63 (a 10-byte uvarint) once every 39 hours.
+func TestTraceIDWidthIgnoresTheClock(t *testing.T) {
+	saved, savedSpan := traceIDs.Load(), spanIDs.Load()
+	defer func() {
+		traceIDs.Store(saved)
+		spanIDs.Store(savedSpan)
+	}()
+	for _, now := range []uint64{1<<47 - 1, 1 << 47, 1<<48 - 1, uint64(time.Now().UnixNano())} {
+		seedIDs(now)
+		id := NewTraceID()
+		if n := len(binary.AppendUvarint(nil, id)); n != 9 {
+			t.Errorf("seeded at %#x: trace ID %#x is a %d-byte uvarint, want 9", now, id, n)
+		}
 	}
 }

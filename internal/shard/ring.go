@@ -71,9 +71,10 @@ func (r *Ring) OfPlacement(p string) int {
 }
 
 // Split partitions a commit set by owning shard: every read proof,
-// write, create and remove lands in its owner's sub-set. The map has
-// one entry per participating shard; a single-entry map is the
-// single-shard fast path, anything larger needs two-phase commit.
+// write, create and remove lands in its owner's sub-set, and every
+// sub-set keeps the set's origin. The map has one entry per
+// participating shard; a single-entry map is the single-shard fast
+// path, anything larger needs two-phase commit.
 func (r *Ring) Split(cs memento.CommitSet) map[int]memento.CommitSet {
 	if r.n == 1 {
 		return map[int]memento.CommitSet{0: cs}
@@ -101,6 +102,10 @@ func (r *Ring) Split(cs memento.CommitSet) map[int]memento.CommitSet {
 		s := r.Of(p.Key)
 		sub := out[s]
 		sub.Removes = append(sub.Removes, p)
+		out[s] = sub
+	}
+	for s, sub := range out {
+		sub.Origin = cs.Origin
 		out[s] = sub
 	}
 	return out

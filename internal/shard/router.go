@@ -175,7 +175,6 @@ func (r *Router) validateScatter(ctx context.Context, split map[int]memento.Comm
 		if out.TxID == 0 {
 			out.TxID = parts[i].res.TxID
 		}
-		out.TxIDs = append(out.TxIDs, parts[i].res.TxID)
 	}
 	obsReadonlyCommits.Inc()
 	for i := range parts {
@@ -267,7 +266,6 @@ func (r *Router) twoPhase(ctx context.Context, split map[int]memento.CommitSet) 
 		if out.TxID == 0 {
 			out.TxID = parts[i].res.TxID
 		}
-		out.TxIDs = append(out.TxIDs, parts[i].res.TxID)
 		if parts[i].res.NewVersions != nil && out.NewVersions == nil {
 			out.NewVersions = make(map[memento.Key]uint64)
 		}

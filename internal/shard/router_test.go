@@ -102,9 +102,6 @@ func TestRouterFastPathSingleShard(t *testing.T) {
 	if res.TxID == 0 {
 		t.Error("missing TxID")
 	}
-	if len(res.TxIDs) != 0 {
-		t.Errorf("fast path filled TxIDs (%v); must stay the unsharded shape", res.TxIDs)
-	}
 	if v, _ := r.stores[1].CurrentVersion(memento.Key{Table: "t", ID: id}); v != 2 {
 		t.Errorf("owner version = %d, want 2", v)
 	}
@@ -129,17 +126,6 @@ func TestRouterTwoPhaseCommit(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if len(res.TxIDs) != 2 {
-		t.Fatalf("TxIDs = %v, want one per participant", res.TxIDs)
-	}
-	// Disjoint bases prove both shards really committed their own tx.
-	var seen [2]bool
-	for _, id := range res.TxIDs {
-		seen[int(id>>40)] = true
-	}
-	if !seen[0] || !seen[1] {
-		t.Errorf("TxIDs %v don't cover both shards", res.TxIDs)
 	}
 	for i, id := range []string{idA, idB} {
 		if v, _ := r.stores[i].CurrentVersion(memento.Key{Table: "t", ID: id}); v != 2 {
@@ -210,17 +196,13 @@ func TestRouterReadOnlyCrossShardSkipsTwoPhase(t *testing.T) {
 	r.seed(rmem(idA, 0, 1))
 	r.seed(rmem(idB, 0, 1))
 
-	res, err := r.router.ApplyCommitSet(ctx, memento.CommitSet{
+	if _, err := r.router.ApplyCommitSet(ctx, memento.CommitSet{
 		Reads: []memento.ReadProof{
 			{Key: memento.Key{Table: "t", ID: idA}, Version: 1},
 			{Key: memento.Key{Table: "t", ID: idB}, Version: 1},
 		},
-	})
-	if err != nil {
+	}); err != nil {
 		t.Fatal(err)
-	}
-	if len(res.TxIDs) != 2 {
-		t.Errorf("TxIDs = %v, want one per validating shard", res.TxIDs)
 	}
 	// A stale proof on either shard still fails the whole set.
 	if _, err := r.router.ApplyCommitSet(ctx, memento.CommitSet{
@@ -326,5 +308,50 @@ func TestRouterRejectsMismatchedConns(t *testing.T) {
 	_, err := NewRouter(NewRing(2), []storeapi.Conn{storeapi.Local(s)})
 	if err == nil {
 		t.Fatal("router accepted 1 conn for 2 shards")
+	}
+}
+
+// TestRouterCommitsKeepTheirOrigin: the origin a commit set names
+// reaches every participant, on the fast path and through both phases
+// of 2PC, so no shard sends the committing edge its own notice while
+// every other subscriber hears each shard's.
+func TestRouterCommitsKeepTheirOrigin(t *testing.T) {
+	r := newRig(t, 2, nil, nil)
+	ctx := context.Background()
+	idA := r.idOnShard(t, 0, "a")
+	idB := r.idOnShard(t, 1, "b")
+	r.seed(rmem(idA, 0, 1))
+	r.seed(rmem(idB, 0, 1))
+	const origin = 7
+	own, cancelOwn, err := r.router.Subscribe(sqlstore.OriginContext(ctx, origin))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cancelOwn()
+	other, cancelOther, err := r.router.Subscribe(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cancelOther()
+
+	for _, cs := range []memento.CommitSet{
+		{Writes: []memento.Memento{rmem(idA, 1, 2)}, Origin: origin},
+		{Writes: []memento.Memento{rmem(idA, 2, 3), rmem(idB, 1, 3)}, Origin: origin},
+	} {
+		if _, err := r.router.ApplyCommitSet(ctx, cs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		select {
+		case <-other:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("other subscriber got %d notices, want 3", i)
+		}
+	}
+	select {
+	case n := <-own:
+		t.Fatalf("committing origin was sent its own notice %+v", n)
+	case <-time.After(50 * time.Millisecond):
 	}
 }

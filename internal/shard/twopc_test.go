@@ -47,13 +47,14 @@ func TestTwoPhaseCoordinatorCrashRecovery(t *testing.T) {
 
 	// Nothing was installed, and a new coordinator's 2PC over the same
 	// rows goes through cleanly — the in-doubt locks are gone.
-	res, err := r.router.ApplyCommitSet(ctx, memento.CommitSet{
+	if _, err := r.router.ApplyCommitSet(ctx, memento.CommitSet{
 		Writes: []memento.Memento{rmem(idA, 1, 3), rmem(idB, 1, 3)},
-	})
-	if err != nil {
+	}); err != nil {
 		t.Fatalf("2PC after presumed abort: %v", err)
 	}
-	if len(res.TxIDs) != 2 {
-		t.Fatalf("TxIDs = %v, want both participants", res.TxIDs)
+	for i, id := range []string{idA, idB} {
+		if v, _ := r.stores[i].CurrentVersion(memento.Key{Table: "t", ID: id}); v != 2 {
+			t.Errorf("shard %d version = %d after 2PC, want 2", i, v)
+		}
 	}
 }

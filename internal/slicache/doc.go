@@ -13,7 +13,8 @@
 //     validated against the persistent store, and the after-images are
 //     applied only if no conflict exists;
 //   - the persistent store pushes invalidation notices after commits, and
-//     the runtime evicts the affected common-store entries. The common
+//     the runtime evicts the affected common-store entries. No edge hears
+//     its own commit, whose after-images it installed itself. The common
 //     store is unbounded; when the notice stream drops, the runtime
 //     clears it and the finder cache, since notices may be missed, and
 //     resubscribes.

@@ -102,7 +102,7 @@ func TestNoticePipelineAcrossResubscribe(t *testing.T) {
 		if e.Latency < 0 || e.Latency > time.Minute || e.Age < 0 || e.Age > time.Minute {
 			t.Errorf("absurd invalidation timing across resubscribe: %+v", e)
 		}
-		if e.OtherTrace == noticeTrace && !e.Own {
+		if e.OtherTrace == noticeTrace {
 			postRecovery = true
 			if e.Evicted < 1 {
 				t.Errorf("post-recovery notice evicted %d entries, want >= 1", e.Evicted)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"edgeejb/internal/memento"
+	"edgeejb/internal/sqlstore"
 	"edgeejb/internal/storeapi"
 )
 
@@ -55,15 +56,6 @@ func (s CommitShipping) String() string {
 
 // CommitOutcome reports a successful optimistic commit.
 type CommitOutcome struct {
-	// TxID identifies the datastore transaction that applied the set,
-	// used to filter the cache's own commits out of the invalidation
-	// stream.
-	TxID uint64
-	// TxIDs lists every participating transaction when the set committed
-	// across several datacenter shards — each shard broadcasts its own
-	// notice, so all of them must be filtered as the cache's own. Nil
-	// for single-store commits.
-	TxIDs []uint64
 	// NewVersions maps every mutated key to its new row version.
 	NewVersions map[memento.Key]uint64
 }
@@ -128,7 +120,7 @@ func (l *Loader) applyWhole(ctx context.Context, cs memento.CommitSet) (CommitOu
 	if err != nil {
 		return CommitOutcome{}, err
 	}
-	return CommitOutcome{TxID: res.TxID, TxIDs: res.TxIDs, NewVersions: res.NewVersions}, nil
+	return CommitOutcome{NewVersions: res.NewVersions}, nil
 }
 
 // commitStmts flattens a commit set into the statements that validate
@@ -171,9 +163,10 @@ func commitStmts(cs memento.CommitSet) (stmts []storeapi.Stmt, newVersions map[m
 // (§4.4) — exec decides whether those accesses share one round trip
 // (storeapi.ExecBatch) or pay one each (storeapi.ExecSerial). The first
 // failing statement's error is returned as-is, and the transaction is
-// aborted whenever the trailing commit did not run.
+// aborted whenever the trailing commit did not run. The transaction
+// begins under the set's origin.
 func (l *Loader) commitPerImage(ctx context.Context, cs memento.CommitSet, exec storeapi.Executor) (CommitOutcome, error) {
-	txn, err := l.conn.Begin(ctx)
+	txn, err := l.conn.Begin(sqlstore.OriginContext(ctx, cs.Origin))
 	if err != nil {
 		return CommitOutcome{}, err
 	}
@@ -181,5 +174,5 @@ func (l *Loader) commitPerImage(ctx context.Context, cs memento.CommitSet, exec 
 	if _, err := exec.Commit(ctx, txn, stmts); err != nil {
 		return CommitOutcome{}, err
 	}
-	return CommitOutcome{TxID: txn.ID(), NewVersions: newVersions}, nil
+	return CommitOutcome{NewVersions: newVersions}, nil
 }

@@ -146,6 +146,7 @@ func (sc loadManyScenario) play(t *testing.T, load func(*sliTx, []memento.Key) (
 		out.Entries[k] = *en
 	}
 	out.CommitSet = tx.buildCommitSet()
+	out.CommitSet.Origin = 0 // each manager mints its own
 	st := e.mgr.Stats()
 	out.Loads, out.Fetches = st.Loads, st.MissFetches
 	out.Hits, out.Misses = st.Cache.Hits, st.Cache.Misses

@@ -2,6 +2,8 @@ package slicache
 
 import (
 	"context"
+	"crypto/rand"
+	"encoding/binary"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -24,15 +26,9 @@ type Manager struct {
 	finders *FinderCache
 	conn    storeapi.Conn
 	now     func() time.Time
-
-	// own guards ownTxs and ownRing, the datastore transactions this
-	// manager committed. It is held from recording an own commit through
-	// installing its after-images, and from a notice's own-commit check
-	// through its eviction: a notice that overtakes its commit's reply
-	// then evicts before the after-images go in, never after them.
-	own     sync.Mutex
-	ownTxs  map[uint64]struct{}
-	ownRing []uint64
+	// origin names this cache's commits and subscription to the store,
+	// which then never sends it a notice of its own commit.
+	origin uint64
 
 	mu      sync.Mutex
 	cancel  func()
@@ -115,8 +111,19 @@ func NewManager(conn storeapi.Conn, opts ...ManagerOption) *Manager {
 		finders: NewFinderCache(cfg.finderCache, DefaultFinderCapacity),
 		conn:    conn,
 		now:     time.Now,
-		ownTxs:  make(map[uint64]struct{}),
+		origin:  newOrigin(),
 	}
+}
+
+// newOrigin mints a manager's origin: 62 random bits under a set bit 62,
+// so origins are unique across processes, never zero, and always a
+// 9-byte uvarint on the wire.
+func newOrigin() uint64 {
+	var b [8]byte
+	if _, err := rand.Read(b[:]); err != nil {
+		panic("slicache: no randomness for the cache origin: " + err.Error())
+	}
+	return binary.LittleEndian.Uint64(b[:])&(1<<62-1) | 1<<62
 }
 
 // Name implements component.ResourceManager.
@@ -156,7 +163,7 @@ func (m *Manager) Start(ctx context.Context) error {
 	m.started = true
 	m.mu.Unlock()
 
-	ch, cancel, err := m.conn.Subscribe(ctx)
+	ch, cancel, err := m.conn.Subscribe(sqlstore.OriginContext(ctx, m.origin))
 	if err != nil {
 		m.mu.Lock()
 		m.started = false
@@ -191,7 +198,7 @@ func (m *Manager) invalidationLoop(ch <-chan sqlstore.Notice, stop, done chan st
 		m.common.Clear()
 		m.finders.Clear()
 		for attempt := 0; ; attempt++ {
-			newCh, cancel, err := m.conn.Subscribe(context.Background())
+			newCh, cancel, err := m.conn.Subscribe(sqlstore.OriginContext(context.Background(), m.origin))
 			if err == nil {
 				m.mu.Lock()
 				m.cancel = cancel
@@ -234,15 +241,12 @@ func (m *Manager) drainNotices(ch <-chan sqlstore.Notice, stop chan struct{}) {
 	}
 }
 
-// noteNotice applies one invalidation notice and records its forensics:
-// push latency (when the store stamped the commit time), the staleness
-// window the eviction closed, and a structured invalidation event. Own
-// commits are measured for latency but evict nothing — the cache was
-// already refreshed with the after-images. It holds m.own from the
-// own-commit check through the eviction.
+// noteNotice applies one invalidation notice — never for one of this
+// manager's own commits, which the store does not send it — and records
+// its forensics: push latency (when the store stamped the commit time),
+// the staleness window the eviction closed, and a structured
+// invalidation event.
 func (m *Manager) noteNotice(n sqlstore.Notice) {
-	m.own.Lock()
-	_, own := m.ownTxs[n.TxID]
 	var lat time.Duration
 	stamped := !n.CommittedAt.IsZero()
 	if stamped {
@@ -255,30 +259,25 @@ func (m *Manager) noteNotice(n sqlstore.Notice) {
 		Type:       obs.EventInvalidation,
 		OtherTrace: n.OriginTrace,
 		Keys:       len(n.Writes),
-		Own:        own,
 		Latency:    lat,
 	}
 	if len(n.Writes) > 0 {
 		ev.Bean = n.Writes[0].Key.Table
 		ev.Key = n.Writes[0].Key.String()
 	}
-	if !own {
-		for _, w := range n.Writes {
-			ev.Evicted += m.common.Invalidate(w.Key)
-		}
-		// Drop every cached finder result whose footprint overlaps the
-		// committed writes. Own commits were invalidated synchronously at
-		// commit time with exact before/after images.
-		m.finders.Invalidate(n.Writes)
-		if ev.Evicted > 0 && stamped {
-			// Entries were actually dropped: the push latency bounds how
-			// long they could have been served stale.
-			obsStaleness.Observe(lat)
-			ev.Age = lat
-		}
-		m.stats.noticesApplied.Add(1)
+	for _, w := range n.Writes {
+		ev.Evicted += m.common.Invalidate(w.Key)
 	}
-	m.own.Unlock()
+	// Drop every cached finder result whose footprint overlaps the
+	// committed writes.
+	m.finders.Invalidate(n.Writes)
+	if ev.Evicted > 0 && stamped {
+		// Entries were actually dropped: the push latency bounds how
+		// long they could have been served stale.
+		obsStaleness.Observe(lat)
+		ev.Age = lat
+	}
+	m.stats.noticesApplied.Add(1)
 	obs.DefaultEvents.Emit(ev)
 }
 
@@ -325,19 +324,4 @@ func (m *Manager) Begin(ctx context.Context) (component.DataTx, error) {
 		entries:      make(map[memento.Key]*entry),
 		finderSource: make(map[memento.Key]bool),
 	}, nil
-}
-
-// recordOwnTx remembers a datastore transaction this manager committed,
-// so the invalidation consumer can skip the corresponding notice (the
-// common store was already refreshed with the after-images). The memory
-// is bounded: old entries are evicted FIFO. The caller holds m.own.
-func (m *Manager) recordOwnTx(txID uint64) {
-	const ringSize = 1024
-	m.ownTxs[txID] = struct{}{}
-	m.ownRing = append(m.ownRing, txID)
-	if len(m.ownRing) > ringSize {
-		evict := m.ownRing[0]
-		m.ownRing = m.ownRing[1:]
-		delete(m.ownTxs, evict)
-	}
 }

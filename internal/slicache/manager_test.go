@@ -2,11 +2,11 @@ package slicache
 
 import (
 	"context"
-	"sync"
 	"testing"
 	"time"
 
 	"edgeejb/internal/component"
+	"edgeejb/internal/dbwire"
 	"edgeejb/internal/memento"
 	"edgeejb/internal/sqlstore"
 	"edgeejb/internal/storeapi"
@@ -321,72 +321,84 @@ func TestInvalidationEvictsOtherManagersEntries(t *testing.T) {
 	}
 }
 
-// replyGate holds every ApplyCommitSet reply until release is closed:
-// a slow reply, which the store's push of the same commit overtakes.
-type replyGate struct {
-	storeapi.Conn
-	release chan struct{}
-}
+// TestOwnCommitHearsNoNotice: the store never sends an edge the notice
+// of its own commit, so the after-image the commit installed stays
+// cached with nothing to order against. Another edge hears the commit,
+// and a later foreign commit is the only notice the committer applies:
+// the stream is in commit order, so an own notice would have landed
+// before the foreign one evicted its key. The same holds after the
+// stream drops and the manager resubscribes.
+func TestOwnCommitHearsNoNotice(t *testing.T) {
+	for _, shipping := range []CommitShipping{WholeSet, PerImage} {
+		t.Run(shipping.String(), func(t *testing.T) {
+			store := sqlstore.New()
+			defer store.Close()
+			store.Seed(row("1", 1), row("2", 1))
+			ctx := context.Background()
+			srv := dbwire.NewServer(storeapi.Local(store))
+			if err := srv.Start("127.0.0.1:0"); err != nil {
+				t.Fatal(err)
+			}
+			defer func() { srv.Close() }()
+			addr := srv.Addr()
+			db := dbwire.Dial(addr)
+			defer db.Close()
+			mgr := NewManager(db, WithShipping(shipping))
+			if err := mgr.Start(ctx); err != nil {
+				t.Fatal(err)
+			}
+			defer mgr.Close()
+			other, cancel := store.Subscribe(0, 0)
+			defer func() { cancel() }()
 
-func (g replyGate) ApplyCommitSet(ctx context.Context, cs memento.CommitSet) (sqlstore.ApplyResult, error) {
-	res, err := g.Conn.ApplyCommitSet(ctx, cs)
-	<-g.release
-	return res, err
-}
-
-// TestOwnNoticeBeforeReplyKeepsAfterImage: an edge's own commit notice
-// can arrive before the commit's reply. The notice is held after its
-// own-commit check (the manager's clock is read before the eviction)
-// while the commit completes; the after-image the commit installed must
-// survive either way.
-func TestOwnNoticeBeforeReplyKeepsAfterImage(t *testing.T) {
-	store := sqlstore.New()
-	defer store.Close()
-	store.Seed(row("1", 1))
-	ctx := context.Background()
-	gate := replyGate{Conn: storeapi.Local(store), release: make(chan struct{})}
-	mgr := NewManager(gate, WithShipping(WholeSet))
-	defer mgr.Close()
-	notices, cancel := store.Subscribe(0)
-	defer cancel()
-
-	dt, err := mgr.Begin(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := dt.Load(ctx, key("1"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.Fields["n"] = memento.Int(2)
-	if err := dt.Store(ctx, m); err != nil {
-		t.Fatal(err)
-	}
-
-	committed := make(chan struct{})
-	var once sync.Once
-	mgr.now = func() time.Time {
-		once.Do(func() {
-			close(gate.release)
-			select {
-			case <-committed:
-			case <-time.After(100 * time.Millisecond):
+			for round := uint64(1); round <= 2; round++ {
+				// Key 2 is cached, so the foreign commit's notice shows
+				// when it lands: it evicts the key.
+				dt, err := mgr.Begin(ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := dt.Load(ctx, key("2")); err != nil {
+					t.Fatal(err)
+				}
+				_ = dt.Abort(ctx)
+				commitOneWrite(t, mgr)
+				select {
+				case <-other:
+				case <-time.After(5 * time.Second):
+					t.Fatalf("round %d: another subscriber never heard the commit", round)
+				}
+				foreign := memento.CommitSet{Writes: []memento.Memento{{Key: key("2"), Version: round, Fields: memento.Fields{"n": memento.Int(0)}}}}
+				if _, err := store.ApplyCommitSet(ctx, foreign); err != nil {
+					t.Fatal(err)
+				}
+				<-other
+				waitFor(t, 5*time.Second, func() bool {
+					_, cached := mgr.CommonStore().Get(key("2"))
+					return !cached
+				})
+				if n := mgr.Stats().NoticesApplied; n != round {
+					t.Fatalf("round %d: %d notices applied, want only the %d foreign", round, n, round)
+				}
+				if got, ok := mgr.CommonStore().Get(key("1")); !ok || got.Version != round+1 {
+					t.Fatalf("round %d: after-image = %v (cached %v), want version %d cached", round, got, ok, round+1)
+				}
+				if p := db.WireStats().Pushes; p != round {
+					t.Fatalf("round %d: %d notices pushed to the committer, want only the %d foreign", round, p, round)
+				}
+				if round == 1 {
+					// Force a resubscribe: the origin must survive it.
+					cancel()
+					srv.Close()
+					srv = dbwire.NewServer(storeapi.Local(store))
+					if err := srv.Start(addr); err != nil {
+						t.Fatal(err)
+					}
+					waitFor(t, 5*time.Second, func() bool { return mgr.Stats().Resubscribes == 1 })
+					other, cancel = store.Subscribe(0, 0)
+				}
 			}
 		})
-		return time.Now()
-	}
-	noted := make(chan struct{})
-	go func() {
-		defer close(noted)
-		mgr.noteNotice(<-notices)
-	}()
-	if err := dt.Commit(ctx); err != nil {
-		t.Fatal(err)
-	}
-	close(committed)
-	<-noted
-	if got, ok := mgr.CommonStore().Get(key("1")); !ok || got.Version != 2 {
-		t.Fatalf("after-image = %v (cached %v), want version 2 cached", got, ok)
 	}
 }
 

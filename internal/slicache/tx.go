@@ -400,22 +400,12 @@ func (t *sliTx) Commit(ctx context.Context) error {
 		t.mgr.finders.Invalidate(blind)
 		return err
 	}
-	// Recording the commit as our own and installing its after-images is
-	// one step to the notice consumer (see Manager.own).
-	t.mgr.own.Lock()
-	defer t.mgr.own.Unlock()
-	t.mgr.recordOwnTx(outcome.TxID)
-	for _, id := range outcome.TxIDs {
-		if id != outcome.TxID {
-			t.mgr.recordOwnTx(id)
-		}
-	}
 	t.mgr.stats.commits.Add(1)
 
 	// Refresh the common store with committed after-images and evict
 	// removed beans. Cached finder results are invalidated synchronously
-	// with exact before/after images — own commits are filtered out of
-	// the notice stream, so this is the only place they are applied.
+	// with exact before/after images — the store sends this edge no
+	// notice for its own commit, so this is the only place it is applied.
 	var ownWrites []memento.WriteDesc
 	for _, e := range t.entries {
 		switch e.state {
@@ -511,9 +501,10 @@ func (t *sliTx) Abort(ctx context.Context) error {
 }
 
 // buildCommitSet converts the per-transaction store into the wire-level
-// commit set, with deterministic ordering for reproducible validation.
+// commit set under the manager's origin, with deterministic ordering
+// for reproducible validation.
 func (t *sliTx) buildCommitSet() memento.CommitSet {
-	var cs memento.CommitSet
+	cs := memento.CommitSet{Origin: t.mgr.origin}
 	keys := make([]memento.Key, 0, len(t.entries))
 	for k := range t.entries {
 		keys = append(keys, k)

@@ -114,7 +114,7 @@ func TestNoticeStamping(t *testing.T) {
 	defer s.Close()
 	s.Seed(mem("t", "a", 0, intFields(1)))
 
-	ch, cancel := s.Subscribe(8)
+	ch, cancel := s.Subscribe(8, 0)
 	defer cancel()
 
 	ctx, trace := obs.WithNewTrace(context.Background())

@@ -20,7 +20,7 @@ func TestApplyCommitSetsIntraBatchAttribution(t *testing.T) {
 	k := memento.Key{Table: "t", ID: "1"}
 	s.Seed(memento.Memento{Key: k, Fields: memento.Fields{"n": memento.Int(10)}})
 
-	notices, cancel := s.Subscribe(8)
+	notices, cancel := s.Subscribe(8, 0)
 	defer cancel()
 
 	write := func(n int64) memento.CommitSet {

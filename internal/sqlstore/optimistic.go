@@ -12,12 +12,6 @@ import (
 type ApplyResult struct {
 	// TxID is the internal datastore transaction that applied the set.
 	TxID uint64
-	// TxIDs lists every participating transaction when the set committed
-	// across several shards (one per participant store). Single-store
-	// commits leave it nil; TxID alone identifies the commit. It never
-	// crosses the wire — the shard router fills it in edge-side from the
-	// per-participant responses.
-	TxIDs []uint64
 	// NewVersions maps every written or created key to its new row
 	// version, so callers (edge caches) can refresh their copies instead
 	// of invalidating them.
@@ -67,7 +61,7 @@ func (s *Store) ApplyCommitSets(ctx context.Context, sets []memento.CommitSet) [
 	ctx, sp := obs.StartSpan(ctx, "sqlstore.apply_group")
 	defer sp.End()
 	out := make([]ApplySetResult, len(sets))
-	notices := make([]Notice, 0, len(sets))
+	notices := make([]outgoing, 0, len(sets))
 	for i := range sets {
 		res, notice, err := s.applyDeferred(ctx, sets[i])
 		out[i] = ApplySetResult{Res: res, Err: err}
@@ -79,25 +73,25 @@ func (s *Store) ApplyCommitSets(ctx context.Context, sets []memento.CommitSet) [
 	return out
 }
 
-// applyDeferred runs one commit set's validate-and-apply, returning
-// the invalidation notice instead of broadcasting it — the caller
-// decides whether to fan out immediately (single apply) or batch the
-// fan-out (group commit).
-func (s *Store) applyDeferred(ctx context.Context, cs memento.CommitSet) (ApplyResult, Notice, error) {
-	tx, err := s.Begin(ctx)
+// applyDeferred runs one commit set's validate-and-apply under the
+// set's origin, returning the invalidation notice instead of
+// broadcasting it — the caller decides whether to fan out immediately
+// (single apply) or batch the fan-out (group commit).
+func (s *Store) applyDeferred(ctx context.Context, cs memento.CommitSet) (ApplyResult, outgoing, error) {
+	tx, err := s.begin(ctx, cs.Origin)
 	if err != nil {
-		return ApplyResult{}, Notice{}, err
+		return ApplyResult{}, outgoing{}, err
 	}
 	res, err := s.applyCommitSetTx(ctx, tx, cs)
 	if err != nil {
 		tx.Abort()
 		s.stats.optFail.Add(1)
-		return ApplyResult{}, Notice{}, err
+		return ApplyResult{}, outgoing{}, err
 	}
 	s.serveCommit(1)
 	notice, err := tx.commit()
 	if err != nil {
-		return ApplyResult{}, Notice{}, err
+		return ApplyResult{}, outgoing{}, err
 	}
 	s.stats.optOK.Add(1)
 	res.TxID = tx.ID()

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -138,52 +139,127 @@ func TestFirstCommitterWins(t *testing.T) {
 	}
 }
 
+// TestCommitNotices: every commit path announces its writes to every
+// subscriber but the one under the committing origin. Edges A and B
+// subscribe under their own origins; on each path A commits, then B,
+// then a caller with no origin. A must hear B's commit and the
+// origin-less one, B must hear A's and the origin-less one, in commit
+// order, and neither hears its own. A read-only commit announces
+// nothing.
 func TestCommitNotices(t *testing.T) {
+	const originA, originB = 1<<62 | 1, 1<<62 | 2
+	origins := []uint64{originA, originB, 0}
 	s := New()
 	defer s.Close()
 	ctx := context.Background()
-	s.Seed(mem("t", "a", 0, intFields(1)))
-
-	ch, cancel := s.Subscribe(8)
-	defer cancel()
-
-	res, err := s.ApplyCommitSet(ctx, memento.CommitSet{
-		Writes: []memento.Memento{mem("t", "a", 1, intFields(2))},
-	})
-	if err != nil {
-		t.Fatal(err)
+	create := func(path string, i int) memento.CommitSet {
+		return memento.CommitSet{
+			Creates: []memento.Memento{mem("t", fmt.Sprintf("%s-%d", path, i), 0, intFields(int64(i)))},
+			Origin:  origins[i],
+		}
 	}
-	select {
-	case n := <-ch:
-		if n.TxID != res.TxID {
-			t.Errorf("notice TxID = %d, want %d", n.TxID, res.TxID)
+	paths := []struct {
+		name   string
+		commit func(t *testing.T) []uint64 // one TxID per origin, in order
+	}{
+		{"ApplyCommitSet", func(t *testing.T) (ids []uint64) {
+			for i := range origins {
+				res, err := s.ApplyCommitSet(ctx, create("apply", i))
+				if err != nil {
+					t.Fatal(err)
+				}
+				ids = append(ids, res.TxID)
+			}
+			return ids
+		}},
+		{"ApplyCommitSets", func(t *testing.T) (ids []uint64) {
+			sets := make([]memento.CommitSet, len(origins))
+			for i := range origins {
+				sets[i] = create("group", i)
+			}
+			for _, r := range s.ApplyCommitSets(ctx, sets) {
+				if r.Err != nil {
+					t.Fatal(r.Err)
+				}
+				ids = append(ids, r.Res.TxID)
+			}
+			return ids
+		}},
+		{"Begin+Commit", func(t *testing.T) (ids []uint64) {
+			for i := range origins {
+				tx, err := s.Begin(OriginContext(ctx, origins[i]))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := tx.Insert(ctx, create("tx", i).Creates[0]); err != nil {
+					t.Fatal(err)
+				}
+				if err := tx.Commit(); err != nil {
+					t.Fatal(err)
+				}
+				ids = append(ids, tx.ID())
+			}
+			return ids
+		}},
+		{"Prepare+CommitPrepared", func(t *testing.T) (ids []uint64) {
+			for i := range origins {
+				gid := fmt.Sprintf("g%d", i)
+				if err := s.Prepare(ctx, gid, create("2pc", i)); err != nil {
+					t.Fatal(err)
+				}
+				res, err := s.CommitPrepared(ctx, gid)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ids = append(ids, res.TxID)
+			}
+			return ids
+		}},
+	}
+
+	a, cancelA := s.Subscribe(8, originA)
+	defer cancelA()
+	b, cancelB := s.Subscribe(8, originB)
+	defer cancelB()
+	// Notices are in the channels when the commit returns.
+	heard := func(ch <-chan Notice) (ids []uint64) {
+		for len(ch) > 0 {
+			ids = append(ids, (<-ch).TxID)
 		}
-		if len(n.Writes) != 1 || n.Writes[0].Key != (memento.Key{Table: "t", ID: "a"}) {
-			t.Errorf("notice writes = %v", n.Writes)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("no notice delivered")
+		return ids
+	}
+	for _, p := range paths {
+		t.Run(p.name, func(t *testing.T) {
+			ids := p.commit(t)
+			if got, want := heard(a), []uint64{ids[1], ids[2]}; !slices.Equal(got, want) {
+				t.Errorf("A heard %v, want B's and the origin-less commit %v", got, want)
+			}
+			if got, want := heard(b), []uint64{ids[0], ids[2]}; !slices.Equal(got, want) {
+				t.Errorf("B heard %v, want A's and the origin-less commit %v", got, want)
+			}
+		})
 	}
 
 	// Read-only transactions produce no notices.
 	tx := mustBegin(t, s)
-	if _, err := tx.Get(ctx, "t", "a"); err != nil {
+	if _, err := tx.Get(ctx, "t", "apply-0"); err != nil {
 		t.Fatal(err)
 	}
 	if err := tx.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case n := <-ch:
-		t.Fatalf("unexpected notice %v for read-only commit", n)
-	case <-time.After(50 * time.Millisecond):
+	if got := append(heard(a), heard(b)...); len(got) != 0 {
+		t.Fatalf("read-only commit announced %v", got)
+	}
+	if st := s.Stats(); st.NoticesSent != 16 {
+		t.Errorf("NoticesSent = %d, want 16 deliveries (4 paths x 2 subscribers x 2)", st.NoticesSent)
 	}
 }
 
 func TestSubscribeCancelClosesChannel(t *testing.T) {
 	s := New()
 	defer s.Close()
-	ch, cancel := s.Subscribe(1)
+	ch, cancel := s.Subscribe(1, 0)
 	cancel()
 	cancel() // idempotent
 	if _, ok := <-ch; ok {
@@ -199,7 +275,7 @@ func TestOverflowClosesSubscriber(t *testing.T) {
 	defer s.Close()
 	ctx := context.Background()
 	s.Seed(mem("t", "a", 0, intFields(1)))
-	ch, cancel := s.Subscribe(1)
+	ch, cancel := s.Subscribe(1, 0)
 	defer cancel()
 	for v := uint64(1); v <= 2; v++ {
 		cs := memento.CommitSet{Writes: []memento.Memento{mem("t", "a", v, intFields(int64(v)))}}
@@ -222,7 +298,7 @@ func TestOverflowClosesSubscriber(t *testing.T) {
 
 func TestCloseClosesSubscribers(t *testing.T) {
 	s := New()
-	ch, _ := s.Subscribe(1)
+	ch, _ := s.Subscribe(1, 0)
 	s.Close()
 	if _, ok := <-ch; ok {
 		t.Fatal("channel should be closed after store close")

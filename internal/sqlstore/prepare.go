@@ -64,7 +64,7 @@ func (s *Store) Prepare(ctx context.Context, gid string, cs memento.CommitSet) e
 	if gid == "" {
 		return fmt.Errorf("sqlstore: prepare with empty gid")
 	}
-	tx, err := s.Begin(ctx)
+	tx, err := s.begin(ctx, cs.Origin)
 	if err != nil {
 		return err
 	}

@@ -1,6 +1,7 @@
 package sqlstore
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -52,6 +53,37 @@ type Notice struct {
 	OriginTrace uint64
 }
 
+type originKey struct{}
+
+// OriginContext returns ctx carrying an edge cache's origin, which Begin
+// and Subscribe read: no subscriber is sent the notice of a commit made
+// under its own origin, as that edge refreshed its cache from the
+// commit's after-images. Zero is no origin and returns ctx unchanged.
+func OriginContext(ctx context.Context, origin uint64) context.Context {
+	if origin == 0 {
+		return ctx
+	}
+	return context.WithValue(ctx, originKey{}, origin)
+}
+
+// OriginOf extracts the context's origin (zero if none).
+func OriginOf(ctx context.Context) uint64 {
+	origin, _ := ctx.Value(originKey{}).(uint64)
+	return origin
+}
+
+// outgoing is a notice beside its commit's origin, which is not sent.
+type outgoing struct {
+	Notice
+	origin uint64
+}
+
+// subscriber is one notice stream and the origin it never hears from.
+type subscriber struct {
+	ch     chan Notice
+	origin uint64
+}
+
 // Stats counts store activity; all fields are monotonically increasing.
 type Stats struct {
 	Begins         uint64
@@ -97,7 +129,7 @@ type Store struct {
 	nextTx atomic.Uint64
 
 	subMu   sync.Mutex
-	subs    map[int]chan Notice
+	subs    map[int]subscriber
 	nextSub int
 
 	// Two-phase-commit participant state: transactions validated under
@@ -140,9 +172,9 @@ func (o txIDBaseOption) apply(c *config) { c.txIDBase = uint64(o) }
 
 // WithTxIDBase offsets the store's transaction-ID counter. A sharded
 // deployment gives each shard a disjoint base (shard index << 40) so
-// transaction IDs are globally unique across the tier: edges track
-// their own commits by TxID over a merged invalidation stream, and two
-// shards independently counting from zero would collide constantly.
+// transaction IDs are globally unique across the tier, and a conflict's
+// winning transaction names its shard (WinnerTx >> 40): two shards
+// counting from zero would attribute each other's commits.
 func WithTxIDBase(base uint64) Option { return txIDBaseOption(base) }
 
 type lockTimeoutOption time.Duration
@@ -163,7 +195,7 @@ func New(opts ...Option) *Store {
 		lm:            lockmgr.New(lockmgr.WithTimeout(cfg.lockTimeout)),
 		tables:        make(map[string]*table),
 		writers:       make(map[memento.Key]writerInfo),
-		subs:          make(map[int]chan Notice),
+		subs:          make(map[int]subscriber),
 		prepareTTL:    cfg.prepareTTL,
 		commitService: cfg.commitService,
 	}
@@ -184,15 +216,16 @@ func (s *Store) Close() {
 	s.abortAllPrepared()
 	s.lm.Close()
 	s.subMu.Lock()
-	for id, ch := range s.subs {
-		close(ch)
+	for id, sub := range s.subs {
+		close(sub.ch)
 		delete(s.subs, id)
 	}
 	s.subMu.Unlock()
 }
 
 // Subscribe registers for commit notices. The returned channel receives
-// a Notice for every committed mutation until cancel is called or the
+// a Notice for every committed mutation not made under origin (see
+// OriginContext; zero hears every commit) until cancel is called or the
 // store closes; the channel is closed on either event. Slow subscribers
 // never block commits, and never silently miss a notice either: a
 // subscriber whose buffer is full when a notice is due is dropped and
@@ -201,7 +234,7 @@ func (s *Store) Close() {
 // predicate, so a missed notice could leave a cached finder result
 // missing a new row; a closed channel makes the subscriber flush and
 // resubscribe instead.
-func (s *Store) Subscribe(buffer int) (<-chan Notice, func()) {
+func (s *Store) Subscribe(buffer int, origin uint64) (<-chan Notice, func()) {
 	if buffer < 1 {
 		buffer = 64
 	}
@@ -209,16 +242,16 @@ func (s *Store) Subscribe(buffer int) (<-chan Notice, func()) {
 	s.subMu.Lock()
 	id := s.nextSub
 	s.nextSub++
-	s.subs[id] = ch
+	s.subs[id] = subscriber{ch: ch, origin: origin}
 	s.subMu.Unlock()
 
 	var once sync.Once
 	cancel := func() {
 		once.Do(func() {
 			s.subMu.Lock()
-			if c, ok := s.subs[id]; ok {
+			if sub, ok := s.subs[id]; ok {
 				delete(s.subs, id)
-				close(c)
+				close(sub.ch)
 			}
 			s.subMu.Unlock()
 		})
@@ -226,24 +259,28 @@ func (s *Store) Subscribe(buffer int) (<-chan Notice, func()) {
 	return ch, cancel
 }
 
-// broadcast fans notices out to every subscriber under one
-// subscriber-map acquisition, so a group commit's coalesced batch is one
-// fan-out pass, not one per transaction. A subscriber with no room for a
-// notice is dropped and its channel closed (see Subscribe).
-func (s *Store) broadcast(ns ...Notice) {
+// broadcast fans notices out to every subscriber but the committing
+// origin's under one subscriber-map acquisition, so a group commit's
+// coalesced batch is one fan-out pass, not one per transaction. A
+// subscriber with no room for a notice is dropped and its channel
+// closed (see Subscribe).
+func (s *Store) broadcast(ns ...outgoing) {
 	s.subMu.Lock()
 	defer s.subMu.Unlock()
 	for _, n := range ns {
 		if len(n.Writes) == 0 {
 			continue
 		}
-		for id, ch := range s.subs {
+		for id, sub := range s.subs {
+			if n.origin != 0 && sub.origin == n.origin {
+				continue
+			}
 			select {
-			case ch <- n:
+			case sub.ch <- n.Notice:
 				s.stats.notices.Add(1)
 			default:
 				delete(s.subs, id)
-				close(ch)
+				close(sub.ch)
 			}
 		}
 	}

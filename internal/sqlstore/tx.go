@@ -23,6 +23,7 @@ type Tx struct {
 	s      *Store
 	id     lockmgr.Owner
 	trace  uint64
+	origin uint64
 	writes map[memento.Key]pendingWrite
 	done   bool
 }
@@ -30,8 +31,15 @@ type Tx struct {
 // Begin starts a pessimistic transaction. The context's trace ID (if
 // any) is remembered so a commit can be attributed to the interaction
 // that issued it — both on the invalidation notice and in the
-// last-writer table consulted when a later transaction conflicts.
+// last-writer table consulted when a later transaction conflicts. Its
+// origin (see OriginContext) keeps the commit's notice from the edge
+// that made it.
 func (s *Store) Begin(ctx context.Context) (*Tx, error) {
+	return s.begin(ctx, OriginOf(ctx))
+}
+
+// begin is Begin under an explicit origin: a commit set names its own.
+func (s *Store) begin(ctx context.Context, origin uint64) (*Tx, error) {
 	if s.isClosed() {
 		return nil, ErrClosed
 	}
@@ -40,6 +48,7 @@ func (s *Store) Begin(ctx context.Context) (*Tx, error) {
 		s:      s,
 		id:     lockmgr.Owner(s.nextTx.Add(1)),
 		trace:  obs.TraceID(ctx),
+		origin: origin,
 		writes: make(map[memento.Key]pendingWrite),
 	}, nil
 }
@@ -358,15 +367,15 @@ func (tx *Tx) Commit() error {
 // invalidation notice WITHOUT broadcasting it. Group commit uses this
 // to apply several transactions and fan their notices out in one pass;
 // Commit is commit + immediate broadcast.
-func (tx *Tx) commit() (Notice, error) {
+func (tx *Tx) commit() (outgoing, error) {
 	if tx.done {
-		return Notice{}, ErrTxDone
+		return outgoing{}, ErrTxDone
 	}
 	tx.done = true
 	writes, at := tx.s.applyWrites(tx.writes, uint64(tx.id), tx.trace)
 	tx.s.lm.ReleaseAll(tx.id)
 	tx.s.stats.commits.Add(1)
-	return Notice{TxID: uint64(tx.id), Writes: writes, CommittedAt: at, OriginTrace: tx.trace}, nil
+	return outgoing{Notice{TxID: uint64(tx.id), Writes: writes, CommittedAt: at, OriginTrace: tx.trace}, tx.origin}, nil
 }
 
 // Abort discards buffered writes and releases all locks. Aborting a

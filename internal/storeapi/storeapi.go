@@ -34,8 +34,8 @@ type QueryResult struct {
 type Txn interface {
 	// ID returns the datastore-assigned transaction identifier. It is
 	// stable across tiers: a transaction driven through the back-end
-	// server reports the database server's identifier, so commit notices
-	// can be matched against a cache's own commits.
+	// server reports the database server's identifier, the one its
+	// commit notice and any conflict it wins carry.
 	ID() uint64
 	// Get reads a row under a shared lock; sqlstore.ErrNotFound if absent.
 	Get(ctx context.Context, table, id string) (GetResult, error)
@@ -63,7 +63,8 @@ type Txn interface {
 
 // Conn is a handle to a datastore (local or remote).
 type Conn interface {
-	// Begin starts a transaction.
+	// Begin starts a transaction. Its commit's notice skips the
+	// subscriber of the context's origin (sqlstore.OriginContext).
 	Begin(ctx context.Context) (Txn, error)
 	// AutoGet reads one row in an autocommit transaction: the "separate
 	// (non-nested) short transaction ... committed immediately after the
@@ -82,7 +83,8 @@ type Conn interface {
 	// transport-level failures affecting the whole group.
 	ApplyCommitSets(ctx context.Context, sets []memento.CommitSet) ([]sqlstore.ApplySetResult, error)
 	// Subscribe streams commit notices until cancel is called; the
-	// channel closes on cancel or connection loss.
+	// channel closes on cancel or connection loss. Commits made under
+	// the context's origin (sqlstore.OriginContext) are not streamed.
 	Subscribe(ctx context.Context) (<-chan sqlstore.Notice, func(), error)
 	// Close releases the handle's resources.
 	Close() error
@@ -197,7 +199,7 @@ func (l *local) AbortPrepared(ctx context.Context, gid string) error {
 var _ Preparer = (*local)(nil)
 
 func (l *local) Subscribe(ctx context.Context) (<-chan sqlstore.Notice, func(), error) {
-	ch, cancel := l.store.Subscribe(0)
+	ch, cancel := l.store.Subscribe(0, sqlstore.OriginOf(ctx))
 	return ch, cancel, nil
 }
 
