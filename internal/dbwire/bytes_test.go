@@ -2,6 +2,7 @@ package dbwire
 
 import (
 	"context"
+	"strconv"
 	"testing"
 	"time"
 
@@ -17,6 +18,19 @@ type opBytes struct {
 	Count, Sent, Received uint64
 }
 
+// seedPinnedRows seeds t/1 to t/4 with v = 10, 20, 20, 20, so that
+// pinnedFinder selects t/2, t/3 and t/4. Every v is a one-byte varint,
+// so each row, reply and notice image is the same size whatever its v.
+func seedPinnedRows(store *sqlstore.Store) {
+	for i, v := range []int64{10, 20, 20, 20} {
+		seed(store, "t", strconv.Itoa(i+1), v)
+	}
+}
+
+// pinnedFinder is the finder both pins send: one equality, encoded as
+// its field "v" (2 bytes) and its value Int(20) (2 bytes).
+var pinnedFinder = memento.Query{Table: "t", Where: []memento.Predicate{memento.Where("v", memento.Int(20))}}
+
 // pinnedStmts is one statement of each of the eleven kinds but Abort,
 // in an order whose every statement succeeds on the rows stmtBytes
 // seeds: reads first, then writes, then Commit.
@@ -31,9 +45,7 @@ func pinnedStmts() []storeapi.Stmt {
 	return []storeapi.Stmt{
 		{Kind: storeapi.StmtGet, Table: "t", ID: "1"},
 		{Kind: storeapi.StmtGetForUpdate, Table: "t", ID: "2"},
-		{Kind: storeapi.StmtQuery, Query: memento.Query{Table: "t", Where: []memento.Predicate{
-			{Field: "v", Op: memento.OpGe, Value: memento.Int(20)},
-		}}},
+		{Kind: storeapi.StmtQuery, Query: pinnedFinder},
 		{Kind: storeapi.StmtPut, Mem: row("1", 0, 11)},
 		{Kind: storeapi.StmtInsert, Mem: row("9", 0, 90)},
 		{Kind: storeapi.StmtDelete, Table: "t", ID: "3"},
@@ -51,9 +63,7 @@ func pinnedStmts() []storeapi.Stmt {
 func stmtBytes(t *testing.T, batched bool) map[string]opBytes {
 	t.Helper()
 	store, c := newPair(t)
-	for i, id := range []string{"1", "2", "3", "4"} {
-		seed(store, "t", id, int64(10*(i+1)))
-	}
+	seedPinnedRows(store)
 	ctx := context.Background()
 	for _, stmts := range [][]storeapi.Stmt{pinnedStmts(), {{Kind: storeapi.StmtAbort}}} {
 		txn, err := c.Begin(ctx)
@@ -86,13 +96,19 @@ func stmtBytes(t *testing.T, batched bool) map[string]opBytes {
 // a field, the sub-request encoding or a reply moves one of these.
 func TestStatementWireBytes(t *testing.T) {
 	// A change to any of these numbers is a protocol change, not a
-	// refactor: it moves bytes on the slow path Figure 8 weighs.
+	// refactor: it moves bytes on the slow path Figure 8 weighs. A
+	// predicate is its field and value with no operator byte: Query
+	// sends 19 = 4 length prefix + 2 frame header + 1 op + 1 field mask
+	// + 1 tx + 2 table + 1 predicate count + 4 predicate + 3 shaping
+	// fields (order, desc, limit); its 42 received are the three rows
+	// pinnedFinder selects. TestCachePathWireBytes's AutoQuery is the
+	// same less the tx byte.
 	want := map[bool]map[string]opBytes{
 		false: {
 			"Begin":         {2, 16, 18},
 			"Get":           {1, 13, 19},
 			"GetForUpdate":  {1, 13, 19},
-			"Query":         {1, 20, 42},
+			"Query":         {1, 19, 42},
 			"Put":           {1, 30, 8},
 			"Insert":        {1, 31, 8},
 			"Delete":        {1, 13, 8},
@@ -104,7 +120,7 @@ func TestStatementWireBytes(t *testing.T) {
 		},
 		true: {
 			"Begin": {2, 16, 18},
-			"Batch": {2, 141, 99},
+			"Batch": {2, 140, 99},
 		},
 	}
 	for _, batched := range []bool{false, true} {
@@ -143,9 +159,7 @@ func TestStatementWireBytes(t *testing.T) {
 func cachePathBytes(t *testing.T, origin uint64) wire.Stats {
 	t.Helper()
 	store, c := newPair(t)
-	for i, id := range []string{"1", "2", "3", "4"} {
-		seed(store, "t", id, int64(10*(i+1)))
-	}
+	seedPinnedRows(store)
 	ctx := context.Background()
 	notices, cancel, err := c.Subscribe(sqlstore.OriginContext(ctx, origin))
 	if err != nil {
@@ -160,9 +174,7 @@ func cachePathBytes(t *testing.T, origin uint64) wire.Stats {
 	if _, err := c.AutoGet(ctx, "t", "1"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.AutoQuery(ctx, memento.Query{Table: "t", Where: []memento.Predicate{
-		{Field: "v", Op: memento.OpGe, Value: memento.Int(20)},
-	}}); err != nil {
+	if _, err := c.AutoQuery(ctx, pinnedFinder); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.ApplyCommitSet(ctx, memento.CommitSet{
@@ -224,7 +236,7 @@ func TestCachePathWireBytes(t *testing.T) {
 	want := map[uint64]map[string]opBytes{
 		0: {
 			"AutoGet":         {1, 12, 19},
-			"AutoQuery":       {1, 19, 42},
+			"AutoQuery":       {1, 18, 42},
 			"ApplyCommitSet":  {1, 41, 15},
 			"ApplyCommitSets": {1, 63, 28},
 			"Prepare":         {2, 61, 16},
@@ -235,7 +247,7 @@ func TestCachePathWireBytes(t *testing.T) {
 		},
 		origin: {
 			"AutoGet":         {1, 12, 19},
-			"AutoQuery":       {1, 19, 42},
+			"AutoQuery":       {1, 18, 42},
 			"ApplyCommitSet":  {1, 41 + 8, 15},
 			"ApplyCommitSets": {1, 63 + 2*8, 28},
 			"Prepare":         {2, 61 + 2*8, 16},

@@ -517,7 +517,6 @@ func appendQuery(dst []byte, q memento.Query) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(q.Where)))
 	for _, p := range q.Where {
 		dst = wire.AppendString(dst, p.Field)
-		dst = append(dst, byte(p.Op))
 		dst = appendValue(dst, p.Value)
 	}
 	dst = wire.AppendString(dst, q.OrderBy)
@@ -533,7 +532,6 @@ func readQuery(r *wire.Reader) memento.Query {
 		for i := 0; i < n && !r.Failed(); i++ {
 			var p memento.Predicate
 			p.Field = r.Str()
-			p.Op = memento.Op(r.Byte())
 			p.Value = readValue(r)
 			q.Where = append(q.Where, p)
 		}

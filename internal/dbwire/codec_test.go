@@ -46,8 +46,8 @@ func codecQuery() memento.Query {
 	return memento.Query{
 		Table: "quote",
 		Where: []memento.Predicate{
-			{Field: "symbol", Op: memento.OpEq, Value: memento.String("IBM")},
-			{Field: "volume", Op: memento.OpGt, Value: memento.Int(10)},
+			memento.Where("symbol", memento.String("IBM")),
+			memento.Where("volume", memento.Int(10)),
 		},
 		OrderBy: "price",
 		Desc:    true,

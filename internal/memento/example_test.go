@@ -22,13 +22,13 @@ func Example() {
 		Table: "holding",
 		Where: []memento.Predicate{
 			memento.Where("accountID", memento.String("uid-7")),
-			{Field: "quantity", Op: memento.OpGt, Value: memento.Float(10)},
+			memento.Where("quantity", memento.Float(25)),
 		},
 	}
 	fmt.Println(finder)
 	fmt.Println("matches:", finder.Matches(holding))
 	// Output:
-	// SELECT * FROM holding WHERE accountID = "uid-7" AND quantity > 10
+	// SELECT * FROM holding WHERE accountID = "uid-7" AND quantity = 25
 	// matches: true
 }
 

@@ -104,7 +104,7 @@ func (q Query) MatchesFields(f Fields) bool {
 }
 
 // Normalize returns a canonical form of the query: predicates sorted by
-// field, operator and value so that logically identical finders render
+// field, then value, so that logically identical finders render
 // identically. Result-shaping fields (OrderBy, Desc, Limit) are kept —
 // they change the result set, so they distinguish cache keys.
 func (q Query) Normalize() Query {
@@ -115,9 +115,6 @@ func (q Query) Normalize() Query {
 	sort.SliceStable(where, func(i, j int) bool {
 		if where[i].Field != where[j].Field {
 			return where[i].Field < where[j].Field
-		}
-		if where[i].Op != where[j].Op {
-			return where[i].Op < where[j].Op
 		}
 		return where[i].Value.Compare(where[j].Value) < 0
 	})

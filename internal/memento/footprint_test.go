@@ -75,12 +75,12 @@ func TestFootprintQueryOverlap(t *testing.T) {
 
 func TestQueryNormalizeAndCacheKey(t *testing.T) {
 	a := Query{Table: "t", Where: []Predicate{
-		{Field: "b", Op: OpEq, Value: Int(2)},
-		{Field: "a", Op: OpEq, Value: Int(1)},
+		Where("b", Int(2)),
+		Where("a", Int(1)),
 	}}
 	b := Query{Table: "t", Where: []Predicate{
-		{Field: "a", Op: OpEq, Value: Int(1)},
-		{Field: "b", Op: OpEq, Value: Int(2)},
+		Where("a", Int(1)),
+		Where("b", Int(2)),
 	}}
 	if a.CacheKey() != b.CacheKey() {
 		t.Fatalf("reordered conjunctions must share a cache key:\n  %s\n  %s", a.CacheKey(), b.CacheKey())

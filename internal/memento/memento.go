@@ -72,7 +72,9 @@ func Bool(b bool) Value { return Value{Kind: KindBool, Bool: b} }
 // IsZero reports whether v is the zero Value (no kind set).
 func (v Value) IsZero() bool { return v.Kind == 0 }
 
-// Equal reports whether two values have the same kind and payload.
+// Equal reports whether two values have the same kind and payload. It is
+// Go's == on Value, so it is also a Value's equality as a map key:
+// Float(0) equals Float(-0), and a NaN equals nothing, itself included.
 func (v Value) Equal(o Value) bool { return v == o }
 
 // Compare orders two values of the same kind. It returns -1, 0, or +1.

@@ -6,80 +6,19 @@ import (
 	"strings"
 )
 
-// Op enumerates predicate comparison operators.
-type Op int
-
-// Comparison operators supported by predicate queries. These are the
-// operators the Trade application's custom finders need (equality plus
-// ordered comparisons); they are deliberately a conjunction-only subset
-// of SQL so the same predicate can be evaluated by the persistent store
-// and by the transient (cached) home.
-const (
-	OpEq Op = iota + 1
-	OpNe
-	OpLt
-	OpLe
-	OpGt
-	OpGe
-	OpPrefix
-)
-
-// String returns the operator's SQL-ish spelling.
-func (o Op) String() string {
-	switch o {
-	case OpEq:
-		return "="
-	case OpNe:
-		return "!="
-	case OpLt:
-		return "<"
-	case OpLe:
-		return "<="
-	case OpGt:
-		return ">"
-	case OpGe:
-		return ">="
-	case OpPrefix:
-		return "LIKE-prefix"
-	default:
-		return "invalid"
-	}
-}
-
-// Predicate is one field comparison. A missing field never matches.
+// Predicate is one field equality: it matches a field map holding
+// Field with a value Equal to Value. A missing field never matches.
+// Finders are conjunctions of these, so the persistent store, its
+// indexes and the transient home all evaluate the same equality.
 type Predicate struct {
 	Field string
-	Op    Op
 	Value Value
 }
 
 // Matches evaluates the predicate against a field map.
 func (p Predicate) Matches(f Fields) bool {
 	v, ok := f[p.Field]
-	if !ok {
-		return false
-	}
-	if p.Op == OpPrefix {
-		return v.Kind == KindString && p.Value.Kind == KindString &&
-			strings.HasPrefix(v.Str, p.Value.Str)
-	}
-	c := v.Compare(p.Value)
-	switch p.Op {
-	case OpEq:
-		return c == 0
-	case OpNe:
-		return c != 0
-	case OpLt:
-		return c < 0
-	case OpLe:
-		return c <= 0
-	case OpGt:
-		return c > 0
-	case OpGe:
-		return c >= 0
-	default:
-		return false
-	}
+	return ok && v.Equal(p.Value)
 }
 
 // Query is a predicate query ("custom finder") against one table. All
@@ -119,7 +58,7 @@ func (q Query) String() string {
 		} else {
 			sb.WriteString(" AND ")
 		}
-		fmt.Fprintf(&sb, "%s %s %s", p.Field, p.Op, p.Value.GoString())
+		fmt.Fprintf(&sb, "%s = %s", p.Field, p.Value.GoString())
 	}
 	if q.OrderBy != "" {
 		fmt.Fprintf(&sb, " ORDER BY %s", q.OrderBy)
@@ -171,7 +110,7 @@ func (q Query) Cap(ms []Memento) []Memento {
 	return ms
 }
 
-// Where is a convenience constructor for an equality predicate.
+// Where constructs the predicate field = v.
 func Where(field string, v Value) Predicate {
-	return Predicate{Field: field, Op: OpEq, Value: v}
+	return Predicate{Field: field, Value: v}
 }

@@ -2,80 +2,50 @@ package sqlstore
 
 import (
 	"fmt"
-	"sort"
-	"strconv"
 
 	"edgeejb/internal/memento"
 )
 
-// Secondary indexes. A single-field index accelerates equality probes
-// (the access path the Trade application's custom finders use — holdings
-// by accountID) and ordered range probes (price < x and friends). The
-// planner in scanTable prefers an indexed equality predicate, then an
-// indexed range predicate, then falls back to a full table scan,
-// re-checking every predicate on each candidate either way, so indexes
-// are purely an optimization and never change results.
+// Secondary indexes. A single-field index answers equality probes,
+// the access path the Trade application's custom finders use (holdings
+// by accountID). When a query has an indexed predicate, scanTable
+// probes that index instead of scanning the table, and re-checks every
+// predicate on each candidate either way, so indexes are purely an
+// optimization and never change results.
 //
 // Indexes are maintained synchronously under the store mutex at commit
 // time (applyWrites) and at Seed, so they are always consistent with
 // committed state. Uncommitted (buffered) writes are invisible to
 // indexes, exactly as they are invisible to scans.
 
-// index is a secondary index over one field of one table. It maintains
-// two structures in lockstep: a hash map for O(1) equality probes and a
-// value-ordered list for range probes (OpLt/OpLe/OpGt/OpGe). The ordered
-// list is a sorted slice with binary-search lookup and O(n) insertion —
-// the right trade-off for an in-memory store whose tables are bounded by
-// RAM and whose reads far outnumber writes; swap in a balanced tree if a
-// table's write rate ever makes insertion the bottleneck.
+// index is a secondary index over one field of one table. It is keyed
+// on memento.Value itself, and a Go map key matches by ==, which is
+// exactly Value.Equal: a probe finds the rows a scan's
+// Predicate.Matches would, Float(0) and Float(-0) are one key, and Kind
+// is part of the key, so Int(1) and Float(1) never collide.
 type index struct {
 	field string
-	// byValue maps an encoded field value to the set of row IDs whose
-	// committed image holds that value.
-	byValue map[string]map[string]struct{}
-	// ordered holds one entry per distinct value, sorted by
-	// memento.Value ordering; each points at the same ID set as byValue.
-	ordered []*orderedBucket
-}
-
-// orderedBucket is one distinct indexed value and its row IDs.
-type orderedBucket struct {
-	value memento.Value
-	ids   map[string]struct{}
-}
-
-// valueHash encodes a Value into a map key. Kind-prefixed so that, for
-// example, Int(1) and Float(1) never collide.
-func valueHash(v memento.Value) string {
-	switch v.Kind {
-	case memento.KindString:
-		return "s\x00" + v.Str
-	case memento.KindInt:
-		return "i\x00" + strconv.FormatInt(v.Int, 10)
-	case memento.KindFloat:
-		return "f\x00" + strconv.FormatFloat(v.F, 'b', -1, 64)
-	case memento.KindBool:
-		return "b\x00" + strconv.FormatBool(v.Bool)
-	default:
-		return "z\x00"
-	}
+	// byValue maps a field value to the set of row IDs whose committed
+	// image holds that value.
+	byValue map[memento.Value]map[string]struct{}
 }
 
 func newIndex(field string) *index {
-	return &index{field: field, byValue: make(map[string]map[string]struct{})}
+	return &index{field: field, byValue: make(map[memento.Value]map[string]struct{})}
 }
 
 func (ix *index) insert(id string, fields memento.Fields) {
 	v, ok := fields[ix.field]
-	if !ok {
-		return // rows without the field are unindexed; scans still find them
+	// Rows without the field are unindexed, and so are NaN values: a NaN
+	// equals nothing, so no probe or scan can select it, and as a map key
+	// it could never be looked up again to remove.
+	if !ok || !v.Equal(v) {
+		return
 	}
-	h := valueHash(v)
-	set := ix.byValue[h]
+	set := ix.byValue[v]
 	if set == nil {
 		set = make(map[string]struct{})
-		ix.byValue[h] = set
-		ix.insertOrdered(v, set)
+		ix.byValue[v] = set
 	}
 	set[id] = struct{}{}
 }
@@ -85,65 +55,11 @@ func (ix *index) remove(id string, fields memento.Fields) {
 	if !ok {
 		return
 	}
-	h := valueHash(v)
-	if set := ix.byValue[h]; set != nil {
+	if set := ix.byValue[v]; set != nil {
 		delete(set, id)
 		if len(set) == 0 {
-			delete(ix.byValue, h)
-			ix.removeOrdered(v)
+			delete(ix.byValue, v)
 		}
-	}
-}
-
-// lookup returns the row IDs whose indexed field equals v.
-func (ix *index) lookup(v memento.Value) map[string]struct{} {
-	return ix.byValue[valueHash(v)]
-}
-
-// insertOrdered places a new distinct value's bucket into the sorted
-// list. Called only when the value was not present.
-func (ix *index) insertOrdered(v memento.Value, ids map[string]struct{}) {
-	pos := sort.Search(len(ix.ordered), func(i int) bool {
-		return ix.ordered[i].value.Compare(v) >= 0
-	})
-	ix.ordered = append(ix.ordered, nil)
-	copy(ix.ordered[pos+1:], ix.ordered[pos:])
-	ix.ordered[pos] = &orderedBucket{value: v, ids: ids}
-}
-
-// removeOrdered drops a now-empty value bucket from the sorted list.
-func (ix *index) removeOrdered(v memento.Value) {
-	pos := sort.Search(len(ix.ordered), func(i int) bool {
-		return ix.ordered[i].value.Compare(v) >= 0
-	})
-	if pos < len(ix.ordered) && ix.ordered[pos].value.Equal(v) {
-		ix.ordered = append(ix.ordered[:pos], ix.ordered[pos+1:]...)
-	}
-}
-
-// lookupRange returns the buckets satisfying `field op v` for an
-// ordered comparison operator. Bucket order follows
-// memento.Value.Compare — the same total order Predicate.Matches
-// evaluates with — so the probe returns exactly the matching buckets;
-// the caller still re-checks every predicate on each candidate row, so
-// indexes can never change query results.
-func (ix *index) lookupRange(op memento.Op, v memento.Value) []*orderedBucket {
-	n := len(ix.ordered)
-	// Find the boundary positions around value v in the total order used
-	// by Value.Compare (which is also what Predicate.Matches uses).
-	lo := sort.Search(n, func(i int) bool { return ix.ordered[i].value.Compare(v) >= 0 })
-	hi := sort.Search(n, func(i int) bool { return ix.ordered[i].value.Compare(v) > 0 })
-	switch op {
-	case memento.OpLt:
-		return ix.ordered[:lo]
-	case memento.OpLe:
-		return ix.ordered[:hi]
-	case memento.OpGt:
-		return ix.ordered[hi:]
-	case memento.OpGe:
-		return ix.ordered[lo:]
-	default:
-		return nil
 	}
 }
 
@@ -190,41 +106,16 @@ func (s *Store) Indexes(tableName string) []string {
 	return out
 }
 
-// plan selects an access path for q: an indexed equality probe if any
-// equality predicate has an index (most selective), else an indexed
-// range probe, else nil (full scan). Called with s.mu held (read).
-// Every predicate is re-checked on the candidates regardless, so the
-// planner affects cost only, never results.
-func (t *table) plan(q memento.Query) func(yield func(id string)) {
+// plan returns the candidate row IDs for q from the first predicate
+// whose field is indexed; ok is false when none is (full scan). Called
+// with s.mu held (read). Every predicate is re-checked on the
+// candidates regardless, so the planner affects cost only, never
+// results.
+func (t *table) plan(q memento.Query) (ids map[string]struct{}, ok bool) {
 	for _, p := range q.Where {
-		if p.Op != memento.OpEq {
-			continue
-		}
-		if ix, ok := t.indexes[p.Field]; ok {
-			set := ix.lookup(p.Value)
-			return func(yield func(id string)) {
-				for id := range set {
-					yield(id)
-				}
-			}
+		if ix, indexed := t.indexes[p.Field]; indexed {
+			return ix.byValue[p.Value], true
 		}
 	}
-	for _, p := range q.Where {
-		switch p.Op {
-		case memento.OpLt, memento.OpLe, memento.OpGt, memento.OpGe:
-		default:
-			continue
-		}
-		if ix, ok := t.indexes[p.Field]; ok {
-			buckets := ix.lookupRange(p.Op, p.Value)
-			return func(yield func(id string)) {
-				for _, b := range buckets {
-					for id := range b.ids {
-						yield(id)
-					}
-				}
-			}
-		}
-	}
-	return nil
+	return nil, false
 }

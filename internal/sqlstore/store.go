@@ -329,9 +329,9 @@ func (s *Store) readRow(key memento.Key) (memento.Memento, bool) {
 }
 
 // scanTable returns every committed row of a table matching q, in the
-// query's order. When an equality predicate is indexed, the planner
-// probes the index and re-checks the remaining predicates on the
-// candidates; otherwise it scans the whole table.
+// query's order. When a predicate's field is indexed, the planner
+// probes the index and re-checks every predicate on the candidates;
+// otherwise it scans the whole table.
 func (s *Store) scanTable(q memento.Query) []memento.Memento {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -340,14 +340,13 @@ func (s *Store) scanTable(q memento.Query) []memento.Memento {
 		return nil
 	}
 	var out []memento.Memento
-	if probe := t.plan(q); probe != nil {
+	if ids, ok := t.plan(q); ok {
 		s.stats.indexProbes.Add(1)
-		probe(func(id string) {
-			m, exists := t.rows[id]
-			if exists && q.Matches(m) {
+		for id := range ids {
+			if m, exists := t.rows[id]; exists && q.Matches(m) {
 				out = append(out, m.Clone())
 			}
-		})
+		}
 	} else {
 		s.stats.tableScans.Add(1)
 		for _, m := range t.rows {

@@ -64,7 +64,7 @@ func QueryShardPlacement(q memento.Query) (string, bool) {
 		return "", false
 	}
 	for _, p := range q.Where {
-		if p.Field == "accountID" && p.Op == memento.OpEq && p.Value.Kind == memento.KindString {
+		if p.Field == "accountID" && p.Value.Kind == memento.KindString {
 			return "user/" + p.Value.Str, true
 		}
 	}

@@ -297,7 +297,6 @@ type call struct {
 	deadline  time.Time
 	done      chan struct{}
 	err       error
-	start     time.Time
 	completed bool
 	abandoned bool
 }
@@ -418,7 +417,6 @@ func (cn *conn) roundTrip(ctx context.Context, req, resp any) error {
 		label: label,
 		resp:  resp,
 		done:  make(chan struct{}),
-		start: time.Now(),
 	}
 	cl.deadline = deadline
 
@@ -466,7 +464,7 @@ func (cn *conn) roundTrip(ctx context.Context, req, resp any) error {
 			cn.c.stats.failure(label)
 			return fmt.Errorf("wire: %s: %w", label, cl.err)
 		}
-		cn.c.stats.roundTrip(label, time.Since(cl.start))
+		cn.c.stats.roundTrip(label)
 		return nil
 	case <-ctx.Done():
 		cn.mu.Lock()
@@ -477,7 +475,7 @@ func (cn *conn) roundTrip(ctx context.Context, req, resp any) error {
 				cn.c.stats.failure(label)
 				return fmt.Errorf("wire: %s: %w", label, done)
 			}
-			cn.c.stats.roundTrip(label, time.Since(cl.start))
+			cn.c.stats.roundTrip(label)
 			return nil
 		}
 		cl.completed = true

@@ -325,7 +325,6 @@ func (sc *serverConn) worker(t dispatchTask) {
 
 func (sc *serverConn) dispatch(ctx context.Context, id uint64, label string, body any) {
 	defer sc.handlers.Done()
-	start := time.Now()
 	resp := sc.h.Handle(ctx, &Session{sc: sc}, id, body)
 	if resp == nil {
 		return
@@ -347,5 +346,5 @@ func (sc *serverConn) dispatch(ctx context.Context, id uint64, label string, bod
 		return
 	}
 	sc.srv.stats.sent(label, n)
-	sc.srv.stats.roundTrip(label, time.Since(start))
+	sc.srv.stats.roundTrip(label)
 }

@@ -1,9 +1,6 @@
 package wire
 
-import (
-	"sync"
-	"time"
-)
+import "sync"
 
 // OpStats aggregates one operation label (e.g. "AutoGet", "buy").
 type OpStats struct {
@@ -12,16 +9,6 @@ type OpStats struct {
 	Retries       uint64 // retry attempts consumed by the retry policy
 	BytesSent     uint64
 	BytesReceived uint64
-	TotalDur      time.Duration
-	MaxDur        time.Duration
-}
-
-// MeanDur returns the mean round-trip latency.
-func (o OpStats) MeanDur() time.Duration {
-	if o.Count == 0 {
-		return 0
-	}
-	return o.TotalDur / time.Duration(o.Count)
 }
 
 // Stats is a point-in-time snapshot of a transport endpoint's counters.
@@ -61,10 +48,6 @@ func MergeStats(snaps ...Stats) Stats {
 			agg.Retries += op.Retries
 			agg.BytesSent += op.BytesSent
 			agg.BytesReceived += op.BytesReceived
-			agg.TotalDur += op.TotalDur
-			if op.MaxDur > agg.MaxDur {
-				agg.MaxDur = op.MaxDur
-			}
 			out.Ops[label] = agg
 		}
 	}
@@ -119,15 +102,10 @@ func (c *collector) received(label string, n int) {
 	c.mu.Unlock()
 }
 
-func (c *collector) roundTrip(label string, d time.Duration) {
+func (c *collector) roundTrip(label string) {
 	c.mu.Lock()
 	c.roundTrips++
-	o := c.op(label)
-	o.Count++
-	o.TotalDur += d
-	if d > o.MaxDur {
-		o.MaxDur = d
-	}
+	c.op(label).Count++
 	c.mu.Unlock()
 }
 

@@ -136,9 +136,6 @@ func TestCallRoundTrip(t *testing.T) {
 	if s.BytesSent == 0 || s.BytesReceived == 0 {
 		t.Fatal("byte counters not populated")
 	}
-	if s.Ops["echo"].MeanDur() <= 0 {
-		t.Fatal("latency not recorded")
-	}
 	ss := srv.Stats()
 	if ss.RoundTrips != 5 {
 		t.Fatalf("server RTs = %d, want 5", ss.RoundTrips)
