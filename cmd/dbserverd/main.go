@@ -73,12 +73,8 @@ func run(args []string) error {
 		fmt.Printf("dbserverd: debug endpoints on http://%s/metrics\n", dbg.Addr())
 	}
 
-	// Disjoint transaction-ID bases keep IDs globally unique across the
-	// sharded tier, so a conflict names the shard of its winning
-	// transaction.
 	store := sqlstore.New(
 		sqlstore.WithLockTimeout(*lockTimeout),
-		sqlstore.WithTxIDBase(uint64(*shardIdx)<<40),
 		sqlstore.WithPrepareTTL(*prepareTTL),
 	)
 	defer store.Close()

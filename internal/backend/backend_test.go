@@ -95,13 +95,13 @@ func TestBackendCommitIsOneEdgeRoundTrip(t *testing.T) {
 	if got := edge.RoundTrips() - before; got != 1 {
 		t.Errorf("commit cost %d edge round trips, want exactly 1", got)
 	}
-	if res.NewVersions[key("2")] != 1 {
-		t.Errorf("NewVersions = %v", res.NewVersions)
+	if res.Seq != 2 || res.NewVersions[key("2")] != res.Seq {
+		t.Errorf("result = %+v, want the create at the commit's Seq 2 (the seed was 1)", res)
 	}
 	if be.CommitsApplied() != 1 {
 		t.Errorf("CommitsApplied = %d, want 1", be.CommitsApplied())
 	}
-	if v, _ := store.CurrentVersion(key("2")); v != 1 {
+	if v, _ := store.CurrentVersion(key("2")); v != res.Seq {
 		t.Error("create not applied at the database")
 	}
 }
@@ -165,8 +165,8 @@ func TestBackendForwardsInvalidationStream(t *testing.T) {
 	}
 	select {
 	case n := <-ch:
-		if n.TxID != res.TxID {
-			t.Errorf("notice tx = %d, want %d (ids must be stable across tiers)", n.TxID, res.TxID)
+		if n.Seq != res.Seq || res.Seq == 0 {
+			t.Errorf("notice Seq = %d, want the commit's %d (numbers must be stable across tiers)", n.Seq, res.Seq)
 		}
 		if len(n.Writes) != 1 || n.Writes[0].Key != key("1") {
 			t.Errorf("notice writes = %v", n.Writes)
@@ -262,8 +262,8 @@ func TestBackendCommitSurvivesDatabaseRestart(t *testing.T) {
 	if err != nil {
 		t.Fatalf("commit after database restart: %v", err)
 	}
-	if res.NewVersions[key("1")] != 3 {
-		t.Errorf("NewVersions = %v, want row 1 at 3", res.NewVersions)
+	if res.Seq != 3 || res.NewVersions[key("1")] != res.Seq {
+		t.Errorf("result = %+v, want row 1 at the third commit's Seq 3", res)
 	}
 	if v, _ := store.CurrentVersion(key("1")); v != 3 {
 		t.Errorf("row 1 at version %d, want 3 (two commits, each applied once)", v)

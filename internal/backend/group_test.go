@@ -116,18 +116,17 @@ func TestGroupCommitCoalescesWithAttribution(t *testing.T) {
 	if b.err != nil {
 		t.Fatalf("winner set failed: %v", b.err)
 	}
-	if b.res.NewVersions[key("1")] != 2 {
-		t.Errorf("winner NewVersions = %v, want row 1 at 2", b.res.NewVersions)
+	if b.res.Seq == 0 || b.res.NewVersions[key("1")] != b.res.Seq {
+		t.Errorf("winner result = %+v, want row 1 at the winner's Seq", b.res)
 	}
 	var ce *sqlstore.ConflictError
 	if !errors.As(c.err, &ce) {
 		t.Fatalf("loser error = %v, want *sqlstore.ConflictError", c.err)
 	}
-	if ce.WinnerTx != b.res.TxID {
-		t.Errorf("loser attributes winner tx %d, want %d (the intra-batch winner)",
-			ce.WinnerTx, b.res.TxID)
+	if ce.Actual != b.res.Seq {
+		t.Errorf("loser found v%d, want the intra-batch winner's Seq %d", ce.Actual, b.res.Seq)
 	}
-	if ce.Key != key("1") || ce.Expected != 1 || ce.Actual != 2 {
+	if ce.Key != key("1") || ce.Expected != 1 {
 		t.Errorf("conflict detail = %+v", ce)
 	}
 
@@ -144,7 +143,7 @@ func TestGroupCommitCoalescesWithAttribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Mem.Fields["n"].Int != 11 || res.Mem.Version != 2 {
-		t.Errorf("row 1 = %v, want the winner's write at version 2", res.Mem)
+	if res.Mem.Fields["n"].Int != 11 || res.Mem.Version != b.res.Seq {
+		t.Errorf("row 1 = %v, want the winner's write at its Seq %d", res.Mem, b.res.Seq)
 	}
 }

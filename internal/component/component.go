@@ -140,7 +140,7 @@ func newExecutor(opts []ManagerOption) storeapi.Executor {
 // for its write-back, with the row's key.
 func commit(ctx context.Context, x storeapi.Executor, txn storeapi.Txn, puts []storeapi.Stmt, what string) error {
 	stmts := append(puts, storeapi.Stmt{Kind: storeapi.StmtCommit})
-	at, err := x.Commit(ctx, txn, stmts)
+	_, at, err := x.Commit(ctx, txn, stmts)
 	if at >= 0 && at < len(puts) {
 		err = fmt.Errorf("%s %s: %w", what, stmts[at].Mem.Key, err)
 	}

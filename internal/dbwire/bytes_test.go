@@ -21,10 +21,13 @@ type opBytes struct {
 // seedPinnedRows seeds t/1 to t/4 with v = 10, 20, 20, 20, so that
 // pinnedFinder selects t/2, t/3 and t/4. Every v is a one-byte varint,
 // so each row, reply and notice image is the same size whatever its v.
+// The rows are one Seed, so one commit: all four are at version 1.
 func seedPinnedRows(store *sqlstore.Store) {
+	var rows []memento.Memento
 	for i, v := range []int64{10, 20, 20, 20} {
-		seed(store, "t", strconv.Itoa(i+1), v)
+		rows = append(rows, memento.Memento{Key: memento.Key{Table: "t", ID: strconv.Itoa(i + 1)}, Fields: memento.Fields{"v": memento.Int(v)}})
 	}
+	store.Seed(rows...)
 }
 
 // pinnedFinder is the finder both pins send: one equality, encoded as
@@ -102,7 +105,9 @@ func TestStatementWireBytes(t *testing.T) {
 	// + 1 tx + 2 table + 1 predicate count + 4 predicate + 3 shaping
 	// fields (order, desc, limit); its 42 received are the three rows
 	// pinnedFinder selects. TestCachePathWireBytes's AutoQuery is the
-	// same less the tx byte.
+	// same less the tx byte. Commit's 9 received = 8 + the commit's Seq,
+	// one byte (the seed was commit 1, this is 2); a commit that wrote
+	// nothing would send no Seq.
 	want := map[bool]map[string]opBytes{
 		false: {
 			"Begin":         {2, 16, 18},
@@ -232,15 +237,20 @@ func TestCachePathWireBytes(t *testing.T) {
 	// Every commit set ends in its origin as a uvarint: 1 byte for none,
 	// 9 for an edge's (bit 62 set, bit 63 clear). A subscription under
 	// an origin adds the origin's 9 bytes and a second mask byte (bit 11).
+	// A commit reply is its commit's number and nothing else: 9 = 4
+	// length prefix + 2 frame header + 1 code + 1 field mask + 1 Seq (the
+	// seed was commit 1, so these are 2 to 5). ApplyCommitSets' 16 = 8 + 1
+	// batch count + 2 × (code, mask, Seq). The sender rebuilds each put
+	// key's version from the Seq, so no key→version map rides back.
 	const origin = 1<<62 | 5
 	want := map[uint64]map[string]opBytes{
 		0: {
 			"AutoGet":         {1, 12, 19},
 			"AutoQuery":       {1, 18, 42},
-			"ApplyCommitSet":  {1, 41, 15},
-			"ApplyCommitSets": {1, 63, 28},
+			"ApplyCommitSet":  {1, 41, 9},
+			"ApplyCommitSets": {1, 63, 16},
 			"Prepare":         {2, 61, 16},
-			"CommitPrepared":  {1, 12, 15},
+			"CommitPrepared":  {1, 12, 9},
 			"AbortPrepared":   {1, 12, 8},
 			"Subscribe":       {1, 8, 8},
 			"push":            {0, 0, 180},
@@ -248,10 +258,10 @@ func TestCachePathWireBytes(t *testing.T) {
 		origin: {
 			"AutoGet":         {1, 12, 19},
 			"AutoQuery":       {1, 18, 42},
-			"ApplyCommitSet":  {1, 41 + 8, 15},
-			"ApplyCommitSets": {1, 63 + 2*8, 28},
+			"ApplyCommitSet":  {1, 41 + 8, 9},
+			"ApplyCommitSets": {1, 63 + 2*8, 16},
 			"Prepare":         {2, 61 + 2*8, 16},
-			"CommitPrepared":  {1, 12, 15},
+			"CommitPrepared":  {1, 12, 9},
 			"AbortPrepared":   {1, 12, 8},
 			"Subscribe":       {1, 8 + 1 + 9, 8},
 		},

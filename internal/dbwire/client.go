@@ -177,7 +177,7 @@ func (c *Client) ApplyCommitSet(ctx context.Context, cs memento.CommitSet) (sqls
 	if err := decodeErr(resp); err != nil {
 		return sqlstore.ApplyResult{}, err
 	}
-	return sqlstore.ApplyResult{TxID: resp.Tx, NewVersions: resp.NewVersions}, nil
+	return sqlstore.Applied(cs, resp.Seq), nil
 }
 
 // ApplyCommitSets ships several independent commit sets in ONE round
@@ -204,7 +204,7 @@ func (c *Client) ApplyCommitSets(ctx context.Context, sets []memento.CommitSet) 
 			out[i].Err = err
 			continue
 		}
-		out[i].Res = sqlstore.ApplyResult{TxID: sub.Tx, NewVersions: sub.NewVersions}
+		out[i].Res = sqlstore.Applied(sets[i], sub.Seq)
 	}
 	return out, nil
 }
@@ -222,7 +222,9 @@ func (c *Client) Prepare(ctx context.Context, gid string, cs memento.CommitSet) 
 	return decodeErr(resp)
 }
 
-// CommitPrepared ships 2PC's commit decision in one round trip.
+// CommitPrepared ships 2PC's commit decision in one round trip. The
+// result carries the commit's Seq only: the coordinator holds the
+// sub-set (see sqlstore.Store.CommitPrepared).
 func (c *Client) CommitPrepared(ctx context.Context, gid string) (sqlstore.ApplyResult, error) {
 	resp, err := c.oneShot(ctx, &Request{Op: OpCommitPrepared, Gid: gid})
 	if err != nil {
@@ -231,7 +233,7 @@ func (c *Client) CommitPrepared(ctx context.Context, gid string) (sqlstore.Apply
 	if err := decodeErr(resp); err != nil {
 		return sqlstore.ApplyResult{}, err
 	}
-	return sqlstore.ApplyResult{TxID: resp.Tx, NewVersions: resp.NewVersions}, nil
+	return sqlstore.ApplyResult{Seq: resp.Seq}, nil
 }
 
 // AbortPrepared ships 2PC's abort decision in one round trip.
@@ -383,6 +385,8 @@ func stmtResult(st storeapi.Stmt, resp *Response) storeapi.StmtResult {
 		r.Get.Mem = resp.Mem
 	case storeapi.StmtQuery:
 		r.Q.Mems = resp.Mems
+	case storeapi.StmtCommit:
+		r.Seq = resp.Seq
 	}
 	return r
 }

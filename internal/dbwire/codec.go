@@ -213,7 +213,7 @@ const (
 	respTx
 	respMem
 	respMems
-	respNewVersions
+	respSeq
 	respNotice
 	respConflict
 	respBatch
@@ -234,8 +234,8 @@ func appendResponse(dst []byte, p *Response) []byte {
 	if len(p.Mems) > 0 {
 		mask |= respMems
 	}
-	if len(p.NewVersions) > 0 {
-		mask |= respNewVersions
+	if p.Seq != 0 {
+		mask |= respSeq
 	}
 	if !noticeIsZero(p.Notice) {
 		mask |= respNotice
@@ -262,12 +262,8 @@ func appendResponse(dst []byte, p *Response) []byte {
 			dst = appendMemento(dst, p.Mems[i])
 		}
 	}
-	if mask&respNewVersions != 0 {
-		dst = binary.AppendUvarint(dst, uint64(len(p.NewVersions)))
-		for k, v := range p.NewVersions {
-			dst = appendKey(dst, k)
-			dst = binary.AppendUvarint(dst, v)
-		}
+	if mask&respSeq != 0 {
+		dst = binary.AppendUvarint(dst, p.Seq)
 	}
 	if mask&respNotice != 0 {
 		dst = appendNotice(dst, p.Notice)
@@ -309,13 +305,8 @@ func readResponse(r *wire.Reader, p *Response, nested bool) {
 			p.Mems = append(p.Mems, readMemento(r))
 		}
 	}
-	if mask&respNewVersions != 0 {
-		n := r.Len()
-		p.NewVersions = make(map[memento.Key]uint64, wire.Prealloc(n))
-		for i := 0; i < n && !r.Failed(); i++ {
-			k := readKey(r)
-			p.NewVersions[k] = r.Uvarint()
-		}
+	if mask&respSeq != 0 {
+		p.Seq = r.Uvarint()
 	}
 	if mask&respNotice != 0 {
 		p.Notice = readNotice(r)
@@ -346,7 +337,7 @@ func queryIsZero(q memento.Query) bool {
 }
 
 func noticeIsZero(n sqlstore.Notice) bool {
-	return n.TxID == 0 && len(n.Writes) == 0 &&
+	return n.Seq == 0 && len(n.Writes) == 0 &&
 		n.CommittedAt.IsZero() && n.OriginTrace == 0
 }
 
@@ -543,7 +534,7 @@ func readQuery(r *wire.Reader) memento.Query {
 }
 
 func appendNotice(dst []byte, n sqlstore.Notice) []byte {
-	dst = binary.AppendUvarint(dst, n.TxID)
+	dst = binary.AppendUvarint(dst, n.Seq)
 	dst = binary.AppendUvarint(dst, uint64(len(n.Writes)))
 	for i := range n.Writes {
 		dst = appendWriteDesc(dst, n.Writes[i])
@@ -554,7 +545,7 @@ func appendNotice(dst []byte, n sqlstore.Notice) []byte {
 
 func readNotice(r *wire.Reader) sqlstore.Notice {
 	var n sqlstore.Notice
-	n.TxID = r.Uvarint()
+	n.Seq = r.Uvarint()
 	if c := r.Len(); c > 0 {
 		n.Writes = make([]memento.WriteDesc, 0, wire.Prealloc(c))
 		for i := 0; i < c && !r.Failed(); i++ {
@@ -570,7 +561,6 @@ func appendConflict(dst []byte, ci *ConflictInfo) []byte {
 	dst = appendKey(dst, ci.Key)
 	dst = binary.AppendUvarint(dst, ci.Expected)
 	dst = binary.AppendUvarint(dst, ci.Actual)
-	dst = binary.AppendUvarint(dst, ci.WinnerTx)
 	dst = binary.AppendUvarint(dst, ci.WinnerTrace)
 	return wire.AppendTime(dst, ci.CommittedAt)
 }
@@ -580,7 +570,6 @@ func readConflict(r *wire.Reader) *ConflictInfo {
 	ci.Key = readKey(r)
 	ci.Expected = r.Uvarint()
 	ci.Actual = r.Uvarint()
-	ci.WinnerTx = r.Uvarint()
 	ci.WinnerTrace = r.Uvarint()
 	ci.CommittedAt = r.Time()
 	return ci

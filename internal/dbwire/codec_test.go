@@ -121,21 +121,32 @@ func corpusResponses() map[string]*Response {
 			Conflict: &ConflictInfo{
 				Key:      memento.Key{Table: "quote", ID: "a"},
 				Expected: 3, Actual: 4,
-				WinnerTx: 12, WinnerTrace: 99,
+				WinnerTrace: 99,
 				CommittedAt: ts(1_723_000_000_000_000_123),
 			},
 		},
-		"versions": {
-			Code: CodeOK, Tx: 5,
-			NewVersions: map[memento.Key]uint64{
-				{Table: "quote", ID: "a"}: 4,
-				{Table: "quote", ID: "b"}: 9,
+		// A conflict on a removed row: nothing to name but the key and
+		// the version the loser read.
+		"conflict on a removed row": {
+			Code: CodeConflict, Msg: "sqlstore: version conflict: quote/b removed concurrently",
+			Conflict: &ConflictInfo{Key: memento.Key{Table: "quote", ID: "b"}, Expected: 1 << 20},
+		},
+		// A commit reply is the commit's one number; the sender of the
+		// set rebuilds every put key's version from it.
+		"versions": {Code: CodeOK, Seq: 1<<21 + 5},
+		"commit set replies": {
+			Code: CodeOK,
+			Batch: []Response{
+				{Code: CodeOK, Seq: 41},
+				{Code: CodeConflict, Msg: "conflict", Conflict: &ConflictInfo{
+					Key: memento.Key{Table: "quote", ID: "a"}, Expected: 40, Actual: 41,
+				}},
 			},
 		},
 		"notice": {
 			Code: CodeOK,
 			Notice: sqlstore.Notice{
-				TxID: 31,
+				Seq: 31,
 				Writes: []memento.WriteDesc{{
 					Key:    memento.Key{Table: "quote", ID: "a"},
 					Before: memento.Fields{"price": memento.Float(1)},
@@ -154,7 +165,7 @@ func corpusResponses() map[string]*Response {
 			Code: CodeOK,
 			Batch: []Response{
 				{Code: CodeOK, Mem: codecMem("a", 3)},
-				{Code: CodeConflict, Msg: "conflict", Conflict: &ConflictInfo{WinnerTx: 8}},
+				{Code: CodeConflict, Msg: "conflict", Conflict: &ConflictInfo{WinnerTrace: 8}},
 			},
 		},
 	}
@@ -237,8 +248,7 @@ func TestCodecTruncatedInput(t *testing.T) {
 		}
 	}
 
-	resp := &Response{Code: CodeOK, Mems: []memento.Memento{codecMem("a", 1)},
-		NewVersions: map[memento.Key]uint64{{Table: "t", ID: "x"}: 1}}
+	resp := &Response{Code: CodeOK, Mems: []memento.Memento{codecMem("a", 1)}, Seq: 1 << 30}
 	data = resp.AppendWire(nil)
 	for n := 0; n < len(data); n++ {
 		if err := new(Response).ReadWire(data[:n]); err == nil {

@@ -107,12 +107,12 @@ func TestProtocolSurface(t *testing.T) {
 		if r.Err != nil {
 			t.Fatalf("set %d: %v", i, r.Err)
 		}
-		if r.Res.TxID == 0 {
-			t.Errorf("set %d: no TxID in result", i)
+		if r.Res.Seq == 0 || len(r.Res.NewVersions) != 1 {
+			t.Errorf("set %d: result %+v, want its Seq and one new version", i, r.Res)
 		}
 	}
-	if v, _ := store.CurrentVersion(memento.Key{Table: "t", ID: "3"}); v != 1 {
-		t.Errorf("create t/3 not applied (version %d)", v)
+	if v, _ := store.CurrentVersion(memento.Key{Table: "t", ID: "3"}); v != out[0].Res.Seq {
+		t.Errorf("create t/3 at version %d, want its commit's Seq %d", v, out[0].Res.Seq)
 	}
 
 	// Conflict attribution crosses the wire.
@@ -127,8 +127,8 @@ func TestProtocolSurface(t *testing.T) {
 	if !errors.As(err, &ce) {
 		t.Fatalf("stale apply error = %v, want *sqlstore.ConflictError", err)
 	}
-	if ce.WinnerTx == 0 {
-		t.Error("conflict lost its winner attribution across the wire")
+	if ce.Actual != 2 || ce.CommittedAt.IsZero() {
+		t.Errorf("conflict %+v lost the winning commit (2) across the wire", ce)
 	}
 }
 

@@ -162,13 +162,18 @@ const (
 // Response is one server-to-client message: either an RPC reply or (on
 // subscription connections) a pushed invalidation notice.
 type Response struct {
-	Code        ErrCode
-	Msg         string
-	Tx          uint64
-	Mem         memento.Memento
-	Mems        []memento.Memento
-	NewVersions map[memento.Key]uint64
-	Notice      sqlstore.Notice
+	Code ErrCode
+	Msg  string
+	// Tx is the handle of the transaction an OpBegin started.
+	Tx   uint64
+	Mem  memento.Memento
+	Mems []memento.Memento
+	// Seq is a commit reply's one number: the Seq of the commit that
+	// ran (sqlstore.ApplyResult.Seq, storeapi.StmtResult.Seq). The side
+	// that sent the commit set rebuilds its result with
+	// sqlstore.Applied.
+	Seq    uint64
+	Notice sqlstore.Notice
 	// Conflict carries conflict attribution when Code is CodeConflict and
 	// the server-side error was an attributed *sqlstore.ConflictError
 	// (nil otherwise).
@@ -184,10 +189,10 @@ type Response struct {
 // fields. It mirrors the struct rather than embedding it so the wire
 // schema is explicit and independent of sqlstore's internals.
 type ConflictInfo struct {
-	Key                   memento.Key
-	Expected, Actual      uint64
-	WinnerTx, WinnerTrace uint64
-	CommittedAt           time.Time
+	Key              memento.Key
+	Expected, Actual uint64
+	WinnerTrace      uint64
+	CommittedAt      time.Time
 }
 
 // encodeErr maps a server-side error to a wire code and message.
@@ -222,7 +227,6 @@ func errResponse(err error) *Response {
 			Key:         ce.Key,
 			Expected:    ce.Expected,
 			Actual:      ce.Actual,
-			WinnerTx:    ce.WinnerTx,
 			WinnerTrace: ce.WinnerTrace,
 			CommittedAt: ce.CommittedAt,
 		}
@@ -249,7 +253,6 @@ func decodeErr(resp *Response) error {
 				Key:         ci.Key,
 				Expected:    ci.Expected,
 				Actual:      ci.Actual,
-				WinnerTx:    ci.WinnerTx,
 				WinnerTrace: ci.WinnerTrace,
 				CommittedAt: ci.CommittedAt,
 				Detail:      strings.TrimPrefix(resp.Msg, sqlstore.ErrConflict.Error()+": "),

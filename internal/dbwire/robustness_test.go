@@ -166,9 +166,10 @@ func TestBatchCarriesOnlyItsOwnStatements(t *testing.T) {
 			}
 			call(&Request{Op: OpCommit, Tx: own})
 			call(&Request{Op: OpCommit, Tx: other})
-			for _, id := range []string{"1", "2"} {
-				if v, _ := store.CurrentVersion(memento.Key{Table: "t", ID: id}); v != 1 {
-					t.Errorf("row %s at version %d after a refused batch, want 1", id, v)
+			// Each seed was its own commit: row 1 at v1, row 2 at v2.
+			for i, id := range []string{"1", "2"} {
+				if v, _ := store.CurrentVersion(memento.Key{Table: "t", ID: id}); v != uint64(i+1) {
+					t.Errorf("row %s at version %d after a refused batch, want its seed's %d", id, v, i+1)
 				}
 			}
 		})

@@ -184,7 +184,7 @@ func (h *connHandler) exec(ctx context.Context, id uint64, tx storeapi.Txn, st s
 	case storeapi.StmtQuery:
 		return Response{Code: CodeOK, Mems: r.Q.Mems}
 	case storeapi.StmtCommit:
-		return Response{Code: CodeOK, Tx: id}
+		return Response{Code: CodeOK, Seq: r.Seq}
 	}
 	return Response{Code: CodeOK}
 }
@@ -211,7 +211,7 @@ func (h *connHandler) handle(ctx context.Context, req *Request) *Response {
 		if err != nil {
 			return fail(err)
 		}
-		return &Response{Code: CodeOK, Tx: res.TxID, NewVersions: res.NewVersions}
+		return &Response{Code: CodeOK, Seq: res.Seq}
 
 	case OpApplyCommitSets:
 		results, err := h.backend.ApplyCommitSets(ctx, req.Sets)
@@ -224,7 +224,7 @@ func (h *connHandler) handle(ctx context.Context, req *Request) *Response {
 				out.Batch[i] = *errResponse(results[i].Err)
 				continue
 			}
-			out.Batch[i] = Response{Code: CodeOK, Tx: results[i].Res.TxID, NewVersions: results[i].Res.NewVersions}
+			out.Batch[i] = Response{Code: CodeOK, Seq: results[i].Res.Seq}
 		}
 		return out
 
@@ -253,7 +253,7 @@ func (h *connHandler) handle(ctx context.Context, req *Request) *Response {
 		if err != nil {
 			return fail(err)
 		}
-		return &Response{Code: CodeOK, Tx: res.TxID, NewVersions: res.NewVersions}
+		return &Response{Code: CodeOK, Seq: res.Seq}
 
 	case OpAbortPrepared:
 		p, ok := h.backend.(storeapi.Preparer)

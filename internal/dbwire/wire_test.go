@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -167,10 +168,12 @@ func TestApplyCommitSetSingleRoundTrip(t *testing.T) {
 	if got := client.RoundTrips() - before; got != 1 {
 		t.Errorf("ApplyCommitSet cost %d round trips, want exactly 1", got)
 	}
-	if res.NewVersions[memento.Key{Table: "t", ID: "1"}] != 2 {
-		t.Errorf("NewVersions = %v", res.NewVersions)
+	// The seed was commit 1; the set is commit 2, and the reply's one
+	// number gives both put keys their version.
+	if want := (map[memento.Key]uint64{{Table: "t", ID: "1"}: 2, {Table: "t", ID: "2"}: 2}); res.Seq != 2 || !reflect.DeepEqual(res.NewVersions, want) {
+		t.Errorf("result = %+v, want Seq 2 and NewVersions %v", res, want)
 	}
-	if v, _ := store.CurrentVersion(memento.Key{Table: "t", ID: "2"}); v != 1 {
+	if v, _ := store.CurrentVersion(memento.Key{Table: "t", ID: "2"}); v != res.Seq {
 		t.Error("create not applied")
 	}
 
@@ -209,8 +212,8 @@ func TestSubscriptionDeliversNotices(t *testing.T) {
 	}
 	select {
 	case n := <-ch:
-		if n.TxID != res.TxID {
-			t.Errorf("notice tx = %d, want %d", n.TxID, res.TxID)
+		if n.Seq != res.Seq || res.Seq == 0 {
+			t.Errorf("notice Seq = %d, want the commit's %d", n.Seq, res.Seq)
 		}
 		if len(n.Writes) != 1 {
 			t.Errorf("notice writes = %v", n.Writes)

@@ -213,14 +213,9 @@ func Build(opts Options) (topo *Topology, err error) {
 	// Datacenter tier, one pair per shard: a store seeded with the rows
 	// the ring assigns it, its database server, a back-end server beside
 	// it under ES/RBES, and the delay proxy on the edge architectures.
-	// Disjoint transaction-ID bases let a conflict name the shard of
-	// its winning transaction.
 	targets := make([]string, opts.Shards)
 	for i := range targets {
-		storeOpts := []sqlstore.Option{
-			sqlstore.WithLockTimeout(lockTimeout),
-			sqlstore.WithTxIDBase(uint64(i) << 40),
-		}
+		storeOpts := []sqlstore.Option{sqlstore.WithLockTimeout(lockTimeout)}
 		if opts.DBCommitService > 0 {
 			storeOpts = append(storeOpts, sqlstore.WithCommitServiceTime(opts.DBCommitService))
 		}

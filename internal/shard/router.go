@@ -167,20 +167,16 @@ func (r *Router) validateScatter(ctx context.Context, split map[int]memento.Comm
 		p.res, p.err = r.conns[p.shard].ApplyCommitSet(pctx, split[p.shard])
 		psp.End()
 	})
-	var out sqlstore.ApplyResult
 	for i := range parts {
 		if parts[i].err != nil {
 			return sqlstore.ApplyResult{}, parts[i].err
-		}
-		if out.TxID == 0 {
-			out.TxID = parts[i].res.TxID
 		}
 	}
 	obsReadonlyCommits.Inc()
 	for i := range parts {
 		obsShardCommits.With(strconv.Itoa(parts[i].shard)).Inc()
 	}
-	return out, nil
+	return sqlstore.ApplyResult{}, nil
 }
 
 // twoPhase runs edge-coordinated 2PC: parallel prepares, then parallel
@@ -263,13 +259,12 @@ func (r *Router) twoPhase(ctx context.Context, split map[int]memento.CommitSet) 
 			})
 			return sqlstore.ApplyResult{}, fmt.Errorf("shard: heuristic 2PC outcome on shard %d: %w", parts[i].shard, parts[i].err)
 		}
-		if out.TxID == 0 {
-			out.TxID = parts[i].res.TxID
-		}
-		if parts[i].res.NewVersions != nil && out.NewVersions == nil {
-			out.NewVersions = make(map[memento.Key]uint64)
-		}
-		for k, v := range parts[i].res.NewVersions {
+		// Each shard numbers its own commits, so the merged result has
+		// no one Seq: every key carries its shard's.
+		for k, v := range sqlstore.Applied(split[parts[i].shard], parts[i].res.Seq).NewVersions {
+			if out.NewVersions == nil {
+				out.NewVersions = make(map[memento.Key]uint64)
+			}
 			out.NewVersions[k] = v
 		}
 	}

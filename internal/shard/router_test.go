@@ -20,8 +20,8 @@ func rmem(id string, version uint64, v int64) memento.Memento {
 	}
 }
 
-// rig is a router over n in-process stores, each with a disjoint
-// transaction-ID base exactly as the sharded harness wires it.
+// rig is a router over n in-process stores, each numbering its own
+// commits, exactly as the sharded harness wires it.
 type rig struct {
 	ring   *Ring
 	stores []*sqlstore.Store
@@ -34,8 +34,7 @@ func newRig(t *testing.T, n int, ringOpts []RingOption, routerOpts []RouterOptio
 	stores := make([]*sqlstore.Store, n)
 	conns := make([]storeapi.Conn, n)
 	for i := range stores {
-		opts := append([]sqlstore.Option{sqlstore.WithTxIDBase(uint64(i) << 40)}, storeOpts...)
-		stores[i] = sqlstore.New(opts...)
+		stores[i] = sqlstore.New(storeOpts...)
 		conns[i] = storeapi.Local(stores[i])
 	}
 	t.Cleanup(func() {
@@ -99,11 +98,12 @@ func TestRouterFastPathSingleShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.TxID == 0 {
-		t.Error("missing TxID")
+	// The owner's seed was its commit 1; the fast path is its 2.
+	if res.Seq != 2 {
+		t.Errorf("Seq = %d, want the owner's second commit", res.Seq)
 	}
-	if v, _ := r.stores[1].CurrentVersion(memento.Key{Table: "t", ID: id}); v != 2 {
-		t.Errorf("owner version = %d, want 2", v)
+	if v, _ := r.stores[1].CurrentVersion(memento.Key{Table: "t", ID: id}); v != res.Seq {
+		t.Errorf("owner version = %d, want %d", v, res.Seq)
 	}
 	// No prepared state anywhere: this was not 2PC.
 	for i, s := range r.stores {
@@ -132,16 +132,19 @@ func TestRouterTwoPhaseCommit(t *testing.T) {
 			t.Errorf("shard %d version = %d, want 2", i, v)
 		}
 	}
-	if res.NewVersions[memento.Key{Table: "t", ID: idA}] != 2 ||
+	// Each shard's seed was its commit 1 and the 2PC its 2; the merged
+	// result has no one Seq, and each key carries its shard's.
+	if res.Seq != 0 || res.NewVersions[memento.Key{Table: "t", ID: idA}] != 2 ||
 		res.NewVersions[memento.Key{Table: "t", ID: idB}] != 2 {
-		t.Errorf("merged NewVersions = %v", res.NewVersions)
+		t.Errorf("merged result = %+v", res)
 	}
 }
 
 // TestRouterTwoPhaseConflictAborts proves one participant's no vote
 // aborts the whole write set — the other shard's rows stay untouched —
 // and that the surfaced error carries the cross-shard winner's
-// attributed transaction ID.
+// attribution: its key, placed on shard 1, and its version, the commit
+// number shard 1 gave it.
 func TestRouterTwoPhaseConflictAborts(t *testing.T) {
 	r := newRig(t, 2, nil, nil)
 	ctx := context.Background()
@@ -150,15 +153,16 @@ func TestRouterTwoPhaseConflictAborts(t *testing.T) {
 	r.seed(rmem(idA, 0, 1))
 	r.seed(rmem(idB, 0, 1))
 
-	// A winner commits on shard 1 first, bumping idB to version 2.
-	if _, err := r.stores[1].ApplyCommitSet(ctx, memento.CommitSet{
+	// A winner commits on shard 1 first, moving idB to version 2.
+	win, err := r.stores[1].ApplyCommitSet(ctx, memento.CommitSet{
 		Writes: []memento.Memento{rmem(idB, 1, 99)},
-	}); err != nil {
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 
 	// The loser's cross-shard set still carries idB@1: shard 1 votes no.
-	_, err := r.router.ApplyCommitSet(ctx, memento.CommitSet{
+	_, err = r.router.ApplyCommitSet(ctx, memento.CommitSet{
 		Writes: []memento.Memento{rmem(idA, 1, 2), rmem(idB, 1, 2)},
 	})
 	if !errors.Is(err, sqlstore.ErrConflict) {
@@ -168,8 +172,8 @@ func TestRouterTwoPhaseConflictAborts(t *testing.T) {
 	if !errors.As(err, &ce) {
 		t.Fatalf("conflict lost its attribution crossing the router: %v", err)
 	}
-	if ce.WinnerTx>>40 != 1 {
-		t.Errorf("winner tx %d not attributed to shard 1", ce.WinnerTx)
+	if r.ring.Of(ce.Key) != 1 || ce.Actual != win.Seq {
+		t.Errorf("conflict on %s (shard %d) at v%d, want shard 1's winner at v%d", ce.Key, r.ring.Of(ce.Key), ce.Actual, win.Seq)
 	}
 	// Shard 0 prepared yes but must have aborted: idA unchanged, no
 	// prepared residue, and a retry at the current versions succeeds.
@@ -284,7 +288,9 @@ func TestRouterSubscribeMergesAllShards(t *testing.T) {
 			if !ok {
 				t.Fatal("merged stream closed early")
 			}
-			delete(want, n.TxID>>40)
+			for _, w := range n.Writes {
+				delete(want, uint64(r.ring.Of(w.Key)))
+			}
 		case <-deadline:
 			t.Fatalf("missing notices from shards %v", want)
 		}

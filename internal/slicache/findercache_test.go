@@ -147,7 +147,7 @@ func TestFinderCacheInvalidatedByOverlappingNotice(t *testing.T) {
 	// A non-overlapping commit (other predicate value, key outside the
 	// result set) leaves the entry alone.
 	e.mgr.noteNotice(sqlstore.Notice{
-		TxID: 991,
+		Seq: 991,
 		Writes: []memento.WriteDesc{{
 			Key:    memento.Key{Table: "t", ID: "zz"},
 			Before: memento.Fields{"acct": memento.String("u9")},
@@ -161,7 +161,7 @@ func TestFinderCacheInvalidatedByOverlappingNotice(t *testing.T) {
 	// A create whose after-image matches the predicate moves into the
 	// result set: the entry must go.
 	e.mgr.noteNotice(sqlstore.Notice{
-		TxID: 992,
+		Seq: 992,
 		Writes: []memento.WriteDesc{{
 			Key:   memento.Key{Table: "t", ID: "hNew"},
 			After: memento.Fields{"acct": memento.String("u1")},
@@ -201,7 +201,7 @@ func TestFinderCacheKeyOnlyNoticeIsConservative(t *testing.T) {
 	_ = dt.Abort(ctx)
 
 	e.mgr.noteNotice(sqlstore.Notice{
-		TxID:   993,
+		Seq:    993,
 		Writes: []memento.WriteDesc{{Key: memento.Key{Table: "t", ID: "unrelated"}}},
 	})
 	if e.mgr.FinderCache().Len() != 0 {

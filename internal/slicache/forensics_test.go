@@ -143,12 +143,12 @@ func TestNoteNoticeClampsAndSkips(t *testing.T) {
 	// Committed "in the future" relative to this edge's clock: skew, not
 	// time travel — the latency must clamp to zero, not go negative.
 	mgr.noteNotice(sqlstore.Notice{
-		TxID: 7, Writes: []memento.WriteDesc{{Key: key("1")}},
+		Seq: 7, Writes: []memento.WriteDesc{{Key: key("1")}},
 		CommittedAt: now.Add(3 * time.Second), OriginTrace: 42,
 	})
 	// Unstamped notice (no CommittedAt): applied, but no timing recorded.
 	mgr.CommonStore().Put(row("1", 2))
-	mgr.noteNotice(sqlstore.Notice{TxID: 8, Writes: []memento.WriteDesc{{Key: key("1")}}})
+	mgr.noteNotice(sqlstore.Notice{Seq: 8, Writes: []memento.WriteDesc{{Key: key("1")}}})
 
 	events := obs.DefaultEvents.Since(seqBefore)
 	if len(events) != 2 {

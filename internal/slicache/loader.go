@@ -54,12 +54,6 @@ func (s CommitShipping) String() string {
 	}
 }
 
-// CommitOutcome reports a successful optimistic commit.
-type CommitOutcome struct {
-	// NewVersions maps every mutated key to its new row version.
-	NewVersions map[memento.Key]uint64
-}
-
 // Loader is how the cache runtime reaches persistent state: cache-miss
 // fetches, custom-finder queries, and commit-set validation. Every
 // method is a short, independent datastore interaction, decoupled from
@@ -93,7 +87,7 @@ func (l *Loader) RunQuery(ctx context.Context, q memento.Query) (storeapi.QueryR
 
 // Commit validates and applies a commit set according to the shipping
 // mode. On conflict it returns an error matching sqlstore.ErrConflict.
-func (l *Loader) Commit(ctx context.Context, cs memento.CommitSet) (CommitOutcome, error) {
+func (l *Loader) Commit(ctx context.Context, cs memento.CommitSet) (sqlstore.ApplyResult, error) {
 	switch l.shipping {
 	case WholeSet:
 		return l.applyWhole(ctx, cs)
@@ -108,31 +102,22 @@ func (l *Loader) Commit(ctx context.Context, cs memento.CommitSet) (CommitOutcom
 	case PerStatement:
 		return l.commitPerImage(ctx, cs, storeapi.ExecSerial)
 	default:
-		return CommitOutcome{}, fmt.Errorf("slicache: invalid shipping mode %d", l.shipping)
+		return sqlstore.ApplyResult{}, fmt.Errorf("slicache: invalid shipping mode %d", l.shipping)
 	}
 }
 
 // applyWhole ships the whole set in one round trip to the store's own
 // validator (sqlstore.ApplyCommitSet), which checks and applies it in
 // one transaction.
-func (l *Loader) applyWhole(ctx context.Context, cs memento.CommitSet) (CommitOutcome, error) {
-	res, err := l.conn.ApplyCommitSet(ctx, cs)
-	if err != nil {
-		return CommitOutcome{}, err
-	}
-	return CommitOutcome{NewVersions: res.NewVersions}, nil
+func (l *Loader) applyWhole(ctx context.Context, cs memento.CommitSet) (sqlstore.ApplyResult, error) {
+	return l.conn.ApplyCommitSet(ctx, cs)
 }
 
 // commitStmts flattens a commit set into the statements that validate
 // and apply it: a version check per read, a checked put per write and
-// create, a checked delete per remove, then the commit. newVersions maps
-// every put key to the row version it will carry once the list has run;
-// it is nil for a set that puts nothing, as over the wire.
-func commitStmts(cs memento.CommitSet) (stmts []storeapi.Stmt, newVersions map[memento.Key]uint64) {
-	stmts = make([]storeapi.Stmt, 0, cs.Size()+1)
-	if puts := len(cs.Writes) + len(cs.Creates); puts > 0 {
-		newVersions = make(map[memento.Key]uint64, puts)
-	}
+// create, a checked delete per remove, then the commit.
+func commitStmts(cs memento.CommitSet) []storeapi.Stmt {
+	stmts := make([]storeapi.Stmt, 0, cs.Size()+1)
 	for _, r := range cs.Reads {
 		want := r.Version
 		if r.Absent {
@@ -142,17 +127,15 @@ func commitStmts(cs memento.CommitSet) (stmts []storeapi.Stmt, newVersions map[m
 	}
 	for _, w := range cs.Writes {
 		stmts = append(stmts, storeapi.Stmt{Kind: storeapi.StmtCheckedPut, Mem: w})
-		newVersions[w.Key] = w.Version + 1
 	}
 	for _, c := range cs.Creates {
 		c.Version = 0
 		stmts = append(stmts, storeapi.Stmt{Kind: storeapi.StmtCheckedPut, Mem: c})
-		newVersions[c.Key] = 1
 	}
 	for _, r := range cs.Removes {
 		stmts = append(stmts, storeapi.Stmt{Kind: storeapi.StmtCheckedDelete, Key: r.Key, Version: r.Version})
 	}
-	return append(stmts, storeapi.Stmt{Kind: storeapi.StmtCommit}), newVersions
+	return append(stmts, storeapi.Stmt{Kind: storeapi.StmtCommit})
 }
 
 // commitPerImage is the combined-servers commit inside a database
@@ -164,15 +147,16 @@ func commitStmts(cs memento.CommitSet) (stmts []storeapi.Stmt, newVersions map[m
 // (storeapi.ExecBatch) or pay one each (storeapi.ExecSerial). The first
 // failing statement's error is returned as-is, and the transaction is
 // aborted whenever the trailing commit did not run. The transaction
-// begins under the set's origin.
-func (l *Loader) commitPerImage(ctx context.Context, cs memento.CommitSet, exec storeapi.Executor) (CommitOutcome, error) {
+// begins under the set's origin; the commit's result is rebuilt from
+// the number its reply carries.
+func (l *Loader) commitPerImage(ctx context.Context, cs memento.CommitSet, exec storeapi.Executor) (sqlstore.ApplyResult, error) {
 	txn, err := l.conn.Begin(sqlstore.OriginContext(ctx, cs.Origin))
 	if err != nil {
-		return CommitOutcome{}, err
+		return sqlstore.ApplyResult{}, err
 	}
-	stmts, newVersions := commitStmts(cs)
-	if _, err := exec.Commit(ctx, txn, stmts); err != nil {
-		return CommitOutcome{}, err
+	seq, _, err := exec.Commit(ctx, txn, commitStmts(cs))
+	if err != nil {
+		return sqlstore.ApplyResult{}, err
 	}
-	return CommitOutcome{NewVersions: newVersions}, nil
+	return sqlstore.Applied(cs, seq), nil
 }

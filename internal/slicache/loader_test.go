@@ -292,9 +292,9 @@ func TestReadOnlyPerImageCommitConflict(t *testing.T) {
 	if !errors.As(err, &ce) {
 		t.Fatalf("got %v (%T), want *sqlstore.ConflictError", err, err)
 	}
-	if ce.Key != key("b") || ce.Expected != 1 || ce.Actual != 2 || ce.WinnerTx != win.TxID {
-		t.Errorf("conflict on %s want v%d have v%d winner tx %d; expected b, 1, 2, tx %d",
-			ce.Key, ce.Expected, ce.Actual, ce.WinnerTx, win.TxID)
+	if ce.Key != key("b") || ce.Expected != 1 || ce.Actual != win.Seq {
+		t.Errorf("conflict on %s want v%d have v%d; expected b, 1, the winner's Seq %d",
+			ce.Key, ce.Expected, ce.Actual, win.Seq)
 	}
 	if got := w.client.RoundTrips() - before; got != 1 {
 		t.Errorf("read-only conflicting commit cost %d round trips, want 1", got)
@@ -357,4 +357,39 @@ func BenchmarkPerImageReadOnlyCommit(b *testing.B) {
 	benchmarkPerImageCommit(b, memento.CommitSet{
 		Reads: []memento.ReadProof{{Key: key("r"), Version: 1}, {Key: key("w"), Version: 1}},
 	}, nil)
+}
+
+// TestRecreatedRowRejectsStaleProofOverTheWire: over dbwire, under
+// WholeSet and PerImage, a row removed and created again comes back at a
+// version above its first incarnation's, so a read proof of the removed
+// incarnation is rejected rather than validated against the new one.
+func TestRecreatedRowRejectsStaleProofOverTheWire(t *testing.T) {
+	for _, shipping := range []CommitShipping{WholeSet, PerImage} {
+		t.Run(shipping.String(), func(t *testing.T) {
+			w := newWireStore(t)
+			l := NewLoader(w.client, shipping)
+			ctx := context.Background()
+			k := key("h-u-1")
+			create := memento.CommitSet{Creates: []memento.Memento{{Key: k, Fields: memento.Fields{"n": memento.Int(1)}}}}
+			first, err := l.Commit(ctx, create)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stale := first.NewVersions[k]
+			if _, err := l.Commit(ctx, memento.CommitSet{Removes: []memento.ReadProof{{Key: k, Version: stale}}}); err != nil {
+				t.Fatal(err)
+			}
+			again, err := l.Commit(ctx, create)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v, _ := w.store.CurrentVersion(k); again.NewVersions[k] != v || v <= stale {
+				t.Errorf("re-created row at v%d (reported v%d), want above its first incarnation's v%d", v, again.NewVersions[k], stale)
+			}
+			_, err = l.Commit(ctx, memento.CommitSet{Reads: []memento.ReadProof{{Key: k, Version: stale}}})
+			if !errors.Is(err, sqlstore.ErrConflict) {
+				t.Fatalf("stale proof of the removed incarnation: err = %v, want ErrConflict", err)
+			}
+		})
+	}
 }

@@ -368,7 +368,11 @@ func TestOwnCommitHearsNoNotice(t *testing.T) {
 				case <-time.After(5 * time.Second):
 					t.Fatalf("round %d: another subscriber never heard the commit", round)
 				}
-				foreign := memento.CommitSet{Writes: []memento.Memento{{Key: key("2"), Version: round, Fields: memento.Fields{"n": memento.Int(0)}}}}
+				v2, err := store.CurrentVersion(key("2"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				foreign := memento.CommitSet{Writes: []memento.Memento{{Key: key("2"), Version: v2, Fields: memento.Fields{"n": memento.Int(0)}}}}
 				if _, err := store.ApplyCommitSet(ctx, foreign); err != nil {
 					t.Fatal(err)
 				}
@@ -380,8 +384,10 @@ func TestOwnCommitHearsNoNotice(t *testing.T) {
 				if n := mgr.Stats().NoticesApplied; n != round {
 					t.Fatalf("round %d: %d notices applied, want only the %d foreign", round, n, round)
 				}
-				if got, ok := mgr.CommonStore().Get(key("1")); !ok || got.Version != round+1 {
-					t.Fatalf("round %d: after-image = %v (cached %v), want version %d cached", round, got, ok, round+1)
+				// Each round is two commits after the seed's one: the
+				// committer's write to key 1, then the foreign one.
+				if got, ok := mgr.CommonStore().Get(key("1")); !ok || got.Version != 2*round {
+					t.Fatalf("round %d: after-image = %v (cached %v), want version %d cached", round, got, ok, 2*round)
 				}
 				if p := db.WireStats().Pushes; p != round {
 					t.Fatalf("round %d: %d notices pushed to the committer, want only the %d foreign", round, p, round)
@@ -399,6 +405,85 @@ func TestOwnCommitHearsNoNotice(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// plainConn decorates a Conn the way a tracing wrapper does: its
+// transactions are plain storeapi.Txn values, neither Execer nor
+// BatchTxn, so every statement goes through the Txn methods and a
+// commit through Txn.Commit, which returns only an error. With
+// dropCtx, Commit does not pass its context on either.
+type plainConn struct {
+	storeapi.Conn
+	dropCtx bool
+}
+
+type plainTxn struct {
+	storeapi.Txn
+	dropCtx bool
+}
+
+func (c plainConn) Begin(ctx context.Context) (storeapi.Txn, error) {
+	txn, err := c.Conn.Begin(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return plainTxn{txn, c.dropCtx}, nil
+}
+
+func (t plainTxn) Commit(ctx context.Context) error {
+	if t.dropCtx {
+		ctx = context.Background()
+	}
+	return t.Txn.Commit(ctx)
+}
+
+// TestStatementCommitThroughPlainTxnKeepsCacheFresh: under PerImage
+// and PerStatement, with plain transactions on both sides of the wire,
+// the store's reply still carries the commit's number and the edge
+// caches the after-image at it. When a decorator loses the number, the
+// edge evicts the row instead: it hears no notice for its own commit,
+// so a pre-commit image left cached would serve stale fields to the
+// next transaction on the row and fail its validation.
+func TestStatementCommitThroughPlainTxnKeepsCacheFresh(t *testing.T) {
+	for _, shipping := range []CommitShipping{PerImage, PerStatement} {
+		for _, dropCtx := range []bool{false, true} {
+			name := shipping.String()
+			if dropCtx {
+				name += "/number-lost"
+			}
+			t.Run(name, func(t *testing.T) {
+				store := sqlstore.New()
+				defer store.Close()
+				store.Seed(row("1", 1))
+				ctx := context.Background()
+				srv := dbwire.NewServer(plainConn{storeapi.Local(store), dropCtx})
+				if err := srv.Start("127.0.0.1:0"); err != nil {
+					t.Fatal(err)
+				}
+				defer srv.Close()
+				db := dbwire.Dial(srv.Addr())
+				defer db.Close()
+				mgr := NewManager(plainConn{db, dropCtx}, WithShipping(shipping))
+				if err := mgr.Start(ctx); err != nil {
+					t.Fatal(err)
+				}
+				defer mgr.Close()
+
+				for n := int64(2); n <= 3; n++ {
+					commitOneWrite(t, mgr) // fails on a stale cached read
+					v, err := store.CurrentVersion(key("1"))
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, ok := mgr.CommonStore().Get(key("1"))
+					fresh := ok && got.Version == v && got.Fields["n"].Int == n
+					if dropCtx && ok || !dropCtx && !fresh {
+						t.Fatalf("after commit %d: cached %v (cached %v), want n=%d at the store's v%d, or evicted once the number is lost", n-1, got, ok, n, v)
+					}
+				}
+			})
+		}
 	}
 }
 

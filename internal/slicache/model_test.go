@@ -27,12 +27,14 @@ type modelRow struct {
 	version uint64
 }
 
-// model is the authoritative reference: committed rows by ID, and the
-// IDs the manager's common store holds, which decide whether a read is
-// a store access or a cache serve.
+// model is the authoritative reference: committed rows by ID, the IDs
+// the manager's common store holds, which decide whether a read is a
+// store access or a cache serve, and the store's commit counter, whose
+// number every row a commit writes takes as its version.
 type model struct {
 	rows   map[string]modelRow
 	cached map[string]bool
+	seq    uint64
 }
 
 func newModel() *model {
@@ -206,14 +208,16 @@ func (t *modelTx) commit(m *model) bool {
 	}
 	// Apply: only mutations reach the store — clean reads were proofs.
 	// Committed after-images stay cached; removed rows leave the cache.
+	if t.writes() {
+		m.seq++
+	}
 	for id, v := range t.view {
 		switch {
 		case t.removed[id] && v == nil:
 			delete(m.rows, id)
 			delete(m.cached, id)
 		case v != nil && (t.created[id] || t.dirty[id]):
-			row := m.rows[id]
-			m.rows[id] = modelRow{value: *v, version: row.version + 1}
+			m.rows[id] = modelRow{value: *v, version: m.seq}
 			m.cached[id] = true
 		}
 	}
@@ -293,7 +297,8 @@ func runModelTrial(t *testing.T, seed int64) bool {
 			Key:    memento.Key{Table: "t", ID: id},
 			Fields: memento.Fields{"v": memento.Int(val)},
 		})
-		m.rows[id] = modelRow{value: val, version: 1}
+		m.seq++ // each Seed is a commit
+		m.rows[id] = modelRow{value: val, version: m.seq}
 	}
 
 	// One manager, two interleaved transactions. A single manager's

@@ -406,14 +406,18 @@ func (t *sliTx) Commit(ctx context.Context) error {
 	// removed beans. Cached finder results are invalidated synchronously
 	// with exact before/after images — the store sends this edge no
 	// notice for its own commit, so this is the only place it is applied.
+	// A written bean whose new version the reply did not carry is
+	// evicted: its cached image is the pre-commit one.
 	var ownWrites []memento.WriteDesc
 	for _, e := range t.entries {
 		switch e.state {
 		case stateDirty, stateCreated:
-			m := e.current.Clone()
-			if v, ok := outcome.NewVersions[m.Key]; ok {
+			if v := outcome.NewVersions[e.current.Key]; v != 0 {
+				m := e.current.Clone()
 				m.Version = v
 				t.mgr.common.Refresh(m)
+			} else {
+				t.mgr.common.Invalidate(e.current.Key)
 			}
 			w := memento.WriteDesc{Key: e.current.Key, After: e.current.Fields}
 			if e.state == stateDirty {

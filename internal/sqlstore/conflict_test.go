@@ -14,6 +14,7 @@ import (
 // TestConflictAttribution drives the classic first-committer-wins race
 // and asserts the loser's error names the conflicting key, the winner's
 // trace, and both versions — the raw material of the conflict forensics.
+// The actual version is the winning commit's number.
 func TestConflictAttribution(t *testing.T) {
 	s := New()
 	defer s.Close()
@@ -44,14 +45,11 @@ func TestConflictAttribution(t *testing.T) {
 	if ce.Key != key {
 		t.Errorf("conflict key = %v, want %v", ce.Key, key)
 	}
-	if ce.Expected != 1 || ce.Actual != 2 {
-		t.Errorf("versions = (expected %d, actual %d), want (1, 2)", ce.Expected, ce.Actual)
+	if ce.Expected != 1 || ce.Actual != winRes.Seq || winRes.Seq != 2 {
+		t.Errorf("versions = (expected %d, actual %d), want (1, the winner's seq %d = 2)", ce.Expected, ce.Actual, winRes.Seq)
 	}
 	if ce.WinnerTrace != winnerTrace {
 		t.Errorf("winner trace = %d, want %d", ce.WinnerTrace, winnerTrace)
-	}
-	if ce.WinnerTx != winRes.TxID {
-		t.Errorf("winner tx = %d, want %d", ce.WinnerTx, winRes.TxID)
 	}
 	if ce.CommittedAt.Before(before) || ce.CommittedAt.After(time.Now()) {
 		t.Errorf("winner commit time %v outside test window", ce.CommittedAt)
@@ -102,7 +100,7 @@ func TestConflictWithoutKnownWinner(t *testing.T) {
 	if !errors.As(err, &ce) {
 		t.Fatalf("got %v, want *ConflictError", err)
 	}
-	if ce.WinnerTrace != 0 || ce.WinnerTx != 0 || !ce.CommittedAt.IsZero() {
+	if ce.WinnerTrace != 0 || !ce.CommittedAt.IsZero() {
 		t.Errorf("seeded-row conflict carries attribution: %+v", ce)
 	}
 }

@@ -2,7 +2,8 @@
 // role of the paper's DB2 database server: a multi-table, in-memory
 // relational store with ACID transactions, multi-granularity pessimistic
 // locking (row S/X locks under table intention locks), predicate
-// queries, and per-row versions.
+// queries, and row versions. A row's version is the number of the
+// commit that last wrote it, from one store-wide commit counter.
 //
 // Two access paths exist, mirroring the paper:
 //

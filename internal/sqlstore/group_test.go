@@ -46,31 +46,27 @@ func TestApplyCommitSetsIntraBatchAttribution(t *testing.T) {
 	if !errors.As(out[1].Err, &ce) {
 		t.Fatalf("loser error = %v, want *ConflictError", out[1].Err)
 	}
-	if ce.WinnerTx != out[0].Res.TxID {
-		t.Errorf("loser names winner tx %d, want %d", ce.WinnerTx, out[0].Res.TxID)
-	}
-	if ce.Expected != 1 || ce.Actual != 2 {
-		t.Errorf("conflict versions = %d -> %d, want 1 -> 2", ce.Expected, ce.Actual)
+	if ce.Expected != 1 || ce.Actual != out[0].Res.Seq {
+		t.Errorf("conflict versions = %d -> %d, want 1 -> the winner's seq %d", ce.Expected, ce.Actual, out[0].Res.Seq)
 	}
 
-	// Fan-out: exactly the two applied sets notify, the loser never
-	// does, and both notices arrive from the single post-batch pass.
-	got := map[uint64]bool{}
+	// Fan-out: exactly the two applied sets notify, in commit order, and
+	// the loser never does.
+	var got []uint64
 	for i := 0; i < 2; i++ {
 		select {
 		case n := <-notices:
-			got[n.TxID] = true
+			got = append(got, n.Seq)
 		case <-time.After(2 * time.Second):
 			t.Fatalf("notice %d never arrived", i+1)
 		}
 	}
-	if !got[out[0].Res.TxID] || !got[out[2].Res.TxID] {
-		t.Errorf("notices from txs %v, want winner %d and create %d",
-			got, out[0].Res.TxID, out[2].Res.TxID)
+	if want := []uint64{out[0].Res.Seq, out[2].Res.Seq}; got[0] != want[0] || got[1] != want[1] || want[0] >= want[1] {
+		t.Errorf("notices carry seqs %v, want winner then create %v", got, want)
 	}
 	select {
 	case n := <-notices:
-		t.Errorf("unexpected extra notice from tx %d", n.TxID)
+		t.Errorf("unexpected extra notice of commit %d", n.Seq)
 	default:
 	}
 }

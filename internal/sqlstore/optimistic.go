@@ -10,12 +10,33 @@ import (
 
 // ApplyResult reports the outcome of an optimistic commit.
 type ApplyResult struct {
-	// TxID is the internal datastore transaction that applied the set.
-	TxID uint64
+	// Seq is the number the commit took from its store's commit counter:
+	// the version of every row it wrote. It is zero for a set that wrote
+	// nothing, and for one committed on several shards, each of which
+	// numbers its own commits (NewVersions holds each key's).
+	Seq uint64
 	// NewVersions maps every written or created key to its new row
 	// version, so callers (edge caches) can refresh their copies instead
-	// of invalidating them.
+	// of invalidating them. Nil when the set put nothing.
 	NewVersions map[memento.Key]uint64
+}
+
+// Applied is the result of cs committed as number seq: every key it
+// wrote or created now carries version seq. Whoever holds a committed
+// set rebuilds its result this way, so a commit reply carries one
+// number, not a version per key.
+func Applied(cs memento.CommitSet, seq uint64) ApplyResult {
+	res := ApplyResult{Seq: seq}
+	if n := len(cs.Writes) + len(cs.Creates); n > 0 {
+		res.NewVersions = make(map[memento.Key]uint64, n)
+		for _, w := range cs.Writes {
+			res.NewVersions[w.Key] = seq
+		}
+		for _, c := range cs.Creates {
+			res.NewVersions[c.Key] = seq
+		}
+	}
+	return res
 }
 
 // ApplyCommitSet validates and applies an optimistic transaction's
@@ -34,12 +55,7 @@ type ApplyResult struct {
 func (s *Store) ApplyCommitSet(ctx context.Context, cs memento.CommitSet) (ApplyResult, error) {
 	ctx, sp := obs.StartSpan(ctx, "sqlstore.apply")
 	defer sp.End()
-	res, notice, err := s.applyDeferred(ctx, cs)
-	if err != nil {
-		return ApplyResult{}, err
-	}
-	s.broadcast(notice)
-	return res, nil
+	return s.apply(ctx, cs)
 }
 
 // ApplySetResult is one commit set's outcome within a grouped apply.
@@ -52,53 +68,43 @@ type ApplySetResult struct {
 // in one pass — the backend's group commit. Sets apply in slice order,
 // each as its own atomic transaction validating against the state the
 // earlier sets left behind, so an intra-batch conflict is attributed to
-// the earlier set's transaction exactly as if the sets had arrived
-// serially: the loser's ConflictError names the winner's tx and trace.
-// One set's rejection never poisons the others (per-set Err), and all
-// invalidation notices fan out in a single subscriber pass after the
-// last set applies.
+// the earlier set exactly as if the sets had arrived serially: the
+// loser's ConflictError names the winner's version and trace. One set's
+// rejection never poisons the others (per-set Err).
 func (s *Store) ApplyCommitSets(ctx context.Context, sets []memento.CommitSet) []ApplySetResult {
 	ctx, sp := obs.StartSpan(ctx, "sqlstore.apply_group")
 	defer sp.End()
 	out := make([]ApplySetResult, len(sets))
-	notices := make([]outgoing, 0, len(sets))
 	for i := range sets {
-		res, notice, err := s.applyDeferred(ctx, sets[i])
-		out[i] = ApplySetResult{Res: res, Err: err}
-		if err == nil {
-			notices = append(notices, notice)
-		}
+		out[i].Res, out[i].Err = s.apply(ctx, sets[i])
 	}
-	s.broadcast(notices...)
 	return out
 }
 
-// applyDeferred runs one commit set's validate-and-apply under the
-// set's origin, returning the invalidation notice instead of
-// broadcasting it — the caller decides whether to fan out immediately
-// (single apply) or batch the fan-out (group commit).
-func (s *Store) applyDeferred(ctx context.Context, cs memento.CommitSet) (ApplyResult, outgoing, error) {
+// apply runs one commit set's validate-and-apply under the set's
+// origin.
+func (s *Store) apply(ctx context.Context, cs memento.CommitSet) (ApplyResult, error) {
 	tx, err := s.begin(ctx, cs.Origin)
 	if err != nil {
-		return ApplyResult{}, outgoing{}, err
+		return ApplyResult{}, err
 	}
-	res, err := s.applyCommitSetTx(ctx, tx, cs)
-	if err != nil {
+	if err := s.stage(ctx, tx, cs); err != nil {
 		tx.Abort()
 		s.stats.optFail.Add(1)
-		return ApplyResult{}, outgoing{}, err
+		return ApplyResult{}, err
 	}
 	s.serveCommit(1)
-	notice, err := tx.commit()
-	if err != nil {
-		return ApplyResult{}, outgoing{}, err
+	if err := tx.Commit(); err != nil {
+		return ApplyResult{}, err
 	}
 	s.stats.optOK.Add(1)
-	res.TxID = tx.ID()
-	return res, notice, nil
+	return Applied(cs, tx.Seq()), nil
 }
 
-func (s *Store) applyCommitSetTx(ctx context.Context, tx *Tx, cs memento.CommitSet) (ApplyResult, error) {
+// stage validates cs inside tx and buffers its writes there: a version
+// check per read, a checked put per write and create, a checked delete
+// per remove.
+func (s *Store) stage(ctx context.Context, tx *Tx, cs memento.CommitSet) error {
 	// Validate reads first: cheapest failures first, and reads take only
 	// shared locks.
 	for _, r := range cs.Reads {
@@ -107,31 +113,28 @@ func (s *Store) applyCommitSetTx(ctx context.Context, tx *Tx, cs memento.CommitS
 			want = 0
 		}
 		if err := tx.CheckVersion(ctx, r.Key, want); err != nil {
-			return ApplyResult{}, err
+			return err
 		}
 	}
-	newVersions := make(map[memento.Key]uint64, len(cs.Writes)+len(cs.Creates))
 	for _, w := range cs.Writes {
 		if err := tx.CheckedPut(ctx, w); err != nil {
-			return ApplyResult{}, err
+			return err
 		}
-		newVersions[w.Key] = w.Version + 1
 	}
 	for _, c := range cs.Creates {
 		create := c
 		create.Version = 0 // creates must observe key absence
 		if err := tx.CheckedPut(ctx, create); err != nil {
-			return ApplyResult{}, err
+			return err
 		}
-		newVersions[c.Key] = 1
 	}
 	for _, r := range cs.Removes {
 		if r.Version == 0 {
-			return ApplyResult{}, fmt.Errorf("%w: remove of never-persisted %s", ErrConflict, r.Key)
+			return fmt.Errorf("%w: remove of never-persisted %s", ErrConflict, r.Key)
 		}
 		if err := tx.CheckedDelete(ctx, r.Key, r.Version); err != nil {
-			return ApplyResult{}, err
+			return err
 		}
 	}
-	return ApplyResult{NewVersions: newVersions}, nil
+	return nil
 }

@@ -34,20 +34,22 @@ func TestApplyCommitSetHappyPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.TxID == 0 {
-		t.Error("missing TxID")
+	// The seed was commit 1, so this set is commit 2: every row it puts,
+	// written or created, carries that number.
+	if res.Seq != 2 {
+		t.Errorf("Seq = %d, want 2", res.Seq)
 	}
-	if got := res.NewVersions[memento.Key{Table: "t", ID: "w"}]; got != 2 {
-		t.Errorf("write new version = %d, want 2", got)
+	if got := res.NewVersions[memento.Key{Table: "t", ID: "w"}]; got != res.Seq {
+		t.Errorf("write new version = %d, want %d", got, res.Seq)
 	}
-	if got := res.NewVersions[memento.Key{Table: "t", ID: "c"}]; got != 1 {
-		t.Errorf("create new version = %d, want 1", got)
+	if got := res.NewVersions[memento.Key{Table: "t", ID: "c"}]; got != res.Seq {
+		t.Errorf("create new version = %d, want %d", got, res.Seq)
 	}
-	if v, _ := s.CurrentVersion(memento.Key{Table: "t", ID: "w"}); v != 2 {
-		t.Errorf("committed write version = %d, want 2", v)
+	if v, _ := s.CurrentVersion(memento.Key{Table: "t", ID: "w"}); v != res.Seq {
+		t.Errorf("committed write version = %d, want %d", v, res.Seq)
 	}
-	if v, _ := s.CurrentVersion(memento.Key{Table: "t", ID: "c"}); v != 1 {
-		t.Errorf("created row version = %d, want 1", v)
+	if v, _ := s.CurrentVersion(memento.Key{Table: "t", ID: "c"}); v != res.Seq {
+		t.Errorf("created row version = %d, want %d", v, res.Seq)
 	}
 	if _, err := s.CurrentVersion(memento.Key{Table: "t", ID: "d"}); !errors.Is(err, ErrNotFound) {
 		t.Error("removed row still present")
@@ -160,7 +162,7 @@ func TestCommitNotices(t *testing.T) {
 	}
 	paths := []struct {
 		name   string
-		commit func(t *testing.T) []uint64 // one TxID per origin, in order
+		commit func(t *testing.T) []uint64 // one Seq per origin, in order
 	}{
 		{"ApplyCommitSet", func(t *testing.T) (ids []uint64) {
 			for i := range origins {
@@ -168,7 +170,7 @@ func TestCommitNotices(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				ids = append(ids, res.TxID)
+				ids = append(ids, res.Seq)
 			}
 			return ids
 		}},
@@ -181,7 +183,7 @@ func TestCommitNotices(t *testing.T) {
 				if r.Err != nil {
 					t.Fatal(r.Err)
 				}
-				ids = append(ids, r.Res.TxID)
+				ids = append(ids, r.Res.Seq)
 			}
 			return ids
 		}},
@@ -197,7 +199,7 @@ func TestCommitNotices(t *testing.T) {
 				if err := tx.Commit(); err != nil {
 					t.Fatal(err)
 				}
-				ids = append(ids, tx.ID())
+				ids = append(ids, tx.Seq())
 			}
 			return ids
 		}},
@@ -211,7 +213,7 @@ func TestCommitNotices(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				ids = append(ids, res.TxID)
+				ids = append(ids, res.Seq)
 			}
 			return ids
 		}},
@@ -224,7 +226,7 @@ func TestCommitNotices(t *testing.T) {
 	// Notices are in the channels when the commit returns.
 	heard := func(ch <-chan Notice) (ids []uint64) {
 		for len(ch) > 0 {
-			ids = append(ids, (<-ch).TxID)
+			ids = append(ids, (<-ch).Seq)
 		}
 		return ids
 	}
@@ -402,7 +404,8 @@ func TestConcurrentTransfersConserveBalance(t *testing.T) {
 }
 
 // Property: applying a commit set built from a read of the current state
-// always succeeds, and bumps exactly the written versions.
+// always succeeds, and stamps the written row with the commit's number,
+// the next after the seeds'.
 func TestApplyCurrentStateProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -426,7 +429,8 @@ func TestApplyCurrentStateProperty(t *testing.T) {
 			return false
 		}
 		nv, err := s.CurrentVersion(key)
-		return err == nil && nv == v+1 && res.NewVersions[key] == v+1
+		return err == nil && v <= uint64(n) && nv == res.Seq && res.Seq == uint64(n)+1 &&
+			res.NewVersions[key] == res.Seq
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)

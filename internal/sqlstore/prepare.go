@@ -27,9 +27,8 @@ import (
 
 // preparedTx is one in-doubt transaction held between the phases.
 type preparedTx struct {
-	tx          *Tx
-	newVersions map[memento.Key]uint64
-	timer       *time.Timer
+	tx    *Tx
+	timer *time.Timer
 }
 
 // WithPrepareTTL sets how long a prepared transaction may stay in doubt
@@ -68,8 +67,7 @@ func (s *Store) Prepare(ctx context.Context, gid string, cs memento.CommitSet) e
 	if err != nil {
 		return err
 	}
-	res, err := s.applyCommitSetTx(ctx, tx, cs)
-	if err != nil {
+	if err := s.stage(ctx, tx, cs); err != nil {
 		tx.Abort()
 		s.stats.optFail.Add(1)
 		return err
@@ -85,7 +83,7 @@ func (s *Store) Prepare(ctx context.Context, gid string, cs memento.CommitSet) e
 		tx.Abort()
 		return fmt.Errorf("%w: gid %q already prepared", ErrConflict, gid)
 	}
-	entry := &preparedTx{tx: tx, newVersions: res.NewVersions}
+	entry := &preparedTx{tx: tx}
 	entry.timer = time.AfterFunc(s.prepareTTL, func() { s.presumeAbort(gid) })
 	s.prepared[gid] = entry
 	s.prepMu.Unlock()
@@ -94,10 +92,12 @@ func (s *Store) Prepare(ctx context.Context, gid string, cs memento.CommitSet) e
 }
 
 // CommitPrepared applies a prepared transaction: the parked writes are
-// installed, locks released, and the invalidation notice broadcast. If
-// the gid is unknown — never prepared here, already decided, or expired
-// by presumed abort — the error matches ErrConflict so the coordinator
-// can tell the participant did not (and now never will) commit.
+// installed as one commit, the invalidation notice broadcast, and locks
+// released. The result carries the commit's Seq only: the coordinator
+// holds the sub-set and rebuilds NewVersions with Applied. If the gid
+// is unknown — never prepared here, already decided, or expired by
+// presumed abort — the error matches ErrConflict so the coordinator can
+// tell the participant did not (and now never will) commit.
 func (s *Store) CommitPrepared(ctx context.Context, gid string) (ApplyResult, error) {
 	_, sp := obs.StartSpan(ctx, "sqlstore.commit_prepared")
 	defer sp.End()
@@ -105,14 +105,12 @@ func (s *Store) CommitPrepared(ctx context.Context, gid string) (ApplyResult, er
 	if err != nil {
 		return ApplyResult{}, err
 	}
-	notice, err := entry.tx.commit()
-	if err != nil {
+	if err := entry.tx.Commit(); err != nil {
 		return ApplyResult{}, err
 	}
-	s.broadcast(notice)
 	s.stats.optOK.Add(1)
 	obsPreparedCommit.Inc()
-	return ApplyResult{TxID: entry.tx.ID(), NewVersions: entry.newVersions}, nil
+	return ApplyResult{Seq: entry.tx.Seq()}, nil
 }
 
 // AbortPrepared discards a prepared transaction and releases its locks.

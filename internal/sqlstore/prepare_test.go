@@ -36,17 +36,16 @@ func TestPrepareCommitPrepared(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.TxID == 0 {
-		t.Error("missing TxID")
+	// The seed was commit 1; the prepared set commits as 2. The result
+	// carries the number only: the coordinator holds the set.
+	if res.Seq != 2 || res.NewVersions != nil {
+		t.Errorf("result = %+v, want Seq 2 and no NewVersions", res)
 	}
-	if got := res.NewVersions[prepKey("w")]; got != 2 {
-		t.Errorf("write new version = %d, want 2", got)
+	if v, _ := s.CurrentVersion(prepKey("w")); v != res.Seq {
+		t.Errorf("committed version = %d, want %d", v, res.Seq)
 	}
-	if v, _ := s.CurrentVersion(prepKey("w")); v != 2 {
-		t.Errorf("committed version = %d, want 2", v)
-	}
-	if v, _ := s.CurrentVersion(prepKey("c")); v != 1 {
-		t.Errorf("created version = %d, want 1", v)
+	if v, _ := s.CurrentVersion(prepKey("c")); v != res.Seq {
+		t.Errorf("created version = %d, want %d", v, res.Seq)
 	}
 	if n := s.PreparedCount(); n != 0 {
 		t.Errorf("prepared count = %d after commit, want 0", n)
@@ -178,20 +177,5 @@ func TestCloseAbortsPrepared(t *testing.T) {
 	s.Close() // must not deadlock on the parked transaction's locks
 	if n := s.PreparedCount(); n != 0 {
 		t.Errorf("prepared count = %d after Close, want 0", n)
-	}
-}
-
-func TestWithTxIDBase(t *testing.T) {
-	s := New(WithTxIDBase(uint64(3) << 40))
-	defer s.Close()
-	ctx := context.Background()
-	res, err := s.ApplyCommitSet(ctx, memento.CommitSet{
-		Creates: []memento.Memento{mem("t", "c", 0, intFields(1))},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.TxID <= uint64(3)<<40 {
-		t.Fatalf("TxID = %d, want above the shard base %d", res.TxID, uint64(3)<<40)
 	}
 }

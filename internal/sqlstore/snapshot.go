@@ -21,9 +21,11 @@ import (
 // snapshotHeader identifies the format.
 const snapshotMagic = "edgeejb-sqlstore-v1"
 
-// snapshot is the on-disk representation.
+// snapshot is the on-disk representation. Seq is the store's commit
+// counter; a snapshot written before it was recorded decodes it as zero.
 type snapshot struct {
 	Magic  string
+	Seq    uint64
 	Tables []snapshotTable
 }
 
@@ -46,7 +48,7 @@ func (s *Store) Dump(w io.Writer) error {
 func (s *Store) capture() snapshot {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	snap := snapshot{Magic: snapshotMagic}
+	snap := snapshot{Magic: snapshotMagic, Seq: s.seq}
 	names := make([]string, 0, len(s.tables))
 	for name := range s.tables {
 		names = append(names, name)
@@ -76,7 +78,11 @@ func (s *Store) capture() snapshot {
 // r. It must be called before the store is shared (no locking against
 // concurrent transactions is attempted; the caller owns the store).
 // Row versions are restored exactly, so optimistic caches built against
-// the pre-snapshot store remain coherent. A snapshot that does not
+// the pre-snapshot store remain coherent, and the commit counter resumes
+// above every number the snapshot shows was issued: the recorded
+// counter or the highest row version, whichever is larger, so a
+// removed-then-recreated row never takes a version it had before. A
+// snapshot that does not
 // decode, names a table twice, or files a row under a table (or an ID)
 // its key contradicts is rejected, and a rejected snapshot leaves the
 // store's previous state untouched.
@@ -89,6 +95,7 @@ func (s *Store) Restore(r io.Reader) error {
 		return fmt.Errorf("sqlstore: not a snapshot (magic %q)", snap.Magic)
 	}
 	tables := make(map[string]*table, len(snap.Tables))
+	seq := snap.Seq
 	for _, st := range snap.Tables {
 		if _, dup := tables[st.Name]; dup {
 			return fmt.Errorf("sqlstore: snapshot holds table %q twice", st.Name)
@@ -107,6 +114,7 @@ func (s *Store) Restore(r io.Reader) error {
 			}
 			row := m.Clone()
 			t.rows[row.Key.ID] = row
+			seq = max(seq, row.Version)
 			for _, ix := range t.indexes {
 				ix.insert(row.Key.ID, row.Fields)
 			}
@@ -118,6 +126,7 @@ func (s *Store) Restore(r io.Reader) error {
 		return ErrClosed
 	}
 	s.tables = tables
+	s.seq = seq
 	return nil
 }
 

@@ -31,10 +31,13 @@ var (
 )
 
 // Notice announces a committed transaction's mutations. Edge caches
-// subscribe to notices and invalidate the written entries.
+// subscribe to notices and invalidate the written entries. A stream
+// carries its store's notices in commit order.
 type Notice struct {
-	// TxID is the committing transaction's store-assigned identifier.
-	TxID uint64
+	// Seq is the number the commit took from its store's commit counter:
+	// the version of every row After names. It rises strictly along one
+	// store's stream.
+	Seq uint64
 	// Writes names every row the transaction created, updated or removed,
 	// once each and in key order, with the row's field state before and
 	// after the write, so a subscriber can test whether a cached
@@ -70,12 +73,6 @@ func OriginContext(ctx context.Context, origin uint64) context.Context {
 func OriginOf(ctx context.Context) uint64 {
 	origin, _ := ctx.Value(originKey{}).(uint64)
 	return origin
-}
-
-// outgoing is a notice beside its commit's origin, which is not sent.
-type outgoing struct {
-	Notice
-	origin uint64
 }
 
 // subscriber is one notice stream and the origin it never hears from.
@@ -125,6 +122,9 @@ type Store struct {
 	tables  map[string]*table
 	writers map[memento.Key]writerInfo
 	closed  bool
+	// seq is the commit counter: the number of the last commit that
+	// wrote, and so the highest row version. Guarded by mu.
+	seq uint64
 
 	nextTx atomic.Uint64
 
@@ -163,19 +163,7 @@ type config struct {
 	lockTimeout   time.Duration
 	prepareTTL    time.Duration
 	commitService time.Duration
-	txIDBase      uint64
 }
-
-type txIDBaseOption uint64
-
-func (o txIDBaseOption) apply(c *config) { c.txIDBase = uint64(o) }
-
-// WithTxIDBase offsets the store's transaction-ID counter. A sharded
-// deployment gives each shard a disjoint base (shard index << 40) so
-// transaction IDs are globally unique across the tier, and a conflict's
-// winning transaction names its shard (WinnerTx >> 40): two shards
-// counting from zero would attribute each other's commits.
-func WithTxIDBase(base uint64) Option { return txIDBaseOption(base) }
 
 type lockTimeoutOption time.Duration
 
@@ -191,7 +179,7 @@ func New(opts ...Option) *Store {
 	for _, o := range opts {
 		o.apply(&cfg)
 	}
-	s := &Store{
+	return &Store{
 		lm:            lockmgr.New(lockmgr.WithTimeout(cfg.lockTimeout)),
 		tables:        make(map[string]*table),
 		writers:       make(map[memento.Key]writerInfo),
@@ -199,8 +187,6 @@ func New(opts ...Option) *Store {
 		prepareTTL:    cfg.prepareTTL,
 		commitService: cfg.commitService,
 	}
-	s.nextTx.Store(cfg.txIDBase)
-	return s
 }
 
 // Close shuts the store down: future operations fail and subscribers are
@@ -259,29 +245,24 @@ func (s *Store) Subscribe(buffer int, origin uint64) (<-chan Notice, func()) {
 	return ch, cancel
 }
 
-// broadcast fans notices out to every subscriber but the committing
-// origin's under one subscriber-map acquisition, so a group commit's
-// coalesced batch is one fan-out pass, not one per transaction. A
-// subscriber with no room for a notice is dropped and its channel
+// broadcast hands a commit's notice to every subscriber but the
+// committing origin's. applyWrites calls it inside the commit's
+// critical section, so every stream carries notices in commit order. A
+// subscriber with no room for the notice is dropped and its channel
 // closed (see Subscribe).
-func (s *Store) broadcast(ns ...outgoing) {
+func (s *Store) broadcast(n Notice, origin uint64) {
 	s.subMu.Lock()
 	defer s.subMu.Unlock()
-	for _, n := range ns {
-		if len(n.Writes) == 0 {
+	for id, sub := range s.subs {
+		if origin != 0 && sub.origin == origin {
 			continue
 		}
-		for id, sub := range s.subs {
-			if n.origin != 0 && sub.origin == n.origin {
-				continue
-			}
-			select {
-			case sub.ch <- n.Notice:
-				s.stats.notices.Add(1)
-			default:
-				delete(s.subs, id)
-				close(sub.ch)
-			}
+		select {
+		case sub.ch <- n:
+			s.stats.notices.Add(1)
+		default:
+			delete(s.subs, id)
+			close(sub.ch)
 		}
 	}
 }
@@ -360,22 +341,26 @@ func (s *Store) scanTable(q memento.Query) []memento.Memento {
 }
 
 // applyWrites installs a transaction's buffered writes under the store
-// mutex, bumping row versions and recording the committer as each row's
-// last writer (for conflict attribution). It assumes the caller holds
-// the required locks and has already validated. The returned time is
-// the install instant, stamped onto the commit's invalidation notice;
-// the write descriptors, in key order, capture each row's before/after
-// field images for footprint-overlap invalidation at the edges.
-func (s *Store) applyWrites(writes map[memento.Key]pendingWrite, txID, trace uint64) ([]memento.WriteDesc, time.Time) {
+// mutex as one commit: it takes the next number from the commit
+// counter, stamps it as the version of every row it writes, records the
+// committer as each row's last writer (for conflict attribution), and
+// hands the commit's notice to the subscribers before the mutex is
+// released. It assumes the caller holds the required locks and has
+// already validated. The notice's write descriptors, in key order,
+// capture each row's before/after field images for footprint-overlap
+// invalidation at the edges. A transaction that wrote nothing takes no
+// number and returns zero.
+func (s *Store) applyWrites(writes map[memento.Key]pendingWrite, trace, origin uint64) uint64 {
 	if len(writes) == 0 {
-		return nil, time.Time{}
+		return 0
 	}
 	descs := make([]memento.WriteDesc, 0, len(writes))
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.seq++
 	at := time.Now()
 	for key, w := range writes {
-		s.writers[key] = writerInfo{txID: txID, trace: trace, at: at}
+		s.writers[key] = writerInfo{trace: trace, at: at}
 		t := s.tables[key.Table]
 		if t == nil {
 			t = newTable()
@@ -392,11 +377,7 @@ func (s *Store) applyWrites(writes map[memento.Key]pendingWrite, txID, trace uin
 			delete(t.rows, key.ID)
 		} else {
 			m := w.mem.Clone()
-			if hadPrev {
-				m.Version = prev.Version + 1
-			} else {
-				m.Version = 1
-			}
+			m.Version = s.seq
 			t.rows[key.ID] = m
 			desc.After = m.Fields
 		}
@@ -417,15 +398,20 @@ func (s *Store) applyWrites(writes map[memento.Key]pendingWrite, txID, trace uin
 		}
 		return a.ID < b.ID
 	})
-	return descs, at
+	s.broadcast(Notice{Seq: s.seq, Writes: descs, CommittedAt: at, OriginTrace: trace}, origin)
+	return s.seq
 }
 
 // Seed installs rows directly, without locking or notices. It is meant
 // for test fixtures and initial database population before the store is
-// shared; each memento's version is forced to 1.
+// shared. The call is one commit: it takes the next number from the
+// commit counter and every row it installs carries it as its version,
+// whatever the memento's Version says (1 for a fresh store's first
+// Seed).
 func (s *Store) Seed(mems ...memento.Memento) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.seq++
 	for _, m := range mems {
 		t := s.tables[m.Key.Table]
 		if t == nil {
@@ -434,7 +420,7 @@ func (s *Store) Seed(mems ...memento.Memento) {
 		}
 		prev, hadPrev := t.rows[m.Key.ID]
 		mm := m.Clone()
-		mm.Version = 1
+		mm.Version = s.seq
 		t.rows[m.Key.ID] = mm
 		for _, ix := range t.indexes {
 			if hadPrev {

@@ -26,6 +26,7 @@ type Tx struct {
 	origin uint64
 	writes map[memento.Key]pendingWrite
 	done   bool
+	seq    uint64
 }
 
 // Begin starts a pessimistic transaction. The context's trace ID (if
@@ -55,6 +56,11 @@ func (s *Store) begin(ctx context.Context, origin uint64) (*Tx, error) {
 
 // ID returns the store-assigned transaction identifier.
 func (tx *Tx) ID() uint64 { return uint64(tx.id) }
+
+// Seq returns the number a committed transaction took from the store's
+// commit counter: the version of every row it wrote. It is zero before
+// Commit and for a commit that wrote nothing.
+func (tx *Tx) Seq() uint64 { return tx.seq }
 
 func (tx *Tx) check() error {
 	if tx.done {
@@ -139,8 +145,8 @@ func (tx *Tx) GetForUpdate(ctx context.Context, table, id string) (memento.Memen
 }
 
 // Put upserts a row under an exclusive lock. The stored version is
-// assigned at commit time (previous version + 1, or 1 for new rows);
-// the memento's Version field is ignored.
+// assigned at commit time (the commit's number, see Seq); the
+// memento's Version field is ignored.
 func (tx *Tx) Put(ctx context.Context, m memento.Memento) error {
 	if err := tx.check(); err != nil {
 		return err
@@ -352,30 +358,18 @@ func (tx *Tx) verifyVersionLocked(key memento.Key, version uint64) error {
 	return nil
 }
 
-// Commit installs the transaction's buffered writes atomically, releases
-// all locks, and broadcasts an invalidation notice for the mutated keys.
+// Commit installs the transaction's buffered writes atomically as one
+// commit (see Seq), broadcasts an invalidation notice for the mutated
+// keys, and releases all locks.
 func (tx *Tx) Commit() error {
-	n, err := tx.commit()
-	if err != nil {
-		return err
-	}
-	tx.s.broadcast(n)
-	return nil
-}
-
-// commit installs the buffered writes and releases locks, returning the
-// invalidation notice WITHOUT broadcasting it. Group commit uses this
-// to apply several transactions and fan their notices out in one pass;
-// Commit is commit + immediate broadcast.
-func (tx *Tx) commit() (outgoing, error) {
 	if tx.done {
-		return outgoing{}, ErrTxDone
+		return ErrTxDone
 	}
 	tx.done = true
-	writes, at := tx.s.applyWrites(tx.writes, uint64(tx.id), tx.trace)
+	tx.seq = tx.s.applyWrites(tx.writes, tx.trace, tx.origin)
 	tx.s.lm.ReleaseAll(tx.id)
 	tx.s.stats.commits.Add(1)
-	return outgoing{Notice{TxID: uint64(tx.id), Writes: writes, CommittedAt: at, OriginTrace: tx.trace}, tx.origin}, nil
+	return nil
 }
 
 // Abort discards buffered writes and releases all locks. Aborting a

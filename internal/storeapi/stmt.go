@@ -45,11 +45,15 @@ type Stmt struct {
 func (st Stmt) Ends() bool { return st.Kind == StmtCommit || st.Kind == StmtAbort }
 
 // StmtResult is one statement's outcome, positionally matched to the
-// batch: Get for StmtGet/StmtGetForUpdate, Q for StmtQuery, Err for any
-// statement that failed or was skipped.
+// batch: Get for StmtGet/StmtGetForUpdate, Q for StmtQuery, Seq for
+// StmtCommit, Err for any statement that failed or was skipped.
 type StmtResult struct {
 	Get GetResult
 	Q   QueryResult
+	// Seq is the number a commit took from the store's commit counter,
+	// the version of every row it wrote (sqlstore.Tx.Seq); zero for a
+	// commit that wrote nothing.
+	Seq uint64
 	Err error
 }
 
@@ -127,10 +131,21 @@ func (t *StmtTxn) CheckedDelete(ctx context.Context, key memento.Key, version ui
 	return t.Exec(ctx, Stmt{Kind: StmtCheckedDelete, Key: key, Version: version}).Err
 }
 
-// Commit implements Txn.
+// Commit implements Txn. It reports the commit's number into the
+// context's seqSink, if any (see ExecStmt).
 func (t *StmtTxn) Commit(ctx context.Context) error {
-	return t.Exec(ctx, Stmt{Kind: StmtCommit}).Err
+	r := t.Exec(ctx, Stmt{Kind: StmtCommit})
+	if p, ok := ctx.Value(seqSink{}).(*uint64); ok {
+		*p = r.Seq
+	}
+	return r.Err
 }
+
+// seqSink is the context key under which ExecStmt hands Txn.Commit a
+// place for the commit's number, so that the number crosses a Txn
+// decorator that is not an Execer (a tracing wrapper) as long as it
+// passes the context on.
+type seqSink struct{}
 
 // Abort implements Txn.
 func (t *StmtTxn) Abort(ctx context.Context) error {
@@ -185,9 +200,16 @@ func ExecSerial(ctx context.Context, txn Txn, stmts []Stmt) ([]StmtResult, error
 	return out, nil
 }
 
-// ExecStmt runs one statement as the Txn method it names: the one
-// dispatch from a Stmt back to a call.
+// ExecStmt runs one statement: through the transaction's own Exec when
+// it is an Execer, and otherwise as the Txn method it names — the one
+// dispatch from a Stmt back to a call. Txn.Commit returns only an
+// error, so a commit's Seq comes back through Exec's result, or through
+// the seqSink a StmtTxn underneath the decorator fills in; a Txn that
+// loses both leaves it zero.
 func ExecStmt(ctx context.Context, txn Txn, st Stmt) StmtResult {
+	if x, ok := txn.(Execer); ok {
+		return x.Exec(ctx, st)
+	}
 	var r StmtResult
 	switch st.Kind {
 	case StmtGet:
@@ -209,7 +231,9 @@ func ExecStmt(ctx context.Context, txn Txn, st Stmt) StmtResult {
 	case StmtCheckedDelete:
 		r.Err = txn.CheckedDelete(ctx, st.Key, st.Version)
 	case StmtCommit:
-		r.Err = txn.Commit(ctx)
+		var seq uint64
+		r.Err = txn.Commit(context.WithValue(ctx, seqSink{}, &seq))
+		r.Seq = seq
 	case StmtAbort:
 		r.Err = txn.Abort(ctx)
 	default:
@@ -235,13 +259,17 @@ func (x Executor) Run(ctx context.Context, txn Txn, stmts []Stmt) (results []Stm
 }
 
 // Commit runs stmts, a list that ends in StmtCommit, and ends the
-// transaction either way: it returns the first failing statement's
-// index and error (at is -1 when the exchange itself failed), and aborts
-// the transaction unless the trailing commit ran.
-func (x Executor) Commit(ctx context.Context, txn Txn, stmts []Stmt) (at int, err error) {
-	_, at, err = x.Run(ctx, txn, stmts)
-	if err != nil && at != len(stmts)-1 {
-		_ = txn.Abort(ctx)
+// transaction either way: it returns the number the commit took (see
+// StmtResult.Seq), or the first failing statement's index and error (at
+// is -1 when the exchange itself failed), and aborts the transaction
+// unless the trailing commit ran.
+func (x Executor) Commit(ctx context.Context, txn Txn, stmts []Stmt) (seq uint64, at int, err error) {
+	results, at, err := x.Run(ctx, txn, stmts)
+	if err != nil {
+		if at != len(stmts)-1 {
+			_ = txn.Abort(ctx)
+		}
+		return 0, at, err
 	}
-	return at, err
+	return results[len(results)-1].Seq, -1, nil
 }

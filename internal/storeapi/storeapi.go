@@ -34,8 +34,7 @@ type QueryResult struct {
 type Txn interface {
 	// ID returns the datastore-assigned transaction identifier. It is
 	// stable across tiers: a transaction driven through the back-end
-	// server reports the database server's identifier, the one its
-	// commit notice and any conflict it wins carry.
+	// server reports the database server's identifier.
 	ID() uint64
 	// Get reads a row under a shared lock; sqlstore.ErrNotFound if absent.
 	Get(ctx context.Context, table, id string) (GetResult, error)
@@ -55,7 +54,10 @@ type Txn interface {
 	CheckedPut(ctx context.Context, m memento.Memento) error
 	// CheckedDelete removes a row iff it is still at version.
 	CheckedDelete(ctx context.Context, key memento.Key, version uint64) error
-	// Commit atomically installs buffered writes and releases locks.
+	// Commit atomically installs buffered writes and releases locks. A
+	// transaction that is also an Execer reports the number its commit
+	// took in Exec's StmtResult.Seq; ExecStmt also recovers it through
+	// a decorator that is no Execer.
 	Commit(ctx context.Context) error
 	// Abort discards buffered writes and releases locks.
 	Abort(ctx context.Context) error
@@ -243,6 +245,7 @@ func (t localTxn) Exec(ctx context.Context, st Stmt) StmtResult {
 	case StmtCommit:
 		_, sp = obs.StartSpan(ctx, "sqlstore.commit_tx")
 		r.Err = t.tx.Commit()
+		r.Seq = t.tx.Seq()
 	case StmtAbort:
 		t.tx.Abort()
 	default:

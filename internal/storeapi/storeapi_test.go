@@ -117,7 +117,36 @@ func TestLocalApplyCommitSetAndSubscribe(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := <-ch
-	if n.TxID != res.TxID {
-		t.Errorf("notice TxID = %d, want %d", n.TxID, res.TxID)
+	if n.Seq != res.Seq || res.Seq == 0 {
+		t.Errorf("notice Seq = %d, want the commit's %d", n.Seq, res.Seq)
+	}
+}
+
+// plainTxn hides every interface of the Txn it wraps but Txn itself,
+// as a tracing decorator does.
+type plainTxn struct{ Txn }
+
+// TestExecStmtCommitSeqThroughDecorator: a commit run through a Txn
+// that is not an Execer still reports the number the store gave it,
+// the version of the row it wrote.
+func TestExecStmtCommitSeqThroughDecorator(t *testing.T) {
+	store := sqlstore.New()
+	defer store.Close()
+	seedOne(store, "t", "1", 10)
+	ctx := context.Background()
+	txn, err := Local(store).Begin(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	txn = plainTxn{txn}
+	if r := ExecStmt(ctx, txn, Stmt{Kind: StmtPut, Mem: memento.Memento{Key: memento.Key{Table: "t", ID: "1"}, Fields: memento.Fields{"v": memento.Int(11)}}}); r.Err != nil {
+		t.Fatal(r.Err)
+	}
+	r := ExecStmt(ctx, txn, Stmt{Kind: StmtCommit})
+	if r.Err != nil {
+		t.Fatal(r.Err)
+	}
+	if v, _ := store.CurrentVersion(memento.Key{Table: "t", ID: "1"}); r.Seq == 0 || r.Seq != v {
+		t.Errorf("commit Seq = %d, want the written row's version %d", r.Seq, v)
 	}
 }

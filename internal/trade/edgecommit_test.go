@@ -24,7 +24,7 @@ func TestShardedReadOnlyEdgeCommit(t *testing.T) {
 	conns := make([]*storeapi.CountingConn, shards)
 	routed := make([]storeapi.Conn, shards)
 	for i := range conns {
-		store := sqlstore.New(sqlstore.WithTxIDBase(uint64(i) << 40))
+		store := sqlstore.New()
 		t.Cleanup(store.Close)
 		PopulateShard(store, pop, shards, i)
 		conns[i] = storeapi.NewCountingConn(storeapi.Local(store))

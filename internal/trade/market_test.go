@@ -22,7 +22,7 @@ func TestTopQuotesScatterFinderCache(t *testing.T) {
 	stores := make([]*sqlstore.Store, 2)
 	conns := make([]storeapi.Conn, 2)
 	for i := range stores {
-		stores[i] = sqlstore.New(sqlstore.WithTxIDBase(uint64(i) << 40))
+		stores[i] = sqlstore.New()
 		defer stores[i].Close()
 		conns[i] = storeapi.Local(stores[i])
 	}

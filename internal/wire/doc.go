@@ -26,9 +26,9 @@
 //     call against a stalled server returns by its deadline.
 //   - Server drains gracefully on Close: stop accepting, finish
 //     in-flight requests, bounded by a drain timeout, then force-close.
-//   - Both ends keep counters and per-op latency histograms, exposed as
-//     a Stats snapshot, so byte accounting on the shared path no longer
-//     depends on the delay proxy alone.
+//   - Both ends keep per-op counts and byte totals, exposed as a Stats
+//     snapshot, so byte accounting on the shared path no longer depends
+//     on the delay proxy alone.
 //   - Frame headers carry an optional trace/span pair, so a span tree
 //     started at the client reassembles across tiers; untraced requests
 //     pay no bytes for it (see OBSERVABILITY.md).
