@@ -121,7 +121,7 @@ func startEchoServer(b *testing.B) *wire.Server {
 // design.
 func BenchmarkWireMultiplexed(b *testing.B) {
 	srv := startEchoServer(b)
-	client := wire.NewClient(srv.Addr(), wire.WithMaxConns(1))
+	client := wire.NewClient(srv.Addr())
 	defer client.Close()
 	ctx := context.Background()
 	if err := client.Call(ctx, &echoReq{Payload: "warm"}, new(echoResp)); err != nil {

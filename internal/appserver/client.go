@@ -20,11 +20,11 @@ type Client struct {
 
 // NewClient creates a client for the application server at addr.
 func NewClient(addr string) *Client {
-	return &Client{w: wire.NewClient(addr, wire.WithMaxConns(1))}
+	return &Client{w: wire.NewClient(addr)}
 }
 
-// WireStats returns the transport counters (bytes, round trips, per-op
-// latency) for this client's connection.
+// WireStats returns the transport counters (bytes, round trips and
+// per-op counts) for this client's connection.
 func (c *Client) WireStats() wire.Stats { return c.w.Stats() }
 
 // Close drops the client's connection.

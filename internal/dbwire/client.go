@@ -2,7 +2,6 @@ package dbwire
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"edgeejb/internal/memento"
@@ -13,8 +12,8 @@ import (
 
 // Client is the application-server-side driver: the JDBC-driver
 // equivalent, built on the shared wire transport. One-shot (autocommit)
-// operations multiplex over shared connections; a transaction pins one
-// connection for its lifetime (JDBC session semantics) and every
+// operations multiplex over one shared connection; a transaction pins
+// one connection for its lifetime (JDBC session semantics) and every
 // statement is one round trip.
 //
 // Client implements storeapi.Conn.
@@ -26,9 +25,9 @@ var _ storeapi.Conn = (*Client)(nil)
 
 // Dial creates a client for the database server at addr. Connections
 // are opened lazily. Failed one-shot operations and pinned-stream
-// handshakes are retried on fresh connections under a bounded, jittered
-// backoff budget (wire.DefaultRetryPolicy); the retries consumed are
-// surfaced in WireStats().Retries. The dbwire protocol is safe to
+// handshakes are retried under the transport's one rule
+// (wire.WithRetry); the retries consumed are surfaced in
+// WireStats().Retries. The dbwire protocol is safe to
 // retry: reads are idempotent and commit sets are duplicate-rejected by
 // version validation (see ApplyCommitSet).
 func Dial(addr string) *Client {
@@ -45,8 +44,8 @@ func (c *Client) RoundTrips() uint64 {
 	return s.RoundTrips - s.Ops[OpSubscribe.String()].Count
 }
 
-// WireStats returns the transport counters (bytes, round trips, per-op
-// latency) for every connection this client has opened.
+// WireStats returns the transport counters (bytes, round trips and
+// per-op counts) for every connection this client has opened.
 func (c *Client) WireStats() wire.Stats { return c.w.Stats() }
 
 // NumConns returns the number of TCP connections currently open,
@@ -58,8 +57,8 @@ func (c *Client) NumConns() int { return c.w.NumConns() }
 // in-flight transactions and subscriptions.
 func (c *Client) Close() error { return c.w.Close() }
 
-// oneShot runs a single request/response exchange on a shared
-// multiplexed connection (retry-once semantics live in the transport).
+// oneShot runs a single request/response exchange on the shared
+// multiplexed connection (retries live in the transport).
 func (c *Client) oneShot(ctx context.Context, req *Request) (*Response, error) {
 	resp := new(Response)
 	if err := c.w.Call(ctx, req, resp); err != nil {
@@ -77,76 +76,26 @@ func (c *Client) Ping(ctx context.Context) error {
 	return decodeErr(resp)
 }
 
-// handshakeRetry drives the bounded retry loop of the pinned-stream
-// handshakes (Begin, Subscribe), which the transport's one-shot retry
-// cannot cover. Stale pooled streams are retried for free — the
-// request never reached a live server — while fresh failures consume
-// the client's policy budget with jittered backoff between attempts.
-type handshakeRetry struct {
-	pol     wire.RetryPolicy
-	attempt int
-	free    int
-}
-
-// next reports whether the handshake may run again after a failure.
-// reused marks a failure on a pooled (possibly stale) stream.
-func (r *handshakeRetry) next(ctx context.Context, c *Client, op OpCode, reused bool, err error) bool {
-	if errors.Is(err, wire.ErrClosed) || ctx.Err() != nil {
-		return false
-	}
-	if reused && r.free < 8 {
-		r.free++
-		c.w.RecordRetry(op.String())
-		return true
-	}
-	if r.attempt+1 >= max(1, r.pol.MaxAttempts) {
-		return false
-	}
-	if !r.pol.Backoff.Sleep(r.attempt, ctx.Done()) {
-		return false
-	}
-	r.attempt++
-	c.w.RecordRetry(op.String())
-	return true
-}
-
-// pin opens a pinned stream and runs op's handshake on it, carrying the
-// context's origin, retrying stale pooled streams and transient
-// transport failures under the client's policy. prepare, when non-nil,
-// runs on every fresh stream before the handshake is sent.
+// pin opens a pinned stream whose opening exchange is op's handshake,
+// carrying the context's origin. prepare, when non-nil, runs on every
+// stream before the handshake is sent. The transport retries the
+// handshake under the same rule as a one-shot call.
 func (c *Client) pin(ctx context.Context, op OpCode, prepare func(*wire.Stream)) (*wire.Stream, *Response, error) {
-	retry := handshakeRetry{pol: c.w.RetryPolicy()}
-	for {
-		st, err := c.w.OpenStream(ctx)
-		if err != nil {
-			if retry.next(ctx, c, op, false, err) {
-				continue
-			}
-			return nil, nil, err
-		}
-		if prepare != nil {
-			prepare(st)
-		}
-		resp := new(Response)
-		if err := st.Call(ctx, &Request{Op: op, Origin: sqlstore.OriginOf(ctx)}, resp); err != nil {
-			reused := st.Reused()
-			st.Hangup()
-			if retry.next(ctx, c, op, reused, err) {
-				continue
-			}
-			return nil, nil, fmt.Errorf("dbwire: %s: %w", op, err)
-		}
-		if err := decodeErr(resp); err != nil {
-			st.Close()
-			return nil, nil, err
-		}
-		return st, resp, nil
+	resp := new(Response)
+	st, err := c.w.OpenStream(ctx, &Request{Op: op, Origin: sqlstore.OriginOf(ctx)}, resp, prepare)
+	if err != nil {
+		return nil, nil, fmt.Errorf("dbwire: %s: %w", op, err)
 	}
+	if err := decodeErr(resp); err != nil {
+		st.Close()
+		return nil, nil, err
+	}
+	return st, resp, nil
 }
 
 // Begin starts a remote transaction, pinning a connection until the
 // transaction commits or aborts. Stale pooled connections and transient
-// transport failures are retried under the client's policy.
+// transport failures are retried under the transport's rule.
 func (c *Client) Begin(ctx context.Context) (storeapi.Txn, error) {
 	st, resp, err := c.pin(ctx, OpBegin, nil)
 	if err != nil {
@@ -160,11 +109,11 @@ func (c *Client) Begin(ctx context.Context) (storeapi.Txn, error) {
 // ApplyCommitSet ships a whole optimistic commit set in ONE round trip —
 // the split-servers commit path.
 //
-// Retry safety: the transport retries only when a PREVIOUSLY-USED
-// connection fails — the "went bad while idle" case (server restarted
-// under the pool), in which the request never reached a live server. In
-// the rare window where a server dies after applying but before
-// replying, a retry would re-submit the set; version validation then
+// Retry safety: the transport retries a failed exchange (see
+// wire.Client), most often on a connection that went bad while idle
+// (server restarted under it), where the request never reached a live
+// server. In the rare window where a server dies after applying but
+// before replying, a retry would re-submit the set; version validation then
 // rejects the duplicate with a conflict (every write's expected version
 // has already been bumped), so the store is never corrupted — the
 // caller sees a spurious conflict and re-runs its transaction, which is
@@ -275,7 +224,7 @@ func (c *Client) AutoQuery(ctx context.Context, q memento.Query) (storeapi.Query
 // Subscribe opens a pinned connection carrying the server-push
 // invalidation stream. The returned channel closes when cancel is called
 // or the connection drops. Stale pooled connections and transient
-// transport failures are retried under the client's policy.
+// transport failures are retried under the transport's rule.
 //
 // A subscriber that falls a full buffer behind loses its stream rather
 // than a notice: commit validation re-proves the rows a transaction

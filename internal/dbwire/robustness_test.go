@@ -147,7 +147,8 @@ func TestBatchCarriesOnlyItsOwnStatements(t *testing.T) {
 			ctx := context.Background()
 			w := wire.NewClient(srv.Addr())
 			defer w.Close()
-			st, err := w.OpenStream(ctx)
+			begun := new(Response)
+			st, err := w.OpenStream(ctx, &Request{Op: OpBegin}, begun, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -160,7 +161,7 @@ func TestBatchCarriesOnlyItsOwnStatements(t *testing.T) {
 				}
 				return resp
 			}
-			own, other := call(&Request{Op: OpBegin}).Tx, call(&Request{Op: OpBegin}).Tx
+			own, other := begun.Tx, call(&Request{Op: OpBegin}).Tx
 			if resp := call(&Request{Op: OpBatch, Tx: own, Batch: subs(other)}); resp.Code != CodeBadRequest || len(resp.Batch) != 0 {
 				t.Errorf("batch answered %v with %d results, want BadRequest and none", resp.Code, len(resp.Batch))
 			}
@@ -237,9 +238,76 @@ func (p *cutProxy) armLatest() {
 	p.armed[len(p.armed)-1].Store(true)
 }
 
+// armAll arms every connection accepted so far.
+func (p *cutProxy) armAll() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for _, a := range p.armed {
+		a.Store(true)
+	}
+}
+
+// TestHandshakeRetriesOnceAfterPoolDies: every idle pooled stream dies
+// unseen, as under a server restart. A handshake that meets the first
+// of them retries once, for free, and the failure takes the rest of the
+// idle pool with it, so the retry dials instead of meeting the next
+// dead stream.
+func TestHandshakeRetriesOnceAfterPoolDies(t *testing.T) {
+	handshakes := map[string]func(context.Context, *Client) error{
+		"begin": func(ctx context.Context, c *Client) error {
+			txn, err := c.Begin(ctx)
+			if err == nil {
+				err = txn.Abort(ctx)
+			}
+			return err
+		},
+		"subscribe": func(ctx context.Context, c *Client) error {
+			_, cancel, err := c.Subscribe(ctx)
+			if err == nil {
+				cancel()
+			}
+			return err
+		},
+	}
+	for name, handshake := range handshakes {
+		t.Run(name, func(t *testing.T) {
+			_, srv := startServer(t)
+			proxy := startCutProxy(t, srv.Addr())
+			client := Dial(proxy.ln.Addr().String())
+			t.Cleanup(func() { _ = client.Close() })
+			ctx := context.Background()
+			// Four transactions open together fill the idle pool to its cap.
+			txns := make([]storeapi.Txn, 4)
+			for i := range txns {
+				txn, err := client.Begin(ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				txns[i] = txn
+			}
+			for _, txn := range txns {
+				if err := txn.Abort(ctx); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if n := client.NumConns(); n != 4 {
+				t.Fatalf("%d connections before the cut, want the 4 pooled streams", n)
+			}
+			proxy.armAll()
+
+			if err := handshake(ctx, client); err != nil {
+				t.Fatalf("handshake after the pool died: %v", err)
+			}
+			if r := client.WireStats().Retries; r != 1 {
+				t.Fatalf("%d handshake retries, want 1", r)
+			}
+		})
+	}
+}
+
 // TestSubscribeRetryKeepsItsOwnChannel: a Subscribe handshake that dies
-// mid-call on a pooled stream is retried at once on the next pooled
-// stream, while the dead stream's teardown is still closing its sink.
+// mid-call on a pooled stream is retried at once on a fresh stream,
+// while the dead stream's teardown is still closing its sink.
 // The channel Subscribe returns belongs to the retry alone: it stays
 // open, carries notices, and closes exactly once on cancel. Run under
 // -race; the retry and the teardown race, so the scenario repeats.
@@ -250,7 +318,8 @@ func TestSubscribeRetryKeepsItsOwnChannel(t *testing.T) {
 	ctx := context.Background()
 	for i := uint64(1); i <= 30; i++ {
 		client := Dial(proxy.ln.Addr().String())
-		// Two pooled pinned streams: the later one is handed out first.
+		// Two pooled pinned streams: the later one is handed out first,
+		// and its failure empties the pool.
 		first, err := client.Begin(ctx)
 		if err != nil {
 			t.Fatal(err)

@@ -316,7 +316,7 @@ func (t *Topology) FaultStats() latency.FaultStats {
 // SharedPathStats aggregates transport statistics for the clients on
 // the architecture's shared (high-latency) path: web clients for
 // Clients/RAS, the edge servers' datastore clients otherwise. It is the
-// bytes Figure 8 reports, with round trips and per-op latency.
+// bytes Figure 8 reports, with round trips and per-op counts.
 func (t *Topology) SharedPathStats() wire.Stats {
 	var snaps []wire.Stats
 	switch t.Arch {

@@ -137,11 +137,16 @@ func TestShippingsAgreeProperty(t *testing.T) {
 		lb := NewLoader(batched.client, PerImage)
 		ls := NewLoader(serial.client, PerStatement)
 
-		shared := 0 // the connection a read-only set's one-shot runs on
+		// The batched side's connections: the shared one a read-only
+		// set's one-shot runs on, the pooled stream a set that writes
+		// pins.
+		shared, pinned := 0, 0
 		for step := 0; step < 8; step++ {
 			cs := randomCommitSet(rng, batched.store, rng.Intn(3) == 0)
 			if cs.Mutations() == 0 {
 				shared = 1
+			} else {
+				pinned = 1
 			}
 			outB, errB := lb.Commit(ctx, cs)
 			outS, errS := ls.Commit(ctx, cs)
@@ -158,9 +163,9 @@ func TestShippingsAgreeProperty(t *testing.T) {
 				return false
 			}
 		}
-		// Neither shipping left a transaction pinned: each holds at most
-		// one idle stream, the batched side also its shared connection.
-		return batched.client.NumConns() <= 1+shared && serial.client.NumConns() <= 1
+		// Neither shipping left a transaction pinned: each holds exactly
+		// the connections its commits used, one idle stream at most.
+		return batched.client.NumConns() == pinned+shared && serial.client.NumConns() == 1
 	}
 	if err := quick.Check(trial, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)

@@ -247,7 +247,7 @@ func TestLoadManyCancellation(t *testing.T) {
 		return dt.(*sliTx)
 	}
 
-	// A first, uncancelled pass dials the client's shared connections and
+	// A first, uncancelled pass dials the client's shared connection and
 	// starts every long-lived goroutine, so the counts below are settled.
 	if _, err := begin().LoadMany(context.Background(), keys); err != nil {
 		t.Fatal(err)

@@ -13,11 +13,14 @@ import (
 	"edgeejb/internal/obs"
 )
 
-// Client is a multiplexing transport client. One-shot Calls share a
-// small set of connections, distinguished by per-request IDs, so N
-// concurrent calls cost one round-trip wall time instead of N
-// connections or N serialized round trips. Protocols whose server-side
-// state is per-connection open a pinned Stream instead.
+// Client is a multiplexing transport client. One-shot Calls share one
+// connection, distinguished by per-request IDs, so N concurrent calls
+// cost one round-trip wall time instead of N connections or N
+// serialized round trips. Protocols whose server-side state is
+// per-connection open a pinned Stream instead.
+//
+// One rule decides every retry, of a Call and of a stream's opening
+// exchange alike (see retrying).
 //
 // Request IDs count per client, over every connection it owns: the
 // n-th request is n whichever connection carries it, so the IDs on the
@@ -26,47 +29,32 @@ import (
 // call happened to take.
 type Client struct {
 	addr          string
-	maxShared     int
 	maxPinnedIdle int
 	retry         RetryPolicy
 	stats         *collector
 	nextID        atomic.Uint64
 
 	mu         sync.Mutex
-	dialCond   *sync.Cond // signaled when a shared dial finishes
-	shared     []*conn
+	shared     *conn         // nil until the first Call and after it closes
+	dialed     chan struct{} // closed when the shared dial in flight lands
 	idlePinned []*conn
 	conns      map[*conn]struct{}
-	dialing    int
 	closed     bool
 }
 
 // Option configures a Client.
 type Option func(*Client)
 
-// WithMaxConns caps the number of shared multiplexed connections
-// (default 2). Pinned streams are not subject to the cap.
-func WithMaxConns(n int) Option {
-	return func(c *Client) {
-		if n > 0 {
-			c.maxShared = n
-		}
-	}
-}
-
-// WithRetry makes Call retry failed exchanges on fresh connections
-// under DefaultRetryPolicy, sleeping the policy's jittered backoff
-// between attempts. The default is no retry: a protocol must opt in,
-// and must only do so when its requests are idempotent or
-// duplicate-rejected (see RetryPolicy). Context cancellation and
-// deadline expiry are never retried.
+// WithRetry makes Call and OpenStream retry failed exchanges under
+// DefaultRetryPolicy (see retrying). The default is no retry: a
+// protocol must opt in, and must only do so when its requests are
+// idempotent or duplicate-rejected (see RetryPolicy).
 func WithRetry() Option { return func(c *Client) { c.retry = DefaultRetryPolicy() } }
 
 // NewClient returns a client for addr. Connections are dialed lazily.
 func NewClient(addr string, opts ...Option) *Client {
 	c := &Client{
 		addr:          addr,
-		maxShared:     2,
 		maxPinnedIdle: 4,
 		stats:         newCollector(),
 		conns:         make(map[*conn]struct{}),
@@ -74,23 +62,11 @@ func NewClient(addr string, opts ...Option) *Client {
 	for _, o := range opts {
 		o(c)
 	}
-	c.dialCond = sync.NewCond(&c.mu)
 	return c
 }
 
 // Stats returns a snapshot of this client's transport counters.
 func (c *Client) Stats() Stats { return c.stats.snapshot() }
-
-// RetryPolicy returns the client's retry schedule, so protocol layers
-// driving their own loops (pinned-stream opens, subscriptions) share
-// one budget with the transport's one-shot calls.
-func (c *Client) RetryPolicy() RetryPolicy { return c.retry }
-
-// RecordRetry accounts one retry attempt against label in Stats.
-// Protocol layers that drive their own retry loops (the stream
-// handshakes the transport cannot retry for them) use it so
-// Stats.Retries reflects the whole retry budget spent on a path.
-func (c *Client) RecordRetry(label string) { c.stats.retry(label) }
 
 // NumConns reports the connections currently owned by the client —
 // shared, idle-pinned, and checked-out streams. Leak tests use it to
@@ -114,7 +90,6 @@ func (c *Client) Close() error {
 		conns = append(conns, cn)
 	}
 	c.shared, c.idlePinned = nil, nil
-	c.dialCond.Broadcast()
 	c.mu.Unlock()
 	for _, cn := range conns {
 		cn.teardown(ErrClosed)
@@ -122,96 +97,88 @@ func (c *Client) Close() error {
 	return nil
 }
 
-// Call performs one request/response exchange on a shared connection,
-// decoding the reply into resp (which must be a pointer). Under a
-// retry policy, failed exchanges (including failed dials) are retried
-// on fresh connections with jittered backoff; a first failure on a
-// previously-used pooled connection — the stale-pool case after a
-// server restart — is retried immediately without consuming backoff.
-func (c *Client) Call(ctx context.Context, req, resp any) error {
+// retrying runs try, one attempt of the exchange labelled label, under
+// the client's one retry rule. try reports whether its connection sat
+// idle in the client before the attempt: the shared connection after an
+// earlier reply, or a pooled stream. Such a connection may have died
+// unseen, as when the server restarted under it, so the first failure
+// on one is retried at once and costs no budget. Every other failure
+// spends one attempt of the WithRetry budget, after its backoff. A
+// closed client, a cancelled context and an expired deadline are never
+// retried, and without WithRetry nothing is.
+func (c *Client) retrying(ctx context.Context, label string, try func() (idle bool, err error)) error {
 	budget := c.retry.attempts()
-	for attempt := 0; ; attempt++ {
-		cn, err := c.sharedConn(ctx, attempt > 0)
-		if err == nil {
-			wasUsed := cn.isUsed()
-			err = cn.roundTrip(ctx, req, resp)
-			if err == nil {
-				return nil
-			}
-			if attempt == 0 && wasUsed && budget > 1 && ctx.Err() == nil {
-				c.stats.retry(labelOf(req))
-				continue
-			}
-		}
-		if errors.Is(err, ErrClosed) || ctx.Err() != nil || attempt+1 >= budget {
+	spent, free := 0, budget > 1
+	for {
+		idle, err := try()
+		if err == nil || errors.Is(err, ErrClosed) || ctx.Err() != nil || errors.Is(err, context.DeadlineExceeded) {
 			return err
 		}
-		if !c.retry.Backoff.Sleep(attempt, ctx.Done()) {
+		switch {
+		case idle && free:
+			free = false
+		case spent+1 < budget && c.retry.Backoff.Sleep(spent, ctx.Done()):
+			spent++
+		default:
 			return err
 		}
-		c.stats.retry(labelOf(req))
+		c.stats.retry(label)
 	}
 }
 
-// sharedConn picks the least-loaded shared connection, dialing a new
-// one only when every existing connection is busy and the cap allows —
-// serial callers therefore reuse a single connection. forceFresh
-// (retry after a stale-connection failure) always dials, even past the
-// cap; broken connections prune themselves, so the overshoot is
-// transient.
-func (c *Client) sharedConn(ctx context.Context, forceFresh bool) (*conn, error) {
+// Call performs one request/response exchange on the shared
+// connection, decoding the reply into resp (which must be a pointer),
+// under the client's retry rule.
+func (c *Client) Call(ctx context.Context, req, resp any) error {
+	return c.retrying(ctx, labelOf(req), func() (bool, error) {
+		cn, err := c.sharedConn(ctx)
+		if err != nil {
+			return false, err
+		}
+		idle := cn.isUsed()
+		return idle, cn.roundTrip(ctx, req, resp)
+	})
+}
+
+// sharedConn returns the shared connection. With none, or with one that
+// has closed, even if not yet pruned, it dials a replacement; callers
+// that arrive while that dial is in flight wait for it instead of
+// dialing their own.
+func (c *Client) sharedConn(ctx context.Context) (*conn, error) {
 	c.mu.Lock()
 	for {
 		if c.closed {
 			c.mu.Unlock()
 			return nil, ErrClosed
 		}
-		if forceFresh {
-			break
-		}
-		var best *conn
-		bestLoad := -1
-		for _, cn := range c.shared {
-			l := cn.load()
-			if l < 0 {
-				continue // closed, about to be pruned
-			}
-			if bestLoad < 0 || l < bestLoad {
-				best, bestLoad = cn, l
-			}
-		}
-		atCap := len(c.shared)+c.dialing >= c.maxShared
-		if best != nil && (bestLoad == 0 || atCap) {
+		if cn := c.shared; cn != nil && cn.live() {
 			c.mu.Unlock()
-			return best, nil
+			return cn, nil
 		}
-		if !atCap {
+		dialed := c.dialed
+		if dialed == nil {
 			break
 		}
-		// Every slot is taken by an in-flight dial; wait for one to
-		// land rather than overshooting the cap.
-		c.dialCond.Wait()
+		c.mu.Unlock()
+		select {
+		case <-dialed:
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		}
+		c.mu.Lock()
 	}
-	c.dialing++
+	dialed := make(chan struct{})
+	c.dialed = dialed
 	c.mu.Unlock()
 	cn, err := c.dialConn(ctx)
 	c.mu.Lock()
-	c.dialing--
-	if err != nil {
-		c.dialCond.Broadcast()
-		c.mu.Unlock()
-		return nil, err
+	c.dialed = nil
+	if err == nil {
+		c.shared = cn
 	}
-	if c.closed {
-		c.dialCond.Broadcast()
-		c.mu.Unlock()
-		cn.teardown(ErrClosed)
-		return nil, ErrClosed
-	}
-	c.shared = append(c.shared, cn)
-	c.dialCond.Broadcast()
 	c.mu.Unlock()
-	return cn, nil
+	close(dialed)
+	return cn, err
 }
 
 func (c *Client) dialConn(ctx context.Context) (*conn, error) {
@@ -243,11 +210,8 @@ func (c *Client) dialConn(ctx context.Context) (*conn, error) {
 func (c *Client) removeConn(cn *conn) {
 	c.mu.Lock()
 	delete(c.conns, cn)
-	for i, s := range c.shared {
-		if s == cn {
-			c.shared = append(c.shared[:i], c.shared[i+1:]...)
-			break
-		}
+	if c.shared == cn {
+		c.shared = nil
 	}
 	for i, s := range c.idlePinned {
 		if s == cn {
@@ -255,35 +219,72 @@ func (c *Client) removeConn(cn *conn) {
 			break
 		}
 	}
-	// A caller that found only this connection, closed but not yet
-	// pruned, in a full shared set is waiting for the slot.
-	c.dialCond.Broadcast()
 	c.mu.Unlock()
 }
 
-// OpenStream checks a pinned connection out of the idle pool, dialing
-// a fresh one if the pool is empty. The stream owns the connection
-// exclusively until Close (return to pool) or Hangup (discard).
-func (c *Client) OpenStream(ctx context.Context) (*Stream, error) {
+// OpenStream pins a connection, the idle pool's latest or a fresh dial,
+// and runs the stream's opening exchange req/resp on it under the
+// client's retry rule. prepare, when non-nil, runs on each stream before
+// req is sent: a subscriber registers its push sink there, ahead of the
+// request that switches the server into push mode. A pooled stream
+// whose opening exchange fails takes the rest of the idle pool with it,
+// since those connections sat idle through the same outage. The stream
+// owns its connection until Close (back to the pool) or Hangup
+// (discard).
+func (c *Client) OpenStream(ctx context.Context, req, resp any, prepare func(*Stream)) (*Stream, error) {
+	var st *Stream
+	err := c.retrying(ctx, labelOf(req), func() (bool, error) {
+		cn, pooled, err := c.pinnedConn(ctx)
+		if err != nil {
+			return false, err
+		}
+		st = &Stream{c: c, cn: cn}
+		if prepare != nil {
+			prepare(st)
+		}
+		if err = cn.roundTrip(ctx, req, resp); err != nil {
+			st.Hangup()
+			if pooled && ctx.Err() == nil {
+				c.dropIdle()
+			}
+		}
+		return pooled, err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return st, nil
+}
+
+// pinnedConn checks the most recently pooled connection out of the
+// idle pool, or dials a fresh one if the pool is empty.
+func (c *Client) pinnedConn(ctx context.Context) (cn *conn, pooled bool, err error) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		return nil, ErrClosed
+		return nil, false, ErrClosed
 	}
-	var cn *conn
 	if n := len(c.idlePinned); n > 0 {
 		cn = c.idlePinned[n-1]
 		c.idlePinned = c.idlePinned[:n-1]
 	}
 	c.mu.Unlock()
 	if cn != nil {
-		return &Stream{c: c, cn: cn, reused: true}, nil
+		return cn, true, nil
 	}
-	cn, err := c.dialConn(ctx)
-	if err != nil {
-		return nil, err
+	cn, err = c.dialConn(ctx)
+	return cn, false, err
+}
+
+// dropIdle tears down every idle pooled connection.
+func (c *Client) dropIdle() {
+	c.mu.Lock()
+	idle := c.idlePinned
+	c.idlePinned = nil
+	c.mu.Unlock()
+	for _, cn := range idle {
+		cn.teardown(ErrClosed)
 	}
-	return &Stream{c: c, cn: cn}, nil
 }
 
 // call tracks one in-flight request on a connection. Abandoned calls
@@ -360,14 +361,11 @@ type conn struct {
 	used    bool
 }
 
-// load reports in-flight calls, or -1 if the connection is closed.
-func (cn *conn) load() int {
+// live reports whether the connection is still open.
+func (cn *conn) live() bool {
 	cn.mu.Lock()
 	defer cn.mu.Unlock()
-	if cn.closed {
-		return -1
-	}
-	return len(cn.pending)
+	return !cn.closed
 }
 
 func (cn *conn) isUsed() bool {
@@ -625,19 +623,13 @@ func (cn *conn) handlePush(size int) bool {
 // transactions (server-side state is per-connection) and invalidation
 // subscriptions (the connection carries server pushes).
 type Stream struct {
-	c      *Client
-	cn     *conn
-	reused bool
+	c  *Client
+	cn *conn
 
 	mu     sync.Mutex
 	closed bool
 	pushed bool
 }
-
-// Reused reports whether the stream came from the idle pool rather
-// than a fresh dial — the caller's cue to retry once if the first call
-// fails (the pooled connection may be stale).
-func (s *Stream) Reused() bool { return s.reused }
 
 // Call performs one exchange on the pinned connection.
 func (s *Stream) Call(ctx context.Context, req, resp any) error {
@@ -653,8 +645,8 @@ func (s *Stream) Call(ctx context.Context, req, resp any) error {
 // OnPush registers the stream's push sink: factory allocates a body,
 // deliver consumes each push (it must not block), and onClose fires
 // exactly once when the connection dies, after the last deliver has
-// returned. Register the sink BEFORE the
-// call that switches the server into push mode, or an early push races
+// returned. Register the sink BEFORE the call that switches the server
+// into push mode (OpenStream's prepare hook), or an early push races
 // the registration and kills the connection.
 func (s *Stream) OnPush(factory func() any, deliver func(any), onClose func()) {
 	s.mu.Lock()
@@ -684,7 +676,7 @@ func (s *Stream) Close() {
 	pushed := s.pushed
 	s.mu.Unlock()
 	cn := s.cn
-	if pushed || cn.load() < 0 {
+	if pushed || !cn.live() {
 		cn.teardown(ErrClosed)
 		return
 	}

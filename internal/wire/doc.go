@@ -10,16 +10,19 @@
 // fixed frame format — a binary header, then a body that encodes itself
 // (Body); nothing is negotiated per connection (see frame.go):
 //
-//   - Client multiplexes concurrent requests over a small set of shared
-//     connections using request IDs (pipelining: N concurrent one-shot
-//     calls cost ~1 round-trip wall time on a high-latency path, instead
-//     of N connections or N serialized round trips). IDs count per
-//     client, not per connection, so a run's bytes on the wire do not
-//     depend on which connection a concurrent call took.
+//   - Client multiplexes concurrent requests over one shared connection
+//     using request IDs (pipelining: N concurrent one-shot calls cost ~1
+//     round-trip wall time on a high-latency path, instead of N
+//     connections or N serialized round trips). IDs count per client,
+//     not per connection, so a run's bytes on the wire do not depend on
+//     which connection a concurrent call took.
 //   - Stream pins one connection exclusively, for protocols whose
 //     server-side state is per-connection (transactions) or that switch
 //     the connection into server-push mode (invalidation
-//     subscriptions).
+//     subscriptions). OpenStream runs the stream's opening request.
+//   - One rule retries a failed Call and a failed opening request alike
+//     (Client.retrying), so no protocol above keeps a retry loop of its
+//     own.
 //   - Context deadlines and cancellation propagate to the socket:
 //     writes run under SetWriteDeadline, and the per-connection reader
 //     holds a SetReadDeadline at the earliest pending deadline, so a

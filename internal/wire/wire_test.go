@@ -167,13 +167,14 @@ func TestConcurrentMultiplexStress(t *testing.T) {
 				if g%4 == 0 {
 					// Pinned stream: the per-connection counter must be
 					// strictly increasing across calls on one stream.
-					st, err := c.OpenStream(ctx)
+					first := new(testResp)
+					st, err := c.OpenStream(ctx, &testReq{Op: "count"}, first, nil)
 					if err != nil {
 						errs <- err
 						return
 					}
-					last := 0
-					for k := 0; k < 3; k++ {
+					last := first.N
+					for k := 1; k < 3; k++ {
 						resp := new(testResp)
 						if err := st.Call(ctx, &testReq{Op: "count"}, resp); err != nil {
 							st.Hangup()
@@ -213,7 +214,7 @@ func TestConcurrentMultiplexStress(t *testing.T) {
 	if s.Errors != 0 {
 		t.Fatalf("stress produced %d transport errors", s.Errors)
 	}
-	// 30 echo goroutines share the multiplexed conns; pinned streams
+	// 30 echo goroutines share the multiplexed conn; pinned streams
 	// pool up to 4 conns. Way fewer dials than calls proves reuse.
 	if s.Dials > 30 {
 		t.Fatalf("%d dials for %d round trips — pooling broken", s.Dials, s.RoundTrips)
@@ -221,11 +222,11 @@ func TestConcurrentMultiplexStress(t *testing.T) {
 }
 
 // TestMultiplexedCallsShareOneRoundTrip: N concurrent calls over the
-// shared connections must complete in ~1 round-trip wall time, not N —
+// shared connection must complete in ~1 round-trip wall time, not N —
 // the transport pipelines them by request ID.
 func TestMultiplexedCallsShareOneRoundTrip(t *testing.T) {
 	srv := startTestServer(t)
-	c := NewClient(srv.Addr(), WithMaxConns(1))
+	c := NewClient(srv.Addr())
 	defer c.Close()
 	ctx := context.Background()
 
@@ -257,6 +258,30 @@ func TestMultiplexedCallsShareOneRoundTrip(t *testing.T) {
 	}
 }
 
+// TestConcurrentCallsShareOneConnection: calls in flight together, from
+// a cold client, all ride one shared connection: the callers that find
+// its dial in flight wait for it instead of dialing their own.
+func TestConcurrentCallsShareOneConnection(t *testing.T) {
+	srv := startTestServer(t)
+	c := NewClient(srv.Addr())
+	defer c.Close()
+
+	var wg sync.WaitGroup
+	for i := 0; i < 40; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := c.Call(context.Background(), &testReq{Op: "sleep", N: 20}, new(testResp)); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	if n, d := c.NumConns(), c.Stats().Dials; n != 1 || d != 1 {
+		t.Fatalf("%d connections open after %d dials, want 1 and 1", n, d)
+	}
+}
+
 // idHandler hands every request ID it serves, with its connection's
 // number, to serve.
 type idHandler struct {
@@ -266,15 +291,18 @@ type idHandler struct {
 
 func (h *idHandler) NewRequest() any { return new(testReq) }
 
-func (h *idHandler) Handle(_ context.Context, _ *Session, id uint64, _ any) any {
-	h.serve(h.conn, id)
+func (h *idHandler) Handle(_ context.Context, _ *Session, id uint64, req any) any {
+	if req.(*testReq).Op == "id" {
+		h.serve(h.conn, id)
+	}
 	return &testResp{}
 }
 
 func (h *idHandler) Close() {}
 
-// TestRequestIDsCountPerClient: N concurrent calls spread over the two
-// shared connections carry the IDs 1..N, each exactly once. A counter
+// TestRequestIDsCountPerClient: N concurrent calls spread over the
+// shared connection and a pinned stream carry the IDs 2..N+1, each
+// exactly once, after the stream's opening exchange took 1. A counter
 // per connection would number each connection's calls from 1 again, and
 // the bytes the uvarint IDs take would depend on which connection a call
 // happened to take.
@@ -288,7 +316,7 @@ func TestRequestIDsCountPerClient(t *testing.T) {
 		all   = make(chan struct{})
 	)
 	// Every reply waits until all n requests have arrived, so the calls
-	// are in flight together and the client dials its second connection.
+	// on both connections are in flight together.
 	serve := func(conn int, id uint64) {
 		mu.Lock()
 		seen[id]++
@@ -314,13 +342,23 @@ func TestRequestIDsCountPerClient(t *testing.T) {
 	defer srv.Close()
 	c := NewClient(srv.Addr())
 	defer c.Close()
+	ctx := context.Background()
+	st, err := c.OpenStream(ctx, &testReq{Op: "open"}, new(testResp), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Hangup()
 
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
+		call := c.Call
+		if i%2 == 0 {
+			call = st.Call
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := c.Call(context.Background(), &testReq{Op: "id"}, new(testResp)); err != nil {
+			if err := call(ctx, &testReq{Op: "id"}, new(testResp)); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -329,16 +367,16 @@ func TestRequestIDsCountPerClient(t *testing.T) {
 
 	mu.Lock()
 	defer mu.Unlock()
-	if len(per) != 2 {
-		t.Fatalf("calls per connection = %v, want calls on both shared connections", per)
+	if len(per) != 2 || per[1] != n/2 || per[2] != n/2 {
+		t.Fatalf("calls per connection = %v, want %d on each of two", per, n/2)
 	}
-	for id := uint64(1); id <= n; id++ {
+	for id := uint64(2); id <= n+1; id++ {
 		if seen[id] != 1 {
 			t.Errorf("request ID %d seen %d times, want once", id, seen[id])
 		}
 	}
 	if len(seen) != n {
-		t.Errorf("%d distinct IDs, want exactly 1..%d: %v", len(seen), n, seen)
+		t.Errorf("%d distinct IDs, want exactly 2..%d: %v", len(seen), n+1, seen)
 	}
 }
 
@@ -378,7 +416,7 @@ func TestContextDeadlineOnStalledServer(t *testing.T) {
 		}
 	}()
 
-	c := NewClient(ln.Addr().String(), WithMaxConns(1))
+	c := NewClient(ln.Addr().String())
 	defer c.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 150*time.Millisecond)
 	defer cancel()
@@ -460,7 +498,7 @@ func TestGobFallbackForPlainStructs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	c := NewClient(srv.Addr(), WithMaxConns(1))
+	c := NewClient(srv.Addr())
 	defer c.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
@@ -491,7 +529,7 @@ func TestGobFallbackForPlainStructs(t *testing.T) {
 // still-pending slow call whose reply arrives later.
 func TestContextCancelReleasesCall(t *testing.T) {
 	srv := startTestServer(t)
-	c := NewClient(srv.Addr(), WithMaxConns(1))
+	c := NewClient(srv.Addr())
 	defer c.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -566,19 +604,17 @@ func TestServerCloseLeaksNoGoroutines(t *testing.T) {
 		if err := c.Call(ctx, &testReq{Op: "echo"}, resp); err != nil {
 			t.Fatal(err)
 		}
-		st, err := c.OpenStream(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
 		got := make(chan struct{}, 1)
-		st.OnPush(func() any { return new(testResp) },
-			func(any) {
-				select {
-				case got <- struct{}{}:
-				default:
-				}
-			}, nil)
-		if err := st.Call(ctx, &testReq{Op: "subscribe"}, new(testResp)); err != nil {
+		_, err := c.OpenStream(ctx, &testReq{Op: "subscribe"}, new(testResp), func(st *Stream) {
+			st.OnPush(func() any { return new(testResp) },
+				func(any) {
+					select {
+					case got <- struct{}{}:
+					default:
+					}
+				}, nil)
+		})
+		if err != nil {
 			t.Fatal(err)
 		}
 		<-got // pusher is live
@@ -616,22 +652,20 @@ func TestPushDelivery(t *testing.T) {
 	defer c.Close()
 	ctx := context.Background()
 
-	st, err := c.OpenStream(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var ticks atomic.Int64
 	var closes atomic.Int64
-	st.OnPush(
-		func() any { return new(testResp) },
-		func(v any) {
-			if v.(*testResp).Payload == "tick" {
-				ticks.Add(1)
-			}
-		},
-		func() { closes.Add(1) },
-	)
-	if err := st.Call(ctx, &testReq{Op: "subscribe"}, new(testResp)); err != nil {
+	st, err := c.OpenStream(ctx, &testReq{Op: "subscribe"}, new(testResp), func(st *Stream) {
+		st.OnPush(
+			func() any { return new(testResp) },
+			func(v any) {
+				if v.(*testResp).Payload == "tick" {
+					ticks.Add(1)
+				}
+			},
+			func() { closes.Add(1) },
+		)
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(3 * time.Second)
@@ -665,30 +699,28 @@ func TestSinkCloseWaitsForDeliver(t *testing.T) {
 	ctx := context.Background()
 
 	for round := 0; round < 10; round++ {
-		st, err := c.OpenStream(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
 		var delivering, closed, overlaps atomic.Int64
 		entered := make(chan struct{}, 1)
-		st.OnPush(
-			func() any { return new(testResp) },
-			func(any) {
-				delivering.Store(1)
-				select {
-				case entered <- struct{}{}:
-				default:
-				}
-				time.Sleep(2 * time.Millisecond)
-				overlaps.Add(closed.Load())
-				delivering.Store(0)
-			},
-			func() {
-				overlaps.Add(delivering.Load())
-				closed.Store(1)
-			},
-		)
-		if err := st.Call(ctx, &testReq{Op: "subscribe"}, new(testResp)); err != nil {
+		st, err := c.OpenStream(ctx, &testReq{Op: "subscribe"}, new(testResp), func(st *Stream) {
+			st.OnPush(
+				func() any { return new(testResp) },
+				func(any) {
+					delivering.Store(1)
+					select {
+					case entered <- struct{}{}:
+					default:
+					}
+					time.Sleep(2 * time.Millisecond)
+					overlaps.Add(closed.Load())
+					delivering.Store(0)
+				},
+				func() {
+					overlaps.Add(delivering.Load())
+					closed.Store(1)
+				},
+			)
+		})
+		if err != nil {
 			t.Fatal(err)
 		}
 		<-entered
@@ -710,27 +742,15 @@ func TestStreamPoolReuse(t *testing.T) {
 	defer c.Close()
 	ctx := context.Background()
 
-	st1, err := c.OpenStream(ctx)
+	st1, err := c.OpenStream(ctx, &testReq{Op: "count"}, new(testResp), nil)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if st1.Reused() {
-		t.Fatal("first stream claims reuse")
-	}
-	if err := st1.Call(ctx, &testReq{Op: "count"}, new(testResp)); err != nil {
 		t.Fatal(err)
 	}
 	st1.Close()
 
-	st2, err := c.OpenStream(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st2.Reused() {
-		t.Fatal("second stream did not come from the pool")
-	}
 	resp := new(testResp)
-	if err := st2.Call(ctx, &testReq{Op: "count"}, resp); err != nil {
+	st2, err := c.OpenStream(ctx, &testReq{Op: "count"}, resp, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if resp.N != 2 {
@@ -742,37 +762,41 @@ func TestStreamPoolReuse(t *testing.T) {
 	}
 }
 
-// TestCallProceedsOncePrunedConnFreesItsSlot holds a connection in the
-// window teardown leaves between marking it closed and pruning it: a
-// call that finds only that connection in a full shared set must go on
-// to dial as soon as it is pruned, not wait for a dial nobody started.
+// TestCallProceedsOncePrunedConnFreesItsSlot holds the shared
+// connection in the window teardown leaves between marking it closed
+// and pruning it: a call that finds it there must dial its replacement
+// at once, not wait for the prune or for a dial nobody started.
 func TestCallProceedsOncePrunedConnFreesItsSlot(t *testing.T) {
 	srv := startTestServer(t)
-	c := NewClient(srv.Addr(), WithMaxConns(1))
+	c := NewClient(srv.Addr())
 	defer c.Close()
 	ctx := context.Background()
 	if err := c.Call(ctx, &testReq{Op: "echo"}, new(testResp)); err != nil {
 		t.Fatal(err)
 	}
 	c.mu.Lock()
-	cn := c.shared[0]
+	cn := c.shared
 	c.mu.Unlock()
 	cn.mu.Lock()
 	cn.closed, cn.err = true, ErrClosed
 	cn.mu.Unlock()
+	defer func() {
+		_ = cn.nc.Close()
+		c.removeConn(cn)
+	}()
 
 	done := make(chan error, 1)
 	go func() { done <- c.Call(ctx, &testReq{Op: "echo"}, new(testResp)) }()
-	time.Sleep(50 * time.Millisecond) // the call is waiting for the slot
-	_ = cn.nc.Close()
-	c.removeConn(cn)
 	select {
 	case err := <-done:
 		if err != nil {
-			t.Fatalf("call after the prune: %v", err)
+			t.Fatalf("call beside a closed, unpruned connection: %v", err)
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("call still waiting for a slot after the closed connection was pruned")
+		t.Fatal("call waited on a closed connection that was never pruned")
+	}
+	if d := c.Stats().Dials; d != 2 {
+		t.Fatalf("dials = %d, want 2 (the closed connection replaced)", d)
 	}
 }
 
@@ -786,7 +810,7 @@ func TestClientRejectsAfterClose(t *testing.T) {
 	if err := c.Call(context.Background(), &testReq{Op: "echo"}, new(testResp)); err == nil {
 		t.Fatal("call on closed client succeeded")
 	}
-	if _, err := c.OpenStream(context.Background()); err == nil {
+	if _, err := c.OpenStream(context.Background(), &testReq{Op: "echo"}, new(testResp), nil); err == nil {
 		t.Fatal("stream on closed client succeeded")
 	}
 }

@@ -21,7 +21,7 @@
 #                            selects
 #   constructor => row       every constructor has a row in the table
 #   row => constructor       every row names a constructor that exists
-#   the page                 the table has at most 11 rows: a twelfth
+#   the page                 the table has at most 10 rows: an eleventh
 #                            option is an edit to maxrows here too
 set -eu
 cd "$(dirname "$0")/.."
@@ -64,12 +64,12 @@ if [ "${1:-}" = "--selftest" ]; then
 	expect_fail "orphan row" "row names no constructor: slicache.WithGone"
 	mv "$scratch/DESIGN.md.orig" "$scratch/DESIGN.md"
 
-	# A twelfth option, set by tests with a stated reason and with its
+	# An eleventh option, set by tests with a stated reason and with its
 	# row, breaks only the page limit.
 	printf 'package loadgen\n\nfunc WithX() {}\n' >"$planted"
 	# shellcheck disable=SC2016
 	printf '| `loadgen.WithX` | off | tests: planted |\n' >>"$scratch/DESIGN.md"
-	expect_fail "twelfth option" "at most 11"
+	expect_fail "eleventh option" "at most 10"
 
 	echo "check_options_docs: selftest passed"
 	exit 0
@@ -77,7 +77,7 @@ fi
 
 doc=DESIGN.md
 frozen=bench/README.md
-maxrows=11
+maxrows=10
 fail=0
 
 # <package>.<Name>, one per line; the package is the directory's name.
