@@ -50,6 +50,9 @@ func TestAutoGetHonorsDeadlineOnStalledServer(t *testing.T) {
 	if err == nil {
 		t.Fatal("AutoGet against stalled server succeeded")
 	}
+	if ctx.Err() == nil {
+		t.Fatalf("returned before its deadline with %v", err)
+	}
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
 	}
@@ -95,6 +98,9 @@ func TestTxnCallHonorsDeadline(t *testing.T) {
 	_, err = contender.GetForUpdate(dctx, "t", "1")
 	if err == nil {
 		t.Fatal("contended GetForUpdate succeeded under a 200ms deadline")
+	}
+	if dctx.Err() == nil {
+		t.Fatalf("returned before its deadline with %v", err)
 	}
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)

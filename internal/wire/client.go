@@ -5,10 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"reflect"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"edgeejb/internal/obs"
 )
@@ -28,11 +28,10 @@ import (
 // requests the client sent, never on which connection a concurrent
 // call happened to take.
 type Client struct {
-	addr          string
-	maxPinnedIdle int
-	retry         RetryPolicy
-	stats         *collector
-	nextID        atomic.Uint64
+	addr   string
+	retry  RetryPolicy
+	stats  *collector
+	nextID atomic.Uint64
 
 	mu         sync.Mutex
 	shared     *conn         // nil until the first Call and after it closes
@@ -41,6 +40,10 @@ type Client struct {
 	conns      map[*conn]struct{}
 	closed     bool
 }
+
+// maxPinnedIdle bounds the idle pool of pinned connections a Client
+// keeps for the next OpenStream.
+const maxPinnedIdle = 4
 
 // Option configures a Client.
 type Option func(*Client)
@@ -54,10 +57,9 @@ func WithRetry() Option { return func(c *Client) { c.retry = DefaultRetryPolicy(
 // NewClient returns a client for addr. Connections are dialed lazily.
 func NewClient(addr string, opts ...Option) *Client {
 	c := &Client{
-		addr:          addr,
-		maxPinnedIdle: 4,
-		stats:         newCollector(),
-		conns:         make(map[*conn]struct{}),
+		addr:  addr,
+		stats: newCollector(),
+		conns: make(map[*conn]struct{}),
 	}
 	for _, o := range opts {
 		o(c)
@@ -104,14 +106,14 @@ func (c *Client) Close() error {
 // unseen, as when the server restarted under it, so the first failure
 // on one is retried at once and costs no budget. Every other failure
 // spends one attempt of the WithRetry budget, after its backoff. A
-// closed client, a cancelled context and an expired deadline are never
-// retried, and without WithRetry nothing is.
+// closed client and a done context (cancelled or past its deadline) are
+// never retried, and without WithRetry nothing is.
 func (c *Client) retrying(ctx context.Context, label string, try func() (idle bool, err error)) error {
 	budget := c.retry.attempts()
 	spent, free := 0, budget > 1
 	for {
 		idle, err := try()
-		if err == nil || errors.Is(err, ErrClosed) || ctx.Err() != nil || errors.Is(err, context.DeadlineExceeded) {
+		if err == nil || errors.Is(err, ErrClosed) || ctx.Err() != nil {
 			return err
 		}
 		switch {
@@ -287,27 +289,30 @@ func (c *Client) dropIdle() {
 	}
 }
 
-// call tracks one in-flight request on a connection. Abandoned calls
-// (context expired before the reply) stay registered so the late reply
-// is recognised and dropped instead of failing the connection as a
-// response to an unknown request.
+// call tracks one in-flight request on a connection. Exactly one side
+// decides its outcome, by setting claimed under cn.mu: the reader taking
+// its reply (or teardown failing it), which then completes it, or its
+// caller abandoning it when the context is done first. An abandoned call
+// stays registered, so its late reply is recognised and dropped instead
+// of failing the connection as a response to an unknown request.
 type call struct {
-	id        uint64
-	label     string
-	resp      any
-	deadline  time.Time
-	done      chan struct{}
-	err       error
-	completed bool
-	abandoned bool
+	id      uint64
+	label   string
+	resp    any
+	done    chan struct{} // closed by the claiming reader or teardown
+	err     error         // set before done closes
+	claimed bool
 }
 
-// complete finishes the call; the caller holds cn.mu.
+// claim marks the call decided and reports whether it already was; the
+// caller holds cn.mu.
+func (cl *call) claim() (already bool) {
+	already, cl.claimed = cl.claimed, true
+	return already
+}
+
+// complete finishes a call its reader or teardown claimed.
 func (cl *call) complete(err error) {
-	if cl.completed {
-		return
-	}
-	cl.completed = true
 	cl.err = err
 	close(cl.done)
 }
@@ -392,7 +397,9 @@ func (cn *conn) teardown(err error) {
 	sink := cn.sink
 	cn.sink = nil
 	for _, cl := range calls {
-		cl.complete(err)
+		if !cl.claim() {
+			cl.complete(err)
+		}
 	}
 	cn.mu.Unlock()
 	_ = cn.nc.Close()
@@ -402,21 +409,23 @@ func (cn *conn) teardown(err error) {
 	cn.c.removeConn(cn)
 }
 
-// roundTrip performs one exchange on this connection. The write runs
-// under the context deadline; the wait is cut short by cancellation,
-// leaving the pending entry behind (abandoned) for the reader.
+// roundTrip performs one exchange on this connection. The context is
+// the only owner of its deadline: the wait for the reply selects on
+// ctx.Done(), and the write, which that select cannot reach, runs under
+// SetWriteDeadline at the same instant. A caller whose context is done
+// first abandons the call, leaving the pending entry for the reader to
+// drop the late reply; one whose reply the reader already claimed waits
+// for that reply instead.
 func (cn *conn) roundTrip(ctx context.Context, req, resp any) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
 	label := labelOf(req)
-	deadline, _ := ctx.Deadline()
 	cl := &call{
 		label: label,
 		resp:  resp,
 		done:  make(chan struct{}),
 	}
-	cl.deadline = deadline
 
 	cn.mu.Lock()
 	if cn.closed {
@@ -428,10 +437,8 @@ func (cn *conn) roundTrip(ctx context.Context, req, resp any) error {
 	cl.id = cn.c.nextID.Add(1)
 	cn.pending[cl.id] = cl
 	cn.mu.Unlock()
-	// Nudge the reader: if it is blocked with a longer (or no) read
-	// deadline, this shortens it to cover the new call.
-	cn.updateReadDeadline()
 
+	deadline, _ := ctx.Deadline()
 	cn.wmu.Lock()
 	_ = cn.nc.SetWriteDeadline(deadline)
 	n, werr := cn.fw.writeFrame(&frameHeader{
@@ -449,7 +456,10 @@ func (cn *conn) roundTrip(ctx context.Context, req, resp any) error {
 		}
 		cn.c.stats.failure(label)
 		cn.teardown(fmt.Errorf("wire: send %s: %w", label, werr))
-		if isTimeout(werr) && ctx.Err() != nil {
+		if errors.Is(werr, os.ErrDeadlineExceeded) {
+			// The write deadline is the context's, whose own timer
+			// fires at the same instant.
+			<-ctx.Done()
 			return ctx.Err()
 		}
 		return fmt.Errorf("wire: send %s: %w", label, werr)
@@ -458,82 +468,27 @@ func (cn *conn) roundTrip(ctx context.Context, req, resp any) error {
 
 	select {
 	case <-cl.done:
-		if cl.err != nil {
-			cn.c.stats.failure(label)
-			return fmt.Errorf("wire: %s: %w", label, cl.err)
-		}
-		cn.c.stats.roundTrip(label)
-		return nil
 	case <-ctx.Done():
 		cn.mu.Lock()
-		if cl.completed {
-			done := cl.err
-			cn.mu.Unlock()
-			if done != nil {
-				cn.c.stats.failure(label)
-				return fmt.Errorf("wire: %s: %w", label, done)
-			}
-			cn.c.stats.roundTrip(label)
-			return nil
-		}
-		cl.completed = true
-		cl.abandoned = true
-		cl.err = ctx.Err()
-		close(cl.done)
+		claimed := cl.claim()
 		cn.mu.Unlock()
-		cn.updateReadDeadline()
+		if !claimed {
+			cn.c.stats.failure(label)
+			return ctx.Err()
+		}
+		<-cl.done
+	}
+	if cl.err != nil {
 		cn.c.stats.failure(label)
-		return ctx.Err()
+		return fmt.Errorf("wire: %s: %w", label, cl.err)
 	}
-}
-
-// updateReadDeadline sets the connection read deadline to the earliest
-// deadline among pending, un-abandoned calls (zero clears it).
-func (cn *conn) updateReadDeadline() {
-	cn.mu.Lock()
-	var min time.Time
-	for _, cl := range cn.pending {
-		if cl.completed || cl.deadline.IsZero() {
-			continue
-		}
-		if min.IsZero() || cl.deadline.Before(min) {
-			min = cl.deadline
-		}
-	}
-	closed := cn.closed
-	cn.mu.Unlock()
-	if closed {
-		return
-	}
-	_ = cn.nc.SetReadDeadline(min)
-}
-
-// expireOverdue fails pending calls whose deadline has passed, leaving
-// them registered (abandoned) for their late replies. It runs on the
-// reader goroutine when the read deadline fires.
-func (cn *conn) expireOverdue() {
-	now := time.Now()
-	cn.mu.Lock()
-	for _, cl := range cn.pending {
-		if cl.completed || cl.deadline.IsZero() || now.Before(cl.deadline) {
-			continue
-		}
-		cl.completed = true
-		cl.abandoned = true
-		cl.err = context.DeadlineExceeded
-		close(cl.done)
-	}
-	cn.mu.Unlock()
+	cn.c.stats.roundTrip(label)
+	return nil
 }
 
 func (cn *conn) readLoop() {
-	onTimeout := func() bool {
-		cn.expireOverdue()
-		cn.updateReadDeadline()
-		return true
-	}
 	for {
-		size, err := cn.fr.readFrame(onTimeout)
+		size, err := cn.fr.readFrame()
 		if err != nil {
 			cn.teardown(fmt.Errorf("wire: recv: %w", err))
 			return
@@ -556,15 +511,18 @@ func (cn *conn) readLoop() {
 			cn.teardown(fmt.Errorf("wire: recv unknown frame kind %d", h.Kind))
 			return
 		}
-		cn.updateReadDeadline()
 	}
 }
 
+// handleResponse takes reply id out of pending and claims its call. The
+// reply to a call its caller abandoned is dropped.
 func (cn *conn) handleResponse(id uint64, size int) bool {
 	cn.mu.Lock()
 	cl, ok := cn.pending[id]
+	var abandoned bool
 	if ok {
 		delete(cn.pending, id)
+		abandoned = cl.claim()
 	}
 	cn.mu.Unlock()
 	if !ok {
@@ -577,7 +535,7 @@ func (cn *conn) handleResponse(id uint64, size int) bool {
 	// a throwaway value of the right type, because the gob stream's
 	// type definitions may be riding in it.
 	target := cl.resp
-	if cl.abandoned {
+	if abandoned {
 		target = nil
 		if _, ok := cl.resp.(Body); !ok {
 			target = reflect.New(reflect.TypeOf(cl.resp).Elem()).Interface()
@@ -587,17 +545,19 @@ func (cn *conn) handleResponse(id uint64, size int) bool {
 		if err := cn.fr.decodeBody(target); err != nil {
 			// cl is no longer pending, so teardown will not fail it.
 			err = fmt.Errorf("wire: recv %s: %w", cl.label, err)
-			cn.mu.Lock()
-			cl.complete(err)
-			cn.mu.Unlock()
+			if !abandoned {
+				cl.complete(err)
+			}
 			cn.teardown(err)
 			return false
 		}
 	}
 	cn.mu.Lock()
 	cn.used = true
-	cl.complete(nil)
 	cn.mu.Unlock()
+	if !abandoned {
+		cl.complete(nil)
+	}
 	return true
 }
 
@@ -682,7 +642,7 @@ func (s *Stream) Close() {
 	}
 	c := s.c
 	c.mu.Lock()
-	if !c.closed && len(c.idlePinned) < c.maxPinnedIdle {
+	if !c.closed && len(c.idlePinned) < maxPinnedIdle {
 		c.idlePinned = append(c.idlePinned, cn)
 		c.mu.Unlock()
 		return

@@ -23,10 +23,12 @@
 //   - One rule retries a failed Call and a failed opening request alike
 //     (Client.retrying), so no protocol above keeps a retry loop of its
 //     own.
-//   - Context deadlines and cancellation propagate to the socket:
-//     writes run under SetWriteDeadline, and the per-connection reader
-//     holds a SetReadDeadline at the earliest pending deadline, so a
-//     call against a stalled server returns by its deadline.
+//   - A call's context is the one owner of its deadline: the wait for
+//     the reply selects on ctx.Done(), and the write, which that select
+//     cannot reach, runs under SetWriteDeadline at the same instant. The
+//     reader sets no deadline, so a call against a stalled server
+//     returns once ctx.Err() is set, and exactly one side, the reader
+//     or the abandoning caller, decides each call's outcome.
 //   - Server drains gracefully on Close: stop accepting, finish
 //     in-flight requests, bounded by a drain timeout, then force-close.
 //   - Both ends keep per-op counts and byte totals, exposed as a Stats

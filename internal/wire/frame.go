@@ -84,21 +84,17 @@ func (fw *frameWriter) writeFrame(h *frameHeader, body any) (int, error) {
 	return fw.w.Write(buf)
 }
 
-// frameReader reads frames and decodes their header and body. Reads are
-// resumable: a deadline-induced timeout mid-frame preserves the partial
-// length/payload state so the read continues cleanly after the wakeup
-// is handled — the client reader relies on this to expire pending calls
-// without corrupting the stream. The payload buffer is per-connection
-// and grow-only: frames are decoded before the next readFrame, so the
-// buffer can be reused instead of allocated per frame.
+// frameReader reads frames and decodes their header and body. A read
+// that fails is never resumed: the client's reader sets no read
+// deadline (a call's deadline is its context's), and the server's one,
+// the drain wakeup, ends its reading. The payload buffer is
+// per-connection and grow-only: frames are decoded before the next
+// readFrame, so the buffer can be reused instead of allocated per frame.
 type frameReader struct {
 	r        io.Reader
 	maxFrame int
 	lenBuf   [4]byte
-	lenOff   int
 	payload  []byte
-	payOff   int
-	inFrame  bool
 	body     []byte // the current frame past its header
 	// gob fallback, the read side of frameWriter's; nil until the first
 	// body that does not implement Body.
@@ -111,45 +107,23 @@ func newFrameReader(r io.Reader, maxFrame int) *frameReader {
 }
 
 // readFrame reads the next frame into the decode buffer and returns
-// its size on the wire. When a read deadline fires, onTimeout decides:
-// return true to resume the (possibly partial) read, false to abort
-// with the timeout error. A nil onTimeout aborts.
-func (fr *frameReader) readFrame(onTimeout func() bool) (int, error) {
-	for fr.lenOff < 4 {
-		n, err := fr.r.Read(fr.lenBuf[fr.lenOff:])
-		fr.lenOff += n
-		if err != nil {
-			if isTimeout(err) && onTimeout != nil && onTimeout() {
-				continue
-			}
-			return 0, err
-		}
+// its size on the wire.
+func (fr *frameReader) readFrame() (int, error) {
+	if _, err := io.ReadFull(fr.r, fr.lenBuf[:]); err != nil {
+		return 0, err
 	}
 	size := int(binary.BigEndian.Uint32(fr.lenBuf[:]))
 	if size <= 0 || size > fr.maxFrame {
 		return 0, fmt.Errorf("wire: bad frame length %d", size)
 	}
-	if !fr.inFrame {
-		if cap(fr.payload) < size {
-			fr.payload = make([]byte, size)
-		}
-		fr.payload = fr.payload[:size]
-		fr.payOff = 0
-		fr.inFrame = true
+	if cap(fr.payload) < size {
+		fr.payload = make([]byte, size)
 	}
-	for fr.payOff < len(fr.payload) {
-		n, err := fr.r.Read(fr.payload[fr.payOff:])
-		fr.payOff += n
-		if err != nil {
-			if isTimeout(err) && onTimeout != nil && onTimeout() {
-				continue
-			}
-			return 0, err
-		}
-	}
+	fr.payload = fr.payload[:size]
 	fr.body = nil
-	fr.inFrame = false
-	fr.lenOff = 0
+	if _, err := io.ReadFull(fr.r, fr.payload); err != nil {
+		return 0, err
+	}
 	return size + 4, nil
 }
 

@@ -92,12 +92,12 @@ func TestReadFrameReusesPayloadBuffer(t *testing.T) {
 		}
 	}
 	fr := newFrameReader(&buf, DefaultMaxFrame)
-	if _, err := fr.readFrame(nil); err != nil {
+	if _, err := fr.readFrame(); err != nil {
 		t.Fatal(err)
 	}
 	first := &fr.payload[0]
 	for i := 0; i < 2; i++ {
-		if _, err := fr.readFrame(nil); err != nil {
+		if _, err := fr.readFrame(); err != nil {
 			t.Fatal(err)
 		}
 		if &fr.payload[0] != first {

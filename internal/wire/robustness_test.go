@@ -92,7 +92,7 @@ func TestUndecodableReplyFailsItsCall(t *testing.T) {
 		}
 		defer conn.Close()
 		fr := newFrameReader(conn, DefaultMaxFrame)
-		if _, err := fr.readFrame(nil); err != nil {
+		if _, err := fr.readFrame(); err != nil {
 			return
 		}
 		h, err := fr.readHeader()
@@ -137,7 +137,7 @@ func TestFrameHeaderRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		fr := newFrameReader(&byteConn{data: sink}, DefaultMaxFrame)
-		if _, err := fr.readFrame(nil); err != nil {
+		if _, err := fr.readFrame(); err != nil {
 			t.Fatal(err)
 		}
 		got, err := fr.readHeader()
@@ -182,7 +182,7 @@ func FuzzFrameReader(f *testing.F) {
 			// prefix from passing as a 16 MiB allocation.
 			fr := newFrameReader(&byteConn{data: data}, 1<<10)
 			for {
-				if _, err := fr.readFrame(nil); err != nil {
+				if _, err := fr.readFrame(); err != nil {
 					break
 				}
 				if _, err := fr.readHeader(); err != nil {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -45,7 +46,6 @@ func (s *Session) Context() context.Context { return s.sc.ctx }
 func (s *Session) Push(id uint64, body any) error {
 	sc := s.sc
 	sc.wmu.Lock()
-	_ = sc.nc.SetWriteDeadline(time.Time{})
 	n, err := sc.fw.writeFrame(&frameHeader{ID: id, Kind: kindPush}, body)
 	sc.wmu.Unlock()
 	if err != nil {
@@ -269,11 +269,11 @@ func (sc *serverConn) serve() {
 // was a graceful drain.
 func (sc *serverConn) readRequests() bool {
 	for {
-		size, err := sc.fr.readFrame(nil)
+		size, err := sc.fr.readFrame()
 		if err != nil {
 			// The only deadline ever set on a server connection is the
 			// drain wakeup.
-			return isTimeout(err) && sc.draining.Load()
+			return errors.Is(err, os.ErrDeadlineExceeded) && sc.draining.Load()
 		}
 		if sc.draining.Load() {
 			return true
@@ -330,7 +330,6 @@ func (sc *serverConn) dispatch(ctx context.Context, id uint64, label string, bod
 		return
 	}
 	sc.wmu.Lock()
-	_ = sc.nc.SetWriteDeadline(time.Time{})
 	n, err := sc.fw.writeFrame(&frameHeader{ID: id, Kind: kindResponse}, resp)
 	sc.wmu.Unlock()
 	if err != nil {

@@ -1,9 +1,6 @@
 package wire
 
-import (
-	"errors"
-	"net"
-)
+import "errors"
 
 // Labeler lets request bodies name themselves for per-op stats. Bodies
 // that do not implement it are accounted under "call".
@@ -45,10 +42,4 @@ func labelOf(body any) string {
 		}
 	}
 	return "call"
-}
-
-// isTimeout reports whether err is a deadline-induced I/O timeout.
-func isTimeout(err error) bool {
-	var ne net.Error
-	return errors.As(err, &ne) && ne.Timeout()
 }

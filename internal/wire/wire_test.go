@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -401,7 +402,7 @@ func TestContextDeadlineOnStalledServer(t *testing.T) {
 		defer conn.Close()
 		fr, fw := newFrameReader(conn, DefaultMaxFrame), newFrameWriter(conn)
 		for {
-			if _, err := fr.readFrame(nil); err != nil {
+			if _, err := fr.readFrame(); err != nil {
 				return
 			}
 			h, err := fr.readHeader()
@@ -428,12 +429,13 @@ func TestContextDeadlineOnStalledServer(t *testing.T) {
 	if err == nil {
 		t.Fatal("call against stalled server succeeded")
 	}
-	// The socket's read deadline is set to the context deadline and may
-	// fire a hair before the context's own timer publishes Done, so a
-	// DeadlineExceeded error with ctx.Err() still nil is a correct
-	// outcome, not an early return.
-	if ctx.Err() == nil && !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("returned before deadline with %v", err)
+	// The context is the call's only clock: the call returns once its
+	// deadline has passed, and says so.
+	if ctx.Err() == nil {
+		t.Fatalf("returned before its deadline with %v", err)
+	}
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want DeadlineExceeded", err)
 	}
 	if elapsed > 2*time.Second {
 		t.Fatalf("call hung %v past its 150ms deadline", elapsed)
@@ -457,6 +459,96 @@ func TestContextDeadlineOnStalledServer(t *testing.T) {
 	if d := c.Stats().Dials; d != 1 {
 		t.Fatalf("dials = %d, want 1 (the second call must reuse the connection)", d)
 	}
+}
+
+// TestCancelledCallNeverSeesItsReply: a reply and its caller's deadline
+// land at about the same instant, again and again. Exactly one side
+// decides each call: either the reader claims the reply first and the
+// call succeeds with it, or the caller abandons the call first and its
+// response is never written to, not even by the late reply the reader
+// meets afterwards. Either way the connection serves the next call. Run
+// it under -race: a reply decoded into an abandoned caller's response
+// is a data race as well as a wrong value.
+func TestCancelledCallNeverSeesItsReply(t *testing.T) {
+	const (
+		timeout = 2 * time.Millisecond
+		rounds  = 200
+	)
+	big := strings.Repeat("x", 1<<20)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		// One request at a time, in order: a late reply reaches the
+		// client before the reply to the call that follows it.
+		fr, fw := newFrameReader(conn, DefaultMaxFrame), newFrameWriter(conn)
+		for {
+			if _, err := fr.readFrame(); err != nil {
+				return
+			}
+			h, err := fr.readHeader()
+			req := new(testReq)
+			if err != nil || fr.decodeBody(req) != nil {
+				return
+			}
+			resp := &testResp{Payload: req.Payload, N: req.N}
+			if req.Op == "big" {
+				time.Sleep(timeout)
+				resp.Payload = big
+			}
+			if _, err := fw.writeFrame(&frameHeader{ID: h.ID, Kind: kindResponse}, resp); err != nil {
+				return
+			}
+		}
+	}()
+
+	c := NewClient(ln.Addr().String())
+	defer c.Close()
+	abandoned := 0
+	for i := 0; i < rounds; i++ {
+		ctx, cancel := context.WithTimeout(context.Background(), timeout)
+		resp := new(testResp)
+		err := c.Call(ctx, &testReq{Op: "big", N: i}, resp)
+		cancel()
+		failed := err != nil
+		if !failed {
+			if resp.Payload != big || resp.N != i {
+				t.Fatalf("round %d: call succeeded with a wrong reply (N=%d, %d bytes)", i, resp.N, len(resp.Payload))
+			}
+		} else {
+			abandoned++
+			if *resp != (testResp{}) {
+				t.Fatalf("round %d: failed call (%v) returned with its response written", i, err)
+			}
+		}
+
+		ctx2, cancel2 := context.WithTimeout(context.Background(), 5*time.Second)
+		next := new(testResp)
+		err = c.Call(ctx2, &testReq{Op: "echo", Payload: "next", N: i}, next)
+		cancel2()
+		if err != nil {
+			t.Fatalf("round %d: next call on the connection failed: %v", i, err)
+		}
+		if next.Payload != "next" || next.N != i {
+			t.Fatalf("round %d: next call got %+v", i, next)
+		}
+		// The reader met the late reply before the next call's own, so
+		// by now it has dropped it, or written it where it must not.
+		if failed && *resp != (testResp{}) {
+			t.Fatalf("round %d: late reply (N=%d) was decoded into the abandoned caller's response", i, resp.N)
+		}
+	}
+	if d := c.Stats().Dials; d != 1 {
+		t.Fatalf("dials = %d, want 1 (every call must reuse the connection)", d)
+	}
+	t.Logf("%d of %d calls abandoned", abandoned, rounds)
 }
 
 // plainReq/plainResp implement no Body: they take the transport's gob
