@@ -197,28 +197,3 @@ func TestStepRequestParams(t *testing.T) {
 		t.Error("unknown step action accepted")
 	}
 }
-
-func TestMarketSummaryAction(t *testing.T) {
-	_, client := newAppServer(t)
-	resp, err := client.Do(context.Background(), &Request{
-		Action: "marketSummary",
-		Params: map[string]string{"n": "3"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !resp.OK {
-		t.Fatalf("marketSummary failed: %s", resp.Err)
-	}
-	if !strings.Contains(string(resp.Body), "Market Summary") {
-		t.Error("summary page not rendered")
-	}
-	// Bad n falls back to the default instead of failing.
-	resp, err = client.Do(context.Background(), &Request{
-		Action: "marketSummary",
-		Params: map[string]string{"n": "bogus"},
-	})
-	if err != nil || !resp.OK {
-		t.Fatalf("bad n not tolerated: %v %+v", err, resp)
-	}
-}

@@ -12,14 +12,13 @@ import (
 // browsers talking to an HTTP server in front of the application server
 // (Figures 3–5). The gateway serves:
 //
-//	GET /trade/{action}?user=...&symbol=...&quantity=...&n=...
+//	GET /trade/{action}?user=...&symbol=...&quantity=...
 //	GET /healthz
 //
 // Action names are the Table 1 names (login, logout, register, home,
-// account, accountUpdate, portfolio, quote, buy, sell) plus the
-// marketSummary extension. Responses are the same rendered pages the
-// wire protocol returns; application errors map to 422 and unknown
-// actions to 404.
+// account, accountUpdate, portfolio, quote, buy, sell). Responses are
+// the same rendered pages the wire protocol returns; application errors
+// map to 422 and unknown actions to 404.
 type HTTPGateway struct {
 	srv *Server
 	mux *http.ServeMux
@@ -52,7 +51,7 @@ func (g *HTTPGateway) handleTrade(w http.ResponseWriter, r *http.Request) {
 		http.NotFound(w, r)
 		return
 	}
-	if _, err := trade.ParseAction(action); err != nil && action != "marketSummary" {
+	if _, err := trade.ParseAction(action); err != nil {
 		http.NotFound(w, r)
 		return
 	}

@@ -52,7 +52,6 @@ func TestHTTPGatewayFullSession(t *testing.T) {
 		"/trade/portfolio?user=" + user,
 		"/trade/buy?user=" + user + "&symbol=" + url.QueryEscape(trade.SymbolID(1)) + "&quantity=2",
 		"/trade/sell?user=" + user,
-		"/trade/marketSummary?n=3",
 		"/trade/logout?user=" + user,
 	}
 	for _, path := range paths {
@@ -69,9 +68,11 @@ func TestHTTPGatewayFullSession(t *testing.T) {
 func TestHTTPGatewayErrors(t *testing.T) {
 	gw := newGateway(t)
 
-	// Unknown action -> 404.
-	if code, _ := get(t, gw, "/trade/no-such-action"); code != http.StatusNotFound {
-		t.Errorf("unknown action status = %d, want 404", code)
+	// Unknown action -> 404; marketSummary is not a Table 1 action.
+	for _, path := range []string{"/trade/no-such-action", "/trade/marketSummary"} {
+		if code, _ := get(t, gw, path); code != http.StatusNotFound {
+			t.Errorf("%s status = %d, want 404", path, code)
+		}
 	}
 	// Nested path -> 404.
 	if code, _ := get(t, gw, "/trade/home/extra"); code != http.StatusNotFound {

@@ -10,7 +10,7 @@ func corpusRequests() []*Request {
 		{},
 		{SessionID: "s-1", Action: "login", Params: map[string]string{"user": "uid-1"}},
 		{Action: "buy", Params: map[string]string{"user": "uid-1", "symbol": "s-7", "quantity": "100"}},
-		{Action: "marketSummary", Params: map[string]string{"n": ""}},
+		{Action: "portfolio", Params: map[string]string{"user": ""}},
 	}
 }
 

@@ -95,17 +95,6 @@ func renderPortfolio(r trade.PortfolioResult) []byte {
 	return renderPage("Portfolio", sb.String())
 }
 
-func renderMarketSummary(r trade.MarketSummaryResult) []byte {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "<p>Market summary (volume %.0f).</p><table class=\"panel-05\">"+
-		"<tr><th>Symbol</th><th>Company</th><th>Price</th></tr>", r.Volume)
-	for _, q := range r.Top {
-		fmt.Fprintf(&sb, "<tr><td>%s</td><td>%s</td><td>$%.2f</td></tr>", q.Symbol, q.Company, q.Price)
-	}
-	sb.WriteString("</table>")
-	return renderPage("Market Summary", sb.String())
-}
-
 func renderQuote(r trade.QuoteResult) []byte {
 	return renderPage("Quote", fmt.Sprintf(
 		"<table class=\"panel-04\"><tr><td>Symbol</td><td>%s</td></tr>"+

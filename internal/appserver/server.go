@@ -79,19 +79,6 @@ func (s *Server) dispatch(ctx context.Context, req *Request) *Response {
 	}
 	p := func(k string) string { return req.Params[k] }
 
-	// Extension action (not part of Table 1's mix): market summary.
-	if req.Action == "marketSummary" {
-		n, err := strconv.Atoi(p("n"))
-		if err != nil || n < 1 {
-			n = 5
-		}
-		r, err := s.svc.MarketSummary(ctx, n)
-		if err != nil {
-			return fail(err)
-		}
-		return &Response{OK: true, Body: renderMarketSummary(r)}
-	}
-
 	action, err := trade.ParseAction(req.Action)
 	if err != nil {
 		return fail(err)

@@ -101,19 +101,18 @@ func TestStatementWireBytes(t *testing.T) {
 	// A change to any of these numbers is a protocol change, not a
 	// refactor: it moves bytes on the slow path Figure 8 weighs. A
 	// predicate is its field and value with no operator byte: Query
-	// sends 19 = 4 length prefix + 2 frame header + 1 op + 1 field mask
-	// + 1 tx + 2 table + 1 predicate count + 4 predicate + 3 shaping
-	// fields (order, desc, limit); its 42 received are the three rows
-	// pinnedFinder selects. TestCachePathWireBytes's AutoQuery is the
-	// same less the tx byte. Commit's 9 received = 8 + the commit's Seq,
-	// one byte (the seed was commit 1, this is 2); a commit that wrote
-	// nothing would send no Seq.
+	// sends 16 = 4 length prefix + 2 frame header + 1 op + 1 field mask
+	// + 1 tx + 2 table + 1 predicate count + 4 predicate; its 42
+	// received are the three rows pinnedFinder selects.
+	// TestCachePathWireBytes's AutoQuery is the same less the tx byte.
+	// Commit's 9 received = 8 + the commit's Seq, one byte (the seed was
+	// commit 1, this is 2); a commit that wrote nothing would send no Seq.
 	want := map[bool]map[string]opBytes{
 		false: {
 			"Begin":         {2, 16, 18},
 			"Get":           {1, 13, 19},
 			"GetForUpdate":  {1, 13, 19},
-			"Query":         {1, 19, 42},
+			"Query":         {1, 16, 42},
 			"Put":           {1, 30, 8},
 			"Insert":        {1, 31, 8},
 			"Delete":        {1, 13, 8},
@@ -125,7 +124,7 @@ func TestStatementWireBytes(t *testing.T) {
 		},
 		true: {
 			"Begin": {2, 16, 18},
-			"Batch": {2, 140, 99},
+			"Batch": {2, 137, 99},
 		},
 	}
 	for _, batched := range []bool{false, true} {
@@ -246,7 +245,7 @@ func TestCachePathWireBytes(t *testing.T) {
 	want := map[uint64]map[string]opBytes{
 		0: {
 			"AutoGet":         {1, 12, 19},
-			"AutoQuery":       {1, 18, 42},
+			"AutoQuery":       {1, 15, 42},
 			"ApplyCommitSet":  {1, 41, 9},
 			"ApplyCommitSets": {1, 63, 16},
 			"Prepare":         {2, 61, 16},
@@ -257,7 +256,7 @@ func TestCachePathWireBytes(t *testing.T) {
 		},
 		origin: {
 			"AutoGet":         {1, 12, 19},
-			"AutoQuery":       {1, 18, 42},
+			"AutoQuery":       {1, 15, 42},
 			"ApplyCommitSet":  {1, 41 + 8, 9},
 			"ApplyCommitSets": {1, 63 + 2*8, 16},
 			"Prepare":         {2, 61 + 2*8, 16},

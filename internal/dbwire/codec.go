@@ -333,7 +333,7 @@ func memIsZero(m memento.Memento) bool {
 }
 
 func queryIsZero(q memento.Query) bool {
-	return q.Table == "" && len(q.Where) == 0 && q.OrderBy == "" && !q.Desc && q.Limit == 0
+	return q.Table == "" && len(q.Where) == 0
 }
 
 func noticeIsZero(n sqlstore.Notice) bool {
@@ -510,9 +510,7 @@ func appendQuery(dst []byte, q memento.Query) []byte {
 		dst = wire.AppendString(dst, p.Field)
 		dst = appendValue(dst, p.Value)
 	}
-	dst = wire.AppendString(dst, q.OrderBy)
-	dst = wire.AppendBool(dst, q.Desc)
-	return binary.AppendVarint(dst, int64(q.Limit))
+	return dst
 }
 
 func readQuery(r *wire.Reader) memento.Query {
@@ -527,9 +525,6 @@ func readQuery(r *wire.Reader) memento.Query {
 			q.Where = append(q.Where, p)
 		}
 	}
-	q.OrderBy = r.Str()
-	q.Desc = r.Bool()
-	q.Limit = int(r.Varint())
 	return q
 }
 

@@ -49,9 +49,6 @@ func codecQuery() memento.Query {
 			memento.Where("symbol", memento.String("IBM")),
 			memento.Where("volume", memento.Int(10)),
 		},
-		OrderBy: "price",
-		Desc:    true,
-		Limit:   25,
 	}
 }
 

@@ -105,8 +105,8 @@ func (q Query) MatchesFields(f Fields) bool {
 
 // Normalize returns a canonical form of the query: predicates sorted by
 // field, then value, so that logically identical finders render
-// identically. Result-shaping fields (OrderBy, Desc, Limit) are kept —
-// they change the result set, so they distinguish cache keys.
+// identically. A table plus its equalities is the whole of a finder, so
+// it is the whole of its cache key.
 func (q Query) Normalize() Query {
 	if len(q.Where) < 2 {
 		return q

@@ -89,9 +89,4 @@ func TestQueryNormalizeAndCacheKey(t *testing.T) {
 	if a.Where[0].Field != "b" {
 		t.Fatal("Normalize mutated the original query")
 	}
-	limited := a
-	limited.Limit = 5
-	if a.CacheKey() == limited.CacheKey() {
-		t.Fatal("Limit must distinguish cache keys")
-	}
 }

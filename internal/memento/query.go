@@ -22,16 +22,11 @@ func (p Predicate) Matches(f Fields) bool {
 }
 
 // Query is a predicate query ("custom finder") against one table. All
-// predicates must match (conjunction). A zero Limit means unlimited.
-// OrderBy, when set, sorts results by that field (ties and missing
-// fields fall back to primary-key order); otherwise results are in
-// primary-key order.
+// predicates must match (conjunction). A finder returns every matching
+// row, in primary-key order.
 type Query struct {
-	Table   string
-	Where   []Predicate
-	OrderBy string
-	Desc    bool
-	Limit   int
+	Table string
+	Where []Predicate
 }
 
 // Matches reports whether a memento from the query's table satisfies
@@ -60,54 +55,14 @@ func (q Query) String() string {
 		}
 		fmt.Fprintf(&sb, "%s = %s", p.Field, p.Value.GoString())
 	}
-	if q.OrderBy != "" {
-		fmt.Fprintf(&sb, " ORDER BY %s", q.OrderBy)
-		if q.Desc {
-			sb.WriteString(" DESC")
-		}
-	}
-	if q.Limit > 0 {
-		fmt.Fprintf(&sb, " LIMIT %d", q.Limit)
-	}
 	return sb.String()
 }
 
-// Sort orders mementos according to the query: by OrderBy field when
-// set (missing fields sort first ascending), breaking ties — and
-// ordering entirely when OrderBy is empty — by primary key. Sorting is
-// deterministic so that finder results are reproducible across the
-// persistent store and the transient home.
+// Sort puts a finder's result in primary-key order, so that finder
+// results are reproducible across the persistent store, the shards and
+// the transient home.
 func (q Query) Sort(ms []Memento) {
-	sort.Slice(ms, func(i, j int) bool {
-		if q.OrderBy != "" {
-			vi, okI := ms[i].Fields[q.OrderBy]
-			vj, okJ := ms[j].Fields[q.OrderBy]
-			var c int
-			switch {
-			case okI && okJ:
-				c = vi.Compare(vj)
-			case okI:
-				c = 1
-			case okJ:
-				c = -1
-			}
-			if c != 0 {
-				if q.Desc {
-					return c > 0
-				}
-				return c < 0
-			}
-		}
-		return ms[i].Key.ID < ms[j].Key.ID
-	})
-}
-
-// Cap truncates ms to the query's limit, if any.
-func (q Query) Cap(ms []Memento) []Memento {
-	if q.Limit > 0 && len(ms) > q.Limit {
-		return ms[:q.Limit]
-	}
-	return ms
+	sort.Slice(ms, func(i, j int) bool { return ms[i].Key.ID < ms[j].Key.ID })
 }
 
 // Where constructs the predicate field = v.

@@ -73,61 +73,8 @@ func TestQueryString(t *testing.T) {
 	q := Query{
 		Table: "holding",
 		Where: []Predicate{Where("accountID", String("u1"))},
-		Limit: 5,
 	}
-	want := `SELECT * FROM holding WHERE accountID = "u1" LIMIT 5`
-	if got := q.String(); got != want {
-		t.Errorf("String() = %q, want %q", got, want)
-	}
-}
-
-func TestQuerySortAndCap(t *testing.T) {
-	rows := []Memento{
-		{Key: Key{Table: "t", ID: "c"}, Fields: Fields{"p": Int(2)}},
-		{Key: Key{Table: "t", ID: "a"}, Fields: Fields{"p": Int(3)}},
-		{Key: Key{Table: "t", ID: "b"}, Fields: Fields{"p": Int(1)}},
-		{Key: Key{Table: "t", ID: "d"}}, // missing field sorts first asc
-	}
-	q := Query{Table: "t", OrderBy: "p"}
-	q.Sort(rows)
-	gotIDs := []string{rows[0].Key.ID, rows[1].Key.ID, rows[2].Key.ID, rows[3].Key.ID}
-	want := []string{"d", "b", "c", "a"}
-	for i := range want {
-		if gotIDs[i] != want[i] {
-			t.Fatalf("ascending order = %v, want %v", gotIDs, want)
-		}
-	}
-	q.Desc = true
-	q.Sort(rows)
-	if rows[0].Key.ID != "a" || rows[3].Key.ID != "d" {
-		t.Fatalf("descending order = %v", rows)
-	}
-	q.Limit = 2
-	capped := q.Cap(rows)
-	if len(capped) != 2 {
-		t.Fatalf("cap = %d rows", len(capped))
-	}
-	q.Limit = 0
-	if got := q.Cap(rows); len(got) != 4 {
-		t.Fatalf("no-limit cap = %d rows", len(got))
-	}
-}
-
-func TestQuerySortTieBreaksByID(t *testing.T) {
-	rows := []Memento{
-		{Key: Key{Table: "t", ID: "z"}, Fields: Fields{"p": Int(1)}},
-		{Key: Key{Table: "t", ID: "a"}, Fields: Fields{"p": Int(1)}},
-	}
-	q := Query{Table: "t", OrderBy: "p"}
-	q.Sort(rows)
-	if rows[0].Key.ID != "a" {
-		t.Error("ties not broken by primary key")
-	}
-}
-
-func TestQueryStringWithOrderBy(t *testing.T) {
-	q := Query{Table: "t", OrderBy: "price", Desc: true, Limit: 3}
-	want := "SELECT * FROM t ORDER BY price DESC LIMIT 3"
+	want := `SELECT * FROM holding WHERE accountID = "u1"`
 	if got := q.String(); got != want {
 		t.Errorf("String() = %q, want %q", got, want)
 	}

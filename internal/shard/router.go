@@ -79,8 +79,8 @@ func (r *Router) AutoGet(ctx context.Context, table, id string) (storeapi.GetRes
 
 // AutoQuery runs a finder. A query the affinity hook pins to one
 // placement runs on that shard alone; otherwise it scatters to every
-// shard in parallel and merges the partial results under the query's
-// own order and limit. The merged result says it came from one read
+// shard in parallel and merges the partial results into one
+// primary-key order. The merged result says it came from one read
 // per shard: the shards answered at different instants, so a
 // cross-shard commit can fall between them.
 func (r *Router) AutoQuery(ctx context.Context, q memento.Query) (storeapi.QueryResult, error) {
@@ -107,7 +107,6 @@ func (r *Router) AutoQuery(ctx context.Context, q memento.Query) (storeapi.Query
 		out.Mems = append(out.Mems, results[i].Mems...)
 	}
 	q.Sort(out.Mems)
-	out.Mems = q.Cap(out.Mems)
 	return out, nil
 }
 

@@ -223,21 +223,27 @@ func TestRouterScatterQueryMerges(t *testing.T) {
 	r := newRig(t, 3, nil, nil)
 	ctx := context.Background()
 	// Ten rows spread over the shards by the default placement.
+	owners := make(map[int]bool)
 	for i := 0; i < 10; i++ {
-		r.seed(rmem(fmt.Sprintf("q%d", i), 0, int64(i)))
+		owners[r.seed(rmem(fmt.Sprintf("q%d", i), 0, int64(i)))] = true
 	}
-	q := memento.Query{Table: "t", OrderBy: "v", Desc: true, Limit: 4}
-	res, err := r.router.AutoQuery(ctx, q)
+	if len(owners) != 3 {
+		t.Fatalf("rows landed on %d shards, want all 3", len(owners))
+	}
+	res, err := r.router.AutoQuery(ctx, memento.Query{Table: "t"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Mems) != 4 {
-		t.Fatalf("got %d rows, want the limit 4", len(res.Mems))
+	if res.Accesses != 3 {
+		t.Errorf("Accesses = %d, want one read per shard", res.Accesses)
 	}
-	// Global order despite per-shard partials: top four values are 9..6.
+	if len(res.Mems) != 10 {
+		t.Fatalf("got %d rows, want all 10", len(res.Mems))
+	}
+	// One key order despite per-shard partials.
 	for i, m := range res.Mems {
-		if want := int64(9 - i); m.Fields["v"].Int != want {
-			t.Errorf("row %d: v = %d, want %d", i, m.Fields["v"].Int, want)
+		if want := fmt.Sprintf("q%d", i); m.Key.ID != want {
+			t.Errorf("row %d = %s, want %s", i, m.Key.ID, want)
 		}
 	}
 }

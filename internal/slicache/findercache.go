@@ -23,8 +23,8 @@ import (
 // other read.
 type FinderCache struct {
 	mu       sync.Mutex
-	enabled  bool
-	capacity int // 0 = unlimited
+	enabled  bool // set at construction only, so read without mu
+	capacity int  // 0 = unlimited
 	entries  map[string]*list.Element
 	lru      *list.List // front = most recently used
 	now      func() time.Time
@@ -84,12 +84,12 @@ func (c *FinderCache) SetClock(now func() time.Time) {
 // they were stored. An enabled cache counts the lookup as a hit or a
 // miss.
 func (c *FinderCache) Get(q memento.Query) ([]memento.Memento, time.Time, bool) {
-	ck := q.CacheKey()
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if !c.enabled {
 		return nil, time.Time{}, false
 	}
+	ck := q.CacheKey()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	el, ok := c.entries[ck]
 	if !ok {
 		c.misses.Add(1)
@@ -108,12 +108,12 @@ func (c *FinderCache) Get(q memento.Query) ([]memento.Memento, time.Time, bool) 
 // must not be mutated afterwards (the cache runtime only ever hands out
 // clones of them).
 func (c *FinderCache) Put(q memento.Query, mems []memento.Memento) {
-	ck := q.CacheKey()
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	if !c.enabled {
 		return
 	}
+	ck := q.CacheKey()
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	e := &finderEntry{ckey: ck, mems: mems, fp: memento.QueryFootprint(q, mems), storedAt: c.now()}
 	if el, ok := c.entries[ck]; ok {
 		el.Value = e

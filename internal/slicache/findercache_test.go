@@ -70,6 +70,27 @@ func TestFinderCacheDisabledByDefault(t *testing.T) {
 	}
 }
 
+// TestDisabledFinderCacheCostsNothing: the cache ships off, and every
+// finder still asks it, so a disabled Get and Put must not so much as
+// build the query's cache key.
+func TestDisabledFinderCacheCostsNothing(t *testing.T) {
+	c := NewFinderCache(false, 0)
+	q := memento.Query{Table: "t", Where: []memento.Predicate{
+		memento.Where("b", memento.Int(2)),
+		memento.Where("a", memento.String("u1")),
+	}}
+	rows := []memento.Memento{holding("h1", "u1")}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, _, ok := c.Get(q); ok {
+			t.Fatal("disabled cache hit")
+		}
+		c.Put(q, rows)
+	})
+	if allocs != 0 {
+		t.Errorf("disabled Get+Put = %v allocs, want 0", allocs)
+	}
+}
+
 // TestFinderCacheNeverOverlaysOwnUncommittedWrites: a transaction must
 // never observe a cached finder result in place of its own uncommitted
 // writes — updates, creates, and removes all win over the warm cache.

@@ -356,7 +356,7 @@ func (t *sliTx) Query(ctx context.Context, q memento.Query) ([]memento.Memento, 
 		}
 	}
 	q.Sort(out)
-	return q.Cap(out), nil
+	return out, nil
 }
 
 // Commit builds the commit set (before-image proofs plus after-images)

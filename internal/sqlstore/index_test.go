@@ -277,47 +277,3 @@ func TestIndexEquivalenceProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestQueryOrderBy(t *testing.T) {
-	s := New()
-	defer s.Close()
-	s.Seed(
-		acctRow("1", "a", 30),
-		acctRow("2", "a", 10),
-		acctRow("3", "a", 20),
-	)
-	q := acctQuery("a")
-	q.OrderBy = "qty"
-	got := queryAll(t, s, q)
-	ids := []string{got[0].Key.ID, got[1].Key.ID, got[2].Key.ID}
-	if !reflect.DeepEqual(ids, []string{"2", "3", "1"}) {
-		t.Fatalf("ascending order = %v", ids)
-	}
-	q.Desc = true
-	got = queryAll(t, s, q)
-	ids = []string{got[0].Key.ID, got[1].Key.ID, got[2].Key.ID}
-	if !reflect.DeepEqual(ids, []string{"1", "3", "2"}) {
-		t.Fatalf("descending order = %v", ids)
-	}
-	q.Limit = 1
-	got = queryAll(t, s, q)
-	if len(got) != 1 || got[0].Key.ID != "1" {
-		t.Fatalf("order+limit = %v", got)
-	}
-}
-
-// TestOrderByWithIndex: ordering applies after an index probe too.
-func TestOrderByWithIndex(t *testing.T) {
-	s := New()
-	defer s.Close()
-	if err := s.CreateIndex("h", "acct"); err != nil {
-		t.Fatal(err)
-	}
-	s.Seed(acctRow("1", "a", 3), acctRow("2", "a", 1), acctRow("3", "b", 2))
-	q := acctQuery("a")
-	q.OrderBy = "qty"
-	got := queryAll(t, s, q)
-	if len(got) != 2 || got[0].Key.ID != "2" || got[1].Key.ID != "1" {
-		t.Fatalf("indexed ordered query = %v", got)
-	}
-}

@@ -309,8 +309,8 @@ func (s *Store) readRow(key memento.Key) (memento.Memento, bool) {
 	return m, ok
 }
 
-// scanTable returns every committed row of a table matching q, in the
-// query's order. When a predicate's field is indexed, the planner
+// scanTable returns every committed row of a table matching q, in
+// primary-key order. When a predicate's field is indexed, the planner
 // probes the index and re-checks every predicate on the candidates;
 // otherwise it scans the whole table.
 func (s *Store) scanTable(q memento.Query) []memento.Memento {
@@ -337,7 +337,7 @@ func (s *Store) scanTable(q memento.Query) []memento.Memento {
 		}
 	}
 	q.Sort(out)
-	return q.Cap(out)
+	return out
 }
 
 // applyWrites installs a transaction's buffered writes under the store

@@ -253,7 +253,7 @@ func (tx *Tx) Query(ctx context.Context, q memento.Query) ([]memento.Memento, er
 		out = append(out, w.mem.Clone())
 	}
 	q.Sort(out)
-	return q.Cap(out), nil
+	return out, nil
 }
 
 // CheckVersion verifies that a row is still at the given version (or,

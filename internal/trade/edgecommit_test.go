@@ -69,7 +69,12 @@ func TestShardedReadOnlyEdgeCommit(t *testing.T) {
 	}
 	// Every quote: the scatter asks both shards, then the read proofs go
 	// to both for validation.
-	measure("a scattered TopQuotes", func() error { _, err := svc.MarketSummary(ctx, symbols); return err }, shards+shards)
+	measure("a scattered finder over every quote", func() error {
+		return svc.container.ExecuteRetry(ctx, svc.attempts, func(tx *component.Tx) error {
+			_, err := tx.FindWhere(memento.Query{Table: TableQuote})
+			return err
+		})
+	}, shards+shards)
 	// The pinned finder asks the owning shard alone; nothing follows.
 	measure("a pinned HoldingsByAccount", func() error { _, err := svc.Portfolio(ctx, UserID(1)); return err }, 1)
 	// Home's lone Account miss is one AutoGet; nothing follows.

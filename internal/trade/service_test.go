@@ -311,37 +311,3 @@ func TestBrowseBundle(t *testing.T) {
 		})
 	}
 }
-
-func TestMarketSummaryOrdering(t *testing.T) {
-	for name, build := range allRMs() {
-		build := build
-		t.Run(name, func(t *testing.T) {
-			svc, _ := newService(t, build)
-			ctx := context.Background()
-			res, err := svc.MarketSummary(ctx, 4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(res.Top) != 4 {
-				t.Fatalf("top = %d quotes, want 4", len(res.Top))
-			}
-			for i := 1; i < len(res.Top); i++ {
-				if res.Top[i].Price > res.Top[i-1].Price {
-					t.Errorf("summary not descending by price: %v then %v",
-						res.Top[i-1].Price, res.Top[i].Price)
-				}
-			}
-			if res.Volume <= 0 {
-				t.Error("volume not aggregated")
-			}
-			// Default n.
-			res, err = svc.MarketSummary(ctx, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(res.Top) != 5 {
-				t.Errorf("default top = %d, want 5", len(res.Top))
-			}
-		})
-	}
-}
