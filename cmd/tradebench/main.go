@@ -249,6 +249,7 @@ func run(args []string) error {
 			OneWayDelay:  delayList[0],
 			Sessions:     *faultSessions,
 			CacheOptions: cfg.CacheOptions,
+			Batch:        *batch,
 		}
 		if err := phase("fault", func() error { return runFaults(fopts, logf) }); err != nil {
 			return err

@@ -91,6 +91,9 @@ func (l *logic) AutoQuery(ctx context.Context, q memento.Query) (storeapi.QueryR
 	return l.db.AutoQuery(ctx, q)
 }
 
+// Subscribe opens one database subscription per edge subscription,
+// under the edge's context: its origin and, when it asked for keys
+// only, the database's stream to the back-end carries keys only too.
 func (l *logic) Subscribe(ctx context.Context) (<-chan sqlstore.Notice, func(), error) {
 	return l.db.Subscribe(ctx)
 }

@@ -2,6 +2,7 @@ package dbwire
 
 import (
 	"context"
+	"maps"
 	"strconv"
 	"testing"
 	"time"
@@ -156,16 +157,16 @@ func TestStatementWireBytes(t *testing.T) {
 }
 
 // cachePathBytes drives the ops the cached architectures spend on the
-// slow hop over a fresh loopback pair with fixed rows: a subscription,
-// the miss fetches, then the commit-set and two-phase commits, every
-// set and the subscription under origin. It returns the client's
-// transport counters, once every notice the store sent has arrived.
-func cachePathBytes(t *testing.T, origin uint64) wire.Stats {
+// slow hop over a fresh loopback pair with fixed rows: a subscription
+// under sub, the miss fetches, then the commit-set and two-phase
+// commits, every set under origin. It returns the client's transport
+// counters, once every notice the store sent has arrived.
+func cachePathBytes(t *testing.T, sub context.Context, origin uint64) wire.Stats {
 	t.Helper()
 	store, c := newPair(t)
 	seedPinnedRows(store)
 	ctx := context.Background()
-	notices, cancel, err := c.Subscribe(sqlstore.OriginContext(ctx, origin))
+	notices, cancel, err := c.Subscribe(sub)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,31 +231,55 @@ func cachePathBytes(t *testing.T, origin uint64) wire.Stats {
 // and the invalidation push. The transport counts the notices pushed on
 // the subscription under "push". A subscriber under no origin is pushed
 // all four commits' notices; one that shares the commits' origin, the
-// committing edge's own subscription, is pushed nothing.
+// committing edge's own subscription, is pushed nothing; a keys-only
+// subscriber under another origin, an edge with no finder cache, is
+// pushed all four with their field images cut.
 func TestCachePathWireBytes(t *testing.T) {
 	// As in TestStatementWireBytes, a moved number is a protocol change.
 	// Every commit set ends in its origin as a uvarint: 1 byte for none,
 	// 9 for an edge's (bit 62 set, bit 63 clear). A subscription under
-	// an origin adds the origin's 9 bytes and a second mask byte (bit 11).
+	// an origin adds the origin's 9 bytes and a second mask byte (bit 11);
+	// asking for keys only is mask bit 12 and nothing else, so it adds
+	// no byte there.
 	// A commit reply is its commit's number and nothing else: 9 = 4
 	// length prefix + 2 frame header + 1 code + 1 field mask + 1 Seq (the
 	// seed was commit 1, so these are 2 to 5). ApplyCommitSets' 16 = 8 + 1
 	// batch count + 2 × (code, mask, Seq). The sender rebuilds each put
 	// key's version from the Seq, so no key→version map rides back.
-	const origin = 1<<62 | 5
-	want := map[uint64]map[string]opBytes{
-		0: {
-			"AutoGet":         {1, 12, 19},
-			"AutoQuery":       {1, 15, 42},
-			"ApplyCommitSet":  {1, 41, 9},
-			"ApplyCommitSets": {1, 63, 16},
-			"Prepare":         {2, 61, 16},
-			"CommitPrepared":  {1, 12, 9},
-			"AbortPrepared":   {1, 12, 8},
-			"Subscribe":       {1, 8, 8},
-			"push":            {0, 0, 180},
-		},
-		origin: {
+	//
+	// A keys-only push sends each descriptor as its key and two nil
+	// markers, 1 byte each, in place of the two field maps. An update's
+	// Before {v} is 6 bytes (presence, count, "v" 2, Int 2) and its
+	// After {v, s: "pinned"} 16 (presence, count, "v" 2, Int 2, "s" 2,
+	// String 8): 20 saved on each of the three updates (t/2, t/3, t/4).
+	// The create of t/9 has a nil Before already; its After is 17 bytes,
+	// as Int(90) zigzags to a 2-byte varint, so it saves 16. The four
+	// notices are 180 − 3×20 − 16 = 104 bytes.
+	const origin, other = 1<<62 | 5, 1<<62 | 6
+	full := map[string]opBytes{
+		"AutoGet":         {1, 12, 19},
+		"AutoQuery":       {1, 15, 42},
+		"ApplyCommitSet":  {1, 41, 9},
+		"ApplyCommitSets": {1, 63, 16},
+		"Prepare":         {2, 61, 16},
+		"CommitPrepared":  {1, 12, 9},
+		"AbortPrepared":   {1, 12, 8},
+		"Subscribe":       {1, 8, 8},
+		"push":            {0, 0, 180},
+	}
+	keysOnly := maps.Clone(full)
+	keysOnly["Subscribe"] = opBytes{1, 8 + 1 + 9, 8}
+	keysOnly["push"] = opBytes{0, 0, 180 - 3*20 - 16}
+	ctx := context.Background()
+	for _, c := range []struct {
+		name   string
+		sub    context.Context
+		origin uint64
+		pushes uint64
+		want   map[string]opBytes
+	}{
+		{"no origin", ctx, 0, 4, full},
+		{"own origin", sqlstore.OriginContext(ctx, origin), origin, 0, map[string]opBytes{
 			"AutoGet":         {1, 12, 19},
 			"AutoQuery":       {1, 15, 42},
 			"ApplyCommitSet":  {1, 41 + 8, 9},
@@ -263,24 +288,20 @@ func TestCachePathWireBytes(t *testing.T) {
 			"CommitPrepared":  {1, 12, 9},
 			"AbortPrepared":   {1, 12, 8},
 			"Subscribe":       {1, 8 + 1 + 9, 8},
-		},
-	}
-	for _, o := range []uint64{0, origin} {
-		s := cachePathBytes(t, o)
-		pushes := uint64(4)
-		if o != 0 {
-			pushes = 0
+		}},
+		{"keys only", sqlstore.KeysOnlyContext(sqlstore.OriginContext(ctx, other), true), 0, 4, keysOnly},
+	} {
+		s := cachePathBytes(t, c.sub, c.origin)
+		if s.Pushes != c.pushes {
+			t.Errorf("%s: pushes = %d, want %d", c.name, s.Pushes, c.pushes)
 		}
-		if s.Pushes != pushes {
-			t.Errorf("origin %#x: pushes = %d, want %d", o, s.Pushes, pushes)
+		if len(s.Ops) != len(c.want) {
+			t.Errorf("%s: ops %v, want %v", c.name, s.Ops, c.want)
 		}
-		if len(s.Ops) != len(want[o]) {
-			t.Errorf("origin %#x: ops %v, want %v", o, s.Ops, want[o])
-		}
-		for label, w := range want[o] {
+		for label, w := range c.want {
 			op := s.Ops[label]
 			if g := (opBytes{Count: op.Count, Sent: op.BytesSent, Received: op.BytesReceived}); g != w {
-				t.Errorf("origin %#x: %s = %+v, want %+v", o, label, g, w)
+				t.Errorf("%s: %s = %+v, want %+v", c.name, label, g, w)
 			}
 		}
 	}

@@ -77,12 +77,13 @@ func (c *Client) Ping(ctx context.Context) error {
 }
 
 // pin opens a pinned stream whose opening exchange is op's handshake,
-// carrying the context's origin. prepare, when non-nil, runs on every
-// stream before the handshake is sent. The transport retries the
-// handshake under the same rule as a one-shot call.
+// carrying the context's origin and whether it asks for keys only.
+// prepare, when non-nil, runs on every stream before the handshake is
+// sent. The transport retries the handshake under the same rule as a
+// one-shot call.
 func (c *Client) pin(ctx context.Context, op OpCode, prepare func(*wire.Stream)) (*wire.Stream, *Response, error) {
 	resp := new(Response)
-	st, err := c.w.OpenStream(ctx, &Request{Op: op, Origin: sqlstore.OriginOf(ctx)}, resp, prepare)
+	st, err := c.w.OpenStream(ctx, &Request{Op: op, Origin: sqlstore.OriginOf(ctx), KeysOnly: sqlstore.KeysOnly(ctx)}, resp, prepare)
 	if err != nil {
 		return nil, nil, fmt.Errorf("dbwire: %s: %w", op, err)
 	}

@@ -63,6 +63,8 @@ const (
 	reqSets
 	reqGid
 	reqOrigin
+	// reqKeysOnly is Request.KeysOnly: the bit is the whole field.
+	reqKeysOnly
 )
 
 func appendRequest(dst []byte, q *Request) []byte {
@@ -103,6 +105,9 @@ func appendRequest(dst []byte, q *Request) []byte {
 	}
 	if q.Origin != 0 {
 		mask |= reqOrigin
+	}
+	if q.KeysOnly {
+		mask |= reqKeysOnly
 	}
 	dst = binary.AppendUvarint(dst, mask)
 	if mask&reqTx != 0 {
@@ -205,6 +210,7 @@ func readRequest(r *wire.Reader, q *Request, nested bool) {
 	if mask&reqOrigin != 0 {
 		q.Origin = r.Uvarint()
 	}
+	q.KeysOnly = mask&reqKeysOnly != 0
 }
 
 // Response field bits (after the always-present Code byte).

@@ -10,6 +10,7 @@ import (
 
 	"edgeejb/internal/memento"
 	"edgeejb/internal/sqlstore"
+	"edgeejb/internal/wire"
 )
 
 // ts builds a timestamp the codec round-trips exactly: it carries
@@ -88,6 +89,7 @@ func corpusRequests() map[string]*Request {
 		},
 		"begin under origin":     {Op: OpBegin, Origin: 1<<62 | 5},
 		"subscribe under origin": {Op: OpSubscribe, Origin: 1<<62 | 5},
+		"subscribe keys only":    {Op: OpSubscribe, Origin: 1<<62 | 5, KeysOnly: true},
 		"apply under origin":     {Op: OpApplyCommitSet, Set: codecSetFrom(1, 1<<62|5)},
 		"apply sets of two origins": {
 			Op:   OpApplyCommitSets,
@@ -156,6 +158,15 @@ func corpusResponses() map[string]*Response {
 				}},
 				CommittedAt: ts(1_723_000_000_000_000_456),
 				OriginTrace: 555,
+			},
+		},
+		// A keys-only subscriber's notice: every descriptor is blind.
+		"keys-only notice": {
+			Code: CodeOK,
+			Notice: sqlstore.Notice{
+				Seq:         32,
+				Writes:      []memento.WriteDesc{{Key: memento.Key{Table: "quote", ID: "a"}}, {Key: memento.Key{Table: "quote", ID: "b"}}},
+				CommittedAt: ts(1_723_000_000_000_000_789),
 			},
 		},
 		"batch": {
@@ -357,6 +368,52 @@ func FuzzResponseReadWire(f *testing.F) {
 			t.Fatalf("re-encoded response does not decode: %v", err)
 		}
 	})
+}
+
+// TestKeysOnlyNoticeAllocs pins what cutting a notice to its keys
+// costs. The server cuts each notice into its subscription's own
+// buffer, so once that buffer has grown a push allocates nothing more
+// than a full one; the store's shared descriptors are left as they
+// were. The edge reads a cut notice with no field map: one allocation
+// for the descriptor slice and one per key string (each is longer than
+// a byte, so none is a static one-byte string).
+func TestKeysOnlyNoticeAllocs(t *testing.T) {
+	n := sqlstore.Notice{
+		Seq: 41,
+		Writes: []memento.WriteDesc{
+			{Key: memento.Key{Table: "holding", ID: "h-17"},
+				Before: memento.Fields{"accountID": memento.String("uid:3"), "quantity": memento.Float(5)},
+				After:  memento.Fields{"accountID": memento.String("uid:3"), "quantity": memento.Float(7)}},
+			{Key: memento.Key{Table: "quote", ID: "s:12"},
+				After: memento.Fields{"price": memento.Float(3)}},
+		},
+		CommittedAt: ts(1_723_000_000_000_000_456),
+		OriginTrace: 555,
+	}
+	var buf []memento.WriteDesc
+	_, buf = keysOf(n, buf)
+	if a := testing.AllocsPerRun(100, func() { _, buf = keysOf(n, buf) }); a != 0 {
+		t.Errorf("cutting a notice into a grown buffer allocates %v times, want 0", a)
+	}
+	if n.Writes[0].Before == nil || n.Writes[1].After == nil {
+		t.Fatal("cutting a notice changed the shared descriptors")
+	}
+
+	cut, _ := keysOf(n, nil)
+	body := appendNotice(nil, cut)
+	got := readNotice(wire.NewReader(body))
+	for _, w := range got.Writes {
+		if !w.Blind() {
+			t.Errorf("a cut descriptor reads back with images: %+v", w)
+		}
+	}
+	if got.Seq != n.Seq || len(got.Writes) != len(n.Writes) || got.OriginTrace != n.OriginTrace {
+		t.Errorf("cut notice reads back as %+v", got)
+	}
+	want := float64(1 + 2*len(n.Writes))
+	if a := testing.AllocsPerRun(100, func() { _ = readNotice(wire.NewReader(body)) }); a != want {
+		t.Errorf("reading a cut notice allocates %v times, want %v (no field maps)", a, want)
+	}
 }
 
 // BenchmarkBinaryCodec measures encode+decode of a representative

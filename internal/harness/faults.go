@@ -35,6 +35,8 @@ type FaultOptions struct {
 	// CacheOptions are extra slicache manager options applied to
 	// cached-algorithm pairs.
 	CacheOptions []slicache.ManagerOption
+	// Batch is Options.Batch for every pair's topology.
+	Batch bool
 }
 
 // DefaultFaultPlan returns a moderate schedule: occasional connection
@@ -112,14 +114,20 @@ func RunFaultExperiment(ctx context.Context, opts FaultOptions, logf func(format
 	return reports, nil
 }
 
-func runFaultPair(ctx context.Context, pair Pair, opts FaultOptions, logf func(string, ...any)) (FaultReport, error) {
-	topo, err := Build(Options{
+// buildFaultPair builds pair's topology as opts configure it.
+func buildFaultPair(pair Pair, opts FaultOptions) (*Topology, error) {
+	return Build(Options{
 		Arch:         pair.Arch,
 		Algo:         pair.Algo,
 		OneWayDelay:  opts.OneWayDelay,
 		Populate:     opts.Populate,
 		CacheOptions: opts.CacheOptions,
+		Batch:        opts.Batch,
 	})
+}
+
+func runFaultPair(ctx context.Context, pair Pair, opts FaultOptions, logf func(string, ...any)) (FaultReport, error) {
+	topo, err := buildFaultPair(pair, opts)
 	if err != nil {
 		return FaultReport{}, err
 	}

@@ -71,3 +71,24 @@ func TestFaultExperimentSurvives(t *testing.T) {
 			before, n, buf[:runtime.Stack(buf, true)])
 	}
 }
+
+// TestFaultPairHonoursBatch: a fault pair builds its managers batched
+// or not as FaultOptions.Batch says, as every other experiment does:
+// the ES/RDB cached-EJB commit ships as one statement batch, or with
+// batching off as one round trip per statement.
+func TestFaultPairHonoursBatch(t *testing.T) {
+	for batch, want := range map[bool]string{true: "per-image", false: "per-statement"} {
+		topo, err := buildFaultPair(Pair{ESRDB, AlgCachedEJB}, FaultOptions{
+			Populate: trade.PopulateConfig{Users: 2, Symbols: 2, HoldingsPerUser: 1},
+			Batch:    batch,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := topo.Managers[0].Shipping().String()
+		topo.Close()
+		if got != want {
+			t.Errorf("fault pair with Batch=%v ships %s, want %s", batch, got, want)
+		}
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"edgeejb/internal/memento"
 	"edgeejb/internal/obs"
@@ -459,5 +460,89 @@ func BenchmarkFinderCacheHit(b *testing.B) {
 	b.StopTimer()
 	if st := mgr.FinderCache().Stats(); st.Hits < uint64(b.N) {
 		b.Fatalf("hits = %d, want >= %d", st.Hits, b.N)
+	}
+}
+
+// TestFinderCacheBlindNoticeEvictsTable: a notice whose descriptors are
+// keys alone, as a keys-only subscriber is sent them, that reaches a
+// finder cache by mistake evicts every cached result on the written
+// table and none on another: it over-evicts, and never leaves a stale
+// result behind. The same write with its images evicts nothing, as the
+// row is in neither result and matches neither predicate.
+func TestFinderCacheBlindNoticeEvictsTable(t *testing.T) {
+	e := newEnv(t, WithFinderCache(true))
+	fc := e.mgr.FinderCache()
+	other := memento.Query{Table: "o", Where: []memento.Predicate{memento.Where("acct", memento.String("u1"))}}
+	fc.Put(byAcct("u1"), []memento.Memento{holding("h1", "u1")})
+	fc.Put(byAcct("u2"), []memento.Memento{holding("h2", "u2")})
+	fc.Put(other, nil)
+
+	images := memento.Fields{"acct": memento.String("u3")}
+	e.mgr.noteNotice(sqlstore.Notice{Seq: 2, Writes: []memento.WriteDesc{{Key: key("h9"), Before: images, After: images}}})
+	if n := fc.Len(); n != 3 {
+		t.Fatalf("a write outside every result evicted %d of 3 results", 3-n)
+	}
+	e.mgr.noteNotice(sqlstore.Notice{Seq: 3, Writes: []memento.WriteDesc{{Key: key("h9")}}})
+	for _, q := range []memento.Query{byAcct("u1"), byAcct("u2")} {
+		if _, _, ok := fc.Get(q); ok {
+			t.Errorf("%s survived a blind write to its table", q)
+		}
+	}
+	if _, _, ok := fc.Get(other); !ok {
+		t.Error("a blind write evicted a result on another table")
+	}
+}
+
+// subscribeRecorder is a Conn that hands each subscription's context
+// and cancel to the test.
+type subscribeRecorder struct {
+	storeapi.Conn
+	subs chan subscribed
+}
+
+type subscribed struct {
+	ctx    context.Context
+	cancel func()
+}
+
+func (c subscribeRecorder) Subscribe(ctx context.Context) (<-chan sqlstore.Notice, func(), error) {
+	ch, cancel, err := c.Conn.Subscribe(ctx)
+	if err == nil {
+		c.subs <- subscribed{ctx, cancel}
+	}
+	return ch, cancel, err
+}
+
+// TestSubscriptionKeysOnlyWithoutFinderCache: a manager whose finder
+// cache is off subscribes for keys only, as the footprint test is the
+// one reader of a notice's images; one whose finder cache is on asks
+// for them. Both subscribe under their origin, and the resubscription
+// after a lost stream asks the same.
+func TestSubscriptionKeysOnlyWithoutFinderCache(t *testing.T) {
+	for _, finders := range []bool{false, true} {
+		store := sqlstore.New()
+		t.Cleanup(store.Close)
+		conn := subscribeRecorder{Conn: storeapi.Local(store), subs: make(chan subscribed, 2)}
+		mgr := NewManager(conn, WithFinderCache(finders))
+		t.Cleanup(mgr.Close)
+		if err := mgr.Start(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		first := <-conn.subs
+		first.cancel()
+		var second subscribed
+		select {
+		case second = <-conn.subs:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("finder cache %v: no resubscription after the stream dropped", finders)
+		}
+		for i, s := range []subscribed{first, second} {
+			if got := sqlstore.KeysOnly(s.ctx); got == finders {
+				t.Errorf("finder cache %v: subscription %d keys only = %v, want %v", finders, i, got, !finders)
+			}
+			if got := sqlstore.OriginOf(s.ctx); got != mgr.origin {
+				t.Errorf("finder cache %v: subscription %d under origin %#x, want %#x", finders, i, got, mgr.origin)
+			}
+		}
 	}
 }

@@ -163,7 +163,7 @@ func (m *Manager) Start(ctx context.Context) error {
 	m.started = true
 	m.mu.Unlock()
 
-	ch, cancel, err := m.conn.Subscribe(sqlstore.OriginContext(ctx, m.origin))
+	ch, cancel, err := m.conn.Subscribe(m.subscription(ctx))
 	if err != nil {
 		m.mu.Lock()
 		m.started = false
@@ -182,6 +182,13 @@ func (m *Manager) Start(ctx context.Context) error {
 	return nil
 }
 
+// subscription is ctx as the manager subscribes: under its origin, and
+// keys only when its finder cache is off, since the finder cache's
+// footprint test is the one reader of a notice's field images.
+func (m *Manager) subscription(ctx context.Context) context.Context {
+	return sqlstore.KeysOnlyContext(sqlstore.OriginContext(ctx, m.origin), !m.finders.enabled)
+}
+
 // invalidationLoop consumes notices and resubscribes after stream
 // interruptions until stopped.
 func (m *Manager) invalidationLoop(ch <-chan sqlstore.Notice, stop, done chan struct{}) {
@@ -198,7 +205,7 @@ func (m *Manager) invalidationLoop(ch <-chan sqlstore.Notice, stop, done chan st
 		m.common.Clear()
 		m.finders.Clear()
 		for attempt := 0; ; attempt++ {
-			newCh, cancel, err := m.conn.Subscribe(sqlstore.OriginContext(context.Background(), m.origin))
+			newCh, cancel, err := m.conn.Subscribe(m.subscription(context.Background()))
 			if err == nil {
 				m.mu.Lock()
 				m.cancel = cancel

@@ -42,9 +42,11 @@ type Notice struct {
 	// once each and in key order, with the row's field state before and
 	// after the write, so a subscriber can test whether a cached
 	// predicate query's result set gained or lost a row — not just
-	// whether a known key changed version. Subscribers must treat the
-	// descriptors (and their field maps) as read-only; they are shared
-	// across subscribers.
+	// whether a known key changed version. A keys-only subscriber (see
+	// KeysOnlyContext) may receive each descriptor without its images,
+	// as a blind write. Subscribers must treat the descriptors (and
+	// their field maps) as read-only; they are shared across
+	// subscribers.
 	Writes []memento.WriteDesc
 	// CommittedAt is when the writes were installed, stamped by the
 	// store. Edges use it to measure invalidation push latency and the
@@ -73,6 +75,28 @@ func OriginContext(ctx context.Context, origin uint64) context.Context {
 func OriginOf(ctx context.Context) uint64 {
 	origin, _ := ctx.Value(originKey{}).(uint64)
 	return origin
+}
+
+type keysOnlyKey struct{}
+
+// KeysOnlyContext returns ctx marking a subscription that tests only
+// the keys a notice names: an edge with no finder cache evicts by key
+// and never reads a write's field images. A server relaying notices to
+// such a subscriber (dbwire) may then send each write descriptor as
+// its key alone, a blind write, which a footprint test reads as
+// overlapping every predicate on the table. False returns ctx
+// unchanged.
+func KeysOnlyContext(ctx context.Context, keysOnly bool) context.Context {
+	if !keysOnly {
+		return ctx
+	}
+	return context.WithValue(ctx, keysOnlyKey{}, true)
+}
+
+// KeysOnly reports whether ctx marks a keys-only subscription.
+func KeysOnly(ctx context.Context) bool {
+	keysOnly, _ := ctx.Value(keysOnlyKey{}).(bool)
+	return keysOnly
 }
 
 // subscriber is one notice stream and the origin it never hears from.
