@@ -247,14 +247,19 @@ func TestCachePathWireBytes(t *testing.T) {
 	// batch count + 2 × (code, mask, Seq). The sender rebuilds each put
 	// key's version from the Seq, so no key→version map rides back.
 	//
-	// A keys-only push sends each descriptor as its key and two nil
-	// markers, 1 byte each, in place of the two field maps. An update's
-	// Before {v} is 6 bytes (presence, count, "v" 2, Int 2) and its
-	// After {v, s: "pinned"} 16 (presence, count, "v" 2, Int 2, "s" 2,
-	// String 8): 20 saved on each of the three updates (t/2, t/3, t/4).
-	// The create of t/9 has a nil Before already; its After is 17 bytes,
-	// as Int(90) zigzags to a 2-byte varint, so it saves 16. The four
-	// notices are 180 − 3×20 − 16 = 104 bytes.
+	// A descriptor is its key, a 1-byte Removed flag and its After
+	// field map; none of these four commits removes a row. The push
+	// carried a Before map in the flag's place until notices lost their
+	// before-images: an update's Before {v} was 6 bytes (presence, count,
+	// "v" 2, Int 2), so each of the three updates (t/2, t/3, t/4) is 5
+	// bytes shorter, and the create of t/9 swaps its 1-byte nil Before
+	// marker for the flag: 180 − 3×5 = 165 bytes.
+	// A keys-only push sends each descriptor as its key, the flag and a
+	// nil After marker, 1 byte in place of the field map. An update's
+	// After {v, s: "pinned"} is 16 bytes (presence, count, "v" 2, Int 2,
+	// "s" 2, String 8), so 15 are saved on each update; the create's
+	// After is 17 bytes, as Int(90) zigzags to a 2-byte varint, so it
+	// saves 16. The four notices are 165 − 3×15 − 16 = 104 bytes.
 	const origin, other = 1<<62 | 5, 1<<62 | 6
 	full := map[string]opBytes{
 		"AutoGet":         {1, 12, 19},
@@ -265,11 +270,11 @@ func TestCachePathWireBytes(t *testing.T) {
 		"CommitPrepared":  {1, 12, 9},
 		"AbortPrepared":   {1, 12, 8},
 		"Subscribe":       {1, 8, 8},
-		"push":            {0, 0, 180},
+		"push":            {0, 0, 165},
 	}
 	keysOnly := maps.Clone(full)
 	keysOnly["Subscribe"] = opBytes{1, 8 + 1 + 9, 8}
-	keysOnly["push"] = opBytes{0, 0, 180 - 3*20 - 16}
+	keysOnly["push"] = opBytes{0, 0, 165 - 3*15 - 16}
 	ctx := context.Background()
 	for _, c := range []struct {
 		name   string

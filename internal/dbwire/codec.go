@@ -447,14 +447,14 @@ func readReadProof(r *wire.Reader) memento.ReadProof {
 
 func appendWriteDesc(dst []byte, w memento.WriteDesc) []byte {
 	dst = appendKey(dst, w.Key)
-	dst = appendFields(dst, w.Before)
+	dst = wire.AppendBool(dst, w.Removed)
 	return appendFields(dst, w.After)
 }
 
 func readWriteDesc(r *wire.Reader) memento.WriteDesc {
 	var w memento.WriteDesc
 	w.Key = readKey(r)
-	w.Before = readFields(r)
+	w.Removed = r.Bool()
 	w.After = readFields(r)
 	return w
 }

@@ -147,14 +147,13 @@ func corpusResponses() map[string]*Response {
 			Notice: sqlstore.Notice{
 				Seq: 31,
 				Writes: []memento.WriteDesc{{
-					Key:    memento.Key{Table: "quote", ID: "a"},
-					Before: memento.Fields{"price": memento.Float(1)},
-					After:  memento.Fields{"price": memento.Float(2)},
+					Key:   memento.Key{Table: "quote", ID: "a"},
+					After: memento.Fields{"price": memento.Float(2)},
 				}, {
-					// A blind write: nil Before must stay nil, not
+					// A removed row: its nil After must stay nil, not
 					// come back as an empty map (Blind() depends on it).
-					Key:   memento.Key{Table: "quote", ID: "b"},
-					After: memento.Fields{"price": memento.Float(3)},
+					Key:     memento.Key{Table: "quote", ID: "b"},
+					Removed: true,
 				}},
 				CommittedAt: ts(1_723_000_000_000_000_456),
 				OriginTrace: 555,
@@ -206,8 +205,8 @@ func TestCodecRoundTrip(t *testing.T) {
 
 // TestCodecNilVsEmptyFields pins the presence-byte encoding of
 // Fields maps: a nil map and an empty map are different values (a nil
-// Before marks a blind write in WriteDesc.Blind) and must survive the
-// wire as themselves.
+// After marks a removed or blind write in WriteDesc.Blind) and must
+// survive the wire as themselves.
 func TestBinaryCodecNilVsEmptyFields(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -382,8 +381,7 @@ func TestKeysOnlyNoticeAllocs(t *testing.T) {
 		Seq: 41,
 		Writes: []memento.WriteDesc{
 			{Key: memento.Key{Table: "holding", ID: "h-17"},
-				Before: memento.Fields{"accountID": memento.String("uid:3"), "quantity": memento.Float(5)},
-				After:  memento.Fields{"accountID": memento.String("uid:3"), "quantity": memento.Float(7)}},
+				After: memento.Fields{"accountID": memento.String("uid:3"), "quantity": memento.Float(7)}},
 			{Key: memento.Key{Table: "quote", ID: "s:12"},
 				After: memento.Fields{"price": memento.Float(3)}},
 		},
@@ -395,7 +393,7 @@ func TestKeysOnlyNoticeAllocs(t *testing.T) {
 	if a := testing.AllocsPerRun(100, func() { _, buf = keysOf(n, buf) }); a != 0 {
 		t.Errorf("cutting a notice into a grown buffer allocates %v times, want 0", a)
 	}
-	if n.Writes[0].Before == nil || n.Writes[1].After == nil {
+	if n.Writes[0].After == nil || n.Writes[1].After == nil {
 		t.Fatal("cutting a notice changed the shared descriptors")
 	}
 

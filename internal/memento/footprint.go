@@ -3,22 +3,23 @@ package memento
 import "sort"
 
 // WriteDesc describes one committed mutation richly enough for
-// footprint-overlap tests: the key plus the row's field state before and
-// after the write. Before is nil for creates and After is nil for
-// removes, so a predicate can be tested against both sides — a row
-// moving INTO or OUT OF a result set both change the result. A
-// WriteDesc with both sides nil is blind: a key evicted after a lost
-// validation, whose winning write is unknown, so overlap tests treat it
+// footprint-overlap tests: the key, the row's field state after the
+// write, and whether the write removed the row. A row that leaves a
+// cached result set is one of that result's keys, and a row that enters
+// it matches in its after-image, so no before-image is needed. A
+// WriteDesc with neither an after-image nor Removed is blind: a key
+// evicted after a lost validation, or cut to its key for a keys-only
+// subscriber, whose write is unknown, so overlap tests treat it
 // conservatively.
 type WriteDesc struct {
-	Key    Key
-	Before Fields
-	After  Fields
+	Key     Key
+	After   Fields
+	Removed bool
 }
 
-// Blind reports whether the write carries no field images at all, in
-// which case only its key and table are known.
-func (w WriteDesc) Blind() bool { return w.Before == nil && w.After == nil }
+// Blind reports whether the write carries only its key, in which case
+// only its key and table are known.
+func (w WriteDesc) Blind() bool { return w.After == nil && !w.Removed }
 
 // Footprint is what a cached finder result observed: the predicate
 // query whose result set it holds and the keys of the rows in it. The
@@ -28,8 +29,8 @@ type Footprint struct {
 	// Keys are the rows the result set holds.
 	Keys []Key
 	// Queries are predicate reads: each query's entire result set was
-	// observed, so any committed write matching the predicate — before
-	// or after images — may change it.
+	// observed, so any committed write whose after-image matches the
+	// predicate may change it.
 	Queries []Query
 }
 
@@ -57,9 +58,9 @@ func (f Footprint) CoversKey(k Key) bool {
 
 // OverlapsWrite reports whether a committed write could have changed
 // anything this footprint observed: the written key is one of its rows,
-// or a predicate read's result set may have gained or lost the row.
-// Blind writes (no field images) conservatively overlap every predicate
-// on the same table.
+// or a predicate read's result set may have gained the row. A row the
+// result set loses is one of its keys. Blind writes conservatively
+// overlap every predicate on the same table.
 func (f Footprint) OverlapsWrite(w WriteDesc) bool {
 	if f.CoversKey(w.Key) {
 		return true
@@ -71,8 +72,7 @@ func (f Footprint) OverlapsWrite(w WriteDesc) bool {
 		if w.Blind() {
 			return true
 		}
-		if (w.Before != nil && q.MatchesFields(w.Before)) ||
-			(w.After != nil && q.MatchesFields(w.After)) {
+		if w.After != nil && q.MatchesFields(w.After) {
 			return true
 		}
 	}

@@ -38,25 +38,25 @@ func TestFootprintQueryOverlap(t *testing.T) {
 		t.Fatal("matching create must overlap the query footprint")
 	}
 
-	// An update that moves a row OUT of the result set matches only via
-	// its before-image.
-	moveOut := WriteDesc{
-		Key:    Key{Table: "holding", ID: "h-other"},
-		Before: Fields{"acct": String("u1")},
-		After:  Fields{"acct": String("u2")},
-	}
+	// An update that moves a row OUT of the result set writes one of its
+	// keys.
+	moveOut := WriteDesc{Key: Key{Table: "holding", ID: "h1"}, After: Fields{"acct": String("u2")}}
 	if !fp.OverlapsWrite(moveOut) {
-		t.Fatal("update moving a row out of the result set must overlap (before-image)")
+		t.Fatal("update moving a row out of the result set must overlap (key)")
+	}
+	// So does a remove, which carries no after-image.
+	if !fp.OverlapsWrite(WriteDesc{Key: Key{Table: "holding", ID: "h1"}, Removed: true}) {
+		t.Fatal("removing a row of the result set must overlap (key)")
 	}
 
-	// Unrelated rows in the same table do not overlap.
-	other := WriteDesc{
-		Key:    Key{Table: "holding", ID: "h-far"},
-		Before: Fields{"acct": String("u9")},
-		After:  Fields{"acct": String("u9")},
-	}
+	// Unrelated rows in the same table do not overlap, whether updated
+	// or removed.
+	other := WriteDesc{Key: Key{Table: "holding", ID: "h-far"}, After: Fields{"acct": String("u9")}}
 	if fp.OverlapsWrite(other) {
 		t.Fatal("non-matching write must not overlap")
+	}
+	if fp.OverlapsWrite(WriteDesc{Key: Key{Table: "holding", ID: "h-far"}, Removed: true}) {
+		t.Fatal("removing a row outside the result set must not overlap")
 	}
 
 	// Same predicate, different table.

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -72,10 +74,10 @@ func TestFinderCacheDisabledByDefault(t *testing.T) {
 }
 
 // TestDisabledFinderCacheCostsNothing: the cache ships off, and every
-// finder still asks it, so a disabled Get and Put must not so much as
-// build the query's cache key.
+// finder still asks it, so a disabled Get, fill and Put must not so
+// much as build the query's cache key.
 func TestDisabledFinderCacheCostsNothing(t *testing.T) {
-	c := NewFinderCache(false, 0)
+	c := NewFinderCache(false)
 	q := memento.Query{Table: "t", Where: []memento.Predicate{
 		memento.Where("b", memento.Int(2)),
 		memento.Where("a", memento.String("u1")),
@@ -85,10 +87,11 @@ func TestDisabledFinderCacheCostsNothing(t *testing.T) {
 		if _, _, ok := c.Get(q); ok {
 			t.Fatal("disabled cache hit")
 		}
-		c.Put(q, rows)
+		c.Put(c.StartFill(), q, rows, time.Time{})
+		c.Drop(c.StartFill())
 	})
 	if allocs != 0 {
-		t.Errorf("disabled Get+Put = %v allocs, want 0", allocs)
+		t.Errorf("disabled Get+fills+Put = %v allocs, want 0", allocs)
 	}
 }
 
@@ -171,9 +174,8 @@ func TestFinderCacheInvalidatedByOverlappingNotice(t *testing.T) {
 	e.mgr.noteNotice(sqlstore.Notice{
 		Seq: 991,
 		Writes: []memento.WriteDesc{{
-			Key:    memento.Key{Table: "t", ID: "zz"},
-			Before: memento.Fields{"acct": memento.String("u9")},
-			After:  memento.Fields{"acct": memento.String("u9")},
+			Key:   memento.Key{Table: "t", ID: "zz"},
+			After: memento.Fields{"acct": memento.String("u9")},
 		}},
 	})
 	if e.mgr.FinderCache().Len() != 1 {
@@ -335,28 +337,6 @@ func TestFinderCacheConflictBlindInvalidatesAndEmitsStaleRead(t *testing.T) {
 	}
 }
 
-// TestFinderCacheLRUCapacity: the cache is bounded; the least recently
-// used result set is evicted first.
-func TestFinderCacheLRUCapacity(t *testing.T) {
-	c := NewFinderCache(true, 2)
-	for _, acct := range []string{"u1", "u2", "u1", "u3"} {
-		if _, _, ok := c.Get(byAcct(acct)); !ok {
-			c.Put(byAcct(acct), []memento.Memento{holding("h-"+acct, acct)})
-		}
-	}
-	st := c.Stats()
-	if st.Entries != 2 || st.Evictions != 1 {
-		t.Errorf("stats = %+v, want 2 entries / 1 eviction (u2 evicted)", st)
-	}
-	// u1 was touched after u2, so u2 is the victim: u1 still hits.
-	if _, _, ok := c.Get(byAcct("u1")); !ok {
-		t.Error("u1 (MRU) was evicted")
-	}
-	if _, _, ok := c.Get(byAcct("u2")); ok {
-		t.Error("u2 (LRU) survived")
-	}
-}
-
 // TestFinderCacheChaosConcurrentInvalidation hammers the finder cache
 // from concurrent readers, writers, and the live invalidation stream;
 // run under -race it proves the cache's locking, and every transaction
@@ -415,6 +395,118 @@ func TestFinderCacheChaosConcurrentInvalidation(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
+
+	// At quiescence every cached result is the store's own answer to its
+	// query, row for row and version for version.
+	mgr.finders.mu.Lock()
+	cached := maps.Clone(mgr.finders.entries)
+	mgr.finders.mu.Unlock()
+	for _, e := range cached {
+		q := e.fp.Queries[0]
+		res, err := storeapi.Local(store).AutoQuery(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := rowVersions(e.mems), rowVersions(res.Mems); got != want {
+			t.Errorf("cached %s = %s, store answers %s", q, got, want)
+		}
+	}
+}
+
+// rowVersions renders rows as their keys and versions, in order.
+func rowVersions(mems []memento.Memento) string {
+	var b strings.Builder
+	for _, m := range mems {
+		fmt.Fprintf(&b, "%s@%d ", m.Key, m.Version)
+	}
+	return b.String()
+}
+
+// fillRaceConn is a Conn whose first AutoQuery runs the real call and
+// then calls race before it returns the reply, so race lands while the
+// finder's store call is in flight.
+type fillRaceConn struct {
+	storeapi.Conn
+	once sync.Once
+	race func()
+}
+
+func (c *fillRaceConn) AutoQuery(ctx context.Context, q memento.Query) (storeapi.QueryResult, error) {
+	res, err := c.Conn.AutoQuery(ctx, q)
+	c.once.Do(c.race)
+	return res, err
+}
+
+// TestFinderFillRace: a finder result whose store call was in flight
+// while a write that adds a row to it committed must not be cached, or
+// a later finder on the edge misses the row until another overlapping
+// write evicts the entry; commit validation cannot catch it, as it
+// proves the rows read, not the predicate. The write may be another
+// edge's, whose notice arrives in the window; this edge's own, which
+// the store never sends back; or one whose notice the edge never hears
+// because its stream dropped and came back.
+func TestFinderFillRace(t *testing.T) {
+	create := memento.CommitSet{Creates: []memento.Memento{holding("h2", "u1")}}
+	cases := map[string]func(t *testing.T, store *sqlstore.Store, mgr *Manager, subs chan subscribed){
+		"notice": func(t *testing.T, store *sqlstore.Store, mgr *Manager, _ chan subscribed) {
+			applied := mgr.Stats().NoticesApplied
+			if _, err := store.ApplyCommitSet(context.Background(), create); err != nil {
+				t.Fatal(err)
+			}
+			waitFor(t, 3*time.Second, func() bool { return mgr.Stats().NoticesApplied > applied })
+		},
+		"own commit": func(t *testing.T, _ *sqlstore.Store, mgr *Manager, _ chan subscribed) {
+			ctx := context.Background()
+			dt, err := mgr.Begin(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := dt.Create(ctx, holding("h2", "u1")); err != nil {
+				t.Fatal(err)
+			}
+			if err := dt.Commit(ctx); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"stream dropped": func(t *testing.T, store *sqlstore.Store, mgr *Manager, subs chan subscribed) {
+			resubscribes := mgr.Stats().Resubscribes
+			(<-subs).cancel()
+			if _, err := store.ApplyCommitSet(context.Background(), create); err != nil {
+				t.Fatal(err)
+			}
+			waitFor(t, 3*time.Second, func() bool { return mgr.Stats().Resubscribes > resubscribes })
+		},
+	}
+	for name, race := range cases {
+		t.Run(name, func(t *testing.T) {
+			store := sqlstore.New()
+			t.Cleanup(store.Close)
+			store.Seed(holding("h1", "u1"))
+			ctx := context.Background()
+			subs := make(chan subscribed, 4)
+			conn := &fillRaceConn{Conn: subscribeRecorder{Conn: storeapi.Local(store), subs: subs}}
+			mgr := NewManager(conn, WithFinderCache(true))
+			t.Cleanup(mgr.Close)
+			conn.race = func() { race(t, store, mgr, subs) }
+			if err := mgr.Start(ctx); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 2; i++ {
+				dt, err := mgr.Begin(ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := dt.Query(ctx, byAcct("u1"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				_ = dt.Abort(ctx)
+				if i == 1 && len(got) != 2 {
+					t.Errorf("finder after the race = %s, want h1 and h2", rowVersions(got))
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkFinderCacheHit measures the warm-hit path: a repeated finder
@@ -467,18 +559,19 @@ func BenchmarkFinderCacheHit(b *testing.B) {
 // keys alone, as a keys-only subscriber is sent them, that reaches a
 // finder cache by mistake evicts every cached result on the written
 // table and none on another: it over-evicts, and never leaves a stale
-// result behind. The same write with its images evicts nothing, as the
-// row is in neither result and matches neither predicate.
+// result behind. The same write with its after-image evicts nothing, as
+// the row is in neither result and matches neither predicate.
 func TestFinderCacheBlindNoticeEvictsTable(t *testing.T) {
 	e := newEnv(t, WithFinderCache(true))
 	fc := e.mgr.FinderCache()
 	other := memento.Query{Table: "o", Where: []memento.Predicate{memento.Where("acct", memento.String("u1"))}}
-	fc.Put(byAcct("u1"), []memento.Memento{holding("h1", "u1")})
-	fc.Put(byAcct("u2"), []memento.Memento{holding("h2", "u2")})
-	fc.Put(other, nil)
+	put := func(q memento.Query, mems ...memento.Memento) { fc.Put(fc.StartFill(), q, mems, time.Time{}) }
+	put(byAcct("u1"), holding("h1", "u1"))
+	put(byAcct("u2"), holding("h2", "u2"))
+	put(other)
 
-	images := memento.Fields{"acct": memento.String("u3")}
-	e.mgr.noteNotice(sqlstore.Notice{Seq: 2, Writes: []memento.WriteDesc{{Key: key("h9"), Before: images, After: images}}})
+	after := memento.Fields{"acct": memento.String("u3")}
+	e.mgr.noteNotice(sqlstore.Notice{Seq: 2, Writes: []memento.WriteDesc{{Key: key("h9"), After: after}}})
 	if n := fc.Len(); n != 3 {
 		t.Fatalf("a write outside every result evicted %d of 3 results", 3-n)
 	}

@@ -90,10 +90,14 @@ func (o finderCacheOption) apply(c *managerConfig) { c.finderCache = bool(o) }
 // (default off): committed custom-finder result sets are cached by
 // normalized query and invalidated when a commit notice's write set
 // overlaps their footprint — Pfeifer & Lockemann's transactional method
-// caching applied to the paper's custom finders. Rows served from a
-// cached result still enter the transaction's read set and are
-// validated optimistically at commit, so strict semantics are
-// preserved; the cache only removes the high-latency finder round trip.
+// caching applied to the paper's custom finders. A result is cached only
+// if no write the edge was told of while its store call was in flight
+// could have changed it. Rows served from a cached result still enter
+// the transaction's read set and are validated optimistically at
+// commit; the result's membership is current as of the last
+// invalidation the edge applied, and a finder may miss a row committed
+// since, a phantom §2.2 already allows. The cache only removes the
+// high-latency finder round trip.
 func WithFinderCache(enabled bool) ManagerOption { return finderCacheOption(enabled) }
 
 // NewManager builds an SLI resource manager over a datastore handle. In
@@ -108,7 +112,7 @@ func NewManager(conn storeapi.Conn, opts ...ManagerOption) *Manager {
 	return &Manager{
 		loader:  NewLoader(conn, cfg.shipping),
 		common:  NewCommonStore(),
-		finders: NewFinderCache(cfg.finderCache, DefaultFinderCapacity),
+		finders: NewFinderCache(cfg.finderCache),
 		conn:    conn,
 		now:     time.Now,
 		origin:  newOrigin(),
@@ -130,11 +134,12 @@ func newOrigin() uint64 {
 func (m *Manager) Name() string { return "sli" }
 
 // SetClock overrides the manager's (and its common store's) timestamp
-// source; tests use it to control entry ages deterministically.
+// source; tests use it to control entry ages deterministically. The
+// finder cache keeps no clock: a cached result carries the time its
+// query read from this one before the store call.
 func (m *Manager) SetClock(now func() time.Time) {
 	m.now = now
 	m.common.SetClock(now)
-	m.finders.SetClock(now)
 }
 
 // CommonStore exposes the shared cache (for tests and diagnostics).

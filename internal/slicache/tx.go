@@ -309,22 +309,24 @@ func (t *sliTx) Query(ctx context.Context, q memento.Query) ([]memento.Memento, 
 	// Transactional finder-result caching: serve the committed result set
 	// from the finder cache when a coherent copy is available, skipping
 	// the high-latency store round trip. The rows still enter the
-	// transaction's read set with their original fetch time, so commit
-	// validation treats them exactly like a fresh fetch made at storedAt.
+	// transaction's read set with the time taken before their store
+	// call, so commit validation treats them exactly like that fetch.
 	persisted, fetchedAt, fromFinder := t.mgr.finders.Get(q)
 	if fromFinder {
 		t.cacheServed = true
 	} else {
 		fetchedAt = t.mgr.now()
+		fill := t.mgr.finders.StartFill()
 		qctx, sp := obs.StartSpan(ctx, "slicache.query")
 		res, err := t.mgr.loader.RunQuery(qctx, q)
 		sp.End()
 		t.accesses += max(res.Accesses, 1)
 		if err != nil {
+			t.mgr.finders.Drop(fill)
 			return nil, err
 		}
 		persisted = res.Mems
-		t.mgr.finders.Put(q, res.Mems)
+		t.mgr.finders.Put(fill, q, res.Mems, fetchedAt)
 	}
 	for _, m := range persisted {
 		if !fromFinder {
@@ -404,8 +406,8 @@ func (t *sliTx) Commit(ctx context.Context) error {
 
 	// Refresh the common store with committed after-images and evict
 	// removed beans. Cached finder results are invalidated synchronously
-	// with exact before/after images — the store sends this edge no
-	// notice for its own commit, so this is the only place it is applied.
+	// with exact after-images — the store sends this edge no notice for
+	// its own commit, so this is the only place it is applied.
 	// A written bean whose new version the reply did not carry is
 	// evicted: its cached image is the pre-commit one.
 	var ownWrites []memento.WriteDesc
@@ -419,14 +421,10 @@ func (t *sliTx) Commit(ctx context.Context) error {
 			} else {
 				t.mgr.common.Invalidate(e.current.Key)
 			}
-			w := memento.WriteDesc{Key: e.current.Key, After: e.current.Fields}
-			if e.state == stateDirty {
-				w.Before = e.before.Fields
-			}
-			ownWrites = append(ownWrites, w)
+			ownWrites = append(ownWrites, memento.WriteDesc{Key: e.current.Key, After: e.current.Fields})
 		case stateRemoved:
 			t.mgr.common.Invalidate(e.current.Key)
-			ownWrites = append(ownWrites, memento.WriteDesc{Key: e.current.Key, Before: e.before.Fields})
+			ownWrites = append(ownWrites, memento.WriteDesc{Key: e.current.Key, Removed: true})
 		}
 	}
 	if len(ownWrites) > 0 {

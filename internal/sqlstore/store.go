@@ -39,14 +39,13 @@ type Notice struct {
 	// store's stream.
 	Seq uint64
 	// Writes names every row the transaction created, updated or removed,
-	// once each and in key order, with the row's field state before and
-	// after the write, so a subscriber can test whether a cached
-	// predicate query's result set gained or lost a row — not just
+	// once each and in key order, with the row's field state after the
+	// write or its Removed flag, so a subscriber can test whether a
+	// cached predicate query's result set gained a row — not just
 	// whether a known key changed version. A keys-only subscriber (see
-	// KeysOnlyContext) may receive each descriptor without its images,
-	// as a blind write. Subscribers must treat the descriptors (and
-	// their field maps) as read-only; they are shared across
-	// subscribers.
+	// KeysOnlyContext) may receive each descriptor as its key alone, a
+	// blind write. Subscribers must treat the descriptors (and their
+	// field maps) as read-only; they are shared across subscribers.
 	Writes []memento.WriteDesc
 	// CommittedAt is when the writes were installed, stamped by the
 	// store. Edges use it to measure invalidation push latency and the
@@ -371,8 +370,8 @@ func (s *Store) scanTable(q memento.Query) []memento.Memento {
 // hands the commit's notice to the subscribers before the mutex is
 // released. It assumes the caller holds the required locks and has
 // already validated. The notice's write descriptors, in key order,
-// capture each row's before/after field images for footprint-overlap
-// invalidation at the edges. A transaction that wrote nothing takes no
+// carry each row's after-image, or mark it removed, for
+// footprint-overlap invalidation at the edges. A transaction that wrote nothing takes no
 // number and returns zero.
 func (s *Store) applyWrites(writes map[memento.Key]pendingWrite, trace, origin uint64) uint64 {
 	if len(writes) == 0 {
@@ -391,12 +390,7 @@ func (s *Store) applyWrites(writes map[memento.Key]pendingWrite, trace, origin u
 			s.tables[key.Table] = t
 		}
 		prev, hadPrev := t.rows[key.ID]
-		desc := memento.WriteDesc{Key: key}
-		if hadPrev {
-			// prev is immutable once installed (applyWrites always installs
-			// fresh clones), so the descriptor can share its field map.
-			desc.Before = prev.Fields
-		}
+		desc := memento.WriteDesc{Key: key, Removed: w.remove}
 		if w.remove {
 			delete(t.rows, key.ID)
 		} else {
