@@ -76,10 +76,12 @@ type echoReq struct {
 
 func (r *echoReq) WireLabel() string { return "echo" }
 
-func (r *echoReq) AppendWire(dst []byte) []byte { return wire.AppendString(dst, r.Payload) }
+func (r *echoReq) AppendWire(dst []byte, _ *wire.Names) []byte {
+	return wire.AppendString(dst, r.Payload)
+}
 
-func (r *echoReq) ReadWire(data []byte) error {
-	rd := wire.NewReader(data)
+func (r *echoReq) ReadWire(data []byte, _ *wire.Names) error {
+	rd := wire.NewReader(data, nil)
 	r.Payload = rd.Str()
 	return rd.Err()
 }
@@ -88,10 +90,12 @@ type echoResp struct {
 	Payload string
 }
 
-func (r *echoResp) AppendWire(dst []byte) []byte { return wire.AppendString(dst, r.Payload) }
+func (r *echoResp) AppendWire(dst []byte, _ *wire.Names) []byte {
+	return wire.AppendString(dst, r.Payload)
+}
 
-func (r *echoResp) ReadWire(data []byte) error {
-	rd := wire.NewReader(data)
+func (r *echoResp) ReadWire(data []byte, _ *wire.Names) error {
+	rd := wire.NewReader(data, nil)
 	r.Payload = rd.Str()
 	return rd.Err()
 }

@@ -21,8 +21,9 @@ type Request struct {
 func (r *Request) WireLabel() string { return r.Action }
 
 // AppendWire implements wire.Body: session, action, then the parameter
-// count and its key/value pairs.
-func (r *Request) AppendWire(dst []byte) []byte {
+// count and its key/value pairs. The protocol sends no names, so it
+// ignores the table.
+func (r *Request) AppendWire(dst []byte, _ *wire.Names) []byte {
 	dst = wire.AppendString(dst, r.SessionID)
 	dst = wire.AppendString(dst, r.Action)
 	dst = binary.AppendUvarint(dst, uint64(len(r.Params)))
@@ -35,8 +36,8 @@ func (r *Request) AppendWire(dst []byte) []byte {
 
 // ReadWire implements wire.Body. An empty parameter list reads as a nil
 // map.
-func (r *Request) ReadWire(data []byte) error {
-	rd := wire.NewReader(data)
+func (r *Request) ReadWire(data []byte, _ *wire.Names) error {
+	rd := wire.NewReader(data, nil)
 	r.SessionID = rd.Str()
 	r.Action = rd.Str()
 	if n := rd.Len(); n > 0 {
@@ -59,7 +60,7 @@ type Response struct {
 }
 
 // AppendWire implements wire.Body: outcome, message, page.
-func (r *Response) AppendWire(dst []byte) []byte {
+func (r *Response) AppendWire(dst []byte, _ *wire.Names) []byte {
 	dst = wire.AppendBool(dst, r.OK)
 	dst = wire.AppendString(dst, r.Err)
 	return wire.AppendBytes(dst, r.Body)
@@ -67,8 +68,8 @@ func (r *Response) AppendWire(dst []byte) []byte {
 
 // ReadWire implements wire.Body. The page is copied out of the
 // connection's read buffer.
-func (r *Response) ReadWire(data []byte) error {
-	rd := wire.NewReader(data)
+func (r *Response) ReadWire(data []byte, _ *wire.Names) error {
+	rd := wire.NewReader(data, nil)
 	r.OK = rd.Bool()
 	r.Err = rd.Str()
 	r.Body = rd.Bytes()

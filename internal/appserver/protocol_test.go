@@ -25,7 +25,7 @@ func corpusResponses() []*Response {
 func TestProtocolRoundTrip(t *testing.T) {
 	for _, req := range corpusRequests() {
 		got := new(Request)
-		if err := got.ReadWire(req.AppendWire(nil)); err != nil {
+		if err := got.ReadWire(req.AppendWire(nil, nil), nil); err != nil {
 			t.Fatalf("%+v: %v", req, err)
 		}
 		if !reflect.DeepEqual(got, req) {
@@ -33,9 +33,9 @@ func TestProtocolRoundTrip(t *testing.T) {
 		}
 	}
 	for _, resp := range corpusResponses() {
-		data := resp.AppendWire(nil)
+		data := resp.AppendWire(nil, nil)
 		got := new(Response)
-		if err := got.ReadWire(data); err != nil {
+		if err := got.ReadWire(data, nil); err != nil {
 			t.Fatalf("%+v: %v", resp, err)
 		}
 		if !reflect.DeepEqual(got, resp) {
@@ -54,19 +54,19 @@ func TestProtocolRoundTrip(t *testing.T) {
 // TestProtocolRejectsTruncatedBodies feeds every strict prefix of a
 // valid encoding, and one byte too many, to the decoders.
 func TestProtocolRejectsTruncatedBodies(t *testing.T) {
-	req := corpusRequests()[2].AppendWire(nil)
+	req := corpusRequests()[2].AppendWire(nil, nil)
 	for n := 0; n < len(req); n++ {
-		if new(Request).ReadWire(req[:n]) == nil {
+		if new(Request).ReadWire(req[:n], nil) == nil {
 			t.Fatalf("decoding %d/%d-byte request prefix succeeded", n, len(req))
 		}
 	}
-	resp := corpusResponses()[1].AppendWire(nil)
+	resp := corpusResponses()[1].AppendWire(nil, nil)
 	for n := 0; n < len(resp); n++ {
-		if new(Response).ReadWire(resp[:n]) == nil {
+		if new(Response).ReadWire(resp[:n], nil) == nil {
 			t.Fatalf("decoding %d/%d-byte response prefix succeeded", n, len(resp))
 		}
 	}
-	if new(Request).ReadWire(append(req, 0)) == nil || new(Response).ReadWire(append(resp, 0)) == nil {
+	if new(Request).ReadWire(append(req, 0), nil) == nil || new(Response).ReadWire(append(resp, 0), nil) == nil {
 		t.Error("decoder accepted a trailing byte")
 	}
 }
@@ -76,14 +76,14 @@ func TestProtocolRejectsTruncatedBodies(t *testing.T) {
 // that encodes and decodes again, and nothing panics.
 func FuzzRequestReadWire(f *testing.F) {
 	for _, req := range corpusRequests() {
-		f.Add(req.AppendWire(nil))
+		f.Add(req.AppendWire(nil, nil))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		req := new(Request)
-		if req.ReadWire(data) != nil {
+		if req.ReadWire(data, nil) != nil {
 			return
 		}
-		if err := new(Request).ReadWire(req.AppendWire(nil)); err != nil {
+		if err := new(Request).ReadWire(req.AppendWire(nil, nil), nil); err != nil {
 			t.Fatalf("re-encoded request does not decode: %v", err)
 		}
 	})
@@ -91,14 +91,14 @@ func FuzzRequestReadWire(f *testing.F) {
 
 func FuzzResponseReadWire(f *testing.F) {
 	for _, resp := range corpusResponses() {
-		f.Add(resp.AppendWire(nil))
+		f.Add(resp.AppendWire(nil, nil))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		resp := new(Response)
-		if resp.ReadWire(data) != nil {
+		if resp.ReadWire(data, nil) != nil {
 			return
 		}
-		if err := new(Response).ReadWire(resp.AppendWire(nil)); err != nil {
+		if err := new(Response).ReadWire(resp.AppendWire(nil, nil), nil); err != nil {
 			t.Fatalf("re-encoded response does not decode: %v", err)
 		}
 	})

@@ -18,11 +18,19 @@ import (
 // covered, the edge's finder cache works out from the query it sent and
 // those rows.
 //
+// Table and field names (Key.Table, Request.Table, Query.Table,
+// Predicate.Field and every Fields name) go through the connection's
+// name table (wire.Names): a name is a literal the first time it
+// crosses a connection and a one-byte index after that, and a decoded
+// name is the table's own string. IDs, messages, gids and string values
+// stay literals, since there is no bound on how many distinct ones a
+// connection sees.
+//
 // The encoding is not self-describing: both peers must agree on the
-// field order below. Every daemon builds from this tree, so a schema
-// change edits the append and read functions in one commit; the
-// round-trip test in codec_test.go fails for a struct field that
-// neither carries.
+// field order below, and on the frames before it, which filled the name
+// table. Every daemon builds from this tree, so a schema change edits
+// the append and read functions in one commit; the round-trip test in
+// codec_test.go fails for a struct field that neither carries.
 
 var (
 	_ wire.Body = (*Request)(nil)
@@ -30,21 +38,21 @@ var (
 )
 
 // AppendWire implements wire.Body.
-func (q *Request) AppendWire(dst []byte) []byte { return appendRequest(dst, q) }
+func (q *Request) AppendWire(dst []byte, t *wire.Names) []byte { return appendRequest(dst, t, q) }
 
 // ReadWire implements wire.Body.
-func (q *Request) ReadWire(data []byte) error {
-	r := wire.NewReader(data)
+func (q *Request) ReadWire(data []byte, t *wire.Names) error {
+	r := wire.NewReader(data, t)
 	readRequest(r, q, false)
 	return r.Err()
 }
 
 // AppendWire implements wire.Body.
-func (p *Response) AppendWire(dst []byte) []byte { return appendResponse(dst, p) }
+func (p *Response) AppendWire(dst []byte, t *wire.Names) []byte { return appendResponse(dst, t, p) }
 
 // ReadWire implements wire.Body.
-func (p *Response) ReadWire(data []byte) error {
-	r := wire.NewReader(data)
+func (p *Response) ReadWire(data []byte, t *wire.Names) error {
+	r := wire.NewReader(data, t)
 	readResponse(r, p, false)
 	return r.Err()
 }
@@ -67,7 +75,7 @@ const (
 	reqKeysOnly
 )
 
-func appendRequest(dst []byte, q *Request) []byte {
+func appendRequest(dst []byte, t *wire.Names, q *Request) []byte {
 	dst = append(dst, byte(q.Op))
 	var mask uint64
 	if q.Tx != 0 {
@@ -114,36 +122,36 @@ func appendRequest(dst []byte, q *Request) []byte {
 		dst = binary.AppendUvarint(dst, q.Tx)
 	}
 	if mask&reqTable != 0 {
-		dst = wire.AppendString(dst, q.Table)
+		dst = wire.AppendName(dst, t, q.Table)
 	}
 	if mask&reqID != 0 {
 		dst = wire.AppendString(dst, q.ID)
 	}
 	if mask&reqKey != 0 {
-		dst = appendKey(dst, q.Key)
+		dst = appendKey(dst, t, q.Key)
 	}
 	if mask&reqVersion != 0 {
 		dst = binary.AppendUvarint(dst, q.Version)
 	}
 	if mask&reqMem != 0 {
-		dst = appendMemento(dst, q.Mem)
+		dst = appendMemento(dst, t, q.Mem)
 	}
 	if mask&reqQuery != 0 {
-		dst = appendQuery(dst, q.Query)
+		dst = appendQuery(dst, t, q.Query)
 	}
 	if mask&reqSet != 0 {
-		dst = appendCommitSet(dst, q.Set)
+		dst = appendCommitSet(dst, t, q.Set)
 	}
 	if mask&reqBatch != 0 {
 		dst = binary.AppendUvarint(dst, uint64(len(q.Batch)))
 		for i := range q.Batch {
-			dst = appendRequest(dst, &q.Batch[i])
+			dst = appendRequest(dst, t, &q.Batch[i])
 		}
 	}
 	if mask&reqSets != 0 {
 		dst = binary.AppendUvarint(dst, uint64(len(q.Sets)))
 		for i := range q.Sets {
-			dst = appendCommitSet(dst, q.Sets[i])
+			dst = appendCommitSet(dst, t, q.Sets[i])
 		}
 	}
 	if mask&reqGid != 0 {
@@ -169,7 +177,7 @@ func readRequest(r *wire.Reader, q *Request, nested bool) {
 		q.Tx = r.Uvarint()
 	}
 	if mask&reqTable != 0 {
-		q.Table = r.Str()
+		q.Table = r.Name()
 	}
 	if mask&reqID != 0 {
 		q.ID = r.Str()
@@ -225,7 +233,7 @@ const (
 	respBatch
 )
 
-func appendResponse(dst []byte, p *Response) []byte {
+func appendResponse(dst []byte, t *wire.Names, p *Response) []byte {
 	dst = append(dst, byte(p.Code))
 	var mask uint64
 	if p.Msg != "" {
@@ -260,27 +268,27 @@ func appendResponse(dst []byte, p *Response) []byte {
 		dst = binary.AppendUvarint(dst, p.Tx)
 	}
 	if mask&respMem != 0 {
-		dst = appendMemento(dst, p.Mem)
+		dst = appendMemento(dst, t, p.Mem)
 	}
 	if mask&respMems != 0 {
 		dst = binary.AppendUvarint(dst, uint64(len(p.Mems)))
 		for i := range p.Mems {
-			dst = appendMemento(dst, p.Mems[i])
+			dst = appendMemento(dst, t, p.Mems[i])
 		}
 	}
 	if mask&respSeq != 0 {
 		dst = binary.AppendUvarint(dst, p.Seq)
 	}
 	if mask&respNotice != 0 {
-		dst = appendNotice(dst, p.Notice)
+		dst = appendNotice(dst, t, p.Notice)
 	}
 	if mask&respConflict != 0 {
-		dst = appendConflict(dst, p.Conflict)
+		dst = appendConflict(dst, t, p.Conflict)
 	}
 	if mask&respBatch != 0 {
 		dst = binary.AppendUvarint(dst, uint64(len(p.Batch)))
 		for i := range p.Batch {
-			dst = appendResponse(dst, &p.Batch[i])
+			dst = appendResponse(dst, t, &p.Batch[i])
 		}
 	}
 	return dst
@@ -347,14 +355,14 @@ func noticeIsZero(n sqlstore.Notice) bool {
 		n.CommittedAt.IsZero() && n.OriginTrace == 0
 }
 
-func appendKey(dst []byte, k memento.Key) []byte {
-	dst = wire.AppendString(dst, k.Table)
+func appendKey(dst []byte, t *wire.Names, k memento.Key) []byte {
+	dst = wire.AppendName(dst, t, k.Table)
 	return wire.AppendString(dst, k.ID)
 }
 
 func readKey(r *wire.Reader) memento.Key {
 	var k memento.Key
-	k.Table = r.Str()
+	k.Table = r.Name()
 	k.ID = r.Str()
 	return k
 }
@@ -391,14 +399,14 @@ func readValue(r *wire.Reader) memento.Value {
 }
 
 // appendFields encodes a field map with an explicit nil/present marker.
-func appendFields(dst []byte, f memento.Fields) []byte {
+func appendFields(dst []byte, t *wire.Names, f memento.Fields) []byte {
 	if f == nil {
 		return append(dst, 0)
 	}
 	dst = append(dst, 1)
 	dst = binary.AppendUvarint(dst, uint64(len(f)))
 	for name, v := range f {
-		dst = wire.AppendString(dst, name)
+		dst = wire.AppendName(dst, t, name)
 		dst = appendValue(dst, v)
 	}
 	return dst
@@ -411,16 +419,16 @@ func readFields(r *wire.Reader) memento.Fields {
 	n := r.Len()
 	f := make(memento.Fields, wire.Prealloc(n))
 	for i := 0; i < n && !r.Failed(); i++ {
-		name := r.Str()
+		name := r.Name()
 		f[name] = readValue(r)
 	}
 	return f
 }
 
-func appendMemento(dst []byte, m memento.Memento) []byte {
-	dst = appendKey(dst, m.Key)
+func appendMemento(dst []byte, t *wire.Names, m memento.Memento) []byte {
+	dst = appendKey(dst, t, m.Key)
 	dst = binary.AppendUvarint(dst, m.Version)
-	return appendFields(dst, m.Fields)
+	return appendFields(dst, t, m.Fields)
 }
 
 func readMemento(r *wire.Reader) memento.Memento {
@@ -431,8 +439,8 @@ func readMemento(r *wire.Reader) memento.Memento {
 	return m
 }
 
-func appendReadProof(dst []byte, p memento.ReadProof) []byte {
-	dst = appendKey(dst, p.Key)
+func appendReadProof(dst []byte, t *wire.Names, p memento.ReadProof) []byte {
+	dst = appendKey(dst, t, p.Key)
 	dst = binary.AppendUvarint(dst, p.Version)
 	return wire.AppendBool(dst, p.Absent)
 }
@@ -445,10 +453,10 @@ func readReadProof(r *wire.Reader) memento.ReadProof {
 	return p
 }
 
-func appendWriteDesc(dst []byte, w memento.WriteDesc) []byte {
-	dst = appendKey(dst, w.Key)
+func appendWriteDesc(dst []byte, t *wire.Names, w memento.WriteDesc) []byte {
+	dst = appendKey(dst, t, w.Key)
 	dst = wire.AppendBool(dst, w.Removed)
-	return appendFields(dst, w.After)
+	return appendFields(dst, t, w.After)
 }
 
 func readWriteDesc(r *wire.Reader) memento.WriteDesc {
@@ -459,22 +467,22 @@ func readWriteDesc(r *wire.Reader) memento.WriteDesc {
 	return w
 }
 
-func appendCommitSet(dst []byte, cs memento.CommitSet) []byte {
+func appendCommitSet(dst []byte, t *wire.Names, cs memento.CommitSet) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(cs.Reads)))
 	for _, p := range cs.Reads {
-		dst = appendReadProof(dst, p)
+		dst = appendReadProof(dst, t, p)
 	}
 	dst = binary.AppendUvarint(dst, uint64(len(cs.Writes)))
 	for i := range cs.Writes {
-		dst = appendMemento(dst, cs.Writes[i])
+		dst = appendMemento(dst, t, cs.Writes[i])
 	}
 	dst = binary.AppendUvarint(dst, uint64(len(cs.Creates)))
 	for i := range cs.Creates {
-		dst = appendMemento(dst, cs.Creates[i])
+		dst = appendMemento(dst, t, cs.Creates[i])
 	}
 	dst = binary.AppendUvarint(dst, uint64(len(cs.Removes)))
 	for _, p := range cs.Removes {
-		dst = appendReadProof(dst, p)
+		dst = appendReadProof(dst, t, p)
 	}
 	return binary.AppendUvarint(dst, cs.Origin)
 }
@@ -509,11 +517,11 @@ func readCommitSet(r *wire.Reader) memento.CommitSet {
 	return cs
 }
 
-func appendQuery(dst []byte, q memento.Query) []byte {
-	dst = wire.AppendString(dst, q.Table)
+func appendQuery(dst []byte, t *wire.Names, q memento.Query) []byte {
+	dst = wire.AppendName(dst, t, q.Table)
 	dst = binary.AppendUvarint(dst, uint64(len(q.Where)))
 	for _, p := range q.Where {
-		dst = wire.AppendString(dst, p.Field)
+		dst = wire.AppendName(dst, t, p.Field)
 		dst = appendValue(dst, p.Value)
 	}
 	return dst
@@ -521,12 +529,12 @@ func appendQuery(dst []byte, q memento.Query) []byte {
 
 func readQuery(r *wire.Reader) memento.Query {
 	var q memento.Query
-	q.Table = r.Str()
+	q.Table = r.Name()
 	if n := r.Len(); n > 0 {
 		q.Where = make([]memento.Predicate, 0, wire.Prealloc(n))
 		for i := 0; i < n && !r.Failed(); i++ {
 			var p memento.Predicate
-			p.Field = r.Str()
+			p.Field = r.Name()
 			p.Value = readValue(r)
 			q.Where = append(q.Where, p)
 		}
@@ -534,11 +542,11 @@ func readQuery(r *wire.Reader) memento.Query {
 	return q
 }
 
-func appendNotice(dst []byte, n sqlstore.Notice) []byte {
+func appendNotice(dst []byte, t *wire.Names, n sqlstore.Notice) []byte {
 	dst = binary.AppendUvarint(dst, n.Seq)
 	dst = binary.AppendUvarint(dst, uint64(len(n.Writes)))
 	for i := range n.Writes {
-		dst = appendWriteDesc(dst, n.Writes[i])
+		dst = appendWriteDesc(dst, t, n.Writes[i])
 	}
 	dst = wire.AppendTime(dst, n.CommittedAt)
 	return binary.AppendUvarint(dst, n.OriginTrace)
@@ -558,8 +566,8 @@ func readNotice(r *wire.Reader) sqlstore.Notice {
 	return n
 }
 
-func appendConflict(dst []byte, ci *ConflictInfo) []byte {
-	dst = appendKey(dst, ci.Key)
+func appendConflict(dst []byte, t *wire.Names, ci *ConflictInfo) []byte {
+	dst = appendKey(dst, t, ci.Key)
 	dst = binary.AppendUvarint(dst, ci.Expected)
 	dst = binary.AppendUvarint(dst, ci.Actual)
 	dst = binary.AppendUvarint(dst, ci.WinnerTrace)

@@ -178,28 +178,67 @@ func corpusResponses() map[string]*Response {
 	}
 }
 
+// crossTwice sends body across one fresh table pair twice, as two
+// frames on one connection would: the first time every name travels as
+// a literal, the second time as its index. It decodes each frame into a
+// fresh value from into and returns both, with their encoded sizes.
+func crossTwice[B wire.Body](body B, into func() B) (got [2]B, size [2]int, err error) {
+	enc, dec := new(wire.Names), new(wire.Names)
+	for i := range got {
+		data := body.AppendWire(nil, enc)
+		got[i], size[i] = into(), len(data)
+		if err = got[i].ReadWire(data, dec); err != nil {
+			return
+		}
+	}
+	return
+}
+
+// TestCodecRoundTrip crosses every corpus body twice through one table
+// pair, so both the literal and the index form of each name are
+// decoded, and requires each crossing to reproduce the body exactly. A
+// body is never longer the second time.
 func TestCodecRoundTrip(t *testing.T) {
 	for name, req := range corpusRequests() {
 		t.Run("request/"+name, func(t *testing.T) {
-			got := new(Request)
-			if err := got.ReadWire(req.AppendWire(nil)); err != nil {
+			got, size, err := crossTwice(req, func() *Request { return new(Request) })
+			if err != nil {
 				t.Fatalf("decode: %v", err)
 			}
-			if !reflect.DeepEqual(got, req) {
-				t.Errorf("round trip mismatch:\n got %#v\nwant %#v", got, req)
+			for _, g := range got {
+				if !reflect.DeepEqual(g, req) {
+					t.Errorf("round trip mismatch:\n got %#v\nwant %#v", g, req)
+				}
+			}
+			if size[1] > size[0] {
+				t.Errorf("warm encoding %d bytes, cold %d", size[1], size[0])
 			}
 		})
 	}
 	for name, resp := range corpusResponses() {
 		t.Run("response/"+name, func(t *testing.T) {
-			got := new(Response)
-			if err := got.ReadWire(resp.AppendWire(nil)); err != nil {
+			got, size, err := crossTwice(resp, func() *Response { return new(Response) })
+			if err != nil {
 				t.Fatalf("decode: %v", err)
 			}
-			if !reflect.DeepEqual(got, resp) {
-				t.Errorf("round trip mismatch:\n got %#v\nwant %#v", got, resp)
+			for _, g := range got {
+				if !reflect.DeepEqual(g, resp) {
+					t.Errorf("round trip mismatch:\n got %#v\nwant %#v", g, resp)
+				}
+			}
+			if size[1] > size[0] {
+				t.Errorf("warm encoding %d bytes, cold %d", size[1], size[0])
 			}
 		})
+	}
+	// A memento names its table and each field: five names, each a
+	// literal (a 0 marker, a length byte and the bytes) the first time
+	// and a one-byte index after that. "quote", "symbol", "price",
+	// "volume" and "open" are 5, 6, 5, 6 and 4 bytes, so the warm body
+	// is 5 × (2 − 1) + 26 = 31 bytes shorter.
+	mem := &Response{Code: CodeOK, Mem: codecMem("a", 3)}
+	if _, size, err := crossTwice(mem, func() *Response { return new(Response) }); err != nil || size[0]-size[1] != 31 {
+		t.Errorf("memento reply: cold %d, warm %d bytes (%v), want 31 saved", size[0], size[1], err)
 	}
 }
 
@@ -221,7 +260,7 @@ func TestBinaryCodecNilVsEmptyFields(t *testing.T) {
 				Fields: tc.fields,
 			}}
 			got := new(Request)
-			if err := got.ReadWire(req.AppendWire(nil)); err != nil {
+			if err := got.ReadWire(req.AppendWire(nil, nil), nil); err != nil {
 				t.Fatal(err)
 			}
 			if (got.Mem.Fields == nil) != (tc.fields == nil) {
@@ -248,49 +287,70 @@ func TestCodecTruncatedInput(t *testing.T) {
 			{Op: OpApplyCommitSet, Set: codecSet(1)},
 		},
 	}
-	data := req.AppendWire(nil)
-	for n := 0; n < len(data); n++ {
-		if err := new(Request).ReadWire(data[:n]); err == nil {
-			t.Fatalf("decoding %d/%d-byte prefix succeeded", n, len(data))
-		}
-	}
-
 	resp := &Response{Code: CodeOK, Mems: []memento.Memento{codecMem("a", 1)}, Seq: 1 << 30}
-	data = resp.AppendWire(nil)
-	for n := 0; n < len(data); n++ {
-		if err := new(Response).ReadWire(data[:n]); err == nil {
-			t.Fatalf("decoding %d/%d-byte prefix succeeded", n, len(data))
+	// Each body cold (every name a literal) and warm (every name an
+	// index into a table that an earlier frame filled). A decoded prefix
+	// can only append to the table, past the entries the warm body
+	// names, so one table serves every prefix.
+	for _, body := range []wire.Body{req, resp} {
+		enc, dec := new(wire.Names), new(wire.Names)
+		cold := body.AppendWire(nil, enc)
+		if err := newLike(body).ReadWire(cold, dec); err != nil {
+			t.Fatal(err)
+		}
+		warm := body.AppendWire(nil, enc)
+		for _, data := range [][]byte{cold, warm} {
+			for n := 0; n < len(data); n++ {
+				if err := newLike(body).ReadWire(data[:n], dec); err == nil {
+					t.Fatalf("%T: decoding %d/%d-byte prefix succeeded", body, n, len(data))
+				}
+			}
 		}
 	}
 }
 
+// newLike returns a fresh body of b's type.
+func newLike(b wire.Body) wire.Body {
+	return reflect.New(reflect.TypeOf(b).Elem()).Interface().(wire.Body)
+}
+
 // TestCodecRejectsMalformedBodies: a length prefix claiming more
 // elements than the buffer could possibly hold must fail cleanly
-// instead of attempting a huge allocation; bytes past the end of a body
-// and a batch nested in a batch are refused.
+// instead of attempting a huge allocation; bytes past the end of a body,
+// a batch nested in a batch and a name index past the receiver's table
+// are refused.
 func TestCodecRejectsMalformedBodies(t *testing.T) {
 	// Code byte, presence mask (only respMems), then the Mems count:
 	// splice in an absurd count and keep the tail.
-	data := (&Response{Mems: []memento.Memento{codecMem("a", 1)}}).AppendWire(nil)
+	data := (&Response{Mems: []memento.Memento{codecMem("a", 1)}}).AppendWire(nil, nil)
 	corrupt := append([]byte{}, data[:2]...)
 	corrupt = append(corrupt, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f) // huge uvarint
 	corrupt = append(corrupt, data[3:]...)
-	if err := new(Response).ReadWire(corrupt); err == nil {
+	if err := new(Response).ReadWire(corrupt, nil); err == nil {
 		t.Error("decoder accepted a length far beyond the buffer")
 	}
 
-	if err := new(Response).ReadWire(append(data, 0)); err == nil {
+	if err := new(Response).ReadWire(append(data, 0), nil); err == nil {
 		t.Error("decoder accepted a trailing byte")
 	}
 
 	inner := Request{Op: OpBatch, Batch: []Request{{Op: OpCommit}}}
-	nested := (&Request{Op: OpBatch, Batch: []Request{inner}}).AppendWire(nil)
-	if err := new(Request).ReadWire(nested); err == nil {
+	nested := (&Request{Op: OpBatch, Batch: []Request{inner}}).AppendWire(nil, nil)
+	if err := new(Request).ReadWire(nested, nil); err == nil {
 		t.Error("decoder accepted a batch inside a batch")
 	}
-	nestedResp := (&Response{Batch: []Response{{Batch: []Response{{Tx: 1}}}}}).AppendWire(nil)
-	if err := new(Response).ReadWire(nestedResp); err == nil {
+	nestedResp := (&Response{Batch: []Response{{Batch: []Response{{Tx: 1}}}}}).AppendWire(nil, nil)
+	if err := new(Response).ReadWire(nestedResp, nil); err == nil {
 		t.Error("decoder accepted a batch result inside a batch result")
+	}
+
+	// A warm body read by a receiver that never saw the frame which
+	// filled the sender's table: its first index is past the end.
+	enc := new(wire.Names)
+	mem := &Response{Mem: codecMem("a", 1)}
+	mem.AppendWire(nil, enc)
+	if err := new(Response).ReadWire(mem.AppendWire(nil, enc), new(wire.Names)); err == nil {
+		t.Error("decoder accepted a name index past its table")
 	}
 }
 
@@ -315,9 +375,9 @@ func TestCodecClaimedCountReservesLittle(t *testing.T) {
 	respBatchMask := binary.AppendUvarint([]byte{byte(CodeOK)}, respBatch)
 	respMemsMask := binary.AppendUvarint([]byte{byte(CodeOK)}, respMems)
 	for name, decode := range map[string]func() error{
-		"Request.Batch":  func() error { return new(Request).ReadWire(claimedCount(reqBatchMask...)) },
-		"Response.Batch": func() error { return new(Response).ReadWire(claimedCount(respBatchMask...)) },
-		"Response.Mems":  func() error { return new(Response).ReadWire(claimedCount(respMemsMask...)) },
+		"Request.Batch":  func() error { return new(Request).ReadWire(claimedCount(reqBatchMask...), nil) },
+		"Response.Batch": func() error { return new(Response).ReadWire(claimedCount(respBatchMask...), nil) },
+		"Response.Mems":  func() error { return new(Response).ReadWire(claimedCount(respMemsMask...), nil) },
 	} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -335,38 +395,60 @@ func TestCodecClaimedCountReservesLittle(t *testing.T) {
 }
 
 // FuzzRequestReadWire and FuzzResponseReadWire feed arbitrary bytes to
-// the decoders, starting from the round-trip corpus. A body either
-// fails to decode or decodes to a value that encodes and decodes again;
-// nothing may panic, and a collection is reserved by wire.Prealloc, not
-// by the count its frame claims.
+// the decoders, starting from the round-trip corpus, each input read as
+// the frame after one that filled the receiver's name table. The seeds
+// are every corpus body cold, with its names as literals, and warm,
+// encoded after the same filling frame, so the mutator starts from
+// indices into a live table. A body either fails to decode or decodes
+// to a value that crosses a fresh table pair twice; nothing may panic,
+// and a collection is reserved by wire.Prealloc, not by the count its
+// frame claims.
 func FuzzRequestReadWire(f *testing.F) {
+	fill := corpusRequests()["apply sets"]
 	for _, req := range corpusRequests() {
-		f.Add(req.AppendWire(nil))
+		enc, _ := filledTables(f, fill)
+		f.Add(req.AppendWire(nil, nil))
+		f.Add(req.AppendWire(nil, enc))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		_, dec := filledTables(t, fill)
 		req := new(Request)
-		if req.ReadWire(data) != nil {
+		if req.ReadWire(data, dec) != nil {
 			return
 		}
-		if err := new(Request).ReadWire(req.AppendWire(nil)); err != nil {
+		if _, _, err := crossTwice(req, func() *Request { return new(Request) }); err != nil {
 			t.Fatalf("re-encoded request does not decode: %v", err)
 		}
 	})
 }
 
 func FuzzResponseReadWire(f *testing.F) {
+	fill := corpusResponses()["notice"]
 	for _, resp := range corpusResponses() {
-		f.Add(resp.AppendWire(nil))
+		enc, _ := filledTables(f, fill)
+		f.Add(resp.AppendWire(nil, nil))
+		f.Add(resp.AppendWire(nil, enc))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		_, dec := filledTables(t, fill)
 		resp := new(Response)
-		if resp.ReadWire(data) != nil {
+		if resp.ReadWire(data, dec) != nil {
 			return
 		}
-		if err := new(Response).ReadWire(resp.AppendWire(nil)); err != nil {
+		if _, _, err := crossTwice(resp, func() *Response { return new(Response) }); err != nil {
 			t.Fatalf("re-encoded response does not decode: %v", err)
 		}
 	})
+}
+
+// filledTables returns a sender's and a receiver's table after fill has
+// crossed between them.
+func filledTables(tb testing.TB, fill wire.Body) (enc, dec *wire.Names) {
+	enc, dec = new(wire.Names), new(wire.Names)
+	if err := newLike(fill).ReadWire(fill.AppendWire(nil, enc), dec); err != nil {
+		tb.Fatal(err)
+	}
+	return enc, dec
 }
 
 // TestKeysOnlyNoticeAllocs pins what cutting a notice to its keys
@@ -374,8 +456,9 @@ func FuzzResponseReadWire(f *testing.F) {
 // buffer, so once that buffer has grown a push allocates nothing more
 // than a full one; the store's shared descriptors are left as they
 // were. The edge reads a cut notice with no field map: one allocation
-// for the descriptor slice and one per key string (each is longer than
-// a byte, so none is a static one-byte string).
+// for the descriptor slice and one per key ID (each is longer than a
+// byte, so none is a static one-byte string); a key's table name is
+// its connection table's own string.
 func TestKeysOnlyNoticeAllocs(t *testing.T) {
 	n := sqlstore.Notice{
 		Seq: 41,
@@ -397,9 +480,13 @@ func TestKeysOnlyNoticeAllocs(t *testing.T) {
 		t.Fatal("cutting a notice changed the shared descriptors")
 	}
 
+	// The edge's table already holds both table names, from an earlier
+	// frame, so the keys' tables read as indices.
 	cut, _ := keysOf(n, nil)
-	body := appendNotice(nil, cut)
-	got := readNotice(wire.NewReader(body))
+	enc, dec := new(wire.Names), new(wire.Names)
+	readNotice(wire.NewReader(appendNotice(nil, enc, cut), dec))
+	body := appendNotice(nil, enc, cut)
+	got := readNotice(wire.NewReader(body, dec))
 	for _, w := range got.Writes {
 		if !w.Blind() {
 			t.Errorf("a cut descriptor reads back with images: %+v", w)
@@ -408,25 +495,28 @@ func TestKeysOnlyNoticeAllocs(t *testing.T) {
 	if got.Seq != n.Seq || len(got.Writes) != len(n.Writes) || got.OriginTrace != n.OriginTrace {
 		t.Errorf("cut notice reads back as %+v", got)
 	}
-	want := float64(1 + 2*len(n.Writes))
-	if a := testing.AllocsPerRun(100, func() { _ = readNotice(wire.NewReader(body)) }); a != want {
-		t.Errorf("reading a cut notice allocates %v times, want %v (no field maps)", a, want)
+	want := float64(1 + len(n.Writes))
+	if a := testing.AllocsPerRun(100, func() { _ = readNotice(wire.NewReader(body, dec)) }); a != want {
+		t.Errorf("reading a cut notice allocates %v times, want %v (no field maps, no table names)", a, want)
 	}
 }
 
 // BenchmarkBinaryCodec measures encode+decode of a representative
 // read-response (the hot shape of the Figure 6 workload) for the
-// allocs/op budget CI enforces.
+// allocs/op budget CI enforces. Every frame after the first is warm, as
+// on a connection in use: its names are indices into tables the first
+// frame filled.
 func BenchmarkBinaryCodec(b *testing.B) {
 	resp := &Response{Code: CodeOK, Mem: codecMem("a", 3)}
+	enc, dec := new(wire.Names), new(wire.Names)
 	var buf []byte
 	got := new(Response)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf = resp.AppendWire(buf[:0])
+		buf = resp.AppendWire(buf[:0], enc)
 		*got = Response{}
-		if err := got.ReadWire(buf); err != nil {
+		if err := got.ReadWire(buf, dec); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -377,9 +377,12 @@ func TestOwnCommitHearsNoNotice(t *testing.T) {
 					t.Fatal(err)
 				}
 				<-other
+				// noteNotice evicts a notice's keys before it counts the
+				// notice, so wait for both: a count read the moment the
+				// key is gone can miss the notice that evicted it.
 				waitFor(t, 5*time.Second, func() bool {
 					_, cached := mgr.CommonStore().Get(key("2"))
-					return !cached
+					return !cached && mgr.Stats().NoticesApplied >= round
 				})
 				if n := mgr.Stats().NoticesApplied; n != round {
 					t.Fatalf("round %d: %d notices applied, want only the %d foreign", round, n, round)

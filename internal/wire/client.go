@@ -515,7 +515,7 @@ func (cn *conn) readLoop() {
 }
 
 // handleResponse takes reply id out of pending and claims its call. The
-// reply to a call its caller abandoned is dropped.
+// reply to a call its caller abandoned is decoded, then dropped.
 func (cn *conn) handleResponse(id uint64, size int) bool {
 	cn.mu.Lock()
 	cl, ok := cn.pending[id]
@@ -530,27 +530,22 @@ func (cn *conn) handleResponse(id uint64, size int) bool {
 		return false
 	}
 	cn.c.stats.received(cl.label, size)
-	// An abandoned call's caller is gone, and may be reusing resp. A
-	// self-encoding body is simply dropped; a gob body is decoded into
-	// a throwaway value of the right type, because the gob stream's
-	// type definitions may be riding in it.
+	// An abandoned call's caller is gone, and may be reusing resp, so
+	// its reply is decoded into a throwaway value of the same type: a
+	// self-encoding body may carry a name's first crossing, and a gob
+	// body the stream's type definitions.
 	target := cl.resp
 	if abandoned {
-		target = nil
-		if _, ok := cl.resp.(Body); !ok {
-			target = reflect.New(reflect.TypeOf(cl.resp).Elem()).Interface()
-		}
+		target = reflect.New(reflect.TypeOf(cl.resp).Elem()).Interface()
 	}
-	if target != nil {
-		if err := cn.fr.decodeBody(target); err != nil {
-			// cl is no longer pending, so teardown will not fail it.
-			err = fmt.Errorf("wire: recv %s: %w", cl.label, err)
-			if !abandoned {
-				cl.complete(err)
-			}
-			cn.teardown(err)
-			return false
+	if err := cn.fr.decodeBody(target); err != nil {
+		// cl is no longer pending, so teardown will not fail it.
+		err = fmt.Errorf("wire: recv %s: %w", cl.label, err)
+		if !abandoned {
+			cl.complete(err)
 		}
+		cn.teardown(err)
+		return false
 	}
 	cn.mu.Lock()
 	cn.used = true

@@ -7,18 +7,63 @@ import (
 )
 
 // Body is a message that encodes itself: the transport writes the
-// frame header and hands the rest of the frame to the body. The
+// frame header and hands the rest of the frame to the body, together
+// with the connection's name table for that direction (see Names). The
 // encoding is not self-describing — both peers build from this tree and
 // agree on the field order — so a schema change edits the encoder and
-// the decoder in one commit.
+// the decoder in one commit. A body that sends no names ignores the
+// table.
 type Body interface {
 	// AppendWire appends the body's encoding to dst and returns the
-	// extended slice.
-	AppendWire(dst []byte) []byte
-	// ReadWire decodes one body from data, the remainder of a frame.
-	// data is the connection's reused read buffer: ReadWire must copy
-	// out every byte it keeps.
-	ReadWire(data []byte) error
+	// extended slice. t is the sending side's table.
+	AppendWire(dst []byte, t *Names) []byte
+	// ReadWire decodes one body from data, the remainder of a frame,
+	// against the receiving side's table t. data is the connection's
+	// reused read buffer: ReadWire must copy out every byte it keeps.
+	ReadWire(data []byte, t *Names) error
+}
+
+// Names is one direction of a connection's name table, HPACK's dynamic
+// table (RFC 7541) without eviction. The first time a name crosses the
+// connection it travels as a literal and both ends enter it under the
+// next index; after that it travels as that index. The writer of a
+// direction uses the send half, its reader the receive half, and both
+// apply one entry rule (at most 1024 entries, each at most 64 bytes),
+// so they stay in step without any resync and a hostile peer cannot
+// grow the table past its bound. A fresh connection
+// starts with empty tables at both ends. The zero value is an empty
+// table; a nil *Names enters nothing, so every name is a literal.
+type Names struct {
+	sent map[string]uint64 // send half: name -> index
+	got  []string          // receive half: index -> name
+}
+
+// The entry rule both halves apply to a literal.
+const (
+	maxNames   = 1024
+	maxNameLen = 64
+)
+
+// enters reports whether a literal s, met with n entries in the table,
+// is entered.
+func enters(n int, s string) bool { return n < maxNames && len(s) <= maxNameLen }
+
+// AppendName appends s as uvarint i+1 if it is entry i of t, and
+// otherwise as uvarint 0 and the literal, which t then enters if the
+// entry rule allows.
+func AppendName(dst []byte, t *Names, s string) []byte {
+	if t != nil {
+		if i, ok := t.sent[s]; ok {
+			return binary.AppendUvarint(dst, i+1)
+		}
+		if enters(len(t.sent), s) {
+			if t.sent == nil {
+				t.sent = make(map[string]uint64)
+			}
+			t.sent[s] = uint64(len(t.sent))
+		}
+	}
+	return AppendString(append(dst, 0), s)
 }
 
 // AppendString appends a uvarint length and the string's bytes.
@@ -59,10 +104,12 @@ type Reader struct {
 	b   []byte
 	off int
 	err error
+	t   *Names
 }
 
-// NewReader returns a reader over one body's bytes.
-func NewReader(b []byte) *Reader { return &Reader{b: b} }
+// NewReader returns a reader over one body's bytes that reads names
+// against t (nil for a body that sends none).
+func NewReader(b []byte, t *Names) *Reader { return &Reader{b: b, t: t} }
 
 // Err returns the first decode failure, or an error for bytes left
 // undecoded: a body that does not end where its decoder does was
@@ -172,6 +219,26 @@ func (r *Reader) Str() string {
 	s := string(r.b[r.off : r.off+n])
 	r.off += n
 	return s
+}
+
+// Name reads a name written by AppendName. A literal is entered in the
+// reader's table under the same rule the sender applied; an index past
+// the end of the table fails the body. A name read by index is the
+// table's own string, so it costs no allocation.
+func (r *Reader) Name() string {
+	i := r.Uvarint()
+	if i == 0 {
+		s := r.Str()
+		if r.err == nil && r.t != nil && enters(len(r.t.got), s) {
+			r.t.got = append(r.t.got, s)
+		}
+		return s
+	}
+	if r.err != nil || r.t == nil || i > uint64(len(r.t.got)) {
+		r.Fail()
+		return ""
+	}
+	return r.t.got[i-1]
 }
 
 // Bytes reads a length-prefixed byte slice into fresh memory; a zero

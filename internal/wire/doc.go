@@ -10,6 +10,12 @@
 // fixed frame format — a binary header, then a body that encodes itself
 // (Body); nothing is negotiated per connection (see frame.go):
 //
+//   - Each direction of a connection keeps an append-only name table
+//     (Names): a body writes a table or field name as a literal the
+//     first time it crosses the connection and as an index after that.
+//     Frames are encoded in the order they reach the wire and every
+//     frame is decoded in the order it arrives, so both ends of a
+//     direction hold the same table; a fresh connection starts empty.
 //   - Client multiplexes concurrent requests over one shared connection
 //     using request IDs (pipelining: N concurrent one-shot calls cost ~1
 //     round-trip wall time on a high-latency path, instead of N

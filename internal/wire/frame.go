@@ -23,7 +23,13 @@ const DefaultMaxFrame = 16 << 20
 //	span    8 bytes big-endian  / untraced traffic pays nothing for them
 //	body    the rest of the frame
 //
-// A body that implements Body encodes itself. Any other value goes
+// A body that implements Body encodes itself, against the connection's
+// name table for its direction: a name (a field or table name) travels
+// as a literal the first time it crosses the connection and as an index
+// after that (see Names). Frames are encoded in the order they reach
+// the wire, under the connection's write mutex, and decoded in the
+// order they arrive, every one of them, so both ends of a direction
+// enter the same names under the same indices. Any other value goes
 // through a per-connection gob stream (type definitions travel once per
 // connection, not once per message); which of the two a frame carries
 // is decided by the static type both peers pass, never negotiated.
@@ -48,8 +54,9 @@ func appendHeader(dst []byte, h *frameHeader) []byte {
 // frameWriter frames messages onto a connection. Not safe for
 // concurrent use; callers hold a write mutex.
 type frameWriter struct {
-	w   io.Writer
-	buf []byte // the frame under construction, reused
+	w     io.Writer
+	buf   []byte // the frame under construction, reused
+	names Names  // this direction's name table, send half
 	// gob fallback for bodies that do not implement Body; nil until the
 	// first such body.
 	enc    *gob.Encoder
@@ -68,7 +75,7 @@ func newFrameWriter(w io.Writer) *frameWriter { return &frameWriter{w: w} }
 func (fw *frameWriter) writeFrame(h *frameHeader, body any) (int, error) {
 	buf := appendHeader(append(fw.buf[:0], 0, 0, 0, 0), h)
 	if b, ok := body.(Body); ok {
-		buf = b.AppendWire(buf)
+		buf = b.AppendWire(buf, &fw.names)
 	} else {
 		if fw.enc == nil {
 			fw.enc = gob.NewEncoder(&fw.gobBuf)
@@ -96,6 +103,7 @@ type frameReader struct {
 	lenBuf   [4]byte
 	payload  []byte
 	body     []byte // the current frame past its header
+	names    Names  // this direction's name table, receive half
 	// gob fallback, the read side of frameWriter's; nil until the first
 	// body that does not implement Body.
 	dec    *gob.Decoder
@@ -144,12 +152,13 @@ func (fr *frameReader) readHeader() (frameHeader, error) {
 	return h, nil
 }
 
-// decodeBody decodes the current frame's body into v. A gob body must
-// be decoded even when nobody wants it: the stream's type definitions
-// arrive inside whichever message first used them.
+// decodeBody decodes the current frame's body into v. Every body must
+// be decoded, even when nobody wants it: a self-encoding body may carry
+// a name's first crossing, and a gob stream's type definitions arrive
+// inside whichever message first used them.
 func (fr *frameReader) decodeBody(v any) error {
 	if b, ok := v.(Body); ok {
-		return b.ReadWire(fr.body)
+		return b.ReadWire(fr.body, &fr.names)
 	}
 	if fr.dec == nil {
 		// bytes.Reader is an io.ByteReader, so gob reads straight from

@@ -155,8 +155,9 @@ func TestFrameHeaderRoundTrip(t *testing.T) {
 
 // FuzzFrameReader feeds arbitrary bytes to the framer, the header
 // decoder and both body paths (a self-encoding body and the gob
-// fallback); it must only ever return an error, never panic, over-read
-// or allocate beyond the frame limit.
+// fallback), and to a body that is one name, read frame after frame
+// against the reader's name table; it must only ever return an error,
+// never panic, over-read or allocate beyond the frame limit.
 func FuzzFrameReader(f *testing.F) {
 	f.Add([]byte("GET / HTTP/1.1\r\n\r\n"))
 	f.Add(make([]byte, 64))
@@ -165,7 +166,7 @@ func FuzzFrameReader(f *testing.F) {
 	f.Add([]byte{0x00, 0x00, 0x00, 0x02, 0x81, 0x01}) // traced flag, pair missing
 	// Genuine frames captured from the writer, for coverage of the
 	// decode paths under mutation.
-	for _, body := range []any{&testReq{Op: "echo", Payload: "x", N: -3}, &plainReq{Payload: "x"}} {
+	for _, body := range []any{&testReq{Op: "echo", Payload: "x", N: -3}, &plainReq{Payload: "x"}, &named{Name: "quote"}} {
 		var sink captureWriter
 		fw := newFrameWriter(&sink)
 		_, _ = fw.writeFrame(&frameHeader{ID: 1, Kind: kindRequest}, body)
@@ -177,6 +178,7 @@ func FuzzFrameReader(f *testing.F) {
 		for _, newBody := range []func() any{
 			func() any { return new(testReq) },
 			func() any { return new(plainReq) },
+			func() any { return new(named) },
 		} {
 			// 1 KiB is far above any seed and keeps a mutated length
 			// prefix from passing as a 16 MiB allocation.

@@ -82,6 +82,11 @@ type Server struct {
 	baseCtx    context.Context
 	cancel     context.CancelFunc
 
+	// draining is set by Close before it wakes any connection, so no
+	// connection, woken yet or not, takes another request: one left
+	// serving would let a client's redial land on a server going away.
+	draining atomic.Bool
+
 	mu     sync.Mutex
 	ln     net.Listener
 	conns  map[*serverConn]struct{}
@@ -191,8 +196,8 @@ func (s *Server) Close() {
 	if ln != nil {
 		ln.Close()
 	}
+	s.draining.Store(true)
 	for _, sc := range conns {
-		sc.draining.Store(true)
 		_ = sc.nc.SetReadDeadline(time.Now())
 	}
 
@@ -231,7 +236,6 @@ type serverConn struct {
 	fr *frameReader // serve-goroutine only
 
 	handlers sync.WaitGroup
-	draining atomic.Bool
 
 	// tasks hands requests to idle warm dispatch workers; see worker.
 	tasks chan dispatchTask
@@ -273,9 +277,9 @@ func (sc *serverConn) readRequests() bool {
 		if err != nil {
 			// The only deadline ever set on a server connection is the
 			// drain wakeup.
-			return errors.Is(err, os.ErrDeadlineExceeded) && sc.draining.Load()
+			return errors.Is(err, os.ErrDeadlineExceeded) && sc.srv.draining.Load()
 		}
-		if sc.draining.Load() {
+		if sc.srv.draining.Load() {
 			return true
 		}
 		h, err := sc.fr.readHeader()

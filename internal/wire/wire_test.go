@@ -24,14 +24,14 @@ type testReq struct {
 
 func (r *testReq) WireLabel() string { return r.Op }
 
-func (r *testReq) AppendWire(dst []byte) []byte {
+func (r *testReq) AppendWire(dst []byte, _ *Names) []byte {
 	dst = AppendString(dst, r.Op)
 	dst = AppendString(dst, r.Payload)
 	return binary.AppendVarint(dst, int64(r.N))
 }
 
-func (r *testReq) ReadWire(data []byte) error {
-	rd := NewReader(data)
+func (r *testReq) ReadWire(data []byte, _ *Names) error {
+	rd := NewReader(data, nil)
 	r.Op, r.Payload, r.N = rd.Str(), rd.Str(), int(rd.Varint())
 	return rd.Err()
 }
@@ -41,13 +41,13 @@ type testResp struct {
 	N       int
 }
 
-func (r *testResp) AppendWire(dst []byte) []byte {
+func (r *testResp) AppendWire(dst []byte, _ *Names) []byte {
 	dst = AppendString(dst, r.Payload)
 	return binary.AppendVarint(dst, int64(r.N))
 }
 
-func (r *testResp) ReadWire(data []byte) error {
-	rd := NewReader(data)
+func (r *testResp) ReadWire(data []byte, _ *Names) error {
+	rd := NewReader(data, nil)
 	r.Payload, r.N = rd.Str(), int(rd.Varint())
 	return rd.Err()
 }
@@ -461,20 +461,26 @@ func TestContextDeadlineOnStalledServer(t *testing.T) {
 	}
 }
 
-// TestCancelledCallNeverSeesItsReply: a reply and its caller's deadline
-// land at about the same instant, again and again. Exactly one side
-// decides each call: either the reader claims the reply first and the
-// call succeeds with it, or the caller abandons the call first and its
-// response is never written to, not even by the late reply the reader
-// meets afterwards. Either way the connection serves the next call. Run
-// it under -race: a reply decoded into an abandoned caller's response
-// is a data race as well as a wrong value.
+// TestCancelledCallNeverSeesItsReply: a reply and its caller's
+// cancellation land at about the same instant, again and again. Exactly
+// one side decides each call: either the reader claims the reply first
+// and the call succeeds with it, or the caller abandons the call first
+// and its response is never written to, not even by the late reply the
+// reader meets afterwards. Either way the connection serves the next
+// call. Run it under -race: a reply decoded into an abandoned caller's
+// response is a data race as well as a wrong value.
+//
+// The server starts each caller's clock once the request has arrived.
+// A context deadline set by the caller would also bound its request's
+// write, and a write the deadline cuts short tears the connection down,
+// which on a loaded host can happen before the request is sent at all.
 func TestCancelledCallNeverSeesItsReply(t *testing.T) {
 	const (
 		timeout = 2 * time.Millisecond
 		rounds  = 200
 	)
 	big := strings.Repeat("x", 1<<20)
+	cancels := make(chan context.CancelFunc, 1)
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -500,6 +506,7 @@ func TestCancelledCallNeverSeesItsReply(t *testing.T) {
 			}
 			resp := &testResp{Payload: req.Payload, N: req.N}
 			if req.Op == "big" {
+				time.AfterFunc(timeout, <-cancels)
 				time.Sleep(timeout)
 				resp.Payload = big
 			}
@@ -513,7 +520,8 @@ func TestCancelledCallNeverSeesItsReply(t *testing.T) {
 	defer c.Close()
 	abandoned := 0
 	for i := 0; i < rounds; i++ {
-		ctx, cancel := context.WithTimeout(context.Background(), timeout)
+		ctx, cancel := context.WithCancel(context.Background())
+		cancels <- cancel
 		resp := new(testResp)
 		err := c.Call(ctx, &testReq{Op: "big", N: i}, resp)
 		cancel()

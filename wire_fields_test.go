@@ -16,8 +16,10 @@ import (
 // The hand-written codecs carry only the fields their append and read
 // functions name, so this test sets every exported field of every body
 // type — nested structs, slices, maps and pointers included — to a
-// non-zero value and requires the round trip to reproduce it. A field
-// added without codec support comes back zero and fails here.
+// non-zero value and requires the round trip to reproduce it, the first
+// time a body crosses a connection and again once its names are in the
+// connection's tables. A field added without codec support comes back
+// zero and fails here.
 func TestEveryBodyFieldCrossesTheWire(t *testing.T) {
 	for _, body := range []wire.Body{
 		new(dbwire.Request),
@@ -28,12 +30,17 @@ func TestEveryBodyFieldCrossesTheWire(t *testing.T) {
 		typ := reflect.TypeOf(body).Elem()
 		t.Run(typ.String(), func(t *testing.T) {
 			fillNonZero(t, reflect.ValueOf(body).Elem(), nil)
-			got := reflect.New(typ)
-			if err := got.Interface().(wire.Body).ReadWire(body.AppendWire(nil)); err != nil {
-				t.Fatalf("decode: %v", err)
-			}
-			if !reflect.DeepEqual(got.Interface(), body) {
-				t.Errorf("a field did not survive AppendWire/ReadWire:\n got %+v\nwant %+v", got.Interface(), body)
+			// Twice through one table pair, as two frames on one
+			// connection: names cross as literals, then as indices.
+			enc, dec := new(wire.Names), new(wire.Names)
+			for _, pass := range []string{"first", "second"} {
+				got := reflect.New(typ)
+				if err := got.Interface().(wire.Body).ReadWire(body.AppendWire(nil, enc), dec); err != nil {
+					t.Fatalf("%s crossing: decode: %v", pass, err)
+				}
+				if !reflect.DeepEqual(got.Interface(), body) {
+					t.Errorf("a field did not survive its %s crossing:\n got %+v\nwant %+v", pass, got.Interface(), body)
+				}
 			}
 		})
 	}
