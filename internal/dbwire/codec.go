@@ -394,6 +394,12 @@ func readValue(r *wire.Reader) memento.Value {
 		v.F = math.Float64frombits(r.Uint64())
 	case memento.KindBool:
 		v.Bool = r.Bool()
+	default:
+		// Kind 0 is the zero Value, which has no payload; a kind above
+		// KindBool is one no peer of ours writes.
+		if v.Kind > memento.KindBool {
+			r.Fail()
+		}
 	}
 	return v
 }

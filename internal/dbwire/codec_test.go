@@ -352,6 +352,34 @@ func TestCodecRejectsMalformedBodies(t *testing.T) {
 	if err := new(Response).ReadWire(mem.AppendWire(nil, enc), new(wire.Names)); err == nil {
 		t.Error("decoder accepted a name index past its table")
 	}
+
+	// A value kind no peer writes, with no payload after it; the zero
+	// kind, which appendValue does write, still decodes.
+	if err := new(Response).ReadWire(unknownKindResponse(), nil); err == nil {
+		t.Error("decoder accepted a response with an unknown value kind")
+	}
+	if err := new(Request).ReadWire(unknownKindRequest(), nil); err == nil {
+		t.Error("decoder accepted a request with an unknown value kind")
+	}
+	zero := &Response{Mem: memento.Memento{Key: memento.Key{Table: "t", ID: "x"}, Fields: memento.Fields{"z": {}}}}
+	var got Response
+	if err := got.ReadWire(zero.AppendWire(nil, nil), nil); err != nil || !got.Mem.Equal(zero.Mem) {
+		t.Errorf("zero-kind value decoded as %v, %v", got.Mem, err)
+	}
+}
+
+// unknownKindMem is a memento holding a value of kind 7, which
+// appendValue writes as its kind byte alone.
+func unknownKindMem() memento.Memento {
+	return memento.Memento{Key: memento.Key{Table: "t", ID: "x"}, Fields: memento.Fields{"k": {Kind: 7}}}
+}
+
+func unknownKindResponse() []byte {
+	return (&Response{Mem: unknownKindMem()}).AppendWire(nil, nil)
+}
+
+func unknownKindRequest() []byte {
+	return (&Request{Op: OpPut, Mem: unknownKindMem()}).AppendWire(nil, nil)
 }
 
 // claimedCount builds a body that opens with head (code or op byte and
@@ -410,6 +438,7 @@ func FuzzRequestReadWire(f *testing.F) {
 		f.Add(req.AppendWire(nil, nil))
 		f.Add(req.AppendWire(nil, enc))
 	}
+	f.Add(unknownKindRequest())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		_, dec := filledTables(t, fill)
 		req := new(Request)
@@ -429,6 +458,7 @@ func FuzzResponseReadWire(f *testing.F) {
 		f.Add(resp.AppendWire(nil, nil))
 		f.Add(resp.AppendWire(nil, enc))
 	}
+	f.Add(unknownKindResponse())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		_, dec := filledTables(t, fill)
 		resp := new(Response)

@@ -20,22 +20,23 @@ import (
 
 // index is a secondary index over one field of one table. It is keyed
 // on memento.Value itself, and a Go map key matches by ==, which is
-// exactly Value.Equal: a probe finds the rows a scan's
-// Predicate.Matches would, Float(0) and Float(-0) are one key, and Kind
+// exactly Value.Equal: a probe finds the rows a scan's row.matches
+// would, Float(0) and Float(-0) are one key, and Kind
 // is part of the key, so Int(1) and Float(1) never collide.
 type index struct {
-	field string
+	// col is the indexed field's column in its table (see row.go).
+	col int
 	// byValue maps a field value to the set of row IDs whose committed
 	// image holds that value.
 	byValue map[memento.Value]map[string]struct{}
 }
 
-func newIndex(field string) *index {
-	return &index{field: field, byValue: make(map[memento.Value]map[string]struct{})}
+func newIndex(col int) *index {
+	return &index{col: col, byValue: make(map[memento.Value]map[string]struct{})}
 }
 
-func (ix *index) insert(id string, fields memento.Fields) {
-	v, ok := fields[ix.field]
+func (ix *index) insert(id string, r row) {
+	v, ok := r.value(ix.col)
 	// Rows without the field are unindexed, and so are NaN values: a NaN
 	// equals nothing, so no probe or scan can select it, and as a map key
 	// it could never be looked up again to remove.
@@ -50,8 +51,8 @@ func (ix *index) insert(id string, fields memento.Fields) {
 	set[id] = struct{}{}
 }
 
-func (ix *index) remove(id string, fields memento.Fields) {
-	v, ok := fields[ix.field]
+func (ix *index) remove(id string, r row) {
+	v, ok := r.value(ix.col)
 	if !ok {
 		return
 	}
@@ -83,9 +84,9 @@ func (s *Store) CreateIndex(tableName, field string) error {
 	if _, exists := t.indexes[field]; exists {
 		return nil
 	}
-	ix := newIndex(field)
-	for id, m := range t.rows {
-		ix.insert(id, m.Fields)
+	ix := newIndex(t.column(field))
+	for id, r := range t.rows {
+		ix.insert(id, r)
 	}
 	t.indexes[field] = ix
 	return nil

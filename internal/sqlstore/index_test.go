@@ -242,8 +242,9 @@ func TestIndexEquivalenceProperty(t *testing.T) {
 		for _, ids := range indexed.tables["h"].indexes["acct"].byValue {
 			held += len(ids)
 		}
-		for _, m := range indexed.tables["h"].rows {
-			if v := m.Fields["acct"]; v.Equal(v) {
+		h := indexed.tables["h"]
+		for _, r := range h.rows {
+			if v, _ := r.value(h.colOf["acct"]); v.Equal(v) {
 				probeable++
 			}
 		}

@@ -67,7 +67,7 @@ func (s *Store) capture() snapshot {
 		}
 		sort.Strings(ids)
 		for _, id := range ids {
-			st.Rows = append(st.Rows, t.rows[id].Clone())
+			st.Rows = append(st.Rows, t.memento(name, id, t.rows[id]))
 		}
 		snap.Tables = append(snap.Tables, st)
 	}
@@ -103,7 +103,7 @@ func (s *Store) Restore(r io.Reader) error {
 		t := newTable()
 		tables[st.Name] = t
 		for _, field := range st.Indexes {
-			t.indexes[field] = newIndex(field)
+			t.indexes[field] = newIndex(t.column(field))
 		}
 		for _, m := range st.Rows {
 			if m.Key.Table != st.Name {
@@ -112,12 +112,8 @@ func (s *Store) Restore(r io.Reader) error {
 			if _, dup := t.rows[m.Key.ID]; dup {
 				return fmt.Errorf("sqlstore: snapshot holds row %s twice", m.Key)
 			}
-			row := m.Clone()
-			t.rows[row.Key.ID] = row
-			seq = max(seq, row.Version)
-			for _, ix := range t.indexes {
-				ix.insert(row.Key.ID, row.Fields)
-			}
+			t.install(m.Key.ID, t.newRow(m.Version, m.Fields))
+			seq = max(seq, m.Version)
 		}
 	}
 	s.mu.Lock()

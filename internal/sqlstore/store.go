@@ -125,18 +125,6 @@ type Stats struct {
 	TablesLive     uint64 // gauge, not a counter
 }
 
-type table struct {
-	rows    map[string]memento.Memento
-	indexes map[string]*index
-}
-
-func newTable() *table {
-	return &table{
-		rows:    make(map[string]memento.Memento),
-		indexes: make(map[string]*index),
-	}
-}
-
 // Store is the persistent datastore. It is safe for concurrent use.
 type Store struct {
 	lm *lockmgr.Manager
@@ -320,7 +308,8 @@ func (s *Store) Stats() Stats {
 	}
 }
 
-// readRow returns the committed row for key, if any.
+// readRow returns the committed row for key, if any, as a memento the
+// caller owns.
 func (s *Store) readRow(key memento.Key) (memento.Memento, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -328,8 +317,30 @@ func (s *Store) readRow(key memento.Key) (memento.Memento, bool) {
 	if t == nil {
 		return memento.Memento{}, false
 	}
-	m, ok := t.rows[key.ID]
-	return m, ok
+	r, ok := t.rows[key.ID]
+	if !ok {
+		return memento.Memento{}, false
+	}
+	return t.memento(key.Table, key.ID, r), true
+}
+
+// rowState reports whether key has a committed row, its version, and
+// whether it satisfies every predicate of where, without building the
+// row's field map.
+func (s *Store) rowState(key memento.Key, where []memento.Predicate) (version uint64, exists, matches bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	t := s.tables[key.Table]
+	if t == nil {
+		return 0, false, false
+	}
+	r, ok := t.rows[key.ID]
+	if !ok {
+		return 0, false, false
+	}
+	var buf [4]int
+	cols, known := t.columns(where, buf[:0])
+	return r.version, true, known && r.matches(where, cols)
 }
 
 // scanTable returns every committed row of a table matching q, in
@@ -343,19 +354,28 @@ func (s *Store) scanTable(q memento.Query) []memento.Memento {
 	if t == nil {
 		return nil
 	}
-	var out []memento.Memento
-	if ids, ok := t.plan(q); ok {
+	ids, indexed := t.plan(q)
+	if indexed {
 		s.stats.indexProbes.Add(1)
+	} else {
+		s.stats.tableScans.Add(1)
+	}
+	var buf [4]int
+	cols, known := t.columns(q.Where, buf[:0])
+	if !known {
+		return nil
+	}
+	var out []memento.Memento
+	if indexed {
 		for id := range ids {
-			if m, exists := t.rows[id]; exists && q.Matches(m) {
-				out = append(out, m.Clone())
+			if r, exists := t.rows[id]; exists && r.matches(q.Where, cols) {
+				out = append(out, t.memento(q.Table, id, r))
 			}
 		}
 	} else {
-		s.stats.tableScans.Add(1)
-		for _, m := range t.rows {
-			if q.Matches(m) {
-				out = append(out, m.Clone())
+		for id, r := range t.rows {
+			if r.matches(q.Where, cols) {
+				out = append(out, t.memento(q.Table, id, r))
 			}
 		}
 	}
@@ -371,8 +391,10 @@ func (s *Store) scanTable(q memento.Query) []memento.Memento {
 // released. It assumes the caller holds the required locks and has
 // already validated. The notice's write descriptors, in key order,
 // carry each row's after-image, or mark it removed, for
-// footprint-overlap invalidation at the edges. A transaction that wrote nothing takes no
-// number and returns zero.
+// footprint-overlap invalidation at the edges. An after-image is the
+// committer's own pending image: Put, Insert and CheckedPut cloned it
+// from their caller, and the store keeps cells, not the map. A
+// transaction that wrote nothing takes no number and returns zero.
 func (s *Store) applyWrites(writes map[memento.Key]pendingWrite, trace, origin uint64) uint64 {
 	if len(writes) == 0 {
 		return 0
@@ -389,23 +411,12 @@ func (s *Store) applyWrites(writes map[memento.Key]pendingWrite, trace, origin u
 			t = newTable()
 			s.tables[key.Table] = t
 		}
-		prev, hadPrev := t.rows[key.ID]
 		desc := memento.WriteDesc{Key: key, Removed: w.remove}
 		if w.remove {
-			delete(t.rows, key.ID)
+			t.drop(key.ID)
 		} else {
-			m := w.mem.Clone()
-			m.Version = s.seq
-			t.rows[key.ID] = m
-			desc.After = m.Fields
-		}
-		for _, ix := range t.indexes {
-			if hadPrev {
-				ix.remove(key.ID, prev.Fields)
-			}
-			if !w.remove {
-				ix.insert(key.ID, t.rows[key.ID].Fields)
-			}
+			t.install(key.ID, t.newRow(s.seq, w.mem.Fields))
+			desc.After = w.mem.Fields
 		}
 		descs = append(descs, desc)
 	}
@@ -436,16 +447,7 @@ func (s *Store) Seed(mems ...memento.Memento) {
 			t = newTable()
 			s.tables[m.Key.Table] = t
 		}
-		prev, hadPrev := t.rows[m.Key.ID]
-		mm := m.Clone()
-		mm.Version = s.seq
-		t.rows[m.Key.ID] = mm
-		for _, ix := range t.indexes {
-			if hadPrev {
-				ix.remove(m.Key.ID, prev.Fields)
-			}
-			ix.insert(m.Key.ID, mm.Fields)
-		}
+		t.install(m.Key.ID, t.newRow(s.seq, m.Fields))
 	}
 }
 
@@ -464,11 +466,11 @@ func (s *Store) RowCount(tableName string) int {
 // ErrNotFound if it does not exist. It performs a dirty read and is
 // intended for tests and diagnostics.
 func (s *Store) CurrentVersion(key memento.Key) (uint64, error) {
-	m, ok := s.readRow(key)
+	version, ok, _ := s.rowState(key, nil)
 	if !ok {
 		return 0, fmt.Errorf("%w: %s", ErrNotFound, key)
 	}
-	return m.Version, nil
+	return version, nil
 }
 
 func (s *Store) isClosed() bool {

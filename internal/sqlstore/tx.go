@@ -116,7 +116,7 @@ func (tx *Tx) Get(ctx context.Context, table, id string) (memento.Memento, error
 	if !ok {
 		return memento.Memento{}, fmt.Errorf("%w: %s", ErrNotFound, key)
 	}
-	return m.Clone(), nil
+	return m, nil
 }
 
 // GetForUpdate reads a row under an exclusive lock, the classic
@@ -141,7 +141,7 @@ func (tx *Tx) GetForUpdate(ctx context.Context, table, id string) (memento.Memen
 	if !ok {
 		return memento.Memento{}, fmt.Errorf("%w: %s", ErrNotFound, key)
 	}
-	return m.Clone(), nil
+	return m, nil
 }
 
 // Put upserts a row under an exclusive lock. The stored version is
@@ -172,7 +172,7 @@ func (tx *Tx) Insert(ctx context.Context, m memento.Memento) error {
 	if w, ok := tx.writes[m.Key]; ok && !w.remove {
 		return fmt.Errorf("%w: %s", ErrExists, m.Key)
 	} else if !ok {
-		if _, exists := tx.s.readRow(m.Key); exists {
+		if _, exists, _ := tx.s.rowState(m.Key, nil); exists {
 			return fmt.Errorf("%w: %s", ErrExists, m.Key)
 		}
 	}
@@ -195,7 +195,7 @@ func (tx *Tx) Delete(ctx context.Context, table, id string) error {
 		if w.remove {
 			return fmt.Errorf("%w: %s", ErrNotFound, key)
 		}
-	} else if _, exists := tx.s.readRow(key); !exists {
+	} else if _, exists, _ := tx.s.rowState(key, nil); !exists {
 		return fmt.Errorf("%w: %s", ErrNotFound, key)
 	}
 	tx.writes[key] = pendingWrite{remove: true}
@@ -241,12 +241,12 @@ func (tx *Tx) Query(ctx context.Context, q memento.Query) ([]memento.Memento, er
 		if w.remove || key.Table != q.Table || !q.Matches(w.mem) {
 			continue
 		}
-		if committed, exists := tx.s.readRow(key); exists {
-			if q.Matches(committed) {
+		if version, exists, matches := tx.s.rowState(key, q.Where); exists {
+			if matches {
 				continue // already overlaid in the scan pass
 			}
 			mm := w.mem.Clone()
-			mm.Version = committed.Version
+			mm.Version = version
 			out = append(out, mm)
 			continue
 		}
@@ -269,23 +269,7 @@ func (tx *Tx) CheckVersion(ctx context.Context, key memento.Key, version uint64)
 	if err := tx.lockRow(ctx, key, lockmgr.Shared); err != nil {
 		return err
 	}
-	m, ok := tx.s.readRow(key)
-	if version == 0 {
-		if ok {
-			return tx.s.conflictErr(key, 0, m.Version,
-				fmt.Sprintf("%s created concurrently", key))
-		}
-		return nil
-	}
-	if !ok {
-		return tx.s.conflictErr(key, version, 0,
-			fmt.Sprintf("%s removed concurrently", key))
-	}
-	if m.Version != version {
-		return tx.s.conflictErr(key, version, m.Version,
-			fmt.Sprintf("%s at v%d, expected v%d", key, m.Version, version))
-	}
-	return nil
+	return tx.s.checkVersion(key, version)
 }
 
 // CheckedPut updates a row only if it is still at m.Version; with
@@ -339,21 +323,28 @@ func (tx *Tx) verifyVersionLocked(key memento.Key, version uint64) error {
 		}
 		return nil
 	}
-	m, ok := tx.s.readRow(key)
+	return tx.s.checkVersion(key, version)
+}
+
+// checkVersion verifies that key's committed row is at version (or, for
+// version 0, that it does not exist), returning an attributed conflict
+// if not.
+func (s *Store) checkVersion(key memento.Key, version uint64) error {
+	actual, ok, _ := s.rowState(key, nil)
 	if version == 0 {
 		if ok {
-			return tx.s.conflictErr(key, 0, m.Version,
+			return s.conflictErr(key, 0, actual,
 				fmt.Sprintf("%s created concurrently", key))
 		}
 		return nil
 	}
 	if !ok {
-		return tx.s.conflictErr(key, version, 0,
+		return s.conflictErr(key, version, 0,
 			fmt.Sprintf("%s removed concurrently", key))
 	}
-	if m.Version != version {
-		return tx.s.conflictErr(key, version, m.Version,
-			fmt.Sprintf("%s at v%d, expected v%d", key, m.Version, version))
+	if actual != version {
+		return s.conflictErr(key, version, actual,
+			fmt.Sprintf("%s at v%d, expected v%d", key, actual, version))
 	}
 	return nil
 }
