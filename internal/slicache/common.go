@@ -12,12 +12,17 @@ import (
 // memento instances. It is a cache of committed persistent state; it
 // never holds uncommitted data. It is unbounded: entries leave it only
 // when an invalidation, a conflict or a lost invalidation stream says
-// they may be stale.
+// they may be stale. An entry is kept packed (memento.Row) against its
+// table's column list, so the field names live once per table, not
+// once per entry, and every read builds a fresh memento.
 type CommonStore struct {
 	mu      sync.RWMutex
 	entries map[memento.Key]cachedEntry
-	bytes   int64 // estimated resident size of all entries
-	now     func() time.Time
+	// cols holds each table's column list. A list only grows, only under
+	// mu held for writing, and outlives a Clear.
+	cols  map[string]*memento.Columns
+	bytes int64 // estimated resident size of all entries
+	now   func() time.Time
 
 	hits          atomic.Uint64
 	misses        atomic.Uint64
@@ -25,23 +30,35 @@ type CommonStore struct {
 	refreshes     atomic.Uint64
 }
 
-// cachedEntry is one cached memento, the time its value was stored
-// (conflict forensics report it as the losing read's age), and its
-// estimated size (for occupancy accounting).
+// cachedEntry is one cached memento's version and cells, the time its
+// value was stored (conflict forensics report it as the losing read's
+// age), and its estimated size (for occupancy accounting).
 type cachedEntry struct {
-	mem      memento.Memento
+	version  uint64
+	cells    memento.Row
 	storedAt time.Time
 	size     int64
 }
 
-// mementoSize estimates a cached memento's resident footprint: string
-// payloads plus a fixed per-field and per-entry overhead. It is an
-// occupancy signal (CommonStoreStats.Bytes), not an allocator
-// measurement.
+// Per-entry overheads mementoSize counts: the entries map's slot (a
+// 32-byte memento.Key and a 64-byte cachedEntry) and one packed cell.
+const (
+	entrySlotBytes = 96
+	cellBytes      = 32
+)
+
+// mementoSize estimates a cached memento's resident footprint in its
+// packed form: its map slot, the key's strings, one cell per field and
+// each string payload. Field names are the column lists', shared by
+// the table. It is an occupancy signal (CommonStoreStats.Bytes), not an
+// allocator measurement.
 func mementoSize(m memento.Memento) int64 {
-	size := int64(64 + len(m.Key.Table) + len(m.Key.ID))
-	for name, v := range m.Fields {
-		size += int64(48 + len(name) + len(v.Str))
+	size := entrySlotBytes + int64(len(m.Key.Table)+len(m.Key.ID))
+	for _, v := range m.Fields {
+		size += cellBytes
+		if v.Kind == memento.KindString {
+			size += int64(len(v.Str))
+		}
 	}
 	return size
 }
@@ -60,6 +77,7 @@ type CommonStoreStats struct {
 func NewCommonStore() *CommonStore {
 	return &CommonStore{
 		entries: make(map[memento.Key]cachedEntry),
+		cols:    make(map[string]*memento.Columns),
 		now:     time.Now,
 	}
 }
@@ -91,7 +109,8 @@ func (c *CommonStore) GetWithTime(key memento.Key) (memento.Memento, time.Time, 
 	}
 	c.hits.Add(1)
 	obsHitsBy.With(key.Table).Inc()
-	return e.mem.Clone(), e.storedAt, true
+	m := memento.Memento{Key: key, Version: e.version, Fields: c.cols[key.Table].Unpack(e.cells)}
+	return m, e.storedAt, true
 }
 
 // Put caches a committed memento. Older versions never overwrite newer
@@ -100,13 +119,17 @@ func (c *CommonStore) Put(m memento.Memento) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if e, ok := c.entries[m.Key]; ok {
-		if e.mem.Version >= m.Version {
+		if e.version >= m.Version {
 			return
 		}
 		c.bytes -= e.size
 	}
-	e := cachedEntry{mem: m.Clone(), storedAt: c.now()}
-	e.size = mementoSize(e.mem)
+	cols := c.cols[m.Key.Table]
+	if cols == nil {
+		cols = new(memento.Columns)
+		c.cols[m.Key.Table] = cols
+	}
+	e := cachedEntry{version: m.Version, cells: cols.Pack(m.Fields), storedAt: c.now(), size: mementoSize(m)}
 	c.entries[m.Key] = e
 	c.bytes += e.size
 }

@@ -16,16 +16,18 @@
 //     split-servers configuration uses this path; it is timed as a
 //     "sqlstore.apply" trace span.
 //
-// A stored row is its cells, not a field map. Each table keeps a
-// column list that only grows: a field name the table has not seen
-// takes the next column, under the store's write lock. A row is its
-// version and one cell — a column number and a value — per field it was
-// written with, so a zero-kind value or a missing field round-trips
-// exactly and no row pays for columns it does not use. Get,
-// GetForUpdate, Query and Dump build a fresh field map from the cells,
-// which the caller owns; predicates and indexes test a column directly.
-// Seed, commits and Restore build cells from the incoming map and keep
-// no reference to it.
+// A stored row is its cells, not a field map (memento.Row). Each table
+// keeps a memento.Columns list that only grows: a field name the table
+// has not seen takes the next column, under the store's write lock. A
+// row is its version and one 32-byte cell — a column, a kind and the
+// payload that kind selects — per field it was written with, so a
+// zero-kind value or a missing field round-trips exactly and no row
+// pays for columns it does not use. A value reads back in its Stored
+// form, as it would across the wire. Get, GetForUpdate, Query and Dump
+// build a fresh field map from the cells, which the caller owns;
+// predicates and indexes test a cell directly. Seed, commits and
+// Restore build cells from the incoming map and keep no reference to
+// it.
 //
 // Every committed mutation is broadcast as a Notice so that
 // cache-enhanced application servers can invalidate stale entries

@@ -19,24 +19,24 @@ import (
 // indexes, exactly as they are invisible to scans.
 
 // index is a secondary index over one field of one table. It is keyed
-// on memento.Value itself, and a Go map key matches by ==, which is
-// exactly Value.Equal: a probe finds the rows a scan's row.matches
-// would, Float(0) and Float(-0) are one key, and Kind
-// is part of the key, so Int(1) and Float(1) never collide.
+// on the stored memento.Value, and a Go map key matches by ==, which is
+// exactly Value.Equal: a probe of a value's Stored form finds the rows
+// a scan's Row.Matches would, Float(0) and Float(-0) are one key, and
+// Kind is part of the key, so Int(1) and Float(1) never collide.
 type index struct {
 	// col is the indexed field's column in its table (see row.go).
-	col int
+	col uint32
 	// byValue maps a field value to the set of row IDs whose committed
 	// image holds that value.
 	byValue map[memento.Value]map[string]struct{}
 }
 
-func newIndex(col int) *index {
+func newIndex(col uint32) *index {
 	return &index{col: col, byValue: make(map[memento.Value]map[string]struct{})}
 }
 
 func (ix *index) insert(id string, r row) {
-	v, ok := r.value(ix.col)
+	v, ok := r.cells.Value(ix.col)
 	// Rows without the field are unindexed, and so are NaN values: a NaN
 	// equals nothing, so no probe or scan can select it, and as a map key
 	// it could never be looked up again to remove.
@@ -52,7 +52,7 @@ func (ix *index) insert(id string, r row) {
 }
 
 func (ix *index) remove(id string, r row) {
-	v, ok := r.value(ix.col)
+	v, ok := r.cells.Value(ix.col)
 	if !ok {
 		return
 	}
@@ -84,7 +84,7 @@ func (s *Store) CreateIndex(tableName, field string) error {
 	if _, exists := t.indexes[field]; exists {
 		return nil
 	}
-	ix := newIndex(t.column(field))
+	ix := newIndex(t.cols.Column(field))
 	for id, r := range t.rows {
 		ix.insert(id, r)
 	}
@@ -115,7 +115,7 @@ func (s *Store) Indexes(tableName string) []string {
 func (t *table) plan(q memento.Query) (ids map[string]struct{}, ok bool) {
 	for _, p := range q.Where {
 		if ix, indexed := t.indexes[p.Field]; indexed {
-			return ix.byValue[p.Value], true
+			return ix.byValue[p.Value.Stored()], true
 		}
 	}
 	return nil, false

@@ -103,7 +103,7 @@ func (s *Store) Restore(r io.Reader) error {
 		t := newTable()
 		tables[st.Name] = t
 		for _, field := range st.Indexes {
-			t.indexes[field] = newIndex(t.column(field))
+			t.indexes[field] = newIndex(t.cols.Column(field))
 		}
 		for _, m := range st.Rows {
 			if m.Key.Table != st.Name {

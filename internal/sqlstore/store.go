@@ -338,9 +338,9 @@ func (s *Store) rowState(key memento.Key, where []memento.Predicate) (version ui
 	if !ok {
 		return 0, false, false
 	}
-	var buf [4]int
-	cols, known := t.columns(where, buf[:0])
-	return r.version, true, known && r.matches(where, cols)
+	var buf [4]uint32
+	cols, known := t.cols.Where(where, buf[:0])
+	return r.version, true, known && r.cells.Matches(where, cols)
 }
 
 // scanTable returns every committed row of a table matching q, in
@@ -360,21 +360,21 @@ func (s *Store) scanTable(q memento.Query) []memento.Memento {
 	} else {
 		s.stats.tableScans.Add(1)
 	}
-	var buf [4]int
-	cols, known := t.columns(q.Where, buf[:0])
+	var buf [4]uint32
+	cols, known := t.cols.Where(q.Where, buf[:0])
 	if !known {
 		return nil
 	}
 	var out []memento.Memento
 	if indexed {
 		for id := range ids {
-			if r, exists := t.rows[id]; exists && r.matches(q.Where, cols) {
+			if r, exists := t.rows[id]; exists && r.cells.Matches(q.Where, cols) {
 				out = append(out, t.memento(q.Table, id, r))
 			}
 		}
 	} else {
 		for id, r := range t.rows {
-			if r.matches(q.Where, cols) {
+			if r.cells.Matches(q.Where, cols) {
 				out = append(out, t.memento(q.Table, id, r))
 			}
 		}
