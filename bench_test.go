@@ -22,6 +22,7 @@ import (
 	"testing"
 	"time"
 
+	"edgeejb/internal/deploy"
 	"edgeejb/internal/harness"
 	"edgeejb/internal/trade"
 )
@@ -192,7 +193,7 @@ func BenchmarkAblationCommitShipping(b *testing.B) {
 		sweepBenchmark(b, harness.ESRDB, harness.AlgCachedEJB)
 	})
 	b.Run("per-image_ESRDB", func(b *testing.B) {
-		sweepOptionsBenchmark(b, harness.Options{Arch: harness.ESRDB, Algo: harness.AlgCachedEJB, Batch: true})
+		sweepOptionsBenchmark(b, harness.Options{Arch: harness.ESRDB, Algo: harness.AlgCachedEJB, Protocol: deploy.Protocol{Batch: true}})
 	})
 	b.Run("whole-set_ESRBES", func(b *testing.B) {
 		sweepBenchmark(b, harness.ESRBES, harness.AlgCachedEJB)

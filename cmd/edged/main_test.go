@@ -74,7 +74,7 @@ func TestOneTargetMatchesHarnessEdge(t *testing.T) {
 	}
 	defer be.Close()
 
-	edge, err := deploy.StartEdge(context.Background(), "127.0.0.1:0", splitTargets(" "+be.Addr()+" ,"), "sli-backend", false)
+	edge, err := deploy.StartEdge(context.Background(), "127.0.0.1:0", splitTargets(" "+be.Addr()+" ,"), "sli-backend", deploy.Paper())
 	if err != nil {
 		t.Fatal(err)
 	}

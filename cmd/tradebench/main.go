@@ -34,11 +34,11 @@ import (
 	"strings"
 	"time"
 
+	"edgeejb/internal/deploy"
 	"edgeejb/internal/harness"
 	"edgeejb/internal/obs"
 	"edgeejb/internal/obs/collect"
 	"edgeejb/internal/obs/prof"
-	"edgeejb/internal/slicache"
 	"edgeejb/internal/trade"
 )
 
@@ -147,8 +147,7 @@ func run(args []string) error {
 			Symbols:         *symbols,
 			HoldingsPerUser: trade.DefaultPopulate().HoldingsPerUser,
 		},
-		CacheOptions: []slicache.ManagerOption{slicache.WithFinderCache(*finderCache)},
-		Batch:        *batch,
+		Protocol: deploy.Protocol{Batch: *batch, FinderCache: *finderCache},
 	}
 	logf := func(format string, a ...any) {
 		fmt.Fprintf(os.Stderr, format+"\n", a...)
@@ -245,11 +244,10 @@ func run(args []string) error {
 
 	if *faults {
 		fopts := harness.FaultOptions{
-			Populate:     cfg.Populate,
-			OneWayDelay:  delayList[0],
-			Sessions:     *faultSessions,
-			CacheOptions: cfg.CacheOptions,
-			Batch:        *batch,
+			Populate:    cfg.Populate,
+			OneWayDelay: delayList[0],
+			Sessions:    *faultSessions,
+			Protocol:    cfg.Protocol,
 		}
 		if err := phase("fault", func() error { return runFaults(fopts, logf) }); err != nil {
 			return err
@@ -409,7 +407,7 @@ func runShardSweep(counts []int, clients int, cfg harness.EvalConfig, art *harne
 	opts.Clients = clients
 	opts.Populate = cfg.Populate
 	opts.Workload = cfg.Run.Workload
-	opts.CacheOptions = cfg.CacheOptions
+	opts.Protocol = cfg.Protocol
 	points, err := harness.RunShardScaling(context.Background(), opts, logf)
 	if err != nil {
 		return nil, err
@@ -502,11 +500,10 @@ func runThroughput(cfg harness.EvalConfig, forensics bool, logf func(string, ...
 			logf("running throughput %s (clients %v)...", pair, topts.ClientCounts)
 		}
 		curve, err := harness.RunThroughput(context.Background(), harness.Options{
-			Arch:         pair.Arch,
-			Algo:         pair.Algo,
-			Populate:     cfg.Populate,
-			CacheOptions: cfg.CacheOptions,
-			Batch:        cfg.Batch,
+			Arch:     pair.Arch,
+			Algo:     pair.Algo,
+			Populate: cfg.Populate,
+			Protocol: cfg.Protocol,
 		}, topts)
 		if err != nil {
 			return nil, err

@@ -48,17 +48,30 @@ type Edge struct {
 	Server *appserver.Server
 }
 
+// Protocol is how an edge ships its work to the datacenter. Its zero
+// value, Paper(), is the protocol the paper measures: one round trip per
+// statement on the combined-servers commit (§4.4), serial JDBC and BMP
+// statements, and no finder cache.
+type Protocol struct {
+	// Batch makes every manager on a pinned stream — JDBC, BMP and the
+	// SLIDB commit — ship the independent statements of one exchange as
+	// a single statement batch.
+	Batch bool
+	// FinderCache caches committed finder results at the edge
+	// (slicache.WithFinderCache); it applies to SLIDB and SLIBackend.
+	FinderCache bool
+}
+
+// Paper returns the paper's protocol, the zero Protocol.
+func Paper() Protocol { return Protocol{} }
+
 // StartEdge dials every target, assembles the data-access stack algo
-// names over them and serves Trade on addr. targets are database
-// servers or back-end servers, ordered by shard index; several targets
-// are the shards of one datacenter tier and need SLIBackend, because a
-// whole commit set is the unit the shard router routes. batch makes
-// every manager on a pinned stream — JDBC, BMP and the SLIDB commit —
-// ship the independent statements of one exchange as a single statement
-// batch; off, each statement pays its own round trip, the paper's
-// measured behaviour. cacheOpts configure the cache beyond its commit
-// shipping, which algo and batch fix.
-func StartEdge(ctx context.Context, addr string, targets []string, algo Algo, batch bool, cacheOpts ...slicache.ManagerOption) (_ *Edge, err error) {
+// names over them, ships its work as p says and serves Trade on addr.
+// targets are database servers or back-end servers, ordered by shard
+// index; several targets are the shards of one datacenter tier and need
+// SLIBackend, because a whole commit set is the unit the shard router
+// routes. The cache's commit shipping follows from algo and p.Batch.
+func StartEdge(ctx context.Context, addr string, targets []string, algo Algo, p Protocol) (_ *Edge, err error) {
 	if len(targets) == 0 {
 		return nil, fmt.Errorf("deploy: an edge needs at least one target")
 	}
@@ -95,19 +108,19 @@ func StartEdge(ctx context.Context, addr string, targets []string, algo Algo, ba
 	var rm component.ResourceManager
 	switch algo {
 	case JDBC:
-		rm = component.NewJDBCManager(conn, component.WithBatching(batch))
+		rm = component.NewJDBCManager(conn, component.WithBatching(p.Batch))
 	case BMP:
-		rm = component.NewBMPManager(conn, component.WithBatching(batch))
+		rm = component.NewBMPManager(conn, component.WithBatching(p.Batch))
 	case SLIDB, SLIBackend:
 		shipping := slicache.PerImage
 		switch {
 		case algo == SLIBackend:
 			shipping = slicache.WholeSet
-		case !batch:
+		case !p.Batch:
 			shipping = slicache.PerStatement
 		}
 		e.Manager = slicache.NewManager(conn,
-			append([]slicache.ManagerOption{slicache.WithShipping(shipping)}, cacheOpts...)...)
+			slicache.WithShipping(shipping), slicache.WithFinderCache(p.FinderCache))
 		if err := e.Manager.Start(ctx); err != nil {
 			return nil, fmt.Errorf("deploy: start cache invalidation: %w", err)
 		}

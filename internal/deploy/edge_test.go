@@ -20,7 +20,7 @@ func TestStartEdgeRefusals(t *testing.T) {
 		{"shards without whole-set shipping", []string{"127.0.0.1:1", "127.0.0.1:2"}, SLIDB, "require sli-backend"},
 		{"unreachable target", []string{"127.0.0.1:1"}, SLIBackend, "start cache invalidation"},
 	} {
-		edge, err := StartEdge(context.Background(), "127.0.0.1:0", tc.targets, tc.algo, false)
+		edge, err := StartEdge(context.Background(), "127.0.0.1:0", tc.targets, tc.algo, Paper())
 		if err == nil {
 			edge.Close()
 			t.Errorf("%s: started", tc.name)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"edgeejb/internal/deploy"
 	"edgeejb/internal/memento"
 	"edgeejb/internal/trade"
 )
@@ -129,7 +130,7 @@ func TestDeploymentsAgree(t *testing.T) {
 // runAgreeCell builds one deployment, drives the steps through one web
 // client, and reads back every store's rows.
 func runAgreeCell(cell agreeCell, pop trade.PopulateConfig, steps []trade.Step) (agreeRun, error) {
-	topo, err := Build(Options{Arch: cell.pair.Arch, Algo: cell.pair.Algo, Populate: pop, Shards: cell.shards})
+	topo, err := Build(Options{Arch: cell.pair.Arch, Algo: cell.pair.Algo, Populate: pop, Shards: cell.shards, Protocol: deploy.Paper()})
 	if err != nil {
 		return agreeRun{}, err
 	}

@@ -5,7 +5,7 @@ import (
 	"testing"
 	"time"
 
-	"edgeejb/internal/slicache"
+	"edgeejb/internal/deploy"
 	"edgeejb/internal/trade"
 )
 
@@ -29,8 +29,8 @@ func TestCountsRepeatExactly(t *testing.T) {
 		var first []Point
 		for i := 0; i < 2; i++ {
 			sweep, err := RunSweep(context.Background(), Options{
-				Arch: arch, Algo: AlgCachedEJB, Populate: pop, Batch: true,
-				CacheOptions: []slicache.ManagerOption{slicache.WithFinderCache(true)},
+				Arch: arch, Algo: AlgCachedEJB, Populate: pop,
+				Protocol: deploy.Protocol{Batch: true, FinderCache: true},
 			}, run)
 			if err != nil {
 				t.Fatalf("%s: %v", arch, err)

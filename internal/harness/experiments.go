@@ -9,7 +9,7 @@ import (
 	"strings"
 	"time"
 
-	"edgeejb/internal/slicache"
+	"edgeejb/internal/deploy"
 	"edgeejb/internal/stats"
 	"edgeejb/internal/trade"
 )
@@ -42,13 +42,9 @@ func AllPairs() []Pair {
 type EvalConfig struct {
 	Run      RunOptions
 	Populate trade.PopulateConfig
-	// CacheOptions configures every slicache manager the evaluation
-	// builds; only the cache-enabled cells are affected. The tradebench
-	// -finder-cache flag threads through here.
-	CacheOptions []slicache.ManagerOption
-	// Batch enables multi-statement batching in the pessimistic managers
-	// (the tradebench -batch flag).
-	Batch bool
+	// Protocol is Options.Protocol for every cell (tradebench's -batch
+	// and -finder-cache flags).
+	Protocol deploy.Protocol
 }
 
 // Evaluation holds every sweep needed to regenerate Figures 6–8 and
@@ -72,11 +68,10 @@ func RunEvaluation(ctx context.Context, cfg EvalConfig, logf func(format string,
 		}
 		start := time.Now()
 		sweep, err := RunSweep(ctx, Options{
-			Arch:         pair.Arch,
-			Algo:         pair.Algo,
-			Populate:     cfg.Populate,
-			CacheOptions: cfg.CacheOptions,
-			Batch:        cfg.Batch,
+			Arch:     pair.Arch,
+			Algo:     pair.Algo,
+			Populate: cfg.Populate,
+			Protocol: cfg.Protocol,
 		}, cfg.Run)
 		if err != nil {
 			return nil, fmt.Errorf("harness: %s: %w", pair, err)

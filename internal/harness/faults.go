@@ -8,9 +8,9 @@ import (
 	"time"
 
 	"edgeejb/internal/appserver"
+	"edgeejb/internal/deploy"
 	"edgeejb/internal/latency"
 	"edgeejb/internal/loadgen"
-	"edgeejb/internal/slicache"
 	"edgeejb/internal/trade"
 )
 
@@ -32,11 +32,8 @@ type FaultOptions struct {
 	// Plan is the fault schedule applied during the faulted pass. A
 	// zero-value plan gets DefaultFaultPlan(1).
 	Plan latency.FaultPlan
-	// CacheOptions are extra slicache manager options applied to
-	// cached-algorithm pairs.
-	CacheOptions []slicache.ManagerOption
-	// Batch is Options.Batch for every pair's topology.
-	Batch bool
+	// Protocol is Options.Protocol for every pair's topology.
+	Protocol deploy.Protocol
 }
 
 // DefaultFaultPlan returns a moderate schedule: occasional connection
@@ -117,12 +114,11 @@ func RunFaultExperiment(ctx context.Context, opts FaultOptions, logf func(format
 // buildFaultPair builds pair's topology as opts configure it.
 func buildFaultPair(pair Pair, opts FaultOptions) (*Topology, error) {
 	return Build(Options{
-		Arch:         pair.Arch,
-		Algo:         pair.Algo,
-		OneWayDelay:  opts.OneWayDelay,
-		Populate:     opts.Populate,
-		CacheOptions: opts.CacheOptions,
-		Batch:        opts.Batch,
+		Arch:        pair.Arch,
+		Algo:        pair.Algo,
+		OneWayDelay: opts.OneWayDelay,
+		Populate:    opts.Populate,
+		Protocol:    opts.Protocol,
 	})
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"edgeejb/internal/deploy"
 	"edgeejb/internal/latency"
 	"edgeejb/internal/trade"
 )
@@ -73,14 +74,14 @@ func TestFaultExperimentSurvives(t *testing.T) {
 }
 
 // TestFaultPairHonoursBatch: a fault pair builds its managers batched
-// or not as FaultOptions.Batch says, as every other experiment does:
+// or not as FaultOptions.Protocol says, as every other experiment does:
 // the ES/RDB cached-EJB commit ships as one statement batch, or with
 // batching off as one round trip per statement.
 func TestFaultPairHonoursBatch(t *testing.T) {
 	for batch, want := range map[bool]string{true: "per-image", false: "per-statement"} {
 		topo, err := buildFaultPair(Pair{ESRDB, AlgCachedEJB}, FaultOptions{
 			Populate: trade.PopulateConfig{Users: 2, Symbols: 2, HoldingsPerUser: 1},
-			Batch:    batch,
+			Protocol: deploy.Protocol{Batch: batch},
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"edgeejb/internal/deploy"
 	"edgeejb/internal/trade"
 )
 
@@ -28,21 +29,22 @@ func TestLikeWithLikeRoundTrips(t *testing.T) {
 
 	// roundTrips returns the shared-path round trips and the
 	// interactions they served.
-	roundTrips := func(arch Architecture, batch bool) (rts, ixns int) {
+	roundTrips := func(arch Architecture, proto deploy.Protocol) (rts, ixns int) {
 		t.Helper()
 		sweep, err := RunSweep(context.Background(), Options{
-			Arch: arch, Algo: AlgCachedEJB, Populate: pop, Batch: batch,
+			Arch: arch, Algo: AlgCachedEJB, Populate: pop, Protocol: proto,
 		}, run)
 		if err != nil {
-			t.Fatalf("%s batch=%v: %v", arch, batch, err)
+			t.Fatalf("%s %+v: %v", arch, proto, err)
 		}
 		p := sweep.Points[0]
 		return int(math.Round(p.SharedRoundTripsPerInteraction * float64(p.Load.Interactions))), p.Load.Interactions
 	}
 
-	rdb, ixns := roundTrips(ESRDB, true)
-	rbes, rbesIxns := roundTrips(ESRBES, true)
-	serial, serialIxns := roundTrips(ESRDB, false)
+	batched := deploy.Protocol{Batch: true}
+	rdb, ixns := roundTrips(ESRDB, batched)
+	rbes, rbesIxns := roundTrips(ESRBES, batched)
+	serial, serialIxns := roundTrips(ESRDB, deploy.Paper())
 	t.Logf("round trips over %d interactions: ES/RBES %d, ES/RDB batched %d, ES/RDB per statement %d",
 		ixns, rbes, rdb, serial)
 	if rbesIxns != ixns || serialIxns != ixns {

@@ -8,6 +8,7 @@ import (
 
 	"edgeejb/internal/appserver"
 	"edgeejb/internal/backend"
+	"edgeejb/internal/deploy"
 	"edgeejb/internal/storeapi"
 	"edgeejb/internal/trade"
 )
@@ -111,7 +112,7 @@ func TestOneEdgeHearsNoPushes(t *testing.T) {
 	pop := trade.PopulateConfig{Users: 6, Symbols: 10, HoldingsPerUser: 2}
 	for _, arch := range []Architecture{ESRDB, ESRBES} {
 		t.Run(arch.String(), func(t *testing.T) {
-			topo, err := Build(Options{Arch: arch, Algo: AlgCachedEJB, Populate: pop, Batch: true})
+			topo, err := Build(Options{Arch: arch, Algo: AlgCachedEJB, Populate: pop, Protocol: deploy.Protocol{Batch: true}})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -163,53 +164,47 @@ func TestSweepRequiresDelays(t *testing.T) {
 	}
 }
 
-// TestCacheOptionsReachManagers: ablation options passed at Build time
-// must configure every edge's manager.
-func TestCacheOptionsReachManagers(t *testing.T) {
-	topo, err := Build(Options{
-		Arch:     ESRBES,
-		Algo:     AlgCachedEJB,
-		Populate: trade.PopulateConfig{Users: 2, Symbols: 2, HoldingsPerUser: 1},
-	})
+// TestProtocolReachesManagers: the protocol passed at Build time must
+// configure every edge's manager. ES/RBES ships whole commit sets under
+// any protocol; ES/RDB drives the commit itself, one round trip per
+// statement under the paper's protocol or one statement batch with
+// batching on; and the finder cache is on exactly when the protocol says.
+func TestProtocolReachesManagers(t *testing.T) {
+	pop := trade.PopulateConfig{Users: 2, Symbols: 2, HoldingsPerUser: 1}
+	for _, tc := range []struct {
+		proto        deploy.Protocol
+		rdbShipping  string
+		finderCached bool
+	}{
+		{deploy.Paper(), "per-statement", false},
+		{deploy.Protocol{Batch: true, FinderCache: true}, "per-image", true},
+	} {
+		for arch, want := range map[Architecture]string{ESRBES: "whole-set", ESRDB: tc.rdbShipping} {
+			topo, err := Build(Options{Arch: arch, Algo: AlgCachedEJB, EdgeServers: 2, Populate: pop, Protocol: tc.proto})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, mgr := range topo.Managers {
+				if got := mgr.Shipping().String(); got != want {
+					t.Errorf("%s %+v edge %d shipping = %s, want %s", arch, tc.proto, i, got, want)
+				}
+				// A disabled finder cache opens no fill.
+				fill := mgr.FinderCache().StartFill()
+				mgr.FinderCache().Drop(fill)
+				if got := fill != nil; got != tc.finderCached {
+					t.Errorf("%s %+v edge %d finder cache on = %v, want %v", arch, tc.proto, i, got, tc.finderCached)
+				}
+			}
+			topo.Close()
+		}
+	}
+	// Non-cached algorithms have nil manager slots.
+	topo, err := Build(Options{Arch: ESRDB, Algo: AlgJDBC, Populate: pop})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer topo.Close()
-	if topo.Managers[0] == nil {
-		t.Fatal("cached topology missing manager")
-	}
-	if got := topo.Managers[0].Shipping(); got.String() != "whole-set" {
-		t.Errorf("ES/RBES shipping = %v, want whole-set", got)
-	}
-
-	// ES/RDB drives the commit itself: one statement batch, or with
-	// batching off one round trip per statement.
-	for batch, want := range map[bool]string{true: "per-image", false: "per-statement"} {
-		topo2, err := Build(Options{
-			Arch:     ESRDB,
-			Algo:     AlgCachedEJB,
-			Batch:    batch,
-			Populate: trade.PopulateConfig{Users: 2, Symbols: 2, HoldingsPerUser: 1},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer topo2.Close()
-		if got := topo2.Managers[0].Shipping(); got.String() != want {
-			t.Errorf("ES/RDB shipping with Batch=%v = %v, want %s", batch, got, want)
-		}
-	}
-	// Non-cached algorithms have nil manager slots.
-	topo3, err := Build(Options{
-		Arch:     ESRDB,
-		Algo:     AlgJDBC,
-		Populate: trade.PopulateConfig{Users: 2, Symbols: 2, HoldingsPerUser: 1},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer topo3.Close()
-	if topo3.Managers[0] != nil {
+	if topo.Managers[0] != nil {
 		t.Error("JDBC topology has a cache manager")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"edgeejb/internal/deploy"
 	"edgeejb/internal/trade"
 )
 
@@ -31,6 +32,7 @@ func TestSensitivityOrdering(t *testing.T) {
 			Arch:     pair.Arch,
 			Algo:     pair.Algo,
 			Populate: pop,
+			Protocol: deploy.Paper(),
 		}, run)
 		if err != nil {
 			t.Fatalf("%s: %v", pair, err)

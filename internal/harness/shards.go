@@ -9,8 +9,8 @@ import (
 	"strconv"
 	"time"
 
+	"edgeejb/internal/deploy"
 	"edgeejb/internal/obs"
-	"edgeejb/internal/slicache"
 	"edgeejb/internal/trade"
 )
 
@@ -46,8 +46,8 @@ type ShardScalingOptions struct {
 	Populate trade.PopulateConfig
 	// Workload sizes the generators.
 	Workload trade.GeneratorConfig
-	// CacheOptions are extra slicache options.
-	CacheOptions []slicache.ManagerOption
+	// Protocol is Options.Protocol for every point's topology.
+	Protocol deploy.Protocol
 }
 
 // DefaultShardScalingOptions returns a laptop-scale sweep sized so the
@@ -116,7 +116,7 @@ func RunShardScaling(ctx context.Context, opts ShardScalingOptions, logf func(st
 			Shards:          n,
 			OneWayDelay:     opts.OneWayDelay,
 			Populate:        opts.Populate,
-			CacheOptions:    opts.CacheOptions,
+			Protocol:        opts.Protocol,
 			DBCommitService: opts.DBCommitService,
 		})
 		if err != nil {

@@ -91,14 +91,9 @@ type Options struct {
 	EdgeServers int
 	// Populate sizes the initial Trade database.
 	Populate trade.PopulateConfig
-	// CacheOptions are extra slicache options (ablations). Shipping is
-	// set by the architecture and must not be overridden here.
-	CacheOptions []slicache.ManagerOption
-	// Batch makes every manager on a pinned stream (JDBC, BMP, the
-	// ES/RDB cached-EJB commit) ship the independent statements of one
-	// exchange as a single statement batch; off, each statement pays its
-	// own round trip — the paper's measured behaviour.
-	Batch bool
+	// Protocol is how every edge ships its work; the zero value is the
+	// paper's (deploy.Paper()).
+	Protocol deploy.Protocol
 	// Shards is the number of database servers the datacenter tier is
 	// partitioned into (≥ 1), each with its own back-end server and
 	// delay proxy. More than one requires ES/RBES: whole-set commit
@@ -251,7 +246,7 @@ func Build(opts Options) (topo *Topology, err error) {
 
 	// Application-server tier.
 	for i := 0; i < opts.EdgeServers; i++ {
-		edge, err := deploy.StartEdge(context.Background(), "127.0.0.1:0", targets, algo, opts.Batch, opts.CacheOptions...)
+		edge, err := deploy.StartEdge(context.Background(), "127.0.0.1:0", targets, algo, opts.Protocol)
 		if err != nil {
 			return nil, fmt.Errorf("harness: edge %d: %w", i, err)
 		}

@@ -113,6 +113,16 @@ func (c *CommonStore) GetWithTime(key memento.Key) (memento.Memento, time.Time, 
 	return m, e.storedAt, true
 }
 
+// Contains reports whether key is cached. Unlike Get it counts no hit
+// or miss and unpacks nothing: a create asks only whether the row is
+// known to exist.
+func (c *CommonStore) Contains(key memento.Key) bool {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	_, ok := c.entries[key]
+	return ok
+}
+
 // Put caches a committed memento. Older versions never overwrite newer
 // ones, so racing fills and refreshes are safe in any order.
 func (c *CommonStore) Put(m memento.Memento) {

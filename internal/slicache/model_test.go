@@ -52,7 +52,7 @@ type modelTx struct {
 	removed map[string]bool
 	dirty   map[string]bool
 	// accesses counts the store reads made; cacheServed is set once the
-	// common store answers a read.
+	// common store or the finder cache answers a read.
 	accesses    int
 	cacheServed bool
 }
@@ -163,9 +163,15 @@ func (t *modelTx) remove(m *model, id string) bool {
 }
 
 // queryAllIDs mirrors the finder: committed rows plus the transaction's
-// view overlay, sorted by ID (handled by caller comparing sets).
-func (t *modelTx) queryAllIDs(m *model) map[string]int64 {
-	t.accesses++
+// view overlay, sorted by ID (handled by caller comparing sets). A
+// finder the finder cache answered (finderHit) is a cache serve, not a
+// store access, so it does not prove a read-only transaction.
+func (t *modelTx) queryAllIDs(m *model, finderHit bool) map[string]int64 {
+	if finderHit {
+		t.cacheServed = true
+	} else {
+		t.accesses++
+	}
 	out := make(map[string]int64)
 	for id, row := range m.rows {
 		out[id] = row.value
@@ -269,18 +275,24 @@ const (
 	opAbort
 )
 
+// TestModelEquivalenceProperty runs the model against a manager with the
+// finder cache off, the paper's protocol, and with it on.
 func TestModelEquivalenceProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		return runModelTrial(t, seed)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
+	for name, finderCache := range map[string]bool{"paper": false, "finder-cache": true} {
+		t.Run(name, func(t *testing.T) {
+			f := func(seed int64) bool {
+				return runModelTrial(t, seed, finderCache)
+			}
+			if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+				t.Error(err)
+			}
+		})
 	}
 }
 
 // runModelTrial executes one random interleaving and reports whether the
 // real stack matched the model throughout.
-func runModelTrial(t *testing.T, seed int64) bool {
+func runModelTrial(t *testing.T, seed int64, finderCache bool) bool {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	ctx := context.Background()
@@ -311,7 +323,7 @@ func runModelTrial(t *testing.T, seed int64) bool {
 	// invalidation tests instead; a model for it would have to replicate
 	// the cache itself. The manager is never started, so it never
 	// subscribes and no eviction arrives asynchronously.
-	mgr := NewManager(storeapi.Local(store))
+	mgr := NewManager(storeapi.Local(store), WithFinderCache(finderCache))
 	defer mgr.Close()
 
 	type liveTx struct {
@@ -393,12 +405,13 @@ func runModelTrial(t *testing.T, seed int64) bool {
 			}
 
 		case opQuery:
+			hits := mgr.Stats().Finders.Hits
 			got, err := tx.dt.Query(ctx, memento.Query{Table: "t"})
 			if err != nil {
 				t.Logf("seed %d step %d: query: %v", seed, s, err)
 				return false
 			}
-			want := tx.model.queryAllIDs(m)
+			want := tx.model.queryAllIDs(m, mgr.Stats().Finders.Hits > hits)
 			if len(got) != len(want) {
 				t.Logf("seed %d step %d: query size %d want %d", seed, s, len(got), len(want))
 				return false

@@ -293,6 +293,40 @@ func TestCreateCommitAndConflict(t *testing.T) {
 	}
 }
 
+// TestCreateCountsNoCacheLookup: a create asks the common store only
+// whether its key is cached, so it moves neither the hit nor the miss
+// count, whether the key is absent or cached.
+func TestCreateCountsNoCacheLookup(t *testing.T) {
+	e := newEnv(t)
+	e.store.Seed(row("1", 10))
+	ctx := context.Background()
+
+	dt := e.begin(t)
+	if err := dt.Create(ctx, row("new", 5)); err != nil {
+		t.Fatal(err)
+	}
+	_ = dt.Abort(ctx)
+	if st := e.mgr.Stats().Cache; st.Hits != 0 || st.Misses != 0 {
+		t.Errorf("create on an empty cache counted %d hits, %d misses; want none", st.Hits, st.Misses)
+	}
+
+	dt = e.begin(t)
+	if _, err := dt.Load(ctx, key("1")); err != nil {
+		t.Fatal(err)
+	}
+	_ = dt.Abort(ctx)
+	before := e.mgr.Stats().Cache
+	dt = e.begin(t)
+	defer dt.Abort(ctx)
+	if err := dt.Create(ctx, row("1", 11)); !errors.Is(err, sqlstore.ErrExists) {
+		t.Fatalf("create over a cached key: got %v, want ErrExists", err)
+	}
+	if after := e.mgr.Stats().Cache; after.Hits != before.Hits || after.Misses != before.Misses {
+		t.Errorf("create over a cached key moved hits %d→%d, misses %d→%d; want unchanged",
+			before.Hits, after.Hits, before.Misses, after.Misses)
+	}
+}
+
 func TestCreateRaceDetectedAtCommit(t *testing.T) {
 	// Two managers (two edge servers) create the same key; the second
 	// commit must fail: "the system must also verify that no EJB with

@@ -231,20 +231,19 @@ func (t *sliTx) Store(ctx context.Context, m memento.Memento) error {
 
 // Create registers a new bean (§2.2 case 3). Existence of the key is
 // re-verified at commit time; the transaction fails fast only when its
-// own view already contains the key.
+// own view or the common store already holds the key.
 func (t *sliTx) Create(ctx context.Context, m memento.Memento) error {
 	if t.done {
 		return sqlstore.ErrTxDone
 	}
-	if e, ok := t.entries[m.Key]; ok && e.state != stateRemoved {
+	e, ok := t.entries[m.Key]
+	if ok && e.state != stateRemoved {
 		return fmt.Errorf("%w: %s already active in transaction", sqlstore.ErrExists, m.Key)
 	}
-	if _, cached := t.mgr.common.Get(m.Key); cached {
-		if _, ok := t.entries[m.Key]; !ok {
-			return fmt.Errorf("%w: %s cached as existing", sqlstore.ErrExists, m.Key)
-		}
+	if !ok && t.mgr.common.Contains(m.Key) {
+		return fmt.Errorf("%w: %s cached as existing", sqlstore.ErrExists, m.Key)
 	}
-	if e, ok := t.entries[m.Key]; ok && e.state == stateRemoved {
+	if ok {
 		// Remove followed by create in one transaction is a logical
 		// update of the persistent row.
 		cur := m.Clone()
