@@ -37,7 +37,6 @@ import (
 	"edgeejb/internal/deploy"
 	"edgeejb/internal/harness"
 	"edgeejb/internal/obs"
-	"edgeejb/internal/obs/collect"
 	"edgeejb/internal/obs/prof"
 	"edgeejb/internal/trade"
 )
@@ -278,7 +277,7 @@ func run(args []string) error {
 		runtime.GC()
 		rt.Update()
 		runDiff := obs.Default.Diff(runStart)
-		traces := collect.Assemble(obs.DefaultSpans.Since(time.Time{}))
+		traces := obs.Assemble(obs.DefaultSpans.Since(time.Time{}))
 		if err := art.WriteTraces(traces, waterfalls, obs.DefaultSpans.Dropped()); err != nil {
 			return err
 		}

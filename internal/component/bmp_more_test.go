@@ -56,9 +56,9 @@ func TestBMPCreateUpdateRemoveLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Remove via RemoveKey; the delete is immediate and survives commit.
+	// Remove; the delete is immediate and survives commit.
 	if err := c.Execute(ctx, func(tx *Tx) error {
-		return tx.RemoveKey(memento.Key{Table: "item", ID: "x"})
+		return tx.Remove(&item{ID: "x"})
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -120,15 +120,6 @@ func TestBMPAbortDiscardsEverything(t *testing.T) {
 	}
 	if m.Fields["n"].Int != 1 {
 		t.Error("aborted update leaked")
-	}
-}
-
-func TestIsExistsHelper(t *testing.T) {
-	if !IsExists(sqlstore.ErrExists) {
-		t.Error("IsExists misses the sentinel")
-	}
-	if IsExists(sqlstore.ErrNotFound) {
-		t.Error("IsExists matches wrong sentinel")
 	}
 }
 

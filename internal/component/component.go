@@ -155,12 +155,6 @@ var ErrRollback = errors.New("component: rollback requested")
 // signal that an optimistic transaction must be retried.
 func IsConflict(err error) bool { return errors.Is(err, sqlstore.ErrConflict) }
 
-// IsNotFound reports whether an error means the entity does not exist.
-func IsNotFound(err error) bool { return errors.Is(err, sqlstore.ErrNotFound) }
-
-// IsExists reports whether an error means the entity already exists.
-func IsExists(err error) bool { return errors.Is(err, sqlstore.ErrExists) }
-
 // Container hosts entity types and brackets application logic in
 // transactions, the role the EJB container plays for session and entity
 // beans.
@@ -290,11 +284,6 @@ func (tx *Tx) Create(e Entity) error {
 // Remove registers deletion of the entity identified by e.PrimaryKey().
 func (tx *Tx) Remove(e Entity) error {
 	return tx.dt.Remove(tx.ctx, e.PrimaryKey())
-}
-
-// RemoveKey registers deletion by key.
-func (tx *Tx) RemoveKey(key memento.Key) error {
-	return tx.dt.Remove(tx.ctx, key)
 }
 
 // FindWhere runs a custom finder and materializes the resulting

@@ -218,7 +218,7 @@ func TestNotFoundSurfaces(t *testing.T) {
 	err := c.Execute(context.Background(), func(tx *Tx) error {
 		return tx.Find(&item{ID: "ghost"})
 	})
-	if !IsNotFound(err) {
+	if !errors.Is(err, sqlstore.ErrNotFound) {
 		t.Fatalf("got %v, want not-found", err)
 	}
 }
@@ -426,7 +426,7 @@ func TestFindSeveralEntities(t *testing.T) {
 	before := conn.Ops()
 	c, ghost, d := &item{ID: "2"}, &item{ID: "ghost"}, &item{ID: "1"}
 	err = (&Tx{ctx: ctx, dt: dt}).Find(c, ghost, d)
-	if !IsNotFound(err) {
+	if !errors.Is(err, sqlstore.ErrNotFound) {
 		t.Fatalf("got %v, want not-found", err)
 	}
 	if c.Owner != "b" || d.Owner != "" {

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"edgeejb/internal/obs"
-	"edgeejb/internal/obs/collect"
 	"edgeejb/internal/regress"
 )
 
@@ -114,7 +113,7 @@ func (a *Artifacts) WriteRegistryDiff(phase string, diff obs.Snapshot) error {
 // trace-event JSON plus a plain-text waterfall file holding the
 // nWaterfalls slowest and nWaterfalls median traces. dropped is the
 // span ring's eviction count at collection time.
-func (a *Artifacts) WriteTraces(traces []*collect.Trace, nWaterfalls int, dropped uint64) error {
+func (a *Artifacts) WriteTraces(traces []*obs.Trace, nWaterfalls int, dropped uint64) error {
 	stats := &TraceStats{Assembled: len(traces), Dropped: dropped}
 	for _, t := range traces {
 		if t.Complete {
@@ -127,7 +126,7 @@ func (a *Artifacts) WriteTraces(traces []*collect.Trace, nWaterfalls int, droppe
 
 	err := a.WriteFile("trace.perfetto.json", "trace",
 		"Chrome trace-event JSON of every assembled trace (load in ui.perfetto.dev)", "",
-		func(w io.Writer) error { return collect.WriteTraceEvents(w, traces) })
+		func(w io.Writer) error { return obs.WriteTraceEvents(w, traces) })
 	if err != nil {
 		return err
 	}
@@ -137,15 +136,15 @@ func (a *Artifacts) WriteTraces(traces []*collect.Trace, nWaterfalls int, droppe
 			fmt.Fprintf(w, "%d traces assembled (%d complete, %d incomplete, %d spans dropped before collection)\n\n",
 				stats.Assembled, stats.Complete, stats.Incomplete, dropped)
 			fmt.Fprintf(w, "== %d slowest ==\n", nWaterfalls)
-			for _, t := range collect.Slowest(traces, nWaterfalls) {
-				if err := collect.WriteWaterfall(w, t); err != nil {
+			for _, t := range obs.Slowest(traces, nWaterfalls) {
+				if err := obs.WriteWaterfall(w, t); err != nil {
 					return err
 				}
 				fmt.Fprintln(w)
 			}
 			fmt.Fprintf(w, "== %d median ==\n", nWaterfalls)
-			for _, t := range collect.Medians(traces, nWaterfalls) {
-				if err := collect.WriteWaterfall(w, t); err != nil {
+			for _, t := range obs.Medians(traces, nWaterfalls) {
+				if err := obs.WriteWaterfall(w, t); err != nil {
 					return err
 				}
 				fmt.Fprintln(w)

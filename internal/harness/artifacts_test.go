@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"edgeejb/internal/obs"
-	"edgeejb/internal/obs/collect"
 )
 
 func TestArtifactsLifecycle(t *testing.T) {
@@ -37,7 +36,7 @@ func TestArtifactsLifecycle(t *testing.T) {
 
 	// A tiny assembled trace set.
 	base := time.Now()
-	traces := collect.Assemble([]obs.SpanRecord{
+	traces := obs.Assemble([]obs.SpanRecord{
 		{Trace: 1, Span: 1, Name: "client.interaction", Tier: "client", Start: base, Dur: 5 * time.Millisecond},
 		{Trace: 1, Span: 2, Parent: 1, Name: "edge.request", Tier: "edge", Start: base.Add(time.Millisecond), Dur: 3 * time.Millisecond},
 	})

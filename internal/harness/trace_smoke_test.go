@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"net/http/httptest"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
 	"edgeejb/internal/obs"
-	"edgeejb/internal/obs/collect"
 	"edgeejb/internal/trade"
 )
 
@@ -47,7 +49,7 @@ func TestTraceAssemblySmoke(t *testing.T) {
 		t.Fatalf("run: %v", err)
 	}
 
-	traces := collect.Assemble(log.Since(time.Time{}))
+	traces := obs.Assemble(log.Since(time.Time{}))
 	if len(traces) == 0 {
 		t.Fatal("sweep produced no traces")
 	}
@@ -84,7 +86,7 @@ func TestTraceAssemblySmoke(t *testing.T) {
 	// The Perfetto export must be valid trace-event JSON with one event
 	// per span.
 	var buf bytes.Buffer
-	if err := collect.WriteTraceEvents(&buf, traces); err != nil {
+	if err := obs.WriteTraceEvents(&buf, traces); err != nil {
 		t.Fatal(err)
 	}
 	var file struct {
@@ -111,5 +113,62 @@ func TestTraceAssemblySmoke(t *testing.T) {
 	}
 	if spans != want {
 		t.Fatalf("Perfetto export has %d span events, assembly has %d spans", spans, want)
+	}
+}
+
+// TestDebugSpansDrawTheArtifactWaterfall: a daemon's /debug/spans and a
+// run's waterfalls.txt draw one trace the same way. For a traced buy on
+// ES/RBES — edge, back-end and store in one tree — ?trace=<id> and
+// ?last=1 answer exactly WriteWaterfall of the assembled trace.
+func TestDebugSpansDrawTheArtifactWaterfall(t *testing.T) {
+	log := obs.NewSpanLog(1 << 12)
+	saved := obs.DefaultSpans
+	obs.DefaultSpans = log
+	defer func() { obs.DefaultSpans = saved }()
+
+	topo, err := Build(Options{
+		Arch:     ESRBES,
+		Algo:     AlgCachedEJB,
+		Populate: trade.PopulateConfig{Users: 4, Symbols: 4, HoldingsPerUser: 1},
+	})
+	if err != nil {
+		t.Fatalf("build: %v", err)
+	}
+	defer topo.Close()
+	client := topo.NewWebClient()
+	defer client.Close()
+
+	ctx, id := obs.WithNewTrace(context.Background())
+	ctx, span := obs.StartSpan(ctx, "client.interaction")
+	resp, err := client.DoStep(ctx, trade.Step{Action: trade.ActionBuy, UserID: trade.UserID(1), Symbol: trade.SymbolID(1), Quantity: 1})
+	span.End()
+	if err != nil || !resp.OK {
+		t.Fatalf("buy: err=%v resp=%+v", err, resp)
+	}
+
+	var tr *obs.Trace
+	for _, a := range obs.Assemble(log.Since(time.Time{})) {
+		if a.ID == id {
+			tr = a
+		}
+	}
+	if tr == nil || !tr.Complete {
+		t.Fatalf("trace %d missing or incomplete: %+v", id, tr)
+	}
+	if got := strings.Join(tr.Tiers(), ">"); !strings.Contains(got, "backend") || !strings.Contains(got, "db") {
+		t.Fatalf("buy trace touches tiers %s, want edge, backend and db", got)
+	}
+	var want bytes.Buffer
+	if err := obs.WriteWaterfall(&want, tr); err != nil {
+		t.Fatal(err)
+	}
+
+	mux := obs.NewDebugMux(obs.DebugOptions{Registry: obs.NewRegistry(), Spans: log})
+	for _, q := range []string{"?trace=" + strconv.FormatUint(id, 10), "?last=1"} {
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/spans"+q, nil))
+		if rec.Code != 200 || rec.Body.String() != want.String() {
+			t.Errorf("/debug/spans%s: status %d, body\n%s\nwant WriteWaterfall's\n%s", q, rec.Code, rec.Body, want.String())
+		}
 	}
 }

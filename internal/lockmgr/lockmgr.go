@@ -116,6 +116,7 @@ type Manager struct {
 	held           map[Owner]map[Resource]struct{}
 	defaultTimeout time.Duration
 	closed         bool
+	done           chan struct{} // closed by Close, waking every waiter
 }
 
 // Option configures a Manager.
@@ -137,6 +138,7 @@ func New(opts ...Option) *Manager {
 		locks:          make(map[Resource]*lockState),
 		held:           make(map[Owner]map[Resource]struct{}),
 		defaultTimeout: time.Second,
+		done:           make(chan struct{}),
 	}
 	for _, o := range opts {
 		o.apply(m)
@@ -206,6 +208,11 @@ func (m *Manager) Acquire(ctx context.Context, owner Owner, res Resource, mode M
 			return nil
 		}
 		return ErrTimeout
+	case <-m.done:
+		if m.abandon(res, req) {
+			return nil
+		}
+		return ErrClosed
 	}
 }
 
@@ -273,13 +280,16 @@ func (m *Manager) Holds(owner Owner, res Resource, mode Mode) bool {
 	return ok && Covers(held, mode)
 }
 
-// Close fails all future Acquire calls and wakes current waiters with
-// ErrClosed-equivalent timeouts. Held locks remain recorded so in-flight
-// releases stay harmless.
+// Close fails all future Acquire calls and wakes current waiters, which
+// return ErrClosed unless their grant landed first. Held locks remain
+// recorded so in-flight releases stay harmless.
 func (m *Manager) Close() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.closed = true
+	if !m.closed {
+		m.closed = true
+		close(m.done)
+	}
 }
 
 func (m *Manager) releaseLocked(owner Owner, res Resource) {

@@ -362,3 +362,34 @@ func TestConcurrentStress(t *testing.T) {
 		t.Fatalf("mutual exclusion violated: %d concurrent X holders", maxSeen)
 	}
 }
+
+// TestCloseWakesWaiters: Close wakes a waiter queued behind a holder at
+// once, with ErrClosed, rather than leaving it blocked until its
+// lock-wait timeout.
+func TestCloseWakesWaiters(t *testing.T) {
+	const timeout = 10 * time.Second
+	m := New(WithTimeout(timeout))
+	if err := m.Acquire(context.Background(), 1, "r", Exclusive); err != nil {
+		t.Fatal(err)
+	}
+	got := make(chan error, 1)
+	go func() { got <- m.Acquire(context.Background(), 2, "r", Shared) }()
+	for queued := false; !queued; time.Sleep(time.Millisecond) {
+		m.mu.Lock()
+		queued = m.locks["r"] != nil && len(m.locks["r"].waiters) == 1
+		m.mu.Unlock()
+	}
+	closed := time.Now()
+	m.Close()
+	select {
+	case err := <-got:
+		if !errors.Is(err, ErrClosed) {
+			t.Fatalf("woken waiter got %v, want ErrClosed", err)
+		}
+		if d := time.Since(closed); d > 100*time.Millisecond {
+			t.Fatalf("waiter woke %v after Close, want within 100ms", d)
+		}
+	case <-time.After(timeout):
+		t.Fatal("waiter still blocked after Close")
+	}
+}

@@ -46,10 +46,10 @@ func ExampleCommitSet() {
 		}},
 	}
 	fmt.Println("size:", cs.Size(), "mutations:", cs.Mutations())
-	for _, k := range cs.TouchedKeys() {
-		fmt.Println("touches:", k)
+	for _, m := range cs.Writes {
+		fmt.Println("writes:", m.Key)
 	}
 	// Output:
 	// size: 2 mutations: 1
-	// touches: account/uid-7
+	// writes: account/uid-7
 }

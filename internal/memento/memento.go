@@ -274,26 +274,3 @@ func (cs CommitSet) Mutations() int {
 func (cs CommitSet) Size() int {
 	return len(cs.Reads) + cs.Mutations()
 }
-
-// TouchedKeys returns the keys of every mutated entity, in a
-// deterministic order. The store broadcasts these in commit notices so
-// that edge caches can invalidate stale entries.
-func (cs CommitSet) TouchedKeys() []Key {
-	keys := make([]Key, 0, cs.Mutations())
-	for _, m := range cs.Writes {
-		keys = append(keys, m.Key)
-	}
-	for _, m := range cs.Creates {
-		keys = append(keys, m.Key)
-	}
-	for _, r := range cs.Removes {
-		keys = append(keys, r.Key)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Table != keys[j].Table {
-			return keys[i].Table < keys[j].Table
-		}
-		return keys[i].ID < keys[j].ID
-	})
-	return keys
-}

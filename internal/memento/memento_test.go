@@ -233,11 +233,6 @@ func TestCommitSetAccounting(t *testing.T) {
 	if got, want := cs.Size(), 4; got != want {
 		t.Errorf("Size = %d, want %d", got, want)
 	}
-	keys := cs.TouchedKeys()
-	want := []Key{{Table: "a", ID: "3"}, {Table: "b", ID: "2"}, {Table: "c", ID: "4"}}
-	if !reflect.DeepEqual(keys, want) {
-		t.Errorf("TouchedKeys = %v, want %v", keys, want)
-	}
 }
 
 func TestKindStrings(t *testing.T) {

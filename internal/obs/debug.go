@@ -30,8 +30,10 @@ type DebugOptions struct {
 //	/healthz       200 while Healthy() (503 otherwise); the body carries
 //	               uptime, build info, and the registered metric count so
 //	               liveness checks can assert more than reachability
-//	/debug/spans   recent spans (?trace=ID for one trace, ?last=1 for the
-//	               latest trace, ?n=N to size the listing)
+//	/debug/spans   recent spans (?n=N to size the listing); ?trace=ID
+//	               answers one trace's WriteWaterfall, ?last=1 that of the
+//	               most recently finished root span (404 when the log
+//	               holds no span of the trace)
 //	/debug/events  recent forensic events
 //	/debug/pprof/  the standard pprof handlers
 //
@@ -101,17 +103,22 @@ func NewDebugMux(opts DebugOptions) *http.ServeMux {
 		}
 		q := r.URL.Query()
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		if t := q.Get("trace"); t != "" {
-			id, err := strconv.ParseUint(t, 10, 64)
-			if err != nil {
-				http.Error(w, "bad trace id", http.StatusBadRequest)
+		if t, last := q.Get("trace"), q.Get("last"); t != "" || last != "" {
+			recs := spans.snapshot()
+			id := lastTrace(recs)
+			if t != "" {
+				var err error
+				if id, err = strconv.ParseUint(t, 10, 64); err != nil {
+					http.Error(w, "bad trace id", http.StatusBadRequest)
+					return
+				}
+			}
+			tr := traceIn(recs, id)
+			if tr == nil {
+				http.Error(w, "no spans for trace "+strconv.FormatUint(id, 10), http.StatusNotFound)
 				return
 			}
-			_ = WriteTrace(w, spans.Trace(id))
-			return
-		}
-		if q.Get("last") != "" {
-			_ = WriteTrace(w, spans.Trace(spans.LastTrace()))
+			_ = WriteWaterfall(w, tr)
 			return
 		}
 		n := 100
@@ -139,6 +146,31 @@ func NewDebugMux(opts DebugOptions) *http.ServeMux {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
+}
+
+// lastTrace returns the trace of the most recently finished root span
+// in recs, or of the last span when none is a root (a daemon whose every
+// span parents under a caller in another process); zero for none.
+func lastTrace(recs []SpanRecord) uint64 {
+	for i := len(recs) - 1; i >= 0; i-- {
+		if recs[i].Parent == 0 {
+			return recs[i].Trace
+		}
+	}
+	if len(recs) > 0 {
+		return recs[len(recs)-1].Trace
+	}
+	return 0
+}
+
+// traceIn assembles the spans of trace id in recs (nil when it has none).
+func traceIn(recs []SpanRecord, id uint64) *Trace {
+	for _, t := range Assemble(recs) {
+		if t.ID == id {
+			return t
+		}
+	}
+	return nil
 }
 
 // onlyParams answers 400 and reports false when the request carries a

@@ -4,6 +4,7 @@ import (
 	"context"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strconv"
 	"strings"
 	"testing"
@@ -146,5 +147,47 @@ func TestDebugLimitParam(t *testing.T) {
 	if out := get("/debug/events", 200); !strings.Contains(out, "events seq=8 dropped=0") ||
 		strings.Count(out, "conflict") != 8 {
 		t.Fatalf("/debug/events text unexpected:\n%s", out)
+	}
+}
+
+// TestDebugSpansShowsTheGap: a trace with an orphan span (its parent
+// evicted, or recorded in a process whose log this is not) answers as
+// WriteWaterfall draws it, INCOMPLETE marker and all; a trace the log
+// does not hold, or ?last=1 on an empty log, is a 404.
+func TestDebugSpansShowsTheGap(t *testing.T) {
+	base := time.Unix(1_000_000, 0)
+	recs := []SpanRecord{
+		{Trace: 7, Span: 1, Name: "client.interaction", Tier: "client", Start: base, Dur: 5 * time.Millisecond},
+		{Trace: 7, Span: 2, Parent: 1, Name: "edge.request", Tier: "edge", Start: base.Add(time.Millisecond), Dur: 3 * time.Millisecond},
+		{Trace: 7, Span: 3, Parent: 99, Name: "backend.apply", Tier: "backend", Start: base.Add(2 * time.Millisecond), Dur: time.Millisecond},
+	}
+	spans := NewSpanLog(16)
+	for _, r := range recs {
+		spans.add(r)
+	}
+	var want strings.Builder
+	if err := WriteWaterfall(&want, Assemble(recs)[0]); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(want.String(), "INCOMPLETE (2 roots, 1 orphans)") {
+		t.Fatalf("waterfall hides the orphan:\n%s", want.String())
+	}
+
+	get := func(spans *SpanLog, q string) (int, string) {
+		rec := httptest.NewRecorder()
+		NewDebugMux(DebugOptions{Registry: NewRegistry(), Spans: spans}).
+			ServeHTTP(rec, httptest.NewRequest("GET", "/debug/spans"+q, nil))
+		return rec.Code, rec.Body.String()
+	}
+	for _, q := range []string{"?trace=7", "?last=1"} {
+		if code, body := get(spans, q); code != 200 || body != want.String() {
+			t.Errorf("/debug/spans%s: status %d, body\n%s\nwant\n%s", q, code, body, want.String())
+		}
+	}
+	if code, _ := get(spans, "?trace=8"); code != 404 {
+		t.Errorf("/debug/spans?trace=8 (not in the log): status %d, want 404", code)
+	}
+	if code, _ := get(NewSpanLog(16), "?last=1"); code != 404 {
+		t.Errorf("/debug/spans?last=1 on an empty log: status %d, want 404", code)
 	}
 }

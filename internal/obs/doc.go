@@ -3,7 +3,7 @@
 // running edge server, back-end, database server, or proxy can be
 // watched live instead of being scraped for counters after a run ends.
 //
-// It has three parts:
+// It has four parts:
 //
 //   - Metrics: atomic Counters and Gauges, and log-bucketed latency
 //     Histograms with p50/p95/p99 estimates, collected in a named
@@ -18,6 +18,14 @@
 //     and a bounded in-memory SpanLog from which a single Trade2
 //     interaction can be reconstructed as edge → (cache hit | back-end
 //     round trip) → datastore with per-hop durations.
+//   - Trace assembly: Assemble joins span records by trace ID into
+//     trees, marking a trace incomplete when a parent is missing;
+//     WriteWaterfall renders one as an indented per-hop waterfall with
+//     tier labels — the per-hop decomposition the paper's Figures 6–8
+//     argue from — and WriteTraceEvents renders many as Chrome
+//     trace-event JSON for ui.perfetto.dev. The run artifacts and
+//     /debug/spans both print WriteWaterfall, so a trace reads the
+//     same wherever it is shown.
 //   - Debug endpoints: StartDebug serves /metrics (text and JSON),
 //     /healthz, /debug/spans, /debug/events, and /debug/pprof/* on an
 //     opt-in address; every daemon exposes it behind its -debug-addr

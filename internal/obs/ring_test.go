@@ -53,7 +53,8 @@ func checkpoints(size int) map[int]bool {
 // TestLogsAllocateAtFirstRecord checks the event and span logs against
 // a pre-sized reference ring before, at and past the wrap, at small
 // capacities and at tradebench's artifact ring (65,536): Seq, Since,
-// Dropped, Trace, Recent and LastTrace agree with the reference; a new
+// Dropped, Recent, the trace /debug/spans assembles for ?trace= and
+// ?last=1 agree with the reference; a new
 // log holds no backing array until its first record; and from then on
 // it holds exactly its capacity.
 func TestLogsAllocateAtFirstRecord(t *testing.T) {
@@ -140,8 +141,12 @@ func checkLogs(t *testing.T, size, k int, events *EventLog, spans *SpanLog, refE
 				want = append(want, r)
 			}
 		}
-		if got := spans.Trace(id); !slices.Equal(got, want) {
-			t.Fatalf("size %d after %d records: Trace(%d) = %v, want %v", size, k, id, got, want)
+		var got []SpanRecord
+		for _, s := range traceIn(spans.snapshot(), id).Spans {
+			got = append(got, s.SpanRecord)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("size %d after %d records: trace %d = %v, want %v", size, k, id, got, want)
 		}
 	}
 	wantLast := uint64(0)
@@ -154,7 +159,7 @@ func checkLogs(t *testing.T, size, k int, events *EventLog, spans *SpanLog, refE
 	if wantLast == 0 && len(allSpans) > 0 {
 		wantLast = allSpans[len(allSpans)-1].Trace
 	}
-	if got := spans.LastTrace(); got != wantLast {
-		t.Fatalf("size %d after %d records: LastTrace = %d, want %d", size, k, got, wantLast)
+	if got := lastTrace(spans.snapshot()); got != wantLast {
+		t.Fatalf("size %d after %d records: last trace = %d, want %d", size, k, got, wantLast)
 	}
 }

@@ -2,9 +2,6 @@ package obs
 
 import (
 	"context"
-	"fmt"
-	"io"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -250,22 +247,8 @@ func (l *SpanLog) snapshot() []SpanRecord {
 	return l.ring.snapshot()
 }
 
-// Trace returns every logged span of one trace, sorted by start time.
-func (l *SpanLog) Trace(id uint64) []SpanRecord {
-	all := l.snapshot()
-	out := all[:0:0]
-	for _, r := range all {
-		if r.Trace == id {
-			out = append(out, r)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Start.Before(out[j].Start) })
-	return out
-}
-
 // Since returns every logged span that started at or after t, oldest
-// first — the incremental-drain primitive behind /debug/spans?since=
-// and the trace collector's polling.
+// first; Since(time.Time{}) is the whole log.
 func (l *SpanLog) Since(t time.Time) []SpanRecord {
 	all := l.snapshot()
 	out := all[:0:0]
@@ -284,75 +267,4 @@ func (l *SpanLog) Recent(n int) []SpanRecord {
 		all = all[len(all)-n:]
 	}
 	return all
-}
-
-// LastTrace returns the ID of the most recently finished root span's
-// trace (zero when the log is empty) — a convenient handle for "show me
-// the latest interaction".
-func (l *SpanLog) LastTrace() uint64 {
-	all := l.snapshot()
-	for i := len(all) - 1; i >= 0; i-- {
-		if all[i].Parent == 0 {
-			return all[i].Trace
-		}
-	}
-	if len(all) > 0 {
-		return all[len(all)-1].Trace
-	}
-	return 0
-}
-
-// WriteTrace renders one trace as an indented tree with per-hop
-// durations and offsets from the trace's first span:
-//
-//	trace 42 (2 spans, 3.1ms)
-//	  +0s       client.interaction  3.1ms
-//	    +0.2ms  edge.request        2.7ms
-func WriteTrace(w io.Writer, spans []SpanRecord) error {
-	if len(spans) == 0 {
-		_, err := fmt.Fprintln(w, "trace: no spans")
-		return err
-	}
-	t0 := spans[0].Start
-	var total time.Duration
-	for _, s := range spans {
-		if end := s.Start.Add(s.Dur).Sub(t0); end > total {
-			total = end
-		}
-	}
-	if _, err := fmt.Fprintf(w, "trace %d (%d spans, %s)\n",
-		spans[0].Trace, len(spans), fmtDur(total)); err != nil {
-		return err
-	}
-	depth := make(map[uint64]int, len(spans))
-	byID := make(map[uint64]SpanRecord, len(spans))
-	for _, s := range spans {
-		byID[s.Span] = s
-	}
-	var depthOf func(id uint64) int
-	depthOf = func(id uint64) int {
-		if d, ok := depth[id]; ok {
-			return d
-		}
-		s, ok := byID[id]
-		if !ok || s.Parent == 0 {
-			depth[id] = 0
-			return 0
-		}
-		depth[id] = -1 // cycle guard while recursing
-		d := depthOf(s.Parent) + 1
-		if d <= 0 {
-			d = 0
-		}
-		depth[id] = d
-		return d
-	}
-	for _, s := range spans {
-		indent := 2 * (depthOf(s.Span) + 1)
-		if _, err := fmt.Fprintf(w, "%*s+%-9s %-24s %s\n",
-			indent, "", fmtDur(s.Start.Sub(t0)), s.Name, fmtDur(s.Dur)); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -46,17 +46,17 @@ func TestSpanParentageAndLog(t *testing.T) {
 	root.rec.Dur = time.Since(root.rec.Start)
 	log.add(root.rec)
 
-	spans := log.Trace(id)
-	if len(spans) != 2 {
-		t.Fatalf("got %d spans, want 2", len(spans))
+	traces := Assemble(log.Recent(0))
+	if len(traces) != 1 || traces[0].ID != id || len(traces[0].Spans) != 2 {
+		t.Fatalf("got %d traces, want one of 2 spans", len(traces))
 	}
 	var rootRec, childRec SpanRecord
-	for _, s := range spans {
+	for _, s := range traces[0].Spans {
 		switch s.Name {
 		case "root":
-			rootRec = s
+			rootRec = s.SpanRecord
 		case "child":
-			childRec = s
+			childRec = s.SpanRecord
 		}
 	}
 	if childRec.Parent != rootRec.Span {
@@ -67,12 +67,12 @@ func TestSpanParentageAndLog(t *testing.T) {
 	}
 
 	var sb strings.Builder
-	if err := WriteTrace(&sb, spans); err != nil {
+	if err := WriteWaterfall(&sb, traces[0]); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
-	if !strings.Contains(out, "root") || !strings.Contains(out, "child") {
-		t.Fatalf("WriteTrace output missing spans:\n%s", out)
+	if !strings.Contains(out, "root") || !strings.Contains(out, "  +") || !strings.Contains(out, "child") {
+		t.Fatalf("waterfall missing spans or the child's indent:\n%s", out)
 	}
 }
 
@@ -99,8 +99,8 @@ func TestSpanLogRingWraps(t *testing.T) {
 	if recent[0].Trace != 7 || recent[3].Trace != 10 {
 		t.Fatalf("ring order wrong: %+v", recent)
 	}
-	if log.LastTrace() != 10 {
-		t.Fatalf("LastTrace = %d, want 10", log.LastTrace())
+	if got := lastTrace(recent); got != 10 {
+		t.Fatalf("last trace = %d, want 10", got)
 	}
 }
 

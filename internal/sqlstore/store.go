@@ -480,8 +480,11 @@ func (s *Store) isClosed() bool {
 }
 
 func translateLockErr(err error) error {
-	if errors.Is(err, lockmgr.ErrTimeout) || errors.Is(err, lockmgr.ErrDeadlock) {
+	switch {
+	case errors.Is(err, lockmgr.ErrTimeout) || errors.Is(err, lockmgr.ErrDeadlock):
 		return fmt.Errorf("%w: %v", ErrConflict, err)
+	case errors.Is(err, lockmgr.ErrClosed):
+		return ErrClosed
 	}
 	return err
 }

@@ -410,3 +410,43 @@ func TestStatsCounting(t *testing.T) {
 		t.Errorf("unexpected gauges: %+v", st)
 	}
 }
+
+// TestCloseWakesLockWaiters: a transaction waiting on another's row lock
+// fails with ErrClosed as soon as the store closes, not at the end of
+// its lock-wait timeout.
+func TestCloseWakesLockWaiters(t *testing.T) {
+	const timeout = 10 * time.Second
+	s := New(WithLockTimeout(timeout))
+	ctx := context.Background()
+	seed, _ := s.Begin(ctx)
+	if err := seed.Insert(ctx, mem("t", "a", 0, intFields(1))); err != nil {
+		t.Fatal(err)
+	}
+	if err := seed.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	holder, _ := s.Begin(ctx)
+	if _, err := holder.GetForUpdate(ctx, "t", "a"); err != nil {
+		t.Fatal(err)
+	}
+	waiter, _ := s.Begin(ctx)
+	got := make(chan error, 1)
+	go func() {
+		_, err := waiter.Get(ctx, "t", "a")
+		got <- err
+	}()
+	time.Sleep(20 * time.Millisecond) // let the waiter queue on the row lock
+	closed := time.Now()
+	s.Close()
+	select {
+	case err := <-got:
+		if !errors.Is(err, ErrClosed) {
+			t.Fatalf("waiter got %v, want ErrClosed", err)
+		}
+		if d := time.Since(closed); d > 100*time.Millisecond {
+			t.Fatalf("waiter woke %v after Close, want within 100ms", d)
+		}
+	case <-time.After(timeout):
+		t.Fatal("waiter still blocked after Close")
+	}
+}

@@ -29,9 +29,6 @@ func NewCountingConn(conn Conn) *CountingConn {
 // Ops returns the number of statements issued so far.
 func (c *CountingConn) Ops() uint64 { return c.ops.Load() }
 
-// ResetOps zeroes the statement counter.
-func (c *CountingConn) ResetOps() { c.ops.Store(0) }
-
 // Begin implements Conn.
 func (c *CountingConn) Begin(ctx context.Context) (Txn, error) {
 	c.ops.Add(1)

@@ -122,11 +122,6 @@ func TestCountingConnCountsEveryStatement(t *testing.T) {
 	if got := conn.Ops(); got != want {
 		t.Errorf("subscribe counted as a statement: %d", got)
 	}
-
-	conn.ResetOps()
-	if conn.Ops() != 0 {
-		t.Error("ResetOps did not zero the counter")
-	}
 }
 
 // TestLocalTxnErrorPaths covers the local adapter's pass-through of

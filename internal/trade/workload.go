@@ -67,34 +67,6 @@ func ParseAction(s string) (Action, error) {
 	return 0, fmt.Errorf("trade: unknown action %q", s)
 }
 
-// Description returns Table 1's description of the action.
-func (a Action) Description() string {
-	switch a {
-	case ActionLogin:
-		return "User sign in, session creation"
-	case ActionLogout:
-		return "User sign-off, session destroy"
-	case ActionRegister:
-		return "Create a new user profile and account"
-	case ActionHome:
-		return "Personalized home page including current market conditions"
-	case ActionAccount:
-		return "Review current user profile information"
-	case ActionAccountUpdate:
-		return "\"Account\" followed by user profile update"
-	case ActionPortfolio:
-		return "View users current security holdings"
-	case ActionQuote:
-		return "View a current security quote"
-	case ActionBuy:
-		return "\"Quote\" followed by a security purchase"
-	case ActionSell:
-		return "\"Portfolio\" followed by the sell of a holding"
-	default:
-		return ""
-	}
-}
-
 // CMPOperation returns Table 1's CMP bean operation for the action.
 func (a Action) CMPOperation() string {
 	switch a {

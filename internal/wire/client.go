@@ -49,10 +49,10 @@ const maxPinnedIdle = 4
 type Option func(*Client)
 
 // WithRetry makes Call and OpenStream retry failed exchanges under
-// DefaultRetryPolicy (see retrying). The default is no retry: a
+// defaultRetryPolicy (see retrying). The default is no retry: a
 // protocol must opt in, and must only do so when its requests are
 // idempotent or duplicate-rejected (see RetryPolicy).
-func WithRetry() Option { return func(c *Client) { c.retry = DefaultRetryPolicy() } }
+func WithRetry() Option { return func(c *Client) { c.retry = defaultRetryPolicy() } }
 
 // NewClient returns a client for addr. Connections are dialed lazily.
 func NewClient(addr string, opts ...Option) *Client {

@@ -95,9 +95,9 @@ type RetryPolicy struct {
 	Backoff     Backoff
 }
 
-// DefaultRetryPolicy is the bounded, jittered schedule dbwire clients
+// defaultRetryPolicy is the bounded, jittered schedule dbwire clients
 // use: up to 4 attempts, waiting ~5ms, ~10ms, ~20ms between them.
-func DefaultRetryPolicy() RetryPolicy {
+func defaultRetryPolicy() RetryPolicy {
 	return RetryPolicy{
 		MaxAttempts: 4,
 		Backoff:     Backoff{Base: 5 * time.Millisecond, Max: 100 * time.Millisecond, Jitter: 0.5},

@@ -58,12 +58,24 @@ func TestTracePropagation(t *testing.T) {
 	// Both hops of the interaction appear under one trace ID. (Client
 	// and server share this test process, so they share DefaultSpans.)
 	names := make(map[string]bool)
-	for _, rec := range obs.DefaultSpans.Trace(id) {
-		names[rec.Name] = true
+	for _, s := range assembled(t, id).Spans {
+		names[s.Name] = true
 	}
 	if !names["wiretest.client"] || !names["wiretest.server"] {
 		t.Fatalf("trace %d spans = %v, want client and server hops", id, names)
 	}
+}
+
+// assembled returns trace id as assembled from DefaultSpans.
+func assembled(t *testing.T, id uint64) *obs.Trace {
+	t.Helper()
+	for _, tr := range obs.Assemble(obs.DefaultSpans.Recent(0)) {
+		if tr.ID == id {
+			return tr
+		}
+	}
+	t.Fatalf("trace %d has no spans in DefaultSpans", id)
+	return nil
 }
 
 // TestSpanParentPropagation proves the frame header carries the caller's
@@ -89,15 +101,20 @@ func TestSpanParentPropagation(t *testing.T) {
 	}
 	sp.End()
 
-	var server *obs.SpanRecord
-	for _, rec := range obs.DefaultSpans.Trace(id) {
-		if rec.Name == "wiretest.server" {
-			r := rec
-			server = &r
+	// The assembled trace is one tree: the client span, with the server
+	// span as its child.
+	tr := assembled(t, id)
+	if !tr.Complete || tr.Root().Span != clientSpan {
+		t.Fatalf("trace %d: complete=%v, want one tree rooted at client span %d", id, tr.Complete, clientSpan)
+	}
+	var server *obs.SpanNode
+	for _, s := range tr.Root().Children {
+		if s.Name == "wiretest.server" {
+			server = s
 		}
 	}
 	if server == nil {
-		t.Fatalf("server-side span not recorded for trace %d", id)
+		t.Fatalf("server-side span not recorded under the client span for trace %d", id)
 	}
 	if server.Parent != clientSpan {
 		t.Fatalf("server span parent = %d, want client span %d", server.Parent, clientSpan)
