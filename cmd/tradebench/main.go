@@ -277,7 +277,7 @@ func run(args []string) error {
 		runtime.GC()
 		rt.Update()
 		runDiff := obs.Default.Diff(runStart)
-		traces := obs.Assemble(obs.DefaultSpans.Since(time.Time{}))
+		traces := obs.Assemble(obs.DefaultSpans.Recent(0))
 		if err := art.WriteTraces(traces, waterfalls, obs.DefaultSpans.Dropped()); err != nil {
 			return err
 		}

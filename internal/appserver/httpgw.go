@@ -69,18 +69,18 @@ func (g *HTTPGateway) handleTrade(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	resp := g.srv.dispatch(r.Context(), &Request{
+	rep := g.srv.dispatch(r.Context(), &Request{
 		SessionID: sessionID,
 		Action:    action,
 		Params:    params,
 	})
 	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	if !resp.OK {
+	if !rep.ok {
 		w.WriteHeader(http.StatusUnprocessableEntity)
-		_, _ = w.Write(renderPage("Error", "<p>"+htmlEscape(resp.Err)+"</p>"))
+		_, _ = w.Write(renderPage("Error", "<p>"+htmlEscape(rep.err)+"</p>"))
 		return
 	}
-	_, _ = w.Write(resp.Body)
+	_, _ = w.Write(renderPage(rep.title, rep.frag))
 }
 
 // htmlEscape escapes the handful of characters that matter in the error

@@ -2,6 +2,7 @@ package appserver
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"edgeejb/internal/wire"
@@ -82,4 +83,37 @@ func (r *Response) Error() error {
 		return nil
 	}
 	return fmt.Errorf("appserver: %s", r.Err)
+}
+
+// reply is a handler's answer: the outcome and, on success, the page's
+// title and per-action fragment. The page itself is laid out only when
+// the reply is encoded, straight into the connection's frame buffer, so
+// the server never holds a whole page.
+type reply struct {
+	ok    bool
+	err   string
+	title string
+	frag  string
+}
+
+// page is a successful reply.
+func page(title, frag string) *reply { return &reply{ok: true, title: title, frag: frag} }
+
+// AppendWire implements wire.Body with exactly the bytes of the
+// Response carrying the same outcome and page: OK, Err, then the page
+// as a uvarint length and its bytes (none for a failure).
+func (r *reply) AppendWire(dst []byte, _ *wire.Names) []byte {
+	dst = wire.AppendBool(dst, r.ok)
+	dst = wire.AppendString(dst, r.err)
+	if !r.ok {
+		return binary.AppendUvarint(dst, 0)
+	}
+	dst = binary.AppendUvarint(dst, uint64(pageLen(r.title, r.frag)))
+	return appendPage(dst, r.title, r.frag)
+}
+
+// ReadWire implements wire.Body. A reply only travels from server to
+// client, which reads it as a Response.
+func (r *reply) ReadWire([]byte, *wire.Names) error {
+	return errors.New("appserver: a reply is read as a Response")
 }

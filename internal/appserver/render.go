@@ -40,49 +40,61 @@ func buildChrome() string {
 
 const pageFooter = "<hr><i>Trade benchmark application &mdash; edge-server architecture evaluation.</i></body></html>\n"
 
-// renderPage wraps a body fragment in the shared chrome.
-func renderPage(title, body string) []byte {
-	page := make([]byte, 0, len(pageChrome)+len(body)+len(pageFooter)+64)
-	page = append(page, pageChrome...)
-	page = fmt.Appendf(page, "<h1>%s</h1>\n", title)
-	page = append(page, body...)
-	return append(page, pageFooter...)
+// pageLen is the length of the page appendPage lays out.
+func pageLen(title, frag string) int {
+	return len(pageChrome) + len("<h1></h1>\n") + len(title) + len(frag) + len(pageFooter)
 }
 
-func renderLogin(r trade.LoginResult) []byte {
-	return renderPage("Welcome back", fmt.Sprintf(
+// appendPage appends the page: the shared chrome, the title heading,
+// the fragment and the footer.
+func appendPage(dst []byte, title, frag string) []byte {
+	dst = append(dst, pageChrome...)
+	dst = append(dst, "<h1>"...)
+	dst = append(dst, title...)
+	dst = append(dst, "</h1>\n"...)
+	dst = append(dst, frag...)
+	return append(dst, pageFooter...)
+}
+
+// renderPage returns the page of a title and fragment on its own.
+func renderPage(title, frag string) []byte {
+	return appendPage(make([]byte, 0, pageLen(title, frag)), title, frag)
+}
+
+func renderLogin(r trade.LoginResult) *reply {
+	return page("Welcome back", fmt.Sprintf(
 		"<p>User %s logged in (session %s).</p><p>Logins: %d. Cash balance: $%.2f.</p>",
 		r.UserID, r.SessionID, r.LoginCount, r.Balance))
 }
 
-func renderLogout(user string) []byte {
-	return renderPage("Goodbye", fmt.Sprintf("<p>User %s logged off.</p>", user))
+func renderLogout(user string) *reply {
+	return page("Goodbye", fmt.Sprintf("<p>User %s logged off.</p>", user))
 }
 
-func renderRegister(user string) []byte {
-	return renderPage("Registration complete", fmt.Sprintf(
+func renderRegister(user string) *reply {
+	return page("Registration complete", fmt.Sprintf(
 		"<p>Created account, profile and registry entry for %s.</p>", user))
 }
 
-func renderHome(r trade.HomeResult) []byte {
-	return renderPage("Trade Home", fmt.Sprintf(
+func renderHome(r trade.HomeResult) *reply {
+	return page("Trade Home", fmt.Sprintf(
 		"<p>Welcome %s.</p><table class=\"panel-01\"><tr><td>Cash balance</td><td>$%.2f</td></tr>"+
 			"<tr><td>Opening balance</td><td>$%.2f</td></tr></table>",
 		r.UserID, r.Balance, r.Open))
 }
 
-func renderAccount(r trade.AccountResult) []byte {
-	return renderPage("Account Information", fmt.Sprintf(
+func renderAccount(r trade.AccountResult) *reply {
+	return page("Account Information", fmt.Sprintf(
 		"<table class=\"panel-02\"><tr><td>User</td><td>%s</td></tr><tr><td>Name</td><td>%s</td></tr>"+
 			"<tr><td>Address</td><td>%s</td></tr><tr><td>Email</td><td>%s</td></tr></table>",
 		r.UserID, r.FullName, r.Address, r.Email))
 }
 
-func renderAccountUpdate(user string) []byte {
-	return renderPage("Account Updated", fmt.Sprintf("<p>Profile for %s updated.</p>", user))
+func renderAccountUpdate(user string) *reply {
+	return page("Account Updated", fmt.Sprintf("<p>Profile for %s updated.</p>", user))
 }
 
-func renderPortfolio(r trade.PortfolioResult) []byte {
+func renderPortfolio(r trade.PortfolioResult) *reply {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "<p>%d holdings for %s.</p><table class=\"panel-03\">"+
 		"<tr><th>Holding</th><th>Symbol</th><th>Qty</th><th>Price</th><th>Date</th></tr>",
@@ -92,26 +104,26 @@ func renderPortfolio(r trade.PortfolioResult) []byte {
 			h.HoldingID, h.Symbol, h.Quantity, h.PurchasePrice, h.PurchaseDate)
 	}
 	sb.WriteString("</table>")
-	return renderPage("Portfolio", sb.String())
+	return page("Portfolio", sb.String())
 }
 
-func renderQuote(r trade.QuoteResult) []byte {
-	return renderPage("Quote", fmt.Sprintf(
+func renderQuote(r trade.QuoteResult) *reply {
+	return page("Quote", fmt.Sprintf(
 		"<table class=\"panel-04\"><tr><td>Symbol</td><td>%s</td></tr>"+
 			"<tr><td>Price</td><td>$%.2f</td></tr></table>", r.Symbol, r.Price))
 }
 
-func renderBuy(r trade.BuyResult) []byte {
-	return renderPage("Buy Order Confirmation", fmt.Sprintf(
+func renderBuy(r trade.BuyResult) *reply {
+	return page("Buy Order Confirmation", fmt.Sprintf(
 		"<p>Bought %.0f %s @ $%.2f (total $%.2f). Holding %s. New balance $%.2f.</p>",
 		r.Quantity, r.Symbol, r.Price, r.Total, r.HoldingID, r.Balance))
 }
 
-func renderSell(r trade.SellResult) []byte {
+func renderSell(r trade.SellResult) *reply {
 	if !r.Sold {
-		return renderPage("Sell Order", "<p>No holdings to sell.</p>")
+		return page("Sell Order", "<p>No holdings to sell.</p>")
 	}
-	return renderPage("Sell Order Confirmation", fmt.Sprintf(
+	return page("Sell Order Confirmation", fmt.Sprintf(
 		"<p>Sold %.0f %s @ $%.2f (proceeds $%.2f). Holding %s closed. New balance $%.2f.</p>",
 		r.Quantity, r.Symbol, r.Price, r.Proceeds, r.HoldingID, r.Balance))
 }

@@ -66,16 +66,16 @@ func (h appHandler) Handle(ctx context.Context, _ *wire.Session, _ uint64, req a
 func (h appHandler) Close() {}
 
 // dispatch maps one request to the trade service.
-func (s *Server) dispatch(ctx context.Context, req *Request) *Response {
+func (s *Server) dispatch(ctx context.Context, req *Request) *reply {
 	s.requests.Add(1)
 	ctx, sp := obs.StartSpan(ctx, "edge.request")
 	defer sp.End()
 	// Label downstream forensic events (conflicts, in particular) with
 	// the trade action, so conflict matrices break down by interaction.
 	ctx = obs.WithOp(ctx, req.Action)
-	fail := func(err error) *Response {
+	fail := func(err error) *reply {
 		s.failures.Add(1)
-		return &Response{Err: err.Error()}
+		return &reply{err: err.Error()}
 	}
 	p := func(k string) string { return req.Params[k] }
 
@@ -89,53 +89,53 @@ func (s *Server) dispatch(ctx context.Context, req *Request) *Response {
 		if err != nil {
 			return fail(err)
 		}
-		return &Response{OK: true, Body: renderLogin(r)}
+		return renderLogin(r)
 
 	case trade.ActionLogout:
 		if err := s.svc.Logout(ctx, p("user")); err != nil {
 			return fail(err)
 		}
-		return &Response{OK: true, Body: renderLogout(p("user"))}
+		return renderLogout(p("user"))
 
 	case trade.ActionRegister:
 		if err := s.svc.Register(ctx, p("newUser"), p("fullName"), p("email"), 1_000_000); err != nil {
 			return fail(err)
 		}
-		return &Response{OK: true, Body: renderRegister(p("newUser"))}
+		return renderRegister(p("newUser"))
 
 	case trade.ActionHome:
 		r, err := s.svc.Home(ctx, p("user"))
 		if err != nil {
 			return fail(err)
 		}
-		return &Response{OK: true, Body: renderHome(r)}
+		return renderHome(r)
 
 	case trade.ActionAccount:
 		r, err := s.svc.Account(ctx, p("user"))
 		if err != nil {
 			return fail(err)
 		}
-		return &Response{OK: true, Body: renderAccount(r)}
+		return renderAccount(r)
 
 	case trade.ActionAccountUpdate:
 		if err := s.svc.AccountUpdate(ctx, p("user"), p("address"), p("email")); err != nil {
 			return fail(err)
 		}
-		return &Response{OK: true, Body: renderAccountUpdate(p("user"))}
+		return renderAccountUpdate(p("user"))
 
 	case trade.ActionPortfolio:
 		r, err := s.svc.Portfolio(ctx, p("user"))
 		if err != nil {
 			return fail(err)
 		}
-		return &Response{OK: true, Body: renderPortfolio(r)}
+		return renderPortfolio(r)
 
 	case trade.ActionQuote:
 		r, err := s.svc.GetQuote(ctx, p("symbol"))
 		if err != nil {
 			return fail(err)
 		}
-		return &Response{OK: true, Body: renderQuote(r)}
+		return renderQuote(r)
 
 	case trade.ActionBuy:
 		qty, err := strconv.ParseFloat(p("quantity"), 64)
@@ -146,14 +146,14 @@ func (s *Server) dispatch(ctx context.Context, req *Request) *Response {
 		if err != nil {
 			return fail(err)
 		}
-		return &Response{OK: true, Body: renderBuy(r)}
+		return renderBuy(r)
 
 	case trade.ActionSell:
 		r, err := s.svc.Sell(ctx, p("user"))
 		if err != nil {
 			return fail(err)
 		}
-		return &Response{OK: true, Body: renderSell(r)}
+		return renderSell(r)
 
 	default:
 		return fail(errors.New("appserver: unhandled action " + req.Action))

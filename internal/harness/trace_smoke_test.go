@@ -49,7 +49,7 @@ func TestTraceAssemblySmoke(t *testing.T) {
 		t.Fatalf("run: %v", err)
 	}
 
-	traces := obs.Assemble(log.Since(time.Time{}))
+	traces := obs.Assemble(log.Recent(0))
 	if len(traces) == 0 {
 		t.Fatal("sweep produced no traces")
 	}
@@ -147,7 +147,7 @@ func TestDebugSpansDrawTheArtifactWaterfall(t *testing.T) {
 	}
 
 	var tr *obs.Trace
-	for _, a := range obs.Assemble(log.Since(time.Time{})) {
+	for _, a := range obs.Assemble(log.Recent(0)) {
 		if a.ID == id {
 			tr = a
 		}

@@ -256,7 +256,7 @@ func TestAssembleFromLog(t *testing.T) {
 	child.End()
 	root.End()
 
-	traces := Assemble(log.Since(time.Time{}))
+	traces := Assemble(log.Recent(0))
 	if len(traces) != 1 || !traces[0].Complete || len(traces[0].Spans) != 2 {
 		t.Fatalf("bad assembly from live log: %d traces", len(traces))
 	}

@@ -73,7 +73,7 @@ func TestLogsAllocateAtFirstRecord(t *testing.T) {
 		}
 		for k := 0; k <= last; k++ {
 			if at[k] {
-				checkLogs(t, size, k, events, spans, refEvents, refSpans, base)
+				checkLogs(t, size, k, events, spans, refEvents, refSpans)
 			}
 			when := base.Add(time.Duration(k) * time.Millisecond)
 			e := Event{Type: EventInvalidation, Time: when, Keys: k}
@@ -93,7 +93,7 @@ func TestLogsAllocateAtFirstRecord(t *testing.T) {
 	}
 }
 
-func checkLogs(t *testing.T, size, k int, events *EventLog, spans *SpanLog, refEvents *refRing[Event], refSpans *refRing[SpanRecord], base time.Time) {
+func checkLogs(t *testing.T, size, k int, events *EventLog, spans *SpanLog, refEvents *refRing[Event], refSpans *refRing[SpanRecord]) {
 	t.Helper()
 	if events.Seq() != uint64(k) {
 		t.Fatalf("size %d after %d records: Seq = %d", size, k, events.Seq())
@@ -122,16 +122,6 @@ func checkLogs(t *testing.T, size, k int, events *EventLog, spans *SpanLog, refE
 		if got := spans.Recent(n); !slices.Equal(got, want) {
 			t.Fatalf("size %d after %d records: Recent(%d) holds %d spans, want %d", size, k, n, len(got), len(want))
 		}
-	}
-	cut := base.Add(time.Duration(k/2) * time.Millisecond)
-	var since []SpanRecord
-	for _, r := range allSpans {
-		if !r.Start.Before(cut) {
-			since = append(since, r)
-		}
-	}
-	if got := spans.Since(cut); !slices.Equal(got, since) {
-		t.Fatalf("size %d after %d records: Since holds %d spans, want %d", size, k, len(got), len(since))
 	}
 	if len(allSpans) > 0 {
 		id := allSpans[0].Trace

@@ -247,20 +247,8 @@ func (l *SpanLog) snapshot() []SpanRecord {
 	return l.ring.snapshot()
 }
 
-// Since returns every logged span that started at or after t, oldest
-// first; Since(time.Time{}) is the whole log.
-func (l *SpanLog) Since(t time.Time) []SpanRecord {
-	all := l.snapshot()
-	out := all[:0:0]
-	for _, r := range all {
-		if !r.Start.Before(t) {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// Recent returns the last n finished spans, oldest first.
+// Recent returns the last n finished spans, oldest first; Recent(0) is
+// the whole log.
 func (l *SpanLog) Recent(n int) []SpanRecord {
 	all := l.snapshot()
 	if n > 0 && len(all) > n {

@@ -151,25 +151,6 @@ func TestSpanLogDroppedCount(t *testing.T) {
 	}
 }
 
-func TestSpanLogSince(t *testing.T) {
-	log := NewSpanLog(8)
-	base := time.Now()
-	for i := 0; i < 5; i++ {
-		log.add(SpanRecord{Trace: 1, Span: uint64(i + 1), Name: "s",
-			Start: base.Add(time.Duration(i) * time.Second)})
-	}
-	got := log.Since(base.Add(2 * time.Second))
-	if len(got) != 3 {
-		t.Fatalf("Since returned %d spans, want 3 (cut is inclusive)", len(got))
-	}
-	if got[0].Span != 3 {
-		t.Fatalf("Since starts at span %d, want 3", got[0].Span)
-	}
-	if all := log.Since(time.Time{}); len(all) != 5 {
-		t.Fatalf("Since(zero) returned %d, want all 5", len(all))
-	}
-}
-
 // TestTraceIDWidthIgnoresTheClock: a trace ID is a 9-byte uvarint on
 // either side of the clock's bit 47 flipping, which the seed's shift
 // moves to bit 63 (a 10-byte uvarint) once every 39 hours.

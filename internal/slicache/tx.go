@@ -25,11 +25,15 @@ const (
 	stateRemoved
 )
 
-// entry is one bean in the per-transaction transient store.
+// entry is one bean in the per-transaction transient store. Its images
+// are replaced, never edited: current may share its fields with the
+// common store's fill, a cached finder result and the commit set, and
+// only what Load, LoadMany and Query hand the caller is a copy.
 type entry struct {
-	// before is the state first observed by this transaction (the
-	// before-image, §2.1); before.Version == 0 for created beans.
-	before memento.Memento
+	// version is the version of the state first observed by this
+	// transaction (the before-image, §2.1), the only part of it commit
+	// needs; 0 for created beans.
+	version uint64
 	// current is the transaction's working state (becomes the
 	// after-image at commit).
 	current memento.Memento
@@ -140,12 +144,12 @@ next:
 		m := f.res.Mem
 		t.mgr.common.Put(m)
 		t.entries[f.key] = &entry{
-			before:    m.Clone(),
-			current:   m.Clone(),
+			version:   m.Version,
+			current:   m,
 			state:     stateClean,
 			fetchedAt: t.mgr.now(),
 		}
-		out[f.at] = m
+		out[f.at] = m.Clone()
 	}
 	for _, i := range repeats {
 		// No entry means the first occurrence's fetch failed, and its
@@ -162,8 +166,8 @@ next:
 
 // cached serves key without the persistent store when it can: from the
 // per-transaction store (an error when the transaction removed the
-// bean), else from the common store, whose copy then becomes the
-// transaction's before-image.
+// bean), else from the common store, whose fresh copy then becomes the
+// entry's image. Either way the caller gets its own copy.
 func (t *sliTx) cached(ctx context.Context, key memento.Key) (memento.Memento, bool, error) {
 	if e, ok := t.entries[key]; ok {
 		if e.state == stateRemoved {
@@ -177,12 +181,12 @@ func (t *sliTx) cached(ctx context.Context, key memento.Key) (memento.Memento, b
 	}
 	t.cacheServed = true
 	t.entries[key] = &entry{
-		before:    m.Clone(),
-		current:   m.Clone(),
+		version:   m.Version,
+		current:   m,
 		state:     stateClean,
 		fetchedAt: storedAt,
 	}
-	return m, true, nil
+	return m.Clone(), true, nil
 }
 
 // fetchAll fetches every miss from the persistent store, each as its own
@@ -221,7 +225,7 @@ func (t *sliTx) Store(ctx context.Context, m memento.Memento) error {
 		return fmt.Errorf("%w: %s not active in transaction", sqlstore.ErrNotFound, m.Key)
 	}
 	cur := m.Clone()
-	cur.Version = e.before.Version
+	cur.Version = e.version
 	e.current = cur
 	if e.state == stateClean {
 		e.state = stateDirty
@@ -247,9 +251,9 @@ func (t *sliTx) Create(ctx context.Context, m memento.Memento) error {
 		// Remove followed by create in one transaction is a logical
 		// update of the persistent row.
 		cur := m.Clone()
-		cur.Version = e.before.Version
+		cur.Version = e.version
 		e.current = cur
-		if e.before.Version == 0 {
+		if e.version == 0 {
 			e.state = stateCreated
 		} else {
 			e.state = stateDirty
@@ -259,7 +263,6 @@ func (t *sliTx) Create(ctx context.Context, m memento.Memento) error {
 	cur := m.Clone()
 	cur.Version = 0
 	t.entries[m.Key] = &entry{
-		before:  memento.Memento{Key: m.Key},
 		current: cur,
 		state:   stateCreated,
 	}
@@ -340,8 +343,8 @@ func (t *sliTx) Query(ctx context.Context, q memento.Query) ([]memento.Memento, 
 			t.finderSource[m.Key] = true
 		}
 		t.entries[m.Key] = &entry{
-			before:    m.Clone(),
-			current:   m.Clone(),
+			version:   m.Version,
+			current:   m,
 			state:     stateClean,
 			fetchedAt: fetchedAt,
 		}
@@ -414,7 +417,7 @@ func (t *sliTx) Commit(ctx context.Context) error {
 		switch e.state {
 		case stateDirty, stateCreated:
 			if v := outcome.NewVersions[e.current.Key]; v != 0 {
-				m := e.current.Clone()
+				m := e.current
 				m.Version = v
 				t.mgr.common.Refresh(m)
 			} else {
@@ -520,17 +523,17 @@ func (t *sliTx) buildCommitSet() memento.CommitSet {
 		e := t.entries[k]
 		switch e.state {
 		case stateClean:
-			cs.Reads = append(cs.Reads, memento.ReadProof{Key: k, Version: e.before.Version})
+			cs.Reads = append(cs.Reads, memento.ReadProof{Key: k, Version: e.version})
 		case stateDirty:
-			after := e.current.Clone()
-			after.Version = e.before.Version
+			after := e.current
+			after.Version = e.version
 			cs.Writes = append(cs.Writes, after)
 		case stateCreated:
-			after := e.current.Clone()
+			after := e.current
 			after.Version = 0
 			cs.Creates = append(cs.Creates, after)
 		case stateRemoved:
-			cs.Removes = append(cs.Removes, memento.ReadProof{Key: k, Version: e.before.Version})
+			cs.Removes = append(cs.Removes, memento.ReadProof{Key: k, Version: e.version})
 		}
 	}
 	return cs

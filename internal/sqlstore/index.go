@@ -2,6 +2,7 @@ package sqlstore
 
 import (
 	"fmt"
+	"slices"
 
 	"edgeejb/internal/memento"
 )
@@ -26,13 +27,15 @@ import (
 type index struct {
 	// col is the indexed field's column in its table (see row.go).
 	col uint32
-	// byValue maps a field value to the set of row IDs whose committed
-	// image holds that value.
-	byValue map[memento.Value]map[string]struct{}
+	// byValue maps a field value to the IDs, in no order, of the rows
+	// whose committed image holds that value. A value's rows are few
+	// (the Trade application indexes holdings by account), so a slice,
+	// searched to remove one, costs a fraction of a set's memory.
+	byValue map[memento.Value][]string
 }
 
 func newIndex(col uint32) *index {
-	return &index{col: col, byValue: make(map[memento.Value]map[string]struct{})}
+	return &index{col: col, byValue: make(map[memento.Value][]string)}
 }
 
 func (ix *index) insert(id string, r row) {
@@ -43,12 +46,7 @@ func (ix *index) insert(id string, r row) {
 	if !ok || !v.Equal(v) {
 		return
 	}
-	set := ix.byValue[v]
-	if set == nil {
-		set = make(map[string]struct{})
-		ix.byValue[v] = set
-	}
-	set[id] = struct{}{}
+	ix.byValue[v] = append(ix.byValue[v], id)
 }
 
 func (ix *index) remove(id string, r row) {
@@ -56,11 +54,14 @@ func (ix *index) remove(id string, r row) {
 	if !ok {
 		return
 	}
-	if set := ix.byValue[v]; set != nil {
-		delete(set, id)
-		if len(set) == 0 {
-			delete(ix.byValue, v)
-		}
+	ids := ix.byValue[v]
+	i := slices.Index(ids, id)
+	switch {
+	case i < 0:
+	case len(ids) == 1:
+		delete(ix.byValue, v)
+	default:
+		ix.byValue[v] = slices.Delete(ids, i, i+1)
 	}
 }
 
@@ -112,7 +113,7 @@ func (s *Store) Indexes(tableName string) []string {
 // with s.mu held (read). Every predicate is re-checked on the
 // candidates regardless, so the planner affects cost only, never
 // results.
-func (t *table) plan(q memento.Query) (ids map[string]struct{}, ok bool) {
+func (t *table) plan(q memento.Query) (ids []string, ok bool) {
 	for _, p := range q.Where {
 		if ix, indexed := t.indexes[p.Field]; indexed {
 			return ix.byValue[p.Value.Stored()], true

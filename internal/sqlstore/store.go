@@ -367,7 +367,7 @@ func (s *Store) scanTable(q memento.Query) []memento.Memento {
 	}
 	var out []memento.Memento
 	if indexed {
-		for id := range ids {
+		for _, id := range ids {
 			if r, exists := t.rows[id]; exists && r.cells.Matches(q.Where, cols) {
 				out = append(out, t.memento(q.Table, id, r))
 			}
