@@ -2,6 +2,7 @@ package appserver
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"edgeejb/internal/trade"
@@ -61,69 +62,97 @@ func renderPage(title, frag string) []byte {
 	return appendPage(make([]byte, 0, pageLen(title, frag)), title, frag)
 }
 
+// The fragments are built with plain appends into one buffer, which
+// fmt would box every argument for; the bytes are what "%s", "%d",
+// "%.0f" and "$%.2f" print.
+
+// fragCap is a fragment buffer's first capacity: every fragment but a
+// long portfolio's fits it.
+const fragCap = 512
+
+// money appends v as "$%.2f" does.
+func money(b []byte, v float64) []byte {
+	return strconv.AppendFloat(append(b, '$'), v, 'f', 2, 64)
+}
+
+// whole appends v as "%.0f" does.
+func whole(b []byte, v float64) []byte { return strconv.AppendFloat(b, v, 'f', 0, 64) }
+
 func renderLogin(r trade.LoginResult) *reply {
-	return page("Welcome back", fmt.Sprintf(
-		"<p>User %s logged in (session %s).</p><p>Logins: %d. Cash balance: $%.2f.</p>",
-		r.UserID, r.SessionID, r.LoginCount, r.Balance))
+	b := append(make([]byte, 0, fragCap), "<p>User "...)
+	b = append(append(b, r.UserID...), " logged in (session "...)
+	b = append(append(b, r.SessionID...), ").</p><p>Logins: "...)
+	b = append(strconv.AppendInt(b, r.LoginCount, 10), ". Cash balance: "...)
+	b = append(money(b, r.Balance), ".</p>"...)
+	return page("Welcome back", string(b))
 }
 
 func renderLogout(user string) *reply {
-	return page("Goodbye", fmt.Sprintf("<p>User %s logged off.</p>", user))
+	return page("Goodbye", "<p>User "+user+" logged off.</p>")
 }
 
 func renderRegister(user string) *reply {
-	return page("Registration complete", fmt.Sprintf(
-		"<p>Created account, profile and registry entry for %s.</p>", user))
+	return page("Registration complete", "<p>Created account, profile and registry entry for "+user+".</p>")
 }
 
 func renderHome(r trade.HomeResult) *reply {
-	return page("Trade Home", fmt.Sprintf(
-		"<p>Welcome %s.</p><table class=\"panel-01\"><tr><td>Cash balance</td><td>$%.2f</td></tr>"+
-			"<tr><td>Opening balance</td><td>$%.2f</td></tr></table>",
-		r.UserID, r.Balance, r.Open))
+	b := append(make([]byte, 0, fragCap), "<p>Welcome "...)
+	b = append(append(b, r.UserID...), ".</p><table class=\"panel-01\"><tr><td>Cash balance</td><td>"...)
+	b = append(money(b, r.Balance), "</td></tr><tr><td>Opening balance</td><td>"...)
+	b = append(money(b, r.Open), "</td></tr></table>"...)
+	return page("Trade Home", string(b))
 }
 
 func renderAccount(r trade.AccountResult) *reply {
-	return page("Account Information", fmt.Sprintf(
-		"<table class=\"panel-02\"><tr><td>User</td><td>%s</td></tr><tr><td>Name</td><td>%s</td></tr>"+
-			"<tr><td>Address</td><td>%s</td></tr><tr><td>Email</td><td>%s</td></tr></table>",
-		r.UserID, r.FullName, r.Address, r.Email))
+	return page("Account Information",
+		"<table class=\"panel-02\"><tr><td>User</td><td>"+r.UserID+"</td></tr><tr><td>Name</td><td>"+r.FullName+"</td></tr>"+
+			"<tr><td>Address</td><td>"+r.Address+"</td></tr><tr><td>Email</td><td>"+r.Email+"</td></tr></table>")
 }
 
 func renderAccountUpdate(user string) *reply {
-	return page("Account Updated", fmt.Sprintf("<p>Profile for %s updated.</p>", user))
+	return page("Account Updated", "<p>Profile for "+user+" updated.</p>")
 }
 
 func renderPortfolio(r trade.PortfolioResult) *reply {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "<p>%d holdings for %s.</p><table class=\"panel-03\">"+
-		"<tr><th>Holding</th><th>Symbol</th><th>Qty</th><th>Price</th><th>Date</th></tr>",
-		len(r.Holdings), r.UserID)
+	b := strconv.AppendInt(append(make([]byte, 0, fragCap), "<p>"...), int64(len(r.Holdings)), 10)
+	b = append(append(append(b, " holdings for "...), r.UserID...), ".</p><table class=\"panel-03\">"+
+		"<tr><th>Holding</th><th>Symbol</th><th>Qty</th><th>Price</th><th>Date</th></tr>"...)
 	for _, h := range r.Holdings {
-		fmt.Fprintf(&sb, "<tr><td>%s</td><td>%s</td><td>%.0f</td><td>$%.2f</td><td>%s</td></tr>",
-			h.HoldingID, h.Symbol, h.Quantity, h.PurchasePrice, h.PurchaseDate)
+		b = append(append(append(b, "<tr><td>"...), h.HoldingID...), "</td><td>"...)
+		b = append(append(b, h.Symbol...), "</td><td>"...)
+		b = append(whole(b, h.Quantity), "</td><td>"...)
+		b = append(money(b, h.PurchasePrice), "</td><td>"...)
+		b = append(append(b, h.PurchaseDate...), "</td></tr>"...)
 	}
-	sb.WriteString("</table>")
-	return page("Portfolio", sb.String())
+	return page("Portfolio", string(append(b, "</table>"...)))
 }
 
 func renderQuote(r trade.QuoteResult) *reply {
-	return page("Quote", fmt.Sprintf(
-		"<table class=\"panel-04\"><tr><td>Symbol</td><td>%s</td></tr>"+
-			"<tr><td>Price</td><td>$%.2f</td></tr></table>", r.Symbol, r.Price))
+	b := append(make([]byte, 0, fragCap), "<table class=\"panel-04\"><tr><td>Symbol</td><td>"...)
+	b = append(append(b, r.Symbol...), "</td></tr><tr><td>Price</td><td>"...)
+	b = append(money(b, r.Price), "</td></tr></table>"...)
+	return page("Quote", string(b))
 }
 
 func renderBuy(r trade.BuyResult) *reply {
-	return page("Buy Order Confirmation", fmt.Sprintf(
-		"<p>Bought %.0f %s @ $%.2f (total $%.2f). Holding %s. New balance $%.2f.</p>",
-		r.Quantity, r.Symbol, r.Price, r.Total, r.HoldingID, r.Balance))
+	b := append(whole(append(make([]byte, 0, fragCap), "<p>Bought "...), r.Quantity), ' ')
+	b = append(append(b, r.Symbol...), " @ "...)
+	b = append(money(b, r.Price), " (total "...)
+	b = append(money(b, r.Total), "). Holding "...)
+	b = append(append(b, r.HoldingID...), ". New balance "...)
+	b = append(money(b, r.Balance), ".</p>"...)
+	return page("Buy Order Confirmation", string(b))
 }
 
 func renderSell(r trade.SellResult) *reply {
 	if !r.Sold {
 		return page("Sell Order", "<p>No holdings to sell.</p>")
 	}
-	return page("Sell Order Confirmation", fmt.Sprintf(
-		"<p>Sold %.0f %s @ $%.2f (proceeds $%.2f). Holding %s closed. New balance $%.2f.</p>",
-		r.Quantity, r.Symbol, r.Price, r.Proceeds, r.HoldingID, r.Balance))
+	b := append(whole(append(make([]byte, 0, fragCap), "<p>Sold "...), r.Quantity), ' ')
+	b = append(append(b, r.Symbol...), " @ "...)
+	b = append(money(b, r.Price), " (proceeds "...)
+	b = append(money(b, r.Proceeds), "). Holding "...)
+	b = append(append(b, r.HoldingID...), " closed. New balance "...)
+	b = append(money(b, r.Balance), ".</p>"...)
+	return page("Sell Order Confirmation", string(b))
 }

@@ -3,6 +3,9 @@ package appserver
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"math"
+	"strings"
 	"testing"
 
 	"edgeejb/internal/trade"
@@ -86,5 +89,43 @@ func BenchmarkPageReply(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		frame = renderPortfolio(r).AppendWire(frame[:0], nil)
+	}
+}
+
+// TestFragmentsPrintAsFmt: the fragments are appended by hand, and
+// print byte for byte what the fmt verbs they stand for print, for
+// values that round, grow long, go negative or are not numbers.
+func TestFragmentsPrintAsFmt(t *testing.T) {
+	for _, v := range []float64{0, 21.5, 0.005, 2.675, -3.14159, 99999.995, 1e21, -0.0, math.Inf(1), math.NaN()} {
+		h := trade.Holding{HoldingID: "h-1", Symbol: "s:7", Quantity: v, PurchasePrice: v, PurchaseDate: "2004-03-01"}
+		for _, tc := range []struct{ got, want string }{
+			{renderLogin(trade.LoginResult{UserID: "u", SessionID: "s", LoginCount: -7, Balance: v}).frag,
+				fmt.Sprintf("<p>User %s logged in (session %s).</p><p>Logins: %d. Cash balance: $%.2f.</p>", "u", "s", -7, v)},
+			{renderHome(trade.HomeResult{UserID: "u", Balance: v, Open: -v}).frag,
+				fmt.Sprintf("<p>Welcome %s.</p><table class=\"panel-01\"><tr><td>Cash balance</td><td>$%.2f</td></tr>"+
+					"<tr><td>Opening balance</td><td>$%.2f</td></tr></table>", "u", v, -v)},
+			{renderPortfolio(trade.PortfolioResult{UserID: "u", Holdings: []trade.Holding{h, h}}).frag,
+				fmt.Sprintf("<p>%d holdings for %s.</p><table class=\"panel-03\">"+
+					"<tr><th>Holding</th><th>Symbol</th><th>Qty</th><th>Price</th><th>Date</th></tr>", 2, "u") +
+					strings.Repeat(fmt.Sprintf("<tr><td>%s</td><td>%s</td><td>%.0f</td><td>$%.2f</td><td>%s</td></tr>",
+						h.HoldingID, h.Symbol, v, v, h.PurchaseDate), 2) + "</table>"},
+			{renderQuote(trade.QuoteResult{Symbol: "s:7", Price: v}).frag,
+				fmt.Sprintf("<table class=\"panel-04\"><tr><td>Symbol</td><td>%s</td></tr>"+
+					"<tr><td>Price</td><td>$%.2f</td></tr></table>", "s:7", v)},
+			{renderBuy(trade.BuyResult{HoldingID: "h-1", Symbol: "s:7", Quantity: v, Price: v, Total: -v, Balance: 1}).frag,
+				fmt.Sprintf("<p>Bought %.0f %s @ $%.2f (total $%.2f). Holding %s. New balance $%.2f.</p>", v, "s:7", v, -v, "h-1", 1.0)},
+			{renderSell(trade.SellResult{HoldingID: "h-1", Symbol: "s:7", Quantity: v, Price: v, Proceeds: -v, Balance: 1, Sold: true}).frag,
+				fmt.Sprintf("<p>Sold %.0f %s @ $%.2f (proceeds $%.2f). Holding %s closed. New balance $%.2f.</p>", v, "s:7", v, -v, "h-1", 1.0)},
+			{renderAccount(trade.AccountResult{UserID: "u", FullName: "F N", Address: "A", Email: "e@x"}).frag,
+				fmt.Sprintf("<table class=\"panel-02\"><tr><td>User</td><td>%s</td></tr><tr><td>Name</td><td>%s</td></tr>"+
+					"<tr><td>Address</td><td>%s</td></tr><tr><td>Email</td><td>%s</td></tr></table>", "u", "F N", "A", "e@x")},
+			{renderLogout("u").frag, fmt.Sprintf("<p>User %s logged off.</p>", "u")},
+			{renderRegister("u").frag, fmt.Sprintf("<p>Created account, profile and registry entry for %s.</p>", "u")},
+			{renderAccountUpdate("u").frag, fmt.Sprintf("<p>Profile for %s updated.</p>", "u")},
+		} {
+			if tc.got != tc.want {
+				t.Errorf("value %v:\n got %q\nwant %q", v, tc.got, tc.want)
+			}
+		}
 	}
 }

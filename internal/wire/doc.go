@@ -35,6 +35,17 @@
 //     reader sets no deadline, so a call against a stalled server
 //     returns once ctx.Err() is set, and exactly one side, the reader
 //     or the abandoning caller, decides each call's outcome.
+//   - A frame costs one read: the frame reader reads as far ahead as
+//     its one grow-only buffer holds and carries the bytes past a frame
+//     over to the next, so a frame whole in the socket takes a single
+//     read, length prefix included.
+//   - A server request runs on the goroutine that read it. The
+//     connection's reading role moves instead: its holder decodes a
+//     request, passes the role to a goroutine of the connection parked
+//     after its own request (or to a new one), runs the request, and
+//     parks once the response is written. Decoding stays in arrival
+//     order, one goroutine at a time, while handlers run concurrently
+//     and a blocked one never stops the reading.
 //   - Server drains gracefully on Close: stop accepting, finish
 //     in-flight requests, bounded by a drain timeout, then force-close.
 //   - Both ends keep per-op counts and byte totals, exposed as a Stats

@@ -94,14 +94,19 @@ func (fw *frameWriter) writeFrame(h *frameHeader, body any) (int, error) {
 // frameReader reads frames and decodes their header and body. A read
 // that fails is never resumed: the client's reader sets no read
 // deadline (a call's deadline is its context's), and the server's one,
-// the drain wakeup, ends its reading. The payload buffer is
-// per-connection and grow-only: frames are decoded before the next
-// readFrame, so the buffer can be reused instead of allocated per frame.
+// the drain wakeup, ends its reading. The buffer is per-connection and
+// grow-only: frames are decoded before the next readFrame, so it can be
+// reused instead of allocated per frame. Each read takes as much as the
+// buffer holds, and the bytes read past a frame are carried to the
+// front for the next one, so a frame already whole in the socket costs
+// one read, its length prefix included.
 type frameReader struct {
 	r        io.Reader
 	maxFrame int
-	lenBuf   [4]byte
-	payload  []byte
+	buf      []byte // the current frame, then the bytes read past it
+	next     int    // where the current frame ends in buf
+	end      int    // where the bytes read end in buf
+	payload  []byte // the current frame past its length prefix
 	body     []byte // the current frame past its header
 	names    Names  // this direction's name table, receive half
 	// gob fallback, the read side of frameWriter's; nil until the first
@@ -110,6 +115,10 @@ type frameReader struct {
 	gobSrc bytes.Reader
 }
 
+// minReadBuf is the buffer a connection's first read gets: room for the
+// small frames most messages are, and for a frame or two read ahead.
+const minReadBuf = 512
+
 func newFrameReader(r io.Reader, maxFrame int) *frameReader {
 	return &frameReader{r: r, maxFrame: maxFrame}
 }
@@ -117,22 +126,38 @@ func newFrameReader(r io.Reader, maxFrame int) *frameReader {
 // readFrame reads the next frame into the decode buffer and returns
 // its size on the wire.
 func (fr *frameReader) readFrame() (int, error) {
-	if _, err := io.ReadFull(fr.r, fr.lenBuf[:]); err != nil {
+	fr.end = copy(fr.buf, fr.buf[fr.next:fr.end])
+	fr.next = 0
+	fr.payload, fr.body = nil, nil
+	if err := fr.fill(4); err != nil {
 		return 0, err
 	}
-	size := int(binary.BigEndian.Uint32(fr.lenBuf[:]))
+	size := int(binary.BigEndian.Uint32(fr.buf))
 	if size <= 0 || size > fr.maxFrame {
 		return 0, fmt.Errorf("wire: bad frame length %d", size)
 	}
-	if cap(fr.payload) < size {
-		fr.payload = make([]byte, size)
-	}
-	fr.payload = fr.payload[:size]
-	fr.body = nil
-	if _, err := io.ReadFull(fr.r, fr.payload); err != nil {
+	if err := fr.fill(4 + size); err != nil {
 		return 0, err
 	}
-	return size + 4, nil
+	fr.next = 4 + size
+	fr.payload = fr.buf[4:fr.next]
+	return fr.next, nil
+}
+
+// fill reads until the buffer holds at least n bytes, growing it to n
+// if it is shorter. A read takes as much as the buffer has room for.
+func (fr *frameReader) fill(n int) error {
+	if fr.end >= n {
+		return nil
+	}
+	if len(fr.buf) < n {
+		grown := make([]byte, max(n, minReadBuf))
+		copy(grown, fr.buf[:fr.end])
+		fr.buf = grown
+	}
+	m, err := io.ReadAtLeast(fr.r, fr.buf[fr.end:], n-fr.end)
+	fr.end += m
+	return err
 }
 
 // readHeader decodes the current frame's header; what follows it is the

@@ -23,9 +23,11 @@ type ConnHandler interface {
 	// requests run concurrently, so bodies must never be reused).
 	NewRequest() any
 	// Handle processes one request and returns the response body (nil
-	// suppresses the response). Handle runs on its own goroutine, so a
-	// connection's requests execute concurrently; per-connection state
-	// must be synchronized by the handler.
+	// suppresses the response). Handle runs on the goroutine that read
+	// the request, which has already passed the connection's reading on
+	// to another: a connection's requests execute concurrently, and one
+	// that blocks does not stop the next being read, so per-connection
+	// state must be synchronized by the handler.
 	Handle(ctx context.Context, sess *Session, id uint64, req any) any
 	// Close releases per-connection state after the last in-flight
 	// Handle has returned (or been force-cancelled).
@@ -64,8 +66,9 @@ func (s *Session) Push(id uint64, body any) error {
 // upstream source feeding their pushes dies: silently stopping would
 // leave the client listening on a healthy-looking stream that will
 // never deliver again, whereas a hangup makes the client's teardown
-// and resubscribe machinery run. Safe for concurrent use; the reader
-// goroutine observes the closed socket and performs the full teardown.
+// and resubscribe machinery run. Safe for concurrent use; the holder of
+// the connection's reading role observes the closed socket and performs
+// the full teardown.
 func (s *Session) Hangup() { _ = s.sc.nc.Close() }
 
 // drainTimeout bounds how long Close waits for in-flight requests
@@ -161,7 +164,7 @@ func (s *Server) acceptLoop(ln net.Listener) {
 			fr:     newFrameReader(nc, DefaultMaxFrame),
 			ctx:    ctx,
 			cancel: cancel,
-			tasks:  make(chan dispatchTask),
+			role:   make(chan struct{}),
 		}
 		s.conns[sc] = struct{}{}
 		s.wg.Add(1)
@@ -176,8 +179,8 @@ func (s *Server) removeConn(sc *serverConn) {
 	s.mu.Unlock()
 }
 
-// Close drains the server: stop accepting, wake every connection
-// reader, wait for in-flight requests up to the drain timeout, then
+// Close drains the server: stop accepting, wake the reading of every
+// connection, wait for in-flight requests up to the drain timeout, then
 // force-close stragglers and cancel their session contexts.
 func (s *Server) Close() {
 	s.mu.Lock()
@@ -233,33 +236,68 @@ type serverConn struct {
 	wmu sync.Mutex
 	fw  *frameWriter
 
-	fr *frameReader // serve-goroutine only
+	fr *frameReader // the reading role's: only its holder touches it
 
 	handlers sync.WaitGroup
 
-	// tasks hands requests to idle warm dispatch workers; see worker.
-	tasks chan dispatchTask
+	// role passes the reading role to a goroutine of this connection
+	// parked after its request; see serve.
+	role chan struct{}
 }
 
-// dispatchTask is one decoded request on its way to a handler
-// goroutine.
-type dispatchTask struct {
+// request is one decoded request on its way to its handler.
+type request struct {
 	ctx   context.Context
 	id    uint64
 	label string
 	body  any
 }
 
+// errDrained ends a connection's reading when the server drains.
+var errDrained = errors.New("wire: server draining")
+
+// serve holds the connection's reading role; the goroutine started for
+// an accepted connection is its first holder. The holder reads and
+// decodes the next request, passes the role on (to a goroutine parked
+// after its own request, or to a new one when none is), runs the
+// request itself, and once its response is written parks until the
+// role comes back. So decoding stays in arrival order, one goroutine at
+// a time, while handlers run concurrently and a blocked one never stops
+// the reading; and a request runs on the goroutine that read it, with
+// no hand-off between the read and the handler. Parked goroutines keep
+// their grown stacks for the next request, and leave when the
+// connection's context is cancelled at teardown. The holder that sees
+// reading end tears the connection down.
 func (sc *serverConn) serve() {
+	for {
+		req, err := sc.readRequest()
+		if err != nil {
+			sc.teardown(err == errDrained)
+			return
+		}
+		select {
+		case sc.role <- struct{}{}:
+		default:
+			go sc.serve()
+		}
+		sc.dispatch(req)
+		select {
+		case <-sc.role:
+		case <-sc.ctx.Done():
+			return
+		}
+	}
+}
+
+// teardown closes the connection once its reading has ended: a drain
+// lets in-flight handlers finish and flush their responses before the
+// socket goes away, a broken connection unblocks them first.
+func (sc *serverConn) teardown(graceful bool) {
 	defer sc.srv.wg.Done()
-	graceful := sc.readRequests()
 	if graceful {
-		// Drain: let in-flight handlers finish and flush their
-		// responses before the socket goes away.
 		sc.handlers.Wait()
 		sc.cancel()
 	} else {
-		// Broken connection: unblock handlers first, then reap them.
 		sc.cancel()
 		sc.handlers.Wait()
 	}
@@ -268,79 +306,56 @@ func (sc *serverConn) serve() {
 	sc.srv.removeConn(sc)
 }
 
-// readRequests decodes and dispatches frames until the connection
-// breaks or the server starts draining; it reports whether the exit
-// was a graceful drain.
-func (sc *serverConn) readRequests() bool {
-	for {
-		size, err := sc.fr.readFrame()
-		if err != nil {
-			// The only deadline ever set on a server connection is the
-			// drain wakeup.
-			return errors.Is(err, os.ErrDeadlineExceeded) && sc.srv.draining.Load()
+// readRequest reads and decodes the connection's next request and
+// counts it in flight. Any error ends the reading; errDrained means the
+// server is draining.
+func (sc *serverConn) readRequest() (request, error) {
+	size, err := sc.fr.readFrame()
+	if err != nil {
+		// The only deadline ever set on a server connection is the
+		// drain wakeup.
+		if errors.Is(err, os.ErrDeadlineExceeded) && sc.srv.draining.Load() {
+			return request{}, errDrained
 		}
-		if sc.srv.draining.Load() {
-			return true
-		}
-		h, err := sc.fr.readHeader()
-		if err != nil {
-			return false
-		}
-		if h.Kind != kindRequest {
-			return false
-		}
-		body := sc.h.NewRequest()
-		if err := sc.fr.decodeBody(body); err != nil {
-			return false
-		}
-		label := labelOf(body)
-		sc.srv.stats.received(label, size)
-		sc.handlers.Add(1)
-		// Requests arriving with a trace ID continue that trace on this
-		// side of the process boundary, parented under the caller's span
-		// (obs.WithRemoteParent is a no-op on a zero trace).
-		t := dispatchTask{ctx: obs.WithRemoteParent(sc.ctx, h.Trace, h.Span), id: h.ID, label: label, body: body}
-		select {
-		case sc.tasks <- t:
-			// Handed to an idle warm worker.
-		default:
-			// Every worker is busy (or none exists yet): grow the pool.
-			go sc.worker(t)
-		}
+		return request{}, err
 	}
+	if sc.srv.draining.Load() {
+		return request{}, errDrained
+	}
+	h, err := sc.fr.readHeader()
+	if err != nil {
+		return request{}, err
+	}
+	if h.Kind != kindRequest {
+		return request{}, fmt.Errorf("wire: request of frame kind %d", h.Kind)
+	}
+	body := sc.h.NewRequest()
+	if err := sc.fr.decodeBody(body); err != nil {
+		return request{}, err
+	}
+	label := labelOf(body)
+	sc.srv.stats.received(label, size)
+	sc.handlers.Add(1)
+	// Requests arriving with a trace ID continue that trace on this
+	// side of the process boundary, parented under the caller's span
+	// (obs.WithRemoteParent is a no-op on a zero trace).
+	return request{ctx: obs.WithRemoteParent(sc.ctx, h.Trace, h.Span), id: h.ID, label: label, body: body}, nil
 }
 
-// worker runs one dispatch, then parks waiting for the next request
-// instead of exiting. Reusing the goroutine keeps its already-grown
-// stack warm: response encoding is deep enough to outgrow a fresh
-// goroutine's initial stack, and a goroutine-per-request design pays
-// that stack-copy on every single call. Idle workers are reaped when
-// the connection's context is cancelled at teardown.
-func (sc *serverConn) worker(t dispatchTask) {
-	for {
-		sc.dispatch(t.ctx, t.id, t.label, t.body)
-		select {
-		case t = <-sc.tasks:
-		case <-sc.ctx.Done():
-			return
-		}
-	}
-}
-
-func (sc *serverConn) dispatch(ctx context.Context, id uint64, label string, body any) {
+func (sc *serverConn) dispatch(r request) {
 	defer sc.handlers.Done()
-	resp := sc.h.Handle(ctx, &Session{sc: sc}, id, body)
+	resp := sc.h.Handle(r.ctx, &Session{sc: sc}, r.id, r.body)
 	if resp == nil {
 		return
 	}
 	sc.wmu.Lock()
-	n, err := sc.fw.writeFrame(&frameHeader{ID: id, Kind: kindResponse}, resp)
+	n, err := sc.fw.writeFrame(&frameHeader{ID: r.id, Kind: kindResponse}, resp)
 	sc.wmu.Unlock()
 	if err != nil {
 		if n > 0 {
-			sc.srv.stats.sent(label, n)
+			sc.srv.stats.sent(r.label, n)
 		}
-		sc.srv.stats.failure(label)
+		sc.srv.stats.failure(r.label)
 		// A failed response write means the stream is broken for every
 		// other in-flight response too.
 		if !errors.Is(err, net.ErrClosed) {
@@ -348,6 +363,6 @@ func (sc *serverConn) dispatch(ctx context.Context, id uint64, label string, bod
 		}
 		return
 	}
-	sc.srv.stats.sent(label, n)
-	sc.srv.stats.roundTrip(label)
+	sc.srv.stats.sent(r.label, n)
+	sc.srv.stats.roundTrip(r.label)
 }

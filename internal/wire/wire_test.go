@@ -686,6 +686,76 @@ func TestServerGracefulDrain(t *testing.T) {
 	}
 }
 
+// parkingHandler parks a "park" request until release is closed and
+// serves every other request as testHandler does.
+type parkingHandler struct {
+	testHandler
+	parked  chan<- struct{}
+	release <-chan struct{}
+}
+
+func (h *parkingHandler) Handle(ctx context.Context, sess *Session, id uint64, req any) any {
+	if r := req.(*testReq); r.Op == "park" {
+		h.parked <- struct{}{}
+		<-h.release
+		return &testResp{Payload: r.Payload}
+	}
+	return h.testHandler.Handle(ctx, sess, id, req)
+}
+
+// TestBlockedHandlerDoesNotStallConnection: a handler parked on a
+// channel, as one waiting on a lock or a subscription is, holds up
+// neither the reading of its connection nor the requests behind it on
+// the shared connection; once released, it is answered too.
+func TestBlockedHandlerDoesNotStallConnection(t *testing.T) {
+	parked, release := make(chan struct{}, 1), make(chan struct{})
+	srv := NewServer(func() ConnHandler { return &parkingHandler{parked: parked, release: release} })
+	if err := srv.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	c := NewClient(srv.Addr())
+	defer c.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	var releaseOnce sync.Once
+	unpark := func() { releaseOnce.Do(func() { close(release) }) }
+	defer unpark() // before srv.Close, which waits for the handler
+
+	first := new(testResp)
+	done := make(chan error, 1)
+	go func() { done <- c.Call(ctx, &testReq{Op: "park", Payload: "first"}, first) }()
+	select {
+	case <-parked:
+	case <-ctx.Done():
+		t.Fatal("the first request never reached its handler")
+	}
+	for _, want := range []string{"second", "third"} {
+		resp := new(testResp)
+		if err := c.Call(ctx, &testReq{Op: "echo", Payload: want}, resp); err != nil {
+			t.Fatalf("%s request behind a parked handler: %v", want, err)
+		}
+		if resp.Payload != want {
+			t.Fatalf("%s request answered %+v", want, resp)
+		}
+	}
+	select {
+	case err := <-done:
+		t.Fatalf("the parked request was answered before its release: %v", err)
+	default:
+	}
+	unpark()
+	if err := <-done; err != nil {
+		t.Fatalf("the released request: %v", err)
+	}
+	if first.Payload != "first" {
+		t.Fatalf("the released request answered %+v", first)
+	}
+	if d := c.Stats().Dials; d != 1 {
+		t.Fatalf("dials = %d, want one shared connection", d)
+	}
+}
+
 // TestServerCloseLeaksNoGoroutines: the drain path must reap every
 // handler/reader/pusher goroutine — the satellite leak-check.
 func TestServerCloseLeaksNoGoroutines(t *testing.T) {
