@@ -68,7 +68,7 @@ func run(args []string) error {
 		fmt.Printf("edged: debug endpoints on http://%s/metrics\n", dbg.Addr())
 	}
 
-	edge, err := deploy.StartEdge(context.Background(), *addr, targets, deploy.Algo(*algo), deploy.Protocol{Batch: true})
+	edge, err := deploy.StartEdge(context.Background(), *addr, targets, deploy.Algo(*algo), deploy.Shipped())
 	if err != nil {
 		return err
 	}

@@ -62,7 +62,7 @@ func TestManagerBatchingReducesRoundTrips(t *testing.T) {
 		name string
 		opts []ManagerOption
 	}{
-		{"serial", nil},
+		{"serial", []ManagerOption{WithBatching(false)}},
 		{"batched", []ManagerOption{WithBatching(true)}},
 	}
 	ctx := context.Background()

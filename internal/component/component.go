@@ -111,9 +111,9 @@ type ManagerOption func(*storeapi.Executor)
 // one round trip each: the BMP finder+ejbLoad pair, a finder's N
 // ejbLoads, and the write-back+commit run at the end of a transaction.
 // Semantics are unchanged (statements still execute sequentially,
-// stopping at the first failure); only the round-trip count drops. Off
-// by default so the unbatched managers keep the paper's classic
-// per-statement access counts.
+// stopping at the first failure); only the round-trip count drops. On
+// by default; WithBatching(false) restores the paper's classic one
+// round trip per statement (deploy.Paper()).
 func WithBatching(on bool) ManagerOption {
 	return func(x *storeapi.Executor) {
 		if on {
@@ -127,7 +127,7 @@ func WithBatching(on bool) ManagerOption {
 // newExecutor picks a manager's executor once, when it is built; every
 // exchange of its transactions goes through it.
 func newExecutor(opts []ManagerOption) storeapi.Executor {
-	x := storeapi.Executor(storeapi.ExecSerial)
+	x := storeapi.Executor(storeapi.ExecBatch)
 	for _, o := range opts {
 		o(&x)
 	}

@@ -248,10 +248,11 @@ func TestJDBCStatementCache(t *testing.T) {
 }
 
 // TestBMPDoubleLoad: a single Find under BMP costs two Gets (finder
-// existence check + ejbLoad) and an unconditional ejbStore at commit.
+// existence check + ejbLoad) and an unconditional ejbStore at commit,
+// one statement each as the paper ships them.
 func TestBMPDoubleLoadAndUnconditionalStore(t *testing.T) {
 	_, conn := newStore(t, item{ID: "1", Owner: "a", N: 1})
-	c := NewContainer(itemRegistry(t), NewBMPManager(conn))
+	c := NewContainer(itemRegistry(t), NewBMPManager(conn, WithBatching(false)))
 
 	before := conn.Ops()
 	err := c.Execute(context.Background(), func(tx *Tx) error {
@@ -267,7 +268,8 @@ func TestBMPDoubleLoadAndUnconditionalStore(t *testing.T) {
 }
 
 // TestBMPFinderNPlusOne: a custom finder with N results costs 1 query +
-// N ejbLoads (plus N ejbStores at commit).
+// N ejbLoads (plus N ejbStores at commit), one statement each as the
+// paper ships them.
 func TestBMPFinderNPlusOne(t *testing.T) {
 	const n = 4
 	var items []item
@@ -275,7 +277,7 @@ func TestBMPFinderNPlusOne(t *testing.T) {
 		items = append(items, item{ID: fmt.Sprintf("%d", i), Owner: "a", N: int64(i)})
 	}
 	_, conn := newStore(t, items...)
-	c := NewContainer(itemRegistry(t), NewBMPManager(conn))
+	c := NewContainer(itemRegistry(t), NewBMPManager(conn, WithBatching(false)))
 
 	before := conn.Ops()
 	err := c.Execute(context.Background(), func(tx *Tx) error {

@@ -51,7 +51,7 @@ type Edge struct {
 // Protocol is how an edge ships its work to the datacenter. Its zero
 // value, Paper(), is the protocol the paper measures: one round trip per
 // statement on the combined-servers commit (§4.4), serial JDBC and BMP
-// statements, and no finder cache.
+// statements, and no finder cache, so notices of keys only.
 type Protocol struct {
 	// Batch makes every manager on a pinned stream — JDBC, BMP and the
 	// SLIDB commit — ship the independent statements of one exchange as
@@ -64,6 +64,10 @@ type Protocol struct {
 
 // Paper returns the paper's protocol, the zero Protocol.
 func Paper() Protocol { return Protocol{} }
+
+// Shipped returns the protocol cmd/edged runs: statement batching and
+// the finder cache, the library's defaults.
+func Shipped() Protocol { return Protocol{Batch: true, FinderCache: true} }
 
 // StartEdge dials every target, assembles the data-access stack algo
 // names over them, ships its work as p says and serves Trade on addr.

@@ -30,7 +30,7 @@ func TestCountsRepeatExactly(t *testing.T) {
 		for i := 0; i < 2; i++ {
 			sweep, err := RunSweep(context.Background(), Options{
 				Arch: arch, Algo: AlgCachedEJB, Populate: pop,
-				Protocol: deploy.Protocol{Batch: true, FinderCache: true},
+				Protocol: deploy.Shipped(),
 			}, run)
 			if err != nil {
 				t.Fatalf("%s: %v", arch, err)

@@ -177,7 +177,7 @@ func TestProtocolReachesManagers(t *testing.T) {
 		finderCached bool
 	}{
 		{deploy.Paper(), "per-statement", false},
-		{deploy.Protocol{Batch: true, FinderCache: true}, "per-image", true},
+		{deploy.Shipped(), "per-image", true},
 	} {
 		for arch, want := range map[Architecture]string{ESRBES: "whole-set", ESRDB: tc.rdbShipping} {
 			topo, err := Build(Options{Arch: arch, Algo: AlgCachedEJB, EdgeServers: 2, Populate: pop, Protocol: tc.proto})

@@ -3,10 +3,13 @@ package memento
 import "sort"
 
 // WriteDesc describes one committed mutation richly enough for
-// footprint-overlap tests: the key, the row's field state after the
-// write, and whether the write removed the row. A row that leaves a
-// cached result set is one of that result's keys, and a row that enters
-// it matches in its after-image, so no before-image is needed. A
+// footprint-overlap tests: the key, the cells the write set, and
+// whether the write removed the row. A row that leaves a cached result
+// set is one of that result's keys, and a row that enters it matches
+// in the cells its write changed, so no before-image is needed. After
+// may be partial: the store's notice of an update carries only the
+// cells that differ from the row it replaced (an empty map for an
+// update that changed nothing), and a create's is its whole image. A
 // WriteDesc with neither an after-image nor Removed is blind: a key
 // evicted after a lost validation, or cut to its key for a keys-only
 // subscriber, whose write is unknown, so overlap tests treat it
@@ -58,9 +61,9 @@ func (f Footprint) CoversKey(k Key) bool {
 
 // OverlapsWrite reports whether a committed write could have changed
 // anything this footprint observed: the written key is one of its rows,
-// or a predicate read's result set may have gained the row. A row the
-// result set loses is one of its keys. Blind writes conservatively
-// overlap every predicate on the same table.
+// or a predicate read's result set may have gained the row (see
+// mayEnter). A row the result set loses is one of its keys. Blind
+// writes conservatively overlap every predicate on the same table.
 func (f Footprint) OverlapsWrite(w WriteDesc) bool {
 	if f.CoversKey(w.Key) {
 		return true
@@ -72,11 +75,34 @@ func (f Footprint) OverlapsWrite(w WriteDesc) bool {
 		if w.Blind() {
 			return true
 		}
-		if w.After != nil && q.MatchesFields(w.After) {
+		if w.After != nil && q.mayEnter(w.After) {
 			return true
 		}
 	}
 	return false
+}
+
+// mayEnter reports whether a row whose write set the cells in after
+// may have entered q's result set; after may be partial (WriteDesc).
+// A row not in the result that enters it had a predicate field change,
+// so a query with predicates none of whose fields after holds was not
+// entered. Otherwise every predicate field after holds must match, and
+// one it lacks counts as matching: the cell kept its value, which
+// after does not say. A query with no predicates holds every row, so
+// any image may enter it.
+func (q Query) mayEnter(after Fields) bool {
+	named := len(q.Where) == 0
+	for _, p := range q.Where {
+		v, ok := after[p.Field]
+		if !ok {
+			continue
+		}
+		if !v.Equal(p.Value) {
+			return false
+		}
+		named = true
+	}
+	return named
 }
 
 // Overlaps reports whether any write in a committed set overlaps the
@@ -88,19 +114,6 @@ func (f Footprint) Overlaps(writes []WriteDesc) bool {
 		}
 	}
 	return false
-}
-
-// MatchesFields reports whether a field map satisfies every predicate
-// of the query (table membership is the caller's concern). It is the
-// overlap test's half of Matches: write descriptors carry bare field
-// images, not whole mementos.
-func (q Query) MatchesFields(f Fields) bool {
-	for _, p := range q.Where {
-		if !p.Matches(f) {
-			return false
-		}
-	}
-	return true
 }
 
 // Normalize returns a canonical form of the query: predicates sorted by

@@ -61,6 +61,31 @@ func (c *Columns) Unpack(r Row) Fields {
 	return f
 }
 
+// Changed returns the fields of next, a row that replaces prev, whose
+// cells prev does not hold identically (floats by their bits): f,
+// next's own image, when every cell changed, else a fresh map of the
+// changed cells, empty but never nil when none did. A field prev holds
+// and next lacks is not named: dropping a field only takes a row out of
+// the queries on it, never into one.
+func (c *Columns) Changed(prev, next Row, f Fields) Fields {
+	same := 0
+	for _, cell := range next {
+		if prev.holds(cell) {
+			same++
+		}
+	}
+	if same == 0 && f != nil {
+		return f
+	}
+	out := make(Fields, len(next)-same)
+	for _, cell := range next {
+		if !prev.holds(cell) {
+			out[c.names[cell.col]] = cell.value()
+		}
+	}
+	return out
+}
+
 // Where appends to buf the column of each predicate's field, for
 // Row.Matches. It reports false if some field has no column, when no
 // row can match.
@@ -141,6 +166,16 @@ func (c Cell) equal(v Value) bool {
 // Row is a packed field map: one cell per field, in no particular
 // order, against its table's Columns.
 type Row []Cell
+
+// holds reports whether the row has cell, column and value alike.
+func (r Row) holds(cell Cell) bool {
+	for _, c := range r {
+		if c.col == cell.col {
+			return c == cell
+		}
+	}
+	return false
+}
 
 // Value returns the row's value in column col, if it has one.
 func (r Row) Value(col uint32) (Value, bool) {

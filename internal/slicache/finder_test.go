@@ -130,9 +130,12 @@ func TestFinderUpdateMovesRowOutOfResultSet(t *testing.T) {
 // TestFinderPhantoms: repeating a finder in one transaction CAN grow the
 // result set when other transactions commit matching rows — the
 // repeatable-read (not serializable) isolation the paper documents
-// (§2.2). Beans already read keep their before-images.
+// (§2.2). Beans already read keep their before-images. The phantom is
+// the paper's, so the manager runs without the finder cache, as
+// deploy.Paper() builds it: the cache would serve the repeat from the
+// first result until the commit's notice evicted it.
 func TestFinderPhantoms(t *testing.T) {
-	e := newEnv(t)
+	e := newEnv(t, WithFinderCache(false))
 	e.store.Seed(holding("h1", "u1"))
 	ctx := context.Background()
 

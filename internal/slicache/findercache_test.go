@@ -53,29 +53,71 @@ func TestFinderCacheWarmHitSkipsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFinderCacheDisabledByDefault: the library default is off — every
-// finder goes to the store, exactly today's behavior.
-func TestFinderCacheDisabledByDefault(t *testing.T) {
-	e := newEnv(t)
-	e.store.Seed(holding("h1", "u1"))
-	ctx := context.Background()
+// subscriptionTap is a Conn that records whether each subscription
+// asked for keys only.
+type subscriptionTap struct {
+	storeapi.Conn
+	keysOnly []bool
+}
 
-	for i := 0; i < 2; i++ {
-		dt := e.begin(t)
-		if _, err := dt.Query(ctx, byAcct("u1")); err != nil {
+func (c *subscriptionTap) Subscribe(ctx context.Context) (<-chan sqlstore.Notice, func(), error) {
+	c.keysOnly = append(c.keysOnly, sqlstore.KeysOnly(ctx))
+	return c.Conn.Subscribe(ctx)
+}
+
+// TestFinderCacheOnByDefault: a bare NewManager caches finder results,
+// so a repeated finder costs no statement, and subscribes for the field
+// images its footprint test reads; a manager built as deploy.Paper()
+// builds it, without the finder cache, subscribes for keys only.
+func TestFinderCacheOnByDefault(t *testing.T) {
+	store := sqlstore.New()
+	t.Cleanup(store.Close)
+	store.Seed(holding("h1", "u1"))
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name         string
+		opts         []ManagerOption
+		wantKeysOnly bool
+		wantHits     uint64
+	}{
+		{"bare", nil, false, 1},
+		{"paper", []ManagerOption{WithFinderCache(false)}, true, 0},
+	} {
+		tap := &subscriptionTap{Conn: storeapi.Local(store)}
+		conn := storeapi.NewCountingConn(tap)
+		mgr := NewManager(conn, tc.opts...)
+		if err := mgr.Start(ctx); err != nil {
 			t.Fatal(err)
 		}
-		_ = dt.Abort(ctx)
-	}
-	st := e.mgr.FinderCache().Stats()
-	if st.Hits != 0 || st.Misses != 0 || st.Entries != 0 {
-		t.Errorf("disabled finder cache has activity: %+v", st)
+		var ops []uint64
+		for range 2 {
+			before := conn.Ops()
+			dt, err := mgr.Begin(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := dt.Query(ctx, byAcct("u1")); err != nil {
+				t.Fatal(err)
+			}
+			_ = dt.Abort(ctx)
+			ops = append(ops, conn.Ops()-before)
+		}
+		mgr.Close()
+		if len(tap.keysOnly) != 1 || tap.keysOnly[0] != tc.wantKeysOnly {
+			t.Errorf("%s: subscriptions asked keys only %v, want [%v]", tc.name, tap.keysOnly, tc.wantKeysOnly)
+		}
+		if st := mgr.FinderCache().Stats(); st.Hits != tc.wantHits {
+			t.Errorf("%s: finder cache %+v, want %d hits", tc.name, st, tc.wantHits)
+		}
+		if cached := ops[1] == 0; cached != (tc.wantHits > 0) {
+			t.Errorf("%s: the two finders cost %v statements", tc.name, ops)
+		}
 	}
 }
 
-// TestDisabledFinderCacheCostsNothing: the cache ships off, and every
-// finder still asks it, so a disabled Get, fill and Put must not so
-// much as build the query's cache key.
+// TestDisabledFinderCacheCostsNothing: a deploy.Paper() edge builds
+// the cache off, and every finder still asks it, so a disabled Get,
+// fill and Put must not so much as build the query's cache key.
 func TestDisabledFinderCacheCostsNothing(t *testing.T) {
 	c := NewFinderCache(false)
 	q := memento.Query{Table: "t", Where: []memento.Predicate{

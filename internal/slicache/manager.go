@@ -87,17 +87,18 @@ type finderCacheOption bool
 func (o finderCacheOption) apply(c *managerConfig) { c.finderCache = bool(o) }
 
 // WithFinderCache toggles the transactional finder-result cache
-// (default off): committed custom-finder result sets are cached by
-// normalized query and invalidated when a commit notice's write set
-// overlaps their footprint — Pfeifer & Lockemann's transactional method
-// caching applied to the paper's custom finders. A result is cached only
-// if no write the edge was told of while its store call was in flight
-// could have changed it. Rows served from a cached result still enter
-// the transaction's read set and are validated optimistically at
-// commit; the result's membership is current as of the last
-// invalidation the edge applied, and a finder may miss a row committed
-// since, a phantom §2.2 already allows. The cache only removes the
-// high-latency finder round trip.
+// (default on; deploy.Paper() turns it off): committed custom-finder
+// result sets are cached by normalized query and invalidated when a
+// commit notice's write set overlaps their footprint — Pfeifer &
+// Lockemann's transactional method caching applied to the paper's
+// custom finders. A manager without it subscribes for keys only. A
+// result is cached only if no write the edge was told of while its
+// store call was in flight could have changed it. Rows served from a
+// cached result still enter the transaction's read set and are
+// validated optimistically at commit; the result's membership is
+// current as of the last invalidation the edge applied, and a finder
+// may miss a row committed since, a phantom §2.2 already allows. The
+// cache only removes the high-latency finder round trip.
 func WithFinderCache(enabled bool) ManagerOption { return finderCacheOption(enabled) }
 
 // NewManager builds an SLI resource manager over a datastore handle. In
@@ -105,7 +106,7 @@ func WithFinderCache(enabled bool) ManagerOption { return finderCacheOption(enab
 // directly; in split-servers it reaches the back-end server. Call Start
 // to begin consuming invalidation notices and Close to stop.
 func NewManager(conn storeapi.Conn, opts ...ManagerOption) *Manager {
-	cfg := managerConfig{shipping: PerImage}
+	cfg := managerConfig{shipping: PerImage, finderCache: true}
 	for _, o := range opts {
 		o.apply(&cfg)
 	}

@@ -38,10 +38,11 @@ func (t *table) memento(name, id string, r row) memento.Memento {
 	return memento.Memento{Key: memento.Key{Table: name, ID: id}, Version: r.version, Fields: t.cols.Unpack(r.cells)}
 }
 
-// install puts r in as row id and moves the row's index entries from
-// its previous image, if any, to r. Called with s.mu held for writing.
-func (t *table) install(id string, r row) {
-	prev, hadPrev := t.rows[id]
+// install puts r in as row id, moves the row's index entries from its
+// previous image, if any, to r, and returns that image. Called with
+// s.mu held for writing.
+func (t *table) install(id string, r row) (prev row, hadPrev bool) {
+	prev, hadPrev = t.rows[id]
 	t.rows[id] = r
 	for _, ix := range t.indexes {
 		if hadPrev {
@@ -49,6 +50,7 @@ func (t *table) install(id string, r row) {
 		}
 		ix.insert(id, r)
 	}
+	return prev, hadPrev
 }
 
 // drop removes row id and its index entries, if it exists. Called with

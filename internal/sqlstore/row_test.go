@@ -91,6 +91,38 @@ type rowModel struct {
 	want map[string]memento.Fields
 }
 
+// changedCells is what a notice's After must hold for a write of f over
+// prev: the fields of f that prev does not hold identically, in a map
+// that is empty, never nil, when there are none.
+func changedCells(prev, f memento.Fields) memento.Fields {
+	out := memento.Fields{}
+	for name, v := range f {
+		if p, ok := prev[name]; !ok || !sameValue(p, v) {
+			out[name] = v
+		}
+	}
+	return out
+}
+
+// laidOver is prev with the cells of after laid over it and the fields
+// next lacks taken out: a cell map cannot name a dropped field, so an
+// update's After says nothing of one.
+func laidOver(prev, after, next memento.Fields) memento.Fields {
+	out := prev.Clone()
+	if out == nil {
+		out = memento.Fields{}
+	}
+	for name, v := range after {
+		out[name] = v
+	}
+	for name := range out {
+		if _, ok := next[name]; !ok {
+			delete(out, name)
+		}
+	}
+	return out
+}
+
 const rowTable = "t"
 
 func (m *rowModel) subscribe() {
@@ -124,11 +156,19 @@ func (m *rowModel) randFields() memento.Fields {
 
 // committed records a commit's writes in the model, checks the notice
 // it sent, and then scribbles over the caller's maps, which the store
-// and the notice must not share.
+// and the notice must not share. A created row's After must be its
+// whole image; an updated row's, exactly the cells that differ from the
+// row it replaced, and that row with them laid over it must be the new
+// one.
 func (m *rowModel) committed(seq uint64, written map[string]memento.Fields, removed map[string]bool) error {
 	want := make(map[string]memento.Fields, len(written))
+	prevs := map[string]memento.Fields{}
 	for id, f := range written {
 		want[id] = f.Clone()
+		if prev, updated := m.rows[id]; updated {
+			prevs[id] = prev.fields
+			want[id] = changedCells(prev.fields, f)
+		}
 		m.rows[id] = storedRow{version: seq, fields: f.Clone()}
 	}
 	for id := range removed {
@@ -149,6 +189,15 @@ func (m *rowModel) committed(seq uint64, written map[string]memento.Fields, remo
 	for _, w := range n.Writes {
 		if w.Removed != removed[w.Key.ID] {
 			return fmt.Errorf("notice marks %s removed=%v", w.Key, w.Removed)
+		}
+		prev, updated := prevs[w.Key.ID]
+		if !updated {
+			continue
+		}
+		// changedCells(nil, f) is f as a map that is never nil, as the
+		// row laid over is.
+		if f := m.rows[w.Key.ID].fields; !sameFields(laidOver(prev, w.After, f), changedCells(nil, f)) {
+			return fmt.Errorf("notice %d: After %v laid over %s's %v is %v, want %v", n.Seq, w.After, w.Key, prev, laidOver(prev, w.After, f), f)
 		}
 	}
 	m.last, m.want = n, want
@@ -334,7 +383,7 @@ func (m *rowModel) check() error {
 	for _, q := range queries {
 		var want []string
 		for id, r := range m.rows {
-			if q.MatchesFields(r.fields) {
+			if q.Matches(memento.Memento{Key: memento.Key{Table: rowTable, ID: id}, Fields: r.fields}) {
 				want = append(want, id)
 			}
 		}

@@ -39,10 +39,11 @@ type Notice struct {
 	// store's stream.
 	Seq uint64
 	// Writes names every row the transaction created, updated or removed,
-	// once each and in key order, with the row's field state after the
-	// write or its Removed flag, so a subscriber can test whether a
-	// cached predicate query's result set gained a row — not just
-	// whether a known key changed version. A keys-only subscriber (see
+	// once each and in key order, with what the write set — a created
+	// row's whole image, an updated row's changed cells (an empty map if
+	// none changed) — or its Removed flag, so a subscriber can test
+	// whether a cached predicate query's result set gained a row — not
+	// just whether a known key changed version. A keys-only subscriber (see
 	// KeysOnlyContext) may receive each descriptor as its key alone, a
 	// blind write. Subscribers must treat the descriptors (and their
 	// field maps) as read-only; they are shared across subscribers.
@@ -390,11 +391,14 @@ func (s *Store) scanTable(q memento.Query) []memento.Memento {
 // hands the commit's notice to the subscribers before the mutex is
 // released. It assumes the caller holds the required locks and has
 // already validated. The notice's write descriptors, in key order,
-// carry each row's after-image, or mark it removed, for
-// footprint-overlap invalidation at the edges. An after-image is the
-// committer's own pending image: Put, Insert and CheckedPut cloned it
-// from their caller, and the store keeps cells, not the map. A
-// transaction that wrote nothing takes no number and returns zero.
+// carry what each write changed, or mark the row removed, for
+// footprint-overlap invalidation at the edges: a created row's whole
+// image, and an updated row's cells that differ from the row it
+// replaces (memento.Columns.Changed), an empty map if none do. An image
+// all of whose cells changed is the committer's own pending image: Put,
+// Insert and CheckedPut cloned it from their caller, and the store
+// keeps cells, not the map. A transaction that wrote nothing takes no
+// number and returns zero.
 func (s *Store) applyWrites(writes map[memento.Key]pendingWrite, trace, origin uint64) uint64 {
 	if len(writes) == 0 {
 		return 0
@@ -415,8 +419,11 @@ func (s *Store) applyWrites(writes map[memento.Key]pendingWrite, trace, origin u
 		if w.remove {
 			t.drop(key.ID)
 		} else {
-			t.install(key.ID, t.newRow(s.seq, w.mem.Fields))
+			r := t.newRow(s.seq, w.mem.Fields)
 			desc.After = w.mem.Fields
+			if prev, had := t.install(key.ID, r); had {
+				desc.After = t.cols.Changed(prev.cells, r.cells, w.mem.Fields)
+			}
 		}
 		descs = append(descs, desc)
 	}

@@ -34,7 +34,9 @@ func newRTEnv(t testing.TB, algo string) *rtEnv { return newSlowRTEnv(t, algo, 0
 
 // newSlowRTEnv is newRTEnv with a delay proxy of the given one-way
 // latency on the counted hop (none at 0), where bench/topology.go puts
-// it: between the edge and the tier its client dials.
+// it: between the edge and the tier its client dials. Every manager
+// runs the paper's protocol (deploy.Paper()): serial JDBC and BMP
+// statements and no finder cache, so the counts are the paper's.
 func newSlowRTEnv(t testing.TB, algo string, oneWay time.Duration) *rtEnv {
 	t.Helper()
 	hop := func(addr string) string {
@@ -66,10 +68,10 @@ func newSlowRTEnv(t testing.TB, algo string, oneWay time.Duration) *rtEnv {
 	switch algo {
 	case "jdbc":
 		client = dbwire.Dial(hop(dbSrv.Addr()))
-		rm = component.NewJDBCManager(client)
+		rm = component.NewJDBCManager(client, component.WithBatching(false))
 	case "bmp":
 		client = dbwire.Dial(hop(dbSrv.Addr()))
-		rm = component.NewBMPManager(client)
+		rm = component.NewBMPManager(client, component.WithBatching(false))
 	case "sli-combined", "sli-combined-serial":
 		// PerImage ships the commit's statements as one batch;
 		// PerStatement pays the paper's round trip per memento image,
@@ -79,7 +81,7 @@ func newSlowRTEnv(t testing.TB, algo string, oneWay time.Duration) *rtEnv {
 			shipping = slicache.PerStatement
 		}
 		client = dbwire.Dial(hop(dbSrv.Addr()))
-		mgr = slicache.NewManager(client, slicache.WithShipping(shipping))
+		mgr = slicache.NewManager(client, slicache.WithShipping(shipping), slicache.WithFinderCache(false))
 		rm = mgr
 	case "sli-split":
 		// The edge counts round trips to the BACK-END; the back-end's
@@ -92,7 +94,7 @@ func newSlowRTEnv(t testing.TB, algo string, oneWay time.Duration) *rtEnv {
 		}
 		t.Cleanup(be.Close)
 		client = dbwire.Dial(hop(be.Addr()))
-		mgr = slicache.NewManager(client, slicache.WithShipping(slicache.WholeSet))
+		mgr = slicache.NewManager(client, slicache.WithShipping(slicache.WholeSet), slicache.WithFinderCache(false))
 		rm = mgr
 	default:
 		t.Fatalf("unknown algo %s", algo)
