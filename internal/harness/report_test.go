@@ -5,50 +5,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"edgeejb/internal/loadgen"
-	"edgeejb/internal/stats"
 )
-
-// fakeEvaluation fabricates an Evaluation so the report renderers can be
-// tested without running sweeps.
-func fakeEvaluation() *Evaluation {
-	mkSweep := func(arch Architecture, algo Algorithm, slope float64) Sweep {
-		points := []Point{
-			{OneWayDelayMs: 0, MeanLatencyMs: 0.2, SharedBytesPerInteraction: 400},
-			{OneWayDelayMs: 2, MeanLatencyMs: 0.2 + 2*slope, SharedBytesPerInteraction: 410},
-		}
-		points[1].Load = loadgen.Result{
-			Interactions: 100,
-			PerAction: map[string]stats.Summary{
-				"login": {N: 10, Mean: 3.5},
-				"buy":   {N: 5, Mean: 7.25},
-			},
-		}
-		return Sweep{
-			Arch:   arch,
-			Algo:   algo,
-			Points: points,
-			Fit:    stats.Fit{Slope: slope, Intercept: 0.2, R2: 0.999},
-		}
-	}
-	eval := &Evaluation{Sweeps: make(map[Pair]Sweep)}
-	for _, pair := range AllPairs() {
-		slope := 2.0
-		switch {
-		case pair.Arch == ESRDB && pair.Algo == AlgVanillaEJB:
-			slope = 23.6
-		case pair.Arch == ESRDB && pair.Algo == AlgCachedEJB:
-			slope = 13.0
-		case pair.Arch == ESRDB:
-			slope = 9.4
-		case pair.Arch == ESRBES:
-			slope = 3.1
-		}
-		eval.Sweeps[pair] = mkSweep(pair.Arch, pair.Algo, slope)
-	}
-	return eval
-}
 
 func TestWriteFig6ContainsSeries(t *testing.T) {
 	var sb strings.Builder
