@@ -27,19 +27,20 @@ import (
 	"edgeejb/internal/trade"
 )
 
-// benchRun is the mini-sweep configuration shared by the figure
+// benchScale and benchDelays are the mini-sweep shared by the figure
 // benchmarks: small enough to keep `go test -bench=.` in seconds per
 // benchmark, large enough for stable slopes (R² is reported by
 // tradebench for the full-scale runs).
-func benchRun() harness.RunOptions {
-	return harness.RunOptions{
-		Delays:         []time.Duration{0, time.Millisecond, 2 * time.Millisecond},
-		Sessions:       6,
-		WarmupSessions: 3,
-		Batches:        4,
-		Workload:       trade.GeneratorConfig{Seed: 42, Users: 20, Symbols: 40},
+func benchScale() harness.Scale {
+	return harness.Scale{
+		Workload: trade.GeneratorConfig{Seed: 42, Users: 20, Symbols: 40},
+		Warmup:   3,
+		Sessions: 6,
+		Batches:  4,
 	}
 }
+
+var benchDelays = []time.Duration{0, time.Millisecond, 2 * time.Millisecond}
 
 func benchPopulate() trade.PopulateConfig {
 	return trade.PopulateConfig{Seed: 42, Users: 20, Symbols: 40, HoldingsPerUser: 3}
@@ -60,7 +61,7 @@ func sweepOptionsBenchmark(b *testing.B, opts harness.Options) {
 	opts.Populate = benchPopulate()
 	var lastSweep harness.Sweep
 	for i := 0; i < b.N; i++ {
-		sweep, err := harness.RunSweep(ctx, opts, benchRun())
+		sweep, err := harness.RunSweep(ctx, opts, benchScale(), benchDelays)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -73,8 +74,8 @@ func reportSweep(b *testing.B, sweep harness.Sweep) {
 	b.Helper()
 	b.ReportMetric(sweep.Sensitivity(), "sensitivity")
 	last := sweep.Points[len(sweep.Points)-1]
-	b.ReportMetric(last.MeanLatencyMs, "ms/interaction")
-	b.ReportMetric(last.SharedBytesPerInteraction, "B/interaction")
+	b.ReportMetric(last.MeanLatencyMs(), "ms/interaction")
+	b.ReportMetric(last.SharedBytesPerInteraction(), "B/interaction")
 }
 
 // --- Table 1 ---------------------------------------------------------
@@ -129,10 +130,10 @@ func BenchmarkFig7_ESRDB_VanillaEJB(b *testing.B) {
 // and reports each cell's slope, regenerating Table 2 in one benchmark.
 func BenchmarkTable2_Sensitivities(b *testing.B) {
 	ctx := context.Background()
-	cfg := harness.EvalConfig{Run: benchRun(), Populate: benchPopulate()}
+	opts := harness.Options{Populate: benchPopulate()}
 	var eval *harness.Evaluation
 	for i := 0; i < b.N; i++ {
-		e, err := harness.RunEvaluation(ctx, cfg, nil)
+		e, err := harness.RunEvaluation(ctx, opts, benchScale(), benchDelays, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -153,8 +154,6 @@ func BenchmarkTable2_Sensitivities(b *testing.B) {
 // the three Figure 6 configurations at a fixed delay.
 func BenchmarkFig8_Bandwidth(b *testing.B) {
 	ctx := context.Background()
-	run := benchRun()
-	run.Delays = []time.Duration{time.Millisecond}
 	series := []struct {
 		name string
 		arch harness.Architecture
@@ -169,11 +168,11 @@ func BenchmarkFig8_Bandwidth(b *testing.B) {
 		for _, sc := range series {
 			sweep, err := harness.RunSweep(ctx, harness.Options{
 				Arch: sc.arch, Algo: sc.algo, Populate: benchPopulate(),
-			}, run)
+			}, benchScale(), []time.Duration{time.Millisecond})
 			if err != nil {
 				b.Fatal(err)
 			}
-			results[sc.name] = sweep.Points[0].SharedBytesPerInteraction
+			results[sc.name] = sweep.Points[0].SharedBytesPerInteraction()
 		}
 	}
 	for name, v := range results {
@@ -264,22 +263,21 @@ func BenchmarkExtensionThroughput(b *testing.B) {
 	var curve harness.ThroughputCurve
 	for i := 0; i < b.N; i++ {
 		c, err := harness.RunThroughput(ctx, harness.Options{
-			Arch:     harness.ESRBES,
-			Algo:     harness.AlgCachedEJB,
-			Populate: benchPopulate(),
-		}, harness.ThroughputOptions{
-			ClientCounts:      []int{1, 4},
-			OneWayDelay:       time.Millisecond,
-			SessionsPerClient: 4,
-			WarmupSessions:    2,
-			Workload:          trade.GeneratorConfig{Seed: 42, Users: 20, Symbols: 40},
-		})
+			Arch:        harness.ESRBES,
+			Algo:        harness.AlgCachedEJB,
+			OneWayDelay: time.Millisecond,
+			Populate:    benchPopulate(),
+		}, harness.Scale{
+			Workload: trade.GeneratorConfig{Seed: 42, Users: 20, Symbols: 40},
+			Warmup:   2,
+			Sessions: 4,
+		}, []int{1, 4})
 		if err != nil {
 			b.Fatal(err)
 		}
 		curve = c
 	}
 	for _, p := range curve.Points {
-		b.ReportMetric(p.Throughput, fmt.Sprintf("tps@%dclients", p.Clients))
+		b.ReportMetric(p.Load.Throughput, fmt.Sprintf("tps@%dclients", p.Clients))
 	}
 }

@@ -89,10 +89,10 @@ func run(args []string) error {
 
 		batch = fs.Bool("batch", true, "ship the independent statements of one exchange as a single statement batch (JDBC, BMP and the ES/RDB cached-EJB commit); -batch=false pays one round trip per statement, the paper's measured behaviour")
 
-		sessions = fs.Int("sessions", 25, "measured sessions per delay point (paper: 300)")
-		warmup   = fs.Int("warmup", 8, "warmup sessions before measurement (paper: 400)")
-		batches  = fs.Int("batches", 20, "latency batches (paper: 20)")
-		delays   = fs.String("delays", "0ms,1ms,2ms,4ms", "comma-separated one-way delays to sweep")
+		sessions = fs.Int("sessions", 25, "measured sessions per delay point of the delay sweep behind -fig6, -fig7, -fig8, -table2 and -actions (paper: 300); -throughput, -shards and -faults use their own")
+		warmup   = fs.Int("warmup", 8, "warmup sessions before the delay sweep behind -fig6, -fig7, -fig8, -table2 and -actions (paper: 400); -throughput, -shards and -faults use their own")
+		batches  = fs.Int("batches", 20, "latency batches per delay point of the delay sweep behind -fig6, -fig7, -fig8, -table2 and -actions (paper: 20)")
+		delays   = fs.String("delays", "0ms,1ms,2ms,4ms", "comma-separated one-way delays of the delay sweep behind -fig6, -fig7, -fig8, -table2 and -actions; -faults runs at the first, -throughput at 2ms, -shards at 0ms")
 		mix      = fs.String("mix", "", "override the session action mix as name=weight pairs, e.g. portfolio=40,quote=35,buy=3 (names: home, account, account-update, portfolio, quote, buy, sell, register; empty = the default browse-heavy mix)")
 		users    = fs.Int("users", 50, "registered users in the Trade database")
 		symbols  = fs.Int("symbols", 100, "quoted securities in the Trade database")
@@ -127,19 +127,10 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	cfg := harness.EvalConfig{
-		Run: harness.RunOptions{
-			Delays:         delayList,
-			Sessions:       *sessions,
-			WarmupSessions: *warmup,
-			Batches:        *batches,
-			Workload: trade.GeneratorConfig{
-				Seed:    *seed,
-				Users:   *users,
-				Symbols: *symbols,
-				Mix:     mixWeights,
-			},
-		},
+	// Every experiment builds its topologies from opts, and all but the
+	// fault experiment drive wl; only the delay sweep takes its scale
+	// from the flags.
+	opts := harness.Options{
 		Populate: trade.PopulateConfig{
 			Seed:            *seed,
 			Users:           *users,
@@ -148,6 +139,7 @@ func run(args []string) error {
 		},
 		Protocol: deploy.Protocol{Batch: *batch, FinderCache: *finderCache},
 	}
+	wl := trade.GeneratorConfig{Seed: *seed, Users: *users, Symbols: *symbols, Mix: mixWeights}
 	logf := func(format string, a ...any) {
 		fmt.Fprintf(os.Stderr, format+"\n", a...)
 	}
@@ -242,13 +234,9 @@ func run(args []string) error {
 	}
 
 	if *faults {
-		fopts := harness.FaultOptions{
-			Populate:    cfg.Populate,
-			OneWayDelay: delayList[0],
-			Sessions:    *faultSessions,
-			Protocol:    cfg.Protocol,
-		}
-		if err := phase("fault", func() error { return runFaults(fopts, logf) }); err != nil {
+		fopts := opts
+		fopts.OneWayDelay = delayList[0]
+		if err := phase("fault", func() error { return runFaults(fopts, *faultSessions, logf) }); err != nil {
 			return err
 		}
 		fmt.Println()
@@ -319,7 +307,7 @@ func run(args []string) error {
 		// Shard sweep only: no figure evaluation needed.
 		if err := phase("shards", func() error {
 			var err error
-			shardPoints, err = runShardSweep(shardCounts, *shardClients, cfg, art, logf)
+			shardPoints, err = runShardSweep(shardCounts, *shardClients, opts, wl, art, logf)
 			return err
 		}); err != nil {
 			return err
@@ -330,7 +318,12 @@ func run(args []string) error {
 	var eval *harness.Evaluation
 	if err := phase("evaluation", func() error {
 		var err error
-		eval, err = harness.RunEvaluation(context.Background(), cfg, logf)
+		eval, err = harness.RunEvaluation(context.Background(), opts, harness.Scale{
+			Workload: wl,
+			Warmup:   *warmup,
+			Sessions: *sessions,
+			Batches:  *batches,
+		}, delayList, logf)
 		return err
 	}); err != nil {
 		return err
@@ -346,10 +339,9 @@ func run(args []string) error {
 			for _, s := range eval.Fig6Series() {
 				harness.WriteLatencyBreakdown(os.Stdout, s)
 				fmt.Println()
-				if err := harness.WriteForensics(os.Stdout, s); err != nil {
+				if err := harness.WriteForensics(os.Stdout, s.Pair, s.Labelled()); err != nil {
 					return err
 				}
-				fmt.Println()
 			}
 		}
 	}
@@ -378,7 +370,7 @@ func run(args []string) error {
 		fmt.Println()
 		if err := phase("throughput", func() error {
 			var err error
-			thruCurves, err = runThroughput(cfg, *metrics, logf)
+			thruCurves, err = runThroughput(opts, wl, *metrics, logf)
 			return err
 		}); err != nil {
 			return err
@@ -388,7 +380,7 @@ func run(args []string) error {
 		fmt.Println()
 		if err := phase("shards", func() error {
 			var err error
-			shardPoints, err = runShardSweep(shardCounts, *shardClients, cfg, art, logf)
+			shardPoints, err = runShardSweep(shardCounts, *shardClients, opts, wl, art, logf)
 			return err
 		}); err != nil {
 			return err
@@ -399,15 +391,14 @@ func run(args []string) error {
 
 // runShardSweep measures the shard-scaling extension and, when an
 // artifact directory is active, exports the curve as shards.csv. The
-// points also feed summary.json.
-func runShardSweep(counts []int, clients int, cfg harness.EvalConfig, art *harness.Artifacts, logf func(string, ...any)) ([]harness.ShardScalingPoint, error) {
-	opts := harness.DefaultShardScalingOptions()
-	opts.ShardCounts = counts
-	opts.Clients = clients
-	opts.Populate = cfg.Populate
-	opts.Workload = cfg.Run.Workload
-	opts.Protocol = cfg.Protocol
-	points, err := harness.RunShardScaling(context.Background(), opts, logf)
+// points also feed summary.json. Each point runs at 0 ms with 4 warm-up
+// and 4 measured sessions per client, and every shard's store serializes
+// 2 ms per commit set: enough clients then saturate one shard's ~500
+// commit sets/second and leave headroom for four shards.
+func runShardSweep(counts []int, clients int, opts harness.Options, wl trade.GeneratorConfig, art *harness.Artifacts, logf func(string, ...any)) ([]harness.ShardScalingPoint, error) {
+	opts.DBCommitService = 2 * time.Millisecond
+	scale := harness.Scale{Workload: wl, Warmup: 4, Sessions: 4}
+	points, err := harness.RunShardScaling(context.Background(), opts, scale, counts, clients, logf)
 	if err != nil {
 		return nil, err
 	}
@@ -449,10 +440,18 @@ func parseShardCounts(s string) ([]int, error) {
 
 // runFaults measures resilience under fault injection for the three
 // Figure 6 configurations, then verifies the experiment left no hung
-// goroutines behind (the chaos run's leak check).
-func runFaults(opts harness.FaultOptions, logf func(string, ...any)) error {
+// goroutines behind (the chaos run's leak check). Each pair warms with
+// 20 sessions, then runs a clean and a faulted pass of sessions each
+// under harness.DefaultFaultPlan(1), whose seed also seeds the workload.
+func runFaults(opts harness.Options, sessions int, logf func(string, ...any)) error {
 	before := runtime.NumGoroutine()
-	reports, err := harness.RunFaultExperiment(context.Background(), opts, logf)
+	plan := harness.DefaultFaultPlan(1)
+	scale := harness.Scale{
+		Workload: trade.GeneratorConfig{Seed: plan.Seed, Users: opts.Populate.Users, Symbols: opts.Populate.Symbols},
+		Warmup:   20,
+		Sessions: sessions,
+	}
+	reports, err := harness.RunFaultExperiment(context.Background(), opts, scale, harness.Fig6Pairs(), plan, logf)
 	if err != nil {
 		return err
 	}
@@ -460,8 +459,8 @@ func runFaults(opts harness.FaultOptions, logf func(string, ...any)) error {
 
 	var succeeded, attempted int
 	for _, r := range reports {
-		succeeded += r.Faulted.Completed
-		attempted += r.Faulted.Completed + r.Faulted.Abandoned
+		succeeded += r.Faulted.Load.Completed
+		attempted += r.Faulted.Load.Completed + r.Faulted.Load.Abandoned
 	}
 	if attempted > 0 {
 		fmt.Printf("overall: %d/%d faulted sessions succeeded (%.1f%%)\n",
@@ -481,29 +480,22 @@ func runFaults(opts harness.FaultOptions, logf func(string, ...any)) error {
 }
 
 // runThroughput measures the concurrency extension for the three
-// Figure 6 configurations and returns the curves for summary.json.
-// With forensics enabled it also prints the per-point conflict
-// matrices — the concurrent run is the one workload in the suite where
-// optimistic validation actually loses races.
-func runThroughput(cfg harness.EvalConfig, forensics bool, logf func(string, ...any)) ([]harness.ThroughputCurve, error) {
-	topts := harness.DefaultThroughputOptions()
-	topts.Workload = cfg.Run.Workload
-	configs := []harness.Pair{
-		{Arch: harness.ClientsRAS, Algo: harness.AlgJDBC},
-		{Arch: harness.ESRBES, Algo: harness.AlgCachedEJB},
-		{Arch: harness.ESRDB, Algo: harness.AlgJDBC},
-	}
+// Figure 6 configurations and returns the curves for summary.json. Each
+// runs at 2 ms, warms with 4 sessions, and measures 6 sessions per
+// client at 1, 2, 4 and 8 clients. With forensics enabled it also
+// prints the per-point conflict matrices — the concurrent run is the one
+// workload in the suite where optimistic validation actually loses races.
+func runThroughput(opts harness.Options, wl trade.GeneratorConfig, forensics bool, logf func(string, ...any)) ([]harness.ThroughputCurve, error) {
+	counts := []int{1, 2, 4, 8}
+	scale := harness.Scale{Workload: wl, Warmup: 4, Sessions: 6}
+	opts.OneWayDelay = 2 * time.Millisecond
 	var curves []harness.ThroughputCurve
-	for _, pair := range configs {
+	for _, pair := range harness.Fig6Pairs() {
 		if logf != nil {
-			logf("running throughput %s (clients %v)...", pair, topts.ClientCounts)
+			logf("running throughput %s (clients %v)...", pair, counts)
 		}
-		curve, err := harness.RunThroughput(context.Background(), harness.Options{
-			Arch:     pair.Arch,
-			Algo:     pair.Algo,
-			Populate: cfg.Populate,
-			Protocol: cfg.Protocol,
-		}, topts)
+		opts.Arch, opts.Algo = pair.Arch, pair.Algo
+		curve, err := harness.RunThroughput(context.Background(), opts, scale, counts)
 		if err != nil {
 			return nil, err
 		}
@@ -512,8 +504,10 @@ func runThroughput(cfg harness.EvalConfig, forensics bool, logf func(string, ...
 	harness.WriteThroughput(os.Stdout, curves)
 	if forensics {
 		fmt.Println()
-		if err := harness.WriteThroughputForensics(os.Stdout, curves); err != nil {
-			return nil, err
+		for _, c := range curves {
+			if err := harness.WriteForensics(os.Stdout, c.Pair, c.Labelled()); err != nil {
+				return nil, err
+			}
 		}
 	}
 	return curves, nil

@@ -185,10 +185,9 @@ func (a *Artifacts) WriteEvalReports(e *Evaluation) error {
 		"per-point conflict matrices, hot keys, and per-bean cache hit ratios", "evaluation",
 		func(w io.Writer) error {
 			for _, s := range e.Fig6Series() {
-				if err := WriteForensics(w, s); err != nil {
+				if err := WriteForensics(w, s.Pair, s.Labelled()); err != nil {
 					return err
 				}
-				fmt.Fprintln(w)
 			}
 			return nil
 		}); err != nil {

@@ -14,12 +14,12 @@ import (
 // the shared path than either edge architecture, because the whole
 // presentation payload crosses it.
 func TestBandwidthOrdering(t *testing.T) {
-	run := RunOptions{
-		Delays:         []time.Duration{0},
-		Sessions:       6,
-		WarmupSessions: 2,
-		Batches:        4,
-		Workload:       trade.GeneratorConfig{Seed: 21, Users: 10, Symbols: 20},
+	delays := []time.Duration{0}
+	scale := Scale{
+		Workload: trade.GeneratorConfig{Seed: 21, Users: 10, Symbols: 20},
+		Warmup:   2,
+		Sessions: 6,
+		Batches:  4,
 	}
 	pop := trade.PopulateConfig{Users: 10, Symbols: 20, HoldingsPerUser: 2}
 
@@ -27,11 +27,11 @@ func TestBandwidthOrdering(t *testing.T) {
 		t.Helper()
 		sweep, err := RunSweep(context.Background(), Options{
 			Arch: arch, Algo: algo, Populate: pop,
-		}, run)
+		}, scale, delays)
 		if err != nil {
 			t.Fatalf("%s/%s: %v", arch, algo, err)
 		}
-		return sweep.Points[0].SharedBytesPerInteraction
+		return sweep.Points[0].SharedBytesPerInteraction()
 	}
 
 	ras := bytesFor(ClientsRAS, AlgJDBC)

@@ -52,7 +52,7 @@ func writeSweepCSV(path string, sweeps []Sweep) error {
 			row := []string{formatFloat(sweeps[0].Points[i].OneWayDelayMs)}
 			for _, s := range sweeps {
 				if i < len(s.Points) {
-					row = append(row, formatFloat(s.Points[i].MeanLatencyMs))
+					row = append(row, formatFloat(s.Points[i].MeanLatencyMs()))
 				} else {
 					row = append(row, "")
 				}

@@ -14,15 +14,15 @@ import (
 // fresh sweeps read them bit-identical at every point — what lets the
 // perf gate compare the wire.* rows for equality. The cached cells are
 // the ones whose edges receive invalidation pushes: a notice's bytes land
-// in the point whose commit sent it only because RunSweepOn waits for
-// every notice before it snapshots the counts.
+// in the point whose commit sent it only because Topology.Measure waits
+// for every notice before it snapshots the counts.
 func TestCountsRepeatExactly(t *testing.T) {
-	run := RunOptions{
-		Delays:         []time.Duration{0, time.Millisecond},
-		Sessions:       6,
-		WarmupSessions: 2,
-		Batches:        6,
-		Workload:       trade.GeneratorConfig{Seed: 42, Users: 10, Symbols: 20},
+	delays := []time.Duration{0, time.Millisecond}
+	scale := Scale{
+		Workload: trade.GeneratorConfig{Seed: 42, Users: 10, Symbols: 20},
+		Warmup:   2,
+		Sessions: 6,
+		Batches:  6,
 	}
 	pop := trade.PopulateConfig{Seed: 42, Users: 10, Symbols: 20, HoldingsPerUser: 2}
 	for _, arch := range []Architecture{ESRBES, ESRDB} {
@@ -31,7 +31,7 @@ func TestCountsRepeatExactly(t *testing.T) {
 			sweep, err := RunSweep(context.Background(), Options{
 				Arch: arch, Algo: AlgCachedEJB, Populate: pop,
 				Protocol: deploy.Shipped(),
-			}, run)
+			}, scale, delays)
 			if err != nil {
 				t.Fatalf("%s: %v", arch, err)
 			}
@@ -41,11 +41,11 @@ func TestCountsRepeatExactly(t *testing.T) {
 			}
 			for j, p := range sweep.Points {
 				q := first[j]
-				if p.SharedRoundTripsPerInteraction != q.SharedRoundTripsPerInteraction ||
-					p.SharedBytesPerInteraction != q.SharedBytesPerInteraction {
+				if p.SharedRoundTripsPerInteraction() != q.SharedRoundTripsPerInteraction() ||
+					p.SharedBytesPerInteraction() != q.SharedBytesPerInteraction() {
 					t.Errorf("%s at %v ms: %v rt and %v B per interaction, then %v rt and %v B",
-						arch, p.OneWayDelayMs, q.SharedRoundTripsPerInteraction, q.SharedBytesPerInteraction,
-						p.SharedRoundTripsPerInteraction, p.SharedBytesPerInteraction)
+						arch, p.OneWayDelayMs, q.SharedRoundTripsPerInteraction(), q.SharedBytesPerInteraction(),
+						p.SharedRoundTripsPerInteraction(), p.SharedBytesPerInteraction())
 				}
 			}
 		}

@@ -9,7 +9,7 @@ import (
 	"strings"
 	"time"
 
-	"edgeejb/internal/deploy"
+	"edgeejb/internal/obs"
 	"edgeejb/internal/stats"
 	"edgeejb/internal/trade"
 )
@@ -22,6 +22,12 @@ type Pair struct {
 
 // String renders the cell name.
 func (p Pair) String() string { return p.Arch.String() + " / " + p.Algo.String() }
+
+// options returns base built as this cell.
+func (p Pair) options(base Options) Options {
+	base.Arch, base.Algo = p.Arch, p.Algo
+	return base
+}
 
 // AllPairs lists every cell the paper evaluates: three algorithms under
 // ES/RDB and Clients/RAS, and cached EJBs under ES/RBES (the only
@@ -38,41 +44,23 @@ func AllPairs() []Pair {
 	}
 }
 
-// EvalConfig sizes a full evaluation.
-type EvalConfig struct {
-	Run      RunOptions
-	Populate trade.PopulateConfig
-	// Protocol is Options.Protocol for every cell (tradebench's -batch
-	// and -finder-cache flags).
-	Protocol deploy.Protocol
-}
-
 // Evaluation holds every sweep needed to regenerate Figures 6–8 and
 // Table 2.
 type Evaluation struct {
 	Sweeps map[Pair]Sweep
-	Config EvalConfig
 }
 
-// RunEvaluation measures every (architecture, algorithm) cell. logf, if
-// non-nil, receives progress lines.
-func RunEvaluation(ctx context.Context, cfg EvalConfig, logf func(format string, args ...any)) (*Evaluation, error) {
-	eval := &Evaluation{
-		Sweeps: make(map[Pair]Sweep),
-		Config: cfg,
-	}
+// RunEvaluation sweeps every (architecture, algorithm) cell over delays,
+// each on a topology of opts with the cell's architecture and algorithm.
+// logf, if non-nil, receives progress lines.
+func RunEvaluation(ctx context.Context, opts Options, scale Scale, delays []time.Duration, logf func(format string, args ...any)) (*Evaluation, error) {
+	eval := &Evaluation{Sweeps: make(map[Pair]Sweep)}
 	for _, pair := range AllPairs() {
 		if logf != nil {
-			logf("running %s (delays %v, %d sessions/point)...",
-				pair, cfg.Run.Delays, cfg.Run.Sessions)
+			logf("running %s (delays %v, %d sessions/point)...", pair, delays, scale.Sessions)
 		}
 		start := time.Now()
-		sweep, err := RunSweep(ctx, Options{
-			Arch:     pair.Arch,
-			Algo:     pair.Algo,
-			Populate: cfg.Populate,
-			Protocol: cfg.Protocol,
-		}, cfg.Run)
+		sweep, err := RunSweep(ctx, pair.options(opts), scale, delays)
 		if err != nil {
 			return nil, fmt.Errorf("harness: %s: %w", pair, err)
 		}
@@ -85,16 +73,26 @@ func RunEvaluation(ctx context.Context, cfg EvalConfig, logf func(format string,
 	return eval, nil
 }
 
-// Fig6Series returns the three series of Figure 6: the classic
+// Fig6Pairs returns the three cells of Figure 6: the classic
 // datacenter architecture, the cache-enabled split-servers edge
 // architecture, and the best algorithm of the shared-database edge
-// architecture (JDBC, per §4.4).
-func (e *Evaluation) Fig6Series() []Sweep {
-	return []Sweep{
-		e.Sweeps[Pair{ClientsRAS, AlgJDBC}],
-		e.Sweeps[Pair{ESRBES, AlgCachedEJB}],
-		e.Sweeps[Pair{ESRDB, AlgJDBC}],
+// architecture (JDBC, per §4.4). Figure 8 and the throughput and fault
+// extensions measure the same three.
+func Fig6Pairs() []Pair {
+	return []Pair{
+		{ClientsRAS, AlgJDBC},
+		{ESRBES, AlgCachedEJB},
+		{ESRDB, AlgJDBC},
 	}
+}
+
+// Fig6Series returns the three series of Figure 6.
+func (e *Evaluation) Fig6Series() []Sweep {
+	var sweeps []Sweep
+	for _, pair := range Fig6Pairs() {
+		sweeps = append(sweeps, e.Sweeps[pair])
+	}
+	return sweeps
 }
 
 // Fig7Series returns the three ES/RDB series of Figure 7.
@@ -158,21 +156,16 @@ type BandwidthRow struct {
 // Fig8Rows reports shared-path bandwidth for the three Figure 6
 // configurations.
 func (e *Evaluation) Fig8Rows() []BandwidthRow {
-	series := []Pair{
-		{ClientsRAS, AlgJDBC},
-		{ESRBES, AlgCachedEJB},
-		{ESRDB, AlgJDBC},
-	}
-	rows := make([]BandwidthRow, 0, len(series))
-	for _, pair := range series {
+	var rows []BandwidthRow
+	for _, pair := range Fig6Pairs() {
 		s, ok := e.Sweeps[pair]
 		if !ok {
 			continue
 		}
 		var bytesVals, rtVals []float64
 		for _, p := range s.Points {
-			bytesVals = append(bytesVals, p.SharedBytesPerInteraction)
-			rtVals = append(rtVals, p.SharedRoundTripsPerInteraction)
+			bytesVals = append(bytesVals, p.SharedBytesPerInteraction())
+			rtVals = append(rtVals, p.SharedRoundTripsPerInteraction())
 		}
 		rows = append(rows, BandwidthRow{
 			Pair:                     pair,
@@ -256,7 +249,7 @@ func writeSweepTable(w io.Writer, sweeps []Sweep) {
 		line := fmt.Sprintf("%-14.1f", sweeps[0].Points[i].OneWayDelayMs)
 		for _, s := range sweeps {
 			if i < len(s.Points) {
-				line += fmt.Sprintf(" %24.2f", s.Points[i].MeanLatencyMs)
+				line += fmt.Sprintf(" %24.2f", s.Points[i].MeanLatencyMs())
 			} else {
 				line += fmt.Sprintf(" %24s", "-")
 			}
@@ -282,9 +275,11 @@ func writeSweepTable(w io.Writer, sweeps []Sweep) {
 // hops absorb the injected delay — a cache hit leaves slicache.miss_fetch
 // flat while vanilla EJBs drag sqlstore.apply up with every ms.
 func WriteLatencyBreakdown(w io.Writer, s Sweep) {
+	spans := make([]map[string]obs.HistSnapshot, len(s.Points))
 	names := make(map[string]struct{})
-	for _, p := range s.Points {
-		for n := range p.Spans {
+	for i, p := range s.Points {
+		spans[i] = p.Spans()
+		for n := range spans[i] {
 			names[n] = struct{}{}
 		}
 	}
@@ -303,10 +298,10 @@ func WriteLatencyBreakdown(w io.Writer, s Sweep) {
 		header += fmt.Sprintf(" %22s", n)
 	}
 	fmt.Fprintln(w, header)
-	for _, p := range s.Points {
+	for i, p := range s.Points {
 		line := fmt.Sprintf("%-10.1f", p.OneWayDelayMs)
 		for _, n := range sorted {
-			h, ok := p.Spans[n]
+			h, ok := spans[i][n]
 			if !ok || h.Count == 0 || p.Load.Interactions == 0 {
 				line += fmt.Sprintf(" %22s", "-")
 				continue

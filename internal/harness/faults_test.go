@@ -23,18 +23,19 @@ func TestFaultExperimentSurvives(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	reports, err := RunFaultExperiment(ctx, FaultOptions{
-		Pairs:    []Pair{{ESRBES, AlgCachedEJB}},
+	reports, err := RunFaultExperiment(ctx, Options{
 		Populate: trade.PopulateConfig{Users: 20, Symbols: 40, HoldingsPerUser: 2, OpenBalance: 1_000_000},
+	}, Scale{
+		Workload: trade.GeneratorConfig{Seed: 11, Users: 20, Symbols: 40},
+		Warmup:   20,
 		Sessions: 40,
-		Plan: latency.FaultPlan{
-			Seed:          11,
-			ResetRate:     0.5,
-			ResetAfterMax: 32 * 1024,
-			StallRate:     0.02,
-			StallFor:      10 * time.Millisecond,
-			TruncateRate:  0.01,
-		},
+	}, []Pair{{ESRBES, AlgCachedEJB}}, latency.FaultPlan{
+		Seed:          11,
+		ResetRate:     0.5,
+		ResetAfterMax: 32 * 1024,
+		StallRate:     0.02,
+		StallFor:      10 * time.Millisecond,
+		TruncateRate:  0.01,
 	}, t.Logf)
 	if err != nil {
 		t.Fatal(err)
@@ -44,20 +45,20 @@ func TestFaultExperimentSurvives(t *testing.T) {
 	}
 	r := reports[0]
 
-	if total := r.Faulted.Completed + r.Faulted.Abandoned; total != 40 {
+	if total := r.Faulted.Load.Completed + r.Faulted.Load.Abandoned; total != 40 {
 		t.Fatalf("attempted %d sessions, want 40", total)
 	}
-	if rate := r.Faulted.SuccessRate(); rate < 0.95 {
-		t.Fatalf("faulted success rate %.2f, want >= 0.95 (%+v)", rate, r.Faulted)
+	if rate := r.Faulted.Load.SuccessRate(); rate < 0.95 {
+		t.Fatalf("faulted success rate %.2f, want >= 0.95 (%+v)", rate, r.Faulted.Load)
 	}
 	if r.Faults == (latency.FaultStats{}) {
 		t.Fatal("no faults were injected")
 	}
-	if r.Faults.ConnResets > 0 && r.WireRetries == 0 && r.Faulted.Retries == 0 {
+	if r.Faults.ConnResets > 0 && r.WireRetries() == 0 && r.Faulted.Load.Retries == 0 {
 		t.Fatalf("connections were reset but nothing retried: %+v", r)
 	}
-	if r.Clean.SuccessRate() != 1.0 {
-		t.Fatalf("clean pass lost sessions: %+v", r.Clean)
+	if r.Clean.Load.SuccessRate() != 1.0 {
+		t.Fatalf("clean pass lost sessions: %+v", r.Clean.Load)
 	}
 
 	// Everything is closed: goroutine count must settle back. A couple
@@ -74,15 +75,15 @@ func TestFaultExperimentSurvives(t *testing.T) {
 }
 
 // TestFaultPairHonoursBatch: a fault pair builds its managers batched
-// or not as FaultOptions.Protocol says, as every other experiment does:
-// the ES/RDB cached-EJB commit ships as one statement batch, or with
-// batching off as one round trip per statement.
+// or not as the experiment's Options.Protocol says, as every other
+// experiment does: the ES/RDB cached-EJB commit ships as one statement
+// batch, or with batching off as one round trip per statement.
 func TestFaultPairHonoursBatch(t *testing.T) {
 	for batch, want := range map[bool]string{true: "per-image", false: "per-statement"} {
-		topo, err := buildFaultPair(Pair{ESRDB, AlgCachedEJB}, FaultOptions{
+		topo, err := Build(Pair{ESRDB, AlgCachedEJB}.options(Options{
 			Populate: trade.PopulateConfig{Users: 2, Symbols: 2, HoldingsPerUser: 1},
 			Protocol: deploy.Protocol{Batch: batch},
-		})
+		}))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,6 +7,7 @@ import (
 	"edgeejb/internal/loadgen"
 	"edgeejb/internal/obs"
 	"edgeejb/internal/stats"
+	"edgeejb/internal/wire"
 )
 
 // The fixtures below fabricate measured results so the report writers
@@ -31,6 +32,15 @@ func fixtureEvents() []obs.Event {
 	}
 }
 
+// spans keys span histograms by registry name.
+func spans(byName map[string]obs.HistSnapshot) map[string]obs.HistSnapshot {
+	out := make(map[string]obs.HistSnapshot, len(byName))
+	for name, h := range byName {
+		out["span."+name] = h
+	}
+	return out
+}
+
 // fixtureCounters is one measurement's counter diff, with per-bean
 // cache children.
 func fixtureCounters() map[string]uint64 {
@@ -49,22 +59,15 @@ func fixtureCounters() map[string]uint64 {
 func fakeEvaluation() *Evaluation {
 	mkSweep := func(arch Architecture, algo Algorithm, slope float64) Sweep {
 		points := []Point{
-			{
-				OneWayDelayMs:                  0,
-				MeanLatencyMs:                  0.2,
-				SharedBytesPerInteraction:      400,
-				SharedRoundTripsPerInteraction: 4,
-				Load:                           loadgen.Result{Interactions: 100, Latency: stats.Summary{N: 100, Mean: 0.2}},
-				Spans: map[string]obs.HistSnapshot{
+			{OneWayDelayMs: 0, Pass: Pass{
+				Load: loadgen.Result{Interactions: 100, Latency: stats.Summary{N: 100, Mean: 0.2}},
+				Wire: wire.Stats{RoundTrips: 400, BytesSent: 30000, BytesReceived: 10000},
+				Metrics: obs.Snapshot{Histograms: spans(map[string]obs.HistSnapshot{
 					"client.interaction": span(100, 200*time.Microsecond),
 					"edge.request":       span(100, 150*time.Microsecond),
-				},
-			},
-			{
-				OneWayDelayMs:                  2,
-				MeanLatencyMs:                  0.2 + 2*slope,
-				SharedBytesPerInteraction:      410,
-				SharedRoundTripsPerInteraction: 4.1,
+				})},
+			}},
+			{OneWayDelayMs: 2, Pass: Pass{
 				Load: loadgen.Result{
 					Interactions: 100,
 					Latency:      stats.Summary{N: 100, Mean: 0.2 + 2*slope},
@@ -73,18 +76,20 @@ func fakeEvaluation() *Evaluation {
 						"buy":   {N: 5, Mean: 7.25},
 					},
 				},
-				Spans: map[string]obs.HistSnapshot{
-					"client.interaction": span(100, time.Duration((0.2+2*slope)*float64(time.Millisecond))),
-					"edge.request":       span(100, 1200*time.Microsecond),
-					"slicache.commit":    span(40, 2500*time.Microsecond),
+				Wire: wire.Stats{RoundTrips: 410, BytesSent: 30500, BytesReceived: 10500},
+				Metrics: obs.Snapshot{
+					Counters: fixtureCounters(),
+					Histograms: spans(map[string]obs.HistSnapshot{
+						"client.interaction": span(100, time.Duration((0.2+2*slope)*float64(time.Millisecond))),
+						"edge.request":       span(100, 1200*time.Microsecond),
+						"slicache.commit":    span(40, 2500*time.Microsecond),
+					}),
 				},
-				Counters: fixtureCounters(),
-				Events:   fixtureEvents(),
-			},
+				Events: fixtureEvents(),
+			}},
 		}
 		return Sweep{
-			Arch:   arch,
-			Algo:   algo,
+			Pair:   Pair{arch, algo},
 			Points: points,
 			Fit:    stats.Fit{Slope: slope, Intercept: 0.2, R2: 0.999},
 		}
@@ -107,24 +112,30 @@ func fakeEvaluation() *Evaluation {
 	return eval
 }
 
+// result fabricates a load result of n interactions at a throughput
+// and mean latency.
+func result(n int, perSecond, meanMs float64, failures int) loadgen.Result {
+	return loadgen.Result{Interactions: n, Throughput: perSecond, Latency: stats.Summary{N: n, Mean: meanMs}, Failures: failures}
+}
+
 // throughputFixture fabricates two concurrency curves; the ES/RBES
 // curve's concurrent point carries forensics.
 func throughputFixture() []ThroughputCurve {
 	return []ThroughputCurve{
 		{
-			Arch: ClientsRAS, Algo: AlgJDBC,
+			Pair: Pair{ClientsRAS, AlgJDBC},
 			Points: []ThroughputPoint{
-				{Clients: 1, Throughput: 90.25, MeanLatencyMs: 11.5, Interactions: 66},
-				{Clients: 2, Throughput: 170.5, MeanLatencyMs: 12.25, Interactions: 132},
+				{Clients: 1, Pass: Pass{Load: result(66, 90.25, 11.5, 0)}},
+				{Clients: 2, Pass: Pass{Load: result(132, 170.5, 12.25, 0)}},
 			},
 		},
 		{
-			Arch: ESRBES, Algo: AlgCachedEJB,
+			Pair: Pair{ESRBES, AlgCachedEJB},
 			Points: []ThroughputPoint{
-				{Clients: 1, Throughput: 120.5, MeanLatencyMs: 7.1, Interactions: 66,
-					Counters: map[string]uint64{"slicache.hits{bean=quote}": 12}},
-				{Clients: 4, Throughput: 300.2, MeanLatencyMs: 13.9, Failures: 2, Interactions: 262,
-					Counters: fixtureCounters(), Events: fixtureEvents()},
+				{Clients: 1, Pass: Pass{Load: result(66, 120.5, 7.1, 0),
+					Metrics: obs.Snapshot{Counters: map[string]uint64{"slicache.hits{bean=quote}": 12}}}},
+				{Clients: 4, Pass: Pass{Load: result(262, 300.2, 13.9, 2),
+					Metrics: obs.Snapshot{Counters: fixtureCounters()}, Events: fixtureEvents()}},
 			},
 		},
 	}
@@ -133,15 +144,27 @@ func throughputFixture() []ThroughputCurve {
 // shardFixture fabricates a one- and a two-shard point. The fast path
 // is whatever the edges committed that took neither multi-shard path.
 func shardFixture() []ShardScalingPoint {
+	commits := func(n uint64) map[string]obs.HistSnapshot {
+		return map[string]obs.HistSnapshot{"span.slicache.commit": {Count: n}}
+	}
 	return []ShardScalingPoint{
 		{
-			Shards: 1, Throughput: 480.5, MeanLatencyMs: 49.75, Interactions: 1000,
-			FastpathCommits: 900,
+			Shards:          1,
+			Pass:            Pass{Load: result(1000, 480.5, 49.75, 0), Metrics: obs.Snapshot{Histograms: commits(900)}},
 			PerShardCommits: map[int]uint64{0: 900},
 		},
 		{
-			Shards: 2, Throughput: 850.25, MeanLatencyMs: 28.5, Failures: 1, Interactions: 999,
-			FastpathCommits: 700, TwoPCCommits: 150, TwoPCAborts: 3, ReadonlyCommits: 120, ScatterQueries: 40,
+			Shards: 2,
+			Pass: Pass{Load: result(999, 850.25, 28.5, 1), Metrics: obs.Snapshot{
+				Counters: map[string]uint64{
+					"slicache.conflicts":     5,
+					"shard.2pc_commits":      150,
+					"shard.2pc_aborts":       3,
+					"shard.readonly_commits": 120,
+					"shard.scatter_queries":  40,
+				},
+				Histograms: commits(975),
+			}},
 			PerShardCommits: map[int]uint64{1: 520, 0: 480},
 		},
 	}
@@ -150,18 +173,25 @@ func shardFixture() []ShardScalingPoint {
 // faultFixture fabricates a clean and a faulted pass for two cells,
 // one of which lost sessions.
 func faultFixture() []FaultReport {
+	sessions := func(completed, abandoned, retries int, meanMs float64) Pass {
+		return Pass{Load: loadgen.Result{
+			Completed: completed, Abandoned: abandoned, Retries: retries,
+			Interactions: 11 * completed, Latency: stats.Summary{N: 11 * completed, Mean: meanMs},
+		}}
+	}
+	rbesFaulted := sessions(80, 0, 3, 4.5)
+	rbesFaulted.Wire.Retries = 17
 	return []FaultReport{
 		{
 			Pair:    Pair{ClientsRAS, AlgJDBC},
-			Clean:   loadgen.Result{Completed: 80, Interactions: 880, Latency: stats.Summary{N: 880, Mean: 10}},
-			Faulted: loadgen.Result{Completed: 78, Abandoned: 2, Retries: 9, Interactions: 850, Latency: stats.Summary{N: 850, Mean: 12.5}},
+			Clean:   sessions(80, 0, 0, 10),
+			Faulted: sessions(78, 2, 9, 12.5),
 			Faults:  latency.FaultStats{ConnResets: 5, Truncations: 1, Stalls: 2},
 		},
 		{
 			Pair:         Pair{ESRBES, AlgCachedEJB},
-			Clean:        loadgen.Result{Completed: 80, Interactions: 880, Latency: stats.Summary{N: 880, Mean: 4}},
-			Faulted:      loadgen.Result{Completed: 80, Retries: 3, Interactions: 880, Latency: stats.Summary{N: 880, Mean: 4.5}},
-			WireRetries:  17,
+			Clean:        sessions(80, 0, 0, 4),
+			Faulted:      rbesFaulted,
 			Faults:       latency.FaultStats{ConnResets: 7, Stalls: 3},
 			Resubscribes: 2,
 		},

@@ -8,46 +8,49 @@ import (
 	"edgeejb/internal/obs"
 )
 
-// WriteForensics renders a sweep's transaction forensics: per delay
-// point, a conflict matrix (interaction × bean type), the hottest
-// conflicting keys, and the per-bean cache hit ratios. It reads the
-// Counters and Events captured on each Point, so it works on any sweep
-// measured by RunSweepOn.
-func WriteForensics(w io.Writer, s Sweep) error {
-	if _, err := fmt.Fprintf(w, "== forensics: %s / %s ==\n", s.Arch, s.Algo); err != nil {
+// LabelledPass is one block of a forensics report: a pass and what
+// distinguishes it from the experiment's other passes.
+type LabelledPass struct {
+	Label string
+	Pass  Pass
+}
+
+// Labelled labels a sweep's passes by delay.
+func (s Sweep) Labelled() []LabelledPass {
+	out := make([]LabelledPass, len(s.Points))
+	for i, p := range s.Points {
+		out[i] = LabelledPass{fmt.Sprintf("delay %.1fms", p.OneWayDelayMs), p.Pass}
+	}
+	return out
+}
+
+// Labelled labels a throughput curve's passes by client count.
+func (c ThroughputCurve) Labelled() []LabelledPass {
+	out := make([]LabelledPass, len(c.Points))
+	for i, p := range c.Points {
+		out[i] = LabelledPass{fmt.Sprintf("%d clients", p.Clients), p.Pass}
+	}
+	return out
+}
+
+// WriteForensics renders one cell's transaction forensics: per pass, a
+// conflict matrix (interaction × bean type), the hottest conflicting
+// keys, the per-bean cache hit ratios and the invalidations applied,
+// all read from the pass's events and counter diff. The concurrent
+// throughput passes are where the conflict matrix carries real weight:
+// they race writers, so (op, bean) abort counts are non-trivial.
+func WriteForensics(w io.Writer, cell Pair, passes []LabelledPass) error {
+	if _, err := fmt.Fprintf(w, "== forensics: %s ==\n", cell); err != nil {
 		return err
 	}
-	for _, p := range s.Points {
-		if err := writePointForensics(w, p); err != nil {
+	for _, p := range passes {
+		fmt.Fprintf(w, "\n-- %s --\n", p.Label)
+		if err := writeForensicsBlock(w, p.Pass.Events, p.Pass.Metrics.Counters); err != nil {
 			return err
 		}
 	}
-	return nil
-}
-
-func writePointForensics(w io.Writer, p Point) error {
-	fmt.Fprintf(w, "\n-- delay %.1fms --\n", p.OneWayDelayMs)
-	return writeForensicsBlock(w, p.Events, p.Counters)
-}
-
-// WriteThroughputForensics renders the same forensics blocks for the
-// concurrent-load extension, keyed by client count instead of delay.
-// This is where the conflict matrix carries real weight: the concurrent
-// run races writers, so (op, bean) abort counts are non-trivial.
-func WriteThroughputForensics(w io.Writer, curves []ThroughputCurve) error {
-	for _, c := range curves {
-		if _, err := fmt.Fprintf(w, "== forensics: %s / %s ==\n", c.Arch, c.Algo); err != nil {
-			return err
-		}
-		for _, p := range c.Points {
-			fmt.Fprintf(w, "\n-- %d clients --\n", p.Clients)
-			if err := writeForensicsBlock(w, p.Events, p.Counters); err != nil {
-				return err
-			}
-		}
-		fmt.Fprintln(w)
-	}
-	return nil
+	_, err := fmt.Fprintln(w)
+	return err
 }
 
 // writeForensicsBlock renders one measurement's conflict matrix, hot

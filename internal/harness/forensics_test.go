@@ -10,17 +10,15 @@ import (
 
 func forensicsFixture() Sweep {
 	return Sweep{
-		Arch: ESRBES,
-		Algo: AlgCachedEJB,
-		Points: []Point{{
-			OneWayDelayMs: 2,
-			Counters: map[string]uint64{
+		Pair: Pair{ESRBES, AlgCachedEJB},
+		Points: []Point{{OneWayDelayMs: 2, Pass: Pass{
+			Metrics: obs.Snapshot{Counters: map[string]uint64{
 				"slicache.hits{bean=quote}":     30,
 				"slicache.misses{bean=quote}":   10,
 				"slicache.hits{bean=account}":   5,
 				"slicache.misses{bean=account}": 5,
 				"slicache.requests":             50, // unlabeled: ignored
-			},
+			}},
 			Events: []obs.Event{
 				{Type: obs.EventConflict, Op: "sell", Bean: "quote", Key: "quote/s-1", Trace: 1, OtherTrace: 2, Age: 3 * time.Millisecond, Time: time.Unix(1000, 0)},
 				{Type: obs.EventConflict, Op: "sell", Bean: "quote", Key: "quote/s-1", Trace: 3, OtherTrace: 4, Time: time.Unix(1001, 0)},
@@ -28,13 +26,14 @@ func forensicsFixture() Sweep {
 				{Type: obs.EventInvalidation, Keys: 2, Evicted: 1, Latency: time.Millisecond, OtherTrace: 9, Time: time.Unix(1003, 0)},
 				{Type: obs.EventInvalidation, Keys: 1, OtherTrace: 10, Time: time.Unix(1004, 0)},
 			},
-		}},
+		}}},
 	}
 }
 
 func TestWriteForensics(t *testing.T) {
 	var b strings.Builder
-	if err := WriteForensics(&b, forensicsFixture()); err != nil {
+	s := forensicsFixture()
+	if err := WriteForensics(&b, s.Pair, s.Labelled()); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()

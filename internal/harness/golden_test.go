@@ -62,16 +62,17 @@ func TestGoldenEvaluationReports(t *testing.T) {
 func TestGoldenForensics(t *testing.T) {
 	var sweeps bytes.Buffer
 	for _, s := range fakeEvaluation().Fig6Series() {
-		if err := WriteForensics(&sweeps, s); err != nil {
+		if err := WriteForensics(&sweeps, s.Pair, s.Labelled()); err != nil {
 			t.Fatal(err)
 		}
-		sweeps.WriteString("\n")
 	}
 	checkGolden(t, "forensics.txt", sweeps.Bytes())
 
 	var curves bytes.Buffer
-	if err := WriteThroughputForensics(&curves, throughputFixture()); err != nil {
-		t.Fatal(err)
+	for _, c := range throughputFixture() {
+		if err := WriteForensics(&curves, c.Pair, c.Labelled()); err != nil {
+			t.Fatal(err)
+		}
 	}
 	checkGolden(t, "throughput_forensics.txt", curves.Bytes())
 }

@@ -18,12 +18,12 @@ import (
 // With batching off the commit is the paper's one round trip per
 // statement, pinned to the count measured before the commit was batched.
 func TestLikeWithLikeRoundTrips(t *testing.T) {
-	run := RunOptions{
-		Delays:         []time.Duration{0},
-		Sessions:       6,
-		WarmupSessions: 2,
-		Batches:        4,
-		Workload:       trade.GeneratorConfig{Seed: 21, Users: 10, Symbols: 20},
+	delays := []time.Duration{0}
+	scale := Scale{
+		Workload: trade.GeneratorConfig{Seed: 21, Users: 10, Symbols: 20},
+		Warmup:   2,
+		Sessions: 6,
+		Batches:  4,
 	}
 	pop := trade.PopulateConfig{Users: 10, Symbols: 20, HoldingsPerUser: 2}
 
@@ -33,12 +33,12 @@ func TestLikeWithLikeRoundTrips(t *testing.T) {
 		t.Helper()
 		sweep, err := RunSweep(context.Background(), Options{
 			Arch: arch, Algo: AlgCachedEJB, Populate: pop, Protocol: proto,
-		}, run)
+		}, scale, delays)
 		if err != nil {
 			t.Fatalf("%s %+v: %v", arch, proto, err)
 		}
 		p := sweep.Points[0]
-		return int(math.Round(p.SharedRoundTripsPerInteraction * float64(p.Load.Interactions))), p.Load.Interactions
+		return int(math.Round(p.SharedRoundTripsPerInteraction() * float64(p.Load.Interactions))), p.Load.Interactions
 	}
 
 	batched := deploy.Protocol{Batch: true}

@@ -102,12 +102,12 @@ func multiEdgeInvalidation(t *testing.T, arch Architecture) {
 // then restarts, the edge resubscribes, and a second run is pushed
 // nothing either: the origin survives the resubscribe.
 func TestOneEdgeHearsNoPushes(t *testing.T) {
-	run := RunOptions{
-		Delays:         []time.Duration{0},
-		Sessions:       4,
-		WarmupSessions: 1,
-		Batches:        2,
-		Workload:       trade.GeneratorConfig{Seed: 34, Users: 6, Symbols: 10},
+	delays := []time.Duration{0}
+	scale := Scale{
+		Workload: trade.GeneratorConfig{Seed: 34, Users: 6, Symbols: 10},
+		Warmup:   1,
+		Sessions: 4,
+		Batches:  2,
 	}
 	pop := trade.PopulateConfig{Users: 6, Symbols: 10, HoldingsPerUser: 2}
 	for _, arch := range []Architecture{ESRDB, ESRBES} {
@@ -119,7 +119,7 @@ func TestOneEdgeHearsNoPushes(t *testing.T) {
 			defer topo.Close()
 			silent := func(when string) {
 				t.Helper()
-				if _, err := RunSweepOn(context.Background(), topo, run); err != nil {
+				if _, err := RunSweepOn(context.Background(), topo, scale, delays); err != nil {
 					t.Fatalf("%s: %v", when, err)
 				}
 				st := topo.Stores[0].Stats()
@@ -158,7 +158,7 @@ func TestSweepRequiresDelays(t *testing.T) {
 	_, err := RunSweep(context.Background(), Options{
 		Arch: ClientsRAS, Algo: AlgJDBC,
 		Populate: trade.PopulateConfig{Users: 2, Symbols: 2},
-	}, RunOptions{})
+	}, Scale{}, nil)
 	if err == nil {
 		t.Fatal("empty delay sweep accepted")
 	}

@@ -97,11 +97,10 @@ func TestWriteActionBreakdown(t *testing.T) {
 
 func TestWriteThroughputRendering(t *testing.T) {
 	curves := []ThroughputCurve{{
-		Arch: ESRBES,
-		Algo: AlgCachedEJB,
+		Pair: Pair{ESRBES, AlgCachedEJB},
 		Points: []ThroughputPoint{
-			{Clients: 1, Throughput: 120.5, MeanLatencyMs: 7.1},
-			{Clients: 4, Throughput: 300.2, MeanLatencyMs: 13.9, Failures: 2},
+			{Clients: 1, Pass: Pass{Load: result(0, 120.5, 7.1, 0)}},
+			{Clients: 4, Pass: Pass{Load: result(0, 300.2, 13.9, 2)}},
 		},
 	}}
 	var sb strings.Builder

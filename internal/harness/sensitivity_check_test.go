@@ -17,12 +17,12 @@ func TestSensitivityOrdering(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sensitivity sweep uses real injected delays")
 	}
-	run := RunOptions{
-		Delays:         []time.Duration{0, time.Millisecond, 2 * time.Millisecond},
-		Sessions:       10,
-		WarmupSessions: 4,
-		Batches:        5,
-		Workload:       trade.GeneratorConfig{Seed: 11, Users: 20, Symbols: 40},
+	delays := []time.Duration{0, time.Millisecond, 2 * time.Millisecond}
+	scale := Scale{
+		Workload: trade.GeneratorConfig{Seed: 11, Users: 20, Symbols: 40},
+		Warmup:   4,
+		Sessions: 10,
+		Batches:  5,
 	}
 	pop := trade.PopulateConfig{Users: 20, Symbols: 40, HoldingsPerUser: 3}
 
@@ -33,7 +33,7 @@ func TestSensitivityOrdering(t *testing.T) {
 			Algo:     pair.Algo,
 			Populate: pop,
 			Protocol: deploy.Paper(),
-		}, run)
+		}, scale, delays)
 		if err != nil {
 			t.Fatalf("%s: %v", pair, err)
 		}

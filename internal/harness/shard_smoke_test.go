@@ -43,13 +43,12 @@ func TestShardedSmoke(t *testing.T) {
 			len(topo.Stores), len(topo.Backends))
 	}
 
-	sweep, err := RunSweepOn(context.Background(), topo, RunOptions{
-		Delays:         []time.Duration{0},
-		Sessions:       10,
-		WarmupSessions: 1,
-		Batches:        4,
-		Workload:       trade.GeneratorConfig{Seed: 7, Users: 10, Symbols: 20},
-	})
+	sweep, err := RunSweepOn(context.Background(), topo, Scale{
+		Workload: trade.GeneratorConfig{Seed: 7, Users: 10, Symbols: 20},
+		Warmup:   1,
+		Sessions: 10,
+		Batches:  4,
+	}, []time.Duration{0})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}

@@ -24,13 +24,12 @@ func TestSmokeAllPairs(t *testing.T) {
 			}
 			defer topo.Close()
 
-			sweep, err := RunSweepOn(context.Background(), topo, RunOptions{
-				Delays:         []time.Duration{0},
-				Sessions:       3,
-				WarmupSessions: 1,
-				Batches:        4,
-				Workload:       trade.GeneratorConfig{Seed: 7, Users: 10, Symbols: 20},
-			})
+			sweep, err := RunSweepOn(context.Background(), topo, Scale{
+				Workload: trade.GeneratorConfig{Seed: 7, Users: 10, Symbols: 20},
+				Warmup:   1,
+				Sessions: 3,
+				Batches:  4,
+			}, []time.Duration{0})
 			if err != nil {
 				t.Fatalf("run: %v", err)
 			}
@@ -42,7 +41,7 @@ func TestSmokeAllPairs(t *testing.T) {
 				t.Fatalf("%d failed interactions", p.Load.Failures)
 			}
 			t.Logf("%s: %d interactions, mean %.2fms, shared bytes/interaction %.0f",
-				pair, p.Load.Interactions, p.MeanLatencyMs, p.SharedBytesPerInteraction)
+				pair, p.Load.Interactions, p.MeanLatencyMs(), p.SharedBytesPerInteraction())
 		})
 	}
 }

@@ -82,11 +82,11 @@ func BuildSummary(in SummaryInput) *regress.Summary {
 					Unit:   "ms",
 					Kind:   regress.KindMeasured,
 					Better: regress.LowerIsBetter,
-					Mean:   p.MeanLatencyMs,
+					Mean:   p.MeanLatencyMs(),
 					N:      p.Load.Interactions,
 				}
-				rts = append(rts, p.SharedRoundTripsPerInteraction)
-				bytesPer = append(bytesPer, p.SharedBytesPerInteraction)
+				rts = append(rts, p.SharedRoundTripsPerInteraction())
+				bytesPer = append(bytesPer, p.SharedBytesPerInteraction())
 			}
 			s.Metrics["wire."+ps+".rts_per_interaction"] = regress.Metric{
 				Unit:   "rt/ixn",
@@ -114,14 +114,14 @@ func BuildSummary(in SummaryInput) *regress.Summary {
 		}
 	}
 	for _, curve := range in.Throughput {
-		ps := pairSlug(Pair{curve.Arch, curve.Algo})
+		ps := pairSlug(curve.Pair)
 		for _, p := range curve.Points {
 			s.Metrics["throughput."+ps+".c"+strconv.Itoa(p.Clients)+".ixn_per_s"] = regress.Metric{
 				Unit:   "ixn/s",
 				Kind:   regress.KindMeasured,
 				Better: regress.HigherIsBetter,
-				Mean:   p.Throughput,
-				N:      p.Interactions,
+				Mean:   p.Load.Throughput,
+				N:      p.Load.Interactions,
 			}
 		}
 	}
@@ -131,14 +131,14 @@ func BuildSummary(in SummaryInput) *regress.Summary {
 			Unit:   "commit/s",
 			Kind:   regress.KindMeasured,
 			Better: regress.HigherIsBetter,
-			Mean:   p.Throughput,
-			N:      p.Interactions,
+			Mean:   p.Load.Throughput,
+			N:      p.Load.Interactions,
 		}
 		s.Metrics[base+".twopc_fraction"] = regress.Metric{
 			Kind:   regress.KindMeasured,
 			Better: regress.LowerIsBetter,
 			Mean:   p.TwoPCFraction(),
-			N:      int(p.FastpathCommits + p.TwoPCCommits + p.ReadonlyCommits),
+			N:      int(p.committed()),
 		}
 	}
 	if hits, misses := in.Counters["slicache.finder_hits"], in.Counters["slicache.finder_misses"]; hits+misses > 0 {
@@ -206,11 +206,11 @@ func totalInteractions(in SummaryInput) int {
 	}
 	for _, curve := range in.Throughput {
 		for _, p := range curve.Points {
-			n += p.Interactions
+			n += p.Load.Interactions
 		}
 	}
 	for _, p := range in.Shards {
-		n += p.Interactions
+		n += p.Load.Interactions
 	}
 	return n
 }

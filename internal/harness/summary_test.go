@@ -8,28 +8,23 @@ import (
 	"edgeejb/internal/obs"
 	"edgeejb/internal/regress"
 	"edgeejb/internal/stats"
+	"edgeejb/internal/wire"
 )
 
 // fullSummaryInput feeds BuildSummary every family it builds.
 func fullSummaryInput() SummaryInput {
 	eval := &Evaluation{Sweeps: map[Pair]Sweep{
 		{ESRDB, AlgVanillaEJB}: {
-			Arch: ESRDB, Algo: AlgVanillaEJB,
+			Pair: Pair{ESRDB, AlgVanillaEJB},
 			Points: []Point{
-				{
-					OneWayDelayMs:                  0,
-					MeanLatencyMs:                  1.5,
-					SharedRoundTripsPerInteraction: 12.0,
-					SharedBytesPerInteraction:      4000,
-					Load:                           loadgen.Result{Interactions: 100, BatchMeans: []float64{1.4, 1.6}},
-				},
-				{
-					OneWayDelayMs:                  0.5,
-					MeanLatencyMs:                  13.5,
-					SharedRoundTripsPerInteraction: 12.2,
-					SharedBytesPerInteraction:      4100,
-					Load:                           loadgen.Result{Interactions: 100, BatchMeans: []float64{13.4, 13.6}},
-				},
+				{OneWayDelayMs: 0, Pass: Pass{
+					Load: loadgen.Result{Interactions: 100, Latency: stats.Summary{N: 100, Mean: 1.5}, BatchMeans: []float64{1.4, 1.6}},
+					Wire: wire.Stats{RoundTrips: 1200, BytesSent: 400000},
+				}},
+				{OneWayDelayMs: 0.5, Pass: Pass{
+					Load: loadgen.Result{Interactions: 100, Latency: stats.Summary{N: 100, Mean: 13.5}, BatchMeans: []float64{13.4, 13.6}},
+					Wire: wire.Stats{RoundTrips: 1220, BytesSent: 410000},
+				}},
 			},
 			Fit: stats.Fit{Slope: 24.0, R2: 0.99},
 		},
@@ -38,13 +33,16 @@ func fullSummaryInput() SummaryInput {
 		Args: []string{"-fig7"},
 		Eval: eval,
 		Throughput: []ThroughputCurve{{
-			Arch: ESRBES, Algo: AlgCachedEJB,
-			Points: []ThroughputPoint{{Clients: 4, Throughput: 120.5, Interactions: 500}},
+			Pair:   Pair{ESRBES, AlgCachedEJB},
+			Points: []ThroughputPoint{{Clients: 4, Pass: Pass{Load: result(500, 120.5, 0, 0)}}},
 		}},
-		Shards: []ShardScalingPoint{{
-			Shards: 2, Throughput: 200, Interactions: 400, Failures: 0,
-			FastpathCommits: 90, TwoPCCommits: 10,
-		}},
+		Shards: []ShardScalingPoint{{Shards: 2, Pass: Pass{
+			Load: result(400, 200, 0, 0),
+			Metrics: obs.Snapshot{
+				Counters:   map[string]uint64{"shard.2pc_commits": 10},
+				Histograms: map[string]obs.HistSnapshot{"span.slicache.commit": {Count: 100}},
+			},
+		}}},
 		Counters: map[string]uint64{
 			"slicache.finder_hits":   80,
 			"slicache.finder_misses": 20,
@@ -165,8 +163,8 @@ func TestBuildSummaryEmptyInput(t *testing.T) {
 	// NaN is not valid JSON and would poison every later Load.
 	s = BuildSummary(SummaryInput{Eval: &Evaluation{Sweeps: map[Pair]Sweep{
 		{ESRDB, AlgJDBC}: {
-			Arch: ESRDB, Algo: AlgJDBC,
-			Points: []Point{{OneWayDelayMs: 0, MeanLatencyMs: 1}},
+			Pair:   Pair{ESRDB, AlgJDBC},
+			Points: []Point{{OneWayDelayMs: 0, Pass: Pass{Load: result(1, 0, 1, 0)}}},
 			Fit:    stats.Fit{Slope: nan(), R2: nan()},
 		},
 	}}})

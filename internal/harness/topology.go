@@ -334,26 +334,30 @@ func (t *Topology) SharedPathStats() wire.Stats {
 const noticeWait = 5 * time.Second
 
 // awaitNotices waits until every invalidation notice the stores have
-// sent has reached its edge. A count snapshot taken after it holds the
-// bytes of every notice the measured commits caused, never those of a
-// notice that lands later. Every edge subscription ends in exactly one
-// store subscriber, sharded or not, so the two sums meet once nothing is
-// in flight.
+// sent has been applied by its edge's cache manager. A snapshot taken
+// after it holds the bytes and the invalidation event of every notice
+// the measured commits caused, never those of a notice that lands later:
+// a manager counts a notice applied after the wire counted its push and
+// after it emitted the event. Every edge subscription ends in exactly
+// one store subscriber, sharded or not, so the two sums meet once
+// nothing is in flight.
 func (t *Topology) awaitNotices() error {
 	deadline := time.Now().Add(noticeWait)
 	for {
-		var sent, arrived uint64
+		var sent, applied uint64
 		for _, s := range t.Stores {
 			sent += s.Stats().NoticesSent
 		}
-		for _, c := range t.DBClients {
-			arrived += c.WireStats().Pushes
+		for _, m := range t.Managers {
+			if m != nil {
+				applied += m.Stats().NoticesApplied
+			}
 		}
-		if sent == arrived {
+		if sent == applied {
 			return nil
 		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("harness: %d invalidation notices sent, %d arrived after %v", sent, arrived, noticeWait)
+			return fmt.Errorf("harness: %d invalidation notices sent, %d applied after %v", sent, applied, noticeWait)
 		}
 		time.Sleep(time.Millisecond)
 	}

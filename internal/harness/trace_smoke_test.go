@@ -39,13 +39,12 @@ func TestTraceAssemblySmoke(t *testing.T) {
 	}
 	defer topo.Close()
 
-	if _, err := RunSweepOn(context.Background(), topo, RunOptions{
-		Delays:         []time.Duration{0},
-		Sessions:       4,
-		WarmupSessions: 1,
-		Batches:        4,
-		Workload:       trade.GeneratorConfig{Seed: 7, Users: 10, Symbols: 20},
-	}); err != nil {
+	if _, err := RunSweepOn(context.Background(), topo, Scale{
+		Workload: trade.GeneratorConfig{Seed: 7, Users: 10, Symbols: 20},
+		Warmup:   1,
+		Sessions: 4,
+		Batches:  4,
+	}, []time.Duration{0}); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 

@@ -136,6 +136,6 @@ func (q Query) Normalize() Query {
 }
 
 // CacheKey renders the canonical query string used to key finder-result
-// caches. Two queries with the same cache key return the same result
-// set against the same store state.
+// caches, q.Normalize().String(). Two queries with the same cache key
+// return the same result set against the same store state.
 func (q Query) CacheKey() string { return q.Normalize().String() }

@@ -129,18 +129,21 @@ func (v Value) Compare(o Value) int {
 }
 
 // GoString renders the value for debugging output.
-func (v Value) GoString() string {
+func (v Value) GoString() string { return string(v.appendGo(nil)) }
+
+// appendGo appends the value as GoString renders it.
+func (v Value) appendGo(b []byte) []byte {
 	switch v.Kind {
 	case KindString:
-		return strconv.Quote(v.Str)
+		return strconv.AppendQuote(b, v.Str)
 	case KindInt:
-		return strconv.FormatInt(v.Int, 10)
+		return strconv.AppendInt(b, v.Int, 10)
 	case KindFloat:
-		return strconv.FormatFloat(v.F, 'g', -1, 64)
+		return strconv.AppendFloat(b, v.F, 'g', -1, 64)
 	case KindBool:
-		return strconv.FormatBool(v.Bool)
+		return strconv.AppendBool(b, v.Bool)
 	default:
-		return "<zero>"
+		return append(b, "<zero>"...)
 	}
 }
 

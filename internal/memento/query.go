@@ -1,10 +1,6 @@
 package memento
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-)
+import "sort"
 
 // Predicate is one field equality: it matches a field map holding
 // Field with a value Equal to Value. A missing field never matches.
@@ -44,18 +40,33 @@ func (q Query) Matches(m Memento) bool {
 }
 
 // String renders the query for logs and debugging.
-func (q Query) String() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "SELECT * FROM %s", q.Table)
+func (q Query) String() string { return string(q.appendTo(make([]byte, 0, q.renderedLen()))) }
+
+// appendTo appends the query as String renders it.
+func (q Query) appendTo(b []byte) []byte {
+	b = append(b, "SELECT * FROM "...)
+	b = append(b, q.Table...)
 	for i, p := range q.Where {
 		if i == 0 {
-			sb.WriteString(" WHERE ")
+			b = append(b, " WHERE "...)
 		} else {
-			sb.WriteString(" AND ")
+			b = append(b, " AND "...)
 		}
-		fmt.Fprintf(&sb, "%s = %s", p.Field, p.Value.GoString())
+		b = append(b, p.Field...)
+		b = append(b, " = "...)
+		b = p.Value.appendGo(b)
 	}
-	return sb.String()
+	return b
+}
+
+// renderedLen bounds the length String renders, but for strings that
+// need escaping.
+func (q Query) renderedLen() int {
+	n := len("SELECT * FROM ") + len(q.Table)
+	for _, p := range q.Where {
+		n += len(" WHERE ") + len(p.Field) + len(" = ") + len(p.Value.Str) + 24
+	}
+	return n
 }
 
 // Sort puts a finder's result in primary-key order, so that finder

@@ -71,10 +71,23 @@ func NewFinderCache(enabled bool) *FinderCache {
 // they were known current. An enabled cache counts the lookup as a hit
 // or a miss.
 func (c *FinderCache) Get(q memento.Query) ([]memento.Memento, time.Time, bool) {
+	return c.get(c.key(q))
+}
+
+// key renders q's cache key once for get and put; a disabled cache
+// renders none.
+func (c *FinderCache) key(q memento.Query) string {
+	if !c.enabled {
+		return ""
+	}
+	return q.CacheKey()
+}
+
+// get is Get of a rendered cache key.
+func (c *FinderCache) get(ck string) ([]memento.Memento, time.Time, bool) {
 	if !c.enabled {
 		return nil, time.Time{}, false
 	}
-	ck := q.CacheKey()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.entries[ck]
@@ -109,11 +122,15 @@ func (c *FinderCache) StartFill() *Fill {
 // be mutated afterwards (the cache runtime only ever hands out clones
 // of them).
 func (c *FinderCache) Put(f *Fill, q memento.Query, mems []memento.Memento, at time.Time) {
+	c.put(f, c.key(q), q, mems, at)
+}
+
+// put is Put of q under its rendered cache key ck.
+func (c *FinderCache) put(f *Fill, ck string, q memento.Query, mems []memento.Memento, at time.Time) {
 	if !c.enabled {
 		return
 	}
 	fp := memento.QueryFootprint(q, mems)
-	ck := q.CacheKey()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	delete(c.fills, f)

@@ -290,8 +290,10 @@ func (m *Manager) noteNotice(n sqlstore.Notice) {
 		obsStaleness.Observe(lat)
 		ev.Age = lat
 	}
-	m.stats.noticesApplied.Add(1)
+	// The event goes out before the notice counts as applied, so a
+	// reader that sees the count sees the event too.
 	obs.DefaultEvents.Emit(ev)
+	m.stats.noticesApplied.Add(1)
 }
 
 // Close stops the invalidation subscription, waiting for the consumer

@@ -313,7 +313,8 @@ func (t *sliTx) Query(ctx context.Context, q memento.Query) ([]memento.Memento, 
 	// the high-latency store round trip. The rows still enter the
 	// transaction's read set with the time taken before their store
 	// call, so commit validation treats them exactly like that fetch.
-	persisted, fetchedAt, fromFinder := t.mgr.finders.Get(q)
+	ck := t.mgr.finders.key(q)
+	persisted, fetchedAt, fromFinder := t.mgr.finders.get(ck)
 	if fromFinder {
 		t.cacheServed = true
 	} else {
@@ -328,7 +329,7 @@ func (t *sliTx) Query(ctx context.Context, q memento.Query) ([]memento.Memento, 
 			return nil, err
 		}
 		persisted = res.Mems
-		t.mgr.finders.Put(fill, q, res.Mems, fetchedAt)
+		t.mgr.finders.put(fill, ck, q, res.Mems, fetchedAt)
 	}
 	for _, m := range persisted {
 		if !fromFinder {

@@ -28,6 +28,35 @@ type Stats struct {
 // Bytes returns total traffic in both directions.
 func (s Stats) Bytes() uint64 { return s.BytesSent + s.BytesReceived }
 
+// Sub returns the traffic between base, an earlier snapshot of the same
+// endpoints, and s. Ops with no activity in between are left out.
+func (s Stats) Sub(base Stats) Stats {
+	out := Stats{
+		Dials:         s.Dials - base.Dials,
+		RoundTrips:    s.RoundTrips - base.RoundTrips,
+		Pushes:        s.Pushes - base.Pushes,
+		BytesSent:     s.BytesSent - base.BytesSent,
+		BytesReceived: s.BytesReceived - base.BytesReceived,
+		Errors:        s.Errors - base.Errors,
+		Retries:       s.Retries - base.Retries,
+		Ops:           make(map[string]OpStats),
+	}
+	for label, op := range s.Ops {
+		b := base.Ops[label]
+		if op == b {
+			continue
+		}
+		out.Ops[label] = OpStats{
+			Count:         op.Count - b.Count,
+			Errors:        op.Errors - b.Errors,
+			Retries:       op.Retries - b.Retries,
+			BytesSent:     op.BytesSent - b.BytesSent,
+			BytesReceived: op.BytesReceived - b.BytesReceived,
+		}
+	}
+	return out
+}
+
 // MergeStats sums endpoint snapshots — the harness uses it to total
 // the shared-path traffic of every client on one side of a topology.
 func MergeStats(snaps ...Stats) Stats {

@@ -37,7 +37,7 @@
 #                             exist and name the reader the table reports
 #
 # Span histograms (span.<name>, one per obs.StartSpan site) are read as
-# a family by prefix in internal/harness/sweep.go (the per-point latency
+# a family by prefix in internal/harness/measure.go (the per-pass latency
 # breakdown); each span name, and each forensic event type, must be
 # documented by name.
 set -eu
@@ -188,7 +188,7 @@ for fam in $families; do
 		fail=1
 	fi
 done
-printf '  %-34s %s\n' "span.<name>" "code internal/harness/sweep.go (by prefix)"
+printf '  %-34s %s\n' "span.<name>" "code internal/harness/measure.go (by prefix)"
 
 # --- read => registered ------------------------------------------------------
 
