@@ -299,72 +299,61 @@ func run(args []string) error {
 		return nil
 	}
 
-	needsMeasurement := *fig6 || *fig7 || *fig8 || *table2 || *thru || *actions
-	if !needsMeasurement && len(shardCounts) == 0 {
-		return finishArtifacts(nil)
-	}
-	if !needsMeasurement {
-		// Shard sweep only: no figure evaluation needed.
-		if err := phase("shards", func() error {
+	// The delay sweep runs only for what reads it: the figures, Table 2,
+	// -actions and -csv. -throughput, -faults and -shards measure on
+	// topologies of their own.
+	var eval *harness.Evaluation
+	if *fig6 || *fig7 || *fig8 || *table2 || *actions || *csvDir != "" {
+		if err := phase("evaluation", func() error {
 			var err error
-			shardPoints, err = runShardSweep(shardCounts, *shardClients, opts, wl, art, logf)
+			eval, err = harness.RunEvaluation(context.Background(), opts, harness.Scale{
+				Workload: wl,
+				Warmup:   *warmup,
+				Sessions: *sessions,
+				Batches:  *batches,
+			}, delayList, logf)
 			return err
 		}); err != nil {
 			return err
 		}
-		return finishArtifacts(nil)
-	}
-
-	var eval *harness.Evaluation
-	if err := phase("evaluation", func() error {
-		var err error
-		eval, err = harness.RunEvaluation(context.Background(), opts, harness.Scale{
-			Workload: wl,
-			Warmup:   *warmup,
-			Sessions: *sessions,
-			Batches:  *batches,
-		}, delayList, logf)
-		return err
-	}); err != nil {
-		return err
-	}
-	if *metrics {
-		fmt.Println()
-	}
-
-	if *fig6 {
-		eval.WriteFig6(os.Stdout)
-		fmt.Println()
 		if *metrics {
-			for _, s := range eval.Fig6Series() {
-				harness.WriteLatencyBreakdown(os.Stdout, s)
-				fmt.Println()
-				if err := harness.WriteForensics(os.Stdout, s.Pair, s.Labelled()); err != nil {
-					return err
+			fmt.Println()
+		}
+
+		if *fig6 {
+			eval.WriteFig6(os.Stdout)
+			fmt.Println()
+			if *metrics {
+				for _, s := range eval.Fig6Series() {
+					harness.WriteLatencyBreakdown(os.Stdout, s)
+					fmt.Println()
+					if err := harness.WriteForensics(os.Stdout, s.Pair, s.Labelled()); err != nil {
+						return err
+					}
 				}
 			}
 		}
-	}
-	if *fig7 {
-		eval.WriteFig7(os.Stdout)
-		fmt.Println()
-	}
-	if *table2 {
-		eval.WriteTable2(os.Stdout)
-		fmt.Println()
-	}
-	if *fig8 {
-		eval.WriteFig8(os.Stdout)
-	}
-	if *actions {
-		fmt.Println()
-		harness.WriteActionBreakdown(os.Stdout, eval.Fig6Series())
-	}
-	if *csvDir != "" {
-		if err := eval.WriteCSV(*csvDir); err != nil {
-			return err
+		if *fig7 {
+			eval.WriteFig7(os.Stdout)
+			fmt.Println()
 		}
-		fmt.Fprintf(os.Stderr, "wrote CSV files to %s\n", *csvDir)
+		if *table2 {
+			eval.WriteTable2(os.Stdout)
+			fmt.Println()
+		}
+		if *fig8 {
+			eval.WriteFig8(os.Stdout)
+		}
+		if *actions {
+			fmt.Println()
+			harness.WriteActionBreakdown(os.Stdout, eval.Fig6Series())
+		}
+		if *csvDir != "" {
+			if err := eval.WriteCSV(*csvDir); err != nil {
+				return err
+			}
+			fmt.Fprintf(os.Stderr, "wrote CSV files to %s\n", *csvDir)
+		}
 	}
 	if *thru {
 		fmt.Println()

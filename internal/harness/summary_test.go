@@ -1,13 +1,17 @@
 package harness
 
 import (
+	"context"
+	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"edgeejb/internal/loadgen"
 	"edgeejb/internal/obs"
 	"edgeejb/internal/regress"
 	"edgeejb/internal/stats"
+	"edgeejb/internal/trade"
 	"edgeejb/internal/wire"
 )
 
@@ -178,4 +182,37 @@ func TestBuildSummaryEmptyInput(t *testing.T) {
 func nan() float64 {
 	var zero float64
 	return zero / zero
+}
+
+// TestSingleDelaySweepHasNoSensitivity: one delay point fits no line,
+// so a measured one-delay sweep prints its sensitivity as n/a and the
+// summary carries no sensitivity row for it, rather than a slope of 0.
+func TestSingleDelaySweepHasNoSensitivity(t *testing.T) {
+	pair := Pair{ESRBES, AlgCachedEJB}
+	sweep, err := RunSweep(context.Background(), Options{
+		Arch: pair.Arch, Algo: pair.Algo,
+		Populate: trade.PopulateConfig{Users: 4, Symbols: 4, HoldingsPerUser: 1},
+	}, Scale{
+		Workload: trade.GeneratorConfig{Seed: 1, Users: 4, Symbols: 4},
+		Warmup:   1,
+		Sessions: 2,
+	}, []time.Duration{0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !math.IsNaN(sweep.Sensitivity()) {
+		t.Fatalf("one-delay sensitivity = %v, want NaN", sweep.Sensitivity())
+	}
+	var b strings.Builder
+	writeSweepTable(&b, []Sweep{sweep})
+	foot := b.String()[strings.Index(b.String(), "sensitivity"):]
+	if foot = foot[:strings.Index(foot, "\n")]; !strings.Contains(foot, "n/a") || strings.Contains(foot, "R²") {
+		t.Errorf("sensitivity line = %q, want n/a", foot)
+	}
+	s := BuildSummary(SummaryInput{Eval: &Evaluation{Sweeps: map[Pair]Sweep{pair: sweep}}})
+	for _, name := range s.Names() {
+		if strings.HasPrefix(name, "sensitivity.") {
+			t.Errorf("one-delay summary carries %s", name)
+		}
+	}
 }

@@ -83,21 +83,20 @@ func RunSweepOn(ctx context.Context, topo *Topology, scale Scale, delays []time.
 		xs[i] = p.OneWayDelayMs
 		ys[i] = p.MeanLatencyMs()
 	}
-	if len(xs) >= 2 {
-		fit, err := stats.LinearFit(xs, ys)
-		switch {
-		case err == nil:
-			sweep.Fit = fit
-		case errors.Is(err, stats.ErrDegenerate) || errors.Is(err, stats.ErrInsufficientData):
-			// A single-delay sweep (or repeated delay points) has no
-			// sensitivity to fit. The measured points are still valid —
-			// mark the fit undefined instead of failing the whole sweep;
-			// report writers render NaN as "n/a".
-			nan := math.NaN()
-			sweep.Fit = stats.Fit{Slope: nan, Intercept: nan, R2: nan}
-		default:
-			return Sweep{}, fmt.Errorf("harness: fit: %w", err)
-		}
+	fit, err := stats.LinearFit(xs, ys)
+	switch {
+	case err == nil:
+		sweep.Fit = fit
+	case errors.Is(err, stats.ErrDegenerate) || errors.Is(err, stats.ErrInsufficientData):
+		// A single-delay sweep (or repeated delay points) has no
+		// sensitivity to fit. The measured points are still valid —
+		// mark the fit undefined instead of failing the whole sweep;
+		// report writers render NaN as "n/a", and the summary carries no
+		// sensitivity row.
+		nan := math.NaN()
+		sweep.Fit = stats.Fit{Slope: nan, Intercept: nan, R2: nan}
+	default:
+		return Sweep{}, fmt.Errorf("harness: fit: %w", err)
 	}
 	return sweep, nil
 }

@@ -13,8 +13,11 @@
 //     validated against the persistent store, and the after-images are
 //     applied only if no conflict exists;
 //   - the persistent store pushes invalidation notices after commits, and
-//     the runtime evicts the affected common-store entries. No edge hears
-//     its own commit, whose after-images it installed itself. The common
+//     the runtime evicts the affected common-store entries and cached
+//     finder results. No edge hears its own commit: it installs the
+//     commit's after-images itself, in the common store and in every
+//     cached finder result the commit touches, unless a write it heard
+//     while the commit was in flight may be newer. The common
 //     store is unbounded; when the notice stream drops, the runtime
 //     clears it and the finder cache, since notices may be missed, and
 //     resubscribes.

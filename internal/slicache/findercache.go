@@ -1,6 +1,7 @@
 package slicache
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -16,9 +17,12 @@ import (
 // incoming commit notice invalidates every entry whose footprint
 // overlaps the committed write set: a row that leaves a result is one
 // of its keys, and a row that enters it matches in its after-image,
-// which per-key version bumps alone cannot express. A result is stored
-// only if its fill survived (see StartFill), so no write that landed
-// while the store call was in flight is missed. Correctness at use time
+// which per-key version bumps alone cannot express. The store sends an
+// edge no notice of its own commit: Commit installs that commit's
+// after-images in the entries it touches instead, as the common store
+// refreshes its beans. A result is stored, and a commit installed, only
+// if its fill survived (see StartFill), so no write that landed while
+// the store call was in flight is missed. Correctness at use time
 // still rests on optimistic validation: rows served from a cached result
 // enter the transaction's read set and are proven at commit like any
 // other read.
@@ -40,9 +44,10 @@ type finderEntry struct {
 	storedAt time.Time
 }
 
-// Fill is one finder's store call and the install of its reply, from
-// StartFill until Put or Drop ends it. It collects every write the cache
-// is told of in that window and is spoiled if the cache is cleared.
+// Fill is one store call and the install of its reply, from StartFill
+// until Put, Commit or Drop ends it: a finder's query, or this edge's
+// own commit. It collects every write the cache is told of in that
+// window and is spoiled if the cache is cleared.
 type Fill struct {
 	writes  []memento.WriteDesc
 	spoiled bool
@@ -101,8 +106,8 @@ func (c *FinderCache) get(ck string) ([]memento.Memento, time.Time, bool) {
 	return e.mems, e.storedAt, true
 }
 
-// StartFill opens a fill before a finder's store call is sent. A
-// disabled cache opens none and returns nil.
+// StartFill opens a fill before a finder's query or a commit is sent.
+// A disabled cache opens none and returns nil.
 func (c *FinderCache) StartFill() *Fill {
 	if !c.enabled {
 		return nil
@@ -140,6 +145,81 @@ func (c *FinderCache) put(f *Fill, ck string, q memento.Query, mems []memento.Me
 	c.entries[ck] = finderEntry{mems: mems, fp: fp, storedAt: at}
 }
 
+// Commit ends fill f, opened before this edge's own commit was sent,
+// and installs the commit in every entry it overlaps: written holds
+// each written or created row's after-image at its new version, removed
+// the keys the commit removed. In each such entry a written row that
+// matches the query replaces its old image or joins in key order, a
+// row that no longer matches or was removed leaves, and the footprint
+// is rebuilt from the new rows. The entry is dropped instead when the
+// cache was cleared since StartFill or a write it was told of since
+// then overlaps the new footprint: that write may be newer than the
+// commit, so the installed rows could be stale. Commit creates no
+// entry, and hands the commit's writes to every other open fill, whose
+// reply may predate them.
+func (c *FinderCache) Commit(f *Fill, written []memento.Memento, removed []memento.Key) {
+	if !c.enabled {
+		return
+	}
+	own := make([]memento.WriteDesc, 0, len(written)+len(removed))
+	for _, m := range written {
+		own = append(own, memento.WriteDesc{Key: m.Key, After: m.Fields})
+	}
+	for _, k := range removed {
+		own = append(own, memento.WriteDesc{Key: k, Removed: true})
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	delete(c.fills, f)
+	for g := range c.fills {
+		g.writes = append(g.writes, own...)
+	}
+	n := 0
+	for ck, e := range c.entries {
+		if !e.fp.Overlaps(own) {
+			continue
+		}
+		q := e.fp.Queries[0]
+		mems := withCommit(q, e.mems, written, removed)
+		fp := memento.QueryFootprint(q, mems)
+		if f.spoiled || fp.Overlaps(f.writes) {
+			delete(c.entries, ck)
+			n++
+			continue
+		}
+		c.entries[ck] = finderEntry{mems: mems, fp: fp, storedAt: e.storedAt}
+	}
+	c.countInvalidations(n)
+}
+
+// withCommit returns a new slice holding q's result rows with a
+// commit's writes applied: rows the commit wrote or removed leave, then
+// every written row that matches q joins, in key order. rows itself is
+// shared with readers and is not touched.
+func withCommit(q memento.Query, rows, written []memento.Memento, removed []memento.Key) []memento.Memento {
+	touched := func(k memento.Key) bool {
+		for _, m := range written {
+			if m.Key == k {
+				return true
+			}
+		}
+		return slices.Contains(removed, k)
+	}
+	out := make([]memento.Memento, 0, len(rows)+len(written))
+	for _, m := range rows {
+		if !touched(m.Key) {
+			out = append(out, m)
+		}
+	}
+	for _, m := range written {
+		if q.Matches(m) {
+			out = append(out, m)
+		}
+	}
+	q.Sort(out)
+	return out
+}
+
 // Drop ends fill f without storing anything: its store call failed.
 func (c *FinderCache) Drop(f *Fill) {
 	if !c.enabled {
@@ -170,11 +250,16 @@ func (c *FinderCache) Invalidate(writes []memento.WriteDesc) int {
 			n++
 		}
 	}
+	c.countInvalidations(n)
+	return n
+}
+
+// countInvalidations counts n dropped entries.
+func (c *FinderCache) countInvalidations(n int) {
 	if n > 0 {
 		c.invalidations.Add(uint64(n))
 		obsFinderInvalidations.Add(uint64(n))
 	}
-	return n
 }
 
 // Clear empties the cache and spoils every open fill (stream loss,

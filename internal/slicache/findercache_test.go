@@ -5,9 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
+	"testing/quick"
 	"time"
 
 	"edgeejb/internal/memento"
@@ -275,11 +278,12 @@ func TestFinderCacheKeyOnlyNoticeIsConservative(t *testing.T) {
 	}
 }
 
-// TestFinderCacheOwnCommitInvalidates: the committing edge invalidates
-// its own overlapping finder entries synchronously — before its notice
-// comes back (own notices are filtered), so a follow-up finder on the
-// same edge never sees the pre-commit result set.
-func TestFinderCacheOwnCommitInvalidates(t *testing.T) {
+// TestFinderCacheOwnCommitRefreshes: the committing edge installs its
+// own commit in the finder results it overlaps — the store sends it no
+// notice of it — so the entry holds the committed result set at the new
+// versions, and a follow-up finder on the same edge is a hit that never
+// sees the pre-commit result set.
+func TestFinderCacheOwnCommitRefreshes(t *testing.T) {
 	e := newEnv(t, WithFinderCache(true))
 	e.store.Seed(holding("h1", "u1"), holding("h2", "u1"))
 	ctx := context.Background()
@@ -290,32 +294,304 @@ func TestFinderCacheOwnCommitInvalidates(t *testing.T) {
 	}
 	_ = dt.Abort(ctx)
 
-	// Move h1 out of the predicate and commit.
+	// Move h1 out of the predicate, update h2 in place, and commit.
 	dt2 := e.begin(t)
-	m, err := dt2.Load(ctx, memento.Key{Table: "t", ID: "h1"})
+	rows, err := dt2.Query(ctx, byAcct("u1"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.Fields["acct"] = memento.String("u9")
-	if err := dt2.Store(ctx, m); err != nil {
-		t.Fatal(err)
+	rows[0].Fields["acct"] = memento.String("u9")
+	rows[1].Fields["n"] = memento.Int(7)
+	for _, m := range rows {
+		if err := dt2.Store(ctx, m); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := dt2.Commit(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if e.mgr.FinderCache().Len() != 0 {
-		t.Fatal("own commit left a stale finder entry behind")
+	want, err := storeapi.Local(e.store).AutoQuery(ctx, byAcct("u1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want.Mems) != 1 || want.Mems[0].Key.ID != "h2" {
+		t.Fatalf("store answers %s, want h2 alone", rowVersions(want.Mems))
+	}
+	e.mgr.finders.mu.Lock()
+	cached := maps.Clone(e.mgr.finders.entries)
+	e.mgr.finders.mu.Unlock()
+	entry, ok := cached[byAcct("u1").CacheKey()]
+	if len(cached) != 1 || !ok {
+		t.Fatalf("own commit left %d finder entries, want the refreshed one", len(cached))
+	}
+	if got, want := rowVersions(entry.mems), rowVersions(want.Mems); got != want {
+		t.Fatalf("refreshed entry = %s, want %s", got, want)
+	}
+	if !entry.fp.CoversKey(memento.Key{Table: "t", ID: "h2"}) || entry.fp.CoversKey(memento.Key{Table: "t", ID: "h1"}) {
+		t.Fatalf("refreshed footprint keys = %v, want [t/h2]", entry.fp.Keys)
 	}
 
+	before, hits := e.conn.Ops(), e.mgr.Stats().Finders.Hits
 	dt3 := e.begin(t)
 	defer dt3.Abort(ctx)
 	got, err := dt3.Query(ctx, byAcct("u1"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 1 || got[0].Key.ID != "h2" {
-		t.Fatalf("post-commit finder = %v, want [h2]", got)
+	if rowVersions(got) != rowVersions(want.Mems) || got[0].Fields["n"].Int != 7 {
+		t.Fatalf("post-commit finder = %s, want %s", rowVersions(got), rowVersions(want.Mems))
 	}
+	if ops := e.conn.Ops() - before; ops != 0 {
+		t.Errorf("post-commit finder cost %d statements, want 0", ops)
+	}
+	if e.mgr.Stats().Finders.Hits != hits+1 {
+		t.Error("post-commit finder missed the refreshed entry")
+	}
+}
+
+// commitRaceConn is a Conn whose first ApplyCommitSet runs the real
+// call and then calls race before it returns the reply, so race lands
+// while the commit's reply is in flight.
+type commitRaceConn struct {
+	storeapi.Conn
+	once sync.Once
+	race func()
+}
+
+func (c *commitRaceConn) ApplyCommitSet(ctx context.Context, cs memento.CommitSet) (sqlstore.ApplyResult, error) {
+	res, err := c.Conn.ApplyCommitSet(ctx, cs)
+	c.once.Do(c.race)
+	return res, err
+}
+
+// TestFinderCommitRace: another edge's write that lands while this
+// edge's own commit is in flight may be newer than that commit. An
+// entry whose refreshed footprint it overlaps must be dropped, or the
+// refresh installs this edge's older image over it. The write here
+// follows the commit at the store, on h3, the row the commit moved into
+// the cached result: a write that leaves the old footprint alone, so
+// its notice drops nothing and only the fill rule catches it. A row
+// that moves into the result overlaps the old footprint too, so its
+// notice drops the entry, and the refresh must not bring it back.
+func TestFinderCommitRace(t *testing.T) {
+	ctx := context.Background()
+	h3 := memento.Key{Table: "t", ID: "h3"}
+	cases := map[string]func(t *testing.T, local storeapi.Conn) memento.CommitSet{
+		"moves the row back out": func(t *testing.T, local storeapi.Conn) memento.CommitSet {
+			m := current(t, local, h3)
+			m.Fields["acct"] = memento.String("u2")
+			return memento.CommitSet{Writes: []memento.Memento{m}}
+		},
+		"updates the row": func(t *testing.T, local storeapi.Conn) memento.CommitSet {
+			m := current(t, local, h3)
+			m.Fields["n"] = memento.Int(9)
+			return memento.CommitSet{Writes: []memento.Memento{m}}
+		},
+		"removes the row": func(t *testing.T, local storeapi.Conn) memento.CommitSet {
+			m := current(t, local, h3)
+			return memento.CommitSet{Removes: []memento.ReadProof{{Key: h3, Version: m.Version}}}
+		},
+		"moves another row in": func(t *testing.T, local storeapi.Conn) memento.CommitSet {
+			m := current(t, local, memento.Key{Table: "t", ID: "h4"})
+			m.Fields["acct"] = memento.String("u1")
+			return memento.CommitSet{Writes: []memento.Memento{m}}
+		},
+	}
+	for name, other := range cases {
+		t.Run(name, func(t *testing.T) {
+			store := sqlstore.New()
+			t.Cleanup(store.Close)
+			store.Seed(holding("h1", "u1"), holding("h2", "u1"), holding("h3", "u2"), holding("h4", "u2"))
+			local := storeapi.Local(store)
+			conn := &commitRaceConn{Conn: local}
+			mgr := NewManager(conn, WithShipping(WholeSet), WithFinderCache(true))
+			t.Cleanup(mgr.Close)
+			conn.race = func() {
+				applied := mgr.Stats().NoticesApplied
+				if _, err := store.ApplyCommitSet(ctx, other(t, local)); err != nil {
+					t.Error(err)
+					return
+				}
+				waitFor(t, 3*time.Second, func() bool { return mgr.Stats().NoticesApplied > applied })
+			}
+			if err := mgr.Start(ctx); err != nil {
+				t.Fatal(err)
+			}
+
+			// Cache byAcct(u1), then move h3 into it in a commit.
+			dt, err := mgr.Begin(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := dt.Query(ctx, byAcct("u1")); err != nil {
+				t.Fatal(err)
+			}
+			m, err := dt.Load(ctx, h3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.Fields["acct"] = memento.String("u1")
+			if err := dt.Store(ctx, m); err != nil {
+				t.Fatal(err)
+			}
+			if err := dt.Commit(ctx); err != nil {
+				t.Fatal(err)
+			}
+			if n := mgr.FinderCache().Len(); n != 0 {
+				t.Errorf("%d finder entries survived a write newer than the commit", n)
+			}
+
+			want, err := local.AutoQuery(ctx, byAcct("u1"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			dt2, err := mgr.Begin(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer dt2.Abort(ctx)
+			got, err := dt2.Query(ctx, byAcct("u1"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rowVersions(got) != rowVersions(want.Mems) {
+				t.Errorf("finder after the race = %s, store answers %s", rowVersions(got), rowVersions(want.Mems))
+			}
+		})
+	}
+}
+
+// TestFinderCacheOwnCommitProperty: random transactions on one edge —
+// finders over three accounts, updates that move rows between them or
+// change them in place, creates and removes — interleaved with other
+// edges' writes whose notices the edge has applied. After each of them
+// every entry the finder cache holds is the store's own answer to its
+// query, row for row and version for version, under both ways of
+// shipping a commit.
+func TestFinderCacheOwnCommitProperty(t *testing.T) {
+	for _, shipping := range []CommitShipping{PerImage, WholeSet} {
+		t.Run(shipping.String(), func(t *testing.T) {
+			f := func(seed int64) bool { return runOwnCommitTrial(t, seed, shipping) }
+			if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+}
+
+// runOwnCommitTrial runs one random sequence and reports whether every
+// cached finder result matched the store after each step.
+func runOwnCommitTrial(t *testing.T, seed int64, shipping CommitShipping) bool {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	ctx := context.Background()
+	store := sqlstore.New()
+	defer store.Close()
+	acct := func() string { return fmt.Sprintf("u%d", rng.Intn(3)) }
+	id := func() string { return fmt.Sprintf("h%d", rng.Intn(8)) }
+	for i := 0; i < 6; i++ {
+		store.Seed(holding(fmt.Sprintf("h%d", i), acct()))
+	}
+	local := storeapi.Local(store)
+	mgr := NewManager(local, WithShipping(shipping), WithFinderCache(true))
+	defer mgr.Close()
+	if err := mgr.Start(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	for step := 0; step < 20; step++ {
+		if rng.Intn(4) == 0 {
+			// Another edge writes one row; its notice is applied before
+			// the check.
+			var cs memento.CommitSet
+			res, err := local.AutoGet(ctx, "t", id())
+			switch {
+			case errors.Is(err, sqlstore.ErrNotFound):
+				cs.Creates = []memento.Memento{holding(id(), acct())}
+			case err != nil:
+				t.Fatal(err)
+			case rng.Intn(3) == 0:
+				cs.Removes = []memento.ReadProof{{Key: res.Mem.Key, Version: res.Mem.Version}}
+			default:
+				m := res.Mem.Clone()
+				m.Fields["acct"] = memento.String(acct())
+				cs.Writes = []memento.Memento{m}
+			}
+			applied := mgr.Stats().NoticesApplied
+			if _, err := store.ApplyCommitSet(ctx, cs); err != nil {
+				continue // a create of a row that exists
+			}
+			for deadline := time.Now().Add(3 * time.Second); mgr.Stats().NoticesApplied == applied; time.Sleep(50 * time.Microsecond) {
+				if time.Now().After(deadline) {
+					t.Fatal("notice never applied")
+				}
+			}
+		} else {
+			dt, err := mgr.Begin(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for op := 1 + rng.Intn(3); op > 0; op-- {
+				key := memento.Key{Table: "t", ID: id()}
+				switch rng.Intn(4) {
+				case 0:
+					_, err = dt.Query(ctx, byAcct(acct()))
+				case 1:
+					var m memento.Memento
+					if m, err = dt.Load(ctx, key); err == nil {
+						if rng.Intn(2) == 0 {
+							m.Fields["acct"] = memento.String(acct())
+						} else {
+							m.Fields["n"] = memento.Int(rng.Int63n(100))
+						}
+						err = dt.Store(ctx, m)
+					}
+				case 2:
+					err = dt.Create(ctx, holding(key.ID, acct()))
+				case 3:
+					err = dt.Remove(ctx, key)
+				}
+				if err != nil && !errors.Is(err, sqlstore.ErrNotFound) && !errors.Is(err, sqlstore.ErrExists) {
+					t.Fatal(err)
+				}
+			}
+			// A create of a row another edge made, which this edge has
+			// not cached, loses validation; nothing else can.
+			if err := dt.Commit(ctx); err != nil && !errors.Is(err, sqlstore.ErrConflict) {
+				t.Fatal(err)
+			}
+		}
+
+		mgr.finders.mu.Lock()
+		cached := maps.Clone(mgr.finders.entries)
+		mgr.finders.mu.Unlock()
+		for _, e := range cached {
+			q := e.fp.Queries[0]
+			res, err := local.AutoQuery(ctx, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := rowVersions(e.mems), rowVersions(res.Mems); got != want {
+				t.Logf("seed %d step %d: cached %s = %s, store answers %s", seed, step, q, got, want)
+				return false
+			}
+			if got := memento.QueryFootprint(q, e.mems); !slices.Equal(got.Keys, e.fp.Keys) {
+				t.Logf("seed %d step %d: footprint of %s covers %v, rows are %v", seed, step, q, e.fp.Keys, got.Keys)
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// current reads key's committed row from the store.
+func current(t *testing.T, local storeapi.Conn, key memento.Key) memento.Memento {
+	t.Helper()
+	res, err := local.AutoGet(context.Background(), key.Table, key.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Mem
 }
 
 // TestFinderCacheConflictBlindInvalidatesAndEmitsStaleRead: losing

@@ -365,11 +365,15 @@ func (t *sliTx) Query(ctx context.Context, q memento.Query) ([]memento.Memento, 
 }
 
 // Commit builds the commit set (before-image proofs plus after-images)
-// and ships it to the validator. On success the common store is
-// refreshed with the new committed state; on conflict every key the
-// transaction touched is evicted, since the persistent state is known
-// to have moved. A set with nothing to prove, or whose proofs its one
-// store read already made, commits at the edge.
+// and ships it to the validator. On success the new committed state is
+// installed where the edge caches it: the common store takes each
+// written bean's after-image, and every cached finder result the
+// commit overlaps takes the after-images and removes under the finder
+// cache's fill rule (FinderCache.Commit), the fill having been opened
+// before the set was sent. On conflict every key the transaction
+// touched is evicted, since the persistent state is known to have
+// moved. A set with nothing to prove, or whose proofs its one store
+// read already made, commits at the edge.
 func (t *sliTx) Commit(ctx context.Context) error {
 	if t.done {
 		return sqlstore.ErrTxDone
@@ -382,10 +386,15 @@ func (t *sliTx) Commit(ctx context.Context) error {
 		return nil
 	}
 
+	var fill *Fill
+	if cs.Mutations() > 0 {
+		fill = t.mgr.finders.StartFill()
+	}
 	cctx, sp := obs.StartSpan(ctx, "slicache.commit")
 	outcome, err := t.mgr.loader.Commit(cctx, cs)
 	sp.End()
 	if err != nil {
+		t.mgr.finders.Drop(fill)
 		t.mgr.stats.conflicts.Add(1)
 		obsConflicts.Inc()
 		t.noteConflict(ctx, err)
@@ -407,13 +416,16 @@ func (t *sliTx) Commit(ctx context.Context) error {
 	}
 	t.mgr.stats.commits.Add(1)
 
-	// Refresh the common store with committed after-images and evict
-	// removed beans. Cached finder results are invalidated synchronously
-	// with exact after-images — the store sends this edge no notice for
-	// its own commit, so this is the only place it is applied.
-	// A written bean whose new version the reply did not carry is
-	// evicted: its cached image is the pre-commit one.
-	var ownWrites []memento.WriteDesc
+	// Install the committed after-images and evict removed beans — the
+	// store sends this edge no notice for its own commit, so this is the
+	// only place it is applied. A written bean whose new version the
+	// reply did not carry is evicted, and blindly invalidates the finder
+	// results over its table: its cached image is the pre-commit one.
+	var (
+		written []memento.Memento
+		removed []memento.Key
+		unknown []memento.WriteDesc
+	)
 	for _, e := range t.entries {
 		switch e.state {
 		case stateDirty, stateCreated:
@@ -421,17 +433,19 @@ func (t *sliTx) Commit(ctx context.Context) error {
 				m := e.current
 				m.Version = v
 				t.mgr.common.Refresh(m)
+				written = append(written, m)
 			} else {
 				t.mgr.common.Invalidate(e.current.Key)
+				unknown = append(unknown, memento.WriteDesc{Key: e.current.Key})
 			}
-			ownWrites = append(ownWrites, memento.WriteDesc{Key: e.current.Key, After: e.current.Fields})
 		case stateRemoved:
 			t.mgr.common.Invalidate(e.current.Key)
-			ownWrites = append(ownWrites, memento.WriteDesc{Key: e.current.Key, Removed: true})
+			removed = append(removed, e.current.Key)
 		}
 	}
-	if len(ownWrites) > 0 {
-		t.mgr.finders.Invalidate(ownWrites)
+	t.mgr.finders.Invalidate(unknown)
+	if fill != nil {
+		t.mgr.finders.Commit(fill, written, removed)
 	}
 	return nil
 }

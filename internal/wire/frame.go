@@ -73,6 +73,16 @@ func newFrameWriter(w io.Writer) *frameWriter { return &frameWriter{w: w} }
 // injection those bytes are real load on the shared path, and dropping
 // them from Stats.BytesSent skews the Figure-8 comparison.
 func (fw *frameWriter) writeFrame(h *frameHeader, body any) (int, error) {
+	buf, err := fw.frame(h, body)
+	if err != nil {
+		return 0, err
+	}
+	return fw.w.Write(buf)
+}
+
+// frame encodes header+body as one frame, length prefix included, into
+// the writer's reused buffer, valid until the next frame.
+func (fw *frameWriter) frame(h *frameHeader, body any) ([]byte, error) {
 	buf := appendHeader(append(fw.buf[:0], 0, 0, 0, 0), h)
 	if b, ok := body.(Body); ok {
 		buf = b.AppendWire(buf, &fw.names)
@@ -82,13 +92,13 @@ func (fw *frameWriter) writeFrame(h *frameHeader, body any) (int, error) {
 		}
 		fw.gobBuf.Reset()
 		if err := fw.enc.Encode(body); err != nil {
-			return 0, err
+			return nil, err
 		}
 		buf = append(buf, fw.gobBuf.Bytes()...)
 	}
 	fw.buf = buf
 	binary.BigEndian.PutUint32(buf, uint32(len(buf)-4))
-	return fw.w.Write(buf)
+	return buf, nil
 }
 
 // frameReader reads frames and decodes their header and body. A read

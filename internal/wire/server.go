@@ -349,20 +349,23 @@ func (sc *serverConn) dispatch(r request) {
 		return
 	}
 	sc.wmu.Lock()
-	n, err := sc.fw.writeFrame(&frameHeader{ID: r.id, Kind: kindResponse}, resp)
+	frame, err := sc.fw.frame(&frameHeader{ID: r.id, Kind: kindResponse}, resp)
+	if err == nil {
+		// Count the reply as it is handed to the socket, as the delay
+		// proxy counts its chunks: the client may read it and read these
+		// stats before Write returns, and the count must never trail
+		// what the client has read.
+		sc.srv.stats.sent(r.label, len(frame))
+		sc.srv.stats.roundTrip(r.label)
+		_, err = sc.fw.w.Write(frame)
+	}
 	sc.wmu.Unlock()
 	if err != nil {
-		if n > 0 {
-			sc.srv.stats.sent(r.label, n)
-		}
 		sc.srv.stats.failure(r.label)
 		// A failed response write means the stream is broken for every
 		// other in-flight response too.
 		if !errors.Is(err, net.ErrClosed) {
 			_ = sc.nc.Close()
 		}
-		return
 	}
-	sc.srv.stats.sent(r.label, n)
-	sc.srv.stats.roundTrip(r.label)
 }
