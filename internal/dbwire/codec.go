@@ -2,7 +2,6 @@ package dbwire
 
 import (
 	"encoding/binary"
-	"math"
 
 	"edgeejb/internal/memento"
 	"edgeejb/internal/sqlstore"
@@ -24,7 +23,9 @@ import (
 // crosses a connection and a one-byte index after that, and a decoded
 // name is the table's own string. IDs, messages, gids and string values
 // stay literals, since there is no bound on how many distinct ones a
-// connection sees.
+// connection sees. Keys, values, field maps and mementos are package
+// memento's row encoding (memento.AppendMemento and its kin), the one
+// the store's snapshot file is written in too.
 //
 // The encoding is not self-describing: both peers must agree on the
 // field order below, and on the frames before it, which filled the name
@@ -128,13 +129,13 @@ func appendRequest(dst []byte, t *wire.Names, q *Request) []byte {
 		dst = wire.AppendString(dst, q.ID)
 	}
 	if mask&reqKey != 0 {
-		dst = appendKey(dst, t, q.Key)
+		dst = memento.AppendKey(dst, t, q.Key)
 	}
 	if mask&reqVersion != 0 {
 		dst = binary.AppendUvarint(dst, q.Version)
 	}
 	if mask&reqMem != 0 {
-		dst = appendMemento(dst, t, q.Mem)
+		dst = memento.AppendMemento(dst, t, q.Mem)
 	}
 	if mask&reqQuery != 0 {
 		dst = appendQuery(dst, t, q.Query)
@@ -183,13 +184,13 @@ func readRequest(r *wire.Reader, q *Request, nested bool) {
 		q.ID = r.Str()
 	}
 	if mask&reqKey != 0 {
-		q.Key = readKey(r)
+		q.Key = memento.ReadKey(r)
 	}
 	if mask&reqVersion != 0 {
 		q.Version = r.Uvarint()
 	}
 	if mask&reqMem != 0 {
-		q.Mem = readMemento(r)
+		q.Mem = memento.ReadMemento(r)
 	}
 	if mask&reqQuery != 0 {
 		q.Query = readQuery(r)
@@ -268,12 +269,12 @@ func appendResponse(dst []byte, t *wire.Names, p *Response) []byte {
 		dst = binary.AppendUvarint(dst, p.Tx)
 	}
 	if mask&respMem != 0 {
-		dst = appendMemento(dst, t, p.Mem)
+		dst = memento.AppendMemento(dst, t, p.Mem)
 	}
 	if mask&respMems != 0 {
 		dst = binary.AppendUvarint(dst, uint64(len(p.Mems)))
 		for i := range p.Mems {
-			dst = appendMemento(dst, t, p.Mems[i])
+			dst = memento.AppendMemento(dst, t, p.Mems[i])
 		}
 	}
 	if mask&respSeq != 0 {
@@ -310,13 +311,13 @@ func readResponse(r *wire.Reader, p *Response, nested bool) {
 		p.Tx = r.Uvarint()
 	}
 	if mask&respMem != 0 {
-		p.Mem = readMemento(r)
+		p.Mem = memento.ReadMemento(r)
 	}
 	if mask&respMems != 0 {
 		n := r.Len()
 		p.Mems = make([]memento.Memento, 0, wire.Prealloc(n))
 		for i := 0; i < n && !r.Failed(); i++ {
-			p.Mems = append(p.Mems, readMemento(r))
+			p.Mems = append(p.Mems, memento.ReadMemento(r))
 		}
 	}
 	if mask&respSeq != 0 {
@@ -355,121 +356,31 @@ func noticeIsZero(n sqlstore.Notice) bool {
 		n.CommittedAt.IsZero() && n.OriginTrace == 0
 }
 
-func appendKey(dst []byte, t *wire.Names, k memento.Key) []byte {
-	dst = wire.AppendName(dst, t, k.Table)
-	return wire.AppendString(dst, k.ID)
-}
-
-func readKey(r *wire.Reader) memento.Key {
-	var k memento.Key
-	k.Table = r.Name()
-	k.ID = r.Str()
-	return k
-}
-
-func appendValue(dst []byte, v memento.Value) []byte {
-	dst = append(dst, byte(v.Kind))
-	switch v.Kind {
-	case memento.KindString:
-		dst = wire.AppendString(dst, v.Str)
-	case memento.KindInt:
-		dst = binary.AppendVarint(dst, v.Int)
-	case memento.KindFloat:
-		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(v.F))
-	case memento.KindBool:
-		dst = wire.AppendBool(dst, v.Bool)
-	}
-	return dst
-}
-
-func readValue(r *wire.Reader) memento.Value {
-	var v memento.Value
-	v.Kind = memento.Kind(r.Byte())
-	switch v.Kind {
-	case memento.KindString:
-		v.Str = r.Str()
-	case memento.KindInt:
-		v.Int = r.Varint()
-	case memento.KindFloat:
-		v.F = math.Float64frombits(r.Uint64())
-	case memento.KindBool:
-		v.Bool = r.Bool()
-	default:
-		// Kind 0 is the zero Value, which has no payload; a kind above
-		// KindBool is one no peer of ours writes.
-		if v.Kind > memento.KindBool {
-			r.Fail()
-		}
-	}
-	return v
-}
-
-// appendFields encodes a field map with an explicit nil/present marker.
-func appendFields(dst []byte, t *wire.Names, f memento.Fields) []byte {
-	if f == nil {
-		return append(dst, 0)
-	}
-	dst = append(dst, 1)
-	dst = binary.AppendUvarint(dst, uint64(len(f)))
-	for name, v := range f {
-		dst = wire.AppendName(dst, t, name)
-		dst = appendValue(dst, v)
-	}
-	return dst
-}
-
-func readFields(r *wire.Reader) memento.Fields {
-	if r.Byte() == 0 {
-		return nil
-	}
-	n := r.Len()
-	f := make(memento.Fields, wire.Prealloc(n))
-	for i := 0; i < n && !r.Failed(); i++ {
-		name := r.Name()
-		f[name] = readValue(r)
-	}
-	return f
-}
-
-func appendMemento(dst []byte, t *wire.Names, m memento.Memento) []byte {
-	dst = appendKey(dst, t, m.Key)
-	dst = binary.AppendUvarint(dst, m.Version)
-	return appendFields(dst, t, m.Fields)
-}
-
-func readMemento(r *wire.Reader) memento.Memento {
-	var m memento.Memento
-	m.Key = readKey(r)
-	m.Version = r.Uvarint()
-	m.Fields = readFields(r)
-	return m
-}
-
 func appendReadProof(dst []byte, t *wire.Names, p memento.ReadProof) []byte {
-	dst = appendKey(dst, t, p.Key)
+	dst = memento.AppendKey(dst, t, p.Key)
 	dst = binary.AppendUvarint(dst, p.Version)
 	return wire.AppendBool(dst, p.Absent)
 }
 
 func readReadProof(r *wire.Reader) memento.ReadProof {
 	var p memento.ReadProof
-	p.Key = readKey(r)
+	p.Key = memento.ReadKey(r)
 	p.Version = r.Uvarint()
 	p.Absent = r.Bool()
 	return p
 }
 
 func appendWriteDesc(dst []byte, t *wire.Names, w memento.WriteDesc) []byte {
-	dst = appendKey(dst, t, w.Key)
+	dst = memento.AppendKey(dst, t, w.Key)
 	dst = wire.AppendBool(dst, w.Removed)
-	return appendFields(dst, t, w.After)
+	return memento.AppendFields(dst, t, w.After)
 }
 
 func readWriteDesc(r *wire.Reader) memento.WriteDesc {
 	var w memento.WriteDesc
-	w.Key = readKey(r)
+	w.Key = memento.ReadKey(r)
 	w.Removed = r.Bool()
-	w.After = readFields(r)
+	w.After = memento.ReadFields(r)
 	return w
 }
 
@@ -480,11 +391,11 @@ func appendCommitSet(dst []byte, t *wire.Names, cs memento.CommitSet) []byte {
 	}
 	dst = binary.AppendUvarint(dst, uint64(len(cs.Writes)))
 	for i := range cs.Writes {
-		dst = appendMemento(dst, t, cs.Writes[i])
+		dst = memento.AppendMemento(dst, t, cs.Writes[i])
 	}
 	dst = binary.AppendUvarint(dst, uint64(len(cs.Creates)))
 	for i := range cs.Creates {
-		dst = appendMemento(dst, t, cs.Creates[i])
+		dst = memento.AppendMemento(dst, t, cs.Creates[i])
 	}
 	dst = binary.AppendUvarint(dst, uint64(len(cs.Removes)))
 	for _, p := range cs.Removes {
@@ -504,13 +415,13 @@ func readCommitSet(r *wire.Reader) memento.CommitSet {
 	if n := r.Len(); n > 0 {
 		cs.Writes = make([]memento.Memento, 0, wire.Prealloc(n))
 		for i := 0; i < n && !r.Failed(); i++ {
-			cs.Writes = append(cs.Writes, readMemento(r))
+			cs.Writes = append(cs.Writes, memento.ReadMemento(r))
 		}
 	}
 	if n := r.Len(); n > 0 {
 		cs.Creates = make([]memento.Memento, 0, wire.Prealloc(n))
 		for i := 0; i < n && !r.Failed(); i++ {
-			cs.Creates = append(cs.Creates, readMemento(r))
+			cs.Creates = append(cs.Creates, memento.ReadMemento(r))
 		}
 	}
 	if n := r.Len(); n > 0 {
@@ -528,7 +439,7 @@ func appendQuery(dst []byte, t *wire.Names, q memento.Query) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(q.Where)))
 	for _, p := range q.Where {
 		dst = wire.AppendName(dst, t, p.Field)
-		dst = appendValue(dst, p.Value)
+		dst = memento.AppendValue(dst, p.Value)
 	}
 	return dst
 }
@@ -541,7 +452,7 @@ func readQuery(r *wire.Reader) memento.Query {
 		for i := 0; i < n && !r.Failed(); i++ {
 			var p memento.Predicate
 			p.Field = r.Name()
-			p.Value = readValue(r)
+			p.Value = memento.ReadValue(r)
 			q.Where = append(q.Where, p)
 		}
 	}
@@ -573,7 +484,7 @@ func readNotice(r *wire.Reader) sqlstore.Notice {
 }
 
 func appendConflict(dst []byte, t *wire.Names, ci *ConflictInfo) []byte {
-	dst = appendKey(dst, t, ci.Key)
+	dst = memento.AppendKey(dst, t, ci.Key)
 	dst = binary.AppendUvarint(dst, ci.Expected)
 	dst = binary.AppendUvarint(dst, ci.Actual)
 	dst = binary.AppendUvarint(dst, ci.WinnerTrace)
@@ -582,7 +493,7 @@ func appendConflict(dst []byte, t *wire.Names, ci *ConflictInfo) []byte {
 
 func readConflict(r *wire.Reader) *ConflictInfo {
 	ci := new(ConflictInfo)
-	ci.Key = readKey(r)
+	ci.Key = memento.ReadKey(r)
 	ci.Expected = r.Uvarint()
 	ci.Actual = r.Uvarint()
 	ci.WinnerTrace = r.Uvarint()

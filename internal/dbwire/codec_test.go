@@ -354,7 +354,7 @@ func TestCodecRejectsMalformedBodies(t *testing.T) {
 	}
 
 	// A value kind no peer writes, with no payload after it; the zero
-	// kind, which appendValue does write, still decodes.
+	// kind, which memento.AppendValue does write, still decodes.
 	if err := new(Response).ReadWire(unknownKindResponse(), nil); err == nil {
 		t.Error("decoder accepted a response with an unknown value kind")
 	}
@@ -369,7 +369,7 @@ func TestCodecRejectsMalformedBodies(t *testing.T) {
 }
 
 // unknownKindMem is a memento holding a value of kind 7, which
-// appendValue writes as its kind byte alone.
+// memento.AppendValue writes as its kind byte alone.
 func unknownKindMem() memento.Memento {
 	return memento.Memento{Key: memento.Key{Table: "t", ID: "x"}, Fields: memento.Fields{"k": {Kind: 7}}}
 }

@@ -9,7 +9,9 @@
 // touches a bean is its before-image; the memento captured at commit
 // time is its after-image; a CommitSet bundles a whole transaction's
 // images for the single-round-trip commit of §3.3. This package is
-// deliberately free of any storage or network dependency so that every
-// tier (edge server, back-end server, database server) can exchange
-// these values.
+// deliberately free of any storage dependency so that every tier (edge
+// server, back-end server, database server) can exchange these values.
+// codec.go is their one byte encoding, built on package wire's
+// primitives and name table: dbwire's messages carry rows in it, and
+// sqlstore's snapshot file is written in it.
 package memento

@@ -46,9 +46,9 @@ func (k Kind) String() string {
 }
 
 // Value is a typed field value. Exactly one of the payload fields is
-// meaningful, selected by Kind. Values are small and copied freely; they
-// are plain data, so the wire codecs and the store's gob snapshot encode
-// them without interface registration.
+// meaningful, selected by Kind. Values are small and copied freely; the
+// wire and the store's snapshot both write one with AppendValue
+// (codec.go).
 //
 // A value that crosses the wire or is stored — in the database's rows or
 // the edge's common store (see Row) — keeps only the payload its Kind

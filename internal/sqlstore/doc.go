@@ -36,4 +36,10 @@
 // image, which Put, Insert and CheckedPut cloned from their caller.
 // Transaction outcomes feed the sqlstore.* metrics (see
 // OBSERVABILITY.md).
+//
+// Dump and Restore (snapshot.go) carry the committed state across a
+// restart, its rows in the wire's row encoding (memento.AppendMemento).
+// A restored store runs at a new incarnation, the high bits of every
+// commit number it issues, so no number is issued twice, not even one
+// lost with the commits after the last snapshot.
 package sqlstore

@@ -3,7 +3,6 @@ package sqlstore
 import (
 	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"math"
@@ -43,19 +42,6 @@ func sameFields(got, want memento.Fields) bool {
 		}
 	}
 	return true
-}
-
-// gobbed is f as a snapshot gives it back: gob omits a zero float, so
-// -0 comes back as 0 (the two are Equal).
-func gobbed(f memento.Fields) memento.Fields {
-	f = f.Clone()
-	for k, v := range f {
-		if v.F == 0 {
-			v.F = 0
-			f[k] = v
-		}
-	}
-	return f
 }
 
 // scribble mutates a field map in place, if it has one.
@@ -311,18 +297,16 @@ func (m *rowModel) step() error {
 		if err := m.s.Dump(&buf); err != nil {
 			return err
 		}
-		var snap snapshot
-		if err := gob.NewDecoder(bytes.NewReader(buf.Bytes())).Decode(&snap); err != nil {
+		_, _, tables, err := readSnapshot(buf.Bytes())
+		if err != nil {
 			return err
 		}
-		for id, r := range m.rows {
-			m.rows[id] = storedRow{version: r.version, fields: gobbed(r.fields)}
-		}
 		dumped := 0
-		for _, st := range snap.Tables {
-			for _, r := range st.Rows {
-				want, ok := m.rows[r.Key.ID]
-				if st.Name != rowTable || !ok || r.Version != want.version || !sameFields(r.Fields, want.fields) {
+		for name, st := range tables {
+			for id, row := range st.rows {
+				r := st.memento(name, id, row)
+				want, ok := m.rows[id]
+				if name != rowTable || !ok || r.Version != want.version || !sameFields(r.Fields, want.fields) {
 					return fmt.Errorf("Dump holds %s@v%d %v, want %v", r.Key, r.Version, r.Fields, want)
 				}
 				dumped++

@@ -3,7 +3,6 @@ package sqlstore
 import (
 	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"sync"
@@ -44,8 +43,8 @@ func TestRecreatedRowRejectsStaleProof(t *testing.T) {
 // TestRestoreNeverReissuesANumber: the commit counter survives a dump
 // and restore, so a row removed before the dump and created after the
 // restore takes a version above every version issued before the dump —
-// also when the snapshot predates the recorded counter and the restore
-// falls back to the highest row version.
+// also when the snapshot records a zero counter and the restore falls
+// back to the highest row version.
 func TestRestoreNeverReissuesANumber(t *testing.T) {
 	ctx := context.Background()
 	src := New()
@@ -65,15 +64,9 @@ func TestRestoreNeverReissuesANumber(t *testing.T) {
 	if err := src.Dump(&buf); err != nil {
 		t.Fatal(err)
 	}
-	// The same state as a snapshot without the counter: the surviving
-	// row is at v1, below the removed row's last version.
-	var old bytes.Buffer
-	if err := gob.NewEncoder(&old).Encode(struct {
-		Magic  string
-		Tables []snapshotTable
-	}{snapshotMagic, src.capture().Tables}); err != nil {
-		t.Fatal(err)
-	}
+	// The same state as a snapshot with counter 0: the surviving row is
+	// at v1, below the removed row's last version.
+	old := bytes.NewBuffer(encodeSnapshot(0, 0, snapTable{name: "t", rows: []memento.Memento{mem("t", "keep", 1, intFields(1))}}))
 
 	for _, tc := range []struct {
 		name  string
@@ -81,7 +74,7 @@ func TestRestoreNeverReissuesANumber(t *testing.T) {
 		above uint64
 	}{
 		{"recorded counter", &buf, issued},
-		{"no counter", &old, 1},
+		{"no counter", old, 1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dst := New()
@@ -97,6 +90,49 @@ func TestRestoreNeverReissuesANumber(t *testing.T) {
 				t.Errorf("re-created row at v%d, want above v%d", v, tc.above)
 			}
 		})
+	}
+}
+
+// TestLostCommitProofFails: commits made after the last snapshot are
+// lost with a crash, and so are their numbers. A store restored from
+// that snapshot runs at a new incarnation, so its first commit takes a
+// number above every lost one, and a read proof of a lost image — which
+// an edge may still hold — fails validation instead of matching the
+// new row.
+func TestLostCommitProofFails(t *testing.T) {
+	ctx := context.Background()
+	key := memento.Key{Table: "account", ID: "u1"}
+	balance := func(v uint64, b int64) memento.Memento {
+		return memento.Memento{Key: key, Version: v, Fields: memento.Fields{"balance": memento.Int(b)}}
+	}
+	before := New()
+	defer before.Close()
+	before.Seed(balance(0, 10))
+	var snap bytes.Buffer
+	if err := before.Dump(&snap); err != nil {
+		t.Fatal(err)
+	}
+	lost, err := before.ApplyCommitSet(ctx, memento.CommitSet{Writes: []memento.Memento{balance(1, 50)}, Origin: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lostVersion := lost.NewVersions[key]
+
+	after := New() // the crash: the commit above is not in snap
+	defer after.Close()
+	if err := after.Restore(&snap); err != nil {
+		t.Fatal(err)
+	}
+	res, err := after.ApplyCommitSet(ctx, memento.CommitSet{Writes: []memento.Memento{balance(1, 999)}, Origin: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := res.NewVersions[key]; v <= lostVersion {
+		t.Errorf("commit after the restore took v%d, not above the lost v%d", v, lostVersion)
+	}
+	_, err = after.ApplyCommitSet(ctx, memento.CommitSet{Reads: []memento.ReadProof{{Key: key, Version: lostVersion}}, Origin: 1})
+	if !errors.Is(err, ErrConflict) {
+		t.Fatalf("proof of the lost image %s@v%d: err = %v, want ErrConflict", key, lostVersion, err)
 	}
 }
 

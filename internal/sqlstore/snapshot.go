@@ -1,129 +1,161 @@
 package sqlstore
 
 import (
-	"encoding/gob"
+	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 
 	"edgeejb/internal/memento"
+	"edgeejb/internal/wire"
 )
 
 // Snapshots give the database server process (cmd/dbserverd) durability
 // across restarts: the full committed state — rows with their versions,
-// plus index definitions — is serialized with encoding/gob. A snapshot
-// is a point-in-time copy taken under the store mutex, so it is always
-// transactionally consistent; in-flight transactions are excluded (their
-// buffered writes are not committed state).
+// plus index definitions — written in the row encoding the wire uses
+// (memento.AppendMemento). A snapshot is a point-in-time copy taken
+// under the store mutex, so it is always transactionally consistent;
+// in-flight transactions are excluded (their buffered writes are not
+// committed state).
+//
+// The format (v2): the magic, then as uvarints the store's incarnation
+// and commit counter and the table count, then per table, in name
+// order, its name, its indexed fields and its rows in ID order, each a
+// memento. Table and field names go through one wire.Names for the
+// whole file, so each is a literal once and a short index after that.
+// A v1 (gob) snapshot is refused as not a snapshot.
+//
+// Commit numbers are incarnation<<incarnationShift | n. A fresh store is
+// incarnation 0 and a restored one runs at its snapshot's incarnation
+// plus one, so every number it issues exceeds every number issued
+// before the crash, the ones lost with the commits after the last
+// snapshot included: a proof of a lost image can never match a row.
 
-// snapshotHeader identifies the format.
-const snapshotMagic = "edgeejb-sqlstore-v1"
+// snapshotMagic opens every snapshot; it names the format's version.
+const snapshotMagic = "edgeejb-sqlstore-v2"
 
-// snapshot is the on-disk representation. Seq is the store's commit
-// counter; a snapshot written before it was recorded decodes it as zero.
-type snapshot struct {
-	Magic  string
-	Seq    uint64
-	Tables []snapshotTable
-}
-
-type snapshotTable struct {
-	Name    string
-	Indexes []string
-	Rows    []memento.Memento
-}
+// incarnationShift places the incarnation in a commit number's high 24
+// bits, which leaves 2^40 commits to each incarnation.
+const (
+	incarnationShift = 40
+	maxIncarnation   = 1<<(64-incarnationShift) - 1
+)
 
 // Dump writes a consistent snapshot of the committed state to w.
 func (s *Store) Dump(w io.Writer) error {
-	snap := s.capture()
-	if err := gob.NewEncoder(w).Encode(snap); err != nil {
-		return fmt.Errorf("sqlstore: encode snapshot: %w", err)
+	if _, err := w.Write(s.appendSnapshot([]byte(snapshotMagic))); err != nil {
+		return fmt.Errorf("sqlstore: write snapshot: %w", err)
 	}
 	return nil
 }
 
-// capture builds the snapshot under the store mutex.
-func (s *Store) capture() snapshot {
+// appendSnapshot encodes the committed state after dst under the store
+// mutex.
+func (s *Store) appendSnapshot(dst []byte) []byte {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	snap := snapshot{Magic: snapshotMagic, Seq: s.seq}
-	names := make([]string, 0, len(s.tables))
-	for name := range s.tables {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	names := new(wire.Names)
+	dst = binary.AppendUvarint(dst, s.inc)
+	dst = binary.AppendUvarint(dst, s.seq)
+	dst = binary.AppendUvarint(dst, uint64(len(s.tables)))
+	for _, name := range slices.Sorted(maps.Keys(s.tables)) {
 		t := s.tables[name]
-		st := snapshotTable{Name: name}
-		for field := range t.indexes {
-			st.Indexes = append(st.Indexes, field)
+		dst = wire.AppendName(dst, names, name)
+		dst = binary.AppendUvarint(dst, uint64(len(t.indexes)))
+		for _, field := range slices.Sorted(maps.Keys(t.indexes)) {
+			dst = wire.AppendName(dst, names, field)
 		}
-		sort.Strings(st.Indexes)
-		ids := make([]string, 0, len(t.rows))
-		for id := range t.rows {
-			ids = append(ids, id)
+		dst = binary.AppendUvarint(dst, uint64(len(t.rows)))
+		for _, id := range slices.Sorted(maps.Keys(t.rows)) {
+			dst = memento.AppendMemento(dst, names, t.memento(name, id, t.rows[id]))
 		}
-		sort.Strings(ids)
-		for _, id := range ids {
-			st.Rows = append(st.Rows, t.memento(name, id, t.rows[id]))
-		}
-		snap.Tables = append(snap.Tables, st)
 	}
-	return snap
+	return dst
 }
 
 // Restore replaces the store's committed state with a snapshot read from
 // r. It must be called before the store is shared (no locking against
 // concurrent transactions is attempted; the caller owns the store).
-// Row versions are restored exactly, so optimistic caches built against
-// the pre-snapshot store remain coherent, and the commit counter resumes
-// above every number the snapshot shows was issued: the recorded
-// counter or the highest row version, whichever is larger, so a
-// removed-then-recreated row never takes a version it had before. A
-// snapshot that does not
-// decode, names a table twice, or files a row under a table (or an ID)
-// its key contradicts is rejected, and a rejected snapshot leaves the
-// store's previous state untouched.
+// Row versions are restored exactly, so a read proof of a row the
+// snapshot holds still validates. The store then runs at the snapshot's
+// incarnation plus one, and its commit counter resumes above the
+// largest of that incarnation's first number, the recorded counter and
+// the highest row version (a removed row's last version is only in the
+// counter). Only RestoreFile makes the new incarnation durable. A
+// snapshot that does not decode, names a table twice, or files a row
+// under a table (or an ID) its key contradicts is rejected, and a
+// rejected snapshot leaves the store's previous state untouched.
 func (s *Store) Restore(r io.Reader) error {
-	var snap snapshot
-	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
-		return fmt.Errorf("sqlstore: decode snapshot: %w", err)
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return fmt.Errorf("sqlstore: read snapshot: %w", err)
 	}
-	if snap.Magic != snapshotMagic {
-		return fmt.Errorf("sqlstore: not a snapshot (magic %q)", snap.Magic)
+	inc, seq, tables, err := readSnapshot(data)
+	if err != nil {
+		return err
 	}
-	tables := make(map[string]*table, len(snap.Tables))
-	seq := snap.Seq
-	for _, st := range snap.Tables {
-		if _, dup := tables[st.Name]; dup {
-			return fmt.Errorf("sqlstore: snapshot holds table %q twice", st.Name)
-		}
-		t := newTable()
-		tables[st.Name] = t
-		for _, field := range st.Indexes {
-			t.indexes[field] = newIndex(t.cols.Column(field))
-		}
-		for _, m := range st.Rows {
-			if m.Key.Table != st.Name {
-				return fmt.Errorf("sqlstore: snapshot table %q holds row %s", st.Name, m.Key)
-			}
-			if _, dup := t.rows[m.Key.ID]; dup {
-				return fmt.Errorf("sqlstore: snapshot holds row %s twice", m.Key)
-			}
-			t.install(m.Key.ID, t.newRow(m.Version, m.Fields))
-			seq = max(seq, m.Version)
-		}
+	if inc >= maxIncarnation {
+		return fmt.Errorf("sqlstore: snapshot incarnation %d has no successor", inc)
 	}
+	inc++
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return ErrClosed
 	}
 	s.tables = tables
-	s.seq = seq
+	s.inc = inc
+	s.seq = max(seq, inc<<incarnationShift)
 	return nil
+}
+
+// readSnapshot decodes a snapshot written by Dump into fresh tables. seq
+// is the larger of the recorded counter and the highest row version.
+func readSnapshot(data []byte) (inc, seq uint64, tables map[string]*table, err error) {
+	body, ok := bytes.CutPrefix(data, []byte(snapshotMagic))
+	if !ok {
+		return 0, 0, nil, errors.New("sqlstore: not a snapshot")
+	}
+	r := wire.NewReader(body, new(wire.Names))
+	inc = r.Uvarint()
+	seq = r.Uvarint()
+	n := r.Len()
+	tables = make(map[string]*table, wire.Prealloc(n))
+	for i := 0; i < n && !r.Failed(); i++ {
+		name := r.Name()
+		if _, dup := tables[name]; dup && !r.Failed() {
+			return 0, 0, nil, fmt.Errorf("sqlstore: snapshot holds table %q twice", name)
+		}
+		t := newTable()
+		tables[name] = t
+		for j, k := 0, r.Len(); j < k && !r.Failed(); j++ {
+			field := r.Name()
+			t.indexes[field] = newIndex(t.cols.Column(field))
+		}
+		for j, k := 0, r.Len(); j < k; j++ {
+			m := memento.ReadMemento(r)
+			if r.Failed() {
+				break
+			}
+			if m.Key.Table != name {
+				return 0, 0, nil, fmt.Errorf("sqlstore: snapshot table %q holds row %s", name, m.Key)
+			}
+			if _, dup := t.rows[m.Key.ID]; dup {
+				return 0, 0, nil, fmt.Errorf("sqlstore: snapshot holds row %s twice", m.Key)
+			}
+			t.install(m.Key.ID, t.newRow(m.Version, m.Fields))
+			seq = max(seq, m.Version)
+		}
+	}
+	if err := r.Err(); err != nil {
+		return 0, 0, nil, fmt.Errorf("sqlstore: decode snapshot: %w", err)
+	}
+	return inc, seq, tables, nil
 }
 
 // DumpFile writes a snapshot atomically and durably: to a temporary
@@ -166,12 +198,20 @@ func (s *Store) DumpFile(path string) error {
 	return nil
 }
 
-// RestoreFile loads a snapshot from path.
+// RestoreFile loads a snapshot from path and, before it returns, claims
+// the store's new incarnation on disk by dumping over path, so a second
+// crash before the next snapshot restores at a later incarnation still
+// and issues no number twice. If that dump fails the store holds the
+// snapshot's state but must not serve: its incarnation is not durable.
 func (s *Store) RestoreFile(path string) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return fmt.Errorf("sqlstore: open snapshot: %w", err)
 	}
-	defer f.Close()
-	return s.Restore(f)
+	err = s.Restore(f)
+	f.Close()
+	if err != nil {
+		return err
+	}
+	return s.DumpFile(path)
 }

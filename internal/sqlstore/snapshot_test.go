@@ -3,16 +3,48 @@ package sqlstore
 import (
 	"bytes"
 	"context"
-	"encoding/gob"
+	"encoding/binary"
 	"io"
+	"math"
 	"math/rand"
+	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"edgeejb/internal/memento"
+	"edgeejb/internal/wire"
 )
+
+// snapTable is one table of a hand-built snapshot.
+type snapTable struct {
+	name    string
+	indexes []string
+	rows    []memento.Memento
+}
+
+// encodeSnapshot writes a v2 snapshot of whatever tables it is given,
+// consistent or not, in the layout Dump writes.
+func encodeSnapshot(inc, counter uint64, tables ...snapTable) []byte {
+	names := new(wire.Names)
+	dst := binary.AppendUvarint([]byte(snapshotMagic), inc)
+	dst = binary.AppendUvarint(dst, counter)
+	dst = binary.AppendUvarint(dst, uint64(len(tables)))
+	for _, st := range tables {
+		dst = wire.AppendName(dst, names, st.name)
+		dst = binary.AppendUvarint(dst, uint64(len(st.indexes)))
+		for _, field := range st.indexes {
+			dst = wire.AppendName(dst, names, field)
+		}
+		dst = binary.AppendUvarint(dst, uint64(len(st.rows)))
+		for _, m := range st.rows {
+			dst = memento.AppendMemento(dst, names, m)
+		}
+	}
+	return dst
+}
 
 func TestSnapshotRoundTrip(t *testing.T) {
 	src := New()
@@ -20,10 +52,13 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err := src.CreateIndex("h", "acct"); err != nil {
 		t.Fatal(err)
 	}
+	negZero := memento.Float(math.Copysign(0, -1))
+	nan := memento.Float(math.Float64frombits(0x7ff8_0000_dead_beef))
 	src.Seed(
 		acctRow("1", "a", 10),
 		acctRow("2", "b", 20),
 		mem("other", "x", 0, intFields(5)),
+		mem("other", "f", 0, memento.Fields{"neg": negZero, "nan": nan, "none": {}}),
 	)
 	// Commit a change so versions differ from 1.
 	ctx := context.Background()
@@ -73,31 +108,52 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if dst.Stats().IndexProbes == 0 {
 		t.Error("restored store did not use its index")
 	}
+	// Every cell reads back bit for bit: -0 stays -0, and a NaN keeps
+	// its payload.
+	tx = mustBegin(t, dst)
+	defer tx.Abort()
+	f, err := tx.Get(ctx, "other", "f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameFields(f.Fields, memento.Fields{"neg": negZero, "nan": nan, "none": {}}) {
+		t.Errorf("restored float cells = %#v, want -0, the NaN's bits and a zero value", f.Fields)
+	}
 }
 
 func TestSnapshotRejectsGarbage(t *testing.T) {
 	s := New()
 	defer s.Close()
-	if err := s.Restore(strings.NewReader("not a snapshot")); err == nil {
-		t.Fatal("garbage accepted")
+	// Garbage, and any file without the v2 magic (a v1 gob snapshot
+	// among them), is not a snapshot.
+	for _, garbage := range []string{"not a snapshot", "", snapshotMagic[:len(snapshotMagic)-1] + "1"} {
+		if err := s.Restore(strings.NewReader(garbage)); err == nil || !strings.Contains(err.Error(), "not a snapshot") {
+			t.Errorf("Restore(%q) = %v, want not a snapshot", garbage, err)
+		}
 	}
 	var buf bytes.Buffer
 	other := New()
 	defer other.Close()
+	other.Seed(mem("t", "1", 0, intFields(1)))
 	if err := other.Dump(&buf); err != nil {
 		t.Fatal(err)
 	}
-	// Corrupt the magic by re-encoding a wrong struct is cumbersome;
-	// instead truncate the stream.
-	trunc := buf.Bytes()[:buf.Len()/2]
-	if err := s.Restore(bytes.NewReader(trunc)); err == nil {
-		t.Fatal("truncated snapshot accepted")
+	for _, tc := range []struct {
+		name string
+		data []byte
+	}{
+		{"truncated", buf.Bytes()[:buf.Len()-1]},
+		{"trailing byte", append(bytes.Clone(buf.Bytes()), 0)},
+	} {
+		if err := s.Restore(bytes.NewReader(tc.data)); err == nil || !strings.Contains(err.Error(), "decode snapshot") {
+			t.Errorf("%s snapshot: err = %v, want a decode failure", tc.name, err)
+		}
 	}
 }
 
 func TestSnapshotFileAtomicInstall(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "snap.gob")
+	path := filepath.Join(dir, "snap")
 
 	s := New()
 	defer s.Close()
@@ -113,7 +169,7 @@ func TestSnapshotFileAtomicInstall(t *testing.T) {
 	if v, err := s2.CurrentVersion(memento.Key{Table: "t", ID: "1"}); err != nil || v != 1 {
 		t.Fatalf("restored row: v=%d err=%v", v, err)
 	}
-	if err := s2.RestoreFile(filepath.Join(dir, "missing.gob")); err == nil {
+	if err := s2.RestoreFile(filepath.Join(dir, "missing")); err == nil {
 		t.Fatal("missing file accepted")
 	}
 }
@@ -178,34 +234,32 @@ func TestSnapshotIdentityProperty(t *testing.T) {
 }
 
 // TestRestoreRejectsInconsistentSnapshot: a snapshot whose tables
-// contradict themselves is refused, and the refusal leaves the store's
-// previous committed state in place.
+// contradict themselves is refused for its own reason, and the refusal
+// leaves the store's previous committed state in place.
 func TestRestoreRejectsInconsistentSnapshot(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
-		tables []snapshotTable
+		tables []snapTable
+		reason string
 	}{
-		{"row filed under another table", []snapshotTable{
-			{Name: "t", Rows: []memento.Memento{mem("other", "1", 3, intFields(1))}},
-		}},
-		{"table named twice", []snapshotTable{
-			{Name: "t", Rows: []memento.Memento{mem("t", "1", 3, intFields(1))}},
-			{Name: "t", Rows: []memento.Memento{mem("t", "2", 3, intFields(2))}},
-		}},
-		{"row held twice", []snapshotTable{
-			{Name: "t", Rows: []memento.Memento{mem("t", "1", 3, intFields(1)), mem("t", "1", 4, intFields(2))}},
-		}},
+		{"row filed under another table", []snapTable{
+			{name: "t", rows: []memento.Memento{mem("other", "1", 3, intFields(1))}},
+		}, `table "t" holds row other/1`},
+		{"table named twice", []snapTable{
+			{name: "t", rows: []memento.Memento{mem("t", "1", 3, intFields(1))}},
+			{name: "t", rows: []memento.Memento{mem("t", "2", 3, intFields(2))}},
+		}, `holds table "t" twice`},
+		{"row held twice", []snapTable{
+			{name: "t", rows: []memento.Memento{mem("t", "1", 3, intFields(1)), mem("t", "1", 4, intFields(2))}},
+		}, "holds row t/1 twice"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			var buf bytes.Buffer
-			if err := gob.NewEncoder(&buf).Encode(snapshot{Magic: snapshotMagic, Tables: tc.tables}); err != nil {
-				t.Fatal(err)
-			}
 			s := New()
 			defer s.Close()
 			s.Seed(mem("kept", "k", 0, intFields(7)))
-			if err := s.Restore(&buf); err == nil {
-				t.Fatal("inconsistent snapshot accepted")
+			err := s.Restore(bytes.NewReader(encodeSnapshot(0, 0, tc.tables...)))
+			if err == nil || !strings.Contains(err.Error(), tc.reason) {
+				t.Fatalf("err = %v, want one naming %q", err, tc.reason)
 			}
 			if v, err := s.CurrentVersion(memento.Key{Table: "kept", ID: "k"}); err != nil || v != 1 {
 				t.Fatalf("failed restore disturbed the store: v=%d err=%v", v, err)
@@ -214,6 +268,81 @@ func TestRestoreRejectsInconsistentSnapshot(t *testing.T) {
 				t.Fatal("failed restore installed part of the snapshot")
 			}
 		})
+	}
+}
+
+// TestRestoreClaimedCountReservesLittle: a snapshot's table and row
+// counts are claims. One that claims an element per byte of a 4 MiB
+// tail no element decodes from is refused at the cost of its bytes,
+// not of the count: the decoder reserves wire.Prealloc and grows.
+func TestRestoreClaimedCountReservesLittle(t *testing.T) {
+	const tail = 4 << 20
+	head := map[string][]byte{
+		"tables": encodeSnapshot(0, 0),
+		"rows":   encodeSnapshot(0, 0, snapTable{name: "t"}),
+	}
+	for name, h := range head {
+		data := binary.AppendUvarint(bytes.Clone(h[:len(h)-1]), tail)
+		data = append(data, bytes.Repeat([]byte{0xff}, tail)...)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _, _, err := readSnapshot(data)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("%s: 4 MiB of 0xff accepted as elements", name)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 4<<20 {
+			t.Errorf("%s: decoding a 4 MiB snapshot allocated %d MiB", name, got>>20)
+		}
+	}
+}
+
+// TestRestoreFileClaimsIncarnation: RestoreFile writes the incarnation
+// it runs at back to its file before it returns, so two crashes in a
+// row with no snapshot between them restore at two incarnations, and
+// the second store issues no number the first one did.
+func TestRestoreFileClaimsIncarnation(t *testing.T) {
+	ctx := context.Background()
+	path := filepath.Join(t.TempDir(), "snap")
+	src := New()
+	src.Seed(mem("t", "1", 0, intFields(1)))
+	if err := src.DumpFile(path); err != nil {
+		t.Fatal(err)
+	}
+	src.Close()
+
+	issued := map[uint64]int{}
+	for run := 1; run <= 2; run++ {
+		s := New()
+		if err := s.RestoreFile(path); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if inc, _, _, err := readSnapshot(data); err != nil || inc != uint64(run) {
+			t.Fatalf("run %d: file holds incarnation %d (%v), want %d", run, inc, err, run)
+		}
+		key := memento.Key{Table: "t", ID: "1"}
+		for i := range 3 {
+			v, err := s.CurrentVersion(key)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := s.ApplyCommitSet(ctx, memento.CommitSet{Writes: []memento.Memento{mem(key.Table, key.ID, v, intFields(int64(i)))}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if prev, dup := issued[res.Seq]; dup {
+				t.Fatalf("run %d issued v%d, which run %d issued", run, res.Seq, prev)
+			}
+			issued[res.Seq] = run
+			if res.Seq>>incarnationShift != uint64(run) {
+				t.Errorf("run %d issued v%#x, outside incarnation %d", run, res.Seq, run)
+			}
+		}
+		s.Close() // a crash: nothing is dumped
 	}
 }
 
@@ -231,8 +360,20 @@ func FuzzRestore(f *testing.F) {
 	if err := src.Dump(&real); err != nil {
 		f.Fatal(err)
 	}
-	f.Add(real.Bytes())
-	f.Add(real.Bytes()[:real.Len()/2])
+	restored := New()
+	defer restored.Close()
+	if err := restored.Restore(bytes.NewReader(real.Bytes())); err != nil {
+		f.Fatal(err)
+	}
+	var later bytes.Buffer // at incarnation 1
+	if err := restored.Dump(&later); err != nil {
+		f.Fatal(err)
+	}
+	for _, snap := range [][]byte{real.Bytes(), later.Bytes()} {
+		f.Add(snap)
+		f.Add(snap[:len(snap)/2])
+		f.Add(snap[:len(snap)-1])
+	}
 	f.Add([]byte("not a snapshot"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := New()

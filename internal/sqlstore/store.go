@@ -135,8 +135,11 @@ type Store struct {
 	writers map[memento.Key]writerInfo
 	closed  bool
 	// seq is the commit counter: the number of the last commit that
-	// wrote, and so the highest row version. Guarded by mu.
+	// wrote, and so the highest row version. inc is the incarnation, 0
+	// for a fresh store and one more than its snapshot's for a restored
+	// one (snapshot.go). Guarded by mu.
 	seq uint64
+	inc uint64
 
 	nextTx atomic.Uint64
 
