@@ -158,7 +158,7 @@ func BenchmarkWireMultiplexed(b *testing.B) {
 // --- Wire protocol -----------------------------------------------------
 
 // BenchmarkBackendCommit measures the full split-servers commit path:
-// edge -> back-end (one round trip) -> database (one grouped exchange,
+// edge -> back-end (one round trip) -> database (one exchange,
 // reported as db_rts/op and held at exactly 1 by CI).
 func BenchmarkBackendCommit(b *testing.B) {
 	store := sqlstore.New()

@@ -3,8 +3,6 @@ package backend
 import (
 	"context"
 	"errors"
-	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"edgeejb/internal/dbwire"
@@ -16,8 +14,8 @@ import (
 
 // Server is the back-end application server. It serves the dbwire
 // protocol (so edge servers use the ordinary dbwire.Client against it)
-// over a logic layer that coalesces whole commit sets into one grouped
-// database exchange per batch.
+// over a logic layer that hands each whole commit set to the database
+// in one exchange, as it arrives.
 type Server struct {
 	inner *dbwire.Server
 	logic *logic
@@ -62,21 +60,6 @@ type logic struct {
 
 	applied  atomic.Uint64
 	rejected atomic.Uint64
-
-	// Group-commit state: arrivals append to queue; the first arrival
-	// with no leader becomes the leader and drains the queue in grouped
-	// batches until it is empty.
-	gmu    sync.Mutex
-	queue  []*groupEntry
-	leader bool
-}
-
-// groupEntry is one queued commit set awaiting the group leader.
-type groupEntry struct {
-	cs   memento.CommitSet
-	done chan struct{}
-	res  sqlstore.ApplyResult
-	err  error
 }
 
 var _ storeapi.Conn = (*logic)(nil)
@@ -109,87 +92,23 @@ func (l *logic) count(err error) {
 	l.applied.Add(1)
 }
 
-// ApplyCommitSet validates and applies a whole commit set. Commit sets
-// that arrive while another is being applied coalesce (group commit):
-// the first arrival becomes the batch leader and drains the queue,
-// applying each batch through one grouped database exchange and one
-// invalidation fan-out; later arrivals just wait for their own result.
-// Per-set outcomes, conflict attribution included, are those of serial
-// application; only the round-trip economics differ. A lone set is a
-// batch of one and takes the same single exchange.
+// ApplyCommitSet validates and applies a whole commit set through one
+// database exchange, as it arrives: no set waits behind another. The
+// exchange runs detached from the edge's cancellation, so every set the
+// database decides is counted, even one whose caller has gone.
 func (l *logic) ApplyCommitSet(ctx context.Context, cs memento.CommitSet) (sqlstore.ApplyResult, error) {
-	e := &groupEntry{cs: cs, done: make(chan struct{})}
-	l.gmu.Lock()
-	l.queue = append(l.queue, e)
-	if l.leader {
-		// A leader is already draining; it will carry this entry.
-		l.gmu.Unlock()
-		select {
-		case <-e.done:
-			return e.res, e.err
-		case <-ctx.Done():
-			// The set still applies server-side (the leader runs detached
-			// from follower contexts); only this wait is abandoned.
-			return sqlstore.ApplyResult{}, ctx.Err()
-		}
-	}
-	l.leader = true
-	l.gmu.Unlock()
-	// Drain until empty. Later batches carry other transactions' sets,
-	// so they run detached from this caller's cancellation.
-	for {
-		l.gmu.Lock()
-		batch := l.queue
-		l.queue = nil
-		if len(batch) == 0 {
-			l.leader = false
-			l.gmu.Unlock()
-			break
-		}
-		l.gmu.Unlock()
-		l.runBatch(context.WithoutCancel(ctx), batch)
-	}
-	<-e.done // the leader's own entry was in some drained batch
-	return e.res, e.err
-}
-
-// runBatch applies one drained batch and resolves its entries.
-func (l *logic) runBatch(ctx context.Context, batch []*groupEntry) {
-	sets := make([]memento.CommitSet, len(batch))
-	for i, e := range batch {
-		sets[i] = e.cs
-	}
-	results, err := l.ApplyCommitSets(ctx, sets)
-	for i, e := range batch {
-		if err != nil {
-			// Whole-batch failure (transport, short reply): neither
-			// applied nor rejected.
-			e.err = err
-		} else {
-			e.res, e.err = results[i].Res, results[i].Err
-		}
-		close(e.done)
-	}
-}
-
-// ApplyCommitSets is the one database exchange of the commit path,
-// for a batch drained by ApplyCommitSet and for a grouped apply
-// forwarded by an upstream tier alike: one call on the database
-// handle, whose reply must carry one result per set, each counted.
-func (l *logic) ApplyCommitSets(ctx context.Context, sets []memento.CommitSet) ([]sqlstore.ApplySetResult, error) {
-	ctx, sp := obs.StartSpan(ctx, "backend.apply")
+	ctx, sp := obs.StartSpan(context.WithoutCancel(ctx), "backend.apply")
 	defer sp.End()
-	results, err := l.db.ApplyCommitSets(ctx, sets)
-	if err != nil {
-		return nil, err
+	res, err := l.db.ApplyCommitSet(ctx, cs)
+	if err == nil || errors.Is(err, sqlstore.ErrConflict) {
+		l.count(err)
 	}
-	if len(results) != len(sets) {
-		return nil, fmt.Errorf("backend: apply: %d results for %d sets", len(results), len(sets))
-	}
-	for i := range results {
-		l.count(results[i].Err)
-	}
-	return results, nil
+	return res, err
+}
+
+// ApplyCommitSets applies each set as ApplyCommitSet does.
+func (l *logic) ApplyCommitSets(ctx context.Context, sets []memento.CommitSet) ([]sqlstore.ApplySetResult, error) {
+	return storeapi.ApplyEach(ctx, l, sets)
 }
 
 // Prepare relays 2PC's first phase to the database tier, counting a no

@@ -3,6 +3,8 @@ package backend
 import (
 	"context"
 	"errors"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -178,13 +180,12 @@ func TestBackendForwardsInvalidationStream(t *testing.T) {
 
 func TestBackendCommitIsOneDatabaseExchange(t *testing.T) {
 	// A commit through the back-end is exactly one exchange with the
-	// database, whether the set travels alone or coalesced with others.
+	// database.
 	store := sqlstore.New()
 	defer store.Close()
 	store.Seed(row("a", 1, 0), row("b", 1, 0))
-	g := newGatedConn(storeapi.Local(store))
-	counting := storeapi.NewCountingConn(g) // counts an exchange before the gate parks it
-	be, edge := startBackend(t, counting)
+	counting := storeapi.NewCountingConn(storeapi.Local(store))
+	_, edge := startBackend(t, counting)
 	ctx := context.Background()
 
 	if _, err := edge.ApplyCommitSet(ctx, memento.CommitSet{
@@ -196,33 +197,88 @@ func TestBackendCommitIsOneDatabaseExchange(t *testing.T) {
 	if got := counting.Ops(); got != 1 {
 		t.Errorf("a lone read+write set cost %d database exchanges, want 1", got)
 	}
+}
 
-	// Park a leader inside its exchange, queue three sets behind it,
-	// and count what the drained batch of three costs.
-	g.arm()
-	errs := make(chan error, 4)
-	apply := func(id string) {
-		_, err := edge.ApplyCommitSet(ctx, memento.CommitSet{Creates: []memento.Memento{row(id, 1, 0)}})
-		errs <- err
-	}
-	go apply("leader")
-	<-g.entered
-	for i, id := range []string{"x", "y", "z"} {
-		go apply(id)
-		waitQueue(t, be.logic, i+1)
-	}
-	before := counting.Ops() // includes the parked leader's exchange
-	close(g.release)
-	for i := 0; i < 4; i++ {
-		if err := <-errs; err != nil {
-			t.Fatal(err)
+// parkingConn parks every apply whose set creates or writes key "slow"
+// until release is closed, whether the set comes alone or among others.
+type parkingConn struct {
+	storeapi.Conn
+	parked  chan struct{} // closed when the first slow set parks
+	release chan struct{}
+	once    sync.Once
+}
+
+func (p *parkingConn) park(sets ...memento.CommitSet) {
+	slow := func(m memento.Memento) bool { return m.Key == key("slow") }
+	for _, cs := range sets {
+		if slices.ContainsFunc(cs.Creates, slow) || slices.ContainsFunc(cs.Writes, slow) {
+			p.once.Do(func() { close(p.parked) })
+			<-p.release
+			return
 		}
 	}
-	if got := counting.Ops() - before; got != 1 {
-		t.Errorf("a coalesced batch of three cost %d database exchanges, want 1", got)
+}
+
+func (p *parkingConn) ApplyCommitSet(ctx context.Context, cs memento.CommitSet) (sqlstore.ApplyResult, error) {
+	p.park(cs)
+	return p.Conn.ApplyCommitSet(ctx, cs)
+}
+
+func (p *parkingConn) ApplyCommitSets(ctx context.Context, sets []memento.CommitSet) ([]sqlstore.ApplySetResult, error) {
+	p.park(sets...)
+	return p.Conn.ApplyCommitSets(ctx, sets)
+}
+
+// TestBackendCommitsDoNotQueue: a set the database is slow to decide
+// holds up no other. Edge A's set parks at the database; edge B's
+// unrelated set must be answered while A's is still parked, and both
+// apply once A's is released.
+func TestBackendCommitsDoNotQueue(t *testing.T) {
+	store := sqlstore.New()
+	defer store.Close()
+	db := &parkingConn{Conn: storeapi.Local(store), parked: make(chan struct{}), release: make(chan struct{})}
+	be, edgeA := startBackend(t, db)
+	// Released before the back-end closes, which waits for its handlers,
+	// however the test ends.
+	release := sync.OnceFunc(func() { close(db.release) })
+	t.Cleanup(release)
+	edgeB := dbwire.Dial(be.Addr())
+	defer edgeB.Close()
+	ctx := context.Background()
+
+	errA := make(chan error, 1)
+	go func() {
+		_, err := edgeA.ApplyCommitSet(ctx, memento.CommitSet{Creates: []memento.Memento{row("slow", 1, 0)}})
+		errA <- err
+	}()
+	select {
+	case <-db.parked:
+	case <-time.After(5 * time.Second):
+		t.Fatal("edge A's set never reached the database")
 	}
-	if be.CommitsApplied() != 5 {
-		t.Errorf("CommitsApplied = %d, want 5", be.CommitsApplied())
+
+	bctx, cancel := context.WithTimeout(ctx, 5*time.Second)
+	defer cancel()
+	if _, err := edgeB.ApplyCommitSet(bctx, memento.CommitSet{Creates: []memento.Memento{row("b", 1, 0)}}); err != nil {
+		t.Fatalf("edge B's set, behind A's parked one: %v", err)
+	}
+	select {
+	case err := <-errA:
+		t.Fatalf("edge A answered (%v) before its set was released", err)
+	default:
+	}
+
+	release()
+	if err := <-errA; err != nil {
+		t.Fatalf("edge A's set: %v", err)
+	}
+	if got := be.CommitsApplied(); got != 2 {
+		t.Errorf("CommitsApplied = %d, want 2", got)
+	}
+	for _, id := range []string{"slow", "b"} {
+		if v, _ := store.CurrentVersion(key(id)); v == 0 {
+			t.Errorf("%s not applied at the database", id)
+		}
 	}
 }
 

@@ -270,16 +270,12 @@ func cachePathBytes(t *testing.T, sub context.Context, origin uint64) (cold, war
 		}); err != nil {
 			t.Fatal(err)
 		}
-		results, err := c.ApplyCommitSets(ctx, []memento.CommitSet{
+		for i, cs := range []memento.CommitSet{
 			{Writes: []memento.Memento{pinnedRow(ids[2], version, 31)}, Origin: origin},
 			{Creates: []memento.Memento{pinnedRow(ids[4], 0, 90)}, Origin: origin},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, r := range results {
-			if r.Err != nil {
-				t.Fatalf("run %d, set %d: %v", run, i, r.Err)
+		} {
+			if _, err := c.ApplyCommitSet(ctx, cs); err != nil {
+				t.Fatalf("run %d, set %d: %v", run, i, err)
 			}
 		}
 		if err := c.Prepare(ctx, "g1", memento.CommitSet{Writes: []memento.Memento{pinnedRow(ids[3], version, 41)}, Origin: origin}); err != nil {
@@ -335,19 +331,20 @@ func TestCachePathWireBytes(t *testing.T) {
 	// no byte there.
 	// A commit reply is its commit's number and nothing else: 9 = 4
 	// length prefix + 2 frame header + 1 code + 1 field mask + 1 Seq (the
-	// seed was commit 1, so these are 2 to 5). ApplyCommitSets' 16 = 8 + 1
-	// batch count + 2 × (code, mask, Seq). The sender rebuilds each put
-	// key's version from the Seq, so no key→version map rides back.
+	// seed was commit 1, so these are 2 to 5). The sender rebuilds each
+	// put key's version from the Seq, so no key→version map rides back.
 	//
 	// Cold: AutoGet sends "t" first (13) and its reply "t" and "v" (21);
 	// AutoQuery sends "v" as a literal, its table as an index (15), and
 	// its three rows come back with every name an index (36).
-	// ApplyCommitSet's 39 = 4 + 2 + 1 op + 2 mask (bit 7) + the set: 1
-	// reads count, a proof (1 "t", 2 ID, 1 version, 1 absent), 1 writes
-	// count, a row (1 "t", 2 ID, 1 version, 1 presence, 1 count, 1 "v",
-	// 2 Int, 3 "s", 8 String), 1 creates count, 1 removes count, 1
-	// origin. ApplyCommitSets (57) and the two Prepares (57) name only
-	// what is already in the table.
+	// The first ApplyCommitSet's 39 = 4 + 2 + 1 op + 2 mask (bit 7) +
+	// the set: 1 reads count, a proof (1 "t", 2 ID, 1 version, 1
+	// absent), 1 writes count, a row (1 "t", 2 ID, 1 version, 1
+	// presence, 1 count, 1 "v", 2 Int, 3 "s", 8 String), 1 creates
+	// count, 1 removes count, 1 origin. The next two, an update and a
+	// create, name only what is already in the table: 9 of header each
+	// and 47 of sets between them, so the three send 39 + 65. The two
+	// Prepares (57) name only what is in the table too.
 	//
 	// A notice is 8 + 1 Seq + 1 count + its descriptor + 9 CommittedAt +
 	// 1 OriginTrace, and a descriptor is its key, a 1-byte Removed flag
@@ -366,28 +363,26 @@ func TestCachePathWireBytes(t *testing.T) {
 	// (2 keys-only). No second Subscribe is sent.
 	const origin, other = 1<<62 | 5, 1<<62 | 6
 	full := map[string]opBytes{
-		"AutoGet":         {1, 13, 21},
-		"AutoQuery":       {1, 15, 36},
-		"ApplyCommitSet":  {1, 39, 9},
-		"ApplyCommitSets": {1, 57, 16},
-		"Prepare":         {2, 57, 16},
-		"CommitPrepared":  {1, 12, 9},
-		"AbortPrepared":   {1, 12, 8},
-		"Subscribe":       {1, 8, 8},
-		"push":            {0, 0, 159},
+		"AutoGet":        {1, 13, 21},
+		"AutoQuery":      {1, 15, 36},
+		"ApplyCommitSet": {3, 39 + 65, 27},
+		"Prepare":        {2, 57, 16},
+		"CommitPrepared": {1, 12, 9},
+		"AbortPrepared":  {1, 12, 8},
+		"Subscribe":      {1, 8, 8},
+		"push":           {0, 0, 159},
 	}
 	keysOnly := maps.Clone(full)
 	keysOnly["Subscribe"] = opBytes{1, 8 + 1 + 9, 8}
 	keysOnly["push"] = opBytes{0, 0, 102}
 	own := map[string]opBytes{
-		"AutoGet":         {1, 13, 21},
-		"AutoQuery":       {1, 15, 36},
-		"ApplyCommitSet":  {1, 39 + 8, 9},
-		"ApplyCommitSets": {1, 57 + 2*8, 16},
-		"Prepare":         {2, 57 + 2*8, 16},
-		"CommitPrepared":  {1, 12, 9},
-		"AbortPrepared":   {1, 12, 8},
-		"Subscribe":       {1, 8 + 1 + 9, 8},
+		"AutoGet":        {1, 13, 21},
+		"AutoQuery":      {1, 15, 36},
+		"ApplyCommitSet": {3, 104 + 3*8, 27},
+		"Prepare":        {2, 57 + 2*8, 16},
+		"CommitPrepared": {1, 12, 9},
+		"AbortPrepared":  {1, 12, 8},
+		"Subscribe":      {1, 8 + 1 + 9, 8},
 	}
 	// warmOf is the repeat of a cold run: every name an index, and no
 	// Subscribe.

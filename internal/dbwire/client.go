@@ -130,33 +130,9 @@ func (c *Client) ApplyCommitSet(ctx context.Context, cs memento.CommitSet) (sqls
 	return sqlstore.Applied(cs, resp.Seq), nil
 }
 
-// ApplyCommitSets ships several independent commit sets in ONE round
-// trip — the group-commit path. Each set succeeds or fails on its own
-// (per-set Err; conflicts keep their full attribution).
+// ApplyCommitSets ships each set as its own ApplyCommitSet exchange.
 func (c *Client) ApplyCommitSets(ctx context.Context, sets []memento.CommitSet) ([]sqlstore.ApplySetResult, error) {
-	if len(sets) == 0 {
-		return nil, nil
-	}
-	resp, err := c.oneShot(ctx, &Request{Op: OpApplyCommitSets, Sets: sets})
-	if err != nil {
-		return nil, err
-	}
-	if err := decodeErr(resp); err != nil {
-		return nil, err
-	}
-	if len(resp.Batch) != len(sets) {
-		return nil, fmt.Errorf("dbwire: %s: %d results for %d sets", OpApplyCommitSets, len(resp.Batch), len(sets))
-	}
-	out := make([]sqlstore.ApplySetResult, len(sets))
-	for i := range resp.Batch {
-		sub := &resp.Batch[i]
-		if err := decodeErr(sub); err != nil {
-			out[i].Err = err
-			continue
-		}
-		out[i].Res = sqlstore.Applied(sets[i], sub.Seq)
-	}
-	return out, nil
+	return storeapi.ApplyEach(ctx, c, sets)
 }
 
 // Prepare ships 2PC's first phase in one round trip: the server

@@ -69,11 +69,17 @@ const (
 	reqQuery
 	reqSet
 	reqBatch
-	reqSets
+	_ // the retired grouped apply's sets; readRequest refuses the bit
 	reqGid
 	reqOrigin
 	// reqKeysOnly is Request.KeysOnly: the bit is the whole field.
 	reqKeysOnly
+
+	// reqFields is every bit a field owns. A mask with any other bit,
+	// the retired one included, fails to decode: read on, it would take
+	// the bytes of the field it names for the next field's.
+	reqFields = reqTx | reqTable | reqID | reqKey | reqVersion | reqMem | reqQuery |
+		reqSet | reqBatch | reqGid | reqOrigin | reqKeysOnly
 )
 
 func appendRequest(dst []byte, t *wire.Names, q *Request) []byte {
@@ -105,9 +111,6 @@ func appendRequest(dst []byte, t *wire.Names, q *Request) []byte {
 	}
 	if len(q.Batch) > 0 {
 		mask |= reqBatch
-	}
-	if len(q.Sets) > 0 {
-		mask |= reqSets
 	}
 	if q.Gid != "" {
 		mask |= reqGid
@@ -149,12 +152,6 @@ func appendRequest(dst []byte, t *wire.Names, q *Request) []byte {
 			dst = appendRequest(dst, t, &q.Batch[i])
 		}
 	}
-	if mask&reqSets != 0 {
-		dst = binary.AppendUvarint(dst, uint64(len(q.Sets)))
-		for i := range q.Sets {
-			dst = appendCommitSet(dst, t, q.Sets[i])
-		}
-	}
 	if mask&reqGid != 0 {
 		dst = wire.AppendString(dst, q.Gid)
 	}
@@ -170,7 +167,7 @@ func appendRequest(dst []byte, t *wire.Names, q *Request) []byte {
 func readRequest(r *wire.Reader, q *Request, nested bool) {
 	q.Op = OpCode(r.Byte())
 	mask := r.Uvarint()
-	if nested && mask&reqBatch != 0 {
+	if mask&^reqFields != 0 || nested && mask&reqBatch != 0 {
 		r.Fail()
 		return
 	}
@@ -206,13 +203,6 @@ func readRequest(r *wire.Reader, q *Request, nested bool) {
 			readRequest(r, &q.Batch[i], true)
 		}
 	}
-	if mask&reqSets != 0 {
-		n := r.Len()
-		q.Sets = make([]memento.CommitSet, 0, wire.Prealloc(n))
-		for i := 0; i < n && !r.Failed(); i++ {
-			q.Sets = append(q.Sets, readCommitSet(r))
-		}
-	}
 	if mask&reqGid != 0 {
 		q.Gid = r.Str()
 	}
@@ -232,6 +222,10 @@ const (
 	respNotice
 	respConflict
 	respBatch
+
+	// respFields is every bit a field owns; readResponse refuses any
+	// other, as readRequest does.
+	respFields = respBatch<<1 - 1
 )
 
 func appendResponse(dst []byte, t *wire.Names, p *Response) []byte {
@@ -300,7 +294,7 @@ func appendResponse(dst []byte, t *wire.Names, p *Response) []byte {
 func readResponse(r *wire.Reader, p *Response, nested bool) {
 	p.Code = ErrCode(r.Byte())
 	mask := r.Uvarint()
-	if nested && mask&respBatch != 0 {
+	if mask&^respFields != 0 || nested && mask&respBatch != 0 {
 		r.Fail()
 		return
 	}

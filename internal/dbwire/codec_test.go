@@ -54,9 +54,9 @@ func codecQuery() memento.Query {
 }
 
 // corpusRequests and corpusResponses are representative messages —
-// every field the protocol can populate, including the nested OpBatch /
-// OpApplyCommitSets shapes. The round-trip test requires exact
-// structural equality for each; the fuzz targets start from them.
+// every field the protocol can populate, including the nested OpBatch
+// shape. The round-trip test requires exact structural equality for
+// each; the fuzz targets start from them.
 func corpusRequests() map[string]*Request {
 	return map[string]*Request{
 		"zero":  {},
@@ -79,10 +79,6 @@ func corpusRequests() map[string]*Request {
 				{Op: OpCommit, Tx: 9},
 			},
 		},
-		"apply sets": {
-			Op:   OpApplyCommitSets,
-			Sets: []memento.CommitSet{codecSet(1), codecSet(2), {}},
-		},
 		"nil fields mem": {
 			Op:  OpPut,
 			Mem: memento.Memento{Key: memento.Key{Table: "t", ID: "x"}},
@@ -91,10 +87,8 @@ func corpusRequests() map[string]*Request {
 		"subscribe under origin": {Op: OpSubscribe, Origin: 1<<62 | 5},
 		"subscribe keys only":    {Op: OpSubscribe, Origin: 1<<62 | 5, KeysOnly: true},
 		"apply under origin":     {Op: OpApplyCommitSet, Set: codecSetFrom(1, 1<<62|5)},
-		"apply sets of two origins": {
-			Op:   OpApplyCommitSets,
-			Sets: []memento.CommitSet{codecSetFrom(1, 1<<62|5), codecSetFrom(2, 1<<62|6), codecSet(3)},
-		},
+		"prepare":                {Op: OpPrepare, Gid: "g-7", Set: codecSetFrom(1, 1<<62|5)},
+		"commit prepared":        {Op: OpCommitPrepared, Gid: "g-7"},
 	}
 }
 
@@ -317,8 +311,8 @@ func newLike(b wire.Body) wire.Body {
 // TestCodecRejectsMalformedBodies: a length prefix claiming more
 // elements than the buffer could possibly hold must fail cleanly
 // instead of attempting a huge allocation; bytes past the end of a body,
-// a batch nested in a batch and a name index past the receiver's table
-// are refused.
+// a batch nested in a batch, a name index past the receiver's table and
+// a presence bit that names no field are refused.
 func TestCodecRejectsMalformedBodies(t *testing.T) {
 	// Code byte, presence mask (only respMems), then the Mems count:
 	// splice in an absurd count and keep the tail.
@@ -365,6 +359,29 @@ func TestCodecRejectsMalformedBodies(t *testing.T) {
 	var got Response
 	if err := got.ReadWire(zero.AppendWire(nil, nil), nil); err != nil || !got.Mem.Equal(zero.Mem) {
 		t.Errorf("zero-kind value decoded as %v, %v", got.Mem, err)
+	}
+
+	// A mask bit no field owns: read past, the bytes of whatever field
+	// it stood for would be taken for the next field's. The retired
+	// grouped apply's bit, between reqBatch and reqGid, is one; a zero
+	// count of sets after it once decoded as an empty group.
+	planted := func(head byte, mask uint64, tail ...byte) []byte {
+		return append(binary.AppendUvarint([]byte{head}, mask), tail...)
+	}
+	if err := new(Request).ReadWire(planted(byte(OpPing), reqBatch<<1, 0), nil); err == nil {
+		t.Error("decoder accepted a request with the retired grouped apply's bit")
+	}
+	for _, bit := range []uint64{0, reqKeysOnly << 1} {
+		err := new(Request).ReadWire(planted(byte(OpGet), reqID|bit, 1, 'a'), nil)
+		if (err == nil) != (bit == 0) {
+			t.Errorf("request with mask bit %#x past its fields: err = %v", bit, err)
+		}
+	}
+	for _, bit := range []uint64{0, respBatch << 1} {
+		err := new(Response).ReadWire(planted(byte(CodeOK), respSeq|bit, 5), nil)
+		if (err == nil) != (bit == 0) {
+			t.Errorf("response with mask bit %#x past its fields: err = %v", bit, err)
+		}
 	}
 }
 
@@ -432,7 +449,7 @@ func TestCodecClaimedCountReservesLittle(t *testing.T) {
 // and a collection is reserved by wire.Prealloc, not by the count its
 // frame claims.
 func FuzzRequestReadWire(f *testing.F) {
-	fill := corpusRequests()["apply sets"]
+	fill := corpusRequests()["batch"]
 	for _, req := range corpusRequests() {
 		enc, _ := filledTables(f, fill)
 		f.Add(req.AppendWire(nil, nil))

@@ -14,7 +14,7 @@ import (
 
 // TestProtocolSurface drives every kind of exchange over one client:
 // autocommit reads, pessimistic CRUD, batched statements, queries,
-// grouped optimistic applies, and conflict attribution.
+// optimistic applies, and conflict attribution.
 func TestProtocolSurface(t *testing.T) {
 	store, c := newPair(t)
 	seed(store, "t", "1", 10)
@@ -86,7 +86,7 @@ func TestProtocolSurface(t *testing.T) {
 		t.Errorf("AutoQuery rows = %d, want 2", len(qres.Mems))
 	}
 
-	// Grouped optimistic applies.
+	// Two optimistic applies through ApplyCommitSets, one exchange each.
 	out, err := c.ApplyCommitSets(ctx, []memento.CommitSet{
 		{Creates: []memento.Memento{{
 			Key:    memento.Key{Table: "t", ID: "3"},
@@ -178,40 +178,6 @@ func TestBatchIsOneRoundTrip(t *testing.T) {
 	if len(results) != 3 || results[0].Get.Mem.Fields["v"].Int != 10 ||
 		results[1].Get.Mem.Fields["v"].Int != 20 || results[2].Err != nil {
 		t.Errorf("batch results wrong: %+v", results)
-	}
-}
-
-// TestGroupApplyIsOneRoundTrip pins OpApplyCommitSets: one trip for
-// the whole group, with a result per set.
-func TestGroupApplyIsOneRoundTrip(t *testing.T) {
-	_, client := newPair(t)
-	ctx := context.Background()
-	if err := client.Ping(ctx); err != nil {
-		t.Fatal(err)
-	}
-	ids := []string{"a", "b", "c"}
-	sets := make([]memento.CommitSet, len(ids))
-	for i, id := range ids {
-		sets[i] = memento.CommitSet{Creates: []memento.Memento{{
-			Key:    memento.Key{Table: "t", ID: id},
-			Fields: memento.Fields{"v": memento.Int(int64(i))},
-		}}}
-	}
-	before := client.RoundTrips()
-	out, err := client.ApplyCommitSets(ctx, sets)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := client.RoundTrips() - before; got != 1 {
-		t.Errorf("3-set group apply cost %d round trips, want exactly 1", got)
-	}
-	if len(out) != len(sets) {
-		t.Fatalf("%d results for %d sets", len(out), len(sets))
-	}
-	for i, r := range out {
-		if r.Err != nil {
-			t.Errorf("set %d: %v", i, r.Err)
-		}
 	}
 }
 

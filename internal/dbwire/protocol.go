@@ -37,9 +37,9 @@ const (
 	// frame, executed sequentially server-side with per-statement
 	// results — one round trip instead of len(Batch).
 	OpBatch
-	// OpApplyCommitSets carries several independent commit sets in one
-	// frame (the backend's group commit), with per-set results.
-	OpApplyCommitSets
+	// The retired grouped commit-set apply's code stays reserved, so no
+	// later op's byte moves; a server answers it CodeBadRequest.
+	_
 	// OpPrepare is two-phase commit's first phase: validate the commit
 	// sub-set in Set and hold its locks under the global identifier in
 	// Gid. A server whose datastore handle is no storeapi.Preparer
@@ -58,28 +58,27 @@ var ops = [...]struct {
 	name string
 	kind storeapi.StmtKind
 }{
-	OpBegin:           {"Begin", 0},
-	OpGet:             {"Get", storeapi.StmtGet},
-	OpGetForUpdate:    {"GetForUpdate", storeapi.StmtGetForUpdate},
-	OpPut:             {"Put", storeapi.StmtPut},
-	OpInsert:          {"Insert", storeapi.StmtInsert},
-	OpDelete:          {"Delete", storeapi.StmtDelete},
-	OpQuery:           {"Query", storeapi.StmtQuery},
-	OpCheckVersion:    {"CheckVersion", storeapi.StmtCheckVersion},
-	OpCheckedPut:      {"CheckedPut", storeapi.StmtCheckedPut},
-	OpCheckedDelete:   {"CheckedDelete", storeapi.StmtCheckedDelete},
-	OpCommit:          {"Commit", storeapi.StmtCommit},
-	OpAbort:           {"Abort", storeapi.StmtAbort},
-	OpApplyCommitSet:  {"ApplyCommitSet", 0},
-	OpSubscribe:       {"Subscribe", 0},
-	OpPing:            {"Ping", 0},
-	OpAutoGet:         {"AutoGet", 0},
-	OpAutoQuery:       {"AutoQuery", 0},
-	OpBatch:           {"Batch", 0},
-	OpApplyCommitSets: {"ApplyCommitSets", 0},
-	OpPrepare:         {"Prepare", 0},
-	OpCommitPrepared:  {"CommitPrepared", 0},
-	OpAbortPrepared:   {"AbortPrepared", 0},
+	OpBegin:          {"Begin", 0},
+	OpGet:            {"Get", storeapi.StmtGet},
+	OpGetForUpdate:   {"GetForUpdate", storeapi.StmtGetForUpdate},
+	OpPut:            {"Put", storeapi.StmtPut},
+	OpInsert:         {"Insert", storeapi.StmtInsert},
+	OpDelete:         {"Delete", storeapi.StmtDelete},
+	OpQuery:          {"Query", storeapi.StmtQuery},
+	OpCheckVersion:   {"CheckVersion", storeapi.StmtCheckVersion},
+	OpCheckedPut:     {"CheckedPut", storeapi.StmtCheckedPut},
+	OpCheckedDelete:  {"CheckedDelete", storeapi.StmtCheckedDelete},
+	OpCommit:         {"Commit", storeapi.StmtCommit},
+	OpAbort:          {"Abort", storeapi.StmtAbort},
+	OpApplyCommitSet: {"ApplyCommitSet", 0},
+	OpSubscribe:      {"Subscribe", 0},
+	OpPing:           {"Ping", 0},
+	OpAutoGet:        {"AutoGet", 0},
+	OpAutoQuery:      {"AutoQuery", 0},
+	OpBatch:          {"Batch", 0},
+	OpPrepare:        {"Prepare", 0},
+	OpCommitPrepared: {"CommitPrepared", 0},
+	OpAbortPrepared:  {"AbortPrepared", 0},
 }
 
 // String returns the operation name.
@@ -127,8 +126,6 @@ type Request struct {
 	// Batch carries the sub-requests of an OpBatch, each a statement of
 	// the transaction named by Tx.
 	Batch []Request
-	// Sets carries the commit sets of an OpApplyCommitSets.
-	Sets []memento.CommitSet
 	// Gid names the global (cross-shard) transaction of a prepare-phase
 	// op; the coordinator generates it and every participant keys its
 	// prepared state on it.
@@ -186,8 +183,7 @@ type Response struct {
 	Conflict *ConflictInfo
 	// Batch carries per-statement results of an OpBatch (one entry per
 	// executed sub-request; execution stops at the first failure, so it
-	// may be shorter than the request's Batch) or the per-set results of
-	// an OpApplyCommitSets (always one entry per set).
+	// may be shorter than the request's Batch).
 	Batch []Response
 }
 

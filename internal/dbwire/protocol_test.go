@@ -20,7 +20,7 @@ func TestOpCodeStrings(t *testing.T) {
 		OpCommit: "Commit", OpAbort: "Abort",
 		OpApplyCommitSet: "ApplyCommitSet", OpSubscribe: "Subscribe",
 		OpPing: "Ping", OpAutoGet: "AutoGet", OpAutoQuery: "AutoQuery",
-		OpCode(250): "OpCode(250)",
+		OpCode(250): "OpCode(250)", OpBatch + 1: "OpCode(19)",
 	}
 	for op, s := range want {
 		if got := op.String(); got != s {

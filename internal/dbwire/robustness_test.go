@@ -70,6 +70,7 @@ func TestServerSurvivesGarbageFrames(t *testing.T) {
 
 // TestServerRejectsUnknownOp: a syntactically valid request with a bogus
 // op code gets a BadRequest response, and the connection stays usable.
+// The retired grouped apply's code, reserved after OpBatch, is one.
 func TestServerRejectsUnknownOp(t *testing.T) {
 	store, srv := startServer(t)
 	seed(store, "t", "1", 1)
@@ -80,12 +81,14 @@ func TestServerRejectsUnknownOp(t *testing.T) {
 	w := wire.NewClient(srv.Addr())
 	defer w.Close()
 
-	resp := new(Response)
-	if err := w.Call(ctx, &Request{Op: OpCode(200)}, resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Code != CodeBadRequest {
-		t.Fatalf("code = %v, want BadRequest", resp.Code)
+	for _, op := range []OpCode{OpCode(200), OpBatch + 1} {
+		resp := new(Response)
+		if err := w.Call(ctx, &Request{Op: op}, resp); err != nil {
+			t.Fatal(err)
+		}
+		if resp.Code != CodeBadRequest {
+			t.Fatalf("%s: code = %v, want BadRequest", op, resp.Code)
+		}
 	}
 
 	// Same client (and its connection) keeps working for valid requests.

@@ -239,21 +239,6 @@ func (h *connHandler) handle(ctx context.Context, req *Request) *Response {
 		}
 		return &Response{Code: CodeOK, Seq: res.Seq}
 
-	case OpApplyCommitSets:
-		results, err := h.backend.ApplyCommitSets(ctx, req.Sets)
-		if err != nil {
-			return fail(err)
-		}
-		out := &Response{Code: CodeOK, Batch: make([]Response, len(results))}
-		for i := range results {
-			if results[i].Err != nil {
-				out.Batch[i] = *errResponse(results[i].Err)
-				continue
-			}
-			out.Batch[i] = Response{Code: CodeOK, Seq: results[i].Res.Seq}
-		}
-		return out
-
 	case OpBatch:
 		return h.batch(ctx, req)
 

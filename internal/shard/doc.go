@@ -12,9 +12,9 @@
 // one database server, which is the last serial resource once the
 // read path is cached at the edges and the wire cost is one frame per
 // commit. Sharding multiplies that resource. The design keeps the
-// paper's commit semantics per shard (optimistic validation, group
-// commit, conflict attribution) and pays coordination only when a
-// commit set actually spans shards:
+// paper's commit semantics per shard (optimistic validation, conflict
+// attribution) and pays coordination only when a commit set actually
+// spans shards:
 //
 //   - one participant → the existing one-frame fast path, unchanged;
 //   - several participants, read-only → per-shard scatter validation

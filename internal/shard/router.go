@@ -291,16 +291,9 @@ func fanOut(n int, call func(i int)) {
 	wg.Wait()
 }
 
-// ApplyCommitSets applies each set independently through the routing
-// decision rule. The group-commit coalescing lives per shard (inside
-// each backend), so the router doesn't re-batch; it just preserves the
-// per-set result shape.
+// ApplyCommitSets applies each set through the routing decision rule.
 func (r *Router) ApplyCommitSets(ctx context.Context, sets []memento.CommitSet) ([]sqlstore.ApplySetResult, error) {
-	out := make([]sqlstore.ApplySetResult, len(sets))
-	for i := range sets {
-		out[i].Res, out[i].Err = r.ApplyCommitSet(ctx, sets[i])
-	}
-	return out, nil
+	return storeapi.ApplyEach(ctx, r, sets)
 }
 
 // ErrCommitSetsOnly is Begin's answer: the sharded tier runs the

@@ -47,43 +47,14 @@ func Applied(cs memento.CommitSet, seq uint64) ApplyResult {
 // store is unchanged.
 //
 // This is the paper's "optimistic commit logic". In the split-servers
-// configuration the back-end server hands it whole commit sets (via
-// ApplyCommitSets, one exchange per batch); in the combined-servers
-// configuration the edge server instead drives the same validation
-// statement-by-statement over the wire (Tx.CheckVersion / Tx.CheckedPut
-// / Tx.CheckedDelete), per memento image or as one statement batch.
+// configuration the back-end server hands it each whole commit set in
+// one exchange; in the combined-servers configuration the edge server
+// instead drives the same validation statement-by-statement over the
+// wire (Tx.CheckVersion / Tx.CheckedPut / Tx.CheckedDelete), per memento
+// image or as one statement batch.
 func (s *Store) ApplyCommitSet(ctx context.Context, cs memento.CommitSet) (ApplyResult, error) {
 	ctx, sp := obs.StartSpan(ctx, "sqlstore.apply")
 	defer sp.End()
-	return s.apply(ctx, cs)
-}
-
-// ApplySetResult is one commit set's outcome within a grouped apply.
-type ApplySetResult struct {
-	Res ApplyResult
-	Err error
-}
-
-// ApplyCommitSets validates and applies several independent commit sets
-// in one pass — the backend's group commit. Sets apply in slice order,
-// each as its own atomic transaction validating against the state the
-// earlier sets left behind, so an intra-batch conflict is attributed to
-// the earlier set exactly as if the sets had arrived serially: the
-// loser's ConflictError names the winner's version and trace. One set's
-// rejection never poisons the others (per-set Err).
-func (s *Store) ApplyCommitSets(ctx context.Context, sets []memento.CommitSet) []ApplySetResult {
-	ctx, sp := obs.StartSpan(ctx, "sqlstore.apply_group")
-	defer sp.End()
-	out := make([]ApplySetResult, len(sets))
-	for i := range sets {
-		out[i].Res, out[i].Err = s.apply(ctx, sets[i])
-	}
-	return out
-}
-
-// apply runs one commit set's validate-and-apply under the set's
-// origin.
-func (s *Store) apply(ctx context.Context, cs memento.CommitSet) (ApplyResult, error) {
 	tx, err := s.begin(ctx, cs.Origin)
 	if err != nil {
 		return ApplyResult{}, err
@@ -93,12 +64,19 @@ func (s *Store) apply(ctx context.Context, cs memento.CommitSet) (ApplyResult, e
 		s.stats.optFail.Add(1)
 		return ApplyResult{}, err
 	}
-	s.serveCommit(1)
+	s.serveCommit()
 	if err := tx.Commit(); err != nil {
 		return ApplyResult{}, err
 	}
 	s.stats.optOK.Add(1)
 	return Applied(cs, tx.Seq()), nil
+}
+
+// ApplySetResult is one commit set's outcome among several applied by
+// one storeapi.Conn.ApplyCommitSets call.
+type ApplySetResult struct {
+	Res ApplyResult
+	Err error
 }
 
 // stage validates cs inside tx and buffers its writes there: a version

@@ -174,16 +174,20 @@ func TestCommitNotices(t *testing.T) {
 			}
 			return ids
 		}},
+		// The sets of one storeapi.Conn.ApplyCommitSets, built before
+		// any applies and then applied in order, as storeapi.ApplyEach
+		// does.
 		{"ApplyCommitSets", func(t *testing.T) (ids []uint64) {
 			sets := make([]memento.CommitSet, len(origins))
 			for i := range origins {
 				sets[i] = create("group", i)
 			}
-			for _, r := range s.ApplyCommitSets(ctx, sets) {
-				if r.Err != nil {
-					t.Fatal(r.Err)
+			for _, cs := range sets {
+				res, err := s.ApplyCommitSet(ctx, cs)
+				if err != nil {
+					t.Fatal(err)
 				}
-				ids = append(ids, r.Res.Seq)
+				ids = append(ids, res.Seq)
 			}
 			return ids
 		}},

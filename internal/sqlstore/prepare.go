@@ -72,7 +72,7 @@ func (s *Store) Prepare(ctx context.Context, gid string, cs memento.CommitSet) e
 		s.stats.optFail.Add(1)
 		return err
 	}
-	s.serveCommit(1)
+	s.serveCommit()
 
 	s.prepMu.Lock()
 	if s.prepared == nil {
@@ -185,13 +185,12 @@ func (s *Store) abortAllPrepared() {
 // is a no-op. The shard-scaling experiment sets it so per-shard commit
 // capacity reflects an N-core datacenter rather than the test host's
 // core count; see EXPERIMENTS.md.
-func (s *Store) serveCommit(sets int) {
-	d := s.commitService
-	if d <= 0 || sets <= 0 {
+func (s *Store) serveCommit() {
+	if s.commitService <= 0 {
 		return
 	}
 	s.serviceMu.Lock()
-	time.Sleep(d * time.Duration(sets))
+	time.Sleep(s.commitService)
 	s.serviceMu.Unlock()
 }
 

@@ -274,21 +274,15 @@ func (m *rowModel) step() error {
 				}
 			}
 		}
-		var results []ApplySetResult
-		if len(sets) == 1 {
-			res, err := m.s.ApplyCommitSet(m.ctx, sets[0])
-			results = []ApplySetResult{{Res: res, Err: err}}
-		} else {
-			results = m.s.ApplyCommitSets(m.ctx, sets)
-		}
-		for i, r := range results {
-			if r.Err != nil {
-				return r.Err
+		for i := range sets {
+			res, err := m.s.ApplyCommitSet(m.ctx, sets[i])
+			if err != nil {
+				return err
 			}
 			if len(written[i]) == 0 {
 				continue // an empty set commits nothing and sends no notice
 			}
-			if err := m.committed(r.Res.Seq, written[i], nil); err != nil {
+			if err := m.committed(res.Seq, written[i], nil); err != nil {
 				return err
 			}
 		}

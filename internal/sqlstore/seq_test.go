@@ -137,7 +137,8 @@ func TestLostCommitProofFails(t *testing.T) {
 }
 
 // TestNoticeStreamOrder races every commit path — Tx.Commit,
-// ApplyCommitSet, grouped ApplyCommitSets and Prepare+CommitPrepared —
+// ApplyCommitSet, two ApplyCommitSet calls back to back and
+// Prepare+CommitPrepared —
 // against one store with two subscribers, and checks that each stream
 // is in commit order (Seq strictly increasing) and that each notice's
 // Seq is the version of every row its After names: each write carries
@@ -206,9 +207,9 @@ func TestNoticeStreamOrder(t *testing.T) {
 				{Writes: []memento.Memento{current(write(tag))}},
 				{Writes: []memento.Memento{current(write(tag + 1))}},
 			}
-			for i, r := range s.ApplyCommitSets(ctx, sets) {
-				if r.Err == nil {
-					record(r.Res.Seq, tag+int64(i))
+			for i := range sets {
+				if res, err := s.ApplyCommitSet(ctx, sets[i]); err == nil {
+					record(res.Seq, tag+int64(i))
 				}
 			}
 			return nil

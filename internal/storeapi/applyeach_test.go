@@ -1,4 +1,4 @@
-package sqlstore
+package storeapi
 
 import (
 	"context"
@@ -7,15 +7,16 @@ import (
 	"time"
 
 	"edgeejb/internal/memento"
+	"edgeejb/internal/sqlstore"
 )
 
-// TestApplyCommitSetsIntraBatchAttribution pins the grouped apply's
-// serial-equivalence: sets apply in slice order against the state the
-// earlier sets left behind, so a loser inside the batch gets a
-// ConflictError naming the intra-batch winner — attribution identical
-// to the sets arriving one at a time.
-func TestApplyCommitSetsIntraBatchAttribution(t *testing.T) {
-	s := New()
+// TestApplyEachIsSerial pins what ApplyCommitSets promises: sets apply
+// in slice order against the state the earlier sets left behind, so a
+// loser among them gets a ConflictError naming the earlier winner —
+// attribution identical to the sets arriving one at a time — and one
+// set's rejection leaves the others alone.
+func TestApplyEachIsSerial(t *testing.T) {
+	s := sqlstore.New()
 	defer s.Close()
 	k := memento.Key{Table: "t", ID: "1"}
 	s.Seed(memento.Memento{Key: k, Fields: memento.Fields{"n": memento.Int(10)}})
@@ -28,7 +29,7 @@ func TestApplyCommitSetsIntraBatchAttribution(t *testing.T) {
 			Key: k, Version: 1, Fields: memento.Fields{"n": memento.Int(n)},
 		}}}
 	}
-	out := s.ApplyCommitSets(context.Background(), []memento.CommitSet{
+	out, err := ApplyEach(context.Background(), Local(s), []memento.CommitSet{
 		write(11), // winner: row is at version 1
 		write(12), // loser: version 1 is stale once the winner applies
 		{Creates: []memento.Memento{{ // independent: must not be poisoned
@@ -36,15 +37,18 @@ func TestApplyCommitSetsIntraBatchAttribution(t *testing.T) {
 			Fields: memento.Fields{"n": memento.Int(2)},
 		}}},
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if out[0].Err != nil {
 		t.Fatalf("winner: %v", out[0].Err)
 	}
 	if out[2].Err != nil {
 		t.Fatalf("independent set rejected alongside the loser: %v", out[2].Err)
 	}
-	var ce *ConflictError
+	var ce *sqlstore.ConflictError
 	if !errors.As(out[1].Err, &ce) {
-		t.Fatalf("loser error = %v, want *ConflictError", out[1].Err)
+		t.Fatalf("loser error = %v, want *sqlstore.ConflictError", out[1].Err)
 	}
 	if ce.Expected != 1 || ce.Actual != out[0].Res.Seq {
 		t.Errorf("conflict versions = %d -> %d, want 1 -> the winner's seq %d", ce.Expected, ce.Actual, out[0].Res.Seq)

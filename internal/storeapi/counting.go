@@ -59,12 +59,9 @@ func (c *CountingConn) ApplyCommitSet(ctx context.Context, cs memento.CommitSet)
 	return c.inner.ApplyCommitSet(ctx, cs)
 }
 
-// ApplyCommitSets implements Conn. A grouped apply is one exchange on a
-// remote implementation, so it counts one op regardless of how many
-// sets it carries.
+// ApplyCommitSets implements Conn: one op per set.
 func (c *CountingConn) ApplyCommitSets(ctx context.Context, sets []memento.CommitSet) ([]sqlstore.ApplySetResult, error) {
-	c.ops.Add(1)
-	return c.inner.ApplyCommitSets(ctx, sets)
+	return ApplyEach(ctx, c, sets)
 }
 
 // Prepare implements Preparer: one exchange, one op. When the wrapped

@@ -79,10 +79,11 @@ type Conn interface {
 	// ApplyCommitSet validates and applies a whole optimistic commit set
 	// atomically — a single round trip on remote implementations.
 	ApplyCommitSet(ctx context.Context, cs memento.CommitSet) (sqlstore.ApplyResult, error)
-	// ApplyCommitSets applies several independent commit sets in one
-	// exchange — a single round trip on remote implementations. Each set
-	// succeeds or fails on its own; the error return is reserved for
-	// transport-level failures affecting the whole group.
+	// ApplyCommitSets applies several independent commit sets, each
+	// through ApplyCommitSet in slice order (ApplyEach), and returns one
+	// result per set. No product path calls it and no wire op carries
+	// it: it is kept only because the repository benchmark's frozen
+	// surface names it (ROADMAP items 20 and 29).
 	ApplyCommitSets(ctx context.Context, sets []memento.CommitSet) ([]sqlstore.ApplySetResult, error)
 	// Subscribe streams commit notices until cancel is called; the
 	// channel closes on cancel or connection loss. Commits made under
@@ -149,7 +150,20 @@ func (l *local) ApplyCommitSet(ctx context.Context, cs memento.CommitSet) (sqlst
 }
 
 func (l *local) ApplyCommitSets(ctx context.Context, sets []memento.CommitSet) ([]sqlstore.ApplySetResult, error) {
-	return l.store.ApplyCommitSets(ctx, sets), nil
+	return ApplyEach(ctx, l, sets)
+}
+
+// ApplyEach is every Conn's ApplyCommitSets: each set goes through
+// conn.ApplyCommitSet in slice order, so a set validates against the
+// state the earlier ones left and a loser's conflict names the earlier
+// winner, as if the sets had arrived one at a time. One set's rejection
+// never stops the others; the error return is always nil.
+func ApplyEach(ctx context.Context, conn Conn, sets []memento.CommitSet) ([]sqlstore.ApplySetResult, error) {
+	out := make([]sqlstore.ApplySetResult, len(sets))
+	for i := range sets {
+		out[i].Res, out[i].Err = conn.ApplyCommitSet(ctx, sets[i])
+	}
+	return out, nil
 }
 
 func (l *local) AutoGet(ctx context.Context, table, id string) (GetResult, error) {

@@ -40,6 +40,10 @@
 # a family by prefix in internal/harness/measure.go (the per-pass latency
 # breakdown); each span name, and each forensic event type, must be
 # documented by name.
+#
+#   documented => started     a row of the span-site table must name a
+#                             span some code starts (a <…> pattern row
+#                             stands for several and is skipped)
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -79,6 +83,12 @@ if [ "${1:-}" = "--selftest" ]; then
 
 	printf 'package loadgen\n\nimport "edgeejb/internal/obs"\n\nfunc planted(p string) { obs.Default.Counter(p + "built").Inc() }\n' >"$planted"
 	expect_fail "dynamically built name" "non-literal registration"
+
+	rm -f "$planted"
+	# shellcheck disable=SC2016
+	awk '{ print } /^\| `sqlstore\.apply` \|/ { print "| `sqlstore.planted` | db | sqlstore | a span no code starts |" }' \
+		OBSERVABILITY.md >"$scratch/OBSERVABILITY.md"
+	expect_fail "stale span row" "stale span row: sqlstore.planted"
 
 	echo "check_metrics_docs: selftest passed"
 	exit 0
@@ -212,6 +222,24 @@ for name in $spans; do
 	fi
 done
 
+# shellcheck disable=SC2016
+rows=$(awk '
+	/^\| span \| tier \| where \| covers \|/ { table = 1; next }
+	table && !/^\|/ { exit }
+	table' "$doc" | sed -nE 's/^\| `([^`<]+)` \|.*/\1/p')
+nrows=0
+for name in $rows; do
+	nrows=$((nrows + 1))
+	if ! printf '%s\n' "$spans" | grep -q -F -x "span.$name"; then
+		echo "stale span row: $name (in $doc's span table, but no code starts it: delete the row)" >&2
+		fail=1
+	fi
+done
+if [ "$nrows" -eq 0 ]; then
+	echo "no span rows found under $doc's '| span | tier | where | covers |' header" >&2
+	fail=1
+fi
+
 event_types=$(src -hoE 'Event[A-Za-z]+ EventType = "[^"]+"' internal/obs |
 	sed -E 's/.*"([^"]+)".*/\1/' | sort -u)
 for t in $event_types; do
@@ -248,4 +276,4 @@ done
 if [ "$fail" -ne 0 ]; then
 	exit 1
 fi
-echo "check_metrics_docs: $nfam registered families, each with a reader and a row in $doc"
+echo "check_metrics_docs: $nfam registered families, each with a reader and a row in $doc; $nrows span rows, each started"
