@@ -38,9 +38,6 @@ func (s *Server) Requests() uint64 { return s.requests.Load() }
 // Failures returns the number of requests that returned an error.
 func (s *Server) Failures() uint64 { return s.failures.Load() }
 
-// WireStats returns the server-side transport counters.
-func (s *Server) WireStats() wire.Stats { return s.inner.Stats() }
-
 // Start listens on addr and serves in the background until Close.
 func (s *Server) Start(addr string) error { return s.inner.Start(addr) }
 

@@ -37,9 +37,6 @@ func NewBMPManager(conn storeapi.Conn, opts ...ManagerOption) *BMPManager {
 	return &BMPManager{conn: conn, exec: newExecutor(opts)}
 }
 
-// Name implements ResourceManager.
-func (m *BMPManager) Name() string { return "bmp" }
-
 // Begin implements ResourceManager.
 func (m *BMPManager) Begin(ctx context.Context) (DataTx, error) {
 	txn, err := m.conn.Begin(ctx)

@@ -9,20 +9,6 @@ import (
 	"edgeejb/internal/sqlstore"
 )
 
-func TestManagerNames(t *testing.T) {
-	_, conn := newStore(t)
-	if got := NewJDBCManager(conn).Name(); got != "jdbc" {
-		t.Errorf("jdbc name = %q", got)
-	}
-	if got := NewBMPManager(conn).Name(); got != "bmp" {
-		t.Errorf("bmp name = %q", got)
-	}
-	c := NewContainer(itemRegistry(t), NewBMPManager(conn))
-	if got := c.Algorithm(); got != "bmp" {
-		t.Errorf("container algorithm = %q", got)
-	}
-}
-
 func TestBMPCreateUpdateRemoveLifecycle(t *testing.T) {
 	store, conn := newStore(t)
 	c := NewContainer(itemRegistry(t), NewBMPManager(conn))

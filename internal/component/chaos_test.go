@@ -91,7 +91,6 @@ func (rm *abortSpyRM) Begin(ctx context.Context) (DataTx, error) {
 	rm.last = &abortSpyTx{commitErr: rm.err}
 	return rm.last, nil
 }
-func (rm *abortSpyRM) Name() string { return "spy" }
 
 // TestChaosCommitFailureAborts: a commit that fails for transport-level
 // reasons must be followed by an abort, so a manager whose commit round

@@ -99,8 +99,6 @@ type MultiLoader interface {
 type ResourceManager interface {
 	// Begin starts a transaction.
 	Begin(ctx context.Context) (DataTx, error)
-	// Name identifies the algorithm for reports ("jdbc", "bmp", "sli").
-	Name() string
 }
 
 // ManagerOption configures a resource manager (see WithBatching).
@@ -167,9 +165,6 @@ type Container struct {
 func NewContainer(registry *Registry, rm ResourceManager) *Container {
 	return &Container{registry: registry, rm: rm}
 }
-
-// Algorithm returns the resource manager's name.
-func (c *Container) Algorithm() string { return c.rm.Name() }
 
 // Execute runs fn inside one transaction. The transaction commits when
 // fn returns nil; any error aborts it. ErrRollback aborts silently. A

@@ -27,9 +27,6 @@ func NewJDBCManager(conn storeapi.Conn, opts ...ManagerOption) *JDBCManager {
 	return &JDBCManager{conn: conn, exec: newExecutor(opts)}
 }
 
-// Name implements ResourceManager.
-func (m *JDBCManager) Name() string { return "jdbc" }
-
 // Begin implements ResourceManager.
 func (m *JDBCManager) Begin(ctx context.Context) (DataTx, error) {
 	txn, err := m.conn.Begin(ctx)

@@ -481,8 +481,7 @@ func appendConflict(dst []byte, t *wire.Names, ci *ConflictInfo) []byte {
 	dst = memento.AppendKey(dst, t, ci.Key)
 	dst = binary.AppendUvarint(dst, ci.Expected)
 	dst = binary.AppendUvarint(dst, ci.Actual)
-	dst = binary.AppendUvarint(dst, ci.WinnerTrace)
-	return wire.AppendTime(dst, ci.CommittedAt)
+	return binary.AppendUvarint(dst, ci.WinnerTrace)
 }
 
 func readConflict(r *wire.Reader) *ConflictInfo {
@@ -491,6 +490,5 @@ func readConflict(r *wire.Reader) *ConflictInfo {
 	ci.Expected = r.Uvarint()
 	ci.Actual = r.Uvarint()
 	ci.WinnerTrace = r.Uvarint()
-	ci.CommittedAt = r.Time()
 	return ci
 }

@@ -115,7 +115,6 @@ func corpusResponses() map[string]*Response {
 				Key:      memento.Key{Table: "quote", ID: "a"},
 				Expected: 3, Actual: 4,
 				WinnerTrace: 99,
-				CommittedAt: ts(1_723_000_000_000_000_123),
 			},
 		},
 		// A conflict on a removed row: nothing to name but the key and

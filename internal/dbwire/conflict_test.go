@@ -56,9 +56,6 @@ func TestConflictAttributionSurvivesTheWire(t *testing.T) {
 	if ce.WinnerTrace != winnerTrace {
 		t.Errorf("winner trace = %d, want %d", ce.WinnerTrace, winnerTrace)
 	}
-	if ce.CommittedAt.IsZero() {
-		t.Error("winner commit time lost on the wire")
-	}
 	if ce.Detail == "" {
 		t.Error("conflict detail lost on the wire")
 	}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"time"
 
 	"edgeejb/internal/memento"
 	"edgeejb/internal/sqlstore"
@@ -194,7 +193,6 @@ type ConflictInfo struct {
 	Key              memento.Key
 	Expected, Actual uint64
 	WinnerTrace      uint64
-	CommittedAt      time.Time
 }
 
 // encodeErr maps a server-side error to a wire code and message.
@@ -230,7 +228,6 @@ func errResponse(err error) *Response {
 			Expected:    ce.Expected,
 			Actual:      ce.Actual,
 			WinnerTrace: ce.WinnerTrace,
-			CommittedAt: ce.CommittedAt,
 		}
 	}
 	return resp
@@ -256,7 +253,6 @@ func decodeErr(resp *Response) error {
 				Expected:    ci.Expected,
 				Actual:      ci.Actual,
 				WinnerTrace: ci.WinnerTrace,
-				CommittedAt: ci.CommittedAt,
 				Detail:      strings.TrimPrefix(resp.Msg, sqlstore.ErrConflict.Error()+": "),
 			}
 		}

@@ -39,9 +39,6 @@ func (s *Server) Start(addr string) error { return s.inner.Start(addr) }
 // been called.
 func (s *Server) Addr() string { return s.inner.Addr() }
 
-// WireStats returns the server-side transport counters.
-func (s *Server) WireStats() wire.Stats { return s.inner.Stats() }
-
 // Close drains the server: stop accepting, finish in-flight requests
 // (bounded), then tear down every connection, aborting any transactions
 // still open on them. It does not close the wrapped datastore handle.

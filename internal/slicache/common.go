@@ -191,13 +191,6 @@ func (c *CommonStore) Len() int {
 	return len(c.entries)
 }
 
-// Bytes returns the estimated resident size of the cached entries.
-func (c *CommonStore) Bytes() int64 {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.bytes
-}
-
 // Stats returns a snapshot of the cache counters.
 func (c *CommonStore) Stats() CommonStoreStats {
 	c.mu.RLock()

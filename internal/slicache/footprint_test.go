@@ -34,7 +34,7 @@ func BenchmarkCommonStoreFootprint(b *testing.B) {
 		}
 		entries = c.Len()
 		total += float64(heap()) - float64(before)
-		estimated += float64(c.Bytes())
+		estimated += float64(c.Stats().Bytes)
 		runtime.KeepAlive(c)
 	}
 	b.ReportMetric(total/float64(b.N)/float64(entries), "B/entry")

@@ -131,9 +131,6 @@ func newOrigin() uint64 {
 	return binary.LittleEndian.Uint64(b[:])&(1<<62-1) | 1<<62
 }
 
-// Name implements component.ResourceManager.
-func (m *Manager) Name() string { return "sli" }
-
 // SetClock overrides the manager's (and its common store's) timestamp
 // source; tests use it to control entry ages deterministically. The
 // finder cache keeps no clock: a cached result carries the time its
@@ -334,9 +331,5 @@ func (m *Manager) Stats() ManagerStats {
 // transient store over the common store.
 func (m *Manager) Begin(ctx context.Context) (component.DataTx, error) {
 	m.stats.begins.Add(1)
-	return &sliTx{
-		mgr:          m,
-		entries:      make(map[memento.Key]*entry),
-		finderSource: make(map[memento.Key]bool),
-	}, nil
+	return &sliTx{mgr: m, entries: make(map[memento.Key]*entry)}, nil
 }

@@ -42,6 +42,11 @@ type entry struct {
 	// persistent store (or stored into the common cache). Conflict
 	// forensics report the losing read's age from it.
 	fetchedAt time.Time
+	// fromFinder marks a before-image that entered the transaction from
+	// the finder-result cache rather than a fresh store read. A conflict
+	// on such a key is a stale cached finder result that slipped past
+	// invalidation — forensically distinct from an ordinary race.
+	fromFinder bool
 }
 
 // sliTx is the per-transaction transient store plus the optimistic
@@ -50,11 +55,6 @@ type entry struct {
 type sliTx struct {
 	mgr     *Manager
 	entries map[memento.Key]*entry
-	// finderSource marks keys whose before-image entered the transaction
-	// from the finder-result cache rather than a fresh store read. A
-	// conflict on such a key is a stale cached finder result that slipped
-	// past invalidation — forensically distinct from an ordinary race.
-	finderSource map[memento.Key]bool
 	// accesses counts the store reads made for this transaction: one per
 	// miss fetched and one per shard a finder asked. cacheServed is set
 	// once the common store or the finder cache answers a read. Together
@@ -340,14 +340,12 @@ func (t *sliTx) Query(ctx context.Context, q memento.Query) ([]memento.Memento, 
 		if _, ok := t.entries[m.Key]; ok {
 			continue // never overlay the transaction's own view
 		}
-		if fromFinder {
-			t.finderSource[m.Key] = true
-		}
 		t.entries[m.Key] = &entry{
-			version:   m.Version,
-			current:   m,
-			state:     stateClean,
-			fetchedAt: fetchedAt,
+			version:    m.Version,
+			current:    m,
+			state:      stateClean,
+			fetchedAt:  fetchedAt,
+			fromFinder: fromFinder,
 		}
 	}
 	// Run the finder against the transient store.
@@ -452,14 +450,15 @@ func (t *sliTx) Commit(ctx context.Context) error {
 
 // provenByItsRead reports whether cs, a set that writes nothing, was
 // read in full by one store access made inside this transaction: one
-// miss fetch or one finder answered by one store. The store ran that
-// access as one strict-2PL transaction, so the rows form a consistent
-// snapshot at an instant within this transaction's lifetime, and the
-// read-only transaction serialises there; validating them one round
-// trip later could only re-prove freshness. A read the common store or
-// the finder cache served, a second access, and a scatter over several
-// shards all break the single instant, so those sets are validated.
-// So is every PerStatement set: it is the paper's measured protocol.
+// miss fetch or one finder answered by one store. The store read that
+// access's rows under the mutex every commit installs under, so they
+// form a consistent snapshot of committed state at an instant within
+// this transaction's lifetime, and the read-only transaction serialises
+// there; validating them one round trip later could only re-prove
+// freshness. A read the common store or the finder cache served, a
+// second access, and a scatter over several shards all break the single
+// instant, so those sets are validated. So is every PerStatement set:
+// it is the paper's measured protocol.
 func (t *sliTx) provenByItsRead(cs memento.CommitSet) bool {
 	return cs.Mutations() == 0 && t.accesses == 1 && !t.cacheServed &&
 		t.mgr.loader.Shipping() != PerStatement
@@ -477,7 +476,8 @@ func (t *sliTx) noteConflict(ctx context.Context, err error) {
 	}
 	trace := obs.TraceID(ctx)
 	var readAge time.Duration
-	if e, ok := t.entries[ce.Key]; ok && !e.fetchedAt.IsZero() {
+	e := t.entries[ce.Key]
+	if e != nil && !e.fetchedAt.IsZero() {
 		if readAge = t.mgr.now().Sub(e.fetchedAt); readAge < 0 {
 			readAge = 0
 		}
@@ -492,7 +492,7 @@ func (t *sliTx) noteConflict(ctx context.Context, err error) {
 		Age:        readAge,
 		Detail:     ce.Detail,
 	})
-	if t.finderSource[ce.Key] {
+	if e != nil && e.fromFinder {
 		// The losing read came from the finder-result cache: a stale
 		// cached result survived to validation. Correctness held (the
 		// commit aborted), but a clean run should never see this — it

@@ -1,10 +1,6 @@
 package sqlstore
 
-import (
-	"time"
-
-	"edgeejb/internal/memento"
-)
+import "edgeejb/internal/memento"
 
 // ConflictError is the attributed form of ErrConflict: an optimistic
 // validation failure that names the first conflicting key, the version
@@ -24,13 +20,12 @@ type ConflictError struct {
 	// version is the number of the commit that wrote it, so a nonzero
 	// Actual names the winning commit: the Seq of its notice.
 	Expected, Actual uint64
-	// WinnerTrace is the trace ID the Begin context of the last
-	// transaction that wrote Key carried, when the store still remembers
-	// it (zero otherwise).
+	// WinnerTrace is the trace ID the Begin context of the commit that
+	// wrote the row found at validation carried, when the store still
+	// remembers it: the row keeps it for as long as it lives, so it is
+	// zero for a removed row, a seeded or restored one, and an untraced
+	// commit.
 	WinnerTrace uint64
-	// CommittedAt is when the winner's write was installed (zero when
-	// unknown).
-	CommittedAt time.Time
 	// Detail is the human-readable tail of the message, matching the
 	// plain-error text this type replaced.
 	Detail string
@@ -39,29 +34,3 @@ type ConflictError struct {
 func (e *ConflictError) Error() string { return ErrConflict.Error() + ": " + e.Detail }
 
 func (e *ConflictError) Unwrap() error { return ErrConflict }
-
-// writerInfo remembers the last committed writer of a row for conflict
-// attribution.
-type writerInfo struct {
-	trace uint64
-	at    time.Time
-}
-
-// lastWriter looks up the most recent committed writer of key.
-func (s *Store) lastWriter(key memento.Key) (writerInfo, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	w, ok := s.writers[key]
-	return w, ok
-}
-
-// conflictErr builds an attributed conflict error for key, filling the
-// winner's identity from the store's last-writer table.
-func (s *Store) conflictErr(key memento.Key, expected, actual uint64, detail string) *ConflictError {
-	e := &ConflictError{Key: key, Expected: expected, Actual: actual, Detail: detail}
-	if w, ok := s.lastWriter(key); ok {
-		e.WinnerTrace = w.trace
-		e.CommittedAt = w.at
-	}
-	return e
-}

@@ -126,6 +126,7 @@ func readSnapshot(data []byte) (inc, seq uint64, tables map[string]*table, err e
 	seq = r.Uvarint()
 	n := r.Len()
 	tables = make(map[string]*table, wire.Prealloc(n))
+	commits := make(map[uint64]*commit) // one per version, as at dump
 	for i := 0; i < n && !r.Failed(); i++ {
 		name := r.Name()
 		if _, dup := tables[name]; dup && !r.Failed() {
@@ -148,7 +149,12 @@ func readSnapshot(data []byte) (inc, seq uint64, tables map[string]*table, err e
 			if _, dup := t.rows[m.Key.ID]; dup {
 				return 0, 0, nil, fmt.Errorf("sqlstore: snapshot holds row %s twice", m.Key)
 			}
-			t.install(m.Key.ID, t.newRow(m.Version, m.Fields))
+			by := commits[m.Version]
+			if by == nil {
+				by = &commit{seq: m.Version}
+				commits[m.Version] = by
+			}
+			t.install(m.Key.ID, t.newRow(by, m.Fields))
 			seq = max(seq, m.Version)
 		}
 	}

@@ -130,10 +130,9 @@ type Stats struct {
 type Store struct {
 	lm *lockmgr.Manager
 
-	mu      sync.RWMutex
-	tables  map[string]*table
-	writers map[memento.Key]writerInfo
-	closed  bool
+	mu     sync.RWMutex
+	tables map[string]*table
+	closed bool
 	// seq is the commit counter: the number of the last commit that
 	// wrote, and so the highest row version. inc is the incarnation, 0
 	// for a fresh store and one more than its snapshot's for a restored
@@ -197,7 +196,6 @@ func New(opts ...Option) *Store {
 	return &Store{
 		lm:            lockmgr.New(lockmgr.WithTimeout(cfg.lockTimeout)),
 		tables:        make(map[string]*table),
-		writers:       make(map[memento.Key]writerInfo),
 		subs:          make(map[int]subscriber),
 		prepareTTL:    cfg.prepareTTL,
 		commitService: cfg.commitService,
@@ -312,20 +310,52 @@ func (s *Store) Stats() Stats {
 	}
 }
 
-// readRow returns the committed row for key, if any, as a memento the
-// caller owns.
-func (s *Store) readRow(key memento.Key) (memento.Memento, bool) {
+// Get reads key's committed row, as a memento the caller owns, and
+// takes no lock: the cache runtime's autocommit read (§2.3) needs the
+// committed rows of one instant, and a transaction still in flight,
+// prepared ones included, installs nothing until it commits.
+func (s *Store) Get(key memento.Key) (memento.Memento, error) {
+	if s.isClosed() {
+		return memento.Memento{}, ErrClosed
+	}
+	s.stats.gets.Add(1)
+	return s.readRow(key)
+}
+
+// Query is Get for a predicate query: the committed rows of q's table
+// that match it at one instant, in primary-key order.
+func (s *Store) Query(q memento.Query) ([]memento.Memento, error) {
+	if s.isClosed() {
+		return nil, ErrClosed
+	}
+	s.stats.queries.Add(1)
+	return s.scanTable(q), nil
+}
+
+// readRow returns the committed row for key as a memento the caller
+// owns, or ErrNotFound.
+func (s *Store) readRow(key memento.Key) (memento.Memento, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	t := s.tables[key.Table]
-	if t == nil {
-		return memento.Memento{}, false
+	if t := s.tables[key.Table]; t != nil {
+		if r, ok := t.rows[key.ID]; ok {
+			return t.memento(key.Table, key.ID, r), nil
+		}
 	}
-	r, ok := t.rows[key.ID]
-	if !ok {
-		return memento.Memento{}, false
+	return memento.Memento{}, fmt.Errorf("%w: %s", ErrNotFound, key)
+}
+
+// writer returns the commit that wrote key's committed row, if there
+// is one.
+func (s *Store) writer(key memento.Key) (commit, bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if t := s.tables[key.Table]; t != nil {
+		if r, ok := t.rows[key.ID]; ok {
+			return *r.by, true
+		}
 	}
-	return t.memento(key.Table, key.ID, r), true
+	return commit{}, false
 }
 
 // rowState reports whether key has a committed row, its version, and
@@ -344,7 +374,7 @@ func (s *Store) rowState(key memento.Key, where []memento.Predicate) (version ui
 	}
 	var buf [4]uint32
 	cols, known := t.cols.Where(where, buf[:0])
-	return r.version, true, known && r.cells.Matches(where, cols)
+	return r.by.seq, true, known && r.cells.Matches(where, cols)
 }
 
 // scanTable returns every committed row of a table matching q, in
@@ -389,19 +419,18 @@ func (s *Store) scanTable(q memento.Query) []memento.Memento {
 
 // applyWrites installs a transaction's buffered writes under the store
 // mutex as one commit: it takes the next number from the commit
-// counter, stamps it as the version of every row it writes, records the
-// committer as each row's last writer (for conflict attribution), and
-// hands the commit's notice to the subscribers before the mutex is
-// released. It assumes the caller holds the required locks and has
-// already validated. The notice's write descriptors, in key order,
-// carry what each write changed, or mark the row removed, for
-// footprint-overlap invalidation at the edges: a created row's whole
-// image, and an updated row's cells that differ from the row it
-// replaces (memento.Columns.Changed), an empty map if none do. An image
-// all of whose cells changed is the committer's own pending image: Put,
-// Insert and CheckedPut cloned it from their caller, and the store
-// keeps cells, not the map. A transaction that wrote nothing takes no
-// number and returns zero.
+// counter, which every row it writes keeps as its version, with the
+// committer's trace for conflict attribution, and hands the commit's
+// notice to the subscribers before the mutex is released. It assumes
+// the caller holds the required locks and has already validated. The
+// notice's write descriptors, in key order, carry what each write
+// changed, or mark the row removed, for footprint-overlap invalidation
+// at the edges: a created row's whole image, and an updated row's cells
+// that differ from the row it replaces (memento.Columns.Changed), an
+// empty map if none do. An image all of whose cells changed is the
+// committer's own pending image: Put, Insert and CheckedPut cloned it
+// from their caller, and the store keeps cells, not the map. A
+// transaction that wrote nothing takes no number and returns zero.
 func (s *Store) applyWrites(writes map[memento.Key]pendingWrite, trace, origin uint64) uint64 {
 	if len(writes) == 0 {
 		return 0
@@ -411,8 +440,8 @@ func (s *Store) applyWrites(writes map[memento.Key]pendingWrite, trace, origin u
 	defer s.mu.Unlock()
 	s.seq++
 	at := time.Now()
+	by := &commit{seq: s.seq, trace: trace}
 	for key, w := range writes {
-		s.writers[key] = writerInfo{trace: trace, at: at}
 		t := s.tables[key.Table]
 		if t == nil {
 			t = newTable()
@@ -422,7 +451,7 @@ func (s *Store) applyWrites(writes map[memento.Key]pendingWrite, trace, origin u
 		if w.remove {
 			t.drop(key.ID)
 		} else {
-			r := t.newRow(s.seq, w.mem.Fields)
+			r := t.newRow(by, w.mem.Fields)
 			desc.After = w.mem.Fields
 			if prev, had := t.install(key.ID, r); had {
 				desc.After = t.cols.Changed(prev.cells, r.cells, w.mem.Fields)
@@ -451,13 +480,14 @@ func (s *Store) Seed(mems ...memento.Memento) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.seq++
+	by := &commit{seq: s.seq}
 	for _, m := range mems {
 		t := s.tables[m.Key.Table]
 		if t == nil {
 			t = newTable()
 			s.tables[m.Key.Table] = t
 		}
-		t.install(m.Key.ID, t.newRow(s.seq, m.Fields))
+		t.install(m.Key.ID, t.newRow(by, m.Fields))
 	}
 }
 
@@ -476,11 +506,11 @@ func (s *Store) RowCount(tableName string) int {
 // ErrNotFound if it does not exist. It performs a dirty read and is
 // intended for tests and diagnostics.
 func (s *Store) CurrentVersion(key memento.Key) (uint64, error) {
-	version, ok, _ := s.rowState(key, nil)
+	w, ok := s.writer(key)
 	if !ok {
 		return 0, fmt.Errorf("%w: %s", ErrNotFound, key)
 	}
-	return version, nil
+	return w.seq, nil
 }
 
 func (s *Store) isClosed() bool {

@@ -3,6 +3,8 @@ package sqlstore
 import (
 	"context"
 	"errors"
+	"fmt"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -448,5 +450,53 @@ func TestCloseWakesLockWaiters(t *testing.T) {
 		}
 	case <-time.After(timeout):
 		t.Fatal("waiter still blocked after Close")
+	}
+}
+
+// TestRemovedRowsLeaveNothingBehind: the store keeps nothing for a row
+// once it is removed, so creating and removing rows under ever new keys
+// does not grow its heap. 20,000 rows cross the store, 100 at a time,
+// each created by one commit set and removed by the next.
+func TestRemovedRowsLeaveNothingBehind(t *testing.T) {
+	s := New()
+	defer s.Close()
+	ctx := context.Background()
+	const rows, batch = 20_000, 100
+	round := func(base int) {
+		var create memento.CommitSet
+		for i := range batch {
+			create.Creates = append(create.Creates, mem("t", fmt.Sprintf("r%d", base+i), 0, intFields(int64(i))))
+		}
+		res, err := s.ApplyCommitSet(ctx, create)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var remove memento.CommitSet
+		for _, c := range create.Creates {
+			remove.Removes = append(remove.Removes, memento.ReadProof{Key: c.Key, Version: res.Seq})
+		}
+		if _, err := s.ApplyCommitSet(ctx, remove); err != nil {
+			t.Fatal(err)
+		}
+	}
+	heap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	round(-batch) // the table and its row map exist before the baseline
+	before := heap()
+	for base := 0; base < rows; base += batch {
+		round(base)
+	}
+	after := heap()
+	if n := s.RowCount("t"); n != 0 {
+		t.Fatalf("%d rows left after removing every one", n)
+	}
+	grew := int64(after) - int64(before)
+	t.Logf("retained heap grew %d B", grew)
+	if grew >= 512<<10 {
+		t.Errorf("retained heap grew %d B over %d created and removed rows, want < 512 KiB", grew, rows)
 	}
 }

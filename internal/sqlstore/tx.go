@@ -31,8 +31,8 @@ type Tx struct {
 
 // Begin starts a pessimistic transaction. The context's trace ID (if
 // any) is remembered so a commit can be attributed to the interaction
-// that issued it — both on the invalidation notice and in the
-// last-writer table consulted when a later transaction conflicts. Its
+// that issued it — both on the invalidation notice and on every row it
+// writes, which a later transaction's conflict on the row names. Its
 // origin (see OriginContext) keeps the commit's notice from the edge
 // that made it.
 func (s *Store) Begin(ctx context.Context) (*Tx, error) {
@@ -98,50 +98,32 @@ func (tx *Tx) lockRow(ctx context.Context, key memento.Key, mode lockmgr.Mode) e
 // Get reads a row under a shared lock. The transaction's own buffered
 // writes are visible to it.
 func (tx *Tx) Get(ctx context.Context, table, id string) (memento.Memento, error) {
-	if err := tx.check(); err != nil {
-		return memento.Memento{}, err
-	}
-	tx.s.stats.gets.Add(1)
-	key := memento.Key{Table: table, ID: id}
-	if w, ok := tx.writes[key]; ok {
-		if w.remove {
-			return memento.Memento{}, fmt.Errorf("%w: %s", ErrNotFound, key)
-		}
-		return w.mem.Clone(), nil
-	}
-	if err := tx.lockRow(ctx, key, lockmgr.Shared); err != nil {
-		return memento.Memento{}, err
-	}
-	m, ok := tx.s.readRow(key)
-	if !ok {
-		return memento.Memento{}, fmt.Errorf("%w: %s", ErrNotFound, key)
-	}
-	return m, nil
+	return tx.get(ctx, memento.Key{Table: table, ID: id}, lockmgr.Shared)
 }
 
 // GetForUpdate reads a row under an exclusive lock, the classic
 // SELECT ... FOR UPDATE used ahead of an update to avoid upgrade
 // deadlocks.
 func (tx *Tx) GetForUpdate(ctx context.Context, table, id string) (memento.Memento, error) {
+	return tx.get(ctx, memento.Key{Table: table, ID: id}, lockmgr.Exclusive)
+}
+
+// get is Get and GetForUpdate: they differ only in the lock's mode.
+func (tx *Tx) get(ctx context.Context, key memento.Key, mode lockmgr.Mode) (memento.Memento, error) {
 	if err := tx.check(); err != nil {
 		return memento.Memento{}, err
 	}
 	tx.s.stats.gets.Add(1)
-	key := memento.Key{Table: table, ID: id}
 	if w, ok := tx.writes[key]; ok {
 		if w.remove {
 			return memento.Memento{}, fmt.Errorf("%w: %s", ErrNotFound, key)
 		}
 		return w.mem.Clone(), nil
 	}
-	if err := tx.lockRow(ctx, key, lockmgr.Exclusive); err != nil {
+	if err := tx.lockRow(ctx, key, mode); err != nil {
 		return memento.Memento{}, err
 	}
-	m, ok := tx.s.readRow(key)
-	if !ok {
-		return memento.Memento{}, fmt.Errorf("%w: %s", ErrNotFound, key)
-	}
-	return m, nil
+	return tx.s.readRow(key)
 }
 
 // Put upserts a row under an exclusive lock. The stored version is
@@ -172,7 +154,7 @@ func (tx *Tx) Insert(ctx context.Context, m memento.Memento) error {
 	if w, ok := tx.writes[m.Key]; ok && !w.remove {
 		return fmt.Errorf("%w: %s", ErrExists, m.Key)
 	} else if !ok {
-		if _, exists, _ := tx.s.rowState(m.Key, nil); exists {
+		if _, exists := tx.s.writer(m.Key); exists {
 			return fmt.Errorf("%w: %s", ErrExists, m.Key)
 		}
 	}
@@ -195,7 +177,7 @@ func (tx *Tx) Delete(ctx context.Context, table, id string) error {
 		if w.remove {
 			return fmt.Errorf("%w: %s", ErrNotFound, key)
 		}
-	} else if _, exists, _ := tx.s.rowState(key, nil); !exists {
+	} else if _, exists := tx.s.writer(key); !exists {
 		return fmt.Errorf("%w: %s", ErrNotFound, key)
 	}
 	tx.writes[key] = pendingWrite{remove: true}
@@ -327,26 +309,23 @@ func (tx *Tx) verifyVersionLocked(key memento.Key, version uint64) error {
 }
 
 // checkVersion verifies that key's committed row is at version (or, for
-// version 0, that it does not exist), returning an attributed conflict
-// if not.
+// version 0, that it does not exist). If not, the conflict names the
+// version found and the trace of the commit that wrote it, the winner;
+// a removed row leaves nothing to name.
 func (s *Store) checkVersion(key memento.Key, version uint64) error {
-	actual, ok, _ := s.rowState(key, nil)
-	if version == 0 {
-		if ok {
-			return s.conflictErr(key, 0, actual,
-				fmt.Sprintf("%s created concurrently", key))
-		}
+	w, ok := s.writer(key)
+	var detail string
+	switch {
+	case version == 0 && ok:
+		detail = fmt.Sprintf("%s created concurrently", key)
+	case version != 0 && !ok:
+		detail = fmt.Sprintf("%s removed concurrently", key)
+	case w.seq != version:
+		detail = fmt.Sprintf("%s at v%d, expected v%d", key, w.seq, version)
+	default:
 		return nil
 	}
-	if !ok {
-		return s.conflictErr(key, version, 0,
-			fmt.Sprintf("%s removed concurrently", key))
-	}
-	if actual != version {
-		return s.conflictErr(key, version, actual,
-			fmt.Sprintf("%s at v%d, expected v%d", key, actual, version))
-	}
-	return nil
+	return &ConflictError{Key: key, Expected: version, Actual: w.seq, WinnerTrace: w.trace, Detail: detail}
 }
 
 // Commit installs the transaction's buffered writes atomically as one

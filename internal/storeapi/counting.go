@@ -2,7 +2,6 @@ package storeapi
 
 import (
 	"context"
-	"errors"
 	"sync/atomic"
 
 	"edgeejb/internal/memento"
@@ -63,42 +62,6 @@ func (c *CountingConn) ApplyCommitSet(ctx context.Context, cs memento.CommitSet)
 func (c *CountingConn) ApplyCommitSets(ctx context.Context, sets []memento.CommitSet) ([]sqlstore.ApplySetResult, error) {
 	return ApplyEach(ctx, c, sets)
 }
-
-// Prepare implements Preparer: one exchange, one op. When the wrapped
-// Conn has no prepare support the call fails — the counting wrapper
-// keeps the optional interface visible but cannot add the capability.
-func (c *CountingConn) Prepare(ctx context.Context, gid string, cs memento.CommitSet) error {
-	c.ops.Add(1)
-	p, ok := c.inner.(Preparer)
-	if !ok {
-		return errNoPrepare
-	}
-	return p.Prepare(ctx, gid, cs)
-}
-
-// CommitPrepared implements Preparer: one exchange, one op.
-func (c *CountingConn) CommitPrepared(ctx context.Context, gid string) (sqlstore.ApplyResult, error) {
-	c.ops.Add(1)
-	p, ok := c.inner.(Preparer)
-	if !ok {
-		return sqlstore.ApplyResult{}, errNoPrepare
-	}
-	return p.CommitPrepared(ctx, gid)
-}
-
-// AbortPrepared implements Preparer: one exchange, one op.
-func (c *CountingConn) AbortPrepared(ctx context.Context, gid string) error {
-	c.ops.Add(1)
-	p, ok := c.inner.(Preparer)
-	if !ok {
-		return errNoPrepare
-	}
-	return p.AbortPrepared(ctx, gid)
-}
-
-var errNoPrepare = errors.New("storeapi: wrapped Conn does not support prepare")
-
-var _ Preparer = (*CountingConn)(nil)
 
 // Subscribe implements Conn. Subscriptions are push streams, not
 // request/response statements, so they are not counted.

@@ -54,8 +54,10 @@ func requireSuperset(t *testing.T, label string, got, want map[string]string) {
 // TestCountingParityWithLocal pins the counting decorator to the local
 // implementation by reflection: every method Local's Conn and Txn
 // expose must exist on CountingConn and its Txn with an identical
-// signature. A signature change that reaches Local but not Counting
-// (or vice versa) fails here rather than at a distant call site.
+// signature, but for Local's Preparer methods, which CountingConn hides
+// (no counted deployment runs a cross-shard commit). A signature change
+// that reaches Local but not Counting (or vice versa) fails here rather
+// than at a distant call site.
 func TestCountingParityWithLocal(t *testing.T) {
 	store := sqlstore.New()
 	defer store.Close()
@@ -70,6 +72,12 @@ func TestCountingParityWithLocal(t *testing.T) {
 	localConn := methodSet(t, reflect.TypeOf(local))
 	countingConn := methodSet(t, reflect.TypeOf(counting))
 	ifaceConn := methodSet(t, reflect.TypeOf((*Conn)(nil)).Elem())
+	for name := range methodSet(t, reflect.TypeOf((*Preparer)(nil)).Elem()) {
+		delete(localConn, name)
+	}
+	if _, ok := any(counting).(Preparer); ok {
+		t.Error("CountingConn is a Preparer; it counts the Conn surface only")
+	}
 	requireSuperset(t, "CountingConn vs Local", countingConn, localConn)
 	requireSuperset(t, "Local vs Conn interface", localConn, ifaceConn)
 	requireSuperset(t, "CountingConn vs Conn interface", countingConn, ifaceConn)

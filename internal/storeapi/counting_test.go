@@ -157,8 +157,8 @@ func TestLocalTxnErrorPaths(t *testing.T) {
 	}
 }
 
-// TestLocalAutoOpsReleaseOnError: a failing autocommit read must leave
-// no transaction or lock behind.
+// TestLocalAutoOpsReleaseOnError: a failing autocommit read leaves no
+// transaction or lock behind, as it opens none.
 func TestLocalAutoOpsReleaseOnError(t *testing.T) {
 	store := sqlstore.New()
 	defer store.Close()
@@ -168,8 +168,7 @@ func TestLocalAutoOpsReleaseOnError(t *testing.T) {
 	if _, err := conn.AutoGet(ctx, "t", "missing"); !errors.Is(err, sqlstore.ErrNotFound) {
 		t.Fatalf("got %v", err)
 	}
-	st := store.Stats()
-	if st.Begins != st.Commits+st.Aborts {
-		t.Errorf("transaction leaked: %+v", st)
+	if st := store.Stats(); st.Begins != 0 {
+		t.Errorf("a failing autocommit read opened %d transactions", st.Begins)
 	}
 }

@@ -68,13 +68,14 @@ type Conn interface {
 	// Begin starts a transaction. Its commit's notice skips the
 	// subscriber of the context's origin (sqlstore.OriginContext).
 	Begin(ctx context.Context) (Txn, error)
-	// AutoGet reads one row in an autocommit transaction: the "separate
-	// (non-nested) short transaction ... committed immediately after the
-	// access completes" that the cache runtime uses for misses (§2.3).
-	// On remote implementations it costs exactly one round trip.
+	// AutoGet reads one committed row as one autocommit access: the
+	// "separate (non-nested) short transaction ... committed immediately
+	// after the access completes" that the cache runtime uses for misses
+	// (§2.3). On remote implementations it costs exactly one round trip.
 	AutoGet(ctx context.Context, table, id string) (GetResult, error)
-	// AutoQuery runs one predicate query in an autocommit transaction —
-	// one round trip on remote implementations.
+	// AutoQuery runs one predicate query as one autocommit access over
+	// the committed rows of one instant — one round trip on remote
+	// implementations.
 	AutoQuery(ctx context.Context, q memento.Query) (QueryResult, error)
 	// ApplyCommitSet validates and applies a whole optimistic commit set
 	// atomically — a single round trip on remote implementations.
@@ -99,9 +100,9 @@ type Conn interface {
 // may expose alongside the one-shot ApplyCommitSet path. The shard
 // router type-asserts for it when a commit set spans several shards.
 // Every product Conn implements it (the local store, dbwire's client,
-// the back-end server's logic); the only one that doesn't is a wrapper
-// that hides it, and a tier behind such a wrapper refuses to prepare,
-// which the coordinator reads as a no vote.
+// the back-end server's logic); a wrapper that does not (CountingConn)
+// hides it, and a tier behind such a wrapper refuses to prepare, which
+// the coordinator reads as a no vote.
 type Preparer interface {
 	// Prepare validates a commit sub-set and holds its locks under gid
 	// until CommitPrepared or AbortPrepared decides it (or the
@@ -131,8 +132,12 @@ type local struct {
 	store *sqlstore.Store
 }
 
-// Local wraps an in-process store as a Conn. Closing the Conn does not
-// close the underlying store (the store may be shared).
+// Local wraps an in-process store as a Conn. Its AutoGet and AutoQuery
+// are the store's Get and Query: they read the committed rows of one
+// instant and take no lock, so a miss or a finder never waits behind a
+// transaction in flight, prepared 2PC participants included. Closing
+// the Conn does not close the underlying store (the store may be
+// shared).
 func Local(s *sqlstore.Store) Conn { return &local{store: s} }
 
 func (l *local) Begin(ctx context.Context) (Txn, error) {
@@ -167,39 +172,17 @@ func ApplyEach(ctx context.Context, conn Conn, sets []memento.CommitSet) ([]sqls
 }
 
 func (l *local) AutoGet(ctx context.Context, table, id string) (GetResult, error) {
-	ctx, sp := obs.StartSpan(ctx, "sqlstore.autoget")
+	_, sp := obs.StartSpan(ctx, "sqlstore.autoget")
 	defer sp.End()
-	tx, err := l.store.Begin(ctx)
-	if err != nil {
-		return GetResult{}, err
-	}
-	m, err := tx.Get(ctx, table, id)
-	if err != nil {
-		tx.Abort()
-		return GetResult{}, err
-	}
-	if err := tx.Commit(); err != nil {
-		return GetResult{}, err
-	}
-	return GetResult{Mem: m}, nil
+	m, err := l.store.Get(memento.Key{Table: table, ID: id})
+	return GetResult{Mem: m}, err
 }
 
 func (l *local) AutoQuery(ctx context.Context, q memento.Query) (QueryResult, error) {
-	ctx, sp := obs.StartSpan(ctx, "sqlstore.autoquery")
+	_, sp := obs.StartSpan(ctx, "sqlstore.autoquery")
 	defer sp.End()
-	tx, err := l.store.Begin(ctx)
-	if err != nil {
-		return QueryResult{}, err
-	}
-	mems, err := tx.Query(ctx, q)
-	if err != nil {
-		tx.Abort()
-		return QueryResult{}, err
-	}
-	if err := tx.Commit(); err != nil {
-		return QueryResult{}, err
-	}
-	return QueryResult{Mems: mems}, nil
+	mems, err := l.store.Query(q)
+	return QueryResult{Mems: mems}, err
 }
 
 func (l *local) Prepare(ctx context.Context, gid string, cs memento.CommitSet) error {

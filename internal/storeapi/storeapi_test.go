@@ -65,10 +65,10 @@ func TestLocalAutoGet(t *testing.T) {
 	if _, err := conn.AutoGet(ctx, "t", "missing"); !errors.Is(err, sqlstore.ErrNotFound) {
 		t.Fatalf("got %v, want ErrNotFound", err)
 	}
-	// The autocommit transaction must not leak locks or transactions.
-	st := store.Stats()
-	if st.Begins != st.Commits+st.Aborts {
-		t.Errorf("leaked transactions: %+v", st)
+	// An autocommit read is one read of committed rows: it opens no
+	// store transaction, so it can neither leak nor wait for a lock.
+	if st := store.Stats(); st.Begins != 0 || st.Gets != 2 {
+		t.Errorf("two autocommit reads: %d transactions, %d gets; want 0, 2", st.Begins, st.Gets)
 	}
 }
 
@@ -87,9 +87,8 @@ func TestLocalAutoQuery(t *testing.T) {
 	if len(qres.Mems) != 2 {
 		t.Fatalf("got %d rows, want 2", len(qres.Mems))
 	}
-	st := store.Stats()
-	if st.Begins != st.Commits+st.Aborts {
-		t.Errorf("leaked transactions: %+v", st)
+	if st := store.Stats(); st.Begins != 0 || st.Queries != 1 {
+		t.Errorf("an autocommit query: %d transactions, %d queries; want 0, 1", st.Begins, st.Queries)
 	}
 }
 

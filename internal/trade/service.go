@@ -35,9 +35,6 @@ func NewService(c *component.Container) *Service {
 // clocks; the default is a fixed instant so runs are reproducible).
 func (s *Service) SetClock(clock func() string) { s.clock = clock }
 
-// Container exposes the underlying container (examples use it).
-func (s *Service) Container() *component.Container { return s.container }
-
 // LoginResult is what the login page renders.
 type LoginResult struct {
 	UserID     string

@@ -39,10 +39,6 @@ type Session struct {
 	sc *serverConn
 }
 
-// Context is cancelled when the connection is torn down or the server
-// force-closes; long waits inside handlers should respect it.
-func (s *Session) Context() context.Context { return s.sc.ctx }
-
 // Push writes an unsolicited frame to the client, tagged with the ID
 // of the request that opened the push stream. Safe for concurrent use.
 func (s *Session) Push(id uint64, body any) error {
