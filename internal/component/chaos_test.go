@@ -13,27 +13,12 @@ import (
 )
 
 // TestChaosPanicAbortsTransaction: a panic inside application code must
-// abort the transaction and release whatever the resource manager
-// pinned at Begin. The JDBC manager pins a dbwire stream per
-// transaction; pre-fix, Execute let the panic unwind without aborting,
-// so every panicking transaction leaked one pinned connection (visible
-// as monotonic NumConns growth) and kept its row locks.
+// abort the transaction. The JDBC manager opens a dbwire transaction per
+// Execute; one that let the panic unwind without aborting would leave
+// every panicking transaction open at the database, holding its row
+// locks.
 func TestChaosPanicAbortsTransaction(t *testing.T) {
-	store := sqlstore.New(sqlstore.WithLockTimeout(2 * time.Second))
-	t.Cleanup(store.Close)
-	store.Seed(memento.Memento{
-		Key:    memento.Key{Table: "item", ID: "a"},
-		Fields: memento.Fields{"owner": memento.String("x"), "n": memento.Int(1)},
-	})
-	srv := dbwire.NewServer(storeapi.Local(store))
-	if err := srv.Start("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(srv.Close)
-	client := dbwire.Dial(srv.Addr())
-	t.Cleanup(func() { _ = client.Close() })
-
-	c := NewContainer(itemRegistry(t), NewJDBCManager(client))
+	store, client, c := jdbcOverWire(t, 2*time.Second)
 	ctx := context.Background()
 
 	panicOnce := func() (recovered any) {
@@ -55,10 +40,13 @@ func TestChaosPanicAbortsTransaction(t *testing.T) {
 		}
 	}
 
-	// Pinned streams must have been returned to the pool, not leaked
-	// one per panic: allow the pooled pin plus the shared conn.
-	if n := client.NumConns(); n > 2 {
-		t.Fatalf("connections leaked across panicking transactions: %d open after %d panics", n, rounds)
+	// Every panicked transaction ended at the database, and all of them
+	// ran on the one shared connection.
+	if st := store.Stats(); st.Begins != st.Commits+st.Aborts {
+		t.Fatalf("%d transactions begun, %d ended after %d panics", st.Begins, st.Commits+st.Aborts, rounds)
+	}
+	if n := client.NumConns(); n != 1 {
+		t.Fatalf("%d connections open after %d panics, want the shared one", n, rounds)
 	}
 
 	// And the datastore must not hold the panicked transactions' locks:
@@ -69,6 +57,60 @@ func TestChaosPanicAbortsTransaction(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatalf("post-panic transaction failed (leaked lock?): %v", err)
+	}
+}
+
+// jdbcOverWire is a JDBC container over a real dbwire connection to a
+// store holding item a.
+func jdbcOverWire(t *testing.T, lockTimeout time.Duration) (*sqlstore.Store, *dbwire.Client, *Container) {
+	t.Helper()
+	store := sqlstore.New(sqlstore.WithLockTimeout(lockTimeout))
+	t.Cleanup(store.Close)
+	store.Seed(memento.Memento{
+		Key:    memento.Key{Table: "item", ID: "a"},
+		Fields: memento.Fields{"owner": memento.String("x"), "n": memento.Int(1)},
+	})
+	srv := dbwire.NewServer(storeapi.Local(store))
+	if err := srv.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	client := dbwire.Dial(srv.Addr())
+	t.Cleanup(func() { _ = client.Close() })
+	return store, client, NewContainer(itemRegistry(t), NewJDBCManager(client))
+}
+
+// TestChaosCancelledStatementAborts: a JDBC transaction whose statement
+// its context cuts off while it waits on a lock ends at the database
+// before Execute returns, though the connection it rode stays up.
+func TestChaosCancelledStatementAborts(t *testing.T) {
+	store, client, c := jdbcOverWire(t, 10*time.Second)
+	ctx := context.Background()
+	holder, err := client.Begin(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := holder.GetForUpdate(ctx, "item", "a"); err != nil {
+		t.Fatal(err)
+	}
+
+	cctx, cancel := context.WithTimeout(ctx, 100*time.Millisecond)
+	defer cancel()
+	err = c.Execute(cctx, func(tx *Tx) error { return tx.Find(&item{ID: "a"}) })
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Execute behind a held lock = %v, want DeadlineExceeded", err)
+	}
+	if st := store.Stats(); st.Begins != st.Commits+st.Aborts+1 {
+		t.Fatalf("%d transactions begun, %d ended; want only the holder open", st.Begins, st.Commits+st.Aborts)
+	}
+	if err := holder.Abort(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if st := store.Stats(); st.Begins != st.Commits+st.Aborts {
+		t.Fatalf("%d transactions begun, %d ended", st.Begins, st.Commits+st.Aborts)
+	}
+	if n := client.NumConns(); n != 1 {
+		t.Fatalf("%d connections open, want the shared one", n)
 	}
 }
 

@@ -16,8 +16,8 @@
 // A manager whose transactions can load several entities faster together
 // than one by one implements the optional MultiLoader beside DataTx;
 // Tx.Find hands it every entity one call names (the SLI cache overlaps
-// its miss fetches). JDBC and BMP do not: their statements share one
-// pinned stream and run in argument order.
+// its miss fetches). JDBC and BMP do not: their statements belong to one
+// database transaction and run in argument order.
 //
 // Application code is written once against Container/Tx and runs
 // unchanged under any resource manager — the "transparent

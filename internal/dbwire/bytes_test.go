@@ -337,14 +337,14 @@ func TestCachePathWireBytes(t *testing.T) {
 	// Cold: AutoGet sends "t" first (13) and its reply "t" and "v" (21);
 	// AutoQuery sends "v" as a literal, its table as an index (15), and
 	// its three rows come back with every name an index (36).
-	// The first ApplyCommitSet's 39 = 4 + 2 + 1 op + 2 mask (bit 7) +
-	// the set: 1 reads count, a proof (1 "t", 2 ID, 1 version, 1
-	// absent), 1 writes count, a row (1 "t", 2 ID, 1 version, 1
-	// presence, 1 count, 1 "v", 2 Int, 3 "s", 8 String), 1 creates
-	// count, 1 removes count, 1 origin. The next two, an update and a
-	// create, name only what is already in the table: 9 of header each
-	// and 47 of sets between them, so the three send 39 + 65. The two
-	// Prepares (57) name only what is in the table too.
+	// The first ApplyCommitSet's 38 = 4 + 2 + 1 op + 2 mask (bit 7) +
+	// the set: 1 reads count, a proof (1 "t", 2 ID, 1 version), 1
+	// writes count, a row (1 "t", 2 ID, 1 version, 1 presence, 1 count,
+	// 1 "v", 2 Int, 3 "s", 8 String), 1 creates count, 1 removes count,
+	// 1 origin. The next two, an update and a create, name only what is
+	// already in the table: 9 of header each and 47 of sets between
+	// them, so the three send 38 + 65. The two Prepares (56, the second
+	// carrying one remove proof) name only what is in the table too.
 	//
 	// A notice is 8 + 1 Seq + 1 count + its descriptor + 9 CommittedAt +
 	// 1 OriginTrace, and a descriptor is its key, a 1-byte Removed flag
@@ -365,8 +365,8 @@ func TestCachePathWireBytes(t *testing.T) {
 	full := map[string]opBytes{
 		"AutoGet":        {1, 13, 21},
 		"AutoQuery":      {1, 15, 36},
-		"ApplyCommitSet": {3, 39 + 65, 27},
-		"Prepare":        {2, 57, 16},
+		"ApplyCommitSet": {3, 38 + 65, 27},
+		"Prepare":        {2, 56, 16},
 		"CommitPrepared": {1, 12, 9},
 		"AbortPrepared":  {1, 12, 8},
 		"Subscribe":      {1, 8, 8},
@@ -378,8 +378,8 @@ func TestCachePathWireBytes(t *testing.T) {
 	own := map[string]opBytes{
 		"AutoGet":        {1, 13, 21},
 		"AutoQuery":      {1, 15, 36},
-		"ApplyCommitSet": {3, 104 + 3*8, 27},
-		"Prepare":        {2, 57 + 2*8, 16},
+		"ApplyCommitSet": {3, 103 + 3*8, 27},
+		"Prepare":        {2, 56 + 2*8, 16},
 		"CommitPrepared": {1, 12, 9},
 		"AbortPrepared":  {1, 12, 8},
 		"Subscribe":      {1, 8 + 1 + 9, 8},

@@ -3,6 +3,7 @@ package dbwire
 import (
 	"context"
 	"fmt"
+	"time"
 
 	"edgeejb/internal/memento"
 	"edgeejb/internal/sqlstore"
@@ -11,10 +12,10 @@ import (
 )
 
 // Client is the application-server-side driver: the JDBC-driver
-// equivalent, built on the shared wire transport. One-shot (autocommit)
-// operations multiplex over one shared connection; a transaction pins
-// one connection for its lifetime (JDBC session semantics) and every
-// statement is one round trip.
+// equivalent, built on the shared wire transport. Every request, an
+// autocommit operation or a statement of a transaction, multiplexes
+// over one shared connection, and every statement is one round trip;
+// an invalidation subscription takes a push stream of its own.
 //
 // Client implements storeapi.Conn.
 type Client struct {
@@ -24,12 +25,14 @@ type Client struct {
 var _ storeapi.Conn = (*Client)(nil)
 
 // Dial creates a client for the database server at addr. Connections
-// are opened lazily. Failed one-shot operations and pinned-stream
-// handshakes are retried under the transport's one rule
+// are opened lazily. Failed calls and subscription handshakes are
+// retried under the transport's one rule
 // (wire.WithRetry); the retries consumed are surfaced in
 // WireStats().Retries. The dbwire protocol is safe to
-// retry: reads are idempotent and commit sets are duplicate-rejected by
-// version validation (see ApplyCommitSet).
+// retry: reads are idempotent, commit sets are duplicate-rejected by
+// version validation (see ApplyCommitSet), and a transaction's
+// statement retried on a fresh connection is refused there as naming an
+// unknown transaction.
 func Dial(addr string) *Client {
 	return &Client{w: wire.NewClient(addr, wire.WithRetry())}
 }
@@ -48,13 +51,12 @@ func (c *Client) RoundTrips() uint64 {
 // per-op counts) for every connection this client has opened.
 func (c *Client) WireStats() wire.Stats { return c.w.Stats() }
 
-// NumConns returns the number of TCP connections currently open,
-// including pooled idle ones. Leak tests use it to prove that aborted
-// and panicked transactions release their pinned connections.
+// NumConns returns the number of TCP connections currently open: the
+// shared one and one per live subscription.
 func (c *Client) NumConns() int { return c.w.NumConns() }
 
-// Close tears down every connection, including ones pinned by
-// in-flight transactions and subscriptions.
+// Close tears down every connection, aborting at the server every
+// transaction begun through the client and ending every subscription.
 func (c *Client) Close() error { return c.w.Close() }
 
 // oneShot runs a single request/response exchange on the shared
@@ -76,35 +78,57 @@ func (c *Client) Ping(ctx context.Context) error {
 	return decodeErr(resp)
 }
 
-// pin opens a pinned stream whose opening exchange is op's handshake,
-// carrying the context's origin and whether it asks for keys only.
-// prepare, when non-nil, runs on every stream before the handshake is
-// sent. The transport retries the handshake under the same rule as a
-// one-shot call.
-func (c *Client) pin(ctx context.Context, op OpCode, prepare func(*wire.Stream)) (*wire.Stream, *Response, error) {
+// abortTimeout bounds the abort a client sends after a call of a
+// transaction failed, and the wait for a Begin its caller gave up on.
+const abortTimeout = time.Second
+
+// Begin starts a remote transaction in one round trip on the shared
+// connection, carrying the context's origin. The reply names a
+// transaction the server has already begun, so the exchange is not
+// abandoned with ctx: a caller that gives up first leaves it to finish
+// within abortTimeout and to abort what it began.
+func (c *Client) Begin(ctx context.Context) (storeapi.Txn, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("dbwire: %s: %w", OpBegin, err)
+	}
+	bctx, cancel := context.WithCancel(context.WithoutCancel(ctx))
 	resp := new(Response)
-	st, err := c.w.OpenStream(ctx, &Request{Op: op, Origin: sqlstore.OriginOf(ctx), KeysOnly: sqlstore.KeysOnly(ctx)}, resp, prepare)
-	if err != nil {
-		return nil, nil, fmt.Errorf("dbwire: %s: %w", op, err)
+	called := make(chan error, 1)
+	go func() {
+		called <- c.w.Call(bctx, &Request{Op: OpBegin, Origin: sqlstore.OriginOf(ctx)}, resp)
+		cancel()
+	}()
+	select {
+	case err := <-called:
+		if err != nil {
+			return nil, fmt.Errorf("dbwire: %s: %w", OpBegin, err)
+		}
+	case <-ctx.Done():
+		time.AfterFunc(abortTimeout, cancel)
+		go func() {
+			if <-called == nil && resp.Code == CodeOK {
+				c.abort(bctx, resp.Tx)
+			}
+		}()
+		return nil, fmt.Errorf("dbwire: %s: %w", OpBegin, ctx.Err())
 	}
 	if err := decodeErr(resp); err != nil {
-		st.Close()
-		return nil, nil, err
-	}
-	return st, resp, nil
-}
-
-// Begin starts a remote transaction, pinning a connection until the
-// transaction commits or aborts. Stale pooled connections and transient
-// transport failures are retried under the transport's rule.
-func (c *Client) Begin(ctx context.Context) (storeapi.Txn, error) {
-	st, resp, err := c.pin(ctx, OpBegin, nil)
-	if err != nil {
 		return nil, err
 	}
-	t := &remoteTxn{st: st}
+	t := &remoteTxn{c: c}
 	t.StmtTxn = storeapi.StmtTxn{TxID: resp.Tx, Execer: t}
 	return t, nil
+}
+
+// abort ends transaction tx at the server after one of its calls
+// failed. It is detached from ctx, which may be what failed the call,
+// and bounded by abortTimeout. A server that no longer holds the
+// transaction, because the connection that carried it dropped, answers
+// that it is unknown, which is as good.
+func (c *Client) abort(ctx context.Context, tx uint64) {
+	ctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), abortTimeout)
+	defer cancel()
+	_ = c.w.Call(ctx, &Request{Op: OpAbort, Tx: tx}, new(Response))
 }
 
 // ApplyCommitSet ships a whole optimistic commit set in ONE round trip —
@@ -198,10 +222,11 @@ func (c *Client) AutoQuery(ctx context.Context, q memento.Query) (storeapi.Query
 	return storeapi.QueryResult{Mems: resp.Mems}, nil
 }
 
-// Subscribe opens a pinned connection carrying the server-push
-// invalidation stream. The returned channel closes when cancel is called
-// or the connection drops. Stale pooled connections and transient
-// transport failures are retried under the transport's rule.
+// Subscribe opens a push stream, a connection of its own, carrying the
+// invalidation notices. Its handshake carries the context's origin and
+// whether it asks for keys only. The returned channel closes when
+// cancel is called or the connection drops. Transient transport
+// failures are retried under the transport's rule.
 //
 // A subscriber that falls a full buffer behind loses its stream rather
 // than a notice: commit validation re-proves the rows a transaction
@@ -215,7 +240,9 @@ func (c *Client) Subscribe(ctx context.Context) (<-chan sqlstore.Notice, func(),
 	// may push a notice immediately after the ack. Each attempt's sink
 	// owns its own channel: a failed attempt's teardown can still be
 	// closing it while the retry prepares the next.
-	st, _, err := c.pin(ctx, OpSubscribe, func(st *wire.Stream) {
+	resp := new(Response)
+	req := &Request{Op: OpSubscribe, Origin: sqlstore.OriginOf(ctx), KeysOnly: sqlstore.KeysOnly(ctx)}
+	st, err := c.w.OpenStream(ctx, req, resp, func(st *wire.Stream) {
 		own := make(chan sqlstore.Notice, 64)
 		ch = own
 		overflowed := false
@@ -238,53 +265,46 @@ func (c *Client) Subscribe(ctx context.Context) (<-chan sqlstore.Notice, func(),
 		)
 	})
 	if err != nil {
+		return nil, nil, fmt.Errorf("dbwire: %s: %w", OpSubscribe, err)
+	}
+	if err := decodeErr(resp); err != nil {
+		st.Hangup()
 		return nil, nil, err
 	}
 	return ch, st.Hangup, nil
 }
 
-// remoteTxn drives one server-side transaction over a pinned stream:
-// every statement is one round trip (Exec), a batch one for the lot
-// (ExecBatch).
+// remoteTxn drives one server-side transaction over the shared
+// connection: every statement is one round trip (Exec), a batch one for
+// the lot (ExecBatch). Its caller sends one statement at a time.
 type remoteTxn struct {
 	storeapi.StmtTxn
-	st     *wire.Stream
-	done   bool
-	broken bool
+	c    *Client
+	done bool
 }
 
 var _ storeapi.BatchTxn = (*remoteTxn)(nil)
 
+// call sends one request of the transaction. A call that fails leaves
+// the transaction in an unknown state, perhaps with a statement still
+// waiting on a lock at the server, so the transaction is aborted there
+// before the failure returns.
 func (t *remoteTxn) call(ctx context.Context, req *Request) (*Response, error) {
 	if t.done {
 		return nil, sqlstore.ErrTxDone
 	}
 	req.Tx = t.TxID
 	resp := new(Response)
-	if err := t.st.Call(ctx, req, resp); err != nil {
-		// The connection is unusable; the server aborts the transaction
-		// when it notices the drop.
-		t.broken = true
-		t.finish()
+	if err := t.c.w.Call(ctx, req, resp); err != nil {
+		t.done = true
+		t.c.abort(ctx, t.TxID)
 		return nil, fmt.Errorf("dbwire: %s: %w", req.Op, err)
 	}
 	return resp, nil
 }
 
-func (t *remoteTxn) finish() {
-	if t.done {
-		return
-	}
-	t.done = true
-	if t.broken {
-		t.st.Hangup()
-	} else {
-		t.st.Close()
-	}
-}
-
 // Exec sends one statement and waits for its reply. Commit and Abort
-// release the pinned stream whatever the outcome.
+// end the transaction whatever the outcome.
 func (t *remoteTxn) Exec(ctx context.Context, st storeapi.Stmt) storeapi.StmtResult {
 	req, err := requestOf(st)
 	if err != nil {
@@ -292,7 +312,7 @@ func (t *remoteTxn) Exec(ctx context.Context, st storeapi.Stmt) storeapi.StmtRes
 	}
 	resp, err := t.call(ctx, &req)
 	if st.Ends() {
-		t.finish()
+		t.done = true
 	}
 	if err != nil {
 		return storeapi.StmtResult{Err: err}
@@ -353,10 +373,9 @@ func (t *remoteTxn) ExecBatch(ctx context.Context, stmts []storeapi.Stmt) ([]sto
 		out[i] = stmtResult(stmts[i], &resp.Batch[i])
 	}
 	// A trailing Commit/Abort that actually executed (whether it
-	// succeeded or conflicted) ended the server-side transaction; release
-	// the pinned stream to match.
+	// succeeded or conflicted) ended the server-side transaction.
 	if stmts[len(stmts)-1].Ends() && len(resp.Batch) == len(stmts) {
-		t.finish()
+		t.done = true
 	}
 	return out, nil
 }

@@ -352,15 +352,13 @@ func noticeIsZero(n sqlstore.Notice) bool {
 
 func appendReadProof(dst []byte, t *wire.Names, p memento.ReadProof) []byte {
 	dst = memento.AppendKey(dst, t, p.Key)
-	dst = binary.AppendUvarint(dst, p.Version)
-	return wire.AppendBool(dst, p.Absent)
+	return binary.AppendUvarint(dst, p.Version)
 }
 
 func readReadProof(r *wire.Reader) memento.ReadProof {
 	var p memento.ReadProof
 	p.Key = memento.ReadKey(r)
 	p.Version = r.Uvarint()
-	p.Absent = r.Bool()
 	return p
 }
 

@@ -35,7 +35,7 @@ func codecSet(tx uint64) memento.CommitSet {
 	return memento.CommitSet{
 		Reads: []memento.ReadProof{
 			{Key: memento.Key{Table: "quote", ID: "a"}, Version: 3},
-			{Key: memento.Key{Table: "quote", ID: "gone"}, Absent: true},
+			{Key: memento.Key{Table: "quote", ID: "gone"}},
 		},
 		Writes:  []memento.Memento{codecMem("a", 3)},
 		Creates: []memento.Memento{codecMem("new", 0)},

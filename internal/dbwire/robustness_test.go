@@ -4,7 +4,6 @@ import (
 	"context"
 	"io"
 	"net"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -150,21 +149,15 @@ func TestBatchCarriesOnlyItsOwnStatements(t *testing.T) {
 			ctx := context.Background()
 			w := wire.NewClient(srv.Addr())
 			defer w.Close()
-			begun := new(Response)
-			st, err := w.OpenStream(ctx, &Request{Op: OpBegin}, begun, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer st.Hangup()
 			call := func(req *Request) *Response {
 				t.Helper()
 				resp := new(Response)
-				if err := st.Call(ctx, req, resp); err != nil {
+				if err := w.Call(ctx, req, resp); err != nil {
 					t.Fatal(err)
 				}
 				return resp
 			}
-			own, other := begun.Tx, call(&Request{Op: OpBegin}).Tx
+			own, other := call(&Request{Op: OpBegin}).Tx, call(&Request{Op: OpBegin}).Tx
 			if resp := call(&Request{Op: OpBatch, Tx: own, Batch: subs(other)}); resp.Code != CodeBadRequest || len(resp.Batch) != 0 {
 				t.Errorf("batch answered %v with %d results, want BadRequest and none", resp.Code, len(resp.Batch))
 			}
@@ -180,15 +173,13 @@ func TestBatchCarriesOnlyItsOwnStatements(t *testing.T) {
 	}
 }
 
-// cutProxy forwards TCP connections to target. An armed connection is
-// cut — both legs closed, nothing forwarded — the next time its client
-// sends, so a call on it dies mid-flight.
+// cutProxy forwards TCP connections to target. A connection accepted
+// while the proxy is armed is cut — both legs closed, nothing forwarded
+// — the first time its client sends, so its first call dies mid-flight.
 type cutProxy struct {
 	ln     net.Listener
 	target string
-
-	mu    sync.Mutex
-	armed []*atomic.Bool // one per accepted connection, in accept order
+	armed  atomic.Bool
 }
 
 func startCutProxy(t *testing.T, target string) *cutProxy {
@@ -210,10 +201,7 @@ func startCutProxy(t *testing.T, target string) *cutProxy {
 				_ = c.Close()
 				continue
 			}
-			armed := new(atomic.Bool)
-			p.mu.Lock()
-			p.armed = append(p.armed, armed)
-			p.mu.Unlock()
+			cut := p.armed.Swap(false)
 			go func() { _, _ = io.Copy(c, s); _ = c.Close() }()
 			go func() {
 				defer c.Close()
@@ -221,7 +209,7 @@ func startCutProxy(t *testing.T, target string) *cutProxy {
 				buf := make([]byte, 4096)
 				for {
 					n, err := c.Read(buf)
-					if err != nil || armed.Load() {
+					if err != nil || cut {
 						return
 					}
 					if _, err := s.Write(buf[:n]); err != nil {
@@ -234,86 +222,15 @@ func startCutProxy(t *testing.T, target string) *cutProxy {
 	return p
 }
 
-// armLatest arms the most recently accepted connection.
-func (p *cutProxy) armLatest() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.armed[len(p.armed)-1].Store(true)
-}
-
-// armAll arms every connection accepted so far.
-func (p *cutProxy) armAll() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, a := range p.armed {
-		a.Store(true)
-	}
-}
-
-// TestHandshakeRetriesOnceAfterPoolDies: every idle pooled stream dies
-// unseen, as under a server restart. A handshake that meets the first
-// of them retries once, for free, and the failure takes the rest of the
-// idle pool with it, so the retry dials instead of meeting the next
-// dead stream.
-func TestHandshakeRetriesOnceAfterPoolDies(t *testing.T) {
-	handshakes := map[string]func(context.Context, *Client) error{
-		"begin": func(ctx context.Context, c *Client) error {
-			txn, err := c.Begin(ctx)
-			if err == nil {
-				err = txn.Abort(ctx)
-			}
-			return err
-		},
-		"subscribe": func(ctx context.Context, c *Client) error {
-			_, cancel, err := c.Subscribe(ctx)
-			if err == nil {
-				cancel()
-			}
-			return err
-		},
-	}
-	for name, handshake := range handshakes {
-		t.Run(name, func(t *testing.T) {
-			_, srv := startServer(t)
-			proxy := startCutProxy(t, srv.Addr())
-			client := Dial(proxy.ln.Addr().String())
-			t.Cleanup(func() { _ = client.Close() })
-			ctx := context.Background()
-			// Four transactions open together fill the idle pool to its cap.
-			txns := make([]storeapi.Txn, 4)
-			for i := range txns {
-				txn, err := client.Begin(ctx)
-				if err != nil {
-					t.Fatal(err)
-				}
-				txns[i] = txn
-			}
-			for _, txn := range txns {
-				if err := txn.Abort(ctx); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if n := client.NumConns(); n != 4 {
-				t.Fatalf("%d connections before the cut, want the 4 pooled streams", n)
-			}
-			proxy.armAll()
-
-			if err := handshake(ctx, client); err != nil {
-				t.Fatalf("handshake after the pool died: %v", err)
-			}
-			if r := client.WireStats().Retries; r != 1 {
-				t.Fatalf("%d handshake retries, want 1", r)
-			}
-		})
-	}
-}
+// armNext arms the next connection the proxy accepts.
+func (p *cutProxy) armNext() { p.armed.Store(true) }
 
 // TestSubscribeRetryKeepsItsOwnChannel: a Subscribe handshake that dies
-// mid-call on a pooled stream is retried at once on a fresh stream,
-// while the dead stream's teardown is still closing its sink.
-// The channel Subscribe returns belongs to the retry alone: it stays
-// open, carries notices, and closes exactly once on cancel. Run under
-// -race; the retry and the teardown race, so the scenario repeats.
+// mid-call on its freshly dialled stream is retried on another, while
+// the dead stream's teardown is still closing its sink. The channel
+// Subscribe returns belongs to the retry alone: it stays open, carries
+// notices, and closes exactly once on cancel. Run under -race; the
+// retry and the teardown race, so the scenario repeats.
 func TestSubscribeRetryKeepsItsOwnChannel(t *testing.T) {
 	store, srv := startServer(t)
 	seed(store, "t", "1", 1)
@@ -321,19 +238,7 @@ func TestSubscribeRetryKeepsItsOwnChannel(t *testing.T) {
 	ctx := context.Background()
 	for i := uint64(1); i <= 30; i++ {
 		client := Dial(proxy.ln.Addr().String())
-		// Two pooled pinned streams: the later one is handed out first,
-		// and its failure empties the pool.
-		first, err := client.Begin(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		second, err := client.Begin(ctx)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_ = first.Abort(ctx)
-		_ = second.Abort(ctx)
-		proxy.armLatest()
+		proxy.armNext()
 
 		ch, cancel, err := client.Subscribe(ctx)
 		if err != nil {
@@ -350,6 +255,9 @@ func TestSubscribeRetryKeepsItsOwnChannel(t *testing.T) {
 				t.Fatalf("round %d: %d connections open, want the subscription's alone", i, client.NumConns())
 			case <-time.After(time.Millisecond):
 			}
+		}
+		if st := store.Stats(); st.Begins != st.Commits+st.Aborts {
+			t.Fatalf("round %d: %d transactions begun, %d ended", i, st.Begins, st.Commits+st.Aborts)
 		}
 		select {
 		case _, ok := <-ch:
@@ -382,9 +290,10 @@ func TestSubscribeRetryKeepsItsOwnChannel(t *testing.T) {
 	}
 }
 
-// TestStaleConnectionRetryAfterServerRestart: a pooled client connection
-// outlives a server restart; the next one-shot op must transparently
-// redial instead of failing.
+// TestStaleConnectionRetryAfterServerRestart: the shared client
+// connection outlives a server restart; the next call on it, an
+// autocommit read or a Begin, must transparently redial instead of
+// failing.
 func TestStaleConnectionRetryAfterServerRestart(t *testing.T) {
 	store := sqlstore.New()
 	defer store.Close()
@@ -402,22 +311,29 @@ func TestStaleConnectionRetryAfterServerRestart(t *testing.T) {
 	if _, err := client.AutoGet(ctx, trade.TableQuote, "s-1"); err != nil {
 		t.Fatal(err)
 	}
-	srv.Close()
-	srv2 := NewServer(storeapi.Local(store))
-	if err := srv2.Start(addr); err != nil {
-		t.Fatal(err)
+	restart := func() {
+		t.Helper()
+		srv.Close()
+		srv = NewServer(storeapi.Local(store))
+		if err := srv.Start(addr); err != nil {
+			t.Fatal(err)
+		}
 	}
-	defer srv2.Close()
+	restart()
+	defer func() { srv.Close() }()
 
-	// The pooled connection is stale; the client must retry on a fresh
+	// The shared connection is stale; the client must retry on a fresh
 	// dial without surfacing an error.
 	if _, err := client.AutoGet(ctx, trade.TableQuote, "s-1"); err != nil {
-		t.Fatalf("stale pooled connection not retried: %v", err)
+		t.Fatalf("stale shared connection not retried: %v", err)
 	}
-	// Begin must also survive a stale pooled connection.
+	// Begin must also survive a stale shared connection.
+	restart()
 	txn, err := client.Begin(ctx)
 	if err != nil {
 		t.Fatalf("begin after restart: %v", err)
 	}
-	_ = txn.Abort(ctx)
+	if err := txn.Abort(ctx); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -26,7 +26,7 @@ type Server struct {
 func NewServer(backend storeapi.Conn) *Server {
 	s := &Server{}
 	s.inner = wire.NewServer(func() wire.ConnHandler {
-		return &connHandler{backend: backend, txs: make(map[uint64]storeapi.Txn)}
+		return &connHandler{backend: backend, txs: make(map[uint64]*txEntry)}
 	})
 	return s
 }
@@ -47,15 +47,26 @@ func (s *Server) Close() { s.inner.Close() }
 // connHandler holds one connection's protocol state. Transactions begun
 // on a connection belong to it; if the connection drops they are
 // aborted, mirroring a JDBC connection's session semantics. Requests on
-// one connection may execute concurrently (the client multiplexes), so
-// the transaction table is locked.
+// one connection execute concurrently (the client multiplexes every
+// call over it), so the transaction table is locked, and each
+// transaction runs its statements one at a time (txEntry).
 type connHandler struct {
 	backend storeapi.Conn
 
 	mu  sync.Mutex
-	txs map[uint64]storeapi.Txn
+	txs map[uint64]*txEntry
 
 	pushers sync.WaitGroup
+}
+
+// txEntry is one open transaction of a connection. Its statements run
+// one at a time under run. cancel cancels the statement in flight, so
+// an Abort never waits behind a statement parked on a lock; connHandler.mu
+// guards it.
+type txEntry struct {
+	tx     storeapi.Txn
+	run    sync.Mutex
+	cancel context.CancelFunc
 }
 
 func (h *connHandler) NewRequest() any { return new(Request) }
@@ -85,20 +96,21 @@ func (h *connHandler) batch(ctx context.Context, req *Request) *Response {
 			return &Response{Code: CodeBadRequest, Msg: fmt.Sprintf("batch sub-request %d (%s) is not a statement of transaction %d", i, sub.Op, req.Tx)}
 		}
 	}
-	tx, errResp := h.lookup(req.Tx)
-	if errResp != nil {
-		return errResp
-	}
-	out := &Response{Code: CodeOK, Batch: make([]Response, 0, len(req.Batch))}
-	for i := range req.Batch {
-		st, _ := req.Batch[i].stmt()
-		r := h.exec(ctx, req.Tx, tx, st)
-		out.Batch = append(out.Batch, r)
-		if r.Code != CodeOK {
-			break
+	return h.inTx(ctx, req.Tx, func(ctx context.Context, tx storeapi.Txn) (*Response, bool) {
+		out := &Response{Code: CodeOK, Batch: make([]Response, 0, len(req.Batch))}
+		var st storeapi.Stmt
+		for i := range req.Batch {
+			st, _ = req.Batch[i].stmt()
+			r := exec(ctx, tx, st)
+			out.Batch = append(out.Batch, r)
+			if r.Code != CodeOK {
+				break
+			}
 		}
-	}
-	return out
+		// A Commit or Abort that ran ended the transaction, whatever
+		// its outcome.
+		return out, st.Ends()
+	})
 }
 
 // Close aborts the connection's open transactions and reaps its push
@@ -108,11 +120,11 @@ func (h *connHandler) Close() {
 	h.pushers.Wait()
 	h.mu.Lock()
 	txs := h.txs
-	h.txs = make(map[uint64]storeapi.Txn)
+	h.txs = make(map[uint64]*txEntry)
 	h.mu.Unlock()
 	ctx := context.Background()
-	for _, tx := range txs {
-		_ = tx.Abort(ctx)
+	for _, e := range txs {
+		_ = e.tx.Abort(ctx)
 	}
 }
 
@@ -177,27 +189,70 @@ func keysOf(n sqlstore.Notice, buf []memento.WriteDesc) (sqlstore.Notice, []meme
 	return n, buf
 }
 
-// lookup resolves a transaction handle.
-func (h *connHandler) lookup(id uint64) (storeapi.Txn, *Response) {
+// unknownTx answers a request naming a transaction the connection does
+// not hold: never begun on it, or already ended.
+func unknownTx() *Response { return &Response{Code: CodeBadRequest, Msg: "unknown transaction"} }
+
+// inTx runs fn, statements of transaction id, once the transaction's
+// statement in flight has returned, under a context that an Abort of
+// the transaction cancels. fn reports whether it ended the transaction,
+// which then leaves the table.
+func (h *connHandler) inTx(ctx context.Context, id uint64, fn func(context.Context, storeapi.Txn) (*Response, bool)) *Response {
 	h.mu.Lock()
-	defer h.mu.Unlock()
-	tx, ok := h.txs[id]
-	if !ok {
-		return nil, &Response{Code: CodeBadRequest, Msg: "unknown transaction"}
+	e := h.txs[id]
+	h.mu.Unlock()
+	if e == nil {
+		return unknownTx()
 	}
-	return tx, nil
+	e.run.Lock()
+	defer e.run.Unlock()
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	h.mu.Lock()
+	if h.txs[id] != e {
+		// An Abort took the transaction while this waited its turn.
+		h.mu.Unlock()
+		return unknownTx()
+	}
+	e.cancel = cancel
+	h.mu.Unlock()
+	resp, ended := fn(ctx, e.tx)
+	h.mu.Lock()
+	e.cancel = nil
+	if ended {
+		delete(h.txs, id)
+	}
+	h.mu.Unlock()
+	return resp
 }
 
-// exec runs one statement of transaction id through storeapi's one
-// dispatch and answers it. A Commit or Abort that ran ended the
-// transaction, so it leaves the table (commit/abort ends the pin).
-func (h *connHandler) exec(ctx context.Context, id uint64, tx storeapi.Txn, st storeapi.Stmt) Response {
-	r := storeapi.ExecStmt(ctx, tx, st)
-	if st.Ends() {
-		h.mu.Lock()
+// abort ends transaction id. It takes the transaction out of the table
+// and cancels its statement in flight at once, so a lock wait ends
+// there and no statement queued behind it runs, then aborts it once
+// that statement has returned.
+func (h *connHandler) abort(ctx context.Context, id uint64) *Response {
+	h.mu.Lock()
+	e := h.txs[id]
+	if e != nil {
 		delete(h.txs, id)
-		h.mu.Unlock()
+		if e.cancel != nil {
+			e.cancel()
+		}
 	}
+	h.mu.Unlock()
+	if e == nil {
+		return unknownTx()
+	}
+	e.run.Lock()
+	defer e.run.Unlock()
+	r := exec(ctx, e.tx, storeapi.Stmt{Kind: storeapi.StmtAbort})
+	return &r
+}
+
+// exec runs one statement through storeapi's one dispatch and answers
+// it.
+func exec(ctx context.Context, tx storeapi.Txn, st storeapi.Stmt) Response {
+	r := storeapi.ExecStmt(ctx, tx, st)
 	if r.Err != nil {
 		return *errResponse(r.Err)
 	}
@@ -225,7 +280,7 @@ func (h *connHandler) handle(ctx context.Context, req *Request) *Response {
 			return fail(err)
 		}
 		h.mu.Lock()
-		h.txs[tx.ID()] = tx
+		h.txs[tx.ID()] = &txEntry{tx: tx}
 		h.mu.Unlock()
 		return &Response{Code: CodeOK, Tx: tx.ID()}
 
@@ -292,11 +347,12 @@ func (h *connHandler) handle(ctx context.Context, req *Request) *Response {
 		if !ok {
 			return &Response{Code: CodeBadRequest, Msg: "unknown op " + req.Op.String()}
 		}
-		tx, errResp := h.lookup(req.Tx)
-		if errResp != nil {
-			return errResp
+		if st.Kind == storeapi.StmtAbort {
+			return h.abort(ctx, req.Tx)
 		}
-		resp := h.exec(ctx, req.Tx, tx, st)
-		return &resp
+		return h.inTx(ctx, req.Tx, func(ctx context.Context, tx storeapi.Txn) (*Response, bool) {
+			r := exec(ctx, tx, st)
+			return &r, st.Ends()
+		})
 	}
 }

@@ -227,13 +227,10 @@ func (m Memento) String() string {
 
 // ReadProof records that a transaction observed an entity at a given
 // version. At commit time the server verifies that the row is still at
-// that version (or, for Absent proofs, that it still does not exist).
+// that version; version 0 proves that the key still does not exist.
 type ReadProof struct {
 	Key     Key
 	Version uint64
-	// Absent marks a proof that the key did NOT exist when read. The
-	// commit must fail if the key has since been created.
-	Absent bool
 }
 
 // CommitSet carries an entire optimistic transaction to the validator:

@@ -119,11 +119,7 @@ func (l *Loader) applyWhole(ctx context.Context, cs memento.CommitSet) (sqlstore
 func commitStmts(cs memento.CommitSet) []storeapi.Stmt {
 	stmts := make([]storeapi.Stmt, 0, cs.Size()+1)
 	for _, r := range cs.Reads {
-		want := r.Version
-		if r.Absent {
-			want = 0
-		}
-		stmts = append(stmts, storeapi.Stmt{Kind: storeapi.StmtCheckVersion, Key: r.Key, Version: want})
+		stmts = append(stmts, storeapi.Stmt{Kind: storeapi.StmtCheckVersion, Key: r.Key, Version: r.Version})
 	}
 	for _, w := range cs.Writes {
 		stmts = append(stmts, storeapi.Stmt{Kind: storeapi.StmtCheckedPut, Mem: w})

@@ -38,6 +38,18 @@ func newWireStore(t testing.TB) *wireStore {
 	return &wireStore{store: store, client: client}
 }
 
+// settled reports whether client holds conns connections and store no
+// open transaction: every one begun has committed or aborted.
+func settled(client *dbwire.Client, store *sqlstore.Store, conns int) error {
+	if n := client.NumConns(); n != conns {
+		return fmt.Errorf("%d connections open, want %d", n, conns)
+	}
+	if st := store.Stats(); st.Begins != st.Commits+st.Aborts {
+		return fmt.Errorf("%d transactions begun, %d ended", st.Begins, st.Commits+st.Aborts)
+	}
+	return nil
+}
+
 // image renders table t deterministically: every row with its version
 // and fields, in key order.
 func (w *wireStore) image(t *testing.T) string {
@@ -88,7 +100,7 @@ func randomCommitSet(rng *rand.Rand, store *sqlstore.Store, stale bool) memento.
 		after := memento.Memento{Key: k, Version: v, Fields: memento.Fields{"n": memento.Int(rng.Int63n(1000))}}
 		switch {
 		case !exists && rng.Intn(2) == 0:
-			cs.Reads = append(cs.Reads, memento.ReadProof{Key: k, Absent: true})
+			cs.Reads = append(cs.Reads, memento.ReadProof{Key: k})
 		case !exists:
 			cs.Creates = append(cs.Creates, after)
 		case rng.Intn(3) == 0:
@@ -111,7 +123,7 @@ func randomCommitSet(rng *rand.Rand, store *sqlstore.Store, stale bool) memento.
 		cs.Removes[rng.Intn(len(cs.Removes))].Version += 7
 	case len(cs.Reads) > 0:
 		r := &cs.Reads[rng.Intn(len(cs.Reads))]
-		r.Absent, r.Version = false, r.Version+7
+		r.Version += 7
 	default:
 		cs.Creates[0].Key = key("k-seeded")
 	}
@@ -137,17 +149,8 @@ func TestShippingsAgreeProperty(t *testing.T) {
 		lb := NewLoader(batched.client, PerImage)
 		ls := NewLoader(serial.client, PerStatement)
 
-		// The batched side's connections: the shared one a read-only
-		// set's one-shot runs on, the pooled stream a set that writes
-		// pins.
-		shared, pinned := 0, 0
 		for step := 0; step < 8; step++ {
 			cs := randomCommitSet(rng, batched.store, rng.Intn(3) == 0)
-			if cs.Mutations() == 0 {
-				shared = 1
-			} else {
-				pinned = 1
-			}
 			outB, errB := lb.Commit(ctx, cs)
 			outS, errS := ls.Commit(ctx, cs)
 			if classB, classS := errClass(errB), errClass(errS); classB != classS || classB == "skipped" {
@@ -163,9 +166,15 @@ func TestShippingsAgreeProperty(t *testing.T) {
 				return false
 			}
 		}
-		// Neither shipping left a transaction pinned: each holds exactly
-		// the connections its commits used, one idle stream at most.
-		return batched.client.NumConns() == pinned+shared && serial.client.NumConns() == 1
+		// Neither shipping left a transaction open, and each ran every
+		// commit on its one shared connection.
+		for _, w := range []*wireStore{batched, serial} {
+			if err := settled(w.client, w.store, 1); err != nil {
+				t.Logf("seed %d: %v", seed, err)
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(trial, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
@@ -176,7 +185,8 @@ func TestShippingsAgreeProperty(t *testing.T) {
 // commit batch loses validation, over a real dbwire server. The caller
 // gets that statement's conflict with its attribution, nothing after it
 // ran, and nothing is left behind: no server-side transaction holding
-// locks, no pinned connection, no cached copy of the touched keys.
+// locks, no connection but the shared one, no cached copy of the
+// touched keys.
 func TestBatchedCommitMidBatchConflict(t *testing.T) {
 	w := newWireStore(t)
 	w.store.Seed(row("a", 1), row("b", 1), row("c", 1))
@@ -206,7 +216,9 @@ func TestBatchedCommitMidBatchConflict(t *testing.T) {
 	if err := update(2); err != nil { // warm: the cache now holds a, b, c at v2
 		t.Fatal(err)
 	}
-	idle := w.client.NumConns()
+	if err := settled(w.client, w.store, 1); err != nil {
+		t.Fatalf("warm: %v", err)
+	}
 
 	// A concurrent writer wins on b, the middle statement.
 	if _, err := w.store.ApplyCommitSet(ctx, memento.CommitSet{
@@ -238,8 +250,8 @@ func TestBatchedCommitMidBatchConflict(t *testing.T) {
 			t.Errorf("%s at v%d after the failed commit, want v%d", id, v, want)
 		}
 	}
-	if got := w.client.NumConns(); got != idle {
-		t.Errorf("%d connections open after the conflict, %d when idle", got, idle)
+	if err := settled(w.client, w.store, 1); err != nil {
+		t.Errorf("after the conflict: %v", err)
 	}
 	for _, id := range []string{"a", "b", "c"} {
 		if _, ok := mgr.CommonStore().Get(key(id)); ok {
@@ -258,8 +270,8 @@ func TestBatchedCommitMidBatchConflict(t *testing.T) {
 // that only read loses validation on a stale read proof, over a real
 // dbwire server. Its one-shot validation returns the conflict with its
 // attribution in one round trip, opens no session at the database, and
-// leaves nothing behind: no pinned connection, no cached copy of the
-// keys it read.
+// leaves nothing behind: no open transaction, no connection but the
+// shared one, no cached copy of the keys it read.
 func TestReadOnlyPerImageCommitConflict(t *testing.T) {
 	w := newWireStore(t)
 	w.store.Seed(row("a", 1), row("b", 1))
@@ -282,7 +294,9 @@ func TestReadOnlyPerImageCommitConflict(t *testing.T) {
 	if err := read(); err != nil { // warm: the cache now holds a, b at v1
 		t.Fatal(err)
 	}
-	idle := w.client.NumConns()
+	if err := settled(w.client, w.store, 1); err != nil {
+		t.Fatalf("warm: %v", err)
+	}
 
 	// A concurrent writer moves b past the version the cache holds.
 	win, err := w.store.ApplyCommitSet(ctx, memento.CommitSet{
@@ -310,8 +324,8 @@ func TestReadOnlyPerImageCommitConflict(t *testing.T) {
 	if puts, commits, fails := st.Puts-stBefore.Puts, st.Commits-stBefore.Commits, st.OptimisticFail-stBefore.OptimisticFail; puts != 0 || commits != 0 || fails != 1 {
 		t.Errorf("store ran %d puts, %d commits, %d failed validations; want 0, 0, 1", puts, commits, fails)
 	}
-	if got := w.client.NumConns(); got != idle {
-		t.Errorf("%d connections open after the conflict, %d when idle", got, idle)
+	if err := settled(w.client, w.store, 1); err != nil {
+		t.Errorf("after the conflict: %v", err)
 	}
 	for _, id := range []string{"a", "b"} {
 		if _, ok := mgr.CommonStore().Get(key(id)); ok {

@@ -256,7 +256,10 @@ func TestLoadManyCancellation(t *testing.T) {
 		<-conn.entered
 	}
 	mgr.CommonStore().Clear()
-	conns, goroutines := client.NumConns(), runtime.NumGoroutine()
+	if err := settled(client, store, 1); err != nil {
+		t.Fatal(err)
+	}
+	goroutines := runtime.NumGoroutine()
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -283,8 +286,8 @@ func TestLoadManyCancellation(t *testing.T) {
 	if len(tx.entries) != 0 {
 		t.Errorf("cancelled LoadMany left %d entries in the transaction", len(tx.entries))
 	}
-	if got := client.NumConns(); got != conns {
-		t.Errorf("NumConns = %d after cancellation, want %d", got, conns)
+	if err := settled(client, store, 1); err != nil {
+		t.Errorf("after cancellation: %v", err)
 	}
 	// The abandoned replies are still crossing the proxy; give its
 	// per-chunk work the round trip to finish before counting.

@@ -161,7 +161,11 @@ func TestFinderEntryDoesNotSurviveOverflow(t *testing.T) {
 		t.Fatal("finder cache not warm")
 	}
 
-	conns := client.NumConns()
+	// The shared connection and the subscription's.
+	const conns = 2
+	if err := settled(client, store, conns); err != nil {
+		t.Fatal(err)
+	}
 	gated.Store(true)
 	for v := uint64(1); v <= 200; v++ {
 		if _, err := store.ApplyCommitSet(ctx, memento.CommitSet{Writes: []memento.Memento{{

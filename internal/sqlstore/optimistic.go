@@ -86,11 +86,7 @@ func (s *Store) stage(ctx context.Context, tx *Tx, cs memento.CommitSet) error {
 	// Validate reads first: cheapest failures first, and reads take only
 	// shared locks.
 	for _, r := range cs.Reads {
-		want := r.Version
-		if r.Absent {
-			want = 0
-		}
-		if err := tx.CheckVersion(ctx, r.Key, want); err != nil {
+		if err := tx.CheckVersion(ctx, r.Key, r.Version); err != nil {
 			return err
 		}
 	}

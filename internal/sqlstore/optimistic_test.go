@@ -68,7 +68,7 @@ func TestApplyCommitSetConflicts(t *testing.T) {
 			Reads: []memento.ReadProof{{Key: key("a"), Version: 99}},
 		}},
 		{"absent read now present", memento.CommitSet{
-			Reads: []memento.ReadProof{{Key: key("a"), Absent: true}},
+			Reads: []memento.ReadProof{{Key: key("a")}},
 		}},
 		{"stale write", memento.CommitSet{
 			Writes: []memento.Memento{mem("t", "a", 42, intFields(0))},

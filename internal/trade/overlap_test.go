@@ -167,13 +167,12 @@ func (l *stmtLog) take() []string {
 	return ops
 }
 
-// TestMultiFindStaysSerialOnPinnedStreams pins the statements JDBC and
+// TestMultiFindStaysSerialInOneTransaction pins the statements JDBC and
 // vanilla EJB issue for the actions that now find two beans in one call.
 // Neither manager implements component.MultiLoader, so the finds are the
-// statements they always were, in argument order on the transaction's
-// one stream — the lists below were recorded before Find took more than
-// one entity.
-func TestMultiFindStaysSerialOnPinnedStreams(t *testing.T) {
+// statements they always were, in argument order in the transaction —
+// the lists below were recorded before Find took more than one entity.
+func TestMultiFindStaysSerialInOneTransaction(t *testing.T) {
 	const (
 		registry = "registry/uid-1"
 		account  = "account/uid-1"

@@ -13,11 +13,11 @@ import (
 	"edgeejb/internal/obs"
 )
 
-// Client is a multiplexing transport client. One-shot Calls share one
+// Client is a multiplexing transport client. Every Call shares one
 // connection, distinguished by per-request IDs, so N concurrent calls
 // cost one round-trip wall time instead of N connections or N
-// serialized round trips. Protocols whose server-side state is
-// per-connection open a pinned Stream instead.
+// serialized round trips. A server push stream (OpenStream) takes a
+// connection of its own.
 //
 // One rule decides every retry, of a Call and of a stream's opening
 // exchange alike (see retrying).
@@ -33,17 +33,12 @@ type Client struct {
 	stats  *collector
 	nextID atomic.Uint64
 
-	mu         sync.Mutex
-	shared     *conn         // nil until the first Call and after it closes
-	dialed     chan struct{} // closed when the shared dial in flight lands
-	idlePinned []*conn
-	conns      map[*conn]struct{}
-	closed     bool
+	mu     sync.Mutex
+	shared *conn         // nil until the first Call and after it closes
+	dialed chan struct{} // closed when the shared dial in flight lands
+	conns  map[*conn]struct{}
+	closed bool
 }
-
-// maxPinnedIdle bounds the idle pool of pinned connections a Client
-// keeps for the next OpenStream.
-const maxPinnedIdle = 4
 
 // Option configures a Client.
 type Option func(*Client)
@@ -70,16 +65,16 @@ func NewClient(addr string, opts ...Option) *Client {
 // Stats returns a snapshot of this client's transport counters.
 func (c *Client) Stats() Stats { return c.stats.snapshot() }
 
-// NumConns reports the connections currently owned by the client —
-// shared, idle-pinned, and checked-out streams. Leak tests use it to
-// assert that abort paths release their pinned connections.
+// NumConns reports the connections currently owned by the client: the
+// shared one and each open push stream. Leak tests use it to assert
+// that a cancelled subscription gives its connection up.
 func (c *Client) NumConns() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.conns)
 }
 
-// Close tears down every connection, including pinned streams.
+// Close tears down every connection, push streams included.
 func (c *Client) Close() error {
 	c.mu.Lock()
 	if c.closed {
@@ -91,7 +86,7 @@ func (c *Client) Close() error {
 	for cn := range c.conns {
 		conns = append(conns, cn)
 	}
-	c.shared, c.idlePinned = nil, nil
+	c.shared = nil
 	c.mu.Unlock()
 	for _, cn := range conns {
 		cn.teardown(ErrClosed)
@@ -102,7 +97,7 @@ func (c *Client) Close() error {
 // retrying runs try, one attempt of the exchange labelled label, under
 // the client's one retry rule. try reports whether its connection sat
 // idle in the client before the attempt: the shared connection after an
-// earlier reply, or a pooled stream. Such a connection may have died
+// earlier reply (a stream always dials). Such a connection may have died
 // unseen, as when the server restarted under it, so the first failure
 // on one is retried at once and costs no budget. Every other failure
 // spends one attempt of the WithRetry budget, after its backoff. A
@@ -215,78 +210,35 @@ func (c *Client) removeConn(cn *conn) {
 	if c.shared == cn {
 		c.shared = nil
 	}
-	for i, s := range c.idlePinned {
-		if s == cn {
-			c.idlePinned = append(c.idlePinned[:i], c.idlePinned[i+1:]...)
-			break
-		}
-	}
 	c.mu.Unlock()
 }
 
-// OpenStream pins a connection, the idle pool's latest or a fresh dial,
-// and runs the stream's opening exchange req/resp on it under the
-// client's retry rule. prepare, when non-nil, runs on each stream before
-// req is sent: a subscriber registers its push sink there, ahead of the
-// request that switches the server into push mode. A pooled stream
-// whose opening exchange fails takes the rest of the idle pool with it,
-// since those connections sat idle through the same outage. The stream
-// owns its connection until Close (back to the pool) or Hangup
-// (discard).
+// OpenStream dials a connection of the stream's own and runs the
+// stream's opening exchange req/resp on it under the client's retry
+// rule. prepare, when non-nil, runs on each stream before req is sent:
+// a subscriber registers its push sink there, ahead of the request that
+// switches the server into push mode. The stream owns its connection
+// until Hangup.
 func (c *Client) OpenStream(ctx context.Context, req, resp any, prepare func(*Stream)) (*Stream, error) {
 	var st *Stream
 	err := c.retrying(ctx, labelOf(req), func() (bool, error) {
-		cn, pooled, err := c.pinnedConn(ctx)
+		cn, err := c.dialConn(ctx)
 		if err != nil {
 			return false, err
 		}
-		st = &Stream{c: c, cn: cn}
+		st = &Stream{cn: cn}
 		if prepare != nil {
 			prepare(st)
 		}
 		if err = cn.roundTrip(ctx, req, resp); err != nil {
 			st.Hangup()
-			if pooled && ctx.Err() == nil {
-				c.dropIdle()
-			}
 		}
-		return pooled, err
+		return false, err
 	})
 	if err != nil {
 		return nil, err
 	}
 	return st, nil
-}
-
-// pinnedConn checks the most recently pooled connection out of the
-// idle pool, or dials a fresh one if the pool is empty.
-func (c *Client) pinnedConn(ctx context.Context) (cn *conn, pooled bool, err error) {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil, false, ErrClosed
-	}
-	if n := len(c.idlePinned); n > 0 {
-		cn = c.idlePinned[n-1]
-		c.idlePinned = c.idlePinned[:n-1]
-	}
-	c.mu.Unlock()
-	if cn != nil {
-		return cn, true, nil
-	}
-	cn, err = c.dialConn(ctx)
-	return cn, false, err
-}
-
-// dropIdle tears down every idle pooled connection.
-func (c *Client) dropIdle() {
-	c.mu.Lock()
-	idle := c.idlePinned
-	c.idlePinned = nil
-	c.mu.Unlock()
-	for _, cn := range idle {
-		cn.teardown(ErrClosed)
-	}
 }
 
 // call tracks one in-flight request on a connection. Exactly one side
@@ -574,27 +526,11 @@ func (cn *conn) handlePush(size int) bool {
 	return true
 }
 
-// Stream is a connection pinned to one caller — the transport for
-// transactions (server-side state is per-connection) and invalidation
-// subscriptions (the connection carries server pushes).
+// Stream is a connection of its own that carries server pushes: an
+// invalidation subscription's. After its opening exchange it sends
+// nothing; it ends when the server hangs up or the caller does.
 type Stream struct {
-	c  *Client
 	cn *conn
-
-	mu     sync.Mutex
-	closed bool
-	pushed bool
-}
-
-// Call performs one exchange on the pinned connection.
-func (s *Stream) Call(ctx context.Context, req, resp any) error {
-	s.mu.Lock()
-	closed := s.closed
-	s.mu.Unlock()
-	if closed {
-		return ErrClosed
-	}
-	return s.cn.roundTrip(ctx, req, resp)
 }
 
 // OnPush registers the stream's push sink: factory allocates a body,
@@ -604,9 +540,6 @@ func (s *Stream) Call(ctx context.Context, req, resp any) error {
 // into push mode (OpenStream's prepare hook), or an early push races
 // the registration and kills the connection.
 func (s *Stream) OnPush(factory func() any, deliver func(any), onClose func()) {
-	s.mu.Lock()
-	s.pushed = true
-	s.mu.Unlock()
 	cn := s.cn
 	cn.mu.Lock()
 	closed := cn.closed
@@ -619,38 +552,6 @@ func (s *Stream) OnPush(factory func() any, deliver func(any), onClose func()) {
 	}
 }
 
-// Close returns a healthy, push-free connection to the idle pool for
-// the next OpenStream; otherwise the connection is discarded.
-func (s *Stream) Close() {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	s.closed = true
-	pushed := s.pushed
-	s.mu.Unlock()
-	cn := s.cn
-	if pushed || !cn.live() {
-		cn.teardown(ErrClosed)
-		return
-	}
-	c := s.c
-	c.mu.Lock()
-	if !c.closed && len(c.idlePinned) < maxPinnedIdle {
-		c.idlePinned = append(c.idlePinned, cn)
-		c.mu.Unlock()
-		return
-	}
-	c.mu.Unlock()
-	cn.teardown(ErrClosed)
-}
-
-// Hangup discards the pinned connection immediately — the cancel path
-// for subscriptions and broken transactions.
-func (s *Stream) Hangup() {
-	s.mu.Lock()
-	s.closed = true
-	s.mu.Unlock()
-	s.cn.teardown(ErrClosed)
-}
+// Hangup closes the stream's connection: the cancel path of a
+// subscription. Idempotent.
+func (s *Stream) Hangup() { s.cn.teardown(ErrClosed) }

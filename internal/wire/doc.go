@@ -22,10 +22,11 @@
 //     connections or N serialized round trips). IDs count per client,
 //     not per connection, so a run's bytes on the wire do not depend on
 //     which connection a concurrent call took.
-//   - Stream pins one connection exclusively, for protocols whose
-//     server-side state is per-connection (transactions) or that switch
-//     the connection into server-push mode (invalidation
-//     subscriptions). OpenStream runs the stream's opening request.
+//   - Stream is a connection of its own that the server switches into
+//     push mode (invalidation subscriptions). OpenStream dials it and
+//     runs its opening request; after that it only receives pushes,
+//     until either end hangs up. Request/response traffic, a database
+//     transaction's statements included, rides the shared connection.
 //   - One rule retries a failed Call and a failed opening request alike
 //     (Client.retrying), so no protocol above keeps a retry loop of its
 //     own.

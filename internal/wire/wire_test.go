@@ -52,11 +52,9 @@ func (r *testResp) ReadWire(data []byte, _ *Names) error {
 	return rd.Err()
 }
 
-// testHandler implements a tiny per-connection protocol: echo, sleep,
-// a per-connection counter (proving stream pinning), and a push stream.
+// testHandler implements a tiny protocol: echo, sleep, and a push
+// stream.
 type testHandler struct {
-	mu      sync.Mutex
-	counter int
 	pushers sync.WaitGroup
 }
 
@@ -73,12 +71,6 @@ func (h *testHandler) Handle(ctx context.Context, sess *Session, id uint64, req 
 		case <-ctx.Done():
 		}
 		return &testResp{Payload: "slept", N: r.N}
-	case "count":
-		h.mu.Lock()
-		h.counter++
-		n := h.counter
-		h.mu.Unlock()
-		return &testResp{N: n}
 	case "subscribe":
 		h.pushers.Add(1)
 		go func() {
@@ -149,8 +141,9 @@ func TestCallRoundTrip(t *testing.T) {
 }
 
 // TestConcurrentMultiplexStress hammers one client from many goroutines
-// with a mix of shared one-shot calls and pinned streams; run under
-// -race this doubles as the transport's synchronization audit.
+// with a mix of shared one-shot calls and push streams opened and hung
+// up; run under -race this doubles as the transport's synchronization
+// audit.
 func TestConcurrentMultiplexStress(t *testing.T) {
 	srv := startTestServer(t)
 	c := NewClient(srv.Addr())
@@ -166,30 +159,29 @@ func TestConcurrentMultiplexStress(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 25; i++ {
 				if g%4 == 0 {
-					// Pinned stream: the per-connection counter must be
-					// strictly increasing across calls on one stream.
-					first := new(testResp)
-					st, err := c.OpenStream(ctx, &testReq{Op: "count"}, first, nil)
+					// A push stream: its first tick arrives on its own
+					// connection, then the stream hangs up.
+					ticked := make(chan struct{}, 1)
+					st, err := c.OpenStream(ctx, &testReq{Op: "subscribe"}, new(testResp), func(st *Stream) {
+						st.OnPush(func() any { return new(testResp) }, func(any) {
+							select {
+							case ticked <- struct{}{}:
+							default:
+							}
+						}, nil)
+					})
 					if err != nil {
 						errs <- err
 						return
 					}
-					last := first.N
-					for k := 1; k < 3; k++ {
-						resp := new(testResp)
-						if err := st.Call(ctx, &testReq{Op: "count"}, resp); err != nil {
-							st.Hangup()
-							errs <- err
-							return
-						}
-						if resp.N <= last {
-							st.Hangup()
-							errs <- fmt.Errorf("stream not pinned: count went %d -> %d", last, resp.N)
-							return
-						}
-						last = resp.N
+					select {
+					case <-ticked:
+					case <-time.After(5 * time.Second):
+						st.Hangup()
+						errs <- errors.New("no push on an open stream")
+						return
 					}
-					st.Close()
+					st.Hangup()
 				} else {
 					want := fmt.Sprintf("g%d-i%d", g, i)
 					resp := new(testResp)
@@ -215,10 +207,13 @@ func TestConcurrentMultiplexStress(t *testing.T) {
 	if s.Errors != 0 {
 		t.Fatalf("stress produced %d transport errors", s.Errors)
 	}
-	// 30 echo goroutines share the multiplexed conn; pinned streams
-	// pool up to 4 conns. Way fewer dials than calls proves reuse.
-	if s.Dials > 30 {
-		t.Fatalf("%d dials for %d round trips — pooling broken", s.Dials, s.RoundTrips)
+	// 30 echo goroutines share the multiplexed conn; each of the 250
+	// streams dialled its own.
+	if s.Dials != 251 {
+		t.Fatalf("%d dials, want the shared connection's and one per stream", s.Dials)
+	}
+	if n := c.NumConns(); n != 1 {
+		t.Fatalf("%d connections open after every stream hung up, want the shared one", n)
 	}
 }
 
@@ -301,33 +296,34 @@ func (h *idHandler) Handle(_ context.Context, _ *Session, id uint64, req any) an
 
 func (h *idHandler) Close() {}
 
-// TestRequestIDsCountPerClient: N concurrent calls spread over the
-// shared connection and a pinned stream carry the IDs 2..N+1, each
-// exactly once, after the stream's opening exchange took 1. A counter
-// per connection would number each connection's calls from 1 again, and
-// the bytes the uvarint IDs take would depend on which connection a call
+// TestRequestIDsCountPerClient: a stream's opening request takes ID 1,
+// then N concurrent calls, half on the shared connection and half on its
+// redial, carry the IDs 2..N+1, each exactly once. A counter per
+// connection would number each connection's calls from 1 again, and the
+// bytes the uvarint IDs take would depend on which connection a call
 // happened to take.
 func TestRequestIDsCountPerClient(t *testing.T) {
-	const n = 40
+	const n, half = 40, 20
 	var (
-		mu    sync.Mutex
-		conns int
-		seen  = make(map[uint64]int)
-		per   = make(map[int]int)
-		all   = make(chan struct{})
+		mu     sync.Mutex
+		conns  int
+		seen   = make(map[uint64]int)
+		per    = make(map[int]int)
+		phases = []chan struct{}{make(chan struct{}), make(chan struct{})}
 	)
-	// Every reply waits until all n requests have arrived, so the calls
-	// on both connections are in flight together.
+	// Every reply waits until all the calls of its half have arrived,
+	// so they are in flight together.
 	serve := func(conn int, id uint64) {
 		mu.Lock()
 		seen[id]++
 		per[conn]++
-		if len(seen) == n {
-			close(all)
+		phase := phases[(len(seen)-1)/half]
+		if len(seen)%half == 0 {
+			close(phase)
 		}
 		mu.Unlock()
 		select {
-		case <-all:
+		case <-phase:
 		case <-time.After(5 * time.Second):
 		}
 	}
@@ -350,26 +346,30 @@ func TestRequestIDsCountPerClient(t *testing.T) {
 	}
 	defer st.Hangup()
 
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		call := c.Call
-		if i%2 == 0 {
-			call = st.Call
+	calls := func() {
+		var wg sync.WaitGroup
+		for i := 0; i < half; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if err := c.Call(ctx, &testReq{Op: "id"}, new(testResp)); err != nil {
+					t.Error(err)
+				}
+			}()
 		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if err := call(ctx, &testReq{Op: "id"}, new(testResp)); err != nil {
-				t.Error(err)
-			}
-		}()
+		wg.Wait()
 	}
-	wg.Wait()
+	calls()
+	c.mu.Lock()
+	shared := c.shared
+	c.mu.Unlock()
+	shared.teardown(ErrClosed)
+	calls()
 
 	mu.Lock()
 	defer mu.Unlock()
-	if len(per) != 2 || per[1] != n/2 || per[2] != n/2 {
-		t.Fatalf("calls per connection = %v, want %d on each of two", per, n/2)
+	if len(per) != 2 || per[2] != half || per[3] != half {
+		t.Fatalf("calls per connection = %v, want %d on each of the shared connection (2) and its redial (3)", per, half)
 	}
 	for id := uint64(2); id <= n+1; id++ {
 		if seen[id] != 1 {
@@ -901,34 +901,6 @@ func TestSinkCloseWaitsForDeliver(t *testing.T) {
 		if n := overlaps.Load(); n != 0 {
 			t.Fatalf("round %d: onClose overlapped a deliver", round)
 		}
-	}
-}
-
-// TestStreamPoolReuse: a cleanly closed stream's connection is reused
-// by the next OpenStream.
-func TestStreamPoolReuse(t *testing.T) {
-	srv := startTestServer(t)
-	c := NewClient(srv.Addr())
-	defer c.Close()
-	ctx := context.Background()
-
-	st1, err := c.OpenStream(ctx, &testReq{Op: "count"}, new(testResp), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st1.Close()
-
-	resp := new(testResp)
-	st2, err := c.OpenStream(ctx, &testReq{Op: "count"}, resp, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.N != 2 {
-		t.Fatalf("pooled stream landed on a different connection: count = %d", resp.N)
-	}
-	st2.Close()
-	if d := c.Stats().Dials; d != 1 {
-		t.Fatalf("dials = %d, want 1", d)
 	}
 }
 
