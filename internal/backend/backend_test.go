@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"edgeejb/internal/component"
 	"edgeejb/internal/dbwire"
 	"edgeejb/internal/memento"
 	"edgeejb/internal/sqlstore"
@@ -356,5 +357,75 @@ func TestBackendRefusesPrepareWithoutPreparer(t *testing.T) {
 	// The one-shot path is unaffected.
 	if _, err := edge.ApplyCommitSet(ctx, cs); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBackendCountsOnlyConflictsAsRejected: CommitsRejected counts the
+// sets the database rejected with a conflict. A Prepare or an
+// ApplyCommitSet that fails for another reason, here a closed database,
+// is counted neither way.
+func TestBackendCountsOnlyConflictsAsRejected(t *testing.T) {
+	store := sqlstore.New()
+	store.Seed(row("1", 10, 0))
+	be, edge := startBackend(t, storeapi.Local(store))
+	store.Close()
+	ctx := context.Background()
+
+	cs := memento.CommitSet{Writes: []memento.Memento{row("1", 11, 1)}}
+	if err := edge.Prepare(ctx, "g1", cs); err == nil || errors.Is(err, sqlstore.ErrConflict) {
+		t.Fatalf("Prepare on a closed database = %v, want a failure other than a conflict", err)
+	}
+	if _, err := edge.ApplyCommitSet(ctx, cs); err == nil || errors.Is(err, sqlstore.ErrConflict) {
+		t.Fatalf("ApplyCommitSet on a closed database = %v, want a failure other than a conflict", err)
+	}
+	if rejected, applied := be.CommitsRejected(), be.CommitsApplied(); rejected != 0 || applied != 0 {
+		t.Errorf("CommitsRejected = %d, CommitsApplied = %d, want 0 and 0", rejected, applied)
+	}
+}
+
+// TestBackendRelaysPessimisticTransactions: a JDBC edge's transactions
+// pass through the back-end to the database. A read-modify-write that
+// commits lands, one that aborts leaves the row alone, and every
+// transaction the database began has ended.
+func TestBackendRelaysPessimisticTransactions(t *testing.T) {
+	store := sqlstore.New()
+	defer store.Close()
+	store.Seed(row("1", 10, 0))
+	_, edge := startBackend(t, storeapi.Local(store))
+	jdbc := component.NewJDBCManager(edge)
+	ctx := context.Background()
+
+	for _, commit := range []bool{true, false} {
+		tx, err := jdbc.Begin(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := tx.Load(ctx, key("1"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Fields["n"] = memento.Int(m.Fields["n"].Int + 1)
+		if err := tx.Store(ctx, m); err != nil {
+			t.Fatal(err)
+		}
+		if commit {
+			err = tx.Commit(ctx)
+		} else {
+			err = tx.Abort(ctx)
+		}
+		if err != nil {
+			t.Fatalf("commit=%v: %v", commit, err)
+		}
+	}
+	got, err := storeapi.Local(store).AutoGet(ctx, "t", "1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := got.Mem.Fields["n"].Int; n != 11 {
+		t.Errorf("row 1 holds n = %d, want 11: the committed write alone", n)
+	}
+	st := store.Stats()
+	if st.Begins < 2 || st.Begins != st.Commits+st.Aborts {
+		t.Errorf("store began %d transactions, committed %d and aborted %d; want both ended", st.Begins, st.Commits, st.Aborts)
 	}
 }

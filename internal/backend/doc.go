@@ -15,7 +15,15 @@
 // high-latency path — untouched (see DESIGN.md, "One database access
 // per commit set").
 //
+// Everything else the edge sends — reads, finder queries,
+// subscriptions and pessimistic transactions — passes straight through
+// to the database handle. The two-phase participant ops are relayed
+// only when that handle supports prepare (storeapi.Preparer); otherwise
+// the back-end does not serve them, and a coordinator reads the refusal
+// as a no vote.
+//
 // Each exchange is timed as a "backend.apply" trace span, and its
 // outcome is counted by Server.CommitsApplied and
-// Server.CommitsRejected.
+// Server.CommitsRejected: a set the database rejected with a conflict
+// is rejected, and one that failed for another reason is neither.
 package backend

@@ -1,6 +1,8 @@
 // Package memento defines the value-object layer shared by every tier of
 // the system: entity keys, typed field values, mementos (serializable
-// snapshots of entity-bean state), commit sets, and predicate queries.
+// snapshots of entity-bean state), commit sets, predicate queries, and
+// the one rule for whether a committed write overlaps a cached query
+// result (Query.Overlaps).
 //
 // The paper's caching framework cannot ship EJBs between address spaces
 // (the EJB specification forbids serializing entity beans), so it ships

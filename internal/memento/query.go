@@ -76,6 +76,30 @@ func (q Query) Sort(ms []Memento) {
 	sort.Slice(ms, func(i, j int) bool { return ms[i].Key.ID < ms[j].Key.ID })
 }
 
+// Normalize returns a canonical form of the query: predicates sorted by
+// field, then value, so that logically identical finders render
+// identically. A table plus its equalities is the whole of a finder, so
+// it is the whole of its cache key.
+func (q Query) Normalize() Query {
+	if len(q.Where) < 2 {
+		return q
+	}
+	where := append([]Predicate(nil), q.Where...)
+	sort.SliceStable(where, func(i, j int) bool {
+		if where[i].Field != where[j].Field {
+			return where[i].Field < where[j].Field
+		}
+		return where[i].Value.Compare(where[j].Value) < 0
+	})
+	q.Where = where
+	return q
+}
+
+// CacheKey renders the canonical query string used to key finder-result
+// caches, q.Normalize().String(). Two queries with the same cache key
+// return the same result set against the same store state.
+func (q Query) CacheKey() string { return q.Normalize().String() }
+
 // Where constructs the predicate field = v.
 func Where(field string, v Value) Predicate {
 	return Predicate{Field: field, Value: v}

@@ -79,3 +79,21 @@ func TestQueryString(t *testing.T) {
 		t.Errorf("String() = %q, want %q", got, want)
 	}
 }
+
+func TestQueryNormalizeAndCacheKey(t *testing.T) {
+	a := Query{Table: "t", Where: []Predicate{
+		Where("b", Int(2)),
+		Where("a", Int(1)),
+	}}
+	b := Query{Table: "t", Where: []Predicate{
+		Where("a", Int(1)),
+		Where("b", Int(2)),
+	}}
+	if a.CacheKey() != b.CacheKey() {
+		t.Fatalf("reordered conjunctions must share a cache key:\n  %s\n  %s", a.CacheKey(), b.CacheKey())
+	}
+	// Normalize must not mutate the receiver's predicate slice order.
+	if a.Where[0].Field != "b" {
+		t.Fatal("Normalize mutated the original query")
+	}
+}

@@ -225,14 +225,13 @@ func (r *Router) twoPhase(ctx context.Context, split map[int]memento.CommitSet) 
 		}
 	}
 	if veto != nil {
-		// Abort everyone that may hold a prepared entry. Detached from the
-		// caller's context: the decision must reach the participants even
-		// if the caller gives up, and aborting an unknown gid is a no-op.
+		// Abort every participant: a no vote may be a lost reply from one
+		// that prepared, and aborting an unknown gid is a no-op. Detached
+		// from the caller's context: the decision must reach the
+		// participants even if the caller gives up.
 		actx := context.WithoutCancel(ctx)
 		fanOut(len(parts), func(i int) {
-			if parts[i].err == nil {
-				_ = parts[i].prep.AbortPrepared(actx, gid)
-			}
+			_ = parts[i].prep.AbortPrepared(actx, gid)
 		})
 		obsTwoPCAborts.Inc()
 		return sqlstore.ApplyResult{}, veto

@@ -192,6 +192,65 @@ func TestRouterTwoPhaseConflictAborts(t *testing.T) {
 	}
 }
 
+// lostPrepareReply is a participant whose Prepare applies and whose
+// reply is then lost, as to a transport error after the store answered:
+// it holds the prepared transaction while the coordinator sees a no
+// vote.
+type lostPrepareReply struct {
+	storeapi.Conn
+	storeapi.Preparer
+}
+
+func (c lostPrepareReply) Prepare(ctx context.Context, gid string, cs memento.CommitSet) error {
+	if err := c.Preparer.Prepare(ctx, gid, cs); err != nil {
+		return err
+	}
+	return errors.New("connection reset after prepare")
+}
+
+// TestRouterVetoAbortsLostPrepare: a participant whose prepare reply was
+// lost may hold a prepared entry, so a veto aborts it too. Right after
+// the router returns, neither shard holds a prepared transaction, and a
+// set writing the lost participant's row takes its lock at once rather
+// than waiting out the presumed-abort TTL.
+func TestRouterVetoAbortsLostPrepare(t *testing.T) {
+	ring := NewRing(2)
+	stores := []*sqlstore.Store{sqlstore.New(), sqlstore.New()}
+	for _, s := range stores {
+		t.Cleanup(s.Close)
+	}
+	local1 := storeapi.Local(stores[1])
+	conns := []storeapi.Conn{storeapi.Local(stores[0]), lostPrepareReply{Conn: local1, Preparer: local1.(storeapi.Preparer)}}
+	router, err := NewRouter(ring, conns)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &rig{ring: ring, stores: stores, router: router}
+	ctx := context.Background()
+	idA := r.idOnShard(t, 0, "a")
+	idB := r.idOnShard(t, 1, "b")
+	r.seed(rmem(idA, 0, 1))
+	r.seed(rmem(idB, 0, 1))
+
+	if _, err := router.ApplyCommitSet(ctx, memento.CommitSet{
+		Writes: []memento.Memento{rmem(idA, 1, 2), rmem(idB, 1, 2)},
+	}); err == nil {
+		t.Fatal("a lost prepare reply did not veto the set")
+	}
+	for i, s := range stores {
+		if n := s.PreparedCount(); n != 0 {
+			t.Errorf("shard %d holds %d prepared txs after the veto", i, n)
+		}
+	}
+	actx, cancel := context.WithTimeout(ctx, 500*time.Millisecond)
+	defer cancel()
+	if _, err := stores[1].ApplyCommitSet(actx, memento.CommitSet{
+		Writes: []memento.Memento{rmem(idB, 1, 3)},
+	}); err != nil {
+		t.Fatalf("writing shard 1's row after the veto: %v", err)
+	}
+}
+
 func TestRouterReadOnlyCrossShardSkipsTwoPhase(t *testing.T) {
 	r := newRig(t, 2, nil, nil)
 	ctx := context.Background()

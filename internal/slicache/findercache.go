@@ -12,11 +12,10 @@ import (
 // FinderCache is the transactional finder-result cache: committed query
 // results keyed by normalized query, the transactional method caching
 // of Pfeifer & Lockemann applied to the paper's custom finders. Each
-// entry carries the footprint the query covered, which Put works out
-// from the query and its rows — the only place a footprint is built. An
-// incoming commit notice invalidates every entry whose footprint
-// overlaps the committed write set: a row that leaves a result is one
-// of its keys, and a row that enters it matches in its after-image,
+// entry is a normalized query and the rows it returned. An incoming
+// commit notice invalidates every entry the committed write set
+// overlaps (memento.Query.Overlaps): a row that leaves a result is one
+// of its rows, and a row that enters it matches in its after-image,
 // which per-key version bumps alone cannot express. The store sends an
 // edge no notice of its own commit: Commit installs that commit's
 // after-images in the entries it touches instead, as the common store
@@ -37,15 +36,16 @@ type FinderCache struct {
 	invalidations atomic.Uint64
 }
 
-// finderEntry is one cached result set plus the footprint it covered.
+// finderEntry is one cached result set: the normalized query, the
+// committed rows it returned and when they were known current.
 type finderEntry struct {
-	mems     []memento.Memento // committed rows; treated as immutable
-	fp       memento.Footprint
+	q        memento.Query
+	mems     []memento.Memento // treated as immutable
 	storedAt time.Time
 }
 
 // Fill is one store call and the install of its reply, from StartFill
-// until Put, Commit or Drop ends it: a finder's query, or this edge's
+// until put, Commit or Drop ends it: a finder's query, or this edge's
 // own commit. It collects every write the cache is told of in that
 // window and is spoiled if the cache is cleared.
 type Fill struct {
@@ -71,14 +71,6 @@ func NewFinderCache(enabled bool) *FinderCache {
 	}
 }
 
-// Get returns the cached result set for a query, if present: the
-// committed rows (read-only — callers clone before mutating) and when
-// they were known current. An enabled cache counts the lookup as a hit
-// or a miss.
-func (c *FinderCache) Get(q memento.Query) ([]memento.Memento, time.Time, bool) {
-	return c.get(c.key(q))
-}
-
 // key renders q's cache key once for get and put; a disabled cache
 // renders none.
 func (c *FinderCache) key(q memento.Query) string {
@@ -88,7 +80,10 @@ func (c *FinderCache) key(q memento.Query) string {
 	return q.CacheKey()
 }
 
-// get is Get of a rendered cache key.
+// get returns the cached result set under a rendered cache key, if
+// present: the committed rows (read-only — callers clone before
+// mutating) and when they were known current. An enabled cache counts
+// the lookup as a hit or a miss.
 func (c *FinderCache) get(ck string) ([]memento.Memento, time.Time, bool) {
 	if !c.enabled {
 		return nil, time.Time{}, false
@@ -119,44 +114,37 @@ func (c *FinderCache) StartFill() *Fill {
 	return f
 }
 
-// Put ends fill f and stores its reply, a committed result set, with
-// the footprint it covered — the query and the keys of its rows — and
-// at, when the rows were known current. It stores nothing if the cache
-// was cleared since StartFill or a write it was told of since then
-// overlaps that footprint. The rows are retained as given and must not
-// be mutated afterwards (the cache runtime only ever hands out clones
-// of them).
-func (c *FinderCache) Put(f *Fill, q memento.Query, mems []memento.Memento, at time.Time) {
-	c.put(f, c.key(q), q, mems, at)
-}
-
-// put is Put of q under its rendered cache key ck.
+// put ends fill f and stores its reply, q's committed result set, under
+// q's rendered cache key ck, with at, when the rows were known current.
+// It stores nothing if the cache was cleared since StartFill or a write
+// it was told of since then overlaps the query and its rows. The rows
+// are retained as given and must not be mutated afterwards (the cache
+// runtime only ever hands out clones of them).
 func (c *FinderCache) put(f *Fill, ck string, q memento.Query, mems []memento.Memento, at time.Time) {
 	if !c.enabled {
 		return
 	}
-	fp := memento.QueryFootprint(q, mems)
+	q = q.Normalize()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	delete(c.fills, f)
-	if f.spoiled || fp.Overlaps(f.writes) {
+	if f.spoiled || q.Overlaps(mems, f.writes) {
 		return
 	}
-	c.entries[ck] = finderEntry{mems: mems, fp: fp, storedAt: at}
+	c.entries[ck] = finderEntry{q: q, mems: mems, storedAt: at}
 }
 
 // Commit ends fill f, opened before this edge's own commit was sent,
 // and installs the commit in every entry it overlaps: written holds
 // each written or created row's after-image at its new version, removed
 // the keys the commit removed. In each such entry a written row that
-// matches the query replaces its old image or joins in key order, a
-// row that no longer matches or was removed leaves, and the footprint
-// is rebuilt from the new rows. The entry is dropped instead when the
-// cache was cleared since StartFill or a write it was told of since
-// then overlaps the new footprint: that write may be newer than the
-// commit, so the installed rows could be stale. Commit creates no
-// entry, and hands the commit's writes to every other open fill, whose
-// reply may predate them.
+// matches the query replaces its old image or joins in key order, and
+// a row that no longer matches or was removed leaves. The entry is
+// dropped instead when the cache was cleared since StartFill or a write
+// it was told of since then overlaps the query and its new rows: that
+// write may be newer than the commit, so the installed rows could be
+// stale. Commit creates no entry, and hands the commit's writes to
+// every other open fill, whose reply may predate them.
 func (c *FinderCache) Commit(f *Fill, written []memento.Memento, removed []memento.Key) {
 	if !c.enabled {
 		return
@@ -176,18 +164,17 @@ func (c *FinderCache) Commit(f *Fill, written []memento.Memento, removed []memen
 	}
 	n := 0
 	for ck, e := range c.entries {
-		if !e.fp.Overlaps(own) {
+		if !e.q.Overlaps(e.mems, own) {
 			continue
 		}
-		q := e.fp.Queries[0]
-		mems := withCommit(q, e.mems, written, removed)
-		fp := memento.QueryFootprint(q, mems)
-		if f.spoiled || fp.Overlaps(f.writes) {
+		mems := withCommit(e.q, e.mems, written, removed)
+		if f.spoiled || e.q.Overlaps(mems, f.writes) {
 			delete(c.entries, ck)
 			n++
 			continue
 		}
-		c.entries[ck] = finderEntry{mems: mems, fp: fp, storedAt: e.storedAt}
+		e.mems = mems
+		c.entries[ck] = e
 	}
 	c.countInvalidations(n)
 }
@@ -230,8 +217,7 @@ func (c *FinderCache) Drop(f *Fill) {
 	c.mu.Unlock()
 }
 
-// Invalidate drops every entry whose footprint overlaps the committed
-// write set, hands the writes to every open fill, and returns how many
+// Invalidate drops every entry the committed write set overlaps, hands the writes to every open fill, and returns how many
 // entries were dropped. A blind write drops every entry reading its
 // table.
 func (c *FinderCache) Invalidate(writes []memento.WriteDesc) int {
@@ -245,7 +231,7 @@ func (c *FinderCache) Invalidate(writes []memento.WriteDesc) int {
 	}
 	n := 0
 	for ck, e := range c.entries {
-		if e.fp.Overlaps(writes) {
+		if e.q.Overlaps(e.mems, writes) {
 			delete(c.entries, ck)
 			n++
 		}

@@ -79,7 +79,8 @@ func TestReturnedImagesAreTheCallers(t *testing.T) {
 			}
 			check(where+", common store", m)
 		}
-		rows, _, ok := e.mgr.FinderCache().Get(byAcct("y"))
+		fc := e.mgr.FinderCache()
+		rows, _, ok := fc.get(fc.key(byAcct("y")))
 		if !ok || len(rows) != 2 {
 			t.Fatalf("%s: finder cache holds %v (%v), want b and c", where, rows, ok)
 		}

@@ -89,7 +89,7 @@ func (o finderCacheOption) apply(c *managerConfig) { c.finderCache = bool(o) }
 // WithFinderCache toggles the transactional finder-result cache
 // (default on; deploy.Paper() turns it off): committed custom-finder
 // result sets are cached by normalized query and invalidated when a
-// commit notice's write set overlaps their footprint — Pfeifer &
+// commit notice's write set overlaps a query or its rows — Pfeifer &
 // Lockemann's transactional method caching applied to the paper's
 // custom finders. A manager without it subscribes for keys only. A
 // result is cached only if no write the edge was told of while its
@@ -187,7 +187,7 @@ func (m *Manager) Start(ctx context.Context) error {
 
 // subscription is ctx as the manager subscribes: under its origin, and
 // keys only when its finder cache is off, since the finder cache's
-// footprint test is the one reader of a notice's field images.
+// overlap test is the one reader of a notice's field images.
 func (m *Manager) subscription(ctx context.Context) context.Context {
 	return sqlstore.KeysOnlyContext(sqlstore.OriginContext(ctx, m.origin), !m.finders.enabled)
 }
@@ -278,8 +278,7 @@ func (m *Manager) noteNotice(n sqlstore.Notice) {
 	for _, w := range n.Writes {
 		ev.Evicted += m.common.Invalidate(w.Key)
 	}
-	// Drop every cached finder result whose footprint overlaps the
-	// committed writes.
+	// Drop every cached finder result the committed writes overlap.
 	m.finders.Invalidate(n.Writes)
 	if ev.Evicted > 0 && stamped {
 		// Entries were actually dropped: the push latency bounds how

@@ -23,7 +23,7 @@ var (
 	// Finder-result cache counters (FinderCache), read per phase for the
 	// finder table, finder_cache.csv and cache.finder_hit_ratio.
 	// Invalidations count cached result sets dropped because a committed
-	// write set overlapped their footprint.
+	// write set overlapped their query or rows.
 	obsFinderHits          = obs.Default.Counter("slicache.finder_hits")
 	obsFinderMisses        = obs.Default.Counter("slicache.finder_misses")
 	obsFinderInvalidations = obs.Default.Counter("slicache.finder_invalidations")

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -136,7 +137,7 @@ func (m *overlapModel) step(ctx context.Context) (full memento.WriteDesc, heard 
 // updates and removes run through a store whose notices are heard over
 // dbwire; whenever a full-image notice shows that a query's result set
 // changed (rows in or out, or a row's cells), the changed-cell notice
-// must overlap that result's footprint too. An update that changes
+// must overlap that result too. An update that changes
 // nothing arrives as an empty image, not a blind write, and evicts only
 // the results that hold its key.
 func TestChangedCellNoticesEvictWhatImagesDo(t *testing.T) {
@@ -185,15 +186,16 @@ func TestChangedCellNoticesEvictWhatImagesDo(t *testing.T) {
 				}
 			}
 			for j, q := range queries {
-				fp := memento.QueryFootprint(q, before[j])
-				evicts := fp.Overlaps(heard.Writes)
-				if noop && evicts != fp.CoversKey(w.Key) {
-					t.Fatalf("seed %d step %d: %s over %v: a write of %s that changed nothing evicts = %v", seed, i, q, fp.Keys, w.Key, evicts)
+				rows := before[j]
+				evicts := q.Overlaps(rows, heard.Writes)
+				holds := slices.ContainsFunc(rows, func(r memento.Memento) bool { return r.Key == w.Key })
+				if noop && evicts != holds {
+					t.Fatalf("seed %d step %d: %s over %s: a write of %s that changed nothing evicts = %v", seed, i, q, rowVersions(rows), w.Key, evicts)
 				}
-				if sameResult(before[j], m.result(q)) {
+				if sameResult(rows, m.result(q)) {
 					continue
 				}
-				if !fp.OverlapsWrite(full) {
+				if !q.Overlaps(rows, []memento.WriteDesc{full}) {
 					t.Fatalf("seed %d step %d: %s changed, but the full image %v does not overlap it", seed, i, q, full)
 				}
 				if !evicts {

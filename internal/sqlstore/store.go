@@ -83,7 +83,7 @@ type keysOnlyKey struct{}
 // the keys a notice names: an edge with no finder cache evicts by key
 // and never reads a write's field images. A server relaying notices to
 // such a subscriber (dbwire) may then send each write descriptor as
-// its key alone, a blind write, which a footprint test reads as
+// its key alone, a blind write, which an overlap test reads as
 // overlapping every predicate on the table. False returns ctx
 // unchanged.
 func KeysOnlyContext(ctx context.Context, keysOnly bool) context.Context {
@@ -424,7 +424,7 @@ func (s *Store) scanTable(q memento.Query) []memento.Memento {
 // notice to the subscribers before the mutex is released. It assumes
 // the caller holds the required locks and has already validated. The
 // notice's write descriptors, in key order, carry what each write
-// changed, or mark the row removed, for footprint-overlap invalidation
+// changed, or mark the row removed, for finder-result invalidation
 // at the edges: a created row's whole image, and an updated row's cells
 // that differ from the row it replaces (memento.Columns.Changed), an
 // empty map if none do. An image all of whose cells changed is the

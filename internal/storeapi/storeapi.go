@@ -106,9 +106,9 @@ type Conn interface {
 type Preparer interface {
 	// Prepare validates a commit sub-set and holds its locks under gid
 	// until CommitPrepared or AbortPrepared decides it (or the
-	// participant's presumed-abort TTL expires). An error is a no vote:
-	// nothing is held and the coordinator must abort the other
-	// participants.
+	// participant's presumed-abort TTL expires). An error is a no vote,
+	// and the coordinator aborts every participant: one whose reply was
+	// lost may have prepared.
 	Prepare(ctx context.Context, gid string, cs memento.CommitSet) error
 	// CommitPrepared installs the writes prepared under gid. An unknown
 	// gid (expired or never prepared) fails with an error matching

@@ -19,7 +19,7 @@ import (
 // ES/RBES with two edges: an edge whose finder cache is off hears every
 // write as its key alone, and so does the back-end that relays its
 // stream; an edge whose finder cache is on hears the field images its
-// footprint test reads.
+// overlap test reads.
 
 // noticeTap is a Conn that records every notice its subscriptions
 // deliver.

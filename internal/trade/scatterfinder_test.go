@@ -16,7 +16,7 @@ import (
 
 // TestQuoteScatterFinderCache: a finder the affinity hook does not pin,
 // every quote, scatters over two shards and is cached at the edge with
-// the footprint of its merged rows. A price change on one of them evicts
+// its merged rows. A price change on one of them evicts
 // the entry, and so does a new quote, which enters the result set.
 func TestQuoteScatterFinderCache(t *testing.T) {
 	ring := shard.NewRing(2, shard.WithPlacement(ShardPlacement))

@@ -109,7 +109,7 @@ func TestStoredValuesReadBackAlike(t *testing.T) {
 	// guards use, agree with the store on the written and the stored
 	// forms alike.
 	for _, f := range []memento.Fields{fields, want} {
-		guard := memento.QueryFootprint(probe, nil).OverlapsWrite(memento.WriteDesc{Key: byLocal, After: f})
+		guard := probe.Overlaps(nil, []memento.WriteDesc{{Key: byLocal, After: f}})
 		if !probe.Matches(memento.Memento{Key: byLocal, Fields: f}) || !guard {
 			t.Errorf("memento.Query does not match %v against its own probe %#v", f, fields["int"])
 		}
