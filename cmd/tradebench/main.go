@@ -344,6 +344,10 @@ func run(args []string) error {
 		if *fig8 {
 			eval.WriteFig8(os.Stdout)
 		}
+		if *metrics {
+			fmt.Println()
+			harness.WriteWireOps(os.Stdout, eval.Fig6Series())
+		}
 		if *actions {
 			fmt.Println()
 			harness.WriteActionBreakdown(os.Stdout, eval.Fig6Series())

@@ -147,6 +147,9 @@ func TestStatementWireBytes(t *testing.T) {
 	// A change to any of these numbers is a protocol change, not a
 	// refactor: it moves bytes on the slow path Figure 8 weighs.
 	//
+	// Every frame opens with its length as a uvarint: 1 byte for each
+	// frame here, all under 128 bytes.
+	//
 	// A table or field name crosses each direction of a connection once
 	// as a literal, a 0 marker, a length byte and its bytes, and after
 	// that as its one-byte index. Every name here is one byte ("t", "v"
@@ -154,19 +157,19 @@ func TestStatementWireBytes(t *testing.T) {
 	// "t" is first sent by Get, "v" by Query and "s" by Put; server to
 	// client, Get's reply brings "t" and "v".
 	//
-	// Get sends 14 = 4 length prefix + 2 frame header + 1 op + 1 field
-	// mask + 1 tx + 3 table "t" + 2 ID, and receives 21 = 4 + 2 + 1 code
+	// Get sends 11 = 1 length prefix + 2 frame header + 1 op + 1 field
+	// mask + 1 tx + 3 table "t" + 2 ID, and receives 18 = 1 + 2 + 1 code
 	// + 1 mask + the row: key (3 "t" + 2 ID), 1 version, fields (1
 	// presence, 1 count, 3 "v", 2 Int). GetForUpdate is the same with
-	// both "t"s and the "v" as indices: 12 sent, 17 received. A
+	// both "t"s and the "v" as indices: 9 sent, 14 received. A
 	// predicate is its field and value with no operator byte: Query
-	// sends 16 = 4 + 2 + 1 op + 1 mask + 1 tx + 1 "t" + 1 predicate
-	// count + 3 "v" + 2 Int(20); its 36 received are 8 + 1 count + the
+	// sends 13 = 1 + 2 + 1 op + 1 mask + 1 tx + 1 "t" + 1 predicate
+	// count + 3 "v" + 2 Int(20); its 33 received are 5 + 1 count + the
 	// three rows pinnedFinder selects, 9 bytes each with every name an
 	// index. Put's row sends "t" and "v" as indices and "s" as a literal
-	// (29); Insert and CheckedPut send all three as indices.
+	// (26); Insert and CheckedPut send all three as indices.
 	// TestCachePathWireBytes's AutoQuery is Query less the tx byte.
-	// Commit's 9 received = 8 + the commit's Seq, one byte (the seed was
+	// Commit's 6 received = 5 + the commit's Seq, one byte (the seed was
 	// commit 1, this is 2); a commit that wrote nothing would send no Seq.
 	//
 	// Warm, every name is an index: Get sends 2 and receives 4 bytes
@@ -176,34 +179,34 @@ func TestStatementWireBytes(t *testing.T) {
 	// warm, and its 10 received 2 × 3 + 8 × 1 cold and 10 warm.
 	cold := map[bool]map[string]opBytes{
 		false: {
-			"Begin":         {2, 16, 18},
-			"Get":           {1, 14, 21},
-			"GetForUpdate":  {1, 12, 17},
-			"Query":         {1, 16, 36},
-			"Put":           {1, 29, 8},
-			"Insert":        {1, 28, 8},
-			"Delete":        {1, 12, 8},
-			"CheckVersion":  {1, 13, 8},
-			"CheckedPut":    {1, 27, 8},
-			"CheckedDelete": {1, 13, 8},
-			"Commit":        {1, 9, 9},
-			"Abort":         {1, 9, 8},
+			"Begin":         {2, 10, 12},
+			"Get":           {1, 11, 18},
+			"GetForUpdate":  {1, 9, 14},
+			"Query":         {1, 13, 33},
+			"Put":           {1, 26, 5},
+			"Insert":        {1, 25, 5},
+			"Delete":        {1, 9, 5},
+			"CheckVersion":  {1, 10, 5},
+			"CheckedPut":    {1, 24, 5},
+			"CheckedDelete": {1, 10, 5},
+			"Commit":        {1, 6, 6},
+			"Abort":         {1, 6, 5},
 		},
 		true: {
-			"Begin": {2, 16, 18},
-			"Batch": {2, 127, 93},
+			"Begin": {2, 10, 12},
+			"Batch": {2, 121, 87},
 		},
 	}
 	warm := map[bool]map[string]opBytes{
 		false: maps.Clone(cold[false]),
 		true: {
-			"Begin": {2, 16, 18},
-			"Batch": {2, 127 - 2*3, 93 - 2*2},
+			"Begin": {2, 10, 12},
+			"Batch": {2, 121 - 2*3, 87 - 2*2},
 		},
 	}
-	warm[false]["Get"] = opBytes{1, 14 - 2, 21 - 4}
-	warm[false]["Query"] = opBytes{1, 16 - 2, 36}
-	warm[false]["Put"] = opBytes{1, 29 - 2, 8}
+	warm[false]["Get"] = opBytes{1, 11 - 2, 18 - 4}
+	warm[false]["Query"] = opBytes{1, 13 - 2, 33}
+	warm[false]["Put"] = opBytes{1, 26 - 2, 5}
 	for _, batched := range []bool{false, true} {
 		gotCold, gotWarm := stmtBytes(t, batched)
 		for _, run := range []struct {
@@ -222,18 +225,22 @@ func TestStatementWireBytes(t *testing.T) {
 	}
 
 	// An edge cache begins under its origin: a second mask byte (bit 11)
-	// and the origin's 9 bytes on top of a plain Begin's 8.
+	// and the origin on top of a plain Begin's 5. The origin is a name,
+	// its eight bytes: 10 as a literal the first time it crosses the
+	// connection, its one-byte index after that.
 	_, c := newPair(t)
 	ctx := context.Background()
-	txn, err := c.Begin(sqlstore.OriginContext(ctx, 1<<62|5))
-	if err != nil {
-		t.Fatal(err)
+	for range 2 {
+		txn, err := c.Begin(sqlstore.OriginContext(ctx, 1<<62|5))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := txn.Abort(ctx); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := txn.Abort(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if o := c.WireStats().Ops["Begin"]; o.Count != 1 || o.BytesSent != 8+1+9 || o.BytesReceived != 9 {
-		t.Errorf("Begin under an origin = %+v, want 1 sent as 18 bytes, 9 received", o)
+	if o := c.WireStats().Ops["Begin"]; o.Count != 2 || o.BytesSent != (5+1+10)+(5+1+1) || o.BytesReceived != 2*6 {
+		t.Errorf("two Begins under an origin = %+v, want them sent as 16 and 7 bytes, 6 received each", o)
 	}
 }
 
@@ -320,76 +327,76 @@ func cachePathBytes(t *testing.T, sub context.Context, origin uint64) (cold, war
 // cache, is pushed all four with their field images cut.
 func TestCachePathWireBytes(t *testing.T) {
 	// As in TestStatementWireBytes, a moved number is a protocol change,
-	// and a one-byte name costs 3 bytes the first time it crosses a
-	// direction of a connection and 1 after that. One-shot calls share
-	// one connection; the subscription has its own.
+	// every frame's length prefix here is 1 byte, and a one-byte name
+	// costs 3 bytes the first time it crosses a direction of a
+	// connection and 1 after that. One-shot calls share one connection;
+	// the subscription has its own.
 	//
-	// Every commit set ends in its origin as a uvarint: 1 byte for none,
-	// 9 for an edge's (bit 62 set, bit 63 clear). A subscription under
-	// an origin adds the origin's 9 bytes and a second mask byte (bit 11);
-	// asking for keys only is mask bit 12 and nothing else, so it adds
+	// Every commit set ends in its origin, and a subscription under an
+	// origin carries it after a second mask byte (bit 11). An origin is
+	// a name, its eight bytes, whether it is an edge's or zero (none):
+	// 10 bytes the first time it crosses a connection, 1 after that.
+	// Asking for keys only is mask bit 12 and nothing else, so it adds
 	// no byte there.
-	// A commit reply is its commit's number and nothing else: 9 = 4
+	// A commit reply is its commit's number and nothing else: 6 = 1
 	// length prefix + 2 frame header + 1 code + 1 field mask + 1 Seq (the
 	// seed was commit 1, so these are 2 to 5). The sender rebuilds each
 	// put key's version from the Seq, so no key→version map rides back.
 	//
-	// Cold: AutoGet sends "t" first (13) and its reply "t" and "v" (21);
-	// AutoQuery sends "v" as a literal, its table as an index (15), and
-	// its three rows come back with every name an index (36).
-	// The first ApplyCommitSet's 38 = 4 + 2 + 1 op + 2 mask (bit 7) +
+	// Cold: AutoGet sends "t" first (10) and its reply "t" and "v" (18);
+	// AutoQuery sends "v" as a literal, its table as an index (12), and
+	// its three rows come back with every name an index (33).
+	// The first ApplyCommitSet's 44 = 1 + 2 + 1 op + 2 mask (bit 7) +
 	// the set: 1 reads count, a proof (1 "t", 2 ID, 1 version), 1
 	// writes count, a row (1 "t", 2 ID, 1 version, 1 presence, 1 count,
 	// 1 "v", 2 Int, 3 "s", 8 String), 1 creates count, 1 removes count,
-	// 1 origin. The next two, an update and a create, name only what is
-	// already in the table: 9 of header each and 47 of sets between
-	// them, so the three send 38 + 65. The two Prepares (56, the second
-	// carrying one remove proof) name only what is in the table too.
+	// 10 origin. The next two, an update and a create, name only what is
+	// already in the table, the origin included: 6 of header each and
+	// 47 of sets between them, so the three send 44 + 59. The two
+	// Prepares (50, the second carrying one remove proof) name only what
+	// is in the table too.
 	//
-	// A notice is 8 + 1 Seq + 1 count + its descriptor + 9 CommittedAt +
+	// A notice is 5 + 1 Seq + 1 count + its descriptor + 9 CommittedAt +
 	// 1 OriginTrace, and a descriptor is its key, a 1-byte Removed flag
 	// and its After field map; none of these commits removes a row. The
 	// first notice names "t", "v" and "s" as literals: its descriptor is
 	// 3 + 2 + 1 + 1 presence + 1 count + 3 + 2 Int + 3 + 8 String = 24,
-	// and the notice 44. Each later update's descriptor is 6 bytes
+	// and the notice 41. Each later update's descriptor is 6 bytes
 	// shorter, 18, and the create's 19, as Int(90) zigzags to a 2-byte
-	// varint: 44 + 38 + 39 + 38 = 159. A keys-only descriptor is its
+	// varint: 41 + 35 + 36 + 35 = 147. A keys-only descriptor is its
 	// key, the flag and a nil After marker: 7 for the first, 5 after,
-	// so the four notices are 27 + 3 × 25 = 102.
+	// so the four notices are 24 + 3 × 22 = 90.
 	//
 	// Warm, every name is an index, 2 bytes less than a literal: AutoGet
 	// sends 2 and receives 4 fewer, AutoQuery sends 2 fewer ("v") and
-	// ApplyCommitSet 2 fewer ("s"); the first notice is 6 bytes shorter
-	// (2 keys-only). No second Subscribe is sent.
+	// ApplyCommitSet 11 fewer ("s", and the origin's 9); the first
+	// notice is 6 bytes shorter (2 keys-only). No second Subscribe is
+	// sent.
 	const origin, other = 1<<62 | 5, 1<<62 | 6
 	full := map[string]opBytes{
-		"AutoGet":        {1, 13, 21},
-		"AutoQuery":      {1, 15, 36},
-		"ApplyCommitSet": {3, 38 + 65, 27},
-		"Prepare":        {2, 56, 16},
-		"CommitPrepared": {1, 12, 9},
-		"AbortPrepared":  {1, 12, 8},
-		"Subscribe":      {1, 8, 8},
-		"push":           {0, 0, 159},
+		"AutoGet":        {1, 10, 18},
+		"AutoQuery":      {1, 12, 33},
+		"ApplyCommitSet": {3, 44 + 59, 18},
+		"Prepare":        {2, 50, 10},
+		"CommitPrepared": {1, 9, 6},
+		"AbortPrepared":  {1, 9, 5},
+		"Subscribe":      {1, 5, 5},
+		"push":           {0, 0, 147},
 	}
 	keysOnly := maps.Clone(full)
-	keysOnly["Subscribe"] = opBytes{1, 8 + 1 + 9, 8}
-	keysOnly["push"] = opBytes{0, 0, 102}
-	own := map[string]opBytes{
-		"AutoGet":        {1, 13, 21},
-		"AutoQuery":      {1, 15, 36},
-		"ApplyCommitSet": {3, 103 + 3*8, 27},
-		"Prepare":        {2, 56 + 2*8, 16},
-		"CommitPrepared": {1, 12, 9},
-		"AbortPrepared":  {1, 12, 8},
-		"Subscribe":      {1, 8 + 1 + 9, 8},
-	}
+	keysOnly["Subscribe"] = opBytes{1, 5 + 1 + 10, 5}
+	keysOnly["push"] = opBytes{0, 0, 90}
+	// An edge's own origin costs what no origin does; only its
+	// subscription grows.
+	own := maps.Clone(full)
+	delete(own, "push")
+	own["Subscribe"] = opBytes{1, 5 + 1 + 10, 5}
 	// warmOf is the repeat of a cold run: every name an index, and no
 	// Subscribe.
 	warmOf := func(cold map[string]opBytes, pushSaved uint64) map[string]opBytes {
 		w := maps.Clone(cold)
 		delete(w, "Subscribe")
-		for label, d := range map[string]opBytes{"AutoGet": {0, 2, 4}, "AutoQuery": {0, 2, 0}, "ApplyCommitSet": {0, 2, 0}} {
+		for label, d := range map[string]opBytes{"AutoGet": {0, 2, 4}, "AutoQuery": {0, 2, 0}, "ApplyCommitSet": {0, 2 + 9, 0}} {
 			o := w[label]
 			w[label] = opBytes{o.Count, o.Sent - d.Sent, o.Received - d.Received}
 		}

@@ -21,11 +21,16 @@ import (
 // Predicate.Field and every Fields name) go through the connection's
 // name table (wire.Names): a name is a literal the first time it
 // crosses a connection and a one-byte index after that, and a decoded
-// name is the table's own string. IDs, messages, gids and string values
-// stay literals, since there is no bound on how many distinct ones a
-// connection sees. Keys, values, field maps and mementos are package
-// memento's row encoding (memento.AppendMemento and its kin), the one
-// the store's snapshot file is written in too.
+// name is the table's own string. An edge's origin (Request.Origin, and
+// CommitSet.Origin on every set) is a name too, its eight bytes, so it
+// costs ten bytes the first time and one after that. IDs, messages, gids
+// and string values stay literals, since there is no bound on how many
+// distinct ones a connection sees. Keys, values, field maps and mementos
+// are package memento's row encoding (memento.AppendMemento and its
+// kin), the one the store's snapshot file is written in too. An update's
+// changed cells (memento.Memento.Delta) decode only where an update
+// stands, a commit set's write or a checked put; a read reply, a create,
+// a notice or any other statement that carries them fails to decode.
 //
 // The encoding is not self-describing: both peers must agree on the
 // field order below, and on the frames before it, which filled the name
@@ -156,7 +161,7 @@ func appendRequest(dst []byte, t *wire.Names, q *Request) []byte {
 		dst = wire.AppendString(dst, q.Gid)
 	}
 	if mask&reqOrigin != 0 {
-		dst = binary.AppendUvarint(dst, q.Origin)
+		dst = wire.AppendUint64Name(dst, t, q.Origin)
 	}
 	return dst
 }
@@ -187,7 +192,12 @@ func readRequest(r *wire.Reader, q *Request, nested bool) {
 		q.Version = r.Uvarint()
 	}
 	if mask&reqMem != 0 {
-		q.Mem = memento.ReadMemento(r)
+		// Only a checked put may carry an update's changed cells: an
+		// insert creates, and a put replaces whatever is there.
+		q.Mem = memento.ReadUpdate(r)
+		if q.Mem.Delta && q.Op != OpCheckedPut {
+			r.Fail()
+		}
 	}
 	if mask&reqQuery != 0 {
 		q.Query = readQuery(r)
@@ -207,7 +217,7 @@ func readRequest(r *wire.Reader, q *Request, nested bool) {
 		q.Gid = r.Str()
 	}
 	if mask&reqOrigin != 0 {
-		q.Origin = r.Uvarint()
+		q.Origin = r.Uint64Name()
 	}
 	q.KeysOnly = mask&reqKeysOnly != 0
 }
@@ -393,7 +403,7 @@ func appendCommitSet(dst []byte, t *wire.Names, cs memento.CommitSet) []byte {
 	for _, p := range cs.Removes {
 		dst = appendReadProof(dst, t, p)
 	}
-	return binary.AppendUvarint(dst, cs.Origin)
+	return wire.AppendUint64Name(dst, t, cs.Origin)
 }
 
 func readCommitSet(r *wire.Reader) memento.CommitSet {
@@ -407,7 +417,7 @@ func readCommitSet(r *wire.Reader) memento.CommitSet {
 	if n := r.Len(); n > 0 {
 		cs.Writes = make([]memento.Memento, 0, wire.Prealloc(n))
 		for i := 0; i < n && !r.Failed(); i++ {
-			cs.Writes = append(cs.Writes, memento.ReadMemento(r))
+			cs.Writes = append(cs.Writes, memento.ReadUpdate(r))
 		}
 	}
 	if n := r.Len(); n > 0 {
@@ -422,7 +432,7 @@ func readCommitSet(r *wire.Reader) memento.CommitSet {
 			cs.Removes = append(cs.Removes, readReadProof(r))
 		}
 	}
-	cs.Origin = r.Uvarint()
+	cs.Origin = r.Uint64Name()
 	return cs
 }
 

@@ -31,6 +31,17 @@ func codecMem(id string, v uint64) memento.Memento {
 	}
 }
 
+// codecDelta is an update of codecMem(id, v) as its changed cells: a
+// new price.
+func codecDelta(id string, v uint64) memento.Memento {
+	return memento.Memento{
+		Key:     memento.Key{Table: "quote", ID: id},
+		Version: v,
+		Fields:  memento.Fields{"price": memento.Float(102.5)},
+		Delta:   true,
+	}
+}
+
 func codecSet(tx uint64) memento.CommitSet {
 	return memento.CommitSet{
 		Reads: []memento.ReadProof{
@@ -70,12 +81,19 @@ func corpusRequests() map[string]*Request {
 			Key: memento.Key{Table: "quote", ID: "a"}, Version: 4,
 			Mem: codecMem("a", 4),
 		},
-		"apply": {Op: OpApplyCommitSet, Set: codecSet(1)},
+		"checked put of changed cells": {Op: OpCheckedPut, Tx: 9, Mem: codecDelta("a", 4)},
+		"apply":                        {Op: OpApplyCommitSet, Set: codecSet(1)},
+		"apply changed cells": {Op: OpApplyCommitSet, Set: memento.CommitSet{
+			Reads:  []memento.ReadProof{{Key: memento.Key{Table: "quote", ID: "b"}, Version: 2}},
+			Writes: []memento.Memento{codecDelta("a", 3), codecMem("c", 5)},
+			Origin: 1<<62 | 5,
+		}},
 		"batch": {
 			Op: OpBatch, Tx: 9,
 			Batch: []Request{
 				{Op: OpGet, Table: "quote", ID: "a"},
 				{Op: OpPut, Mem: codecMem("a", 3)},
+				{Op: OpCheckedPut, Mem: codecDelta("b", 2)},
 				{Op: OpCommit, Tx: 9},
 			},
 		},
@@ -455,6 +473,12 @@ func FuzzRequestReadWire(f *testing.F) {
 		f.Add(req.AppendWire(nil, enc))
 	}
 	f.Add(unknownKindRequest())
+	// Changed cells where no update stands, a presence byte past 2 and
+	// an origin that is not eight bytes: each fails to decode.
+	f.Add((&Request{Op: OpApplyCommitSet, Set: memento.CommitSet{Creates: []memento.Memento{codecDelta("a", 3)}}}).AppendWire(nil, nil))
+	f.Add((&Request{Op: OpInsert, Tx: 9, Mem: codecDelta("a", 3)}).AppendWire(nil, nil))
+	f.Add(bytes.Replace((&Request{Op: OpCheckedPut, Tx: 9, Mem: codecDelta("a", 3)}).AppendWire(nil, nil), []byte("\x02\x01\x00\x05price"), []byte("\x03\x01\x00\x05price"), 1))
+	f.Add(append(binary.AppendUvarint([]byte{byte(OpBegin)}, reqOrigin), 0, 3, 'a', 'b', 'c'))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		_, dec := filledTables(t, fill)
 		req := new(Request)
@@ -565,5 +589,116 @@ func BenchmarkBinaryCodec(b *testing.B) {
 		if err := got.ReadWire(buf, dec); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// presence returns body with the presence byte of the field map that
+// holds the one field "price" set to b: the map's first name is a
+// literal, so the byte is the one before its count (1) and the
+// literal's marker (0), its length (5) and "price".
+func presence(t *testing.T, body []byte, b byte) []byte {
+	t.Helper()
+	i := bytes.Index(body, []byte("\x01\x00\x05price"))
+	if i < 1 {
+		t.Fatalf("no one-field map holding price in % x", body)
+	}
+	out := bytes.Clone(body)
+	out[i-1] = b
+	return out
+}
+
+// TestCodecRefusesMisplacedChangedCells: an update's changed cells
+// (memento.Memento.Delta, presence byte 2) decode only as a commit
+// set's write or a checked put at a version read. On a create, at
+// version 0, in a read reply, in a notice or on a put or an insert they
+// fail the body, and so does a presence byte past 2 anywhere.
+func TestCodecRefusesMisplacedChangedCells(t *testing.T) {
+	delta := codecDelta("a", 3)
+	atZero := codecDelta("a", 0)
+	for name, req := range map[string]*Request{
+		"create":                   {Op: OpApplyCommitSet, Set: memento.CommitSet{Creates: []memento.Memento{delta}}},
+		"write at version 0":       {Op: OpApplyCommitSet, Set: memento.CommitSet{Writes: []memento.Memento{atZero}}},
+		"checked put at version 0": {Op: OpCheckedPut, Tx: 9, Mem: atZero},
+		"prepare at version 0":     {Op: OpPrepare, Gid: "g", Set: memento.CommitSet{Writes: []memento.Memento{atZero}}},
+		"put":                      {Op: OpPut, Tx: 9, Mem: delta},
+		"insert":                   {Op: OpInsert, Tx: 9, Mem: delta},
+		"insert in a batch":        {Op: OpBatch, Tx: 9, Batch: []Request{{Op: OpInsert, Mem: delta}}},
+	} {
+		if err := new(Request).ReadWire(req.AppendWire(nil, nil), nil); err == nil {
+			t.Errorf("request: changed cells decoded on a %s", name)
+		}
+	}
+	notice := &Response{Code: CodeOK, Notice: sqlstore.Notice{Seq: 3, Writes: []memento.WriteDesc{
+		{Key: delta.Key, After: delta.Fields},
+	}}}
+	for name, body := range map[string][]byte{
+		"read reply":            (&Response{Code: CodeOK, Mem: delta}).AppendWire(nil, nil),
+		"query reply":           (&Response{Code: CodeOK, Mems: []memento.Memento{delta}}).AppendWire(nil, nil),
+		"read reply in a batch": (&Response{Code: CodeOK, Batch: []Response{{Mem: delta}}}).AppendWire(nil, nil),
+		"notice":                presence(t, notice.AppendWire(nil, nil), 2),
+	} {
+		if err := new(Response).ReadWire(body, nil); err == nil {
+			t.Errorf("response: changed cells decoded in a %s", name)
+		}
+	}
+
+	// Presence byte 3 and up is no marker at all: refused on a write
+	// that could carry changed cells, a read reply and a notice alike.
+	write := (&Request{Op: OpApplyCommitSet, Set: memento.CommitSet{Writes: []memento.Memento{delta}}}).AppendWire(nil, nil)
+	if err := new(Request).ReadWire(write, nil); err != nil {
+		t.Fatalf("changed cells of a write: %v", err)
+	}
+	for _, b := range []byte{3, 0xff} {
+		if err := new(Request).ReadWire(presence(t, write, b), nil); err == nil {
+			t.Errorf("request: presence byte %d decoded", b)
+		}
+		reply := (&Response{Code: CodeOK, Mem: codecDelta("a", 3)}).AppendWire(nil, nil)
+		for name, body := range map[string][]byte{
+			"read reply": presence(t, reply, b),
+			"notice":     presence(t, notice.AppendWire(nil, nil), b),
+		} {
+			if err := new(Response).ReadWire(body, nil); err == nil {
+				t.Errorf("response: presence byte %d decoded in a %s", b, name)
+			}
+		}
+	}
+}
+
+// TestCodecRefusesOriginNotEightBytes: an origin is its eight bytes as
+// a name (wire.AppendUint64Name). A name of any other length, on a
+// Begin, a Subscribe or a commit set, fails the body, whether it came
+// as a literal or as an index into the table.
+func TestCodecRefusesOriginNotEightBytes(t *testing.T) {
+	planted := func(head byte, mask uint64, tail ...byte) []byte {
+		return append(binary.AppendUvarint([]byte{head}, mask), tail...)
+	}
+	eight := []byte{0, 8, 1, 2, 3, 4, 5, 6, 7, 8}
+	for _, op := range []OpCode{OpBegin, OpSubscribe} {
+		if err := new(Request).ReadWire(planted(byte(op), reqOrigin, eight...), nil); err != nil {
+			t.Fatalf("%s under an eight-byte origin: %v", op, err)
+		}
+		for _, name := range [][]byte{{0, 0}, {0, 7, 1, 2, 3, 4, 5, 6, 7}, {0, 9, 1, 2, 3, 4, 5, 6, 7, 8, 9}} {
+			if err := new(Request).ReadWire(planted(byte(op), reqOrigin, name...), nil); err == nil {
+				t.Errorf("%s decoded an origin of %d bytes", op, name[1])
+			}
+		}
+	}
+	// A commit set ends in its origin: swap the eight-byte literal for
+	// a three-byte one.
+	set := (&Request{Op: OpApplyCommitSet, Set: memento.CommitSet{Reads: []memento.ReadProof{{Key: memento.Key{Table: "t", ID: "1"}, Version: 1}}}}).AppendWire(nil, nil)
+	short := append(bytes.Clone(set[:len(set)-10]), 0, 3, 'a', 'b', 'c')
+	if err := new(Request).ReadWire(short, nil); err == nil {
+		t.Error("commit set decoded a three-byte origin")
+	}
+	// By index: once the set has crossed, the receiver's table holds
+	// "t" at index 0 and the origin at 1; index 0 (uvarint 1) stands
+	// where the origin should.
+	dec := new(wire.Names)
+	if err := new(Request).ReadWire(set, dec); err != nil {
+		t.Fatal(err)
+	}
+	byIndex := append(bytes.Clone(set[:len(set)-10]), 1)
+	if err := new(Request).ReadWire(byIndex, dec); err == nil {
+		t.Error("commit set decoded a one-byte name by index as its origin")
 	}
 }

@@ -141,8 +141,18 @@ type Request struct {
 	KeysOnly bool
 }
 
+// readOnlySet labels an OpApplyCommitSet whose set writes nothing, so
+// that per-op transport stats keep read-only validations apart from
+// writing commits.
+const readOnlySet = "ApplyCommitSet/read-only"
+
 // WireLabel names the request for per-op transport stats.
-func (r *Request) WireLabel() string { return r.Op.String() }
+func (r *Request) WireLabel() string {
+	if r.Op == OpApplyCommitSet && r.Set.Mutations() == 0 {
+		return readOnlySet
+	}
+	return r.Op.String()
+}
 
 // ErrCode classifies a response outcome so sentinel errors survive the
 // wire: the client reconstructs an error for which errors.Is matches the

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"edgeejb/internal/trade"
+	"edgeejb/internal/wire"
 )
 
 // WriteActionBreakdown renders mean per-action latency at the largest
@@ -68,4 +69,56 @@ func actionNames(sweeps []Sweep) []string {
 	}
 	sort.Strings(rest)
 	return append(ordered, rest...)
+}
+
+// WriteWireOps renders where each sweep's shared-path traffic goes, by
+// wire op (wire.Stats.Ops): the round trips and bytes per interaction
+// each op accounts for, over every delay point, largest bytes first.
+// dbwire labels a commit set that writes nothing apart
+// ("ApplyCommitSet/read-only") from one that writes, and the transport
+// counts pushed notices under "push", with no round trip. The rows of a
+// sweep add up to its Figure 8 bar.
+func WriteWireOps(w io.Writer, sweeps []Sweep) {
+	fmt.Fprintln(w, "Shared path by wire op (per interaction, over every delay point)")
+	for _, s := range sweeps {
+		ops := make(map[string]wire.OpStats)
+		var ixns uint64
+		for _, p := range s.Points {
+			ixns += uint64(p.Load.Interactions)
+			for label, o := range p.Wire.Ops {
+				agg := ops[label]
+				agg.Count += o.Count
+				agg.BytesSent += o.BytesSent
+				agg.BytesReceived += o.BytesReceived
+				ops[label] = agg
+			}
+		}
+		if ixns == 0 {
+			continue
+		}
+		labels := make([]string, 0, len(ops))
+		for label := range ops {
+			labels = append(labels, label)
+		}
+		bytes := func(label string) uint64 { return ops[label].BytesSent + ops[label].BytesReceived }
+		sort.Slice(labels, func(i, j int) bool {
+			if bi, bj := bytes(labels[i]), bytes(labels[j]); bi != bj {
+				return bi > bj
+			}
+			return labels[i] < labels[j]
+		})
+		per := func(n uint64) float64 { return float64(n) / float64(ixns) }
+		fmt.Fprintf(w, "%-28s %10s %10s %10s %10s\n", s.Pair, "RTs/ixn", "sent", "received", "bytes/ixn")
+		var total wire.OpStats
+		for _, label := range labels {
+			o := ops[label]
+			total.Count += o.Count
+			total.BytesSent += o.BytesSent
+			total.BytesReceived += o.BytesReceived
+			fmt.Fprintf(w, "  %-26s %10.3f %10.1f %10.1f %10.1f\n", label,
+				per(o.Count), per(o.BytesSent), per(o.BytesReceived), per(bytes(label)))
+		}
+		fmt.Fprintf(w, "  %-26s %10.3f %10.1f %10.1f %10.1f\n", "total",
+			per(total.Count), per(total.BytesSent), per(total.BytesReceived), per(total.BytesSent+total.BytesReceived))
+	}
 }

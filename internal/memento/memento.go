@@ -197,6 +197,12 @@ type Memento struct {
 	Key     Key
 	Version uint64
 	Fields  Fields
+	// Delta marks Fields as an update's changed cells (see Since): the
+	// row at Version keeps every cell Fields does not name. Only a
+	// commit set's write and a checked put carry one, at a version read;
+	// the store lays it over the row its lock and version check pin
+	// (Apply). Every other memento is whole.
+	Delta bool
 }
 
 // Clone returns a deep copy of the memento.
@@ -208,7 +214,60 @@ func (m Memento) Clone() Memento {
 // Equal reports whether two mementos have the same key, version, and
 // state.
 func (m Memento) Equal(o Memento) bool {
-	return m.Key == o.Key && m.Version == o.Version && m.Fields.Equal(o.Fields)
+	return m.Key == o.Key && m.Version == o.Version && m.Delta == o.Delta && m.Fields.Equal(o.Fields)
+}
+
+// Since returns m, an update's after-image, as its changed cells over
+// before, the image the update was made from: Delta set, and Fields a
+// fresh map of the cells m holds that before does not hold identically.
+// Cells compare bit for bit, floats by their bits as Columns.Changed
+// compares them, never by Value.Equal, which would take -0 for +0 and
+// drop a NaN's new payload. m comes back whole, as it is, when its
+// changed cells could not rebuild it over before (either map is nil, or
+// m drops a field before holds), and when every cell changed, which the
+// whole image says in as many bytes.
+func (m Memento) Since(before Fields) Memento {
+	if m.Fields == nil || before == nil || len(before) > len(m.Fields) {
+		return m
+	}
+	same := 0
+	for name, b := range before {
+		v, ok := m.Fields[name]
+		if !ok {
+			return m
+		}
+		if identical(b, v) {
+			same++
+		}
+	}
+	if same == 0 {
+		return m
+	}
+	changed := make(Fields, len(m.Fields)-same)
+	for name, v := range m.Fields {
+		if b, ok := before[name]; !ok || !identical(b, v) {
+			changed[name] = v
+		}
+	}
+	m.Fields, m.Delta = changed, true
+	return m
+}
+
+// Apply returns m whole: a Delta's changed cells set over base, the
+// image of the row at m.Version, which Apply takes over and edits; a
+// whole m as it is.
+func (m Memento) Apply(base Fields) Memento {
+	if !m.Delta {
+		return m
+	}
+	if base == nil {
+		base = make(Fields, len(m.Fields))
+	}
+	for name, v := range m.Fields {
+		base[name] = v
+	}
+	m.Fields, m.Delta = base, false
+	return m
 }
 
 // String renders the memento for debugging.

@@ -1,6 +1,7 @@
 package memento
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
@@ -333,6 +334,98 @@ func TestValueGoString(t *testing.T) {
 	for _, tt := range tests {
 		if got := tt.give.GoString(); got != tt.want {
 			t.Errorf("GoString(%v) = %q, want %q", tt.give, got, tt.want)
+		}
+	}
+}
+
+// TestSinceComparesCellsBitForBit: an update's changed cells are the
+// cells it does not hold identically, floats by their bits, so -0 over
+// +0, a NaN's new payload and a kind change all ship, and an equal cell
+// does not. An update that drops a field, one that changes every cell
+// and one over a nil image go whole; one that changes nothing is an
+// empty change. Apply rebuilds the update over its before-image.
+func TestSinceComparesCellsBitForBit(t *testing.T) {
+	negZero := Float(math.Copysign(0, -1))
+	nan1, nan2 := Float(math.NaN()), Float(math.Float64frombits(0x7ff8_0000_dead_beef))
+	before := Fields{"z": Float(0), "n": nan1, "k": Int(1), "s": String(""), "same": Int(7)}
+	for _, tc := range []struct {
+		name    string
+		before  Fields
+		after   Fields
+		delta   bool
+		changed Fields
+	}{
+		{"bits", before, Fields{"z": negZero, "n": nan2, "k": String("1"), "s": {}, "same": Int(7)},
+			true, Fields{"z": negZero, "n": nan2, "k": String("1"), "s": {}}},
+		{"one cell", before, Fields{"z": Float(0), "n": nan1, "k": Int(2), "s": String(""), "same": Int(7)},
+			true, Fields{"k": Int(2)}},
+		{"added field", before, Fields{"z": Float(0), "n": nan1, "k": Int(1), "s": String(""), "same": Int(7), "new": Bool(true)},
+			true, Fields{"new": Bool(true)}},
+		{"nothing", before, before.Clone(), true, Fields{}},
+		{"dropped field", before, Fields{"z": Float(0)}, false, nil},
+		{"every cell", Fields{"a": Int(1)}, Fields{"a": Int(2)}, false, nil},
+		{"nil before", nil, Fields{"a": Int(2)}, false, nil},
+		{"nil after", before, nil, false, nil},
+	} {
+		m := Memento{Key: Key{Table: "t", ID: "1"}, Version: 3, Fields: tc.after}
+		got := m.Since(tc.before)
+		if got.Delta != tc.delta || got.Key != m.Key || got.Version != 3 {
+			t.Errorf("%s: Since = %v, delta %v; want delta %v", tc.name, got, got.Delta, tc.delta)
+			continue
+		}
+		if !tc.delta {
+			if !sameMemento(got, m) {
+				t.Errorf("%s: whole update came back as %v", tc.name, got)
+			}
+			continue
+		}
+		if !sameMemento(Memento{Key: m.Key, Version: 3, Fields: tc.changed}, Memento{Key: m.Key, Version: 3, Fields: got.Fields}) {
+			t.Errorf("%s: changed cells %v, want %v", tc.name, got.Fields, tc.changed)
+		}
+		if back := got.Apply(tc.before.Clone()); back.Delta || !sameMemento(back, m) {
+			t.Errorf("%s: Apply rebuilt %v, want %v", tc.name, back, m)
+		}
+	}
+}
+
+// TestFieldsPresenceByte: a field map opens with 0 (nil), 1 (whole) or,
+// on a memento where an update stands, 2 (changed cells). ReadFields
+// and ReadMemento refuse 2, ReadUpdate refuses it at version 0, and
+// every reader refuses a byte past 2.
+func TestFieldsPresenceByte(t *testing.T) {
+	delta := Memento{Key: Key{Table: "t", ID: "1"}, Version: 4, Fields: Fields{"a": Int(1)}, Delta: true}
+	data := AppendMemento(nil, nil, delta)
+	at := len(AppendKey(nil, nil, delta.Key)) + 1 // past the key and the one-byte version
+	if data[at] != 2 {
+		t.Fatalf("changed cells open with presence byte %d, want 2", data[at])
+	}
+	r := wire.NewReader(data, nil)
+	if got := ReadUpdate(r); r.Err() != nil || !got.Equal(delta) {
+		t.Fatalf("ReadUpdate = %v (%v), want %v", got, r.Err(), delta)
+	}
+	r = wire.NewReader(data, nil)
+	if ReadMemento(r); r.Err() == nil {
+		t.Error("ReadMemento read changed cells")
+	}
+	r = wire.NewReader(AppendMemento(nil, nil, Memento{Key: delta.Key, Fields: delta.Fields, Delta: true}), nil)
+	if ReadUpdate(r); r.Err() == nil {
+		t.Error("ReadUpdate read changed cells at version 0")
+	}
+	fields := AppendFields(nil, nil, delta.Fields)
+	for _, b := range []byte{2, 3, 0xff} {
+		bad := append([]byte{b}, fields[1:]...)
+		r := wire.NewReader(bad, nil)
+		if ReadFields(r); r.Err() == nil {
+			t.Errorf("ReadFields read presence byte %d", b)
+		}
+		if b == 2 {
+			continue
+		}
+		bad = append(bytes.Clone(data[:at]), b)
+		bad = append(bad, data[at+1:]...)
+		r = wire.NewReader(bad, nil)
+		if ReadUpdate(r); r.Err() == nil {
+			t.Errorf("ReadUpdate read presence byte %d", b)
 		}
 	}
 }

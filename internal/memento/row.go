@@ -127,6 +127,10 @@ func packCell(col uint32, v Value) Cell {
 	return c
 }
 
+// identical reports whether a and b are the same cell: the same kind
+// and the same payload that kind selects, floats by their bits.
+func identical(a, b Value) bool { return packCell(0, a) == packCell(0, b) }
+
 // value returns the cell's value.
 func (c Cell) value() Value {
 	v := Value{Kind: Kind(c.kind)}

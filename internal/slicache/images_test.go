@@ -113,7 +113,13 @@ func TestReturnedImagesAreTheCallers(t *testing.T) {
 	if len(cs.Writes) != 1 || len(cs.Creates) != 1 || len(cs.Reads) != 2 {
 		t.Fatalf("commit set = %+v, want 2 reads, 1 write and 1 create", cs)
 	}
-	check("commit set write", cs.Writes[0])
+	// The write ships the one cell that differs from a's before-image,
+	// which the scribbling must not have reached, and laid over that
+	// image it reads as the stored one.
+	if w := cs.Writes[0]; !w.Delta || !w.Fields.Equal(memento.Fields{"n": memento.Int(10)}) {
+		t.Fatalf("commit set write = %v (changed cells %v), want n alone", w, w.Delta)
+	}
+	check("commit set write", cs.Writes[0].Apply(fields("x", 1)))
 	check("commit set create", cs.Creates[0])
 	readAll("transaction hit after the writes", tx)
 	if err := tx.Commit(ctx); err != nil {

@@ -31,9 +31,13 @@ const (
 // only what Load, LoadMany and Query hand the caller is a copy.
 type entry struct {
 	// version is the version of the state first observed by this
-	// transaction (the before-image, §2.1), the only part of it commit
-	// needs; 0 for created beans.
+	// transaction (the before-image, §2.1); 0 for created beans.
 	version uint64
+	// before is the before-image's field map, shared, not copied: images
+	// are replaced, never edited, so it stays the state at version, and
+	// commit ships an update as the cells that differ from it
+	// (memento.Memento.Since). Nil for created beans.
+	before memento.Fields
 	// current is the transaction's working state (becomes the
 	// after-image at commit).
 	current memento.Memento
@@ -145,6 +149,7 @@ next:
 		t.mgr.common.Put(m)
 		t.entries[f.key] = &entry{
 			version:   m.Version,
+			before:    m.Fields,
 			current:   m,
 			state:     stateClean,
 			fetchedAt: t.mgr.now(),
@@ -182,6 +187,7 @@ func (t *sliTx) cached(ctx context.Context, key memento.Key) (memento.Memento, b
 	t.cacheServed = true
 	t.entries[key] = &entry{
 		version:   m.Version,
+		before:    m.Fields,
 		current:   m,
 		state:     stateClean,
 		fetchedAt: storedAt,
@@ -342,6 +348,7 @@ func (t *sliTx) Query(ctx context.Context, q memento.Query) ([]memento.Memento, 
 		}
 		t.entries[m.Key] = &entry{
 			version:    m.Version,
+			before:     m.Fields,
 			current:    m,
 			state:      stateClean,
 			fetchedAt:  fetchedAt,
@@ -521,7 +528,10 @@ func (t *sliTx) Abort(ctx context.Context) error {
 
 // buildCommitSet converts the per-transaction store into the wire-level
 // commit set under the manager's origin, with deterministic ordering
-// for reproducible validation.
+// for reproducible validation. An update goes as the cells that differ
+// from its before-image, which the store lays over the row the set's
+// version check pins; a create, and an update that drops a field, go
+// whole.
 func (t *sliTx) buildCommitSet() memento.CommitSet {
 	cs := memento.CommitSet{Origin: t.mgr.origin}
 	keys := make([]memento.Key, 0, len(t.entries))
@@ -542,7 +552,7 @@ func (t *sliTx) buildCommitSet() memento.CommitSet {
 		case stateDirty:
 			after := e.current
 			after.Version = e.version
-			cs.Writes = append(cs.Writes, after)
+			cs.Writes = append(cs.Writes, after.Since(e.before))
 		case stateCreated:
 			after := e.current
 			after.Version = 0

@@ -138,12 +138,26 @@ func TestSnapshotRejectsGarbage(t *testing.T) {
 	if err := other.Dump(&buf); err != nil {
 		t.Fatal(err)
 	}
+	// A snapshot's rows are whole: a row as an update's changed cells
+	// (presence byte 2) is refused, and so is a presence byte past 2.
+	delta := mem("t", "1", 1, intFields(1))
+	delta.Delta = true
+	whole := encodeSnapshot(0, 1, snapTable{name: "t", rows: []memento.Memento{mem("t", "1", 1, intFields(1))}})
+	// The file ends in the row's fields: presence, count, the literal
+	// "v" (0, 1, 'v') and Int(1) (kind, zigzag 2).
+	presence3 := bytes.Clone(whole)
+	if presence3[len(presence3)-7] != 1 {
+		t.Fatalf("no presence byte 1 where the row's fields open: % x", whole)
+	}
+	presence3[len(presence3)-7] = 3
 	for _, tc := range []struct {
 		name string
 		data []byte
 	}{
 		{"truncated", buf.Bytes()[:buf.Len()-1]},
 		{"trailing byte", append(bytes.Clone(buf.Bytes()), 0)},
+		{"changed cells", encodeSnapshot(0, 1, snapTable{name: "t", rows: []memento.Memento{delta}})},
+		{"presence byte 3", presence3},
 	} {
 		if err := s.Restore(bytes.NewReader(tc.data)); err == nil || !strings.Contains(err.Error(), "decode snapshot") {
 			t.Errorf("%s snapshot: err = %v, want a decode failure", tc.name, err)
@@ -375,6 +389,10 @@ func FuzzRestore(f *testing.F) {
 		f.Add(snap[:len(snap)-1])
 	}
 	f.Add([]byte("not a snapshot"))
+	// A row as an update's changed cells, which no snapshot holds.
+	delta := acctRow("1", "a", 10)
+	delta.Version, delta.Delta = 1, true
+	f.Add(encodeSnapshot(0, 1, snapTable{name: "h", rows: []memento.Memento{delta}}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := New()
 		defer s.Close()

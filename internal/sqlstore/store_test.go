@@ -500,3 +500,49 @@ func TestRemovedRowsLeaveNothingBehind(t *testing.T) {
 		t.Errorf("retained heap grew %d B over %d created and removed rows, want < 512 KiB", grew, rows)
 	}
 }
+
+// TestChangedCellsMergeOntoTheTransactionsOwnWrite: a checked put of
+// changed cells after the transaction's own write to the key lays them
+// over that write, not over the committed row, and the store refuses
+// changed cells wherever no version check pins the row they change: on
+// a put, an insert and a checked put at version 0.
+func TestChangedCellsMergeOntoTheTransactionsOwnWrite(t *testing.T) {
+	store := New()
+	t.Cleanup(store.Close)
+	ctx := context.Background()
+	k, bKey := memento.Key{Table: "t", ID: "a"}, memento.Key{Table: "t", ID: "b"}
+	store.Seed(memento.Memento{Key: k, Fields: memento.Fields{"n": memento.Int(1), "s": memento.String("x")}})
+	tx, err := store.Begin(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tx.CheckedPut(ctx, memento.Memento{Key: k, Version: 1, Fields: memento.Fields{"n": memento.Int(2), "s": memento.String("y")}}); err != nil {
+		t.Fatal(err)
+	}
+	delta := memento.Memento{Key: k, Version: 1, Fields: memento.Fields{"n": memento.Int(3)}, Delta: true}
+	if err := tx.CheckedPut(ctx, delta); err != nil {
+		t.Fatal(err)
+	}
+	for name, bad := range map[string]func() error{
+		"put":                      func() error { return tx.Put(ctx, delta) },
+		"insert":                   func() error { return tx.Insert(ctx, memento.Memento{Key: bKey, Fields: delta.Fields, Delta: true}) },
+		"checked put at version 0": func() error { return tx.CheckedPut(ctx, memento.Memento{Key: bKey, Fields: delta.Fields, Delta: true}) },
+	} {
+		if err := bad(); err == nil {
+			t.Errorf("changed cells accepted on a %s", name)
+		}
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := store.Get(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (memento.Fields{"n": memento.Int(3), "s": memento.String("y")}); !got.Fields.Equal(want) {
+		t.Errorf("row = %v, want %v", got.Fields, want)
+	}
+	if _, err := store.Get(bKey); err == nil {
+		t.Error("a refused write to b left a row")
+	}
+}

@@ -134,10 +134,22 @@ func (tx *Tx) Put(ctx context.Context, m memento.Memento) error {
 		return err
 	}
 	tx.s.stats.puts.Add(1)
+	if err := whole(m); err != nil {
+		return err
+	}
 	if err := tx.lockRow(ctx, m.Key, lockmgr.Exclusive); err != nil {
 		return err
 	}
 	tx.writes[m.Key] = pendingWrite{mem: m.Clone()}
+	return nil
+}
+
+// whole refuses changed cells (memento.Memento.Delta) where no version
+// check pins the row they would change.
+func whole(m memento.Memento) error {
+	if m.Delta {
+		return fmt.Errorf("sqlstore: changed cells of %s at no version read", m.Key)
+	}
 	return nil
 }
 
@@ -148,6 +160,9 @@ func (tx *Tx) Insert(ctx context.Context, m memento.Memento) error {
 		return err
 	}
 	tx.s.stats.inserts.Add(1)
+	if err := whole(m); err != nil {
+		return err
+	}
 	if err := tx.lockRow(ctx, m.Key, lockmgr.Exclusive); err != nil {
 		return err
 	}
@@ -256,18 +271,41 @@ func (tx *Tx) CheckVersion(ctx context.Context, key memento.Key, version uint64)
 
 // CheckedPut updates a row only if it is still at m.Version; with
 // m.Version == 0 it acts as a checked insert (the key must not exist).
+// An update's changed cells (m.Delta) are laid over the row they were
+// made from, which the exclusive lock and the version check pin: this
+// transaction's own earlier write to the key if it has one, else the
+// committed row at m.Version.
 func (tx *Tx) CheckedPut(ctx context.Context, m memento.Memento) error {
 	if err := tx.check(); err != nil {
 		return err
 	}
 	tx.s.stats.puts.Add(1)
+	if m.Version == 0 {
+		if err := whole(m); err != nil {
+			return err
+		}
+	}
 	if err := tx.lockRow(ctx, m.Key, lockmgr.Exclusive); err != nil {
 		return err
 	}
 	if err := tx.verifyVersionLocked(m.Key, m.Version); err != nil {
 		return err
 	}
-	tx.writes[m.Key] = pendingWrite{mem: m.Clone()}
+	if !m.Delta {
+		tx.writes[m.Key] = pendingWrite{mem: m.Clone()}
+		return nil
+	}
+	var base memento.Fields
+	if w, ok := tx.writes[m.Key]; ok {
+		base = w.mem.Fields.Clone()
+	} else {
+		row, err := tx.s.readRow(m.Key)
+		if err != nil {
+			return err
+		}
+		base = row.Fields
+	}
+	tx.writes[m.Key] = pendingWrite{mem: m.Apply(base)}
 	return nil
 }
 

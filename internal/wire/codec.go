@@ -66,6 +66,21 @@ func AppendName(dst []byte, t *Names, s string) []byte {
 	return AppendString(append(dst, 0), s)
 }
 
+// AppendUint64Name appends v's eight big-endian bytes as a name (see
+// AppendName): an identifier a connection sees again and again, such as
+// an edge's origin, costs its ten literal bytes once and its index
+// after that. A name already in t is appended without allocating.
+func AppendUint64Name(dst []byte, t *Names, v uint64) []byte {
+	var b [8]byte
+	binary.BigEndian.PutUint64(b[:], v)
+	if t != nil {
+		if i, ok := t.sent[string(b[:])]; ok {
+			return binary.AppendUvarint(dst, i+1)
+		}
+	}
+	return AppendName(dst, t, string(b[:]))
+}
+
 // AppendString appends a uvarint length and the string's bytes.
 func AppendString(dst []byte, s string) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(s)))
@@ -239,6 +254,21 @@ func (r *Reader) Name() string {
 		return ""
 	}
 	return r.t.got[i-1]
+}
+
+// Uint64Name reads a name written by AppendUint64Name; a name that is
+// not eight bytes long fails the body.
+func (r *Reader) Uint64Name() uint64 {
+	s := r.Name()
+	if len(s) != 8 {
+		r.Fail()
+		return 0
+	}
+	var v uint64
+	for i := 0; i < 8; i++ {
+		v = v<<8 | uint64(s[i])
+	}
+	return v
 }
 
 // Bytes reads a length-prefixed byte slice into fresh memory; a zero

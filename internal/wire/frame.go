@@ -8,14 +8,17 @@ import (
 	"io"
 )
 
-// DefaultMaxFrame bounds a single frame's payload. Anything larger (or
-// a nonsensical length prefix, e.g. from an HTTP client poking the
-// port) is treated as a protocol violation and the connection dropped.
+// DefaultMaxFrame bounds a single frame's payload. Anything larger, an
+// empty frame, or a length prefix longer than this bound's own uvarint
+// is treated as a protocol violation and the connection dropped; bytes
+// that are no frame at all (an HTTP client poking the port) fail there
+// or, at the latest, on their frame kind.
 const DefaultMaxFrame = 16 << 20
 
 // A frame is
 //
-//	length  4 bytes big-endian: the size of everything after it
+//	length  uvarint: the size of everything after it, 1 byte for a
+//	        frame under 128 bytes, at most 4 under DefaultMaxFrame
 //	kind    1 byte: the frame kind, with flagTraced set when the
 //	        trace/span pair follows the ID
 //	id      uvarint request ID
@@ -23,19 +26,33 @@ const DefaultMaxFrame = 16 << 20
 //	span    8 bytes big-endian  / untraced traffic pays nothing for them
 //	body    the rest of the frame
 //
+// The writer builds a frame behind room reserved for the longest
+// prefix and writes the length right-aligned into that room, so a frame
+// still leaves in one Write whatever its prefix's size. The reader
+// refuses a zero length, a length past its cap, a prefix longer than
+// the cap's own uvarint and a prefix the connection ends inside.
+//
 // A body that implements Body encodes itself, against the connection's
-// name table for its direction: a name (a field or table name) travels
-// as a literal the first time it crosses the connection and as an index
-// after that (see Names). Frames are encoded in the order they reach
-// the wire, under the connection's write mutex, and decoded in the
-// order they arrive, every one of them, so both ends of a direction
-// enter the same names under the same indices. Any other value goes
-// through a per-connection gob stream (type definitions travel once per
-// connection, not once per message); which of the two a frame carries
-// is decided by the static type both peers pass, never negotiated.
+// name table for its direction: a name (a field or table name, an
+// edge's origin) travels as a literal the first time it crosses the
+// connection and as an index after that (see Names). Frames are encoded
+// in the order they reach the wire, under the connection's write mutex,
+// and decoded in the order they arrive, every one of them, so both ends
+// of a direction enter the same names under the same indices. Any other
+// value goes through a per-connection gob stream (type definitions
+// travel once per connection, not once per message); which of the two a
+// frame carries is decided by the static type both peers pass, never
+// negotiated.
 
 // flagTraced marks a header that carries the trace/span pair.
 const flagTraced uint8 = 0x80
+
+// prefixRoom is the room a frame under construction keeps at its head
+// for its length prefix: a uvarint of up to 35 bits, far past any cap.
+const prefixRoom = 5
+
+// noPrefix fills the room until the frame's length is known.
+var noPrefix [prefixRoom]byte
 
 func appendHeader(dst []byte, h *frameHeader) []byte {
 	kind := h.Kind
@@ -83,7 +100,7 @@ func (fw *frameWriter) writeFrame(h *frameHeader, body any) (int, error) {
 // frame encodes header+body as one frame, length prefix included, into
 // the writer's reused buffer, valid until the next frame.
 func (fw *frameWriter) frame(h *frameHeader, body any) ([]byte, error) {
-	buf := appendHeader(append(fw.buf[:0], 0, 0, 0, 0), h)
+	buf := appendHeader(append(fw.buf[:0], noPrefix[:]...), h)
 	if b, ok := body.(Body); ok {
 		buf = b.AppendWire(buf, &fw.names)
 	} else {
@@ -97,8 +114,15 @@ func (fw *frameWriter) frame(h *frameHeader, body any) ([]byte, error) {
 		buf = append(buf, fw.gobBuf.Bytes()...)
 	}
 	fw.buf = buf
-	binary.BigEndian.PutUint32(buf, uint32(len(buf)-4))
-	return buf, nil
+	size := uint64(len(buf) - prefixRoom)
+	if size >= 1<<(7*prefixRoom) {
+		return nil, fmt.Errorf("wire: frame of %d bytes", size)
+	}
+	var prefix [prefixRoom]byte
+	n := binary.PutUvarint(prefix[:], size)
+	start := prefixRoom - n
+	copy(buf[start:], prefix[:n])
+	return buf[start:], nil
 }
 
 // frameReader reads frames and decodes their header and body. A read
@@ -113,12 +137,15 @@ func (fw *frameWriter) frame(h *frameHeader, body any) ([]byte, error) {
 type frameReader struct {
 	r        io.Reader
 	maxFrame int
-	buf      []byte // the current frame, then the bytes read past it
-	next     int    // where the current frame ends in buf
-	end      int    // where the bytes read end in buf
-	payload  []byte // the current frame past its length prefix
-	body     []byte // the current frame past its header
-	names    Names  // this direction's name table, receive half
+	// maxPrefix is the length of maxFrame as a uvarint: a longer length
+	// prefix can only name a frame past the cap.
+	maxPrefix int
+	buf       []byte // the current frame, then the bytes read past it
+	next      int    // where the current frame ends in buf
+	end       int    // where the bytes read end in buf
+	payload   []byte // the current frame past its length prefix
+	body      []byte // the current frame past its header
+	names     Names  // this direction's name table, receive half
 	// gob fallback, the read side of frameWriter's; nil until the first
 	// body that does not implement Body.
 	dec    *gob.Decoder
@@ -130,28 +157,51 @@ type frameReader struct {
 const minReadBuf = 512
 
 func newFrameReader(r io.Reader, maxFrame int) *frameReader {
-	return &frameReader{r: r, maxFrame: maxFrame}
+	var prefix [binary.MaxVarintLen64]byte
+	return &frameReader{r: r, maxFrame: maxFrame, maxPrefix: binary.PutUvarint(prefix[:], uint64(maxFrame))}
 }
 
 // readFrame reads the next frame into the decode buffer and returns
-// its size on the wire.
+// its size on the wire, its length prefix included.
 func (fr *frameReader) readFrame() (int, error) {
 	fr.end = copy(fr.buf, fr.buf[fr.next:fr.end])
 	fr.next = 0
 	fr.payload, fr.body = nil, nil
-	if err := fr.fill(4); err != nil {
+	size, head, err := fr.length()
+	if err != nil {
 		return 0, err
 	}
-	size := int(binary.BigEndian.Uint32(fr.buf))
-	if size <= 0 || size > fr.maxFrame {
-		return 0, fmt.Errorf("wire: bad frame length %d", size)
-	}
-	if err := fr.fill(4 + size); err != nil {
+	if err := fr.fill(head + size); err != nil {
 		return 0, err
 	}
-	fr.next = 4 + size
-	fr.payload = fr.buf[4:fr.next]
+	fr.next = head + size
+	fr.payload = fr.buf[head:fr.next]
 	return fr.next, nil
+}
+
+// length reads the frame's length prefix, a uvarint, and returns the
+// length and the prefix's own size. It reads a byte more only while the
+// bytes it has end inside the prefix, so a frame whole in the socket
+// still costs the one read that brought its first byte.
+func (fr *frameReader) length() (size, head int, err error) {
+	for {
+		v, n := binary.Uvarint(fr.buf[:fr.end])
+		switch {
+		case n > fr.maxPrefix || n < 0 || n == 0 && fr.end >= fr.maxPrefix:
+			return 0, 0, fmt.Errorf("wire: frame length prefix longer than %d bytes", fr.maxPrefix)
+		case n > 0:
+			if v == 0 || v > uint64(fr.maxFrame) {
+				return 0, 0, fmt.Errorf("wire: bad frame length %d", v)
+			}
+			return int(v), n, nil
+		}
+		if err := fr.fill(fr.end + 1); err != nil {
+			if err == io.EOF && fr.end > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return 0, 0, err
+		}
+	}
 }
 
 // fill reads until the buffer holds at least n bytes, growing it to n

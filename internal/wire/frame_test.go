@@ -165,9 +165,7 @@ func TestFrameReaderAnyChunking(t *testing.T) {
 		})
 
 		grown := len(fr.buf)
-		var bad [4]byte
-		binary.BigEndian.PutUint32(bad[:], DefaultMaxFrame+1)
-		fr.r = bytes.NewReader(bad[:])
+		fr.r = bytes.NewReader(binary.AppendUvarint(nil, DefaultMaxFrame+1))
 		if _, err := fr.readFrame(); err == nil || len(fr.buf) != grown {
 			t.Fatalf("seed %d: an oversize length prefix read as %v, buffer %d -> %d bytes", seed, err, grown, len(fr.buf))
 		}
@@ -183,3 +181,69 @@ func TestFrameReaderAnyChunking(t *testing.T) {
 		})
 	}
 }
+
+// TestFrameLengthPrefix pins the prefix: a uvarint of the frame's size,
+// one byte under 128 bytes and two from there, written in the frame's
+// one Write. The reader refuses a zero length, a length past its cap, a
+// prefix longer than the cap's own uvarint (4 bytes for
+// DefaultMaxFrame) and a prefix the stream ends inside.
+func TestFrameLengthPrefix(t *testing.T) {
+	for _, tc := range []struct {
+		payload, prefix int
+	}{{2, 1}, {127, 1}, {128, 2}, {16383, 2}, {16384, 3}} {
+		var sink countingWriter
+		fw := newFrameWriter(&sink)
+		// An untraced header with ID 1 is 2 bytes, and the body is the
+		// payload less those.
+		n, err := fw.writeFrame(&frameHeader{ID: 1, Kind: kindRequest}, rawBody(make([]byte, tc.payload-2)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != tc.prefix+tc.payload || sink.writes != 1 || len(sink.data) != n {
+			t.Errorf("%d-byte frame: %d bytes in %d writes, want %d in 1", tc.payload, len(sink.data), sink.writes, tc.prefix+tc.payload)
+		}
+		fr := newFrameReader(bytes.NewReader(sink.data), DefaultMaxFrame)
+		if size, err := fr.readFrame(); err != nil || size != n || len(fr.payload) != tc.payload {
+			t.Errorf("%d-byte frame read back as %d bytes, %d of payload: %v", tc.payload, size, len(fr.payload), err)
+		}
+	}
+
+	for _, tc := range []struct {
+		name   string
+		stream []byte
+		want   string
+	}{
+		{"zero length", []byte{0, 1, 2}, "bad frame length 0"},
+		{"past the cap", binary.AppendUvarint(nil, DefaultMaxFrame+1), "bad frame length"},
+		{"prefix longer than the cap needs", []byte{0x81, 0x80, 0x80, 0x80, 0x00}, "longer than 4 bytes"},
+		{"prefix with no end", []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, "longer than 4 bytes"},
+		{"truncated prefix", []byte{0x81, 0x80}, io.ErrUnexpectedEOF.Error()},
+	} {
+		fr := newFrameReader(bytes.NewReader(tc.stream), DefaultMaxFrame)
+		if _, err := fr.readFrame(); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: readFrame = %v, want %q", tc.name, err, tc.want)
+		}
+	}
+	// A stream that ends between frames ends cleanly.
+	if _, err := newFrameReader(bytes.NewReader(nil), DefaultMaxFrame).readFrame(); err != io.EOF {
+		t.Errorf("empty stream: readFrame = %v, want EOF", err)
+	}
+}
+
+// countingWriter keeps what it is written and counts the Writes.
+type countingWriter struct {
+	data   []byte
+	writes int
+}
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.writes++
+	w.data = append(w.data, p...)
+	return len(p), nil
+}
+
+// rawBody is a body that is its bytes.
+type rawBody []byte
+
+func (b rawBody) AppendWire(dst []byte, _ *Names) []byte { return append(dst, b...) }
+func (b rawBody) ReadWire([]byte, *Names) error          { return nil }

@@ -88,7 +88,7 @@ func TestNameIndexPastTableFailsTheFrame(t *testing.T) {
 		}
 		defer raw.Close()
 		// A request frame whose body is index 0 of an empty table.
-		if _, err := raw.Write([]byte{0, 0, 0, 3, kindRequest, 1, 1}); err != nil {
+		if _, err := raw.Write([]byte{3, kindRequest, 1, 1}); err != nil {
 			t.Fatal(err)
 		}
 		_ = raw.SetReadDeadline(time.Now().Add(5 * time.Second))
@@ -126,7 +126,7 @@ func TestNameIndexPastTableFailsTheFrame(t *testing.T) {
 				return
 			}
 			// A reply whose body is index 0 of an empty table.
-			_, _ = conn.Write([]byte{0, 0, 0, 3, kindResponse, byte(h.ID), 1})
+			_, _ = conn.Write([]byte{3, kindResponse, byte(h.ID), 1})
 			time.Sleep(2 * time.Second)
 		}()
 
@@ -208,5 +208,39 @@ func TestAbandonedReplyKeepsNamesInStep(t *testing.T) {
 	}
 	if d := c.Stats().Dials; d != 1 {
 		t.Fatalf("dials = %d, want 1", d)
+	}
+}
+
+// TestUint64NameCrossesOnce: an identifier sent as a name (an edge's
+// origin) is ten bytes the first time it crosses a direction, a 0
+// marker, a length byte and its eight big-endian bytes, and its one-byte
+// index after that; once in the table it encodes and decodes without
+// allocating. A name of any other length fails the read.
+func TestUint64NameCrossesOnce(t *testing.T) {
+	const origin = 1<<62 | 5
+	enc, dec := new(Names), new(Names)
+	buf := make([]byte, 0, 16)
+	for i, want := range []int{10, 1} {
+		data := AppendUint64Name(buf[:0], enc, origin)
+		if len(data) != want {
+			t.Errorf("crossing %d: %d bytes, want %d", i+1, len(data), want)
+		}
+		r := NewReader(data, dec)
+		if got := r.Uint64Name(); r.Err() != nil || got != origin {
+			t.Errorf("crossing %d: read %#x (%v), want %#x", i+1, got, r.Err(), uint64(origin))
+		}
+	}
+	warm := AppendUint64Name(nil, enc, origin)
+	if n := testing.AllocsPerRun(100, func() { buf = AppendUint64Name(buf[:0], enc, origin) }); n != 0 {
+		t.Errorf("encoding a known origin allocates %v times", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { NewReader(warm, dec).Uint64Name() }); n != 0 {
+		t.Errorf("decoding a known origin allocates %v times", n)
+	}
+	for _, name := range []string{"", "short", "nine byte"} {
+		r := NewReader(AppendName(nil, nil, name), nil)
+		if r.Uint64Name(); r.Err() == nil {
+			t.Errorf("a %d-byte name read as an eight-byte one", len(name))
+		}
 	}
 }

@@ -17,13 +17,18 @@ func TestServerSurvivesGarbageFrames(t *testing.T) {
 	defer c.Close()
 	ctx := context.Background()
 
+	// Each frame opens with its length as a uvarint (see frame.go).
 	payloads := [][]byte{
-		[]byte("GET / HTTP/1.1\r\n\r\n"),     // absurd length prefix
-		make([]byte, 4096),                   // zero-length frame
-		{0x00, 0x00, 0x00, 0x05, 1, 2, 3, 4}, // truncated payload
-		{0xff, 0xff, 0xff, 0xff},             // > maxFrame
-		{0x00, 0x00, 0x00, 0x04, 0, 0, 0, 0}, // framed payload of no known kind
-		{0x00, 0x00, 0x00, 0x01, 0x42},       // 1-byte junk frame
+		// An HTTP poke: 'G' reads as a 71-byte frame, and the 71 bytes
+		// after it open with 'E', a frame kind no peer sends.
+		[]byte("GET / HTTP/1.1\r\nHost: 127.0.0.1\r\nUser-Agent: curl/8.0\r\nAccept: */*\r\nConnection: close\r\n\r\n"),
+		make([]byte, 4096), // zero-length frame
+		{0x05, 1, 2, 3, 4}, // truncated payload
+		{0x85},             // truncated length prefix
+		binary.AppendUvarint(nil, DefaultMaxFrame+1), // > maxFrame
+		{0xff, 0xff, 0xff, 0xff, 0x01},               // a prefix longer than maxFrame needs
+		{0x04, 0, 0, 0, 0},                           // framed payload of no known kind
+		{0x01, 0x42},                                 // 1-byte junk frame
 	}
 	for _, payload := range payloads {
 		raw, err := net.Dial("tcp", srv.Addr())
@@ -60,10 +65,8 @@ func TestClientRejectsOversizeFrame(t *testing.T) {
 			return
 		}
 		defer conn.Close()
-		// Claim a 1 GiB frame is coming.
-		var pfx [4]byte
-		binary.BigEndian.PutUint32(pfx[:], 1<<30)
-		_, _ = conn.Write(pfx[:])
+		// Claim a frame one byte past the cap is coming.
+		_, _ = conn.Write(binary.AppendUvarint(nil, DefaultMaxFrame+1))
 		time.Sleep(2 * time.Second)
 	}()
 
@@ -100,7 +103,7 @@ func TestUndecodableReplyFailsItsCall(t *testing.T) {
 			return
 		}
 		// A response header followed by a string length with no string.
-		_, _ = conn.Write([]byte{0, 0, 0, 3, kindResponse, byte(h.ID), 0x7f})
+		_, _ = conn.Write([]byte{3, kindResponse, byte(h.ID), 0x7f})
 		time.Sleep(2 * time.Second)
 	}()
 
@@ -161,9 +164,17 @@ func TestFrameHeaderRoundTrip(t *testing.T) {
 func FuzzFrameReader(f *testing.F) {
 	f.Add([]byte("GET / HTTP/1.1\r\n\r\n"))
 	f.Add(make([]byte, 64))
-	f.Add([]byte{0x00, 0x00, 0x00, 0x05, 1, 2, 3, 4, 5})
-	f.Add([]byte{0x00, 0x00, 0x00, 0x01, 0x42, 0x00, 0x00, 0x00, 0x01, 0x42})
-	f.Add([]byte{0x00, 0x00, 0x00, 0x02, 0x81, 0x01}) // traced flag, pair missing
+	f.Add([]byte{0x05, 1, 2, 3, 4, 5})
+	f.Add([]byte{0x01, 0x42, 0x01, 0x42})
+	f.Add([]byte{0x02, 0x81, 0x01}) // traced flag, pair missing
+	// Length prefixes: a truncated one, one longer than the 1 KiB cap
+	// below needs (2 bytes), one past the cap, a non-minimal one and a
+	// frame too long for a one-byte prefix.
+	f.Add([]byte{0x85})
+	f.Add([]byte{0x81, 0x80, 0x00, 0x42})
+	f.Add(binary.AppendUvarint(nil, 1<<10+1))
+	f.Add([]byte{0x82, 0x00, 0x01, 0x01})
+	f.Add(append(binary.AppendUvarint(nil, 200), make([]byte, 200)...))
 	// Genuine frames captured from the writer, for coverage of the
 	// decode paths under mutation.
 	for _, body := range []any{&testReq{Op: "echo", Payload: "x", N: -3}, &plainReq{Payload: "x"}, &named{Name: "quote"}} {

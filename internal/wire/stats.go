@@ -12,8 +12,8 @@ type OpStats struct {
 }
 
 // Stats is a point-in-time snapshot of a transport endpoint's counters.
-// Bytes include the 4-byte length prefix of every frame, so client and
-// server snapshots of the same path agree with on-the-wire traffic.
+// Bytes include every frame's length prefix, so client and server
+// snapshots of the same path agree with on-the-wire traffic.
 type Stats struct {
 	Dials         uint64
 	RoundTrips    uint64 // completed request/response exchanges
