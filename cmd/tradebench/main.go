@@ -85,7 +85,7 @@ func run(args []string) error {
 
 		shardClients = fs.Int("shard-clients", 24, "concurrent clients per shard-scaling point (with -shards)")
 
-		finderCache = fs.Bool("finder-cache", true, "cache finder (query) results at the edge with footprint-based invalidation; -finder-cache=false reproduces the uncached behavior")
+		finderCache = fs.Bool("finder-cache", true, "cache finder (query) results at the edge, each evicted by a committed write that overlaps its query or its rows; -finder-cache=false reproduces the uncached behavior")
 
 		batch = fs.Bool("batch", true, "ship the independent statements of one exchange as a single statement batch (JDBC, BMP and the ES/RDB cached-EJB commit); -batch=false pays one round trip per statement, the paper's measured behaviour")
 

@@ -55,9 +55,8 @@ func (s *Server) CommitsRejected() uint64 { return s.logic.rejected.Load() }
 // logic is the storeapi.Conn the embedded dbwire server dispatches to.
 // Reads, queries, subscriptions and pessimistic transactions pass
 // straight through to the database handle it embeds (a subscription
-// under the edge's context: its origin and, when it asked for keys
-// only, a keys-only database stream); ApplyCommitSet is replaced by the
-// split-servers commit logic.
+// under the edge's context, which carries its origin); ApplyCommitSet is
+// replaced by the split-servers commit logic.
 type logic struct {
 	storeapi.Conn
 

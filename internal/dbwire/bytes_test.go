@@ -322,9 +322,7 @@ func cachePathBytes(t *testing.T, sub context.Context, origin uint64) (cold, war
 // (cold) and repeated on them (warm). The transport counts the notices
 // pushed on the subscription under "push". A subscriber under no origin
 // is pushed all four commits' notices; one that shares the commits'
-// origin, the committing edge's own subscription, is pushed nothing; a
-// keys-only subscriber under another origin, an edge with no finder
-// cache, is pushed all four with their field images cut.
+// origin, the committing edge's own subscription, is pushed nothing.
 func TestCachePathWireBytes(t *testing.T) {
 	// As in TestStatementWireBytes, a moved number is a protocol change,
 	// every frame's length prefix here is 1 byte, and a one-byte name
@@ -336,8 +334,6 @@ func TestCachePathWireBytes(t *testing.T) {
 	// origin carries it after a second mask byte (bit 11). An origin is
 	// a name, its eight bytes, whether it is an edge's or zero (none):
 	// 10 bytes the first time it crosses a connection, 1 after that.
-	// Asking for keys only is mask bit 12 and nothing else, so it adds
-	// no byte there.
 	// A commit reply is its commit's number and nothing else: 6 = 1
 	// length prefix + 2 frame header + 1 code + 1 field mask + 1 Seq (the
 	// seed was commit 1, so these are 2 to 5). The sender rebuilds each
@@ -363,16 +359,13 @@ func TestCachePathWireBytes(t *testing.T) {
 	// 3 + 2 + 1 + 1 presence + 1 count + 3 + 2 Int + 3 + 8 String = 24,
 	// and the notice 41. Each later update's descriptor is 6 bytes
 	// shorter, 18, and the create's 19, as Int(90) zigzags to a 2-byte
-	// varint: 41 + 35 + 36 + 35 = 147. A keys-only descriptor is its
-	// key, the flag and a nil After marker: 7 for the first, 5 after,
-	// so the four notices are 24 + 3 × 22 = 90.
+	// varint: 41 + 35 + 36 + 35 = 147.
 	//
 	// Warm, every name is an index, 2 bytes less than a literal: AutoGet
 	// sends 2 and receives 4 fewer, AutoQuery sends 2 fewer ("v") and
 	// ApplyCommitSet 11 fewer ("s", and the origin's 9); the first
-	// notice is 6 bytes shorter (2 keys-only). No second Subscribe is
-	// sent.
-	const origin, other = 1<<62 | 5, 1<<62 | 6
+	// notice is 6 bytes shorter. No second Subscribe is sent.
+	const origin = 1<<62 | 5
 	full := map[string]opBytes{
 		"AutoGet":        {1, 10, 18},
 		"AutoQuery":      {1, 12, 33},
@@ -383,9 +376,6 @@ func TestCachePathWireBytes(t *testing.T) {
 		"Subscribe":      {1, 5, 5},
 		"push":           {0, 0, 147},
 	}
-	keysOnly := maps.Clone(full)
-	keysOnly["Subscribe"] = opBytes{1, 5 + 1 + 10, 5}
-	keysOnly["push"] = opBytes{0, 0, 90}
 	// An edge's own origin costs what no origin does; only its
 	// subscription grows.
 	own := maps.Clone(full)
@@ -415,7 +405,6 @@ func TestCachePathWireBytes(t *testing.T) {
 	}{
 		{"no origin", ctx, 0, 4, full, warmOf(full, 6)},
 		{"own origin", sqlstore.OriginContext(ctx, origin), origin, 0, own, warmOf(own, 0)},
-		{"keys only", sqlstore.KeysOnlyContext(sqlstore.OriginContext(ctx, other), true), 0, 4, keysOnly, warmOf(keysOnly, 2)},
 	} {
 		cold, warm := cachePathBytes(t, c.sub, c.origin)
 		coldOps := opsOf(cold)

@@ -223,10 +223,10 @@ func (c *Client) AutoQuery(ctx context.Context, q memento.Query) (storeapi.Query
 }
 
 // Subscribe opens a push stream, a connection of its own, carrying the
-// invalidation notices. Its handshake carries the context's origin and
-// whether it asks for keys only. The returned channel closes when
-// cancel is called or the connection drops. Transient transport
-// failures are retried under the transport's rule.
+// invalidation notices. Its handshake carries the context's origin. The
+// returned channel closes when cancel is called or the connection
+// drops. Transient transport failures are retried under the
+// transport's rule.
 //
 // A subscriber that falls a full buffer behind loses its stream rather
 // than a notice: commit validation re-proves the rows a transaction
@@ -241,7 +241,7 @@ func (c *Client) Subscribe(ctx context.Context) (<-chan sqlstore.Notice, func(),
 	// owns its own channel: a failed attempt's teardown can still be
 	// closing it while the retry prepares the next.
 	resp := new(Response)
-	req := &Request{Op: OpSubscribe, Origin: sqlstore.OriginOf(ctx), KeysOnly: sqlstore.KeysOnly(ctx)}
+	req := &Request{Op: OpSubscribe, Origin: sqlstore.OriginOf(ctx)}
 	st, err := c.w.OpenStream(ctx, req, resp, func(st *wire.Stream) {
 		own := make(chan sqlstore.Notice, 64)
 		ch = own

@@ -77,14 +77,13 @@ const (
 	_ // the retired grouped apply's sets; readRequest refuses the bit
 	reqGid
 	reqOrigin
-	// reqKeysOnly is Request.KeysOnly: the bit is the whole field.
-	reqKeysOnly
+	_ // the retired keys-only subscription; readRequest refuses the bit
 
 	// reqFields is every bit a field owns. A mask with any other bit,
-	// the retired one included, fails to decode: read on, it would take
+	// the retired ones included, fails to decode: read on, it would take
 	// the bytes of the field it names for the next field's.
 	reqFields = reqTx | reqTable | reqID | reqKey | reqVersion | reqMem | reqQuery |
-		reqSet | reqBatch | reqGid | reqOrigin | reqKeysOnly
+		reqSet | reqBatch | reqGid | reqOrigin
 )
 
 func appendRequest(dst []byte, t *wire.Names, q *Request) []byte {
@@ -122,9 +121,6 @@ func appendRequest(dst []byte, t *wire.Names, q *Request) []byte {
 	}
 	if q.Origin != 0 {
 		mask |= reqOrigin
-	}
-	if q.KeysOnly {
-		mask |= reqKeysOnly
 	}
 	dst = binary.AppendUvarint(dst, mask)
 	if mask&reqTx != 0 {
@@ -219,7 +215,6 @@ func readRequest(r *wire.Reader, q *Request, nested bool) {
 	if mask&reqOrigin != 0 {
 		q.Origin = r.Uint64Name()
 	}
-	q.KeysOnly = mask&reqKeysOnly != 0
 }
 
 // Response field bits (after the always-present Code byte).

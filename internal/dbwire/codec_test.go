@@ -102,8 +102,8 @@ func corpusRequests() map[string]*Request {
 			Mem: memento.Memento{Key: memento.Key{Table: "t", ID: "x"}},
 		},
 		"begin under origin":     {Op: OpBegin, Origin: 1<<62 | 5},
+		"subscribe":              {Op: OpSubscribe},
 		"subscribe under origin": {Op: OpSubscribe, Origin: 1<<62 | 5},
-		"subscribe keys only":    {Op: OpSubscribe, Origin: 1<<62 | 5, KeysOnly: true},
 		"apply under origin":     {Op: OpApplyCommitSet, Set: codecSetFrom(1, 1<<62|5)},
 		"prepare":                {Op: OpPrepare, Gid: "g-7", Set: codecSetFrom(1, 1<<62|5)},
 		"commit prepared":        {Op: OpCommitPrepared, Gid: "g-7"},
@@ -170,12 +170,13 @@ func corpusResponses() map[string]*Response {
 				OriginTrace: 555,
 			},
 		},
-		// A keys-only subscriber's notice: every descriptor is blind.
-		"keys-only notice": {
+		// An update that changed no cell: its empty After must stay
+		// non-nil, or the descriptor would read back blind.
+		"notice of an unchanged update": {
 			Code: CodeOK,
 			Notice: sqlstore.Notice{
 				Seq:         32,
-				Writes:      []memento.WriteDesc{{Key: memento.Key{Table: "quote", ID: "a"}}, {Key: memento.Key{Table: "quote", ID: "b"}}},
+				Writes:      []memento.WriteDesc{{Key: memento.Key{Table: "quote", ID: "a"}, After: memento.Fields{}}},
 				CommittedAt: ts(1_723_000_000_000_000_789),
 			},
 		},
@@ -388,7 +389,12 @@ func TestCodecRejectsMalformedBodies(t *testing.T) {
 	if err := new(Request).ReadWire(planted(byte(OpPing), reqBatch<<1, 0), nil); err == nil {
 		t.Error("decoder accepted a request with the retired grouped apply's bit")
 	}
-	for _, bit := range []uint64{0, reqKeysOnly << 1} {
+	// The retired keys-only subscription's bit 12 is another: its
+	// Subscribe carried it and no byte for it.
+	if err := new(Request).ReadWire(planted(byte(OpSubscribe), 1<<12), nil); err == nil {
+		t.Error("decoder accepted a subscription with the retired keys-only bit")
+	}
+	for _, bit := range []uint64{0, reqOrigin << 2} {
 		err := new(Request).ReadWire(planted(byte(OpGet), reqID|bit, 1, 'a'), nil)
 		if (err == nil) != (bit == 0) {
 			t.Errorf("request with mask bit %#x past its fields: err = %v", bit, err)
@@ -519,56 +525,6 @@ func filledTables(tb testing.TB, fill wire.Body) (enc, dec *wire.Names) {
 		tb.Fatal(err)
 	}
 	return enc, dec
-}
-
-// TestKeysOnlyNoticeAllocs pins what cutting a notice to its keys
-// costs. The server cuts each notice into its subscription's own
-// buffer, so once that buffer has grown a push allocates nothing more
-// than a full one; the store's shared descriptors are left as they
-// were. The edge reads a cut notice with no field map: one allocation
-// for the descriptor slice and one per key ID (each is longer than a
-// byte, so none is a static one-byte string); a key's table name is
-// its connection table's own string.
-func TestKeysOnlyNoticeAllocs(t *testing.T) {
-	n := sqlstore.Notice{
-		Seq: 41,
-		Writes: []memento.WriteDesc{
-			{Key: memento.Key{Table: "holding", ID: "h-17"},
-				After: memento.Fields{"accountID": memento.String("uid:3"), "quantity": memento.Float(7)}},
-			{Key: memento.Key{Table: "quote", ID: "s:12"},
-				After: memento.Fields{"price": memento.Float(3)}},
-		},
-		CommittedAt: ts(1_723_000_000_000_000_456),
-		OriginTrace: 555,
-	}
-	var buf []memento.WriteDesc
-	_, buf = keysOf(n, buf)
-	if a := testing.AllocsPerRun(100, func() { _, buf = keysOf(n, buf) }); a != 0 {
-		t.Errorf("cutting a notice into a grown buffer allocates %v times, want 0", a)
-	}
-	if n.Writes[0].After == nil || n.Writes[1].After == nil {
-		t.Fatal("cutting a notice changed the shared descriptors")
-	}
-
-	// The edge's table already holds both table names, from an earlier
-	// frame, so the keys' tables read as indices.
-	cut, _ := keysOf(n, nil)
-	enc, dec := new(wire.Names), new(wire.Names)
-	readNotice(wire.NewReader(appendNotice(nil, enc, cut), dec))
-	body := appendNotice(nil, enc, cut)
-	got := readNotice(wire.NewReader(body, dec))
-	for _, w := range got.Writes {
-		if !w.Blind() {
-			t.Errorf("a cut descriptor reads back with images: %+v", w)
-		}
-	}
-	if got.Seq != n.Seq || len(got.Writes) != len(n.Writes) || got.OriginTrace != n.OriginTrace {
-		t.Errorf("cut notice reads back as %+v", got)
-	}
-	want := float64(1 + len(n.Writes))
-	if a := testing.AllocsPerRun(100, func() { _ = readNotice(wire.NewReader(body, dec)) }); a != want {
-		t.Errorf("reading a cut notice allocates %v times, want %v (no field maps, no table names)", a, want)
-	}
 }
 
 // BenchmarkBinaryCodec measures encode+decode of a representative

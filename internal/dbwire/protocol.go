@@ -133,12 +133,6 @@ type Request struct {
 	// sqlstore.OriginContext), which the server puts back into the
 	// request's context. A commit set carries its own.
 	Origin uint64
-	// KeysOnly, read only on OpSubscribe, asks for every pushed write
-	// descriptor as its key alone (see sqlstore.KeysOnlyContext): the
-	// subscriber's cache evicts by key and reads no field image. It
-	// travels as its mask bit and nothing else; the server puts it back
-	// into the request's context.
-	KeysOnly bool
 }
 
 // readOnlySet labels an OpApplyCommitSet whose set writes nothing, so

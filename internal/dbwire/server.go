@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sync"
 
-	"edgeejb/internal/memento"
 	"edgeejb/internal/sqlstore"
 	"edgeejb/internal/storeapi"
 	"edgeejb/internal/wire"
@@ -75,7 +74,7 @@ func (h *connHandler) Handle(ctx context.Context, sess *wire.Session, id uint64,
 	r := req.(*Request)
 	ctx = sqlstore.OriginContext(ctx, r.Origin)
 	if r.Op == OpSubscribe {
-		return h.subscribe(sqlstore.KeysOnlyContext(ctx, r.KeysOnly), sess, id)
+		return h.subscribe(ctx, sess, id)
 	}
 	return h.handle(ctx, r)
 }
@@ -129,23 +128,18 @@ func (h *connHandler) Close() {
 }
 
 // subscribe switches the connection into push mode: every commit notice
-// is forwarded until the client hangs up or the server drains. A
-// keys-only subscriber (sqlstore.KeysOnly) is sent each notice with its
-// write descriptors cut to their keys; the context also travels on, so
-// a relaying back-end asks its own source for keys only.
+// is forwarded, as the store built it, until the client hangs up or the
+// server drains. The context carries the subscriber's origin on, so a
+// relaying back-end asks its own source to skip that origin's commits.
 func (h *connHandler) subscribe(ctx context.Context, sess *wire.Session, id uint64) *Response {
 	ch, cancel, err := h.backend.Subscribe(ctx)
 	if err != nil {
 		return errResponse(err)
 	}
-	keysOnly := sqlstore.KeysOnly(ctx)
 	h.pushers.Add(1)
 	go func() {
 		defer h.pushers.Done()
 		defer cancel()
-		// keys holds the cut descriptors; Push has encoded a notice by
-		// the time it returns, so the next one reuses the slice.
-		var keys []memento.WriteDesc
 		for {
 			select {
 			case n, ok := <-ch:
@@ -160,9 +154,6 @@ func (h *connHandler) subscribe(ctx context.Context, sess *wire.Session, id uint
 					sess.Hangup()
 					return
 				}
-				if keysOnly {
-					n, keys = keysOf(n, keys)
-				}
 				if err := sess.Push(id, &Response{Code: CodeOK, Notice: n}); err != nil {
 					return
 				}
@@ -172,21 +163,6 @@ func (h *connHandler) subscribe(ctx context.Context, sess *wire.Session, id uint
 		}
 	}()
 	return &Response{Code: CodeOK}
-}
-
-// keysOf is n with every write descriptor cut to its key, built in
-// buf's storage, and that storage for the next call. A cut descriptor
-// is blind (memento.WriteDesc.Blind), never an empty image: a finder
-// cache that gets one evicts every result on its table rather than
-// none. n's own descriptors, which the store shares across
-// subscribers, are not touched.
-func keysOf(n sqlstore.Notice, buf []memento.WriteDesc) (sqlstore.Notice, []memento.WriteDesc) {
-	buf = buf[:0]
-	for i := range n.Writes {
-		buf = append(buf, memento.WriteDesc{Key: n.Writes[i].Key})
-	}
-	n.Writes = buf
-	return n, buf
 }
 
 // unknownTx answers a request naming a transaction the connection does

@@ -51,7 +51,7 @@ type Edge struct {
 // Protocol is how an edge ships its work to the datacenter. Its zero
 // value, Paper(), is the protocol the paper measures: one round trip per
 // statement on the combined-servers commit (§4.4), serial JDBC and BMP
-// statements, and no finder cache, so notices of keys only.
+// statements, and no finder cache.
 type Protocol struct {
 	// Batch makes every manager on a pinned stream — JDBC, BMP and the
 	// SLIDB commit — ship the independent statements of one exchange as

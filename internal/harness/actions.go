@@ -76,21 +76,25 @@ func actionNames(sweeps []Sweep) []string {
 // each op accounts for, over every delay point, largest bytes first.
 // dbwire labels a commit set that writes nothing apart
 // ("ApplyCommitSet/read-only") from one that writes, and the transport
-// counts pushed notices under "push", with no round trip. The rows of a
-// sweep add up to its Figure 8 bar.
+// counts pushed notices under "push", with no round trip. Each op's
+// bytes are the system's: the trace/span pairs of its traced requests
+// are left out, and shown once, below the total, as the harness's
+// cost. The rows of a sweep add up to its Figure 8 bar.
 func WriteWireOps(w io.Writer, sweeps []Sweep) {
 	fmt.Fprintln(w, "Shared path by wire op (per interaction, over every delay point)")
 	for _, s := range sweeps {
 		ops := make(map[string]wire.OpStats)
-		var ixns uint64
+		var ixns, traceBytes uint64
 		for _, p := range s.Points {
 			ixns += uint64(p.Load.Interactions)
 			for label, o := range p.Wire.Ops {
+				// A request's trace/span pair is sent, never received.
 				agg := ops[label]
 				agg.Count += o.Count
-				agg.BytesSent += o.BytesSent
+				agg.BytesSent += o.BytesSent - o.TraceBytes
 				agg.BytesReceived += o.BytesReceived
 				ops[label] = agg
+				traceBytes += o.TraceBytes
 			}
 		}
 		if ixns == 0 {
@@ -120,5 +124,9 @@ func WriteWireOps(w io.Writer, sweeps []Sweep) {
 		}
 		fmt.Fprintf(w, "  %-26s %10.3f %10.1f %10.1f %10.1f\n", "total",
 			per(total.Count), per(total.BytesSent), per(total.BytesReceived), per(total.BytesSent+total.BytesReceived))
+		if traceBytes > 0 {
+			fmt.Fprintf(w, "  %-26s %10s %10.1f %10s %10.1f\n", "harness trace headers",
+				"", per(traceBytes), "", per(traceBytes))
+		}
 	}
 }

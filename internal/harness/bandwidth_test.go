@@ -2,6 +2,8 @@ package harness
 
 import (
 	"context"
+	"math"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -113,4 +115,69 @@ func TestMultipleEdgeServersShareState(t *testing.T) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
+}
+
+// TestWireOpsAddUpToThePass: the -metrics by-op table of a measured
+// pass adds up to that pass's Figure 8 numbers. Its per-op rows sum to
+// the round trips and system bytes per interaction, and the trace/span
+// pairs the harness puts on every traced request show once, on their
+// own row, and in no op's bytes.
+func TestWireOpsAddUpToThePass(t *testing.T) {
+	scale := Scale{
+		Workload: trade.GeneratorConfig{Seed: 21, Users: 10, Symbols: 20},
+		Warmup:   2,
+		Sessions: 6,
+		Batches:  4,
+	}
+	pop := trade.PopulateConfig{Users: 10, Symbols: 20, HoldingsPerUser: 2}
+	for _, pair := range []Pair{{ESRBES, AlgCachedEJB}, {ESRDB, AlgJDBC}} {
+		sweep, err := RunSweep(context.Background(), Options{Arch: pair.Arch, Algo: pair.Algo, Populate: pop}, scale, []time.Duration{0})
+		if err != nil {
+			t.Fatalf("%s: %v", pair, err)
+		}
+		p := sweep.Points[0]
+		if p.Wire.TraceBytes == 0 {
+			t.Fatalf("%s: the pass counted no trace bytes", pair)
+		}
+		var out strings.Builder
+		WriteWireOps(&out, []Sweep{sweep})
+		var rts, bytes, traced float64
+		var ops int
+		for _, line := range strings.Split(out.String(), "\n") {
+			f := strings.Fields(line)
+			switch {
+			case strings.HasPrefix(strings.TrimSpace(line), "harness trace headers"):
+				traced = parseFloat(t, f[len(f)-1])
+			case len(f) == 5 && f[0] != "total":
+				if _, err := strconv.ParseFloat(f[1], 64); err != nil {
+					continue // a header
+				}
+				ops++
+				rts += parseFloat(t, f[1])
+				bytes += parseFloat(t, f[4])
+			}
+		}
+		if ops == 0 {
+			t.Fatalf("%s: no op rows in\n%s", pair, out.String())
+		}
+		// Each row is rounded to 3 decimals of round trips and 1 of bytes.
+		if want := p.SharedRoundTripsPerInteraction(); math.Abs(rts-want) > 0.0005*float64(ops) {
+			t.Errorf("%s: op rows sum to %.3f round trips per interaction, the pass %.3f", pair, rts, want)
+		}
+		if want := p.SharedBytesPerInteraction(); math.Abs(bytes-want) > 0.05*float64(ops) {
+			t.Errorf("%s: op rows sum to %.1f bytes per interaction, the pass %.1f", pair, bytes, want)
+		}
+		if want := p.perInteraction(p.Wire.TraceBytes); math.Abs(traced-want) > 0.05 {
+			t.Errorf("%s: trace header row reads %.1f bytes per interaction, the pass %.1f", pair, traced, want)
+		}
+	}
+}
+
+func parseFloat(t *testing.T, s string) float64 {
+	t.Helper()
+	v, err := strconv.ParseFloat(s, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
 }

@@ -76,9 +76,10 @@ func (t *Topology) Measure(ctx context.Context, load loadgen.Config) (Pass, erro
 func (p Pass) MeanLatencyMs() float64 { return p.Load.Latency.Mean }
 
 // SharedBytesPerInteraction is the shared path's traffic per measured
-// interaction (Figure 8).
+// interaction (Figure 8): the system's bytes, without the trace/span
+// pairs the harness's tracing adds to every request header.
 func (p Pass) SharedBytesPerInteraction() float64 {
-	return p.perInteraction(p.Wire.Bytes())
+	return p.perInteraction(p.Wire.SystemBytes())
 }
 
 // SharedRoundTripsPerInteraction is the wire round trips on the shared

@@ -188,10 +188,16 @@ func TestProtocolReachesManagers(t *testing.T) {
 				if got := mgr.Shipping().String(); got != want {
 					t.Errorf("%s %+v edge %d shipping = %s, want %s", arch, tc.proto, i, got, want)
 				}
-				// A disabled finder cache opens no fill.
-				fill := mgr.FinderCache().StartFill()
-				mgr.FinderCache().Drop(fill)
-				if got := fill != nil; got != tc.finderCached {
+				// A disabled finder cache counts no lookup.
+				dt, err := mgr.Begin(context.Background())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := dt.Query(context.Background(), trade.HoldingsByAccount(trade.UserID(0))); err != nil {
+					t.Fatal(err)
+				}
+				_ = dt.Abort(context.Background())
+				if got := mgr.FinderCache().Stats().Misses == 1; got != tc.finderCached {
 					t.Errorf("%s %+v edge %d finder cache on = %v, want %v", arch, tc.proto, i, got, tc.finderCached)
 				}
 			}

@@ -9,8 +9,8 @@ package memento
 // from the row it replaced (an empty map for an update that changed
 // nothing), and a create's is its whole image. A WriteDesc with neither
 // an after-image nor Removed is blind: a key evicted after a lost
-// validation, or cut to its key for a keys-only subscriber, whose write
-// is unknown, so overlap tests treat it conservatively.
+// validation, whose write is unknown, so overlap tests treat it
+// conservatively.
 type WriteDesc struct {
 	Key     Key
 	After   Fields

@@ -20,16 +20,15 @@ import (
 // edge no notice of its own commit: Commit installs that commit's
 // after-images in the entries it touches instead, as the common store
 // refreshes its beans. A result is stored, and a commit installed, only
-// if its fill survived (see StartFill), so no write that landed while
-// the store call was in flight is missed. Correctness at use time
-// still rests on optimistic validation: rows served from a cached result
-// enter the transaction's read set and are proven at commit like any
-// other read.
+// if no write its fill heard overlaps it (see Fill), so no write that
+// landed while the store call was in flight is missed. Correctness at
+// use time still rests on optimistic validation: rows served from a
+// cached result enter the transaction's read set and are proven at
+// commit like any other read.
 type FinderCache struct {
 	mu      sync.Mutex
 	enabled bool // set at construction only, so read without mu
 	entries map[string]finderEntry
-	fills   map[*Fill]struct{} // open fills
 
 	hits          atomic.Uint64
 	misses        atomic.Uint64
@@ -42,15 +41,6 @@ type finderEntry struct {
 	q        memento.Query
 	mems     []memento.Memento // treated as immutable
 	storedAt time.Time
-}
-
-// Fill is one store call and the install of its reply, from StartFill
-// until put, Commit or Drop ends it: a finder's query, or this edge's
-// own commit. It collects every write the cache is told of in that
-// window and is spoiled if the cache is cleared.
-type Fill struct {
-	writes  []memento.WriteDesc
-	spoiled bool
 }
 
 // FinderCacheStats is a snapshot of finder-cache counters.
@@ -67,7 +57,6 @@ func NewFinderCache(enabled bool) *FinderCache {
 	return &FinderCache{
 		enabled: enabled,
 		entries: make(map[string]finderEntry),
-		fills:   make(map[*Fill]struct{}),
 	}
 }
 
@@ -101,25 +90,11 @@ func (c *FinderCache) get(ck string) ([]memento.Memento, time.Time, bool) {
 	return e.mems, e.storedAt, true
 }
 
-// StartFill opens a fill before a finder's query or a commit is sent.
-// A disabled cache opens none and returns nil.
-func (c *FinderCache) StartFill() *Fill {
-	if !c.enabled {
-		return nil
-	}
-	f := &Fill{}
-	c.mu.Lock()
-	c.fills[f] = struct{}{}
-	c.mu.Unlock()
-	return f
-}
-
-// put ends fill f and stores its reply, q's committed result set, under
-// q's rendered cache key ck, with at, when the rows were known current.
-// It stores nothing if the cache was cleared since StartFill or a write
-// it was told of since then overlaps the query and its rows. The rows
-// are retained as given and must not be mutated afterwards (the cache
-// runtime only ever hands out clones of them).
+// put stores the reply of fill f, q's committed result set, under q's
+// rendered cache key ck, with at, when the rows were known current. It
+// stores nothing if f was spoiled or a write f heard overlaps the query
+// and its rows. The rows are retained as given and must not be mutated
+// afterwards (the cache runtime only ever hands out clones of them).
 func (c *FinderCache) put(f *Fill, ck string, q memento.Query, mems []memento.Memento, at time.Time) {
 	if !c.enabled {
 		return
@@ -127,41 +102,28 @@ func (c *FinderCache) put(f *Fill, ck string, q memento.Query, mems []memento.Me
 	q = q.Normalize()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	delete(c.fills, f)
 	if f.spoiled || q.Overlaps(mems, f.writes) {
 		return
 	}
 	c.entries[ck] = finderEntry{q: q, mems: mems, storedAt: at}
 }
 
-// Commit ends fill f, opened before this edge's own commit was sent,
-// and installs the commit in every entry it overlaps: written holds
-// each written or created row's after-image at its new version, removed
-// the keys the commit removed. In each such entry a written row that
+// Commit installs this edge's own commit, whose fill f was opened
+// before it was sent, in every entry it overlaps: written holds each
+// written or created row's after-image at its new version, removed the
+// keys the commit removed. In each such entry a written row that
 // matches the query replaces its old image or joins in key order, and
 // a row that no longer matches or was removed leaves. The entry is
-// dropped instead when the cache was cleared since StartFill or a write
-// it was told of since then overlaps the query and its new rows: that
-// write may be newer than the commit, so the installed rows could be
-// stale. Commit creates no entry, and hands the commit's writes to
-// every other open fill, whose reply may predate them.
+// dropped instead when f was spoiled or a write f heard overlaps the
+// query and its new rows: that write may be newer than the commit, so
+// the installed rows could be stale. Commit creates no entry.
 func (c *FinderCache) Commit(f *Fill, written []memento.Memento, removed []memento.Key) {
 	if !c.enabled {
 		return
 	}
-	own := make([]memento.WriteDesc, 0, len(written)+len(removed))
-	for _, m := range written {
-		own = append(own, memento.WriteDesc{Key: m.Key, After: m.Fields})
-	}
-	for _, k := range removed {
-		own = append(own, memento.WriteDesc{Key: k, Removed: true})
-	}
+	own := ownWrites(written, removed, 0)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	delete(c.fills, f)
-	for g := range c.fills {
-		g.writes = append(g.writes, own...)
-	}
 	n := 0
 	for ck, e := range c.entries {
 		if !e.q.Overlaps(e.mems, own) {
@@ -177,6 +139,20 @@ func (c *FinderCache) Commit(f *Fill, written []memento.Memento, removed []memen
 		c.entries[ck] = e
 	}
 	c.countInvalidations(n)
+}
+
+// ownWrites describes an own commit's written rows and removed keys as
+// the write descriptors its notice would carry, in a slice with room
+// for extra descriptors after them.
+func ownWrites(written []memento.Memento, removed []memento.Key, extra int) []memento.WriteDesc {
+	own := make([]memento.WriteDesc, 0, len(written)+len(removed)+extra)
+	for _, m := range written {
+		own = append(own, memento.WriteDesc{Key: m.Key, After: m.Fields})
+	}
+	for _, k := range removed {
+		own = append(own, memento.WriteDesc{Key: k, Removed: true})
+	}
+	return own
 }
 
 // withCommit returns a new slice holding q's result rows with a
@@ -207,28 +183,15 @@ func withCommit(q memento.Query, rows, written []memento.Memento, removed []meme
 	return out
 }
 
-// Drop ends fill f without storing anything: its store call failed.
-func (c *FinderCache) Drop(f *Fill) {
-	if !c.enabled {
-		return
-	}
-	c.mu.Lock()
-	delete(c.fills, f)
-	c.mu.Unlock()
-}
-
-// Invalidate drops every entry the committed write set overlaps, hands the writes to every open fill, and returns how many
-// entries were dropped. A blind write drops every entry reading its
-// table.
+// Invalidate drops every entry the committed write set overlaps and
+// returns how many entries were dropped. A blind write drops every
+// entry reading its table.
 func (c *FinderCache) Invalidate(writes []memento.WriteDesc) int {
 	if !c.enabled || len(writes) == 0 {
 		return 0
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for f := range c.fills {
-		f.writes = append(f.writes, writes...)
-	}
 	n := 0
 	for ck, e := range c.entries {
 		if e.q.Overlaps(e.mems, writes) {
@@ -248,14 +211,10 @@ func (c *FinderCache) countInvalidations(n int) {
 	}
 }
 
-// Clear empties the cache and spoils every open fill (stream loss,
-// resubscription, shutdown).
+// Clear empties the cache (stream loss, resubscription).
 func (c *FinderCache) Clear() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for f := range c.fills {
-		f.spoiled = true
-	}
 	clear(c.entries)
 }
 

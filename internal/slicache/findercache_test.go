@@ -55,38 +55,24 @@ func TestFinderCacheWarmHitSkipsRoundTrip(t *testing.T) {
 	}
 }
 
-// subscriptionTap is a Conn that records whether each subscription
-// asked for keys only.
-type subscriptionTap struct {
-	storeapi.Conn
-	keysOnly []bool
-}
-
-func (c *subscriptionTap) Subscribe(ctx context.Context) (<-chan sqlstore.Notice, func(), error) {
-	c.keysOnly = append(c.keysOnly, sqlstore.KeysOnly(ctx))
-	return c.Conn.Subscribe(ctx)
-}
-
 // TestFinderCacheOnByDefault: a bare NewManager caches finder results,
-// so a repeated finder costs no statement, and subscribes for the field
-// images its overlap test reads; a manager built as deploy.Paper()
-// builds it, without the finder cache, subscribes for keys only.
+// so a repeated finder costs no statement; a manager built as
+// deploy.Paper() builds it, without the finder cache, runs every
+// finder.
 func TestFinderCacheOnByDefault(t *testing.T) {
 	store := sqlstore.New()
 	t.Cleanup(store.Close)
 	store.Seed(holding("h1", "u1"))
 	ctx := context.Background()
 	for _, tc := range []struct {
-		name         string
-		opts         []ManagerOption
-		wantKeysOnly bool
-		wantHits     uint64
+		name     string
+		opts     []ManagerOption
+		wantHits uint64
 	}{
-		{"bare", nil, false, 1},
-		{"paper", []ManagerOption{WithFinderCache(false)}, true, 0},
+		{"bare", nil, 1},
+		{"paper", []ManagerOption{WithFinderCache(false)}, 0},
 	} {
-		tap := &subscriptionTap{Conn: storeapi.Local(store)}
-		conn := storeapi.NewCountingConn(tap)
+		conn := storeapi.NewCountingConn(storeapi.Local(store))
 		mgr := NewManager(conn, tc.opts...)
 		if err := mgr.Start(ctx); err != nil {
 			t.Fatal(err)
@@ -105,9 +91,6 @@ func TestFinderCacheOnByDefault(t *testing.T) {
 			ops = append(ops, conn.Ops()-before)
 		}
 		mgr.Close()
-		if len(tap.keysOnly) != 1 || tap.keysOnly[0] != tc.wantKeysOnly {
-			t.Errorf("%s: subscriptions asked keys only %v, want [%v]", tc.name, tap.keysOnly, tc.wantKeysOnly)
-		}
 		if st := mgr.FinderCache().Stats(); st.Hits != tc.wantHits {
 			t.Errorf("%s: finder cache %+v, want %d hits", tc.name, st, tc.wantHits)
 		}
@@ -118,8 +101,8 @@ func TestFinderCacheOnByDefault(t *testing.T) {
 }
 
 // TestDisabledFinderCacheCostsNothing: a deploy.Paper() edge builds
-// the cache off, and every finder still asks it, so a disabled lookup,
-// fill and store must not so much as build the query's cache key.
+// the cache off, and every finder still asks it, so a disabled lookup
+// and store must not so much as build the query's cache key.
 func TestDisabledFinderCacheCostsNothing(t *testing.T) {
 	c := NewFinderCache(false)
 	q := memento.Query{Table: "t", Where: []memento.Predicate{
@@ -132,11 +115,10 @@ func TestDisabledFinderCacheCostsNothing(t *testing.T) {
 		if _, _, ok := c.get(ck); ok {
 			t.Fatal("disabled cache hit")
 		}
-		c.put(c.StartFill(), ck, q, rows, time.Time{})
-		c.Drop(c.StartFill())
+		c.put(nil, ck, q, rows, time.Time{})
 	})
 	if allocs != 0 {
-		t.Errorf("disabled get+fills+put = %v allocs, want 0", allocs)
+		t.Errorf("disabled get+put = %v allocs, want 0", allocs)
 	}
 }
 
@@ -879,7 +861,7 @@ func BenchmarkFinderCacheOwnCommit(b *testing.B) {
 		rows[i] = holding(fmt.Sprintf("h%d", i), "u1")
 		rows[i].Version = 1
 	}
-	c.put(c.StartFill(), c.key(q), q, rows, time.Time{})
+	c.put(new(Fill), c.key(q), q, rows, time.Time{})
 	upd := rows[3].Clone()
 	upd.Version = 2
 	upd.Fields["qty"] = memento.Int(7)
@@ -888,7 +870,7 @@ func BenchmarkFinderCacheOwnCommit(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.Commit(c.StartFill(), written, nil)
+		c.Commit(new(Fill), written, nil)
 	}
 	b.StopTimer()
 	got, _, ok := c.get(c.key(q))
@@ -897,18 +879,17 @@ func BenchmarkFinderCacheOwnCommit(b *testing.B) {
 	}
 }
 
-// TestFinderCacheBlindNoticeEvictsTable: a notice whose descriptors are
-// keys alone, as a keys-only subscriber is sent them, that reaches a
-// finder cache by mistake evicts every cached result on the written
-// table and none on another: it over-evicts, and never leaves a stale
-// result behind. The same write with its after-image evicts nothing, as
+// TestFinderCacheBlindNoticeEvictsTable: blind descriptors, keys alone
+// as a lost validation hands them on, evict every cached result on the
+// written table and none on another: they over-evict, and never leave a
+// stale result behind. The same write with its after-image evicts nothing, as
 // the row is in neither result and matches neither predicate.
 func TestFinderCacheBlindNoticeEvictsTable(t *testing.T) {
 	e := newEnv(t, WithFinderCache(true))
 	fc := e.mgr.FinderCache()
 	other := memento.Query{Table: "o", Where: []memento.Predicate{memento.Where("acct", memento.String("u1"))}}
 	put := func(q memento.Query, mems ...memento.Memento) {
-		fc.put(fc.StartFill(), fc.key(q), q, mems, time.Time{})
+		fc.put(new(Fill), fc.key(q), q, mems, time.Time{})
 	}
 	put(byAcct("u1"), holding("h1", "u1"))
 	put(byAcct("u2"), holding("h2", "u2"))
@@ -950,12 +931,11 @@ func (c subscribeRecorder) Subscribe(ctx context.Context) (<-chan sqlstore.Notic
 	return ch, cancel, err
 }
 
-// TestSubscriptionKeysOnlyWithoutFinderCache: a manager whose finder
-// cache is off subscribes for keys only, as the overlap test is the
-// one reader of a notice's images; one whose finder cache is on asks
-// for them. Both subscribe under their origin, and the resubscription
-// after a lost stream asks the same.
-func TestSubscriptionKeysOnlyWithoutFinderCache(t *testing.T) {
+// TestSubscriptionUnderOriginAlone: a manager subscribes under its
+// origin, and the context carries nothing else for a server to read,
+// whether its finder cache is on or off; the resubscription after a
+// lost stream asks the same.
+func TestSubscriptionUnderOriginAlone(t *testing.T) {
 	for _, finders := range []bool{false, true} {
 		store := sqlstore.New()
 		t.Cleanup(store.Close)
@@ -974,8 +954,8 @@ func TestSubscriptionKeysOnlyWithoutFinderCache(t *testing.T) {
 			t.Fatalf("finder cache %v: no resubscription after the stream dropped", finders)
 		}
 		for i, s := range []subscribed{first, second} {
-			if got := sqlstore.KeysOnly(s.ctx); got == finders {
-				t.Errorf("finder cache %v: subscription %d keys only = %v, want %v", finders, i, got, !finders)
+			if want := sqlstore.OriginContext(context.Background(), mgr.origin); fmt.Sprint(s.ctx) != fmt.Sprint(want) {
+				t.Errorf("finder cache %v: subscription %d context %v, want %v", finders, i, s.ctx, want)
 			}
 			if got := sqlstore.OriginOf(s.ctx); got != mgr.origin {
 				t.Errorf("finder cache %v: subscription %d under origin %#x, want %#x", finders, i, got, mgr.origin)

@@ -30,6 +30,11 @@ type Manager struct {
 	// which then never sends it a notice of its own commit.
 	origin uint64
 
+	// fills holds the open fills (see Fill); fillMu guards it and every
+	// open fill's fields.
+	fillMu sync.Mutex
+	fills  map[*Fill]struct{}
+
 	mu      sync.Mutex
 	cancel  func()
 	started bool
@@ -91,14 +96,13 @@ func (o finderCacheOption) apply(c *managerConfig) { c.finderCache = bool(o) }
 // result sets are cached by normalized query and invalidated when a
 // commit notice's write set overlaps a query or its rows — Pfeifer &
 // Lockemann's transactional method caching applied to the paper's
-// custom finders. A manager without it subscribes for keys only. A
-// result is cached only if no write the edge was told of while its
-// store call was in flight could have changed it. Rows served from a
-// cached result still enter the transaction's read set and are
-// validated optimistically at commit; the result's membership is
-// current as of the last invalidation the edge applied, and a finder
-// may miss a row committed since, a phantom §2.2 already allows. The
-// cache only removes the high-latency finder round trip.
+// custom finders. A result is cached only if no write the edge was
+// told of while its store call was in flight could have changed it.
+// Rows served from a cached result still enter the transaction's read
+// set and are validated optimistically at commit; the result's
+// membership is current as of the last invalidation the edge applied,
+// and a finder may miss a row committed since, a phantom §2.2 already
+// allows. The cache only removes the high-latency finder round trip.
 func WithFinderCache(enabled bool) ManagerOption { return finderCacheOption(enabled) }
 
 // NewManager builds an SLI resource manager over a datastore handle. In
@@ -117,6 +121,7 @@ func NewManager(conn storeapi.Conn, opts ...ManagerOption) *Manager {
 		conn:    conn,
 		now:     time.Now,
 		origin:  newOrigin(),
+		fills:   make(map[*Fill]struct{}),
 	}
 }
 
@@ -166,7 +171,7 @@ func (m *Manager) Start(ctx context.Context) error {
 	m.started = true
 	m.mu.Unlock()
 
-	ch, cancel, err := m.conn.Subscribe(m.subscription(ctx))
+	ch, cancel, err := m.conn.Subscribe(sqlstore.OriginContext(ctx, m.origin))
 	if err != nil {
 		m.mu.Lock()
 		m.started = false
@@ -185,13 +190,6 @@ func (m *Manager) Start(ctx context.Context) error {
 	return nil
 }
 
-// subscription is ctx as the manager subscribes: under its origin, and
-// keys only when its finder cache is off, since the finder cache's
-// overlap test is the one reader of a notice's field images.
-func (m *Manager) subscription(ctx context.Context) context.Context {
-	return sqlstore.KeysOnlyContext(sqlstore.OriginContext(ctx, m.origin), !m.finders.enabled)
-}
-
 // invalidationLoop consumes notices and resubscribes after stream
 // interruptions until stopped.
 func (m *Manager) invalidationLoop(ch <-chan sqlstore.Notice, stop, done chan struct{}) {
@@ -205,10 +203,9 @@ func (m *Manager) invalidationLoop(ch <-chan sqlstore.Notice, stop, done chan st
 		default:
 		}
 		// The stream dropped: anything cached could be stale now.
-		m.common.Clear()
-		m.finders.Clear()
+		m.clear()
 		for attempt := 0; ; attempt++ {
-			newCh, cancel, err := m.conn.Subscribe(m.subscription(context.Background()))
+			newCh, cancel, err := m.conn.Subscribe(sqlstore.OriginContext(context.Background(), m.origin))
 			if err == nil {
 				m.mu.Lock()
 				m.cancel = cancel
@@ -222,8 +219,7 @@ func (m *Manager) invalidationLoop(ch <-chan sqlstore.Notice, stop, done chan st
 				}
 				// Entries filled while the stream was down may have missed
 				// notices too.
-				m.common.Clear()
-				m.finders.Clear()
+				m.clear()
 				m.stats.resubscribes.Add(1)
 				ch = newCh
 				break
@@ -275,6 +271,9 @@ func (m *Manager) noteNotice(n sqlstore.Notice) {
 		ev.Bean = n.Writes[0].Key.Table
 		ev.Key = n.Writes[0].Key.String()
 	}
+	// Open fills hear the writes before they are evicted, so a reply
+	// still in flight is not installed over the eviction.
+	m.hear(n.Writes)
 	for _, w := range n.Writes {
 		ev.Evicted += m.common.Invalidate(w.Key)
 	}

@@ -134,7 +134,15 @@ next:
 	}
 	if len(misses) > 0 {
 		t.accesses += len(misses)
+		fill := t.mgr.startFill()
 		t.fetchAll(ctx, misses)
+		t.mgr.endFill(fill, func() {
+			for j := range misses {
+				if f := &misses[j]; f.err == nil && !fill.names(f.key) {
+					t.mgr.common.Put(f.res.Mem)
+				}
+			}
+		})
 	}
 	for j := range misses {
 		f := &misses[j]
@@ -146,7 +154,6 @@ next:
 		}
 		t.mgr.stats.missFetches.Add(1)
 		m := f.res.Mem
-		t.mgr.common.Put(m)
 		t.entries[f.key] = &entry{
 			version:   m.Version,
 			before:    m.Fields,
@@ -325,24 +332,28 @@ func (t *sliTx) Query(ctx context.Context, q memento.Query) ([]memento.Memento, 
 		t.cacheServed = true
 	} else {
 		fetchedAt = t.mgr.now()
-		fill := t.mgr.finders.StartFill()
+		fill := t.mgr.startFill()
 		qctx, sp := obs.StartSpan(ctx, "slicache.query")
 		res, err := t.mgr.loader.RunQuery(qctx, q)
 		sp.End()
 		t.accesses += max(res.Accesses, 1)
 		if err != nil {
-			t.mgr.finders.Drop(fill)
+			t.mgr.endFill(fill, nil)
 			return nil, err
 		}
 		persisted = res.Mems
-		t.mgr.finders.put(fill, ck, q, res.Mems, fetchedAt)
+		// Freshly fetched rows warm the common store; cached-finder rows
+		// do not re-enter it, which would misstate their age.
+		t.mgr.endFill(fill, func() {
+			for _, m := range persisted {
+				if !fill.names(m.Key) {
+					t.mgr.common.Put(m)
+				}
+			}
+			t.mgr.finders.put(fill, ck, q, persisted, fetchedAt)
+		})
 	}
 	for _, m := range persisted {
-		if !fromFinder {
-			// Freshly fetched rows warm the common store; cached-finder rows
-			// do not re-enter it, which would misstate their age.
-			t.mgr.common.Put(m)
-		}
 		if _, ok := t.entries[m.Key]; ok {
 			continue // never overlay the transaction's own view
 		}
@@ -371,11 +382,11 @@ func (t *sliTx) Query(ctx context.Context, q memento.Query) ([]memento.Memento, 
 
 // Commit builds the commit set (before-image proofs plus after-images)
 // and ships it to the validator. On success the new committed state is
-// installed where the edge caches it: the common store takes each
-// written bean's after-image, and every cached finder result the
-// commit overlaps takes the after-images and removes under the finder
-// cache's fill rule (FinderCache.Commit), the fill having been opened
-// before the set was sent. On conflict every key the transaction
+// installed where the edge caches it under the fill rule (see Fill),
+// the fill having been opened before the set was sent: the common store
+// takes each written bean's after-image, and every cached finder result
+// the commit overlaps takes the after-images and removes
+// (FinderCache.Commit). On conflict every key the transaction
 // touched is evicted, since the persistent state is known to have
 // moved. A set with nothing to prove, or whose proofs its one store
 // read already made, commits at the edge.
@@ -393,13 +404,13 @@ func (t *sliTx) Commit(ctx context.Context) error {
 
 	var fill *Fill
 	if cs.Mutations() > 0 {
-		fill = t.mgr.finders.StartFill()
+		fill = t.mgr.startFill()
 	}
 	cctx, sp := obs.StartSpan(ctx, "slicache.commit")
 	outcome, err := t.mgr.loader.Commit(cctx, cs)
 	sp.End()
 	if err != nil {
-		t.mgr.finders.Drop(fill)
+		t.mgr.endFill(fill, nil)
 		t.mgr.stats.conflicts.Add(1)
 		obsConflicts.Inc()
 		t.noteConflict(ctx, err)
@@ -411,6 +422,7 @@ func (t *sliTx) Commit(ctx context.Context) error {
 			keys = append(keys, k)
 			blind = append(blind, memento.WriteDesc{Key: k})
 		}
+		t.mgr.hear(blind)
 		t.mgr.common.Invalidate(keys...)
 		// Same for cached finder results over those keys (blind, since the
 		// winner's writes are unknown here) — otherwise a retry would be
@@ -437,21 +449,30 @@ func (t *sliTx) Commit(ctx context.Context) error {
 			if v := outcome.NewVersions[e.current.Key]; v != 0 {
 				m := e.current
 				m.Version = v
-				t.mgr.common.Refresh(m)
 				written = append(written, m)
 			} else {
-				t.mgr.common.Invalidate(e.current.Key)
 				unknown = append(unknown, memento.WriteDesc{Key: e.current.Key})
 			}
 		case stateRemoved:
-			t.mgr.common.Invalidate(e.current.Key)
 			removed = append(removed, e.current.Key)
 		}
 	}
-	t.mgr.finders.Invalidate(unknown)
-	if fill != nil {
+	t.mgr.endFill(fill, func() {
+		t.mgr.hearOwn(written, removed, unknown)
+		for _, m := range written {
+			if !fill.names(m.Key) {
+				t.mgr.common.Refresh(m)
+			}
+		}
+		for _, k := range removed {
+			t.mgr.common.Invalidate(k)
+		}
+		for _, w := range unknown {
+			t.mgr.common.Invalidate(w.Key)
+		}
+		t.mgr.finders.Invalidate(unknown)
 		t.mgr.finders.Commit(fill, written, removed)
-	}
+	})
 	return nil
 }
 

@@ -43,9 +43,8 @@ type Notice struct {
 	// row's whole image, an updated row's changed cells (an empty map if
 	// none changed) — or its Removed flag, so a subscriber can test
 	// whether a cached predicate query's result set gained a row — not
-	// just whether a known key changed version. A keys-only subscriber (see
-	// KeysOnlyContext) may receive each descriptor as its key alone, a
-	// blind write. Subscribers must treat the descriptors (and their
+	// just whether a known key changed version. Every subscriber is sent
+	// the same descriptors. Subscribers must treat the descriptors (and their
 	// field maps) as read-only; they are shared across subscribers.
 	Writes []memento.WriteDesc
 	// CommittedAt is when the writes were installed, stamped by the
@@ -75,28 +74,6 @@ func OriginContext(ctx context.Context, origin uint64) context.Context {
 func OriginOf(ctx context.Context) uint64 {
 	origin, _ := ctx.Value(originKey{}).(uint64)
 	return origin
-}
-
-type keysOnlyKey struct{}
-
-// KeysOnlyContext returns ctx marking a subscription that tests only
-// the keys a notice names: an edge with no finder cache evicts by key
-// and never reads a write's field images. A server relaying notices to
-// such a subscriber (dbwire) may then send each write descriptor as
-// its key alone, a blind write, which an overlap test reads as
-// overlapping every predicate on the table. False returns ctx
-// unchanged.
-func KeysOnlyContext(ctx context.Context, keysOnly bool) context.Context {
-	if !keysOnly {
-		return ctx
-	}
-	return context.WithValue(ctx, keysOnlyKey{}, true)
-}
-
-// KeysOnly reports whether ctx marks a keys-only subscription.
-func KeysOnly(ctx context.Context) bool {
-	keysOnly, _ := ctx.Value(keysOnlyKey{}).(bool)
-	return keysOnly
 }
 
 // subscriber is one notice stream and the origin it never hears from.

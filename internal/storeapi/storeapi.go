@@ -88,9 +88,7 @@ type Conn interface {
 	ApplyCommitSets(ctx context.Context, sets []memento.CommitSet) ([]sqlstore.ApplySetResult, error)
 	// Subscribe streams commit notices until cancel is called; the
 	// channel closes on cancel or connection loss. Commits made under
-	// the context's origin (sqlstore.OriginContext) are not streamed; a
-	// keys-only context (sqlstore.KeysOnlyContext) lets a remote source
-	// send each write descriptor without its images.
+	// the context's origin (sqlstore.OriginContext) are not streamed.
 	Subscribe(ctx context.Context) (<-chan sqlstore.Notice, func(), error)
 	// Close releases the handle's resources.
 	Close() error

@@ -153,11 +153,11 @@ func waitUntil(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// TestKeysOnlyEdgeHearsBlindNotices: with the finder cache off, every
-// write descriptor edge A hears is blind, and so is every one the
-// back-end hears from the database on A's and B's behalf; A's common
-// store still evicts the holding B wrote.
-func TestKeysOnlyEdgeHearsBlindNotices(t *testing.T) {
+// TestFinderlessEdgeEvictsByKey: with the finder cache off, edge A and
+// the back-end hear the same notices a finder-cache edge does, every
+// write descriptor with its image, and A's common store evicts the
+// holding B wrote by its key.
+func TestFinderlessEdgeEvictsByKey(t *testing.T) {
 	e := newTwoEdges(t, false)
 	user := UserID(2)
 	var cached memento.Key
@@ -186,8 +186,8 @@ func TestKeysOnlyEdgeHearsBlindNotices(t *testing.T) {
 			t.Errorf("%s heard no write", name)
 		}
 		for _, w := range ws {
-			if !w.Blind() {
-				t.Errorf("%s heard %v with after-image %v, want its key alone", name, w.Key, w.After)
+			if w.Blind() {
+				t.Errorf("%s heard %v blind, want its image", name, w.Key)
 			}
 		}
 	}

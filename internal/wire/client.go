@@ -393,12 +393,13 @@ func (cn *conn) roundTrip(ctx context.Context, req, resp any) error {
 	deadline, _ := ctx.Deadline()
 	cn.wmu.Lock()
 	_ = cn.nc.SetWriteDeadline(deadline)
-	n, werr := cn.fw.writeFrame(&frameHeader{
+	h := frameHeader{
 		ID:    cl.id,
 		Kind:  kindRequest,
 		Trace: obs.TraceID(ctx),
 		Span:  obs.SpanID(ctx),
-	}, req)
+	}
+	n, werr := cn.fw.writeFrame(&h, req)
 	cn.wmu.Unlock()
 	if werr != nil {
 		if n > 0 {
@@ -417,6 +418,9 @@ func (cn *conn) roundTrip(ctx context.Context, req, resp any) error {
 		return fmt.Errorf("wire: send %s: %w", label, werr)
 	}
 	cn.c.stats.sent(label, n)
+	if h.traced() {
+		cn.c.stats.traced(label)
+	}
 
 	select {
 	case <-cl.done:

@@ -47,6 +47,9 @@ const DefaultMaxFrame = 16 << 20
 // flagTraced marks a header that carries the trace/span pair.
 const flagTraced uint8 = 0x80
 
+// tracePairBytes is what the trace/span pair adds to a traced header.
+const tracePairBytes = 16
+
 // prefixRoom is the room a frame under construction keeps at its head
 // for its length prefix: a uvarint of up to 35 bits, far past any cap.
 const prefixRoom = 5
@@ -54,9 +57,12 @@ const prefixRoom = 5
 // noPrefix fills the room until the frame's length is known.
 var noPrefix [prefixRoom]byte
 
+// traced reports whether h carries the trace/span pair.
+func (h *frameHeader) traced() bool { return h.Trace != 0 || h.Span != 0 }
+
 func appendHeader(dst []byte, h *frameHeader) []byte {
 	kind := h.Kind
-	if h.Trace != 0 || h.Span != 0 {
+	if h.traced() {
 		kind |= flagTraced
 	}
 	dst = append(dst, kind)

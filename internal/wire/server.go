@@ -331,6 +331,9 @@ func (sc *serverConn) readRequest() (request, error) {
 	}
 	label := labelOf(body)
 	sc.srv.stats.received(label, size)
+	if h.traced() {
+		sc.srv.stats.traced(label)
+	}
 	sc.handlers.Add(1)
 	// Requests arriving with a trace ID continue that trace on this
 	// side of the process boundary, parented under the caller's span

@@ -9,6 +9,7 @@ type OpStats struct {
 	Retries       uint64 // retry attempts consumed by the retry policy
 	BytesSent     uint64
 	BytesReceived uint64
+	TraceBytes    uint64 // of the bytes above, traced requests' trace/span pairs
 }
 
 // Stats is a point-in-time snapshot of a transport endpoint's counters.
@@ -20,13 +21,21 @@ type Stats struct {
 	Pushes        uint64 // unsolicited frames (invalidation notices)
 	BytesSent     uint64
 	BytesReceived uint64
-	Errors        uint64 // failed calls
-	Retries       uint64 // retry attempts consumed by retry policies
-	Ops           map[string]OpStats
+	// TraceBytes is the part of BytesSent and BytesReceived that the
+	// trace/span pairs of traced request headers take: what tracing
+	// the calls costs, not what the protocol does.
+	TraceBytes uint64
+	Errors     uint64 // failed calls
+	Retries    uint64 // retry attempts consumed by retry policies
+	Ops        map[string]OpStats
 }
 
 // Bytes returns total traffic in both directions.
 func (s Stats) Bytes() uint64 { return s.BytesSent + s.BytesReceived }
+
+// SystemBytes returns total traffic in both directions without the
+// trace/span pairs: the bytes the protocol itself puts on the path.
+func (s Stats) SystemBytes() uint64 { return s.Bytes() - s.TraceBytes }
 
 // Sub returns the traffic between base, an earlier snapshot of the same
 // endpoints, and s. Ops with no activity in between are left out.
@@ -37,6 +46,7 @@ func (s Stats) Sub(base Stats) Stats {
 		Pushes:        s.Pushes - base.Pushes,
 		BytesSent:     s.BytesSent - base.BytesSent,
 		BytesReceived: s.BytesReceived - base.BytesReceived,
+		TraceBytes:    s.TraceBytes - base.TraceBytes,
 		Errors:        s.Errors - base.Errors,
 		Retries:       s.Retries - base.Retries,
 		Ops:           make(map[string]OpStats),
@@ -52,6 +62,7 @@ func (s Stats) Sub(base Stats) Stats {
 			Retries:       op.Retries - b.Retries,
 			BytesSent:     op.BytesSent - b.BytesSent,
 			BytesReceived: op.BytesReceived - b.BytesReceived,
+			TraceBytes:    op.TraceBytes - b.TraceBytes,
 		}
 	}
 	return out
@@ -68,6 +79,7 @@ func MergeStats(snaps ...Stats) Stats {
 		out.Pushes += s.Pushes
 		out.BytesSent += s.BytesSent
 		out.BytesReceived += s.BytesReceived
+		out.TraceBytes += s.TraceBytes
 		out.Errors += s.Errors
 		out.Retries += s.Retries
 		for label, op := range s.Ops {
@@ -77,6 +89,7 @@ func MergeStats(snaps ...Stats) Stats {
 			agg.Retries += op.Retries
 			agg.BytesSent += op.BytesSent
 			agg.BytesReceived += op.BytesReceived
+			agg.TraceBytes += op.TraceBytes
 			out.Ops[label] = agg
 		}
 	}
@@ -92,6 +105,7 @@ type collector struct {
 	pushes        uint64
 	bytesSent     uint64
 	bytesReceived uint64
+	traceBytes    uint64
 	errors        uint64
 	retries       uint64
 	ops           map[string]*OpStats
@@ -128,6 +142,16 @@ func (c *collector) received(label string, n int) {
 	c.mu.Lock()
 	c.bytesReceived += uint64(n)
 	c.op(label).BytesReceived += uint64(n)
+	c.mu.Unlock()
+}
+
+// traced records a traced request frame, already counted as sent or
+// received, whose header carried the trace/span pair. A frame only part
+// of which reached the socket is not recorded.
+func (c *collector) traced(label string) {
+	c.mu.Lock()
+	c.traceBytes += tracePairBytes
+	c.op(label).TraceBytes += tracePairBytes
 	c.mu.Unlock()
 }
 
@@ -177,6 +201,7 @@ func (c *collector) snapshot() Stats {
 		Pushes:        c.pushes,
 		BytesSent:     c.bytesSent,
 		BytesReceived: c.bytesReceived,
+		TraceBytes:    c.traceBytes,
 		Errors:        c.errors,
 		Retries:       c.retries,
 		Ops:           make(map[string]OpStats, len(c.ops)),
