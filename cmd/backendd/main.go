@@ -16,7 +16,6 @@ import (
 
 	"edgeejb/internal/backend"
 	"edgeejb/internal/dbwire"
-	"edgeejb/internal/obs"
 	"edgeejb/internal/obs/prof"
 	"edgeejb/internal/wire"
 )
@@ -40,22 +39,11 @@ func run(args []string) error {
 		return err
 	}
 
-	// Label the tier of this process's spans (/debug/spans).
-	obs.SetTier("backend")
-
-	if *debug != "" {
-		dbg, err := obs.StartDebug(*debug, obs.DebugOptions{})
-		if err != nil {
-			return err
-		}
-		defer dbg.Close()
-		// Feed the Go runtime's meters into /metrics alongside the
-		// application metrics, so a scrape sees this tier's GC and
-		// allocation behavior too.
-		rt := prof.StartRuntime(obs.Default, time.Second)
-		defer rt.Stop()
-		fmt.Printf("backendd: debug endpoints on http://%s/metrics\n", dbg.Addr())
+	stopDebug, err := prof.ServeDebug("backendd", "backend", *debug)
+	if err != nil {
+		return err
 	}
+	defer stopDebug()
 
 	dbClient := dbwire.Dial(*db)
 	defer dbClient.Close()

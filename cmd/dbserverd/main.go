@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"edgeejb/internal/dbwire"
-	"edgeejb/internal/obs"
 	"edgeejb/internal/obs/prof"
 	"edgeejb/internal/sqlstore"
 	"edgeejb/internal/storeapi"
@@ -56,22 +55,11 @@ func run(args []string) error {
 		return fmt.Errorf("-shard %d out of range [0, %d)", *shardIdx, *shards)
 	}
 
-	// Label the tier of this process's spans (/debug/spans).
-	obs.SetTier("db")
-
-	if *debug != "" {
-		dbg, err := obs.StartDebug(*debug, obs.DebugOptions{})
-		if err != nil {
-			return err
-		}
-		defer dbg.Close()
-		// Feed the Go runtime's meters into /metrics alongside the
-		// application metrics, so a scrape sees this tier's GC and
-		// allocation behavior too.
-		rt := prof.StartRuntime(obs.Default, time.Second)
-		defer rt.Stop()
-		fmt.Printf("dbserverd: debug endpoints on http://%s/metrics\n", dbg.Addr())
+	stopDebug, err := prof.ServeDebug("dbserverd", "db", *debug)
+	if err != nil {
+		return err
 	}
+	defer stopDebug()
 
 	store := sqlstore.New(
 		sqlstore.WithLockTimeout(*lockTimeout),

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"edgeejb/internal/latency"
-	"edgeejb/internal/obs"
 	"edgeejb/internal/obs/prof"
 )
 
@@ -39,22 +38,11 @@ func run(args []string) error {
 		return err
 	}
 
-	// Label the tier of this process's spans (/debug/spans).
-	obs.SetTier("proxy")
-
-	if *debug != "" {
-		dbg, err := obs.StartDebug(*debug, obs.DebugOptions{})
-		if err != nil {
-			return err
-		}
-		defer dbg.Close()
-		// Feed the Go runtime's meters into /metrics alongside the
-		// application metrics, so a scrape sees this tier's GC and
-		// allocation behavior too.
-		rt := prof.StartRuntime(obs.Default, time.Second)
-		defer rt.Stop()
-		fmt.Printf("delayproxy: debug endpoints on http://%s/metrics\n", dbg.Addr())
+	stopDebug, err := prof.ServeDebug("delayproxy", "proxy", *debug)
+	if err != nil {
+		return err
 	}
+	defer stopDebug()
 
 	p := latency.NewProxy(*target, *delay)
 	if err := p.Start(*listen); err != nil {

@@ -20,11 +20,9 @@ import (
 	"os/signal"
 	"strings"
 	"syscall"
-	"time"
 
 	"edgeejb/internal/appserver"
 	"edgeejb/internal/deploy"
-	"edgeejb/internal/obs"
 	"edgeejb/internal/obs/prof"
 )
 
@@ -49,24 +47,11 @@ func run(args []string) error {
 	}
 	targets := splitTargets(*target)
 
-	// Label the tier of this process's spans (/debug/spans); the
-	// span-name prefix table already covers the built-in span names,
-	// this catches any future unprefixed ones.
-	obs.SetTier("edge")
-
-	if *debug != "" {
-		dbg, err := obs.StartDebug(*debug, obs.DebugOptions{})
-		if err != nil {
-			return err
-		}
-		defer dbg.Close()
-		// Feed the Go runtime's meters into /metrics alongside the
-		// application metrics, so a scrape sees this tier's GC and
-		// allocation behavior too.
-		rt := prof.StartRuntime(obs.Default, time.Second)
-		defer rt.Stop()
-		fmt.Printf("edged: debug endpoints on http://%s/metrics\n", dbg.Addr())
+	stopDebug, err := prof.ServeDebug("edged", "edge", *debug)
+	if err != nil {
+		return err
 	}
+	defer stopDebug()
 
 	edge, err := deploy.StartEdge(context.Background(), *addr, targets, deploy.Algo(*algo), deploy.Shipped())
 	if err != nil {

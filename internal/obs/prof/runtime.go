@@ -1,6 +1,7 @@
 package prof
 
 import (
+	"fmt"
 	"sync"
 	"time"
 
@@ -75,6 +76,28 @@ func NewRuntime(reg *obs.Registry) *Runtime {
 	r.prevAllocBytes = counterValue(r.samples[sAllocBytes])
 	r.Update()
 	return r
+}
+
+// ServeDebug is a daemon's debug start-up. It labels this process's
+// spans with tier (/debug/spans) and, when addr is not empty, serves
+// /metrics, /healthz and /debug/pprof on addr with the Go runtime's
+// meters in /metrics, and prints the address under name. stop halts
+// the meters and closes the server; with an empty addr it does nothing.
+func ServeDebug(name, tier, addr string) (stop func(), err error) {
+	obs.SetTier(tier)
+	if addr == "" {
+		return func() {}, nil
+	}
+	dbg, err := obs.StartDebug(addr, obs.DebugOptions{})
+	if err != nil {
+		return nil, err
+	}
+	rt := StartRuntime(obs.Default, time.Second)
+	fmt.Printf("%s: debug endpoints on http://%s/metrics\n", name, dbg.Addr())
+	return func() {
+		rt.Stop()
+		_ = dbg.Close()
+	}, nil
 }
 
 // StartRuntime is NewRuntime plus a background goroutine calling Update

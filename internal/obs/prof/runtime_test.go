@@ -1,7 +1,11 @@
 package prof
 
 import (
+	"io"
+	"net"
+	"net/http"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -68,5 +72,56 @@ func TestStartRuntimeStop(t *testing.T) {
 	rt.Stop() // idempotent
 	if reg.Snapshot().Gauges["runtime.goroutines_highwater"] == 0 {
 		t.Error("background sampler never updated the gauge")
+	}
+}
+
+// TestServeDebug: a daemon's debug start-up labels the process's tier
+// whatever the address; an empty address starts nothing, a real one
+// serves /metrics with the runtime.* families, and stop closes it.
+func TestServeDebug(t *testing.T) {
+	before := runtime.NumGoroutine()
+	stop, err := ServeDebug("prof.test", "test-empty", "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop()
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("an empty address started %d goroutines", after-before)
+	}
+	if tier := obs.TierOf("unprefixed"); tier != "test-empty" {
+		t.Errorf("tier %q, want test-empty", tier)
+	}
+
+	// A free port: ServeDebug prints the address it bound but does not
+	// return it.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+	stop, err = ServeDebug("prof.test", "test", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	client := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}, Timeout: 5 * time.Second}
+	resp, err := client.Get("http://" + addr + "/metrics")
+	if err != nil {
+		stop()
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"runtime.goroutines_highwater", "runtime.allocs_total", "runtime.alloc_bytes_total"} {
+		if !strings.Contains(string(body), name) {
+			t.Errorf("/metrics lacks %s", name)
+		}
+	}
+	stop()
+	if _, err := client.Get("http://" + addr + "/metrics"); err == nil {
+		t.Error("/metrics still served after stop")
 	}
 }

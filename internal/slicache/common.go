@@ -27,7 +27,6 @@ type CommonStore struct {
 	hits          atomic.Uint64
 	misses        atomic.Uint64
 	invalidations atomic.Uint64
-	refreshes     atomic.Uint64
 }
 
 // cachedEntry is one cached memento's version and cells, the time its
@@ -68,7 +67,6 @@ type CommonStoreStats struct {
 	Hits          uint64
 	Misses        uint64
 	Invalidations uint64
-	Refreshes     uint64
 	Entries       int
 	Bytes         int64
 }
@@ -123,8 +121,9 @@ func (c *CommonStore) Contains(key memento.Key) bool {
 	return ok
 }
 
-// Put caches a committed memento. Older versions never overwrite newer
-// ones, so racing fills and refreshes are safe in any order.
+// Put caches a committed memento: a miss fetch's or finder's row, or
+// an own commit's after-image. Older versions never overwrite newer
+// ones, so racing installs are safe in any order.
 func (c *CommonStore) Put(m memento.Memento) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -142,14 +141,6 @@ func (c *CommonStore) Put(m memento.Memento) {
 	e := cachedEntry{version: m.Version, cells: cols.Pack(m.Fields), storedAt: c.now(), size: mementoSize(m)}
 	c.entries[m.Key] = e
 	c.bytes += e.size
-}
-
-// Refresh is Put plus accounting: the runtime calls it after its own
-// successful commits to keep entries warm instead of waiting for an
-// invalidation round trip.
-func (c *CommonStore) Refresh(m memento.Memento) {
-	c.refreshes.Add(1)
-	c.Put(m)
 }
 
 // Invalidate evicts the given keys (on server update notices, conflict
@@ -200,7 +191,6 @@ func (c *CommonStore) Stats() CommonStoreStats {
 		Hits:          c.hits.Load(),
 		Misses:        c.misses.Load(),
 		Invalidations: c.invalidations.Load(),
-		Refreshes:     c.refreshes.Load(),
 		Entries:       entries,
 		Bytes:         bytes,
 	}

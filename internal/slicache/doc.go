@@ -31,7 +31,7 @@
 // path instead of one per bean, with the same store accesses, read
 // proofs and counts as loading them one by one.
 //
-// How a commit set reaches the validator is the Loader's CommitShipping:
+// How a commit set reaches the validator is the manager's CommitShipping:
 // whole to a back-end (split servers), or statement by statement to the
 // database (combined servers). On combined servers a set that writes
 // nothing skips the database's transaction protocol: its read proofs go

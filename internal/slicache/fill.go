@@ -44,8 +44,9 @@ func (m *Manager) startFill() *Fill {
 
 // endFill ends fill f, if not nil, and then runs install, if not nil,
 // which puts f's reply where the edge caches it. Both run under the
-// lock hear takes, so a write no longer handed to f is heard, and its
-// eviction made, only after install has put what it evicts.
+// lock evict takes to hand writes to the fills, so a write no longer
+// handed to f is heard, and its eviction made, only after install has
+// put what it evicts.
 func (m *Manager) endFill(f *Fill, install func()) {
 	if f == nil {
 		return
@@ -58,31 +59,35 @@ func (m *Manager) endFill(f *Fill, install func()) {
 	}
 }
 
-// hear hands writes to every open fill. A caller evicts what the
-// writes name only after it, so a fill either hears a write or has
-// installed its reply before the write's eviction.
-func (m *Manager) hear(writes []memento.WriteDesc) {
+// evict is the one place a write the edge hears goes: another edge's
+// notice, the keys of a transaction that lost validation, or a write of
+// this edge's own commit whose new version the reply did not carry. It
+// hands the writes to every open fill, and only then drops what they
+// name from the common store and every cached finder result they
+// overlap, so a fill either hears a write or has installed its reply
+// before the write's eviction. It returns how many cached rows it
+// dropped.
+func (m *Manager) evict(writes []memento.WriteDesc) int {
 	if len(writes) == 0 {
-		return
+		return 0
 	}
 	m.fillMu.Lock()
-	defer m.fillMu.Unlock()
-	for f := range m.fills {
-		f.writes = append(f.writes, writes...)
+	m.hearLocked(writes)
+	m.fillMu.Unlock()
+	evicted := 0
+	for _, w := range writes {
+		evicted += m.common.Invalidate(w.Key)
 	}
+	m.finders.Invalidate(writes)
+	return evicted
 }
 
-// hearOwn hands this edge's own commit, its written rows, removed keys
-// and writes of unknown version, to every fill still open, whose reply
-// may predate it. It runs in a commit's install, under m.fillMu, and
-// builds the descriptors only when a fill is open to hear them.
-func (m *Manager) hearOwn(written []memento.Memento, removed []memento.Key, unknown []memento.WriteDesc) {
-	if len(m.fills) == 0 {
-		return
-	}
-	own := append(ownWrites(written, removed, len(unknown)), unknown...)
+// hearLocked hands writes to every open fill, whose reply may predate
+// them. m.fillMu is held: by evict, or by an own commit's install,
+// which hands its installed writes on itself.
+func (m *Manager) hearLocked(writes []memento.WriteDesc) {
 	for f := range m.fills {
-		f.writes = append(f.writes, own...)
+		f.writes = append(f.writes, writes...)
 	}
 }
 

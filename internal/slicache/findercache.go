@@ -19,7 +19,7 @@ import (
 // which per-key version bumps alone cannot express. The store sends an
 // edge no notice of its own commit: Commit installs that commit's
 // after-images in the entries it touches instead, as the common store
-// refreshes its beans. A result is stored, and a commit installed, only
+// takes its beans. A result is stored, and a commit installed, only
 // if no write its fill heard overlaps it (see Fill), so no write that
 // landed while the store call was in flight is missed. Correctness at
 // use time still rests on optimistic validation: rows served from a
@@ -111,17 +111,17 @@ func (c *FinderCache) put(f *Fill, ck string, q memento.Query, mems []memento.Me
 // Commit installs this edge's own commit, whose fill f was opened
 // before it was sent, in every entry it overlaps: written holds each
 // written or created row's after-image at its new version, removed the
-// keys the commit removed. In each such entry a written row that
-// matches the query replaces its old image or joins in key order, and
-// a row that no longer matches or was removed leaves. The entry is
-// dropped instead when f was spoiled or a write f heard overlaps the
-// query and its new rows: that write may be newer than the commit, so
-// the installed rows could be stale. Commit creates no entry.
-func (c *FinderCache) Commit(f *Fill, written []memento.Memento, removed []memento.Key) {
+// keys the commit removed, and own both as ownWrites describes them.
+// In each such entry a written row that matches the query replaces its
+// old image or joins in key order, and a row that no longer matches or
+// was removed leaves. The entry is dropped instead when f was spoiled
+// or a write f heard overlaps the query and its new rows: that write
+// may be newer than the commit, so the installed rows could be stale.
+// Commit creates no entry.
+func (c *FinderCache) Commit(f *Fill, own []memento.WriteDesc, written []memento.Memento, removed []memento.Key) {
 	if !c.enabled {
 		return
 	}
-	own := ownWrites(written, removed, 0)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	n := 0
@@ -142,10 +142,9 @@ func (c *FinderCache) Commit(f *Fill, written []memento.Memento, removed []memen
 }
 
 // ownWrites describes an own commit's written rows and removed keys as
-// the write descriptors its notice would carry, in a slice with room
-// for extra descriptors after them.
-func ownWrites(written []memento.Memento, removed []memento.Key, extra int) []memento.WriteDesc {
-	own := make([]memento.WriteDesc, 0, len(written)+len(removed)+extra)
+// the write descriptors its notice would carry.
+func ownWrites(written []memento.Memento, removed []memento.Key) []memento.WriteDesc {
+	own := make([]memento.WriteDesc, 0, len(written)+len(removed))
 	for _, m := range written {
 		own = append(own, memento.WriteDesc{Key: m.Key, After: m.Fields})
 	}

@@ -870,7 +870,7 @@ func BenchmarkFinderCacheOwnCommit(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c.Commit(new(Fill), written, nil)
+		c.Commit(new(Fill), ownWrites(written, nil), written, nil)
 	}
 	b.StopTimer()
 	got, _, ok := c.get(c.key(q))

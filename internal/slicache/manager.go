@@ -21,11 +21,11 @@ import (
 // implements component.ResourceManager, so a container built over a
 // Manager runs unmodified application code against cached entity state.
 type Manager struct {
-	loader  *Loader
-	common  *CommonStore
-	finders *FinderCache
-	conn    storeapi.Conn
-	now     func() time.Time
+	conn     storeapi.Conn
+	shipping CommitShipping
+	common   *CommonStore
+	finders  *FinderCache
+	now      func() time.Time
 	// origin names this cache's commits and subscription to the store,
 	// which then never sends it a notice of its own commit.
 	origin uint64
@@ -115,13 +115,13 @@ func NewManager(conn storeapi.Conn, opts ...ManagerOption) *Manager {
 		o.apply(&cfg)
 	}
 	return &Manager{
-		loader:  NewLoader(conn, cfg.shipping),
-		common:  NewCommonStore(),
-		finders: NewFinderCache(cfg.finderCache),
-		conn:    conn,
-		now:     time.Now,
-		origin:  newOrigin(),
-		fills:   make(map[*Fill]struct{}),
+		conn:     conn,
+		shipping: cfg.shipping,
+		common:   NewCommonStore(),
+		finders:  NewFinderCache(cfg.finderCache),
+		now:      time.Now,
+		origin:   newOrigin(),
+		fills:    make(map[*Fill]struct{}),
 	}
 }
 
@@ -153,7 +153,7 @@ func (m *Manager) CommonStore() *CommonStore { return m.common }
 func (m *Manager) FinderCache() *FinderCache { return m.finders }
 
 // Shipping returns the commit-shipping mode in use.
-func (m *Manager) Shipping() CommitShipping { return m.loader.Shipping() }
+func (m *Manager) Shipping() CommitShipping { return m.shipping }
 
 // Start subscribes to the datastore's invalidation stream and keeps it
 // alive: if the stream drops (back-end restart, network blip), the
@@ -271,14 +271,7 @@ func (m *Manager) noteNotice(n sqlstore.Notice) {
 		ev.Bean = n.Writes[0].Key.Table
 		ev.Key = n.Writes[0].Key.String()
 	}
-	// Open fills hear the writes before they are evicted, so a reply
-	// still in flight is not installed over the eviction.
-	m.hear(n.Writes)
-	for _, w := range n.Writes {
-		ev.Evicted += m.common.Invalidate(w.Key)
-	}
-	// Drop every cached finder result the committed writes overlap.
-	m.finders.Invalidate(n.Writes)
+	ev.Evicted = m.evict(n.Writes)
 	if ev.Evicted > 0 && stamped {
 		// Entries were actually dropped: the push latency bounds how
 		// long they could have been served stale.

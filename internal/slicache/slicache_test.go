@@ -446,3 +446,52 @@ func TestRemoveThenCreateBecomesUpdate(t *testing.T) {
 		t.Errorf("remove+create = %v, want n=42 v=2", res.Mem)
 	}
 }
+
+// BenchmarkWriteCommit is one warm split-servers transaction that
+// updates a cached row and commits, over storeapi.Local, with the
+// finder cache holding one result on the written table: the common
+// store serves the load, and the commit installs its after-image in the
+// common store and in the cached result.
+func BenchmarkWriteCommit(b *testing.B) {
+	store := sqlstore.New()
+	b.Cleanup(store.Close)
+	store.Seed(holding("h1", "u1"), holding("h2", "u1"))
+	mgr := NewManager(storeapi.Local(store), WithShipping(WholeSet), WithFinderCache(true))
+	b.Cleanup(mgr.Close)
+	ctx := context.Background()
+	dt, err := mgr.Begin(ctx)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := dt.Query(ctx, byAcct("u1")); err != nil {
+		b.Fatal(err)
+	}
+	if err := dt.Commit(ctx); err != nil {
+		b.Fatal(err)
+	}
+	h1 := memento.Key{Table: "t", ID: "h1"}
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dt, err := mgr.Begin(ctx)
+		if err != nil {
+			b.Fatal(err)
+		}
+		m, err := dt.Load(ctx, h1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		m.Fields["n"] = memento.Int(int64(i))
+		if err := dt.Store(ctx, m); err != nil {
+			b.Fatal(err)
+		}
+		if err := dt.Commit(ctx); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if n := mgr.FinderCache().Len(); n != 1 {
+		b.Fatalf("finder cache holds %d results after the commits, want 1", n)
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"edgeejb/internal/component"
 	"edgeejb/internal/memento"
 	"edgeejb/internal/sqlstore"
 	"edgeejb/internal/storeapi"
@@ -138,4 +139,99 @@ func TestNoticeOvertakesInstall(t *testing.T) {
 			}
 		})
 	}
+}
+
+// versionlessConn applies a commit set but answers it as a store that
+// reports no new version, so the edge cannot tell which version its own
+// write made. Once afterQuery is set, the next finder query runs it
+// after the store answered and before the reply reaches the edge.
+type versionlessConn struct {
+	storeapi.Conn
+	afterQuery func()
+}
+
+func (c *versionlessConn) ApplyCommitSet(ctx context.Context, cs memento.CommitSet) (sqlstore.ApplyResult, error) {
+	_, err := c.Conn.ApplyCommitSet(ctx, cs)
+	return sqlstore.ApplyResult{}, err
+}
+
+func (c *versionlessConn) AutoQuery(ctx context.Context, q memento.Query) (storeapi.QueryResult, error) {
+	res, err := c.Conn.AutoQuery(ctx, q)
+	if run := c.afterQuery; run != nil {
+		c.afterQuery = nil
+		run()
+	}
+	return res, err
+}
+
+// TestVersionlessOwnWrite: when the reply to an own commit carries no
+// new version for a row it wrote, the edge holds only that row's
+// pre-commit image, so it evicts the row as a blind write. The common
+// store must not keep the row, no cached finder result on its table may
+// survive, and a finder whose store call is in flight must hear the
+// write and install neither its result nor the row.
+func TestVersionlessOwnWrite(t *testing.T) {
+	ctx := context.Background()
+	h1 := memento.Key{Table: "t", ID: "h1"}
+	setup := func(t *testing.T) (*versionlessConn, *Manager) {
+		store := sqlstore.New()
+		t.Cleanup(store.Close)
+		store.Seed(holding("h1", "u1"), holding("h2", "u1"))
+		conn := &versionlessConn{Conn: storeapi.Local(store)}
+		mgr := NewManager(conn, WithShipping(WholeSet), WithFinderCache(true))
+		t.Cleanup(mgr.Close)
+		return conn, mgr
+	}
+	run := func(t *testing.T, mgr *Manager, tx func(dt component.DataTx) error) {
+		dt, err := mgr.Begin(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tx(dt); err != nil {
+			t.Fatal(err)
+		}
+		if err := dt.Commit(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	finder := func(dt component.DataTx) error {
+		_, err := dt.Query(ctx, byAcct("u1"))
+		return err
+	}
+	update := func(dt component.DataTx) error {
+		m, err := dt.Load(ctx, h1)
+		if err != nil {
+			return err
+		}
+		m.Fields["n"] = memento.Int(9)
+		return dt.Store(ctx, m)
+	}
+	check := func(t *testing.T, mgr *Manager) {
+		t.Helper()
+		if m, ok := mgr.CommonStore().Get(h1); ok {
+			t.Errorf("common store holds %s at its pre-commit version %d", h1, m.Version)
+		}
+		if n := mgr.FinderCache().Len(); n != 0 {
+			t.Errorf("%d finder results on the written table survived", n)
+		}
+	}
+
+	t.Run("cached", func(t *testing.T) {
+		_, mgr := setup(t)
+		run(t, mgr, finder)
+		if _, ok := mgr.CommonStore().Get(h1); !ok || mgr.FinderCache().Len() != 1 {
+			t.Fatal("the finder did not cache its result and rows")
+		}
+		run(t, mgr, update)
+		check(t, mgr)
+	})
+	t.Run("open fill", func(t *testing.T) {
+		conn, mgr := setup(t)
+		conn.afterQuery = func() { run(t, mgr, update) }
+		run(t, mgr, finder)
+		if conn.afterQuery != nil {
+			t.Fatal("the finder's store call never ran")
+		}
+		check(t, mgr)
+	})
 }

@@ -211,7 +211,7 @@ func (t *sliTx) cached(ctx context.Context, key memento.Key) (memento.Memento, b
 func (t *sliTx) fetchAll(ctx context.Context, misses []miss) {
 	fetch := func(f *miss) {
 		fctx, sp := obs.StartSpan(ctx, "slicache.miss_fetch")
-		f.res, f.err = t.mgr.loader.FetchOne(fctx, f.key)
+		f.res, f.err = t.mgr.conn.AutoGet(fctx, f.key.Table, f.key.ID)
 		sp.End()
 	}
 	var wg sync.WaitGroup
@@ -334,7 +334,7 @@ func (t *sliTx) Query(ctx context.Context, q memento.Query) ([]memento.Memento, 
 		fetchedAt = t.mgr.now()
 		fill := t.mgr.startFill()
 		qctx, sp := obs.StartSpan(ctx, "slicache.query")
-		res, err := t.mgr.loader.RunQuery(qctx, q)
+		res, err := t.mgr.conn.AutoQuery(qctx, q)
 		sp.End()
 		t.accesses += max(res.Accesses, 1)
 		if err != nil {
@@ -407,28 +407,24 @@ func (t *sliTx) Commit(ctx context.Context) error {
 		fill = t.mgr.startFill()
 	}
 	cctx, sp := obs.StartSpan(ctx, "slicache.commit")
-	outcome, err := t.mgr.loader.Commit(cctx, cs)
+	outcome, err := ship(cctx, t.mgr.conn, t.mgr.shipping, cs)
 	sp.End()
 	if err != nil {
 		t.mgr.endFill(fill, nil)
 		t.mgr.stats.conflicts.Add(1)
 		obsConflicts.Inc()
 		t.noteConflict(ctx, err)
-		// Conservatively evict everything this transaction touched: at
-		// least one entry is known stale.
-		keys := make([]memento.Key, 0, len(t.entries))
+		// Conservatively evict everything this transaction touched, and
+		// every cached finder result over those keys, blindly, since the
+		// winner's writes are unknown here: at least one entry is known
+		// stale, and a retry must not be served the very result set that
+		// just lost validation. The winner's own notice handles
+		// everything else.
 		blind := make([]memento.WriteDesc, 0, len(t.entries))
 		for k := range t.entries {
-			keys = append(keys, k)
 			blind = append(blind, memento.WriteDesc{Key: k})
 		}
-		t.mgr.hear(blind)
-		t.mgr.common.Invalidate(keys...)
-		// Same for cached finder results over those keys (blind, since the
-		// winner's writes are unknown here) — otherwise a retry would be
-		// served the very result set that just lost validation. The
-		// winner's own notice handles everything else.
-		t.mgr.finders.Invalidate(blind)
+		t.mgr.evict(blind)
 		return err
 	}
 	t.mgr.stats.commits.Add(1)
@@ -436,8 +432,9 @@ func (t *sliTx) Commit(ctx context.Context) error {
 	// Install the committed after-images and evict removed beans — the
 	// store sends this edge no notice for its own commit, so this is the
 	// only place it is applied. A written bean whose new version the
-	// reply did not carry is evicted, and blindly invalidates the finder
-	// results over its table: its cached image is the pre-commit one.
+	// reply did not carry is evicted first, as a blind write that also
+	// drops the finder results over its table: its cached image is the
+	// pre-commit one.
 	var (
 		written []memento.Memento
 		removed []memento.Key
@@ -457,21 +454,24 @@ func (t *sliTx) Commit(ctx context.Context) error {
 			removed = append(removed, e.current.Key)
 		}
 	}
+	t.mgr.evict(unknown)
 	t.mgr.endFill(fill, func() {
-		t.mgr.hearOwn(written, removed, unknown)
+		// The other open fills hear the installed writes, described
+		// only when a fill or the finder cache reads them.
+		var own []memento.WriteDesc
+		if len(t.mgr.fills) > 0 || t.mgr.finders.enabled {
+			own = ownWrites(written, removed)
+		}
+		t.mgr.hearLocked(own)
 		for _, m := range written {
 			if !fill.names(m.Key) {
-				t.mgr.common.Refresh(m)
+				t.mgr.common.Put(m)
 			}
 		}
 		for _, k := range removed {
 			t.mgr.common.Invalidate(k)
 		}
-		for _, w := range unknown {
-			t.mgr.common.Invalidate(w.Key)
-		}
-		t.mgr.finders.Invalidate(unknown)
-		t.mgr.finders.Commit(fill, written, removed)
+		t.mgr.finders.Commit(fill, own, written, removed)
 	})
 	return nil
 }
@@ -489,7 +489,7 @@ func (t *sliTx) Commit(ctx context.Context) error {
 // it is the paper's measured protocol.
 func (t *sliTx) provenByItsRead(cs memento.CommitSet) bool {
 	return cs.Mutations() == 0 && t.accesses == 1 && !t.cacheServed &&
-		t.mgr.loader.Shipping() != PerStatement
+		t.mgr.shipping != PerStatement
 }
 
 // noteConflict records the forensics of a failed validation: a
