@@ -260,24 +260,23 @@ func sanitizeMetric(s string) string {
 // the queuing dimension the paper deliberately factored out.
 func BenchmarkExtensionThroughput(b *testing.B) {
 	ctx := context.Background()
-	var curve harness.ThroughputCurve
+	var points []harness.Point
 	for i := 0; i < b.N; i++ {
-		c, err := harness.RunThroughput(ctx, harness.Options{
-			Arch:        harness.ESRBES,
-			Algo:        harness.AlgCachedEJB,
-			OneWayDelay: time.Millisecond,
-			Populate:    benchPopulate(),
+		run, err := harness.Run(ctx, harness.Options{
+			Arch:     harness.ESRBES,
+			Algo:     harness.AlgCachedEJB,
+			Populate: benchPopulate(),
 		}, harness.Scale{
 			Workload: trade.GeneratorConfig{Seed: 42, Users: 20, Symbols: 40},
 			Warmup:   2,
 			Sessions: 4,
-		}, []int{1, 4})
+		}, harness.ClientSteps(time.Millisecond, []int{1, 4}))
 		if err != nil {
 			b.Fatal(err)
 		}
-		curve = c
+		points = run
 	}
-	for _, p := range curve.Points {
+	for _, p := range points {
 		b.ReportMetric(p.Load.Throughput, fmt.Sprintf("tps@%dclients", p.Clients))
 	}
 }

@@ -194,7 +194,7 @@ func run(args []string) error {
 	// thruCurves and shardPoints capture the extension sweeps for
 	// summary.json.
 	var (
-		thruCurves  []harness.ThroughputCurve
+		thruCurves  []harness.Sweep
 		shardPoints []harness.ShardScalingPoint
 	)
 
@@ -327,7 +327,7 @@ func run(args []string) error {
 				for _, s := range eval.Fig6Series() {
 					harness.WriteLatencyBreakdown(os.Stdout, s)
 					fmt.Println()
-					if err := harness.WriteForensics(os.Stdout, s.Pair, s.Labelled()); err != nil {
+					if err := harness.WriteForensics(os.Stdout, s.Pair, s.Points); err != nil {
 						return err
 					}
 				}
@@ -478,27 +478,26 @@ func runFaults(opts harness.Options, sessions int, logf func(string, ...any)) er
 // client at 1, 2, 4 and 8 clients. With forensics enabled it also
 // prints the per-point conflict matrices — the concurrent run is the one
 // workload in the suite where optimistic validation actually loses races.
-func runThroughput(opts harness.Options, wl trade.GeneratorConfig, forensics bool, logf func(string, ...any)) ([]harness.ThroughputCurve, error) {
+func runThroughput(opts harness.Options, wl trade.GeneratorConfig, forensics bool, logf func(string, ...any)) ([]harness.Sweep, error) {
 	counts := []int{1, 2, 4, 8}
 	scale := harness.Scale{Workload: wl, Warmup: 4, Sessions: 6}
-	opts.OneWayDelay = 2 * time.Millisecond
-	var curves []harness.ThroughputCurve
+	var curves []harness.Sweep
 	for _, pair := range harness.Fig6Pairs() {
 		if logf != nil {
 			logf("running throughput %s (clients %v)...", pair, counts)
 		}
 		opts.Arch, opts.Algo = pair.Arch, pair.Algo
-		curve, err := harness.RunThroughput(context.Background(), opts, scale, counts)
+		points, err := harness.Run(context.Background(), opts, scale, harness.ClientSteps(2*time.Millisecond, counts))
 		if err != nil {
 			return nil, err
 		}
-		curves = append(curves, curve)
+		curves = append(curves, harness.Sweep{Pair: pair, Points: points})
 	}
 	harness.WriteThroughput(os.Stdout, curves)
 	if forensics {
 		fmt.Println()
 		for _, c := range curves {
-			if err := harness.WriteForensics(os.Stdout, c.Pair, c.Labelled()); err != nil {
+			if err := harness.WriteForensics(os.Stdout, c.Pair, c.Points); err != nil {
 				return nil, err
 			}
 		}

@@ -2,7 +2,6 @@ package appserver
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 
 	"edgeejb/internal/wire"
@@ -99,7 +98,12 @@ type reply struct {
 // page is a successful reply.
 func page(title, frag string) *reply { return &reply{ok: true, title: title, frag: frag} }
 
-// AppendWire implements wire.Body with exactly the bytes of the
+// A reply only travels from server to client, which reads it as a
+// Response, so it is only an encoder. One that lost its encoder would
+// fall silently into the transport's gob fallback.
+var _ wire.Encoder = (*reply)(nil)
+
+// AppendWire implements wire.Encoder with exactly the bytes of the
 // Response carrying the same outcome and page: OK, Err, then the page
 // as a uvarint length and its bytes (none for a failure).
 func (r *reply) AppendWire(dst []byte, _ *wire.Names) []byte {
@@ -110,10 +114,4 @@ func (r *reply) AppendWire(dst []byte, _ *wire.Names) []byte {
 	}
 	dst = binary.AppendUvarint(dst, uint64(pageLen(r.title, r.frag)))
 	return appendPage(dst, r.title, r.frag)
-}
-
-// ReadWire implements wire.Body. A reply only travels from server to
-// client, which reads it as a Response.
-func (r *reply) ReadWire([]byte, *wire.Names) error {
-	return errors.New("appserver: a reply is read as a Response")
 }

@@ -86,17 +86,8 @@ func (a *Artifacts) RecordPhase(name string, start, end time.Time) {
 // WriteFile streams fn into name inside the run directory and indexes
 // it in the manifest.
 func (a *Artifacts) WriteFile(name, kind, desc, phase string, fn func(io.Writer) error) error {
-	f, err := os.Create(filepath.Join(a.Dir, name))
-	if err != nil {
-		return fmt.Errorf("harness: artifact %s: %w", name, err)
-	}
-	werr := fn(f)
-	cerr := f.Close()
-	if werr != nil {
-		return fmt.Errorf("harness: artifact %s: %w", name, werr)
-	}
-	if cerr != nil {
-		return fmt.Errorf("harness: artifact %s: %w", name, cerr)
+	if err := createFile(filepath.Join(a.Dir, name), fn); err != nil {
+		return err
 	}
 	a.manifest.Files = append(a.manifest.Files, ManifestFile{Path: name, Kind: kind, Desc: desc, Phase: phase})
 	return nil
@@ -185,7 +176,7 @@ func (a *Artifacts) WriteEvalReports(e *Evaluation) error {
 		"per-point conflict matrices, hot keys, and per-bean cache hit ratios", "evaluation",
 		func(w io.Writer) error {
 			for _, s := range e.Fig6Series() {
-				if err := WriteForensics(w, s.Pair, s.Labelled()); err != nil {
+				if err := WriteForensics(w, s.Pair, s.Points); err != nil {
 					return err
 				}
 			}
@@ -193,17 +184,10 @@ func (a *Artifacts) WriteEvalReports(e *Evaluation) error {
 		}); err != nil {
 		return err
 	}
-	if err := e.WriteCSV(a.Dir); err != nil {
-		return err
-	}
-	for _, f := range []struct{ name, desc string }{
-		{"fig6.csv", "Figure 6 latency curves (architecture comparison)"},
-		{"fig7.csv", "Figure 7 latency curves (ES/RDB algorithms)"},
-		{"table2.csv", "Table 2 latency sensitivities"},
-		{"fig8.csv", "Figure 8 bytes and wire round trips per interaction"},
-	} {
-		a.manifest.Files = append(a.manifest.Files,
-			ManifestFile{Path: f.name, Kind: "csv", Desc: f.desc, Phase: "evaluation"})
+	for _, f := range e.csvFiles() {
+		if err := a.WriteFile(f.name, "csv", f.desc, "evaluation", f.write); err != nil {
+			return err
+		}
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"os"
@@ -10,6 +11,8 @@ import (
 	"time"
 
 	"edgeejb/internal/obs"
+	"edgeejb/internal/regress"
+	"edgeejb/internal/trade"
 )
 
 func TestArtifactsLifecycle(t *testing.T) {
@@ -112,6 +115,83 @@ func TestArtifactsWriteFileError(t *testing.T) {
 	for _, f := range m.Files {
 		if f.Path == "bad.txt" {
 			t.Fatal("failed artifact indexed in manifest")
+		}
+	}
+}
+
+// TestEvaluationRunDirectory runs the whole evaluation, every cell at a
+// tiny scale and one 0 ms delay, and writes its run directory: the
+// reports, the CSV exports and summary.json, all indexed in
+// MANIFEST.json. Summary's wire rows carry Figure 8's counts exactly.
+func TestEvaluationRunDirectory(t *testing.T) {
+	eval, err := RunEvaluation(context.Background(), Options{
+		Populate: trade.PopulateConfig{Users: 6, Symbols: 10, HoldingsPerUser: 2},
+	}, Scale{
+		Workload: trade.GeneratorConfig{Seed: 5, Users: 6, Symbols: 10},
+		Warmup:   1,
+		Sessions: 2,
+		Batches:  2,
+	}, []time.Duration{0}, t.Logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(eval.Sweeps) != len(AllPairs()) {
+		t.Fatalf("%d sweeps, want %d", len(eval.Sweeps), len(AllPairs()))
+	}
+
+	art, err := NewArtifacts(t.TempDir(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := art.WriteEvalReports(eval); err != nil {
+		t.Fatal(err)
+	}
+	summary := BuildSummary(SummaryInput{Eval: eval})
+	if err := art.WriteSummary(summary); err != nil {
+		t.Fatal(err)
+	}
+	if err := art.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	raw, err := os.ReadFile(filepath.Join(art.Dir, "MANIFEST.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m Manifest
+	if err := json.Unmarshal(raw, &m); err != nil {
+		t.Fatal(err)
+	}
+	indexed := make(map[string]bool)
+	for _, f := range m.Files {
+		if _, err := os.Stat(filepath.Join(art.Dir, f.Path)); err != nil {
+			t.Errorf("manifest lists missing file %s: %v", f.Path, err)
+		}
+		indexed[f.Path] = true
+	}
+	for _, name := range []string{"report.txt", "forensics.txt", "fig6.csv", "fig7.csv", "table2.csv", "fig8.csv", regress.SummaryFile} {
+		if !indexed[name] {
+			t.Errorf("MANIFEST.json does not index %s: %+v", name, m.Files)
+		}
+	}
+
+	written, err := regress.Load(filepath.Join(art.Dir, regress.SummaryFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := eval.Fig8Rows()
+	if len(rows) != len(Fig6Pairs()) {
+		t.Fatalf("%d Figure 8 rows, want %d", len(rows), len(Fig6Pairs()))
+	}
+	for _, row := range rows {
+		ps := pairSlug(row.Pair)
+		for metric, want := range map[string]float64{
+			"wire." + ps + ".rts_per_interaction":   row.RoundTripsPerInteraction,
+			"wire." + ps + ".bytes_per_interaction": row.BytesPerInteraction,
+		} {
+			if got, ok := written.Metrics[metric]; !ok || got.Mean != want {
+				t.Errorf("summary.json %s = %+v, Figure 8 reports %v", metric, got, want)
+			}
 		}
 	}
 }

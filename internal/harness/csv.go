@@ -2,43 +2,67 @@ package harness
 
 import (
 	"encoding/csv"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
 	"strconv"
 )
 
-// WriteCSV exports every figure and table as CSV files in dir (created
-// if needed), so the curves can be re-plotted with any tool:
+// runFile is one file of a run's output: its name, what it holds, in
+// one line, and its writer.
+type runFile struct {
+	name, desc string
+	write      func(io.Writer) error
+}
+
+// csvFiles are the evaluation's CSV exports, so the curves can be
+// re-plotted with any tool:
 //
 //	fig6.csv    delay_ms, <series...>        (architecture comparison)
 //	fig7.csv    delay_ms, <series...>        (ES/RDB algorithms)
 //	table2.csv  algorithm, architecture, sensitivity, r2
 //	fig8.csv    configuration, bytes_per_interaction, wire_round_trips_per_interaction
+func (e *Evaluation) csvFiles() []runFile {
+	return []runFile{
+		{"fig6.csv", "Figure 6 latency curves (architecture comparison)",
+			func(w io.Writer) error { return writeSweepCSV(w, e.Fig6Series()) }},
+		{"fig7.csv", "Figure 7 latency curves (ES/RDB algorithms)",
+			func(w io.Writer) error { return writeSweepCSV(w, e.Fig7Series()) }},
+		{"table2.csv", "Table 2 latency sensitivities", e.writeTable2CSV},
+		{"fig8.csv", "Figure 8 bytes and wire round trips per interaction", e.writeFig8CSV},
+	}
+}
+
+// WriteCSV writes every CSV export into dir, created if needed.
 func (e *Evaluation) WriteCSV(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("harness: csv dir: %w", err)
 	}
-	if err := writeSweepCSV(filepath.Join(dir, "fig6.csv"), e.Fig6Series()); err != nil {
-		return err
+	for _, f := range e.csvFiles() {
+		if err := createFile(filepath.Join(dir, f.name), f.write); err != nil {
+			return err
+		}
 	}
-	if err := writeSweepCSV(filepath.Join(dir, "fig7.csv"), e.Fig7Series()); err != nil {
-		return err
-	}
-	if err := e.writeTable2CSV(filepath.Join(dir, "table2.csv")); err != nil {
-		return err
-	}
-	return e.writeFig8CSV(filepath.Join(dir, "fig8.csv"))
+	return nil
 }
 
-func writeSweepCSV(path string, sweeps []Sweep) error {
+// createFile streams write into a new file at path.
+func createFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return fmt.Errorf("harness: %s: %w", path, err)
 	}
-	defer f.Close()
-	w := csv.NewWriter(f)
+	if err := errors.Join(write(f), f.Close()); err != nil {
+		return fmt.Errorf("harness: %s: %w", path, err)
+	}
+	return nil
+}
+
+func writeSweepCSV(out io.Writer, sweeps []Sweep) error {
+	w := csv.NewWriter(out)
 
 	header := []string{"delay_ms"}
 	for _, s := range sweeps {
@@ -66,13 +90,8 @@ func writeSweepCSV(path string, sweeps []Sweep) error {
 	return w.Error()
 }
 
-func (e *Evaluation) writeTable2CSV(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("harness: %s: %w", path, err)
-	}
-	defer f.Close()
-	w := csv.NewWriter(f)
+func (e *Evaluation) writeTable2CSV(out io.Writer) error {
+	w := csv.NewWriter(out)
 	if err := w.Write([]string{"algorithm", "architecture", "sensitivity", "r2"}); err != nil {
 		return err
 	}
@@ -91,13 +110,8 @@ func (e *Evaluation) writeTable2CSV(path string) error {
 	return w.Error()
 }
 
-func (e *Evaluation) writeFig8CSV(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("harness: %s: %w", path, err)
-	}
-	defer f.Close()
-	w := csv.NewWriter(f)
+func (e *Evaluation) writeFig8CSV(out io.Writer) error {
+	w := csv.NewWriter(out)
 	if err := w.Write([]string{"configuration", "bytes_per_interaction", "wire_round_trips_per_interaction"}); err != nil {
 		return err
 	}

@@ -9,10 +9,11 @@
 // (mean client-interaction latency vs one-way delay); Sweep.Sensitivity
 // is the fitted slope of Table 2; Fig8Rows reports the shared-path
 // bytes per interaction of Figure 8; WriteTable1 derives Table 1 from
-// the implementation itself. Every experiment measures through
-// Topology.Measure, whose Pass holds the load result, the shared-path
-// traffic, a diff of the process-wide obs registry and the forensic
-// events of one window, so Pass.Spans decomposes the measured latency
-// into per-hop trace-span histograms (WriteLatencyBreakdown; see
-// OBSERVABILITY.md).
+// the implementation itself. Every experiment is one Topology.Run: one
+// virtual client warms the topology once, then each Step is measured
+// through Topology.Measure, whose Pass holds the load result, the
+// shared-path traffic, a diff of the process-wide obs registry, the
+// forensic events and the topology's own counts of one window, so
+// Pass.Spans decomposes the measured latency into per-hop trace-span
+// histograms (WriteLatencyBreakdown; see OBSERVABILITY.md).
 package harness

@@ -36,13 +36,9 @@ type FaultReport struct {
 	Pair Pair
 	// Clean is the pass with no faults injected.
 	Clean Pass
-	// Faulted is the same workload under the fault schedule.
+	// Faulted is the same workload under the fault schedule; its
+	// Injected and Resubscribes are the report's fault columns.
 	Faulted Pass
-	// Faults are the proxy's injection counters for the faulted pass.
-	Faults latency.FaultStats
-	// Resubscribes counts the edge cache managers' invalidation-stream
-	// reconnections over the faulted pass (cached algorithm only).
-	Resubscribes uint64
 }
 
 // WireRetries is the transport-level retry count consumed on the shared
@@ -59,73 +55,36 @@ func (r FaultReport) LatencyOverheadPct() float64 {
 	return 100 * (r.Faulted.MeanLatencyMs() - clean) / clean
 }
 
-// RunFaultExperiment measures each pair twice on one topology of opts —
-// after scale.Warmup sessions, a clean pass, then the same workload with
-// plan active — and reports session survival, retry consumption, and
-// latency overhead. Abandoned sessions are part of what it reports, not
-// a reason to stop. logf, if non-nil, receives progress lines.
+// RunFaultExperiment runs each pair on a topology of opts — after
+// scale.Warmup sessions, a clean step, then the same client's workload
+// with plan active — and reports session survival, retry consumption,
+// and latency overhead. Abandoned sessions are part of what it reports,
+// not a reason to stop. logf, if non-nil, receives progress lines.
 func RunFaultExperiment(ctx context.Context, opts Options, scale Scale, pairs []Pair, plan latency.FaultPlan, logf func(format string, args ...any)) ([]FaultReport, error) {
+	delayMs := float64(opts.OneWayDelay) / float64(time.Millisecond)
+	steps := []Step{
+		{Label: "clean", OneWayDelayMs: delayMs},
+		{Label: "faulted", OneWayDelayMs: delayMs, Faults: &plan},
+	}
 	var reports []FaultReport
 	for _, pair := range pairs {
-		rep, err := runFaultPair(ctx, pair.options(opts), scale, plan, logf)
-		if err != nil {
+		points, err := Run(ctx, pair.options(opts), scale, steps)
+		if err != nil && !errors.Is(err, loadgen.ErrAbandoned) {
 			return reports, fmt.Errorf("harness: faults %s: %w", pair, err)
 		}
+		rep := FaultReport{Pair: pair, Clean: points[0].Pass, Faulted: points[1].Pass}
 		reports = append(reports, rep)
+		if logf != nil {
+			c, f := rep.Clean.Load, rep.Faulted.Load
+			logf("  %s clean: %d/%d sessions, mean %.2f ms",
+				pair, c.Completed, c.Completed+c.Abandoned, rep.Clean.MeanLatencyMs())
+			logf("  %s faulted: %d/%d sessions (%.1f%%), %d wire retries, %d session retries, +%.1f%% latency",
+				pair, f.Completed, f.Completed+f.Abandoned,
+				100*f.SuccessRate(), rep.WireRetries(), f.Retries,
+				rep.LatencyOverheadPct())
+		}
 	}
 	return reports, nil
-}
-
-func runFaultPair(ctx context.Context, opts Options, scale Scale, plan latency.FaultPlan, logf func(string, ...any)) (FaultReport, error) {
-	topo, err := Build(opts)
-	if err != nil {
-		return FaultReport{}, err
-	}
-	defer topo.Close()
-	rep := FaultReport{Pair: Pair{topo.Arch, topo.Algo}}
-
-	load := topo.oneClient(scale.Workload)
-	load.Batches = scale.Batches
-	measure := func() (Pass, error) {
-		p, err := topo.Measure(ctx, load)
-		if errors.Is(err, loadgen.ErrAbandoned) {
-			err = nil
-		}
-		return p, err
-	}
-	if scale.Warmup > 0 {
-		warm := load
-		warm.Sessions = scale.Warmup
-		if _, err := loadgen.Run(ctx, warm); err != nil && !errors.Is(err, loadgen.ErrAbandoned) {
-			return FaultReport{}, fmt.Errorf("warmup: %w", err)
-		}
-	}
-	load.Sessions = scale.Sessions
-	if rep.Clean, err = measure(); err != nil {
-		return FaultReport{}, fmt.Errorf("clean pass: %w", err)
-	}
-	if logf != nil {
-		logf("  %s clean: %d/%d sessions, mean %.2f ms",
-			rep.Pair, rep.Clean.Load.Completed, rep.Clean.Load.Completed+rep.Clean.Load.Abandoned, rep.Clean.MeanLatencyMs())
-	}
-
-	resubscribes := sumResubscribes(topo)
-	topo.SetFaults(&plan)
-	rep.Faulted, err = measure()
-	rep.Faults = topo.FaultStats()
-	topo.SetFaults(nil)
-	if err != nil {
-		return FaultReport{}, fmt.Errorf("faulted pass: %w", err)
-	}
-	rep.Resubscribes = sumResubscribes(topo) - resubscribes
-	if logf != nil {
-		f := rep.Faulted.Load
-		logf("  %s faulted: %d/%d sessions (%.1f%%), %d wire retries, %d session retries, +%.1f%% latency",
-			rep.Pair, f.Completed, f.Completed+f.Abandoned,
-			100*f.SuccessRate(), rep.WireRetries(), f.Retries,
-			rep.LatencyOverheadPct())
-	}
-	return rep, nil
 }
 
 // WriteFaultReport renders the fault experiment as a table.
@@ -137,21 +96,9 @@ func WriteFaultReport(w io.Writer, reports []FaultReport) {
 		f := r.Faulted.Load
 		fmt.Fprintf(w, "%-26s %8.1f%% %12d %12d %9.1f%% %12d\n",
 			r.Pair.String(), 100*f.SuccessRate(), r.WireRetries(),
-			f.Retries, r.LatencyOverheadPct(), r.Resubscribes)
+			f.Retries, r.LatencyOverheadPct(), r.Faulted.Resubscribes)
 		fmt.Fprintf(w, "%-26s   (%d/%d sessions; faults: %d resets, %d truncations, %d stalls)\n",
 			"", f.Completed, f.Completed+f.Abandoned,
-			r.Faults.ConnResets, r.Faults.Truncations, r.Faults.Stalls)
+			r.Faulted.Injected.ConnResets, r.Faulted.Injected.Truncations, r.Faulted.Injected.Stalls)
 	}
-}
-
-// sumResubscribes totals the cache managers' stream reconnections
-// (zero for non-cached algorithms).
-func sumResubscribes(t *Topology) uint64 {
-	var n uint64
-	for _, m := range t.Managers {
-		if m != nil {
-			n += m.Stats().Resubscribes
-		}
-	}
-	return n
 }

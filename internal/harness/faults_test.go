@@ -51,10 +51,13 @@ func TestFaultExperimentSurvives(t *testing.T) {
 	if rate := r.Faulted.Load.SuccessRate(); rate < 0.95 {
 		t.Fatalf("faulted success rate %.2f, want >= 0.95 (%+v)", rate, r.Faulted.Load)
 	}
-	if r.Faults == (latency.FaultStats{}) {
+	if r.Faulted.Injected == (latency.FaultStats{}) {
 		t.Fatal("no faults were injected")
 	}
-	if r.Faults.ConnResets > 0 && r.WireRetries() == 0 && r.Faulted.Load.Retries == 0 {
+	if r.Clean.Injected != (latency.FaultStats{}) {
+		t.Fatalf("faults injected in the clean pass: %+v", r.Clean.Injected)
+	}
+	if r.Faulted.Injected.ConnResets > 0 && r.WireRetries() == 0 && r.Faulted.Load.Retries == 0 {
 		t.Fatalf("connections were reset but nothing retried: %+v", r)
 	}
 	if r.Clean.Load.SuccessRate() != 1.0 {

@@ -57,9 +57,10 @@ func fixtureCounters() map[string]uint64 {
 // with latency slope, shared-path traffic, spans, per-action latencies
 // and, at the second point, forensics.
 func fakeEvaluation() *Evaluation {
+	steps := DelaySteps([]time.Duration{0, 2 * time.Millisecond})
 	mkSweep := func(arch Architecture, algo Algorithm, slope float64) Sweep {
 		points := []Point{
-			{OneWayDelayMs: 0, Pass: Pass{
+			{Step: steps[0], Pass: Pass{
 				Load: loadgen.Result{Interactions: 100, Latency: stats.Summary{N: 100, Mean: 0.2}},
 				Wire: wire.Stats{RoundTrips: 400, BytesSent: 30000, BytesReceived: 10000},
 				Metrics: obs.Snapshot{Histograms: spans(map[string]obs.HistSnapshot{
@@ -67,7 +68,7 @@ func fakeEvaluation() *Evaluation {
 					"edge.request":       span(100, 150*time.Microsecond),
 				})},
 			}},
-			{OneWayDelayMs: 2, Pass: Pass{
+			{Step: steps[1], Pass: Pass{
 				Load: loadgen.Result{
 					Interactions: 100,
 					Latency:      stats.Summary{N: 100, Mean: 0.2 + 2*slope},
@@ -120,21 +121,22 @@ func result(n int, perSecond, meanMs float64, failures int) loadgen.Result {
 
 // throughputFixture fabricates two concurrency curves; the ES/RBES
 // curve's concurrent point carries forensics.
-func throughputFixture() []ThroughputCurve {
-	return []ThroughputCurve{
+func throughputFixture() []Sweep {
+	steps := ClientSteps(2*time.Millisecond, []int{1, 2, 4})
+	return []Sweep{
 		{
 			Pair: Pair{ClientsRAS, AlgJDBC},
-			Points: []ThroughputPoint{
-				{Clients: 1, Pass: Pass{Load: result(66, 90.25, 11.5, 0)}},
-				{Clients: 2, Pass: Pass{Load: result(132, 170.5, 12.25, 0)}},
+			Points: []Point{
+				{Step: steps[0], Pass: Pass{Load: result(66, 90.25, 11.5, 0)}},
+				{Step: steps[1], Pass: Pass{Load: result(132, 170.5, 12.25, 0)}},
 			},
 		},
 		{
 			Pair: Pair{ESRBES, AlgCachedEJB},
-			Points: []ThroughputPoint{
-				{Clients: 1, Pass: Pass{Load: result(66, 120.5, 7.1, 0),
+			Points: []Point{
+				{Step: steps[0], Pass: Pass{Load: result(66, 120.5, 7.1, 0),
 					Metrics: obs.Snapshot{Counters: map[string]uint64{"slicache.hits{bean=quote}": 12}}}},
-				{Clients: 4, Pass: Pass{Load: result(262, 300.2, 13.9, 2),
+				{Step: steps[2], Pass: Pass{Load: result(262, 300.2, 13.9, 2),
 					Metrics: obs.Snapshot{Counters: fixtureCounters()}, Events: fixtureEvents()}},
 			},
 		},
@@ -149,9 +151,9 @@ func shardFixture() []ShardScalingPoint {
 	}
 	return []ShardScalingPoint{
 		{
-			Shards:          1,
-			Pass:            Pass{Load: result(1000, 480.5, 49.75, 0), Metrics: obs.Snapshot{Histograms: commits(900)}},
-			PerShardCommits: map[int]uint64{0: 900},
+			Shards: 1,
+			Pass: Pass{Load: result(1000, 480.5, 49.75, 0), Metrics: obs.Snapshot{Histograms: commits(900)},
+				BackendCommits: []uint64{900}},
 		},
 		{
 			Shards: 2,
@@ -164,8 +166,7 @@ func shardFixture() []ShardScalingPoint {
 					"shard.scatter_queries":  40,
 				},
 				Histograms: commits(975),
-			}},
-			PerShardCommits: map[int]uint64{1: 520, 0: 480},
+			}, BackendCommits: []uint64{480, 520}},
 		},
 	}
 }
@@ -179,21 +180,14 @@ func faultFixture() []FaultReport {
 			Interactions: 11 * completed, Latency: stats.Summary{N: 11 * completed, Mean: meanMs},
 		}}
 	}
+	rasFaulted := sessions(78, 2, 9, 12.5)
+	rasFaulted.Injected = latency.FaultStats{ConnResets: 5, Truncations: 1, Stalls: 2}
 	rbesFaulted := sessions(80, 0, 3, 4.5)
 	rbesFaulted.Wire.Retries = 17
+	rbesFaulted.Injected = latency.FaultStats{ConnResets: 7, Stalls: 3}
+	rbesFaulted.Resubscribes = 2
 	return []FaultReport{
-		{
-			Pair:    Pair{ClientsRAS, AlgJDBC},
-			Clean:   sessions(80, 0, 0, 10),
-			Faulted: sessions(78, 2, 9, 12.5),
-			Faults:  latency.FaultStats{ConnResets: 5, Truncations: 1, Stalls: 2},
-		},
-		{
-			Pair:         Pair{ESRBES, AlgCachedEJB},
-			Clean:        sessions(80, 0, 0, 4),
-			Faulted:      rbesFaulted,
-			Faults:       latency.FaultStats{ConnResets: 7, Stalls: 3},
-			Resubscribes: 2,
-		},
+		{Pair: Pair{ClientsRAS, AlgJDBC}, Clean: sessions(80, 0, 0, 10), Faulted: rasFaulted},
+		{Pair: Pair{ESRBES, AlgCachedEJB}, Clean: sessions(80, 0, 0, 4), Faulted: rbesFaulted},
 	}
 }

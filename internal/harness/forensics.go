@@ -8,44 +8,19 @@ import (
 	"edgeejb/internal/obs"
 )
 
-// LabelledPass is one block of a forensics report: a pass and what
-// distinguishes it from the experiment's other passes.
-type LabelledPass struct {
-	Label string
-	Pass  Pass
-}
-
-// Labelled labels a sweep's passes by delay.
-func (s Sweep) Labelled() []LabelledPass {
-	out := make([]LabelledPass, len(s.Points))
-	for i, p := range s.Points {
-		out[i] = LabelledPass{fmt.Sprintf("delay %.1fms", p.OneWayDelayMs), p.Pass}
-	}
-	return out
-}
-
-// Labelled labels a throughput curve's passes by client count.
-func (c ThroughputCurve) Labelled() []LabelledPass {
-	out := make([]LabelledPass, len(c.Points))
-	for i, p := range c.Points {
-		out[i] = LabelledPass{fmt.Sprintf("%d clients", p.Clients), p.Pass}
-	}
-	return out
-}
-
-// WriteForensics renders one cell's transaction forensics: per pass, a
+// WriteForensics renders one cell's transaction forensics: per point, a
 // conflict matrix (interaction × bean type), the hottest conflicting
 // keys, the per-bean cache hit ratios and the invalidations applied,
 // all read from the pass's events and counter diff. The concurrent
 // throughput passes are where the conflict matrix carries real weight:
 // they race writers, so (op, bean) abort counts are non-trivial.
-func WriteForensics(w io.Writer, cell Pair, passes []LabelledPass) error {
+func WriteForensics(w io.Writer, cell Pair, points []Point) error {
 	if _, err := fmt.Fprintf(w, "== forensics: %s ==\n", cell); err != nil {
 		return err
 	}
-	for _, p := range passes {
+	for _, p := range points {
 		fmt.Fprintf(w, "\n-- %s --\n", p.Label)
-		if err := writeForensicsBlock(w, p.Pass.Events, p.Pass.Metrics.Counters); err != nil {
+		if err := writeForensicsBlock(w, p.Events, p.Metrics.Counters); err != nil {
 			return err
 		}
 	}

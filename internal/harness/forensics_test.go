@@ -11,7 +11,7 @@ import (
 func forensicsFixture() Sweep {
 	return Sweep{
 		Pair: Pair{ESRBES, AlgCachedEJB},
-		Points: []Point{{OneWayDelayMs: 2, Pass: Pass{
+		Points: []Point{{Step: DelaySteps([]time.Duration{2 * time.Millisecond})[0], Pass: Pass{
 			Metrics: obs.Snapshot{Counters: map[string]uint64{
 				"slicache.hits{bean=quote}":     30,
 				"slicache.misses{bean=quote}":   10,
@@ -33,7 +33,7 @@ func forensicsFixture() Sweep {
 func TestWriteForensics(t *testing.T) {
 	var b strings.Builder
 	s := forensicsFixture()
-	if err := WriteForensics(&b, s.Pair, s.Labelled()); err != nil {
+	if err := WriteForensics(&b, s.Pair, s.Points); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()

@@ -62,7 +62,7 @@ func TestGoldenEvaluationReports(t *testing.T) {
 func TestGoldenForensics(t *testing.T) {
 	var sweeps bytes.Buffer
 	for _, s := range fakeEvaluation().Fig6Series() {
-		if err := WriteForensics(&sweeps, s.Pair, s.Labelled()); err != nil {
+		if err := WriteForensics(&sweeps, s.Pair, s.Points); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -70,7 +70,7 @@ func TestGoldenForensics(t *testing.T) {
 
 	var curves bytes.Buffer
 	for _, c := range throughputFixture() {
-		if err := WriteForensics(&curves, c.Pair, c.Labelled()); err != nil {
+		if err := WriteForensics(&curves, c.Pair, c.Points); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -2,10 +2,14 @@ package harness
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"math"
 	"strings"
+	"time"
 
 	"edgeejb/internal/appserver"
+	"edgeejb/internal/latency"
 	"edgeejb/internal/loadgen"
 	"edgeejb/internal/obs"
 	"edgeejb/internal/trade"
@@ -44,6 +48,15 @@ type Pass struct {
 	// Events are the forensic events (conflicts, invalidations, stale
 	// finder reads, 2PC outcomes) emitted during the pass.
 	Events []obs.Event
+	// Injected counts the faults the proxies injected under the fault
+	// plan in force, which SetFaults starts from zero.
+	Injected latency.FaultStats
+	// Resubscribes counts the edge cache managers' invalidation-stream
+	// reconnections during the pass (cached algorithm only).
+	Resubscribes uint64
+	// BackendCommits holds, by shard, the commit sets (and 2PC sub-sets)
+	// each back-end server applied during the pass (ES/RBES only).
+	BackendCommits []uint64
 }
 
 // Measure runs one pass of load over t. It waits for the invalidation
@@ -56,19 +69,40 @@ func (t *Topology) Measure(ctx context.Context, load loadgen.Config) (Pass, erro
 	if err := t.awaitNotices(); err != nil {
 		return Pass{}, err
 	}
+	// counted is what the topology counts beyond the registry: stream
+	// resubscribes, and the commits each back-end applied.
+	counted := func() (resubscribes uint64, commits []uint64) {
+		for _, m := range t.Managers {
+			if m != nil {
+				resubscribes += m.Stats().Resubscribes
+			}
+		}
+		for _, be := range t.Backends {
+			commits = append(commits, be.CommitsApplied())
+		}
+		return resubscribes, commits
+	}
 	wireBefore := t.SharedPathStats()
 	obsBefore := obs.Default.Snapshot()
 	seqBefore := obs.DefaultEvents.Seq()
+	resubscribesBefore, commitsBefore := counted()
 	res, err := loadgen.Run(ctx, load)
 	if werr := t.awaitNotices(); werr != nil {
 		return Pass{}, werr
 	}
-	return Pass{
-		Load:    res,
-		Wire:    t.SharedPathStats().Sub(wireBefore),
-		Metrics: obs.Default.Diff(obsBefore),
-		Events:  obs.DefaultEvents.Since(seqBefore),
-	}, err
+	pass := Pass{
+		Load:     res,
+		Wire:     t.SharedPathStats().Sub(wireBefore),
+		Metrics:  obs.Default.Diff(obsBefore),
+		Events:   obs.DefaultEvents.Since(seqBefore),
+		Injected: t.FaultStats(),
+	}
+	pass.Resubscribes, pass.BackendCommits = counted()
+	pass.Resubscribes -= resubscribesBefore
+	for i, n := range commitsBefore {
+		pass.BackendCommits[i] -= n
+	}
+	return pass, err
 }
 
 // MeanLatencyMs is the pass's mean client-interaction latency (the
@@ -109,39 +143,101 @@ func (p Pass) Spans() map[string]obs.HistSnapshot {
 	return spans
 }
 
-// oneClient is the load of one new web client of t driving a single
-// generator of wl, the paper's one virtual client.
-func (t *Topology) oneClient(wl trade.GeneratorConfig) loadgen.Config {
-	return loadgen.Config{
+// Step is one measured window of a run.
+type Step struct {
+	// Label names the step in forensics reports: "delay 2.0ms",
+	// "4 clients".
+	Label string
+	// OneWayDelayMs is the delay on the high-latency path during the
+	// step, in milliseconds.
+	OneWayDelayMs float64
+	// Clients is the number of fresh concurrent web clients the step
+	// drives, client c's generator seeded by loadgen.Generators. Zero
+	// continues the warm-up's one virtual client and its generator.
+	Clients int
+	// Faults, when set, is injected on the high-latency path for the
+	// step's duration.
+	Faults *latency.FaultPlan
+}
+
+// delay is the step's one-way delay as a duration.
+func (s Step) delay() time.Duration {
+	return time.Duration(math.Round(s.OneWayDelayMs * float64(time.Millisecond)))
+}
+
+// Point is one measured step.
+type Point struct {
+	Step
+	Pass
+}
+
+// Run builds a topology of opts at the first step's delay, runs steps
+// on it (Topology.Run) and closes it.
+func Run(ctx context.Context, opts Options, scale Scale, steps []Step) ([]Point, error) {
+	if len(steps) > 0 {
+		opts.OneWayDelay = steps[0].delay()
+	}
+	topo, err := Build(opts)
+	if err != nil {
+		return nil, err
+	}
+	defer topo.Close()
+	return topo.Run(ctx, scale, steps)
+}
+
+// Run is every experiment's procedure (§4): one virtual client warms t
+// once with scale.Warmup sessions at the first step's delay, then each
+// step is measured in turn, every client it drives running
+// scale.Sessions sessions. The topology stays up across steps, so caches
+// stay warm exactly as a long-running edge server's would. An abandoned
+// session does not stop the run: the points come back complete, with an
+// error wrapping loadgen.ErrAbandoned.
+func (t *Topology) Run(ctx context.Context, scale Scale, steps []Step) ([]Point, error) {
+	if len(steps) == 0 {
+		return nil, errors.New("harness: a run needs at least one step")
+	}
+	var abandoned error
+	failed := func(err error) bool {
+		if errors.Is(err, loadgen.ErrAbandoned) {
+			if abandoned == nil {
+				abandoned = err
+			}
+			return false
+		}
+		return err != nil
+	}
+	one := loadgen.Config{
 		Clients:    []*appserver.Client{t.NewWebClient()},
-		Generators: []*trade.Generator{trade.NewGenerator(wl)},
-	}
-}
-
-// warm runs scale.Warmup sessions on one web client of its own.
-func (t *Topology) warm(ctx context.Context, scale Scale) error {
-	if scale.Warmup <= 0 {
-		return nil
-	}
-	load := t.oneClient(scale.Workload)
-	load.Sessions = scale.Warmup
-	if _, err := loadgen.Run(ctx, load); err != nil {
-		return fmt.Errorf("harness: warmup: %w", err)
-	}
-	return nil
-}
-
-// clients is the load of n fresh concurrent web clients, seeded per
-// client, each driving scale.Sessions sessions.
-func (t *Topology) clients(n int, scale Scale) loadgen.Config {
-	clients := make([]*appserver.Client, n)
-	for i := range clients {
-		clients[i] = t.NewWebClient()
-	}
-	return loadgen.Config{
-		Clients:    clients,
-		Generators: loadgen.Generators(scale.Workload, n),
-		Sessions:   scale.Sessions,
+		Generators: []*trade.Generator{trade.NewGenerator(scale.Workload)},
 		Batches:    scale.Batches,
 	}
+	t.SetDelay(steps[0].delay())
+	if scale.Warmup > 0 {
+		warm := one
+		warm.Sessions = scale.Warmup
+		if _, err := loadgen.Run(ctx, warm); failed(err) {
+			return nil, fmt.Errorf("harness: warmup: %w", err)
+		}
+	}
+	points := make([]Point, 0, len(steps))
+	for _, s := range steps {
+		load := one
+		if s.Clients > 0 {
+			load.Clients = make([]*appserver.Client, s.Clients)
+			for i := range load.Clients {
+				load.Clients[i] = t.NewWebClient()
+			}
+			load.Generators = loadgen.Generators(scale.Workload, s.Clients)
+		}
+		load.Sessions = scale.Sessions
+		t.SetDelay(s.delay())
+		t.SetFaults(s.Faults)
+		pass, err := t.Measure(ctx, load)
+		t.SetFaults(nil)
+		if failed(err) {
+			return points, fmt.Errorf("harness: %s: %w", s.Label, err)
+		}
+		points = append(points, Point{Step: s, Pass: pass})
+	}
+	return points, abandoned
 }

@@ -119,7 +119,7 @@ func TestOneEdgeHearsNoPushes(t *testing.T) {
 			defer topo.Close()
 			silent := func(when string) {
 				t.Helper()
-				if _, err := RunSweepOn(context.Background(), topo, scale, delays); err != nil {
+				if _, err := topo.Run(context.Background(), scale, DelaySteps(delays)); err != nil {
 					t.Fatalf("%s: %v", when, err)
 				}
 				st := topo.Stores[0].Stats()

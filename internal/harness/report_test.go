@@ -96,11 +96,12 @@ func TestWriteActionBreakdown(t *testing.T) {
 }
 
 func TestWriteThroughputRendering(t *testing.T) {
-	curves := []ThroughputCurve{{
+	steps := ClientSteps(0, []int{1, 4})
+	curves := []Sweep{{
 		Pair: Pair{ESRBES, AlgCachedEJB},
-		Points: []ThroughputPoint{
-			{Clients: 1, Pass: Pass{Load: result(0, 120.5, 7.1, 0)}},
-			{Clients: 4, Pass: Pass{Load: result(0, 300.2, 13.9, 2)}},
+		Points: []Point{
+			{Step: steps[0], Pass: Pass{Load: result(0, 120.5, 7.1, 0)}},
+			{Step: steps[1], Pass: Pass{Load: result(0, 300.2, 13.9, 2)}},
 		},
 	}}
 	var sb strings.Builder

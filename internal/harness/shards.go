@@ -5,7 +5,6 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 )
 
@@ -27,9 +26,6 @@ import (
 type ShardScalingPoint struct {
 	Shards int
 	Pass
-	// PerShardCommits maps shard index to the commit sets (and 2PC
-	// sub-sets) its back-end server applied during the pass.
-	PerShardCommits map[int]uint64
 }
 
 // TwoPCCommits counts the commit sets that needed cross-shard 2PC.
@@ -72,9 +68,9 @@ func (p ShardScalingPoint) TwoPCFraction() float64 {
 	return float64(p.TwoPCCommits()) / float64(p.committed())
 }
 
-// RunShardScaling builds an ES/RBES cached-EJB topology of opts at each
-// shard count (shard count is a build-time property of the tier), warms
-// it, and measures one pass of clients concurrent clients.
+// RunShardScaling runs an ES/RBES cached-EJB topology of opts at each
+// shard count (shard count is a build-time property of the tier): one
+// step of clients concurrent clients at 0 ms.
 func RunShardScaling(ctx context.Context, opts Options, scale Scale, shardCounts []int, clients int, logf func(string, ...any)) ([]ShardScalingPoint, error) {
 	if len(shardCounts) == 0 {
 		return nil, fmt.Errorf("harness: shard scaling needs shard counts")
@@ -89,10 +85,11 @@ func RunShardScaling(ctx context.Context, opts Options, scale Scale, shardCounts
 			logf("running shard scaling: %d shard(s), %d clients...", n, clients)
 		}
 		opts.Shards = n
-		p, err := measureShards(ctx, opts, scale, clients)
+		run, err := Run(ctx, opts, scale, ClientSteps(0, []int{clients}))
 		if err != nil {
 			return points, fmt.Errorf("harness: %d shards: %w", n, err)
 		}
+		p := ShardScalingPoint{Shards: n, Pass: run[0].Pass}
 		points = append(points, p)
 		if logf != nil {
 			logf("  %d shard(s): %.1f committed/s, 2PC fraction %.1f%%, %d failures",
@@ -100,31 +97,6 @@ func RunShardScaling(ctx context.Context, opts Options, scale Scale, shardCounts
 		}
 	}
 	return points, nil
-}
-
-// measureShards measures one shard count's topology.
-func measureShards(ctx context.Context, opts Options, scale Scale, clients int) (ShardScalingPoint, error) {
-	topo, err := Build(opts)
-	if err != nil {
-		return ShardScalingPoint{}, err
-	}
-	defer topo.Close()
-	if err := topo.warm(ctx, scale); err != nil {
-		return ShardScalingPoint{}, err
-	}
-	before := make([]uint64, len(topo.Backends))
-	for i, be := range topo.Backends {
-		before[i] = be.CommitsApplied()
-	}
-	pass, err := topo.Measure(ctx, topo.clients(clients, scale))
-	if err != nil {
-		return ShardScalingPoint{}, err
-	}
-	p := ShardScalingPoint{Shards: opts.Shards, Pass: pass, PerShardCommits: make(map[int]uint64, len(before))}
-	for i, be := range topo.Backends {
-		p.PerShardCommits[i] = be.CommitsApplied() - before[i]
-	}
-	return p, nil
 }
 
 // WriteShardScaling renders the sweep as a text table.
@@ -165,16 +137,11 @@ func WriteShardsCSV(w io.Writer, points []ShardScalingPoint) error {
 		return err
 	}
 	for _, p := range points {
-		shards := make([]int, 0, len(p.PerShardCommits))
-		for s := range p.PerShardCommits {
-			shards = append(shards, s)
-		}
-		sort.Ints(shards)
-		for _, s := range shards {
+		for s, commits := range p.BackendCommits {
 			rec := []string{
 				strconv.Itoa(p.Shards),
 				strconv.Itoa(s),
-				strconv.FormatUint(p.PerShardCommits[s], 10),
+				strconv.FormatUint(commits, 10),
 				strconv.FormatFloat(p.Load.Throughput, 'f', 2, 64),
 				strconv.FormatFloat(p.MeanLatencyMs(), 'f', 3, 64),
 				strconv.Itoa(p.Load.Failures),

@@ -24,16 +24,16 @@ func TestSmokeAllPairs(t *testing.T) {
 			}
 			defer topo.Close()
 
-			sweep, err := RunSweepOn(context.Background(), topo, Scale{
+			points, err := topo.Run(context.Background(), Scale{
 				Workload: trade.GeneratorConfig{Seed: 7, Users: 10, Symbols: 20},
 				Warmup:   1,
 				Sessions: 3,
 				Batches:  4,
-			}, []time.Duration{0})
+			}, DelaySteps([]time.Duration{0}))
 			if err != nil {
 				t.Fatalf("run: %v", err)
 			}
-			p := sweep.Points[0]
+			p := points[0]
 			if p.Load.Interactions == 0 {
 				t.Fatal("no interactions measured")
 			}

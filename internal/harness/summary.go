@@ -20,7 +20,7 @@ type SummaryInput struct {
 	// Eval is the figure evaluation, when one ran.
 	Eval *Evaluation
 	// Throughput holds the concurrency-extension curves.
-	Throughput []ThroughputCurve
+	Throughput []Sweep
 	// Shards holds the shard-scaling sweep.
 	Shards []ShardScalingPoint
 	// Counters is the whole run's counter diff (finder-cache ratios).

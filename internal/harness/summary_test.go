@@ -21,11 +21,11 @@ func fullSummaryInput() SummaryInput {
 		{ESRDB, AlgVanillaEJB}: {
 			Pair: Pair{ESRDB, AlgVanillaEJB},
 			Points: []Point{
-				{OneWayDelayMs: 0, Pass: Pass{
+				{Step: Step{OneWayDelayMs: 0}, Pass: Pass{
 					Load: loadgen.Result{Interactions: 100, Latency: stats.Summary{N: 100, Mean: 1.5}, BatchMeans: []float64{1.4, 1.6}},
 					Wire: wire.Stats{RoundTrips: 1200, BytesSent: 400000},
 				}},
-				{OneWayDelayMs: 0.5, Pass: Pass{
+				{Step: Step{OneWayDelayMs: 0.5}, Pass: Pass{
 					Load: loadgen.Result{Interactions: 100, Latency: stats.Summary{N: 100, Mean: 13.5}, BatchMeans: []float64{13.4, 13.6}},
 					Wire: wire.Stats{RoundTrips: 1220, BytesSent: 410000},
 				}},
@@ -36,9 +36,9 @@ func fullSummaryInput() SummaryInput {
 	return SummaryInput{
 		Args: []string{"-fig7"},
 		Eval: eval,
-		Throughput: []ThroughputCurve{{
+		Throughput: []Sweep{{
 			Pair:   Pair{ESRBES, AlgCachedEJB},
-			Points: []ThroughputPoint{{Clients: 4, Pass: Pass{Load: result(500, 120.5, 0, 0)}}},
+			Points: []Point{{Step: Step{Clients: 4}, Pass: Pass{Load: result(500, 120.5, 0, 0)}}},
 		}},
 		Shards: []ShardScalingPoint{{Shards: 2, Pass: Pass{
 			Load: result(400, 200, 0, 0),
@@ -168,7 +168,7 @@ func TestBuildSummaryEmptyInput(t *testing.T) {
 	s = BuildSummary(SummaryInput{Eval: &Evaluation{Sweeps: map[Pair]Sweep{
 		{ESRDB, AlgJDBC}: {
 			Pair:   Pair{ESRDB, AlgJDBC},
-			Points: []Point{{OneWayDelayMs: 0, Pass: Pass{Load: result(1, 0, 1, 0)}}},
+			Points: []Point{{Pass: Pass{Load: result(1, 0, 1, 0)}}},
 			Fit:    stats.Fit{Slope: nan(), R2: nan()},
 		},
 	}}})

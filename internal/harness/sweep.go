@@ -7,18 +7,11 @@ import (
 	"math"
 	"time"
 
-	"edgeejb/internal/loadgen"
 	"edgeejb/internal/stats"
 )
 
-// Point is one delay point of a sweep.
-type Point struct {
-	// OneWayDelayMs is the injected one-way delay, in milliseconds.
-	OneWayDelayMs float64
-	Pass
-}
-
-// Sweep is one (architecture, algorithm) latency curve.
+// Sweep is one (architecture, algorithm) curve: latency over delay
+// points, or, with no fit, throughput over client counts.
 type Sweep struct {
 	Pair
 	Points []Point
@@ -31,55 +24,28 @@ type Sweep struct {
 // ms of client latency per ms of one-way delay).
 func (s Sweep) Sensitivity() float64 { return s.Fit.Slope }
 
-// RunSweep builds the topology, warms it up, then measures every delay
-// point. The topology is built once and the delay adjusted in place, so
-// caches stay warm across points exactly as a long-running edge server's
-// would.
-func RunSweep(ctx context.Context, opts Options, scale Scale, delays []time.Duration) (Sweep, error) {
-	if len(delays) == 0 {
-		return Sweep{}, fmt.Errorf("harness: sweep needs at least one delay point")
+// DelaySteps is a latency sweep's steps: one per delay, each continuing
+// the warm-up's one virtual client.
+func DelaySteps(delays []time.Duration) []Step {
+	steps := make([]Step, len(delays))
+	for i, d := range delays {
+		ms := float64(d) / float64(time.Millisecond)
+		steps[i] = Step{Label: fmt.Sprintf("delay %.1fms", ms), OneWayDelayMs: ms}
 	}
-	opts.OneWayDelay = delays[0]
-	topo, err := Build(opts)
+	return steps
+}
+
+// RunSweep measures one latency curve of opts over delays (Run) and
+// fits its sensitivity.
+func RunSweep(ctx context.Context, opts Options, scale Scale, delays []time.Duration) (Sweep, error) {
+	points, err := Run(ctx, opts, scale, DelaySteps(delays))
 	if err != nil {
 		return Sweep{}, err
 	}
-	defer topo.Close()
-	return RunSweepOn(ctx, topo, scale, delays)
-}
-
-// RunSweepOn measures an already-built topology: one client, warmed once
-// at the first delay, then one pass per delay. Used directly by tests
-// that need access to the topology's internals.
-func RunSweepOn(ctx context.Context, topo *Topology, scale Scale, delays []time.Duration) (Sweep, error) {
-	load := topo.oneClient(scale.Workload)
-	load.Batches = scale.Batches
-	topo.SetDelay(delays[0])
-	if scale.Warmup > 0 {
-		warm := load
-		warm.Sessions = scale.Warmup
-		if _, err := loadgen.Run(ctx, warm); err != nil {
-			return Sweep{}, fmt.Errorf("harness: warmup: %w", err)
-		}
-	}
-
-	load.Sessions = scale.Sessions
-	sweep := Sweep{Pair: Pair{topo.Arch, topo.Algo}}
-	for _, d := range delays {
-		topo.SetDelay(d)
-		pass, err := topo.Measure(ctx, load)
-		if err != nil {
-			return Sweep{}, fmt.Errorf("harness: delay %v: %w", d, err)
-		}
-		sweep.Points = append(sweep.Points, Point{
-			OneWayDelayMs: float64(d) / float64(time.Millisecond),
-			Pass:          pass,
-		})
-	}
-
-	xs := make([]float64, len(sweep.Points))
-	ys := make([]float64, len(sweep.Points))
-	for i, p := range sweep.Points {
+	sweep := Sweep{Pair: Pair{opts.Arch, opts.Algo}, Points: points}
+	xs := make([]float64, len(points))
+	ys := make([]float64, len(points))
+	for i, p := range points {
 		xs[i] = p.OneWayDelayMs
 		ys[i] = p.MeanLatencyMs()
 	}

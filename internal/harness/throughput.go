@@ -1,58 +1,37 @@
 package harness
 
 import (
-	"context"
 	"fmt"
 	"io"
+	"time"
 )
 
 // The throughput extension: the paper factored queuing out ("one
 // virtual client"); this experiment puts it back, sweeping the number of
 // concurrent clients at a fixed delay and reporting throughput, latency,
-// and failure (conflict exhaustion) rates per architecture.
+// and failure (conflict exhaustion) rates per architecture. A curve is
+// a Sweep with no fit. Unlike the single-virtual-client sweep, the
+// concurrent steps actually race writers, so this is where real
+// conflict forensics come from.
 
-// ThroughputPoint is one concurrency level's measurement. Unlike the
-// single-virtual-client sweep, the concurrent pass actually races
-// writers, so this is where real conflict forensics come from.
-type ThroughputPoint struct {
-	Clients int
-	Pass
-}
-
-// ThroughputCurve is one architecture's throughput-vs-concurrency curve.
-type ThroughputCurve struct {
-	Pair
-	Points []ThroughputPoint
-}
-
-// RunThroughput builds the topology once at opts.OneWayDelay, warms it
-// once, and measures one pass per client count: that many fresh
-// concurrent clients, each driving scale.Sessions sessions.
-func RunThroughput(ctx context.Context, opts Options, scale Scale, clientCounts []int) (ThroughputCurve, error) {
-	if len(clientCounts) == 0 {
-		return ThroughputCurve{}, fmt.Errorf("harness: throughput needs client counts")
-	}
-	topo, err := Build(opts)
-	if err != nil {
-		return ThroughputCurve{}, err
-	}
-	defer topo.Close()
-	if err := topo.warm(ctx, scale); err != nil {
-		return ThroughputCurve{}, err
-	}
-	curve := ThroughputCurve{Pair: Pair{topo.Arch, topo.Algo}}
-	for _, n := range clientCounts {
-		pass, err := topo.Measure(ctx, topo.clients(n, scale))
-		if err != nil {
-			return ThroughputCurve{}, fmt.Errorf("harness: %d clients: %w", n, err)
+// ClientSteps is a throughput curve's steps at delay: one per client
+// count, each of that many fresh clients. Every count, 1 included,
+// gets fresh clients: the warm-up's client would carry its generator's
+// position into the curve and move which registrations collide.
+func ClientSteps(delay time.Duration, counts []int) []Step {
+	steps := make([]Step, len(counts))
+	for i, n := range counts {
+		steps[i] = Step{
+			Label:         fmt.Sprintf("%d clients", n),
+			OneWayDelayMs: float64(delay) / float64(time.Millisecond),
+			Clients:       n,
 		}
-		curve.Points = append(curve.Points, ThroughputPoint{Clients: n, Pass: pass})
 	}
-	return curve, nil
+	return steps
 }
 
 // WriteThroughput renders one or more curves as a text table.
-func WriteThroughput(w io.Writer, curves []ThroughputCurve) {
+func WriteThroughput(w io.Writer, curves []Sweep) {
 	fmt.Fprintln(w, "Extension: throughput under concurrent load (not in the paper;")
 	fmt.Fprintln(w, "the paper measured a single virtual client to factor out queuing)")
 	for _, c := range curves {

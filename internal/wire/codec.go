@@ -6,17 +6,29 @@ import (
 	"time"
 )
 
-// Body is a message that encodes itself: the transport writes the
-// frame header and hands the rest of the frame to the body, together
-// with the connection's name table for that direction (see Names). The
-// encoding is not self-describing — both peers build from this tree and
-// agree on the field order — so a schema change edits the encoder and
-// the decoder in one commit. A body that sends no names ignores the
-// table.
+// Body is a message that encodes and decodes itself: the transport
+// writes the frame header and hands the rest of the frame to the body,
+// together with the connection's name table for that direction (see
+// Names). The encoding is not self-describing — both peers build from
+// this tree and agree on the field order — so a schema change edits the
+// encoder and the decoder in one commit. A body that sends no names
+// ignores the table. A message that only ever travels one way
+// implements only its half: the frame writer asks for an Encoder, the
+// frame reader for a Decoder.
 type Body interface {
+	Encoder
+	Decoder
+}
+
+// Encoder is the sending half of a Body.
+type Encoder interface {
 	// AppendWire appends the body's encoding to dst and returns the
 	// extended slice. t is the sending side's table.
 	AppendWire(dst []byte, t *Names) []byte
+}
+
+// Decoder is the receiving half of a Body.
+type Decoder interface {
 	// ReadWire decodes one body from data, the remainder of a frame,
 	// against the receiving side's table t. data is the connection's
 	// reused read buffer: ReadWire must copy out every byte it keeps.

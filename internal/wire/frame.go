@@ -32,7 +32,8 @@ const DefaultMaxFrame = 16 << 20
 // refuses a zero length, a length past its cap, a prefix longer than
 // the cap's own uvarint and a prefix the connection ends inside.
 //
-// A body that implements Body encodes itself, against the connection's
+// A body that implements Encoder encodes itself (and one that
+// implements Decoder decodes itself), against the connection's
 // name table for its direction: a name (a field or table name, an
 // edge's origin) travels as a literal the first time it crosses the
 // connection and as an index after that (see Names). Frames are encoded
@@ -80,7 +81,7 @@ type frameWriter struct {
 	w     io.Writer
 	buf   []byte // the frame under construction, reused
 	names Names  // this direction's name table, send half
-	// gob fallback for bodies that do not implement Body; nil until the
+	// gob fallback for bodies that do not implement Encoder; nil until the
 	// first such body.
 	enc    *gob.Encoder
 	gobBuf bytes.Buffer
@@ -107,7 +108,7 @@ func (fw *frameWriter) writeFrame(h *frameHeader, body any) (int, error) {
 // the writer's reused buffer, valid until the next frame.
 func (fw *frameWriter) frame(h *frameHeader, body any) ([]byte, error) {
 	buf := appendHeader(append(fw.buf[:0], noPrefix[:]...), h)
-	if b, ok := body.(Body); ok {
+	if b, ok := body.(Encoder); ok {
 		buf = b.AppendWire(buf, &fw.names)
 	} else {
 		if fw.enc == nil {
@@ -153,7 +154,7 @@ type frameReader struct {
 	body      []byte // the current frame past its header
 	names     Names  // this direction's name table, receive half
 	// gob fallback, the read side of frameWriter's; nil until the first
-	// body that does not implement Body.
+	// body that does not implement Decoder.
 	dec    *gob.Decoder
 	gobSrc bytes.Reader
 }
@@ -248,7 +249,7 @@ func (fr *frameReader) readHeader() (frameHeader, error) {
 // a name's first crossing, and a gob stream's type definitions arrive
 // inside whichever message first used them.
 func (fr *frameReader) decodeBody(v any) error {
-	if b, ok := v.(Body); ok {
+	if b, ok := v.(Decoder); ok {
 		return b.ReadWire(fr.body, &fr.names)
 	}
 	if fr.dec == nil {
