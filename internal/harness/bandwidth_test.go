@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"edgeejb/internal/loadgen"
 	"edgeejb/internal/trade"
 )
 
@@ -114,6 +115,72 @@ func TestMultipleEdgeServersShareState(t *testing.T) {
 			t.Fatal("edge 1 never observed edge 0's committed update")
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// TestWireBytesMatchProxy: Figure 8's bytes are the bytes the delay
+// proxies forward. Over a measured pass, the shared-path bytes the wire
+// clients count equal what the proxies on that path forwarded, on each
+// shape the path takes: web clients to the application server
+// (Clients/RAS), an edge's database connections with and without its
+// invalidation stream (ES/RDB cached EJBs and JDBC), and two edges'
+// connections to one back-end, each hearing the other's notices
+// (ES/RBES). The proxy counts a chunk before it forwards it, and a pass
+// ends once every notice sent has been applied, so nothing is in flight
+// when the two are compared.
+func TestWireBytesMatchProxy(t *testing.T) {
+	workload := trade.GeneratorConfig{Seed: 21, Users: 10, Symbols: 20}
+	pop := trade.PopulateConfig{Users: 10, Symbols: 20, HoldingsPerUser: 2}
+	for _, tc := range []struct {
+		pair  Pair
+		edges int
+	}{
+		{Pair{ClientsRAS, AlgJDBC}, 1},
+		{Pair{ESRDB, AlgCachedEJB}, 1},
+		{Pair{ESRDB, AlgJDBC}, 1},
+		{Pair{ESRBES, AlgCachedEJB}, 2},
+	} {
+		t.Run(tc.pair.String(), func(t *testing.T) {
+			topo, err := Build(Options{Arch: tc.pair.Arch, Algo: tc.pair.Algo, EdgeServers: tc.edges, Populate: pop})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer topo.Close()
+			load := loadgen.Config{Generators: loadgen.Generators(workload, tc.edges), Sessions: 4, Batches: 2}
+			for edge := 0; edge < tc.edges; edge++ {
+				c, err := topo.NewWebClientFor(edge)
+				if err != nil {
+					t.Fatal(err)
+				}
+				load.Clients = append(load.Clients, c)
+			}
+			proxied := func() (n uint64) {
+				for _, p := range topo.proxies {
+					n += p.Counter().Total()
+				}
+				return n
+			}
+			ctx := context.Background()
+			// The first pass warms the caches; the second is measured.
+			if _, err := topo.Measure(ctx, load); err != nil {
+				t.Fatalf("warm pass: %v", err)
+			}
+			before := proxied()
+			pass, err := topo.Measure(ctx, load)
+			if err != nil {
+				t.Fatalf("measured pass: %v", err)
+			}
+			forwarded := proxied() - before
+			if forwarded == 0 {
+				t.Fatal("the proxies forwarded nothing")
+			}
+			if got := pass.Wire.Bytes(); got != forwarded {
+				t.Errorf("wire clients counted %d B, the proxies forwarded %d B", got, forwarded)
+			}
+			if tc.pair.Arch == ESRBES && pass.Wire.Pushes == 0 {
+				t.Error("no notice crossed between the two edges")
+			}
+		})
 	}
 }
 

@@ -17,10 +17,11 @@ import (
 // TestShardedSmoke drives the Figure 6 workload through a two-shard
 // datacenter tier and checks the decision rule actually exercised every
 // path: single-shard fast-path commits, cross-shard 2PC (a buy whose
-// quote lives on the other shard), and per-shard commit attribution on
-// both shards. It also asserts a cross-shard commit renders as one
+// quote lives on the other shard), and commits applied by both shards'
+// back-ends. It also asserts a cross-shard commit renders as one
 // waterfall: the coordinator's 2PC span with a prepare and a
-// commit-prepared child per participant.
+// commit-prepared child per participant, and that no participant is
+// left holding a prepared set.
 func TestShardedSmoke(t *testing.T) {
 	log := obs.NewSpanLog(1 << 16)
 	saved := obs.DefaultSpans
@@ -60,24 +61,26 @@ func TestShardedSmoke(t *testing.T) {
 		t.Fatalf("%d failed interactions", p.Load.Failures)
 	}
 
-	diff := obs.Default.Diff(obsBefore)
-	if diff.Counters["shard.fastpath_commits"] == 0 {
+	point := ShardScalingPoint{Shards: 2, Pass: p.Pass}
+	if point.FastpathCommits() == 0 {
 		t.Error("no single-shard fast-path commits; placement or routing broke")
 	}
+	diff := obs.Default.Diff(obsBefore)
 	if diff.Counters["shard.2pc_commits"] == 0 {
 		t.Error("no cross-shard 2PC commits; the workload's foreign-quote buys vanished")
 	}
 	if diff.Counters["shard.2pc_heuristics"] != 0 {
 		t.Errorf("%d heuristic 2PC outcomes on a healthy run", diff.Counters["shard.2pc_heuristics"])
 	}
-	perShard := labeledByValue(diff.Counters, "shard.commits")
-	for _, shard := range []string{"0", "1"} {
-		if perShard[shard] == 0 {
-			t.Errorf("shard.commits{shard=%s} = 0; one shard took all commits", shard)
+	for shard, commits := range p.BackendCommits {
+		if commits == 0 {
+			t.Errorf("shard %d's back-end applied no commits; one shard took them all (%v)", shard, p.BackendCommits)
 		}
 	}
-	if diff.Counters["sqlstore.prepares"] == 0 || diff.Counters["sqlstore.prepared_commits"] == 0 {
-		t.Error("participant prepare counters silent during 2PC")
+	for shard, s := range topo.Stores {
+		if n := s.PreparedCount(); n != 0 {
+			t.Errorf("shard %d holds %d prepared sets after the run", shard, n)
+		}
 	}
 
 	// One cross-shard commit as a waterfall: under a single trace, the
@@ -109,9 +112,9 @@ func TestShardedSmoke(t *testing.T) {
 	if !found {
 		t.Error("no trace shows coordinator + both participants (2pc span with 2 prepares and 2 commit-prepareds)")
 	}
-	t.Logf("fastpath=%d 2pc=%d readonly=%d scatter=%d",
-		diff.Counters["shard.fastpath_commits"], diff.Counters["shard.2pc_commits"],
-		diff.Counters["shard.readonly_commits"], diff.Counters["shard.scatter_queries"])
+	t.Logf("measured: fastpath=%d 2pc=%d readonly=%d scatter=%d by shard=%v",
+		point.FastpathCommits(), point.TwoPCCommits(), point.ReadonlyCommits(),
+		point.ScatterQueries(), p.BackendCommits)
 }
 
 // TestShardFaultChaosTwoEdges races two edge servers' sessions across a

@@ -20,22 +20,6 @@ const (
 	Exclusive
 )
 
-// String returns the mode's conventional abbreviation.
-func (m Mode) String() string {
-	switch m {
-	case Shared:
-		return "S"
-	case IntentExclusive:
-		return "IX"
-	case SharedIntentExclusive:
-		return "SIX"
-	case Exclusive:
-		return "X"
-	default:
-		return "invalid"
-	}
-}
-
 func (m Mode) valid() bool { return m >= Shared && m <= Exclusive }
 
 // Join returns the least mode at least as strong as both arguments.

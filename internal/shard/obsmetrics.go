@@ -5,17 +5,14 @@ import "edgeejb/internal/obs"
 // Shard-router metrics. Names are documented in OBSERVABILITY.md (CI
 // cross-checks the registrations against the docs).
 var (
-	// obsShardCommits counts committed commit sets per shard — the curve
-	// that shows whether load actually spreads across the ring.
-	obsShardCommits = obs.Default.LabeledCounter("shard.commits", "shard")
-	// obsFastpathCommits counts single-shard commits that took the
-	// unchanged one-frame fast path.
-	obsFastpathCommits = obs.Default.Counter("shard.fastpath_commits")
 	// obsReadonlyCommits counts multi-shard read-only sets validated by
 	// per-shard scatter (no 2PC, no global serialization point).
 	obsReadonlyCommits = obs.Default.Counter("shard.readonly_commits")
-	// obsTwoPCCommits / obsTwoPCAborts count full two-phase outcomes; the
-	// 2PC fraction of a run is 2pc_commits / (fastpath + readonly + 2pc).
+	// obsTwoPCCommits / obsTwoPCAborts count full two-phase outcomes. A
+	// single-shard commit takes the fast path and is counted by no
+	// router metric: the harness derives it from the commits the edges
+	// shipped (ShardScalingPoint.FastpathCommits), and the per-shard
+	// balance from each back-end's own commit count.
 	obsTwoPCCommits = obs.Default.Counter("shard.2pc_commits")
 	obsTwoPCAborts  = obs.Default.Counter("shard.2pc_aborts")
 	// obsTwoPCHeuristics counts mixed second-phase outcomes: every

@@ -133,8 +133,6 @@ func (r *Router) ApplyCommitSet(ctx context.Context, cs memento.CommitSet) (sqls
 			if err != nil {
 				return sqlstore.ApplyResult{}, err
 			}
-			obsFastpathCommits.Inc()
-			obsShardCommits.With(strconv.Itoa(s)).Inc()
 			return res, nil
 		}
 	}
@@ -172,9 +170,6 @@ func (r *Router) validateScatter(ctx context.Context, split map[int]memento.Comm
 		}
 	}
 	obsReadonlyCommits.Inc()
-	for i := range parts {
-		obsShardCommits.With(strconv.Itoa(parts[i].shard)).Inc()
-	}
 	return sqlstore.ApplyResult{}, nil
 }
 
@@ -267,9 +262,6 @@ func (r *Router) twoPhase(ctx context.Context, split map[int]memento.CommitSet) 
 		}
 	}
 	obsTwoPCCommits.Inc()
-	for i := range parts {
-		obsShardCommits.With(strconv.Itoa(parts[i].shard)).Inc()
-	}
 	return out, nil
 }
 

@@ -16,7 +16,8 @@ import (
 // pipeline through a stream outage: the manager clears its cache, misses
 // commits, resubscribes, and then receives fresh notices. No staleness
 // window or push latency recorded across that sequence may be negative
-// or absurd (the outage must not leak into the histograms).
+// or absurd (the outage must not leak into the events), and the fresh
+// notice carries its push latency as the window it closed.
 func TestNoticePipelineAcrossResubscribe(t *testing.T) {
 	store := sqlstore.New()
 	defer store.Close()
@@ -49,7 +50,6 @@ func TestNoticePipelineAcrossResubscribe(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	obsBefore := obs.Default.Snapshot()
 	seqBefore := obs.DefaultEvents.Seq()
 
 	// Kill the stream: the manager clears its cache.
@@ -107,27 +107,22 @@ func TestNoticePipelineAcrossResubscribe(t *testing.T) {
 			if e.Evicted < 1 {
 				t.Errorf("post-recovery notice evicted %d entries, want >= 1", e.Evicted)
 			}
+			// The store stamps every commit, so the notice has a push
+			// latency, and its eviction closed a window that long.
+			if e.Latency <= 0 || e.Age != e.Latency {
+				t.Errorf("post-recovery notice latency %v, window %v: want the same positive duration", e.Latency, e.Age)
+			}
 		}
 	}
 	if !postRecovery {
 		t.Error("post-recovery invalidation event not emitted")
 	}
-
-	diff := obs.Default.Diff(obsBefore)
-	for _, name := range []string{"slicache.invalidation_latency", "slicache.staleness_window"} {
-		h := diff.Histograms[name]
-		if h.Max < 0 || h.Max > time.Minute {
-			t.Errorf("%s max = %v across resubscribe", name, h.Max)
-		}
-	}
-	if diff.Histograms["slicache.invalidation_latency"].Count == 0 {
-		t.Error("invalidation latency histogram recorded nothing")
-	}
 }
 
-// TestNoteNoticeClampsAndSkips unit-checks the notice bookkeeping edge
-// cases: a clock-skewed commit time clamps to zero latency, and an
-// unstamped (legacy) notice records no latency and no staleness window.
+// TestNoteNoticeClampsAndSkips unit-checks the timing on a notice's
+// invalidation event: a clock-skewed commit time clamps to zero latency,
+// an unstamped (legacy) notice has no latency, and only a notice that
+// evicted something closes a staleness window (Age).
 func TestNoteNoticeClampsAndSkips(t *testing.T) {
 	store := sqlstore.New()
 	defer store.Close()
@@ -135,49 +130,52 @@ func TestNoteNoticeClampsAndSkips(t *testing.T) {
 	defer mgr.Close()
 	now := time.Unix(1000, 0)
 	mgr.SetClock(func() time.Time { return now })
-	mgr.CommonStore().Put(row("1", 1))
+	const lag = 2 * time.Millisecond
 
-	obsBefore := obs.Default.Snapshot()
 	seqBefore := obs.DefaultEvents.Seq()
-
-	// Committed "in the future" relative to this edge's clock: skew, not
-	// time travel — the latency must clamp to zero, not go negative.
-	mgr.noteNotice(sqlstore.Notice{
-		Seq: 7, Writes: []memento.WriteDesc{{Key: key("1")}},
-		CommittedAt: now.Add(3 * time.Second), OriginTrace: 42,
-	})
-	// Unstamped notice (no CommittedAt): applied, but no timing recorded.
-	mgr.CommonStore().Put(row("1", 2))
-	mgr.noteNotice(sqlstore.Notice{Seq: 8, Writes: []memento.WriteDesc{{Key: key("1")}}})
+	for _, n := range []struct {
+		cached      bool
+		committedAt time.Time
+	}{
+		// Committed "in the future" relative to this edge's clock: skew,
+		// not time travel — the latency must clamp to zero.
+		{cached: true, committedAt: now.Add(3 * time.Second)},
+		// Unstamped notice (no CommittedAt): applied, but untimed.
+		{cached: true},
+		// Stamped and evicting: the latency is the window it closed.
+		{cached: true, committedAt: now.Add(-lag)},
+		// Stamped but nothing cached: a latency and no window.
+		{committedAt: now.Add(-lag)},
+	} {
+		if n.cached {
+			mgr.CommonStore().Put(row("1", 1))
+		}
+		mgr.noteNotice(sqlstore.Notice{
+			Seq: 7, Writes: []memento.WriteDesc{{Key: key("1")}},
+			CommittedAt: n.committedAt, OriginTrace: 42,
+		})
+	}
 
 	events := obs.DefaultEvents.Since(seqBefore)
-	if len(events) != 2 {
-		t.Fatalf("got %d events, want 2", len(events))
+	if len(events) != 4 {
+		t.Fatalf("got %d events, want 4", len(events))
 	}
-	for _, e := range events {
-		if e.Latency < 0 || e.Age < 0 {
-			t.Errorf("negative timing: %+v", e)
+	want := []struct {
+		evicted      int
+		latency, age time.Duration
+	}{
+		{evicted: 1},
+		{evicted: 1},
+		{evicted: 1, latency: lag, age: lag},
+		{evicted: 0, latency: lag},
+	}
+	for i, e := range events {
+		if e.Type != obs.EventInvalidation {
+			t.Fatalf("event %d is a %s, want an invalidation", i, e.Type)
 		}
-		if e.Evicted != 1 {
-			t.Errorf("evicted = %d, want 1: %+v", e.Evicted, e)
+		if e.Evicted != want[i].evicted || e.Latency != want[i].latency || e.Age != want[i].age {
+			t.Errorf("notice %d: evicted %d, latency %v, window %v; want %d, %v, %v",
+				i, e.Evicted, e.Latency, e.Age, want[i].evicted, want[i].latency, want[i].age)
 		}
-	}
-	if events[1].Latency != 0 || events[1].Age != 0 {
-		t.Errorf("unstamped notice recorded timing: %+v", events[1])
-	}
-
-	diff := obs.Default.Diff(obsBefore)
-	if got := diff.Histograms["slicache.invalidation_latency"].Count; got != 1 {
-		t.Errorf("latency observations = %d, want 1 (unstamped notice must not observe)", got)
-	}
-	// The skewed notice evicted entries, so it closes a (clamped) window;
-	// the unstamped one must not.
-	if got := diff.Histograms["slicache.staleness_window"].Count; got != 1 {
-		t.Errorf("staleness observations = %d, want 1", got)
-	}
-	// The clamped observation lands in the zero-duration bucket. (Max is
-	// not diffable, so the all-time max can't be asserted here.)
-	if got := diff.Histograms["slicache.staleness_window"].Buckets[0]; got != 1 {
-		t.Errorf("zero-bucket staleness observations = %d, want 1 (clamp failed)", got)
 	}
 }

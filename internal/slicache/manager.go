@@ -249,9 +249,8 @@ func (m *Manager) drainNotices(ch <-chan sqlstore.Notice, stop chan struct{}) {
 
 // noteNotice applies one invalidation notice — never for one of this
 // manager's own commits, which the store does not send it — and records
-// its forensics: push latency (when the store stamped the commit time),
-// the staleness window the eviction closed, and a structured
-// invalidation event.
+// it as an invalidation event: its push latency (when the store stamped
+// the commit time) and the staleness window the eviction closed.
 func (m *Manager) noteNotice(n sqlstore.Notice) {
 	var lat time.Duration
 	stamped := !n.CommittedAt.IsZero()
@@ -259,7 +258,6 @@ func (m *Manager) noteNotice(n sqlstore.Notice) {
 		if lat = m.now().Sub(n.CommittedAt); lat < 0 {
 			lat = 0
 		}
-		obsInvalLatency.Observe(lat)
 	}
 	ev := obs.Event{
 		Type:       obs.EventInvalidation,
@@ -275,7 +273,6 @@ func (m *Manager) noteNotice(n sqlstore.Notice) {
 	if ev.Evicted > 0 && stamped {
 		// Entries were actually dropped: the push latency bounds how
 		// long they could have been served stale.
-		obsStaleness.Observe(lat)
 		ev.Age = lat
 	}
 	// The event goes out before the notice counts as applied, so a

@@ -7,7 +7,8 @@ import "edgeejb/internal/obs"
 // snapshots are the harness's source of truth for everything a topology
 // reports; what is registered here is only what Stats cannot give a
 // reader — a count attributed per bean, a count a phase diff needs
-// process-wide, a latency distribution. Names are documented in
+// process-wide. A notice's push latency is its invalidation event's,
+// which invalidation_latency.csv reads. Names are documented in
 // OBSERVABILITY.md with the reader of each (CI cross-checks both).
 var (
 	// Per-bean cache traffic, labeled by memento table — forensics.txt's
@@ -27,11 +28,4 @@ var (
 	obsFinderHits          = obs.Default.Counter("slicache.finder_hits")
 	obsFinderMisses        = obs.Default.Counter("slicache.finder_misses")
 	obsFinderInvalidations = obs.Default.Counter("slicache.finder_invalidations")
-
-	// obsInvalLatency is the push latency of invalidation notices: origin
-	// commit at the store to arrival at this edge.
-	obsInvalLatency = obs.Default.Histogram("slicache.invalidation_latency")
-	// obsStaleness is the staleness window each notice closed: how long a
-	// now-invalidated entry could have been served stale.
-	obsStaleness = obs.Default.Histogram("slicache.staleness_window")
 )

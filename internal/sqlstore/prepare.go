@@ -41,14 +41,6 @@ type prepareTTLOption time.Duration
 
 func (o prepareTTLOption) apply(c *config) { c.prepareTTL = time.Duration(o) }
 
-// Participant-side 2PC tallies: commit sets parked in doubt by phase
-// one, and parked sets made durable by a commit decision. The sharded
-// smoke test reads both to see that participants took part.
-var (
-	obsPrepares       = obs.Default.Counter("sqlstore.prepares")
-	obsPreparedCommit = obs.Default.Counter("sqlstore.prepared_commits")
-)
-
 // Prepare validates a commit sub-set exactly as ApplyCommitSet would,
 // but instead of committing it parks the validating transaction under
 // gid with its locks held, awaiting the coordinator's decision. A
@@ -87,7 +79,6 @@ func (s *Store) Prepare(ctx context.Context, gid string, cs memento.CommitSet) e
 	entry.timer = time.AfterFunc(s.prepareTTL, func() { s.presumeAbort(gid) })
 	s.prepared[gid] = entry
 	s.prepMu.Unlock()
-	obsPrepares.Inc()
 	return nil
 }
 
@@ -109,7 +100,6 @@ func (s *Store) CommitPrepared(ctx context.Context, gid string) (ApplyResult, er
 		return ApplyResult{}, err
 	}
 	s.stats.optOK.Add(1)
-	obsPreparedCommit.Inc()
 	return ApplyResult{Seq: entry.tx.Seq()}, nil
 }
 

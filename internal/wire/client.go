@@ -520,7 +520,7 @@ func (cn *conn) handlePush(size int) bool {
 		cn.teardown(fmt.Errorf("wire: recv push on connection without sink"))
 		return false
 	}
-	cn.c.stats.push(sink.label, size, false)
+	cn.c.stats.push(sink.label, size)
 	body := sink.factory()
 	if err := cn.fr.decodeBody(body); err != nil {
 		cn.teardown(fmt.Errorf("wire: recv push: %w", err))

@@ -49,9 +49,9 @@
 //     and a blocked one never stops the reading.
 //   - Server drains gracefully on Close: stop accepting, finish
 //     in-flight requests, bounded by a drain timeout, then force-close.
-//   - Both ends keep per-op counts and byte totals, exposed as a Stats
-//     snapshot, so byte accounting on the shared path no longer depends
-//     on the delay proxy alone.
+//   - A Client keeps per-op counts and byte totals, exposed as a Stats
+//     snapshot: the shared path's round trips and bytes by operation,
+//     which the delay proxy, counting bytes alone, cannot tell apart.
 //   - Frame headers carry an optional trace/span pair, so a span tree
 //     started at the client reassembles across tiers; untraced requests
 //     pay no bytes for it (see OBSERVABILITY.md).

@@ -89,24 +89,15 @@ type frameWriter struct {
 
 func newFrameWriter(w io.Writer) *frameWriter { return &frameWriter{w: w} }
 
-// writeFrame encodes header+body as one frame and hands it to the
-// connection in a single Write. It returns how many of the frame's
-// bytes the connection accepted: the whole frame (prefix included) on
-// success, and on a failed write the part that still reached the
-// socket, so callers can account partially-sent traffic — under fault
-// injection those bytes are real load on the shared path, and dropping
-// them from Stats.BytesSent skews the Figure-8 comparison.
+// writeFrame encodes header+body as one frame, length prefix included,
+// into the writer's reused buffer and hands it to the connection in a
+// single Write. It returns how many of the frame's bytes the connection
+// accepted: the whole frame on success, and on a failed write the part
+// that still reached the socket, so a client can account
+// partially-sent traffic — under fault injection those bytes are real
+// load on the shared path, and dropping them from Stats.BytesSent
+// skews the Figure-8 comparison.
 func (fw *frameWriter) writeFrame(h *frameHeader, body any) (int, error) {
-	buf, err := fw.frame(h, body)
-	if err != nil {
-		return 0, err
-	}
-	return fw.w.Write(buf)
-}
-
-// frame encodes header+body as one frame, length prefix included, into
-// the writer's reused buffer, valid until the next frame.
-func (fw *frameWriter) frame(h *frameHeader, body any) ([]byte, error) {
 	buf := appendHeader(append(fw.buf[:0], noPrefix[:]...), h)
 	if b, ok := body.(Encoder); ok {
 		buf = b.AppendWire(buf, &fw.names)
@@ -116,20 +107,20 @@ func (fw *frameWriter) frame(h *frameHeader, body any) ([]byte, error) {
 		}
 		fw.gobBuf.Reset()
 		if err := fw.enc.Encode(body); err != nil {
-			return nil, err
+			return 0, err
 		}
 		buf = append(buf, fw.gobBuf.Bytes()...)
 	}
 	fw.buf = buf
 	size := uint64(len(buf) - prefixRoom)
 	if size >= 1<<(7*prefixRoom) {
-		return nil, fmt.Errorf("wire: frame of %d bytes", size)
+		return 0, fmt.Errorf("wire: frame of %d bytes", size)
 	}
 	var prefix [prefixRoom]byte
 	n := binary.PutUvarint(prefix[:], size)
 	start := prefixRoom - n
 	copy(buf[start:], prefix[:n])
-	return buf[start:], nil
+	return fw.w.Write(buf[start:])
 }
 
 // frameReader reads frames and decodes their header and body. A read

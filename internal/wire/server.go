@@ -44,17 +44,11 @@ type Session struct {
 func (s *Session) Push(id uint64, body any) error {
 	sc := s.sc
 	sc.wmu.Lock()
-	n, err := sc.fw.writeFrame(&frameHeader{ID: id, Kind: kindPush}, body)
+	_, err := sc.fw.writeFrame(&frameHeader{ID: id, Kind: kindPush}, body)
 	sc.wmu.Unlock()
 	if err != nil {
-		if n > 0 {
-			// The truncated push still put bytes on the path; account
-			// them without counting a delivered push.
-			sc.srv.stats.sent("push", n)
-		}
 		return fmt.Errorf("wire: push: %w", err)
 	}
-	sc.srv.stats.push("push", n, true)
 	return nil
 }
 
@@ -77,7 +71,6 @@ const drainTimeout = 5 * time.Second
 // force-close whatever remains.
 type Server struct {
 	newHandler func() ConnHandler
-	stats      *collector
 	baseCtx    context.Context
 	cancel     context.CancelFunc
 
@@ -98,7 +91,6 @@ func NewServer(newHandler func() ConnHandler) *Server {
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		newHandler: newHandler,
-		stats:      newCollector(),
 		baseCtx:    ctx,
 		cancel:     cancel,
 		conns:      make(map[*serverConn]struct{}),
@@ -134,9 +126,6 @@ func (s *Server) Addr() string {
 	}
 	return s.ln.Addr().String()
 }
-
-// Stats returns a snapshot of this server's transport counters.
-func (s *Server) Stats() Stats { return s.stats.snapshot() }
 
 func (s *Server) acceptLoop(ln net.Listener) {
 	defer s.wg.Done()
@@ -243,10 +232,9 @@ type serverConn struct {
 
 // request is one decoded request on its way to its handler.
 type request struct {
-	ctx   context.Context
-	id    uint64
-	label string
-	body  any
+	ctx  context.Context
+	id   uint64
+	body any
 }
 
 // errDrained ends a connection's reading when the server drains.
@@ -306,7 +294,7 @@ func (sc *serverConn) teardown(graceful bool) {
 // counts it in flight. Any error ends the reading; errDrained means the
 // server is draining.
 func (sc *serverConn) readRequest() (request, error) {
-	size, err := sc.fr.readFrame()
+	_, err := sc.fr.readFrame()
 	if err != nil {
 		// The only deadline ever set on a server connection is the
 		// drain wakeup.
@@ -329,16 +317,11 @@ func (sc *serverConn) readRequest() (request, error) {
 	if err := sc.fr.decodeBody(body); err != nil {
 		return request{}, err
 	}
-	label := labelOf(body)
-	sc.srv.stats.received(label, size)
-	if h.traced() {
-		sc.srv.stats.traced(label)
-	}
 	sc.handlers.Add(1)
 	// Requests arriving with a trace ID continue that trace on this
 	// side of the process boundary, parented under the caller's span
 	// (obs.WithRemoteParent is a no-op on a zero trace).
-	return request{ctx: obs.WithRemoteParent(sc.ctx, h.Trace, h.Span), id: h.ID, label: label, body: body}, nil
+	return request{ctx: obs.WithRemoteParent(sc.ctx, h.Trace, h.Span), id: h.ID, body: body}, nil
 }
 
 func (sc *serverConn) dispatch(r request) {
@@ -348,19 +331,9 @@ func (sc *serverConn) dispatch(r request) {
 		return
 	}
 	sc.wmu.Lock()
-	frame, err := sc.fw.frame(&frameHeader{ID: r.id, Kind: kindResponse}, resp)
-	if err == nil {
-		// Count the reply as it is handed to the socket, as the delay
-		// proxy counts its chunks: the client may read it and read these
-		// stats before Write returns, and the count must never trail
-		// what the client has read.
-		sc.srv.stats.sent(r.label, len(frame))
-		sc.srv.stats.roundTrip(r.label)
-		_, err = sc.fw.w.Write(frame)
-	}
+	_, err := sc.fw.writeFrame(&frameHeader{ID: r.id, Kind: kindResponse}, resp)
 	sc.wmu.Unlock()
 	if err != nil {
-		sc.srv.stats.failure(r.label)
 		// A failed response write means the stream is broken for every
 		// other in-flight response too.
 		if !errors.Is(err, net.ErrClosed) {

@@ -12,9 +12,11 @@ type OpStats struct {
 	TraceBytes    uint64 // of the bytes above, traced requests' trace/span pairs
 }
 
-// Stats is a point-in-time snapshot of a transport endpoint's counters.
-// Bytes include every frame's length prefix, so client and server
-// snapshots of the same path agree with on-the-wire traffic.
+// Stats is a point-in-time snapshot of a Client's transport counters.
+// Bytes include every frame's length prefix, so a snapshot agrees with
+// what a delay proxy on the client's path forwards, byte for byte
+// (internal/harness's TestWireBytesMatchProxy checks it on Figure 8's
+// configurations).
 type Stats struct {
 	Dials         uint64
 	RoundTrips    uint64 // completed request/response exchanges
@@ -97,7 +99,7 @@ func MergeStats(snaps ...Stats) Stats {
 }
 
 // collector is the mutable counterpart of Stats shared by the
-// connections of one Client or Server.
+// connections of one Client.
 type collector struct {
 	mu            sync.Mutex
 	dials         uint64
@@ -162,19 +164,12 @@ func (c *collector) roundTrip(label string) {
 	c.mu.Unlock()
 }
 
-// push records an unsolicited frame; sent selects which byte direction
-// the frame counts toward (true on the server, false on the client).
-func (c *collector) push(label string, n int, sent bool) {
+// push records an unsolicited frame of n bytes received.
+func (c *collector) push(label string, n int) {
 	c.mu.Lock()
 	c.pushes++
-	o := c.op(label)
-	if sent {
-		c.bytesSent += uint64(n)
-		o.BytesSent += uint64(n)
-	} else {
-		c.bytesReceived += uint64(n)
-		o.BytesReceived += uint64(n)
-	}
+	c.bytesReceived += uint64(n)
+	c.op(label).BytesReceived += uint64(n)
 	c.mu.Unlock()
 }
 

@@ -12,6 +12,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"edgeejb/internal/latency"
 )
 
 // testReq/testResp exercise the transport without any protocol on top.
@@ -104,9 +106,17 @@ func startTestServer(t *testing.T) *Server {
 	return srv
 }
 
+// TestCallRoundTrip runs calls through a zero-delay proxy, which counts
+// every byte it forwards: the client's byte counts must match the
+// proxy's, direction by direction.
 func TestCallRoundTrip(t *testing.T) {
 	srv := startTestServer(t)
-	c := NewClient(srv.Addr())
+	proxy := latency.NewProxy(srv.Addr(), 0)
+	if err := proxy.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(proxy.Close)
+	c := NewClient(proxy.Addr())
 	defer c.Close()
 	ctx := context.Background()
 
@@ -129,14 +139,11 @@ func TestCallRoundTrip(t *testing.T) {
 	if s.BytesSent == 0 || s.BytesReceived == 0 {
 		t.Fatal("byte counters not populated")
 	}
-	ss := srv.Stats()
-	if ss.RoundTrips != 5 {
-		t.Fatalf("server RTs = %d, want 5", ss.RoundTrips)
-	}
-	// Client and server see the same traffic, mirrored.
-	if ss.BytesReceived != s.BytesSent || ss.BytesSent != s.BytesReceived {
-		t.Fatalf("byte accounting mismatch: client %d/%d vs server %d/%d",
-			s.BytesSent, s.BytesReceived, ss.BytesSent, ss.BytesReceived)
+	// The proxy counts a chunk before it forwards it, so both directions
+	// are counted by the time the last reply has been read.
+	if pc := proxy.Counter(); pc.ToTarget() != s.BytesSent || pc.FromTarget() != s.BytesReceived {
+		t.Fatalf("byte accounting mismatch: client %d/%d vs proxy %d/%d",
+			s.BytesSent, s.BytesReceived, pc.ToTarget(), pc.FromTarget())
 	}
 }
 

@@ -21,18 +21,20 @@
 #         a snapshot — .Counters["…"], .Gauges["…"], .Histograms["…"] —
 #         or asks for a labeled family's children, labeledByValue(…, "…")
 #   gate  a script under scripts/ (not this one) or ci.yml naming it
-#   test  a _test.go file outside internal/obs indexing it the same way
 #   doc   a worked example: a fenced block in OBSERVABILITY.md or
 #         EXPERIMENTS.md holding a /metrics line with its value,
 #         "counter <name> …", "gauge <name> …" or "hist <name> …"
 #
 # Being listed in OBSERVABILITY.md's metric reference is not a reader,
-# and neither are internal/obs's own tests: they exercise the collectors
-# and would keep any name alive.
+# and neither is a test: a family only a _test.go file reads is counted
+# for nobody who runs the system, and a test can check the behaviour
+# through a signal that has a reader instead.
 #
 #   registered => read        a family with no reader fails
-#   read => registered        an indexed name no code registers fails
-#                             (it would read as a silent zero)
+#   read => registered        a name that code or a test outside
+#                             internal/obs indexes, and no code
+#                             registers, fails (it would read as a
+#                             silent zero)
 #   registered => documented  the family's row in OBSERVABILITY.md must
 #                             exist and name the reader the table reports
 #
@@ -77,6 +79,11 @@ if [ "${1:-}" = "--selftest" ]; then
 	planted=$scratch/internal/loadgen/planted.go
 	printf 'package loadgen\n\nimport "edgeejb/internal/obs"\n\nvar planted = obs.Default.Counter("x.unread")\n' >"$planted"
 	expect_fail "unread family" "no reader: x.unread"
+
+	printf 'package loadgen\n\nimport (\n\t"testing"\n\n\t"edgeejb/internal/obs"\n)\n\nfunc TestPlanted(t *testing.T) { _ = obs.Default.Snapshot().Counters["x.testonly"] }\n' >"${planted%.go}_test.go"
+	printf 'package loadgen\n\nimport "edgeejb/internal/obs"\n\nvar planted = obs.Default.Counter("x.testonly")\n' >"$planted"
+	expect_fail "family only a test reads" "no reader: x.testonly"
+	rm -f "${planted%.go}_test.go"
 
 	printf 'package loadgen\n\nimport "edgeejb/internal/obs"\n\nfunc planted(s obs.Snapshot) uint64 { return s.Counters["x.unregistered"] }\n' >"$planted"
 	expect_fail "read-but-unregistered name" "read but not registered: x.unregistered"
@@ -148,12 +155,6 @@ reader_of() { # family: prints "<kind> <where>" for its first reader
 		[ "$f" = scripts/check_metrics_docs.sh ] && continue
 		if grep -qE "(^|[^A-Za-z0-9_.])$(printf '%s' "$1" | sed 's/\./\\./g')([^A-Za-z0-9_]|\$)" "$f"; then
 			echo "gate $f"
-			return
-		fi
-	done
-	for f in $test_files; do
-		if names_in "$f" | grep -q -F -x "$1"; then
-			echo "test $f"
 			return
 		fi
 	done
